@@ -12,9 +12,8 @@ two implementations:
 Both produce *bit-identical* result sets and orders — every comparison
 runs on the same float64 values in an order-preserving way — so the I/O
 pricing (the paper's figures) does not depend on the mode.  The scalar
-path exists for two reasons: it is the baseline the wall-clock harness
-(:mod:`repro.bench`) measures speedups against, and it lets the
-equivalence tests cross-check the vectorized kernels.
+path is the reference the equivalence tests cross-check the vectorized
+kernels against.
 
 Select the mode with the ``REPRO_SCALAR_KERNELS`` environment variable
 (any non-empty value other than ``0`` picks the scalar path), with
@@ -35,7 +34,6 @@ __all__ = [
     "set_scalar_kernels",
     "scalar_kernels",
     "window_qvec",
-    "point_qvec",
     "qvec_mask",
 ]
 
@@ -88,12 +86,6 @@ def window_qvec(window) -> np.ndarray:
         (window.xmax, window.ymax, -window.xmin, -window.ymin),
         dtype=np.float64,
     )
-
-
-def point_qvec(x: float, y: float) -> np.ndarray:
-    """A point query's comparison vector (a point is a degenerate
-    window, so containment is the same one-sided test)."""
-    return np.array((x, y, -x, -y), dtype=np.float64)
 
 
 def qvec_mask(query_matrix: np.ndarray, qvec: np.ndarray) -> np.ndarray:

@@ -9,7 +9,6 @@
                                  [--admission none,priority]
     python -m repro.eval traffic [--sessions 100000] [--arrival poisson] [--ablation]
     python -m repro.eval tiering [--migrations none,static,promote-on-hit,lru-demote]
-    python -m repro.eval bench [--scale 0.02] [--repeat 5] [--output BENCH_query_kernels.json]
     python -m repro.eval trace [--trace-out trace.json] [--metrics-out metrics.json]
     python -m repro.eval storage [--scale 0.02] [--path db.dat]
                                  [--report-out storage_report.json]
@@ -51,14 +50,10 @@ window workload (most queries hammer a hot corner of the data space)
 runs over each migration policy of the fast-tier/capacity-tier store
 and reports device time, response time and the migration counters.
 
-The ``bench`` subcommand measures *wall-clock* CPU time of the
-vectorized query kernels against the ``REPRO_SCALAR_KERNELS``
-fallback (see :mod:`repro.bench`) and writes
-``BENCH_query_kernels.json``; ``--profile`` on the workload, iosched
-and tiering subcommands prints the top cProfile entries of the run so
-perf work can find the next hot spot, and ``--profile-out PATH``
-additionally writes the raw pstats dump for offline analysis
-(``python -m pstats PATH``, snakeviz, ...).
+``--profile`` on the workload, iosched and tiering subcommands prints
+the top cProfile entries of the run so perf work can find the next hot
+spot, and ``--profile-out PATH`` additionally writes the raw pstats
+dump for offline analysis (``python -m pstats PATH``, snakeviz, ...).
 
 The ``trace`` subcommand runs a canonical two-client overlapped
 workload with the :mod:`repro.obs` span tracer installed and writes a
@@ -1810,29 +1805,23 @@ def reorg_main(argv: list[str]) -> int:
     return 0
 
 
+_SUBCOMMANDS = {
+    "workload": workload_main,
+    "pagestore": pagestore_main,
+    "iosched": iosched_main,
+    "traffic": traffic_main,
+    "tiering": tiering_main,
+    "trace": trace_main,
+    "storage": storage_main,
+    "reorg": reorg_main,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "workload":
-        return workload_main(argv[1:])
-    if argv and argv[0] == "pagestore":
-        return pagestore_main(argv[1:])
-    if argv and argv[0] == "iosched":
-        return iosched_main(argv[1:])
-    if argv and argv[0] == "traffic":
-        return traffic_main(argv[1:])
-    if argv and argv[0] == "tiering":
-        return tiering_main(argv[1:])
-    if argv and argv[0] == "trace":
-        return trace_main(argv[1:])
-    if argv and argv[0] == "storage":
-        return storage_main(argv[1:])
-    if argv and argv[0] == "reorg":
-        return reorg_main(argv[1:])
-    if argv and argv[0] == "bench":
-        from repro.bench import main as bench_main
-
-        return bench_main(argv[1:])
+    if argv and argv[0] in _SUBCOMMANDS:
+        return _SUBCOMMANDS[argv[0]](argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro.eval",
         description="Reproduce the paper's tables and figures.",

@@ -317,7 +317,7 @@ class VirtualClock(_ClockBase):
     appending at the tail, extending the tail interval, back-filling
     near the issue time — are all O(log n) per reservation, against
     O(n) for the straight interval-list scan (kept as
-    :class:`IntervalListClock` for equivalence testing and benchmarks).
+    :class:`IntervalListClock` for equivalence testing).
     Placement semantics are exactly the interval-list clock's.
     """
 
@@ -434,8 +434,7 @@ class IntervalListClock(_ClockBase):
     per-disk merged sorted ``(start, end)`` interval lists with a
     linear scan-and-insert per reservation.  Kept as the equivalence
     oracle for the bisect-indexed :class:`VirtualClock` (the two must
-    produce identical placements on any dispatch sequence) and as the
-    baseline the ``traffic`` bench measures the speedup against.
+    produce identical placements on any dispatch sequence).
     """
 
     __slots__ = ("_busy",)

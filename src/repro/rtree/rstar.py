@@ -400,19 +400,20 @@ class RStarTree:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def window_query(self, window: Rect) -> list[Entry]:
-        """All data entries whose MBR shares points with ``window``
-        (the *filter* step; exact refinement is the storage layer's
-        job).  Visited pages are priced through the pager.
+    def window_leaves(self, window: Rect) -> list[tuple[Node, list[Entry]]]:
+        """Per data page, the entries matching ``window`` — the unit the
+        cluster-organization read techniques operate on (Section 5.4).
+        Only pages with at least one match are returned; visited pages
+        are priced through the pager.
 
         The default path filters each visited node with one boolean
         mask over its cached rectangle matrix; the scalar fallback
         tests entry-at-a-time.  Both visit the same pages in the same
         stack-DFS order and return the entries in the same order."""
         if not kernels.vectorized():
-            return self._window_query_scalar(window)
+            return self._window_leaves_scalar(window)
         qvec = kernels.window_qvec(window)
-        result: list[Entry] = []
+        groups: list[tuple[Node, list[Entry]]] = []
         stack = [self.root]
         while stack:
             node = stack.pop()
@@ -424,13 +425,50 @@ class RStarTree:
             ).nonzero()[0].tolist()
             entries = node.entries
             if node.is_leaf:
-                result += [entries[i] for i in hits]
+                if hits:
+                    groups.append((node, [entries[i] for i in hits]))
             else:
                 for i in hits:
                     child = entries[i].child
                     assert child is not None
                     stack.append(child)
-        return result
+        return groups
+
+    def _window_leaves_scalar(
+        self, window: Rect
+    ) -> list[tuple[Node, list[Entry]]]:
+        groups: list[tuple[Node, list[Entry]]] = []
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            self._read(node)
+            if node.is_leaf:
+                matches = [e for e in node.entries if e.rect.intersects(window)]
+                if matches:
+                    groups.append((node, matches))
+            else:
+                for entry in node.entries:
+                    if entry.rect.intersects(window):
+                        assert entry.child is not None
+                        stack.append(entry.child)
+        return groups
+
+    def window_query(self, window: Rect) -> list[Entry]:
+        """All data entries whose MBR shares points with ``window``
+        (the *filter* step; exact refinement is the storage layer's
+        job), in :meth:`window_leaves` order.  Visited pages are priced
+        through the pager."""
+        return [e for _, matches in self.window_leaves(window) for e in matches]
+
+    def point_query(self, x: float, y: float) -> list[Entry]:
+        """All data entries whose MBR contains the point (a degenerate
+        window, so the same one-sided comparison applies)."""
+        return self.window_query(Rect(x, y, x, y))
+
+    def matching_leaves(self, window: Rect) -> list[Node]:
+        """The data pages holding at least one entry matching ``window``
+        — the cluster units a window query must touch (Section 4.2.2)."""
+        return [leaf for leaf, _ in self.window_leaves(window)]
 
     # ------------------------------------------------------------------
     # flat snapshot (structure-of-arrays form, repro.rtree.flat)
@@ -454,13 +492,12 @@ class RStarTree:
         pages are read per query in the exact single-query visit order
         (the flat traversal's DFS ranks reproduce it), so a stateful
         pager prices the batch identically to running the queries one
-        at a time.  The scalar fallback simply loops the per-query
-        scalar path.
+        at a time.  The scalar fallback simply loops the per-query path.
         """
         if not windows:
             return []
         if not kernels.vectorized():
-            return [self._window_query_scalar(w) for w in windows]
+            return [self.window_query(w) for w in windows]
         flat = self.flat_snapshot()
         batch = flat_window_query_batch(flat, windows)
         self._replay_reads(flat, batch)
@@ -476,7 +513,7 @@ class RStarTree:
         if not points:
             return []
         if not kernels.vectorized():
-            return [self._point_query_scalar(x, y) for x, y in points]
+            return [self.point_query(x, y) for x, y in points]
         flat = self.flat_snapshot()
         batch = flat_point_query_batch(flat, points)
         self._replay_reads(flat, batch)
@@ -549,154 +586,6 @@ class RStarTree:
                 bucket.append(entries[e])
             per_query.append((visited, groups, hit))
         return per_query
-
-    def _window_query_scalar(self, window: Rect) -> list[Entry]:
-        result: list[Entry] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            self._read(node)
-            if node.is_leaf:
-                result.extend(
-                    e for e in node.entries if e.rect.intersects(window)
-                )
-            else:
-                for entry in node.entries:
-                    if entry.rect.intersects(window):
-                        assert entry.child is not None
-                        stack.append(entry.child)
-        return result
-
-    def point_query(self, x: float, y: float) -> list[Entry]:
-        """All data entries whose MBR contains the point."""
-        if not kernels.vectorized():
-            return self._point_query_scalar(x, y)
-        qvec = kernels.point_qvec(x, y)
-        result: list[Entry] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            self._read(node)
-            if not node.entries:
-                continue
-            hits = kernels.qvec_mask(
-                node.query_matrix(), qvec
-            ).nonzero()[0].tolist()
-            entries = node.entries
-            if node.is_leaf:
-                result += [entries[i] for i in hits]
-            else:
-                for i in hits:
-                    child = entries[i].child
-                    assert child is not None
-                    stack.append(child)
-        return result
-
-    def _point_query_scalar(self, x: float, y: float) -> list[Entry]:
-        result: list[Entry] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            self._read(node)
-            if node.is_leaf:
-                result.extend(
-                    e for e in node.entries if e.rect.contains_point(x, y)
-                )
-            else:
-                for entry in node.entries:
-                    if entry.rect.contains_point(x, y):
-                        assert entry.child is not None
-                        stack.append(entry.child)
-        return result
-
-    def window_leaves(self, window: Rect) -> list[tuple[Node, list[Entry]]]:
-        """Per data page, the entries matching ``window`` — the unit the
-        cluster-organization read techniques operate on (Section 5.4).
-        Only pages with at least one match are returned; visited pages
-        are priced through the pager."""
-        if not kernels.vectorized():
-            return self._window_leaves_scalar(window)
-        qvec = kernels.window_qvec(window)
-        groups: list[tuple[Node, list[Entry]]] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            self._read(node)
-            if not node.entries:
-                continue
-            hits = kernels.qvec_mask(
-                node.query_matrix(), qvec
-            ).nonzero()[0].tolist()
-            entries = node.entries
-            if node.is_leaf:
-                if hits:
-                    groups.append((node, [entries[i] for i in hits]))
-            else:
-                for i in hits:
-                    child = entries[i].child
-                    assert child is not None
-                    stack.append(child)
-        return groups
-
-    def _window_leaves_scalar(
-        self, window: Rect
-    ) -> list[tuple[Node, list[Entry]]]:
-        groups: list[tuple[Node, list[Entry]]] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            self._read(node)
-            if node.is_leaf:
-                matches = [e for e in node.entries if e.rect.intersects(window)]
-                if matches:
-                    groups.append((node, matches))
-            else:
-                for entry in node.entries:
-                    if entry.rect.intersects(window):
-                        assert entry.child is not None
-                        stack.append(entry.child)
-        return groups
-
-    def matching_leaves(self, window: Rect) -> list[Node]:
-        """The data pages holding at least one entry matching ``window``
-        — the cluster units a window query must touch (Section 4.2.2)."""
-        if not kernels.vectorized():
-            return self._matching_leaves_scalar(window)
-        qvec = kernels.window_qvec(window)
-        leaves: list[Node] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            self._read(node)
-            if not node.entries:
-                continue
-            mask = kernels.qvec_mask(node.query_matrix(), qvec)
-            if node.is_leaf:
-                if mask.any():
-                    leaves.append(node)
-            else:
-                entries = node.entries
-                for i in mask.nonzero()[0].tolist():
-                    child = entries[i].child
-                    assert child is not None
-                    stack.append(child)
-        return leaves
-
-    def _matching_leaves_scalar(self, window: Rect) -> list[Node]:
-        leaves: list[Node] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            self._read(node)
-            if node.is_leaf:
-                if any(e.rect.intersects(window) for e in node.entries):
-                    leaves.append(node)
-            else:
-                for entry in node.entries:
-                    if entry.rect.intersects(window):
-                        assert entry.child is not None
-                        stack.append(entry.child)
-        return leaves
 
     # ------------------------------------------------------------------
     # introspection

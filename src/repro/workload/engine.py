@@ -15,22 +15,25 @@ operation count, result volume, pool hits/misses and a
 ``flush`` phase that writes back the dirty frames through the pool's
 coalescing scheduler.  The result is a :class:`WorkloadReport`.
 
-:meth:`WorkloadEngine.run_sessions` generalises this to **concurrent
-client sessions**: several operation streams are interleaved
-round-robin (deterministically) over the one shared pool, and when the
-pool's I/O scheduler is the
+:meth:`WorkloadEngine.run_sessions` serves several **concurrent client
+sessions** round-robin (deterministically) over the one shared pool,
+:meth:`WorkloadEngine.run_traffic` arriving sessions in event-heap
+order.  When the pool's I/O scheduler is the
 :class:`~repro.iosched.scheduler.OverlapScheduler`, every client's
 plans are timed on its own virtual-clock session — declustered disks
-service different clients concurrently, so the workload's makespan
-drops below the serial response time.  The result is a
-:class:`SessionsReport` with per-client timelines.
+service different clients concurrently, so the makespan drops below the
+serial response time.  All three are one *serve step* (snapshot,
+execute inside the client's scheduler scope, fold into the phase) inside
+one *run scope* (admission, tracer sessions, pool wiring, flush,
+makespan); they differ in serving order and in their report rows.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
+from typing import Iterator, NamedTuple
 
 from repro.buffer.policy import hit_ratio
 from repro.buffer.pool import BufferPool
@@ -84,8 +87,40 @@ Operations are plain tuples:
 """
 
 
+class _LatencySample:
+    """Cached sorted-latency percentiles shared by :class:`PhaseStats`
+    and :class:`ClientStats` (both carry ``latencies`` and ``_sorted``):
+    percentile properties on a 10^5-operation sample must not re-sort
+    the full list per access."""
+
+    __slots__ = ()
+
+    def sorted_latencies(self) -> list[float]:
+        """The latencies in ascending order, sorted once per report
+        (re-sorted only after new observations)."""
+        cache = self._sorted
+        if cache is None or len(cache) != len(self.latencies):
+            cache = self._sorted = sorted(self.latencies)
+        return cache
+
+    @property
+    def p50_ms(self) -> float:
+        """Median per-operation latency."""
+        return _percentile_sorted(self.sorted_latencies(), 0.50)
+
+    @property
+    def p95_ms(self) -> float:
+        """95th-percentile per-operation latency."""
+        return _percentile_sorted(self.sorted_latencies(), 0.95)
+
+    @property
+    def p99_ms(self) -> float:
+        """99th-percentile per-operation latency."""
+        return _percentile_sorted(self.sorted_latencies(), 0.99)
+
+
 @dataclass(slots=True)
-class PhaseStats:
+class PhaseStats(_LatencySample):
     """Accumulated statistics of one operation kind within a workload.
 
     ``io`` accounts **device time** (the disk resource consumed; summed
@@ -103,9 +138,7 @@ class PhaseStats:
     io: DiskStats = field(default_factory=DiskStats)
     response_ms: float = 0.0
     latencies: list[float] = field(default_factory=list)
-    # Cached ascending copy of ``latencies`` (keyed on sample size):
-    # percentile properties on a 10^5-operation phase must not re-sort
-    # the full sample per access.
+    # Cached ascending copy of ``latencies`` (keyed on sample size).
     _sorted: list[float] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -113,29 +146,6 @@ class PhaseStats:
     @property
     def hit_rate(self) -> float:
         return hit_ratio(self.hits, self.misses)
-
-    def sorted_latencies(self) -> list[float]:
-        """The phase's latencies in ascending order, sorted once per
-        report (re-sorted only after new observations)."""
-        cache = self._sorted
-        if cache is None or len(cache) != len(self.latencies):
-            cache = self._sorted = sorted(self.latencies)
-        return cache
-
-    @property
-    def p50_ms(self) -> float:
-        """Median per-operation latency of this phase."""
-        return _percentile_sorted(self.sorted_latencies(), 0.50)
-
-    @property
-    def p95_ms(self) -> float:
-        """95th-percentile per-operation latency of this phase."""
-        return _percentile_sorted(self.sorted_latencies(), 0.95)
-
-    @property
-    def p99_ms(self) -> float:
-        """99th-percentile per-operation latency of this phase."""
-        return _percentile_sorted(self.sorted_latencies(), 0.99)
 
     @property
     def overlap_ms(self) -> float:
@@ -161,7 +171,12 @@ class WorkloadReport:
     The ``prefetch_*`` fields carry the pool's prefetch accuracy over
     this run: plans issued, pages read ahead, pages later demand-hit
     (useful) vs evicted unused (wasted).  All zero when the pool has no
-    prefetcher."""
+    prefetcher.
+
+    ``makespan_ms`` is when the whole workload finished: under the
+    overlap scheduler the virtual clock's latest event (clients *and*
+    trailing prefetch work), under the sync scheduler the serial sum of
+    the responses.  ``scheduler`` / ``admission`` name what timed it."""
 
     policy: str
     buffer_pages: int
@@ -170,6 +185,9 @@ class WorkloadReport:
     prefetch_pages: int = 0
     prefetch_useful: int = 0
     prefetch_wasted: int = 0
+    scheduler: str = "sync"
+    admission: str = "none"
+    makespan_ms: float = 0.0
 
     def phase(self, kind: str) -> PhaseStats | None:
         for p in self.phases:
@@ -208,21 +226,20 @@ class WorkloadReport:
         """Aligned per-phase table (the `repro.eval workload` output)."""
         from repro.eval.report import format_table
 
-        rows = []
-        for p in self.phases:
-            rows.append(
-                (
-                    p.kind,
-                    p.operations,
-                    p.results,
-                    f"{p.hit_rate:.1%}",
-                    p.io.requests,
-                    p.io.pages_transferred,
-                    p.io.total_ms,
-                    p.response_ms,
-                    p.overlap_ms,
-                )
+        rows = [
+            (
+                p.kind,
+                p.operations,
+                p.results,
+                f"{p.hit_rate:.1%}",
+                p.io.requests,
+                p.io.pages_transferred,
+                p.io.total_ms,
+                p.response_ms,
+                p.overlap_ms,
             )
+            for p in self.phases
+        ]
         rows.append(
             (
                 "total",
@@ -265,7 +282,7 @@ class WorkloadReport:
 
 
 @dataclass(slots=True)
-class ClientStats:
+class ClientStats(_LatencySample):
     """One client session's share of a :meth:`WorkloadEngine.run_sessions`
     workload.
 
@@ -287,33 +304,19 @@ class ClientStats:
     #: Sessions aggregated into this row (1 for a plain client; the
     #: per-class rows of a traffic run count their sessions here).
     sessions: int = 0
-    # Cached ascending copy of ``latencies`` (see PhaseStats._sorted).
+    # Cached ascending copy of ``latencies`` (keyed on sample size).
     _sorted: list[float] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
-    def sorted_latencies(self) -> list[float]:
-        """The client's latencies in ascending order, sorted once per
-        report (re-sorted only after new observations)."""
-        cache = self._sorted
-        if cache is None or len(cache) != len(self.latencies):
-            cache = self._sorted = sorted(self.latencies)
-        return cache
-
-    @property
-    def p50_ms(self) -> float:
-        """Median operation latency of this client."""
-        return _percentile_sorted(self.sorted_latencies(), 0.50)
-
-    @property
-    def p95_ms(self) -> float:
-        """95th-percentile operation latency of this client."""
-        return _percentile_sorted(self.sorted_latencies(), 0.95)
-
-    @property
-    def p99_ms(self) -> float:
-        """99th-percentile operation latency of this client."""
-        return _percentile_sorted(self.sorted_latencies(), 0.99)
+    def _fold(self, served: _Served) -> None:
+        """Add one served operation to this row."""
+        self.operations += 1
+        self.results += served.results
+        self.response_ms += served.latency_ms
+        self.device_ms += served.device_ms
+        self.queueing_ms += served.queued_ms
+        self.latencies.append(served.latency_ms)
 
 
 @dataclass(slots=True)
@@ -321,15 +324,8 @@ class SessionsReport(WorkloadReport):
     """Outcome of one :meth:`WorkloadEngine.run_sessions`.
 
     The per-phase table aggregates over the clients; ``clients`` breaks
-    the same workload down per session.  ``makespan_ms`` is when the
-    whole interleaved workload finished: under the overlap scheduler
-    the virtual clock's latest event (clients *and* trailing prefetch
-    work), under the sync scheduler the serial sum of the responses.
-    """
+    the same workload down per session."""
 
-    scheduler: str = "sync"
-    admission: str = "none"
-    makespan_ms: float = 0.0
     clients: list[ClientStats] = field(default_factory=list)
 
     def client(self, name: str) -> ClientStats | None:
@@ -405,11 +401,8 @@ class TrafficReport(WorkloadReport):
     completed-sessions rate over that horizon.
     """
 
-    scheduler: str = "overlap"
-    admission: str = "none"
     arrival: str = "poisson"
     sessions: int = 0
-    makespan_ms: float = 0.0
     classes: list[ClientStats] = field(default_factory=list)
 
     def traffic_class(self, name: str) -> ClientStats | None:
@@ -433,8 +426,7 @@ class TrafficReport(WorkloadReport):
             f"scheduler={self.scheduler}, admission={self.admission}, "
             f"policy={self.policy}, buffer={self.buffer_pages} pages"
         )
-        # Explicit base call: zero-argument super() loses its class
-        # cell when @dataclass(slots=True) rebuilds the class.
+        # Explicit base call, as in SessionsReport.format.
         parts = [WorkloadReport.format(self, header)]
         rows = [
             (
@@ -470,8 +462,24 @@ class TrafficReport(WorkloadReport):
         return "\n\n".join(parts)
 
 
+class _Served(NamedTuple):
+    """What the serve step hands back per operation, for the caller to
+    fold into its own report rows."""
+
+    kind: str
+    results: int
+    latency_ms: float
+    device_ms: float
+    queued_ms: float
+
+
 class WorkloadEngine:
     """Runs operation streams against one organization and pool.
+
+    :meth:`run`, :meth:`run_sessions` and :meth:`run_traffic` share one
+    *serve step* (:meth:`_serve`) inside one *run scope*
+    (:meth:`_run_scope`); they differ only in the order operations are
+    served and in the report rows each served operation is folded into.
 
     Parameters
     ----------
@@ -488,6 +496,12 @@ class WorkloadEngine:
         self._measure_mark = None
         self._hits_mark = 0
         self._misses_mark = 0
+        # Run state, set by _run_scope for the serve step.
+        self._report: WorkloadReport | None = None
+        self._scheduler: OverlapScheduler | None = None
+        self._tracer = None
+        self._spans: dict[str, object] = {}
+        self._op_span = None
 
     # ------------------------------------------------------------------
     def run(self, operations) -> WorkloadReport:
@@ -501,91 +515,14 @@ class WorkloadEngine:
         report = WorkloadReport(
             policy=self.pool.policy, buffer_pages=self.pool.capacity
         )
-        scheduler = self._timed_scheduler()
-        tracer = _obs.ACTIVE
-        session_span = None
-        if tracer is not None:
-            tracer.use_virtual_clock(scheduler is not None)
-            tracer.set_track("main")
-            session_span = tracer.begin(
-                "session",
-                cat="session",
-                ts=0.0 if scheduler is not None else None,
-                parent=None,
-                args={"client": "main"},
-            )
-        prefetch_mark = self.pool.prefetch_stats()
-        phases: dict[str, PhaseStats] = {}
-        with self.storage.use_pool(self.pool):
+        histogram = self.pool.metrics.histogram
+        with self._run_scope(report, clients=("main",)):
             for op in operations:
-                self._snapshot()
-                if scheduler is not None:
-                    started = scheduler.clock.client_time("main")
-                    op_span = self._begin_op(tracer, session_span, started)
-                    with scheduler.operation("main"):
-                        kind, results = self._execute(op)
-                    waited = scheduler.clock.client_time("main") - started
-                    self._end_op(tracer, op_span, kind, started + waited)
-                else:
-                    op_span = self._begin_op(tracer, session_span, None)
-                    kind, results = self._execute(op)
-                    self._end_op(tracer, op_span, kind, None)
-                    waited = None
-                phase = phases.get(kind)
-                if phase is None:
-                    phase = phases[kind] = PhaseStats(kind)
-                    report.phases.append(phase)
-                phase.operations += 1
-                phase.results += results
-                latency = self._account(phase, response_ms=waited)
-                phase.latencies.append(latency)
-                self.pool.metrics.histogram("op.latency_ms", phase=kind).observe(
-                    latency
+                served = self._serve("main", op)
+                histogram("op.latency_ms", phase=served.kind).observe(
+                    served.latency_ms
                 )
-            self._flush_phase(report, scheduler)
-        self._fold_prefetch(report, prefetch_mark)
-        if tracer is not None:
-            tracer.end(session_span)
         return report
-
-    @staticmethod
-    def _begin_op(tracer, session_span, started):
-        """Open an operation span under the client's session span; the
-        kind is only known after execution, so it starts as ``op`` and
-        :meth:`_end_op` renames it."""
-        if tracer is None:
-            return None
-        if started is not None:
-            tracer.virtual_now = started
-        return tracer.begin(
-            "op", cat="operation", ts=started, parent=session_span
-        )
-
-    @staticmethod
-    def _end_op(tracer, op_span, kind, finished):
-        if tracer is None:
-            return
-        op_span.name = kind
-        tracer.end(op_span, ts=finished)
-
-    def _fold_prefetch(self, report: WorkloadReport, mark) -> None:
-        """Record the run's prefetch accuracy delta in the report."""
-        now = self.pool.prefetch_stats()
-        report.prefetch_issued = now["issued"] - mark["issued"]
-        report.prefetch_pages = now["pages"] - mark["pages"]
-        report.prefetch_useful = now["useful"] - mark["useful"]
-        report.prefetch_wasted = now["wasted"] - mark["wasted"]
-
-    def _timed_scheduler(self) -> OverlapScheduler | None:
-        """The pool's scheduler when it times operations on a virtual
-        clock (reset so this run measures from zero — stale disk queues
-        and client timelines from earlier traffic must not leak into
-        the makespan), else ``None``."""
-        scheduler = self.pool.scheduler
-        if isinstance(scheduler, OverlapScheduler):
-            scheduler.reset()
-            return scheduler
-        return None
 
     def run_sessions(self, sessions, admission=None) -> SessionsReport:
         """Execute several client streams as interleaved sessions.
@@ -593,8 +530,9 @@ class WorkloadEngine:
         ``sessions`` maps client names to operation streams (a dict, or
         a sequence of ``(name, operations)`` pairs).  The streams are
         interleaved round-robin in client order — one operation per
-        client per turn — which is deterministic: replaying the same
-        streams reproduces the same request sequence bit for bit.
+        client per turn, i.e. served in ``(step, client_index)`` order —
+        which is deterministic: replaying the same streams reproduces
+        the same request sequence bit for bit.
 
         All clients share this engine's pool (and therefore its I/O
         scheduler).  Under the
@@ -615,129 +553,24 @@ class WorkloadEngine:
         session's accumulated queueing delay and per-operation latency
         percentiles (p50/p95) either way.
         """
-        pairs = (
-            list(sessions.items())
-            if isinstance(sessions, dict)
-            else [(name, ops) for name, ops in sessions]
-        )
-        admission_policy = make_admission(admission)
-        scheduler = self._timed_scheduler()
-        timed = scheduler is not None
-        if admission_policy is not None and not timed:
-            raise ConfigurationError(
-                "admission control needs the overlap scheduler — "
-                "admission delays live on the virtual clock"
-            )
-        previous_admission = scheduler.admission if timed else None
-        if admission_policy is not None:
-            scheduler.admission = admission_policy
-            admission_policy.reset()
+        pairs = list(sessions.items() if isinstance(sessions, dict) else sessions)
+        clients = [ClientStats(str(name)) for name, _ in pairs]
+        streams = [list(ops) for _, ops in pairs]
         report = SessionsReport(
             policy=self.pool.policy,
             buffer_pages=self.pool.capacity,
-            scheduler=scheduler_name(self.pool.scheduler),
-            admission=admission_name(
-                scheduler.admission if timed else None
-            ),
+            clients=clients,
         )
-        phases: dict[str, PhaseStats] = {}
-        clients: list[ClientStats] = []
-        queues: list[tuple[ClientStats, deque]] = []
-        for name, ops in pairs:
-            stats = ClientStats(str(name))
-            clients.append(stats)
-            queues.append((stats, deque(ops)))
-        report.clients = clients
-        tracer = _obs.ACTIVE
-        session_spans: dict[str, object] = {}
-        if tracer is not None:
-            tracer.use_virtual_clock(timed)
-            for client in clients:
-                session_spans[client.name] = tracer.begin(
-                    "session",
-                    cat="session",
-                    track=client.name,
-                    ts=0.0 if timed else None,
-                    parent=None,
-                    args={"client": client.name},
-                )
-        prefetch_mark = self.pool.prefetch_stats()
-        try:
-            with self.storage.use_pool(self.pool):
-                while any(queue for _, queue in queues):
-                    for client, queue in queues:
-                        if not queue:
-                            continue
-                        op = queue.popleft()
-                        self._snapshot()
-                        if tracer is not None:
-                            tracer.set_track(client.name)
-                        if timed:
-                            started = scheduler.clock.client_time(client.name)
-                            queued_mark = scheduler.client_queueing_ms(
-                                client.name
-                            )
-                            op_span = self._begin_op(
-                                tracer, session_spans.get(client.name), started
-                            )
-                            with scheduler.operation(client.name):
-                                kind, results = self._execute(op)
-                            waited = (
-                                scheduler.clock.client_time(client.name)
-                                - started
-                            )
-                            self._end_op(tracer, op_span, kind, started + waited)
-                            client.queueing_ms += (
-                                scheduler.client_queueing_ms(client.name)
-                                - queued_mark
-                            )
-                        else:
-                            op_span = self._begin_op(
-                                tracer, session_spans.get(client.name), None
-                            )
-                            kind, results = self._execute(op)
-                            self._end_op(tracer, op_span, kind, None)
-                            waited = self.storage.disk.cost_since(
-                                self._measure_mark
-                            ).response_ms
-                        phase = phases.get(kind)
-                        if phase is None:
-                            phase = phases[kind] = PhaseStats(kind)
-                            report.phases.append(phase)
-                        phase.operations += 1
-                        phase.results += results
-                        device_before = phase.io.total_ms
-                        self._account(phase, response_ms=waited)
-                        phase.latencies.append(waited)
-                        client.operations += 1
-                        client.results += results
-                        client.response_ms += waited
-                        client.latencies.append(waited)
-                        client.device_ms += phase.io.total_ms - device_before
-                        self.pool.metrics.histogram(
-                            "op.latency_ms", client=client.name
-                        ).observe(waited)
-                self._flush_phase(report, scheduler)
-        finally:
-            if admission_policy is not None:
-                scheduler.admission = previous_admission
-        self._fold_prefetch(report, prefetch_mark)
-        if timed:
-            report.makespan_ms = scheduler.clock.makespan
-        else:
-            report.makespan_ms = report.total_response_ms
-        if tracer is not None:
-            for client in clients:
-                span = session_spans.get(client.name)
-                if span is not None:
-                    tracer.end(
-                        span,
-                        ts=(
-                            scheduler.clock.client_time(client.name)
-                            if timed
-                            else None
-                        ),
-                    )
+        histogram = self.pool.metrics.histogram
+        with self._run_scope(report, [c.name for c in clients], admission):
+            for step in range(max(map(len, streams), default=0)):
+                for client, ops in zip(clients, streams):
+                    if step < len(ops):
+                        served = self._serve(client.name, ops[step])
+                        client._fold(served)
+                        histogram("op.latency_ms", client=client.name).observe(
+                            served.latency_ms
+                        )
         return report
 
     def run_traffic(self, sessions, admission=None, arrival="poisson") -> TrafficReport:
@@ -776,31 +609,18 @@ class WorkloadEngine:
         report.
         """
         sessions = list(sessions)
-        scheduler = self._timed_scheduler()
-        if scheduler is None:
+        if not isinstance(self.pool.scheduler, OverlapScheduler):
             raise ConfigurationError(
                 "traffic runs need the overlap scheduler — arrivals and "
                 "queueing live on the virtual clock"
             )
-        admission_policy = make_admission(admission)
-        previous_admission = scheduler.admission
-        if admission_policy is not None:
-            scheduler.admission = admission_policy
-            admission_policy.reset()
-        saved_metrics = scheduler.metrics
-        scheduler.metrics = None
         report = TrafficReport(
             policy=self.pool.policy,
             buffer_pages=self.pool.capacity,
-            scheduler=scheduler_name(self.pool.scheduler),
-            admission=admission_name(scheduler.admission),
             arrival=arrival,
             sessions=len(sessions),
         )
-        phases: dict[str, PhaseStats] = {}
-        classes: dict[str, ClientStats] = {}
-        class_hists: dict[str, object] = {}
-        clock = scheduler.clock
+        histogram = self.pool.metrics.histogram
         # Event heap of (ready_ms, session_index, operation_index,
         # first_ready_ms) — the last element survives admission
         # re-queues so latency stays measured from the time the
@@ -811,80 +631,180 @@ class WorkloadEngine:
             if s.operations
         ]
         heapify(heap)
+        with self._run_scope(report, admission=admission, client_metrics=False):
+            scheduler = self._scheduler
+            clock = scheduler.clock
+            while heap:
+                ready, index, step, first_ready = heappop(heap)
+                session = sessions[index]
+                name = session.name
+                policy = scheduler.admission
+                if policy is not None:
+                    # A throttled operation re-enters the event queue at
+                    # its admitted time instead of holding its slot, so
+                    # other clients' ready work overtakes it — the
+                    # reordering that lets interactive operations pass
+                    # paced bulk work.  (Token buckets admit idempotently:
+                    # when the re-queued event pops, the drained bucket
+                    # has refilled to exactly zero and the scheduler's own
+                    # admit adds no second wait.)
+                    admitted = policy.admit(name, ready, clock)
+                    if admitted > ready:
+                        heappush(heap, (admitted, index, step, first_ready))
+                        continue
+                clock.wait(name, ready)
+                served = self._serve(name, session.operations[step], first_ready)
+                klass = report.traffic_class(session.klass)
+                if klass is None:
+                    klass = ClientStats(session.klass)
+                    report.classes.append(klass)
+                if step == 0:
+                    klass.sessions += 1
+                klass._fold(served)
+                histogram("op.latency_ms", **{"class": klass.name}).observe(
+                    served.latency_ms
+                )
+                step += 1
+                if step < len(session.operations):
+                    follow_up = clock.client_time(name) + session.think_ms
+                    heappush(heap, (follow_up, index, step, follow_up))
+        return report
+
+    # ------------------------------------------------------------------
+    @contextmanager
+    def _run_scope(
+        self, report: WorkloadReport, clients=(), admission=None, client_metrics=True
+    ) -> Iterator[None]:
+        """The run scope every entry point serves its operations in.
+
+        Entry resets a virtual-clock scheduler (stale disk queues and
+        client timelines from earlier traffic must not leak into the
+        makespan), installs ``admission`` on it for this run only,
+        suspends its per-client metrics mirroring unless
+        ``client_metrics``, opens one detached ``session`` span per name
+        in ``clients`` under an active tracer and routes the
+        organization's page traffic through the engine's pool.  A normal
+        exit writes the dirty frames back as the ``flush`` phase and
+        records prefetch accuracy and makespan; any exit restores the
+        scheduler and the storage pool and closes the run's spans.
+        """
+        policy = make_admission(admission)
+        scheduler = self.pool.scheduler
+        timed = isinstance(scheduler, OverlapScheduler)
+        if policy is not None and not timed:
+            raise ConfigurationError(
+                "admission control needs the overlap scheduler — "
+                "admission delays live on the virtual clock"
+            )
+        report.scheduler = scheduler_name(scheduler)
+        self._scheduler = scheduler if timed else None
+        if timed:
+            scheduler.reset()
+            restore = (scheduler.admission, scheduler.metrics)
+            if policy is not None:
+                scheduler.admission = policy
+                policy.reset()
+            if not client_metrics:
+                scheduler.metrics = None
+            report.admission = admission_name(scheduler.admission)
+        tracer = _obs.ACTIVE
+        spans = {}
+        if tracer is not None:
+            tracer.use_virtual_clock(timed)
+            for name in clients:
+                spans[name] = tracer.begin(
+                    "session",
+                    cat="session",
+                    track=name,
+                    ts=0.0 if timed else None,
+                    parent=None,
+                    args={"client": name},
+                )
+        self._report, self._tracer, self._spans = report, tracer, spans
+        self._op_span = None
         prefetch_mark = self.pool.prefetch_stats()
         try:
             with self.storage.use_pool(self.pool):
-                while heap:
-                    ready, index, step, first_ready = heappop(heap)
-                    session = sessions[index]
-                    name = session.name
-                    admission = scheduler.admission
-                    if admission is not None:
-                        # A throttled operation re-enters the event
-                        # queue at its admitted time instead of holding
-                        # its slot, so other clients' ready work
-                        # overtakes it — the reordering that lets
-                        # interactive operations pass paced bulk work.
-                        # (Token buckets admit idempotently: when the
-                        # re-queued event pops, the drained bucket has
-                        # refilled to exactly zero and the scheduler's
-                        # own admit adds no second wait.)
-                        admitted = admission.admit(name, ready, clock)
-                        if admitted > ready:
-                            heappush(heap, (admitted, index, step, first_ready))
-                            continue
-                    clock.wait(name, ready)
-                    queued_mark = scheduler.client_queueing_ms(name)
-                    self._snapshot()
-                    with scheduler.operation(name):
-                        kind, results = self._execute(session.operations[step])
-                    done = clock.client_time(name)
-                    waited = done - first_ready
-                    phase = phases.get(kind)
-                    if phase is None:
-                        phase = phases[kind] = PhaseStats(kind)
-                        report.phases.append(phase)
-                    phase.operations += 1
-                    phase.results += results
-                    device_before = phase.io.total_ms
-                    self._account(phase, response_ms=waited)
-                    phase.latencies.append(waited)
-                    klass = classes.get(session.klass)
-                    if klass is None:
-                        klass = classes[session.klass] = ClientStats(
-                            session.klass
-                        )
-                        report.classes.append(klass)
-                        class_hists[session.klass] = self.pool.metrics.histogram(
-                            "op.latency_ms", **{"class": session.klass}
-                        )
-                    if step == 0:
-                        klass.sessions += 1
-                    klass.operations += 1
-                    klass.results += results
-                    klass.response_ms += waited
-                    klass.latencies.append(waited)
-                    klass.queueing_ms += (
-                        scheduler.client_queueing_ms(name) - queued_mark
-                    ) + (ready - first_ready)
-                    klass.device_ms += phase.io.total_ms - device_before
-                    class_hists[session.klass].observe(waited)
-                    step += 1
-                    if step < len(session.operations):
-                        follow_up = done + session.think_ms
-                        heappush(heap, (follow_up, index, step, follow_up))
-                self._flush_phase(report, scheduler)
+                yield
+                self._flush_phase(report)
+            now = self.pool.prefetch_stats()
+            for key in ("issued", "pages", "useful", "wasted"):
+                setattr(report, f"prefetch_{key}", now[key] - prefetch_mark[key])
+            report.makespan_ms = (
+                scheduler.clock.makespan if timed else report.total_response_ms
+            )
         finally:
-            scheduler.metrics = saved_metrics
-            if admission_policy is not None:
-                scheduler.admission = previous_admission
-        self._fold_prefetch(report, prefetch_mark)
-        report.makespan_ms = clock.makespan
-        return report
+            if timed:
+                scheduler.admission, scheduler.metrics = restore
+            # Innermost first: an operation that raised left its span open.
+            for span in (self._op_span, *spans.values()):
+                if span is not None and span.end_ms is None:
+                    tracer.end(
+                        span,
+                        ts=scheduler.clock.client_time(span.track) if timed else None,
+                    )
 
-    def _flush_phase(
-        self, report: WorkloadReport, scheduler: OverlapScheduler | None = None
-    ) -> None:
+    def _serve(self, client: str, op, first_ready: float | None = None) -> _Served:
+        """The serve step: execute one operation on ``client``'s
+        timeline and fold it into its kind's :class:`PhaseStats`.
+
+        Under a virtual-clock scheduler the operation runs inside the
+        client's ``scheduler.operation`` scope and its latency is the
+        client's completion time minus ``first_ready`` (default: the
+        operation's start — a traffic operation that waited for
+        admission was ready earlier, and that wait counts as queueing);
+        otherwise it is the busiest disk's delta.  A client with a
+        session span gets an ``op`` span, renamed to the operation's
+        kind once execution reveals it.
+        """
+        scheduler = self._scheduler
+        self._snapshot()
+        started = None
+        if scheduler is not None:
+            clock = scheduler.clock
+            started = clock.client_time(client)
+            queued_mark = scheduler.client_queueing_ms(client)
+        session_span = self._spans.get(client)
+        if session_span is not None:
+            tracer = self._tracer
+            tracer.set_track(client)
+            if started is not None:
+                tracer.virtual_now = started
+            op_span = self._op_span = tracer.begin(
+                "op", cat="operation", ts=started, parent=session_span
+            )
+        with scheduler.operation(client) if scheduler is not None else nullcontext():
+            kind, results = self._execute(op)
+        if scheduler is not None:
+            finished = clock.client_time(client)
+            if first_ready is None:
+                first_ready = started
+            latency = finished - first_ready
+            queued = (scheduler.client_queueing_ms(client) - queued_mark) + (
+                started - first_ready
+            )
+        else:
+            finished = None
+            latency = self.storage.disk.cost_since(self._measure_mark).response_ms
+            queued = 0.0
+        if session_span is not None:
+            op_span.name = kind
+            tracer.end(op_span, ts=finished)
+        report = self._report
+        phase = report.phase(kind)
+        if phase is None:
+            phase = PhaseStats(kind)
+            report.phases.append(phase)
+        phase.operations += 1
+        phase.results += results
+        device_before = phase.io.total_ms
+        self._account(phase, latency)
+        phase.latencies.append(latency)
+        return _Served(
+            kind, results, latency, phase.io.total_ms - device_before, queued
+        )
+
+    def _flush_phase(self, report: WorkloadReport) -> None:
         """Write back dirty frames as the report's final phase.
 
         Under a virtual-clock scheduler the write-back's device work is
@@ -893,10 +813,16 @@ class WorkloadEngine:
         the synchronous accounting does."""
         flush = PhaseStats("flush")
         self._snapshot()
-        tracer = _obs.ACTIVE
-        if scheduler is not None:
+        scheduler, tracer, disk = self._scheduler, self._tracer, self.storage.disk
+        if scheduler is None:
+            span = nullcontext() if tracer is None else tracer.span(
+                "flush", cat="flush", track="main"
+            )
+            with span:
+                self.pool.flush(coalesce=True)
+            response_ms = disk.cost_since(self._measure_mark).response_ms
+        else:
             issued = max(scheduler.clock.clients.values(), default=0.0)
-            flush_span = None
             if tracer is not None:
                 # Anchor the flush's device spans at the issue time; the
                 # write-back prices outside scheduler.execute, so they
@@ -905,27 +831,18 @@ class WorkloadEngine:
                 flush_span = tracer.begin(
                     "flush", cat="flush", track="main", ts=issued, parent=None
                 )
-            before = device_times(self.storage.disk)
+            before = device_times(disk)
             # The flush's write plans execute inline: the engine prices
             # the whole phase as one batch dispatched at the issue time
             # below — a second dispatch per plan would double-count.
             with scheduler.inline():
                 self.pool.flush(coalesce=True)
-            work = [
-                now - then
-                for now, then in zip(device_times(self.storage.disk), before)
-            ]
+            work = [now - then for now, then in zip(device_times(disk), before)]
             completion = scheduler.clock.dispatch(issued, work)
             if tracer is not None:
                 tracer.end(flush_span, ts=completion)
-            self._account(flush, response_ms=completion - issued)
-        else:
-            if tracer is not None:
-                with tracer.span("flush", cat="flush", track="main"):
-                    self.pool.flush(coalesce=True)
-            else:
-                self.pool.flush(coalesce=True)
-            self._account(flush)
+            response_ms = completion - issued
+        self._account(flush, response_ms)
         if flush.io.requests:
             flush.operations = 1
             report.phases.append(flush)
@@ -936,22 +853,13 @@ class WorkloadEngine:
         self._hits_mark = self.pool.hits
         self._misses_mark = self.pool.misses
 
-    def _account(self, phase: PhaseStats, response_ms: float | None = None) -> float:
+    def _account(self, phase: PhaseStats, response_ms: float) -> None:
         """Fold the interval since the last :meth:`_snapshot` into a
-        phase; returns the operation's response-time contribution (the
-        per-operation latency the percentile reporting collects)."""
-        disk = self.storage.disk
-        phase.io = phase.io + disk.stats_since(self._measure_mark)
-        if response_ms is None:
-            # Per operation, the response time is the busiest disk's
-            # delta (equal to the device time on a single disk).
-            response_ms = disk.cost_since(self._measure_mark).response_ms
-        # Otherwise the caller timed the operation itself (a virtual-
-        # clock session under the overlap scheduler).
+        phase; ``response_ms`` is what the clients waited for it."""
+        phase.io = phase.io + self.storage.disk.stats_since(self._measure_mark)
         phase.response_ms += response_ms
         phase.hits += self.pool.hits - self._hits_mark
         phase.misses += self.pool.misses - self._misses_mark
-        return response_ms
 
     def _execute(self, op) -> tuple[str, int]:
         """Execute one operation (the caller snapshots the statistics

@@ -428,37 +428,3 @@ class TestGroupedTransfers:
             assert auto._operation() is None
             assert forced._operation() is not None
             assert off._operation() is None
-
-
-# ----------------------------------------------------------------------
-# the flat_tree bench
-# ----------------------------------------------------------------------
-class TestFlatBench:
-    def test_flat_bench_smoke(self):
-        from repro.bench import run_bench
-
-        doc = run_bench(
-            bench="flat_tree",
-            scale=0.005,
-            queries=8,
-            repeat=1,
-            only=["window_org", "point_org"],
-        )
-        assert doc["name"] == "flat_tree"
-        assert set(doc["scenarios"]) == {"window_org", "point_org"}
-        for stats in doc["scenarios"].values():
-            answers, io_ms = stats["outcome"]
-            assert answers > 0
-            assert io_ms >= 0.0
-
-    def test_unknown_bench_rejected(self):
-        from repro.bench import run_bench
-
-        with pytest.raises(ValueError, match="treeflat"):
-            run_bench(bench="treeflat")
-
-    def test_flat_scenarios_validated_per_bench(self):
-        from repro.bench import run_bench
-
-        with pytest.raises(ValueError, match="construction"):
-            run_bench(bench="flat_tree", only=["construction"])

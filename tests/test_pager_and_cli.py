@@ -173,6 +173,22 @@ class TestEvalCLI:
         with pytest.raises(SystemExit):
             main(["pagestore", "--disks", "two"])
 
+    def test_workload_profile_flag(self, capsys):
+        code = main(
+            [
+                "workload",
+                "--scale", "0.005",
+                "--queries", "4",
+                "--policies", "lru",
+                "--no-join",
+                "--profile",
+            ]
+        )
+        assert code == 0
+        captured = capsys.readouterr().out
+        assert "cProfile top 15 by cumulative time" in captured
+        assert "cumtime" in captured
+
 
 class TestQueryResultMetrics:
     def test_ms_per_4kb(self):

@@ -9,15 +9,17 @@ from repro.database import SpatialDatabase
 from repro.errors import ConfigurationError
 from repro.geometry.feature import SpatialObject
 from repro.geometry.polyline import Polyline
+from repro.obs import trace as obs_trace
 from repro.workload.engine import WorkloadEngine
 from repro.workload.streams import mixed_stream
+from repro.workload.traffic import TrafficSession
 
 from tests.conftest import make_objects
 
 
-def build_db(objects, name="r") -> SpatialDatabase:
+def build_db(objects, name="r", **kwargs) -> SpatialDatabase:
     db = SpatialDatabase(
-        organization="cluster", smax_bytes=16 * 4096, name=name
+        organization="cluster", smax_bytes=16 * 4096, name=name, **kwargs
     )
     db.build(objects)
     return db
@@ -223,6 +225,116 @@ class TestEngineDirect:
         assert report.buffer_pages == 128
         point = report.phase("point")
         assert point is not None and point.operations == 2
+
+
+def fresh_served_db(scheduler, n_disks):
+    """A freshly built database plus a mixed stream over it (windows,
+    points, inserts, deletes) — rebuilt per run so runs share nothing."""
+    objects = make_objects(260, seed=23)
+    resident, incoming = objects[:240], objects[240:]
+    db = build_db(resident, scheduler=scheduler, n_disks=n_disks)
+    return db, make_stream(resident, incoming)
+
+
+def phase_rows(report):
+    return [
+        (
+            p.kind,
+            p.operations,
+            p.results,
+            p.hits,
+            p.misses,
+            p.io.total_ms,
+            p.response_ms,
+            p.latencies,
+        )
+        for p in report.phases
+    ]
+
+
+class TestSharedServeStep:
+    """run / run_sessions / run_traffic are one serve step under three
+    serving orders: a single client must not be able to tell them apart."""
+
+    @pytest.mark.parametrize(
+        "scheduler,n_disks", [("sync", 1), ("overlap", 1), ("overlap", 4)]
+    )
+    def test_single_client_identical_through_every_entry_point(
+        self, scheduler, n_disks
+    ):
+        db, stream = fresh_served_db(scheduler, n_disks)
+        reports = {"run": db.run_workload(stream, buffer_pages=48)}
+        db, stream = fresh_served_db(scheduler, n_disks)
+        reports["sessions"] = db.run_sessions({"main": stream}, buffer_pages=48)
+        if scheduler == "overlap":
+            db, stream = fresh_served_db(scheduler, n_disks)
+            session = TrafficSession(
+                name="main", klass="interactive", arrival_ms=0.0, operations=stream
+            )
+            reports["traffic"] = db.run_traffic([session], buffer_pages=48)
+        expected = phase_rows(reports["run"])
+        assert {kind for kind, *_ in expected} >= {
+            "window", "point", "insert", "delete", "flush",
+        }
+        for name, report in reports.items():
+            assert phase_rows(report) == expected, name
+            assert report.makespan_ms == reports["run"].makespan_ms, name
+        client = reports["sessions"].client("main")
+        assert sorted(client.latencies) == sorted(
+            latency
+            for kind, *row in expected
+            if kind != "flush"
+            for latency in row[-1]
+        )
+
+    def test_sessions_served_in_step_then_client_order(self):
+        db, _ = fresh_served_db("overlap", 4)
+        window = ("window", 0.0, 0.0, 500.0, 500.0)
+        point = ("point", 5.0, 5.0)
+        with obs_trace.tracing() as tracer:
+            db.run_sessions(
+                [("a", [window, point, window]), ("b", [point]), ("c", [point, window])],
+                buffer_pages=48,
+            )
+        served = [(s.track, s.name) for s in tracer.spans if s.cat == "operation"]
+        assert served == [
+            ("a", "window"), ("b", "point"), ("c", "point"),
+            ("a", "point"), ("c", "window"),
+            ("a", "window"),
+        ]
+
+
+class TestRaisingOperation:
+    """An operation that raises mid-stream must leave nothing behind:
+    no open span on the tracer, no per-run admission or suspended
+    metrics on the scheduler, no workload pool on the organization."""
+
+    @pytest.mark.parametrize("scheduler", ["sync", "overlap"])
+    @pytest.mark.parametrize("entry", ["run", "sessions"])
+    def test_scope_unwinds(self, entry, scheduler):
+        db, stream = fresh_served_db(scheduler, 1)
+        stream = stream[:6] + [("bogus",)] + stream[6:]
+        reads = [op for op in stream if op[0] in ("window", "point")][:3]
+        passthrough = db.storage.pool
+        admission = getattr(db.scheduler, "admission", None)
+        metrics = getattr(db.scheduler, "metrics", None)
+        with obs_trace.tracing() as tracer:
+            with pytest.raises(ConfigurationError, match="bogus"):
+                if entry == "run":
+                    db.run_workload(stream, buffer_pages=48)
+                else:
+                    db.run_sessions(
+                        {"main": stream, "other": reads},
+                        buffer_pages=48,
+                        admission="priority" if scheduler == "overlap" else None,
+                    )
+            assert tracer.open_spans() == []
+            # A span recorded afterwards is a root, not a child of the
+            # dead operation.
+            assert tracer.begin("after").parent is None
+        assert db.storage.pool is passthrough
+        assert getattr(db.scheduler, "admission", None) is admission
+        assert getattr(db.scheduler, "metrics", None) is metrics
 
 
 class TestWorkloadCLI:
