@@ -7,7 +7,9 @@ to ``benchmarks/results/<name>.txt`` so the output survives pytest's
 capture.
 
 Scale is controlled by ``REPRO_SCALE`` (default 0.08 ≈ 10,500 objects
-per map); see DESIGN.md for why the figure *shapes* are scale-invariant.
+per map); see README.md, "Reproducing the paper", and the
+:mod:`repro.eval.config` docstring for why the figure *shapes* are
+scale-invariant.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import pathlib
 import pytest
 
 from repro.eval.context import ExperimentContext
+from repro.eval.scenarios import Dataset
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -24,6 +27,12 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 @pytest.fixture(scope="session")
 def ctx() -> ExperimentContext:
     return ExperimentContext()
+
+
+def dataset(ctx: ExperimentContext, series: str) -> Dataset:
+    """The context's (memoised) map as the dataset the shared scenario
+    steps of :mod:`repro.eval.scenarios` run over."""
+    return Dataset(ctx.config, series, ctx.config.spec(series), ctx.objects(series))
 
 
 @pytest.fixture()

@@ -1,4 +1,5 @@
-"""Ablation benchmarks for the design decisions DESIGN.md calls out.
+"""Ablation benchmarks for the design decisions README.md's
+architecture map calls out.
 
 These go beyond the paper's figures: each ablation isolates one design
 choice of the cluster organization and quantifies it.
@@ -237,8 +238,8 @@ def test_ablation_hilbert_loading(ctx, benchmark, record_table):
 def test_ablation_adaptive_technique(ctx, benchmark, record_table):
     """Extension: the adaptive technique (exact candidate counts) vs
     the paper's geometric threshold, across window sizes on A-1 — the
-    series where the geometric estimator misfires (see EXPERIMENTS.md
-    on Figure 10)."""
+    series where the geometric estimator misfires (see
+    ``benchmarks/results/fig10_techniques.txt``)."""
 
     def run():
         org = build_cluster(ctx, "A-1")

@@ -22,11 +22,10 @@ issue identical priced calls); the makespan must drop on four disks.
 
 from __future__ import annotations
 
-from repro.database import SpatialDatabase
 from repro.eval.report import format_table
-from repro.workload.streams import mixed_stream
+from repro.eval.scenarios import build_database, run_client_pair
 
-from benchmarks.conftest import once
+from benchmarks.conftest import dataset, once
 
 CONFIGS = [
     # (n_disks, scheduler, prefetch)
@@ -38,33 +37,6 @@ CONFIGS = [
 ]
 
 
-def build_db(ctx, series, n_disks, scheduler, prefetch):
-    spec = ctx.config.spec(series)
-    db = SpatialDatabase(
-        smax_bytes=spec.smax_bytes,
-        n_disks=n_disks,
-        placement="spatial",
-        scheduler=scheduler,
-        prefetch=prefetch,
-        construction_buffer_pages=ctx.config.construction_buffer_pages,
-    )
-    db.build(ctx.objects(series))
-    return db
-
-
-def client_streams(ctx, series):
-    """Two deterministic mixed query streams (distinct seeds)."""
-    objects = ctx.objects(series)
-    return {
-        "alpha": mixed_stream(
-            objects, n_windows=40, n_points=20, seed=ctx.config.seed + 3
-        ),
-        "beta": mixed_stream(
-            objects, n_windows=40, n_points=20, seed=ctx.config.seed + 5
-        ),
-    }
-
-
 def test_iosched_overlap(ctx, benchmark, record_table):
     """Acceptance: on 4 disks the overlapped concurrent workload's
     response time (makespan) drops below the sync baseline at
@@ -73,11 +45,18 @@ def test_iosched_overlap(ctx, benchmark, record_table):
     def run():
         rows = []
         baseline_results = None
+        data = dataset(ctx, "A-1")
         for n_disks, scheduler, prefetch in CONFIGS:
-            db = build_db(ctx, "A-1", n_disks, scheduler, prefetch)
-            report = db.run_sessions(
-                client_streams(ctx, "A-1"), buffer_pages=400
+            # The `eval iosched` scenario at the figures' construction buffer.
+            db = build_database(
+                data,
+                n_disks=n_disks,
+                placement="spatial",
+                scheduler=scheduler,
+                prefetch=prefetch,
+                construction_buffer_pages=ctx.config.construction_buffer_pages,
             )
+            report = run_client_pair(db, data, queries=40, buffer_pages=400)
             results = sum(p.results for p in report.phases)
             if baseline_results is None:
                 baseline_results = results

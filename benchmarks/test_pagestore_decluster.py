@@ -15,38 +15,10 @@ parallel execution model) and the achieved parallelism.
 
 from __future__ import annotations
 
-from repro.core.organization import ClusterOrganization
-from repro.core.policy import ClusterPolicy
-from repro.database import SpatialDatabase
 from repro.eval.report import format_table
+from repro.eval.scenarios import build_database, measure_windows
 
-from benchmarks.conftest import once
-
-
-def build_db(ctx, series, n_disks, placement):
-    spec = ctx.config.spec(series)
-    db = SpatialDatabase(
-        smax_bytes=spec.smax_bytes,
-        n_disks=n_disks,
-        placement=placement,
-        construction_buffer_pages=ctx.config.construction_buffer_pages,
-    )
-    db.build(ctx.objects(series))
-    return db
-
-
-def measure_windows(db, windows):
-    """Per-query (device_ms, response_ms) sums over a window workload."""
-    device = 0.0
-    response = 0.0
-    answers = 0
-    for window in windows:
-        mark = db.disk.snapshot()
-        answers += len(db.storage.window_query(window).objects)
-        cost = db.disk.cost_since(mark)
-        device += cost.total_ms
-        response += cost.response_ms
-    return device, response, answers
+from benchmarks.conftest import dataset, once
 
 
 def test_pagestore_declustering(ctx, benchmark, record_table):
@@ -68,7 +40,14 @@ def test_pagestore_declustering(ctx, benchmark, record_table):
         rows = []
         baseline_answers = None
         for n_disks, placement in configs:
-            db = build_db(ctx, "A-1", n_disks, placement)
+            # The `eval pagestore` scenario at the figures' windows and
+            # construction buffer.
+            db = build_database(
+                dataset(ctx, "A-1"),
+                n_disks=n_disks,
+                placement=placement,
+                construction_buffer_pages=ctx.config.construction_buffer_pages,
+            )
             device, response, answers = measure_windows(db, windows)
             if baseline_answers is None:
                 baseline_answers = answers

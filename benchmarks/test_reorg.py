@@ -16,64 +16,39 @@ no-reorg baseline — background repair must not starve the foreground.
 
 from __future__ import annotations
 
-from repro.database import SpatialDatabase
 from repro.eval.report import format_table
-from repro.iosched.admission import PriorityAdmission
-from repro.reorg import Reorganizer, reorg_traffic
-from repro.workload.traffic import class_of_session, make_traffic
+from repro.eval.scenarios import reorg_runs
 
-from benchmarks.conftest import once
+from benchmarks.conftest import dataset, once
 
 SESSIONS = 1200
-DELETE_STRIDE = 2      # delete every other object
+DELETE_FRACTION = 0.5  # every other object
 BUDGET_PAGES = 64
 ROUNDS = 40
 
 
 def run_reorg_ablation(ctx, series="A-1"):
-    spec = ctx.config.spec(series)
-    objects = ctx.objects(series)
-    doomed = [o.oid for i, o in enumerate(objects) if i % DELETE_STRIDE == 0]
-    survivors = [o for i, o in enumerate(objects) if i % DELETE_STRIDE != 0]
-
+    """The `eval reorg` scenario at this ablation's sizes."""
     rows = []
-    for with_reorg in (False, True):
-        db = SpatialDatabase(
-            smax_bytes=spec.smax_bytes,
-            n_disks=4,
-            scheduler="overlap",
-            construction_buffer_pages=ctx.config.construction_buffer_pages,
-        )
-        db.build(objects)
-        for oid in doomed:
-            db.delete(oid)
-        reorg = Reorganizer(db, budget_pages=BUDGET_PAGES)
-        degraded = reorg.quality()
-        traffic = make_traffic(
-            survivors,
-            SESSIONS,
-            rate_per_s=200.0,
-            seed=ctx.config.seed + 29,
-        )
-        sessions = list(traffic)
-        if with_reorg:
-            span = max(s.arrival_ms for s in traffic)
-            sessions += reorg_traffic(
-                reorg, rounds=ROUNDS, period_ms=max(span / ROUNDS, 1.0)
-            )
-        report = db.run_traffic(
-            sessions,
-            buffer_pages=512,
-            admission=PriorityAdmission(classifier=class_of_session),
-        )
+    for with_reorg, _db, reorganizer, report, degraded in reorg_runs(
+        dataset(ctx, series),
+        sessions=SESSIONS,
+        rate=200.0,
+        buffer_pages=512,
+        delete_fraction=DELETE_FRACTION,
+        budget_pages=BUDGET_PAGES,
+        rounds=ROUNDS,
+        n_disks=4,
+        construction_buffer_pages=ctx.config.construction_buffer_pages,
+    ):
         inter = report.traffic_class("interactive")
         rows.append(
             (
                 "with reorg" if with_reorg else "no reorg",
                 round(degraded, 4),
-                round(reorg.quality(), 4),
-                reorg.moved_pages,
-                reorg.runs,
+                round(reorganizer.quality(), 4),
+                reorganizer.moved_pages,
+                reorganizer.runs,
                 inter.p95_ms if inter else 0.0,
                 report.makespan_ms / 1000.0,
             )

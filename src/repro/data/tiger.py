@@ -2,8 +2,8 @@
 
 The paper's maps come from US Bureau of the Census TIGER/Line files of
 Californian counties ([Bur89]); those exact extracts are not available,
-so this module generates their statistical twin (see DESIGN.md's
-substitution table):
+so this module generates their statistical twin (see the ``data`` row
+of README.md's architecture map):
 
 * **map 1 — streets**: short, mostly straight polylines, heavily
   clustered into "urban areas" (Gaussian mixture) over a sparse rural

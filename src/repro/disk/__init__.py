@@ -11,7 +11,6 @@ from repro.disk.buddy import BuddyAllocator, FixedUnitAllocator, buddy_sizes
 from repro.disk.extent import Extent
 from repro.disk.model import DiskModel, DiskStats, VectoredCost
 from repro.disk.params import DiskParameters
-from repro.disk.trace import IOPhase
 
 __all__ = [
     "DiskParameters",
@@ -24,5 +23,4 @@ __all__ = [
     "BuddyAllocator",
     "FixedUnitAllocator",
     "buddy_sizes",
-    "IOPhase",
 ]

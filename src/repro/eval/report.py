@@ -2,7 +2,7 @@
 
 Every figure driver produces rows of (label, value...) data; these
 helpers turn them into the aligned tables printed by the benchmark
-suite and recorded in EXPERIMENTS.md.
+suite and recorded under ``benchmarks/results/``.
 """
 
 from __future__ import annotations

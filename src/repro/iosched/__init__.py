@@ -40,7 +40,6 @@ from repro.iosched.request import AccessPlan, IORequest
 from repro.iosched.scheduler import (
     SCHEDULERS,
     SYNC,
-    IntervalListClock,
     IOScheduler,
     OverlapScheduler,
     SyncScheduler,
@@ -56,7 +55,6 @@ __all__ = [
     "SyncScheduler",
     "OverlapScheduler",
     "VirtualClock",
-    "IntervalListClock",
     "SCHEDULERS",
     "SYNC",
     "make_scheduler",

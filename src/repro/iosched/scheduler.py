@@ -45,7 +45,6 @@ __all__ = [
     "SyncScheduler",
     "OverlapScheduler",
     "VirtualClock",
-    "IntervalListClock",
     "SCHEDULERS",
     "make_scheduler",
     "scheduler_name",
@@ -316,8 +315,8 @@ class VirtualClock(_ClockBase):
     back-fill straight to the queue tail.  The common traffic shapes —
     appending at the tail, extending the tail interval, back-filling
     near the issue time — are all O(log n) per reservation, against
-    O(n) for the straight interval-list scan (kept as
-    :class:`IntervalListClock` for equivalence testing).
+    O(n) for the straight interval-list scan this class replaced (kept
+    as ``tests/interval_list_clock.py``, the equivalence oracle).
     Placement semantics are exactly the interval-list clock's.
     """
 
@@ -340,8 +339,8 @@ class VirtualClock(_ClockBase):
     @property
     def _busy(self) -> list[list[tuple[float, float]]]:
         """Busy intervals as per-disk ``(start, end)`` lists — a
-        compatibility view mirroring :class:`IntervalListClock`'s
-        storage (tests and external probes read this)."""
+        compatibility view mirroring the historical interval-list
+        clock's storage (tests and external probes read this)."""
         return [
             list(zip(starts, ends))
             for starts, ends in zip(self._starts, self._ends)
@@ -427,69 +426,6 @@ class VirtualClock(_ClockBase):
         self._max_gap.clear()
 
 
-class IntervalListClock(_ClockBase):
-    """The historical O(n)-scan virtual clock.
-
-    Byte-for-byte the pre-PR-8 :class:`VirtualClock` reservation logic:
-    per-disk merged sorted ``(start, end)`` interval lists with a
-    linear scan-and-insert per reservation.  Kept as the equivalence
-    oracle for the bisect-indexed :class:`VirtualClock` (the two must
-    produce identical placements on any dispatch sequence).
-    """
-
-    __slots__ = ("_busy",)
-
-    def __init__(self):
-        super().__init__()
-        # Per disk: merged, sorted (start, end) busy intervals.
-        self._busy: list[list[tuple[float, float]]] = []
-
-    @property
-    def disk_free(self) -> list[float]:
-        """Per disk, the end of its last busy interval (0.0 while idle).
-        Earlier idle gaps may still exist in front of it."""
-        return [busy[-1][1] if busy else 0.0 for busy in self._busy]
-
-    def _ensure(self, n_disks: int) -> None:
-        if len(self._busy) < n_disks:
-            self._busy.extend(
-                [] for _ in range(n_disks - len(self._busy))
-            )
-
-    def reserve(self, disk: int, at: float, work: float) -> float:
-        """Reserve ``work`` ms on one disk at the earliest start >=
-        ``at`` that fits a gap; returns the begin time."""
-        if disk >= len(self._busy):
-            self._ensure(disk + 1)
-        intervals = self._busy[disk]
-        begin = at
-        position = len(intervals)
-        for i, (start, end) in enumerate(intervals):
-            if end <= begin:
-                continue
-            if begin + work <= start:
-                position = i
-                break
-            begin = end
-        lo, hi = begin, begin + work
-        # Merge with exactly-touching neighbours to keep the list compact.
-        if position > 0 and intervals[position - 1][1] == lo:
-            lo = intervals[position - 1][0]
-            position -= 1
-            del intervals[position]
-        if position < len(intervals) and intervals[position][0] == hi:
-            hi = intervals[position][1]
-            del intervals[position]
-        intervals.insert(position, (lo, hi))
-        return begin
-
-    # Historical name of the reservation primitive.
-    _place = reserve
-
-    def _clear(self) -> None:
-        self._busy.clear()
-
-
 class _OperationScope:
     """State of one open :meth:`OverlapScheduler.operation` block."""
 
@@ -525,10 +461,9 @@ class OverlapScheduler(SyncScheduler):
       busy arms accumulate per client in :attr:`queueing`.
 
     The ``clock=`` knob swaps the virtual-clock implementation (default
-    the bisect-indexed :class:`VirtualClock`; pass an
-    :class:`IntervalListClock` to time against the historical O(n)
-    scan — placements are identical, only the bookkeeping cost
-    differs).
+    the bisect-indexed :class:`VirtualClock`; the test suite passes its
+    historical O(n)-scan oracle — placements are identical, only the
+    bookkeeping cost differs).
     """
 
     name = "overlap"

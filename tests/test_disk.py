@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from repro.disk.extent import Extent
 from repro.disk.model import DiskModel, DiskStats
 from repro.disk.params import DiskParameters
-from repro.disk.trace import IOPhase
 from repro.errors import ConfigurationError, DiskError
 
 
@@ -246,14 +245,3 @@ class TestDiskStats:
             disk.read(start, npages)
             assert disk.total_ms >= last
             last = disk.total_ms
-
-
-class TestIOPhase:
-    def test_measures_delta(self):
-        disk = DiskModel()
-        disk.read(0, 5)
-        with IOPhase(disk) as phase:
-            disk.read(100, 2)
-        assert phase.stats.requests == 1
-        assert phase.ms == pytest.approx(9 + 6 + 2)
-        assert phase.seconds == pytest.approx(phase.ms / 1000)

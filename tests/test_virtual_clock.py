@@ -24,10 +24,11 @@ import pytest
 from repro.database import SpatialDatabase
 from repro.iosched import OverlapScheduler
 from repro.iosched.admission import PriorityAdmission
-from repro.iosched.scheduler import IntervalListClock, VirtualClock
+from repro.iosched.scheduler import VirtualClock
 from repro.workload.streams import mixed_stream
 
 from tests.conftest import make_objects
+from tests.interval_list_clock import IntervalListClock
 
 CLOCKS = [VirtualClock, IntervalListClock]
 
