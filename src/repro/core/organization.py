@@ -44,7 +44,7 @@ from repro.rtree.entry import Entry
 from repro.rtree.node import Node
 from repro.rtree.pager import NodePager
 from repro.rtree.rstar import RStarTree
-from repro.storage.base import QueryResult, SpatialOrganization
+from repro.storage.base import SpatialOrganization
 
 __all__ = ["ClusterOrganization"]
 
@@ -53,6 +53,9 @@ class ClusterOrganization(SpatialOrganization):
     """Global clustering via per-data-page cluster units."""
 
     name = "cluster"
+    # One plan per cluster unit: ``plan.extent`` names the unit a
+    # cluster-aware prefetcher completes.
+    _plan_per_group = True
 
     def __init__(
         self,
@@ -352,7 +355,12 @@ class ClusterOrganization(SpatialOrganization):
     ) -> None:
         """Schedule one data-page group onto ``plan`` — oversize extents
         first, then the cluster unit under the configured technique —
-        appending the candidate objects in request order."""
+        appending the candidate objects in request order.  On a merged
+        plan the technique planners draw chain ids from the shared
+        plan, keeping continuation runs distinct, but the per-group
+        ``plan.extent`` prefetch hint degenerates to the last group's
+        unit — which is why merging requires a prefetcher-free pool
+        (``SpatialOrganization._batchable``)."""
         in_unit: list[int] = []
         for entry in entries:
             assert entry.oid is not None
@@ -370,45 +378,6 @@ class ClusterOrganization(SpatialOrganization):
                 )
             self._read_unit(plan, unit, in_unit, leaf, window, selective)
             candidates.extend(self.objects[oid] for oid in in_unit)
-
-    def _retrieve(
-        self,
-        groups: list[tuple[Node, list[Entry]]],
-        result: QueryResult,
-        window: Rect | None = None,
-        selective: bool = False,
-    ) -> list[SpatialObject]:
-        """Emit one declarative access plan per data-page group and
-        submit it to the pool's scheduler.  Request order matches the
-        historical imperative chain, so the default sync scheduler
-        prices identically."""
-        candidates: list[SpatialObject] = []
-        for leaf, entries in groups:
-            plan = AccessPlan("cluster.retrieve")
-            self._plan_group(plan, leaf, entries, window, selective, candidates)
-            if plan:
-                self.pool.submit(plan)
-        return candidates
-
-    def _plan_retrieve(
-        self,
-        plan: AccessPlan,
-        groups: list[tuple[Node, list[Entry]]],
-        result: QueryResult,
-        window: Rect | None = None,
-        selective: bool = False,
-    ) -> list[SpatialObject]:
-        """Batch-path variant: all groups append to the caller's merged
-        plan, same requests in the same order as :meth:`_retrieve` (the
-        technique planners draw chain ids from the shared plan, keeping
-        continuation runs distinct).  The per-group ``plan.extent``
-        prefetch hint degenerates to the last group's unit on a merged
-        plan, which is why the batch path requires a prefetcher-free
-        pool (see ``SpatialOrganization._batchable``)."""
-        candidates: list[SpatialObject] = []
-        for leaf, entries in groups:
-            self._plan_group(plan, leaf, entries, window, selective, candidates)
-        return candidates
 
     def _read_unit(
         self,

@@ -57,10 +57,10 @@ def run_window_queries(
     """Execute a window workload and aggregate its costs.
 
     The workload runs through the organization's batch entry point
-    (one flat-tree traversal, merged per-query access plans); the
+    (one flat-tree traversal and one refinement pass for all windows;
+    per-query access plans merged where that is pricing-neutral); the
     per-query results — and therefore every aggregate — are identical
-    to looping ``window_query`` (the batch path falls back to exactly
-    that whenever it cannot guarantee bit-identical pricing)."""
+    to looping ``window_query`` under every configuration."""
     agg = WorkloadAggregate()
     for result in org.window_query_batch(windows):
         _accumulate(agg, result)

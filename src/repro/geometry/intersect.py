@@ -265,8 +265,11 @@ def polylines_intersect_rects(
     counts = np.fromiter((len(c) for c in coords_list), dtype=np.int64, count=n)
     total_cells = 4 * int(np.maximum(counts - 1, 0).sum())
     if not kernels.vectorized() or total_cells < _VECTOR_MIN_CELLS:
-        for k, coords in enumerate(coords_list):
-            out[k] = polyline_intersects_rect(coords, Rect(*rects[k]))
+        # Plain Python floats for the scalar loop: walking numpy rows
+        # would run every comparison on np.float64 scalars.  (No
+        # polyline here reaches the per-object vector crossover.)
+        for k, (coords, rect) in enumerate(zip(coords_list, rects.tolist())):
+            out[k] = polyline_intersects_rect(coords.tolist(), Rect(*rect))
         return out
     pts = np.concatenate(coords_list).reshape(-1, 2).astype(np.float64, copy=False)
     owner = np.repeat(np.arange(n), counts)

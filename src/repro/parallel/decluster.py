@@ -121,9 +121,10 @@ class ParallelClusterReader:
 
         Only the object transfer is priced (the R*-tree filter is the
         same for any disk count and, as in the paper's measurement mode,
-        the directory is memory-resident).
+        the directory is memory-resident) — hence the tree's unpriced
+        filter, which leaves the organization's own disk alone.
         """
-        groups = self.org.tree.window_leaves(window)
+        ((_visited, groups),) = self.org.tree.window_leaves_batch([window])
         snapshot = self.store.snapshot()
         units_read = 0
         for leaf, entries in groups:

@@ -50,8 +50,6 @@ __all__ = [
     "FlatBatch",
     "build_flat",
     "flat_query_batch",
-    "flat_window_query_batch",
-    "flat_point_query_batch",
 ]
 
 
@@ -291,25 +289,17 @@ class FlatBatch:
             self._hit_bounds[i] : self._hit_bounds[i + 1]
         ]
 
-    def hit_entry_lists(self) -> list[list[Entry]]:
-        """All queries' hit entries resolved to :class:`Entry` objects
-        (each inner list in single-query order)."""
-        entries = self.flat.entries
-        return [
-            [entries[e] for e in self.hits(i).tolist()]
-            for i in range(self.n_queries)
-        ]
-
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
 
 
-def flat_query_batch(flat: FlatTree, qmat: np.ndarray) -> FlatBatch:
-    """Traverse the whole tree for every query row of ``qmat`` at once.
+def flat_query_batch(flat: FlatTree, rects) -> FlatBatch:
+    """Traverse the whole tree for every query rectangle at once (no
+    I/O pricing).
 
-    ``qmat`` rows are query vectors for the negated entry matrix (see
-    :func:`repro.core.kernels.window_qvec`) — windows and points share
-    the same one-sided comparison.
+    Each rectangle becomes a query vector for the negated entry matrix
+    (as :func:`repro.core.kernels.window_qvec`) — a point query is the
+    degenerate window ``Rect(x, y, x, y)``, same one-sided comparison.
 
     The traversal is frontier-at-a-time: the live ``(node, query)``
     pairs of one level are expanded through the CSR offsets into their
@@ -318,7 +308,10 @@ def flat_query_batch(flat: FlatTree, qmat: np.ndarray) -> FlatBatch:
     parent, so a (node, query) pair can enter the frontier at most once
     — no deduplication is needed, and sorting the collected pairs by
     ``(query, rank)`` reproduces each query's private DFS order."""
-    n_queries = len(qmat)
+    n_queries = len(rects)
+    qmat = np.array(
+        [(r.xmax, r.ymax, -r.xmin, -r.ymin) for r in rects], dtype=np.float64
+    ).reshape(n_queries, 4)
     visit_q_parts: list[np.ndarray] = []
     visit_n_parts: list[np.ndarray] = []
     hit_q_parts: list[np.ndarray] = []
@@ -388,21 +381,3 @@ def flat_query_batch(flat: FlatTree, qmat: np.ndarray) -> FlatBatch:
     return FlatBatch(
         flat, n_queries, visit_n, visit_bounds, hit_e, hit_bounds
     )
-
-
-def flat_window_query_batch(flat: FlatTree, windows) -> FlatBatch:
-    """Batched window filter over the snapshot (no I/O pricing)."""
-    qmat = np.array(
-        [(w.xmax, w.ymax, -w.xmin, -w.ymin) for w in windows],
-        dtype=np.float64,
-    ).reshape(len(windows), 4)
-    return flat_query_batch(flat, qmat)
-
-
-def flat_point_query_batch(flat: FlatTree, points) -> FlatBatch:
-    """Batched point filter over the snapshot (no I/O pricing); a point
-    is a degenerate window, so the comparison vector is the same."""
-    qmat = np.array(
-        [(x, y, -x, -y) for x, y in points], dtype=np.float64
-    ).reshape(len(points), 4)
-    return flat_query_batch(flat, qmat)

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterator
 
-import numpy as np
-
 from repro.core import kernels
 from repro.constants import (
     ENTRY_SIZE,
@@ -35,13 +33,7 @@ from repro.geometry.rect import Rect
 from repro.rtree.capacity import ByteCapacity, CountCapacity, CountOrByteCapacity
 from repro.rtree.chooser import least_area_enlargement, least_overlap_enlargement
 from repro.rtree.entry import Entry
-from repro.rtree.flat import (
-    FlatBatch,
-    FlatTree,
-    build_flat,
-    flat_point_query_batch,
-    flat_window_query_batch,
-)
+from repro.rtree.flat import FlatTree, build_flat, flat_query_batch
 from repro.rtree.node import Node
 from repro.rtree.pager import NodePager
 from repro.rtree.split import rstar_split
@@ -435,13 +427,14 @@ class RStarTree:
         return groups
 
     def _window_leaves_scalar(
-        self, window: Rect
+        self, window: Rect, read: Callable[[Node], None] | None = None
     ) -> list[tuple[Node, list[Entry]]]:
+        read = read or self._read
         groups: list[tuple[Node, list[Entry]]] = []
         stack = [self.root]
         while stack:
             node = stack.pop()
-            self._read(node)
+            read(node)
             if node.is_leaf:
                 matches = [e for e in node.entries if e.rect.intersects(window)]
                 if matches:
@@ -482,93 +475,35 @@ class RStarTree:
             self._flat = flat
         return flat
 
-    def window_query_batch(self, windows: list[Rect]) -> list[list[Entry]]:
-        """Run many window queries through **one whole-tree traversal**
-        over the flat snapshot (:mod:`repro.rtree.flat`): one broadcast
-        mask per tree level instead of per-node Python recursion.
-
-        Equivalence contract: ``window_query_batch(ws)[i]`` is exactly
-        ``window_query(ws[i])`` — same entries, same order — *and* the
-        pages are read per query in the exact single-query visit order
-        (the flat traversal's DFS ranks reproduce it), so a stateful
-        pager prices the batch identically to running the queries one
-        at a time.  The scalar fallback simply loops the per-query path.
-        """
-        if not windows:
-            return []
-        if not kernels.vectorized():
-            return [self.window_query(w) for w in windows]
-        flat = self.flat_snapshot()
-        batch = flat_window_query_batch(flat, windows)
-        self._replay_reads(flat, batch)
-        return batch.hit_entry_lists()
-
-    def point_query_batch(
-        self, points: list[tuple[float, float]]
-    ) -> list[list[Entry]]:
-        """Run many point queries through one whole-tree traversal over
-        the flat snapshot; element ``i`` equals ``point_query(*points[i])``
-        exactly (a point is a degenerate window, so the same one-sided
-        comparison applies), with per-query reads in single-query order."""
-        if not points:
-            return []
-        if not kernels.vectorized():
-            return [self.point_query(x, y) for x, y in points]
-        flat = self.flat_snapshot()
-        batch = flat_point_query_batch(flat, points)
-        self._replay_reads(flat, batch)
-        return batch.hit_entry_lists()
-
-    def _replay_reads(self, flat: FlatTree, batch: FlatBatch) -> None:
-        """Price the batch's page reads query by query, each query's
-        visited nodes in DFS-rank (= single-query) order."""
-        pager = self.pager
-        if pager is None:
-            return
-        nodes = flat.nodes
-        read = pager.read
-        for i in range(batch.n_queries):
-            for nid in batch.visits(i).tolist():
-                read(nodes[nid])
-
     def window_leaves_batch(
-        self, windows: list[Rect]
-    ) -> tuple[FlatTree, list[tuple[list[Node], list[tuple[Node, list[Entry]]], np.ndarray]]] | None:
-        """Batched, *unpriced* form of :meth:`window_leaves`: per query a
-        triple ``(visited_nodes, groups, hit_entry_ids)`` where
-        ``visited_nodes`` is the exact page-visit order, ``groups``
-        equals ``window_leaves(window)`` and ``hit_entry_ids`` indexes
-        the snapshot's entry arrays (for vectorized refinement).
-
-        The caller prices the visits itself (the organizations merge
-        them into their per-query access plans).  Returns ``None`` in
-        scalar-kernel mode — callers fall back to the single-query path.
+        self, rects: list[Rect]
+    ) -> list[tuple[list[Node], list[tuple[Node, list[Entry]]]]]:
+        """Batched, *unpriced* form of :meth:`window_leaves`: **one
+        whole-tree traversal** over the flat snapshot
+        (:mod:`repro.rtree.flat`) filters every rectangle at once — one
+        broadcast mask per tree level instead of per-node Python
+        recursion.  Per query a pair ``(visited_nodes, groups)``:
+        ``groups`` equals ``window_leaves(rect)`` — same entries, same
+        order — and ``visited_nodes`` is its exact page-visit order
+        (the flat traversal's DFS ranks reproduce it), so a caller that
+        prices the visits query by query pays exactly what running the
+        queries one at a time costs.  Scalar-kernel mode walks the
+        object tree entry by entry instead, equally unpriced.
         """
         if not kernels.vectorized():
-            return None
+            per_query = []
+            for rect in rects:
+                visited: list[Node] = []
+                groups = self._window_leaves_scalar(rect, visited.append)
+                per_query.append((visited, groups))
+            return per_query
         flat = self.flat_snapshot()
-        batch = flat_window_query_batch(flat, windows)
-        return flat, self._group_batch(flat, batch)
-
-    def point_leaves_batch(
-        self, points: list[tuple[float, float]]
-    ) -> tuple[FlatTree, list[tuple[list[Node], list[tuple[Node, list[Entry]]], np.ndarray]]] | None:
-        """Point-query counterpart of :meth:`window_leaves_batch` (the
-        single-query path runs ``window_leaves`` on a degenerate rect)."""
-        if not kernels.vectorized():
-            return None
-        flat = self.flat_snapshot()
-        batch = flat_point_query_batch(flat, points)
-        return flat, self._group_batch(flat, batch)
-
-    @staticmethod
-    def _group_batch(flat: FlatTree, batch: FlatBatch):
+        batch = flat_query_batch(flat, rects)
         nodes = flat.nodes
         entries = flat.entries
         per_query = []
         for i in range(batch.n_queries):
             visited = [nodes[n] for n in batch.visits(i).tolist()]
-            hit = batch.hits(i)
             groups: list[tuple[Node, list[Entry]]] = []
             bucket: list[Entry] | None = None
             previous = -1
@@ -576,7 +511,7 @@ class RStarTree:
             # nondecreasing runs — one run per matched leaf, in visit
             # order, entries ascending within it (= window_leaves).
             for e, owner in zip(
-                hit.tolist(), batch.hit_owners(i).tolist()
+                batch.hits(i).tolist(), batch.hit_owners(i).tolist()
             ):
                 if owner != previous:
                     bucket = []
@@ -584,7 +519,7 @@ class RStarTree:
                     previous = owner
                 assert bucket is not None
                 bucket.append(entries[e])
-            per_query.append((visited, groups, hit))
+            per_query.append((visited, groups))
         return per_query
 
     # ------------------------------------------------------------------

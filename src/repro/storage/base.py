@@ -20,7 +20,7 @@ from __future__ import annotations
 import abc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import would be circular at runtime
     from repro.pagestore.store import PageStore
@@ -37,6 +37,8 @@ from repro.geometry.polyline import Polyline
 from repro.geometry.rect import Rect
 from repro.iosched.request import AccessPlan
 from repro.iosched.scheduler import SyncScheduler
+from repro.rtree.entry import Entry
+from repro.rtree.node import Node
 from repro.rtree.pager import NodePager
 from repro.rtree.rstar import RStarTree
 
@@ -87,6 +89,11 @@ class SpatialOrganization(abc.ABC):
 
     #: subclasses override — used in reports
     name: str = "abstract"
+
+    #: True when every data-page group of a query is its own access plan
+    #: (unless merged, see :meth:`_batchable`); otherwise a query's
+    #: groups share one plan.
+    _plan_per_group: bool = False
 
     def __init__(
         self,
@@ -173,39 +180,25 @@ class SpatialOrganization(abc.ABC):
         (the organization's locator for the exact representation)."""
 
     @abc.abstractmethod
-    def _retrieve(
+    def _plan_group(
         self,
-        groups: list,
-        result: QueryResult,
+        plan: AccessPlan,
+        leaf: Node,
+        entries: list[Entry],
         window: Rect,
-        selective: bool = False,
-    ) -> list[SpatialObject]:
-        """Transfer the exact representations of the filter candidates
-        (``groups`` is the output of ``tree.window_leaves``), pricing
-        the disk traffic; returns the candidate objects in read order.
+        selective: bool,
+        candidates: list[SpatialObject],
+    ) -> None:
+        """The transfer step for one data page: append to ``plan`` the
+        requests that fetch the exact representations of ``entries``
+        (the filter matches on ``leaf``) and to ``candidates`` the
+        objects, in request order.
 
         ``window`` is the query region (techniques like the geometric
         threshold need it); ``selective`` marks point queries, which
         access single objects through the cluster unit's relative
         addresses instead of bulk-reading units (Sections 4.2.2/5.5).
         """
-
-    @abc.abstractmethod
-    def _plan_retrieve(
-        self,
-        plan: AccessPlan,
-        groups: list,
-        result: QueryResult,
-        window: Rect,
-        selective: bool = False,
-    ) -> list[SpatialObject]:
-        """Like :meth:`_retrieve`, but append the transfer requests to
-        the caller's ``plan`` instead of submitting plans — the batch
-        query path merges a query's node reads and object retrieval
-        into one access plan.  Request order must match
-        :meth:`_retrieve` exactly (plan boundaries do not affect the
-        sync scheduler's pricing, so the merged plan prices
-        identically)."""
 
     @abc.abstractmethod
     def occupied_pages(self) -> int:
@@ -299,233 +292,183 @@ class SpatialOrganization(abc.ABC):
         return self._construction_io
 
     # ------------------------------------------------------------------
-    # queries
+    # queries: filter -> transfer -> refine (Sections 2, 5.4, 5.5)
     # ------------------------------------------------------------------
     def window_query(self, window: Rect) -> QueryResult:
         """Filter + refinement window query (Section 2)."""
-        result = QueryResult()
-        before = self.disk.stats()
-        groups = self.tree.window_leaves(window)
-        candidates = self._retrieve(groups, result, window)
-        result.candidates = len(candidates)
-        result.bytes_retrieved = sum(o.size_bytes for o in candidates)
-        for obj in candidates:
-            # Refinement shortcut: an object whose MBR lies inside the
-            # window necessarily shares points with it.
-            if window.contains(obj.mbr):
-                result.objects.append(obj)
-            else:
-                result.exact_tests += 1
-                if obj.intersects_rect(window):
-                    result.objects.append(obj)
-        result.io = self.disk.stats() - before
-        return result
+        return self._run_queries([window], False)[0]
 
     def point_query(self, x: float, y: float) -> QueryResult:
         """Filter + refinement point query (Section 2)."""
-        result = QueryResult()
-        before = self.disk.stats()
-        point = Rect(x, y, x, y)
-        groups = self.tree.window_leaves(point)
-        candidates = self._retrieve(groups, result, point, selective=True)
-        result.candidates = len(candidates)
-        result.bytes_retrieved = sum(o.size_bytes for o in candidates)
-        for obj in candidates:
-            result.exact_tests += 1
-            if obj.contains_point(x, y):
-                result.objects.append(obj)
-        result.io = self.disk.stats() - before
-        return result
-
-    # ------------------------------------------------------------------
-    # batched queries (whole-tree flat traversal + merged access plans)
-    # ------------------------------------------------------------------
-    def _batchable(self) -> bool:
-        """True when the merged-plan batch path prices bit-identically
-        to per-query execution: the measurement-mode pager must share
-        this organization's pool, the scheduler must be the plain sync
-        scheduler (plan boundaries are pricing-neutral there; the
-        overlap scheduler dispatches per plan on the virtual clock),
-        and no prefetcher may be consulted per plan."""
-        pager = self.tree.pager
-        if pager is not self._query_pager or pager.pool is not self.pool:
-            return False
-        pool = self.pool
-        if getattr(pool, "prefetcher", None) is not None:
-            return False
-        # Exact type check: OverlapScheduler subclasses SyncScheduler.
-        return type(getattr(pool, "scheduler", None)) is SyncScheduler
+        return self._run_queries([Rect(x, y, x, y)], True)[0]
 
     def window_query_batch(self, windows: list[Rect]) -> list[QueryResult]:
-        """Run a window workload through the flat batch path: one
-        whole-tree traversal filters all queries at once, then each
-        query submits a *single* merged access plan (its node reads
-        followed by its object transfers) and refines with vectorized
-        containment masks.
-
-        Element ``i`` equals ``window_query(windows[i])`` exactly —
-        answers, candidate counts and per-query I/O statistics — the
-        queries just spend far less Python time getting there.  When
-        the flat path cannot guarantee that (scalar-kernel mode, a
-        swapped-in caching/prefetching pool, a non-sync scheduler), the
-        workload falls back to looping :meth:`window_query`.
-        """
-        batched = (
-            self.tree.window_leaves_batch(windows)
-            if windows and self._batchable()
-            else None
-        )
-        if batched is None:
-            return [self.window_query(window) for window in windows]
-        flat, per_query = batched
-        entry_rect = flat.entry_rect
-        entry_oid = flat.entry_oid
-        results: list[QueryResult] = []
-        assembly: list[tuple[QueryResult, list[SpatialObject], list]] = []
-        # Exact polyline tests deferred across the *whole batch*: map
-        # polylines have a handful of segments each, far below the
-        # per-call vectorization crossover, so only the cross-query
-        # concatenation makes the refinement kernel pay off.
-        line_coords: list = []
-        line_rects: list[tuple[float, float, float, float]] = []
-        line_sinks: list[tuple[list, int]] = []
-        for window, (visited, groups, hit_rows) in zip(windows, per_query):
-            result = QueryResult()
-            before = self.disk.stats()
-            plan = AccessPlan(f"{self.name}.retrieve")
-            self._query_pager.plan_reads(visited, plan)
-            candidates = self._plan_retrieve(
-                plan, groups, result, window, selective=False
-            )
-            if plan:
-                self.pool.submit(plan)
-            result.candidates = len(candidates)
-            result.bytes_retrieved = sum(o.size_bytes for o in candidates)
-            # Refinement is pure CPU — zero disk traffic — so taking
-            # the stats diff before it matches window_query exactly.
-            result.io = self.disk.stats() - before
-            if len(hit_rows):
-                rects = entry_rect[hit_rows]
-                # Vectorized Rect.contains: data-entry rects are the
-                # objects' MBRs (they never mutate after insertion).
-                inside = (
-                    (window.xmin <= rects[:, 0])
-                    & (window.ymin <= rects[:, 1])
-                    & (rects[:, 2] <= window.xmax)
-                    & (rects[:, 3] <= window.ymax)
-                )
-                contained = dict(
-                    zip(entry_oid[hit_rows].tolist(), inside.tolist())
-                )
-            else:
-                contained = {}
-            decisions: list = []
-            for obj in candidates:
-                if contained[obj.oid]:
-                    decisions.append(True)
-                    continue
-                result.exact_tests += 1
-                geometry = obj.geometry
-                if isinstance(geometry, Polyline) and len(geometry.vertices) > 1:
-                    decisions.append(None)
-                    line_sinks.append((decisions, len(decisions) - 1))
-                    line_coords.append(geometry.coords())
-                    line_rects.append(
-                        (window.xmin, window.ymin, window.xmax, window.ymax)
-                    )
-                else:
-                    decisions.append(obj.intersects_rect(window))
-            assembly.append((result, candidates, decisions))
-            results.append(result)
-        if line_coords:
-            verdicts = polylines_intersect_rects(line_coords, line_rects)
-            for (decisions, slot), verdict in zip(line_sinks, verdicts):
-                decisions[slot] = bool(verdict)
-        for result, candidates, decisions in assembly:
-            result.objects.extend(
-                obj for obj, keep in zip(candidates, decisions) if keep
-            )
-        return results
+        """Run a window workload; element ``i`` equals
+        ``window_query(windows[i])`` exactly — answers, candidate
+        counts and per-query I/O statistics — the queries just share
+        one filter traversal and one refinement pass (see
+        :meth:`_run_queries`)."""
+        return self._run_queries(windows, False)
 
     def point_query_batch(
         self, points: list[tuple[float, float]]
     ) -> list[QueryResult]:
         """Batched point queries; element ``i`` equals
-        ``point_query(*points[i])`` exactly.  Beyond the shared flat
-        traversal and merged per-query plans, the refinement step
-        defers all polygon membership tests (one
-        :meth:`~repro.geometry.polygon.Polygon.contains_points` batch
-        per distinct polygon) and all polyline hit tests (one
-        :func:`~repro.geometry.intersect.polylines_intersect_rects`
-        batch over every pending pair — a point test is a degenerate
-        rect intersection); other geometries keep their scalar
-        predicate.
+        ``point_query(*points[i])`` exactly."""
+        return self._run_queries([Rect(x, y, x, y) for x, y in points], True)
+
+    def _run_queries(self, rects: list[Rect], points: bool) -> list[QueryResult]:
+        """The one query pipeline; a point query is the degenerate
+        rectangle ``Rect(x, y, x, y)`` with ``points`` set.
+
+        **Filter** — a single query walks the object tree node by node
+        (:meth:`RStarTree.window_leaves`, which prices each visited page
+        as it goes); several share one traversal of the flat snapshot
+        (:meth:`RStarTree.window_leaves_batch`), whose visits are then
+        priced query by query in the same DFS order.  The choice is by
+        ``len(rects)``: for one query the flat traversal's fixed numpy
+        cost exceeds the whole per-node walk.  **Transfer** —
+        :meth:`_transfer`.  **Refine** — :meth:`_refine`, once over all
+        queries of the call (refinement is pure CPU, so each query's
+        I/O statistics are final before it runs).
         """
-        batched = (
-            self.tree.point_leaves_batch(points)
-            if points and self._batchable()
-            else None
+        filtered = self.tree.window_leaves_batch(rects) if len(rects) > 1 else None
+        merge = filtered is not None and self._batchable()
+        results: list[QueryResult] = []
+        candidate_lists: list[list[SpatialObject]] = []
+        for i, rect in enumerate(rects):
+            before = self.disk.stats()
+            if filtered is None:
+                visited, groups = (), self.tree.window_leaves(rect)
+            else:
+                visited, groups = filtered[i]
+            candidates = self._transfer(visited, groups, rect, points, merge)
+            candidate_lists.append(candidates)
+            results.append(
+                QueryResult(
+                    candidates=len(candidates),
+                    bytes_retrieved=sum(o.size_bytes for o in candidates),
+                    io=self.disk.stats() - before,
+                )
+            )
+        self._refine(rects, results, candidate_lists, points)
+        return results
+
+    def _batchable(self) -> bool:
+        """May one query's node reads and object transfers be merged
+        into a single access plan?  Only where plan boundaries are
+        pricing-neutral: the pager must share this organization's pool,
+        the scheduler must be the plain sync scheduler (the overlap
+        scheduler dispatches per plan on the virtual clock), and no
+        prefetcher may be consulted per plan (the per-unit
+        ``plan.extent`` hint would degenerate to the last group's).
+        Nothing else depends on this — filtering and refinement are the
+        same under every configuration."""
+        pager = self.tree.pager
+        pool = self.pool
+        return (
+            pager is self._query_pager
+            and pager.pool is pool
+            and getattr(pool, "prefetcher", None) is None
+            # Exact type check: OverlapScheduler subclasses SyncScheduler.
+            and type(getattr(pool, "scheduler", None)) is SyncScheduler
         )
-        if batched is None:
-            return [self.point_query(x, y) for x, y in points]
-        _flat, per_query = batched
-        pending: list[tuple[QueryResult, list[SpatialObject], list[bool]]] = []
-        # obj.oid -> (polygon, xs, ys, decision sinks): one batched
-        # membership test per distinct polygon across the whole batch.
-        poly_tests: dict[
-            int, tuple[Polygon, list[float], list[float], list[tuple[list[bool], int]]]
-        ] = {}
+
+    def _transfer(
+        self,
+        visited: Sequence[Node],
+        groups: list[tuple[Node, list[Entry]]],
+        rect: Rect,
+        selective: bool,
+        merge: bool,
+    ) -> list[SpatialObject]:
+        """Price one query's not-yet-priced node visits and the transfer
+        of its candidates' exact representations; returns the candidate
+        objects in read order.  Merged, everything is one access plan;
+        otherwise the visits are single-page reads and the groups are
+        submitted as the organization declares them (one plan per data
+        page when :attr:`_plan_per_group`, else one per query) — request
+        order is the same either way."""
+        pager = self.tree.pager
+        plan = AccessPlan(f"{self.name}.retrieve")
+        if merge:
+            pager.plan_reads(visited, plan)
+        else:
+            for node in visited:
+                pager.read(node)
+        candidates: list[SpatialObject] = []
+        for leaf, entries in groups:
+            self._plan_group(plan, leaf, entries, rect, selective, candidates)
+            if self._plan_per_group and not merge and plan:
+                self.pool.submit(plan)
+                plan = AccessPlan(plan.label)
+        if plan:
+            self.pool.submit(plan)
+        return candidates
+
+    @staticmethod
+    def _refine(
+        rects: list[Rect],
+        results: list[QueryResult],
+        candidate_lists: list[list[SpatialObject]],
+        points: bool,
+    ) -> None:
+        """Exact refinement of every query of one call, filling
+        ``objects`` and ``exact_tests`` of its result.
+
+        A window candidate whose MBR lies inside the window necessarily
+        shares points with it and needs no test.  All pending polyline
+        tests of the call go through one
+        :func:`~repro.geometry.intersect.polylines_intersect_rects`
+        batch (map polylines have a handful of segments each, far below
+        the per-object vectorization crossover, so only the
+        concatenation across candidates and queries pays off; a point
+        test is a degenerate rect intersection), all point-in-polygon
+        tests through one :meth:`Polygon.contains_points` batch per
+        distinct polygon; polygon/window tests keep the scalar predicate.
+        The kernels themselves fall back to the scalar loops for small
+        batches and in scalar-kernel mode."""
         line_coords: list = []
         line_rects: list[tuple[float, float, float, float]] = []
         line_sinks: list[tuple[list[bool], int]] = []
-        for (x, y), (visited, groups, _hit_rows) in zip(points, per_query):
-            result = QueryResult()
-            before = self.disk.stats()
-            point = Rect(x, y, x, y)
-            plan = AccessPlan(f"{self.name}.retrieve")
-            self._query_pager.plan_reads(visited, plan)
-            candidates = self._plan_retrieve(
-                plan, groups, result, point, selective=True
-            )
-            if plan:
-                self.pool.submit(plan)
-            result.candidates = len(candidates)
-            result.bytes_retrieved = sum(o.size_bytes for o in candidates)
-            result.io = self.disk.stats() - before
-            decisions = [False] * len(candidates)
+        # obj.oid -> (polygon, xs, ys, decision sinks)
+        poly_tests: dict[
+            int, tuple[Polygon, list[float], list[float], list[tuple[list[bool], int]]]
+        ] = {}
+        decided: list[list[bool]] = []
+        for rect, result, candidates in zip(rects, results, candidate_lists):
+            decisions = [True] * len(candidates)
+            decided.append(decisions)
             for slot, obj in enumerate(candidates):
+                if not points and rect.contains(obj.mbr):
+                    continue
+                result.exact_tests += 1
                 geometry = obj.geometry
-                if isinstance(geometry, Polygon):
-                    test = poly_tests.get(obj.oid)
-                    if test is None:
-                        test = (geometry, [], [], [])
-                        poly_tests[obj.oid] = test
-                    test[1].append(x)
-                    test[2].append(y)
-                    test[3].append((decisions, slot))
-                elif isinstance(geometry, Polyline) and len(geometry.vertices) > 1:
+                if isinstance(geometry, Polyline):
                     line_sinks.append((decisions, slot))
                     line_coords.append(geometry.coords())
-                    line_rects.append((x, y, x, y))
+                    line_rects.append(rect.as_tuple())
+                elif points:
+                    _, xs, ys, sinks = poly_tests.setdefault(
+                        obj.oid, (geometry, [], [], [])
+                    )
+                    xs.append(rect.xmin)
+                    ys.append(rect.ymin)
+                    sinks.append((decisions, slot))
                 else:
-                    decisions[slot] = obj.contains_point(x, y)
-            pending.append((result, candidates, decisions))
+                    decisions[slot] = obj.intersects_rect(rect)
         if line_coords:
             verdicts = polylines_intersect_rects(line_coords, line_rects)
-            for (decisions, slot), verdict in zip(line_sinks, verdicts):
-                decisions[slot] = bool(verdict)
+            for (decisions, slot), verdict in zip(line_sinks, verdicts.tolist()):
+                decisions[slot] = verdict
         for geometry, xs, ys, sinks in poly_tests.values():
             verdicts = geometry.contains_points(xs, ys)
             for (decisions, slot), verdict in zip(sinks, verdicts.tolist()):
                 decisions[slot] = verdict
-        results: list[QueryResult] = []
-        for result, candidates, decisions in pending:
-            result.exact_tests += len(candidates)
-            result.objects.extend(
+        for result, candidates, decisions in zip(results, candidate_lists, decided):
+            result.objects = [
                 obj for obj, keep in zip(candidates, decisions) if keep
-            )
-            results.append(result)
-        return results
+            ]
 
     # ------------------------------------------------------------------
     # buffer-pool wiring

@@ -16,13 +16,14 @@ from __future__ import annotations
 from repro.constants import ENTRY_SIZE
 from repro.disk.extent import Extent
 from repro.geometry.feature import SpatialObject
+from repro.geometry.rect import Rect
 from repro.iosched.request import AccessPlan
 from repro.rtree.capacity import ByteCapacity
 from repro.rtree.entry import Entry
 from repro.rtree.node import Node
 from repro.rtree.pager import NodePager
 from repro.rtree.rstar import RStarTree
-from repro.storage.base import QueryResult, SpatialOrganization
+from repro.storage.base import SpatialOrganization
 
 __all__ = ["PrimaryOrganization"]
 
@@ -67,41 +68,25 @@ class PrimaryOrganization(SpatialOrganization):
         return extent
 
     # ------------------------------------------------------------------
-    def _plan_retrieve(
+    def _plan_group(
         self,
         plan: AccessPlan,
-        groups: list[tuple[Node, list[Entry]]],
-        result: QueryResult,
-        window=None,
-        selective: bool = False,
-    ) -> list[SpatialObject]:
+        leaf: Node,
+        entries: list[Entry],
+        window: Rect,
+        selective: bool,
+        candidates: list[SpatialObject],
+    ) -> None:
         """Inline candidates arrived with their data page (already priced
         by the filter step); each overflow candidate costs an extra read
         request — the effect behind the primary organization's poor
         point-query behaviour for large objects (Figure 12)."""
-        candidates: list[SpatialObject] = []
-        for _leaf, entries in groups:
-            for entry in entries:
-                assert entry.oid is not None
-                extent = self._overflow_extents.get(entry.oid)
-                if extent is not None:
-                    plan.read_extent(extent)
-                candidates.append(self.objects[entry.oid])
-        return candidates
-
-    def _retrieve(
-        self,
-        groups: list[tuple[Node, list[Entry]]],
-        result: QueryResult,
-        window=None,
-        selective: bool = False,
-    ) -> list[SpatialObject]:
-        """Overflow requests are declared as one access plan per query."""
-        plan = AccessPlan("primary.retrieve")
-        candidates = self._plan_retrieve(plan, groups, result, window, selective)
-        if plan:
-            self.pool.submit(plan)
-        return candidates
+        for entry in entries:
+            assert entry.oid is not None
+            extent = self._overflow_extents.get(entry.oid)
+            if extent is not None:
+                plan.read_extent(extent)
+            candidates.append(self.objects[entry.oid])
 
     def _unstore_object(self, obj: SpatialObject) -> None:
         extent = self._overflow_extents.pop(obj.oid, None)

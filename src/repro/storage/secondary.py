@@ -14,13 +14,14 @@ from __future__ import annotations
 
 from repro.disk.extent import Extent
 from repro.geometry.feature import SpatialObject
+from repro.geometry.rect import Rect
 from repro.iosched.request import AccessPlan
 from repro.rtree.capacity import CountCapacity
 from repro.rtree.entry import Entry
 from repro.rtree.node import Node
 from repro.rtree.pager import NodePager
 from repro.rtree.rstar import RStarTree
-from repro.storage.base import QueryResult, SpatialOrganization
+from repro.storage.base import SpatialOrganization
 
 __all__ = ["SecondaryOrganization"]
 
@@ -79,39 +80,22 @@ class SecondaryOrganization(SpatialOrganization):
         return extent
 
     # ------------------------------------------------------------------
-    def _plan_retrieve(
+    def _plan_group(
         self,
         plan: AccessPlan,
-        groups: list[tuple[Node, list[Entry]]],
-        result: QueryResult,
-        window=None,
-        selective: bool = False,
-    ) -> list[SpatialObject]:
+        leaf: Node,
+        entries: list[Entry],
+        window: Rect,
+        selective: bool,
+        candidates: list[SpatialObject],
+    ) -> None:
         """Each candidate needs its own read request into the file: the
         file is ordered by insertion time, the query by space, so there
         is no useful physical adjacency (Section 3.2.1's drawback)."""
-        candidates: list[SpatialObject] = []
-        for _leaf, entries in groups:
-            for entry in entries:
-                assert entry.oid is not None
-                plan.read_extent(self._extents[entry.oid])
-                candidates.append(self.objects[entry.oid])
-        return candidates
-
-    def _retrieve(
-        self,
-        groups: list[tuple[Node, list[Entry]]],
-        result: QueryResult,
-        window=None,
-        selective: bool = False,
-    ) -> list[SpatialObject]:
-        """The requests are declared as one access plan per query and
-        submitted to the pool's scheduler."""
-        plan = AccessPlan("secondary.retrieve")
-        candidates = self._plan_retrieve(plan, groups, result, window, selective)
-        if plan:
-            self.pool.submit(plan)
-        return candidates
+        for entry in entries:
+            assert entry.oid is not None
+            plan.read_extent(self._extents[entry.oid])
+            candidates.append(self.objects[entry.oid])
 
     # ------------------------------------------------------------------
     def occupied_pages(self) -> int:

@@ -11,6 +11,7 @@ from repro.core.organization import ClusterOrganization
 from repro.geometry.feature import SpatialObject
 from repro.geometry.polyline import Polyline
 from repro.geometry.rect import Rect
+from repro.rtree.pager import NodePager
 from repro.storage.primary import PrimaryOrganization
 from repro.storage.secondary import SecondaryOrganization
 
@@ -100,3 +101,38 @@ def brute_force_window(objects, rect: Rect) -> set[int]:
 def brute_force_candidates(objects, rect: Rect) -> set[int]:
     """Reference filter-only candidates."""
     return {o.oid for o in objects if o.mbr.intersects(rect)}
+
+
+def batch_entries(tree, rects) -> list[list]:
+    """Per query, the hit entries of the tree's batch form in group
+    order — comparable with ``tree.window_query(rect)``."""
+    return [
+        [e for _leaf, matches in groups for e in matches]
+        for _visited, groups in tree.window_leaves_batch(rects)
+    ]
+
+
+class ReadSpy:
+    """While entered, records the page of every node handed to
+    ``NodePager.read`` or ``NodePager.plan_reads`` — the two ways a node
+    visit gets priced — in call order (all pagers; directory nodes
+    included, the pager decides afterwards what is free)."""
+
+    def __enter__(self) -> "ReadSpy":
+        self.pages: list[int] = []
+        self._originals = read, plan_reads = NodePager.read, NodePager.plan_reads
+
+        def spy_read(pager, node):
+            if node.page is not None:
+                self.pages.append(node.page)
+            return read(pager, node)
+
+        def spy_plan_reads(pager, nodes, plan):
+            self.pages.extend(n.page for n in nodes if n.page is not None)
+            return plan_reads(pager, nodes, plan)
+
+        NodePager.read, NodePager.plan_reads = spy_read, spy_plan_reads
+        return self
+
+    def __exit__(self, *exc) -> None:
+        NodePager.read, NodePager.plan_reads = self._originals

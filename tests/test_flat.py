@@ -21,7 +21,7 @@ from repro.geometry.rect import Rect
 from repro.rtree.flat import build_flat
 from repro.rtree.rstar import RStarTree
 
-from tests.conftest import build_org, make_objects
+from tests.conftest import ReadSpy, batch_entries, build_org, make_objects
 
 ORG_KINDS = ("secondary", "primary", "cluster")
 
@@ -48,6 +48,10 @@ def _bare_tree(objects):
     for obj in objects:
         tree.insert(obj.oid, obj.mbr)
     return tree
+
+
+def _point_rects(points):
+    return [Rect(x, y, x, y) for x, y in points]
 
 
 # ----------------------------------------------------------------------
@@ -94,10 +98,10 @@ class TestFlatSnapshot:
     def test_batch_correct_after_invalidation(self, objects300):
         tree = _bare_tree(objects300[:150])
         windows = _windows(objects300, n=10)
-        tree.window_query_batch(windows)  # builds a snapshot
+        tree.window_leaves_batch(windows)  # builds a snapshot
         for obj in objects300[150:200]:
             tree.insert(obj.oid, obj.mbr)  # invalidates it
-        batch = tree.window_query_batch(windows)
+        batch = batch_entries(tree, windows)
         singles = [tree.window_query(w) for w in windows]
         for got, want in zip(batch, singles):
             assert [e.oid for e in got] == [e.oid for e in want]
@@ -112,7 +116,7 @@ class TestBatchedTraversal:
         tree = _bare_tree(objects300)
         windows = _windows(objects300)
         with kernels.scalar_kernels(scalar):
-            batch = tree.window_query_batch(windows)
+            batch = batch_entries(tree, windows)
             singles = [tree.window_query(w) for w in windows]
         assert len(batch) == len(windows)
         for got, want in zip(batch, singles):
@@ -123,46 +127,40 @@ class TestBatchedTraversal:
         tree = _bare_tree(objects300)
         points = _points(objects300)
         with kernels.scalar_kernels(scalar):
-            batch = tree.point_query_batch(points)
+            batch = batch_entries(tree, _point_rects(points))
             singles = [tree.point_query(x, y) for x, y in points]
         for got, want in zip(batch, singles):
             assert [e.oid for e in got] == [e.oid for e in want]
 
     def test_empty_batches(self, objects300):
         tree = _bare_tree(objects300)
-        assert tree.window_query_batch([]) == []
-        assert tree.point_query_batch([]) == []
+        assert tree.window_leaves_batch([]) == []
+        with kernels.scalar_kernels(True):
+            assert tree.window_leaves_batch([]) == []
 
     def test_batch_replays_reads_in_single_query_order(self, objects300):
-        """The priced page sequence of a batch is the concatenation of
-        the single-query sequences — not just the same multiset."""
+        """The batch form's per-query visit lists, concatenated, are
+        the page sequence the looped single queries read — not just the
+        same multiset — and the batch itself prices nothing (in either
+        kernel mode)."""
         org_a = build_org("secondary", objects300)
         org_b = build_org("secondary", objects300)
         windows = _windows(objects300, n=12)
-
-        from repro.rtree.pager import NodePager
-
-        def record(org, run):
-            pages = []
-            original = NodePager.read
-
-            def spy(pager, node):
-                if pager is org.tree.pager and node.page is not None:
-                    pages.append(node.page)
-                return original(pager, node)
-
-            NodePager.read = spy
-            try:
-                run(org)
-            finally:
-                NodePager.read = original
-            return pages
-
-        batched = record(org_a, lambda o: o.tree.window_query_batch(windows))
-        looped = record(
-            org_b, lambda o: [o.tree.window_query(w) for w in windows]
-        )
-        assert batched == looped
+        for scalar in (False, True):
+            with kernels.scalar_kernels(scalar), ReadSpy() as spy:
+                before = org_a.disk.stats()
+                batch = org_a.tree.window_leaves_batch(windows)
+                assert (org_a.disk.stats() - before).requests == 0
+                assert spy.pages == []
+                for w in windows:
+                    org_b.tree.window_query(w)
+            batched = [
+                node.page
+                for visited, _groups in batch
+                for node in visited
+                if node.page is not None
+            ]
+            assert batched == spy.pages
 
 
 # ----------------------------------------------------------------------
@@ -203,6 +201,8 @@ class TestOrganizationBatch:
             assert got.exact_tests == want.exact_tests
 
     def test_scalar_mode_falls_back_to_single_loop(self, objects300):
+        """In scalar mode the batch filters by per-entry tree walks and
+        refines by the scalar predicates — same results."""
         org = build_org("cluster", objects300)
         windows = _windows(objects300, n=6)
         with kernels.scalar_kernels(True):
@@ -344,6 +344,39 @@ class TestPolylinesIntersectRects:
         assert scalar.tolist() == want
         assert any(want) and not all(want)
 
+    @pytest.mark.parametrize("n_pairs", [1, 5])
+    def test_small_batches_run_the_scalar_loop_on_python_floats(
+        self, n_pairs, monkeypatch
+    ):
+        """Below the vectorization crossover (a single pair included)
+        the kernel falls back to the scalar loop — same booleans, and
+        the loop sees plain floats, not numpy scalars or matrix rows."""
+        from repro.geometry import intersect
+
+        rng = np.random.default_rng(23)
+        coords_list = [rng.uniform(0, 50, (3, 2)) for _ in range(n_pairs)]
+        rects = [(20.0, 20.0, 30.0 + k, 30.0 + k) for k in range(n_pairs)]
+        assert 4 * 2 * n_pairs < intersect._VECTOR_MIN_CELLS
+        want = [
+            intersect.polyline_intersects_rect(
+                [tuple(p) for p in coords.tolist()], Rect(*rect)
+            )
+            for coords, rect in zip(coords_list, rects)
+        ]
+        seen = []
+        scalar = intersect.segment_intersects_rect
+
+        def spy(a, b, rect):
+            seen.extend([*a, *b, rect.xmin, rect.ymin, rect.xmax, rect.ymax])
+            return scalar(a, b, rect)
+
+        monkeypatch.setattr(intersect, "segment_intersects_rect", spy)
+        for mode in (False, True):
+            with kernels.scalar_kernels(mode):
+                got = intersect.polylines_intersect_rects(coords_list, rects)
+            assert got.tolist() == want
+        assert seen and all(type(v) is float for v in seen)
+
     def test_single_vertex_degenerates_to_point_test(self):
         from repro.geometry.intersect import polylines_intersect_rects
 
@@ -359,22 +392,41 @@ class TestPolylinesIntersectRects:
 
 
 # ----------------------------------------------------------------------
-# the batch path's guard rails
+# the merge guard (the full matrix lives in test_query_pipeline.py)
 # ----------------------------------------------------------------------
 class TestBatchableGuard:
-    def test_overlap_scheduler_disables_the_merged_plan_path(self, objects300):
-        org = build_org(
-            "secondary", make_objects(120, seed=3), scheduler="overlap"
-        )
+    """``_batchable()`` decides one thing: whether a query's node reads
+    and transfers share one access plan.  The flat traversal and the
+    shared refinement run either way."""
+
+    def test_overlap_scheduler_disables_the_merged_plan_path(
+        self, objects300, monkeypatch
+    ):
+        objects = make_objects(120, seed=3)
+        org = build_org("secondary", objects, scheduler="overlap")
+        twin = build_org("secondary", objects, scheduler="overlap")
         assert not org._batchable()
         windows = _windows(objects300, n=4)
-        # ... but the entry point still works, via the fallback loop.
+        singles = [twin.window_query(w) for w in windows]
+        # Only merging is off: the batch is still filtered by the flat
+        # traversal, never by per-query tree walks.
+        monkeypatch.setattr(
+            RStarTree,
+            "window_leaves",
+            lambda *a: pytest.fail("per-query traversal inside a batch"),
+        )
         batch = org.window_query_batch(windows)
-        assert len(batch) == len(windows)
+        TestOrganizationBatch._assert_equal(singles, batch)
 
     def test_sync_default_is_batchable(self, objects300):
         org = build_org("secondary", make_objects(120, seed=3))
         assert org._batchable()
+        from repro.buffer.pool import BufferPool
+
+        with org.use_pool(BufferPool(org.disk, capacity=8)):
+            assert org._batchable()  # a caching sync pool still merges
+        with org.use_pool(BufferPool(org.disk, capacity=8, prefetcher="cluster")):
+            assert not org._batchable()
 
 
 # ----------------------------------------------------------------------

@@ -33,6 +33,8 @@ from repro.rtree.node import Node
 from repro.rtree.rstar import RStarTree
 from repro.rtree.split import rstar_split
 
+from tests.conftest import batch_entries
+
 
 def random_rect(rng: random.Random, span: float = 100.0) -> Rect:
     x = rng.uniform(0, span)
@@ -97,11 +99,12 @@ class TestQueryOrderEquivalence:
         rng = random.Random(10)
         windows = [random_rect(rng, span=80.0).grown(3.0) for _ in range(30)]
         points = [rects[rng.randrange(len(rects))].center() for _ in range(30)]
-        batch = tree.window_query_batch(windows)
+        batch = batch_entries(tree, windows)
         assert batch == [tree.window_query(w) for w in windows]
         with kernels.scalar_kernels():
             assert batch == [tree.window_query(w) for w in windows]
-        point_batch = tree.point_query_batch(points)
+            assert batch == batch_entries(tree, windows)
+        point_batch = batch_entries(tree, [Rect(x, y, x, y) for x, y in points])
         assert point_batch == [tree.point_query(x, y) for x, y in points]
 
     def test_batch_query_pricing_matches_per_query_read_count(self):
@@ -125,7 +128,9 @@ class TestQueryOrderEquivalence:
 
         tree_a, disk_a = build(DiskModel())
         before_a = disk_a.stats()
-        tree_a.window_query_batch(windows)
+        for visited, _groups in tree_a.window_leaves_batch(windows):
+            for node in visited:
+                tree_a.pager.read(node)
         batch = disk_a.stats() - before_a
 
         tree_b, disk_b = build(DiskModel())
@@ -133,10 +138,10 @@ class TestQueryOrderEquivalence:
         for w in windows:
             tree_b.window_query(w)
         single = disk_b.stats() - before_b
-        # Same read multiset -> same request and page counts (seek
-        # timing may differ with the interleaved order).
+        # Same reads in the same order -> same counts and same time.
         assert batch.requests == single.requests
         assert batch.pages_transferred == single.pages_transferred
+        assert batch.total_ms == single.total_ms
 
 
 class TestIntersectingPairsOrder:

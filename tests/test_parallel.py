@@ -103,3 +103,18 @@ class TestQueryCost:
         cost = reader.window_query_cost(Rect(-50, -50, -40, -40))
         assert cost.units_read == 0
         assert cost.response_ms == 0.0
+
+    @pytest.mark.parametrize("scalar", [False, True])
+    def test_organization_left_untouched(self, org, scalar):
+        """The reader prices on its private store only: the
+        organization's own disk sees no request and its head stays put
+        (the filter must not run through the organization's pager)."""
+        from repro.core import kernels
+
+        windows = [Rect(i * 500.0, 0, i * 500.0 + 4000, 10_000) for i in range(10)]
+        reader = ParallelClusterReader(org, 4)
+        before, head = org.disk.stats(), org.disk.head
+        with kernels.scalar_kernels(scalar):
+            assert reader.workload_response_ms(windows) > 0
+        assert org.disk.stats() == before
+        assert org.disk.head == head

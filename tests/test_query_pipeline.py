@@ -1,0 +1,236 @@
+"""The one query pipeline of ``SpatialOrganization`` (filter → transfer
+→ refine) against two references it shares no code with:
+
+* a brute-force scan over the object list (no ``rtree`` / ``storage``
+  calls) for answers, candidate counts, retrieved bytes and exact-test
+  counts of all four entry points;
+* looped single queries on a twin database for everything priced —
+  across scheduler × prefetcher × pool × disk count, where the only
+  thing allowed to differ between a batch and the loop is whether a
+  query's requests share one access plan.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.core import kernels
+from repro.database import SpatialDatabase
+from repro.geometry.feature import SpatialObject
+from repro.geometry.polygon import Polygon
+from repro.geometry.polyline import Polyline
+from repro.geometry.rect import Rect
+from repro.rtree.rstar import RStarTree
+
+from tests.conftest import ReadSpy, build_org, make_objects
+
+ORG_KINDS = ("cluster", "secondary", "primary")
+SMAX_BYTES = 4 * 4096
+
+
+def mixed_map() -> list[SpatialObject]:
+    """Multi-vertex polylines, degenerate polylines (both vertices on
+    one point — a ``Polyline`` cannot have fewer than two), polygons,
+    and one object too large for a cluster unit or a data page."""
+    rng = random.Random(5)
+    objects: list[SpatialObject] = []
+
+    def add(geometry, size):
+        objects.append(SpatialObject(len(objects), geometry, size_bytes=size))
+
+    for _ in range(160):
+        x, y = rng.uniform(0, 1000), rng.uniform(0, 1000)
+        pts = [(x, y)]
+        for _ in range(rng.randrange(1, 6)):
+            x, y = x + rng.uniform(-30, 30), y + rng.uniform(-30, 30)
+            pts.append((x, y))
+        add(Polyline(pts), rng.randrange(200, 1500))
+    for _ in range(40):
+        x, y = rng.uniform(0, 1000), rng.uniform(0, 1000)
+        add(Polyline([(x, y), (x, y)]), 200)
+    for _ in range(40):
+        cx, cy = rng.uniform(50, 950), rng.uniform(50, 950)
+        w, h = rng.uniform(5, 40), rng.uniform(5, 40)
+        ring = [(cx - w, cy - h), (cx + w, cy - h), (cx + w / 3, cy + h), (cx - w, cy + h / 2)]
+        add(Polygon(ring), rng.randrange(300, 1200))
+    add(Polyline([(400, 400), (460, 470), (520, 430), (600, 500)]), SMAX_BYTES + 5000)
+    return objects
+
+
+def reference(objects, rect: Rect, points: bool):
+    """(answer oids, candidates, bytes_retrieved, exact_tests) by
+    scanning the object list."""
+    candidates = [o for o in objects if o.mbr.intersects(rect)]
+    if points:
+        answers = {o.oid for o in candidates if o.contains_point(rect.xmin, rect.ymin)}
+        tests = len(candidates)
+    else:
+        answers = {o.oid for o in candidates if o.intersects_rect(rect)}
+        tests = sum(1 for o in candidates if not rect.contains(o.mbr))
+    return answers, len(candidates), sum(o.size_bytes for o in candidates), tests
+
+
+def observed(result):
+    return (
+        {o.oid for o in result.objects},
+        result.candidates,
+        result.bytes_retrieved,
+        result.exact_tests,
+    )
+
+
+@pytest.fixture(scope="module")
+def mixed():
+    objects = mixed_map()
+    rng = random.Random(6)
+    windows = [Rect(0, 0, 1000, 1000), Rect(2000, 2000, 2100, 2100)]
+    for _ in range(40):
+        x, y = rng.uniform(0, 950), rng.uniform(0, 950)
+        windows.append(Rect(x, y, x + rng.uniform(1, 250), y + rng.uniform(1, 250)))
+    points = [(2000.0, 2000.0)]
+    for obj in rng.sample(objects, 60):
+        vertices = obj.geometry.vertices
+        points.append(vertices[rng.randrange(len(vertices))])  # on the object
+        points.append(obj.mbr.center())  # inside the MBR, maybe off it
+    orgs = {kind: build_org(kind, objects, smax_bytes=SMAX_BYTES) for kind in ORG_KINDS}
+    return objects, windows, points, orgs
+
+
+class TestBruteForceReference:
+    @pytest.mark.parametrize("scalar", [False, True])
+    @pytest.mark.parametrize("kind", ORG_KINDS)
+    def test_all_entry_points(self, mixed, kind, scalar):
+        objects, windows, points, orgs = mixed
+        org = orgs[kind]
+        want_w = [reference(objects, w, False) for w in windows]
+        want_p = [reference(objects, Rect(x, y, x, y), True) for x, y in points]
+        assert any(a for a, *_ in want_w) and any(a for a, *_ in want_p)
+        assert any(t < c for _a, c, _b, t in want_w)  # the shortcut fires
+        with kernels.scalar_kernels(scalar):
+            assert [observed(org.window_query(w)) for w in windows] == want_w
+            assert [observed(org.point_query(x, y)) for x, y in points] == want_p
+            assert org.window_query_batch([]) == []
+            assert org.point_query_batch([]) == []
+            for n in (1, len(windows)):
+                got = org.window_query_batch(windows[:n])
+                assert [observed(r) for r in got] == want_w[:n]
+            for n in (1, len(points)):
+                got = org.point_query_batch(points[:n])
+                assert [observed(r) for r in got] == want_p[:n]
+
+    def test_oversize_object_is_stored_apart(self, mixed):
+        objects, _windows, _points, orgs = mixed
+        big = objects[-1].oid
+        assert orgs["cluster"].oversize_extent(big) is not None
+        assert not orgs["primary"].is_inline(big)
+
+
+def _priced(result):
+    return (
+        [o.oid for o in result.objects],
+        result.candidates,
+        result.bytes_retrieved,
+        result.exact_tests,
+        result.io,
+    )
+
+
+class TestMergingIsAllTheGuardSwitches:
+    """A batch equals the looped singles on a twin database in every
+    observable — answers and counters, per-query I/O, pool and prefetch
+    statistics, the virtual clock, the node-page sequence — under every
+    configuration; only the mergeable ones put a query on one plan."""
+
+    @pytest.mark.parametrize("n_disks", [1, 4])
+    @pytest.mark.parametrize("caching", [False, True])
+    @pytest.mark.parametrize("prefetch", ["none", "cluster"])
+    @pytest.mark.parametrize("scheduler", ["sync", "overlap"])
+    @pytest.mark.parametrize("kind", ["cluster", "secondary"])
+    def test_batch_equals_looped_singles(
+        self, objects300, monkeypatch, kind, scheduler, prefetch, caching, n_disks
+    ):
+        from repro.data.workload import window_workload
+
+        windows = window_workload(objects300, 1e-3, n_queries=12, seed=101)
+        rng = random.Random(9)
+        points = [
+            rng.choice(obj.geometry.vertices) for obj in rng.sample(objects300, 12)
+        ]
+
+        def run(batched: bool):
+            db = SpatialDatabase(
+                organization=kind,
+                smax_bytes=16 * 4096,
+                scheduler=scheduler,
+                prefetch=prefetch,
+                n_disks=n_disks,
+            )
+            db.build(objects300)
+            org = db.storage
+            pool = db._workload_pool(24, "lru") if caching else org.pool
+            with org.use_pool(pool), ReadSpy() as spy:
+                mergeable = org._batchable()
+                if batched:
+                    results = org.window_query_batch(windows)
+                    results += org.point_query_batch(points)
+                else:
+                    results = [org.window_query(w) for w in windows]
+                    results += [org.point_query(x, y) for x, y in points]
+            clock = getattr(db.scheduler, "clock", None)
+            return mergeable, {
+                "results": [_priced(r) for r in results],
+                "pool": (pool.hits, pool.misses, pool.evictions),
+                "prefetch": pool.prefetch_stats(),
+                "makespan": clock.makespan if clock is not None else None,
+                "disk": db.disk.stats(),
+                "node_pages": spy.pages,
+            }
+
+        _, looped = run(batched=False)
+        # Inside a batch the filter is the flat traversal, whatever the
+        # configuration.
+        monkeypatch.setattr(
+            RStarTree,
+            "window_leaves",
+            lambda *a: pytest.fail("per-query traversal inside a batch"),
+        )
+        mergeable, batch = run(batched=True)
+        assert mergeable == (scheduler == "sync" and prefetch == "none")
+        assert batch == looped
+        assert sum(len(oids) for oids, *_ in batch["results"]) > 0
+        if caching:
+            assert batch["pool"][0] > 0 and batch["pool"][2] > 0
+
+    def test_merged_batch_submits_one_plan_per_query(self, objects300, monkeypatch):
+        """What the guard does switch: mergeable, each query of a batch
+        is one submitted plan; otherwise its node reads and (cluster)
+        groups are submitted one by one, as the single query does."""
+        from repro.buffer.pool import BufferPool
+        from repro.data.workload import window_workload
+
+        windows = window_workload(objects300, 1e-3, n_queries=8, seed=3)
+        submits = []
+        submit = BufferPool.submit
+
+        def spy(pool, plan):
+            submits.append(plan.label)
+            return submit(pool, plan)
+
+        monkeypatch.setattr(BufferPool, "submit", spy)
+        org = build_org("cluster", objects300)
+        unmerged = build_org("cluster", objects300, scheduler="overlap")
+        twin = build_org("cluster", objects300, scheduler="overlap")
+        del submits[:]
+        busy = [r for r in org.window_query_batch(windows) if r.io.requests]
+        assert submits == ["cluster.retrieve"] * len(busy)
+        merged = len(submits)
+        del submits[:]
+        unmerged.window_query_batch(windows)
+        assert len(submits) > merged and "node.read" in submits
+        looped = list(submits)
+        del submits[:]
+        for w in windows:
+            twin.window_query(w)
+        assert submits == looped
