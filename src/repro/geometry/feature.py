@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Union
 
 from repro.errors import GeometryError
+from repro.geometry.intersect import polylines_intersect
 from repro.geometry.polygon import Polygon
 from repro.geometry.polyline import Polyline
 from repro.geometry.rect import Rect
@@ -100,8 +101,12 @@ class SpatialObject:
         assert isinstance(poly, Polygon)
         if not line.mbr.intersects(poly.mbr):
             return False
-        boundary = Polyline(poly._closed_ring())
-        if line.intersects(boundary):
+        if polylines_intersect(
+            line.vertices,
+            poly._closed_ring(),
+            coords_a=line.coords,
+            coords_b=poly.ring_coords,
+        ):
             return True
         return poly.contains_point(*line.vertices[0])
 

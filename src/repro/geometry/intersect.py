@@ -7,10 +7,14 @@ tested against the query condition.  All predicates are closed-set
 predicates ("sharing points" counts as intersecting), matching the
 window-query definition of Section 2.
 
-The polyline predicates — the refinement hot spots — have two
-implementations (see :mod:`repro.core.kernels`): the default evaluates
-all segment pairs with broadcast numpy orientation masks, the scalar
-fallback tests segment-at-a-time.  Both run the identical float64
+The scalar predicates (:func:`segments_intersect` and the loops over
+it) are the reference, and what :mod:`repro.core.kernels`' scalar mode
+runs.  The polyline predicates — the refinement hot spots — by default
+send their segment-pair cells through one vector evaluator of the same
+hit rule (``_segments_intersect_mask``): per object for long polylines,
+across a whole batch of candidates for the window queries
+(:func:`polylines_intersect_rects`) and the join
+(:func:`polylines_intersect_pairs`).  It runs the identical float64
 comparisons (including the ``_EPS`` tolerances and the per-segment MBR
 pretest of the rectangle predicate), so the boolean answers agree on
 every input, eps-boundary cases included.
@@ -35,6 +39,7 @@ __all__ = [
     "polyline_intersects_rect",
     "polylines_intersect_rects",
     "polylines_intersect",
+    "polylines_intersect_pairs",
     "mbr_intersect_mask",
 ]
 
@@ -199,9 +204,8 @@ def points_in_polygon(
     ax, ay = ring[None, :, 0], ring[None, :, 1]
     bx, by = closing[None, :, 0], closing[None, :, 1]
     px, py = xs[:, None], ys[:, None]
-    on_edge = (_orientation_mask(ax, ay, bx, by, px, py) == 0) & (
-        _on_segment_mask(ax, ay, bx, by, px, py)
-    )
+    left, right = _sides((bx - ax) * (py - ay) - (by - ay) * (px - ax))
+    on_edge = ~(left | right) & _on_segment_mask(ax, ay, bx, by, px, py)
     crossing = (ay > py) != (by > py)
     # Horizontal edges never satisfy ``crossing`` but still divide by
     # zero on the broadcast grid; their lanes are masked out below.
@@ -309,34 +313,11 @@ def polylines_intersect_rects(
     cy = np.stack([r[:, 1], r[:, 1], r[:, 3], r[:, 3]], axis=1)
     dx = np.stack([r[:, 2], r[:, 2], r[:, 0], r[:, 0]], axis=1)
     dy = np.stack([r[:, 1], r[:, 3], r[:, 3], r[:, 1]], axis=1)
+    operands = (ax, ay, bx, by, cx, cy, dx, dy)
     block = max(1, _BLOCK_CELLS // 4)
     for lo in range(0, len(a0), block):
         hi = lo + block
-        o1 = _orientation_mask(
-            ax[lo:hi], ay[lo:hi], bx[lo:hi], by[lo:hi], cx[lo:hi], cy[lo:hi]
-        )
-        o2 = _orientation_mask(
-            ax[lo:hi], ay[lo:hi], bx[lo:hi], by[lo:hi], dx[lo:hi], dy[lo:hi]
-        )
-        o3 = _orientation_mask(
-            cx[lo:hi], cy[lo:hi], dx[lo:hi], dy[lo:hi], ax[lo:hi], ay[lo:hi]
-        )
-        o4 = _orientation_mask(
-            cx[lo:hi], cy[lo:hi], dx[lo:hi], dy[lo:hi], bx[lo:hi], by[lo:hi]
-        )
-        hit = (o1 != o2) & (o3 != o4)
-        hit |= (o1 == 0) & _on_segment_mask(
-            ax[lo:hi], ay[lo:hi], bx[lo:hi], by[lo:hi], cx[lo:hi], cy[lo:hi]
-        )
-        hit |= (o2 == 0) & _on_segment_mask(
-            ax[lo:hi], ay[lo:hi], bx[lo:hi], by[lo:hi], dx[lo:hi], dy[lo:hi]
-        )
-        hit |= (o3 == 0) & _on_segment_mask(
-            cx[lo:hi], cy[lo:hi], dx[lo:hi], dy[lo:hi], ax[lo:hi], ay[lo:hi]
-        )
-        hit |= (o4 == 0) & _on_segment_mask(
-            cx[lo:hi], cy[lo:hi], dx[lo:hi], dy[lo:hi], bx[lo:hi], by[lo:hi]
-        )
+        hit = _segments_intersect_mask(*(v[lo:hi] for v in operands))
         out[seg_owner[lo:hi][hit.any(axis=1)]] = True
     return out
 
@@ -351,9 +332,10 @@ def polylines_intersect(
 
     This is the exact-geometry predicate of the intersection join for
     line-shaped TIGER objects (streets vs. rivers/rails).  The naive
-    all-pairs segment test is quadratic; the default kernel batches it
-    into broadcast orientation masks over blocks of segment pairs
-    (early-exiting on the first intersecting block), while callers
+    all-pairs segment test is quadratic; a pair with at least
+    ``_VECTOR_MIN_CELLS`` segment-pair cells runs as a batch of one
+    through :func:`polylines_intersect_pairs`, smaller pairs and the
+    scalar-kernel mode run the early-exiting double loop, and callers
     still pre-filter with MBRs, as the multi-step join of [BKSS94]
     does.  ``coords_a``/``coords_b`` optionally provide the vertex
     matrices (zero-argument callables, evaluated only on the
@@ -373,7 +355,7 @@ def polylines_intersect(
         pts_b = coords_b() if coords_b is not None else np.asarray(
             b, dtype=np.float64
         )
-        return _polylines_intersect_vector(pts_a, pts_b)
+        return bool(polylines_intersect_pairs([pts_a], [pts_b])[0])
     for i in range(max(len(a) - 1, 1)):
         sa = (a[i], a[min(i + 1, len(a) - 1)])
         for j in range(max(len(b) - 1, 1)):
@@ -383,19 +365,101 @@ def polylines_intersect(
     return False
 
 
+def polylines_intersect_pairs(
+    coords_a: Sequence[np.ndarray], coords_b: Sequence[np.ndarray]
+) -> np.ndarray:
+    """Batched :func:`polylines_intersect` over *independent* pairs:
+    ``out[k]`` is True iff polylines ``coords_a[k]`` and ``coords_b[k]``
+    (``(n, 2)`` float64 vertex matrices) share a point.
+
+    This is the join-refinement hot path batched **across candidate
+    pairs**: a map polyline pair has a few hundred segment-pair cells,
+    so one broadcast per pair spends its time in numpy dispatch.  Here
+    both sides' vertices are concatenated once, the
+    ``(n_a - 1) * (n_b - 1)`` cells of all pairs are enumerated as flat
+    index arrays in blocks of about ``_BLOCK_CELLS``, every block goes
+    through the one segment evaluator and its hits are scattered back
+    to their pairs; a block whose pairs are all decided already is
+    skipped.  Every cell runs the arithmetic of
+    :func:`segments_intersect` and nothing else — no box pruning, whose
+    exact comparisons would reject pairs the eps-tolerant orientation
+    tests accept — so the booleans equal the scalar answers on every
+    input.  Batches under ``_VECTOR_MIN_CELLS`` cells in total and the
+    scalar-kernel mode loop over :func:`polylines_intersect`.
+    """
+    n = len(coords_a)
+    out = np.zeros(n, dtype=bool)
+    na = np.fromiter((len(c) for c in coords_a), dtype=np.int64, count=n)
+    nb = np.fromiter((len(c) for c in coords_b), dtype=np.int64, count=n)
+    cells = (na - 1) * (nb - 1)
+    if kernels.vectorized() and int(cells.sum()) >= _VECTOR_MIN_CELLS:
+        # A single-vertex "polyline" has no segment to enumerate.
+        scalar = (cells == 0).nonzero()[0]
+    else:
+        scalar = np.arange(n)
+    # Plain Python floats for the scalar loop: walking numpy rows would
+    # run every comparison on np.float64 scalars.
+    for k in scalar.tolist():
+        out[k] = polylines_intersect(coords_a[k].tolist(), coords_b[k].tolist())
+    if len(scalar) == n:
+        return out
+    xa, ya = np.ascontiguousarray(np.concatenate(coords_a).T, dtype=np.float64)
+    xb, yb = np.ascontiguousarray(np.concatenate(coords_b).T, dtype=np.float64)
+    xa_end, ya_end, xb_end, yb_end = xa[1:], ya[1:], xb[1:], yb[1:]
+    # One row per (pair, a-segment): that segment against the run of
+    # its partner's b-segments, so a row's cells are one a-vertex
+    # repeated beside consecutive b-vertices.
+    rows = np.where(cells > 0, na - 1, 0)
+    row_pair = np.repeat(np.arange(n), rows)
+    row_len = (nb - 1)[row_pair]
+    row_end = np.cumsum(row_len)  # in flat cell numbers
+    row_start = row_end - row_len
+    first_a, first_b, first_row = (np.cumsum(c) - c for c in (na, nb, rows))
+    row_a = np.arange(len(row_pair)) + (first_a - first_row)[row_pair]
+    # A cell's b-vertex is its flat number plus this row constant.
+    row_b = first_b[row_pair] - row_start
+    cuts = np.searchsorted(
+        row_end, np.arange(_BLOCK_CELLS, int(row_end[-1]), _BLOCK_CELLS), side="right"
+    ).tolist()
+    for r0, r1 in zip([0, *cuts], [*cuts, len(row_pair)]):
+        # (a row longer than a block leaves the blocks it spans empty)
+        if r0 == r1 or out[row_pair[r0] : row_pair[r1 - 1] + 1].all():
+            continue
+        lens = row_len[r0:r1]
+        ia = np.repeat(row_a[r0:r1], lens)
+        ib = np.repeat(row_b[r0:r1], lens)
+        ib += np.arange(row_start[r0], row_end[r1 - 1])
+        hit = _segments_intersect_mask(
+            xa.take(ia), ya.take(ia), xa_end.take(ia), ya_end.take(ia),
+            xb.take(ib), yb.take(ib), xb_end.take(ib), yb_end.take(ib),
+        ).nonzero()[0]
+        if len(hit):
+            hit += row_start[r0]
+            out[row_pair[np.searchsorted(row_end, hit, side="right")]] = True
+    return out
+
+
 # ----------------------------------------------------------------------
 # vectorized kernels
 # ----------------------------------------------------------------------
-_BLOCK_CELLS = 65536
-"""Upper bound on the segment-pair cells evaluated per numpy block —
-bounds the broadcast temporaries and gives long polylines the same
-early-exit the scalar loops have."""
+_BLOCK_CELLS = 2048
+"""Segment-pair cells evaluated per numpy block — also the step at
+which the vector kernels can stop early (a block whose pairs, or whose
+polyline, are decided already is not evaluated).  Sized for the
+allocator as much as for the cache: the evaluator's few dozen
+temporaries are malloc'd and freed per block, and from about 3 k cells
+on (24 KiB float64 arrays) glibc trims the heap top on those frees and
+pays a page fault per 4 KiB of every temporary on the next block.
+Measured on the join's pairs: 8 k-cell blocks took 35 k minor faults
+per join and 1.4x the time of 2 k-cell blocks, which take ~150; at 1 k
+the numpy dispatch per block costs more than the faults saved."""
 
 _VECTOR_MIN_CELLS = 128
-"""Line/line pairs below this many segment-pair cells run the scalar
-loop even in vectorized mode: numpy call overhead dominates small
-broadcasts (measured crossover ~100-200 cells), while the quadratic
-cost the kernels eliminate concentrates in the large pairs.  Purely a
+"""A batch with fewer segment-pair cells in total — all pairs of one
+:func:`polylines_intersect_pairs` or :func:`polylines_intersect_rects`
+call, the point x edge grid of :func:`points_in_polygon` — runs the
+scalar loops even in vectorized mode: numpy call overhead dominates
+small batches (measured crossover ~100-200 cells).  Purely a
 performance heuristic — both paths return identical booleans."""
 
 _VECTOR_MIN_VERTICES = 64
@@ -403,13 +467,6 @@ _VECTOR_MIN_VERTICES = 64
 even in vectorized mode (the scalar path early-exits after a handful
 of cheap per-segment checks; measured crossover ~64 vertices).  Purely
 a performance heuristic — both paths return identical booleans."""
-
-
-def _orientation_mask(ax, ay, bx, by, cx, cy) -> np.ndarray:
-    """Vectorized :func:`orientation`: the same cross product and
-    ``_EPS`` thresholds, elementwise."""
-    cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    return np.where(cross > _EPS, 1, np.where(cross < -_EPS, -1, 0))
 
 
 def _on_segment_mask(ax, ay, bx, by, px, py) -> np.ndarray:
@@ -422,37 +479,47 @@ def _on_segment_mask(ax, ay, bx, by, px, py) -> np.ndarray:
     )
 
 
-def _segments_intersect_mask(
-    a0: np.ndarray, a1: np.ndarray, b0: np.ndarray, b1: np.ndarray
-) -> np.ndarray:
-    """``(p, q)`` mask of closed-segment intersection between segments
-    ``a0[i]-a1[i]`` and ``b0[j]-b1[j]`` — :func:`segments_intersect`
-    over all pairs at once."""
-    ax, ay = a0[:, None, 0], a0[:, None, 1]
-    bx, by = a1[:, None, 0], a1[:, None, 1]
-    cx, cy = b0[None, :, 0], b0[None, :, 1]
-    dx, dy = b1[None, :, 0], b1[None, :, 1]
-    o1 = _orientation_mask(ax, ay, bx, by, cx, cy)
-    o2 = _orientation_mask(ax, ay, bx, by, dx, dy)
-    o3 = _orientation_mask(cx, cy, dx, dy, ax, ay)
-    o4 = _orientation_mask(cx, cy, dx, dy, bx, by)
-    hit = (o1 != o2) & (o3 != o4)
-    hit |= (o1 == 0) & _on_segment_mask(ax, ay, bx, by, cx, cy)
-    hit |= (o2 == 0) & _on_segment_mask(ax, ay, bx, by, dx, dy)
-    hit |= (o3 == 0) & _on_segment_mask(cx, cy, dx, dy, ax, ay)
-    hit |= (o4 == 0) & _on_segment_mask(cx, cy, dx, dy, bx, by)
+def _sides(cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where :func:`orientation` of this cross product is ``1`` and
+    where it is ``-1``; both False is its collinear ``0``."""
+    return cross > _EPS, cross < -_EPS
+
+
+def _segments_intersect_mask(ax, ay, bx, by, cx, cy, dx, dy) -> np.ndarray:
+    """Vectorized :func:`segments_intersect`, the one vector form of its
+    hit rule: closed segments ``a-b`` against ``c-d`` over broadcastable
+    operands, one boolean per cell of the broadcast shape.
+
+    The four cross products are the float64 expressions of
+    :func:`orientation` (each segment's deltas taken once) and only
+    their signs are kept; the four :func:`on_segment` clauses run on
+    the cells they can decide — some orientation zero, no proper
+    crossing — which on map data is none or a handful."""
+    abx, aby = bx - ax, by - ay
+    cdx, cdy = dx - cx, dy - cy
+    left1, right1 = _sides(abx * (cy - ay) - aby * (cx - ax))  # a, b, c
+    left2, right2 = _sides(abx * (dy - ay) - aby * (dx - ax))  # a, b, d
+    left3, right3 = _sides(cdx * (ay - cy) - cdy * (ax - cx))  # c, d, a
+    left4, right4 = _sides(cdx * (by - cy) - cdy * (bx - cx))  # c, d, b
+    # o1 != o2 and o3 != o4: a proper crossing.
+    hit = ((left1 != left2) | (right1 != right2)) & (
+        (left3 != left4) | (right3 != right4)
+    )
+    turns = (left1 | right1, left2 | right2, left3 | right3, left4 | right4)
+    undecided = ~(hit | (turns[0] & turns[1] & turns[2] & turns[3]))
+    if undecided.any():
+        ax, ay, bx, by, cx, cy, dx, dy = (
+            np.broadcast_to(v, hit.shape)[undecided]
+            for v in (ax, ay, bx, by, cx, cy, dx, dy)
+        )
+        zero1, zero2, zero3, zero4 = (~turn[undecided] for turn in turns)
+        hit[undecided] = (
+            (zero1 & _on_segment_mask(ax, ay, bx, by, cx, cy))
+            | (zero2 & _on_segment_mask(ax, ay, bx, by, dx, dy))
+            | (zero3 & _on_segment_mask(cx, cy, dx, dy, ax, ay))
+            | (zero4 & _on_segment_mask(cx, cy, dx, dy, bx, by))
+        )
     return hit
-
-
-def _polylines_intersect_vector(pts_a: np.ndarray, pts_b: np.ndarray) -> bool:
-    a0, a1 = pts_a[:-1], pts_a[1:]
-    b0, b1 = pts_b[:-1], pts_b[1:]
-    block = max(1, _BLOCK_CELLS // max(len(b0), 1))
-    for start in range(0, len(a0), block):
-        end = start + block
-        if _segments_intersect_mask(a0[start:end], a1[start:end], b0, b1).any():
-            return True
-    return False
 
 
 def _polyline_intersects_rect_vector(pts: np.ndarray, rect: Rect) -> bool:
@@ -479,12 +546,15 @@ def _polyline_intersects_rect_vector(pts: np.ndarray, rect: Rect) -> bool:
     if not seg_ok.any():
         return False
     a0, a1 = a0[seg_ok], a1[seg_ok]
-    corners = np.array(list(rect.corners()), dtype=np.float64)
-    c0 = corners
-    c1 = np.roll(corners, -1, axis=0)
+    c0 = np.array(list(rect.corners()), dtype=np.float64)
+    c1 = np.roll(c0, -1, axis=0)
     block = max(1, _BLOCK_CELLS // 4)
     for start in range(0, len(a0), block):
         end = start + block
-        if _segments_intersect_mask(a0[start:end], a1[start:end], c0, c1).any():
+        if _segments_intersect_mask(
+            a0[start:end, 0, None], a0[start:end, 1, None],
+            a1[start:end, 0, None], a1[start:end, 1, None],
+            c0[:, 0], c0[:, 1], c1[:, 0], c1[:, 1],
+        ).any():
             return True
     return False

@@ -28,7 +28,8 @@ from repro.core import kernels
 from repro.disk.model import DiskStats
 from repro.errors import ConfigurationError
 from repro.geometry.decomposed import ExactTestCounter
-from repro.geometry.intersect import mbr_intersect_mask
+from repro.geometry.intersect import mbr_intersect_mask, polylines_intersect_pairs
+from repro.geometry.polyline import Polyline
 from repro.join.mbr_join import MBRJoin
 from repro.join.object_access import JOIN_TECHNIQUES, ObjectTransfer
 from repro.storage.base import SpatialOrganization
@@ -36,45 +37,49 @@ from repro.storage.base import SpatialOrganization
 __all__ = ["JoinResult", "spatial_join"]
 
 
-def _refinement_survivors(
+def _refine_group(
     org_r: SpatialOrganization,
     org_s: SpatialOrganization,
     pairs: list,
-) -> list:
-    """The candidate *object* pairs whose exact geometries can possibly
-    intersect: a batched prefilter on the *tight* geometry MBRs (entry
-    rectangles may be expanded test versions, Section 6.1).
+) -> int:
+    """Exact geometry test of one leaf group's candidate pairs: how
+    many of them intersect.
 
-    Dropping a pair never changes the join result — every exact
-    predicate starts from its geometries' bounding boxes — so the
-    reported ``result_pairs`` is identical with and without the
-    prefilter; only the Python-level exact-test call chain is skipped.
-    The object-table lookups happen here once and the surviving
-    ``(obj_r, obj_s)`` pairs are returned resolved, so the refinement
-    loop does not repeat them.  The scalar fallback keeps the legacy
-    behavior of running the exact test on every candidate.
+    Pairs whose *tight* geometry MBRs are disjoint are dropped first by
+    one batched mask (entry rectangles may be expanded test versions,
+    Section 6.1) — every exact predicate starts from its geometries'
+    bounding boxes, so that never changes the count.  The surviving
+    polyline pairs then take one
+    :func:`~repro.geometry.intersect.polylines_intersect_pairs` call
+    for the whole group (a map polyline pair is a few hundred
+    segment-pair cells; only the concatenation across pairs amortizes
+    the numpy dispatch), polygon and mixed pairs keep
+    :meth:`SpatialObject.intersects`.  The scalar fallback keeps the
+    legacy behavior of running that predicate on every candidate.
     """
     resolved = [
         (org_r.objects[entry_r.oid], org_s.objects[entry_s.oid])
         for entry_r, entry_s in pairs
     ]
-    if not kernels.vectorized() or not pairs:
-        return resolved
-    a = np.empty((len(resolved), 4), dtype=np.float64)
-    b = np.empty((len(resolved), 4), dtype=np.float64)
-    for k, (obj_r, obj_s) in enumerate(resolved):
-        mbr_r = obj_r.geometry.mbr
-        mbr_s = obj_s.geometry.mbr
-        a[k, 0] = mbr_r.xmin
-        a[k, 1] = mbr_r.ymin
-        a[k, 2] = mbr_r.xmax
-        a[k, 3] = mbr_r.ymax
-        b[k, 0] = mbr_s.xmin
-        b[k, 1] = mbr_s.ymin
-        b[k, 2] = mbr_s.xmax
-        b[k, 3] = mbr_s.ymax
-    mask = mbr_intersect_mask(a, b)
-    return [pair for pair, keep in zip(resolved, mask.tolist()) if keep]
+    if not kernels.vectorized():
+        return sum(obj_r.intersects(obj_s) for obj_r, obj_s in resolved)
+    a = np.array([obj_r.geometry.mbr.as_tuple() for obj_r, _ in resolved])
+    b = np.array([obj_s.geometry.mbr.as_tuple() for _, obj_s in resolved])
+    hits = 0
+    lines_r: list[np.ndarray] = []
+    lines_s: list[np.ndarray] = []
+    for (obj_r, obj_s), keep in zip(resolved, mbr_intersect_mask(a, b).tolist()):
+        if not keep:
+            continue
+        geom_r, geom_s = obj_r.geometry, obj_s.geometry
+        if isinstance(geom_r, Polyline) and isinstance(geom_s, Polyline):
+            lines_r.append(geom_r.coords())
+            lines_s.append(geom_s.coords())
+        elif obj_r.intersects(obj_s):
+            hits += 1
+    if lines_r:
+        hits += int(np.count_nonzero(polylines_intersect_pairs(lines_r, lines_s)))
+    return hits
 
 
 @dataclass(slots=True)
@@ -184,9 +189,7 @@ def spatial_join(
         counter.record(len(pairs))
         if evaluate_exact:
             assert result.result_pairs is not None
-            for obj_r, obj_s in _refinement_survivors(org_r, org_s, pairs):
-                if obj_r.intersects(obj_s):
-                    result.result_pairs += 1
+            result.result_pairs += _refine_group(org_r, org_s, pairs)
 
     total = disk.stats() - start
     result.candidate_pairs = join.candidate_pairs

@@ -169,6 +169,51 @@ class TestSpatialObject:
         assert SpatialObject(3, line_crossing).intersects(o_poly)
         assert not o_poly.intersects(SpatialObject(4, line_outside))
 
+    def test_mixed_pair_matches_throwaway_boundary_polyline(self):
+        """The line/polygon branch tests the line against the polygon's
+        cached closed ring; until PR 17 it built ``Polyline(ring)`` on
+        every call.  Same answers, short rings and rings long enough
+        for the vector kernel alike."""
+        import math
+        import random
+
+        rng = random.Random(31)
+
+        def old_answer(line: Polyline, poly: Polygon) -> bool:
+            if not line.mbr.intersects(poly.mbr):
+                return False
+            if line.intersects(Polyline(poly._closed_ring())):
+                return True
+            return poly.contains_point(*line.vertices[0])
+
+        answers = []
+        for k in range(120):
+            corners = rng.choice([4, 7, 40])
+            cx, cy, radius = rng.uniform(5, 15), rng.uniform(5, 15), rng.uniform(1, 6)
+            poly = Polygon(
+                [
+                    (
+                        cx + radius * math.cos(2 * math.pi * i / corners),
+                        cy + radius * math.sin(2 * math.pi * i / corners),
+                    )
+                    for i in range(corners)
+                ]
+            )
+            x, y = rng.uniform(0, 20), rng.uniform(0, 20)
+            pts = [(x, y)]
+            for _ in range(rng.choice([1, 5, 30])):
+                x, y = x + rng.uniform(-2, 2), y + rng.uniform(-2, 2)
+                pts.append((x, y))
+            if k % 10 == 0:
+                pts[-1] = poly.vertices[0]  # ends exactly on the boundary
+            line = Polyline(pts)
+            want = old_answer(line, poly)
+            o_line, o_poly = SpatialObject(2 * k, line), SpatialObject(2 * k + 1, poly)
+            assert o_line.intersects(o_poly) is want
+            assert o_poly.intersects(o_line) is want
+            answers.append(want)
+        assert any(answers) and not all(answers)
+
     def test_identity_semantics(self):
         a = SpatialObject(7, Polyline([(0, 0), (1, 1)]))
         b = SpatialObject(7, Polyline([(2, 2), (3, 3)]))

@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
-from hypothesis import given, strategies as st
+from contextlib import contextmanager
+from unittest import mock
 
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core import kernels
+from repro.geometry import intersect
 from repro.geometry.intersect import (
     orientation,
     point_in_polygon,
     polyline_intersects_rect,
     polylines_intersect,
+    polylines_intersect_pairs,
+    polylines_intersect_rects,
     segment_intersects_rect,
     segments_intersect,
 )
@@ -161,3 +170,167 @@ class TestPolylines:
     @given(st.lists(point, min_size=2, max_size=6))
     def test_chain_intersects_itself(self, chain):
         assert polylines_intersect(chain, chain)
+
+
+# ----------------------------------------------------------------------
+# the cross-pair / cross-candidate kernels against the scalar predicates
+# ----------------------------------------------------------------------
+# Vertices on a 5 x 5 lattice, nudged by offsets on both sides of _EPS
+# (a cross product here is a nudge times a segment length of 1..4):
+# shared endpoints, collinear overlaps, touches and T-junctions are the
+# common case in these batches, not the rare one.
+nudge = st.sampled_from([0.0] * 4 + [1e-13, -1e-13, 1e-12, -1e-12])
+lattice_coord = st.builds(lambda i, d: i + d, st.integers(0, 4), nudge)
+lattice_line = st.lists(
+    st.tuples(lattice_coord, lattice_coord), min_size=1, max_size=7
+)
+pair_batch = st.lists(st.tuples(lattice_line, lattice_line), max_size=12)
+# Blocks of 1..16 cells cut most pairs (and single rows) in two; the
+# crossover of 1 sends every non-empty batch down the vector path.
+block_cells = st.sampled_from([1, 3, 16, intersect._BLOCK_CELLS])
+crossover = st.sampled_from([1, intersect._VECTOR_MIN_CELLS])
+
+NAMED_PAIRS = [
+    ([(0, 0), (2, 2)], [(2, 2), (4, 0)]),  # shared endpoint
+    ([(0, 0), (3, 0)], [(1, 0), (5, 0)]),  # collinear, overlapping
+    ([(0, 0), (1, 0)], [(2, 0), (3, 0)]),  # collinear, apart
+    ([(0, 0), (2, 0)], [(2, 0), (2, 3)]),  # touching at an end of each
+    ([(0, 0), (4, 0)], [(2, 0), (2, 3)]),  # T-junction
+    ([(0, 0), (4, 0)], [(2, 1e-13), (2, 3)]),  # T short by less than eps
+    ([(0, 0), (4, 0)], [(2, -1e-13), (2, 3)]),  # ... long by less
+    ([(0, 0), (4, 0)], [(2, 1e-12), (2, 3)]),  # cross 4e-12: a miss
+    ([(0, 0), (1, 0)], [(0.5, 1e-12), (0.5, 3)]),  # cross == _EPS: a touch
+    ([(0, 0), (4, 0)], [(4 + 1e-13, 0), (6, 1)]),  # past the end, within eps
+    ([(0, 0), (4, 0)], [(4 + 2e-12, 0), (6, 1)]),  # past the end, beyond it
+    ([(0, 0), (4, 4)], [(0, 4), (4, 0)]),  # proper crossing
+    ([(0, 0), (1, 1), (2, 0), (3, 1)], [(0, 3), (1, 2), (3, 3)]),  # apart
+    ([(1, 1)], [(0, 0), (2, 2)]),  # single vertex on a segment
+    ([(1, 1)], [(1, 1)]),  # single vertices
+]
+
+
+def scalar_pairs(batch) -> list[bool]:
+    with kernels.scalar_kernels():
+        return [polylines_intersect(a, b) for a, b in batch]
+
+
+@contextmanager
+def vector_mode(block, min_cells):
+    with (
+        mock.patch.object(intersect, "_BLOCK_CELLS", block),
+        mock.patch.object(intersect, "_VECTOR_MIN_CELLS", min_cells),
+        kernels.scalar_kernels(False),
+    ):
+        yield
+
+
+def vector_pairs(batch, block, min_cells) -> list[bool]:
+    with vector_mode(block, min_cells):
+        return polylines_intersect_pairs(
+            [np.array(a, dtype=np.float64) for a, _ in batch],
+            [np.array(b, dtype=np.float64) for _, b in batch],
+        ).tolist()
+
+
+def as_window_tests(batch):
+    """The same cases for the polyline/rect kernel: each pair's first
+    line against the bounding box of its second (often a degenerate
+    one, whose edges touch or overlap the line's segments)."""
+    return [(a, Rect.from_points(b)) for a, b in batch]
+
+
+def scalar_rects(tests) -> list[bool]:
+    with kernels.scalar_kernels():
+        return [polyline_intersects_rect(a, rect) for a, rect in tests]
+
+
+def vector_rects(tests, block, min_cells) -> list[bool]:
+    with vector_mode(block, min_cells):
+        return polylines_intersect_rects(
+            [np.array(a, dtype=np.float64) for a, _ in tests],
+            [rect.as_tuple() for _, rect in tests],
+        ).tolist()
+
+
+class TestBatchKernelsMatchScalar:
+    @settings(deadline=None)
+    @given(pair_batch, block_cells, crossover)
+    def test_pairs_property(self, batch, block, min_cells):
+        assert vector_pairs(batch, block, min_cells) == scalar_pairs(batch)
+
+    @settings(deadline=None)
+    @given(pair_batch, block_cells, crossover)
+    def test_rects_property(self, batch, block, min_cells):
+        tests = as_window_tests(batch)
+        assert vector_rects(tests, block, min_cells) == scalar_rects(tests)
+
+    @pytest.mark.parametrize("block", [1, 2, 5, intersect._BLOCK_CELLS])
+    def test_named_cases(self, block):
+        batch = NAMED_PAIRS * 12  # well past the crossover
+        want = scalar_pairs(batch)
+        assert want[: len(NAMED_PAIRS)] == [
+            True, True, False, True, True, True, True, False,
+            True, True, False, True, False, True, True,
+        ]
+        assert vector_pairs(batch, block, intersect._VECTOR_MIN_CELLS) == want
+        tests = as_window_tests(batch)
+        assert vector_rects(
+            tests, block, intersect._VECTOR_MIN_CELLS
+        ) == scalar_rects(tests)
+
+    def test_long_pairs_straddle_default_blocks(self):
+        # Pairs of ~1600 cells against 2048-cell blocks: most blocks end
+        # inside a pair, and a decided pair's later rows are still right.
+        rng = np.random.default_rng(29)
+
+        def walk(n):
+            start = rng.uniform(0, 60, 2)
+            return (start + np.cumsum(rng.uniform(-3, 3, (n, 2)), axis=0)).tolist()
+
+        batch = [(walk(41), walk(41)) for _ in range(30)]
+        want = scalar_pairs(batch)
+        assert any(want) and not all(want)
+        assert vector_pairs(batch, intersect._BLOCK_CELLS, 128) == want
+
+    def test_empty_batch(self):
+        assert polylines_intersect_pairs([], []).shape == (0,)
+
+    def test_batch_below_crossover_runs_scalar_loop_on_python_floats(
+        self, monkeypatch
+    ):
+        batch = NAMED_PAIRS[:5]  # 5 cells
+        seen = []
+        scalar = intersect.segments_intersect
+
+        def spy(a, b, c, d):
+            seen.extend([*a, *b, *c, *d])
+            return scalar(a, b, c, d)
+
+        monkeypatch.setattr(intersect, "segments_intersect", spy)
+        monkeypatch.setattr(
+            intersect,
+            "_segments_intersect_mask",
+            lambda *operands: pytest.fail("vector evaluator on a tiny batch"),
+        )
+        assert vector_pairs(
+            batch, intersect._BLOCK_CELLS, intersect._VECTOR_MIN_CELLS
+        ) == [True, True, False, True, True]
+        assert seen and all(type(v) is float for v in seen)
+
+    def test_decided_blocks_are_skipped(self, monkeypatch):
+        # One long pair that crosses in its first cells: the blocks
+        # after the hit are never evaluated.
+        a = [(float(i), 0.0) for i in range(60)]
+        b = [(0.5, -1.0), (0.5, 1.0)] + [(float(i), 5.0) for i in range(60)]
+        calls = []
+        evaluate = intersect._segments_intersect_mask
+
+        def spy(*operands):
+            calls.append(len(operands[0]))
+            return evaluate(*operands)
+
+        monkeypatch.setattr(intersect, "_segments_intersect_mask", spy)
+        assert vector_pairs([(a, b)], 256, 128) == [True]
+        assert len(calls) == 1
+        with kernels.scalar_kernels(False):
+            assert polylines_intersect(a, b) is True

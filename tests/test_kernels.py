@@ -33,7 +33,7 @@ from repro.rtree.node import Node
 from repro.rtree.rstar import RStarTree
 from repro.rtree.split import rstar_split
 
-from tests.conftest import batch_entries
+from tests.conftest import batch_entries, build_org
 
 
 def random_rect(rng: random.Random, span: float = 100.0) -> Rect:
@@ -328,53 +328,95 @@ class TestRefinementKernels:
         with kernels.scalar_kernels():
             assert line.intersects_rect(rect) == vectorized
 
-    def test_join_result_pairs_identical_both_modes(self):
-        from repro.disk.model import DiskModel
-        from repro.join.multistep import spatial_join
-        from repro.storage.secondary import SecondaryOrganization
-        from repro.geometry.feature import SpatialObject
+    @pytest.mark.parametrize("kind", ["secondary", "primary", "cluster"])
+    def test_join_result_pairs_identical_both_modes(self, kind, monkeypatch):
+        """Pairs of 120..3500 cells (the cross-pair kernel's range, not
+        the scalar crossover's) with polygons mixed into one relation:
+        the same join in both modes and the brute-force count — and, in
+        vector mode, through the cross-pair kernel, not pair by pair."""
         from repro.disk.allocator import PageAllocator
+        from repro.disk.model import DiskModel
+        from repro.geometry.feature import SpatialObject
+        from repro.geometry.polygon import Polygon
+        from repro.join import multistep
 
         rng = random.Random(19)
 
-        def make_objects(offset):
+        def walk(n, step):
+            x, y = rng.uniform(0, 40), rng.uniform(0, 40)
+            pts = [(x, y)]
+            for _ in range(n - 1):
+                x += rng.uniform(-step, step)
+                y += rng.uniform(-step, step)
+                pts.append((x, y))
+            return pts
+
+        def make_objects(offset, polygon_every=None):
             objects = []
             for i in range(80):
-                x, y = rng.uniform(0, 40), rng.uniform(0, 40)
-                objects.append(
-                    SpatialObject(
-                        offset + i,
-                        Polyline(
-                            [
-                                (x, y),
-                                (x + rng.uniform(0.5, 4), y + rng.uniform(0.5, 4)),
-                                (x + rng.uniform(0.5, 6), y),
-                            ]
-                        ),
-                    )
-                )
+                if polygon_every and i % polygon_every == 0:
+                    x, y = rng.uniform(0, 40), rng.uniform(0, 40)
+                    w, h = rng.uniform(1, 6), rng.uniform(1, 6)
+                    geometry = Polygon([(x, y), (x + w, y), (x + w, y + h), (x, y + h)])
+                else:
+                    geometry = Polyline(walk(rng.randrange(12, 61), 1.0))
+                objects.append(SpatialObject(offset + i, geometry))
             return objects
 
-        disk = DiskModel()
-        allocator = PageAllocator()
-        org_r = SecondaryOrganization(
-            disk=disk, allocator=allocator, region_prefix="r"
-        )
-        org_s = SecondaryOrganization(
-            disk=disk, allocator=allocator, region_prefix="s"
-        )
-        org_r.build(make_objects(0))
-        org_s.build(make_objects(1000))
-        vector_result = spatial_join(
-            org_r, org_s, buffer_pages=64, evaluate_exact=True
-        )
-        with kernels.scalar_kernels():
-            scalar_result = spatial_join(
+        disk, allocator = DiskModel(), PageAllocator()
+        objs_r, objs_s = make_objects(0), make_objects(1000, polygon_every=8)
+        shared = dict(disk=disk, allocator=allocator, max_entries=16)  # many leaves
+        org_r = build_org(kind, objs_r, region_prefix="r", **shared)
+        org_s = build_org(kind, objs_s, region_prefix="s", **shared)
+
+        # Work counters (ROADMAP A(iii)): a silent fall-back to the
+        # per-pair path fails here instead of in a benchmark.
+        groups, kernel_calls, per_pair_calls = [], [], []
+        run = multistep.MBRJoin.run
+        kernel = multistep.polylines_intersect_pairs
+        per_pair = Polyline.intersects
+
+        def counting_run(mbr_join):
+            for group in run(mbr_join):
+                groups.append(group)
+                yield group
+
+        def counting_kernel(coords_a, coords_b):
+            kernel_calls.append(len(coords_a))
+            return kernel(coords_a, coords_b)
+
+        def counting_per_pair(line, other):
+            per_pair_calls.append(1)
+            return per_pair(line, other)
+
+        monkeypatch.setattr(multistep.MBRJoin, "run", counting_run)
+        monkeypatch.setattr(multistep, "polylines_intersect_pairs", counting_kernel)
+        monkeypatch.setattr(Polyline, "intersects", counting_per_pair)
+
+        with kernels.scalar_kernels(False):
+            vector_result = multistep.spatial_join(
                 org_r, org_s, buffer_pages=64, evaluate_exact=True
             )
+        assert 0 < len(kernel_calls) <= len(groups)
+        assert not per_pair_calls
+        line_pairs = sum(kernel_calls)
+        del kernel_calls[:]
+        with kernels.scalar_kernels():
+            scalar_result = multistep.spatial_join(
+                org_r, org_s, buffer_pages=64, evaluate_exact=True
+            )
+        assert not kernel_calls and len(per_pair_calls) >= line_pairs > 0
+
         assert vector_result.result_pairs == scalar_result.result_pairs
         assert vector_result.candidate_pairs == scalar_result.candidate_pairs
         assert vector_result.io_ms == scalar_result.io_ms
+        with kernels.scalar_kernels():
+            brute_force = sum(
+                a.mbr.intersects(b.mbr) and a.intersects(b)
+                for a in objs_r
+                for b in objs_s
+            )
+        assert vector_result.result_pairs == brute_force > 0
 
 
 class TestKernelSwitch:
