@@ -1,7 +1,7 @@
 """Online writes and background reorganization.
 
 Every write in the system — organization stores, R*-tree node flushes,
-dirty-page evictions, checkpoint flushes — is a declarative write
+dirty-page evictions — is a declarative write
 :class:`~repro.iosched.request.AccessPlan`, executed by the same I/O
 schedulers that serve reads.  That makes the database *online*: inserts
 and deletes run under any scheduler/declustering/tiering configuration

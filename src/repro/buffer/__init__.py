@@ -14,9 +14,9 @@ through:
 * :mod:`~repro.buffer.policy` defines the pluggable
   :class:`~repro.buffer.policy.ReplacementPolicy` protocol with four
   implementations — ``lru``, ``fifo``, ``clock`` and ``lru-k`` —
-  selectable wherever a ``policy=`` argument appears.
-* :class:`~repro.buffer.lru.LRUBuffer` is the LRU implementation (and
-  the paper's Section 6.1 join buffer).
+  selectable wherever a ``policy=`` argument appears
+  (:class:`~repro.buffer.policy.LRUBuffer` is the paper's Section 6.1
+  join buffer).
 
 The pool is also the designated integration point for future backends:
 an async or sharded page server only needs to stand behind the
@@ -24,11 +24,11 @@ an async or sharded page server only needs to stand behind the
 model directly.
 """
 
-from repro.buffer.lru import LRUBuffer
 from repro.buffer.policy import (
     POLICIES,
     ClockBuffer,
     FIFOBuffer,
+    LRUBuffer,
     LRUKBuffer,
     ReplacementPolicy,
     make_buffer,

@@ -1,13 +1,17 @@
 """Pluggable page-replacement policies.
 
-Every policy implements the same small surface as the original
-:class:`~repro.buffer.lru.LRUBuffer` — a fixed-capacity cache of
-hashable keys with hit/miss/evict statistics and an optional eviction
-callback — so the :class:`~repro.buffer.pool.BufferPool` (and any older
-caller) can swap policies freely.  The surface is documented by the
+Every policy implements the same small surface — a fixed-capacity
+cache of hashable keys with hit/miss/evict statistics and an optional
+eviction callback — so the :class:`~repro.buffer.pool.BufferPool` can
+swap policies freely.  A buffer is policy-only: it tracks which keys
+(page numbers) are resident and picks victims; actual I/O pricing
+stays with the pool, which knows whether a miss becomes part of a
+larger vectored read.  The surface is documented by the
 :class:`ReplacementPolicy` protocol; concrete policies:
 
-* ``lru``   — least recently used (:class:`~repro.buffer.lru.LRUBuffer`);
+* ``lru``   — least recently used: the spatial join's buffer of
+  200-6400 pages (Section 6.1) and the cache of the upper tree levels
+  during R*-tree construction;
 * ``fifo``  — first in, first out: recency of *use* is ignored, pages
   leave in admission order;
 * ``clock`` — the classic second-chance approximation of LRU: a
@@ -33,6 +37,7 @@ from repro.errors import ConfigurationError
 __all__ = [
     "ReplacementPolicy",
     "PolicyBuffer",
+    "LRUBuffer",
     "FIFOBuffer",
     "ClockBuffer",
     "LRUKBuffer",
@@ -87,7 +92,7 @@ class ReplacementPolicy(Protocol):
 
 
 class PolicyBuffer:
-    """Shared machinery of the non-LRU replacement buffers.
+    """Shared machinery of the replacement buffers.
 
     Subclasses override the three ordering hooks: :meth:`_note_admit`,
     :meth:`_note_hit` and :meth:`_select_victim`.  The entry table maps
@@ -208,6 +213,19 @@ class PolicyBuffer:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+
+
+class LRUBuffer(PolicyBuffer):
+    """Least recently used: a hit moves the page to the young end, the
+    victim is the oldest."""
+
+    policy = "lru"
+
+    def _note_hit(self, key: Hashable) -> None:
+        self._entries.move_to_end(key)
+
+    def _select_victim(self) -> Hashable:
+        return next(iter(self._entries))
 
 
 class FIFOBuffer(PolicyBuffer):
@@ -334,14 +352,8 @@ class LRUKBuffer(PolicyBuffer):
         return min(self._entries, key=self._rank)  # pragma: no cover
 
 
-def _lru_factory(capacity, on_evict=None):
-    from repro.buffer.lru import LRUBuffer
-
-    return LRUBuffer(capacity, on_evict=on_evict)
-
-
 POLICIES: dict[str, Callable[..., ReplacementPolicy]] = {
-    "lru": _lru_factory,
+    "lru": LRUBuffer,
     "fifo": FIFOBuffer,
     "clock": ClockBuffer,
     "lru-k": LRUKBuffer,

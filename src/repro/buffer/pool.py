@@ -18,10 +18,6 @@ Two operating modes matter:
 * **caching** (``capacity > 0``): frames absorb repeated reads, writes
   become write-back, and the read scheduler transfers only the missing
   runs of a request.
-
-The pool can also *adopt* an existing replacement buffer (``store=``),
-which keeps the historical ``MBRJoin(…, disk, LRUBuffer(n))`` call
-shape working: the caller's buffer becomes the pool's frame table.
 """
 
 from __future__ import annotations
@@ -101,20 +97,16 @@ class BufferPool:
     Parameters
     ----------
     disk:
-        The backing store every transfer is priced against: a single
-        :class:`~repro.disk.model.DiskModel` or any other
-        :class:`~repro.pagestore.store.PageStore` (e.g. the sharded
-        multi-disk :class:`~repro.pagestore.store.ShardedPageStore`).
+        The backing store every transfer is priced against: any
+        :class:`~repro.pagestore.store.PageStore` — a single
+        :class:`~repro.disk.model.DiskModel` or a tree of stores over
+        several disks (sharded, tiered, file-backed).
     capacity:
         Number of page frames.  ``0`` (default) selects pass-through
         mode: no residency, every request priced directly.
     policy:
         Replacement policy name (``lru`` / ``fifo`` / ``clock`` /
         ``lru-k``) used to build the frame table when ``capacity > 0``.
-    store:
-        An existing replacement buffer to adopt as the frame table
-        (overrides ``capacity``/``policy``).  ``None`` entries written
-        back on eviction go through this pool's disk.
     scheduler:
         The :class:`~repro.iosched.scheduler.IOScheduler` executing
         submitted access plans (name or instance).  ``None`` selects the
@@ -166,7 +158,6 @@ class BufferPool:
         disk: "DiskModel | PageStore",
         capacity: int = 0,
         policy: str = "lru",
-        store: ReplacementPolicy | None = None,
         scheduler: "IOScheduler | str | None" = None,
         prefetcher: "Prefetcher | str | None" = None,
         allocator=None,
@@ -179,14 +170,11 @@ class BufferPool:
         self.scheduler = make_scheduler(scheduler)
         self.prefetcher = make_prefetcher(prefetcher)
         self.allocator = allocator
-        if store is not None:
-            self.frames: ReplacementPolicy | None = store
-        elif capacity > 0:
-            self.frames = make_buffer(policy, capacity)
-        else:
-            self.frames = None
-        if self.frames is not None and self.frames.on_evict is None:
-            self.frames.on_evict = self._write_back_victim
+        self.frames: ReplacementPolicy | None = None
+        if capacity > 0:
+            self.frames = make_buffer(
+                policy, capacity, on_evict=self._write_back_victim
+            )
         self.hits = 0
         self.misses = 0
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -206,7 +194,8 @@ class BufferPool:
         self._labels = labels
         self._w_pages = self.metrics.counter("write.pages", **labels)
         # Per backing-device write milliseconds, created lazily per
-        # disk index (``write.device_ms{disk=}``).
+        # index into the store's ``disks`` (``write.device_ms{disk=}``,
+        # labelled by the store's ``device_labels()``).
         self._w_ms: dict[int, object] = {}
         # While a flush is draining the frame table, evicted dirty
         # victims collect here (in eviction order) instead of each
@@ -549,7 +538,9 @@ class BufferPool:
                 counter = self._w_ms.get(index)
                 if counter is None:
                     counter = self.metrics.counter(
-                        "write.device_ms", disk=str(index), **self._labels
+                        "write.device_ms",
+                        disk=self.disk.device_labels()[index],
+                        **self._labels,
                     )
                     self._w_ms[index] = counter
                 counter.inc(now - then)
@@ -640,14 +631,10 @@ class BufferPool:
         on single-disk backends).  Storage managers call this when they
         create or relocate an extent whose spatial region they know, so
         a sharded store can decluster it."""
-        place = getattr(self.disk, "place_extent", None)
-        if place is not None:
-            place(extent, center=center, disk=disk)
+        self.disk.place_extent(extent, center=center, disk=disk)
 
     def forget_extent(self, extent: Extent) -> None:
         """Tell the backing store an extent was freed or relocated (a
         no-op on single-disk backends); its pages fall back to the
         store's default placement."""
-        forget = getattr(self.disk, "forget_extent", None)
-        if forget is not None:
-            forget(extent)
+        self.disk.forget_extent(extent)

@@ -32,7 +32,7 @@ from repro.join.multistep import JoinResult, spatial_join
 from repro.obs.metrics import MetricsRegistry
 from repro.pagestore.placement import make_placement
 from repro.pagestore.store import PageStore, ShardedPageStore
-from repro.pagestore.tiered import TieredPageStore, fast_tier_params
+from repro.pagestore.tiered import FAST_TIER_PARAMS, TieredPageStore
 from repro.rtree.stats import TreeStats, tree_stats
 from repro.storage.base import QueryResult, SpatialOrganization
 from repro.storage.primary import PrimaryOrganization
@@ -179,6 +179,24 @@ class SpatialDatabase:
                 "compose sharded tiers by passing a migration-policy "
                 "name together with n_disks > 1 instead"
             )
+
+        def device(params: DiskParameters | None) -> PageStore:
+            """The whole store, or one tier of it: ``n_disks`` arms."""
+            if n_disks > 1:
+                return ShardedPageStore(
+                    n_disks,
+                    placement=placement,
+                    params=params,
+                    chunk_pages=chunk_pages,
+                )
+            # Validate the declustering knobs on the single-disk path
+            # too, so the one-disk control of an experiment fails as
+            # fast as the multi-disk treatment would.
+            make_placement(placement, chunk_pages)
+            # The paper's setting: one disk, priced bit-identically to
+            # every run before the pagestore layer existed.
+            return DiskModel(params)
+
         if _disk is not None:
             if tiering is not None:
                 raise ConfigurationError(
@@ -188,52 +206,19 @@ class SpatialDatabase:
             self.disk = _disk
         elif isinstance(tiering, TieredPageStore):
             self.disk = tiering
-        elif tiering is not None and n_disks > 1:
-            # Tiering composed over sharding: each tier is itself a
-            # declustered store over n_disks arms, so placement spreads
-            # within a tier while migration moves pages between tiers.
-            self.disk = TieredPageStore(
-                fast_pages,
-                migration=tiering,
-                fast_params=fast_params,
-                params=disk_params,
-                metrics=self.metrics,
-                fast_store=ShardedPageStore(
-                    n_disks,
-                    placement=placement,
-                    params=fast_params or fast_tier_params(),
-                    chunk_pages=chunk_pages,
-                ),
-                capacity_store=ShardedPageStore(
-                    n_disks,
-                    placement=placement,
-                    params=disk_params,
-                    chunk_pages=chunk_pages,
-                ),
-            )
-        elif tiering is not None:
-            self.disk = TieredPageStore(
-                fast_pages,
-                migration=tiering,
-                fast_params=fast_params,
-                params=disk_params,
-                metrics=self.metrics,
-            )
-        elif n_disks > 1:
-            self.disk = ShardedPageStore(
-                n_disks,
-                placement=placement,
-                params=disk_params,
-                chunk_pages=chunk_pages,
-            )
+        elif tiering is None:
+            self.disk = device(disk_params)
         else:
-            # Validate the declustering knobs on the single-disk path
-            # too, so the one-disk control of an experiment fails as
-            # fast as the multi-disk treatment would.
-            make_placement(placement, chunk_pages)
-            # The paper's setting: one disk, priced bit-identically to
-            # every run before the pagestore layer existed.
-            self.disk = DiskModel(disk_params)
+            # Each tier is a device of its own: with n_disks > 1
+            # placement spreads pages within a tier while migration
+            # moves them between tiers (tiering over sharding).
+            self.disk = TieredPageStore(
+                fast_pages,
+                migration=tiering,
+                metrics=self.metrics,
+                fast_store=device(fast_params or FAST_TIER_PARAMS),
+                capacity_store=device(disk_params),
+            )
         self.allocator = _allocator or PageAllocator()
         self.max_object_bytes = max_object_bytes
         self.name = name
@@ -542,25 +527,13 @@ class SpatialDatabase:
 
     def _register_device_gauges(self) -> None:
         """Publish live device-time views (``store.device_ms``) into the
-        metrics registry: one per device arm plus the aggregate."""
+        metrics registry: the aggregate plus, over several devices, one
+        per arm under the store's ``device_labels()``."""
         store = self.disk
         self.metrics.gauge("store.device_ms", lambda: store.total_ms)
-        disks = getattr(store, "disks", None)
-        if disks is None:
+        if len(store.disks) == 1:
             return
-        if isinstance(store, TieredPageStore):
-            names = []
-            for tier_name, tier in zip(("fast", "capacity"), store.tiers):
-                arms = getattr(tier, "disks", None)
-                if arms is None:
-                    names.append(tier_name)
-                else:
-                    names.extend(
-                        f"{tier_name}-{index}" for index in range(len(arms))
-                    )
-        else:
-            names = [str(index) for index in range(len(disks))]
-        for device, label in zip(disks, names):
+        for device, label in zip(store.disks, store.device_labels()):
             self.metrics.gauge(
                 "store.device_ms",
                 (lambda dev: lambda: dev.total_ms)(device),
@@ -573,9 +546,7 @@ class SpatialDatabase:
         counters/histograms — without touching operational state (head
         positions, residency, tier placement, the virtual clock, open
         trace spans).  The unified mid-run reset."""
-        reset_disk = getattr(self.disk, "reset_stats", None)
-        if reset_disk is not None:
-            reset_disk()
+        self.disk.reset_stats()
         self.storage.pool.reset_stats()
         reset_sched = getattr(self.scheduler, "reset_stats", None)
         if reset_sched is not None:
@@ -590,7 +561,7 @@ class SpatialDatabase:
     @property
     def n_disks(self) -> int:
         """Number of independent disks behind the buffer pool."""
-        return getattr(self.disk, "n_disks", 1)
+        return len(self.disk.disks)
 
     @property
     def io_scheduler(self) -> str:

@@ -103,8 +103,8 @@ class VectoredCost:
 
     ``response_ms`` assumes the devices worked concurrently (max over
     devices), ``total_ms`` is the device time they consumed together
-    (sum).  On a single disk the two coincide.  The sharded page store
-    (:mod:`repro.pagestore`) produces the multi-disk instances; it
+    (sum).  On a single disk the two coincide.  The composite stores
+    (:mod:`repro.pagestore`) produce the multi-disk instances; it
     lives here so the single-disk :class:`DiskModel` can speak the same
     measurement surface without a circular import.
     """
@@ -127,7 +127,7 @@ def measure_costs(store) -> Iterator[VectoredCost]:
     ``snapshot()`` / ``cost_since()`` surface; the yielded
     :class:`VectoredCost` is filled in when the block exits.  Shared
     implementation behind ``DiskModel.measure`` and
-    ``ShardedPageStore.measure``."""
+    ``CompositePageStore.measure``."""
     before = store.snapshot()
     cost = VectoredCost(response_ms=0.0, total_ms=0.0)
     try:
@@ -406,3 +406,21 @@ class DiskModel:
         of subsequent requests is unaffected by the reset."""
         self._stats = DiskStats()
         self.requests.clear()
+
+    # ------------------------------------------------------------------
+    # the leaf of the store tree (see repro.pagestore.store)
+    # ------------------------------------------------------------------
+    @property
+    def disks(self) -> tuple["DiskModel"]:
+        """The physical devices under this store: the disk itself."""
+        return (self,)
+
+    def device_labels(self) -> list[str]:
+        """The label of the one device of a single-disk store."""
+        return ["0"]
+
+    def place_extent(self, extent: Extent, center=None, disk: int | None = None) -> None:
+        """A single disk has no placement decision to take."""
+
+    def forget_extent(self, extent: Extent) -> None:
+        """A single disk keeps no placement to forget."""

@@ -637,7 +637,7 @@ def trace(args, dataset: Dataset) -> int:
         scheduler=args.scheduler,
         prefetch=args.prefetch,
     )
-    devices = list(getattr(db.disk, "disks", None) or (db.disk,))
+    devices = db.disk.disks
     before = [device.total_ms for device in devices]
     tag = f"{args.scheduler}.{args.prefetch}.{args.admission}"
     with observed(args, db, tag, quiet=True) as obs:

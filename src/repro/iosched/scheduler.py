@@ -21,8 +21,8 @@ primitives.  Two schedulers exist:
   synchronous pricing whenever requests land on different arms.
 
 The virtual clock measures each request's device time by differencing
-the per-disk millisecond totals around the priced call, so the timing
-layer needs no cooperation from the store: any
+the millisecond totals of the store's ``disks`` around the priced call,
+so the timing layer needs no further cooperation from the store: any
 :class:`~repro.pagestore.store.PageStore` works, including the single
 :class:`~repro.disk.model.DiskModel` (one queue).
 """
@@ -55,10 +55,7 @@ __all__ = [
 def device_times(store) -> list[float]:
     """Per-device millisecond totals of a backing store (one entry for
     a single :class:`~repro.disk.model.DiskModel`)."""
-    disks = getattr(store, "disks", None)
-    if disks is not None:
-        return [disk.total_ms for disk in disks]
-    return [store.total_ms]
+    return [disk.total_ms for disk in store.disks]
 
 
 @runtime_checkable
@@ -606,7 +603,7 @@ class OverlapScheduler(SyncScheduler):
         if tracer is not None:
             tracer.use_virtual_clock(True)
             tracer.virtual_now = issue_at
-            devices = getattr(pool.disk, "disks", None) or (pool.disk,)
+            devices = pool.disk.disks
             pspan = tracer.begin(
                 plan.label,
                 cat="plan",

@@ -19,10 +19,8 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.buffer.policy import ReplacementPolicy
 from repro.buffer.pool import BufferPool
 from repro.core import kernels
-from repro.disk.model import DiskModel
 from repro.rtree.entry import Entry
 from repro.rtree.node import Node
 from repro.rtree.rstar import RStarTree
@@ -95,24 +93,13 @@ class MBRJoin:
     pool:
         The shared :class:`~repro.buffer.pool.BufferPool` — tree pages
         and, later, object pages compete for the same frames, as in
-        Section 6.1.  For backward compatibility the pool may also be
-        given as a ``(disk, replacement buffer)`` pair, which the join
-        wraps into a pool on the spot.
+        Section 6.1.
     """
 
-    def __init__(
-        self,
-        tree_r: RStarTree,
-        tree_s: RStarTree,
-        pool: BufferPool | DiskModel,
-        buffer: ReplacementPolicy | None = None,
-    ):
+    def __init__(self, tree_r: RStarTree, tree_s: RStarTree, pool: BufferPool):
         self.tree_r = tree_r
         self.tree_s = tree_s
-        if isinstance(pool, BufferPool):
-            self.pool = pool
-        else:
-            self.pool = BufferPool(pool, store=buffer)
+        self.pool = pool
         self.node_accesses = 0
         self.candidate_pairs = 0
 

@@ -19,12 +19,10 @@ chooses how much of a touched cluster unit to transfer:
 
 from __future__ import annotations
 
-from repro.buffer.policy import ReplacementPolicy
 from repro.buffer.pool import BufferPool
 from repro.core.organization import ClusterOrganization
 from repro.core.techniques import slm_schedule
 from repro.disk.extent import Extent
-from repro.disk.model import DiskModel
 from repro.errors import ConfigurationError
 from repro.iosched.request import AccessPlan
 from repro.rtree.entry import Entry
@@ -48,41 +46,33 @@ class ObjectTransfer:
         The organization storing the relation.
     pool:
         The shared :class:`~repro.buffer.pool.BufferPool` pricing and
-        caching all transfers.  For backward compatibility the pool may
-        also be given as a ``(disk, replacement buffer)`` pair.
+        caching all transfers.
     technique:
         Cluster-unit transfer technique (ignored for the secondary and
         primary organizations, which have no units to batch).
-    grouped:
-        Whether :meth:`fetch_group` declares each group's transfers as
-        one scheduler *operation* (an ``operation()`` scope on an
-        overlapping scheduler, letting the whole group's plans dispatch
-        against one virtual-clock window).  ``True`` forces grouping,
-        ``False`` disables it, and the default ``None`` groups only when
-        the pool's scheduler supports scopes *and* no enclosing scope is
-        already open (the workload engine wraps whole join operations in
-        its own scope — nesting another would shift its timing).
+
+    :meth:`fetch_group` declares each group's transfers as one
+    scheduler *operation* (an ``operation()`` scope on an overlapping
+    scheduler, letting the whole group's plans dispatch against one
+    virtual-clock window) whenever the pool's scheduler supports scopes
+    *and* no enclosing scope is already open (the workload engine wraps
+    whole join operations in its own scope — nesting another would
+    shift its timing).
     """
 
     def __init__(
         self,
         org: SpatialOrganization,
-        pool: BufferPool | DiskModel,
-        buffer: ReplacementPolicy | None = None,
+        pool: BufferPool,
         technique: str = "complete",
-        grouped: bool | None = None,
     ):
         if technique not in JOIN_TECHNIQUES:
             raise ConfigurationError(
                 f"unknown join technique '{technique}'; valid: {JOIN_TECHNIQUES}"
             )
         self.org = org
-        if isinstance(pool, BufferPool):
-            self.pool = pool
-        else:
-            self.pool = BufferPool(pool, store=buffer)
+        self.pool = pool
         self.technique = technique
-        self.grouped = grouped
         self.object_requests = 0
         self.buffer_hits = 0
         # technique == "optimum": pages already charged, per unit extent.
@@ -91,14 +81,10 @@ class ObjectTransfer:
     # ------------------------------------------------------------------
     def _operation(self):
         """The scheduler's ``operation`` scope for one fetched group, or
-        ``None`` when grouping is off / unsupported / already active."""
-        if self.grouped is False:
-            return None
-        scheduler = getattr(self.pool, "scheduler", None)
+        ``None`` when grouping is unsupported / already active."""
+        scheduler = self.pool.scheduler
         operation = getattr(scheduler, "operation", None)
-        if operation is None:
-            return None
-        if self.grouped is None and getattr(scheduler, "_scope", None) is not None:
+        if operation is None or getattr(scheduler, "_scope", None) is not None:
             return None
         return operation
 
@@ -107,8 +93,8 @@ class ObjectTransfer:
         memory-resident, pricing all disk traffic.
 
         On an overlapping scheduler the group's plans are scheduled as
-        one operation (see ``grouped``), so candidate-object fetches for
-        one leaf pair dispatch as a batch instead of one-at-a-time."""
+        one operation, so candidate-object fetches for one leaf pair
+        dispatch as a batch instead of one-at-a-time."""
         operation = self._operation()
         if operation is not None:
             with operation("join.transfer"):

@@ -377,19 +377,11 @@ def tracing(tracer: Tracer | None = None) -> Iterator[Tracer]:
 
 
 def register_store_devices(tracer: Tracer, store: Any) -> None:
-    """Give a page store's devices stable track names.
-
-    Single :class:`DiskModel` -> ``disk0``; sharded -> ``disk0..n-1``;
-    tiered -> ``tier.fast`` / ``tier.capacity``.
-    """
-    disks = getattr(store, "disks", None)
-    if disks is None:
-        tracer.name_device(store, "disk0")
-        return
-    fast = getattr(store, "fast", None)
-    if fast is not None and len(disks) == 2 and disks[0] is fast:
-        tracer.name_device(disks[0], "tier.fast")
-        tracer.name_device(disks[1], "tier.capacity")
-        return
-    for index, disk in enumerate(disks):
-        tracer.name_device(disk, f"disk{index}")
+    """Give a page store's devices stable track names: the store's own
+    ``device_labels()`` behind one prefix — ``disk`` for numbered arms
+    (``disk0`` alone, ``disk0..n-1`` sharded), ``tier.`` for named
+    tiers (``tier.fast`` / ``tier.capacity``, ``tier.fast-0`` … over
+    sharded tiers)."""
+    for disk, label in zip(store.disks, store.device_labels()):
+        prefix = "disk" if label.isdigit() else "tier."
+        tracer.name_device(disk, prefix + label)

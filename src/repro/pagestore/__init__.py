@@ -1,21 +1,25 @@
 """Page stores behind the buffer pool (Section 7).
 
 A :class:`~repro.pagestore.store.PageStore` is the device layer the
-:class:`~repro.buffer.pool.BufferPool` prices against.  The single-disk
-implementation is :class:`~repro.disk.model.DiskModel` itself; the
+:class:`~repro.buffer.pool.BufferPool` prices against.  Stores compose
+as a tree (see :mod:`repro.pagestore.store`): the leaf is the
+single-disk :class:`~repro.disk.model.DiskModel` itself, every inner
+node a :class:`~repro.pagestore.store.CompositePageStore` that splits
+requests over its ``children``, prices them with max-over-children
+response time while preserving sum-of-device-time totals, and answers
+for its whole subtree (``disks``, ``device_labels()``).  The
 :class:`~repro.pagestore.store.ShardedPageStore` declusters the page
 space across ``n_disks`` devices under a pluggable
 :class:`~repro.pagestore.placement.PlacementPolicy` (``round_robin`` /
-``hash`` / ``spatial`` Hilbert-on-extent), pricing vectored requests
-with max-over-disks response time while preserving sum-of-device-time
-totals; the :class:`~repro.pagestore.tiered.TieredPageStore` trades
-*where a page lives* between a fast and a capacity device.  Wire them
+``hash`` / ``spatial`` Hilbert-on-extent); the
+:class:`~repro.pagestore.tiered.TieredPageStore` trades *where a page
+lives* between a fast and a capacity tier, each any store.  Wire them
 in with ``SpatialDatabase(n_disks=4, placement="spatial")`` or
 ``SpatialDatabase(tiering="promote-on-hit")``.
 
 The :class:`~repro.pagestore.file.FilePageStore` finally makes the
-protocol durable: the same pricing surface over an actual single-file
-page image with per-page checksums and a crash-safe shadow-superblock
+protocol durable: one pricing disk over an actual single-file page
+image with per-page checksums and a crash-safe shadow-superblock
 checkpoint (see :mod:`repro.pagestore.file`);
 :class:`~repro.pagestore.faults.FaultyPageStore` injects deterministic
 torn writes, kill points and bit flips to prove the recovery protocol.
@@ -33,10 +37,10 @@ from repro.pagestore.placement import (
     make_placement,
 )
 from repro.pagestore.store import (
+    CompositePageStore,
     PageStore,
     ShardedPageStore,
     VectoredCost,
-    validate_snapshot_shape,
 )
 from repro.pagestore.tiered import (
     FAST_TIER_PARAMS,
@@ -47,6 +51,7 @@ from repro.pagestore.tiered import (
 
 __all__ = [
     "PageStore",
+    "CompositePageStore",
     "ShardedPageStore",
     "TieredPageStore",
     "FilePageStore",
@@ -59,7 +64,6 @@ __all__ = [
     "MIGRATIONS",
     "WRITE_POLICIES",
     "FAST_TIER_PARAMS",
-    "validate_snapshot_shape",
     "PlacementPolicy",
     "RoundRobinPlacement",
     "HashPlacement",

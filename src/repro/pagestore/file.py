@@ -42,12 +42,13 @@ whole slot, padding included).  Reads retry a bounded number of times
 ``recovery.replayed_pages`` and the ``recovery.epoch`` gauge publish
 this through the metrics registry.
 
-The store also satisfies the :class:`~repro.pagestore.store.PageStore`
-protocol: request pricing delegates to an inner
-:class:`~repro.disk.model.DiskModel` (same constants, same stats), and
-priced reads of *mapped* pages additionally perform — and verify — the
-real ``pread``, which is what ``python -m repro.eval storage``
-cross-validates against wall-clock.  The simulated path stays the
+The store is also a :class:`~repro.pagestore.store.CompositePageStore`
+over one child, the pricing :class:`~repro.disk.model.DiskModel` (same
+constants, same stats as a simulated disk), so it speaks the whole
+:class:`~repro.pagestore.store.PageStore` protocol; priced reads of
+*mapped* pages additionally perform — and verify — the real ``pread``,
+which is what ``python -m repro.eval storage`` cross-validates against
+wall-clock.  The simulated path stays the
 default everywhere; nothing here is on the oracle-producing code path.
 """
 
@@ -61,11 +62,11 @@ import zlib
 from typing import Sequence
 
 from repro.buffer.pool import coalesce_pages
-from repro.disk.extent import Extent
-from repro.disk.model import DiskModel, DiskStats, VectoredCost, measure_costs
+from repro.disk.model import DiskModel
 from repro.disk.params import DiskParameters
 from repro.errors import ConfigurationError, PageCorruptionError, StorageError
 from repro.obs.metrics import MetricsRegistry
+from repro.pagestore.store import CompositePageStore
 
 __all__ = [
     "FilePageStore",
@@ -146,7 +147,7 @@ def decode_page(buf: bytes, page_size: int, kind: int | None = None) -> bytes:
 _PRESERVE = object()
 
 
-class FilePageStore:
+class FilePageStore(CompositePageStore):
     """A single-file page image implementing the ``PageStore`` protocol.
 
     Parameters
@@ -175,7 +176,7 @@ class FilePageStore:
         metrics: MetricsRegistry | None = None,
     ):
         self.path = path
-        self.model = DiskModel(params)
+        super().__init__([DiskModel(params)])
         if page_size is None:
             page_size = self.model.params.page_size
         if page_size < 4 * PAGE_HEADER.size:
@@ -398,21 +399,13 @@ class FilePageStore:
         self._next_slot += 1
         return slot
 
-    def flush(self, pool=None) -> list[tuple[int, int]]:
+    def flush(self) -> list[tuple[int, int]]:
         """Write every dirty page copy-on-write: fresh slots only (a
         slot of the committed epoch is never overwritten), one
         ``pwrite`` per contiguous slot run (the
         :func:`~repro.buffer.pool.coalesce_pages` schedule).  Returns
-        the written slot runs.
-
-        With ``pool`` given, the slot runs are additionally declared
-        as one ``checkpoint.flush`` write plan and submitted to that
-        pool — the checkpoint's device time is then priced (and span-
-        traced) on the pool's store like any other write, so an online
-        checkpoint contends with foreground traffic.  ``None`` (the
-        default) keeps the historical behaviour: the durable pwrites
-        happen, the simulated pricing stays with the page writes that
-        dirtied the store."""
+        the written slot runs.  Nothing is priced here: the simulated
+        cost stays with the page writes that dirtied the store."""
         if not self._dirty:
             return []
         staged: list[tuple[int, bytes]] = []
@@ -445,14 +438,6 @@ class FilePageStore:
                 run_start * self.page_size,
                 b"".join(encoded[run_start + i] for i in range(run_pages)),
             )
-        if pool is not None and runs:
-            from repro.iosched.request import AccessPlan
-
-            pool.submit(
-                AccessPlan("checkpoint.flush").write_pages(
-                    [slot for slot, _ in staged]
-                )
-            )
         return runs
 
     _retired_slots: list[int]
@@ -461,15 +446,12 @@ class FilePageStore:
         self,
         meta: dict | None = None,
         meta_payloads: Sequence[bytes] | None = None,
-        pool=None,
     ) -> int:
         """Checkpoint: flush dirty pages, persist the page map (and the
         optional catalog payload chunks), fsync, then publish the new
-        epoch through the alternate superblock.  Returns the epoch.
-        ``pool`` forwards to :meth:`flush` — an online checkpoint
-        prices its flush as a write plan on that pool's store."""
+        epoch through the alternate superblock.  Returns the epoch."""
         self._retired_slots = []
-        self.flush(pool=pool)
+        self.flush()
         if meta is not None:
             self.meta = dict(meta)
         # Page map and catalog are copy-on-write like the data: the
@@ -523,9 +505,14 @@ class FilePageStore:
         return [self._read_slot(slot, KIND_META) for slot in self._meta_slots]
 
     # ------------------------------------------------------------------
-    # PageStore protocol: pricing via the inner DiskModel, with real,
-    # verified preads of mapped pages on the read path
+    # PageStore protocol: pricing on the one child, with real, verified
+    # preads of mapped pages on the read path
     # ------------------------------------------------------------------
+    @property
+    def model(self) -> DiskModel:
+        """The pricing disk — the store's one child."""
+        return self.children[0]
+
     @property
     def params(self) -> DiskParameters:
         return self.model.params
@@ -550,74 +537,24 @@ class FilePageStore:
                     # Per-slot bounded retry on the failing page only.
                     self._read_slot(run_start + i, KIND_DATA)
 
-    def read(self, start: int, npages: int = 1, continuation: bool = False) -> float:
-        cost = self.model.read(start, npages, continuation)
-        self._verify_range(start, npages)
-        return cost
-
-    def read_runs(
-        self, runs: Sequence[tuple[int, int]], continuation: bool = False
+    def _transfer(
+        self, kind: str, runs: Sequence[tuple[int, int]], continuation: bool
     ) -> float:
-        cost = self.model.read_runs(runs, continuation)
+        """Price the batch on the model, then make it real: a read
+        ``pread``s and verifies the mapped pages, a write marks its
+        pages for the next flush."""
+        cost = self.model.price_runs(runs, continuation, kind)
+        self._response_ms += cost
         for start, npages in runs:
-            self._verify_range(start, npages)
+            if kind == "read":
+                self._verify_range(start, npages)
+            else:
+                # No byte content at this surface: keep what is mapped
+                # (the slot moves copy-on-write at the next flush),
+                # materialise an empty page otherwise.
+                for page in range(start, start + npages):
+                    self._dirty.setdefault(page, _PRESERVE)
         return cost
-
-    def write(self, start: int, npages: int = 1, continuation: bool = False) -> float:
-        cost = self.model.write(start, npages, continuation)
-        for page in range(start, start + npages):
-            # No byte content at this surface: keep what is mapped (the
-            # slot moves copy-on-write at the next flush), materialise
-            # an empty page otherwise.
-            self._dirty.setdefault(page, _PRESERVE)
-        return cost
-
-    def write_runs(
-        self, runs: Sequence[tuple[int, int]], continuation: bool = False
-    ) -> float:
-        cost = self.model.write_runs(runs, continuation)
-        for start, npages in runs:
-            for page in range(start, start + npages):
-                self._dirty.setdefault(page, _PRESERVE)
-        return cost
-
-    def read_extent(self, extent: Extent, continuation: bool = False) -> float:
-        return self.read(extent.start, extent.npages, continuation)
-
-    def write_extent(self, extent: Extent, continuation: bool = False) -> float:
-        return self.write(extent.start, extent.npages, continuation)
-
-    def charge(self, seeks: int = 0, rotations: int = 0, pages: int = 0) -> float:
-        return self.model.charge(seeks=seeks, rotations=rotations, pages=pages)
-
-    # measurement surface --------------------------------------------------
-    def stats(self) -> DiskStats:
-        return self.model.stats()
-
-    def snapshot(self):
-        return self.model.snapshot()
-
-    def stats_since(self, snapshot) -> DiskStats:
-        return self.model.stats_since(snapshot)
-
-    def cost_since(self, snapshot) -> VectoredCost:
-        return self.model.cost_since(snapshot)
-
-    def measure(self):
-        return measure_costs(self)
-
-    @property
-    def total_ms(self) -> float:
-        return self.model.total_ms
-
-    def invalidate_head(self) -> None:
-        self.model.invalidate_head()
-
-    def reset(self) -> None:
-        self.model.reset()
-
-    def reset_stats(self) -> None:
-        self.model.reset_stats()
 
     # ------------------------------------------------------------------
     # lifecycle

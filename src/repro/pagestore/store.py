@@ -5,30 +5,38 @@ as the next challenge; this module puts that parallelism under the
 *whole* storage stack instead of a single access path.  A
 :class:`PageStore` is anything that prices page requests the way
 :class:`~repro.disk.model.DiskModel` does — the protocol is exactly the
-request surface the :class:`~repro.buffer.pool.BufferPool` consumes, so
-swapping the backing store is invisible to every pool consumer (the
-three organizations, the R*-tree pager, the spatial join).
+surface the :class:`~repro.buffer.pool.BufferPool` and its consumers
+use, so swapping the backing store is invisible to every pool consumer
+(the three organizations, the R*-tree pager, the spatial join).
 
-Two implementations exist:
+The layer has one shape — a tree whose leaves are disks:
 
-* :class:`~repro.disk.model.DiskModel` itself — the single-disk backend
-  every experiment has always used (it satisfies the protocol as-is,
-  which is what keeps the paper's figures bit-identical);
-* :class:`ShardedPageStore` — ``n_disks`` independent
-  :class:`~repro.disk.model.DiskModel` devices behind one logical page
-  address space, declustered by a pluggable
-  :class:`~repro.pagestore.placement.PlacementPolicy`.
+* :class:`~repro.disk.model.DiskModel` is the leaf — the single-disk
+  backend every experiment has always used (it satisfies the protocol
+  as-is, which is what keeps the paper's figures bit-identical);
+* :class:`CompositePageStore` is the inner node: a store over
+  ``children``, each itself a store.  What follows from the shape is
+  written there once — request splitting, the measurement surface, the
+  lifecycle, placement forwarding, the flattened ``disks`` and their
+  ``device_labels()``.  Its subclasses only say what their children
+  are: :class:`ShardedPageStore` (``n_disks`` independent disks behind
+  one logical page space, declustered by a pluggable
+  :class:`~repro.pagestore.placement.PlacementPolicy`),
+  :class:`~repro.pagestore.tiered.TieredPageStore` (a fast and a
+  capacity tier, each any store) and
+  :class:`~repro.pagestore.file.FilePageStore` (one pricing disk over
+  a real file).
 
-Pricing follows the declustering literature: the devices operate in
+Pricing follows the declustering literature: the children operate in
 parallel, so the **response time** of a vectored request is the maximum
-over the per-disk work, while the **device time** (the resource the
-whole system consumes) stays the sum.  :meth:`ShardedPageStore.stats`
+over the per-child work, while the **device time** (the resource the
+whole system consumes) stays the sum.  :meth:`CompositePageStore.stats`
 reports device time — aggregate accounting is therefore comparable
 with a single disk — and response time is exposed separately, per
-request (the return value of :meth:`ShardedPageStore.read`) and per
-measurement interval (:meth:`ShardedPageStore.cost_since` /
-:meth:`ShardedPageStore.measure`, which assume the interval's requests
-were issued as one parallel batch).
+request (the return value of :meth:`CompositePageStore.read`) and per
+measurement interval (:meth:`CompositePageStore.cost_since` /
+:meth:`CompositePageStore.measure`, which assume the interval's
+requests were issued as one parallel batch).
 """
 
 from __future__ import annotations
@@ -49,18 +57,18 @@ from repro.pagestore.placement import PlacementPolicy, make_placement
 
 __all__ = [
     "PageStore",
+    "CompositePageStore",
     "ShardedPageStore",
     "StoreSnapshot",
     "VectoredCost",
-    "validate_snapshot_shape",
 ]
 
 
 class StoreSnapshot(list):
-    """Per-disk statistics marker of a :class:`ShardedPageStore`.
+    """Per-child statistics marker of a :class:`CompositePageStore`.
 
     Behaves as the plain ``list[DiskStats]`` it always was, but also
-    carries the store's *reset epoch*: :meth:`ShardedPageStore.reset`
+    carries the store's *reset epoch*: :meth:`CompositePageStore.reset`
     bumps the epoch, so ``stats_since`` / ``cost_since`` can detect a
     marker taken before a reset and measure from zero instead of
     subtracting stale totals — a pre-reset snapshot used to make
@@ -74,39 +82,22 @@ class StoreSnapshot(list):
         self.epoch = epoch
 
 
-def validate_snapshot_shape(snapshot, n_disks: int, store: str) -> None:
-    """Refuse a per-disk snapshot whose shape does not match the store.
-
-    ``zip`` used to truncate silently: a marker taken from a store with
-    a different device count (or a single-disk :class:`DiskStats`)
-    produced a plausible-looking but wrong interval measurement."""
-    try:
-        length = len(snapshot)
-    except TypeError:
-        length = -1
-    if length != n_disks or not all(
-        isinstance(entry, DiskStats) for entry in snapshot
-    ):
-        raise ConfigurationError(
-            f"snapshot does not match {store}: expected {n_disks} "
-            f"per-device DiskStats entries, got "
-            f"{length if length >= 0 else type(snapshot).__name__}"
-        )
-
-
 @runtime_checkable
 class PageStore(Protocol):
     """Anything the buffer pool can price page traffic against.
 
-    :class:`~repro.disk.model.DiskModel` is the canonical single-disk
-    implementation; :class:`ShardedPageStore` the multi-disk one.
+    :class:`~repro.disk.model.DiskModel` is the leaf implementation,
+    :class:`CompositePageStore` the inner node of the store tree.
     Besides the request surface, every store speaks one measurement
     surface — ``snapshot()`` / ``cost_since()`` / ``measure()`` — so
     consumers separate response time from device time without caring
-    how many devices sit underneath.
+    how many devices sit underneath, and answers the same tree
+    questions: which ``disks`` are its leaves, what they are called
+    (``device_labels()``), and where an extent should live.
     """
 
     params: DiskParameters
+    disks: Sequence[DiskModel]
 
     def read(self, start: int, npages: int = 1, continuation: bool = False) -> float: ...
     def read_runs(
@@ -122,12 +113,291 @@ class PageStore(Protocol):
     def stats_since(self, snapshot) -> DiskStats: ...
     def cost_since(self, snapshot) -> VectoredCost: ...
     def reset(self) -> None: ...
+    def reset_stats(self) -> None: ...
+    def device_labels(self) -> Sequence[str]: ...
+    def place_extent(self, extent: Extent, center=None, disk: int | None = None) -> None: ...
+    def forget_extent(self, extent: Extent) -> None: ...
 
     @property
     def total_ms(self) -> float: ...
 
 
-class ShardedPageStore:
+class CompositePageStore:
+    """The inner node of the store tree: one logical page space over
+    ``children``, each a :class:`PageStore` of its own (a
+    :class:`~repro.disk.model.DiskModel` leaf or another composite).
+
+    A request spanning pages owned by several children is split into
+    per-child fragments (:meth:`_owner` says who owns a page).  Each
+    child prices its first fragment with the caller's ``continuation``
+    flag (every device positions its own arm) and further fragments of
+    the same request as continuations; the request's response time —
+    the returned cost — is the maximum over the involved children, its
+    device time the sum (recorded in the leaves' statistics).
+
+    Subclasses call ``__init__`` with their children, implement
+    :meth:`_owner`, and override only what is theirs.
+    """
+
+    def __init__(self, children: Sequence[PageStore]):
+        #: The direct sub-stores requests are split over and priced on.
+        self.children = list(children)
+        #: The leaves of the whole subtree, left to right — every
+        #: physical arm; the overlap scheduler times each as its own
+        #: service queue.
+        self.disks = [disk for child in self.children for disk in child.disks]
+        self._response_ms = 0.0
+        self._reset_epoch = 0
+
+    def _child_names(self) -> Sequence[str]:
+        """What :meth:`device_labels` calls each child (its index)."""
+        return [str(index) for index in range(len(self.children))]
+
+    def device_labels(self) -> list[str]:
+        """One label per entry of :attr:`disks` — the one place device
+        names come from (span tracks, ``store.device_ms{disk=}`` and
+        ``write.device_ms{disk=}`` all read it).  A leaf child is
+        called by its place in this store (``0`` … ``n-1``, ``fast``,
+        ``capacity``); the leaves of a composite child add theirs
+        (``fast-0``, ``capacity-1``)."""
+        labels: list[str] = []
+        for name, child in zip(self._child_names(), self.children):
+            if isinstance(child, DiskModel):
+                labels.append(name)
+            else:
+                labels.extend(f"{name}-{leaf}" for leaf in child.device_labels())
+        return labels
+
+    # ------------------------------------------------------------------
+    # placement surface
+    # ------------------------------------------------------------------
+    def place_extent(self, extent: Extent, center=None, disk: int | None = None) -> None:
+        """Forward a placement hint to every child (a no-op on leaves):
+        the page address space is shared, so an extent pinned by one
+        child's placement is pinned identically in the others'."""
+        for child in self.children:
+            child.place_extent(extent, center=center, disk=disk)
+
+    def forget_extent(self, extent: Extent) -> None:
+        """Tell every child an extent was freed or relocated."""
+        for child in self.children:
+            child.forget_extent(extent)
+
+    def _owner(self, page: int) -> int:
+        """Index of the child serving ``page``."""
+        raise NotImplementedError
+
+    def _fragments(self, start: int, npages: int) -> Iterator[tuple[int, int, int]]:
+        """Split ``[start, start + npages)`` into maximal runs owned by
+        one child; yields ``(child, start, npages)``."""
+        run_owner = self._owner(start)
+        run_start = start
+        for page in range(start + 1, start + npages):
+            owner = self._owner(page)
+            if owner != run_owner:
+                yield run_owner, run_start, page - run_start
+                run_owner, run_start = owner, page
+        yield run_owner, run_start, start + npages - run_start
+
+    # ------------------------------------------------------------------
+    # request pricing
+    # ------------------------------------------------------------------
+    def _split(self, runs: Sequence[tuple[int, int]]) -> list[tuple[int, int, int]]:
+        """The per-child fragments of a batch of runs, in issue order."""
+        return [
+            fragment
+            for start, npages in runs
+            for fragment in self._fragments(start, npages)
+        ]
+
+    def _price(
+        self, kind: str, fragments: Sequence[tuple[int, int, int]], continuation: bool
+    ) -> float:
+        """Price fragments one ``read`` / ``write`` at a time, in issue
+        order.  Every child positions exactly once per batch: its
+        first fragment is priced with the caller's ``continuation``
+        flag, its further fragments as continuations.  As with
+        :meth:`~repro.disk.model.DiskModel.read`, the flag is the
+        caller's assertion that the arms involved are already
+        positioned (Section 5.4.3 reads inside one cluster unit —
+        units are pinned whole, so the assertion concerns one arm).
+        Returns the batch's response time, the max over the children."""
+        per_child: dict[int, float] = {}
+        for child, start, npages in fragments:
+            cost = getattr(self.children[child], kind)(
+                start, npages, child in per_child or continuation
+            )
+            per_child[child] = per_child.get(child, 0.0) + cost
+        if not per_child:
+            return 0.0
+        response = max(per_child.values())
+        self._response_ms += response
+        return response
+
+    def _transfer(
+        self, kind: str, runs: Sequence[tuple[int, int]], continuation: bool
+    ) -> float:
+        """Price one parallel batch of runs; every request entry point
+        lands here."""
+        return self._price(kind, self._split(runs), continuation)
+
+    def read(self, start: int, npages: int = 1, continuation: bool = False) -> float:
+        """Price a read; returns its parallel response time in ms."""
+        return self._transfer("read", [(start, npages)], continuation)
+
+    def read_runs(
+        self, runs: Sequence[tuple[int, int]], continuation: bool = False
+    ) -> float:
+        """Price one vectored batch of read runs (the buffer pool's
+        coalescing scheduler) as a single split request."""
+        return self._transfer("read", runs, continuation)
+
+    def write(self, start: int, npages: int = 1, continuation: bool = False) -> float:
+        """Price a write (same parallel model as reads)."""
+        return self._transfer("write", [(start, npages)], continuation)
+
+    def write_runs(
+        self, runs: Sequence[tuple[int, int]], continuation: bool = False
+    ) -> float:
+        """Price one vectored batch of write runs as a single split
+        request (the write mirror of :meth:`read_runs`)."""
+        return self._transfer("write", runs, continuation)
+
+    def read_extent(self, extent: Extent, continuation: bool = False) -> float:
+        return self.read(extent.start, extent.npages, continuation)
+
+    def write_extent(self, extent: Extent, continuation: bool = False) -> float:
+        return self.write(extent.start, extent.npages, continuation)
+
+    def charge(self, seeks: int = 0, rotations: int = 0, pages: int = 0) -> float:
+        """Account an analytic cost (charged to the first child, serial).
+
+        Analytic charges carry no page addresses — there is nothing to
+        split — so they price exactly as on a single disk (response ==
+        device time).  Consumers that price via ``charge`` (e.g. the
+        spatial join's per-object transfer accounting) therefore report
+        parallelism 1 for those phases; declustering them would first
+        require pricing them as addressed reads, which would change the
+        paper's join figures."""
+        cost = self.children[0].charge(seeks=seeks, rotations=rotations, pages=pages)
+        self._response_ms += cost
+        return cost
+
+    # ------------------------------------------------------------------
+    # statistics
+    # ------------------------------------------------------------------
+    def stats(self) -> DiskStats:
+        """Aggregate *device-time* statistics (sum over the children) —
+        directly comparable with a single disk's accounting."""
+        first, *rest = self.per_disk_stats()
+        return sum(rest, first)
+
+    def per_disk_stats(self) -> list[DiskStats]:
+        """Snapshot of every child's own statistics."""
+        return [child.stats() for child in self.children]
+
+    @property
+    def total_ms(self) -> float:
+        """Total device time in milliseconds (sum over the children)."""
+        return sum(child.total_ms for child in self.children)
+
+    @property
+    def response_ms(self) -> float:
+        """Accumulated per-request response time: every request priced
+        at the max over the children it touched."""
+        return self._response_ms
+
+    def snapshot(self) -> StoreSnapshot:
+        """Per-child statistics marker for :meth:`cost_since` /
+        :meth:`stats_since` (tagged with the current reset epoch)."""
+        return StoreSnapshot(self.per_disk_stats(), self._reset_epoch)
+
+    def _since(self, snapshot: Sequence[DiskStats]) -> list[DiskStats]:
+        """Every child's statistics delta since ``snapshot``.  A marker
+        whose shape does not match this store (taken from a store with
+        a different child count, or a single-disk ``DiskStats``) is
+        rejected — ``zip`` used to truncate it silently into a
+        plausible-looking but wrong measurement.  A marker taken before
+        the last :meth:`reset` is stale — its totals no longer underlie
+        the current statistics — so the interval starts from zero."""
+        try:
+            length = len(snapshot)
+        except TypeError:
+            length = -1
+        if length != len(self.children) or not all(
+            isinstance(entry, DiskStats) for entry in snapshot
+        ):
+            raise ConfigurationError(
+                f"snapshot does not match this {type(self).__name__}: expected "
+                f"{len(self.children)} per-child DiskStats entries, got "
+                f"{length if length >= 0 else type(snapshot).__name__}"
+            )
+        if getattr(snapshot, "epoch", self._reset_epoch) != self._reset_epoch:
+            return self.per_disk_stats()
+        return [
+            child.stats() - before
+            for child, before in zip(self.children, snapshot)
+        ]
+
+    def stats_since(self, snapshot: Sequence[DiskStats]) -> DiskStats:
+        """Aggregate device-time statistics delta since ``snapshot``."""
+        first, *rest = self._since(snapshot)
+        return sum(rest, first)
+
+    def cost_since(self, snapshot: Sequence[DiskStats]) -> VectoredCost:
+        """Parallel cost of everything priced since ``snapshot``,
+        treating the interval as one split batch: response time is the
+        busiest child's delta, device time the summed deltas."""
+        per_child = [delta.total_ms for delta in self._since(snapshot)]
+        return VectoredCost(
+            response_ms=max(per_child),
+            total_ms=sum(per_child),
+            per_disk_ms=per_child,
+        )
+
+    def measure(self):
+        """Context manager measuring a split batch::
+
+            with store.measure() as cost:
+                ...issue requests...
+            print(cost.response_ms, cost.parallelism)
+        """
+        return measure_costs(self)
+
+    # ------------------------------------------------------------------
+    # lifecycle
+    # ------------------------------------------------------------------
+    def invalidate_head(self) -> None:
+        """Forget every device's head position."""
+        for child in self.children:
+            child.invalidate_head()
+
+    def reset(self) -> None:
+        """Zero all statistics and forget every head position, as one
+        coherent action over all children (what a subclass keeps about
+        placement — pins, tier residency — describes where pages live,
+        not an experiment phase, and stays).  Bumps the reset epoch:
+        snapshots taken before the reset are recognised as stale by
+        :meth:`stats_since` / :meth:`cost_since` instead of producing
+        negative deltas."""
+        for child in self.children:
+            child.reset()
+        self._response_ms = 0.0
+        self._reset_epoch += 1
+
+    def reset_stats(self) -> None:
+        """Zero statistics only — the unified mid-run reset convention:
+        head positions (and placement) are preserved, so pricing of
+        subsequent requests is unaffected.  Bumps the reset epoch like
+        :meth:`reset` so stale snapshots are measured from zero instead
+        of going negative."""
+        for child in self.children:
+            child.reset_stats()
+        self._response_ms = 0.0
+        self._reset_epoch += 1
+
+
+class ShardedPageStore(CompositePageStore):
     """One logical page space declustered over ``n_disks`` devices.
 
     Parameters
@@ -144,14 +414,6 @@ class ShardedPageStore:
     chunk_pages:
         Chunk granularity of the arithmetic placement rules (forwarded
         to the policy; ``None`` keeps the policy default).
-
-    A request spanning pages owned by several disks is split into
-    per-disk fragments.  Each disk prices its first fragment with the
-    caller's ``continuation`` flag (every device positions its own arm)
-    and further fragments of the same request as continuations; the
-    request's response time — the returned cost — is the maximum over
-    the involved disks, its device time the sum (recorded in the
-    per-disk statistics).
     """
 
     def __init__(
@@ -164,12 +426,9 @@ class ShardedPageStore:
         if n_disks < 1:
             raise ConfigurationError(f"need at least one disk, got {n_disks}")
         self.params = params or DiskParameters()
-        self.n_disks = n_disks
-        self.disks = [DiskModel(self.params) for _ in range(n_disks)]
+        super().__init__([DiskModel(self.params) for _ in range(n_disks)])
         self.placement = make_placement(placement, chunk_pages)
         self.placement.bind(n_disks)
-        self._response_ms = 0.0
-        self._epoch = 0
 
     # ------------------------------------------------------------------
     # placement surface
@@ -177,6 +436,8 @@ class ShardedPageStore:
     def disk_of(self, page: int) -> int:
         """Index of the disk owning a page."""
         return self.placement.disk_of(page)
+
+    _owner = disk_of
 
     def place_extent(self, extent: Extent, center=None, disk: int | None = None) -> None:
         """Pin an extent to one disk (see
@@ -187,52 +448,16 @@ class ShardedPageStore:
         """Drop the placement of a freed or relocated extent."""
         self.placement.forget_extent(extent)
 
-    def _fragments(self, start: int, npages: int) -> Iterator[tuple[int, int, int]]:
-        """Split ``[start, start + npages)`` into maximal runs owned by
-        one disk; yields ``(disk, start, npages)``."""
-        run_disk = self.disk_of(start)
-        run_start = start
-        for page in range(start + 1, start + npages):
-            disk = self.disk_of(page)
-            if disk != run_disk:
-                yield run_disk, run_start, page - run_start
-                run_disk, run_start = disk, page
-        yield run_disk, run_start, start + npages - run_start
-
     # ------------------------------------------------------------------
     # request pricing
     # ------------------------------------------------------------------
     def _transfer(
-        self,
-        kind: str,
-        runs: Sequence[tuple[int, int]],
-        continuation: bool,
+        self, kind: str, runs: Sequence[tuple[int, int]], continuation: bool
     ) -> float:
-        """Price one parallel batch of runs.  Every device positions
-        its own arm exactly once per batch: a disk's first fragment in
-        the batch is priced with the caller's ``continuation`` flag,
-        its further fragments as continuations.  As with
-        :meth:`~repro.disk.model.DiskModel.read`, the flag is the
-        caller's assertion that the arms involved are already
-        positioned (Section 5.4.3 reads inside one cluster unit —
-        units are pinned whole, so the assertion concerns one arm)."""
         if _obs.ACTIVE is not None:
             # Keep the historical per-fragment interleaving so the span
             # tracer sees device records in issue order.
-            per_disk: dict[int, float] = {}
-            for start, npages in runs:
-                for disk, frag_start, frag_pages in self._fragments(start, npages):
-                    device = self.disks[disk]
-                    frag_continuation = True if disk in per_disk else continuation
-                    cost = getattr(device, kind)(
-                        frag_start, frag_pages, frag_continuation
-                    )
-                    per_disk[disk] = per_disk.get(disk, 0.0) + cost
-            if not per_disk:
-                return 0.0
-            response = max(per_disk.values())
-            self._response_ms += response
-            return response
+            return super()._transfer(kind, runs, continuation)
         # Group each disk's fragments (in issue order) and price them as
         # one batch per device: the device's first fragment carries the
         # caller's continuation flag, follow-ups are continuations —
@@ -249,6 +474,8 @@ class ShardedPageStore:
                     frags.append((frag_start, frag_pages))
         if not grouped:
             return 0.0
+        # This loop runs about ten times per served operation: its
+        # max-and-accumulate tail stays inline.
         response = 0.0
         for disk, frags in grouped.items():
             cost = self.disks[disk].price_runs(frags, continuation, kind)
@@ -256,149 +483,3 @@ class ShardedPageStore:
                 response = cost
         self._response_ms += response
         return response
-
-    def read(self, start: int, npages: int = 1, continuation: bool = False) -> float:
-        """Price a read; returns its parallel response time in ms."""
-        return self._transfer("read", [(start, npages)], continuation)
-
-    def read_runs(
-        self, runs: Sequence[tuple[int, int]], continuation: bool = False
-    ) -> float:
-        """Price one vectored batch of read runs (the buffer pool's
-        coalescing scheduler) as a single declustered request."""
-        return self._transfer("read", runs, continuation)
-
-    def write(self, start: int, npages: int = 1, continuation: bool = False) -> float:
-        """Price a write (same parallel model as reads)."""
-        return self._transfer("write", [(start, npages)], continuation)
-
-    def write_runs(
-        self, runs: Sequence[tuple[int, int]], continuation: bool = False
-    ) -> float:
-        """Price one vectored batch of write runs as a single
-        declustered request (the write mirror of :meth:`read_runs`)."""
-        return self._transfer("write", runs, continuation)
-
-    def read_extent(self, extent: Extent, continuation: bool = False) -> float:
-        return self.read(extent.start, extent.npages, continuation)
-
-    def write_extent(self, extent: Extent, continuation: bool = False) -> float:
-        return self.write(extent.start, extent.npages, continuation)
-
-    def charge(self, seeks: int = 0, rotations: int = 0, pages: int = 0) -> float:
-        """Account an analytic cost (charged to disk 0, serial).
-
-        Analytic charges carry no page addresses — there is nothing for
-        the placement to decluster — so they price exactly as on a
-        single disk (response == device time).  Consumers that price
-        via ``charge`` (e.g. the spatial join's per-object transfer
-        accounting) therefore report parallelism 1 for those phases;
-        declustering them would first require pricing them as addressed
-        reads, which would change the paper's join figures."""
-        cost = self.disks[0].charge(seeks=seeks, rotations=rotations, pages=pages)
-        self._response_ms += cost
-        return cost
-
-    # ------------------------------------------------------------------
-    # statistics
-    # ------------------------------------------------------------------
-    def stats(self) -> DiskStats:
-        """Aggregate *device-time* statistics (sum over the disks) —
-        directly comparable with a single disk's accounting."""
-        total = DiskStats()
-        for disk in self.disks:
-            total = total + disk.stats()
-        return total
-
-    def per_disk_stats(self) -> list[DiskStats]:
-        """Snapshot of every device's own statistics."""
-        return [disk.stats() for disk in self.disks]
-
-    @property
-    def total_ms(self) -> float:
-        """Total device time in milliseconds (sum over the disks)."""
-        return sum(disk.total_ms for disk in self.disks)
-
-    @property
-    def response_ms(self) -> float:
-        """Accumulated per-request response time: every request priced
-        at the max over the disks it touched."""
-        return self._response_ms
-
-    def snapshot(self) -> StoreSnapshot:
-        """Per-disk statistics marker for :meth:`cost_since` /
-        :meth:`stats_since` (tagged with the current reset epoch)."""
-        return StoreSnapshot(self.per_disk_stats(), self._epoch)
-
-    def _baseline(self, snapshot: list[DiskStats]) -> list[DiskStats]:
-        """The snapshot to subtract: a marker taken before the last
-        :meth:`reset` is stale — its totals no longer underlie the
-        current statistics — so the interval starts from zero.  A
-        marker whose shape does not match this store (taken from a
-        store with a different disk count, or a single-disk
-        ``DiskStats``) is rejected instead of silently truncated."""
-        validate_snapshot_shape(
-            snapshot, len(self.disks), f"this {self.n_disks}-disk store"
-        )
-        if getattr(snapshot, "epoch", self._epoch) != self._epoch:
-            return [DiskStats() for _ in self.disks]
-        return snapshot
-
-    def stats_since(self, snapshot: list[DiskStats]) -> DiskStats:
-        """Aggregate device-time statistics delta since ``snapshot``."""
-        total = DiskStats()
-        for disk, before in zip(self.disks, self._baseline(snapshot)):
-            total = total + disk.stats_since(before)
-        return total
-
-    def cost_since(self, snapshot: list[DiskStats]) -> VectoredCost:
-        """Parallel cost of everything priced since ``snapshot``,
-        treating the interval as one declustered batch: response time
-        is the busiest disk's delta, device time the summed deltas."""
-        per_disk = [
-            (disk.stats() - before).total_ms
-            for disk, before in zip(self.disks, self._baseline(snapshot))
-        ]
-        return VectoredCost(
-            response_ms=max(per_disk, default=0.0),
-            total_ms=sum(per_disk),
-            per_disk_ms=per_disk,
-        )
-
-    def measure(self):
-        """Context manager measuring a declustered batch::
-
-            with store.measure() as cost:
-                ...issue requests...
-            print(cost.response_ms, cost.parallelism)
-        """
-        return measure_costs(self)
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def invalidate_head(self) -> None:
-        """Forget every device's head position."""
-        for disk in self.disks:
-            disk.invalidate_head()
-
-    def reset(self) -> None:
-        """Zero all statistics and forget every head position, as one
-        coherent action over all devices (placement pins are kept).
-        Bumps the reset epoch: snapshots taken before the reset are
-        recognised as stale by :meth:`stats_since` / :meth:`cost_since`
-        instead of producing negative deltas."""
-        for disk in self.disks:
-            disk.reset()
-        self._response_ms = 0.0
-        self._epoch += 1
-
-    def reset_stats(self) -> None:
-        """Zero statistics only — head positions (and placement pins)
-        are preserved, so pricing of subsequent requests is unaffected.
-        Bumps the reset epoch like :meth:`reset` so stale snapshots are
-        measured from zero instead of going negative."""
-        for disk in self.disks:
-            disk.reset_stats()
-        self._response_ms = 0.0
-        self._epoch += 1

@@ -44,33 +44,34 @@ still valid).  This closes the long-flagged accounting gap where a
 demotion silently dropped written data without ever pricing the
 write-back.
 
-Like the sharded store, the two tiers are independent devices: a
-request spanning both tiers is split into per-tier fragments, its
-response time is the max over the tiers, its device time the sum.  The
-:class:`~repro.iosched.scheduler.OverlapScheduler` sees the tiers as
-two service queues through the standard ``disks`` attribute.
+Like the sharded store, the tiered store is a
+:class:`~repro.pagestore.store.CompositePageStore`: its two children
+are the tiers, independent devices, so a request spanning both is split
+into per-tier fragments, its response time is the max over the tiers,
+its device time the sum.  Each tier may itself be a composite store;
+the :class:`~repro.iosched.scheduler.OverlapScheduler` sees every arm
+underneath as its own service queue through the flattened ``disks``.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.buffer.pool import coalesce_pages
 from repro.disk.extent import Extent
-from repro.disk.model import DiskModel, DiskStats, VectoredCost, measure_costs
+from repro.disk.model import DiskModel
 from repro.disk.params import DiskParameters
 from repro.errors import ConfigurationError
 from repro.obs import trace as _obs
 from repro.obs.metrics import MetricsRegistry
-from repro.pagestore.store import StoreSnapshot, validate_snapshot_shape
+from repro.pagestore.store import CompositePageStore, PageStore
 
 __all__ = [
     "TieredPageStore",
     "MIGRATIONS",
     "WRITE_POLICIES",
     "FAST_TIER_PARAMS",
-    "fast_tier_params",
 ]
 
 MIGRATIONS = ("static", "promote-on-hit", "lru-demote")
@@ -84,12 +85,7 @@ FAST_TIER_PARAMS = DiskParameters(seek_ms=2.0, latency_ms=1.0, transfer_ms=0.25)
 paper's 9 / 6 / 1 ms capacity disk."""
 
 
-def fast_tier_params() -> DiskParameters:
-    """The default fast-tier :class:`~repro.disk.params.DiskParameters`."""
-    return FAST_TIER_PARAMS
-
-
-class TieredPageStore:
+class TieredPageStore(CompositePageStore):
     """One logical page space over a fast tier and a capacity tier.
 
     Parameters
@@ -121,10 +117,8 @@ class TieredPageStore:
         single :class:`~repro.disk.model.DiskModel` per tier — e.g. a
         :class:`~repro.pagestore.store.ShardedPageStore` per tier, so
         each tier is itself declustered (tiering composed over
-        sharding).  A custom tier must speak the
-        :class:`~repro.pagestore.store.PageStore` request surface;
-        ``params``/``fast_params`` default to the injected stores'
-        constants.
+        sharding).  ``params``/``fast_params`` default to the injected
+        stores' constants.
     """
 
     FAST, CAPACITY = 0, 1
@@ -138,8 +132,8 @@ class TieredPageStore:
         promote_after: int = 2,
         write_policy: str = "write-through",
         metrics: MetricsRegistry | None = None,
-        fast_store=None,
-        capacity_store=None,
+        fast_store: PageStore | None = None,
+        capacity_store: PageStore | None = None,
     ):
         if fast_pages < 1:
             raise ConfigurationError(
@@ -164,26 +158,15 @@ class TieredPageStore:
                 "placement writes to a page's only home, there is "
                 "nothing to copy back"
             )
-        self.params = params or getattr(capacity_store, "params", None) or DiskParameters()
-        self.fast_params = (
-            fast_params or getattr(fast_store, "params", None) or FAST_TIER_PARAMS
-        )
-        self.fast = fast_store if fast_store is not None else DiskModel(self.fast_params)
-        self.capacity = (
-            capacity_store if capacity_store is not None else DiskModel(self.params)
-        )
-        #: The tier backends, fast first — request fragments are priced
-        #: against these (each may itself be a multi-disk store).
-        self.tiers = [self.fast, self.capacity]
-        #: The underlying devices, fast tier's first — the overlap
-        #: scheduler's ``device_times`` reads this to time every
-        #: physical arm as its own service queue.
-        self.disks = [
-            disk
-            for tier in self.tiers
-            for disk in (getattr(tier, "disks", None) or (tier,))
-        ]
-        self.n_disks = len(self.disks)
+        if fast_store is None:
+            fast_store = DiskModel(fast_params or FAST_TIER_PARAMS)
+        if capacity_store is None:
+            capacity_store = DiskModel(params)
+        #: The tier backends — the store's two children, fast first.
+        self.fast, self.capacity = fast_store, capacity_store
+        self.params = params or capacity_store.params
+        self.fast_params = fast_params or fast_store.params
+        super().__init__([fast_store, capacity_store])
         self.fast_pages = fast_pages
         self.migration = migration
         self.promote_after = promote_after
@@ -204,8 +187,6 @@ class TieredPageStore:
         self._demotions = self.metrics.counter("tier.demotions")
         self._invalidations = self.metrics.counter("tier.invalidations")
         self._copybacks = self.metrics.counter("tier.copybacks")
-        self._response_ms = 0.0
-        self._epoch = 0
 
     @property
     def promotions(self) -> int:
@@ -240,6 +221,11 @@ class TieredPageStore:
         """The tier currently serving reads of ``page``."""
         return self.FAST if page in self._resident else self.CAPACITY
 
+    _owner = tier_of
+
+    def _child_names(self) -> Sequence[str]:
+        return ("fast", "capacity")
+
     @property
     def fast_resident(self) -> int:
         """Pages currently served by the fast tier."""
@@ -258,32 +244,7 @@ class TieredPageStore:
             self._resident.pop(page, None)
             self._counts.pop(page, None)
             self._dirty.discard(page)
-        for tier in self.tiers:
-            forget = getattr(tier, "forget_extent", None)
-            if forget is not None:
-                forget(extent)
-
-    def place_extent(self, extent: Extent, center=None, disk: int | None = None) -> None:
-        """Forward a placement hint to declustered tier backends (a
-        no-op over plain single-disk tiers): the page address space is
-        shared, so an extent pinned by the capacity tier's placement is
-        pinned identically in the fast tier's."""
-        for tier in self.tiers:
-            place = getattr(tier, "place_extent", None)
-            if place is not None:
-                place(extent, center=center, disk=disk)
-
-    def _fragments(self, start: int, npages: int) -> Iterator[tuple[int, int, int]]:
-        """Split ``[start, start + npages)`` into maximal runs served by
-        one tier; yields ``(tier, start, npages)``."""
-        run_tier = self.tier_of(start)
-        run_start = start
-        for page in range(start + 1, start + npages):
-            tier = self.tier_of(page)
-            if tier != run_tier:
-                yield run_tier, run_start, page - run_start
-                run_tier, run_start = tier, page
-        yield run_tier, run_start, start + npages - run_start
+        super().forget_extent(extent)
 
     # ------------------------------------------------------------------
     # migration machinery
@@ -369,48 +330,23 @@ class TieredPageStore:
     # request pricing
     # ------------------------------------------------------------------
     def _transfer(
-        self,
-        kind: str,
-        runs: Sequence[tuple[int, int]],
-        continuation: bool,
+        self, kind: str, runs: Sequence[tuple[int, int]], continuation: bool
     ) -> float:
-        """Price one batch of runs across the tiers.  As in the sharded
-        store, each tier positions once per batch: its first fragment
-        takes the caller's ``continuation`` flag, further fragments are
-        continuations; the response is the max over the tiers."""
+        """Price one batch of runs across the tiers, then let the demand
+        reads drive migration (its device time is excluded from the
+        returned response).  Tier fragments are priced one ``read`` /
+        ``write`` at a time: a tier that is itself sharded positions
+        its arms per fragment, so batching a tier's fragments would
+        change tier-over-sharded pricing."""
         if self.migration == "static":
             for start, npages in runs:
                 self._static_fill(range(start, start + npages))
-        per_tier: dict[int, float] = {}
-        demand: list[tuple[int, int]] = []
-        for start, npages in runs:
-            for tier, frag_start, frag_pages in self._fragments(start, npages):
-                device = self.tiers[tier]
-                frag_continuation = True if tier in per_tier else continuation
-                cost = getattr(device, kind)(frag_start, frag_pages, frag_continuation)
-                per_tier[tier] = per_tier.get(tier, 0.0) + cost
-                if kind == "read":
-                    demand.append((frag_start, frag_pages))
+        fragments = self._split(runs)
+        response = self._price(kind, fragments, continuation)
         if kind == "read":
-            for frag_start, frag_pages in demand:
+            for _tier, frag_start, frag_pages in fragments:
                 self._after_read(frag_start, frag_pages)
-        if not per_tier:
-            return 0.0
-        response = max(per_tier.values())
-        self._response_ms += response
         return response
-
-    def read(self, start: int, npages: int = 1, continuation: bool = False) -> float:
-        """Price a read; returns its response time in ms (migration
-        device time excluded)."""
-        return self._transfer("read", [(start, npages)], continuation)
-
-    def read_runs(
-        self, runs: Sequence[tuple[int, int]], continuation: bool = False
-    ) -> float:
-        """Price one vectored batch of read runs (the buffer pool's
-        coalescing scheduler) as a single tier-split request."""
-        return self._transfer("read", runs, continuation)
 
     def write(self, start: int, npages: int = 1, continuation: bool = False) -> float:
         """Price a write.  ``static`` writes to the pages' home tiers;
@@ -458,33 +394,19 @@ class TieredPageStore:
     def _write_back(self, start: int, npages: int, continuation: bool) -> float:
         """Write-back pricing: fast-resident fragments take the write
         on the fast tier (marked dirty, refreshed in LRU order), the
-        rest writes to the capacity home.  Like :meth:`_transfer`, each
-        tier positions once: its first fragment takes the caller's
-        ``continuation`` flag and the response is the max over the
-        tiers."""
-        per_tier: dict[int, float] = {}
-        for tier, frag_start, frag_pages in self._fragments(start, npages):
-            device = self.tiers[tier]
-            frag_continuation = True if tier in per_tier else continuation
-            cost = device.write(frag_start, frag_pages, frag_continuation)
-            per_tier[tier] = per_tier.get(tier, 0.0) + cost
+        rest writes to the capacity home (priced like any split
+        request: each tier positions once, the response is the max
+        over the tiers)."""
+        fragments = self._split([(start, npages)])
+        response = self._price("write", fragments, continuation)
+        for tier, frag_start, frag_pages in fragments:
             for page in range(frag_start, frag_start + frag_pages):
                 if tier == self.FAST:
                     self._dirty.add(page)
                     self._resident.move_to_end(page)
                 else:
                     self._counts.pop(page, None)
-        if not per_tier:
-            return 0.0
-        response = max(per_tier.values())
-        self._response_ms += response
         return response
-
-    def read_extent(self, extent: Extent, continuation: bool = False) -> float:
-        return self.read(extent.start, extent.npages, continuation)
-
-    def write_extent(self, extent: Extent, continuation: bool = False) -> float:
-        return self.write(extent.start, extent.npages, continuation)
 
     def charge(self, seeks: int = 0, rotations: int = 0, pages: int = 0) -> float:
         """Account an analytic cost (no page addresses — nothing to
@@ -492,91 +414,6 @@ class TieredPageStore:
         cost = self.capacity.charge(seeks=seeks, rotations=rotations, pages=pages)
         self._response_ms += cost
         return cost
-
-    # ------------------------------------------------------------------
-    # statistics
-    # ------------------------------------------------------------------
-    def stats(self) -> DiskStats:
-        """Aggregate device-time statistics (sum over the tiers)."""
-        return self.fast.stats() + self.capacity.stats()
-
-    def per_disk_stats(self) -> list[DiskStats]:
-        """Snapshot of each tier's own statistics, fast first."""
-        return [self.fast.stats(), self.capacity.stats()]
-
-    @property
-    def total_ms(self) -> float:
-        """Total device time in milliseconds (sum over the tiers)."""
-        return self.fast.total_ms + self.capacity.total_ms
-
-    @property
-    def response_ms(self) -> float:
-        """Accumulated per-request response time."""
-        return self._response_ms
-
-    def snapshot(self) -> StoreSnapshot:
-        """Per-tier statistics marker (tagged with the reset epoch)."""
-        return StoreSnapshot(self.per_disk_stats(), self._epoch)
-
-    def _baseline(self, snapshot: list[DiskStats]) -> list[DiskStats]:
-        validate_snapshot_shape(snapshot, len(self.tiers), "this tiered store")
-        if getattr(snapshot, "epoch", self._epoch) != self._epoch:
-            return [DiskStats() for _ in self.tiers]
-        return snapshot
-
-    def stats_since(self, snapshot: list[DiskStats]) -> DiskStats:
-        """Aggregate device-time statistics delta since ``snapshot``."""
-        total = DiskStats()
-        for tier, before in zip(self.tiers, self._baseline(snapshot)):
-            total = total + (tier.stats() - before)
-        return total
-
-    def cost_since(self, snapshot: list[DiskStats]) -> VectoredCost:
-        """Parallel cost of everything priced since ``snapshot``:
-        response is the busier tier's delta, device time the sum."""
-        per_tier = [
-            (tier.stats() - before).total_ms
-            for tier, before in zip(self.tiers, self._baseline(snapshot))
-        ]
-        return VectoredCost(
-            response_ms=max(per_tier, default=0.0),
-            total_ms=sum(per_tier),
-            per_disk_ms=per_tier,
-        )
-
-    def measure(self):
-        """Context manager measuring a batch of requests (see
-        :func:`~repro.disk.model.measure_costs`)."""
-        return measure_costs(self)
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def invalidate_head(self) -> None:
-        """Forget both tiers' head positions."""
-        self.fast.invalidate_head()
-        self.capacity.invalidate_head()
-
-    def reset(self) -> None:
-        """Zero all statistics and head positions (tier residency and
-        migration counters are kept — they describe placement, not an
-        experiment phase).  Bumps the reset epoch so stale snapshots
-        measure from zero instead of going negative."""
-        self.fast.reset()
-        self.capacity.reset()
-        self._response_ms = 0.0
-        self._epoch += 1
-
-    def reset_stats(self) -> None:
-        """Zero I/O statistics only — head positions, tier residency and
-        migration counters are preserved (the unified mid-run reset
-        convention; migration counters belong to the metrics registry
-        and are zeroed by its own ``reset_stats``).  Bumps the reset
-        epoch so stale snapshots measure from zero."""
-        self.fast.reset_stats()
-        self.capacity.reset_stats()
-        self._response_ms = 0.0
-        self._epoch += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

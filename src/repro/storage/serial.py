@@ -36,7 +36,6 @@ from repro.core.unit import ClusterUnit
 from repro.disk.allocator import Region
 from repro.disk.buddy import BuddyAllocator, FixedUnitAllocator
 from repro.disk.extent import Extent
-from repro.disk.model import DiskModel
 from repro.disk.params import DiskParameters
 from repro.errors import StorageError
 from repro.geometry.feature import SpatialObject
@@ -378,7 +377,6 @@ def save_database(
     path: str,
     materialize: bool = True,
     store: "FilePageStore | None" = None,
-    price_checkpoint: bool = False,
 ) -> int:
     """Checkpoint ``db`` into a file-backed page store at ``path``.
 
@@ -389,13 +387,9 @@ def save_database(
     optionally supplies a ready (possibly fault-injecting) store; the
     caller then owns its lifecycle.  Saving onto an existing file is
     incremental: a new epoch on top of the committed one.  Returns the
-    committed epoch.
-
-    ``price_checkpoint=True`` submits the checkpoint's flush as a
-    ``checkpoint.flush`` write plan on the database's pool: an online
-    checkpoint then costs simulated device time and contends with
-    foreground traffic (the default keeps checkpoints free, as the
-    historical offline save).
+    committed epoch.  Checkpoints are free in simulated time: the
+    page writes that dirtied the database were priced when they
+    happened.
     """
     from repro.pagestore.file import FilePageStore, payload_capacity
 
@@ -421,7 +415,6 @@ def save_database(
         return store.commit(
             meta={"kind": "spatialdb", "format": CATALOG_FORMAT},
             meta_payloads=chunks,
-            pool=db.pool if price_checkpoint else None,
         )
     finally:
         if own_store:
@@ -468,5 +461,5 @@ def open_database(
         return load_state(state, metrics=registry)
     # The store's pricing model adopts the catalog's timing constants,
     # so simulated costs match the sim-backed twin exactly.
-    store.model = DiskModel(DiskParameters(*state["config"]["disk_params"]))
+    store.model.params = DiskParameters(*state["config"]["disk_params"])
     return load_state(state, metrics=registry, _disk=store)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.buffer.lru import LRUBuffer
+from repro.buffer import LRUBuffer
 from repro.buffer.policy import (
     POLICIES,
     ClockBuffer,
@@ -223,16 +223,9 @@ class TestCachingPool:
         assert delta.requests == 1 and delta.pages_transferred == 3
         assert all(p in pool for p in (10, 11, 12))
 
-    def test_adopted_store_is_shared(self):
-        disk = DiskModel()
-        store = LRUBuffer(4)
-        pool = BufferPool(disk, store=store)
-        pool.read(10, 2)
-        assert 10 in store and 11 in store
-        assert pool.policy == "lru"
-
     def test_pool_policy_name(self):
         assert BufferPool(DiskModel(), capacity=4, policy="clock").policy == "clock"
+        assert BufferPool(DiskModel(), capacity=4).policy == "lru"
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ConfigurationError):

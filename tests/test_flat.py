@@ -474,9 +474,5 @@ class TestGroupedTransfers:
         sched = OverlapScheduler()
         pool = BufferPool(DiskModel(), capacity=256, scheduler=sched)
         auto = ObjectTransfer(org, pool)
-        forced = ObjectTransfer(org, pool, grouped=True)
-        off = ObjectTransfer(org, pool, grouped=False)
         with sched.operation("outer"):
             assert auto._operation() is None
-            assert forced._operation() is not None
-            assert off._operation() is None

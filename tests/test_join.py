@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.buffer.lru import LRUBuffer
+from repro.buffer.pool import BufferPool
 from repro.disk.allocator import PageAllocator
 from repro.disk.model import DiskModel
 from repro.errors import ConfigurationError
@@ -44,7 +44,7 @@ def brute_force_pairs(objs_r, objs_s) -> set[tuple[int, int]]:
 class TestMBRJoin:
     def test_matches_brute_force(self):
         org_r, org_s, objs_r, objs_s = join_pair("secondary")
-        join = MBRJoin(org_r.tree, org_s.tree, org_r.disk, LRUBuffer(64))
+        join = MBRJoin(org_r.tree, org_s.tree, BufferPool(org_r.disk, capacity=64))
         got = {
             (er.oid, es.oid)
             for _, _, pairs in join.run()
@@ -57,7 +57,7 @@ class TestMBRJoin:
         disk = DiskModel()
         t1, t2 = RStarTree(max_entries=4), RStarTree(max_entries=4)
         t1.insert(1, Rect(0, 0, 1, 1))
-        join = MBRJoin(t1, t2, disk, LRUBuffer(8))
+        join = MBRJoin(t1, t2, BufferPool(disk, capacity=8))
         assert list(join.run()) == []
 
     def test_unequal_heights(self):
@@ -80,7 +80,7 @@ class TestMBRJoin:
             rects2.append(r)
             t2.insert(i, r)
         assert t1.height > t2.height
-        join = MBRJoin(t1, t2, disk, LRUBuffer(64))
+        join = MBRJoin(t1, t2, BufferPool(disk, capacity=64))
         got = {(er.oid, es.oid) for _, _, ps in join.run() for er, es in ps}
         want = {
             (i, j)
@@ -95,7 +95,7 @@ class TestMBRJoin:
         costs = {}
         for pages in (4, 256):
             disk_before = org_r.disk.stats()
-            join = MBRJoin(org_r.tree, org_s.tree, org_r.disk, LRUBuffer(pages))
+            join = MBRJoin(org_r.tree, org_s.tree, BufferPool(org_r.disk, capacity=pages))
             for _ in join.run():
                 pass
             costs[pages] = (org_r.disk.stats() - disk_before).total_ms
@@ -103,7 +103,7 @@ class TestMBRJoin:
 
     def test_groups_are_leaf_level(self):
         org_r, org_s, _, _ = join_pair("secondary", n=100)
-        join = MBRJoin(org_r.tree, org_s.tree, org_r.disk, LRUBuffer(64))
+        join = MBRJoin(org_r.tree, org_s.tree, BufferPool(org_r.disk, capacity=64))
         for leaf_r, leaf_s, pairs in join.run():
             assert leaf_r.is_leaf and leaf_s.is_leaf
             assert pairs
@@ -116,12 +116,14 @@ class TestObjectTransfer:
     def test_invalid_technique(self):
         org_r, _, _, _ = join_pair("secondary", n=20)
         with pytest.raises(ConfigurationError):
-            ObjectTransfer(org_r, org_r.disk, LRUBuffer(8), technique="bogus")
+            ObjectTransfer(
+                org_r, BufferPool(org_r.disk, capacity=8), technique="bogus"
+            )
 
     def test_secondary_buffer_hit_avoids_io(self):
         org_r, org_s, objs_r, _ = join_pair("secondary", n=50)
-        buf = LRUBuffer(512)
-        transfer = ObjectTransfer(org_r, org_r.disk, buf)
+        pool = BufferPool(org_r.disk, capacity=512)
+        transfer = ObjectTransfer(org_r, pool)
         leaf = next(org_r.tree.leaves())
         entries = leaf.entries[:3]
         transfer.fetch_group(leaf, entries)
@@ -132,8 +134,8 @@ class TestObjectTransfer:
 
     def test_cluster_complete_reads_whole_unit_once(self):
         org_r, org_s, _, _ = join_pair("cluster", n=80)
-        buf = LRUBuffer(512)
-        transfer = ObjectTransfer(org_r, org_r.disk, buf, technique="complete")
+        pool = BufferPool(org_r.disk, capacity=512)
+        transfer = ObjectTransfer(org_r, pool, technique="complete")
         leaf = next(org_r.tree.leaves())
         unit = leaf.tag
         before = org_r.disk.stats()
@@ -150,17 +152,17 @@ class TestObjectTransfer:
         results = {}
         for technique in ("read", "vector"):
             org_r, _, _, _ = join_pair("cluster", n=80)
-            buf = LRUBuffer(4096)
-            transfer = ObjectTransfer(org_r, org_r.disk, buf, technique=technique)
+            pool = BufferPool(org_r.disk, capacity=4096)
+            transfer = ObjectTransfer(org_r, pool, technique=technique)
             leaf = next(org_r.tree.leaves())
             transfer.fetch_group(leaf, leaf.entries[:2])
-            results[technique] = len(buf)
+            results[technique] = len(pool)
         assert results["vector"] <= results["read"]
 
     def test_optimum_transfers_only_requested(self):
         org_r, _, _, _ = join_pair("cluster", n=80)
-        buf = LRUBuffer(512)
-        transfer = ObjectTransfer(org_r, org_r.disk, buf, technique="optimum")
+        pool = BufferPool(org_r.disk, capacity=512)
+        transfer = ObjectTransfer(org_r, pool, technique="optimum")
         leaf = next(org_r.tree.leaves())
         unit = leaf.tag
         oid = leaf.entries[0].oid
@@ -172,8 +174,8 @@ class TestObjectTransfer:
 
     def test_primary_inline_needs_only_data_page(self):
         org_r, _, objs_r, _ = join_pair("primary", n=60)
-        buf = LRUBuffer(512)
-        transfer = ObjectTransfer(org_r, org_r.disk, buf)
+        pool = BufferPool(org_r.disk, capacity=512)
+        transfer = ObjectTransfer(org_r, pool)
         leaf = next(org_r.tree.leaves())
         inline_entries = [
             e for e in leaf.entries if org_r.is_inline(e.oid)

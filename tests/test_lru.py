@@ -7,7 +7,7 @@ from collections import OrderedDict
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.buffer.lru import LRUBuffer
+from repro.buffer import LRUBuffer
 from repro.errors import ConfigurationError
 
 

@@ -198,26 +198,11 @@ class TestTracerUnits:
             assert t.open_spans() == [s]
         assert s.end_ms is not None
 
-    def test_register_store_devices_names(self):
+    def test_single_disk_is_disk0(self):
         single = DiskModel()
         t = Tracer()
         register_store_devices(t, single)
         assert t.device_track(single) == "disk0"
-
-        db = SpatialDatabase(smax_bytes=SMAX, n_disks=3)
-        t2 = Tracer()
-        register_store_devices(t2, db.disk)
-        assert [t2.device_track(d) for d in db.disk.disks] == [
-            "disk0", "disk1", "disk2",
-        ]
-
-        tiered = SpatialDatabase(
-            smax_bytes=SMAX, tiering="promote-on-hit", fast_pages=64
-        )
-        t3 = Tracer()
-        register_store_devices(t3, tiered.disk)
-        assert t3.device_track(tiered.disk.fast) == "tier.fast"
-        assert t3.device_track(tiered.disk.capacity) == "tier.capacity"
 
     def test_module_sink_disabled_by_default(self):
         from repro.obs import trace as obs_trace
@@ -225,6 +210,70 @@ class TestTracerUnits:
         assert obs_trace.ACTIVE is None
         disk = DiskModel()
         disk.read(0, 4)  # must not record anywhere or raise
+
+
+# ----------------------------------------------------------------------
+# device names: one source (the store's device_labels()), three readers
+# ----------------------------------------------------------------------
+class TestDeviceNaming:
+    @pytest.mark.parametrize(
+        "config, labels",
+        [
+            (dict(n_disks=4), ["0", "1", "2", "3"]),
+            (dict(tiering="static", fast_pages=8), ["fast", "capacity"]),
+            (
+                dict(tiering="promote-on-hit", fast_pages=8, n_disks=2),
+                ["fast-0", "fast-1", "capacity-0", "capacity-1"],
+            ),
+        ],
+    )
+    def test_tracks_gauges_and_write_counters_agree(self, config, labels):
+        db = SpatialDatabase(smax_bytes=SMAX, **config)
+        objects = make_objects(120, seed=31)
+        db.build(objects[:-1])
+        assert db.disk.device_labels() == labels
+        tracks = [("disk" if label.isdigit() else "tier.") + label for label in labels]
+        tracer = Tracer()
+        register_store_devices(tracer, db.disk)
+        assert [tracer.device_track(d) for d in db.disk.disks] == tracks
+        with tracing(tracer):
+            db.insert(objects[-1])
+            db.window_query(0.0, 0.0, 10_000.0, 10_000.0)
+        # No span fell onto an auto-named track.
+        assert list(tracer.device_tracks) == tracks
+        assert tracer.device_totals() and set(tracer.device_totals()) <= set(tracks)
+
+        def disk_labels(name):
+            return {
+                m.labels["disk"] for m in db.metrics
+                if m.name == name and "disk" in m.labels
+            }
+
+        assert disk_labels("store.device_ms") == set(labels)
+        # Write counters appear per device written to (write-through
+        # tiering never writes the fast tier), under the same labels.
+        written = disk_labels("write.device_ms")
+        assert written and written <= set(labels)
+
+    def test_file_backed_database_traces_onto_disk0(self, tmp_path):
+        """The tracer used to name the ``FilePageStore`` while pricing
+        happened on its inner model: ``disk0`` stayed empty and every
+        span landed on an auto-named ``disk1``."""
+        db = SpatialDatabase(smax_bytes=SMAX)
+        db.build(make_objects(120, seed=31))
+        path = str(tmp_path / "spatial.db")
+        db.save(path)
+        live = SpatialDatabase.open(path, backing="file")
+        try:
+            tracer = Tracer()
+            register_store_devices(tracer, live.disk)
+            with tracing(tracer):
+                result = live.window_query(0.0, 0.0, 10_000.0, 10_000.0)
+        finally:
+            live.close()
+        assert result.io.total_ms > 0.0
+        assert tracer.device_tracks == ("disk0",)
+        assert tracer.device_totals() == {"disk0": result.io.total_ms}
 
 
 # ----------------------------------------------------------------------

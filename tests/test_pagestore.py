@@ -7,7 +7,7 @@ import pytest
 from repro.buffer.pool import BufferPool
 from repro.database import SpatialDatabase
 from repro.disk.extent import Extent
-from repro.disk.model import DiskModel, DiskStats
+from repro.disk.model import DiskModel
 from repro.disk.params import DiskParameters
 from repro.errors import ConfigurationError
 from repro.geometry.rect import Rect
@@ -19,18 +19,12 @@ from repro.pagestore.placement import (
     SpatialPlacement,
     make_placement,
 )
-from repro.pagestore.store import PageStore, ShardedPageStore, VectoredCost
+from repro.pagestore.store import ShardedPageStore, VectoredCost
 
 from tests.conftest import make_objects
 
 
 class TestProtocol:
-    def test_diskmodel_is_the_single_disk_backend(self):
-        assert isinstance(DiskModel(), PageStore)
-
-    def test_sharded_store_conforms(self):
-        assert isinstance(ShardedPageStore(4), PageStore)
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             ShardedPageStore(0)
@@ -441,104 +435,3 @@ class TestDatabaseIntegration:
         assert 0.0 < window.response_ms <= window.io.total_ms + 1e-9
         assert window.parallelism >= 1.0
         assert "response ms" in report.format()
-
-
-class TestResetEpoch:
-    """Regression: a snapshot taken before reset() must not make
-    cost_since / stats_since go negative — the reset bumps the store's
-    epoch and stale markers measure from zero."""
-
-    def test_cost_since_after_reset_is_non_negative(self):
-        store = ShardedPageStore(4, placement="round_robin")
-        store.read(0, 8)
-        store.read(100, 8)
-        stale = store.snapshot()
-        store.reset()
-        cost = store.cost_since(stale)
-        assert cost.total_ms == 0.0
-        assert cost.response_ms == 0.0
-        store.read(0, 4)
-        cost = store.cost_since(stale)
-        assert cost.total_ms > 0.0
-        assert cost.response_ms >= 0.0
-        assert all(ms >= 0.0 for ms in cost.per_disk_ms)
-
-    def test_stats_since_after_reset_counts_from_zero(self):
-        store = ShardedPageStore(2)
-        store.read(0, 16)
-        stale = store.snapshot()
-        store.reset()
-        store.read(0, 4)
-        stats = store.stats_since(stale)
-        assert stats.requests >= 1
-        assert stats.pages_transferred == 4
-        assert stats.total_ms > 0.0
-
-    def test_reset_clears_heads_and_stats_coherently(self):
-        store = ShardedPageStore(2, placement="round_robin", chunk_pages=1)
-        store.read(0, 4)  # both arms positioned
-        store.reset()
-        assert store.total_ms == 0.0
-        assert store.response_ms == 0.0
-        for disk in store.disks:
-            assert disk.head is None
-            assert disk.stats() == DiskStats()
-        # Post-reset snapshots measure normally again.
-        snap = store.snapshot()
-        store.read(0, 2)
-        assert store.cost_since(snap).total_ms > 0.0
-
-    def test_fresh_snapshot_unaffected_by_epoch_guard(self):
-        store = ShardedPageStore(2)
-        store.reset()
-        snap = store.snapshot()
-        store.read(0, 2)
-        delta = store.stats_since(snap)
-        assert delta.pages_transferred == 2
-
-
-class TestSnapshotShape:
-    """Regression (PR 5): ``stats_since`` / ``cost_since`` used to
-    truncate silently via ``zip`` when handed a snapshot from a store
-    with a different disk count — a plausible-looking but wrong
-    measurement.  A shape mismatch is now a configuration error."""
-
-    def test_mismatched_disk_count_rejected(self):
-        four = ShardedPageStore(4)
-        two = ShardedPageStore(2)
-        foreign = two.snapshot()
-        with pytest.raises(ConfigurationError):
-            four.stats_since(foreign)
-        with pytest.raises(ConfigurationError):
-            four.cost_since(foreign)
-
-    def test_single_disk_marker_rejected(self):
-        store = ShardedPageStore(2)
-        with pytest.raises(ConfigurationError):
-            store.stats_since(DiskModel().snapshot())
-        with pytest.raises(ConfigurationError):
-            store.cost_since(DiskStats())
-
-    def test_garbage_rejected(self):
-        store = ShardedPageStore(2)
-        with pytest.raises(ConfigurationError):
-            store.stats_since(None)
-        with pytest.raises(ConfigurationError):
-            store.cost_since([DiskStats(), "not stats"])
-
-    def test_matching_snapshot_still_measures(self):
-        store = ShardedPageStore(2, placement="round_robin", chunk_pages=1)
-        snap = store.snapshot()
-        store.read(0, 2)
-        assert store.stats_since(snap).pages_transferred == 2
-        cost = store.cost_since(snap)
-        assert cost.total_ms > 0.0
-        assert len(cost.per_disk_ms) == 2
-
-    def test_plain_list_of_matching_stats_accepted(self):
-        # Compatibility: a bare list[DiskStats] of the right shape
-        # (what snapshot() returned before the epoch marker) works.
-        store = ShardedPageStore(2, placement="round_robin", chunk_pages=1)
-        snap = [DiskStats(), DiskStats()]
-        store.read(0, 1)
-        assert store.stats_since(snap).requests == 1

@@ -17,7 +17,6 @@ from repro.pagestore import (
     FAST_TIER_PARAMS,
     MIGRATIONS,
     WRITE_POLICIES,
-    ShardedPageStore,
     TieredPageStore,
 )
 
@@ -46,7 +45,6 @@ class TestConstruction:
         assert store.migration in MIGRATIONS
         assert store.params == SLOW
         assert store.fast_params == FAST
-        assert store.n_disks == 2
         assert [d.params for d in store.disks] == [FAST, SLOW]
 
 
@@ -271,14 +269,6 @@ class TestWriteBack:
 
 
 class TestMeasurementSurface:
-    def test_snapshot_shape_is_validated(self):
-        store = TieredPageStore(8)
-        other = ShardedPageStore(4)
-        with pytest.raises(ConfigurationError):
-            store.stats_since(other.snapshot())
-        with pytest.raises(ConfigurationError):
-            store.cost_since(DiskModel().snapshot())
-
     def test_cost_since_separates_response_and_device(self):
         store = TieredPageStore(1, migration="static")
         store.write(0, 2)  # one page per tier
@@ -291,15 +281,6 @@ class TestMeasurementSurface:
             fresh_read_ms(SLOW, 1) + fresh_read_ms(FAST, 1)
         )
         assert cost.parallelism > 1.0
-
-    def test_reset_epoch_invalidates_old_snapshots(self):
-        store = TieredPageStore(8)
-        store.write(0, 4)
-        stale = store.snapshot()
-        store.reset()
-        assert store.stats_since(stale).total_ms == 0.0
-        store.read(0, 1)
-        assert store.cost_since(stale).total_ms > 0.0
 
     def test_stats_aggregate_both_tiers(self):
         store = TieredPageStore(2, migration="static")
@@ -332,7 +313,7 @@ class TestDatabaseWiring:
         )
         assert isinstance(db.disk, TieredPageStore)
         # Each tier is itself declustered over 4 arms.
-        assert all(len(tier.disks) == 4 for tier in db.disk.tiers)
+        assert all(len(tier.disks) == 4 for tier in db.disk.children)
         assert len(db.disk.disks) == 8
 
     def test_ready_tiered_store_excludes_sharding(self):

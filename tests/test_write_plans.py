@@ -259,7 +259,7 @@ class TestTieredOverSharded:
             assert sorted(
                 o.oid for o in composed.window_query(*window).objects
             ) == sorted(o.oid for o in flat.window_query(*window).objects)
-        assert all(len(tier.disks) == 4 for tier in composed.disk.tiers)
+        assert all(len(tier.disks) == 4 for tier in composed.disk.children)
 
     def test_write_back_copy_backs_priced_through_tiers(self):
         from repro.pagestore import TieredPageStore
