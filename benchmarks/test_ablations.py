@@ -9,8 +9,10 @@ choice of the cluster organization and quantifies it.
   reinsertion physically moves objects between cluster units;
 * buddy size-set cardinality — the paper restricts the buddy system to
   3 sizes; what do 1, 2, 4 buy?
-* SLM gap length — the read-schedule rule ``l = tl/tt - 1/2``;
-* multi-disk declustering — the Section 7 outlook.
+* SLM gap length — the read-schedule rule ``l = tl/tt - 1/2``.
+
+(Multi-disk declustering, the Section 7 outlook, runs on the live stack
+in ``test_pagestore_decluster.py``.)
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from repro.core.techniques import slm_schedule
 from repro.disk.params import DiskParameters
 from repro.eval.metrics import run_window_queries
 from repro.eval.report import format_table
-from repro.parallel.decluster import ParallelClusterReader
 
 from benchmarks.conftest import once
 
@@ -269,37 +270,3 @@ def test_ablation_adaptive_technique(ctx, benchmark, record_table):
         assert adaptive <= min(complete, threshold) * 1.05
         # ...and respects the lower bound.
         assert optimum <= adaptive * 1.001
-
-
-def test_ablation_parallel_declustering(ctx, benchmark, record_table):
-    """Section 7 future work: window-query response time over 1-8 disks
-    with round-robin vs spatial declustering."""
-
-    def run():
-        org = build_cluster(ctx, "A-1")
-        windows = ctx.windows("A-1", 1e-2)
-        base = ParallelClusterReader(org, 1).workload_response_ms(windows)
-        rows = []
-        for n_disks in (1, 2, 4, 8):
-            speedups = []
-            for policy in ("round_robin", "spatial"):
-                reader = ParallelClusterReader(org, n_disks, policy=policy)
-                speedups.append(base / reader.workload_response_ms(windows))
-            rows.append((n_disks, *speedups))
-        return rows
-
-    rows = once(benchmark, run)
-    record_table(
-        "ablation_parallel_declustering",
-        format_table(
-            ["disks", "round-robin speedup", "spatial speedup"],
-            rows,
-            title="Extension — multi-disk declustering (A-1, 1% windows)",
-        ),
-    )
-    # Spatial declustering scales at least as well as round-robin and
-    # actually helps beyond one disk.
-    for n_disks, rr, spatial in rows:
-        assert spatial >= rr * 0.95
-        if n_disks >= 4:
-            assert spatial > 1.5

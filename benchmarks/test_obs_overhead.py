@@ -25,9 +25,11 @@ import time
 
 from repro.data.tiger import generate_map
 from repro.data.workload import window_workload
-from repro.database import SpatialDatabase
+from repro.database import Layout, SpatialDatabase
+from repro.disk.allocator import PageAllocator
 from repro.disk.model import DiskModel, _Request
 from repro.iosched.scheduler import SyncScheduler
+from repro.obs.metrics import MetricsRegistry
 
 
 class BareDisk(DiskModel):
@@ -93,10 +95,20 @@ class BareSync(SyncScheduler):
 def _build(ctx, bare: bool) -> SpatialDatabase:
     spec = ctx.config.spec("A-1")
     objects = generate_map(spec, seed=ctx.config.seed)
-    kwargs = dict(smax_bytes=spec.smax_bytes)
     if bare:
-        kwargs.update(_disk=BareDisk(), scheduler=BareSync())
-    db = SpatialDatabase(**kwargs)
+        # The bare disk is no constructor knob: hand the parts to the
+        # entry attach and the catalog loader build through.
+        db = SpatialDatabase._from_parts(
+            Layout(smax_bytes=spec.smax_bytes),
+            "db",
+            BareDisk(),
+            PageAllocator(),
+            BareSync(),
+            None,
+            MetricsRegistry(),
+        )
+    else:
+        db = SpatialDatabase(smax_bytes=spec.smax_bytes)
     db.build(objects)
     return db
 

@@ -1,11 +1,9 @@
 """Declustering ablation: the sharded page store behind the buffer pool.
 
-Where ``test_ablations.py::test_ablation_parallel_declustering`` prices
-the dedicated :class:`~repro.parallel.decluster.ParallelClusterReader`
-(one access path, explicit unit deal), this ablation measures the
-*dynamic* configuration — ``SpatialDatabase(n_disks=..., placement=...)``
-— where the whole storage stack (construction, R*-tree pager, unit and
-oversize transfers) runs over the sharded store and cluster units are
+The Section 7 outlook (multi-disk parallel cluster organizations) run on
+the live stack: ``SpatialDatabase(n_disks=..., placement=...)``, where
+the whole storage path (construction, R*-tree pager, unit and oversize
+transfers) runs over the sharded store and cluster units are
 declustered by the Hilbert-on-extent placement at allocation time.
 
 Reported per configuration: window-query device time (summed over the
@@ -95,59 +93,3 @@ def test_pagestore_declustering(ctx, benchmark, record_table):
     assert spatial4[3] <= by_config[(4, "round_robin")][3] * 1.05
     assert spatial4[3] <= by_config[(4, "hash")][3] * 1.05
     assert spatial4[2] <= by_config[(4, "round_robin")][2]
-
-
-def test_pagestore_adapter_matches_dedicated_reader(ctx, benchmark, record_table):
-    """The re-expressed ParallelClusterReader (now a thin adapter over
-    ShardedPageStore) must price a window workload exactly like a
-    hand-rolled per-unit deal over a private disk bank — the numbers the
-    original implementation reported."""
-    from repro.disk.model import DiskModel
-    from repro.parallel.decluster import ParallelClusterReader
-
-    org = ctx.org("cluster", "A-1")
-    windows = ctx.windows("A-1", 1e-2)
-
-    def run():
-        rows = []
-        for n_disks in (2, 4):
-            reader = ParallelClusterReader(org, n_disks, policy="spatial")
-            # Reference: replay the same unit deal on bare disks.
-            disks = [DiskModel(org.disk.params) for _ in range(n_disks)]
-            expected_response = 0.0
-            expected_total = 0.0
-            for window in windows:
-                per_disk = [0.0] * n_disks
-                for leaf, entries in org.tree.window_leaves(window):
-                    unit = leaf.tag
-                    if unit is None or not entries:
-                        continue
-                    used = min(unit.used_pages, unit.extent.npages)
-                    if used == 0:
-                        continue
-                    disk = reader.disk_of(unit)
-                    per_disk[disk] += disks[disk].read(unit.extent.start, used)
-                expected_response += max(per_disk)
-                expected_total += sum(per_disk)
-            actual_response = reader.workload_response_ms(windows)
-            actual_total = reader.store.total_ms
-            rows.append(
-                (n_disks, actual_response, expected_response,
-                 actual_total, expected_total)
-            )
-        return rows
-
-    rows = once(benchmark, run)
-    record_table(
-        "ablation_pagestore_adapter",
-        format_table(
-            ["disks", "adapter response ms", "reference response ms",
-             "adapter device ms", "reference device ms"],
-            rows,
-            title="ParallelClusterReader adapter vs hand-rolled disk bank "
-                  "(A-1, 1% windows)",
-        ),
-    )
-    for _n, actual_r, expected_r, actual_t, expected_t in rows:
-        assert actual_r == expected_r
-        assert actual_t == expected_t

@@ -1,8 +1,8 @@
 """A spatial database over a sharded multi-disk page store.
 
-Where ``parallel_clustering.py`` declusters one built organization with
-a dedicated reader, this example turns on parallelism for the *whole*
-database: ``SpatialDatabase(n_disks=..., placement="spatial")`` puts a
+The Section 7 outlook — parallel cluster organizations over several
+disks — switched on for the *whole* database:
+``SpatialDatabase(n_disks=..., placement="spatial")`` puts a
 :class:`~repro.pagestore.store.ShardedPageStore` behind the buffer
 pool, so construction, window queries, point queries and the workload
 engine all run declustered — and every measurement separates the

@@ -30,7 +30,7 @@ from repro.constants import (
     TRANSFER_TIME_MS,
 )
 from repro.core import ClusterOrganization, ClusterPolicy, ClusterUnit
-from repro.database import SpatialDatabase
+from repro.database import ORGANIZATIONS, Layout, SpatialDatabase
 from repro.disk import DiskModel, DiskParameters, DiskStats
 from repro.errors import (
     AllocationError,
@@ -85,6 +85,8 @@ __version__ = "1.0.0"
 
 __all__ = [
     "SpatialDatabase",
+    "Layout",
+    "ORGANIZATIONS",
     "SpatialObject",
     "Rect",
     "Polyline",

@@ -203,6 +203,26 @@ class BufferPool:
         # whole stream back as one plan of streak-coalesced runs.
         self._flush_sink: list[int] | None = None
 
+    def sibling(
+        self, capacity: int, policy: str = "lru", label: str | None = None
+    ) -> "BufferPool":
+        """Another pool over this pool's store, scheduler, prefetcher
+        and allocator — how every caching pool beside an organization's
+        query pool is made (the workload engine's shared pool, the
+        join's own).  With a ``label`` the sibling publishes into this
+        pool's registry under it; without, into a private one (an
+        unlabelled pool per join would re-register ``pool.hits``)."""
+        return BufferPool(
+            self.disk,
+            capacity=capacity,
+            policy=policy,
+            scheduler=self.scheduler,
+            prefetcher=self.prefetcher,
+            allocator=self.allocator,
+            metrics=self.metrics if label else None,
+            metrics_label=label,
+        )
+
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------

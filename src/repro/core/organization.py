@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from repro.core.policy import ClusterPolicy
 from repro.core.techniques import (
-    TECHNIQUES,
     adaptive_prefers_complete,
+    check_technique,
     geometric_threshold,
     plan_complete,
     plan_optimum,
@@ -68,10 +68,7 @@ class ClusterOrganization(SpatialOrganization):
         R*-tree modification (a reinsertion physically moves objects
         between cluster units).  Enabling it is supported purely for the
         ablation study quantifying that design decision."""
-        if technique not in TECHNIQUES:
-            raise ConfigurationError(
-                f"unknown query technique '{technique}'; valid: {TECHNIQUES}"
-            )
+        check_technique(technique)
         self.policy = policy
         self.technique = technique
         self.leaf_reinsert = leaf_reinsert
@@ -156,56 +153,75 @@ class ClusterOrganization(SpatialOrganization):
     # ------------------------------------------------------------------
     # physical placement hooks
     # ------------------------------------------------------------------
-    def _new_unit(self, size_bytes: int, center=None) -> ClusterUnit:
-        """Allocate the physical unit for a cluster of ``size_bytes``
+    def _unit_pages(self, size_bytes: int) -> int:
+        """Pages of the physical unit for a cluster of ``size_bytes``
         (clamped to ``Smax``: a transiently overflowing cluster is
-        re-split immediately by the tree).  ``center`` is the spatial
-        placement hint handed to a sharded backing store."""
-        pages = max(1, -(-size_bytes // self.page_size))
-        pages = min(pages, self.policy.smax_pages)
-        unit = ClusterUnit(self._unit_alloc.allocate(pages), self.page_size)
-        self.pool.place_extent(unit.extent, center=center)
-        return unit
+        re-split immediately by the tree)."""
+        return min(max(1, self.pages_for(size_bytes)), self.policy.smax_pages)
+
+    def _new_unit(self, size_bytes: int, center=None) -> ClusterUnit:
+        """Allocate the physical unit for a cluster of ``size_bytes``;
+        ``center`` is the placement hint for a sharded backing store."""
+        extent = self._unit_alloc.allocate(self._unit_pages(size_bytes))
+        self.pool.place_extent(extent, center=center)
+        return ClusterUnit(extent, self.page_size)
 
     def _priced_pages(self, unit: ClusterUnit) -> int:
         """Used pages clamped to the physical extent (a unit may
         logically overflow for the single insert preceding its split)."""
         return min(unit.used_pages, unit.extent.npages)
 
-    def _rewrite_unit(self, unit: ClusterUnit) -> None:
-        """Compact a unit in place (read + write of its used pages)."""
-        used = self._priced_pages(unit)
-        if used:
-            self.pool.read(unit.extent.start, used)
+    def _maintenance_read(self, label: str, unit: ClusterUnit, span=None) -> None:
+        """Read a unit's used pages (or the relative ``(first, npages)``
+        span of one object) for maintenance, not a query: an access
+        plan on the pool's scheduler, priced like the ``pool.read`` it
+        replaces under sync and, under overlap, on the virtual clock and
+        seen by the admission policy.  Not through ``pool.submit``: a
+        unit about to be moved is no pattern to read ahead of."""
+        first, npages = span or (0, self._priced_pages(unit))
+        if npages:
+            plan = AccessPlan(label).read(unit.extent.start + first, npages)
+            self.pool.scheduler.execute(plan, self.pool)
+
+    def _move_unit(
+        self,
+        unit: ClusterUnit,
+        label: str,
+        size_bytes: int | None = None,
+        read: bool = True,
+    ) -> int:
+        """The one way a cluster unit is rewritten: read its used pages,
+        compact them, optionally trade the extent for one holding
+        ``size_bytes`` (re-placed at the owning data page's centre),
+        write the used pages back; returns the pages written.  ``None``
+        compacts in place; the buddy grow, the shrink after a split and
+        the reorganizer's relocation differ only in the size they ask
+        for.  The read goes out before any frame is dropped, so a
+        caching pool still serves it from its frames; ``read=False`` is
+        for the cluster split, which has read the unit already."""
+        if read:
+            self._maintenance_read(label, unit)
         unit.repack()
+        if size_bytes is not None:
+            pages = self._unit_pages(size_bytes)
+            self._drop_frames(unit.extent)
+            if self._unit_alloc.fits(unit.extent, pages):
+                self._unit_alloc.free(unit.extent)
+                unit.extent = self._unit_alloc.allocate(pages)
+            else:  # outgrown: a move the buddy allocator counts
+                unit.extent = self._unit_alloc.grow(unit.extent, pages)
+            center = unit.owner.mbr().center() if unit.owner is not None else None
+            self.pool.place_extent(unit.extent, center=center)
         used = self._priced_pages(unit)
         if used:
-            self.pool.submit(
-                AccessPlan("cluster.rewrite").write(unit.extent.start, used)
-            )
+            self.pool.submit(AccessPlan(label).write(unit.extent.start, used))
+        return used
 
     def _grow_unit(self, unit: ClusterUnit, needed_bytes: int) -> None:
-        """Move a unit into a larger buddy (Section 5.3.1): read it,
-        repack, reallocate, write it back."""
+        """Move a unit into a larger buddy (Section 5.3.1)."""
         if not isinstance(self._unit_alloc, BuddyAllocator):
             raise StorageError("only buddy-backed units can grow")
-        used = self._priced_pages(unit)
-        if used:
-            self.pool.read(unit.extent.start, used)
-        unit.repack()
-        pages = max(1, -(-needed_bytes // self.page_size))
-        pages = min(pages, self.policy.smax_pages)
-        self._drop_frames(unit.extent)
-        unit.extent = self._unit_alloc.grow(unit.extent, pages)
-        if unit.owner is not None:
-            self.pool.place_extent(
-                unit.extent, center=unit.owner.mbr().center()
-            )
-        used = self._priced_pages(unit)
-        if used:
-            self.pool.submit(
-                AccessPlan("cluster.grow").write(unit.extent.start, used)
-            )
+        self._move_unit(unit, "cluster.grow", needed_bytes)
 
     def _on_entry_added(self, leaf: Node, entry: Entry) -> None:
         """Step 3 of the insertion algorithm (Section 4.2.2): append the
@@ -221,8 +237,9 @@ class ClusterOrganization(SpatialOrganization):
         if old_unit is not None:
             # Relocation (deletion-time condensation moved the entry):
             # the object is read from its old unit and appended anew.
-            start, npages = old_unit.page_span(oid)
-            self.pool.read(old_unit.extent.start + start, npages)
+            self._maintenance_read(
+                "cluster.relocate", old_unit, old_unit.page_span(oid)
+            )
             old_unit.remove(oid)
             if not old_unit.live:
                 self._free_unit(old_unit)
@@ -235,7 +252,7 @@ class ClusterOrganization(SpatialOrganization):
 
         if not unit.fits(size):
             if unit.would_fit_after_repack(size):
-                self._rewrite_unit(unit)
+                self._move_unit(unit, "cluster.rewrite")
             elif (
                 isinstance(self._unit_alloc, BuddyAllocator)
                 and unit.live_bytes + size <= self.policy.smax_bytes
@@ -272,9 +289,7 @@ class ClusterOrganization(SpatialOrganization):
         """
         old_unit: ClusterUnit | None = old_leaf.tag
         if old_unit is not None and old_unit.live:
-            used = self._priced_pages(old_unit)
-            if used:
-                self.pool.read(old_unit.extent.start, used)
+            self._maintenance_read("cluster.split", old_unit)
 
         def in_unit_oids(leaf: Node) -> list[int]:
             return [
@@ -314,23 +329,14 @@ class ClusterOrganization(SpatialOrganization):
         old_leaf.tag = old_unit
         if isinstance(self._unit_alloc, BuddyAllocator):
             # Shrink into the smallest fitting buddy.
-            old_unit.repack()
-            pages = max(1, -(-old_unit.live_bytes // self.page_size))
+            pages = self._unit_pages(old_unit.live_bytes)
             target_level = self._unit_alloc.level_for(pages)
             if self._unit_alloc.sizes[target_level] < old_unit.extent.npages:
-                self._unit_alloc.free(old_unit.extent)
-                self._drop_frames(old_unit.extent)
-                old_unit.extent = self._unit_alloc.allocate(pages)
-                self.pool.place_extent(
-                    old_unit.extent, center=old_leaf.mbr().center()
+                self._move_unit(
+                    old_unit, "cluster.split", old_unit.live_bytes, read=False
                 )
-                used = self._priced_pages(old_unit)
-                if used:
-                    self.pool.submit(
-                        AccessPlan("cluster.split").write(
-                            old_unit.extent.start, used
-                        )
-                    )
+            else:
+                old_unit.repack()
 
     # ------------------------------------------------------------------
     # retrieval: the query techniques of Section 5.4

@@ -62,6 +62,14 @@ filter step already produced and picks the cheaper of a complete read
 and per-object access."""
 
 
+def check_technique(technique: str) -> None:
+    """Refuse a name that is not one of :data:`TECHNIQUES`."""
+    if technique not in TECHNIQUES:
+        raise ConfigurationError(
+            f"unknown query technique '{technique}'; valid: {TECHNIQUES}"
+        )
+
+
 def slm_schedule(requested: list[int], gap_pages: int) -> list[tuple[int, int]]:
     """Coalesce sorted distinct page indexes into read runs.
 

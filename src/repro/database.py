@@ -8,12 +8,14 @@ under ``examples/`` are written exclusively against this API.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Sequence
 
 from repro.buffer.pool import BufferPool
 from repro.constants import PAGE_CAPACITY, PAGE_SIZE
 from repro.core.organization import ClusterOrganization
 from repro.core.policy import ClusterPolicy, smax_bytes_for
+from repro.core.techniques import check_technique
 from repro.disk.allocator import PageAllocator
 from repro.disk.model import DiskModel, DiskStats
 from repro.disk.params import DiskParameters
@@ -22,12 +24,8 @@ from repro.geometry.feature import SpatialObject
 from repro.geometry.polyline import Polyline
 from repro.geometry.rect import Rect
 from repro.iosched.admission import admission_name, make_admission
-from repro.iosched.prefetch import make_prefetcher, prefetcher_name
-from repro.iosched.scheduler import (
-    OverlapScheduler,
-    make_scheduler,
-    scheduler_name,
-)
+from repro.iosched.prefetch import make_prefetcher
+from repro.iosched.scheduler import OverlapScheduler, make_scheduler
 from repro.join.multistep import JoinResult, spatial_join
 from repro.obs.metrics import MetricsRegistry
 from repro.pagestore.placement import make_placement
@@ -38,7 +36,121 @@ from repro.storage.base import QueryResult, SpatialOrganization
 from repro.storage.primary import PrimaryOrganization
 from repro.storage.secondary import SecondaryOrganization
 
-__all__ = ["SpatialDatabase"]
+__all__ = ["SpatialDatabase", "Layout", "ORGANIZATIONS"]
+
+#: The organization models of Sections 3.2 / 4 by name — the one place
+#: that says which exist (the order is what CLI help and errors print).
+ORGANIZATIONS: dict[str, type[SpatialOrganization]] = {
+    "secondary": SecondaryOrganization,
+    "primary": PrimaryOrganization,
+    "cluster": ClusterOrganization,
+}
+
+
+@dataclass(frozen=True)
+class Layout:
+    """How one relation is laid out on its disk — the paper's parameter
+    list, declared once.  The constructor, :meth:`SpatialDatabase.attach`,
+    the catalog (its config block is ``asdict(layout)``) and the figure
+    context all build a relation from one of these; a bad value, or one
+    the named organization has no use for, raises
+    :class:`~repro.errors.ConfigurationError` here, before anything is
+    built."""
+
+    #: ``"cluster"`` (default, the paper's contribution), ``"secondary"``
+    #: or ``"primary"`` — a key of :data:`ORGANIZATIONS`.
+    organization: str = "cluster"
+    #: Maximum cluster unit size (Section 4.2), in whole pages; required
+    #: for the cluster organization unless ``avg_object_size`` is given
+    #: (then the paper's ``Smax = 1.5 * M * S_obj`` rule resolves it
+    #: here).  Organizations without cluster units ignore both.
+    smax_bytes: int | None = None
+    #: Expected average object size used to derive ``Smax``.
+    avg_object_size: float | None = None
+    #: Window-query read technique of the cluster organization
+    #: (Section 5.4: ``complete`` / ``threshold`` / ``slm`` / ``page`` /
+    #: ``optimum``, and ``adaptive``); cluster only.
+    technique: str = "complete"
+    #: Number of buddy sizes for cluster-unit storage (Section 5.3.1;
+    #: ``None`` = fixed ``Smax`` extents, the paper's restricted system
+    #: uses 3); cluster only.
+    buddy_sizes: int | None = None
+    #: Page size in bytes and page capacity ``M`` (Section 5.1).
+    page_size: int = PAGE_SIZE
+    max_entries: int = PAGE_CAPACITY
+    #: Write-back buffer of the construction phase, in pages.
+    construction_buffer_pages: int = 256
+    #: Optional hard limit on the exact-representation size of inserted
+    #: objects; :class:`~repro.errors.ObjectTooLargeError` is raised
+    #: beyond it.  ``None`` (default) accepts any size — the cluster
+    #: organization stores objects beyond ``Smax`` in separate storage
+    #: units (footnote 1 of Section 4.2.2).
+    max_object_bytes: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.organization not in ORGANIZATIONS:
+            raise ConfigurationError(
+                f"unknown organization '{self.organization}'; valid: "
+                f"{', '.join(ORGANIZATIONS)}"
+            )
+        for knob, least in (
+            ("page_size", 1),
+            ("max_entries", 2),
+            ("construction_buffer_pages", 0),
+        ):
+            if getattr(self, knob) < least:
+                raise ConfigurationError(
+                    f"{knob} must be >= {least}, got {getattr(self, knob)}"
+                )
+        if self.max_object_bytes is not None and self.max_object_bytes <= 0:
+            raise ConfigurationError("max_object_bytes must be positive")
+        check_technique(self.technique)
+        if self.organization != "cluster":
+            if self.technique != "complete" or self.buddy_sizes is not None:
+                raise ConfigurationError(
+                    "technique and buddy_sizes configure cluster units; the "
+                    f"{self.organization} organization has none"
+                )
+            return
+        if self.smax_bytes is None:
+            if self.avg_object_size is None:
+                raise ConfigurationError(
+                    "the cluster organization needs smax_bytes or "
+                    "avg_object_size to size its cluster units"
+                )
+            smax = smax_bytes_for(
+                self.avg_object_size, self.max_entries, page_size=self.page_size
+            )
+            object.__setattr__(self, "smax_bytes", smax)
+        self.policy  # its checks: Smax in whole pages, buddy_sizes >= 1
+
+    @property
+    def policy(self) -> ClusterPolicy:
+        """The cluster-unit policy this layout describes."""
+        return ClusterPolicy(
+            self.smax_bytes, buddy_sizes=self.buddy_sizes, page_size=self.page_size
+        )
+
+    def build(
+        self, name, store, allocator, scheduler, prefetcher, metrics
+    ) -> SpatialOrganization:
+        """This layout's organization over ready parts — the one place
+        an organization class is instantiated."""
+        units = {}
+        if self.organization == "cluster":
+            units = dict(policy=self.policy, technique=self.technique)
+        return ORGANIZATIONS[self.organization](
+            disk=store,
+            allocator=allocator,
+            page_size=self.page_size,
+            max_entries=self.max_entries,
+            construction_buffer_pages=self.construction_buffer_pages,
+            region_prefix=name,
+            scheduler=scheduler,
+            prefetch=prefetcher,
+            metrics=metrics,
+            **units,
+        )
 
 
 class SpatialDatabase:
@@ -46,21 +158,9 @@ class SpatialDatabase:
 
     Parameters
     ----------
-    organization:
-        ``"cluster"`` (default, the paper's contribution),
-        ``"secondary"`` or ``"primary"``.
-    smax_bytes:
-        Maximum cluster unit size; required for the cluster organization
-        unless ``avg_object_size`` is given (then the paper's
-        ``Smax = 1.5 * M * S_obj`` rule applies).
-    avg_object_size:
-        Expected average object size used to derive ``Smax``.
-    technique:
-        Window-query read technique for the cluster organization
-        (``complete`` / ``threshold`` / ``slm`` / ``page`` / ``optimum``).
-    buddy_sizes:
-        Number of buddy sizes for cluster-unit storage (``None`` = fixed
-        ``Smax`` extents; the paper's restricted system uses 3).
+    organization, smax_bytes, avg_object_size, technique, buddy_sizes,
+    page_size, max_entries, construction_buffer_pages, max_object_bytes:
+        The relation's :class:`Layout`, field by field — see there.
     disk_params:
         Disk timing constants (defaults to the paper's 9/6/1 ms disk).
     n_disks:
@@ -83,9 +183,7 @@ class SpatialDatabase:
         paper's pricing) or ``"overlap"`` (simulated asynchronous
         completion on a virtual clock: requests overlap across disks
         and across concurrent client sessions).  Also accepts a ready
-        :class:`~repro.iosched.scheduler.IOScheduler` instance —
-        :meth:`attach` shares this database's instance so joined
-        relations run on one virtual clock.
+        :class:`~repro.iosched.scheduler.IOScheduler` instance.
     prefetch:
         Read-ahead policy fed by the coalescing scheduler's runs:
         ``None``/``"none"`` (default — no prefetching; keeps figures
@@ -106,23 +204,15 @@ class SpatialDatabase:
         paper's single disk, bit-identical pricing), a migration-policy
         name (``"static"`` / ``"promote-on-hit"`` / ``"lru-demote"``)
         building a :class:`~repro.pagestore.tiered.TieredPageStore`
-        with ``fast_pages`` / ``fast_params``, or a ready store.
-        Combined with ``n_disks > 1`` each tier is itself a
+        whose fast tier holds ``fast_pages`` pages of the 2 / 1 /
+        0.25 ms device of
+        :data:`~repro.pagestore.tiered.FAST_TIER_PARAMS`, or a ready
+        store.  Combined with ``n_disks > 1`` each tier is itself a
         declustered :class:`~repro.pagestore.store.ShardedPageStore`
         over ``n_disks`` arms (tiering composed over sharding).
     fast_pages:
         Fast-tier budget in pages when ``tiering`` names a policy
         (default 1024).
-    fast_params:
-        Fast-tier :class:`~repro.disk.params.DiskParameters` (default:
-        the 2 / 1 / 0.25 ms device of
-        :data:`~repro.pagestore.tiered.FAST_TIER_PARAMS`).
-    max_object_bytes:
-        Optional hard limit on the exact-representation size of inserted
-        objects; :class:`~repro.errors.ObjectTooLargeError` is raised
-        beyond it.  ``None`` (default) accepts any size — the cluster
-        organization stores objects beyond ``Smax`` in separate storage
-        units (footnote 1 of Section 4.2.2).
     name:
         Region prefix — give two databases on one shared disk distinct
         names (see :meth:`attach`).
@@ -158,122 +248,106 @@ class SpatialDatabase:
         admission=None,
         tiering=None,
         fast_pages: int = 1024,
-        fast_params=None,
         page_size: int = PAGE_SIZE,
         max_entries: int = PAGE_CAPACITY,
         construction_buffer_pages: int = 256,
         max_object_bytes: int | None = None,
         name: str = "db",
         metrics: MetricsRegistry | None = None,
-        _disk: "DiskModel | PageStore | None" = None,
-        _allocator: PageAllocator | None = None,
     ):
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        if max_object_bytes is not None and max_object_bytes <= 0:
-            raise ConfigurationError("max_object_bytes must be positive")
+        layout = Layout(
+            organization,
+            smax_bytes,
+            avg_object_size,
+            technique,
+            buddy_sizes,
+            page_size,
+            max_entries,
+            construction_buffer_pages,
+            max_object_bytes,
+        )
+        metrics = metrics if metrics is not None else MetricsRegistry()
         if n_disks < 1:
             raise ConfigurationError(f"need at least one disk, got {n_disks}")
+        if fast_pages < 1:
+            raise ConfigurationError(f"fast_pages must be >= 1, got {fast_pages}")
         if isinstance(tiering, TieredPageStore) and n_disks > 1:
             raise ConfigurationError(
                 "a ready TieredPageStore fixes its own tier backends; "
                 "compose sharded tiers by passing a migration-policy "
                 "name together with n_disks > 1 instead"
             )
+        # The declustering knobs are checked on the single-disk path
+        # too, so the one-disk control of an experiment fails as fast
+        # as the multi-disk treatment would.
+        make_placement(placement, chunk_pages)
+        scheduler = make_scheduler(scheduler)
+        prefetcher = make_prefetcher(prefetch)
+        admission = make_admission(admission)
+        if isinstance(scheduler, OverlapScheduler):
+            if scheduler.metrics is None:
+                scheduler.metrics = metrics
+            if admission is not None:
+                scheduler.admission = admission
+        elif admission is not None:
+            raise ConfigurationError(
+                "admission control needs scheduler='overlap' — "
+                "admission delays live on the virtual clock"
+            )
 
         def device(params: DiskParameters | None) -> PageStore:
-            """The whole store, or one tier of it: ``n_disks`` arms."""
-            if n_disks > 1:
-                return ShardedPageStore(
-                    n_disks,
-                    placement=placement,
-                    params=params,
-                    chunk_pages=chunk_pages,
-                )
-            # Validate the declustering knobs on the single-disk path
-            # too, so the one-disk control of an experiment fails as
-            # fast as the multi-disk treatment would.
-            make_placement(placement, chunk_pages)
-            # The paper's setting: one disk, priced bit-identically to
-            # every run before the pagestore layer existed.
-            return DiskModel(params)
+            """The whole store, or one tier of it: ``n_disks`` arms —
+            one is the paper's setting, a single disk priced
+            bit-identically to every run before the pagestore layer."""
+            if n_disks == 1:
+                return DiskModel(params)
+            return ShardedPageStore(
+                n_disks, placement=placement, params=params, chunk_pages=chunk_pages
+            )
 
-        if _disk is not None:
-            if tiering is not None:
-                raise ConfigurationError(
-                    "tiering cannot be combined with an attached disk; "
-                    "configure it on the owning database"
-                )
-            self.disk = _disk
-        elif isinstance(tiering, TieredPageStore):
-            self.disk = tiering
+        if isinstance(tiering, TieredPageStore):
+            store: PageStore = tiering
         elif tiering is None:
-            self.disk = device(disk_params)
+            store = device(disk_params)
         else:
             # Each tier is a device of its own: with n_disks > 1
             # placement spreads pages within a tier while migration
             # moves them between tiers (tiering over sharding).
-            self.disk = TieredPageStore(
+            store = TieredPageStore(
                 fast_pages,
                 migration=tiering,
-                metrics=self.metrics,
-                fast_store=device(fast_params or FAST_TIER_PARAMS),
+                metrics=metrics,
+                fast_store=device(FAST_TIER_PARAMS),
                 capacity_store=device(disk_params),
             )
-        self.allocator = _allocator or PageAllocator()
-        self.max_object_bytes = max_object_bytes
-        self.name = name
-        self.scheduler = make_scheduler(scheduler)
-        self.prefetcher = make_prefetcher(prefetch)
-        if (
-            isinstance(self.scheduler, OverlapScheduler)
-            and self.scheduler.metrics is None
-        ):
-            self.scheduler.metrics = self.metrics
-        self._register_device_gauges()
-        admission_policy = make_admission(admission)
-        if admission_policy is not None:
-            if not isinstance(self.scheduler, OverlapScheduler):
-                raise ConfigurationError(
-                    "admission control needs scheduler='overlap' — "
-                    "admission delays live on the virtual clock"
-                )
-            self.scheduler.admission = admission_policy
-        common = dict(
-            disk=self.disk,
-            allocator=self.allocator,
-            page_size=page_size,
-            max_entries=max_entries,
-            construction_buffer_pages=construction_buffer_pages,
-            region_prefix=name,
-            scheduler=self.scheduler,
-            prefetch=self.prefetcher,
-            metrics=self.metrics,
+        self._assemble(
+            layout, name, store, PageAllocator(), scheduler, prefetcher, metrics
         )
-        if organization == "cluster":
-            if smax_bytes is None:
-                if avg_object_size is None:
-                    raise ConfigurationError(
-                        "the cluster organization needs smax_bytes or "
-                        "avg_object_size to size its cluster units"
-                    )
-                smax_bytes = smax_bytes_for(
-                    avg_object_size, max_entries=max_entries, page_size=page_size
-                )
-            policy = ClusterPolicy(
-                smax_bytes, buddy_sizes=buddy_sizes, page_size=page_size
-            )
-            self.storage: SpatialOrganization = ClusterOrganization(
-                policy=policy, technique=technique, **common
-            )
-        elif organization == "secondary":
-            self.storage = SecondaryOrganization(**common)
-        elif organization == "primary":
-            self.storage = PrimaryOrganization(**common)
-        else:
-            raise ConfigurationError(
-                f"unknown organization '{organization}'; valid: "
-                f"cluster, secondary, primary"
-            )
+
+    def _assemble(
+        self, layout: Layout, name, store, allocator, scheduler, prefetcher, metrics
+    ) -> "SpatialDatabase":
+        """Where every builder ends — the constructor, :meth:`attach`
+        and the catalog loader: one relation laid out by ``layout``
+        over ready parts."""
+        self._layout = layout
+        self.name = name
+        self.disk = store
+        self.allocator = allocator
+        self.scheduler = scheduler
+        self.prefetcher = prefetcher
+        self.metrics = metrics
+        self._register_device_gauges()
+        self.storage = layout.build(
+            name, store, allocator, scheduler, prefetcher, metrics
+        )
+        return self
+
+    @classmethod
+    def _from_parts(cls, *parts) -> "SpatialDatabase":
+        """A database straight from :meth:`_assemble`'s parts — the
+        private entry of every builder that is not the constructor."""
+        return cls.__new__(cls)._assemble(*parts)
 
     # ------------------------------------------------------------------
     # construction
@@ -284,13 +358,10 @@ class SpatialDatabase:
         Raises :class:`~repro.errors.ObjectTooLargeError` when a
         ``max_object_bytes`` limit is configured and exceeded.
         """
-        if (
-            self.max_object_bytes is not None
-            and obj.size_bytes > self.max_object_bytes
-        ):
+        limit = self._layout.max_object_bytes
+        if limit is not None and obj.size_bytes > limit:
             raise ObjectTooLargeError(
-                f"object {obj.oid} has {obj.size_bytes} B, database limit "
-                f"is {self.max_object_bytes} B"
+                f"object {obj.oid} has {obj.size_bytes} B, database limit is {limit} B"
             )
         self.storage.insert(obj)
 
@@ -347,8 +418,6 @@ class SpatialDatabase:
             technique=technique,
             evaluate_exact=evaluate_exact,
             policy=policy,
-            scheduler=self.scheduler,
-            prefetch=self.prefetcher,
         )
 
     # ------------------------------------------------------------------
@@ -373,10 +442,7 @@ class SpatialDatabase:
         back with coalesced vectored transfers in a final ``flush``
         phase.  Returns a :class:`~repro.workload.engine.WorkloadReport`.
         """
-        from repro.workload.engine import WorkloadEngine
-
-        pool = self._workload_pool(buffer_pages, policy)
-        return WorkloadEngine(self.storage, pool).run(operations)
+        return self._engine(buffer_pages, policy).run(operations)
 
     def run_sessions(
         self,
@@ -401,10 +467,7 @@ class SpatialDatabase:
         each session's queueing delay and latency percentiles.
         Returns a :class:`~repro.workload.engine.SessionsReport`.
         """
-        from repro.workload.engine import WorkloadEngine
-
-        pool = self._workload_pool(buffer_pages, policy)
-        return WorkloadEngine(self.storage, pool).run_sessions(
+        return self._engine(buffer_pages, policy).run_sessions(
             sessions, admission=admission
         )
 
@@ -429,26 +492,22 @@ class SpatialDatabase:
         :class:`~repro.workload.engine.TrafficReport` with per-class
         latency percentiles and open-loop throughput.
         """
-        from repro.workload.engine import WorkloadEngine
-
-        pool = self._workload_pool(buffer_pages, policy)
-        return WorkloadEngine(self.storage, pool).run_traffic(
+        return self._engine(buffer_pages, policy).run_traffic(
             sessions, admission=admission
         )
 
     def _workload_pool(self, buffer_pages: int, policy: str) -> BufferPool:
-        """A caching pool on this database's disk, scheduler and
-        prefetcher (the workload/sessions engines' shared pool)."""
-        return BufferPool(
-            self.disk,
-            capacity=buffer_pages,
-            policy=policy,
-            scheduler=self.scheduler,
-            prefetcher=self.prefetcher,
-            allocator=self.allocator,
-            metrics=self.metrics,
-            metrics_label=f"{self.name}.workload",
+        """The workload/sessions engines' shared pool: a caching sibling
+        of the query pool."""
+        return self.storage.pool.sibling(
+            buffer_pages, policy, label=f"{self.name}.workload"
         )
+
+    def _engine(self, buffer_pages: int, policy: str):
+        """The workload engine over a fresh workload pool."""
+        from repro.workload.engine import WorkloadEngine
+
+        return WorkloadEngine(self.storage, self._workload_pool(buffer_pages, policy))
 
     # ------------------------------------------------------------------
     # persistence
@@ -479,12 +538,17 @@ class SpatialDatabase:
     ) -> "SpatialDatabase":
         """Reopen a saved database, recovering the last committed epoch.
 
-        ``backing="sim"`` (default) rebuilds over a fresh simulated
-        disk with the saved timing constants — query answers and priced
-        I/O match the database that was saved.  ``backing="file"``
-        keeps the file as the live backing store: reads are priced
-        *and* really performed (checksum-verified) against the page
-        image.  See :func:`repro.storage.serial.open_database`.
+        An image holds the relation's :class:`Layout`, its placement
+        catalog and the disk's timing constants.  Devices, scheduler,
+        prefetcher and admission belong to whoever opens it: the
+        reopened database is single-disk and ``sync``, so its answers
+        match the database that was saved and its priced I/O matches a
+        single-disk database with those constants.  ``backing="sim"``
+        (default) rebuilds over a fresh simulated disk;
+        ``backing="file"`` keeps the file as the live backing store:
+        reads are priced *and* really performed (checksum-verified)
+        against the page image.  See
+        :func:`repro.storage.serial.open_database`.
         """
         from repro.storage.serial import open_database
 
@@ -503,21 +567,25 @@ class SpatialDatabase:
         if close is not None:
             close()
 
-    def attach(self, name: str, **kwargs) -> "SpatialDatabase":
+    def attach(self, name: str, **knobs) -> "SpatialDatabase":
         """A second database (relation) on this database's disk — the
-        setup a spatial join needs.  The attached database shares this
-        database's I/O scheduler (one virtual clock) unless the caller
-        overrides ``scheduler=``/``prefetch=``."""
+        setup a spatial join needs (Section 6.1).  ``knobs`` are the
+        fields of the relation's :class:`Layout`; disk, allocator,
+        scheduler (one virtual clock), prefetcher and metrics registry
+        are this database's own, so no device or I/O-path knob is
+        accepted here."""
         if name == self.name:
             raise ConfigurationError(
                 f"attached database needs a name different from '{self.name}'"
             )
-        kwargs.setdefault("scheduler", self.scheduler)
-        kwargs.setdefault("prefetch", self.prefetcher)
-        kwargs.setdefault("metrics", self.metrics)
-        return SpatialDatabase(
-            name=name, _disk=self.disk, _allocator=self.allocator, **kwargs
-        )
+        stray = knobs.keys() - {field.name for field in fields(Layout)}
+        if stray:
+            raise ConfigurationError(
+                f"attach() takes the relation's layout only; {sorted(stray)} "
+                f"configure the disk and I/O path '{self.name}' already owns"
+            )
+        parts = self.disk, self.allocator, self.scheduler, self.prefetcher, self.metrics
+        return self._from_parts(Layout(**knobs), name, *parts)
 
     # ------------------------------------------------------------------
     # introspection
@@ -553,6 +621,15 @@ class SpatialDatabase:
             reset_sched()
         self.metrics.reset_stats()
 
+    @property
+    def layout(self) -> Layout:
+        """This relation's :class:`Layout` as it stands: the figure
+        drivers switch ``storage.technique`` on a built organization,
+        so the technique is read live."""
+        if isinstance(self.storage, ClusterOrganization):
+            return replace(self._layout, technique=self.storage.technique)
+        return self._layout
+
     def io_stats(self) -> DiskStats:
         """Cumulative I/O statistics of the backing store (device time,
         summed over the disks when sharded)."""
@@ -562,16 +639,6 @@ class SpatialDatabase:
     def n_disks(self) -> int:
         """Number of independent disks behind the buffer pool."""
         return len(self.disk.disks)
-
-    @property
-    def io_scheduler(self) -> str:
-        """Name of the I/O scheduler servicing access plans."""
-        return scheduler_name(self.scheduler)
-
-    @property
-    def prefetch_policy(self) -> str:
-        """Name of the prefetch policy ('none' when disabled)."""
-        return prefetcher_name(self.prefetcher)
 
     @property
     def admission_policy(self) -> str:

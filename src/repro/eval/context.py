@@ -10,33 +10,22 @@ most once.
 
 from __future__ import annotations
 
-from repro.core.organization import ClusterOrganization
-from repro.core.policy import ClusterPolicy
 from repro.data.calibrate import (
     PAIRS_PER_OBJECT_VERSION_B,
     calibrate_expansion,
 )
 from repro.data.tiger import generate_map
 from repro.data.workload import point_workload, window_workload
-from repro.disk.allocator import PageAllocator
-from repro.disk.model import DiskModel
+from repro.database import ORGANIZATIONS, SpatialDatabase
 from repro.errors import ConfigurationError
 from repro.eval.config import ExperimentConfig
 from repro.geometry.feature import SpatialObject
 from repro.geometry.rect import Rect
 from repro.storage.base import SpatialOrganization
-from repro.storage.primary import PrimaryOrganization
-from repro.storage.secondary import SecondaryOrganization
 
 __all__ = ["ExperimentContext", "ORG_NAMES"]
 
-ORG_NAMES = ("secondary", "primary", "cluster")
-
-_ORG_CLASSES = {
-    "secondary": SecondaryOrganization,
-    "primary": PrimaryOrganization,
-    "cluster": ClusterOrganization,
-}
+ORG_NAMES = tuple(ORGANIZATIONS)
 
 
 class ExperimentContext:
@@ -125,33 +114,18 @@ class ExperimentContext:
     # ------------------------------------------------------------------
     # organizations
     # ------------------------------------------------------------------
-    def _make_org(
-        self,
-        org_name: str,
-        series_key: str,
-        disk: DiskModel,
-        allocator: PageAllocator,
-        region_prefix: str,
-        buddy_sizes: int | None,
-        smax_bytes: int | None,
-    ) -> SpatialOrganization:
-        spec = self.config.spec(series_key)
-        cls = _ORG_CLASSES.get(org_name)
-        if cls is None:
-            raise ConfigurationError(
-                f"unknown organization '{org_name}'; valid: {ORG_NAMES}"
-            )
-        kwargs = dict(
-            disk=disk,
-            allocator=allocator,
-            region_prefix=region_prefix,
+    def _knobs(
+        self, org_name: str, series_key: str, smax_bytes: int | None = None, **knobs
+    ) -> dict:
+        """Layout knobs of one series' relation: Table 1's ``Smax``
+        unless told otherwise (the organizations without cluster units
+        ignore it)."""
+        return dict(
+            organization=org_name,
+            smax_bytes=smax_bytes or self.config.spec(series_key).smax_bytes,
             construction_buffer_pages=self.config.construction_buffer_pages,
+            **knobs,
         )
-        if cls is ClusterOrganization:
-            kwargs["policy"] = ClusterPolicy(
-                smax_bytes or spec.smax_bytes, buddy_sizes=buddy_sizes
-            )
-        return cls(**kwargs)
 
     def org(
         self,
@@ -164,15 +138,10 @@ class ExperimentContext:
         key = (org_name, series_key, buddy_sizes, smax_bytes)
         cached = self._orgs.get(key)
         if cached is None:
-            cached = self._make_org(
-                org_name,
-                series_key,
-                DiskModel(),
-                PageAllocator(),
-                f"{org_name}.{series_key}",
-                buddy_sizes,
-                smax_bytes,
-            )
+            cached = SpatialDatabase(
+                name=f"{org_name}.{series_key}",
+                **self._knobs(org_name, series_key, smax_bytes, buddy_sizes=buddy_sizes),
+            ).storage
             cached.build(self.objects(series_key))
             self._orgs[key] = cached
         return cached
@@ -190,16 +159,12 @@ class ExperimentContext:
         cached = self._join_pairs.get(key)
         if cached is None:
             expansion = self.version_expansion(series_r, series_s, version)
-            disk = DiskModel()
-            allocator = PageAllocator()
-            org_r = self._make_org(
-                org_name, series_r, disk, allocator, f"r.{org_name}", None, None
+            db_r = SpatialDatabase(
+                name=f"r.{org_name}", **self._knobs(org_name, series_r)
             )
-            org_s = self._make_org(
-                org_name, series_s, disk, allocator, f"s.{org_name}", None, None
-            )
-            org_r.build(self.objects(series_r, expansion))
-            org_s.build(self.objects(series_s, expansion))
-            cached = (org_r, org_s)
+            db_s = db_r.attach(f"s.{org_name}", **self._knobs(org_name, series_s))
+            db_r.build(self.objects(series_r, expansion))
+            db_s.build(self.objects(series_s, expansion))
+            cached = (db_r.storage, db_s.storage)
             self._join_pairs[key] = cached
         return cached

@@ -122,9 +122,8 @@ def build_database(
     """A built database over the dataset's map (or the given part of
     it), standalone or attached to another one's disk; ``config`` goes
     to :class:`SpatialDatabase` as is.  A cluster organization takes
-    the series' Smax unless told otherwise."""
-    if config.get("organization", "cluster") == "cluster":
-        config.setdefault("smax_bytes", dataset.spec.smax_bytes)
+    the series' Smax unless told otherwise (the others ignore it)."""
+    config.setdefault("smax_bytes", dataset.spec.smax_bytes)
     db = SpatialDatabase(**config) if attach_to is None else attach_to.attach(**config)
     db.build(dataset.objects if objects is None else objects)
     return db

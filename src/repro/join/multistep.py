@@ -31,7 +31,7 @@ from repro.geometry.decomposed import ExactTestCounter
 from repro.geometry.intersect import mbr_intersect_mask, polylines_intersect_pairs
 from repro.geometry.polyline import Polyline
 from repro.join.mbr_join import MBRJoin
-from repro.join.object_access import JOIN_TECHNIQUES, ObjectTransfer
+from repro.join.object_access import ObjectTransfer
 from repro.storage.base import SpatialOrganization
 
 __all__ = ["JoinResult", "spatial_join"]
@@ -119,8 +119,6 @@ def spatial_join(
     exact_test_ms: float = EXACT_TEST_MS,
     policy: str = "lru",
     pool: BufferPool | None = None,
-    scheduler=None,
-    prefetch=None,
 ) -> JoinResult:
     """Run the intersection join between two organizations.
 
@@ -144,32 +142,17 @@ def spatial_join(
         paper's setting — ``fifo``, ``clock`` or ``lru-k``).
     pool:
         An externally owned shared pool (e.g. the workload engine's);
-        overrides ``buffer_pages``/``policy``.
-    scheduler, prefetch:
-        I/O scheduler and prefetch policy of the join's own pool (names
-        or instances; ignored when ``pool`` is given — a shared pool
-        brings its own).
+        overrides ``buffer_pages``/``policy``.  The join's own pool is
+        a sibling of ``org_r``'s: same store, scheduler, prefetcher and
+        allocator (the relations of an attached join share all four).
     """
     if org_r.disk is not org_s.disk:
         raise ConfigurationError(
             "joined organizations must share one disk model"
         )
-    if technique not in JOIN_TECHNIQUES:
-        raise ConfigurationError(
-            f"unknown join technique '{technique}'; valid: {JOIN_TECHNIQUES}"
-        )
     disk = org_r.disk
     if pool is None:
-        pool = BufferPool(
-            disk,
-            capacity=buffer_pages,
-            policy=policy,
-            scheduler=scheduler,
-            prefetcher=prefetch,
-            # The relations of an attached join share one allocator; it
-            # clamps read-ahead to the allocated page space.
-            allocator=org_r.allocator,
-        )
+        pool = org_r.pool.sibling(buffer_pages, policy)
     join = MBRJoin(org_r.tree, org_s.tree, pool)
     transfer_r = ObjectTransfer(org_r, pool, technique=technique)
     transfer_s = ObjectTransfer(org_s, pool, technique=technique)

@@ -10,10 +10,12 @@ re-clustering *incrementally*, as an ordinary background workload:
 * :class:`Reorganizer` scans the live cluster units, ranks them by dead
   space (``tail_bytes - live_bytes``), and each :meth:`Reorganizer.step`
   relocates the worst offenders into freshly-allocated, right-sized and
-  re-placed units — a priced read + repack + write
-  :class:`~repro.iosched.request.AccessPlan` per unit, so every moved
-  page shows up in the disk model, the metrics registry
-  (``reorg.moved_pages``, ``reorg.runs``) and any active trace.
+  re-placed units — the organization's own unit move
+  (``ClusterOrganization._move_unit``: a read and a write
+  :class:`~repro.iosched.request.AccessPlan` per unit), so every moved
+  page shows up in the disk model, on the scheduler's clock, in the
+  metrics registry (``reorg.moved_pages``, ``reorg.runs``) and in any
+  active trace.
 * Relocation re-runs declustering placement
   (``pool.place_extent(..., center=...)``), so on a sharded store the
   rebalance follows the data's *current* spatial distribution, not the
@@ -34,7 +36,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
-from repro.iosched.request import AccessPlan
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.organization import ClusterOrganization
@@ -77,13 +78,12 @@ class Reorganizer:
                 f"got {min_dead_fraction}"
             )
         self.org: "ClusterOrganization" = org
-        self.pool = org.pool
         self.budget_pages = budget_pages
         self.min_dead_fraction = min_dead_fraction
         self.moved_pages = 0
         self.runs = 0
-        self._moved = self.pool.metrics.counter("reorg.moved_pages")
-        self._runs = self.pool.metrics.counter("reorg.runs")
+        self._moved = org.pool.metrics.counter("reorg.moved_pages")
+        self._runs = org.pool.metrics.counter("reorg.runs")
 
     # ------------------------------------------------------------------
     # degradation signal
@@ -121,30 +121,6 @@ class Reorganizer:
     # ------------------------------------------------------------------
     # repair
     # ------------------------------------------------------------------
-    def _relocate(self, unit: "ClusterUnit") -> int:
-        """Move one unit into a fresh right-sized, re-placed extent;
-        returns the pages written.  Read, repack, reallocate, write —
-        the same shape as the organization's buddy grow, but targeting
-        dead space instead of capacity."""
-        org = self.org
-        used = org._priced_pages(unit)
-        if used:
-            self.pool.read(unit.extent.start, used)
-        unit.repack()
-        pages = max(1, -(-unit.live_bytes // org.page_size))
-        pages = min(pages, org.policy.smax_pages)
-        org._drop_frames(unit.extent)
-        org._unit_alloc.free(unit.extent)
-        unit.extent = org._unit_alloc.allocate(pages)
-        center = unit.owner.mbr().center() if unit.owner is not None else None
-        self.pool.place_extent(unit.extent, center=center)
-        used = org._priced_pages(unit)
-        if used:
-            self.pool.submit(
-                AccessPlan("reorg.move").write(unit.extent.start, used)
-            )
-        return used
-
     def step(self, budget_pages: int | None = None) -> int:
         """One reorganization round: relocate degraded units, worst
         first, until the page budget is spent; returns the pages moved
@@ -154,7 +130,9 @@ class Reorganizer:
         for unit in self.candidates():
             if moved >= budget:
                 break
-            moved += self._relocate(unit)
+            # A fresh right-sized, re-placed extent: the shape of the
+            # buddy grow, targeting dead space instead of capacity.
+            moved += self.org._move_unit(unit, "reorg.move", unit.live_bytes)
         self.runs += 1
         self.moved_pages += moved
         self._runs.inc()

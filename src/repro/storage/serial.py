@@ -6,10 +6,12 @@ catalog*: the allocator's region state, the R*-tree (nodes, entries,
 page numbers, counters), every organization's extent tables, and, for
 the cluster organization, the byte-level cluster-unit bookkeeping the
 query techniques translate into page requests.  :func:`dump_state`
-captures exactly that as one JSON document; :func:`load_state` rebuilds
-a database that answers every query with *identical results and
-identical priced I/O* (after a head-position reset on both sides —
-the disk arm is operational state, not catalog).
+captures exactly that — plus the relation's
+:class:`~repro.database.Layout` and the disk's timing constants — as
+one JSON document; :func:`load_state` rebuilds a single-disk database
+that answers every query with *identical results and identical priced
+I/O* (after a head-position reset on both sides — the disk arm is
+operational state, not catalog).
 
 On disk the catalog rides the :class:`~repro.pagestore.file.
 FilePageStore` checkpoint protocol: :func:`save_database` splits the
@@ -29,19 +31,22 @@ catalogs they do not understand rather than guessing.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from typing import TYPE_CHECKING
 
 from repro.core.organization import ClusterOrganization
 from repro.core.unit import ClusterUnit
-from repro.disk.allocator import Region
+from repro.disk.allocator import PageAllocator, Region
 from repro.disk.buddy import BuddyAllocator, FixedUnitAllocator
 from repro.disk.extent import Extent
+from repro.disk.model import DiskModel
 from repro.disk.params import DiskParameters
 from repro.errors import StorageError
 from repro.geometry.feature import SpatialObject
 from repro.geometry.polygon import Polygon
 from repro.geometry.polyline import Polyline
 from repro.geometry.rect import Rect
+from repro.iosched.scheduler import SYNC
 from repro.obs.metrics import MetricsRegistry
 from repro.rtree.entry import Entry
 from repro.rtree.node import Node
@@ -60,7 +65,8 @@ __all__ = [
     "open_database",
 ]
 
-CATALOG_FORMAT = 1
+#: 2: the config block is ``asdict(layout)`` + name + disk constants.
+CATALOG_FORMAT = 2
 
 
 def _extent(extent: Extent | None) -> list[int] | None:
@@ -83,24 +89,11 @@ def dump_state(db: "SpatialDatabase") -> dict:
     table) are preserved as lists.
     """
     org = db.storage
-    config: dict = {
-        "organization": org.name,
-        "page_size": org.page_size,
-        "max_entries": org.max_entries,
-        "name": db.name,
-        "max_object_bytes": db.max_object_bytes,
-        "disk_params": [
-            db.disk.params.seek_ms,
-            db.disk.params.latency_ms,
-            db.disk.params.transfer_ms,
-            db.disk.params.page_size,
-            db.disk.params.pages_per_cylinder,
-        ],
-    }
-    if isinstance(org, ClusterOrganization):
-        config["smax_bytes"] = org.policy.smax_bytes
-        config["buddy_sizes"] = org.policy.buddy_sizes
-        config["technique"] = org.technique
+    # The configuration an image holds: the relation's layout (technique
+    # as it stands) and the disk's timing constants — see ``load_state``.
+    config = asdict(db.layout)
+    config["name"] = db.name
+    config["disk_params"] = asdict(db.disk.params)
 
     allocator = db.allocator
     regions = [
@@ -228,33 +221,28 @@ def load_state(
     ``_disk`` optionally supplies the backing page store (the file
     itself, for measured I/O); by default a fresh simulated
     :class:`~repro.disk.model.DiskModel` with the dumped timing
-    constants backs the database — reopened-vs-original pricing is then
-    directly comparable.
+    constants backs the database.  Either way the result is single-disk
+    and ``sync``: a catalog holds no devices and no I/O path.
     """
-    from repro.database import SpatialDatabase
+    from repro.database import Layout, SpatialDatabase
 
     if state.get("format") != CATALOG_FORMAT:
         raise StorageError(
             f"unsupported catalog format {state.get('format')!r} "
             f"(this build reads format {CATALOG_FORMAT})"
         )
-    config = state["config"]
-    kwargs: dict = {
-        "organization": config["organization"],
-        "page_size": config["page_size"],
-        "max_entries": config["max_entries"],
-        "name": config["name"],
-        "max_object_bytes": config["max_object_bytes"],
-        "disk_params": DiskParameters(*config["disk_params"]),
-        "metrics": metrics,
-    }
-    if config["organization"] == "cluster":
-        kwargs["smax_bytes"] = config["smax_bytes"]
-        kwargs["buddy_sizes"] = config["buddy_sizes"]
-        kwargs["technique"] = config["technique"]
-    if _disk is not None:
-        kwargs["_disk"] = _disk
-    db = SpatialDatabase(**kwargs)
+    layout = dict(state["config"])
+    name = layout.pop("name")
+    params = DiskParameters(**layout.pop("disk_params"))
+    db = SpatialDatabase._from_parts(
+        Layout(**layout),
+        name,
+        _disk if _disk is not None else DiskModel(params),
+        PageAllocator(),
+        SYNC,
+        None,
+        metrics if metrics is not None else MetricsRegistry(),
+    )
     org = db.storage
 
     # Allocator: overwrite the fresh construction-time region state (the
@@ -431,7 +419,10 @@ def open_database(
     the last committed epoch.
 
     ``backing="sim"`` (default) rebuilds over a fresh simulated disk —
-    pricing is directly comparable to the database that was saved.
+    answers match the database that was saved, pricing a single-disk
+    ``sync`` database with its layout and disk constants (the image
+    holds nothing else of the configuration; restoring a sharded tree
+    needs placement pins in the catalog).
     ``backing="file"`` keeps the file store as the backing
     :class:`PageStore`: queries are priced by the same model *and*
     really ``pread`` + checksum-verify the mapped pages (the
@@ -461,5 +452,5 @@ def open_database(
         return load_state(state, metrics=registry)
     # The store's pricing model adopts the catalog's timing constants,
     # so simulated costs match the sim-backed twin exactly.
-    store.model.params = DiskParameters(*state["config"]["disk_params"])
+    store.model.params = DiskParameters(**state["config"]["disk_params"])
     return load_state(state, metrics=registry, _disk=store)

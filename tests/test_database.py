@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.database import SpatialDatabase
+from repro.database import ORGANIZATIONS, Layout, SpatialDatabase
+from repro.disk.params import DiskParameters
 from repro.errors import ConfigurationError
 from repro.geometry.feature import SpatialObject
 from repro.geometry.polyline import Polyline
+from repro.obs.metrics import MetricsRegistry
 
 from tests.conftest import make_objects
 
@@ -33,6 +35,51 @@ class TestConstruction:
     def test_unknown_organization(self):
         with pytest.raises(ConfigurationError):
             SpatialDatabase(organization="quantum")
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(organization="secondary", technique="bogus"),
+            dict(organization="secondary", technique="slm"),
+            dict(organization="primary", buddy_sizes=3),
+            dict(avg_object_size=600, technique="bogus"),
+            dict(avg_object_size=600, buddy_sizes=0),
+            dict(avg_object_size=600, fast_pages=0),
+            dict(avg_object_size=600, page_size=0),
+            dict(avg_object_size=600, max_entries=1),
+            dict(avg_object_size=600, construction_buffer_pages=-1),
+            dict(avg_object_size=600, max_object_bytes=0),
+            dict(avg_object_size=-1.0),
+            dict(smax_bytes=4097),
+            dict(organization="grid"),
+            dict(organization="cluster"),
+        ],
+        ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()),
+    )
+    def test_bad_configuration_is_refused_before_anything_is_built(self, bad):
+        """Every bad or inapplicable value is a ConfigurationError — no
+        other exception type — from the constructor and from attach
+        alike, and attach leaves no region behind on the shared
+        allocator."""
+        with pytest.raises(ConfigurationError):
+            SpatialDatabase(**bad)
+        owner = SpatialDatabase(avg_object_size=600)
+        regions = set(owner.allocator.regions())
+        with pytest.raises(ConfigurationError):
+            owner.attach("s", **bad)
+        assert set(owner.allocator.regions()) == regions
+
+    def test_layout_is_the_resolved_parameter_list(self):
+        db = SpatialDatabase(avg_object_size=625, buddy_sizes=3, technique="slm")
+        assert db.layout == Layout(
+            smax_bytes=80 * 1024, avg_object_size=625, buddy_sizes=3, technique="slm"
+        )
+        assert ORGANIZATIONS[db.layout.organization] is type(db.storage)
+        # The sizing knobs mean nothing without cluster units and are
+        # carried, not resolved.
+        assert SpatialDatabase(
+            organization="primary", avg_object_size=625
+        ).layout.smax_bytes is None
 
 
 class TestUsage:
@@ -117,3 +164,40 @@ class TestJoin:
         db_s = db_r.attach("s", organization="secondary")
         assert db_r.disk is db_s.disk
         assert db_r.allocator is db_s.allocator
+
+    def test_attached_shares_the_io_path(self):
+        db_r = SpatialDatabase(
+            avg_object_size=800, n_disks=4, scheduler="overlap", prefetch="cluster"
+        )
+        db_s = db_r.attach("s", avg_object_size=800, buddy_sizes=3)
+        assert db_s.n_disks == 4
+        assert db_s.scheduler is db_r.scheduler
+        assert db_s.prefetcher is db_r.prefetcher
+        assert db_s.metrics is db_r.metrics
+        assert db_s.layout.buddy_sizes == 3 and db_r.layout.buddy_sizes is None
+
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            dict(n_disks=8),
+            dict(placement="hash"),
+            dict(chunk_pages=4),
+            dict(disk_params=DiskParameters()),
+            dict(tiering="static"),
+            dict(fast_pages=64),
+            dict(scheduler="sync"),
+            dict(prefetch="sequential"),
+            dict(admission="priority"),
+            dict(metrics=MetricsRegistry()),
+            dict(n_disks=8, placement="hash"),
+        ],
+        ids=lambda knob: "+".join(knob),
+    )
+    def test_attach_refuses_device_and_io_path_knobs(self, knob):
+        """The disk and the I/O path are the owning database's: a knob
+        attach cannot honour is an error, never silently dropped."""
+        db = SpatialDatabase(avg_object_size=600, n_disks=4, scheduler="overlap")
+        regions = set(db.allocator.regions())
+        with pytest.raises(ConfigurationError):
+            db.attach("s", avg_object_size=600, **knob)
+        assert set(db.allocator.regions()) == regions

@@ -13,6 +13,7 @@ from repro.errors import ConfigurationError, StorageError
 from repro.geometry.polyline import Polyline
 from repro.geometry.feature import SpatialObject
 from repro.geometry.rect import Rect
+from repro.iosched.scheduler import SyncScheduler
 from repro.storage.secondary import SecondaryOrganization
 
 from tests.conftest import brute_force_window, build_org, make_objects
@@ -259,6 +260,44 @@ class TestClusterOrganization:
         assert {o.oid for o in org.window_query(window).objects} == {
             o.oid for o in fixed.window_query(window).objects
         }
+
+
+    def test_unit_moves_price_a_read_and_a_write(self):
+        """Every rewrite of a unit is the one move: in place, into a
+        bigger buddy (the move Figure 7 counts — by the allocator, only
+        when the extent had to change) or into a right-sized one — each
+        a read plan and a write plan under its label."""
+        org = build_org("cluster", [], smax_bytes=8 * PAGE_SIZE, buddy_sizes=3)
+        for oid in range(5):
+            org.insert(
+                SpatialObject(oid, Polyline([(oid, 0), (oid + 1, 1)]), size_bytes=3000)
+            )
+        unit = org.unit_for(0)
+        assert unit.extent.npages == 4 and org.unit_moves == 1
+        before = org.disk.stats()
+
+        class Recording(SyncScheduler):
+            plans = []
+
+            def execute(self, plan, pool):
+                self.plans.append(plan)
+                return super().execute(plan, pool)
+
+        org.pool.scheduler = Recording()
+        assert org._move_unit(unit, "t.grow", 8 * PAGE_SIZE) == 4
+        assert unit.extent.npages == 8 and org.unit_moves == 2
+        org.delete(1)
+        assert org._move_unit(unit, "t.compact") == 3
+        assert unit.extent.npages == 8 and unit.tail_bytes == unit.live_bytes
+        assert org._move_unit(unit, "t.shrink", 3 * PAGE_SIZE, read=False) == 3
+        assert unit.extent.npages == 4 and org.unit_moves == 2
+        moves = [p for p in Recording.plans if p.label.startswith("t.")]
+        assert [(p.label, p.writes) for p in moves] == [
+            ("t.grow", False), ("t.grow", True),
+            ("t.compact", False), ("t.compact", True),
+            ("t.shrink", True),
+        ]
+        assert (org.disk.stats() - before).pages_transferred >= 4 + 4 + 4 + 3 + 3
 
 
 class TestDeletion:

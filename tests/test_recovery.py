@@ -11,6 +11,7 @@ import pytest
 
 from repro.database import SpatialDatabase
 from repro.errors import PageCorruptionError, StorageError
+from repro.iosched.scheduler import SyncScheduler
 from repro.obs import MetricsRegistry
 from repro.pagestore import FaultyPageStore, FilePageStore, SimulatedCrash, flip_byte
 from repro.storage.serial import CATALOG_FORMAT, dump_state, load_state
@@ -96,13 +97,63 @@ class TestRoundTrip:
         res = again.window_query(50, 50, 200, 200)
         assert 9001 in {o.oid for o in res.objects}
 
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_state_round_trip_preserves_the_layout(self, name):
+        """The catalog's config block is the layout: every knob comes
+        back, the technique as it stands — the figure drivers switch it
+        on a built organization."""
+        db = build_db(dict(CONFIGS[name], construction_buffer_pages=32), n=30)
+        if name == "cluster-buddy":
+            db.storage.technique = "slm"
+        twin = load_state(dump_state(db))
+        assert twin.layout == db.layout
+        assert twin.layout.construction_buffer_pages == 32
+        assert twin.name == db.name
+        assert twin.disk.params == db.disk.params
+        if name == "cluster-buddy":
+            assert twin.storage.technique == "slm"
+
+    def test_an_image_holds_the_layout_not_the_devices(self, tmp_path):
+        """Devices, scheduler, prefetcher and admission belong to
+        whoever opens an image: a sharded overlap database comes back
+        single-disk and sync, with its answers and its layout."""
+        path = str(tmp_path / "spatial.db")
+        db = SpatialDatabase(
+            smax_bytes=SMAX,
+            buddy_sizes=3,
+            n_disks=4,
+            placement="hash",
+            scheduler="overlap",
+            prefetch="cluster",
+            admission="priority",
+        )
+        db.build(make_objects(80))
+        db.save(path)
+        reopened = SpatialDatabase.open(path)
+        assert reopened.layout == db.layout
+        assert reopened.n_disks == 1
+        assert type(reopened.scheduler) is SyncScheduler
+        assert reopened.prefetcher is None
+        assert reopened.admission_policy == "none"
+        assert [oids for oids, _ms in answers(reopened)] == [
+            oids for oids, _ms in answers(db)
+        ]
+        # Its priced I/O is a single-disk database's with that layout.
+        single = SpatialDatabase(smax_bytes=SMAX, buddy_sizes=3)
+        single.build(make_objects(80))
+        assert answers(reopened) == answers(single)
+
     def test_wrong_format_rejected(self):
+        """A newer catalog and format 1 (the config block before it was
+        the layout) alike are refused by the typed error, not misread."""
         db = build_db(CONFIGS["secondary"], n=20)
         db.finalize()
         state = dump_state(db)
-        state["format"] = CATALOG_FORMAT + 1
-        with pytest.raises(StorageError):
-            load_state(state)
+        assert state["format"] == CATALOG_FORMAT == 2
+        for other in (1, CATALOG_FORMAT + 1):
+            state["format"] = other
+            with pytest.raises(StorageError):
+                load_state(state)
 
     def test_open_requires_a_catalog(self, tmp_path):
         path = str(tmp_path / "empty.db")

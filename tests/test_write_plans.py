@@ -246,6 +246,70 @@ class TestLifecycleParity:
         assert ovl_ms == pytest.approx(sync_ms, rel=1e-12)
 
 
+class TestMaintenanceOnTheClock:
+    """Cluster-unit maintenance reads are access plans like its writes:
+    under the overlap scheduler every millisecond the store prices
+    occupies a disk's queue on the virtual clock (and so reaches the
+    admission policy's ``observe``)."""
+
+    @staticmethod
+    def clock_busy_ms(db: SpatialDatabase) -> float:
+        return sum(
+            end - start for disk in db.scheduler.clock._busy for start, end in disk
+        )
+
+    @pytest.mark.parametrize("buddy_sizes", [None, 3])
+    @pytest.mark.parametrize("n_disks", [1, 2])
+    def test_device_ms_equals_clock_busy_ms(self, buddy_sizes, n_disks):
+        objects = make_objects(300, seed=44)
+        db = SpatialDatabase(
+            smax_bytes=16 * 4096,
+            buddy_sizes=buddy_sizes,
+            scheduler="overlap",
+            n_disks=n_disks,
+        )
+        db.build(objects)
+        reorg = Reorganizer(db, budget_pages=32, min_dead_fraction=0.05)
+
+        def delete_half():
+            for obj in objects[::2]:
+                db.delete(obj.oid)
+
+        def reorganize():
+            while reorg.step():
+                pass
+
+        def reinsert():
+            for obj in objects[::2]:
+                db.insert(obj)
+
+        for phase in (delete_half, reorganize, reinsert):
+            device, busy = db.disk.total_ms, self.clock_busy_ms(db)
+            with db.scheduler.operation("main"):
+                phase()
+            priced = db.disk.total_ms - device
+            assert priced > 0
+            assert self.clock_busy_ms(db) - busy == pytest.approx(priced, rel=1e-9)
+        assert reorg.moved_pages > 0
+
+    def test_maintenance_reads_trigger_no_read_ahead(self):
+        """A unit about to be moved is no access pattern: its read is
+        priced like the ``pool.read`` it replaced, with no speculative
+        transfer behind it."""
+        objects = make_objects(300, seed=44)
+        db = SpatialDatabase(
+            smax_bytes=16 * 4096, buddy_sizes=3, prefetch="sequential"
+        )
+        db.build(objects)
+        for obj in objects[::2]:
+            db.delete(obj.oid)
+        org = db.storage
+        with org.use_pool(org.pool.sibling(64)) as pool:
+            assert Reorganizer(db, min_dead_fraction=0.05).step() > 0
+        assert pool.misses > 0
+        assert pool.prefetch_stats()["issued"] == 0
+
+
 class TestTieredOverSharded:
     def test_composition_answers_match_flat(self):
         objects = make_objects(150, seed=33)
