@@ -50,6 +50,18 @@ class Polygon:
         self._ring: tuple[tuple[float, float], ...] | None = None
         self._ring_coords: np.ndarray | None = None
 
+    @classmethod
+    def from_matrix(cls, coords: np.ndarray) -> "Polygon":
+        """Trusted constructor over the open ring as an ``(n >= 3, 2)``
+        float64 matrix (the catalog loader's): no per-vertex coercion,
+        and the closed matrix seeds the :meth:`ring_coords` cache."""
+        self = cls.__new__(cls)
+        self.vertices = tuple(zip(*coords.T.tolist()))
+        self._mbr = None
+        self._ring = None
+        self._ring_coords = np.concatenate((coords, coords[:1]))
+        return self
+
     # ------------------------------------------------------------------
     @property
     def mbr(self) -> Rect:

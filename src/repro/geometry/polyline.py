@@ -44,6 +44,17 @@ class Polyline:
         self._mbr: Rect | None = None
         self._coords: np.ndarray | None = None
 
+    @classmethod
+    def from_matrix(cls, coords: np.ndarray) -> "Polyline":
+        """Trusted constructor over an ``(n >= 2, 2)`` float64 matrix
+        (the catalog loader's): no per-vertex coercion, and the matrix
+        seeds the :meth:`coords` cache."""
+        self = cls.__new__(cls)
+        self.vertices = tuple(zip(*coords.T.tolist()))
+        self._mbr = None
+        self._coords = coords
+        return self
+
     # ------------------------------------------------------------------
     @property
     def mbr(self) -> Rect:

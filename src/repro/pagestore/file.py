@@ -18,8 +18,9 @@ On-disk format (every slot, superblocks included, is one checksummed
 page)::
 
     slot 0   superblock A      [crc32 | magic | kind | len | JSON]
-    slot 1   superblock B       epoch, next_slot, page-map slots,
-    slot 2+  data / map / meta  catalog ("meta") slots, user meta
+    slot 1   superblock B       epoch, next_slot, page-map and catalog
+    slot 2+  data / map / meta  ("meta") slots as [start, count] runs,
+                                user meta
 
 Durability protocol — shadow superblock + copy-on-write:
 
@@ -91,7 +92,9 @@ KIND_MAP = 2
 KIND_META = 3
 
 SUPERBLOCK_MAGIC = "repro-pagestore"
-FORMAT_VERSION = 1
+#: 2: the superblock lists map / meta slots as ``[start, count]`` runs
+#: (1: one JSON integer per slot, which overflowed at ~4,000 objects).
+FORMAT_VERSION = 2
 
 #: Slots 0 and 1 hold the two alternating superblocks.
 FIRST_DATA_SLOT = 2
@@ -263,16 +266,18 @@ class FilePageStore(CompositePageStore):
                 "epoch": self._epoch,
                 "page_size": self.page_size,
                 "next_slot": self._next_slot,
-                "map_slots": self._map_slots,
-                "meta_slots": self._meta_slots,
+                # ``_alloc_slot`` hands out ascending slots (free heap
+                # first, then fresh ones), so these are a few runs.
+                "map_slots": coalesce_pages(self._map_slots),
+                "meta_slots": coalesce_pages(self._meta_slots),
                 "meta": self.meta,
             },
             separators=(",", ":"),
         ).encode("ascii")
         if len(payload) > payload_capacity(self.page_size):
             raise StorageError(
-                "superblock overflow: the page map or catalog grew past "
-                "one page of slot references — raise page_size"
+                "superblock overflow: the page map or catalog is scattered "
+                "over more slot runs than one page lists — raise page_size"
             )
         return payload
 
@@ -319,8 +324,10 @@ class FilePageStore(CompositePageStore):
             )
         self._epoch = state["epoch"]
         self._next_slot = state["next_slot"]
-        self._map_slots = list(state["map_slots"])
-        self._meta_slots = list(state["meta_slots"])
+        self._map_slots, self._meta_slots = (
+            [slot for start, count in runs for slot in range(start, start + count)]
+            for runs in (state["map_slots"], state["meta_slots"])
+        )
         self.meta = state.get("meta", {})
         self._map = {}
         for slot in self._map_slots:

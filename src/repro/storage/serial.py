@@ -7,22 +7,38 @@ page numbers, counters), every organization's extent tables, and, for
 the cluster organization, the byte-level cluster-unit bookkeeping the
 query techniques translate into page requests.  :func:`dump_state`
 captures exactly that — plus the relation's
-:class:`~repro.database.Layout` and the disk's timing constants — as
-one JSON document; :func:`load_state` rebuilds a single-disk database
-that answers every query with *identical results and identical priced
-I/O* (after a head-position reset on both sides — the disk arm is
-operational state, not catalog).
+:class:`~repro.database.Layout` and the disk's timing constants;
+:func:`load_state` rebuilds a single-disk database that answers every
+query with *identical results and identical priced I/O* (after a
+head-position reset on both sides — the disk arm is operational state,
+not catalog).
+
+The catalog's bytes (:func:`encode_catalog` / :func:`decode_catalog`,
+format 3, everything little-endian)::
+
+    "REPROCAT" | u64 header length | JSON header, space-padded to 8 B
+    | the column buffers, back to back
+
+The header carries what is small — ``format``, ``config``,
+``allocator`` (regions and their free lists), ``tree`` (root and
+counters), ``storage`` (the organization's scalars and unit allocator)
+— and ``columns``: one ``[name, dtype, shape]`` row per buffer, in
+order.  The buffers are the bulk tables, listed field by field at
+:data:`COLUMNS`.  Only the header is parsed; a reader checks every
+dtype, shape, count and cross-table reference before it builds
+anything, and whatever is off is a :class:`~repro.errors.StorageError`.
 
 On disk the catalog rides the :class:`~repro.pagestore.file.
-FilePageStore` checkpoint protocol: :func:`save_database` splits the
-JSON into page-sized chunks committed as catalog ("meta") pages —
-every page checksummed, the superblock published last — so a crash at
-any write boundary leaves the previous epoch's catalog intact and
-:func:`open_database` recovers it.  With ``materialize=True`` the save
-also writes a filler payload for every *allocated* page of every
-region, making the file a faithful page image of the simulated disk:
-priced protocol reads of the reopened store then really ``pread`` (and
-checksum-verify) those pages.
+FilePageStore` checkpoint protocol (store format 2: the superblock
+lists catalog and page-map slots as ``[start, count]`` runs):
+:func:`save_database` splits the bytes into page-sized chunks committed
+as catalog ("meta") pages — every page checksummed, the superblock
+published last — so a crash at any write boundary leaves the previous
+epoch's catalog intact and :func:`open_database` recovers it.  With
+``materialize=True`` the save also writes a filler payload for every
+*allocated* page of every region, making the file a faithful page image
+of the simulated disk: priced protocol reads of the reopened store then
+really ``pread`` (and checksum-verify) those pages.
 
 Format versioning is explicit (:data:`CATALOG_FORMAT`); readers reject
 catalogs they do not understand rather than guessing.
@@ -31,13 +47,18 @@ catalogs they do not understand rather than guessing.
 from __future__ import annotations
 
 import json
+import math
+import struct
 from dataclasses import asdict
+from itertools import islice, starmap
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.core.organization import ClusterOrganization
 from repro.core.unit import ClusterUnit
 from repro.disk.allocator import PageAllocator, Region
-from repro.disk.buddy import BuddyAllocator, FixedUnitAllocator
+from repro.disk.buddy import BuddyAllocator
 from repro.disk.extent import Extent
 from repro.disk.model import DiskModel
 from repro.disk.params import DiskParameters
@@ -60,156 +81,227 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "CATALOG_FORMAT",
     "dump_state",
+    "encode_catalog",
+    "decode_catalog",
     "load_state",
     "save_database",
     "open_database",
 ]
 
-#: 2: the config block is ``asdict(layout)`` + name + disk constants.
-CATALOG_FORMAT = 2
+#: 3: binary columns behind a JSON header (2: one JSON document).
+CATALOG_FORMAT = 3
+CATALOG_MAGIC = b"REPROCAT"
+_PREFIX = struct.Struct("<8sQ")  # magic, header length
 
+#: The bulk tables, each an ``(n, width)`` matrix: name -> (dtype,
+#: width).  ``-1`` stands for "none"; the last field of ``objects``,
+#: ``nodes`` and ``units`` counts that row's rows of the next table.
+COLUMNS = {
+    "objects": ("<i8", 4),  # oid, kind (0 polyline, 1 polygon), size_bytes, vertices
+    "vertices": ("<f8", 2),  # x, y: object after object
+    "override_rows": ("<i8", 1),  # the rows of ``objects`` with an mbr_override
+    "override_rects": ("<f8", 4),  # xmin, ymin, xmax, ymax
+    "nodes": ("<i8", 4),  # node_id, level, page, entries; pre-order
+    "entries": ("<i8", 5),  # child node_id, oid, load, payload start, npages
+    "entry_rects": ("<f8", 4),
+    "extents": ("<i8", 3),  # oid, start, npages: the organization's own table
+    "units": ("<i8", 5),  # leaf node_id, start, npages, tail_bytes, live rows
+    "live": ("<i8", 3),  # oid, offset, size: unit after unit, live-map order
+}
 
-def _extent(extent: Extent | None) -> list[int] | None:
-    return None if extent is None else [extent.start, extent.npages]
-
-
-def _rect(rect: Rect) -> list[float]:
-    return [rect.xmin, rect.ymin, rect.xmax, rect.ymax]
+#: What an organization adds: its ``oid -> Extent`` table (the
+#: ``extents`` column) and the scalars of the ``storage`` block.
+_SECTIONS = {
+    SecondaryOrganization: ("_extents", ("_byte_tail",)),
+    PrimaryOrganization: ("_overflow_extents", ()),
+    ClusterOrganization: ("_oversize", ("_total_object_bytes",)),
+}
+#: (table, the table whose rows its last field counts)
+_COUNTED = (("objects", "vertices"), ("nodes", "entries"), ("units", "live"))
+_TREE_SCALARS = (
+    "_next_node_id size height leaf_count splits leaf_splits reinserts".split()
+)
 
 
 # ----------------------------------------------------------------------
 # dump
 # ----------------------------------------------------------------------
 def dump_state(db: "SpatialDatabase") -> dict:
-    """The database's full placement catalog as one JSON-ready dict.
-
-    Floats round-trip exactly (``json`` emits ``repr``-precision
-    float64), integer keys are stored as pair lists, and dict iteration
-    orders that carry meaning (cluster-unit live maps, the object
-    table) are preserved as lists.
+    """The database's full placement catalog: JSON-ready scalar blocks
+    plus, under ``"columns"``, the :data:`COLUMNS` matrices.  Vertices
+    and entry rectangles are the geometries' and nodes' cached float64
+    matrices, so they round-trip exactly; dict orders that carry meaning
+    (cluster-unit live maps, the object table) are the row orders.
     """
-    org = db.storage
-    # The configuration an image holds: the relation's layout (technique
-    # as it stands) and the disk's timing constants — see ``load_state``.
-    config = asdict(db.layout)
-    config["name"] = db.name
-    config["disk_params"] = asdict(db.disk.params)
-
-    allocator = db.allocator
-    regions = [
-        {
-            "name": region.name,
-            "base": region.base,
-            "capacity": region.capacity,
-            "bump": region._bump,
-            "free": [[e.start, e.npages] for e in region._free],
-        }
-        for region in allocator.regions().values()
+    org, allocator = db.storage, db.allocator
+    tree = org.tree
+    extents_attr, scalars = _SECTIONS[type(org)]
+    storage: dict = {attr: getattr(org, attr) for attr in scalars}
+    rows: dict = {name: [] for name in COLUMNS}
+    rows["extents"] = [
+        (oid, e.start, e.npages) for oid, e in getattr(org, extents_attr).items()
     ]
 
-    objects = []
-    for obj in org.objects.values():
+    for row, obj in enumerate(org.objects.values()):
         geometry = obj.geometry
-        kind = "line" if isinstance(geometry, Polyline) else "poly"
-        objects.append(
-            [
-                obj.oid,
-                kind,
-                [list(v) for v in geometry.vertices],
-                obj.size_bytes,
-                _rect(obj.mbr_override) if obj.mbr_override is not None else None,
-            ]
-        )
+        line = isinstance(geometry, Polyline)
+        matrix = geometry.coords() if line else geometry.ring_coords()[:-1]
+        rows["vertices"].append(matrix)
+        rows["objects"].append((obj.oid, 0 if line else 1, obj.size_bytes, len(matrix)))
+        if obj.mbr_override is not None:
+            rows["override_rows"].append(row)
+            rows["override_rects"].append(obj.mbr_override.as_tuple())
 
-    tree = org.tree
-    nodes = []
     for node in tree.nodes():
-        entries = [
-            [
-                _rect(e.rect),
-                e.child.node_id if e.child is not None else None,
-                e.oid,
-                e.load,
-                _extent(e.payload if isinstance(e.payload, Extent) else None),
-            ]
-            for e in node.entries
-        ]
-        nodes.append([node.node_id, node.level, node.page, entries])
+        page = node.page if node.page is not None else -1
+        rows["nodes"].append((node.node_id, node.level, page, len(node.entries)))
+        rows["entry_rects"].append(node.rect_matrix())
+        for e in node.entries:
+            child = e.child.node_id if e.child is not None else -1
+            oid = e.oid if e.oid is not None else -1
+            p = e.payload
+            extent = (p.start, p.npages) if isinstance(p, Extent) else (-1, -1)
+            rows["entries"].append((child, oid, e.load, *extent))
+    for name in ("vertices", "entry_rects"):  # one block per object / node so far
+        if rows[name]:
+            rows[name] = np.concatenate(rows[name])
 
-    state: dict = {
+    if isinstance(org, ClusterOrganization):
+        for leaf in tree.leaves():
+            unit: ClusterUnit | None = leaf.tag
+            if unit is not None:
+                extent = (unit.extent.start, unit.extent.npages)
+                rows["units"].append(
+                    (leaf.node_id, *extent, unit.tail_bytes, len(unit.live))
+                )
+                rows["live"] += [(o, off, size) for o, (off, size) in unit.live.items()]
+        alloc = org._unit_alloc
+        if isinstance(alloc, BuddyAllocator):
+            storage["unit_alloc"] = {
+                "kind": "buddy",
+                "free": [sorted(starts) for starts in alloc._free],
+                "live": list(alloc._live.items()),
+                "top": list(alloc._top.items()),
+                "moves": alloc.moves,
+            }
+        else:
+            live_units = [(e.start, e.npages) for e in alloc._live.values()]
+            storage["unit_alloc"] = {"kind": "fixed", "live": live_units}
+
+    regions = [  # name, base, capacity, bump pointer, free list
+        (r.name, r.base, r.capacity, r._bump, [(e.start, e.npages) for e in r._free])
+        for r in allocator.regions().values()
+    ]
+    return {
         "format": CATALOG_FORMAT,
-        "config": config,
+        # The configuration an image holds: the relation's layout
+        # (technique as it stands) and the disk's timing constants.
+        "config": dict(
+            asdict(db.layout), name=db.name, disk_params=asdict(db.disk.params)
+        ),
         "allocator": {
             "region_capacity": allocator.region_capacity,
             "next_base": allocator._next_base,
             "regions": regions,
         },
-        "objects": objects,
         "tree": {
             "root": tree.root.node_id,
-            "next_node_id": tree._next_node_id,
-            "size": tree.size,
-            "height": tree.height,
-            "leaf_count": tree.leaf_count,
-            "splits": tree.splits,
-            "leaf_splits": tree.leaf_splits,
-            "reinserts": tree.reinserts,
-            "nodes": nodes,
+            **{attr: getattr(tree, attr) for attr in _TREE_SCALARS},
+        },
+        "storage": storage,
+        "columns": {
+            name: np.ascontiguousarray(rows[name], dtype).reshape(-1, width)
+            for name, (dtype, width) in COLUMNS.items()
         },
     }
 
-    if isinstance(org, SecondaryOrganization):
-        state["storage"] = {
-            "extents": [[oid, e.start, e.npages] for oid, e in org._extents.items()],
-            "byte_tail": org._byte_tail,
-        }
-    elif isinstance(org, PrimaryOrganization):
-        state["storage"] = {
-            "overflow": [
-                [oid, e.start, e.npages]
-                for oid, e in org._overflow_extents.items()
-            ],
-        }
-    elif isinstance(org, ClusterOrganization):
-        units = []
-        for leaf in tree.leaves():
-            unit: ClusterUnit | None = leaf.tag
-            if unit is None:
-                continue
-            units.append(
-                [
-                    leaf.node_id,
-                    [unit.extent.start, unit.extent.npages],
-                    unit.tail_bytes,
-                    [[oid, off, size] for oid, (off, size) in unit.live.items()],
-                ]
-            )
-        alloc = org._unit_alloc
-        if isinstance(alloc, BuddyAllocator):
-            unit_alloc: dict = {
-                "kind": "buddy",
-                "free": [sorted(starts) for starts in alloc._free],
-                "live": [[start, level] for start, level in alloc._live.items()],
-                "top": [[k, v] for k, v in alloc._top.items()],
-                "moves": alloc.moves,
-            }
-        else:
-            unit_alloc = {
-                "kind": "fixed",
-                "live": [[e.start, e.npages] for e in alloc._live.values()],
-            }
-        state["storage"] = {
-            "total_object_bytes": org._total_object_bytes,
-            "oversize": [[oid, e.start, e.npages] for oid, e in org._oversize.items()],
-            "units": units,
-            "unit_alloc": unit_alloc,
-        }
+
+def encode_catalog(state: dict) -> bytes:
+    """A :func:`dump_state` catalog as bytes (layout: module docstring)."""
+    columns = state["columns"]
+    header = dict(
+        state,
+        columns=[[name, c.dtype.str, list(c.shape)] for name, c in columns.items()],
+    )
+    head = json.dumps(header, separators=(",", ":")).encode("ascii")
+    head += b" " * (-len(head) % 8)
+    return b"".join(
+        [_PREFIX.pack(CATALOG_MAGIC, len(head)), head, *columns.values()]
+    )
+
+
+def decode_catalog(blob: bytes) -> dict:
+    """Invert :func:`encode_catalog`; the columns come back as read-only
+    views of ``blob``.  Anything but a header followed by exactly the
+    buffers it declares is a :class:`StorageError`."""
+    magic, head_len = _PREFIX.unpack_from(blob.ljust(_PREFIX.size, b"\0"))
+    if magic != CATALOG_MAGIC:
+        raise StorageError(f"not a catalog: bad magic {magic!r}")
+    offset = _PREFIX.size + head_len
+    try:
+        state = json.loads(blob[_PREFIX.size:offset])
+        declared = [(n, dtype, tuple(shape)) for n, dtype, shape in state["columns"]]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise StorageError(f"damaged catalog header: {exc}") from None
+    state["columns"] = columns = {}
+    for name, dtype, shape in declared:
+        if dtype not in ("<i8", "<f8") or not all(
+            type(n) is int and n >= 0 for n in shape
+        ):
+            raise StorageError(f"catalog column {name!r}: bad {dtype!r} {shape}")
+        count = math.prod(shape)
+        if offset + 8 * count > len(blob):
+            raise StorageError(f"catalog column {name!r} runs past the end")
+        columns[name] = np.frombuffer(blob, dtype, count, offset).reshape(shape)
+        offset += 8 * count
+    if offset != len(blob):
+        raise StorageError(f"{len(blob) - offset} stray bytes after the catalog")
     return state
 
 
 # ----------------------------------------------------------------------
 # load
 # ----------------------------------------------------------------------
+def _checked_columns(state: dict) -> dict[str, np.ndarray]:
+    """The bulk tables of a catalog, with every dtype, width, row count
+    and cross-table reference checked."""
+    if state.get("format") != CATALOG_FORMAT:
+        raise StorageError(
+            f"unsupported catalog format {state.get('format')!r} "
+            f"(this build reads format {CATALOG_FORMAT})"
+        )
+    columns = state["columns"]
+    for name, (dtype, width) in COLUMNS.items():
+        c = columns.get(name)
+        if getattr(c, "dtype", None) != np.dtype(dtype) or c.shape[1:] != (width,):
+            raise StorageError(f"catalog column {name!r} is not (n, {width}) {dtype}")
+    for table, counted in _COUNTED:
+        counts = columns[table][:, -1]
+        if counts.min(initial=0) < 0 or counts.sum() != len(columns[counted]):
+            raise StorageError(
+                f"{table!r} counts {counts.sum()} rows of {counted!r}, "
+                f"which has {len(columns[counted])}"
+            )
+    objects, nodes, entries = columns["objects"], columns["nodes"], columns["entries"]
+    children, oids, live_oids = entries[:, 0], entries[:, 1], columns["live"][:, 0]
+    root, override_rows = [state["tree"]["root"]], columns["override_rows"]
+    node_refs = np.concatenate((children[children >= 0], columns["units"][:, 0], root))
+    if (
+        len(entries) != len(columns["entry_rects"])
+        or len(override_rows) != len(columns["override_rects"])
+        or ((override_rows < 0) | (override_rows >= len(objects))).any()
+        or not np.isin(objects[:, 1], (0, 1)).all()
+        or (objects[:, 3] < 2 + objects[:, 1]).any()  # a line has 2, a ring 3
+        or len(np.unique(nodes[:, 0])) != len(nodes)
+        or not np.isin(node_refs, nodes[:, 0]).all()
+        or len(np.unique(objects[:, 0])) != len(objects)
+        or len(np.unique(live_oids)) != len(live_oids)
+        or not np.array_equal(np.sort(oids[oids >= 0]), np.sort(objects[:, 0]))
+    ):
+        raise StorageError("the catalog's tables contradict each other")
+    return columns
+
+
 def load_state(
     state: dict,
     metrics: MetricsRegistry | None = None,
@@ -226,11 +318,7 @@ def load_state(
     """
     from repro.database import Layout, SpatialDatabase
 
-    if state.get("format") != CATALOG_FORMAT:
-        raise StorageError(
-            f"unsupported catalog format {state.get('format')!r} "
-            f"(this build reads format {CATALOG_FORMAT})"
-        )
+    columns = _checked_columns(state)
     layout = dict(state["config"])
     name = layout.pop("name")
     params = DiskParameters(**layout.pop("disk_params"))
@@ -253,104 +341,80 @@ def load_state(
     allocator = db.allocator
     allocator.region_capacity = state["allocator"]["region_capacity"]
     allocator._next_base = state["allocator"]["next_base"]
-    for spec in state["allocator"]["regions"]:
-        region = allocator._regions.get(spec["name"])
-        if region is None:
-            region = Region(spec["name"], spec["base"], spec["capacity"])
-            allocator._regions[spec["name"]] = region
-        region.base = spec["base"]
-        region.capacity = spec["capacity"]
-        region._bump = spec["bump"]
-        region._free = [Extent(s, n) for s, n in spec["free"]]
+    for rname, base, capacity, bump, free in state["allocator"]["regions"]:
+        region = allocator._regions.setdefault(rname, Region(rname, base, capacity))
+        region.base, region.capacity, region._bump = base, capacity, bump
+        region._free = [Extent(s, n) for s, n in free]
 
-    # Object table (insertion order preserved).
+    # Object table (insertion order preserved); each geometry keeps its
+    # slice of the vertex matrix as its cached coordinate matrix.
+    vertices = columns["vertices"]
+    ends = np.cumsum(columns["objects"][:, 3]).tolist()
+    override_rects = starmap(Rect, columns["override_rects"].tolist())
+    overrides = dict(zip(columns["override_rows"][:, 0].tolist(), override_rects))
     org.objects.clear()
-    for oid, kind, vertices, size_bytes, override in state["objects"]:
-        points = [tuple(v) for v in vertices]
-        geometry = Polyline(points) if kind == "line" else Polygon(points)
-        org.objects[oid] = SpatialObject(
-            oid,
-            geometry,
-            size_bytes=size_bytes,
-            mbr_override=Rect(*override) if override is not None else None,
+    for row, (oid, kind, size_bytes, n) in enumerate(columns["objects"].tolist()):
+        geometry = (Polygon if kind else Polyline).from_matrix(
+            vertices[ends[row] - n:ends[row]]
         )
+        org.objects[oid] = SpatialObject(oid, geometry, size_bytes, overrides.get(row))
 
     # R*-tree: nodes first, then entries (children must exist to wire
     # parent pointers through Node.add).  Page numbers are restored
     # directly — the region bump above already accounts for them.
     tree = org.tree
-    tdump = state["tree"]
+    node_rows = columns["nodes"].tolist()
     by_id: dict[int, Node] = {}
-    for node_id, level, page, _entries in tdump["nodes"]:
-        node = Node(node_id, level)
-        node.page = page
-        by_id[node_id] = node
-    for node_id, _level, _page, entries in tdump["nodes"]:
+    for node_id, level, page, _count in node_rows:
+        node = by_id[node_id] = Node(node_id, level)
+        node.page = page if page >= 0 else None
+    entry_rows = zip(columns["entry_rects"].tolist(), columns["entries"].tolist())
+    for node_id, _level, _page, count in node_rows:
         node = by_id[node_id]
-        for rect4, child_id, oid, load, payload in entries:
-            node.add(
-                Entry(
-                    Rect(*rect4),
-                    child=by_id[child_id] if child_id is not None else None,
-                    oid=oid,
-                    load=load,
-                    payload=Extent(*payload) if payload is not None else None,
-                )
-            )
-    tree.root = by_id[tdump["root"]]
-    tree._next_node_id = tdump["next_node_id"]
-    tree.size = tdump["size"]
-    tree.height = tdump["height"]
-    tree.leaf_count = tdump["leaf_count"]
-    tree.splits = tdump["splits"]
-    tree.leaf_splits = tdump["leaf_splits"]
-    tree.reinserts = tdump["reinserts"]
+        for rect, (child, oid, load, start, npages) in islice(entry_rows, count):
+            child = by_id[child] if child >= 0 else None
+            oid = oid if oid >= 0 else None
+            payload = Extent(start, npages) if npages >= 0 else None
+            node.add(Entry(Rect(*rect), child, oid, load, payload))
+    tree.root = by_id[state["tree"]["root"]]
+    for attr in _TREE_SCALARS:
+        setattr(tree, attr, state["tree"][attr])
     tree._generation += 1
     tree._flat = None
 
     # Organization extras.
-    extra = state.get("storage", {})
-    if isinstance(org, SecondaryOrganization):
-        org._extents = {oid: Extent(s, n) for oid, s, n in extra["extents"]}
-        org._byte_tail = extra["byte_tail"]
-    elif isinstance(org, PrimaryOrganization):
-        org._overflow_extents = {
-            oid: Extent(s, n) for oid, s, n in extra["overflow"]
-        }
-    elif isinstance(org, ClusterOrganization):
-        org._total_object_bytes = extra["total_object_bytes"]
-        org._oversize = {oid: Extent(s, n) for oid, s, n in extra["oversize"]}
+    extra = state["storage"]
+    extents_attr, scalars = _SECTIONS[type(org)]
+    extents = {oid: Extent(s, n) for oid, s, n in columns["extents"].tolist()}
+    setattr(org, extents_attr, extents)
+    for attr in scalars:
+        setattr(org, attr, extra[attr])
+    if isinstance(org, ClusterOrganization):
         org._unit_of = {}
-        for leaf_id, (start, npages), tail_bytes, live in extra["units"]:
+        live_rows = iter(columns["live"].tolist())
+        for leaf_id, start, npages, tail_bytes, count in columns["units"].tolist():
             unit = ClusterUnit(Extent(start, npages), org.page_size)
             unit.tail_bytes = tail_bytes
             # Preservation of the live-map order matters: repack()
             # compacts objects in this order.
-            unit.live = {oid: (off, size) for oid, off, size in live}
-            unit.live_bytes = sum(size for _oid, _off, size in live)
-            leaf = by_id[leaf_id]
-            unit.owner = leaf
-            leaf.tag = unit
-            for oid in unit.live:
-                org._unit_of[oid] = unit
+            unit.live = {o: (off, size) for o, off, size in islice(live_rows, count)}
+            unit.live_bytes = sum(size for _off, size in unit.live.values())
+            unit.owner = by_id[leaf_id]
+            unit.owner.tag = unit
+            org._unit_of.update(dict.fromkeys(unit.live, unit))
         spec = extra["unit_alloc"]
         alloc = org._unit_alloc
+        if isinstance(alloc, BuddyAllocator) != (spec["kind"] == "buddy"):
+            raise StorageError(
+                f"catalog says {spec['kind']} units but the configuration "
+                f"built a {type(alloc).__name__}"
+            )
         if spec["kind"] == "buddy":
-            if not isinstance(alloc, BuddyAllocator):
-                raise StorageError(
-                    "catalog says buddy units but the configuration built "
-                    "a fixed-unit allocator"
-                )
             alloc._free = [set(starts) for starts in spec["free"]]
             alloc._live = {start: level for start, level in spec["live"]}
             alloc._top = {k: v for k, v in spec["top"]}
             alloc.moves = spec["moves"]
         else:
-            if not isinstance(alloc, FixedUnitAllocator):
-                raise StorageError(
-                    "catalog says fixed units but the configuration built "
-                    "a buddy allocator"
-                )
             alloc._live = {s: Extent(s, n) for s, n in spec["live"]}
 
     org.finalize_build()
@@ -382,8 +446,7 @@ def save_database(
     from repro.pagestore.file import FilePageStore, payload_capacity
 
     db.finalize()
-    state = dump_state(db)
-    blob = json.dumps(state, separators=(",", ":")).encode("ascii")
+    blob = encode_catalog(dump_state(db))
     own_store = store is None
     if store is None:
         store = FilePageStore(
@@ -443,14 +506,14 @@ def open_database(
             raise StorageError(
                 f"{path} holds no database catalog (epoch {store.epoch})"
             )
-        state = json.loads(b"".join(payloads))
-    except Exception:
+        state = decode_catalog(b"".join(payloads))
+        if backing == "file":
+            # The store's pricing model adopts the catalog's timing
+            # constants: simulated costs match the sim-backed twin exactly.
+            store.model.params = DiskParameters(**state["config"]["disk_params"])
+            return load_state(state, metrics=registry, _disk=store)
+    except BaseException:
         store.close()
         raise
-    if backing == "sim":
-        store.close()
-        return load_state(state, metrics=registry)
-    # The store's pricing model adopts the catalog's timing constants,
-    # so simulated costs match the sim-backed twin exactly.
-    store.model.params = DiskParameters(**state["config"]["disk_params"])
-    return load_state(state, metrics=registry, _disk=store)
+    store.close()
+    return load_state(state, metrics=registry)

@@ -5,6 +5,7 @@ protocol reads, and the bounded-retry corruption handling."""
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -23,8 +24,10 @@ from repro.pagestore import (
 )
 from repro.pagestore.file import (
     FIRST_DATA_SLOT,
+    FORMAT_VERSION,
     KIND_DATA,
     KIND_META,
+    KIND_SUPER,
     payload_capacity,
 )
 
@@ -127,6 +130,58 @@ class TestFilePageStore:
             store.commit(meta_payloads=chunks)
         with FilePageStore(path, page_size=PAGE) as store:
             assert store.read_meta_pages() == chunks
+
+    def test_superblock_lists_slot_runs_not_slots(self, tmp_path):
+        """Store format 2: 200 catalog pages are one ``[start, count]``
+        run in the superblock (one JSON integer each overflowed a 256 B
+        superblock at ~30 slots, a 4 KiB one at ~4,000 objects)."""
+        path = str(tmp_path / "image.db")
+        chunks = [b"%d" % i for i in range(200)]
+        with FilePageStore(path, page_size=PAGE) as store:
+            for page in range(300):
+                store.put(page, b"p")
+            store.commit(meta_payloads=chunks)
+            state = store._probe_superblock(store.epoch % 2)
+            assert state["format"] == FORMAT_VERSION == 2
+            assert [len(state["map_slots"]), len(state["meta_slots"])] == [1, 1]
+            assert state["meta_slots"][0][1] == 200
+        with FilePageStore(path, page_size=PAGE) as store:
+            assert store.read_meta_pages() == chunks
+            assert store.mapped_pages == 300
+            # The re-save takes the lowest free slots first, so the new
+            # catalog is a few runs again; the old one is recycled.
+            store.commit(meta_payloads=chunks[::-1])
+            assert store.epoch == 2
+        with FilePageStore(path, page_size=PAGE) as store:
+            assert store.read_meta_pages() == chunks[::-1]
+
+    def test_a_fragmented_image_can_still_overflow_the_superblock(self, tmp_path):
+        path = str(tmp_path / "image.db")
+        with FilePageStore(path, page_size=PAGE) as store:
+            for page in range(80):
+                store.put(page, b"v1")
+            store.commit()
+            for page in range(0, 80, 2):  # copy-on-write: every other
+                store.put(page, b"v2")  # slot of the first run retires
+            store.commit()
+            with pytest.raises(StorageError, match="superblock overflow"):
+                store.commit(meta_payloads=[b"m"] * 40)
+        # The refused epoch was never published.
+        with FilePageStore(path, page_size=PAGE) as store:
+            assert store.epoch == 2
+            assert store.get(0) == b"v2" and store.get(1) == b"v1"
+
+    def test_store_format_1_is_refused(self, tmp_path):
+        path = str(tmp_path / "image.db")
+        with FilePageStore(path, page_size=PAGE) as store:
+            store.put(0, b"x")
+            store.commit()
+            state = store._probe_superblock(store.epoch % 2)
+            state.update(format=1, map_slots=store._map_slots, meta_slots=[])
+            payload = json.dumps(state, separators=(",", ":")).encode("ascii")
+            store._write_slot(store.epoch % 2, payload, KIND_SUPER)
+        with pytest.raises(StorageError, match="unsupported store format 1"):
+            FilePageStore(path, page_size=PAGE)
 
     def test_contiguous_flush_coalesces_into_one_pwrite(self, tmp_path):
         path = str(tmp_path / "image.db")

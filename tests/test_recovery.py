@@ -1,20 +1,38 @@
 """Crash-recovery tests for the persistent database: save/open round
 trips across every organization (answers AND priced I/O must survive),
-the crash-at-every-write-boundary matrix over the fault-injection
-harness, and detection of persistent media corruption."""
+the columnar catalog's byte form (round trips, size, damage), the
+crash-at-every-write-boundary matrix over the fault-injection harness,
+and detection of persistent media corruption."""
 
 from __future__ import annotations
 
+import json
 import shutil
 
+import numpy as np
 import pytest
 
+from repro.constants import DEFAULT_DATA_SPACE
+from repro.data import generate_map, scaled, spec_for
 from repro.database import SpatialDatabase
 from repro.errors import PageCorruptionError, StorageError
+from repro.geometry.feature import SpatialObject
+from repro.geometry.polygon import Polygon
+from repro.geometry.polyline import Polyline
+from repro.geometry.rect import Rect
 from repro.iosched.scheduler import SyncScheduler
 from repro.obs import MetricsRegistry
 from repro.pagestore import FaultyPageStore, FilePageStore, SimulatedCrash, flip_byte
-from repro.storage.serial import CATALOG_FORMAT, dump_state, load_state
+from repro.pagestore import file as file_store
+from repro.pagestore.file import payload_capacity
+from repro.storage import serial
+from repro.storage.serial import (
+    CATALOG_FORMAT,
+    decode_catalog,
+    dump_state,
+    encode_catalog,
+    load_state,
+)
 
 from tests.conftest import make_objects
 
@@ -41,6 +59,30 @@ def build_db(config: dict, n: int = 80) -> SpatialDatabase:
     return db
 
 
+def build_rich_db(config: dict) -> SpatialDatabase:
+    """Everything the catalog has a column for: polylines, polygons, an
+    ``mbr_override``, an oversize object, and deletes that leave dead
+    space in the units and a live-map order ``repack`` depends on."""
+    db = build_db(config, n=120)
+    for i in range(6):
+        x = y = 900.0 * (i + 1)
+        ring = [(x, y), (x + 300, y), (x + 300, y + 200), (x, y + 250)]
+        db.insert(SpatialObject(500 + i, Polygon(ring), size_bytes=400 + 50 * i))
+    db.insert(
+        SpatialObject(
+            600,
+            Polyline([(5000, 5000), (5100, 5080), (5200, 5020)]),
+            size_bytes=300,
+            mbr_override=Rect(4900, 4900, 5300, 5200),
+        )
+    )
+    db.insert(SpatialObject(601, Polyline([(100, 9000), (900, 9500)]), size_bytes=SMAX + 5000))
+    for oid in (3, 17, 18, 44, 90, 502):
+        db.delete(oid)
+    db.finalize()
+    return db
+
+
 def answers(db: SpatialDatabase) -> list[tuple[list[int], float]]:
     """Per-window (sorted oids, priced ms) from a cold disk head."""
     out = []
@@ -64,6 +106,63 @@ class TestRoundTrip:
         assert answers(twin) == expected
         assert len(twin) == len(db)
         assert twin.storage.occupied_pages() == db.storage.occupied_pages()
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_byte_round_trip_of_everything_the_catalog_holds(self, name):
+        db = build_rich_db(CONFIGS[name])
+        blob = encode_catalog(dump_state(db))
+        twin = load_state(decode_catalog(blob))
+        assert list(twin.storage.objects) == list(db.storage.objects)
+        for oid, obj in db.storage.objects.items():
+            got = twin.storage.objects[oid]
+            assert type(got.geometry) is type(obj.geometry)
+            assert got.geometry.vertices == obj.geometry.vertices
+            assert (got.size_bytes, got.mbr_override) == (obj.size_bytes, obj.mbr_override)
+        assert answers(twin) == answers(db)
+        point = (5150.0, 5050.0)  # inside the override, off the polyline
+        assert twin.point_query(*point).candidates == db.point_query(*point).candidates
+        # Nothing is lost or reordered on the way: the twin's catalog is
+        # the same bytes, and later updates price the same on both —
+        # repack() follows the live-map order, the allocators their
+        # free lists.
+        assert encode_catalog(dump_state(twin)) == blob
+        for side in (db, twin):
+            side.disk.reset_stats()
+            for i in range(40):
+                x = 4000.0 + 45.0 * i
+                side.insert_polyline(7000 + i, [(x, x), (x + 30, x + 40)], size_bytes=1500)
+            for oid in range(20, 40):
+                side.delete(oid)
+        assert twin.disk.stats().total_ms == db.disk.stats().total_ms
+        state = dump_state(db)
+        assert encode_catalog(dump_state(twin)) == encode_catalog(state)
+        # The columns are taken from caches (node rect matrices, vertex
+        # matrices): after updates they still say what the objects say.
+        tree = db.storage.tree
+        rects = [e.rect.as_tuple() for node in tree.nodes() for e in node.entries]
+        assert state["columns"]["entry_rects"].tolist() == [list(r) for r in rects]
+        vertices = [v for o in db.storage.objects.values() for v in o.geometry.vertices]
+        assert state["columns"]["vertices"].tolist() == [list(v) for v in vertices]
+
+    def test_trusted_geometry_constructors_seed_the_matrix_caches(self):
+        db = build_rich_db(CONFIGS["cluster-fixed"])
+        state = decode_catalog(encode_catalog(dump_state(db)))
+        twin = load_state(state)
+        for oid, obj in db.storage.objects.items():
+            geometry = twin.storage.objects[oid].geometry
+            if isinstance(geometry, Polyline):
+                assert np.shares_memory(geometry.coords(), state["columns"]["vertices"])
+                assert np.array_equal(geometry.coords(), obj.geometry.coords())
+            else:
+                assert np.array_equal(geometry.ring_coords(), obj.geometry.ring_coords())
+                assert geometry.contains_point(*obj.geometry.vertices[0])
+
+    def test_empty_database_round_trips(self):
+        db = SpatialDatabase(smax_bytes=SMAX)
+        blob = encode_catalog(dump_state(db))
+        twin = load_state(decode_catalog(blob))
+        assert len(twin) == 0
+        assert encode_catalog(dump_state(twin)) == blob
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_file_round_trip(self, name, tmp_path):
@@ -144,16 +243,81 @@ class TestRoundTrip:
         assert answers(reopened) == answers(single)
 
     def test_wrong_format_rejected(self):
-        """A newer catalog and format 1 (the config block before it was
-        the layout) alike are refused by the typed error, not misread."""
+        """A newer catalog, format 2 (one JSON document) and format 1
+        (the config block before it was the layout) alike are refused by
+        the typed error, not misread."""
         db = build_db(CONFIGS["secondary"], n=20)
         db.finalize()
         state = dump_state(db)
-        assert state["format"] == CATALOG_FORMAT == 2
-        for other in (1, CATALOG_FORMAT + 1):
+        assert state["format"] == CATALOG_FORMAT == 3
+        for other in (1, 2, CATALOG_FORMAT + 1):
             state["format"] = other
             with pytest.raises(StorageError):
                 load_state(state)
+
+    def test_a_database_too_large_for_per_slot_superblocks(self, tmp_path):
+        """A-1 @ 0.05 (6,573 objects, the database ``traffic_open`` and
+        ``query_cold`` serve) raised ``superblock overflow`` on save
+        while the superblock listed every catalog slot."""
+        path = str(tmp_path / "a1.db")
+        spec = scaled(spec_for("A-1"), 0.05)
+        db = SpatialDatabase(avg_object_size=spec.avg_object_size)
+        db.build(generate_map(spec, seed=1994))
+        side = 0.04 * DEFAULT_DATA_SPACE
+        corners = [f * DEFAULT_DATA_SPACE for f in (0.1, 0.3, 0.5, 0.7)]
+        windows = [(x, x, x + side, x + side) for x in corners]
+
+        def priced(database):
+            out = []
+            for window in windows:
+                database.disk.invalidate_head()
+                res = database.window_query(*window)
+                out.append((sorted(o.oid for o in res.objects), res.io.total_ms))
+            return out
+
+        expected = priced(db)
+        assert sum(len(oids) for oids, _ in expected) > 0
+        assert db.save(path) == 1
+        assert priced(SpatialDatabase.open(path)) == expected
+        live = SpatialDatabase.open(path, backing="file")
+        try:
+            assert priced(live) == expected
+            assert live.disk.scrub() == live.disk.mapped_pages == db.occupied_pages()
+        finally:
+            live.close()
+        x = corners[1] + side / 2
+        db.insert_polyline(10**7, [(x, x), (x + side / 8, x + side / 9)])
+        assert db.save(path) == 2
+        again = SpatialDatabase.open(path)
+        assert len(again) == len(db) == 6574
+        assert priced(again) == priced(db)
+
+    def test_catalog_size_is_pinned(self, tmp_path):
+        """The exact, machine-independent work counter of a checkpoint:
+        bytes of catalog per thing catalogued, on a fixed map (A-1 @
+        0.01, map seed 1994; the JSON catalog was 1.44 MB)."""
+        spec = scaled(spec_for("A-1"), 0.01)
+        db = SpatialDatabase(avg_object_size=spec.avg_object_size)
+        db.build(generate_map(spec, seed=1994))
+        path = str(tmp_path / "a1.db")
+        db.save(path)
+        columns = dump_state(db)["columns"]
+        counts = {name: len(column) for name, column in columns.items()}
+        assert (
+            counts["vertices"], counts["entries"], counts["live"],
+            counts["objects"], counts["nodes"],
+        ) == (32946, 1335, 1314, 1314, 22)
+        budget = (
+            16 * counts["vertices"]
+            + 72 * counts["entries"]
+            + 24 * counts["live"]
+            + 32 * counts["objects"]
+            + 64 * counts["nodes"]
+            + 8192
+        )
+        assert budget == 706_440
+        with FilePageStore(path) as store:
+            assert sum(len(chunk) for chunk in store.read_meta_pages()) <= budget
 
     def test_open_requires_a_catalog(self, tmp_path):
         path = str(tmp_path / "empty.db")
@@ -179,6 +343,163 @@ class TestRoundTrip:
                 metrics.counter("recovery.replayed_pages").value
                 == replayed + store.mapped_pages
             )
+
+
+# ----------------------------------------------------------------------
+# damage: a typed error, never a smaller database (ROADMAP item D)
+# ----------------------------------------------------------------------
+def reheaded(blob: bytes, edit) -> bytes:
+    """``blob`` with its JSON header passed through ``edit``."""
+    prefix = serial._PREFIX
+    _magic, head_len = prefix.unpack_from(blob)
+    header = json.loads(blob[prefix.size:prefix.size + head_len])
+    edit(header)
+    head = json.dumps(header, separators=(",", ":")).encode("ascii")
+    head += b" " * (-len(head) % 8)
+    body = blob[prefix.size + head_len:]
+    return prefix.pack(serial.CATALOG_MAGIC, len(head)) + head + body
+
+
+class TestDamage:
+    @pytest.fixture(scope="class")
+    def blob(self) -> bytes:
+        return encode_catalog(dump_state(build_rich_db(CONFIGS["cluster-buddy"])))
+
+    @staticmethod
+    def column_row(header: dict, name: str) -> list:
+        return next(row for row in header["columns"] if row[0] == name)
+
+    def test_the_intact_catalog_loads(self, blob):
+        assert len(load_state(decode_catalog(blob))) == 122
+
+    def test_truncation_at_every_sixteenth(self, blob):
+        for i in range(16):
+            with pytest.raises(StorageError):
+                decode_catalog(blob[: len(blob) * i // 16])
+
+    def test_stray_tail(self, blob):
+        with pytest.raises(StorageError):
+            decode_catalog(blob + b"\0" * 8)
+
+    def test_wrong_magic(self, blob):
+        with pytest.raises(StorageError, match="magic"):
+            decode_catalog(b"REPROCAX" + blob[8:])
+        # What format 2 stored: one JSON document.
+        with pytest.raises(StorageError, match="magic"):
+            decode_catalog(json.dumps({"format": 2, "objects": []}).encode("ascii"))
+
+    def test_garbled_header(self, blob):
+        garbled = bytearray(blob)
+        garbled[serial._PREFIX.size] = ord("]")
+        with pytest.raises(StorageError, match="header"):
+            decode_catalog(bytes(garbled))
+
+    def test_column_running_past_the_end(self, blob):
+        def grow(header):
+            self.column_row(header, "live")[2][0] += 1
+
+        with pytest.raises(StorageError, match="past the end"):
+            decode_catalog(reheaded(blob, grow))
+
+    @pytest.mark.parametrize("dtype", ["O", "|O", "<U8", "|S8", "V8", ">f8", "<f4", 7])
+    def test_non_numeric_dtype_in_the_header(self, blob, dtype):
+        def retype(header):
+            self.column_row(header, "vertices")[1] = dtype
+
+        with pytest.raises(StorageError):
+            decode_catalog(reheaded(blob, retype))
+
+    @pytest.mark.parametrize("shape", [[-1, 2], [2.5, 2], "ab", [[1], 2], [2**62, 4]])
+    def test_bad_shape_in_the_header(self, blob, shape):
+        def reshape(header):
+            self.column_row(header, "vertices")[2] = shape
+
+        with pytest.raises(StorageError):
+            decode_catalog(reheaded(blob, reshape))
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            # column lengths that disagree
+            lambda c: c.update(entry_rects=c["entry_rects"][:-1]),
+            lambda c: c.update(entries=c["entries"][:-1]),
+            lambda c: c.update(live=c["live"][:-1]),
+            lambda c: c.update(override_rects=c["override_rects"][:0]),
+            # an object-table offset past the vertex matrix
+            lambda c: c["objects"].__setitem__((5, 3), c["objects"][5, 3] + 1),
+            lambda c: c["objects"].__setitem__((-1, 3), len(c["vertices"]) + 1),
+            lambda c: c["objects"].__setitem__((0, 3), -2),
+            lambda c: c.update(vertices=c["vertices"][:-1]),
+            # wrong dtype, wrong width, a column missing
+            lambda c: c.update(vertices=c["vertices"].astype("<f4")),
+            lambda c: c.update(objects=c["objects"].astype("<f8")),
+            lambda c: c.update(live=c["live"][:, :2]),
+            lambda c: c.pop("nodes"),
+            # references to rows that are not there
+            lambda c: c["entries"].__setitem__((0, 0), 10**6),
+            lambda c: c["units"].__setitem__((0, 0), 10**6),
+            lambda c: c["override_rows"].__setitem__((0, 0), 10**6),
+            # an object listed twice, unknown to the tree, or too short
+            lambda c: c["objects"].__setitem__((1, 0), c["objects"][0, 0]),
+            lambda c: c["objects"].__setitem__((1, 0), 10**6),
+            lambda c: c["live"].__setitem__((1, 0), c["live"][0, 0]),
+            lambda c: c["objects"].__setitem__((0, 1), 2),
+        ],
+    )
+    def test_tables_that_contradict_each_other(self, blob, damage):
+        state = decode_catalog(blob)
+        state["columns"] = {k: v.copy() for k, v in state["columns"].items()}
+        damage(state["columns"])
+        with pytest.raises(StorageError):
+            load_state(state)
+
+    def test_a_polygon_cannot_shrink_to_a_line(self, blob):
+        state = decode_catalog(blob)
+        columns = state["columns"] = {k: v.copy() for k, v in state["columns"].items()}
+        row = int(np.flatnonzero(columns["objects"][:, 1] == 1)[0])
+        columns["objects"][row, 3] -= 2
+        columns["objects"][row + 1, 3] += 2
+        with pytest.raises(StorageError):
+            load_state(state)
+
+    def test_the_read_path_never_unpickles_or_evaluates(self):
+        for module in (serial, file_store):
+            with open(module.__file__, encoding="utf-8") as f:
+                source = f.read()
+            for banned in ("pickle", "eval(", "exec(", "np.load", "fromstring"):
+                assert banned not in source, (module.__name__, banned)
+
+    @pytest.mark.parametrize("backing", ["sim", "file"])
+    def test_open_closes_the_file_when_the_catalog_is_damaged(
+        self, blob, backing, tmp_path, monkeypatch
+    ):
+        """``open`` used to close the store only when *reading* the meta
+        pages failed; a catalog that fails validation left the
+        descriptor to ``__del__``."""
+        state = decode_catalog(blob)
+        columns = state["columns"] = {k: v.copy() for k, v in state["columns"].items()}
+        columns["objects"][0, 3] += 1  # checksums fine, tables disagree
+        damaged = encode_catalog(state)
+        path = str(tmp_path / "damaged.db")
+        with FilePageStore(path) as store:
+            capacity = payload_capacity(store.page_size)
+            store.commit(
+                meta={"kind": "spatialdb", "format": CATALOG_FORMAT},
+                meta_payloads=[
+                    damaged[i:i + capacity] for i in range(0, len(damaged), capacity)
+                ],
+            )
+        opened = []
+        init = FilePageStore.__init__
+
+        def spy(store, *args, **kwargs):
+            init(store, *args, **kwargs)
+            opened.append(store)
+
+        monkeypatch.setattr(FilePageStore, "__init__", spy)
+        with pytest.raises(StorageError):
+            SpatialDatabase.open(path, backing=backing)
+        assert [store._fd for store in opened] == [None]
 
 
 # ----------------------------------------------------------------------
