@@ -173,7 +173,7 @@ def test_ablation_slm_gap(ctx, benchmark, record_table):
                     continue
                 oids = [
                     e.oid for e in entries
-                    if org.oversize_extent(e.oid) is None
+                    if org.extent_of(e.oid) is None
                 ]
                 if oids:
                     request_sets.append(unit.requested_pages(oids))

@@ -5,10 +5,6 @@ from repro.core.policy import ClusterPolicy, smax_bytes_for
 from repro.core.techniques import (
     TECHNIQUES,
     geometric_threshold,
-    read_complete,
-    read_optimum,
-    read_per_object,
-    read_slm,
     slm_schedule,
 )
 from repro.core.unit import ClusterUnit
@@ -21,8 +17,4 @@ __all__ = [
     "TECHNIQUES",
     "slm_schedule",
     "geometric_threshold",
-    "read_complete",
-    "read_per_object",
-    "read_slm",
-    "read_optimum",
 ]

@@ -56,6 +56,7 @@ class ClusterOrganization(SpatialOrganization):
     # One plan per cluster unit: ``plan.extent`` names the unit a
     # cluster-aware prefetcher completes.
     _plan_per_group = True
+    _catalog_scalars = ("_total_object_bytes",)
 
     def __init__(
         self,
@@ -73,7 +74,6 @@ class ClusterOrganization(SpatialOrganization):
         self.technique = technique
         self.leaf_reinsert = leaf_reinsert
         self._unit_of: dict[int, ClusterUnit] = {}
-        self._oversize: dict[int, Extent] = {}
         self._total_object_bytes = 0
         super().__init__(**kwargs)
         if self.page_size != policy.page_size:
@@ -89,7 +89,7 @@ class ClusterOrganization(SpatialOrganization):
             self._unit_alloc = BuddyAllocator(
                 unit_region, policy.smax_pages, policy.buddy_sizes
             )
-        self._oversize_region = self._claim_region("oversize")
+        self._own_region = self._claim_region("oversize")
 
     # ------------------------------------------------------------------
     # tree wiring
@@ -106,34 +106,25 @@ class ClusterOrganization(SpatialOrganization):
             entry_added_handler=self._on_entry_added,
         )
 
-    def _is_oversize(self, obj: SpatialObject) -> bool:
+    def _exceeds_smax(self, obj: SpatialObject) -> bool:
         return obj.size_bytes > self.policy.smax_bytes
 
     def _entry_load(self, obj: SpatialObject) -> int:
         """Oversize objects contribute nothing to their unit's byte
         size (they live outside); everything else weighs its exact
         representation."""
-        if self._is_oversize(obj):
+        if self._exceeds_smax(obj):
             return 0
         return obj.size_bytes
 
     def _store_object(self, obj: SpatialObject) -> Extent | None:
         self._total_object_bytes += obj.size_bytes
-        if self._is_oversize(obj):
-            extent = self._oversize_region.allocate(
-                self.pages_for(obj.size_bytes)
-            )
-            self._oversize[obj.oid] = extent
-            self.pool.place_extent(extent, center=obj.mbr.center())
-            self.pool.submit(AccessPlan("cluster.store").write_extent(extent))
-            return extent
+        if self._exceeds_smax(obj):
+            return self._store_extent(obj)
         return None  # placed by the entry-added hook, which knows the leaf
 
     def _unstore_object(self, obj: SpatialObject) -> None:
-        extent = self._oversize.pop(obj.oid, None)
-        if extent is not None:
-            self._oversize_region.free(extent)
-            self._drop_frames(extent)
+        super()._unstore_object(obj)
         self._total_object_bytes -= obj.size_bytes
         unit = self._unit_of.pop(obj.oid, None)
         if unit is not None:
@@ -228,7 +219,7 @@ class ClusterOrganization(SpatialOrganization):
         object to the cluster unit of the chosen data page."""
         oid = entry.oid
         assert oid is not None
-        if oid in self._oversize:
+        if oid in self._extents:
             return
         obj = self.objects[oid]
         size = obj.size_bytes
@@ -295,7 +286,7 @@ class ClusterOrganization(SpatialOrganization):
             return [
                 e.oid
                 for e in leaf.entries
-                if e.oid is not None and e.oid not in self._oversize
+                if e.oid is not None and e.oid not in self._extents
             ]
 
         moved = in_unit_oids(new_leaf)
@@ -367,15 +358,15 @@ class ClusterOrganization(SpatialOrganization):
         ``plan.extent`` prefetch hint degenerates to the last group's
         unit — which is why merging requires a prefetcher-free pool
         (``SpatialOrganization._batchable``)."""
-        in_unit: list[int] = []
-        for entry in entries:
-            assert entry.oid is not None
-            extent = self._oversize.get(entry.oid)
-            if extent is not None:
-                plan.read_extent(extent)
-                candidates.append(self.objects[entry.oid])
-            else:
-                in_unit.append(entry.oid)
+        extents, objects = self._extents, self.objects
+        in_unit = [entry.oid for entry in entries]
+        if extents:  # almost always empty: Smax is far above the average
+            for oid in in_unit:
+                extent = extents.get(oid)
+                if extent is not None:
+                    plan.read_extent(extent)
+                    candidates.append(objects[oid])
+            in_unit = [oid for oid in in_unit if oid not in extents]
         if in_unit:
             unit: ClusterUnit | None = leaf.tag
             if unit is None:
@@ -383,7 +374,7 @@ class ClusterOrganization(SpatialOrganization):
                     f"data page {leaf.node_id} has objects but no cluster unit"
                 )
             self._read_unit(plan, unit, in_unit, leaf, window, selective)
-            candidates.extend(self.objects[oid] for oid in in_unit)
+            candidates.extend([objects[oid] for oid in in_unit])
 
     def _read_unit(
         self,
@@ -450,14 +441,10 @@ class ClusterOrganization(SpatialOrganization):
     # reporting / join support
     # ------------------------------------------------------------------
     def occupied_pages(self) -> int:
-        """Tree pages plus the full physical units (non-occupied pages
-        of a cluster unit cannot be used for anything else, Section 5.3)
-        plus oversize storage."""
-        return (
-            self.tree_pages()
-            + self._unit_alloc.occupied_pages
-            + self._oversize_region.high_water_pages
-        )
+        """Tree pages and oversize storage plus the full physical units
+        (non-occupied pages of a cluster unit cannot be used for
+        anything else, Section 5.3)."""
+        return super().occupied_pages() + self._unit_alloc.occupied_pages
 
     @property
     def unit_moves(self) -> int:
@@ -469,11 +456,8 @@ class ClusterOrganization(SpatialOrganization):
 
     def unit_for(self, oid: int) -> ClusterUnit | None:
         """The cluster unit holding an object (``None`` for oversize
-        objects); used by the spatial join's object transfer."""
+        objects)."""
         return self._unit_of.get(oid)
-
-    def oversize_extent(self, oid: int) -> Extent | None:
-        return self._oversize.get(oid)
 
     def units(self) -> list[ClusterUnit]:
         """All live cluster units (via the data pages)."""

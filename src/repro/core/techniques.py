@@ -25,18 +25,10 @@ follow-ups inside the unit pay a rotational delay only.
 
 from __future__ import annotations
 
-from repro.buffer.pool import BufferPool
-from repro.disk.model import DiskModel
 from repro.disk.params import DiskParameters
 from repro.core.unit import ClusterUnit
 from repro.errors import ConfigurationError
 from repro.iosched.request import AccessPlan
-from repro.iosched.scheduler import SYNC
-
-#: Anything with a ``read(start, npages, continuation)`` request surface:
-#: the raw disk model, or (normally) the shared buffer pool, which skips
-#: resident pages and coalesces the rest into vectored transfers.
-PageReader = DiskModel | BufferPool
 
 __all__ = [
     "TECHNIQUES",
@@ -46,10 +38,6 @@ __all__ = [
     "plan_per_object",
     "plan_slm",
     "plan_optimum",
-    "read_complete",
-    "read_per_object",
-    "read_slm",
-    "read_optimum",
 ]
 
 TECHNIQUES = ("complete", "page", "threshold", "slm", "adaptive", "optimum")
@@ -195,55 +183,3 @@ def plan_optimum(
         return []
     plan.read(unit.extent.start, len(requested))
     return [(page, 1) for page in requested]
-
-
-# ----------------------------------------------------------------------
-# imperative wrappers: build the plan and execute it immediately (tests
-# and ad-hoc pricing; the organizations submit whole plans instead)
-# ----------------------------------------------------------------------
-def _execute(plan: AccessPlan, disk: PageReader) -> None:
-    """Run a freshly built plan against a pool (its own scheduler) or a
-    raw disk model (the stateless sync scheduler prices it directly)."""
-    submit = getattr(disk, "submit", None)
-    if submit is not None:
-        submit(plan)
-    else:
-        SYNC.execute(plan, disk)  # type: ignore[arg-type] - read-only plan
-
-
-def read_complete(disk: PageReader, unit: ClusterUnit) -> list[tuple[int, int]]:
-    """Transfer the whole unit with a single request."""
-    plan = AccessPlan("unit.complete")
-    runs = plan_complete(plan, unit)
-    _execute(plan, disk)
-    return runs
-
-
-def read_per_object(
-    disk: PageReader, unit: ClusterUnit, oids: list[int]
-) -> list[tuple[int, int]]:
-    """Object-by-object access (see :func:`plan_per_object`)."""
-    plan = AccessPlan("unit.per_object")
-    runs = plan_per_object(plan, unit, oids)
-    _execute(plan, disk)
-    return runs
-
-
-def read_slm(
-    disk: PageReader, unit: ClusterUnit, oids: list[int]
-) -> list[tuple[int, int]]:
-    """SLM read schedule (see :func:`plan_slm`)."""
-    plan = AccessPlan("unit.slm")
-    runs = plan_slm(plan, unit, oids, disk.params.slm_gap_pages)
-    _execute(plan, disk)
-    return runs
-
-
-def read_optimum(
-    disk: PageReader, unit: ClusterUnit, oids: list[int]
-) -> list[tuple[int, int]]:
-    """Analytic lower bound (see :func:`plan_optimum`)."""
-    plan = AccessPlan("unit.optimum")
-    runs = plan_optimum(plan, unit, oids)
-    _execute(plan, disk)
-    return runs

@@ -563,9 +563,7 @@ class SpatialDatabase:
         ``backing="file"`` (nothing is flushed — durability comes from
         :meth:`save`, never from ``close``).
         """
-        close = getattr(self.disk, "close", None)
-        if close is not None:
-            close()
+        self.disk.close()
 
     def attach(self, name: str, **knobs) -> "SpatialDatabase":
         """A second database (relation) on this database's disk — the
@@ -616,9 +614,7 @@ class SpatialDatabase:
         trace spans).  The unified mid-run reset."""
         self.disk.reset_stats()
         self.storage.pool.reset_stats()
-        reset_sched = getattr(self.scheduler, "reset_stats", None)
-        if reset_sched is not None:
-            reset_sched()
+        self.scheduler.reset_stats()
         self.metrics.reset_stats()
 
     @property
@@ -644,7 +640,7 @@ class SpatialDatabase:
     def admission_policy(self) -> str:
         """Name of the scheduler's admission policy ('none' when
         disabled or under the sync scheduler)."""
-        return admission_name(getattr(self.scheduler, "admission", None))
+        return admission_name(self.scheduler.admission)
 
     @property
     def tiering(self) -> str:

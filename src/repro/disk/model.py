@@ -407,6 +407,9 @@ class DiskModel:
         self._stats = DiskStats()
         self.requests.clear()
 
+    def close(self) -> None:
+        """Nothing to release: the device is simulated."""
+
     # ------------------------------------------------------------------
     # the leaf of the store tree (see repro.pagestore.store)
     # ------------------------------------------------------------------

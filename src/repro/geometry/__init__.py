@@ -6,7 +6,7 @@ intersection predicates for the refinement step, and the byte-size model
 tying geometry to storage footprints.
 """
 
-from repro.geometry.decomposed import DecomposedObject, ExactTestCounter
+from repro.geometry.decomposed import ExactTestCounter
 from repro.geometry.feature import Geometry, SpatialObject
 from repro.geometry.intersect import (
     point_in_polygon,
@@ -32,7 +32,6 @@ __all__ = [
     "Polygon",
     "SpatialObject",
     "Geometry",
-    "DecomposedObject",
     "ExactTestCounter",
     "segments_intersect",
     "segment_intersects_rect",

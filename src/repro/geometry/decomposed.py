@@ -1,86 +1,18 @@
-"""Decomposed object representation for fast exact geometry tests.
+"""The model cost of exact geometry tests.
 
 Section 6.3 notes that the exact intersection test is "supported by a
 decomposed representation of the objects [SK91] where one test needs
-roughly 0.75 msec".  The TR*-tree of [SK91] decomposes an object into
-small simple components indexed by their MBRs, so an intersection test
-touches only the components whose boxes overlap.
-
-We reproduce the idea with a lightweight per-object segment grid: the
-segments of the polyline are bucketed by MBR into a small in-memory
-index; a pairwise test only compares segments whose buckets overlap.
-The class also *accounts* the model cost (0.75 ms per pairwise test) so
-the Figure 17 cost breakdown can be reproduced independently of Python's
-actual speed.
+roughly 0.75 msec".  The tests themselves are the batch kernels of
+:mod:`repro.geometry.intersect`; this module *accounts* the model cost
+(0.75 ms per pairwise test) so the Figure 17 cost breakdown can be
+reproduced independently of Python's actual speed.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.constants import EXACT_TEST_MS
-from repro.geometry.intersect import segments_intersect
-from repro.geometry.rect import Rect
 
-__all__ = ["DecomposedObject", "ExactTestCounter"]
-
-
-class DecomposedObject:
-    """Segment-level decomposition of a polyline/polygon boundary.
-
-    Parameters
-    ----------
-    vertices:
-        The vertex chain (for polygons, pass the closed ring).
-    group_size:
-        Number of consecutive segments per component; small values mean
-        finer decomposition and fewer candidate segment pairs.
-    """
-
-    __slots__ = ("segments", "boxes", "mbr")
-
-    def __init__(self, vertices: Sequence[tuple[float, float]], group_size: int = 4):
-        if group_size < 1:
-            raise ValueError(f"group_size must be >= 1, got {group_size}")
-        segs: list[tuple[tuple[float, float], tuple[float, float]]] = []
-        for i in range(len(vertices) - 1):
-            segs.append((vertices[i], vertices[i + 1]))
-        if not segs:
-            # Degenerate single-point object: one zero-length segment.
-            segs.append((vertices[0], vertices[0]))
-        self.segments = segs
-        # The segment predicates tolerate ~1e-12 of numeric slack, so the
-        # pre-filter boxes must be grown slightly or they could reject a
-        # pair the exact test would (fuzzily) accept.
-        slack = 1e-9 * (
-            1.0 + max(abs(c) for seg in segs for p in seg for c in p)
-        )
-        self.boxes: list[tuple[Rect, int, int]] = []
-        for start in range(0, len(segs), group_size):
-            chunk = segs[start : start + group_size]
-            pts = [p for seg in chunk for p in seg]
-            self.boxes.append(
-                (Rect.from_points(pts).grown(slack), start, start + len(chunk))
-            )
-        self.mbr = Rect.from_points([p for seg in segs for p in seg]).grown(slack)
-
-    def intersects(self, other: "DecomposedObject") -> bool:
-        """Exact intersection using component boxes as a pre-filter."""
-        if not self.mbr.intersects(other.mbr):
-            return False
-        for box_a, lo_a, hi_a in self.boxes:
-            if not box_a.intersects(other.mbr):
-                continue
-            for box_b, lo_b, hi_b in other.boxes:
-                if not box_a.intersects(box_b):
-                    continue
-                for i in range(lo_a, hi_a):
-                    sa = self.segments[i]
-                    for j in range(lo_b, hi_b):
-                        sb = other.segments[j]
-                        if segments_intersect(sa[0], sa[1], sb[0], sb[1]):
-                            return True
-        return False
+__all__ = ["ExactTestCounter"]
 
 
 class ExactTestCounter:

@@ -30,7 +30,7 @@ so the timing layer needs no further cooperation from the store: any
 from __future__ import annotations
 
 from bisect import bisect_right
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import TYPE_CHECKING, Iterator, Protocol, runtime_checkable
 
 from repro.errors import ConfigurationError
@@ -60,11 +60,18 @@ def device_times(store) -> list[float]:
 
 @runtime_checkable
 class IOScheduler(Protocol):
-    """Anything that can execute an access plan against a pool."""
+    """Anything that can execute an access plan against a pool, with
+    the scope surface its callers use (:class:`SyncScheduler` is the
+    null implementation to derive from)."""
 
     name: str
+    admission: object
+    in_operation: bool
 
     def execute(self, plan: AccessPlan, pool: "BufferPool") -> float: ...
+    def operation(self, client: str): ...
+    def inline(self): ...
+    def reset_stats(self) -> None: ...
 
 
 class SyncScheduler:
@@ -78,6 +85,16 @@ class SyncScheduler:
     """
 
     name = "sync"
+
+    #: The scope surface :class:`OverlapScheduler` gives meaning to; here
+    #: nothing is ever delayed, so there is no admission policy, no
+    #: operation is ever open and a scope changes nothing.
+    admission = None
+    in_operation = False
+
+    def operation(self, client: str):
+        """One client operation: a null scope (execution is immediate)."""
+        return nullcontext(self)
 
     def execute(self, plan: AccessPlan, pool: "BufferPool") -> float:
         tracer = _obs.ACTIVE
@@ -499,6 +516,11 @@ class OverlapScheduler(SyncScheduler):
     def client(self) -> str:
         """The session the next submitted plan is charged to."""
         return self._client
+
+    @property
+    def in_operation(self) -> bool:
+        """Is an :meth:`operation` scope open?"""
+        return self._scope is not None
 
     def client_queueing_ms(self, client: str) -> float:
         """Accumulated queueing delay of one client in ms."""

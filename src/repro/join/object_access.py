@@ -1,9 +1,13 @@
 """Object transfer for the spatial join (Sections 6.1 / 6.2).
 
 Unlike a window query, the join "may read an object in an unpredictable
-manner many times", so every organization fetches exact representations
-*through the shared buffer pool*.  The cluster organization additionally
-chooses how much of a touched cluster unit to transfer:
+manner many times", so exact representations are fetched *through the
+shared buffer pool*.  Where they live is the organization's one answer
+(:meth:`~repro.storage.base.SpatialOrganization.extent_of`, else the
+data page's cluster unit ``leaf.tag``, else the data page itself); what
+this module adds is the join's own: the residency question — an object
+with pages of its own is read whole on any page miss and merely touched
+on none — and how much of a touched cluster unit to transfer:
 
 * ``complete`` — the whole unit (the paper's default; "exhibits the
   best performance for join processing in most cases");
@@ -20,16 +24,14 @@ chooses how much of a touched cluster unit to transfer:
 from __future__ import annotations
 
 from repro.buffer.pool import BufferPool
-from repro.core.organization import ClusterOrganization
 from repro.core.techniques import slm_schedule
+from repro.core.unit import ClusterUnit
 from repro.disk.extent import Extent
 from repro.errors import ConfigurationError
 from repro.iosched.request import AccessPlan
 from repro.rtree.entry import Entry
 from repro.rtree.node import Node
 from repro.storage.base import SpatialOrganization
-from repro.storage.primary import PrimaryOrganization
-from repro.storage.secondary import SecondaryOrganization
 
 __all__ = ["JOIN_TECHNIQUES", "ObjectTransfer"]
 
@@ -48,16 +50,15 @@ class ObjectTransfer:
         The shared :class:`~repro.buffer.pool.BufferPool` pricing and
         caching all transfers.
     technique:
-        Cluster-unit transfer technique (ignored for the secondary and
-        primary organizations, which have no units to batch).
+        Cluster-unit transfer technique (without effect on a relation
+        that has no units to batch).
 
     :meth:`fetch_group` declares each group's transfers as one
-    scheduler *operation* (an ``operation()`` scope on an overlapping
-    scheduler, letting the whole group's plans dispatch against one
-    virtual-clock window) whenever the pool's scheduler supports scopes
-    *and* no enclosing scope is already open (the workload engine wraps
-    whole join operations in its own scope — nesting another would
-    shift its timing).
+    scheduler *operation* (an ``operation()`` scope: on an overlapping
+    scheduler the whole group's plans dispatch against one
+    virtual-clock window) unless an enclosing scope is already open
+    (the workload engine wraps whole join operations in its own scope —
+    nesting another would shift its timing).
     """
 
     def __init__(
@@ -79,15 +80,6 @@ class ObjectTransfer:
         self._optimum_pages: dict[int, set[int]] = {}
 
     # ------------------------------------------------------------------
-    def _operation(self):
-        """The scheduler's ``operation`` scope for one fetched group, or
-        ``None`` when grouping is unsupported / already active."""
-        scheduler = self.pool.scheduler
-        operation = getattr(scheduler, "operation", None)
-        if operation is None or getattr(scheduler, "_scope", None) is not None:
-            return None
-        return operation
-
     def fetch_group(self, leaf: Node, entries: list[Entry]) -> None:
         """Make the exact representations of the given data entries
         memory-resident, pricing all disk traffic.
@@ -95,35 +87,32 @@ class ObjectTransfer:
         On an overlapping scheduler the group's plans are scheduled as
         one operation, so candidate-object fetches for one leaf pair
         dispatch as a batch instead of one-at-a-time."""
-        operation = self._operation()
-        if operation is not None:
-            with operation("join.transfer"):
-                self._dispatch(leaf, entries)
-        else:
+        scheduler = self.pool.scheduler
+        if scheduler.in_operation:
             self._dispatch(leaf, entries)
+        else:
+            with scheduler.operation("join.transfer"):
+                self._dispatch(leaf, entries)
 
     def _dispatch(self, leaf: Node, entries: list[Entry]) -> None:
-        oids: list[int] = []
-        seen: set[int] = set()
-        for entry in entries:
-            assert entry.oid is not None
-            if entry.oid not in seen:
-                seen.add(entry.oid)
-                oids.append(entry.oid)
+        oids = list(dict.fromkeys([entry.oid for entry in entries]))
         self.object_requests += len(oids)
-
         org = self.org
-        if isinstance(org, ClusterOrganization):
-            self._fetch_cluster(leaf, oids)
-        elif isinstance(org, SecondaryOrganization):
-            for oid in oids:
-                self._fetch_extent(org.object_extent(oid))
-        elif isinstance(org, PrimaryOrganization):
-            self._fetch_primary(leaf, oids)
-        else:  # pragma: no cover - all concrete organizations covered
-            raise ConfigurationError(
-                f"unsupported organization {type(org).__name__}"
-            )
+        if org._page_holds_objects and leaf.page is not None:
+            # Already buffered by the MBR join's node access.
+            self.pool.submit(AccessPlan("join.leaf").get(leaf.page))
+        colocated: list[int] = []
+        for oid in oids:
+            extent = org.extent_of(oid)
+            if extent is not None:
+                self._fetch_extent(extent)
+            else:
+                colocated.append(oid)
+        unit: ClusterUnit | None = leaf.tag
+        if unit is None:  # they came with the data page
+            self.buffer_hits += len(colocated)
+        elif colocated:
+            self._fetch_unit(unit, colocated)
 
     # ------------------------------------------------------------------
     def _pages_missing(self, start: int, npages: int) -> bool:
@@ -136,7 +125,7 @@ class ObjectTransfer:
             self.pool.access(start + i)
 
     def _fetch_extent(self, extent: Extent) -> None:
-        """Secondary-style access: the object's extent is read with one
+        """An object with pages of its own: the extent is read with one
         request on any page miss and fully buffered.  The residency
         decision is made when the plan is built (it depends on what
         earlier fetches admitted), the transfer is submitted as a
@@ -149,35 +138,9 @@ class ObjectTransfer:
             self._touch(extent.start, extent.npages)
             self.buffer_hits += 1
 
-    def _fetch_primary(self, leaf: Node, oids: list[int]) -> None:
-        """Primary organization: inline objects came with the data page
-        (already buffered by the MBR join's node access); overflow
-        objects are fetched like secondary objects."""
-        assert isinstance(self.org, PrimaryOrganization)
-        if leaf.page is not None:
-            self.pool.submit(AccessPlan("join.leaf").get(leaf.page))
-        for oid in oids:
-            if not self.org.is_inline(oid):
-                self._fetch_extent(self.org.overflow_extent(oid))
-            else:
-                self.buffer_hits += 1
-
     # ------------------------------------------------------------------
-    def _fetch_cluster(self, leaf: Node, oids: list[int]) -> None:
-        assert isinstance(self.org, ClusterOrganization)
-        org = self.org
-        unit_oids: list[int] = []
-        for oid in oids:
-            extent = org.oversize_extent(oid)
-            if extent is not None:
-                self._fetch_extent(extent)
-            else:
-                unit_oids.append(oid)
-        if not unit_oids:
-            return
-        unit = org.unit_for(unit_oids[0])
-        assert unit is not None
-
+    def _fetch_unit(self, unit: ClusterUnit, unit_oids: list[int]) -> None:
+        """The objects of one cluster unit, under the join technique."""
         requested = unit.requested_pages(unit_oids)
         base = unit.extent.start
         if self.technique == "optimum":

@@ -114,6 +114,7 @@ class PageStore(Protocol):
     def cost_since(self, snapshot) -> VectoredCost: ...
     def reset(self) -> None: ...
     def reset_stats(self) -> None: ...
+    def close(self) -> None: ...
     def device_labels(self) -> Sequence[str]: ...
     def place_extent(self, extent: Extent, center=None, disk: int | None = None) -> None: ...
     def forget_extent(self, extent: Extent) -> None: ...
@@ -395,6 +396,10 @@ class CompositePageStore:
             child.reset_stats()
         self._response_ms = 0.0
         self._reset_epoch += 1
+
+    def close(self) -> None:
+        """Release what the store holds of the operating system: nothing
+        for simulated devices (a file-backed store has a descriptor)."""
 
 
 class ShardedPageStore(CompositePageStore):

@@ -228,7 +228,7 @@ def build_flat(tree: "RStarTree") -> FlatTree:
         entry_oid,
         entry_page,
         entry_npages,
-        generation=getattr(tree, "_generation", 0),
+        generation=tree._generation,
     )
 
 

@@ -5,7 +5,15 @@ Every organization owns
 * an R*-tree over the objects' MBRs (the spatial access method),
 * a simulated :class:`~repro.disk.DiskModel` pricing all I/O,
 * the in-memory object table (the simulator never serialises payloads —
-  it prices page traffic).
+  it prices page traffic),
+* the answer to "where does this object's exact representation live":
+  ``_extents`` maps the objects stored on pages of their own to those
+  pages (:meth:`SpatialOrganization.extent_of`); every other object is
+  co-located with its data page — in the page's cluster unit
+  (``leaf.tag``) or, where :attr:`~SpatialOrganization.
+  _page_holds_objects`, inside the page itself.  Queries
+  (:meth:`~SpatialOrganization._plan_group`), the join's object
+  transfer and the catalog all read that one table.
 
 The lifecycle has two phases.  During **construction**, node I/O runs
 through a write-back LRU buffer (the authors' testbed caches the upper
@@ -27,7 +35,8 @@ if TYPE_CHECKING:  # pragma: no cover - import would be circular at runtime
 
 from repro.buffer.pool import BufferPool
 from repro.constants import ENTRY_SIZE, PAGE_CAPACITY, PAGE_SIZE
-from repro.disk.allocator import PageAllocator
+from repro.disk.allocator import PageAllocator, Region
+from repro.disk.extent import Extent
 from repro.disk.model import DiskModel, DiskStats
 from repro.errors import StorageError
 from repro.geometry.feature import SpatialObject
@@ -95,6 +104,18 @@ class SpatialOrganization(abc.ABC):
     #: groups share one plan.
     _plan_per_group: bool = False
 
+    #: True when a data page itself carries the exact representations of
+    #: its objects that have no extent of their own (the primary
+    #: organization); otherwise they are in the page's cluster unit.
+    _page_holds_objects: bool = False
+
+    #: Names of the instance scalars the catalog's ``storage`` block
+    #: keeps for this organization (:mod:`repro.storage.serial`).
+    _catalog_scalars: tuple[str, ...] = ()
+
+    #: Where own extents are allocated; every subclass claims one.
+    _own_region: Region
+
     def __init__(
         self,
         disk: "DiskModel | PageStore | None" = None,
@@ -114,6 +135,8 @@ class SpatialOrganization(abc.ABC):
         self.max_entries = max_entries
         self.region_prefix = region_prefix or self.name
         self.objects: dict[int, SpatialObject] = {}
+        #: The objects stored on pages of their own, and those pages.
+        self._extents: dict[int, Extent] = {}
         self._construction_io = DiskStats()
         self._measuring = False
         # All measurement-mode page traffic (data pages, cluster units,
@@ -179,7 +202,16 @@ class SpatialOrganization(abc.ABC):
         """Physically place a new object; returns the entry payload
         (the organization's locator for the exact representation)."""
 
-    @abc.abstractmethod
+    def _store_extent(self, obj: SpatialObject) -> Extent:
+        """Give ``obj`` pages of its own: allocate them, record them in
+        the one table, place them by the object's centre and price the
+        write."""
+        extent = self._own_region.allocate(self.pages_for(obj.size_bytes))
+        self._extents[obj.oid] = extent
+        self.pool.place_extent(extent, center=obj.mbr.center())
+        self.pool.submit(AccessPlan(f"{self.name}.store").write_extent(extent))
+        return extent
+
     def _plan_group(
         self,
         plan: AccessPlan,
@@ -198,11 +230,30 @@ class SpatialOrganization(abc.ABC):
         threshold need it); ``selective`` marks point queries, which
         access single objects through the cluster unit's relative
         addresses instead of bulk-reading units (Sections 4.2.2/5.5).
-        """
 
-    @abc.abstractmethod
+        Here: every candidate with pages of its own costs one read
+        request — in the sequential file there is no useful physical
+        adjacency (Section 3.2.1's drawback), and an overflow object is
+        the effect behind the primary organization's poor point-query
+        behaviour for large objects (Figure 12); the others arrived with
+        their data page, already priced by the filter step.  Candidates
+        stay in entry order.
+        """
+        extents = self._extents
+        if extents:
+            for entry in entries:
+                extent = extents.get(entry.oid)
+                if extent is not None:
+                    plan.read_extent(extent)
+        objects = self.objects
+        candidates.extend([objects[entry.oid] for entry in entries])
+
     def occupied_pages(self) -> int:
-        """Total pages bound by the organization (Figure 6's metric)."""
+        """Total pages bound by the organization (Figure 6's metric):
+        the tree (primary's data pages embed the objects) plus the
+        region of own extents up to its high-water mark (the byte-packed
+        sequential file; overflow and oversize storage)."""
+        return self.tree_pages() + self._own_region.high_water_pages
 
     # ------------------------------------------------------------------
     # construction phase
@@ -234,8 +285,12 @@ class SpatialOrganization(abc.ABC):
         return obj
 
     def _unstore_object(self, obj: SpatialObject) -> None:
-        """Release physical storage of a deleted object (default: none —
-        the secondary organization's sequential file never reclaims)."""
+        """Release the physical storage of a deleted object: forget its
+        own extent, if it has one, and give the pages back."""
+        extent = self._extents.pop(obj.oid, None)
+        if extent is not None:
+            self._own_region.free(extent)
+            self._drop_frames(extent)
 
     def _entry_load(self, obj: SpatialObject) -> int:
         """Byte load the object's entry contributes to its data page;
@@ -369,9 +424,9 @@ class SpatialOrganization(abc.ABC):
         return (
             pager is self._query_pager
             and pager.pool is pool
-            and getattr(pool, "prefetcher", None) is None
+            and pool.prefetcher is None
             # Exact type check: OverlapScheduler subclasses SyncScheduler.
-            and type(getattr(pool, "scheduler", None)) is SyncScheduler
+            and type(pool.scheduler) is SyncScheduler
         )
 
     def _transfer(
@@ -501,6 +556,11 @@ class SpatialOrganization(abc.ABC):
     # ------------------------------------------------------------------
     # reporting helpers
     # ------------------------------------------------------------------
+    def extent_of(self, oid: int) -> Extent | None:
+        """The pages an object has to itself, or ``None`` when its exact
+        representation is co-located with its data page."""
+        return self._extents.get(oid)
+
     def tree_pages(self) -> int:
         """Pages occupied by the R*-tree itself."""
         return self.tree.node_count()

@@ -16,11 +16,7 @@ from __future__ import annotations
 from repro.constants import ENTRY_SIZE
 from repro.disk.extent import Extent
 from repro.geometry.feature import SpatialObject
-from repro.geometry.rect import Rect
-from repro.iosched.request import AccessPlan
 from repro.rtree.capacity import ByteCapacity
-from repro.rtree.entry import Entry
-from repro.rtree.node import Node
 from repro.rtree.pager import NodePager
 from repro.rtree.rstar import RStarTree
 from repro.storage.base import SpatialOrganization
@@ -32,11 +28,11 @@ class PrimaryOrganization(SpatialOrganization):
     """Exact objects inside the data pages; big objects overflow."""
 
     name = "primary"
+    _page_holds_objects = True
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
-        self._overflow = self._claim_region("overflow")
-        self._overflow_extents: dict[int, Extent] = {}
+        self._own_region = self._claim_region("overflow")
 
     # ------------------------------------------------------------------
     def _build_tree(self, pager: NodePager) -> RStarTree:
@@ -61,48 +57,4 @@ class PrimaryOrganization(SpatialOrganization):
         separate I/O); oversized objects get exclusive overflow pages."""
         if self._fits_inline(obj):
             return None
-        extent = self._overflow.allocate(self.pages_for(obj.size_bytes))
-        self._overflow_extents[obj.oid] = extent
-        self.pool.place_extent(extent, center=obj.mbr.center())
-        self.pool.submit(AccessPlan("primary.store").write_extent(extent))
-        return extent
-
-    # ------------------------------------------------------------------
-    def _plan_group(
-        self,
-        plan: AccessPlan,
-        leaf: Node,
-        entries: list[Entry],
-        window: Rect,
-        selective: bool,
-        candidates: list[SpatialObject],
-    ) -> None:
-        """Inline candidates arrived with their data page (already priced
-        by the filter step); each overflow candidate costs an extra read
-        request — the effect behind the primary organization's poor
-        point-query behaviour for large objects (Figure 12)."""
-        for entry in entries:
-            assert entry.oid is not None
-            extent = self._overflow_extents.get(entry.oid)
-            if extent is not None:
-                plan.read_extent(extent)
-            candidates.append(self.objects[entry.oid])
-
-    def _unstore_object(self, obj: SpatialObject) -> None:
-        extent = self._overflow_extents.pop(obj.oid, None)
-        if extent is not None:
-            self._overflow.free(extent)
-            self._drop_frames(extent)
-
-    # ------------------------------------------------------------------
-    def occupied_pages(self) -> int:
-        """Tree pages (data pages embed the objects) plus overflow."""
-        return self.tree_pages() + self._overflow.high_water_pages
-
-    def is_inline(self, oid: int) -> bool:
-        """True if the object lives inside its data page."""
-        return oid not in self._overflow_extents
-
-    def overflow_extent(self, oid: int) -> Extent:
-        """The overflow extent of a non-inline object."""
-        return self._overflow_extents[oid]
+        return self._store_extent(obj)

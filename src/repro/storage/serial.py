@@ -3,9 +3,10 @@
 The simulator never materialises object payloads — it prices page
 traffic — so what must survive a process exit is the *placement
 catalog*: the allocator's region state, the R*-tree (nodes, entries,
-page numbers, counters), every organization's extent tables, and, for
-the cluster organization, the byte-level cluster-unit bookkeeping the
-query techniques translate into page requests.  :func:`dump_state`
+page numbers, counters), the organization's one table of objects
+stored on pages of their own, and, for the cluster organization, the
+byte-level cluster-unit bookkeeping the query techniques translate into
+page requests.  :func:`dump_state`
 captures exactly that — plus the relation's
 :class:`~repro.database.Layout` and the disk's timing constants;
 :func:`load_state` rebuilds a single-disk database that answers every
@@ -71,8 +72,6 @@ from repro.iosched.scheduler import SYNC
 from repro.obs.metrics import MetricsRegistry
 from repro.rtree.entry import Entry
 from repro.rtree.node import Node
-from repro.storage.primary import PrimaryOrganization
-from repro.storage.secondary import SecondaryOrganization
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.database import SpatialDatabase
@@ -104,18 +103,11 @@ COLUMNS = {
     "nodes": ("<i8", 4),  # node_id, level, page, entries; pre-order
     "entries": ("<i8", 5),  # child node_id, oid, load, payload start, npages
     "entry_rects": ("<f8", 4),
-    "extents": ("<i8", 3),  # oid, start, npages: the organization's own table
+    "extents": ("<i8", 3),  # oid, start, npages: SpatialOrganization._extents
     "units": ("<i8", 5),  # leaf node_id, start, npages, tail_bytes, live rows
     "live": ("<i8", 3),  # oid, offset, size: unit after unit, live-map order
 }
 
-#: What an organization adds: its ``oid -> Extent`` table (the
-#: ``extents`` column) and the scalars of the ``storage`` block.
-_SECTIONS = {
-    SecondaryOrganization: ("_extents", ("_byte_tail",)),
-    PrimaryOrganization: ("_overflow_extents", ()),
-    ClusterOrganization: ("_oversize", ("_total_object_bytes",)),
-}
 #: (table, the table whose rows its last field counts)
 _COUNTED = (("objects", "vertices"), ("nodes", "entries"), ("units", "live"))
 _TREE_SCALARS = (
@@ -135,12 +127,9 @@ def dump_state(db: "SpatialDatabase") -> dict:
     """
     org, allocator = db.storage, db.allocator
     tree = org.tree
-    extents_attr, scalars = _SECTIONS[type(org)]
-    storage: dict = {attr: getattr(org, attr) for attr in scalars}
+    storage: dict = {attr: getattr(org, attr) for attr in org._catalog_scalars}
     rows: dict = {name: [] for name in COLUMNS}
-    rows["extents"] = [
-        (oid, e.start, e.npages) for oid, e in getattr(org, extents_attr).items()
-    ]
+    rows["extents"] = [(oid, e.start, e.npages) for oid, e in org._extents.items()]
 
     for row, obj in enumerate(org.objects.values()):
         geometry = obj.geometry
@@ -297,6 +286,7 @@ def _checked_columns(state: dict) -> dict[str, np.ndarray]:
         or len(np.unique(objects[:, 0])) != len(objects)
         or len(np.unique(live_oids)) != len(live_oids)
         or not np.array_equal(np.sort(oids[oids >= 0]), np.sort(objects[:, 0]))
+        or not np.isin(columns["extents"][:, 0], objects[:, 0]).all()
     ):
         raise StorageError("the catalog's tables contradict each other")
     return columns
@@ -384,10 +374,8 @@ def load_state(
 
     # Organization extras.
     extra = state["storage"]
-    extents_attr, scalars = _SECTIONS[type(org)]
-    extents = {oid: Extent(s, n) for oid, s, n in columns["extents"].tolist()}
-    setattr(org, extents_attr, extents)
-    for attr in scalars:
+    org._extents = {oid: Extent(s, n) for oid, s, n in columns["extents"].tolist()}
+    for attr in org._catalog_scalars:
         setattr(org, attr, extra[attr])
     if isinstance(org, ClusterOrganization):
         org._unit_of = {}

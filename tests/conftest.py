@@ -6,11 +6,14 @@ import random
 
 import pytest
 
+from repro.buffer.pool import BufferPool
 from repro.core.policy import ClusterPolicy
 from repro.core.organization import ClusterOrganization
 from repro.geometry.feature import SpatialObject
 from repro.geometry.polyline import Polyline
 from repro.geometry.rect import Rect
+from repro.iosched.request import AccessPlan
+from repro.iosched.scheduler import SYNC
 from repro.rtree.pager import NodePager
 from repro.storage.primary import PrimaryOrganization
 from repro.storage.secondary import SecondaryOrganization
@@ -87,6 +90,20 @@ def primary300(objects300):
 @pytest.fixture(scope="session")
 def cluster300(objects300):
     return build_org("cluster", objects300)
+
+
+def run_plan(builder, disk, unit, *args) -> list[tuple[int, int]]:
+    """Build one technique's plan with its ``plan_*`` builder and run it
+    at once: through a pool's own scheduler, or, against a raw disk
+    model, priced directly by the stateless sync scheduler.  Returns
+    the runs the builder scheduled."""
+    plan = AccessPlan(builder.__name__)
+    runs = builder(plan, unit, *args)
+    if isinstance(disk, BufferPool):
+        disk.submit(plan)
+    else:
+        SYNC.execute(plan, disk)
+    return runs
 
 
 def brute_force_window(objects, rect: Rect) -> set[int]:

@@ -53,6 +53,30 @@ class TestExports:
         assert "RStarTree" in namespace
 
 
+    def test_surface_shrunk_on_purpose(self):
+        """Gone since ISSUE 21: the unused [SK91] segment grid, the
+        imperative twins of the ``plan_*`` builders, and the four
+        per-organization accessors ``extent_of`` replaces (the technique
+        lists themselves are pinned under ``TestEdgeCases``)."""
+        import repro.core
+        import repro.geometry
+        from repro.core.organization import ClusterOrganization
+        from repro.storage.primary import PrimaryOrganization
+        from repro.storage.secondary import SecondaryOrganization
+
+        assert not hasattr(repro.geometry, "DecomposedObject")
+        assert "ExactTestCounter" in repro.geometry.__all__
+        for name in ("read_complete", "read_per_object", "read_slm", "read_optimum"):
+            assert not hasattr(repro.core, name)
+            assert not hasattr(repro.core.techniques, name)
+        for org in (SecondaryOrganization, PrimaryOrganization, ClusterOrganization):
+            assert callable(org.extent_of)
+            for name in (
+                "object_extent", "overflow_extent", "is_inline", "oversize_extent"
+            ):
+                assert not hasattr(org, name)
+
+
 class TestErrorHierarchy:
     @pytest.mark.parametrize(
         "exc",

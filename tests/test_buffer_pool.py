@@ -295,9 +295,10 @@ class TestCachingPool:
         """When a warm pool fully absorbs the first object's access,
         the next transferring access must still pay the positioning
         seek instead of inheriting the continuation discount."""
-        from repro.core.techniques import read_per_object
+        from repro.core.techniques import plan_per_object
         from repro.core.unit import ClusterUnit
         from repro.disk.extent import Extent
+        from tests.conftest import run_plan
 
         unit = ClusterUnit(Extent(100, 8), 4096)
         unit.append(1, 4096)  # relative page 0
@@ -306,7 +307,7 @@ class TestCachingPool:
         pool = BufferPool(disk, capacity=8)
         pool.admit(100)  # object 1 fully resident
         before = disk.stats()
-        read_per_object(pool, unit, [1, 2])
+        run_plan(plan_per_object, pool, unit, [1, 2])
         delta = disk.stats() - before
         assert delta.seeks == 1  # the transfer for object 2 is fresh
         assert delta.pages_transferred == 1

@@ -9,10 +9,10 @@ from repro.constants import PAGE_CAPACITY, PAGE_SIZE
 from repro.core.policy import ClusterPolicy, smax_bytes_for
 from repro.core.techniques import (
     geometric_threshold,
-    read_complete,
-    read_optimum,
-    read_per_object,
-    read_slm,
+    plan_complete,
+    plan_optimum,
+    plan_per_object,
+    plan_slm,
     slm_schedule,
 )
 from repro.core.unit import ClusterUnit
@@ -20,6 +20,9 @@ from repro.disk.extent import Extent
 from repro.disk.model import DiskModel
 from repro.disk.params import DiskParameters
 from repro.errors import ConfigurationError, StorageError
+from tests.conftest import run_plan
+
+GAP = DiskParameters().slm_gap_pages
 
 
 def unit(npages: int = 20) -> ClusterUnit:
@@ -241,33 +244,33 @@ class TestReadFunctions:
     def test_read_complete_one_request(self):
         disk = DiskModel()
         u = self.filled_unit()
-        runs = read_complete(disk, u)
+        runs = run_plan(plan_complete, disk, u)
         assert runs == [(0, 10)]
         assert disk.total_ms == 9 + 6 + 10
 
     def test_read_complete_empty_unit(self):
         disk = DiskModel()
-        assert read_complete(disk, unit()) == []
+        assert run_plan(plan_complete, disk, unit()) == []
         assert disk.total_ms == 0
 
     def test_read_per_object_matches_tpage_model(self):
         disk = DiskModel()
         u = self.filled_unit()
-        read_per_object(disk, u, [0, 5, 9])
+        run_plan(plan_per_object, disk, u, [0, 5, 9])
         # ts + tl + tt for the first + (tl + tt) per further object
         assert disk.total_ms == (9 + 6 + 1) + 2 * (6 + 1)
 
     def test_read_slm_coalesces(self):
         disk = DiskModel()
         u = self.filled_unit()
-        runs = read_slm(disk, u, [0, 1, 2])
+        runs = run_plan(plan_slm, disk, u, [0, 1, 2], GAP)
         assert runs == [(0, 3)]
         assert disk.total_ms == 9 + 6 + 3
 
     def test_read_slm_interrupts_on_long_gap(self):
         disk = DiskModel()
         u = self.filled_unit()
-        runs = read_slm(disk, u, [0, 9])  # gap of 8 >= 6
+        runs = run_plan(plan_slm, disk, u, [0, 9], GAP)  # gap of 8 >= 6
         assert runs == [(0, 1), (9, 1)]
         # second request: rotational delay only (same cluster unit)
         assert disk.total_ms == (9 + 6 + 1) + (6 + 1)
@@ -275,23 +278,25 @@ class TestReadFunctions:
     def test_read_optimum_lower_bound(self):
         disk = DiskModel()
         u = self.filled_unit()
-        read_optimum(disk, u, [0, 4, 9])
+        run_plan(plan_optimum, disk, u, [0, 4, 9])
         assert disk.total_ms == 9 + 6 + 3
 
     def test_optimum_never_beaten(self):
         u = self.filled_unit()
         oids = [0, 3, 4, 8]
         costs = {}
-        for fn in (read_complete, read_per_object, read_slm, read_optimum):
+        for fn, args in (
+            (plan_complete, ()),
+            (plan_per_object, (oids,)),
+            (plan_slm, (oids, GAP)),
+            (plan_optimum, (oids,)),
+        ):
             disk = DiskModel()
-            if fn is read_complete:
-                fn(disk, u)
-            else:
-                fn(disk, u, oids)
+            run_plan(fn, disk, u, *args)
             costs[fn.__name__] = disk.total_ms
-        assert costs["read_optimum"] == min(costs.values())
+        assert costs["plan_optimum"] == min(costs.values())
 
     def test_read_optimum_empty(self):
         disk = DiskModel()
-        assert read_optimum(disk, unit(), []) == []
+        assert run_plan(plan_optimum, disk, unit(), []) == []
         assert disk.total_ms == 0

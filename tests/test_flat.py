@@ -440,39 +440,63 @@ class TestGroupedTransfers:
         leaf, entries = max(groups, key=lambda g: len(g[1]))
         return org, leaf, entries
 
+    @staticmethod
+    def _spy_pool(scheduler):
+        """A caching pool that records, per submitted plan, whether the
+        scheduler had an operation scope open."""
+        from repro.buffer.pool import BufferPool
+        from repro.disk.model import DiskModel
+
+        class SpyPool(BufferPool):
+            __slots__ = ("in_operation",)
+
+            def submit(self, plan):
+                self.in_operation.append(self.scheduler.in_operation)
+                return super().submit(plan)
+
+        pool = SpyPool(DiskModel(), capacity=256, scheduler=scheduler)
+        pool.in_operation = []
+        return pool
+
     def test_sync_scheduler_has_no_operation_scope(self):
+        from repro.iosched import SYNC
         from repro.join.object_access import ObjectTransfer
 
         org, leaf, entries = self._org_and_leaf()
-        transfer = ObjectTransfer(org, org.pool)
-        assert transfer._operation() is None
+        pool = self._spy_pool(SYNC)
+        transfer = ObjectTransfer(org, pool)
         transfer.fetch_group(leaf, entries)
+        assert pool.in_operation and not any(pool.in_operation)
         assert transfer.object_requests == len({e.oid for e in entries})
 
     def test_overlap_scheduler_groups_each_fetch(self):
-        from repro.buffer.pool import BufferPool
-        from repro.disk.model import DiskModel
         from repro.iosched import OverlapScheduler
         from repro.join.object_access import ObjectTransfer
 
         org, leaf, entries = self._org_and_leaf()
         sched = OverlapScheduler()
-        pool = BufferPool(DiskModel(), capacity=256, scheduler=sched)
+        pool = self._spy_pool(sched)
         transfer = ObjectTransfer(org, pool)
-        assert transfer._operation() is not None
         transfer.fetch_group(leaf, entries)
-        assert getattr(sched, "_scope", None) is None  # scope closed again
+        assert pool.in_operation and all(pool.in_operation)  # one scope
+        assert not sched.in_operation  # closed again
+        # ... of its own: the fetch's client has waited for its plans
+        assert sched.clock.client_time("join.transfer") > 0
         assert transfer.object_requests == len({e.oid for e in entries})
 
     def test_enclosing_scope_suppresses_auto_grouping(self):
-        from repro.buffer.pool import BufferPool
-        from repro.disk.model import DiskModel
         from repro.iosched import OverlapScheduler
         from repro.join.object_access import ObjectTransfer
 
-        org, _leaf, _entries = self._org_and_leaf()
+        org, leaf, entries = self._org_and_leaf()
         sched = OverlapScheduler()
-        pool = BufferPool(DiskModel(), capacity=256, scheduler=sched)
+        pool = self._spy_pool(sched)
         auto = ObjectTransfer(org, pool)
         with sched.operation("outer"):
-            assert auto._operation() is None
+            auto.fetch_group(leaf, entries)
+            assert all(pool.in_operation) and sched.in_operation
+            # No scope of the fetch's own opened and closed: nobody has
+            # waited yet, the plans complete when the outer scope does.
+            assert sched.clock.client_time("join.transfer") == 0
+            assert sched.clock.client_time("outer") == 0
+        assert sched.clock.client_time("outer") > 0

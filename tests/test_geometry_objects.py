@@ -1,5 +1,5 @@
-"""Tests for Polyline, Polygon, SpatialObject, sizes and the decomposed
-representation."""
+"""Tests for Polyline, Polygon, SpatialObject, sizes and the exact-test
+cost counter."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from repro.constants import EXACT_TEST_MS
 from repro.errors import GeometryError
-from repro.geometry.decomposed import DecomposedObject, ExactTestCounter
+from repro.geometry.decomposed import ExactTestCounter
 from repro.geometry.feature import SpatialObject
 from repro.geometry.polygon import Polygon
 from repro.geometry.polyline import Polyline
@@ -219,35 +219,6 @@ class TestSpatialObject:
         b = SpatialObject(7, Polyline([(2, 2), (3, 3)]))
         assert a == b  # same oid
         assert hash(a) == hash(b)
-
-
-class TestDecomposed:
-    def test_matches_plain_predicate(self):
-        a = DecomposedObject([(0, 0), (5, 5), (10, 0)])
-        b = DecomposedObject([(0, 5), (10, 5)])
-        c = DecomposedObject([(20, 20), (30, 30)])
-        assert a.intersects(b)
-        assert not a.intersects(c)
-
-    def test_group_size_validation(self):
-        with pytest.raises(ValueError):
-            DecomposedObject([(0, 0), (1, 1)], group_size=0)
-
-    def test_single_point(self):
-        a = DecomposedObject([(1, 1)])
-        b = DecomposedObject([(0, 0), (2, 2)])
-        assert a.intersects(b)
-
-    @given(
-        st.lists(st.tuples(st.floats(0, 50), st.floats(0, 50)), min_size=2, max_size=8),
-        st.lists(st.tuples(st.floats(0, 50), st.floats(0, 50)), min_size=2, max_size=8),
-    )
-    def test_agrees_with_polyline(self, va, vb):
-        from repro.geometry.intersect import polylines_intersect
-
-        assert DecomposedObject(va, group_size=2).intersects(
-            DecomposedObject(vb, group_size=3)
-        ) == polylines_intersect(va, vb)
 
 
 class TestExactTestCounter:

@@ -9,6 +9,8 @@ from repro.buffer.pool import BufferPool
 from repro.disk.allocator import PageAllocator
 from repro.disk.model import DiskModel
 from repro.errors import ConfigurationError
+from repro.geometry.feature import SpatialObject
+from repro.geometry.polyline import Polyline
 from repro.geometry.rect import Rect
 from repro.join.mbr_join import MBRJoin
 from repro.join.multistep import spatial_join
@@ -178,7 +180,7 @@ class TestObjectTransfer:
         transfer = ObjectTransfer(org_r, pool)
         leaf = next(org_r.tree.leaves())
         inline_entries = [
-            e for e in leaf.entries if org_r.is_inline(e.oid)
+            e for e in leaf.entries if org_r.extent_of(e.oid) is None
         ]
         if inline_entries:
             before = org_r.disk.stats()
@@ -273,3 +275,116 @@ class TestSpatialJoin:
             for technique in JOIN_TECHNIQUES
         }
         assert costs["optimum"] == min(costs.values())
+
+
+# ----------------------------------------------------------------------
+# mixed organizations, own-extent objects on both sides
+# ----------------------------------------------------------------------
+MIXED_PAIRS = [("secondary", "cluster"), ("primary", "cluster"), ("cluster", "cluster")]
+MIXED_POOLS = (36, 512)
+
+#: (r ⋈ s, technique, pool pages) -> (transfer requests, pages, total
+#: ms, object requests r / s, buffer hits r / s), taken at the commit
+#: before ``ObjectTransfer._dispatch`` became organization-blind (the
+#: parent of ISSUE 21): ``python -m tests.test_join`` with that
+#: commit's ``src`` on the path.
+MIXED_EXPECTED = {
+    ('secondary-cluster', 'complete', 36): (102, 383, 1883.0, 105, 60, 14, 1),
+    ('secondary-cluster', 'complete', 512): (62, 307, 1222.0, 105, 60, 52, 3),
+    ('secondary-cluster', 'read', 36): (102, 370, 1870.0, 105, 60, 15, 0),
+    ('secondary-cluster', 'read', 512): (63, 303, 1233.0, 105, 60, 52, 2),
+    ('secondary-cluster', 'vector', 36): (101, 369, 1854.0, 105, 60, 16, 0),
+    ('secondary-cluster', 'vector', 512): (63, 303, 1233.0, 105, 60, 52, 2),
+    ('secondary-cluster', 'optimum', 36): (104, 365, 1820.0, 105, 60, 16, 0),
+    ('secondary-cluster', 'optimum', 512): (67, 300, 1215.0, 105, 60, 52, 1),
+    ('primary-cluster', 'complete', 36): (24, 402, 762.0, 105, 114, 100, 56),
+    ('primary-cluster', 'complete', 512): (14, 242, 452.0, 105, 114, 100, 70),
+    ('primary-cluster', 'read', 36): (32, 366, 846.0, 105, 114, 100, 48),
+    ('primary-cluster', 'read', 512): (22, 237, 567.0, 105, 114, 100, 61),
+    ('primary-cluster', 'vector', 36): (35, 369, 894.0, 105, 114, 100, 43),
+    ('primary-cluster', 'vector', 512): (22, 237, 567.0, 105, 114, 100, 61),
+    ('primary-cluster', 'optimum', 36): (32, 353, 653.0, 105, 114, 100, 28),
+    ('primary-cluster', 'optimum', 512): (26, 235, 445.0, 105, 114, 100, 34),
+    ('cluster-cluster', 'complete', 36): (29, 435, 870.0, 105, 64, 0, 2),
+    ('cluster-cluster', 'complete', 512): (19, 299, 584.0, 105, 64, 73, 13),
+    ('cluster-cluster', 'read', 36): (31, 374, 830.0, 105, 64, 0, 0),
+    ('cluster-cluster', 'read', 512): (24, 296, 647.0, 105, 64, 6, 12),
+    ('cluster-cluster', 'vector', 36): (31, 376, 832.0, 105, 64, 0, 0),
+    ('cluster-cluster', 'vector', 512): (26, 302, 683.0, 105, 64, 6, 4),
+    ('cluster-cluster', 'optimum', 36): (37, 345, 675.0, 105, 64, 0, 0),
+    ('cluster-cluster', 'optimum', 512): (34, 285, 570.0, 105, 64, 0, 3),
+}
+
+
+def mixed_pair(kind_r: str, kind_s: str):
+    """Two relations of different organizations on one disk, each with
+    objects that need pages of their own under every organization
+    (larger than a data page and than ``Smax``)."""
+    disk, alloc = DiskModel(), PageAllocator()
+    sides = []
+    for kind, prefix, seed, base in ((kind_r, "r", 41, 0), (kind_s, "s", 42, 1_000_000)):
+        objects = make_objects(200, seed=seed, space=2000.0)
+        for i in range(5):
+            x, y = 300.0 * i + 4 * seed, 350.0 * i + 100
+            line = Polyline([(x, y), (x + 200, y + 90), (x + 400, y - 60)])
+            objects.insert(37 * i, SpatialObject(500 + i, line, size_bytes=70_000 + 4096 * i))
+        for o in objects:
+            o.oid += base
+        org = build_org(kind, objects, disk=disk, allocator=alloc, region_prefix=prefix)
+        sides.append((org, objects))
+    return sides
+
+
+def mixed_transfers(org_r, org_s, technique: str, pages: int):
+    """What ``spatial_join`` does, keeping hold of the two transfers:
+    (candidate pairs, the observed numbers of ``MIXED_EXPECTED``)."""
+    disk = org_r.disk
+    disk.reset()
+    pool = org_r.pool.sibling(pages)
+    join = MBRJoin(org_r.tree, org_s.tree, pool)
+    transfer_r = ObjectTransfer(org_r, pool, technique=technique)
+    transfer_s = ObjectTransfer(org_s, pool, technique=technique)
+    io = disk.stats() - disk.stats()
+    found = set()
+    for leaf_r, leaf_s, pairs in join.run():
+        before = disk.stats()
+        transfer_r.fetch_group(leaf_r, [p[0] for p in pairs])
+        transfer_s.fetch_group(leaf_s, [p[1] for p in pairs])
+        io = io + (disk.stats() - before)
+        found.update((er.oid, es.oid) for er, es in pairs)
+    return found, (
+        io.requests,
+        io.pages_transferred,
+        round(io.total_ms, 6),
+        transfer_r.object_requests,
+        transfer_s.object_requests,
+        transfer_r.buffer_hits,
+        transfer_s.buffer_hits,
+    )
+
+
+class TestMixedOrganizations:
+    @pytest.fixture(scope="class", params=MIXED_PAIRS, ids="-".join)
+    def pair(self, request):
+        return request.param, mixed_pair(*request.param)
+
+    @pytest.mark.parametrize("pages", MIXED_POOLS)
+    @pytest.mark.parametrize("technique", JOIN_TECHNIQUES)
+    def test_pairs_and_transfer_cost_are_the_parents(self, pair, technique, pages):
+        kinds, ((org_r, objs_r), (org_s, objs_s)) = pair
+        for org, objects in pair[1]:
+            own = sum(org.extent_of(o.oid) is not None for o in objects)
+            assert own == (len(objects) if org.name == "secondary" else 5)
+        found, observed = mixed_transfers(org_r, org_s, technique, pages)
+        assert found == brute_force_pairs(objs_r, objs_s)
+        assert any(org_r.extent_of(r) and org_s.extent_of(s) for r, s in found)
+        assert observed == MIXED_EXPECTED["-".join(kinds), technique, pages]
+
+
+if __name__ == "__main__":  # print MIXED_EXPECTED's rows
+    for kinds in MIXED_PAIRS:
+        (org_r, _), (org_s, _) = mixed_pair(*kinds)
+        for technique in JOIN_TECHNIQUES:
+            for pages in MIXED_POOLS:
+                row = mixed_transfers(org_r, org_s, technique, pages)[1]
+                print(f"    ({'-'.join(kinds)!r}, {technique!r}, {pages}): {row},")

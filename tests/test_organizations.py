@@ -129,7 +129,7 @@ class TestConstructionLifecycle:
 class TestSecondary:
     def test_file_is_byte_packed(self, objects300, secondary300):
         total_bytes = sum(o.size_bytes for o in objects300)
-        file_pages = secondary300._file.high_water_pages
+        file_pages = secondary300._own_region.high_water_pages
         assert file_pages == -(-total_bytes // PAGE_SIZE)
 
     def test_occupied_pages_best_of_all(
@@ -143,21 +143,21 @@ class TestSecondary:
         assert sec < cluster300.occupied_pages()
 
     def test_object_extent_lookup(self, objects300, secondary300):
-        extent = secondary300.object_extent(objects300[0].oid)
+        extent = secondary300.extent_of(objects300[0].oid)
         assert extent.npages >= 1
 
 
 class TestPrimary:
     def test_inline_vs_overflow(self, objects300, primary300):
         for obj in objects300:
-            inline = primary300.is_inline(obj.oid)
+            inline = primary300.extent_of(obj.oid) is None
             assert inline == (obj.size_bytes + 46 <= PAGE_SIZE)
 
     def test_overflow_objects_have_exclusive_extents(self, primary300, objects300):
         extents = [
-            primary300.overflow_extent(o.oid)
+            primary300.extent_of(o.oid)
             for o in objects300
-            if not primary300.is_inline(o.oid)
+            if primary300.extent_of(o.oid) is not None
         ]
         for i, a in enumerate(extents):
             for b in extents[i + 1:]:
@@ -169,8 +169,7 @@ class TestPrimary:
             1, Polyline([(0, 0), (1, 1)]), size_bytes=3 * PAGE_SIZE
         )
         org.insert(big)
-        assert not org.is_inline(1)
-        assert org.overflow_extent(1).npages == 3
+        assert org.extent_of(1).npages == 3
 
     def test_data_pages_respect_byte_capacity(self, primary300):
         for leaf in primary300.tree.leaves():
@@ -203,7 +202,7 @@ class TestClusterOrganization:
             unit = leaf.tag
             entry_oids = {
                 e.oid for e in leaf.entries
-                if cluster300.oversize_extent(e.oid) is None
+                if cluster300.extent_of(e.oid) is None
             }
             if unit is None:
                 assert not entry_oids
@@ -239,7 +238,7 @@ class TestClusterOrganization:
         org.insert(small)
         org.finalize_build()
         assert org.unit_for(1) is None
-        assert org.oversize_extent(1) is not None
+        assert org.extent_of(1) is not None
         assert org.unit_for(2) is not None
         res = org.window_query(Rect(0, 0, 3, 3))
         assert {o.oid for o in res.objects} == {1, 2}
@@ -342,3 +341,93 @@ class TestDeletion:
             if unit is not None:
                 for oid in unit.live:
                     assert org.unit_for(oid) is unit
+
+
+class TestWhereEveryObjectLives:
+    """First slice of ROADMAP D.1, read off the one table: after a
+    lifecycle of inserts, deletes and re-inserts every live object's
+    exact representation is in exactly one place, and no page is owned
+    twice or owned while free."""
+
+    SMAX = 16 * PAGE_SIZE
+    KINDS = {
+        "secondary": dict(kind="secondary"),
+        "primary": dict(kind="primary"),
+        "cluster-fixed": dict(kind="cluster", smax_bytes=SMAX),
+        "cluster-buddy": dict(kind="cluster", smax_bytes=SMAX, buddy_sizes=3),
+    }
+
+    def big(self, oid: int, at: float) -> SpatialObject:
+        """Too big for a data page and for ``SMAX``."""
+        line = Polyline([(at, at), (at + 50, at + 80)])
+        return SpatialObject(oid, line, size_bytes=self.SMAX + 100 * (1 + oid % 7))
+
+    def lifecycle(self, name: str):
+        objects = make_objects(300, seed=23)
+        objects += [self.big(1000 + i, 900.0 * (i + 1)) for i in range(8)]
+        org = build_org(objects=objects, **self.KINDS[name])
+        for obj in objects[::3]:
+            org.delete(obj.oid)
+        for i, obj in enumerate(objects[:120:3]):
+            org.insert(SpatialObject(2000 + i, obj.geometry, obj.size_bytes))
+        for i in range(3):
+            org.insert(self.big(3000 + i, 1200.0 * (i + 2)))
+        if name == "cluster-buddy":
+            from repro.reorg import Reorganizer
+
+            assert Reorganizer(org, min_dead_fraction=0.0).step() > 0
+        return org
+
+    @pytest.mark.parametrize("name", sorted(KINDS))
+    def test_exactly_one_place_and_no_page_owned_twice(self, name):
+        from repro.constants import ENTRY_SIZE
+        from repro.disk.buddy import BuddyAllocator
+        from repro.disk.extent import Extent
+
+        org = self.lifecycle(name)
+        live = org.objects
+        assert set(org._extents) <= set(live)  # no row outlives its object
+        placed: list[int] = []
+        unit_extents: list[Extent] = []
+        for leaf in org.tree.leaves():
+            unit = leaf.tag
+            if unit is not None:
+                unit_extents.append(unit.extent)
+                assert set(unit.live) <= {e.oid for e in leaf.entries}
+            for entry in leaf.entries:
+                oid = entry.oid
+                inline = org._page_holds_objects and (
+                    entry.load == ENTRY_SIZE + live[oid].size_bytes
+                )
+                places = (
+                    org.extent_of(oid) is not None,
+                    unit is not None and oid in unit.live,
+                    inline,
+                )
+                assert sum(places) == 1, (oid, places)
+                placed.append(oid)
+        assert sorted(placed) == sorted(live)
+        own = list(org._extents.values())
+        assert own and (unit_extents or not name.startswith("cluster"))
+
+        owned = sorted(own + unit_extents, key=lambda e: e.start)
+        if name == "secondary":
+            # Byte-packed neighbours may share one boundary page; the
+            # file never reclaims, so nothing is ever free.
+            file = org._own_region
+            top = file.base + file.high_water_pages
+            assert all(file.base <= e.start and e.end <= top for e in owned)
+            assert all(a.end - b.start <= 1 for a, b in zip(owned, owned[1:]))
+        else:
+            assert all(a.end <= b.start for a, b in zip(owned, owned[1:]))
+        free = [e for r in org.allocator.regions().values() for e in r._free]
+        if name == "cluster-buddy":
+            alloc = org._unit_alloc
+            assert isinstance(alloc, BuddyAllocator)
+            free += [
+                Extent(start, alloc.sizes[level])
+                for level, starts in enumerate(alloc._free)
+                for start in starts
+            ]
+        for extent in owned:
+            assert not any(extent.overlaps(f) for f in free), extent

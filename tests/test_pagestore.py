@@ -351,7 +351,7 @@ class TestShardedInvalidation:
         )
         db.insert(big)
         db.finalize()
-        extent = db.storage.overflow_extent(1)
+        extent = db.storage.extent_of(1)
         assert db.disk.placement.pinned_pages >= extent.npages
         db.delete(1)
         assert db.disk.placement.pinned_pages == 0

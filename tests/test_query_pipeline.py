@@ -123,8 +123,8 @@ class TestBruteForceReference:
     def test_oversize_object_is_stored_apart(self, mixed):
         objects, _windows, _points, orgs = mixed
         big = objects[-1].oid
-        assert orgs["cluster"].oversize_extent(big) is not None
-        assert not orgs["primary"].is_inline(big)
+        assert orgs["cluster"].extent_of(big) is not None
+        assert orgs["primary"].extent_of(big) is not None
 
 
 def _priced(result):

@@ -136,6 +136,13 @@ class TestRoundTrip:
         assert twin.disk.stats().total_ms == db.disk.stats().total_ms
         state = dump_state(db)
         assert encode_catalog(dump_state(twin)) == encode_catalog(state)
+        # One ``extents`` row per live object stored on pages of its own:
+        # a deleted object's row is gone, also from the sequential file,
+        # which keeps the pages.
+        org = db.storage
+        own = [oid for oid in org.objects if org.extent_of(oid) is not None]
+        assert state["columns"]["extents"][:, 0].tolist() == own
+        assert len(own) == (len(org.objects) if name == "secondary" else 1)
         # The columns are taken from caches (node rect matrices, vertex
         # matrices): after updates they still say what the objects say.
         tree = db.storage.tree
@@ -439,6 +446,7 @@ class TestDamage:
             lambda c: c["entries"].__setitem__((0, 0), 10**6),
             lambda c: c["units"].__setitem__((0, 0), 10**6),
             lambda c: c["override_rows"].__setitem__((0, 0), 10**6),
+            lambda c: c["extents"].__setitem__((0, 0), 10**6),
             # an object listed twice, unknown to the tree, or too short
             lambda c: c["objects"].__setitem__((1, 0), c["objects"][0, 0]),
             lambda c: c["objects"].__setitem__((1, 0), 10**6),

@@ -84,7 +84,7 @@ class ClusterMachine(RuleBasedStateMachine):
             unit = leaf.tag
             entry_oids = {
                 e.oid for e in leaf.entries
-                if e.oid is not None and org.oversize_extent(e.oid) is None
+                if e.oid is not None and org.extent_of(e.oid) is None
             }
             if unit is None:
                 assert not entry_oids

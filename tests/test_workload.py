@@ -208,7 +208,7 @@ class TestFreedExtentFrames:
                     2, Polyline([(0.0, 0.0), (60.0, 60.0)]), size_bytes=30_000
                 )
             )
-            extent = org.overflow_extent(2)
+            extent = org.extent_of(2)
             assert all(p in pool for p in extent.pages())  # dirty frames
             org.delete(2)
             assert all(p not in pool for p in extent.pages())
