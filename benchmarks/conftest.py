@@ -19,7 +19,7 @@ import pathlib
 import pytest
 
 from repro.eval.context import ExperimentContext
-from repro.eval.scenarios import Dataset
+from repro.eval.figures import FIGURES
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -27,12 +27,6 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 @pytest.fixture(scope="session")
 def ctx() -> ExperimentContext:
     return ExperimentContext()
-
-
-def dataset(ctx: ExperimentContext, series: str) -> Dataset:
-    """The context's (memoised) map as the dataset the shared scenario
-    steps of :mod:`repro.eval.scenarios` run over."""
-    return Dataset(ctx.config, series, ctx.config.spec(series), ctx.objects(series))
 
 
 @pytest.fixture()
@@ -56,3 +50,17 @@ def once(benchmark, fn):
     single round/iteration.
     """
     return benchmark.pedantic(fn, rounds=1, iterations=1)
+
+
+@pytest.fixture()
+def run_figure(ctx, benchmark, record_table):
+    """Generate one row of ``FIGURES`` (once, timed), record its table
+    under ``record_as`` and hand back the ``{column: value}`` rows."""
+
+    def _run(name: str, record_as: str, **selection) -> list[dict]:
+        figure = FIGURES[name]
+        rows = once(benchmark, lambda: list(figure.rows(ctx, **selection)))
+        record_table(record_as, figure.render(ctx, rows))
+        return rows
+
+    return _run

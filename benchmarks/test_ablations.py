@@ -22,13 +22,13 @@ from repro.core.policy import ClusterPolicy
 from repro.core.techniques import slm_schedule
 from repro.disk.params import DiskParameters
 from repro.eval.metrics import run_window_queries
-from repro.eval.report import format_table
+from repro.eval.report import format_rows
 
 from benchmarks.conftest import once
 
 
 def build_cluster(ctx, series, smax_bytes=None, buddy_sizes=None,
-                  leaf_reinsert=False):
+                  leaf_reinsert=False, order="insertion"):
     spec = ctx.config.spec(series)
     org = ClusterOrganization(
         policy=ClusterPolicy(
@@ -37,7 +37,7 @@ def build_cluster(ctx, series, smax_bytes=None, buddy_sizes=None,
         leaf_reinsert=leaf_reinsert,
         construction_buffer_pages=ctx.config.construction_buffer_pages,
     )
-    org.build(ctx.objects(series))
+    org.build(ctx.objects(series), order=order)
     return org
 
 
@@ -58,22 +58,22 @@ def test_ablation_smax_factor(ctx, benchmark, record_table):
             org = build_cluster(ctx, "B-1", smax_bytes=smax_pages * 4096)
             agg = run_window_queries(org, windows)
             rows.append(
-                (factor, smax_pages, org.occupied_pages(),
-                 org.construction_io.total_s, agg.ms_per_4kb)
+                {
+                    "Smax factor": factor,
+                    "unit pages": smax_pages,
+                    "occupied pages": org.occupied_pages(),
+                    "construction (s)": org.construction_io.total_s,
+                    "0.1% windows (ms/4KB)": agg.ms_per_4kb,
+                }
             )
         return rows
 
     rows = once(benchmark, run)
     record_table(
         "ablation_smax_factor",
-        format_table(
-            ["Smax factor", "unit pages", "occupied pages",
-             "construction (s)", "0.1% windows (ms/4KB)"],
-            rows,
-            title="Ablation — cluster size factor (B-1, complete reads)",
-        ),
+        format_rows("Ablation — cluster size factor (B-1, complete reads)", rows),
     )
-    costs = [r[4] for r in rows]
+    costs = [r["0.1% windows (ms/4KB)"] for r in rows]
     # Query performance varies far less than the 6x size sweep.
     assert max(costs) < 3.0 * min(costs)
 
@@ -90,28 +90,24 @@ def test_ablation_leaf_reinsert(ctx, benchmark, record_table):
             org = build_cluster(ctx, "A-1", leaf_reinsert=reinsert)
             agg = run_window_queries(org, windows)
             rows.append(
-                ("on" if reinsert else "off (paper)",
-                 org.construction_io.total_s,
-                 org.tree.leaf_count,
-                 agg.ms_per_4kb)
+                {
+                    "leaf reinsert": "on" if reinsert else "off (paper)",
+                    "construction (s)": org.construction_io.total_s,
+                    "data pages": org.tree.leaf_count,
+                    "0.1% windows (ms/4KB)": agg.ms_per_4kb,
+                }
             )
         return rows
 
-    rows = once(benchmark, run)
+    off, on = rows = once(benchmark, run)
     record_table(
         "ablation_leaf_reinsert",
-        format_table(
-            ["leaf reinsert", "construction (s)", "data pages",
-             "0.1% windows (ms/4KB)"],
-            rows,
-            title="Ablation — forced reinsert on the data-page level (A-1)",
-        ),
+        format_rows("Ablation — forced reinsert on the data-page level (A-1)", rows),
     )
-    off, on = rows[0], rows[1]
     # Reinserting costs construction I/O (it moves objects) ...
-    assert on[1] > off[1]
+    assert on["construction (s)"] > off["construction (s)"]
     # ... while query cost stays in the same ballpark.
-    assert off[3] < 1.4 * on[3]
+    assert off["0.1% windows (ms/4KB)"] < 1.4 * on["0.1% windows (ms/4KB)"]
 
 
 def test_ablation_buddy_sizes(ctx, benchmark, record_table):
@@ -122,27 +118,25 @@ def test_ablation_buddy_sizes(ctx, benchmark, record_table):
         for sizes in (None, 2, 3, 5):
             org = build_cluster(ctx, "B-1", buddy_sizes=sizes)
             rows.append(
-                ("fixed" if sizes is None else str(sizes),
-                 org.occupied_pages(),
-                 org.construction_io.total_s,
-                 org.unit_moves)
+                {
+                    "buddy sizes": "fixed" if sizes is None else str(sizes),
+                    "occupied pages": org.occupied_pages(),
+                    "construction (s)": org.construction_io.total_s,
+                    "moves": org.unit_moves,
+                }
             )
         return rows
 
     rows = once(benchmark, run)
     record_table(
         "ablation_buddy_sizes",
-        format_table(
-            ["buddy sizes", "occupied pages", "construction (s)", "moves"],
-            rows,
-            title="Ablation — buddy size-set cardinality (B-1)",
-        ),
+        format_rows("Ablation — buddy size-set cardinality (B-1)", rows),
     )
-    pages = [r[1] for r in rows]
+    pages = [r["occupied pages"] for r in rows]
     # More buddy sizes monotonically improve utilization...
     assert pages[0] >= pages[1] >= pages[2] >= pages[3]
     # ...with bounded extra construction cost.
-    assert rows[3][2] < 1.5 * rows[0][2]
+    assert rows[-1]["construction (s)"] < 1.5 * rows[0]["construction (s)"]
 
 
 def test_ablation_slm_gap(ctx, benchmark, record_table):
@@ -180,20 +174,21 @@ def test_ablation_slm_gap(ctx, benchmark, record_table):
         rows = []
         for gap in (1, 2, 4, 6, 12, 24):
             total = sum(planned_cost(req, gap) for req in request_sets)
-            rows.append((gap, total / 1000.0))
+            rows.append(
+                {"gap l (pages)": gap, "planned read cost (s)": total / 1000.0}
+            )
         return rows
 
     rows = once(benchmark, run)
     record_table(
         "ablation_slm_gap",
-        format_table(
-            ["gap l (pages)", "planned read cost (s)"],
+        format_rows(
+            "Ablation — SLM gap length over C-1 0.01% window requests "
+            "(paper rule: l = 6)",
             rows,
-            title="Ablation — SLM gap length over C-1 0.01% window requests "
-                  "(paper rule: l = 6)",
         ),
     )
-    costs = {gap: cost for gap, cost in rows}
+    costs = {r["gap l (pages)"]: r["planned read cost (s)"] for r in rows}
     # The paper's gap is within a few percent of the best swept value.
     assert costs[6] <= 1.05 * min(costs.values())
 
@@ -208,32 +203,29 @@ def test_ablation_hilbert_loading(ctx, benchmark, record_table):
         rows = []
         windows = ctx.windows("A-1", 1e-3)
         for order in ("insertion", "hilbert"):
-            spec = ctx.config.spec("A-1")
-            org = ClusterOrganization(
-                policy=ClusterPolicy(spec.smax_bytes),
-                construction_buffer_pages=ctx.config.construction_buffer_pages,
-            )
-            org.build(list(ctx.objects("A-1")), order=order)
+            org = build_cluster(ctx, "A-1", order=order)
             agg = run_window_queries(org, windows)
             rows.append(
-                (order, org.construction_io.total_s, org.occupied_pages(),
-                 agg.ms_per_4kb)
+                {
+                    "insert order": order,
+                    "construction (s)": org.construction_io.total_s,
+                    "occupied pages": org.occupied_pages(),
+                    "0.1% windows (ms/4KB)": agg.ms_per_4kb,
+                }
             )
         return rows
 
-    rows = once(benchmark, run)
+    plain, hilbert = rows = once(benchmark, run)
     record_table(
         "ablation_hilbert_loading",
-        format_table(
-            ["insert order", "construction (s)", "occupied pages",
-             "0.1% windows (ms/4KB)"],
-            rows,
-            title="Extension — Hilbert-ordered bulk loading (A-1, cluster org)",
+        format_rows(
+            "Extension — Hilbert-ordered bulk loading (A-1, cluster org)", rows
         ),
     )
-    plain, hilbert = rows[0], rows[1]
-    assert hilbert[1] < 0.8 * plain[1]  # construction clearly cheaper
-    assert hilbert[3] < 1.3 * plain[3]  # queries no worse than ~noise
+    # construction clearly cheaper
+    assert hilbert["construction (s)"] < 0.8 * plain["construction (s)"]
+    # queries no worse than ~noise
+    assert hilbert["0.1% windows (ms/4KB)"] < 1.3 * plain["0.1% windows (ms/4KB)"]
 
 
 def test_ablation_adaptive_technique(ctx, benchmark, record_table):
@@ -247,26 +239,25 @@ def test_ablation_adaptive_technique(ctx, benchmark, record_table):
         rows = []
         for area in (1e-5, 1e-4, 1e-3, 1e-2):
             windows = ctx.windows("A-1", area)
-            costs = []
+            row = {"window area": f"{area * 100:g}%"}
             for technique in ("complete", "threshold", "adaptive", "optimum"):
                 org.technique = technique
-                costs.append(run_window_queries(org, windows).ms_per_4kb)
+                row[technique] = run_window_queries(org, windows).ms_per_4kb
             org.technique = "complete"
-            rows.append((f"{area * 100:g}%", *costs))
+            rows.append(row)
         return rows
 
     rows = once(benchmark, run)
     record_table(
         "ablation_adaptive_technique",
-        format_table(
-            ["window area", "complete", "threshold", "adaptive", "optimum"],
+        format_rows(
+            "Extension — adaptive read technique vs geometric threshold "
+            "(A-1, ms/4KB)",
             rows,
-            title="Extension — adaptive read technique vs geometric "
-                  "threshold (A-1, ms/4KB)",
         ),
     )
-    for _area, complete, threshold, adaptive, optimum in rows:
+    for row in rows:
         # The adaptive decision never loses to either baseline...
-        assert adaptive <= min(complete, threshold) * 1.05
+        assert row["adaptive"] <= min(row["complete"], row["threshold"]) * 1.05
         # ...and respects the lower bound.
-        assert optimum <= adaptive * 1.001
+        assert row["optimum"] <= row["adaptive"] * 1.001

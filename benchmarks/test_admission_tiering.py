@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import random
 
-from repro.database import SpatialDatabase
-from repro.eval.report import format_table
+from repro.eval.report import format_rows
+from repro.eval.scenarios import build_database
 from repro.iosched.admission import PriorityAdmission
 
 from benchmarks.conftest import once
@@ -34,18 +34,10 @@ FAST_PAGES = 256
 MIGRATIONS = ("none", "static", "promote-on-hit", "lru-demote")
 
 
-def data_bound(objects) -> float:
-    bound = 1.0
-    for obj in objects:
-        bound = max(bound, obj.mbr.xmax, obj.mbr.ymax)
-    return bound
-
-
 def admission_streams(ctx, series):
     """An interactive client (50 small windows) and an analytics client
     (10 full-space scans)."""
-    objects = ctx.objects(series)
-    bound = data_bound(objects)
+    bound = ctx.dataset(series).bound
     rng = random.Random(ctx.config.seed + 3)
     ui = []
     for _ in range(50):
@@ -59,8 +51,7 @@ def admission_streams(ctx, series):
 def skewed_queries(ctx, series, n_queries=150, hot_every=10):
     """90 % of the windows target a hot corner far from the origin —
     the construction order's first-touch pages do *not* cover it."""
-    objects = ctx.objects(series)
-    bound = data_bound(objects)
+    bound = ctx.dataset(series).bound
     rng = random.Random(ctx.config.seed + 23)
     queries = []
     for i in range(n_queries):
@@ -76,16 +67,14 @@ def skewed_queries(ctx, series, n_queries=150, hot_every=10):
 
 
 def run_admission(ctx, series="A-1"):
-    spec = ctx.config.spec(series)
     rows = []
     for admission in ("none", "priority"):
-        db = SpatialDatabase(
-            smax_bytes=spec.smax_bytes,
+        db = build_database(
+            ctx.dataset(series),
             n_disks=4,
             scheduler="overlap",
             construction_buffer_pages=ctx.config.construction_buffer_pages,
         )
-        db.build(ctx.objects(series))
         policy = None
         if admission == "priority":
             policy = PriorityAdmission(
@@ -97,44 +86,43 @@ def run_admission(ctx, series="A-1"):
         ui = report.client("ui")
         batch = report.client("batch")
         rows.append(
-            (
-                admission,
-                report.total_io.total_ms / 1000.0,
-                ui.p95_ms,
-                ui.queueing_ms / 1000.0,
-                batch.p95_ms,
-                report.makespan_ms / 1000.0,
-            )
+            {
+                "admission": admission,
+                "device (s)": report.total_io.total_ms / 1000.0,
+                "ui p95 (ms)": ui.p95_ms,
+                "ui queue (s)": ui.queueing_ms / 1000.0,
+                "batch p95 (ms)": batch.p95_ms,
+                "makespan (s)": report.makespan_ms / 1000.0,
+            }
         )
     return rows
 
 
 def run_tiering(ctx, series="A-1"):
-    spec = ctx.config.spec(series)
     queries = skewed_queries(ctx, series)
     rows = []
     for migration in MIGRATIONS:
-        db = SpatialDatabase(
-            smax_bytes=spec.smax_bytes,
+        db = build_database(
+            ctx.dataset(series),
             tiering=None if migration == "none" else migration,
             fast_pages=FAST_PAGES,
             construction_buffer_pages=ctx.config.construction_buffer_pages,
         )
-        db.build(ctx.objects(series))
         mark = db.disk.snapshot()
         answers = 0
         for window in queries:
             answers += len(db.window_query(*window).objects)
         cost = db.disk.cost_since(mark)
+        tiered = db.tiering != "none"
         rows.append(
-            (
-                migration,
-                cost.total_ms / 1000.0,
-                cost.response_ms / 1000.0,
-                getattr(db.disk, "promotions", 0),
-                getattr(db.disk, "demotions", 0),
-                answers,
-            )
+            {
+                "migration": migration,
+                "device (s)": cost.total_ms / 1000.0,
+                "response (s)": cost.response_ms / 1000.0,
+                "promotions": db.disk.promotions if tiered else 0,
+                "demotions": db.disk.demotions if tiered else 0,
+                "answers": answers,
+            }
         )
     return rows
 
@@ -150,42 +138,37 @@ def test_admission_tiering(ctx, benchmark, record_table):
     admission_rows, tiering_rows = once(benchmark, run)
 
     parts = [
-        format_table(
-            ["admission", "device (s)", "ui p95 (ms)", "ui queue (s)",
-             "batch p95 (ms)", "makespan (s)"],
+        format_rows(
+            "Ablation — priority admission (A-1, interactive + analytics "
+            "clients, 4 disks, 64-page pool)",
             admission_rows,
-            title="Ablation — priority admission "
-                  "(A-1, interactive + analytics clients, 4 disks, "
-                  "64-page pool)",
         ),
-        format_table(
-            ["migration", "device (s)", "response (s)", "promotions",
-             "demotions", "answers"],
+        format_rows(
+            "Ablation — tiered page store "
+            f"(A-1, skewed windows, {FAST_PAGES}-page fast tier)",
             tiering_rows,
-            title="Ablation — tiered page store "
-                  f"(A-1, skewed windows, {FAST_PAGES}-page fast tier)",
         ),
     ]
     record_table("ablation_admission_tiering", "\n\n".join(parts))
 
-    by_admission = {r[0]: r for r in admission_rows}
+    by_admission = {r["admission"]: r for r in admission_rows}
     none, priority = by_admission["none"], by_admission["priority"]
     # Admission never changes what is priced: device time is identical.
-    assert priority[1] == none[1]
+    assert priority["device (s)"] == none["device (s)"]
     # The acceptance bar: the interactive tail and queueing delay drop.
-    assert priority[2] < none[2]
-    assert priority[3] < none[3]
+    assert priority["ui p95 (ms)"] < none["ui p95 (ms)"]
+    assert priority["ui queue (s)"] < none["ui queue (s)"]
     # The flip side: the paced analytics client waits longer.
-    assert priority[4] > none[4]
+    assert priority["batch p95 (ms)"] > none["batch p95 (ms)"]
 
-    by_migration = {r[0]: r for r in tiering_rows}
+    by_migration = {r["migration"]: r for r in tiering_rows}
     static, promote = by_migration["static"], by_migration["promote-on-hit"]
     # Migration policies never change answers.
-    assert len({r[5] for r in tiering_rows}) == 1
+    assert len({r["answers"] for r in tiering_rows}) == 1
     # The acceptance bar: access-driven promotion beats first-touch
     # placement on both device and response time.
-    assert promote[1] < static[1]
-    assert promote[2] < static[2]
-    assert promote[3] > 0 and static[3] == 0
+    assert promote["device (s)"] < static["device (s)"]
+    assert promote["response (s)"] < static["response (s)"]
+    assert promote["promotions"] > 0 and static["promotions"] == 0
     # And any tier beats the flat single disk on this hot workload.
-    assert static[1] < by_migration["none"][1]
+    assert static["device (s)"] < by_migration["none"]["device (s)"]

@@ -19,10 +19,9 @@ from repro.buffer.policy import POLICIES
 from repro.buffer.pool import BufferPool
 from repro.core.organization import ClusterOrganization
 from repro.core.policy import ClusterPolicy
-from repro.data.tiger import generate_map
-from repro.data.workload import point_workload, window_workload
 from repro.eval.config import ExperimentConfig
-from repro.eval.report import format_table
+from repro.eval.context import ExperimentContext
+from repro.eval.report import format_rows
 
 from benchmarks.conftest import once
 
@@ -40,53 +39,55 @@ def _run_policy(org, pool, windows, points):
 
 
 def run_buffer_policy_ablation(buffer_pages: int = 400):
-    config = ExperimentConfig(scale=min(0.04, ExperimentConfig().scale))
-    spec = config.spec("A-1")
+    # Its own context: this ablation caps the scale at 0.04.
+    ctx = ExperimentContext(
+        ExperimentConfig(scale=min(0.04, ExperimentConfig().scale))
+    )
     org = ClusterOrganization(
-        policy=ClusterPolicy(spec.smax_bytes), region_prefix="ablation"
+        policy=ClusterPolicy(ctx.config.spec("A-1").smax_bytes),
+        region_prefix="ablation",
     )
-    objects = generate_map(spec, seed=config.seed)
-    org.build(objects)
+    org.build(ctx.objects("A-1"))
+    windows, points = ctx.windows("A-1", 1e-3), ctx.points("A-1", 1e-3)
 
-    windows = window_workload(
-        objects, 1e-3, n_queries=config.n_queries, seed=config.seed + 17
-    )
-    points = point_workload(windows)
-
-    rows = []
+    rows, hits = [], {}
     for policy in POLICIES:
         pool = BufferPool(org.disk, capacity=buffer_pages, policy=policy)
-        answers, io, hit_rate = _run_policy(org, pool, windows, points)
-        rows.append((policy, answers, hit_rate, io.requests, io.total_ms))
-    return rows
-
-
-def format_buffer_policy_ablation(rows) -> str:
-    return format_table(
-        ("policy", "answers", "hit rate", "requests", "io ms"),
-        [(p, a, f"{h:.1%}", r, ms) for p, a, h, r, ms in rows],
-        title="Ablation — buffer replacement policies "
-        "(mixed window+point workload, shared 400-page pool)",
-    )
+        answers, io, hits[policy] = _run_policy(org, pool, windows, points)
+        rows.append(
+            {
+                "policy": policy,
+                "answers": answers,
+                "hit rate": f"{hits[policy]:.1%}",
+                "requests": io.requests,
+                "io ms": io.total_ms,
+            }
+        )
+    return rows, hits
 
 
 def test_buffer_policy_ablation(benchmark, record_table):
-    rows = once(benchmark, run_buffer_policy_ablation)
-    record_table("ablation_buffer_policy", format_buffer_policy_ablation(rows))
-
-    by_policy = {row[0]: row for row in rows}
-    assert set(by_policy) == set(POLICIES)
+    rows, hits = once(benchmark, run_buffer_policy_ablation)
+    record_table(
+        "ablation_buffer_policy",
+        format_rows(
+            "Ablation — buffer replacement policies "
+            "(mixed window+point workload, shared 400-page pool)",
+            rows,
+        ),
+    )
+    assert set(hits) == set(POLICIES)
 
     # The pool changes pricing, never answers.
-    assert len({row[1] for row in rows}) == 1
+    assert len({row["answers"] for row in rows}) == 1
 
-    for policy, _answers, hit_rate, requests, io_ms in rows:
-        assert 0.0 <= hit_rate <= 1.0, policy
-        assert requests > 0 and io_ms > 0, policy
+    for row in rows:
+        assert 0.0 <= hits[row["policy"]] <= 1.0, row
+        assert row["requests"] > 0 and row["io ms"] > 0, row
 
     # Warm queries must beat the cold pass-through pricing: every
     # policy's hit rate is well above zero on the clustered workload.
-    assert min(row[2] for row in rows) > 0.2
+    assert min(hits.values()) > 0.2
 
     # Recency-aware LRU never loses to plain FIFO on this workload.
-    assert by_policy["lru"][2] >= by_policy["fifo"][2] - 0.02
+    assert hits["lru"] >= hits["fifo"] - 0.02

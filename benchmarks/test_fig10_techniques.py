@@ -9,31 +9,24 @@ significant difference.
 
 from __future__ import annotations
 
-from repro.eval.window import format_fig10, run_fig10_techniques
 
-from benchmarks.conftest import once
+def per_technique(row: dict) -> dict[str, float]:
+    return {c.split()[0]: v for c, v in row.items() if c.endswith("(ms/4KB)")}
 
 
-def test_fig10_techniques(ctx, benchmark, record_table):
-    rows = once(benchmark, lambda: run_fig10_techniques(ctx, ("A-1", "C-1")))
-    record_table("fig10_techniques", format_fig10(rows))
+def test_fig10_techniques(run_figure):
+    rows = run_figure("fig10", "fig10_techniques", series=("A-1", "C-1"))
+    by_key = {(r["series"], r["window area"]): per_technique(r) for r in rows}
 
-    for row in rows:
-        per = {t: agg.ms_per_4kb for t, agg in row.per_technique.items()}
-        assert per["optimum"] <= min(per.values()) + 1e-9, row
+    for key, per in by_key.items():
+        assert per["optimum"] <= min(per.values()) + 1e-9, key
 
     # C-1, most selective queries: SLM saves clearly over complete.
-    c1_small = next(
-        r for r in rows if r.series == "C-1" and r.area_fraction == 1e-5
-    )
-    per = {t: a.ms_per_4kb for t, a in c1_small.per_technique.items()}
+    per = by_key["C-1", "0.001%"]
     assert per["slm"] < 0.95 * per["complete"]
     assert per["threshold"] <= per["complete"] * 1.02
 
     # Large windows: no significant difference between the techniques.
     for series in ("A-1", "C-1"):
-        big = next(
-            r for r in rows if r.series == series and r.area_fraction == 1e-1
-        )
-        per = {t: a.ms_per_4kb for t, a in big.per_technique.items()}
+        per = by_key[series, "10%"]
         assert max(per.values()) < 1.3 * min(per.values()), (series, per)

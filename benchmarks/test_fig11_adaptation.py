@@ -8,26 +8,20 @@ techniques — "an adaptation does not seem to be essential".
 
 from __future__ import annotations
 
-from repro.eval.adaptation import format_fig11, run_fig11_adaptation
-
-from benchmarks.conftest import once
+GAIN_10, GAIN_100 = "gain factor 10 (%)", "gain factor 100 (%)"
 
 
-def test_fig11_adaptation(ctx, benchmark, record_table):
-    results = once(benchmark, lambda: run_fig11_adaptation(ctx))
-    record_table("fig11_adaptation", format_fig11(results))
+def test_fig11_adaptation(run_figure):
+    rows = run_figure("fig11", "fig11_adaptation")
 
-    by_technique = {r.technique: r for r in results}
-    for r in results:
-        assert 0.0 <= r.gain_factor_10 <= 60.0, r
-        assert 0.0 <= r.gain_factor_100 <= 60.0, r
+    for r in rows:
+        assert 0.0 <= r[GAIN_10] <= 60.0, r
+        assert 0.0 <= r[GAIN_100] <= 60.0, r
         # A bigger workload shift leaves more on the table.
-        assert r.gain_factor_100 >= r.gain_factor_10 - 3.0, r
+        assert r[GAIN_100] >= r[GAIN_10] - 3.0, r
 
     # The sophisticated techniques depend less on the cluster size than
     # the simplest one (the paper's core message for this figure).
-    smart_gain = max(
-        by_technique["threshold"].gain_factor_100,
-        by_technique["slm"].gain_factor_100,
-    )
-    assert smart_gain <= by_technique["complete"].gain_factor_100 + 5.0
+    gain_100 = {r["technique"]: r[GAIN_100] for r in rows}
+    smart_gain = max(gain_100["threshold"], gain_100["slm"])
+    assert smart_gain <= gain_100["complete"] + 5.0

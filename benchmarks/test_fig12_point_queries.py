@@ -9,28 +9,20 @@ an extra access).
 
 from __future__ import annotations
 
-from repro.eval.point import format_fig12, run_fig12_points
 
-from benchmarks.conftest import once
-
-
-def test_fig12_point_queries(ctx, benchmark, record_table):
-    rows = once(benchmark, lambda: run_fig12_points(ctx, ("A-1", "B-1", "C-1")))
-    record_table("fig12_point_queries", format_fig12(rows))
+def test_fig12_point_queries(run_figure):
+    rows = run_figure("fig12", "fig12_point_queries", series=("A-1", "B-1", "C-1"))
 
     for row in rows:
         # "Almost no difference between the secondary organization and
         # the cluster organization."
-        assert 0.8 <= row.cluster_vs_secondary <= 1.2, row.series
+        assert 0.8 <= row["cluster/sec"] <= 1.2, row["series"]
 
-    by_series = {r.series: r for r in rows}
+    by_series = {r["series"]: r for r in rows}
 
     def primary_advantage(series: str) -> float:
         row = by_series[series]
-        return (
-            row.per_org["secondary"].ms_per_4kb
-            / row.per_org["primary"].ms_per_4kb
-        )
+        return row["sec (ms/4KB)"] / row["prim (ms/4KB)"]
 
     # The primary organization profits from small objects and loses the
     # advantage as objects grow (A-1 best, C-1 relatively worst).

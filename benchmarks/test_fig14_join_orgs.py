@@ -9,39 +9,34 @@ clustering.
 
 from __future__ import annotations
 
-from repro.eval.joins import format_fig14, run_fig14_join_orgs
+from repro.eval.figures import FIGURES
+from repro.eval.report import format_rows
 
 from benchmarks.conftest import once
 
 
-def test_fig14_join_orgs(ctx, benchmark, record_table):
-    rows = once(benchmark, lambda: run_fig14_join_orgs(ctx))
-    record_table("fig14_join_orgs", format_fig14(rows))
+def test_fig14_join_orgs(run_figure):
+    rows = run_figure("fig14", "fig14_join_orgs")
 
     for row in rows:
-        # All organizations compute the same candidate pairs.
-        pair_counts = {r.candidate_pairs for r in row.per_org.values()}
-        assert len(pair_counts) == 1, row
         # The cluster organization always wins.
-        assert row.speedup_vs_secondary > 1.5, row
-        assert row.speedup_vs_primary > 1.0, row
+        assert row["speedup vs sec"] > 1.5, row
+        assert row["speedup vs prim"] > 1.0, row
 
     # Version b (the denser join) produces far more pairs and profits
     # at least as much from clustering as version a.
-    a_rows = [r for r in rows if r.version == "a"]
-    b_rows = [r for r in rows if r.version == "b"]
-    assert b_rows[0].per_org["cluster"].candidate_pairs > (
-        4 * a_rows[0].per_org["cluster"].candidate_pairs
-    )
-    assert max(r.speedup_vs_secondary for r in b_rows) >= 0.8 * max(
-        r.speedup_vs_secondary for r in a_rows
+    a_rows = [r for r in rows if r["version"] == "a"]
+    b_rows = [r for r in rows if r["version"] == "b"]
+    assert b_rows[0]["MBR pairs"] > 4 * a_rows[0]["MBR pairs"]
+    assert max(r["speedup vs sec"] for r in b_rows) >= 0.8 * max(
+        r["speedup vs sec"] for r in a_rows
     )
 
     # Larger buffers help every organization (monotone-ish I/O).
     for version_rows in (a_rows, b_rows):
         first, last = version_rows[0], version_rows[-1]
-        for org in ("secondary", "primary", "cluster"):
-            assert last.per_org[org].io_ms <= first.per_org[org].io_ms * 1.1
+        for org in ("sec (s)", "prim (s)", "cluster (s)"):
+            assert last[org] <= first[org] * 1.1
 
 
 def test_fig14_smaller_objects_gain_more(ctx, benchmark, record_table):
@@ -50,30 +45,22 @@ def test_fig14_smaller_objects_gain_more(ctx, benchmark, record_table):
     higher" — compare the A and C series at one buffer size."""
 
     def run():
-        buffers = [ctx.config.join_buffer(1600)]
-        rows_a = run_fig14_join_orgs(
-            ctx, "A-1", "A-2", versions=("a",), buffers=buffers
-        )
-        rows_c = run_fig14_join_orgs(
-            ctx, "C-1", "C-2", versions=("a",), buffers=buffers
-        )
-        return rows_a[0], rows_c[0]
+        rows = []
+        for series_r, series_s in (("A-1", "A-2"), ("C-1", "C-2")):
+            (row,) = FIGURES["fig14"].rows(
+                ctx, series_r, series_s, versions=("a",),
+                buffers=[ctx.config.join_buffer(1600)],
+            )
+            shown = ("sec (s)", "cluster (s)", "speedup vs sec")
+            rows.append({"series": f"{series_r}/2 a", **{c: row[c] for c in shown}})
+        return rows
 
-    row_a, row_c = once(benchmark, run)
-    from repro.eval.report import format_table
-
+    row_a, row_c = rows = once(benchmark, run)
     record_table(
         "fig14_series_comparison",
-        format_table(
-            ["series", "sec (s)", "cluster (s)", "speedup vs sec"],
-            [
-                ("A-1/2 a", row_a.per_org["secondary"].io_s,
-                 row_a.per_org["cluster"].io_s, row_a.speedup_vs_secondary),
-                ("C-1/2 a", row_c.per_org["secondary"].io_s,
-                 row_c.per_org["cluster"].io_s, row_c.speedup_vs_secondary),
-            ],
-            title="Figure 14 addendum — smaller objects profit more "
-                  "(buffer 1600 scaled)",
+        format_rows(
+            "Figure 14 addendum — smaller objects profit more (buffer 1600 scaled)",
+            rows,
         ),
     )
-    assert row_a.speedup_vs_secondary > row_c.speedup_vs_secondary
+    assert row_a["speedup vs sec"] > row_c["speedup vs sec"]

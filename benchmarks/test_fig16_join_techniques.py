@@ -9,40 +9,30 @@ unit, queried pages transferred once).
 
 from __future__ import annotations
 
-from repro.eval.joins import format_fig16, run_fig16_join_techniques
 
-from benchmarks.conftest import once
-
-
-def test_fig16_join_techniques(ctx, benchmark, record_table):
-    rows = once(benchmark, lambda: run_fig16_join_techniques(ctx))
-    record_table("fig16_join_techniques", format_fig16(rows))
+def test_fig16_join_techniques(run_figure):
+    rows = run_figure("fig16", "fig16_join_techniques")
+    techniques = ("complete (s)", "vector (s)", "read (s)", "optimum (s)")
 
     for row in rows:
-        per = {t: r.io_s for t, r in row.per_technique.items()}
         # The analytic optimum is a true lower bound.
-        assert per["optimum"] <= min(per.values()) + 1e-9, row
+        assert row["optimum (s)"] <= min(row[t] for t in techniques) + 1e-9, row
         # Normal read vs vector read (Section 6.2), beyond tiny buffers.
-        if row.buffer_pages >= 64:
-            assert per["read"] <= per["vector"] * 1.1, row
+        if row["buffer"] >= 64:
+            assert row["read (s)"] <= row["vector (s)"] * 1.1, row
 
     # "The simplest query technique (reading the complete cluster unit)
     # exhibits the best performance in most cases."
     complete_wins = sum(
         1
         for row in rows
-        if row.per_technique["complete"].io_s
-        <= min(
-            row.per_technique["read"].io_s,
-            row.per_technique["vector"].io_s,
-        )
-        * 1.02
+        if row["complete (s)"] <= min(row["read (s)"], row["vector (s)"]) * 1.02
     )
     assert complete_wins >= len(rows) / 2
 
     # With the largest buffer the cost approaches the optimum.
     for version in ("a", "b"):
-        version_rows = [r for r in rows if r.version == version]
-        last = max(version_rows, key=lambda r: r.buffer_pages)
-        best = min(r.io_s for t, r in last.per_technique.items() if t != "optimum")
-        assert best <= 2.0 * last.per_technique["optimum"].io_s, version
+        version_rows = [r for r in rows if r["version"] == version]
+        last = max(version_rows, key=lambda r: r["buffer"])
+        best = min(last[t] for t in techniques if t != "optimum (s)")
+        assert best <= 2.0 * last["optimum (s)"], version

@@ -8,27 +8,22 @@ speeds up by ~3.9× (version a) / ~4.3× (version b).
 
 from __future__ import annotations
 
-from repro.eval.joins import format_fig17, run_fig17_complete_join
 
-from benchmarks.conftest import once
+def test_fig17_complete_join(run_figure):
+    rows = run_figure("fig17", "fig17_complete_join")
 
-
-def test_fig17_complete_join(ctx, benchmark, record_table):
-    rows = once(benchmark, lambda: run_fig17_complete_join(ctx))
-    record_table("fig17_complete_join", format_fig17(rows))
-
-    by_version: dict[str, dict[str, object]] = {}
+    by_version: dict[str, dict[str, dict]] = {}
     for row in rows:
-        by_version.setdefault(row.version, {})[row.organization] = row
+        by_version.setdefault(row["version"], {})[row["organization"]] = row
 
     for version, orgs in by_version.items():
         sec, clu = orgs["secondary"], orgs["cluster"]
         # The exact geometry test costs the same in both organizations.
-        assert abs(sec.exact_s - clu.exact_s) < 1e-9
+        assert abs(sec["exact test (s)"] - clu["exact test (s)"]) < 1e-9
         # Global clustering slashes the object transfer…
-        assert clu.transfer_s < 0.5 * sec.transfer_s, version
+        assert clu["obj transfer (s)"] < 0.5 * sec["obj transfer (s)"], version
         # …and the transfer dominates the secondary organization's cost.
-        assert sec.transfer_s > sec.mbr_join_s, version
+        assert sec["obj transfer (s)"] > sec["MBR-join (s)"], version
         # Total speed-up in the paper's ballpark (>2x; paper ~4x).
-        speedup = sec.total_s / clu.total_s
+        speedup = sec["total (s)"] / clu["total (s)"]
         assert speedup > 1.5, (version, speedup)

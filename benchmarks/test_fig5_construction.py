@@ -9,26 +9,22 @@ units during its splits).
 
 from __future__ import annotations
 
-from repro.eval.construction import format_fig5, run_fig5_construction
-
-from benchmarks.conftest import once
-
 SERIES = ("A-1", "B-1", "C-1", "A-2", "B-2", "C-2")
+SEC, PRIM, CLUSTER = "sec. org (s)", "prim. org (s)", "cluster org (s)"
 
 
-def test_fig5_construction(ctx, benchmark, record_table):
-    rows = once(benchmark, lambda: run_fig5_construction(ctx, SERIES))
-    record_table("fig5_construction", format_fig5(rows))
+def test_fig5_construction(run_figure):
+    rows = run_figure("fig5", "fig5_construction", series=SERIES)
 
     for row in rows:
         # Primary clearly the most expensive organization to build.
-        assert row.primary_s > 1.2 * row.secondary_s, row.series
-        assert row.primary_s > 1.1 * row.cluster_s, row.series
+        assert row[PRIM] > 1.2 * row[SEC], row["series"]
+        assert row[PRIM] > 1.1 * row[CLUSTER], row["series"]
         # Secondary and cluster stay within a small factor of each other.
-        assert row.cluster_s < 1.6 * row.secondary_s, row.series
+        assert row[CLUSTER] < 1.6 * row[SEC], row["series"]
 
     # Primary grows with the object size; secondary/cluster stay flat-ish.
-    a1 = next(r for r in rows if r.series == "A-1")
-    c1 = next(r for r in rows if r.series == "C-1")
-    assert c1.primary_s > 1.1 * a1.primary_s
-    assert c1.secondary_s < 2.0 * a1.secondary_s
+    a1 = next(r for r in rows if r["series"] == "A-1")
+    c1 = next(r for r in rows if r["series"] == "C-1")
+    assert c1[PRIM] > 1.1 * a1[PRIM]
+    assert c1[SEC] < 2.0 * a1[SEC]

@@ -8,19 +8,16 @@ binds a full ``Smax`` extent.
 
 from __future__ import annotations
 
-from repro.eval.construction import format_fig6, run_fig6_storage
-
-from benchmarks.conftest import once
-
 SERIES = ("A-1", "B-1", "C-1", "A-2", "B-2", "C-2")
 
 
-def test_fig6_storage(ctx, benchmark, record_table):
-    rows = once(benchmark, lambda: run_fig6_storage(ctx, SERIES))
-    record_table("fig6_storage", format_fig6(rows))
+def test_fig6_storage(run_figure):
+    rows = run_figure("fig6", "fig6_storage", series=SERIES)
 
     for row in rows:
-        assert row.secondary_pages < row.primary_pages, row.series
-        assert row.primary_pages < row.cluster_pages, row.series
+        sec, prim, cluster = (
+            row[f"{org} org (pages)"] for org in ("sec.", "prim.", "cluster")
+        )
+        assert sec < prim < cluster, row["series"]
         # The plain cluster organization wastes roughly half its pages.
-        assert row.cluster_pages > 1.4 * row.secondary_pages, row.series
+        assert cluster > 1.4 * sec, row["series"]

@@ -8,22 +8,19 @@ cost rises only slightly (the unit moves between buddies).
 
 from __future__ import annotations
 
-from repro.eval.construction import format_fig7, run_fig7_buddy
-
-from benchmarks.conftest import once
-
 SERIES = ("A-1", "B-1", "C-1")
 
 
-def test_fig7_buddy(ctx, benchmark, record_table):
-    rows = once(benchmark, lambda: run_fig7_buddy(ctx, SERIES))
-    record_table("fig7_buddy", format_fig7(rows))
+def test_fig7_buddy(run_figure):
+    rows = run_figure("fig7", "fig7_buddy", series=SERIES)
 
     for row in rows:
-        assert row.buddy_pages < row.fixed_pages, row.series
+        assert row["buddy (pages)"] < row["fixed (pages)"], row["series"]
         # "About the same storage utilization as the primary organization"
-        assert abs(row.buddy_pages - row.primary_pages) < 0.35 * row.primary_pages
+        assert abs(row["buddy (pages)"] - row["primary (pages)"]) < (
+            0.35 * row["primary (pages)"]
+        )
         # "The cost of construction is only slightly higher than before"
-        assert row.fixed_construction_s <= row.buddy_construction_s
-        assert row.buddy_construction_s < 1.35 * row.fixed_construction_s
-        assert row.buddy_moves > 0
+        assert row["fixed constr (s)"] <= row["buddy constr (s)"]
+        assert row["buddy constr (s)"] < 1.35 * row["fixed constr (s)"]
+        assert row["moves"] > 0

@@ -11,22 +11,17 @@ objects.
 from __future__ import annotations
 
 from repro.data.workload import PAPER_WINDOW_AREAS
-from repro.eval.window import format_fig8, run_fig8_windows
-
-from benchmarks.conftest import once
 
 
-def test_fig8_window_queries(ctx, benchmark, record_table):
-    rows = once(benchmark, lambda: run_fig8_windows(ctx, ("A-1", "C-1")))
-    record_table("fig8_window_queries", format_fig8(rows))
+def test_fig8_window_queries(run_figure):
+    rows = run_figure("fig8", "fig8_window_queries", series=("A-1", "C-1"))
 
     by_series: dict[str, list] = {}
-    for row in rows:
-        by_series.setdefault(row.series, []).append(row)
+    for row in rows:  # per series in ascending window area
+        by_series.setdefault(row["series"], []).append(row)
 
     for series, series_rows in by_series.items():
-        series_rows.sort(key=lambda r: r.area_fraction)
-        speedups = [r.speedup_vs_secondary for r in series_rows]
+        speedups = [r["speedup vs sec"] for r in series_rows]
         # Monotone benefit: bigger windows, bigger win (allowing noise).
         assert speedups[-1] > speedups[0], series
         # Large windows: clearly accelerated.
@@ -35,18 +30,16 @@ def test_fig8_window_queries(ctx, benchmark, record_table):
         assert speedups[0] > 0.5, (series, speedups)
 
     # A-1 (small objects) gains more than C-1, as in the paper (20 vs 12.5).
-    assert max(r.speedup_vs_secondary for r in by_series["A-1"]) > max(
-        r.speedup_vs_secondary for r in by_series["C-1"]
+    assert max(r["speedup vs sec"] for r in by_series["A-1"]) > max(
+        r["speedup vs sec"] for r in by_series["C-1"]
     )
 
     # The primary organization sits between secondary and cluster for
     # large windows.
     for series_rows in by_series.values():
         big = series_rows[-1]
-        assert (
-            big.per_org["cluster"].ms_per_4kb
-            < big.per_org["primary"].ms_per_4kb
-            < big.per_org["secondary"].ms_per_4kb
-        )
+        assert big["cluster (ms/4KB)"] < big["prim (ms/4KB)"] < big["sec (ms/4KB)"]
 
-    assert set(r.area_fraction for r in rows) == set(PAPER_WINDOW_AREAS)
+    assert [r["window area"] for r in by_series["A-1"]] == [
+        f"{area * 100:g}%" for area in sorted(PAPER_WINDOW_AREAS)
+    ]

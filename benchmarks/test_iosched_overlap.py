@@ -22,10 +22,10 @@ issue identical priced calls); the makespan must drop on four disks.
 
 from __future__ import annotations
 
-from repro.eval.report import format_table
+from repro.eval.report import format_rows
 from repro.eval.scenarios import build_database, run_client_pair
 
-from benchmarks.conftest import dataset, once
+from benchmarks.conftest import once
 
 CONFIGS = [
     # (n_disks, scheduler, prefetch)
@@ -45,7 +45,7 @@ def test_iosched_overlap(ctx, benchmark, record_table):
     def run():
         rows = []
         baseline_results = None
-        data = dataset(ctx, "A-1")
+        data = ctx.dataset("A-1")
         for n_disks, scheduler, prefetch in CONFIGS:
             # The `eval iosched` scenario at the figures' construction buffer.
             db = build_database(
@@ -61,46 +61,44 @@ def test_iosched_overlap(ctx, benchmark, record_table):
             if baseline_results is None:
                 baseline_results = results
             rows.append(
-                (
-                    n_disks,
-                    scheduler,
-                    prefetch,
-                    f"{report.hit_rate:.1%}",
-                    report.total_io.total_ms / 1000.0,
-                    report.total_response_ms / 1000.0,
-                    report.makespan_ms / 1000.0,
-                    results == baseline_results,
-                )
+                {
+                    "disks": n_disks,
+                    "scheduler": scheduler,
+                    "prefetch": prefetch,
+                    "hit rate": f"{report.hit_rate:.1%}",
+                    "device (s)": report.total_io.total_ms / 1000.0,
+                    "client resp (s)": report.total_response_ms / 1000.0,
+                    "makespan (s)": report.makespan_ms / 1000.0,
+                    "answers ok": results == baseline_results,
+                }
             )
         return rows
 
     rows = once(benchmark, run)
     record_table(
         "ablation_iosched_overlap",
-        format_table(
-            ["disks", "scheduler", "prefetch", "hit rate", "device (s)",
-             "client resp (s)", "makespan (s)", "answers ok"],
+        format_rows(
+            "Ablation — overlapped I/O scheduling & prefetching "
+            "(A-1, 2 interleaved clients, 400-page pool)",
             rows,
-            title="Ablation — overlapped I/O scheduling & prefetching "
-                  "(A-1, 2 interleaved clients, 400-page pool)",
         ),
     )
-    by_config = {(r[0], r[1], r[2]): r for r in rows}
+    by_config = {(r["disks"], r["scheduler"], r["prefetch"]): r for r in rows}
     # Interleaving and scheduling never change answers.
-    assert all(r[7] for r in rows)
+    assert all(r["answers ok"] for r in rows)
     # The schedulers issue identical priced calls: device time matches
     # exactly between sync and overlap (same disks, no prefetch).
     for n_disks in (1, 4):
         assert (
-            by_config[(n_disks, "sync", "none")][4]
-            == by_config[(n_disks, "overlap", "none")][4]
+            by_config[(n_disks, "sync", "none")]["device (s)"]
+            == by_config[(n_disks, "overlap", "none")]["device (s)"]
         )
     # One arm cannot overlap with itself: the single-disk makespan
     # stays at the device time.
     single = by_config[(1, "overlap", "none")]
-    assert single[6] >= single[4] * 0.999
+    assert single["makespan (s)"] >= single["device (s)"] * 0.999
     # The acceptance bar: 4 disks + overlap beat the sync baseline's
     # response time.
     sync4 = by_config[(4, "sync", "none")]
     overlap4 = by_config[(4, "overlap", "none")]
-    assert overlap4[6] < sync4[6]
+    assert overlap4["makespan (s)"] < sync4["makespan (s)"]

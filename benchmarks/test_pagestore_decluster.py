@@ -13,10 +13,10 @@ parallel execution model) and the achieved parallelism.
 
 from __future__ import annotations
 
-from repro.eval.report import format_table
+from repro.eval.report import format_rows
 from repro.eval.scenarios import build_database, measure_windows
 
-from benchmarks.conftest import dataset, once
+from benchmarks.conftest import once
 
 
 def test_pagestore_declustering(ctx, benchmark, record_table):
@@ -41,7 +41,7 @@ def test_pagestore_declustering(ctx, benchmark, record_table):
             # The `eval pagestore` scenario at the figures' windows and
             # construction buffer.
             db = build_database(
-                dataset(ctx, "A-1"),
+                ctx.dataset("A-1"),
                 n_disks=n_disks,
                 placement=placement,
                 construction_buffer_pages=ctx.config.construction_buffer_pages,
@@ -51,45 +51,43 @@ def test_pagestore_declustering(ctx, benchmark, record_table):
                 baseline_answers = answers
             label = placement if n_disks > 1 else "(single disk)"
             rows.append(
-                (
-                    n_disks,
-                    label,
-                    device / 1000.0,
-                    response / 1000.0,
-                    device / response if response else 1.0,
-                    answers == baseline_answers,
-                )
+                {
+                    "disks": n_disks,
+                    "placement": label,
+                    "device (s)": device / 1000.0,
+                    "response (s)": response / 1000.0,
+                    "parallelism": device / response if response else 1.0,
+                    "answers ok": answers == baseline_answers,
+                }
             )
         return rows
 
     rows = once(benchmark, run)
     record_table(
         "ablation_pagestore_decluster",
-        format_table(
-            ["disks", "placement", "device (s)", "response (s)",
-             "parallelism", "answers ok"],
+        format_rows(
+            "Ablation — sharded page store declustering "
+            "(A-1, 1% windows, whole stack behind the pool)",
             rows,
-            title="Ablation — sharded page store declustering "
-                  "(A-1, 1% windows, whole stack behind the pool)",
         ),
     )
-    by_config = {(r[0], r[1]): r for r in rows}
+    by_config = {(r["disks"], r["placement"]): r for r in rows}
+    response = {config: r["response (s)"] for config, r in by_config.items()}
     # Declustered execution never changes answers.
-    assert all(r[5] for r in rows)
+    assert all(r["answers ok"] for r in rows)
     # One disk: response time == device time.
-    single = by_config[(1, "(single disk)")]
-    assert single[4] == 1.0
+    assert by_config[(1, "(single disk)")]["parallelism"] == 1.0
     # The acceptance bar: 4 disks + spatial placement parallelise the
     # window workload by more than 1.5x.
     spatial4 = by_config[(4, "spatial")]
-    assert spatial4[4] > 1.5
+    assert spatial4["parallelism"] > 1.5
     # More disks never hurt the response time.
-    assert by_config[(4, "spatial")][3] <= by_config[(2, "spatial")][3] * 1.05
-    assert by_config[(8, "spatial")][3] <= by_config[(4, "spatial")][3] * 1.05
+    assert response[(4, "spatial")] <= response[(2, "spatial")] * 1.05
+    assert response[(8, "spatial")] <= response[(4, "spatial")] * 1.05
     # Spatial placement beats the blind policies where it matters: the
     # response time clients observe (it also keeps units whole on one
     # disk, so its *device* time stays at the single-disk level while
     # chunk-striping tears units across seek boundaries).
-    assert spatial4[3] <= by_config[(4, "round_robin")][3] * 1.05
-    assert spatial4[3] <= by_config[(4, "hash")][3] * 1.05
-    assert spatial4[2] <= by_config[(4, "round_robin")][2]
+    assert response[(4, "spatial")] <= response[(4, "round_robin")] * 1.05
+    assert response[(4, "spatial")] <= response[(4, "hash")] * 1.05
+    assert spatial4["device (s)"] <= by_config[(4, "round_robin")]["device (s)"]

@@ -16,10 +16,10 @@ no-reorg baseline — background repair must not starve the foreground.
 
 from __future__ import annotations
 
-from repro.eval.report import format_table
+from repro.eval.report import format_rows
 from repro.eval.scenarios import reorg_runs
 
-from benchmarks.conftest import dataset, once
+from benchmarks.conftest import once
 
 SESSIONS = 1200
 DELETE_FRACTION = 0.5  # every other object
@@ -31,7 +31,7 @@ def run_reorg_ablation(ctx, series="A-1"):
     """The `eval reorg` scenario at this ablation's sizes."""
     rows = []
     for with_reorg, _db, reorganizer, report, degraded in reorg_runs(
-        dataset(ctx, series),
+        ctx.dataset(series),
         sessions=SESSIONS,
         rate=200.0,
         buffer_pages=512,
@@ -43,15 +43,15 @@ def run_reorg_ablation(ctx, series="A-1"):
     ):
         inter = report.traffic_class("interactive")
         rows.append(
-            (
-                "with reorg" if with_reorg else "no reorg",
-                round(degraded, 4),
-                round(reorganizer.quality(), 4),
-                reorganizer.moved_pages,
-                reorganizer.runs,
-                inter.p95_ms if inter else 0.0,
-                report.makespan_ms / 1000.0,
-            )
+            {
+                "run": "with reorg" if with_reorg else "no reorg",
+                "quality degraded": round(degraded, 4),
+                "quality after": round(reorganizer.quality(), 4),
+                "moved pages": reorganizer.moved_pages,
+                "rounds": reorganizer.runs,
+                "int p95 (ms)": inter.p95_ms if inter else 0.0,
+                "makespan (s)": report.makespan_ms / 1000.0,
+            }
         )
     return rows
 
@@ -63,26 +63,25 @@ def test_reorg_recovery(ctx, benchmark, record_table):
 
     record_table(
         "ablation_reorg",
-        format_table(
-            ["run", "quality degraded", "quality after", "moved pages",
-             "rounds", "int p95 (ms)", "makespan (s)"],
+        format_rows(
+            "Ablation — background reorganization "
+            f"(A-1, {SESSIONS} sessions, 4 disks, priority "
+            f"admission, {ROUNDS} rounds x {BUDGET_PAGES} pages)",
             rows,
-            title="Ablation — background reorganization "
-                  f"(A-1, {SESSIONS} sessions, 4 disks, priority "
-                  f"admission, {ROUNDS} rounds x {BUDGET_PAGES} pages)",
         ),
     )
 
-    by_run = {r[0]: r for r in rows}
+    by_run = {r["run"]: r for r in rows}
     base, reorg = by_run["no reorg"], by_run["with reorg"]
     # Both runs degrade identically before the traffic.
-    assert reorg[1] == base[1]
+    assert reorg["quality degraded"] == base["quality degraded"]
     # Without reorganization the dead space stays.
-    assert base[2] == base[1] and base[3] == 0
+    assert base["quality after"] == base["quality degraded"]
+    assert base["moved pages"] == 0
     # The acceptance bar: at least half the quality gap recovered ...
-    gap = 1.0 - reorg[1]
+    gap = 1.0 - reorg["quality degraded"]
     assert gap > 0.0
-    assert reorg[2] - reorg[1] >= 0.5 * gap
-    assert reorg[3] > 0
+    assert reorg["quality after"] - reorg["quality degraded"] >= 0.5 * gap
+    assert reorg["moved pages"] > 0
     # ... with bounded foreground interference.
-    assert reorg[5] <= 1.5 * base[5]
+    assert reorg["int p95 (ms)"] <= 1.5 * base["int p95 (ms)"]

@@ -6,18 +6,13 @@ maps hit the paper's per-series object sizes.
 
 from __future__ import annotations
 
-from repro.eval.table1 import format_table1, run_table1
 
-from benchmarks.conftest import once
-
-
-def test_table1_datasets(ctx, benchmark, record_table):
-    rows = once(benchmark, lambda: run_table1(ctx))
-    record_table("table1_datasets", format_table1(rows, ctx.config.scale))
+def test_table1_datasets(run_figure):
+    rows = run_figure("table1", "table1_datasets")
 
     assert len(rows) == 6
     for row in rows:
         # Average object sizes match Table 1 (counts are scaled).
-        assert abs(row.measured_avg_size - row.paper_avg_size) <= (
-            0.1 * row.paper_avg_size
-        ), row.key
+        assert abs(row["avg size (measured)"] - row["avg size (paper)"]) <= (
+            0.1 * row["avg size (paper)"]
+        ), row["series-map"]

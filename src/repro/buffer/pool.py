@@ -422,15 +422,6 @@ class BufferPool:
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
-    def get(self, page: int, continuation: bool = False) -> bool:
-        """Single-page read through the pool: a hit is free, a miss is
-        priced and admitted.  Returns True on a hit."""
-        if self.access(page):
-            return True
-        self.disk.read(page, 1, continuation)
-        self.admit(page)
-        return False
-
     def _read_missing(self, missing: Sequence[int], continuation: bool) -> float:
         """Transfer a sorted set of missing pages as one vectored batch
         of coalesced runs.  The backing store prices the positioning:

@@ -512,21 +512,20 @@ class SpatialDatabase:
     # ------------------------------------------------------------------
     # persistence
     # ------------------------------------------------------------------
-    def save(self, path: str, materialize: bool = True, store=None) -> int:
+    def save(self, path: str, store=None) -> int:
         """Checkpoint this database into a file-backed page store.
 
         Writes the placement catalog (allocator regions, R*-tree,
         extent tables, cluster-unit bookkeeping) as checksummed pages
         under the crash-safe shadow-superblock protocol of
-        :class:`~repro.pagestore.file.FilePageStore`; with
-        ``materialize=True`` every allocated page of every region also
-        gets a real slot in the file.  Saving onto an existing image
+        :class:`~repro.pagestore.file.FilePageStore`; every allocated
+        page of every region also gets a real slot in the file.  Saving onto an existing image
         commits a new epoch on top of the old one.  Returns the
         committed epoch.  See :func:`repro.storage.serial.save_database`.
         """
         from repro.storage.serial import save_database
 
-        return save_database(self, path, materialize=materialize, store=store)
+        return save_database(self, path, store=store)
 
     @classmethod
     def open(

@@ -1,73 +1,26 @@
-"""Evaluation harness: one driver per table/figure of the paper."""
+"""Evaluation harness: the paper's tables and figures (:data:`FIGURES`)
+and what they are built from."""
 
-from repro.eval.adaptation import (
-    AdaptationResult,
-    format_fig11,
-    run_fig11_adaptation,
-)
 from repro.eval.config import PAPER_JOIN_BUFFERS, ExperimentConfig
-from repro.eval.construction import (
-    format_fig5,
-    format_fig6,
-    format_fig7,
-    run_fig5_construction,
-    run_fig6_storage,
-    run_fig7_buddy,
-)
 from repro.eval.context import ORG_NAMES, ExperimentContext
-from repro.eval.joins import (
-    format_fig14,
-    format_fig16,
-    format_fig17,
-    run_fig14_join_orgs,
-    run_fig16_join_techniques,
-    run_fig17_complete_join,
-)
+from repro.eval.figures import FIGURES
 from repro.eval.metrics import (
     WorkloadAggregate,
     run_point_queries,
     run_window_queries,
 )
-from repro.eval.point import format_fig12, run_fig12_points
-from repro.eval.report import format_header, format_table
-from repro.eval.table1 import format_table1, run_table1
-from repro.eval.window import (
-    format_fig8,
-    format_fig10,
-    run_fig8_windows,
-    run_fig10_techniques,
-)
+from repro.eval.report import format_header, format_rows, format_table
 
 __all__ = [
     "ExperimentConfig",
     "ExperimentContext",
+    "FIGURES",
     "ORG_NAMES",
     "PAPER_JOIN_BUFFERS",
     "WorkloadAggregate",
     "run_window_queries",
     "run_point_queries",
-    "run_table1",
-    "format_table1",
-    "run_fig5_construction",
-    "format_fig5",
-    "run_fig6_storage",
-    "format_fig6",
-    "run_fig7_buddy",
-    "format_fig7",
-    "run_fig8_windows",
-    "format_fig8",
-    "run_fig10_techniques",
-    "format_fig10",
-    "run_fig11_adaptation",
-    "format_fig11",
-    "run_fig12_points",
-    "format_fig12",
-    "run_fig14_join_orgs",
-    "format_fig14",
-    "run_fig16_join_techniques",
-    "format_fig16",
-    "run_fig17_complete_join",
-    "format_fig17",
     "format_table",
+    "format_rows",
     "format_header",
 ]

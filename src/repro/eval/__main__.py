@@ -15,8 +15,9 @@
     python -m repro.eval reorg [--sessions 2000] [--budget-pages 64]
                                [--rounds 40] [--delete-fraction 0.5]
 
-Without a subcommand every table and figure of the paper is regenerated
-in sequence.  ``python -m repro.eval <subcommand> --help`` describes
+Without a subcommand every table and figure of the paper — the rows of
+:data:`repro.eval.figures.FIGURES` — is regenerated in sequence.
+``python -m repro.eval <subcommand> --help`` describes
 each subcommand and its flags; both texts come from the tables below.
 
 Three tables drive everything: ``FLAGS`` declares each flag once
@@ -39,9 +40,10 @@ from repro.buffer.policy import POLICIES
 from repro.data.series import TABLE1
 from repro.eval import scenarios
 from repro.eval.config import ExperimentConfig
-from repro.eval.context import ORG_NAMES
+from repro.eval.context import ORG_NAMES, ExperimentContext
+from repro.eval.figures import FIGURES
 from repro.eval.report import format_header
-from repro.eval.scenarios import EXPERIMENTS, Dataset, UsageError
+from repro.eval.scenarios import UsageError
 from repro.iosched import ADMISSIONS, PREFETCHERS, SCHEDULERS
 from repro.pagestore import MIGRATIONS
 from repro.pagestore.placement import PLACEMENTS
@@ -118,7 +120,7 @@ DECLARED = (
     Flag("--seed", "dataset seed", int, 1994),
     Flag("--series", "Table 1 series", default="A-1", check=one_of(TABLE1)),
     Flag(
-        "--only", "comma-separated experiment names", check=one_of(EXPERIMENTS),
+        "--only", "comma-separated experiment names", check=one_of(FIGURES),
         many=True,
     ),
     # -- the database ------------------------------------------------------
@@ -271,7 +273,7 @@ class Scenario:
         self.header, self.run = header, run
 
 
-FIGURES = Scenario(
+PAPER = Scenario(
     "",
     "Reproduce the paper's tables and figures.",
     "scale seed only",
@@ -462,12 +464,17 @@ def build_parser(scenario: Scenario) -> argparse.ArgumentParser:
     )
     for flag in scenario.flags:
         flag.add_to(parser)
+    # Every declared flag has its ``args.<dest>``: None where this
+    # scenario does not take it.
+    parser.set_defaults(
+        **dict.fromkeys(FLAGS.keys() - {flag.dest for flag in scenario.flags})
+    )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    scenario = FIGURES
+    scenario = PAPER
     if argv and argv[0] in SCENARIOS:
         scenario, argv = SCENARIOS[argv[0]], argv[1:]
     parser = build_parser(scenario)
@@ -479,8 +486,7 @@ def main(argv: list[str] | None = None) -> int:
         # and the environment is read only then.
         knobs["scale"] = args.scale
     config = ExperimentConfig(**knobs)
-    series = getattr(args, "series", None)
-    dataset = Dataset(config) if series is None else Dataset.load(config, series)
+    dataset = ExperimentContext(config).dataset(args.series)
     print(format_header(scenario.header(args, dataset)))
     try:
         return scenario.run(args, dataset)

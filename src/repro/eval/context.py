@@ -10,10 +10,14 @@ most once.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 from repro.data.calibrate import (
     PAIRS_PER_OBJECT_VERSION_B,
     calibrate_expansion,
 )
+from repro.data.series import SeriesSpec
 from repro.data.tiger import generate_map
 from repro.data.workload import point_workload, window_workload
 from repro.database import ORGANIZATIONS, SpatialDatabase
@@ -23,9 +27,43 @@ from repro.geometry.feature import SpatialObject
 from repro.geometry.rect import Rect
 from repro.storage.base import SpatialOrganization
 
-__all__ = ["ExperimentContext", "ORG_NAMES"]
+__all__ = ["Dataset", "ExperimentContext", "ORG_NAMES"]
 
 ORG_NAMES = tuple(ORGANIZATIONS)
+
+
+@dataclass(frozen=True)
+class Dataset:
+    """The map an experiment runs over: one scaled Table 1 series, as
+    :meth:`ExperimentContext.dataset` hands it out.  The figure mode of
+    the CLI, which takes no ``--series``, carries the config only."""
+
+    config: ExperimentConfig
+    series: str | None = None
+    spec: SeriesSpec | None = None
+    objects: list[SpatialObject] | None = None
+
+    @property
+    def label(self) -> str:
+        return f"{self.series} (scale={self.config.scale})"
+
+    def deleted(self, fraction: float):
+        """``(doomed, survivors)``: object ``i`` is doomed when
+        ``floor(i·f)`` steps — error diffusion, so the achieved fraction
+        is within 1/n of ``f`` for every ``f`` (at 0.5: the even indices)."""
+        doomed, survivors = [], []
+        for i, obj in enumerate(self.objects):
+            steps = math.floor(i * fraction) != math.floor((i - 1) * fraction)
+            (doomed if steps else survivors).append(obj)
+        return doomed, survivors
+
+    @property
+    def bound(self) -> float:
+        """Upper corner of the populated data space."""
+        return max(
+            max(o.mbr.xmax for o in self.objects),
+            max(o.mbr.ymax for o in self.objects),
+        )
 
 
 class ExperimentContext:
@@ -73,6 +111,16 @@ class ExperimentContext:
                 )
             self._maps[cache_key] = cached
         return cached
+
+    def dataset(self, series_key: str | None) -> Dataset:
+        """The series' map as the :class:`Dataset` the shared steps of
+        :mod:`repro.eval.scenarios` run over (``None``: no map)."""
+        if series_key is None:
+            return Dataset(self.config)
+        return Dataset(
+            self.config, series_key, self.config.spec(series_key),
+            self.objects(series_key),
+        )
 
     def version_expansion(self, series_r: str, series_s: str, version: str) -> float | None:
         """MBR expansion for a join version: *a* uses natural MBRs,

@@ -1,15 +1,16 @@
 """Plain-text report formatting for the experiment harness.
 
-Every figure driver produces rows of (label, value...) data; these
-helpers turn them into the aligned tables printed by the benchmark
-suite and recorded under ``benchmarks/results/``.
+Every experiment — a paper figure, a CLI scenario, an ablation —
+produces rows of ``{column: value}``; :func:`format_rows` turns them
+into the aligned table that is printed and recorded under
+``benchmarks/results/``.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-__all__ = ["format_table", "format_header"]
+__all__ = ["format_table", "format_rows", "format_header"]
 
 
 def format_header(title: str, width: int = 72) -> str:
@@ -48,3 +49,10 @@ def format_table(
     parts.append("  ".join("-" * w for w in widths))
     parts.extend(line(row) for row in rendered)
     return "\n".join(parts)
+
+
+def format_rows(title: str, rows: Sequence[dict]) -> str:
+    """Rows of ``{column: value}`` as one titled table: the first row's
+    keys are the header, so a value has one name."""
+    columns = list(rows[0]) if rows else []
+    return format_table(columns, [list(r.values()) for r in rows], title=title)

@@ -13,25 +13,20 @@ and each body below holds only what is unique to its subcommand.  The
 from __future__ import annotations
 
 import json
-import math
 import os
 import random
 import shutil
 import tempfile
 import time
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
 from types import SimpleNamespace
 
-from repro import eval as drivers
-from repro.data.series import SeriesSpec
-from repro.data.tiger import generate_map
 from repro.data.workload import window_workload
 from repro.database import SpatialDatabase
 from repro.errors import ConfigurationError, PageCorruptionError
-from repro.eval.config import ExperimentConfig
-from repro.eval.context import ExperimentContext
-from repro.eval.report import format_table
+from repro.eval.context import Dataset, ExperimentContext
+from repro.eval.figures import FIGURES
+from repro.eval.report import format_rows
 from repro.geometry.feature import SpatialObject
 from repro.iosched.admission import PriorityAdmission
 from repro.obs import (
@@ -48,22 +43,6 @@ from repro.workload.streams import mixed_stream
 from repro.workload.trace import load_trace, save_trace
 from repro.workload.traffic import class_of_session, make_traffic
 
-EXPERIMENTS = {
-    "table1": lambda ctx: drivers.format_table1(
-        drivers.run_table1(ctx), ctx.config.scale
-    ),
-    "fig5": lambda ctx: drivers.format_fig5(drivers.run_fig5_construction(ctx)),
-    "fig6": lambda ctx: drivers.format_fig6(drivers.run_fig6_storage(ctx)),
-    "fig7": lambda ctx: drivers.format_fig7(drivers.run_fig7_buddy(ctx)),
-    "fig8": lambda ctx: drivers.format_fig8(drivers.run_fig8_windows(ctx)),
-    "fig10": lambda ctx: drivers.format_fig10(drivers.run_fig10_techniques(ctx)),
-    "fig11": lambda ctx: drivers.format_fig11(drivers.run_fig11_adaptation(ctx)),
-    "fig12": lambda ctx: drivers.format_fig12(drivers.run_fig12_points(ctx)),
-    "fig14": lambda ctx: drivers.format_fig14(drivers.run_fig14_join_orgs(ctx)),
-    "fig16": lambda ctx: drivers.format_fig16(drivers.run_fig16_join_techniques(ctx)),
-    "fig17": lambda ctx: drivers.format_fig17(drivers.run_fig17_complete_join(ctx)),
-}
-
 
 class UsageError(Exception):
     """A body found the command line unusable only after it started
@@ -74,45 +53,6 @@ class UsageError(Exception):
 # ----------------------------------------------------------------------
 # the shared middle
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Dataset:
-    """The map a scenario runs over: one scaled Table 1 series.  The
-    figure mode, which takes no ``--series``, carries the config only."""
-
-    config: ExperimentConfig
-    series: str | None = None
-    spec: SeriesSpec | None = None
-    objects: list[SpatialObject] | None = None
-
-    @classmethod
-    def load(cls, config: ExperimentConfig, series: str, id_offset: int = 0):
-        spec = config.spec(series)
-        objects = generate_map(spec, seed=config.seed, id_offset=id_offset)
-        return cls(config, series, spec, objects)
-
-    @property
-    def label(self) -> str:
-        return f"{self.series} (scale={self.config.scale})"
-
-    def deleted(self, fraction: float):
-        """``(doomed, survivors)``: object ``i`` is doomed when
-        ``floor(i·f)`` steps — error diffusion, so the achieved fraction
-        is within 1/n of ``f`` for every ``f`` (at 0.5: the even indices)."""
-        doomed, survivors = [], []
-        for i, obj in enumerate(self.objects):
-            steps = math.floor(i * fraction) != math.floor((i - 1) * fraction)
-            (doomed if steps else survivors).append(obj)
-        return doomed, survivors
-
-    @property
-    def bound(self) -> float:
-        """Upper corner of the populated data space."""
-        return max(
-            max(o.mbr.xmax for o in self.objects),
-            max(o.mbr.ymax for o in self.objects),
-        )
-
-
 def build_database(
     dataset: Dataset,
     objects: list[SpatialObject] | None = None,
@@ -140,9 +80,7 @@ def _tagged(path: str | None, tag: str, multi: bool) -> str | None:
 
 
 def _table(title: str, rows: list[dict]) -> None:
-    """Print rows of ``{column: value}`` as one titled table."""
-    print()
-    print(format_table(list(rows[0]), [list(r.values()) for r in rows], title=title))
+    print("\n" + format_rows(title, rows))
 
 
 def _square(rng: random.Random, reach: float, size: float):
@@ -208,15 +146,13 @@ def observed(
     obs = SimpleNamespace(tracer=None, extra=None, trace=None, lines=[])
     trace_out = metrics_out = None
     if db is not None:
-        trace_out = _tagged(getattr(args, "trace_out", None), tag, multi)
-        metrics_out = _tagged(getattr(args, "metrics_out", None), tag, multi)
+        trace_out = _tagged(args.trace_out, tag, multi)
+        metrics_out = _tagged(args.metrics_out, tag, multi)
     if trace_out is not None:
         obs.tracer = Tracer(label=f"{args.scenario}:{tag}")
         register_store_devices(obs.tracer, db.disk)
-    profile_out = _tagged(getattr(args, "profile_out", None), tag, multi)
-    profiling = profile is not None and (
-        getattr(args, "profile", False) or profile_out is not None
-    )
+    profile_out = _tagged(args.profile_out, tag, multi)
+    profiling = profile is not None and (args.profile or profile_out is not None)
     with _profiled(profile, profile_out) if profiling else nullcontext():
         with tracing(obs.tracer) if obs.tracer is not None else nullcontext():
             yield obs
@@ -322,11 +258,10 @@ def reorg_runs(
 def figures(args, dataset: Dataset) -> int:
     """Regenerate the selected tables and figures in sequence."""
     ctx = ExperimentContext(dataset.config)
-    for name in args.only or EXPERIMENTS:
+    for name in args.only or FIGURES:
         start = time.time()
-        table = EXPERIMENTS[name](ctx)
-        print()
-        print(table)
+        figure = FIGURES[name]
+        print("\n" + figure.render(ctx, list(figure.rows(ctx))))
         print(f"[{name}: {time.time() - start:.1f}s wall]")
     return 0
 
@@ -338,9 +273,9 @@ def workload(args, dataset: Dataset) -> int:
     resident, incoming = objects[:-held_out], objects[-held_out:]
     partner = None
     if not args.no_join:
-        # Series X-1 joins its second map X-2; ids continue far above.
+        # Series X-1 joins its second map X-2.
         other = f"{args.series[:-1]}2" if args.series.endswith("1") else args.series
-        partner = Dataset.load(config, other, id_offset=10_000_000)
+        partner = ExperimentContext(config).dataset(other)
     replay = args.trace is not None and os.path.exists(args.trace)
     recorded = False
     multi = len(args.policies) > 1
@@ -614,14 +549,15 @@ def tiering(args, dataset: Dataset) -> int:
                 cost = db.disk.cost_since(mark)
                 obs.extra = {"run": {"migration": migration,
                                      "device_ms": cost.total_ms}}
+            store, tiered = db.disk, db.tiering != "none"
             rows.append(
                 {
                     "migration": migration,
                     "device ms": cost.total_ms,
                     "response ms": cost.response_ms,
-                    "promotions": getattr(db.disk, "promotions", 0),
-                    "demotions": getattr(db.disk, "demotions", 0),
-                    "fast pages": getattr(db.disk, "fast_resident", 0),
+                    "promotions": store.promotions if tiered else 0,
+                    "demotions": store.demotions if tiered else 0,
+                    "fast pages": store.fast_resident if tiered else 0,
                 }
             )
     _table("skewed window workload over the tiered store", rows)

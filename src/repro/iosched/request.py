@@ -42,7 +42,6 @@ __all__ = ["IORequest", "AccessPlan", "OPS", "WRITE_OPS"]
 #: buffer-pool primitive (see ``SyncScheduler._issue``).
 OPS = (
     "read",
-    "read_pages",
     "fetch",
     "get",
     "load_pages",
@@ -64,16 +63,14 @@ class IORequest:
     Attributes
     ----------
     op:
-        ``read`` (coalescing vectored read), ``read_pages`` (scattered
-        pages through the coalescing scheduler), ``fetch``
-        (unconditional whole-run transfer), ``get`` (single-page read,
-        hits free), ``load_pages`` (residency load without hit/miss
-        accounting — the prefetcher's transfer) or ``charge`` (analytic
-        cost).
+        ``read`` (coalescing vectored read), ``fetch`` (unconditional
+        whole-run transfer), ``get`` (single-page read, hits free),
+        ``load_pages`` (residency load without hit/miss accounting —
+        the prefetcher's transfer) or ``charge`` (analytic cost).
     start, npages:
         The page run (``read``/``fetch``/``get``).
     pages:
-        Sorted distinct page numbers (``read_pages``/``load_pages``).
+        Sorted distinct page numbers (``load_pages``).
     continuation:
         The request's positioning assertion; ignored when ``chain`` is
         set.
@@ -121,7 +118,7 @@ class IORequest:
         self.rotations = rotations
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.op in ("read_pages", "load_pages"):
+        if self.op == "load_pages":
             body = f"pages={self.pages}"
         elif self.op == "charge":
             body = f"seeks={self.seeks}, rotations={self.rotations}, pages={self.npages}"
@@ -196,15 +193,6 @@ class AccessPlan:
 
     def read_extent(self, extent: "Extent", continuation: bool = False) -> "AccessPlan":
         return self.read(extent.start, extent.npages, continuation)
-
-    def read_pages(
-        self, pages: Sequence[int], continuation: bool = False
-    ) -> "AccessPlan":
-        """Scattered sorted pages through the coalescing scheduler."""
-        self.requests.append(
-            IORequest("read_pages", pages=tuple(pages), continuation=continuation)
-        )
-        return self
 
     def fetch(
         self,

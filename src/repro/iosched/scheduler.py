@@ -152,12 +152,6 @@ class SyncScheduler:
         if op == "read":
             cost = pool.read(request.start, request.npages, continuation)
             span = (request.start, request.npages)
-        elif op == "read_pages":
-            pages = request.pages or ()
-            cost = pool.read_pages(pages, continuation)
-            span = (
-                (pages[0], pages[-1] - pages[0] + 1) if pages else (0, 0)
-            )
         elif op == "fetch":
             cost = pool.fetch(
                 request.start, request.npages, continuation, request.admit
@@ -165,7 +159,7 @@ class SyncScheduler:
             span = (request.start, request.npages)
         elif op == "get":
             # Single-page read: a hit is free, a miss is priced and
-            # admitted (the pool.get contract).
+            # admitted.
             if pool.access(request.start):
                 cost = 0.0
             else:

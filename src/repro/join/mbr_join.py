@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.buffer.pool import BufferPool
 from repro.core import kernels
+from repro.iosched.request import AccessPlan
 from repro.rtree.entry import Entry
 from repro.rtree.node import Node
 from repro.rtree.rstar import RStarTree
@@ -105,11 +106,16 @@ class MBRJoin:
 
     # ------------------------------------------------------------------
     def _access(self, node: Node) -> None:
-        """Price one node access through the shared pool."""
+        """Price one node access through the shared pool: a one-request
+        plan on the pool's scheduler, so under ``overlap`` the read is
+        on the virtual clock and seen by admission.  Not through
+        ``pool.submit``: a join's node walk is no pattern to read ahead
+        of."""
         self.node_accesses += 1
         if node.page is None:
             return
-        self.pool.get(node.page)
+        plan = AccessPlan("join.node").get(node.page)
+        self.pool.scheduler.execute(plan, self.pool)
 
     # ------------------------------------------------------------------
     def run(self) -> Iterator[LeafGroup]:

@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.buffer.policy import hit_ratio
 from repro.buffer.pool import BufferPool
-from repro.constants import EXACT_TEST_MS
 from repro.core import kernels
 from repro.disk.model import DiskStats
 from repro.errors import ConfigurationError
@@ -116,7 +115,6 @@ def spatial_join(
     buffer_pages: int = 1600,
     technique: str = "complete",
     evaluate_exact: bool = False,
-    exact_test_ms: float = EXACT_TEST_MS,
     policy: str = "lru",
     pool: BufferPool | None = None,
 ) -> JoinResult:
@@ -156,7 +154,7 @@ def spatial_join(
     join = MBRJoin(org_r.tree, org_s.tree, pool)
     transfer_r = ObjectTransfer(org_r, pool, technique=technique)
     transfer_s = ObjectTransfer(org_s, pool, technique=technique)
-    counter = ExactTestCounter(exact_test_ms)
+    counter = ExactTestCounter()
 
     result = JoinResult()
     if evaluate_exact:

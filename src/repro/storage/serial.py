@@ -35,11 +35,11 @@ lists catalog and page-map slots as ``[start, count]`` runs):
 :func:`save_database` splits the bytes into page-sized chunks committed
 as catalog ("meta") pages — every page checksummed, the superblock
 published last — so a crash at any write boundary leaves the previous
-epoch's catalog intact and :func:`open_database` recovers it.  With
-``materialize=True`` the save also writes a filler payload for every
-*allocated* page of every region, making the file a faithful page image
-of the simulated disk: priced protocol reads of the reopened store then
-really ``pread`` (and checksum-verify) those pages.
+epoch's catalog intact and :func:`open_database` recovers it.  The
+save also writes a filler payload for every *allocated* page of every
+region, making the file a faithful page image of the simulated disk:
+priced protocol reads of the reopened store then really ``pread`` (and
+checksum-verify) those pages.
 
 Format versioning is explicit (:data:`CATALOG_FORMAT`); readers reject
 catalogs they do not understand rather than guessing.
@@ -415,15 +415,14 @@ def load_state(
 def save_database(
     db: "SpatialDatabase",
     path: str,
-    materialize: bool = True,
     store: "FilePageStore | None" = None,
 ) -> int:
     """Checkpoint ``db`` into a file-backed page store at ``path``.
 
     Finalizes the database, writes the placement catalog as checksummed
-    catalog pages, and (with ``materialize=True``) a filler payload for
-    every allocated page of every region not already present — the
-    file becomes a real page image of the simulated disk.  ``store``
+    catalog pages, and a filler payload for every allocated page of
+    every region not already present — the file becomes a real page
+    image of the simulated disk.  ``store``
     optionally supplies a ready (possibly fault-injecting) store; the
     caller then owns its lifecycle.  Saving onto an existing file is
     incremental: a new epoch on top of the committed one.  Returns the
@@ -441,14 +440,13 @@ def save_database(
             path, page_size=db.storage.page_size, metrics=db.metrics
         )
     try:
-        if materialize:
-            for region in db.allocator.regions().values():
-                freed = set()
-                for extent in region._free:
-                    freed.update(extent.pages())
-                for page in range(region.base, region.base + region._bump):
-                    if page not in freed and not store.contains(page):
-                        store.put(page, b"page:%d" % page)
+        for region in db.allocator.regions().values():
+            freed = set()
+            for extent in region._free:
+                freed.update(extent.pages())
+            for page in range(region.base, region.base + region._bump):
+                if page not in freed and not store.contains(page):
+                    store.put(page, b"page:%d" % page)
         capacity = payload_capacity(store.page_size)
         chunks = [blob[i:i + capacity] for i in range(0, len(blob), capacity)]
         return store.commit(

@@ -57,7 +57,8 @@ class TestExports:
         """Gone since ISSUE 21: the unused [SK91] segment grid, the
         imperative twins of the ``plan_*`` builders, and the four
         per-organization accessors ``extent_of`` replaces (the technique
-        lists themselves are pinned under ``TestEdgeCases``)."""
+        lists themselves are pinned under ``TestEdgeCases``).  ISSUE 22's
+        removals follow below."""
         import repro.core
         import repro.geometry
         from repro.core.organization import ClusterOrganization
@@ -75,6 +76,45 @@ class TestExports:
                 "object_extent", "overflow_extent", "is_inline", "oversize_extent"
             ):
                 assert not hasattr(org, name)
+
+        # Gone since ISSUE 22: the six figure-driver modules with their
+        # row classes and ``format_fig*`` functions (``FIGURES`` rows of
+        # ``{column: value}`` replace them), ``BufferPool.get`` (the
+        # join's node reads are ``get`` plans now), the ``read_pages``
+        # plan request nobody emitted, and two options nobody set.
+        import importlib
+        import inspect
+
+        import repro.eval
+        from repro.buffer.pool import BufferPool
+        from repro.database import SpatialDatabase
+        from repro.iosched.request import OPS, AccessPlan
+        from repro.join.multistep import spatial_join
+        from repro.storage.serial import save_database
+
+        for module in (
+            "window", "point", "construction", "joins", "adaptation", "table1"
+        ):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(f"repro.eval.{module}")
+        assert not [
+            name for name in repro.eval.__all__
+            if name.startswith(("run_", "format_fig"))
+            and name not in ("run_window_queries", "run_point_queries")
+        ]
+        assert list(repro.eval.FIGURES) == [
+            "table1", "fig5", "fig6", "fig7", "fig8", "fig10",
+            "fig11", "fig12", "fig14", "fig16", "fig17",
+        ]
+        assert not hasattr(BufferPool, "get") and callable(BufferPool.read_pages)
+        assert "read_pages" not in OPS and not hasattr(AccessPlan, "read_pages")
+        assert "get" in OPS
+        for fn, gone in (
+            (save_database, "materialize"),
+            (SpatialDatabase.save, "materialize"),
+            (spatial_join, "exact_test_ms"),
+        ):
+            assert gone not in inspect.signature(fn).parameters
 
 
 class TestErrorHierarchy:

@@ -6,24 +6,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.eval.adaptation import run_fig11_adaptation
 from repro.eval.config import PAPER_JOIN_BUFFERS, ExperimentConfig
-from repro.eval.construction import (
-    run_fig5_construction,
-    run_fig6_storage,
-    run_fig7_buddy,
-)
-from repro.eval.context import ORG_NAMES, ExperimentContext
-from repro.eval.joins import (
-    run_fig14_join_orgs,
-    run_fig16_join_techniques,
-    run_fig17_complete_join,
-)
+from repro.eval.context import ExperimentContext
+from repro.eval.figures import FIGURES
 from repro.eval.metrics import run_point_queries, run_window_queries
-from repro.eval.point import run_fig12_points
-from repro.eval.report import format_header, format_table
-from repro.eval.table1 import format_table1, run_table1
-from repro.eval.window import run_fig8_windows, run_fig10_techniques
+from repro.eval.report import format_header, format_rows, format_table
 from repro.errors import ConfigurationError
 
 TINY = ExperimentConfig(scale=0.01, seed=2024)
@@ -121,118 +108,136 @@ class TestReport:
         out = format_header("Hello")
         assert "Hello" in out and out.count("=") > 10
 
+    def test_format_rows_names_columns_by_key(self):
+        rows = [{"name": "a", "value": 1.5}, {"name": "bb", "value": 22}]
+        assert format_rows("T", rows) == format_table(
+            ["name", "value"], [("a", 1.5), ("bb", 22)], title="T"
+        )
+        assert format_rows("T", []).startswith("T\n")
 
-class TestFigureDrivers:
-    """Each driver runs end-to-end at a tiny scale and shows the paper's
+
+def rows_of(ctx, name, *series, **selection) -> list[dict]:
+    return list(FIGURES[name].rows(ctx, *series, **selection))
+
+
+class TestFigures:
+    """Each figure runs end-to-end at a tiny scale and shows the paper's
     qualitative shape."""
 
     def test_table1(self, ctx):
-        rows = run_table1(ctx)
+        rows = rows_of(ctx, "table1")
         assert len(rows) == 6
         for row in rows:
-            assert row.measured_avg_size == pytest.approx(
-                row.paper_avg_size, rel=0.15
+            assert row["avg size (measured)"] == pytest.approx(
+                row["avg size (paper)"], rel=0.15
             )
-        assert "A-1" in format_table1(rows, ctx.config.scale)
+        assert "A-1" in FIGURES["table1"].render(ctx, rows)
 
     def test_fig5_construction_shape(self, ctx):
-        rows = run_fig5_construction(ctx, ("A-1",))
-        row = rows[0]
+        (row,) = rows_of(ctx, "fig5", series=("A-1",))
         # The primary organization is clearly the most expensive to build.
-        assert row.primary_s > row.secondary_s
-        assert row.primary_s > row.cluster_s
+        assert row["prim. org (s)"] > row["sec. org (s)"]
+        assert row["prim. org (s)"] > row["cluster org (s)"]
         # Secondary and cluster are of the same magnitude.
-        assert row.cluster_s < 2.0 * row.secondary_s
+        assert row["cluster org (s)"] < 2.0 * row["sec. org (s)"]
 
     def test_fig6_storage_shape(self, ctx):
-        rows = run_fig6_storage(ctx, ("A-1",))
-        row = rows[0]
-        assert row.secondary_pages < row.primary_pages
-        assert row.secondary_pages < row.cluster_pages
+        (row,) = rows_of(ctx, "fig6", series=("A-1",))
         # The plain cluster organization wastes the most pages.
-        assert row.cluster_pages > row.primary_pages
+        assert (
+            row["sec. org (pages)"]
+            < row["prim. org (pages)"]
+            < row["cluster org (pages)"]
+        )
 
     def test_fig7_buddy_shape(self, ctx):
-        rows = run_fig7_buddy(ctx, ("A-1",))
-        row = rows[0]
+        (row,) = rows_of(ctx, "fig7", series=("A-1",))
         # The restricted buddy system recovers most of the waste…
-        assert row.buddy_pages < row.fixed_pages
+        assert row["buddy (pages)"] < row["fixed (pages)"]
         # …to roughly the primary organization's level (paper: "about
         # the same storage utilization").
-        assert row.buddy_pages == pytest.approx(row.primary_pages, rel=0.35)
+        assert row["buddy (pages)"] == pytest.approx(row["primary (pages)"], rel=0.35)
         # …at slightly higher construction cost.
-        assert row.fixed_construction_s <= row.buddy_construction_s
-        assert row.buddy_construction_s < 1.5 * row.fixed_construction_s
+        assert row["fixed constr (s)"] <= row["buddy constr (s)"]
+        assert row["buddy constr (s)"] < 1.5 * row["fixed constr (s)"]
 
     def test_fig8_window_shape(self, ctx):
-        rows = run_fig8_windows(ctx, ("A-1",), areas=(1e-4, 1e-2))
-        small, large = rows[0], rows[1]
+        small, large = rows_of(ctx, "fig8", series=("A-1",), areas=(1e-4, 1e-2))
+        assert (small["window area"], large["window area"]) == ("0.01%", "1%")
         # Global clustering pays off more the larger the window…
-        assert large.speedup_vs_secondary > small.speedup_vs_secondary
+        assert large["speedup vs sec"] > small["speedup vs sec"]
         # …and clearly wins for large windows.
-        assert large.speedup_vs_secondary > 3.0
+        assert large["speedup vs sec"] > 3.0
+        assert large["speedup vs sec"] == pytest.approx(
+            large["sec (ms/4KB)"] / large["cluster (ms/4KB)"]
+        )
 
     def test_fig10_techniques_shape(self, ctx):
-        rows = run_fig10_techniques(
-            ctx, ("C-1",), areas=(1e-5, 1e-2),
+        rows = rows_of(
+            ctx, "fig10", series=("C-1",), areas=(1e-5, 1e-2),
             techniques=("complete", "threshold", "slm", "optimum"),
         )
         for row in rows:
-            per = {t: agg.ms_per_4kb for t, agg in row.per_technique.items()}
-            assert per["optimum"] <= min(per.values()) + 1e-9
+            per = {c: v for c, v in row.items() if c.endswith("(ms/4KB)")}
+            assert per["optimum (ms/4KB)"] <= min(per.values()) + 1e-9
             # SLM never loses to reading complete units by much, and for
             # selective queries it saves.
-            if row.area_fraction <= 1e-5:
-                assert per["slm"] <= per["complete"] * 1.01
+            if row["window area"] == "0.001%":
+                assert per["slm (ms/4KB)"] <= per["complete (ms/4KB)"] * 1.01
+        # One build serves every technique, and is left as it was found.
+        assert ctx.org("cluster", "C-1").technique == "complete"
 
     def test_fig11_adaptation_runs(self, ctx):
-        results = run_fig11_adaptation(
-            ctx, sweep_pages=(10, 40), base_areas=(1e-4,),
+        rows = rows_of(
+            ctx, "fig11", sweep_pages=(10, 40), base_areas=(1e-4,),
             techniques=("complete", "slm"),
         )
-        assert {r.technique for r in results} == {"complete", "slm"}
-        for r in results:
-            assert 0.0 <= r.gain_factor_10 <= 100.0
-            assert 0.0 <= r.gain_factor_100 <= 100.0
+        assert {r["technique"] for r in rows} == {"complete", "slm"}
+        for r in rows:
+            assert 0.0 <= r["gain factor 10 (%)"] <= 100.0
+            assert 0.0 <= r["gain factor 100 (%)"] <= 100.0
+            # 0.001% is not among the base areas: nothing to report.
+            assert r["gain 0.001%->0.1% (%)"] == 0.0
 
     def test_fig12_point_shape(self, ctx):
-        rows = run_fig12_points(ctx, ("A-1",))
-        row = rows[0]
+        (row,) = rows_of(ctx, "fig12", series=("A-1",))
         # "Almost no difference between the secondary organization and
         # the cluster organization."
-        assert row.cluster_vs_secondary == pytest.approx(1.0, abs=0.25)
+        assert row["cluster/sec"] == pytest.approx(1.0, abs=0.25)
         # The primary organization profits from small objects.
-        assert row.per_org["primary"].ms_per_4kb < row.per_org["secondary"].ms_per_4kb
+        assert row["prim (ms/4KB)"] < row["sec (ms/4KB)"]
 
     def test_fig14_join_shape(self, ctx):
-        rows = run_fig14_join_orgs(
-            ctx, "A-1", "A-2", versions=("a",), buffers=[32]
+        (row,) = rows_of(ctx, "fig14", "A-1", "A-2", versions=("a",), buffers=[32])
+        assert row["speedup vs sec"] > 1.5
+        assert row["speedup vs sec"] == pytest.approx(
+            row["sec (s)"] / row["cluster (s)"]
         )
-        row = rows[0]
-        assert row.speedup_vs_secondary > 1.5
-        assert row.per_org["cluster"].candidate_pairs == row.per_org[
-            "secondary"
-        ].candidate_pairs
+        assert row["MBR pairs"] > 0
 
     def test_fig16_techniques_shape(self, ctx):
-        rows = run_fig16_join_techniques(
-            ctx, "A-1", "A-2", versions=("a",), buffers=[16, 128]
-        )
+        rows = rows_of(ctx, "fig16", "A-1", "A-2", versions=("a",), buffers=[16, 128])
         for row in rows:
-            per = {t: r.io_s for t, r in row.per_technique.items()}
-            assert per["optimum"] <= min(per.values()) + 1e-9
+            per = {c: v for c, v in row.items() if c.endswith("(s)")}
+            assert per["optimum (s)"] <= min(per.values()) + 1e-9
             # Normal read beats vector read (Section 6.2) once the buffer
             # is not minuscule; at the smallest buffers the relation is
             # noisy even in the paper's Figure 16.
-            if row.buffer_pages >= 64:
-                assert per["read"] <= per["vector"] * 1.1
+            if row["buffer"] >= 64:
+                assert per["read (s)"] <= per["vector (s)"] * 1.1
 
     def test_fig17_breakdown_shape(self, ctx):
-        rows = run_fig17_complete_join(ctx, "A-1", "A-2", versions=("a",))
-        by_org = {r.organization: r for r in rows}
-        sec, clu = by_org["secondary"], by_org["cluster"]
+        rows = rows_of(ctx, "fig17", "A-1", "A-2", versions=("a",))
+        sec, clu = rows
+        assert (sec["organization"], clu["organization"]) == ("secondary", "cluster")
         # The exact-test cost is identical; the transfer dominates the
         # difference (Figure 17's message).
-        assert sec.exact_s == pytest.approx(clu.exact_s)
-        assert clu.transfer_s < sec.transfer_s
-        assert clu.total_s < sec.total_s
+        assert sec["exact test (s)"] == pytest.approx(clu["exact test (s)"])
+        assert clu["obj transfer (s)"] < sec["obj transfer (s)"]
+        assert clu["total (s)"] < sec["total (s)"]
+        # The speed-up line under the table is computed from its rows.
+        speedup = sec["total (s)"] / clu["total (s)"]
+        assert FIGURES["fig17"].render(ctx, rows).endswith(
+            f"version a: complete-join speedup {speedup:.1f}x "
+            "(paper: 3.9x for a, 4.3x for b)"
+        )

@@ -110,7 +110,7 @@ def test_flags_and_defaults_match_parent():
     read off the parent commit's parsers (flag_defaults.json)."""
     import argparse
 
-    from repro.eval.__main__ import FIGURES, SCENARIOS, build_parser
+    from repro.eval.__main__ import PAPER, SCENARIOS, build_parser
 
     built = {
         scenario.name: {
@@ -118,7 +118,7 @@ def test_flags_and_defaults_match_parent():
             for action in build_parser(scenario)._actions
             if not isinstance(action, argparse._HelpAction)
         }
-        for scenario in (FIGURES, *SCENARIOS.values())
+        for scenario in (PAPER, *SCENARIOS.values())
     }
     assert built == json.loads((GOLDEN / "flag_defaults.json").read_text())
 
@@ -152,7 +152,7 @@ def test_bad_value_is_a_usage_error_before_any_work(
     def no_map(*args, **kwargs):
         raise AssertionError("the map was generated before the flags were checked")
 
-    monkeypatch.setattr("repro.eval.scenarios.generate_map", no_map)
+    monkeypatch.setattr("repro.eval.context.generate_map", no_map)
     with pytest.raises(SystemExit) as exit_info:
         main([subcommand, *SMALL, flag, value])
     assert exit_info.value.code == 2
@@ -162,9 +162,9 @@ def test_bad_value_is_a_usage_error_before_any_work(
 @pytest.mark.parametrize("fraction", [0.1, 0.3, 0.5, 0.9])
 def test_reorg_deletes_the_requested_fraction(fraction):
     from repro.eval.config import ExperimentConfig
-    from repro.eval.scenarios import Dataset
+    from repro.eval.context import ExperimentContext
 
-    dataset = Dataset.load(ExperimentConfig(scale=0.005), "A-1")
+    dataset = ExperimentContext(ExperimentConfig(scale=0.005)).dataset("A-1")
     n = len(dataset.objects)
     doomed, survivors = dataset.deleted(fraction)
     assert len(doomed) + len(survivors) == n

@@ -8,7 +8,8 @@ import pytest
 from repro.disk.allocator import PageAllocator
 from repro.disk.model import DiskModel
 from repro.errors import DiskError
-from repro.eval.__main__ import EXPERIMENTS, main
+from repro.eval.__main__ import main
+from repro.eval.figures import FIGURES
 from repro.geometry.rect import Rect
 from repro.rtree.node import Node
 from repro.rtree.pager import NodePager
@@ -129,7 +130,7 @@ class TestDiskCharge:
 
 class TestEvalCLI:
     def test_experiments_registry_complete(self):
-        assert set(EXPERIMENTS) == {
+        assert set(FIGURES) == {
             "table1", "fig5", "fig6", "fig7", "fig8", "fig10",
             "fig11", "fig12", "fig14", "fig16", "fig17",
         }

@@ -1,125 +1,74 @@
-"""Smoke tests for every figure formatter and a few residual paths."""
+"""Every figure renders, under the columns its committed table has;
+plus a few residual paths."""
 
 from __future__ import annotations
+
+import pathlib
+import re
 
 import pytest
 
 from repro.disk.model import DiskStats
-from repro.eval.adaptation import AdaptationResult, format_fig11
-from repro.eval.construction import (
-    BuddyRow,
-    ConstructionRow,
-    StorageRow,
-    format_fig5,
-    format_fig6,
-    format_fig7,
-)
-from repro.eval.joins import (
-    CompleteJoinRow,
-    JoinOrgRow,
-    JoinTechniqueRow,
-    format_fig14,
-    format_fig16,
-    format_fig17,
-)
-from repro.eval.metrics import WorkloadAggregate
-from repro.eval.point import PointRow, format_fig12
-from repro.eval.table1 import Table1Row, format_table1
-from repro.eval.window import TechniqueRow, WindowRow, format_fig8, format_fig10
+from repro.eval.__main__ import FLAGS
+from repro.eval.config import DEFAULT_SCALE, ExperimentConfig
+from repro.eval.context import ExperimentContext
+from repro.eval.figures import FIGURES
 from repro.join.multistep import JoinResult
 
-
-def agg(ms: float, data: int = 4096) -> WorkloadAggregate:
-    return WorkloadAggregate(queries=1, io_ms=ms, bytes_retrieved=data, answers=1)
+RESULTS = pathlib.Path(__file__).parents[1] / "benchmarks" / "results"
 
 
-def join_result(ms: float) -> JoinResult:
-    return JoinResult(
-        candidate_pairs=10,
-        mbr_io=DiskStats(seek_ms=ms / 2),
-        transfer_io=DiskStats(seek_ms=ms / 2),
+def columns(header_line: str) -> list[str]:
+    """Column names of a rendered header line (cells are padded to the
+    widest value and two spaces apart; no name holds a double space)."""
+    return re.split(r" {2,}", header_line.strip())
+
+
+@pytest.fixture(scope="module")
+def ctx() -> ExperimentContext:
+    return ExperimentContext(ExperimentConfig(scale=0.005))
+
+
+@pytest.fixture(scope="module")
+def committed() -> dict[str, list[str]]:
+    """Title -> column names of every table under benchmarks/results/."""
+    tables = {}
+    for path in RESULTS.glob("*.txt"):
+        title, header = path.read_text().splitlines()[:2]
+        tables[title] = columns(header)
+    return tables
+
+
+class TestFigures:
+    @pytest.mark.parametrize("name", FIGURES)
+    def test_renders_under_its_committed_columns(self, name, ctx, committed):
+        """Column drift shows here in seconds, not after the figure
+        suite has rewritten benchmarks/results/."""
+        figure = FIGURES[name]
+        rows = list(figure.rows(ctx))
+        title, header, rule, *body = figure.render(ctx, rows).splitlines()
+        assert title == figure.title.format(scale=0.005)
+        assert len(body) >= len(rows) > 0
+        assert columns(header) == list(rows[0])
+        # benchmarks/results/ is recorded at the default scale
+        assert columns(header) == committed[figure.title.format(scale=DEFAULT_SCALE)]
+
+    @pytest.mark.parametrize(
+        "name, nothing", [("fig10", {"series": ()}), ("fig16", {"versions": ()})]
     )
+    def test_no_rows_still_render_the_title(self, name, nothing, ctx):
+        """The two figures whose columns come from their ``techniques``
+        selection: an empty selection is an empty table, not an error."""
+        figure = FIGURES[name]
+        rows = list(figure.rows(ctx, **nothing))
+        assert rows == []
+        assert figure.render(ctx, rows).splitlines()[0] == figure.title
 
-
-class TestFormatters:
-    def test_table1(self):
-        out = format_table1(
-            [Table1Row("A-1", 100, 625, 620.0, 0.06, 80)], scale=0.1
-        )
-        assert "A-1" in out and "scale=0.1" in out
-
-    def test_fig5(self):
-        out = format_fig5([ConstructionRow("A-1", 1.0, 3.0, 1.1)])
-        assert "cluster org" in out
-
-    def test_fig6(self):
-        out = format_fig6([StorageRow("A-1", 100, 150, 220)])
-        assert "220" in out
-
-    def test_fig7(self):
-        out = format_fig7([BuddyRow("A-1", 220, 160, 150, 1.0, 1.1, 5)])
-        assert "moves" in out
-
-    def test_fig8(self):
-        row = WindowRow(
-            "A-1", 1e-3,
-            {"secondary": agg(100), "primary": agg(50), "cluster": agg(10)},
-        )
-        out = format_fig8([row])
-        assert "0.1%" in out
-        assert row.speedup_vs_secondary == pytest.approx(10.0)
-
-    def test_fig10(self):
-        row = TechniqueRow("C-1", 1e-5, {"complete": agg(30), "slm": agg(20)})
-        out = format_fig10([row])
-        assert "slm (ms/4KB)" in out
-
-    def test_fig10_empty(self):
-        assert "Figure 10" in format_fig10([])
-
-    def test_fig11(self):
-        out = format_fig11(
-            [AdaptationResult("slm", 1.0, 2.0, 3.0)]
-        )
-        assert "slm" in out
-
-    def test_fig12(self):
-        row = PointRow(
-            "A-1",
-            {"secondary": agg(100), "primary": agg(60), "cluster": agg(95)},
-        )
-        out = format_fig12([row])
-        assert row.cluster_vs_secondary == pytest.approx(0.95)
-        assert "cluster/sec" in out
-
-    def test_fig14(self):
-        row = JoinOrgRow(
-            "a", 200,
-            {"secondary": join_result(100), "primary": join_result(80),
-             "cluster": join_result(20)},
-        )
-        out = format_fig14([row])
-        assert row.speedup_vs_secondary == pytest.approx(5.0)
-        assert row.speedup_vs_primary == pytest.approx(4.0)
-        assert "MBR pairs" in out
-
-    def test_fig16(self):
-        row = JoinTechniqueRow(
-            "a", 200, {"complete": join_result(10), "optimum": join_result(5)}
-        )
-        assert "optimum (s)" in format_fig16([row])
-
-    def test_fig16_empty(self):
-        assert "Figure 16" in format_fig16([])
-
-    def test_fig17_includes_speedup_line(self):
-        rows = [
-            CompleteJoinRow("a", "secondary", 1.0, 10.0, 1.0),
-            CompleteJoinRow("a", "cluster", 1.0, 2.0, 1.0),
-        ]
-        out = format_fig17(rows)
-        assert "speedup" in out
-        assert "3.0x" in out  # 12/4
+    def test_only_accepts_exactly_the_figure_names(self):
+        label, accepts = FLAGS["only"].check
+        assert label == f"one of {', '.join(FIGURES)}"
+        assert all(accepts(name) for name in FIGURES)
+        assert not accepts("fig9") and not accepts("figures")
 
 
 class TestJoinResultProperties:

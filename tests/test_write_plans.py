@@ -20,6 +20,8 @@ schedulers.  These tests pin the refactor down:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.buffer.pool import BufferPool, coalesce_pages, sequential_runs
@@ -291,6 +293,30 @@ class TestMaintenanceOnTheClock:
             assert priced > 0
             assert self.clock_busy_ms(db) - busy == pytest.approx(priced, rel=1e-9)
         assert reorg.moved_pages > 0
+
+    @pytest.mark.parametrize("scoped", [False, True])
+    @pytest.mark.parametrize("n_disks", [1, 2])
+    @pytest.mark.parametrize("organization", ["secondary", "primary", "cluster"])
+    def test_join_device_ms_equals_clock_busy_ms(self, organization, n_disks, scoped):
+        """The MBR join's node reads are plans too — bare, and inside
+        the open operation scope the workload engine wraps a
+        ``("join", other)`` operation in."""
+        db = SpatialDatabase(
+            organization=organization,
+            smax_bytes=16 * 4096,
+            scheduler="overlap",
+            n_disks=n_disks,
+        )
+        db.build(make_objects(300, seed=44))
+        other = db.attach("s", organization=organization, smax_bytes=16 * 4096)
+        other.build(make_objects(300, seed=45))
+        device, busy = db.disk.total_ms, self.clock_busy_ms(db)
+        with db.scheduler.operation("main") if scoped else nullcontext():
+            result = db.join(other, buffer_pages=36)
+        priced = db.disk.total_ms - device
+        assert result.candidate_pairs > 0
+        assert priced == pytest.approx(result.io_ms, rel=1e-9) and priced > 0
+        assert self.clock_busy_ms(db) - busy == pytest.approx(priced, rel=1e-9)
 
     def test_maintenance_reads_trigger_no_read_ahead(self):
         """A unit about to be moved is no access pattern: its read is
