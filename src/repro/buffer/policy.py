@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import heapq
 from collections import OrderedDict
-from typing import Callable, Hashable, Iterable, Protocol, runtime_checkable
+from typing import Callable, Hashable, Iterable, Protocol, Sequence, runtime_checkable
 
 from repro.errors import ConfigurationError
 
@@ -77,6 +77,7 @@ class ReplacementPolicy(Protocol):
     def __contains__(self, key: Hashable) -> bool: ...
     def __len__(self) -> int: ...
     def access(self, key: Hashable) -> bool: ...
+    def access_all(self, keys: Sequence[Hashable]) -> list[Hashable]: ...
     def admit(self, key: Hashable, dirty: bool = False) -> None: ...
     def admit_all(self, keys: Iterable[Hashable], dirty: bool = False) -> None: ...
     def mark_dirty(self, key: Hashable) -> None: ...
@@ -124,8 +125,9 @@ class PolicyBuffer:
 
     def _select_victim(self) -> Hashable:
         """Choose (and forget, in the subclass's own bookkeeping) the
-        next eviction victim among the resident keys."""
-        raise NotImplementedError
+        next eviction victim among the resident keys; by default the
+        oldest in table order."""
+        return next(iter(self._entries))
 
     def _note_drop(self, key: Hashable) -> None:
         """A key left residency through discard/clear (not eviction)."""
@@ -144,33 +146,48 @@ class PolicyBuffer:
     def access(self, key: Hashable) -> bool:
         """Touch ``key``; returns True on a hit.  A miss does *not*
         admit the key (the caller decides what a miss loads)."""
-        if key in self._entries:
-            self._note_hit(key)
-            self.hits += 1
-            return True
-        self.misses += 1
-        return False
+        return not self.access_all((key,))
+
+    def access_all(self, keys: Sequence[Hashable]) -> list[Hashable]:
+        """Touch a run of keys in order — the one access loop — and
+        return those that missed (none is admitted)."""
+        entries, note_hit = self._entries, self._note_hit
+        missing = []
+        for key in keys:
+            if key in entries:
+                note_hit(key)
+            else:
+                missing.append(key)
+        self.hits += len(keys) - len(missing)
+        self.misses += len(missing)
+        return missing
 
     def admit(self, key: Hashable, dirty: bool = False) -> None:
         """Insert or refresh ``key``, evicting victims when over
         capacity."""
-        if key in self._entries:
-            self._entries[key] = self._entries[key] or dirty
-            self._note_hit(key)
-            return
-        self._entries[key] = dirty
-        self._note_admit(key)
-        while len(self._entries) > self.capacity:
-            victim = self._select_victim()
-            was_dirty = self._entries.pop(victim)
-            self._note_evict(victim)
-            self.evictions += 1
-            if self.on_evict is not None:
-                self.on_evict(victim, was_dirty)
+        self.admit_all((key,), dirty)
 
     def admit_all(self, keys: Iterable[Hashable], dirty: bool = False) -> None:
+        """Insert or refresh a run of keys in order — the one admission
+        loop (:meth:`admit` is its one-key case), so eviction sequences
+        do not depend on how a caller groups its pages."""
+        entries, capacity, on_evict = self._entries, self.capacity, self.on_evict
+        note_hit, note_admit = self._note_hit, self._note_admit
+        select_victim, note_evict = self._select_victim, self._note_evict
         for key in keys:
-            self.admit(key, dirty)
+            if key in entries:
+                entries[key] = entries[key] or dirty
+                note_hit(key)
+                continue
+            entries[key] = dirty
+            note_admit(key)
+            while len(entries) > capacity:
+                victim = select_victim()
+                was_dirty = entries.pop(victim)
+                note_evict(victim)
+                self.evictions += 1
+                if on_evict is not None:
+                    on_evict(victim, was_dirty)
 
     def mark_dirty(self, key: Hashable) -> None:
         if key in self._entries:
@@ -224,18 +241,12 @@ class LRUBuffer(PolicyBuffer):
     def _note_hit(self, key: Hashable) -> None:
         self._entries.move_to_end(key)
 
-    def _select_victim(self) -> Hashable:
-        return next(iter(self._entries))
-
 
 class FIFOBuffer(PolicyBuffer):
     """First-in-first-out: eviction order is admission order, hits do
     not refresh a page's position."""
 
     policy = "fifo"
-
-    def _select_victim(self) -> Hashable:
-        return next(iter(self._entries))
 
 
 class ClockBuffer(PolicyBuffer):

@@ -305,28 +305,36 @@ class BufferPool:
     def access(self, page: int) -> bool:
         """Touch a page; returns True on a hit.  Counts hit/miss, never
         admits and never prices."""
-        if self.frames is not None and self.frames.access(page):
-            self.hits += 1
-            if self._prefetched and page in self._prefetched:
-                self._prefetched.discard(page)
-                self._pf_useful.inc()
-            return True
-        self.misses += 1
-        return False
+        return not self.access_all((page,))
+
+    def access_all(self, pages: Sequence[int]) -> list[int]:
+        """Touch a run of pages, counting hits and misses; returns the
+        missing ones.  A hit on a read-ahead page proves it useful."""
+        if self.frames is None:
+            self.misses += len(pages)
+            return list(pages)
+        missing = self.frames.access_all(pages)
+        self.hits += len(pages) - len(missing)
+        self.misses += len(missing)
+        if self._prefetched:
+            useful = self._prefetched.intersection(pages).difference(missing)
+            self._prefetched -= useful
+            self._pf_useful.inc(len(useful))
+        return missing
 
     def admit(self, page: int, dirty: bool = False) -> None:
-        """Make a page resident without pricing a transfer (the caller
-        already accounted it).  In pass-through mode a dirty admit is an
-        immediate write (there is nowhere to hold the page)."""
-        if self.frames is None:
-            if dirty:
-                self.write_back_pages((page,))
-            return
-        self.frames.admit(page, dirty)
+        """:meth:`admit_all` for one page."""
+        self.admit_all((page,), dirty)
 
     def admit_all(self, pages: Iterable[int], dirty: bool = False) -> None:
-        for page in pages:
-            self.admit(page, dirty)
+        """Make a run of pages resident without pricing a transfer (the
+        caller already accounted it).  In pass-through mode a dirty
+        admit is an immediate write (there is nowhere to hold a page)."""
+        if self.frames is not None:
+            self.frames.admit_all(pages, dirty)
+        elif dirty:
+            for page in pages:
+                self.write_back_pages((page,))
 
     def mark_dirty(self, page: int) -> None:
         if self.frames is not None:
@@ -472,27 +480,11 @@ class BufferPool:
         """Read a sorted set of (not necessarily adjacent) pages through
         the coalescing scheduler: missing pages are merged into adjacent
         runs; the first run is priced with the caller's ``continuation``
-        flag, follow-ups as continuations.
-
-        The run pricing is shared with :meth:`read`, so the first-access
-        positioning seek is charged identically in both entry points —
-        in particular in pass-through mode, where every page misses and
-        the first run must pay exactly one fresh request (``ts + tl``)
-        unless the caller is already positioned (``continuation=True``).
-        Historically ``read_pages`` could not express a continuation and
-        always charged the fresh seek."""
-        if self.frames is None:
-            # Pass-through: every page misses, nothing is admitted —
-            # skip the per-page access/admit loops and price the batch
-            # directly (identical counts and pricing, no side effects
-            # lost: a clean admit is a no-op without frames).
-            missing = pages if isinstance(pages, list) else list(pages)
-            self.misses += len(missing)
-            return self._read_missing(missing, continuation)
-        missing = []
-        for page in pages:
-            if not self.access(page):
-                missing.append(page)
+        flag, follow-ups as continuations.  The run pricing is shared
+        with :meth:`read`; in pass-through mode every page misses and
+        the first run pays exactly one fresh request (``ts + tl``)
+        unless the caller is already positioned."""
+        missing = self.access_all(pages)
         cost = self._read_missing(missing, continuation)
         self.admit_all(missing)
         return cost

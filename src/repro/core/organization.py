@@ -349,24 +349,27 @@ class ClusterOrganization(SpatialOrganization):
         window: Rect | None,
         selective: bool,
         candidates: list[SpatialObject],
-    ) -> None:
+    ) -> list[int] | None:
         """Schedule one data-page group onto ``plan`` — oversize extents
         first, then the cluster unit under the configured technique —
-        appending the candidate objects in request order.  On a merged
-        plan the technique planners draw chain ids from the shared
-        plan, keeping continuation runs distinct, but the per-group
-        ``plan.extent`` prefetch hint degenerates to the last group's
-        unit — which is why merging requires a prefetcher-free pool
-        (``SpatialOrganization._batchable``)."""
+        appending the candidate objects in request order (returned as
+        entry positions when an oversize object made it differ from the
+        entries').  On a merged plan the technique planners draw chain
+        ids from the shared plan, keeping continuation runs distinct,
+        but the per-group ``plan.extent`` prefetch hint degenerates to
+        the last group's unit — which is why merging requires a
+        prefetcher-free pool (``SpatialOrganization._batchable``)."""
         extents, objects = self._extents, self.objects
         in_unit = [entry.oid for entry in entries]
+        order = None
         if extents:  # almost always empty: Smax is far above the average
-            for oid in in_unit:
-                extent = extents.get(oid)
-                if extent is not None:
-                    plan.read_extent(extent)
+            apart = [i for i, oid in enumerate(in_unit) if oid in extents]
+            if apart:
+                order = apart + [i for i in range(len(in_unit)) if i not in apart]
+                for oid in (in_unit[i] for i in apart):
+                    plan.read_extent(extents[oid])
                     candidates.append(objects[oid])
-            in_unit = [oid for oid in in_unit if oid not in extents]
+                in_unit = [in_unit[i] for i in order[len(apart):]]
         if in_unit:
             unit: ClusterUnit | None = leaf.tag
             if unit is None:
@@ -375,6 +378,7 @@ class ClusterOrganization(SpatialOrganization):
                 )
             self._read_unit(plan, unit, in_unit, leaf, window, selective)
             candidates.extend([objects[oid] for oid in in_unit])
+        return order
 
     def _read_unit(
         self,

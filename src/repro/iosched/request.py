@@ -150,9 +150,15 @@ class AccessPlan:
     After execution, :attr:`executed` holds ``(start, npages, cost_ms)``
     for every transferring step — the coalescing scheduler's runs that
     feed the prefetch policies.
+
+    A plan merged from several (a query's node and unit reads) keeps
+    in :attr:`cuts` where the separate plans would have ended and what
+    they were called.  Pricing ignores them; the overlap scheduler
+    closes its per-plan sums there, a trace shows a span per segment.
     """
 
-    __slots__ = ("label", "requests", "extent", "blocking", "prefetch", "executed", "_chains")
+    __slots__ = ("label", "requests", "cuts", "extent", "blocking", "prefetch",
+                 "executed", "_chains")
 
     def __init__(
         self,
@@ -163,6 +169,7 @@ class AccessPlan:
     ):
         self.label = label
         self.requests: list[IORequest] = []
+        self.cuts: list[tuple[int, str]] = []
         self.extent = extent
         self.blocking = blocking
         self.prefetch = prefetch
@@ -177,6 +184,21 @@ class AccessPlan:
         access: the first request that transfers pays the seek)."""
         self._chains += 1
         return self._chains
+
+    def cut(self, label: str | None = None) -> None:
+        """Mark the end of what would be a plan of its own (``label``,
+        by default this plan's), unless nothing was added since."""
+        if self.requests:
+            self.cuts.append((len(self.requests), label or self.label))
+
+    def segments(self) -> Iterator[tuple[str, list[IORequest]]]:
+        """The plan as the ``(label, requests)`` of the plans it stands
+        for — itself, where nothing was cut."""
+        first = 0
+        for last, label in (*self.cuts, (len(self.requests), self.label)):
+            if last > first or not last:  # (an empty plan is one empty segment)
+                yield label, self.requests[first:last]
+                first = last
 
     def read(
         self,

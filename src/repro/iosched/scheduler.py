@@ -97,37 +97,33 @@ class SyncScheduler:
         return nullcontext(self)
 
     def execute(self, plan: AccessPlan, pool: "BufferPool") -> float:
-        tracer = _obs.ACTIVE
-        if tracer is None:
-            return self._run(plan, pool)
-        return self._run_traced(plan, pool, tracer)
+        return self._run(plan, pool, _obs.ACTIVE)
 
-    def _run(self, plan: AccessPlan, pool: "BufferPool") -> float:
-        chains: set[int] = set()
-        total = 0.0
-        for request in plan.requests:
-            total += self._issue(request, pool, chains, plan)
-        return total
-
-    def _run_traced(
-        self, plan: AccessPlan, pool: "BufferPool", tracer: "_obs.Tracer"
+    def _run(
+        self, plan: AccessPlan, pool: "BufferPool", tracer: "_obs.Tracer | None" = None
     ) -> float:
-        span = tracer.begin(
-            plan.label,
-            cat="plan",
-            args={"requests": len(plan.requests), "prefetch": plan.prefetch},
-        )
+        """Issue the requests in order (traced: a plan span per segment)."""
         chains: set[int] = set()
         total = 0.0
-        try:
+        if tracer is None:
             for request in plan.requests:
-                rspan = tracer.begin(request.op, cat="request")
-                try:
-                    total += self._issue(request, pool, chains, plan)
-                finally:
-                    tracer.end(rspan)
-        finally:
-            tracer.end(span)
+                total += self._issue(request, pool, chains, plan)
+            return total
+        for label, requests in plan.segments():
+            span = tracer.begin(
+                label,
+                cat="plan",
+                args={"requests": len(requests), "prefetch": plan.prefetch},
+            )
+            try:
+                for request in requests:
+                    rspan = tracer.begin(request.op, cat="request")
+                    try:
+                        total += self._issue(request, pool, chains, plan)
+                    finally:
+                        tracer.end(rspan)
+            finally:
+                tracer.end(span)
         return total
 
     # ------------------------------------------------------------------
@@ -425,9 +421,6 @@ class VirtualClock(_ClockBase):
             self._max_gap[disk] = gap
         return begin
 
-    # Historical name of the reservation primitive.
-    _place = reserve
-
     def _clear(self) -> None:
         self._starts.clear()
         self._ends.clear()
@@ -600,6 +593,12 @@ class OverlapScheduler(SyncScheduler):
             self._issuing = previous
 
     def execute(self, plan: AccessPlan, pool: "BufferPool") -> float:
+        """Dispatch every request of ``plan`` on the virtual clock,
+        accounting a merged plan segment by segment
+        (:meth:`AccessPlan.segments`): float sums are not associative,
+        so queueing delay and device time are closed per segment and
+        :attr:`_last_completion` is the last segment's — bit-identical
+        to what the plans it stands for would have left."""
         if self._issuing:
             # Nested plan fired from inside a request's execution (a
             # pool primitive writing back a dirty victim) or an
@@ -620,53 +619,60 @@ class OverlapScheduler(SyncScheduler):
             tracer.use_virtual_clock(True)
             tracer.virtual_now = issue_at
             devices = pool.disk.disks
-            pspan = tracer.begin(
-                plan.label,
-                cat="plan",
-                ts=issue_at,
-                # Background prefetch plans outlive the operation that
-                # triggered them; detach so nesting invariants hold.
-                parent=None if plan.prefetch else _obs._UNSET,
-                args={"requests": len(plan.requests), "prefetch": plan.prefetch},
-            )
         chains: set[int] = set()
+        clock = self.clock
         completion = issue_at
-        queued = 0.0
-        device_ms = 0.0
-        for request in plan.requests:
+        after = device_times(pool.disk)
+        for label, requests in plan.segments():
             if tracer is not None:
-                rspan = tracer.begin(request.op, cat="request", ts=issue_at)
-                tracer.begin_pending()
-            before = device_times(pool.disk)
-            self._issuing = True
-            try:
-                self._issue(request, pool, chains, plan)
-            finally:
-                self._issuing = False
-            after = device_times(pool.disk)
-            work = [now - then for now, then in zip(after, before)]
-            for w in work:
-                device_ms += w
-            finished = self.clock.dispatch(issue_at, work)
-            if tracer is not None:
-                tracer.place_pending(
-                    {
-                        devices[disk]: begin
-                        for disk, begin, _end in self.clock.last_intervals
-                    }
+                pspan = tracer.begin(
+                    label,
+                    cat="plan",
+                    ts=issue_at,
+                    # Background prefetch plans outlive the operation that
+                    # triggered them; detach so nesting invariants hold.
+                    parent=None if plan.prefetch else _obs._UNSET,
+                    args={"requests": len(requests), "prefetch": plan.prefetch},
                 )
-                tracer.end(rspan, ts=finished)
-            queued += self.clock.last_wait_ms
-            if finished > completion:
-                completion = finished
-        if tracer is not None:
-            tracer.end(pspan, ts=completion)
-        if scope is not None:
-            scope.device_ms += device_ms
-        if not plan.prefetch:
-            self._last_completion = completion
-            if plan.blocking and queued > 0.0:
-                self._account_queueing(self._client, queued)
+            finish = issue_at
+            queued = 0.0
+            device_ms = 0.0
+            for request in requests:
+                if tracer is not None:
+                    rspan = tracer.begin(request.op, cat="request", ts=issue_at)
+                    tracer.begin_pending()
+                before = after
+                self._issuing = True
+                try:
+                    self._issue(request, pool, chains, plan)
+                finally:
+                    self._issuing = False
+                after = device_times(pool.disk)
+                work = [now - then for now, then in zip(after, before)]
+                for w in work:
+                    device_ms += w
+                finished = clock.dispatch(issue_at, work)
+                if tracer is not None:
+                    tracer.place_pending(
+                        {
+                            devices[disk]: begin
+                            for disk, begin, _end in clock.last_intervals
+                        }
+                    )
+                    tracer.end(rspan, ts=finished)
+                queued += clock.last_wait_ms
+                if finished > finish:
+                    finish = finished
+            if tracer is not None:
+                tracer.end(pspan, ts=finish)
+            if scope is not None:
+                scope.device_ms += device_ms
+            if not plan.prefetch:
+                self._last_completion = finish
+                if plan.blocking and queued > 0.0:
+                    self._account_queueing(self._client, queued)
+            if finish > completion:
+                completion = finish
         if not plan.blocking:
             return 0.0
         if scope is not None:

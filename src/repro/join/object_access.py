@@ -120,10 +120,6 @@ class ObjectTransfer:
             (start + i) not in self.pool for i in range(npages)
         )
 
-    def _touch(self, start: int, npages: int) -> None:
-        for i in range(npages):
-            self.pool.access(start + i)
-
     def _fetch_extent(self, extent: Extent) -> None:
         """An object with pages of its own: the extent is read with one
         request on any page miss and fully buffered.  The residency
@@ -135,7 +131,7 @@ class ObjectTransfer:
                 AccessPlan("join.extent").fetch_extent(extent)
             )
         else:
-            self._touch(extent.start, extent.npages)
+            self.pool.access_all(range(extent.start, extent.end))
             self.buffer_hits += 1
 
     # ------------------------------------------------------------------
@@ -189,5 +185,4 @@ class ObjectTransfer:
         self._touch_pages(base, requested)
 
     def _touch_pages(self, base: int, pages: list[int]) -> None:
-        for p in pages:
-            self.pool.access(base + p)
+        self.pool.access_all([base + p for p in pages])

@@ -258,12 +258,12 @@ class FilePageStore(CompositePageStore):
     # ------------------------------------------------------------------
     # superblock + recovery
     # ------------------------------------------------------------------
-    def _superblock_payload(self) -> bytes:
+    def _superblock_payload(self, epoch: int) -> bytes:
         payload = json.dumps(
             {
                 "magic": SUPERBLOCK_MAGIC,
                 "format": FORMAT_VERSION,
-                "epoch": self._epoch,
+                "epoch": epoch,
                 "page_size": self.page_size,
                 "next_slot": self._next_slot,
                 # ``_alloc_slot`` hands out ascending slots (free heap
@@ -282,8 +282,9 @@ class FilePageStore(CompositePageStore):
         return payload
 
     def _write_superblock(self, epoch: int) -> None:
+        # At ``epoch`` only once the slot holds it: an overflow leaves both.
+        self._write_slot(epoch % 2, self._superblock_payload(epoch), KIND_SUPER)
         self._epoch = epoch
-        self._write_slot(epoch % 2, self._superblock_payload(), KIND_SUPER)
 
     def _probe_superblock(self, slot: int) -> dict | None:
         """Decode one superblock candidate; ``None`` when torn/foreign."""

@@ -11,6 +11,8 @@ policy decides which disk owns which page, at two granularities:
   *means* (a cluster unit, an oversize object) pin the whole extent to
   one disk via :meth:`PlacementPolicy.place_extent`, so a unit is never
   torn across devices and keeps its intra-unit continuation pricing.
+  Pins are kept as extents, not as a page table: routing a unit of
+  any length is one binary search (:meth:`PlacementPolicy.fragments`).
 
 Three policies are provided:
 
@@ -28,6 +30,8 @@ Three policies are provided:
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, insort
 
 from repro.constants import DEFAULT_DATA_SPACE
 from repro.disk.extent import Extent
@@ -80,7 +84,8 @@ class PlacementPolicy:
         self.chunk_pages = chunk_pages
         self.n_disks = 1
         self._bound = False
-        self._pinned: dict[int, int] = {}  # page -> disk
+        #: The pinned extents: disjoint ``(start, end, disk)``, sorted.
+        self._pins: list[tuple[int, int, int]] = []
 
     def bind(self, n_disks: int) -> None:
         """Fix the number of disks (called by the owning store).
@@ -101,13 +106,33 @@ class PlacementPolicy:
     # ------------------------------------------------------------------
     def disk_of(self, page: int) -> int:
         """The disk owning ``page``: its pin, or the default rule."""
-        disk = self._pinned.get(page)
-        if disk is not None:
-            return disk
-        return self._default_disk(page)
+        return self.fragments(page, 1)[0][0]
 
     def _default_disk(self, page: int) -> int:
         return (page // self.chunk_pages) % self.n_disks
+
+    def fragments(self, start: int, npages: int) -> list[tuple[int, int, int]]:
+        """Split ``[start, start + npages)`` into maximal runs owned by
+        one disk, as ``(disk, start, npages)`` in address order: a
+        pinned extent is one piece, unpinned pages go chunk by chunk."""
+        pins, end = self._pins, start + npages
+        runs: list[tuple[int, int, int]] = []
+        page = start
+        while page < end or not runs:  # (an empty run is the disk's to refuse)
+            i = bisect_left(pins, (page + 1,)) - 1  # the last pin starting <= page
+            if i >= 0 and page < pins[i][1]:
+                _, stop, disk = pins[i]
+            else:  # unpinned up to the chunk boundary or the next pin
+                disk = self._default_disk(page)
+                stop = page - page % self.chunk_pages + self.chunk_pages
+                if i + 1 < len(pins):
+                    stop = min(stop, pins[i + 1][0])
+            stop = min(stop, end)
+            if runs and runs[-1][0] == disk:
+                disk, page, _ = runs.pop()
+            runs.append((disk, page, stop - page))
+            page = stop
+        return runs
 
     # ------------------------------------------------------------------
     def choose_disk(self, extent: Extent, center=None) -> int | None:
@@ -127,19 +152,23 @@ class PlacementPolicy:
             disk = self.choose_disk(extent, center)
         if disk is None:
             return
-        disk %= self.n_disks
-        for page in extent.pages():
-            self._pinned[page] = disk
+        self.forget_extent(extent)  # the newest pin of a page wins
+        insort(self._pins, (extent.start, extent.end, disk % self.n_disks))
 
     def forget_extent(self, extent: Extent) -> None:
         """Drop the pins of a freed/relocated extent (its pages may be
-        re-allocated for unrelated content)."""
-        for page in extent.pages():
-            self._pinned.pop(page, None)
+        re-allocated); a pin reaching beyond it keeps what lies outside."""
+        pins = self._pins
+        for edge in (extent.start, extent.end):
+            i = bisect_left(pins, (edge + 1,)) - 1
+            if i >= 0 and pins[i][0] < edge < pins[i][1]:  # split the pin here
+                start, end, disk = pins[i]
+                pins[i : i + 1] = [(start, edge, disk), (edge, end, disk)]
+        del pins[bisect_left(pins, (extent.start,)) : bisect_left(pins, (extent.end,))]
 
     @property
     def pinned_pages(self) -> int:
-        return len(self._pinned)
+        return sum(end - start for start, end, _disk in self._pins)
 
 
 class RoundRobinPlacement(PlacementPolicy):

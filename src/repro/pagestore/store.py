@@ -442,7 +442,9 @@ class ShardedPageStore(CompositePageStore):
         """Index of the disk owning a page."""
         return self.placement.disk_of(page)
 
-    _owner = disk_of
+    def _fragments(self, start: int, npages: int) -> list[tuple[int, int, int]]:
+        """The placement answers for a whole run, not page by page."""
+        return self.placement.fragments(start, npages)
 
     def place_extent(self, extent: Extent, center=None, disk: int | None = None) -> None:
         """Pin an extent to one disk (see
@@ -472,11 +474,7 @@ class ShardedPageStore(CompositePageStore):
         grouped: dict[int, list[tuple[int, int]]] = {}
         for start, npages in runs:
             for disk, frag_start, frag_pages in self._fragments(start, npages):
-                frags = grouped.get(disk)
-                if frags is None:
-                    grouped[disk] = [(frag_start, frag_pages)]
-                else:
-                    frags.append((frag_start, frag_pages))
+                grouped.setdefault(disk, []).append((frag_start, frag_pages))
         if not grouped:
             return 0.0
         # This loop runs about ten times per served operation: its

@@ -4,11 +4,11 @@ The object tree (:mod:`repro.rtree.node`) is the mutable master copy;
 queries that batch well pay a heavy price for walking it node by node
 in Python.  A :class:`FlatTree` freezes the whole tree into a handful
 of flat numpy arrays — one ``(n_entries, 4)`` rectangle matrix for
-every entry in the tree, CSR-style per-node offsets, integer child
-ids instead of object references, and leaf-entry payload columns —
-so a *batch* of queries can traverse the whole tree level by level
-("frontier at a time"): one broadcast comparison per level instead of
-one Python call per (node, query) pair.
+every entry in the tree, CSR-style per-node offsets and integer child
+ids instead of object references — so a *batch* of queries can
+traverse the whole tree level by level ("frontier at a time"): one
+broadcast comparison per level instead of one Python call per (node,
+query) pair.
 
 Node ids are **DFS ranks**: the pop order of the unpruned stack DFS
 that pushes children in ascending entry order (the traversal order of
@@ -38,7 +38,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.disk.extent import Extent
 from repro.rtree.entry import Entry
 from repro.rtree.node import Node
 
@@ -62,8 +61,6 @@ class FlatTree:
         The tree's nodes in DFS-rank order (index = node id).
     entries:
         All entries in global order (rank-major, position-ascending).
-    node_level:
-        ``(n_nodes,)`` — level of each node (0 = data page).
     entry_start:
         ``(n_nodes + 1,)`` CSR offsets: node ``i`` owns the global
         entries ``entry_start[i]:entry_start[i + 1]``.
@@ -82,11 +79,6 @@ class FlatTree:
     entry_oid:
         ``(n_entries,)`` int64 — object id of a data entry, ``-1`` for
         directory entries (or data entries without an id).
-    entry_page / entry_npages:
-        Leaf-entry payload columns: when a data entry's payload is a
-        physical :class:`~repro.disk.extent.Extent` (unit / overflow /
-        file extent), its start page and length; ``-1`` / ``0``
-        otherwise.
     generation:
         The tree generation this snapshot was built from.
     """
@@ -94,15 +86,12 @@ class FlatTree:
     __slots__ = (
         "nodes",
         "entries",
-        "node_level",
         "entry_start",
         "entry_counts",
         "entry_rect",
         "entry_q",
         "entry_child",
         "entry_oid",
-        "entry_page",
-        "entry_npages",
         "generation",
     )
 
@@ -110,27 +99,21 @@ class FlatTree:
         self,
         nodes: list[Node],
         entries: list[Entry],
-        node_level: np.ndarray,
         entry_start: np.ndarray,
         entry_rect: np.ndarray,
         entry_q: np.ndarray,
         entry_child: np.ndarray,
         entry_oid: np.ndarray,
-        entry_page: np.ndarray,
-        entry_npages: np.ndarray,
         generation: int,
     ):
         self.nodes = nodes
         self.entries = entries
-        self.node_level = node_level
         self.entry_start = entry_start
         self.entry_counts = np.diff(entry_start)
         self.entry_rect = entry_rect
         self.entry_q = entry_q
         self.entry_child = entry_child
         self.entry_oid = entry_oid
-        self.entry_page = entry_page
-        self.entry_npages = entry_npages
         self.generation = generation
 
     @property
@@ -175,9 +158,6 @@ def build_flat(tree: "RStarTree") -> FlatTree:
 
     n_nodes = len(nodes)
     rank = {id(node): i for i, node in enumerate(nodes)}
-    node_level = np.fromiter(
-        (node.level for node in nodes), dtype=np.int64, count=n_nodes
-    )
     counts = np.fromiter(
         (len(node.entries) for node in nodes), dtype=np.int64, count=n_nodes
     )
@@ -199,8 +179,6 @@ def build_flat(tree: "RStarTree") -> FlatTree:
     entries: list[Entry] = []
     entry_child = np.full(n_entries, -1, dtype=np.int64)
     entry_oid = np.full(n_entries, -1, dtype=np.int64)
-    entry_page = np.full(n_entries, -1, dtype=np.int64)
-    entry_npages = np.zeros(n_entries, dtype=np.int64)
     pos = 0
     for node in nodes:
         for entry in node.entries:
@@ -208,26 +186,18 @@ def build_flat(tree: "RStarTree") -> FlatTree:
             child = entry.child
             if child is not None:
                 entry_child[pos] = rank[id(child)]
-            else:
-                if entry.oid is not None:
-                    entry_oid[pos] = entry.oid
-                payload = entry.payload
-                if isinstance(payload, Extent):
-                    entry_page[pos] = payload.start
-                    entry_npages[pos] = payload.npages
+            elif entry.oid is not None:
+                entry_oid[pos] = entry.oid
             pos += 1
 
     return FlatTree(
         nodes,
         entries,
-        node_level,
         entry_start,
         entry_rect,
         entry_q,
         entry_child,
         entry_oid,
-        entry_page,
-        entry_npages,
         generation=tree._generation,
     )
 

@@ -94,43 +94,39 @@ class NodePager:
         node.page = None
 
     # ------------------------------------------------------------------
+    def _priced(self, node: Node) -> bool:
+        """Not without a page, nor in the memory-resident directory."""
+        return node.page is not None and not (
+            self.directory_resident and node.level >= 1
+        )
+
     def read(self, node: Node) -> None:
         """Price reading the node's page (pool hits are free).  The
         access is declared as a single-request plan and submitted to
         the pool's scheduler, so node I/O shares the virtual clock's
         service queues with object and unit transfers."""
-        if node.page is None:
-            return
-        if self.directory_resident and node.level >= 1:
-            return
-        self.pool.submit(AccessPlan("node.read").get(node.page))
+        if self._priced(node):
+            self.pool.submit(AccessPlan("node.read").get(node.page))
 
     def plan_reads(self, nodes: list[Node], plan: AccessPlan) -> None:
         """Append the priced ``get`` requests :meth:`read` would issue
-        for ``nodes`` (in order) onto one shared ``plan`` — the batch
-        query path merges a query's node reads and object retrieval
-        into a single access plan.  Skips exactly what :meth:`read`
-        skips; under the sync scheduler the pricing is identical to
-        per-node ``read`` calls because plan boundaries do not affect
-        request-level pricing."""
-        directory_resident = self.directory_resident
+        for ``nodes`` (in order) onto one shared ``plan`` — the query
+        path merges a query's node reads and object retrieval wherever
+        plan boundaries do not affect pricing
+        (``SpatialOrganization._batchable``).  Skips what :meth:`read`
+        skips and cuts the plan where each read's own would have ended."""
         for node in nodes:
-            if node.page is None:
-                continue
-            if directory_resident and node.level >= 1:
-                continue
-            plan.get(node.page)
+            if self._priced(node):
+                plan.get(node.page)
+                plan.cut("node.read")
 
     def write(self, node: Node) -> None:
         """Price writing the node's page (caching pools defer to
         eviction / flush).  Like :meth:`read`, the access is declared
         as a single-request write plan, so node writes share the
         scheduler's service queues and admission pacing."""
-        if node.page is None:
-            return
-        if self.directory_resident and node.level >= 1:
-            return
-        self.pool.submit(AccessPlan("node.write").write(node.page))
+        if self._priced(node):
+            self.pool.submit(AccessPlan("node.write").write(node.page))
 
     def flush(self) -> None:
         """Write back every dirty buffered page."""

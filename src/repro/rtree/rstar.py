@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterator
 
+import numpy as np
+
 from repro.core import kernels
 from repro.constants import (
     ENTRY_SIZE,
@@ -392,44 +394,51 @@ class RStarTree:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def window_leaves(self, window: Rect) -> list[tuple[Node, list[Entry]]]:
+    def window_leaves(
+        self,
+        window: Rect,
+        read: Callable[[Node], None] | None = None,
+        rows: list | None = None,
+    ) -> list[tuple[Node, list[Entry]]]:
         """Per data page, the entries matching ``window`` — the unit the
         cluster-organization read techniques operate on (Section 5.4).
-        Only pages with at least one match are returned; visited pages
-        are priced through the pager.
+        Only pages with at least one match are returned.  Every visited
+        page goes to ``read`` — by default the pager, which prices it —
+        and ``rows``, if given, receives per returned group the matching
+        rows of its leaf's ``query_matrix()`` (vectorized mode only).
 
         The default path filters each visited node with one boolean
         mask over its cached rectangle matrix; the scalar fallback
         tests entry-at-a-time.  Both visit the same pages in the same
         stack-DFS order and return the entries in the same order."""
+        read = read or self._read
         if not kernels.vectorized():
-            return self._window_leaves_scalar(window)
+            return self._window_leaves_scalar(window, read)
         qvec = kernels.window_qvec(window)
         groups: list[tuple[Node, list[Entry]]] = []
         stack = [self.root]
         while stack:
             node = stack.pop()
-            self._read(node)
+            read(node)
             if not node.entries:
                 continue
-            hits = kernels.qvec_mask(
-                node.query_matrix(), qvec
-            ).nonzero()[0].tolist()
+            matrix = node.query_matrix()
+            hits = kernels.qvec_mask(matrix, qvec).nonzero()[0]
             entries = node.entries
-            if node.is_leaf:
-                if hits:
-                    groups.append((node, [entries[i] for i in hits]))
-            else:
-                for i in hits:
+            if not node.is_leaf:
+                for i in hits.tolist():
                     child = entries[i].child
                     assert child is not None
                     stack.append(child)
+            elif hits.size:
+                groups.append((node, [entries[i] for i in hits.tolist()]))
+                if rows is not None:
+                    rows.append(matrix[hits])
         return groups
 
     def _window_leaves_scalar(
-        self, window: Rect, read: Callable[[Node], None] | None = None
+        self, window: Rect, read: Callable[[Node], None]
     ) -> list[tuple[Node, list[Entry]]]:
-        read = read or self._read
         groups: list[tuple[Node, list[Entry]]] = []
         stack = [self.root]
         while stack:
@@ -477,25 +486,30 @@ class RStarTree:
 
     def window_leaves_batch(
         self, rects: list[Rect]
-    ) -> list[tuple[list[Node], list[tuple[Node, list[Entry]]]]]:
+    ) -> list[tuple[list[Node], list[tuple[Node, list[Entry]]], Any]]:
         """Batched, *unpriced* form of :meth:`window_leaves`: **one
         whole-tree traversal** over the flat snapshot
         (:mod:`repro.rtree.flat`) filters every rectangle at once — one
         broadcast mask per tree level instead of per-node Python
-        recursion.  Per query a pair ``(visited_nodes, groups)``:
+        recursion.  Per query a triple ``(visited_nodes, groups, rows)``:
         ``groups`` equals ``window_leaves(rect)`` — same entries, same
-        order — and ``visited_nodes`` is its exact page-visit order
-        (the flat traversal's DFS ranks reproduce it), so a caller that
-        prices the visits query by query pays exactly what running the
-        queries one at a time costs.  Scalar-kernel mode walks the
-        object tree entry by entry instead, equally unpriced.
-        """
+        order — ``visited_nodes`` is its exact page-visit order (the
+        DFS ranks reproduce it), so pricing the visits query by query
+        costs what running the queries one at a time costs, and
+        ``rows`` are the matched entries' ``query_matrix()`` rows.  A
+        batch of one takes the per-node walk (cheaper than the flat
+        traversal's fixed numpy cost); scalar-kernel mode walks entry
+        by entry, equally unpriced, and has no ``rows`` (``None``)."""
+        if len(rects) == 1:
+            visited, blocks = [], []
+            groups = self.window_leaves(rects[0], visited.append, blocks)
+            return [(visited, groups, np.concatenate(blocks) if blocks else None)]
         if not kernels.vectorized():
             per_query = []
             for rect in rects:
                 visited: list[Node] = []
                 groups = self._window_leaves_scalar(rect, visited.append)
-                per_query.append((visited, groups))
+                per_query.append((visited, groups, None))
             return per_query
         flat = self.flat_snapshot()
         batch = flat_query_batch(flat, rects)
@@ -503,6 +517,7 @@ class RStarTree:
         entries = flat.entries
         per_query = []
         for i in range(batch.n_queries):
+            hits = batch.hits(i)
             visited = [nodes[n] for n in batch.visits(i).tolist()]
             groups: list[tuple[Node, list[Entry]]] = []
             bucket: list[Entry] | None = None
@@ -510,16 +525,14 @@ class RStarTree:
             # Hits are sorted by global entry id, so owners come in
             # nondecreasing runs — one run per matched leaf, in visit
             # order, entries ascending within it (= window_leaves).
-            for e, owner in zip(
-                batch.hits(i).tolist(), batch.hit_owners(i).tolist()
-            ):
+            for e, owner in zip(hits.tolist(), batch.hit_owners(i).tolist()):
                 if owner != previous:
                     bucket = []
                     groups.append((nodes[owner], bucket))
                     previous = owner
                 assert bucket is not None
                 bucket.append(entries[e])
-            per_query.append((visited, groups))
+            per_query.append((visited, groups, flat.entry_q[hits]))
         return per_query
 
     # ------------------------------------------------------------------

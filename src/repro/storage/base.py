@@ -28,7 +28,10 @@ from __future__ import annotations
 import abc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import TYPE_CHECKING, Iterator, Sequence
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import would be circular at runtime
     from repro.pagestore.store import PageStore
@@ -45,7 +48,7 @@ from repro.geometry.polygon import Polygon
 from repro.geometry.polyline import Polyline
 from repro.geometry.rect import Rect
 from repro.iosched.request import AccessPlan
-from repro.iosched.scheduler import SyncScheduler
+from repro.iosched.scheduler import OverlapScheduler, SyncScheduler
 from repro.rtree.entry import Entry
 from repro.rtree.node import Node
 from repro.rtree.pager import NodePager
@@ -236,8 +239,8 @@ class SpatialOrganization(abc.ABC):
         adjacency (Section 3.2.1's drawback), and an overflow object is
         the effect behind the primary organization's poor point-query
         behaviour for large objects (Figure 12); the others arrived with
-        their data page, already priced by the filter step.  Candidates
-        stay in entry order.
+        their data page, priced as one of the query's node visits.  Returns
+        the order the entries' objects were appended in, ``None`` for theirs.
         """
         extents = self._extents
         if extents:
@@ -376,70 +379,69 @@ class SpatialOrganization(abc.ABC):
         """The one query pipeline; a point query is the degenerate
         rectangle ``Rect(x, y, x, y)`` with ``points`` set.
 
-        **Filter** — a single query walks the object tree node by node
-        (:meth:`RStarTree.window_leaves`, which prices each visited page
-        as it goes); several share one traversal of the flat snapshot
-        (:meth:`RStarTree.window_leaves_batch`), whose visits are then
-        priced query by query in the same DFS order.  The choice is by
-        ``len(rects)``: for one query the flat traversal's fixed numpy
-        cost exceeds the whole per-node walk.  **Transfer** —
-        :meth:`_transfer`.  **Refine** — :meth:`_refine`, once over all
-        queries of the call (refinement is pure CPU, so each query's
-        I/O statistics are final before it runs).
+        **Filter** — :meth:`RStarTree.window_leaves_batch`, which prices
+        nothing: per query the visited nodes in DFS order, the per-leaf
+        groups of matching entries and those entries' rectangle rows.
+        **Transfer** — :meth:`_transfer`, query by query.  **Refine** —
+        :meth:`_refine`, once over all queries of the call (refinement
+        is pure CPU, so each query's I/O statistics are final before it
+        runs).
         """
-        filtered = self.tree.window_leaves_batch(rects) if len(rects) > 1 else None
-        merge = filtered is not None and self._batchable()
-        results: list[QueryResult] = []
-        candidate_lists: list[list[SpatialObject]] = []
-        for i, rect in enumerate(rects):
+        merge = self._batchable()
+        queries = []
+        for rect, (visited, groups, rows) in zip(
+            rects, self.tree.window_leaves_batch(rects)
+        ):
             before = self.disk.stats()
-            if filtered is None:
-                visited, groups = (), self.tree.window_leaves(rect)
-            else:
-                visited, groups = filtered[i]
-            candidates = self._transfer(visited, groups, rect, points, merge)
-            candidate_lists.append(candidates)
-            results.append(
-                QueryResult(
-                    candidates=len(candidates),
-                    bytes_retrieved=sum(o.size_bytes for o in candidates),
-                    io=self.disk.stats() - before,
-                )
+            candidates = self._transfer(visited, groups, rows, rect, points, merge)
+            result = QueryResult(
+                candidates=len(candidates),
+                bytes_retrieved=sum([o.size_bytes for o in candidates]),
+                io=self.disk.stats() - before,
             )
-        self._refine(rects, results, candidate_lists, points)
-        return results
+            queries.append((rect, result, candidates, rows))
+        self._refine(queries, points)
+        return [result for _rect, result, _candidates, _rows in queries]
 
     def _batchable(self) -> bool:
         """May one query's node reads and object transfers be merged
         into a single access plan?  Only where plan boundaries are
         pricing-neutral: the pager must share this organization's pool,
-        the scheduler must be the plain sync scheduler (the overlap
-        scheduler dispatches per plan on the virtual clock), and no
-        prefetcher may be consulted per plan (the per-unit
-        ``plan.extent`` hint would degenerate to the last group's).
-        Nothing else depends on this — filtering and refinement are the
-        same under every configuration."""
+        no prefetcher may be consulted per plan (the per-unit
+        ``plan.extent`` hint would degenerate to the last group's), and
+        the scheduler is the plain sync scheduler or the overlap
+        scheduler *inside an operation scope* — there every request
+        dispatches at the scope's start, while outside one each blocking
+        plan advances the client's clock.  Nothing else depends on this
+        — filtering and refinement are the same everywhere."""
         pager = self.tree.pager
         pool = self.pool
+        scheduler = pool.scheduler
         return (
             pager is self._query_pager
             and pager.pool is pool
             and pool.prefetcher is None
-            # Exact type check: OverlapScheduler subclasses SyncScheduler.
-            and type(pool.scheduler) is SyncScheduler
+            # Exact types: a subclass may give plan boundaries a meaning.
+            and (
+                type(scheduler) is SyncScheduler
+                or (type(scheduler) is OverlapScheduler and scheduler.in_operation)
+            )
         )
 
     def _transfer(
         self,
         visited: Sequence[Node],
         groups: list[tuple[Node, list[Entry]]],
+        rows: np.ndarray | None,
         rect: Rect,
         selective: bool,
         merge: bool,
     ) -> list[SpatialObject]:
-        """Price one query's not-yet-priced node visits and the transfer
-        of its candidates' exact representations; returns the candidate
-        objects in read order.  Merged, everything is one access plan;
+        """Price one query's node visits and the transfer of its
+        candidates' exact representations; returns the candidates in
+        read order and puts ``rows`` (the filter's rectangle rows, in
+        entry order) into that order, in place.  Merged, everything is
+        one access plan, cut where the separate plans would have ended;
         otherwise the visits are single-page reads and the groups are
         submitted as the organization declares them (one plan per data
         page when :attr:`_plan_per_group`, else one per query) — request
@@ -453,26 +455,31 @@ class SpatialOrganization(abc.ABC):
                 pager.read(node)
         candidates: list[SpatialObject] = []
         for leaf, entries in groups:
-            self._plan_group(plan, leaf, entries, rect, selective, candidates)
-            if self._plan_per_group and not merge and plan:
-                self.pool.submit(plan)
-                plan = AccessPlan(plan.label)
+            moved = self._plan_group(plan, leaf, entries, rect, selective, candidates)
+            if moved and rows is not None:
+                group = slice(len(candidates) - len(moved), len(candidates))
+                rows[group] = rows[group][moved]
+            if self._plan_per_group:
+                if merge:
+                    plan.cut()
+                elif plan:
+                    self.pool.submit(plan)
+                    plan = AccessPlan(plan.label)
         if plan:
             self.pool.submit(plan)
         return candidates
 
     @staticmethod
-    def _refine(
-        rects: list[Rect],
-        results: list[QueryResult],
-        candidate_lists: list[list[SpatialObject]],
-        points: bool,
-    ) -> None:
-        """Exact refinement of every query of one call, filling
-        ``objects`` and ``exact_tests`` of its result.
+    def _refine(queries: list[tuple], points: bool) -> None:
+        """Exact refinement of every query of one call — ``(rect,
+        result, candidates, rows)`` each — filling ``objects`` and
+        ``exact_tests`` of its result.
 
         A window candidate whose MBR lies inside the window necessarily
-        shares points with it and needs no test.  All pending polyline
+        shares points with it and needs no test: one comparison of
+        ``rows`` (``(xmin, ymin, -xmax, -ymax)`` per candidate) decides
+        that for a whole query; scalar-kernel mode has no rows and asks
+        ``rect.contains(obj.mbr)``, the reference.  All pending polyline
         tests of the call go through one
         :func:`~repro.geometry.intersect.polylines_intersect_rects`
         batch (map polylines have a handful of segments each, far below
@@ -491,18 +498,29 @@ class SpatialOrganization(abc.ABC):
             int, tuple[Polygon, list[float], list[float], list[tuple[list[bool], int]]]
         ] = {}
         decided: list[list[bool]] = []
-        for rect, result, candidates in zip(rects, results, candidate_lists):
+        for rect, result, candidates, rows in queries:
             decisions = [True] * len(candidates)
             decided.append(decisions)
-            for slot, obj in enumerate(candidates):
-                if not points and rect.contains(obj.mbr):
-                    continue
-                result.exact_tests += 1
+            if points:
+                pending = range(len(candidates))
+            elif rows is None:
+                pending = [
+                    slot
+                    for slot, obj in enumerate(candidates)
+                    if not rect.contains(obj.mbr)
+                ]
+            else:
+                inside = rows >= (rect.xmin, rect.ymin, -rect.xmax, -rect.ymax)
+                pending = np.flatnonzero(~inside.all(axis=1)).tolist()
+            result.exact_tests += len(pending)
+            window = rect.as_tuple()
+            for slot in pending:
+                obj = candidates[slot]
                 geometry = obj.geometry
                 if isinstance(geometry, Polyline):
                     line_sinks.append((decisions, slot))
                     line_coords.append(geometry.coords())
-                    line_rects.append(rect.as_tuple())
+                    line_rects.append(window)
                 elif points:
                     _, xs, ys, sinks = poly_tests.setdefault(
                         obj.oid, (geometry, [], [], [])
@@ -520,10 +538,8 @@ class SpatialOrganization(abc.ABC):
             verdicts = geometry.contains_points(xs, ys)
             for (decisions, slot), verdict in zip(sinks, verdicts.tolist()):
                 decisions[slot] = verdict
-        for result, candidates, decisions in zip(results, candidate_lists, decided):
-            result.objects = [
-                obj for obj, keep in zip(candidates, decisions) if keep
-            ]
+        for (_rect, result, candidates, _rows), decisions in zip(queries, decided):
+            result.objects = list(compress(candidates, decisions))
 
     # ------------------------------------------------------------------
     # buffer-pool wiring

@@ -125,7 +125,7 @@ def batch_entries(tree, rects) -> list[list]:
     order — comparable with ``tree.window_query(rect)``."""
     return [
         [e for _leaf, matches in groups for e in matches]
-        for _visited, groups in tree.window_leaves_batch(rects)
+        for _visited, groups, _rows in tree.window_leaves_batch(rects)
     ]
 
 

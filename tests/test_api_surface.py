@@ -117,6 +117,42 @@ class TestExports:
             assert gone not in inspect.signature(fn).parameters
 
 
+class TestRunLevelSurface:
+    def test_run_level_members_are_part_of_the_protocols(self):
+        """ISSUE 23: a replacement policy touches and admits *runs*
+        (``access_all`` returns the misses; the single-key calls are the
+        one-key case of the same loop), a placement answers for a whole
+        run (``fragments``) and keeps its pins as extents, a merged
+        access plan remembers where its parts end, and the flat
+        snapshot lost three columns nobody read."""
+        from repro.buffer.policy import POLICIES, ReplacementPolicy
+        from repro.iosched.request import AccessPlan
+        from repro.pagestore.placement import PLACEMENTS, PlacementPolicy
+        from repro.rtree.flat import FlatTree
+
+        for member in ("access", "access_all", "admit", "admit_all"):
+            assert member in ReplacementPolicy.__dict__, member
+        for factory in POLICIES.values():
+            frames = factory(2)
+            assert isinstance(frames, ReplacementPolicy)
+            frames.admit_all([1, 2])
+            assert frames.access_all([2, 3, 1]) == [3]
+            assert (frames.hits, frames.misses) == (2, 1)
+        for cls in PLACEMENTS.values():
+            assert cls.fragments is PlacementPolicy.fragments
+            assert not hasattr(cls(), "_pinned")
+        plan = AccessPlan().get(3)
+        plan.cut()
+        plan.cut()
+        plan.read(8, 2)
+        assert [(label, len(part)) for label, part in plan.segments()] == [
+            ("plan", 1), ("plan", 1)
+        ]
+        assert [len(part) for _label, part in AccessPlan().segments()] == [0]
+        for gone in ("node_level", "entry_page", "entry_npages"):
+            assert gone not in FlatTree.__slots__
+
+
 class TestErrorHierarchy:
     @pytest.mark.parametrize(
         "exc",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.buffer import LRUBuffer
 from repro.buffer.policy import (
@@ -16,6 +17,7 @@ from repro.buffer.policy import (
 from repro.buffer.pool import BufferPool, coalesce_pages
 from repro.disk.model import DiskModel
 from repro.errors import ConfigurationError
+from repro.iosched.request import AccessPlan
 
 
 class TestCoalesce:
@@ -320,3 +322,199 @@ class TestCachingPool:
         before = disk.stats()
         pool.flush()
         assert (disk.stats() - before).requests == 0
+
+
+# ----------------------------------------------------------------------
+# run-level pool calls == the per-page pool they replaced
+# ----------------------------------------------------------------------
+class PerPagePool:
+    """The reference: the pool primitives as they were before they
+    worked a run at a time — ``access`` / ``admit`` page by page, each
+    spelled out down to the frame table's dict operations — driving a
+    real :class:`BufferPool`'s state."""
+
+    def __init__(self, pool: BufferPool):
+        self.pool = pool
+
+    def access(self, page: int) -> bool:
+        pool, frames = self.pool, self.pool.frames
+        if page in frames._entries:
+            frames._note_hit(page)
+            frames.hits += 1
+            pool.hits += 1
+            if page in pool._prefetched:
+                pool._prefetched.discard(page)
+                pool._pf_useful.inc()
+            return True
+        frames.misses += 1
+        pool.misses += 1
+        return False
+
+    def admit(self, page: int, dirty: bool = False) -> None:
+        frames = self.pool.frames
+        if page in frames._entries:
+            frames._entries[page] = frames._entries[page] or dirty
+            frames._note_hit(page)
+            return
+        frames._entries[page] = dirty
+        frames._note_admit(page)
+        while len(frames._entries) > frames.capacity:
+            victim = frames._select_victim()
+            was_dirty = frames._entries.pop(victim)
+            frames._note_evict(victim)
+            frames.evictions += 1
+            frames.on_evict(victim, was_dirty)
+
+    # -- the pool entry points, page by page ----------------------------
+    def read(self, start: int, npages: int) -> float:
+        missing = [p for p in range(start, start + npages) if not self.access(p)]
+        cost = self.pool._read_missing(missing, False)
+        for page in missing:
+            self.admit(page)
+        return cost
+
+    def get(self, page: int) -> float:
+        if self.access(page):
+            return 0.0
+        cost = self.pool.disk.read(page, 1)
+        self.admit(page)
+        return cost
+
+    def write(self, start: int, npages: int) -> float:
+        for page in range(start, start + npages):
+            self.admit(page, dirty=True)
+        return 0.0
+
+    def fetch(self, start: int, npages: int) -> float:
+        cost = self.pool.disk.read(start, npages)
+        for page in range(start, start + npages):
+            self.admit(page)
+        return cost
+
+    def load_pages(self, pages) -> float:
+        missing = [p for p in pages if p not in self.pool.frames]
+        cost = self.pool._read_missing(missing, False)
+        for page in missing:
+            self.admit(page)
+        return cost
+
+    def discard(self, page: int) -> None:
+        self.pool.discard(page)
+
+
+class RunLevelPool(PerPagePool):
+    """The same entry points through the pool's own run-level calls."""
+
+    def read(self, start, npages):
+        return self.pool.read(start, npages)
+
+    def get(self, page):
+        return self.pool.submit(AccessPlan("node.read").get(page))
+
+    def write(self, start, npages):
+        return self.pool.write(start, npages)
+
+    def fetch(self, start, npages):
+        return self.pool.fetch(start, npages)
+
+    def load_pages(self, pages):
+        return self.pool.load_pages(pages)
+
+
+def _observed_pool(driver, policy: str, capacity: int):
+    pool = BufferPool(DiskModel(), capacity=capacity, policy=policy)
+    evicted: list[tuple[int, bool]] = []
+    write_back = pool.frames.on_evict
+
+    def on_evict(page, dirty):
+        evicted.append((page, dirty))
+        write_back(page, dirty)
+
+    pool.frames.on_evict = on_evict
+    return driver(pool), pool, evicted
+
+
+def _pool_state(pool: BufferPool, evicted):
+    frames = pool.frames
+    state = {
+        "pool": (pool.hits, pool.misses, pool.evictions),
+        "frames": (frames.hits, frames.misses, frames.evictions),
+        "entries": list(frames._entries.items()),
+        "evicted": list(evicted),
+        "disk": pool.disk.stats(),
+        "prefetched": sorted(pool._prefetched),
+        "prefetch": pool.prefetch_stats(),
+    }
+    if isinstance(frames, LRUKBuffer):
+        state["history"] = dict(frames._history)
+        state["tick"] = frames._tick
+        # The victims the heap would hand out next, in order.
+        twin_heap = sorted(frames._heap)
+        state["victims"] = [
+            key
+            for kth, last, key in twin_heap
+            if key in frames._entries and frames._rank(key) == (kth, last)
+        ]
+    elif isinstance(frames, ClockBuffer):
+        state["referenced"] = dict(frames._referenced)
+    return state
+
+
+_pages = st.integers(0, 23)
+_pool_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("read"), _pages, st.integers(1, 12)),
+        st.tuples(st.just("get"), _pages),
+        st.tuples(st.just("write"), _pages, st.integers(1, 6)),
+        st.tuples(st.just("fetch"), _pages, st.integers(1, 6)),
+        st.tuples(st.just("load_pages"), st.lists(_pages, max_size=8).map(lambda p: sorted(set(p)))),
+        st.tuples(st.just("discard"), _pages),
+    ),
+    max_size=40,
+)
+
+
+class TestRunLevelEqualsPerPage:
+    @pytest.mark.parametrize("capacity", [1, 3, 8])
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    @settings(max_examples=40, deadline=None)
+    @given(ops=_pool_ops)
+    def test_random_interleavings(self, policy, capacity, ops):
+        sides = [
+            _observed_pool(driver, policy, capacity)
+            for driver in (PerPagePool, RunLevelPool)
+        ]
+        for name, *args in ops:
+            costs = [getattr(driver, name)(*args) for driver, _pool, _ev in sides]
+            assert costs[0] == costs[1], (name, args)
+        reference, run_level = (_pool_state(pool, ev) for _d, pool, ev in sides)
+        assert run_level == reference
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_a_run_larger_than_the_pool_evicts_its_own_head(self, policy):
+        sides = [_observed_pool(d, policy, 3) for d in (PerPagePool, RunLevelPool)]
+        for driver, _pool, _ev in sides:
+            driver.write(40, 2)  # dirty victims: write-back order is observable
+            driver.read(10, 8)
+            driver.read(12, 3)
+        reference, run_level = (_pool_state(pool, ev) for _d, pool, ev in sides)
+        assert run_level == reference
+        assert run_level["evicted"][:2] == [(40, True), (41, True)]
+        assert (10, False) in run_level["evicted"], "the run's own head left"
+        assert len(run_level["entries"]) == 3
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_prefetched_pages_keep_their_per_page_bookkeeping(self, policy):
+        """A demand hit on a read-ahead page is *useful*, its eviction
+        before any hit *wasted* — counted page by page inside a run."""
+        sides = [_observed_pool(d, policy, 6) for d in (PerPagePool, RunLevelPool)]
+        for driver, pool, _ev in sides:
+            driver.load_pages([20, 21, 22, 23])
+            pool._prefetched.update([20, 21, 22, 23])  # as _prefetch_after marks them
+            driver.read(19, 3)  # 19 misses; 20, 21 are useful
+            driver.read(0, 6)  # pushes 22, 23 out unused
+        reference, run_level = (_pool_state(pool, ev) for _d, pool, ev in sides)
+        assert run_level == reference
+        assert run_level["prefetch"]["useful"] == 2
+        assert run_level["prefetch"]["wasted"] == 2
+        assert run_level["prefetched"] == []

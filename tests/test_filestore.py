@@ -171,6 +171,33 @@ class TestFilePageStore:
             assert store.epoch == 2
             assert store.get(0) == b"v2" and store.get(1) == b"v1"
 
+    def test_a_refused_superblock_leaves_the_store_at_its_epoch(self, tmp_path):
+        """ROADMAP D.3: the overflow is raised while the payload is
+        built, before the slot is touched — the in-memory epoch must
+        not have moved either, or the next save would publish epoch 4
+        into the slot that holds the live epoch 2."""
+        path = str(tmp_path / "image.db")
+        with FilePageStore(path, page_size=PAGE) as store:
+            for page in range(80):
+                store.put(page, b"v1")
+            store.commit()
+            for page in range(0, 80, 2):
+                store.put(page, b"v2")
+            store.commit()
+            with pytest.raises(StorageError, match="superblock overflow"):
+                store.commit(meta_payloads=[b"m"] * 40)
+            assert store.epoch == 2
+            assert store._probe_superblock(0)["epoch"] == 2
+            assert store._probe_superblock(1)["epoch"] == 1
+            store.put(1, b"v3")
+            assert store.commit() == 3
+            assert store._probe_superblock(0)["epoch"] == 2  # still the fallback
+            assert store._probe_superblock(1)["epoch"] == 3
+        with FilePageStore(path, page_size=PAGE) as store:
+            assert store.epoch == 3
+            assert store.get(0) == b"v2" and store.get(1) == b"v3"
+            assert store.read_meta_pages() == []
+
     def test_store_format_1_is_refused(self, tmp_path):
         path = str(tmp_path / "image.db")
         with FilePageStore(path, page_size=PAGE) as store:

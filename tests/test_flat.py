@@ -156,7 +156,7 @@ class TestBatchedTraversal:
                     org_b.tree.window_query(w)
             batched = [
                 node.page
-                for visited, _groups in batch
+                for visited, _groups, _rows in batch
                 for node in visited
                 if node.page is not None
             ]

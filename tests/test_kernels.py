@@ -128,7 +128,7 @@ class TestQueryOrderEquivalence:
 
         tree_a, disk_a = build(DiskModel())
         before_a = disk_a.stats()
-        for visited, _groups in tree_a.window_leaves_batch(windows):
+        for visited, _groups, _rows in tree_a.window_leaves_batch(windows):
             for node in visited:
                 tree_a.pager.read(node)
         batch = disk_a.stats() - before_a

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.buffer.pool import BufferPool
 from repro.database import SpatialDatabase
@@ -252,6 +253,92 @@ class TestPlacement:
         # The first store's routing is untouched by the failed bind.
         assert big.disk_of(0) == 5
         policy.bind(8)  # re-binding with the same count is harmless
+
+
+class TestExtentPinsEqualPagePins:
+    """The placement keeps its pins as extents; a plain ``{page: disk}``
+    table driven by the same ``place_extent`` / ``forget_extent`` calls
+    — overlapping, nested, re-pinned, partially forgotten — is the
+    model it must agree with page by page and run by run."""
+
+    SPACE = 96  # pages the generated extents and queries live in
+
+    extents = st.tuples(st.integers(0, SPACE - 1), st.integers(1, 24))
+    steps = st.lists(
+        st.tuples(st.sampled_from(["place", "place", "forget"]), extents, st.integers(0, 7)),
+        max_size=30,
+    )
+
+    @staticmethod
+    def _model_fragments(owner, start, npages):
+        runs = []
+        for page in range(start, start + npages):
+            if runs and runs[-1][0] == owner(page):
+                runs[-1] = (runs[-1][0], runs[-1][1], runs[-1][2] + 1)
+            else:
+                runs.append((owner(page), page, 1))
+        return runs
+
+    @pytest.mark.parametrize("name", sorted(PLACEMENTS))
+    @settings(max_examples=60, deadline=None)
+    @given(steps=steps, queries=st.lists(extents, min_size=1, max_size=8), n_disks=st.integers(1, 5))
+    def test_against_the_page_table(self, name, steps, queries, n_disks):
+        policy = make_placement(name, chunk_pages=4)
+        policy.bind(n_disks)
+        pinned: dict[int, int] = {}
+        for op, (start, npages), disk in steps:
+            extent = Extent(start, npages)
+            if op == "place":
+                policy.place_extent(extent, disk=disk)
+                pinned.update(dict.fromkeys(extent.pages(), disk % n_disks))
+            else:
+                policy.forget_extent(extent)
+                for page in extent.pages():
+                    pinned.pop(page, None)
+            pins = policy._pins
+            assert pins == sorted(pins) and all(
+                a[1] <= b[0] for a, b in zip(pins, pins[1:])
+            ), "pins stay disjoint and in address order"
+
+        def owner(page):
+            return pinned.get(page, policy._default_disk(page))
+
+        assert policy.pinned_pages == len(pinned)
+        reach = self.SPACE + 24
+        assert [policy.disk_of(page) for page in range(reach)] == [
+            owner(page) for page in range(reach)
+        ]
+        for start, npages in queries:
+            assert policy.fragments(start, npages) == self._model_fragments(
+                owner, start, npages
+            )
+
+    def test_spatial_hint_and_declined_hint(self):
+        """The hinted path pins through the same table; a declined hint
+        (no centre, or a policy without ``choose_disk``) pins nothing."""
+        spatial = make_placement("spatial")
+        spatial.bind(4)
+        spatial.place_extent(Extent(8, 6), center=(10.0, 10.0))
+        assert spatial.pinned_pages == 6
+        (run,) = spatial.fragments(9, 3)
+        assert run[1:] == (9, 3) and run[0] == spatial.disk_of(8)
+        spatial.place_extent(Extent(40, 6))
+        plain = make_placement("round_robin")
+        plain.bind(4)
+        plain.place_extent(Extent(8, 6), center=(10.0, 10.0))
+        assert spatial.pinned_pages == 6 and plain.pinned_pages == 0
+
+    def test_sharded_store_routes_whole_runs(self, monkeypatch):
+        """The store asks the placement once per run, never per page."""
+        store = ShardedPageStore(4)
+        store.place_extent(Extent(100, 37), disk=2)
+        monkeypatch.setattr(
+            type(store.placement), "disk_of", lambda *a: pytest.fail("per-page routing")
+        )
+        before = store.disks[2].stats().pages_transferred
+        store.read(100, 37)
+        store.read_runs([(100, 5), (120, 10)])
+        assert store.disks[2].stats().pages_transferred - before == 52
 
 
 class TestVectoredCost:

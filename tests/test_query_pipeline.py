@@ -197,6 +197,9 @@ class TestMergingIsAllTheGuardSwitches:
             lambda *a: pytest.fail("per-query traversal inside a batch"),
         )
         mergeable, batch = run(batched=True)
+        # Outside an operation scope the overlap scheduler never merges:
+        # each blocking plan advances the client's clock, so the next
+        # one is issued later (inside a scope: the class below's tests).
         assert mergeable == (scheduler == "sync" and prefetch == "none")
         assert batch == looped
         assert sum(len(oids) for oids, *_ in batch["results"]) > 0
@@ -234,3 +237,157 @@ class TestMergingIsAllTheGuardSwitches:
         for w in windows:
             twin.window_query(w)
         assert submits == looped
+
+
+class TestMergedOperationIsTheUnmergedOperation:
+    """Inside ``scheduler.operation(client)`` the overlap scheduler
+    dispatches every request of every plan at the scope's start, so a
+    query's node reads and transfers may share one plan there.  The twin
+    below has merging forced off (``_batchable`` patched on the
+    instance; there is no switch in ``src/``) — everything observable
+    must be equal, down to the last bit of the queueing sums."""
+
+    @pytest.mark.parametrize("tiering", [None, "promote-on-hit"])
+    @pytest.mark.parametrize("caching", [False, True])
+    @pytest.mark.parametrize("n_disks", [1, 4])
+    @pytest.mark.parametrize("kind", ORG_KINDS)
+    def test_single_queries_inside_an_operation_scope(
+        self, monkeypatch, kind, n_disks, caching, tiering
+    ):
+        from repro.buffer.pool import BufferPool
+
+        objects = mixed_map()
+        rng = random.Random(17)
+        windows = [Rect(380, 380, 620, 520)]  # around the oversize object
+        for _ in range(14):
+            x, y = rng.uniform(0, 900), rng.uniform(0, 900)
+            windows.append(Rect(x, y, x + rng.uniform(5, 220), y + rng.uniform(5, 220)))
+        points = [rng.choice(o.geometry.vertices) for o in rng.sample(objects, 10)]
+        submits: list[str] = []
+        submit = BufferPool.submit
+
+        def spy(pool, plan):
+            submits.append(plan.label)
+            return submit(pool, plan)
+
+        monkeypatch.setattr(BufferPool, "submit", spy)
+
+        def run(merged: bool):
+            db = SpatialDatabase(
+                organization=kind,
+                smax_bytes=SMAX_BYTES,
+                scheduler="overlap",
+                n_disks=n_disks,
+                tiering=tiering,
+                fast_pages=24,
+            )
+            db.build(objects)
+            org, scheduler = db.storage, db.scheduler
+            if not merged:
+                monkeypatch.setattr(org, "_batchable", lambda: False)
+            pool = db._workload_pool(20, "lru") if caching else org.pool
+            del submits[:]
+            results, plans_per_op = [], []
+            with org.use_pool(pool), ReadSpy() as spy_reads:
+                assert not org._batchable()  # no scope open
+                for i, rect in enumerate(windows + [Rect(x, y, x, y) for x, y in points]):
+                    # Three clients start at time 0 and contend for arms.
+                    with scheduler.operation(f"client{i % 3}"):
+                        assert org._batchable() == merged
+                        before = len(submits)
+                        if i < len(windows):
+                            results.append(org.window_query(rect))
+                        else:
+                            results.append(org.point_query(rect.xmin, rect.ymin))
+                        plans_per_op.append(len(submits) - before)
+            clock = scheduler.clock
+            return plans_per_op, {
+                "results": [_priced(r) for r in results],
+                "pool": (pool.hits, pool.misses, pool.evictions),
+                "makespan": clock.makespan,
+                "busy": clock._busy,
+                "clients": dict(clock.clients),
+                "queueing": dict(scheduler.queueing),
+                "last_completion": scheduler._last_completion,
+                "disk": db.disk.stats(),
+                "per_disk": [d.stats() for d in db.disk.disks],
+                "node_pages": spy_reads.pages,
+            }
+
+        unmerged_plans, unmerged = run(merged=False)
+        merged_plans, merged = run(merged=True)
+        assert merged == unmerged
+        assert sum(merged["queueing"].values()) > 0, "the clients contended"
+        busy = [n for n, r in zip(merged_plans, merged["results"]) if r[4].requests]
+        assert busy and set(busy) == {1}, "one plan per served operation"
+        assert sum(unmerged_plans) > sum(merged_plans)
+        for (oids, candidates, nbytes, tests, _io), rect in zip(
+            merged["results"], windows
+        ):
+            want = reference(objects, rect, False)
+            assert (set(oids), candidates, nbytes, tests) == want
+
+    @pytest.mark.parametrize("scheduler", ["sync", "overlap"])
+    @pytest.mark.parametrize("kind", ["cluster", "secondary"])
+    def test_a_trace_shows_the_plans_a_merged_plan_stands_for(
+        self, monkeypatch, objects300, kind, scheduler
+    ):
+        """One plan span per ``AccessPlan.segments()`` entry: the span
+        list of a merged operation is the unmerged one's, name by name
+        and stamp by stamp (the CLI goldens count these events)."""
+        from repro.data.workload import window_workload
+        from repro.obs.trace import tracing
+
+        windows = window_workload(objects300, 1e-3, n_queries=6, seed=5)
+
+        def spans(merged: bool):
+            db = SpatialDatabase(
+                organization=kind, smax_bytes=16 * 4096, scheduler=scheduler, n_disks=2
+            )
+            db.build(objects300)
+            if not merged:
+                monkeypatch.setattr(db.storage, "_batchable", lambda: False)
+            with tracing() as tracer:
+                tracer.use_virtual_clock(scheduler == "overlap")
+                for i, window in enumerate(windows):
+                    with db.scheduler.operation(f"client{i % 2}"):
+                        assert db.storage._batchable() == merged
+                        db.storage.window_query(window)
+            timed = scheduler == "overlap"  # sync spans carry wall-clock stamps
+            return [
+                (s.name, s.cat, s.track, s.args, (s.start_ms, s.end_ms) if timed else None)
+                for s in tracer.spans
+            ]
+
+        merged = spans(True)
+        assert merged == spans(False)
+        assert {"node.read", f"{kind}.retrieve"} <= {name for name, *_ in merged}
+
+    @pytest.mark.parametrize("scheduler", ["sync", "overlap"])
+    @pytest.mark.parametrize("kind", ORG_KINDS)
+    def test_containment_rows_follow_the_candidate_order(self, kind, scheduler):
+        """The cluster organization reads an oversize object's own
+        extent before the unit, so it leads the candidates although its
+        entry comes last; were its containment row left in entry order
+        it would take the first small object's (inside the window: no
+        test) and be answered without ever being tested."""
+        small = [
+            SpatialObject(0, Polyline([(15, 60), (20, 65)]), size_bytes=300),
+            SpatialObject(1, Polyline([(25, 70), (30, 75)]), size_bytes=300),
+        ]
+        # An L along the bottom and right edge: the MBR covers the
+        # window, the geometry stays clear of it.
+        big = SpatialObject(
+            2, Polyline([(0, 0), (100, 0), (100, 100)]), size_bytes=SMAX_BYTES + 5000
+        )
+        db = SpatialDatabase(
+            organization=kind, smax_bytes=SMAX_BYTES, scheduler=scheduler
+        )
+        db.build(small + [big])
+        org = db.storage
+        assert org.extent_of(2) is not None
+        for scalar in (False, True):
+            with kernels.scalar_kernels(scalar), db.scheduler.operation("main"):
+                result = org.window_query(Rect(10, 50, 40, 90))
+            assert [o.oid for o in result.objects] == [0, 1]
+            assert (result.candidates, result.exact_tests) == (3, 1)

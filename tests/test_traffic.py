@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import kernels
 from repro.database import SpatialDatabase
 from repro.errors import ConfigurationError
 from repro.iosched.admission import PriorityAdmission
@@ -299,3 +300,127 @@ class TestSessionDataclass:
         session = TrafficSession(name="int-000000", klass="interactive", arrival_ms=3.5)
         assert session.operations == []
         assert session.think_ms == 0.0
+
+
+# ----------------------------------------------------------------------
+# what a served operation costs, as counts (ROADMAP items A.2 and B)
+# ----------------------------------------------------------------------
+def served_op_counts() -> dict[str, float]:
+    """Run a fixed 40-session traffic on a 4-disk ``overlap`` database
+    at the benchmark's smoke size and count the calls the served path
+    used to make once per plan, per page and per entry.  Machine-
+    independent; CI's ``Size report`` prints the ``*_per_op`` values."""
+    from contextlib import ExitStack
+    from unittest.mock import patch
+
+    from repro.buffer.policy import PolicyBuffer
+    from repro.buffer.pool import BufferPool
+    from repro.data.series import scaled, spec_for
+    from repro.data.tiger import generate_map
+    from repro.geometry.rect import Rect
+    from repro.iosched.scheduler import SyncScheduler
+    from repro.pagestore.placement import PlacementPolicy
+    from repro.pagestore.store import ShardedPageStore
+    from repro.storage.base import SpatialOrganization
+
+    spec = scaled(spec_for("A-1"), 0.005)
+    objects = generate_map(spec, seed=1994)
+    db = SpatialDatabase(
+        avg_object_size=spec.avg_object_size,
+        n_disks=4,
+        placement="spatial",
+        scheduler="overlap",
+    )
+    db.build(objects)
+    sessions = make_traffic(objects, 40, rate_per_s=10.0, seed=7)
+    ops = sum(len(s.operations) for s in sessions)
+    calls = dict.fromkeys(
+        ("submits", "gets", "pool_access", "pool_admit", "frames_single_key",
+         "disk_of_in_transfer", "contains_in_refine"), 0
+    )
+    submits_by_op: list[int] = []
+    depth = {"transfer": 0, "refine": 0}
+
+    def spy(stack, owner, name, note):
+        """Patch ``owner.name`` to run ``note(original, *args)``."""
+        raw = owner.__dict__[name]
+        original = raw.__func__ if isinstance(raw, staticmethod) else raw
+
+        def wrapper(*args, **kwargs):
+            return note(original, *args, **kwargs)
+
+        patched = staticmethod(wrapper) if isinstance(raw, staticmethod) else wrapper
+        stack.enter_context(patch.object(owner, name, patched))
+
+    def counted(key, inside=None):
+        def note(original, *args, **kwargs):
+            if inside is None or depth[inside]:
+                calls[key] += 1
+            return original(*args, **kwargs)
+
+        return note
+
+    def scoped(scope):
+        def note(original, *args, **kwargs):
+            depth[scope] += 1
+            try:
+                return original(*args, **kwargs)
+            finally:
+                depth[scope] -= 1
+
+        return note
+
+    def per_query(original, *args):
+        before = calls["submits"]
+        try:
+            return original(*args)
+        finally:
+            submits_by_op.append(calls["submits"] - before)
+
+    def per_request(original, scheduler, request, *rest):
+        calls["gets"] += request.op == "get"
+        return original(scheduler, request, *rest)
+
+    with ExitStack() as stack:
+        spy(stack, BufferPool, "submit", counted("submits"))
+        spy(stack, SyncScheduler, "_issue", per_request)
+        spy(stack, SpatialOrganization, "_run_queries", per_query)
+        for name in ("access", "admit"):
+            spy(stack, BufferPool, name, counted(f"pool_{name}"))
+            spy(stack, PolicyBuffer, name, counted("frames_single_key"))
+        spy(stack, ShardedPageStore, "_transfer", scoped("transfer"))
+        spy(stack, SpatialOrganization, "_refine", scoped("refine"))
+        spy(stack, PlacementPolicy, "disk_of", counted("disk_of_in_transfer", "transfer"))
+        spy(stack, Rect, "contains", counted("contains_in_refine", "refine"))
+        report = db.run_traffic(sessions, buffer_pages=16)
+    assert len(submits_by_op) == ops == sum(c.operations for c in report.classes)
+    evictions = db.metrics.get(f"pool.evictions{{pool={db.name}.workload}}")
+    assert evictions is not None and evictions.value > ops, "a pool under pressure"
+    return {
+        "ops": ops,
+        "max_submits_in_one_op": max(submits_by_op),
+        **calls,
+        **{f"{key}_per_op": n / ops for key, n in calls.items()},
+    }
+
+
+class TestServedOpCounts:
+    def test_one_plan_per_op_no_per_page_or_per_entry_calls(self):
+        counts = served_op_counts()
+        ops = counts["ops"]
+        # Per plan: every operation that touches a page is one submit.
+        assert counts["max_submits_in_one_op"] == 1
+        assert 0.9 * ops <= counts["submits"] <= ops
+        # Per page: only the node ``get``s go through the pool's
+        # single-key calls — one access each and one admit per miss;
+        # no unit page does, and none reaches the frame table's.
+        assert counts["gets"] > ops
+        assert counts["pool_access"] == counts["gets"]
+        assert 0 < counts["pool_admit"] <= counts["gets"]
+        assert counts["frames_single_key"] == 0
+        # Per run: the store routes whole runs; per entry: the
+        # containment shortcut is one mask per query.
+        assert counts["disk_of_in_transfer"] == 0
+        # (Scalar-kernel mode keeps ``rect.contains(obj.mbr)`` per
+        # candidate as the mask's reference; CI runs this test there too.)
+        assert (counts["contains_in_refine"] == 0) == kernels.vectorized()
