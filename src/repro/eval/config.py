@@ -6,7 +6,8 @@ cardinality because every reported metric is simulated I/O that scales
 linearly with the object count.  ``REPRO_SCALE`` (default 0.08, i.e.
 about 10,500 objects per map) controls the reduction; buffer sizes and
 query counts scale along so that cache-to-data ratios stay faithful.
-Set ``REPRO_SCALE=1`` to run the paper's full cardinality (hours).
+``REPRO_SCALE=1`` is the paper's full cardinality: one 131,461-object
+build takes about 13 s; the figure suite at that size is not timed yet.
 """
 
 from __future__ import annotations

@@ -9,6 +9,11 @@ The overlap criterion is quadratic in the node fan-out; as proposed by
 [BKSS90] we restrict the overlap computation to the ``CANDIDATES`` (32)
 entries with the least area enlargement.  All criteria are vectorised
 with numpy over the node's cached rectangle matrix.
+
+Most new rectangles already lie inside a data-page MBR, and an entry
+that covers the rectangle cannot gain overlap: the overlap sums are
+computed only when covering candidates do not decide the answer (the
+rule, its proof and its trap: :func:`least_overlap_enlargement`).
 """
 
 from __future__ import annotations
@@ -61,9 +66,10 @@ def _overlap_sums(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     h = np.minimum(lhs[:, None, 3], rhs[None, :, 3]) - np.maximum(
         lhs[:, None, 1], rhs[None, :, 1]
     )
-    np.clip(w, 0.0, None, out=w)
-    np.clip(h, 0.0, None, out=h)
-    return (w * h).sum(axis=1)
+    np.maximum(w, 0.0, out=w)
+    np.maximum(h, 0.0, out=h)
+    w *= h
+    return w.sum(axis=1)
 
 
 def least_overlap_enlargement(
@@ -82,6 +88,20 @@ def least_overlap_enlargement(
     both ``area(r_i)`` and cancel, so the ``j != i`` restriction can be
     dropped.  ``candidates`` bounds the number of least-area-enlargement
     entries examined (the [BKSS90] shortcut for large fan-out).
+
+    **Covering rule.**  A candidate that covers ``rect`` has ``u_i ==
+    r_i``, so its ``delta_i`` is the difference of two identical float
+    computations: exactly ``0.0``.  No ``delta_j`` and no enlargement is
+    negative (``u_j`` contains ``r_j``; min, max, multiply and the
+    same-length pairwise sum are monotone in floating point).  So when
+    every zero-enlargement candidate covers, the three keys pick the
+    smallest of them (ties: first among the candidates, as the stable
+    sort does) and no overlap is computed.  *Every*, because zero area
+    enlargement is not covering: a zero-width or zero-height MBR
+    unioned with a collinear rectangle, or an enlargement that rounds
+    away against a large area, is ``0.0`` without containment, and such
+    an entry's ``delta`` may be positive *or* zero at a smaller area
+    than the covering one's — that mixed case takes the full criterion.
     """
     rects = np.asarray(rects, dtype=np.float64)
     n = len(rects)
@@ -95,6 +115,13 @@ def least_overlap_enlargement(
     else:
         cand = np.arange(n)
 
-    delta = _overlap_sums(unions[cand], rects) - _overlap_sums(rects[cand], rects)
+    zero = cand[enlargements[cand] == 0.0]
+    if len(zero) and (unions[zero] == rects[zero]).all():
+        return int(zero[areas[zero].argmin()])
+
+    # Rows are summed independently: one broadcast, both sums, same bits.
+    stacked = np.concatenate((unions[cand], rects[cand]))
+    sums = _overlap_sums(stacked, rects).reshape(2, -1)
+    delta = sums[0] - sums[1]
     order = np.lexsort((areas[cand], enlargements[cand], delta))
     return int(cand[order[0]])

@@ -52,6 +52,7 @@ class Node:
         "_rects_valid",
         "_mbr",
         "_query_matrix",
+        "_load",
     )
 
     def __init__(self, node_id: int, level: int, entries: list[Entry] | None = None):
@@ -65,6 +66,7 @@ class Node:
         self._rects_valid = False
         self._mbr: Rect | None = None
         self._query_matrix: np.ndarray | None = None
+        self._load: int | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -89,15 +91,20 @@ class Node:
         return self._mbr
 
     def load(self) -> int:
-        """Total byte load of the entries (drives byte-capacity splits)."""
-        return sum(e.load for e in self.entries)
+        """Total byte load of the entries (drives byte-capacity splits);
+        summed once, then kept current by :meth:`add` until the next
+        :meth:`invalidate` (an entry's ``load`` never changes)."""
+        if self._load is None:
+            self._load = sum(e.load for e in self.entries)
+        return self._load
 
     def invalidate(self) -> None:
-        """Drop the cached rect matrix, query matrix and MBR after any
-        entry mutation."""
+        """Drop the cached rect matrix, query matrix, MBR and byte load
+        after any entry mutation."""
         self._rects_valid = False
         self._mbr = None
         self._query_matrix = None
+        self._load = None
 
     def rect_matrix(self) -> np.ndarray:
         """An ``(n, 4)`` float64 matrix of the entry rectangles, cached
@@ -150,11 +157,15 @@ class Node:
 
     # ------------------------------------------------------------------
     def add(self, entry: Entry) -> None:
-        """Append an entry, fixing the child's parent pointer."""
+        """Append an entry, fixing the child's parent pointer; a byte
+        load already summed advances by the entry's instead of dropping."""
+        load = self._load
         self.entries.append(entry)
         if entry.child is not None:
             entry.child.parent = self
         self.invalidate()
+        if load is not None:
+            self._load = load + entry.load
 
     def remove(self, entry: Entry) -> None:
         """Remove an entry by identity."""

@@ -16,6 +16,8 @@ from repro.rtree.pager import NodePager
 from repro.rtree.rstar import RStarTree
 from repro.rtree.stats import tree_stats
 
+from tests.test_rtree_split import reference_least_overlap_enlargement
+
 
 def check_invariants(tree: RStarTree) -> None:
     """Structural R*-tree invariants:
@@ -385,3 +387,116 @@ class TestPropertyBased:
         check_invariants(tree)
         got = sorted(e.oid for e in tree.window_query(Rect(-10, -10, 100, 100)))
         assert got == sorted(live)
+
+
+# ----------------------------------------------------------------------
+# the covering shortcut builds the trees the full criterion builds
+# ----------------------------------------------------------------------
+class TestSameTreesAsTheReferenceChooser:
+    """Every database is built twice — as shipped, and with the tree's
+    ChooseSubtree criterion swapped for the one it replaced (kept in
+    ``tests/test_rtree_split.py``; nothing under ``src/`` can select
+    it) — and must come out the same to the byte: catalog, split and
+    reinsert counters, construction I/O and the I/O of a delete +
+    re-insert round."""
+
+    # M = 8 makes the trees four levels tall, so the deletes dissolve
+    # directory nodes and condensation re-inserts above the data pages.
+    KNOBS = {
+        "cluster": dict(organization="cluster"),
+        "secondary": dict(organization="secondary"),
+        "primary": dict(organization="primary"),
+        "cluster-M8": dict(organization="cluster", max_entries=8),
+        "secondary-M8": dict(organization="secondary", max_entries=8),
+    }
+
+    @staticmethod
+    def lifecycle(series: str, knobs: dict):
+        from repro.data.series import scaled, spec_for
+        from repro.data.tiger import generate_map
+        from repro.database import SpatialDatabase
+        from repro.geometry.feature import SpatialObject
+        from repro.storage.serial import dump_state, encode_catalog
+
+        spec = scaled(spec_for(series), 0.005)
+        objects = generate_map(spec, seed=1994)
+        db = SpatialDatabase(avg_object_size=spec.avg_object_size, **knobs)
+        construction = db.build(objects)
+        tree = db.storage.tree
+        built = (tree.splits, tree.leaf_splits, tree.reinserts)
+        # Neighbours in the map are neighbours in id order: dropping a
+        # run empties whole data pages (and, at M = 8, whole subtrees).
+        doomed = objects[100:400]
+        for obj in doomed:
+            db.delete(obj.oid)
+        for i, obj in enumerate(doomed[::2]):
+            db.insert(SpatialObject(10_000 + i, obj.geometry, obj.size_bytes))
+        return (
+            encode_catalog(dump_state(db)),
+            built,
+            (tree.splits, tree.leaf_splits, tree.reinserts),
+            construction,
+            db.io_stats(),
+        )
+
+    @pytest.mark.parametrize("series", ["A-1", "A-2"])
+    @pytest.mark.parametrize("name", sorted(KNOBS))
+    def test_same_catalog_counters_and_io(self, series, name, monkeypatch):
+        calls = {"reference": 0, "condensing": 0, "above_leaves": 0}
+
+        def reference(rects, rect):
+            calls["reference"] += 1
+            return reference_least_overlap_enlargement(rects, rect)
+
+        raw_insert, raw_condense = RStarTree._insert, RStarTree._condense
+
+        def counting_insert(tree, entry, level):
+            calls["above_leaves"] += calls["condensing"] and level > 0
+            return raw_insert(tree, entry, level)
+
+        def scoped_condense(tree, node):
+            calls["condensing"] += 1
+            try:
+                return raw_condense(tree, node)
+            finally:
+                calls["condensing"] -= 1
+
+        shipped = self.lifecycle(series, self.KNOBS[name])
+        monkeypatch.setattr("repro.rtree.rstar.least_overlap_enlargement", reference)
+        monkeypatch.setattr(RStarTree, "_insert", counting_insert)
+        monkeypatch.setattr(RStarTree, "_condense", scoped_condense)
+        expected = self.lifecycle(series, self.KNOBS[name])
+        assert calls["reference"] > 500
+        if name.endswith("M8"):
+            assert calls["above_leaves"] > 0
+        assert shipped[0] == expected[0], "the catalogs differ"
+        assert shipped[1:] == expected[1:]
+
+    @pytest.mark.parametrize("leaf_reinsert", [True, False])
+    def test_same_bare_tree(self, leaf_reinsert, monkeypatch):
+        def grow() -> list[tuple]:
+            rng = random.Random(7)
+            tree = RStarTree(max_entries=6, leaf_reinsert=leaf_reinsert)
+            live: dict[int, Rect] = {}
+            for oid in range(600):
+                # A coarse grid: covered, duplicated and edge-sharing
+                # rectangles, so the shortcut and the ties both run.
+                x, y = rng.randrange(40), rng.randrange(40)
+                live[oid] = Rect(x, y, x + rng.randrange(4), y + rng.randrange(4))
+                tree.insert(oid, live[oid])
+                if oid % 5 == 4:
+                    gone = rng.choice(sorted(live))
+                    tree.delete(gone, live.pop(gone))
+            check_invariants(tree)
+            shape = [
+                (n.node_id, n.level, [(e.oid, e.rect.as_tuple()) for e in n.entries])
+                for n in tree.nodes()
+            ]
+            return shape + [(tree.splits, tree.leaf_splits, tree.reinserts)]
+
+        shipped = grow()
+        monkeypatch.setattr(
+            "repro.rtree.rstar.least_overlap_enlargement",
+            reference_least_overlap_enlargement,
+        )
+        assert grow() == shipped

@@ -9,7 +9,11 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ConfigurationError, TreeError
 from repro.geometry.rect import Rect
 from repro.rtree.capacity import ByteCapacity, CountCapacity, CountOrByteCapacity
-from repro.rtree.chooser import least_area_enlargement, least_overlap_enlargement
+from repro.rtree.chooser import (
+    CANDIDATES,
+    least_area_enlargement,
+    least_overlap_enlargement,
+)
 from repro.rtree.entry import Entry
 from repro.rtree.node import Node
 from repro.rtree.split import rstar_split
@@ -129,6 +133,189 @@ class TestChooser:
         m = self.matrix(rects)
         assert 0 <= least_area_enlargement(m, new) < len(rects)
         assert 0 <= least_overlap_enlargement(m, new) < len(rects)
+
+
+# ----------------------------------------------------------------------
+# The ChooseSubtree criteria as they stood before the covering shortcut
+# (PR 23's ``rtree/chooser.py``, bodies verbatim): the oracle of
+# TestChooserEqualsReference here and of tests/test_rstar.py's
+# same-trees test.  Nothing under src/ can select them.
+# ----------------------------------------------------------------------
+def _ref_areas(rects: np.ndarray) -> np.ndarray:
+    return (rects[:, 2] - rects[:, 0]) * (rects[:, 3] - rects[:, 1])
+
+
+def _ref_unions(rects: np.ndarray, rect: Rect) -> np.ndarray:
+    out = rects.copy()
+    np.minimum(out[:, 0], rect.xmin, out=out[:, 0])
+    np.minimum(out[:, 1], rect.ymin, out=out[:, 1])
+    np.maximum(out[:, 2], rect.xmax, out=out[:, 2])
+    np.maximum(out[:, 3], rect.ymax, out=out[:, 3])
+    return out
+
+
+def _ref_overlap_sums(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    w = np.minimum(lhs[:, None, 2], rhs[None, :, 2]) - np.maximum(
+        lhs[:, None, 0], rhs[None, :, 0]
+    )
+    h = np.minimum(lhs[:, None, 3], rhs[None, :, 3]) - np.maximum(
+        lhs[:, None, 1], rhs[None, :, 1]
+    )
+    np.clip(w, 0.0, None, out=w)
+    np.clip(h, 0.0, None, out=h)
+    return (w * h).sum(axis=1)
+
+
+def reference_least_area_enlargement(rects: np.ndarray, rect: Rect) -> int:
+    rects = np.asarray(rects, dtype=np.float64)
+    areas = _ref_areas(rects)
+    unions = _ref_unions(rects, rect)
+    enlargements = _ref_areas(unions) - areas
+    best = np.flatnonzero(enlargements == enlargements.min())
+    if len(best) == 1:
+        return int(best[0])
+    return int(best[np.argmin(areas[best])])
+
+
+def reference_least_overlap_enlargement(
+    rects: np.ndarray, rect: Rect, candidates: int = CANDIDATES
+) -> int:
+    rects = np.asarray(rects, dtype=np.float64)
+    n = len(rects)
+    if n == 1:
+        return 0
+    areas = _ref_areas(rects)
+    unions = _ref_unions(rects, rect)
+    enlargements = _ref_areas(unions) - areas
+    if candidates < n:
+        cand = np.argpartition(enlargements, candidates)[:candidates]
+    else:
+        cand = np.arange(n)
+
+    delta = _ref_overlap_sums(unions[cand], rects) - _ref_overlap_sums(
+        rects[cand], rects
+    )
+    order = np.lexsort((areas[cand], enlargements[cand], delta))
+    return int(cand[order[0]])
+
+
+# A small grid, so nesting, duplicates, shared edges, zero-width and
+# zero-height rectangles and exact ties are common; 0.1 / 0.3 / 0.7
+# round, and 1e7 beside 1e-7 puts huge rectangles next to tiny ones.
+_GRID = st.sampled_from(
+    [0.0, 1e-7, 0.1, 0.3, 0.7, 1.0, 2.0, 3.0, 4.5, 6.0, 8.0, 1e7, 1e7 + 1.0]
+)
+
+
+@st.composite
+def grid_rects(draw) -> Rect:
+    x = sorted((draw(_GRID), draw(_GRID)))
+    y = sorted((draw(_GRID), draw(_GRID)))
+    return Rect(x[0], y[0], x[1], y[1])
+
+
+@st.composite
+def chooser_cases(draw) -> tuple[np.ndarray, Rect]:
+    """``(matrix, new)``: ``new`` is a grid rectangle (inside several,
+    one or none of the rows, degenerate or not) or shrunk into one row
+    by exact halving (inside that row and whatever contains it)."""
+    rects = draw(st.lists(grid_rects(), min_size=1, max_size=120))
+    if draw(st.booleans()):
+        new = draw(grid_rects())
+    else:
+        host = rects[draw(st.integers(0, len(rects) - 1))]
+        cx, cy = host.center()
+        new = draw(
+            st.sampled_from(
+                [
+                    host,
+                    Rect(host.xmin, host.ymin, cx, cy),
+                    Rect(cx, cy, host.xmax, host.ymax),
+                    Rect(cx, cy, cx, cy),
+                    Rect(host.xmin, cy, host.xmax, cy),
+                ]
+            )
+        )
+    return np.array([r.as_tuple() for r in rects]), new
+
+
+class TestChooserEqualsReference:
+    """The covering shortcut, the single stacked ``_overlap_sums`` and
+    ``np.maximum`` change no answer: index for index the criteria equal
+    the bodies they replaced."""
+
+    def matrix(self, rows) -> np.ndarray:
+        return np.array(rows, dtype=np.float64)
+
+    @settings(max_examples=300, deadline=None)
+    @given(chooser_cases(), st.sampled_from([4, 32]))
+    def test_overlap_criterion(self, case, candidates):
+        rects, new = case
+        assert least_overlap_enlargement(
+            rects, new, candidates
+        ) == reference_least_overlap_enlargement(rects, new, candidates)
+
+    @settings(max_examples=150, deadline=None)
+    @given(chooser_cases())
+    def test_area_criterion(self, case):
+        rects, new = case
+        assert least_area_enlargement(rects, new) == reference_least_area_enlargement(
+            rects, new
+        )
+
+    def test_default_candidates_is_the_reference_default(self):
+        rng = np.random.default_rng(24)
+        lo = rng.uniform(0, 90, size=(200, 2))
+        rects = np.hstack((lo, lo + rng.uniform(0, 10, size=(200, 2))))
+        for x, y in rng.uniform(0, 95, size=(50, 2)):
+            new = Rect(x, y, x + 1, y + 1)
+            assert least_overlap_enlargement(
+                rects, new
+            ) == reference_least_overlap_enlargement(rects, new)
+
+    def test_zero_enlargement_by_rounding_is_not_covering(self):
+        # Row 0 needs "no" area enlargement only because one ulp of
+        # width rounds away against its area; it does not cover the new
+        # rectangle, its overlap with rows 1 and 2 grows, and although
+        # it is smaller than the covering row 3, row 3 wins.
+        top = float(np.nextafter(100.0, np.inf))
+        rects = self.matrix(
+            [
+                (0.0, 0.0, 100.0, 1.43),
+                (98.81, 1.0, 104.5, 2.33),
+                (98.22, 0.44, 102.87, 1.36),
+                (-1.0, -1.0, 200.0, 1.43 + 1),
+            ]
+        )
+        new = Rect(99.0, 0.23, top, 1.05)
+        enlargements = _ref_areas(_ref_unions(rects, new)) - _ref_areas(rects)
+        assert enlargements[0] == 0.0 == enlargements[3]
+        assert not Rect(*rects[0]).contains(new) and Rect(*rects[3]).contains(new)
+        assert _ref_areas(rects)[0] < _ref_areas(rects)[3]
+        assert reference_least_overlap_enlargement(rects, new) == 3
+        assert least_overlap_enlargement(rects, new) == 3
+
+    def test_collinear_degenerate_entry_wins_without_covering(self):
+        # Row 0 has zero height and the new rectangle lies on its line:
+        # the union has area 0 too, so enlargement and overlap
+        # enlargement are 0.0 without containment — and area 0 beats
+        # the covering row 1 in the reference, hence here.
+        rects = self.matrix([(0, 5, 4, 5), (5, 4, 9, 6), (20, 20, 21, 21)])
+        new = Rect(6, 5, 8, 5)
+        assert not Rect(*rects[0]).contains(new) and Rect(*rects[1]).contains(new)
+        assert reference_least_overlap_enlargement(rects, new) == 0
+        assert least_overlap_enlargement(rects, new) == 0
+
+    @pytest.mark.parametrize("candidates", [2, 4, 32])
+    def test_equal_area_covering_duplicates_first_candidate_wins(self, candidates):
+        rects = self.matrix(
+            [(9, 9, 12, 12), (0, 0, 4, 4), (0, 0, 4, 4), (0, 0, 8, 8), (0, 0, 4, 4)]
+        )
+        new = Rect(1, 1, 2, 2)
+        expected = reference_least_overlap_enlargement(rects, new, candidates)
+        assert least_overlap_enlargement(rects, new, candidates) == expected
+        if candidates >= len(rects):
+            assert expected == 1
 
 
 class TestCapacityPolicies:

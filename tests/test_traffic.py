@@ -404,6 +404,68 @@ def served_op_counts() -> dict[str, float]:
     }
 
 
+def insert_path_counts() -> dict[str, float]:
+    """Build the benchmark's smoke-size ``update_mixed`` twin (cluster
+    organization, one-by-one, then 60 deletes and 30 inserts) and count
+    what an inserted object costs ChooseSubtree and the overflow check.
+    Machine-independent; CI's ``Size report`` prints the ``*_per_insert``
+    values and ``covered_share`` — the share of ChooseSubtree calls
+    above the data pages that priced no overlap."""
+    import sys
+    from unittest.mock import patch
+
+    import numpy as np
+
+    from repro.data.series import scaled, spec_for
+    from repro.data.tiger import generate_map
+    from repro.rtree import chooser, rstar
+    from repro.rtree.node import Node
+
+    spec = scaled(spec_for("A-1"), 0.005)
+    objects = generate_map(spec, seed=1994)
+    spare = generate_map(scaled(spec_for("A-2"), 0.005), seed=1994, id_offset=10**6)[:30]
+    calls = dict.fromkeys(
+        ("overlap_criterion", "overlap_sums", "loads", "load_sums", "clip_in_rtree"), 0
+    )
+
+    def counted(key, original, when=lambda *args: True):
+        def wrapper(*args, **kwargs):
+            calls[key] += bool(when(*args))
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    def from_rtree(*args):
+        return "/repro/rtree/" in sys._getframe(2).f_code.co_filename
+
+    def unsummed(node):
+        return node._load is None
+
+    with (
+        patch.object(rstar, "least_overlap_enlargement",
+                     counted("overlap_criterion", rstar.least_overlap_enlargement)),
+        patch.object(chooser, "_overlap_sums",
+                     counted("overlap_sums", chooser._overlap_sums)),
+        patch.object(Node, "load",
+                     counted("load_sums", counted("loads", Node.load), unsummed)),
+        patch.object(np, "clip", counted("clip_in_rtree", np.clip, from_rtree)),
+    ):
+        db = SpatialDatabase(avg_object_size=spec.avg_object_size)
+        db.build(objects)
+        for obj in objects[:60]:
+            db.delete(obj.oid)
+        for obj in spare:
+            db.insert(obj)
+    inserts = len(objects) + len(spare)
+    assert db.storage.tree.size == inserts - 60
+    return {
+        "inserts": inserts,
+        **calls,
+        **{f"{key}_per_insert": n / inserts for key, n in calls.items()},
+        "covered_share": 1 - calls["overlap_sums"] / calls["overlap_criterion"],
+    }
+
+
 class TestServedOpCounts:
     def test_one_plan_per_op_no_per_page_or_per_entry_calls(self):
         counts = served_op_counts()
@@ -424,3 +486,22 @@ class TestServedOpCounts:
         # (Scalar-kernel mode keeps ``rect.contains(obj.mbr)`` per
         # candidate as the mask's reference; CI runs this test there too.)
         assert (counts["contains_in_refine"] == 0) == kernels.vectorized()
+
+
+class TestInsertPathCounts:
+    def test_chooser_and_overflow_check_cost_what_the_decision_needs(self):
+        """ROADMAP A.2's ``update_mixed`` row.  Exact values: the maps,
+        the tree and therefore every count are deterministic."""
+        counts = insert_path_counts()
+        assert counts["inserts"] == 687
+        # ChooseSubtree above the data pages: one call per insert once
+        # the root has split, of which 32 price overlap — one stacked
+        # broadcast each (two per call before the covering shortcut).
+        assert counts["overlap_criterion"] == 631
+        assert counts["overlap_sums"] == 32
+        assert round(counts["covered_share"], 4) == 0.9493
+        assert counts["clip_in_rtree"] == 0
+        # The overflow check asks for the byte load once per insert; it
+        # is re-summed only after a split, a reinsert or a removal.
+        assert counts["loads"] == 730
+        assert counts["load_sums"] == 30
