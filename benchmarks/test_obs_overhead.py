@@ -27,7 +27,7 @@ from repro.data.tiger import generate_map
 from repro.data.workload import window_workload
 from repro.database import Layout, SpatialDatabase
 from repro.disk.allocator import PageAllocator
-from repro.disk.model import DiskModel, _Request
+from repro.disk.model import DiskModel
 from repro.iosched.scheduler import SyncScheduler
 from repro.obs.metrics import MetricsRegistry
 
@@ -64,8 +64,6 @@ class BareDisk(DiskModel):
         self._stats.requests += 1
         self._stats.pages_transferred += npages
         self._head = start + npages
-        if self.trace:
-            self.requests.append(_Request(kind, start, npages, cost))
         return cost
 
     def charge(self, seeks=0, rotations=0, pages=0):

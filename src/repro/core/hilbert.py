@@ -10,20 +10,18 @@ Hilbert order makes consecutive insertions hit neighbouring data pages
 and cluster units, which slashes construction I/O and tightens the
 resulting R*-tree.
 
-Two key computations coexist (see :mod:`repro.core.kernels`): the
-point-by-point classics (:func:`hilbert_index`,
-:func:`hilbert_sort_key`) and the batched :func:`hilbert_indices` /
-:func:`keys` kernels, which run the same bit-interleaving recurrence
-over whole coordinate arrays — one numpy pass per curve level instead
-of a Python loop per point.  Both produce identical integer keys, so
-Hilbert loading and spatial declustering do not depend on the mode.
+Keys come point by point (:func:`hilbert_index`, :func:`point_key`)
+or from the batched :func:`hilbert_indices` / :func:`keys` kernels,
+which run the same bit-interleaving recurrence over whole coordinate
+arrays — one numpy pass per curve level instead of a Python loop per
+point.  Both produce identical integer keys: spatial declustering pins
+one extent at a time, Hilbert loading sorts a whole object list.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core import kernels
 from repro.errors import ConfigurationError
 from repro.geometry.feature import SpatialObject
 
@@ -33,7 +31,6 @@ __all__ = [
     "grid_cells",
     "keys",
     "point_key",
-    "hilbert_sort_key",
     "sort_by_hilbert",
 ]
 
@@ -107,7 +104,7 @@ def grid_cells(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Snap an ``(n, 2)`` array of coordinates to the ``2^order`` grid
     over the square data space, clamping to the boundary cells — the
-    batched form of the snap inside :func:`hilbert_sort_key`."""
+    batched form of the snap inside :func:`point_key`."""
     if data_space <= 0:
         raise ConfigurationError("data_space must be positive")
     side = 1 << order
@@ -141,29 +138,17 @@ def point_key(x: float, y: float, data_space: float, order: int = 16) -> int:
     return hilbert_index(gx, gy, order)
 
 
-def hilbert_sort_key(
-    obj: SpatialObject, data_space: float, order: int = 16
-) -> int:
-    """Hilbert index of the object's MBR center on a ``2^order`` grid
-    over the square data space."""
-    return point_key(*obj.mbr.center(), data_space, order)
-
-
 def sort_by_hilbert(
     objects: list[SpatialObject], data_space: float, order: int = 16
 ) -> list[SpatialObject]:
-    """The objects sorted along the Hilbert curve (a new list).
+    """The objects sorted along the Hilbert curve of their MBR centres
+    on a ``2^order`` grid over the square data space (a new list).
 
-    The default path computes all keys with the batched kernels and
-    sorts with a stable argsort; the scalar fallback sorts with the
-    per-object key function.  Both sorts are stable over identical
-    keys, so the resulting order — and therefore Hilbert-loading
-    construction I/O — is the same either way.
+    All keys come from the batched kernels and the sort is a stable
+    argsort, so objects with equal keys keep their input order — the
+    order a stable per-object ``sorted`` gives, on which Hilbert-loading
+    construction I/O depends.
     """
-    if not kernels.vectorized():
-        return sorted(
-            objects, key=lambda o: hilbert_sort_key(o, data_space, order)
-        )
     if not objects:
         return []
     centers = np.empty((len(objects), 2), dtype=np.float64)

@@ -1,65 +1,22 @@
-"""Kernel-mode switch and shared vector kernels.
+"""Shared vector kernels of the query path.
 
 The CPU side of query execution — node filtering, split distributions,
-Hilbert keys, join candidate generation and refinement prefilters — has
-two implementations:
+Hilbert keys, join candidate generation and refinement prefilters —
+runs as numpy operations over a node's cached rectangle matrix instead
+of entry-at-a-time Python loops.  Every kernel runs the same float64
+comparisons in an order-preserving way, so result sets, orders and
+therefore the I/O pricing (the paper's figures) are bit-identical to
+the entry-at-a-time bodies they replaced; those bodies live on as the
+equivalence oracles in ``tests/scalar_reference.py``.
 
-* the **vectorized** kernels (the default): one numpy operation over a
-  node's cached rectangle matrix instead of an entry-at-a-time Python
-  loop;
-* the **scalar** fallback: the straightforward per-entry code.
-
-Both produce *bit-identical* result sets and orders — every comparison
-runs on the same float64 values in an order-preserving way — so the I/O
-pricing (the paper's figures) does not depend on the mode.  The scalar
-path is the reference the equivalence tests cross-check the vectorized
-kernels against.
-
-Select the mode with the ``REPRO_SCALAR_KERNELS`` environment variable
-(any non-empty value other than ``0`` picks the scalar path), with
-:func:`set_scalar_kernels`, or temporarily with the
-:func:`scalar_kernels` context manager.
+This module holds the two mask kernels the tree traversals share.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Iterator
-
 import numpy as np
 
-__all__ = [
-    "vectorized",
-    "set_scalar_kernels",
-    "scalar_kernels",
-    "window_qvec",
-    "qvec_mask",
-]
-
-_SCALAR = os.environ.get("REPRO_SCALAR_KERNELS", "0") not in ("", "0")
-
-
-def vectorized() -> bool:
-    """True when the vectorized kernels are active (the default)."""
-    return not _SCALAR
-
-
-def set_scalar_kernels(scalar: bool) -> None:
-    """Switch between the scalar fallback and the vectorized kernels."""
-    global _SCALAR
-    _SCALAR = bool(scalar)
-
-
-@contextmanager
-def scalar_kernels(scalar: bool = True) -> Iterator[None]:
-    """Temporarily force the scalar (or vectorized) kernel path."""
-    previous = _SCALAR
-    set_scalar_kernels(scalar)
-    try:
-        yield
-    finally:
-        set_scalar_kernels(previous)
+__all__ = ["window_qvec", "qvec_mask"]
 
 
 # ----------------------------------------------------------------------

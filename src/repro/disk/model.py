@@ -139,16 +139,6 @@ def measure_costs(store) -> Iterator[VectoredCost]:
         cost.per_disk_ms = done.per_disk_ms
 
 
-@dataclass(slots=True)
-class _Request:
-    """One priced I/O request, kept when tracing is enabled."""
-
-    kind: str
-    start: int
-    npages: int
-    cost_ms: float
-
-
 class DiskModel:
     """Prices read/write requests and tracks the simulated head position.
 
@@ -156,19 +146,17 @@ class DiskModel:
     ----------
     params:
         The disk constants; defaults to the paper's 9 / 6 / 1 ms disk.
-    trace:
-        When true, every request is recorded in :attr:`requests` — useful
-        for tests and debugging, expensive for full experiments.
+
+    Every priced request goes to the active tracer
+    (:mod:`repro.obs.trace`), if one is installed.
     """
 
-    __slots__ = ("params", "_stats", "_head", "trace", "requests")
+    __slots__ = ("params", "_stats", "_head")
 
-    def __init__(self, params: DiskParameters | None = None, trace: bool = False):
+    def __init__(self, params: DiskParameters | None = None):
         self.params = params or DiskParameters()
         self._stats = DiskStats()
         self._head: int | None = None
-        self.trace = trace
-        self.requests: list[_Request] = []
 
     # ------------------------------------------------------------------
     # pricing
@@ -198,8 +186,6 @@ class DiskModel:
         self._stats.requests += 1
         self._stats.pages_transferred += npages
         self._head = start + npages
-        if self.trace:
-            self.requests.append(_Request(kind, start, npages, cost))
         if _obs.ACTIVE is not None:
             _obs.ACTIVE.device(self, kind, start, npages, cost)
         return cost
@@ -236,16 +222,13 @@ class DiskModel:
         statistics are still accumulated with the scalar path's
         left-to-right float additions, so costs, stats, and the head
         position are bit-identical to the per-request loop.  Small
-        batches, traced models, and active observability sinks use the
-        scalar loop directly (per-request records keep their order).
+        batches and batches priced under an active tracer take the
+        per-request loop itself (the tracer sees every request, in
+        order).
         """
         if not isinstance(runs, (list, tuple)):
             runs = list(runs)
-        if (
-            len(runs) < BATCH_MIN_RUNS
-            or self.trace
-            or _obs.ACTIVE is not None
-        ):
+        if len(runs) < BATCH_MIN_RUNS or _obs.ACTIVE is not None:
             return self._price_runs_scalar(runs, continuation, kind)
         arr = np.asarray(runs, dtype=np.int64)
         starts = arr[:, 0]
@@ -397,7 +380,6 @@ class DiskModel:
         """Zero all statistics and forget the head position."""
         self._stats = DiskStats()
         self._head = None
-        self.requests.clear()
 
     def reset_stats(self) -> None:
         """Zero statistics only — the unified mid-run reset convention.
@@ -405,7 +387,6 @@ class DiskModel:
         Unlike :meth:`reset`, the head position is preserved so pricing
         of subsequent requests is unaffected by the reset."""
         self._stats = DiskStats()
-        self.requests.clear()
 
     def close(self) -> None:
         """Nothing to release: the device is simulated."""

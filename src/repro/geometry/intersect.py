@@ -8,9 +8,9 @@ predicates ("sharing points" counts as intersecting), matching the
 window-query definition of Section 2.
 
 The scalar predicates (:func:`segments_intersect` and the loops over
-it) are the reference, and what :mod:`repro.core.kernels`' scalar mode
-runs.  The polyline predicates — the refinement hot spots — by default
-send their segment-pair cells through one vector evaluator of the same
+it) are the reference, and what small inputs run.  The polyline
+predicates — the refinement hot spots — send the segment-pair cells of
+inputs past a size crossover through one vector evaluator of the same
 hit rule (``_segments_intersect_mask``): per object for long polylines,
 across a whole batch of candidates for the window queries
 (:func:`polylines_intersect_rects`) and the join
@@ -26,7 +26,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core import kernels
 from repro.geometry.rect import Rect
 
 __all__ = [
@@ -181,8 +180,8 @@ def points_in_polygon(
     ``_EPS`` thresholds and boundary convention as the scalar loop
     (boundary points are inside; crossing parity decides the rest —
     the scalar early-return on a boundary edge only short-circuits an
-    answer that is True either way).  Small batches and the
-    ``REPRO_SCALAR_KERNELS`` mode run the scalar loop point by point.
+    answer that is True either way).  Small batches run the scalar
+    loop point by point.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
@@ -190,7 +189,7 @@ def points_in_polygon(
     n_edges = len(vertices)
     if n_edges < 3 or n_points == 0:
         return np.zeros(n_points, dtype=bool)
-    if not kernels.vectorized() or n_points * n_edges < _VECTOR_MIN_CELLS:
+    if n_points * n_edges < _VECTOR_MIN_CELLS:
         return np.fromiter(
             (
                 point_in_polygon(float(x), float(y), vertices)
@@ -230,7 +229,7 @@ def polyline_intersects_rect(
     one."""
     if len(vertices) == 1:
         return rect.contains_point(*vertices[0])
-    if kernels.vectorized() and len(vertices) >= _VECTOR_MIN_VERTICES:
+    if len(vertices) >= _VECTOR_MIN_VERTICES:
         pts = coords() if coords is not None else np.asarray(
             vertices, dtype=np.float64
         )
@@ -268,7 +267,7 @@ def polylines_intersect_rects(
     rects = np.asarray(rects, dtype=np.float64).reshape(n, 4)
     counts = np.fromiter((len(c) for c in coords_list), dtype=np.int64, count=n)
     total_cells = 4 * int(np.maximum(counts - 1, 0).sum())
-    if not kernels.vectorized() or total_cells < _VECTOR_MIN_CELLS:
+    if total_cells < _VECTOR_MIN_CELLS:
         # Plain Python floats for the scalar loop: walking numpy rows
         # would run every comparison on np.float64 scalars.  (No
         # polyline here reaches the per-object vector crossover.)
@@ -334,18 +333,16 @@ def polylines_intersect(
     line-shaped TIGER objects (streets vs. rivers/rails).  The naive
     all-pairs segment test is quadratic; a pair with at least
     ``_VECTOR_MIN_CELLS`` segment-pair cells runs as a batch of one
-    through :func:`polylines_intersect_pairs`, smaller pairs and the
-    scalar-kernel mode run the early-exiting double loop, and callers
-    still pre-filter with MBRs, as the multi-step join of [BKSS94]
-    does.  ``coords_a``/``coords_b`` optionally provide the vertex
-    matrices (zero-argument callables, evaluated only on the
-    vectorized path).
+    through :func:`polylines_intersect_pairs`, smaller pairs run the
+    early-exiting double loop, and callers still pre-filter with MBRs,
+    as the multi-step join of [BKSS94] does.  ``coords_a``/``coords_b``
+    optionally provide the vertex matrices (zero-argument callables,
+    evaluated only on the vectorized path).
     """
     if len(a) == 1 and len(b) == 1:
         return abs(a[0][0] - b[0][0]) <= _EPS and abs(a[0][1] - b[0][1]) <= _EPS
     if (
-        kernels.vectorized()
-        and len(a) >= 2
+        len(a) >= 2
         and len(b) >= 2
         and (len(a) - 1) * (len(b) - 1) >= _VECTOR_MIN_CELLS
     ):
@@ -384,15 +381,15 @@ def polylines_intersect_pairs(
     :func:`segments_intersect` and nothing else — no box pruning, whose
     exact comparisons would reject pairs the eps-tolerant orientation
     tests accept — so the booleans equal the scalar answers on every
-    input.  Batches under ``_VECTOR_MIN_CELLS`` cells in total and the
-    scalar-kernel mode loop over :func:`polylines_intersect`.
+    input.  Batches under ``_VECTOR_MIN_CELLS`` cells in total loop
+    over :func:`polylines_intersect`.
     """
     n = len(coords_a)
     out = np.zeros(n, dtype=bool)
     na = np.fromiter((len(c) for c in coords_a), dtype=np.int64, count=n)
     nb = np.fromiter((len(c) for c in coords_b), dtype=np.int64, count=n)
     cells = (na - 1) * (nb - 1)
-    if kernels.vectorized() and int(cells.sum()) >= _VECTOR_MIN_CELLS:
+    if int(cells.sum()) >= _VECTOR_MIN_CELLS:
         # A single-vertex "polyline" has no segment to enumerate.
         scalar = (cells == 0).nonzero()[0]
     else:
@@ -458,15 +455,15 @@ _VECTOR_MIN_CELLS = 128
 """A batch with fewer segment-pair cells in total — all pairs of one
 :func:`polylines_intersect_pairs` or :func:`polylines_intersect_rects`
 call, the point x edge grid of :func:`points_in_polygon` — runs the
-scalar loops even in vectorized mode: numpy call overhead dominates
-small batches (measured crossover ~100-200 cells).  Purely a
-performance heuristic — both paths return identical booleans."""
+scalar loops: numpy call overhead dominates small batches (measured
+crossover ~100-200 cells).  Purely a performance heuristic — both
+paths return identical booleans."""
 
 _VECTOR_MIN_VERTICES = 64
 """Polyline/rect tests below this many vertices run the scalar loop
-even in vectorized mode (the scalar path early-exits after a handful
-of cheap per-segment checks; measured crossover ~64 vertices).  Purely
-a performance heuristic — both paths return identical booleans."""
+(it early-exits after a handful of cheap per-segment checks; measured
+crossover ~64 vertices).  Purely a performance heuristic — both paths
+return identical booleans."""
 
 
 def _on_segment_mask(ax, ay, bx, by, px, py) -> np.ndarray:

@@ -20,7 +20,6 @@ from typing import Iterator
 import numpy as np
 
 from repro.buffer.pool import BufferPool
-from repro.core import kernels
 from repro.iosched.request import AccessPlan
 from repro.rtree.entry import Entry
 from repro.rtree.node import Node
@@ -38,7 +37,8 @@ def _intersecting_pairs(nr: Node, ns: Node) -> list[tuple[int, int]]:
     Pair order is pinned (a regression test relies on it): candidate
     pairs are generated in row-major ``(i, j)`` order and reordered by a
     *stable* sort on ``max(a[i].xmin, b[j].xmin)``, so ties keep the
-    row-major order.  The scalar fallback replicates this exactly.
+    row-major order — the order of the entry-at-a-time pair list in
+    ``tests/scalar_reference.py``.
 
     A cheap whole-node MBR pretest returns early — without allocating
     the ``n x m`` broadcast mask — when the two nodes cannot share any
@@ -48,8 +48,6 @@ def _intersecting_pairs(nr: Node, ns: Node) -> list[tuple[int, int]]:
         return []
     if not nr.mbr().intersects(ns.mbr()):
         return []
-    if not kernels.vectorized():
-        return _intersecting_pairs_scalar(nr, ns)
     a = nr.rect_matrix()
     b = ns.rect_matrix()
     hits = (
@@ -64,23 +62,6 @@ def _intersecting_pairs(nr: Node, ns: Node) -> list[tuple[int, int]]:
     xmin = np.maximum(a[pairs[:, 0], 0], b[pairs[:, 1], 0])
     order = np.argsort(xmin, kind="stable")
     return [(int(i), int(j)) for i, j in pairs[order]]
-
-
-def _intersecting_pairs_scalar(nr: Node, ns: Node) -> list[tuple[int, int]]:
-    """Entry-at-a-time fallback of :func:`_intersecting_pairs`; produces
-    the identical pair list (row-major candidates, stable sort)."""
-    pairs = [
-        (i, j)
-        for i, er in enumerate(nr.entries)
-        for j, es in enumerate(ns.entries)
-        if er.rect.intersects(es.rect)
-    ]
-    pairs.sort(
-        key=lambda ij: max(
-            nr.entries[ij[0]].rect.xmin, ns.entries[ij[1]].rect.xmin
-        )
-    )
-    return pairs
 
 
 class MBRJoin:

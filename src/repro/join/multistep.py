@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.buffer.policy import hit_ratio
 from repro.buffer.pool import BufferPool
-from repro.core import kernels
 from repro.disk.model import DiskStats
 from repro.errors import ConfigurationError
 from repro.geometry.decomposed import ExactTestCounter
@@ -53,15 +52,13 @@ def _refine_group(
     for the whole group (a map polyline pair is a few hundred
     segment-pair cells; only the concatenation across pairs amortizes
     the numpy dispatch), polygon and mixed pairs keep
-    :meth:`SpatialObject.intersects`.  The scalar fallback keeps the
-    legacy behavior of running that predicate on every candidate.
+    :meth:`SpatialObject.intersects`.  The count equals that predicate
+    run on every candidate.
     """
     resolved = [
         (org_r.objects[entry_r.oid], org_s.objects[entry_s.oid])
         for entry_r, entry_s in pairs
     ]
-    if not kernels.vectorized():
-        return sum(obj_r.intersects(obj_s) for obj_r, obj_s in resolved)
     a = np.array([obj_r.geometry.mbr.as_tuple() for obj_r, _ in resolved])
     b = np.array([obj_s.geometry.mbr.as_tuple() for _, obj_s in resolved])
     hits = 0

@@ -271,11 +271,7 @@ class RStarTree:
             self.leaf_splits += 1
             self.leaf_count += 1
         group1, group2 = rstar_split(
-            node.entries,
-            self.min_fill_fraction,
-            # The scalar fallback never reads the matrix — don't build
-            # one just to hand it over.
-            rects=node.rect_matrix() if kernels.vectorized() else None,
+            node.entries, self.min_fill_fraction, rects=node.rect_matrix()
         )
         node.entries = group1
         node.invalidate()
@@ -405,15 +401,12 @@ class RStarTree:
         Only pages with at least one match are returned.  Every visited
         page goes to ``read`` — by default the pager, which prices it —
         and ``rows``, if given, receives per returned group the matching
-        rows of its leaf's ``query_matrix()`` (vectorized mode only).
+        rows of its leaf's ``query_matrix()``.
 
-        The default path filters each visited node with one boolean
-        mask over its cached rectangle matrix; the scalar fallback
-        tests entry-at-a-time.  Both visit the same pages in the same
-        stack-DFS order and return the entries in the same order."""
+        Each visited node is filtered with one boolean mask over its
+        cached rectangle matrix; pages are visited in stack-DFS order
+        and entries returned in node order."""
         read = read or self._read
-        if not kernels.vectorized():
-            return self._window_leaves_scalar(window, read)
         qvec = kernels.window_qvec(window)
         groups: list[tuple[Node, list[Entry]]] = []
         stack = [self.root]
@@ -434,25 +427,6 @@ class RStarTree:
                 groups.append((node, [entries[i] for i in hits.tolist()]))
                 if rows is not None:
                     rows.append(matrix[hits])
-        return groups
-
-    def _window_leaves_scalar(
-        self, window: Rect, read: Callable[[Node], None]
-    ) -> list[tuple[Node, list[Entry]]]:
-        groups: list[tuple[Node, list[Entry]]] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            read(node)
-            if node.is_leaf:
-                matches = [e for e in node.entries if e.rect.intersects(window)]
-                if matches:
-                    groups.append((node, matches))
-            else:
-                for entry in node.entries:
-                    if entry.rect.intersects(window):
-                        assert entry.child is not None
-                        stack.append(entry.child)
         return groups
 
     def window_query(self, window: Rect) -> list[Entry]:
@@ -486,7 +460,7 @@ class RStarTree:
 
     def window_leaves_batch(
         self, rects: list[Rect]
-    ) -> list[tuple[list[Node], list[tuple[Node, list[Entry]]], Any]]:
+    ) -> list[tuple[list[Node], list[tuple[Node, list[Entry]]], np.ndarray]]:
         """Batched, *unpriced* form of :meth:`window_leaves`: **one
         whole-tree traversal** over the flat snapshot
         (:mod:`repro.rtree.flat`) filters every rectangle at once — one
@@ -496,21 +470,15 @@ class RStarTree:
         order — ``visited_nodes`` is its exact page-visit order (the
         DFS ranks reproduce it), so pricing the visits query by query
         costs what running the queries one at a time costs, and
-        ``rows`` are the matched entries' ``query_matrix()`` rows.  A
-        batch of one takes the per-node walk (cheaper than the flat
-        traversal's fixed numpy cost); scalar-kernel mode walks entry
-        by entry, equally unpriced, and has no ``rows`` (``None``)."""
+        ``rows`` is the ``(candidates, 4)`` array of the matched
+        entries' ``query_matrix()`` rows.  A batch of one takes the
+        per-node walk (cheaper than the flat traversal's fixed numpy
+        cost)."""
         if len(rects) == 1:
             visited, blocks = [], []
             groups = self.window_leaves(rects[0], visited.append, blocks)
-            return [(visited, groups, np.concatenate(blocks) if blocks else None)]
-        if not kernels.vectorized():
-            per_query = []
-            for rect in rects:
-                visited: list[Node] = []
-                groups = self._window_leaves_scalar(rect, visited.append)
-                per_query.append((visited, groups, None))
-            return per_query
+            rows = np.concatenate(blocks) if blocks else np.empty((0, 4))
+            return [(visited, groups, rows)]
         flat = self.flat_snapshot()
         batch = flat_query_batch(flat, rects)
         nodes = flat.nodes

@@ -15,23 +15,20 @@ cluster unit outgrows ``Smax``, its data page is "split into exactly two
 cluster units and the objects are distributed onto these cluster units
 according to the R*-tree split algorithm".
 
-Two implementations coexist (see :mod:`repro.core.kernels`): the
-default computes sort orders, prefix/suffix MBRs, margins, overlaps and
-areas as numpy operations over the entries' rectangle matrix; the
-scalar fallback is the entry-at-a-time original.  They are
-bit-identical: every arithmetic step runs the same float64 operations
-in the same element order, sums and argmins replicate the sequential
-tie-breaking exactly, and both sorts are stable — so both paths always
-produce the same two groups in the same order.
+Sort orders, prefix/suffix MBRs, margins, overlaps and areas are numpy
+operations over the entries' rectangle matrix.  The result is
+bit-identical to the entry-at-a-time original (kept as the oracle in
+``tests/scalar_reference.py``): every arithmetic step runs the same
+float64 operations in the same element order, sums and argmins
+replicate the sequential tie-breaking exactly, and both sorts are
+stable — so both always produce the same two groups in the same order.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core import kernels
 from repro.errors import TreeError
-from repro.geometry.rect import Rect
 from repro.rtree.entry import Entry
 
 __all__ = ["rstar_split", "SplitResult"]
@@ -39,75 +36,6 @@ __all__ = ["rstar_split", "SplitResult"]
 SplitResult = tuple[list[Entry], list[Entry]]
 
 
-# ----------------------------------------------------------------------
-# scalar fallback (the original entry-at-a-time implementation)
-# ----------------------------------------------------------------------
-def _prefix_mbrs(entries: list[Entry]) -> list[Rect]:
-    """``out[i]`` = MBR of ``entries[: i + 1]``."""
-    out: list[Rect] = []
-    current: Rect | None = None
-    for entry in entries:
-        current = entry.rect if current is None else current.union(entry.rect)
-        out.append(current)
-    return out
-
-
-def _distributions(
-    entries: list[Entry], m: int
-) -> list[tuple[int, Rect, Rect, list[Entry]]]:
-    """All legal split positions for one sort order.
-
-    Yields ``(k, mbr_first, mbr_second, sorted_entries)`` where the first
-    group is ``sorted_entries[:k]``.
-    """
-    n = len(entries)
-    prefix = _prefix_mbrs(entries)
-    suffix = _prefix_mbrs(entries[::-1])[::-1]  # suffix[i] = MBR of entries[i:]
-    result = []
-    for k in range(m, n - m + 1):
-        result.append((k, prefix[k - 1], suffix[k], entries))
-    return result
-
-
-def _rstar_split_scalar(entries: list[Entry], m: int) -> SplitResult:
-    # ------------------------------------------------------------------
-    # ChooseSplitAxis: minimum margin sum over both sort orders per axis.
-    # ------------------------------------------------------------------
-    best_axis_dists = None
-    best_margin_sum = None
-    for axis in (0, 1):  # 0 = x, 1 = y
-        if axis == 0:
-            by_lower = sorted(entries, key=lambda e: (e.rect.xmin, e.rect.xmax))
-            by_upper = sorted(entries, key=lambda e: (e.rect.xmax, e.rect.xmin))
-        else:
-            by_lower = sorted(entries, key=lambda e: (e.rect.ymin, e.rect.ymax))
-            by_upper = sorted(entries, key=lambda e: (e.rect.ymax, e.rect.ymin))
-        dists = _distributions(by_lower, m) + _distributions(by_upper, m)
-        margin_sum = sum(r1.margin() + r2.margin() for _, r1, r2, _ in dists)
-        if best_margin_sum is None or margin_sum < best_margin_sum:
-            best_margin_sum = margin_sum
-            best_axis_dists = dists
-
-    assert best_axis_dists is not None
-
-    # ------------------------------------------------------------------
-    # ChooseSplitIndex: least overlap, ties by least combined area.
-    # ------------------------------------------------------------------
-    best_key = None
-    best = None
-    for k, r1, r2, ordered in best_axis_dists:
-        key = (r1.overlap_area(r2), r1.area() + r2.area())
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (k, ordered)
-    assert best is not None
-    k, ordered = best
-    return list(ordered[:k]), list(ordered[k:])
-
-
-# ----------------------------------------------------------------------
-# vectorized kernels
-# ----------------------------------------------------------------------
 def _group_mbrs(
     rects: np.ndarray, perm: np.ndarray, m: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -151,14 +79,44 @@ def _areas(group: np.ndarray) -> np.ndarray:
     return (group[:, 2] - group[:, 0]) * (group[:, 3] - group[:, 1])
 
 
-def _rstar_split_vector(
-    entries: list[Entry], m: int, rects: np.ndarray
+def rstar_split(
+    entries: list[Entry],
+    min_fill_fraction: float = 0.4,
+    rects: np.ndarray | None = None,
 ) -> SplitResult:
+    """Split an overflowing entry list into two groups per [BKSS90].
+
+    Parameters
+    ----------
+    entries:
+        At least two entries.
+    min_fill_fraction:
+        Fraction of the entries that must land in each group (the
+        R*-tree recommends 40 %).
+    rects:
+        Optional ``(n, 4)`` float64 matrix of the entry rectangles (the
+        node's cached :meth:`~repro.rtree.node.Node.rect_matrix`);
+        built on the spot when absent.
+
+    Returns
+    -------
+    Two non-empty entry lists whose union is the input.
+    """
+    n = len(entries)
+    if n < 2:
+        raise TreeError(f"cannot split a node with {n} entries")
+    m = max(1, min(int(min_fill_fraction * n), n // 2))
+    if rects is None or len(rects) != n:
+        rects = np.array(
+            [(e.rect.xmin, e.rect.ymin, e.rect.xmax, e.rect.ymax) for e in entries],
+            dtype=np.float64,
+        ).reshape(n, 4)
+
     # ------------------------------------------------------------------
     # ChooseSplitAxis.  np.lexsort is stable, so the permutations match
     # Python's sorted(key=(lower, upper)); the margin sum runs over the
     # per-distribution values sequentially (lower order first), exactly
-    # like the scalar generator sum.
+    # like a generator sum over the distributions.
     # ------------------------------------------------------------------
     best = None  # (margin_sum, perms, groups)
     for lo, hi in ((0, 2), (1, 3)):  # x axis, y axis
@@ -197,40 +155,3 @@ def _rstar_split_vector(
         [entries[i] for i in chosen[:k]],
         [entries[i] for i in chosen[k:]],
     )
-
-
-def rstar_split(
-    entries: list[Entry],
-    min_fill_fraction: float = 0.4,
-    rects: np.ndarray | None = None,
-) -> SplitResult:
-    """Split an overflowing entry list into two groups per [BKSS90].
-
-    Parameters
-    ----------
-    entries:
-        At least two entries.
-    min_fill_fraction:
-        Fraction of the entries that must land in each group (the
-        R*-tree recommends 40 %).
-    rects:
-        Optional ``(n, 4)`` float64 matrix of the entry rectangles (the
-        node's cached :meth:`~repro.rtree.node.Node.rect_matrix`);
-        built on the spot when absent.
-
-    Returns
-    -------
-    Two non-empty entry lists whose union is the input.
-    """
-    n = len(entries)
-    if n < 2:
-        raise TreeError(f"cannot split a node with {n} entries")
-    m = max(1, min(int(min_fill_fraction * n), n // 2))
-    if not kernels.vectorized():
-        return _rstar_split_scalar(entries, m)
-    if rects is None or len(rects) != n:
-        rects = np.array(
-            [(e.rect.xmin, e.rect.ymin, e.rect.xmax, e.rect.ymax) for e in entries],
-            dtype=np.float64,
-        ).reshape(n, 4)
-    return _rstar_split_vector(entries, m, rects)

@@ -432,7 +432,7 @@ class SpatialOrganization(abc.ABC):
         self,
         visited: Sequence[Node],
         groups: list[tuple[Node, list[Entry]]],
-        rows: np.ndarray | None,
+        rows: np.ndarray,
         rect: Rect,
         selective: bool,
         merge: bool,
@@ -456,7 +456,7 @@ class SpatialOrganization(abc.ABC):
         candidates: list[SpatialObject] = []
         for leaf, entries in groups:
             moved = self._plan_group(plan, leaf, entries, rect, selective, candidates)
-            if moved and rows is not None:
+            if moved:
                 group = slice(len(candidates) - len(moved), len(candidates))
                 rows[group] = rows[group][moved]
             if self._plan_per_group:
@@ -478,8 +478,8 @@ class SpatialOrganization(abc.ABC):
         A window candidate whose MBR lies inside the window necessarily
         shares points with it and needs no test: one comparison of
         ``rows`` (``(xmin, ymin, -xmax, -ymax)`` per candidate) decides
-        that for a whole query; scalar-kernel mode has no rows and asks
-        ``rect.contains(obj.mbr)``, the reference.  All pending polyline
+        that for a whole query, as ``rect.contains(obj.mbr)`` would per
+        candidate.  All pending polyline
         tests of the call go through one
         :func:`~repro.geometry.intersect.polylines_intersect_rects`
         batch (map polylines have a handful of segments each, far below
@@ -489,7 +489,7 @@ class SpatialOrganization(abc.ABC):
         tests through one :meth:`Polygon.contains_points` batch per
         distinct polygon; polygon/window tests keep the scalar predicate.
         The kernels themselves fall back to the scalar loops for small
-        batches and in scalar-kernel mode."""
+        batches."""
         line_coords: list = []
         line_rects: list[tuple[float, float, float, float]] = []
         line_sinks: list[tuple[list[bool], int]] = []
@@ -503,12 +503,6 @@ class SpatialOrganization(abc.ABC):
             decided.append(decisions)
             if points:
                 pending = range(len(candidates))
-            elif rows is None:
-                pending = [
-                    slot
-                    for slot, obj in enumerate(candidates)
-                    if not rect.contains(obj.mbr)
-                ]
             else:
                 inside = rows >= (rect.xmin, rect.ymin, -rect.xmax, -rect.ymax)
                 pending = np.flatnonzero(~inside.all(axis=1)).tolist()

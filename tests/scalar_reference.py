@@ -1,0 +1,266 @@
+"""The entry-at-a-time bodies the vector kernels replaced: the
+equivalence oracles of ``tests/test_kernels.py``.  They shipped in
+``repro`` behind a kernel-mode switch until nothing but the tests
+selected them.
+
+Each function takes the arguments of the shipped name it stands for, so
+a test can patch it over that name (:data:`PATCHES` lists the targets):
+
+* :func:`window_leaves` / :func:`window_leaves_batch` — the tree walk
+  that tests entry by entry (``RStarTree``);
+* :func:`rstar_split` — the split over sorted entry lists and ``Rect``
+  unions (``repro.rtree.rstar``);
+* :func:`intersecting_pairs` — the join's pair list from a double loop
+  and a stable ``sort`` (``repro.join.mbr_join``);
+* :func:`sort_by_hilbert` — a stable ``sorted`` on a per-object key
+  (``repro.core.hilbert``);
+* :func:`refine` / :func:`refine_group` — the window / join refinement
+  that asks each candidate's own predicate (``SpatialOrganization``,
+  ``repro.join.multistep``);
+* and the geometry predicates' scalar loops, forced by size crossovers
+  no input reaches (``repro.geometry.intersect``; :func:`scalar_loops`
+  alone).
+
+Inside :func:`installed` all of them are in place at once.
+"""
+
+from __future__ import annotations
+
+import sys
+from contextlib import ExitStack, contextmanager
+from itertools import compress
+from unittest import mock
+
+import numpy as np
+
+from repro.core import hilbert
+from repro.core.hilbert import point_key
+from repro.errors import TreeError
+from repro.geometry import intersect
+from repro.geometry.rect import Rect
+from repro.join import mbr_join, multistep
+from repro.rtree import rstar
+from repro.rtree.entry import Entry
+from repro.rtree.rstar import RStarTree
+from repro.storage.base import SpatialOrganization
+
+
+# ----------------------------------------------------------------------
+# the filter step
+# ----------------------------------------------------------------------
+def query_rows(entries) -> np.ndarray:
+    """The entries' ``Node.query_matrix()`` rows, built entry by entry."""
+    return np.array(
+        [(e.rect.xmin, e.rect.ymin, -e.rect.xmax, -e.rect.ymax) for e in entries],
+        dtype=np.float64,
+    ).reshape(-1, 4)
+
+
+def window_leaves(tree, window, read=None, rows=None):
+    """``RStarTree.window_leaves``, testing entry by entry."""
+    read = read or tree._read
+    groups = []
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        read(node)
+        if node.is_leaf:
+            matches = [e for e in node.entries if e.rect.intersects(window)]
+            if matches:
+                groups.append((node, matches))
+        else:
+            for entry in node.entries:
+                if entry.rect.intersects(window):
+                    assert entry.child is not None
+                    stack.append(entry.child)
+    if rows is not None:
+        rows.extend(query_rows(matches) for _node, matches in groups)
+    return groups
+
+
+def window_leaves_batch(tree, rects):
+    """``RStarTree.window_leaves_batch`` as a loop of entry-at-a-time
+    walks, equally unpriced."""
+    per_query = []
+    for rect in rects:
+        visited = []
+        groups = window_leaves(tree, rect, visited.append)
+        rows = query_rows([e for _node, matches in groups for e in matches])
+        per_query.append((visited, groups, rows))
+    return per_query
+
+
+# ----------------------------------------------------------------------
+# the R*-tree split
+# ----------------------------------------------------------------------
+def _prefix_mbrs(entries: list[Entry]) -> list[Rect]:
+    """``out[i]`` = MBR of ``entries[: i + 1]``."""
+    out: list[Rect] = []
+    current: Rect | None = None
+    for entry in entries:
+        current = entry.rect if current is None else current.union(entry.rect)
+        out.append(current)
+    return out
+
+
+def _distributions(
+    entries: list[Entry], m: int
+) -> list[tuple[int, Rect, Rect, list[Entry]]]:
+    """All legal split positions for one sort order.
+
+    Yields ``(k, mbr_first, mbr_second, sorted_entries)`` where the first
+    group is ``sorted_entries[:k]``.
+    """
+    n = len(entries)
+    prefix = _prefix_mbrs(entries)
+    suffix = _prefix_mbrs(entries[::-1])[::-1]  # suffix[i] = MBR of entries[i:]
+    result = []
+    for k in range(m, n - m + 1):
+        result.append((k, prefix[k - 1], suffix[k], entries))
+    return result
+
+
+def rstar_split(entries, min_fill_fraction=0.4, rects=None):
+    """``repro.rtree.split.rstar_split`` over sorted entry lists; never
+    reads ``rects``."""
+    n = len(entries)
+    if n < 2:
+        raise TreeError(f"cannot split a node with {n} entries")
+    m = max(1, min(int(min_fill_fraction * n), n // 2))
+    # ------------------------------------------------------------------
+    # ChooseSplitAxis: minimum margin sum over both sort orders per axis.
+    # ------------------------------------------------------------------
+    best_axis_dists = None
+    best_margin_sum = None
+    for axis in (0, 1):  # 0 = x, 1 = y
+        if axis == 0:
+            by_lower = sorted(entries, key=lambda e: (e.rect.xmin, e.rect.xmax))
+            by_upper = sorted(entries, key=lambda e: (e.rect.xmax, e.rect.xmin))
+        else:
+            by_lower = sorted(entries, key=lambda e: (e.rect.ymin, e.rect.ymax))
+            by_upper = sorted(entries, key=lambda e: (e.rect.ymax, e.rect.ymin))
+        dists = _distributions(by_lower, m) + _distributions(by_upper, m)
+        margin_sum = sum(r1.margin() + r2.margin() for _, r1, r2, _ in dists)
+        if best_margin_sum is None or margin_sum < best_margin_sum:
+            best_margin_sum = margin_sum
+            best_axis_dists = dists
+
+    assert best_axis_dists is not None
+
+    # ------------------------------------------------------------------
+    # ChooseSplitIndex: least overlap, ties by least combined area.
+    # ------------------------------------------------------------------
+    best_key = None
+    best = None
+    for k, r1, r2, ordered in best_axis_dists:
+        key = (r1.overlap_area(r2), r1.area() + r2.area())
+        if best_key is None or key < best_key:
+            best_key = key
+            best = (k, ordered)
+    assert best is not None
+    k, ordered = best
+    return list(ordered[:k]), list(ordered[k:])
+
+
+# ----------------------------------------------------------------------
+# the join's candidate pairs, Hilbert loading, refinement
+# ----------------------------------------------------------------------
+def intersecting_pairs(nr, ns) -> list[tuple[int, int]]:
+    """``repro.join.mbr_join._intersecting_pairs``: row-major
+    candidates, stable sort on ``max(xmin, xmin)``."""
+    pairs = [
+        (i, j)
+        for i, er in enumerate(nr.entries)
+        for j, es in enumerate(ns.entries)
+        if er.rect.intersects(es.rect)
+    ]
+    pairs.sort(
+        key=lambda ij: max(
+            nr.entries[ij[0]].rect.xmin, ns.entries[ij[1]].rect.xmin
+        )
+    )
+    return pairs
+
+
+def hilbert_sort_key(obj, data_space: float, order: int = 16) -> int:
+    """Hilbert index of the object's MBR center on a ``2^order`` grid
+    over the square data space."""
+    return point_key(*obj.mbr.center(), data_space, order)
+
+
+def sort_by_hilbert(objects, data_space: float, order: int = 16):
+    """``repro.core.hilbert.sort_by_hilbert`` with the per-object key."""
+    return sorted(objects, key=lambda o: hilbert_sort_key(o, data_space, order))
+
+
+def refine(queries, points: bool) -> None:
+    """``SpatialOrganization._refine`` candidate by candidate: the
+    containment shortcut asks ``rect.contains(obj.mbr)`` (``rows`` are
+    never read), every other candidate its own predicate."""
+    for rect, result, candidates, _rows in queries:
+        if points:
+            pending = range(len(candidates))
+        else:
+            pending = [
+                slot
+                for slot, obj in enumerate(candidates)
+                if not rect.contains(obj.mbr)
+            ]
+        result.exact_tests += len(pending)
+        decisions = [True] * len(candidates)
+        for slot in pending:
+            obj = candidates[slot]
+            if points:
+                decisions[slot] = obj.contains_point(rect.xmin, rect.ymin)
+            else:
+                decisions[slot] = obj.intersects_rect(rect)
+        result.objects = list(compress(candidates, decisions))
+
+
+def refine_group(org_r, org_s, pairs) -> int:
+    """``repro.join.multistep._refine_group``: the exact predicate on
+    every candidate pair."""
+    resolved = [
+        (org_r.objects[entry_r.oid], org_s.objects[entry_s.oid])
+        for entry_r, entry_s in pairs
+    ]
+    return sum(obj_r.intersects(obj_s) for obj_r, obj_s in resolved)
+
+
+#: ``(target, attribute, value)`` — size crossovers no input reaches.
+SCALAR_LOOPS = (
+    (intersect, "_VECTOR_MIN_CELLS", sys.maxsize),
+    (intersect, "_VECTOR_MIN_VERTICES", sys.maxsize),
+)
+
+#: ``(target, attribute, reference)`` — everything a test patches to
+#: run the entry-at-a-time path end to end.
+PATCHES = (
+    (RStarTree, "window_leaves", window_leaves),
+    (RStarTree, "window_leaves_batch", window_leaves_batch),
+    (rstar, "rstar_split", rstar_split),
+    (mbr_join, "_intersecting_pairs", intersecting_pairs),
+    (hilbert, "sort_by_hilbert", sort_by_hilbert),
+    (SpatialOrganization, "_refine", staticmethod(refine)),
+    (multistep, "_refine_group", refine_group),
+    *SCALAR_LOOPS,
+)
+
+
+@contextmanager
+def _patched(patches):
+    with ExitStack() as stack:
+        for target, name, value in patches:
+            stack.enter_context(mock.patch.object(target, name, value))
+        yield
+
+
+def scalar_loops():
+    """While entered, the geometry predicates run their scalar loops
+    for every input size."""
+    return _patched(SCALAR_LOOPS)
+
+
+def installed():
+    """While entered, every reference of :data:`PATCHES` is in place."""
+    return _patched(PATCHES)

@@ -116,6 +116,27 @@ class TestExports:
         ):
             assert gone not in inspect.signature(fn).parameters
 
+        # Gone with the kernel-mode switch: its three functions, every
+        # ``*_scalar`` body and ``hilbert_sort_key`` (the vector kernels
+        # are the one path; the entry-at-a-time bodies are test oracles
+        # in ``tests/scalar_reference.py``), and the disk's own request
+        # recorder beside ``repro.obs.trace``.
+        import repro.core.hilbert
+        import repro.core.kernels
+        import repro.join.mbr_join
+        import repro.rtree.split
+        from repro.disk.model import DiskModel
+        from repro.rtree.rstar import RStarTree
+
+        assert repro.core.kernels.__all__ == ["window_qvec", "qvec_mask"]
+        for name in ("vectorized", "set_scalar_kernels", "scalar_kernels"):
+            assert not hasattr(repro.core.kernels, name)
+        assert "trace" not in inspect.signature(DiskModel).parameters
+        assert "requests" not in DiskModel.__slots__
+        for owner in (RStarTree, repro.rtree.split, repro.join.mbr_join):
+            assert not [name for name in dir(owner) if name.endswith("_scalar")]
+        assert not hasattr(repro.core.hilbert, "hilbert_sort_key")
+
 
 class TestRunLevelSurface:
     def test_run_level_members_are_part_of_the_protocols(self):

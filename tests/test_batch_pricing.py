@@ -1,12 +1,12 @@
-"""The vectorized run pricer against the scalar transfer loop.
+"""The vectorized run pricer against pricing one request at a time.
 
 :meth:`DiskModel.price_runs` prices a whole run list with numpy while
-preserving the sequential head-position semantics of the per-run
-``_transfer`` loop — costs, statistics and the final head position must
-be **bit-identical** (same floats, not approximately equal), because the
-committed oracles depend on the scalar path's exact arithmetic.  The
-sharded store's per-disk grouping and the buffer pool's vectorized
-coalescing ride on the same guarantee.
+preserving the sequential head-position semantics of one
+:meth:`DiskModel.read` / :meth:`DiskModel.write` per run — costs,
+statistics and the final head position must be **bit-identical** (same
+floats, not approximately equal), because the committed oracles depend
+on the per-request arithmetic.  The sharded store's per-disk grouping
+and the buffer pool's vectorized coalescing ride on the same guarantee.
 """
 
 from __future__ import annotations
@@ -28,6 +28,17 @@ def random_params(rng):
         latency_ms=rng.choice((6.0, 4.17, 5.5)),
         transfer_ms=rng.choice((1.0, 0.83, 2.2)),
     )
+
+
+def per_request(disk, runs, continuation=False, kind="read"):
+    """The oracle, ``price_runs``' own definition: one ``read`` /
+    ``write`` per run, the first carrying the caller's ``continuation``
+    flag, every later one a continuation."""
+    price = disk.read if kind == "read" else disk.write
+    cost = 0.0
+    for i, (start, npages) in enumerate(runs):
+        cost += price(start, npages, continuation if i == 0 else True)
+    return cost
 
 
 def random_runs(rng, n):
@@ -54,29 +65,27 @@ class TestPriceRunsEquivalence:
             for n in (1, 2, BATCH_MIN_RUNS - 1, BATCH_MIN_RUNS, 40):
                 runs = random_runs(rng, n)
                 batch_disk = DiskModel(params)
-                scalar_disk = DiskModel(params)
+                oracle_disk = DiskModel(params)
                 if rng.random() < 0.5:
                     # Pre-position the head so the fresh-first branch
                     # sees both head states.
                     warm = [(100, 2)]
                     batch_disk.read_runs(warm)
-                    scalar_disk._price_runs_scalar(warm, False, "read")
+                    per_request(oracle_disk, warm)
                 cost = batch_disk.price_runs(runs, continuation)
-                oracle = scalar_disk._price_runs_scalar(
-                    runs, continuation, "read"
-                )
+                oracle = per_request(oracle_disk, runs, continuation)
                 assert cost == oracle
-                assert batch_disk.stats() == scalar_disk.stats()
-                assert batch_disk._head == scalar_disk._head
+                assert batch_disk.stats() == oracle_disk.stats()
+                assert batch_disk._head == oracle_disk._head
 
     def test_write_runs_priced_identically(self):
         rng = random.Random(99)
         runs = random_runs(rng, 20)
-        batch_disk, scalar_disk = DiskModel(), DiskModel()
+        batch_disk, oracle_disk = DiskModel(), DiskModel()
         cost = batch_disk.price_runs(runs, False, "write")
-        oracle = scalar_disk._price_runs_scalar(runs, False, "write")
+        oracle = per_request(oracle_disk, runs, False, "write")
         assert cost == oracle
-        assert batch_disk.stats() == scalar_disk.stats()
+        assert batch_disk.stats() == oracle_disk.stats()
 
     def test_read_runs_delegates_to_batch_pricer(self):
         runs = [(i * 10, 3) for i in range(BATCH_MIN_RUNS + 2)]
@@ -86,14 +95,14 @@ class TestPriceRunsEquivalence:
 
     def test_invalid_run_surfaces_after_partial_batch(self):
         """A bad run mid-list must fail at that run with the earlier
-        runs already priced — exactly the scalar loop's behavior."""
+        runs already priced — exactly what pricing run by run does."""
         runs = [(10, 2)] * BATCH_MIN_RUNS + [(5, 0)]
-        batch_disk, scalar_disk = DiskModel(), DiskModel()
+        batch_disk, oracle_disk = DiskModel(), DiskModel()
         with pytest.raises(DiskError):
             batch_disk.price_runs(runs)
         with pytest.raises(DiskError):
-            scalar_disk._price_runs_scalar(runs, False, "read")
-        assert batch_disk.stats() == scalar_disk.stats()
+            per_request(oracle_disk, runs)
+        assert batch_disk.stats() == oracle_disk.stats()
 
     def test_empty_and_negative_runs(self):
         disk = DiskModel()

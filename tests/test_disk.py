@@ -125,10 +125,17 @@ class TestDiskModel:
         assert disk.head is None
 
     def test_trace_records_requests(self):
-        disk = DiskModel(trace=True)
-        disk.read(0, 2)
-        disk.write(10, 1)
-        assert [r.kind for r in disk.requests] == ["read", "write"]
+        from repro.obs.trace import tracing
+
+        disk = DiskModel()
+        with tracing() as tracer:
+            disk.read(0, 2)
+            disk.write(10, 1)
+        records = [(s.name, s.args, s.end_ms - s.start_ms) for s in tracer.device_spans()]
+        assert records == [
+            ("read", {"start": 0, "npages": 2}, 17.0),
+            ("write", {"start": 10, "npages": 1}, 16.0),
+        ]
 
     def test_extent_helpers(self):
         disk = DiskModel()

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.hilbert import hilbert_index, hilbert_sort_key, sort_by_hilbert
+from repro.core.hilbert import grid_cells, hilbert_index, point_key, sort_by_hilbert
 from repro.core.techniques import adaptive_prefers_complete
 from repro.disk.params import DiskParameters
 from repro.errors import ConfigurationError, StorageError
@@ -54,9 +54,12 @@ class TestHilbertIndex:
             assert 1 in succ
 
     def test_sort_key_validation(self):
-        obj = make_objects(1, seed=1)[0]
         with pytest.raises(ConfigurationError):
-            hilbert_sort_key(obj, 0.0)
+            point_key(1.0, 1.0, 0.0)
+        with pytest.raises(ConfigurationError):
+            grid_cells([[1.0, 1.0]], -1.0)
+        with pytest.raises(ConfigurationError):
+            sort_by_hilbert(make_objects(1, seed=1), 0.0)
 
     def test_sort_is_deterministic_permutation(self):
         objs = make_objects(100, seed=2)

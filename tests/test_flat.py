@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import kernels
 from repro.geometry.feature import SpatialObject
 from repro.geometry.intersect import point_in_polygon, points_in_polygon
 from repro.geometry.polygon import Polygon
@@ -21,6 +20,7 @@ from repro.geometry.rect import Rect
 from repro.rtree.flat import build_flat
 from repro.rtree.rstar import RStarTree
 
+from tests import scalar_reference as reference
 from tests.conftest import ReadSpy, batch_entries, build_org, make_objects
 
 ORG_KINDS = ("secondary", "primary", "cluster")
@@ -111,56 +111,55 @@ class TestFlatSnapshot:
 # batched traversal vs the single-query paths
 # ----------------------------------------------------------------------
 class TestBatchedTraversal:
-    @pytest.mark.parametrize("scalar", [False, True])
-    def test_window_batch_matches_singles_in_order(self, objects300, scalar):
+    def test_window_batch_matches_singles_in_order(self, objects300):
         tree = _bare_tree(objects300)
         windows = _windows(objects300)
-        with kernels.scalar_kernels(scalar):
-            batch = batch_entries(tree, windows)
-            singles = [tree.window_query(w) for w in windows]
+        batch = batch_entries(tree, windows)
+        singles = [tree.window_query(w) for w in windows]
         assert len(batch) == len(windows)
         for got, want in zip(batch, singles):
             assert [e.oid for e in got] == [e.oid for e in want]
 
-    @pytest.mark.parametrize("scalar", [False, True])
-    def test_point_batch_matches_singles_in_order(self, objects300, scalar):
+    def test_point_batch_matches_singles_in_order(self, objects300):
         tree = _bare_tree(objects300)
         points = _points(objects300)
-        with kernels.scalar_kernels(scalar):
-            batch = batch_entries(tree, _point_rects(points))
-            singles = [tree.point_query(x, y) for x, y in points]
+        batch = batch_entries(tree, _point_rects(points))
+        singles = [tree.point_query(x, y) for x, y in points]
         for got, want in zip(batch, singles):
             assert [e.oid for e in got] == [e.oid for e in want]
 
     def test_empty_batches(self, objects300):
         tree = _bare_tree(objects300)
         assert tree.window_leaves_batch([]) == []
-        with kernels.scalar_kernels(True):
-            assert tree.window_leaves_batch([]) == []
+        # A query without candidates still hands on a (0, 4) row array,
+        # whether it walks alone or inside a flat batch.
+        miss = Rect(-20.0, -20.0, -10.0, -10.0)
+        for batch in ([miss], [miss, miss]):
+            for _visited, groups, rows in tree.window_leaves_batch(batch):
+                assert groups == []
+                assert rows.shape == (0, 4) and rows.dtype == np.float64
 
     def test_batch_replays_reads_in_single_query_order(self, objects300):
         """The batch form's per-query visit lists, concatenated, are
         the page sequence the looped single queries read — not just the
-        same multiset — and the batch itself prices nothing (in either
-        kernel mode)."""
+        same multiset — and the batch itself prices nothing."""
         org_a = build_org("secondary", objects300)
         org_b = build_org("secondary", objects300)
         windows = _windows(objects300, n=12)
-        for scalar in (False, True):
-            with kernels.scalar_kernels(scalar), ReadSpy() as spy:
-                before = org_a.disk.stats()
-                batch = org_a.tree.window_leaves_batch(windows)
-                assert (org_a.disk.stats() - before).requests == 0
-                assert spy.pages == []
-                for w in windows:
-                    org_b.tree.window_query(w)
-            batched = [
-                node.page
-                for visited, _groups, _rows in batch
-                for node in visited
-                if node.page is not None
-            ]
-            assert batched == spy.pages
+        with ReadSpy() as spy:
+            before = org_a.disk.stats()
+            batch = org_a.tree.window_leaves_batch(windows)
+            assert (org_a.disk.stats() - before).requests == 0
+            assert spy.pages == []
+            for w in windows:
+                org_b.tree.window_query(w)
+        batched = [
+            node.page
+            for visited, _groups, _rows in batch
+            for node in visited
+            if node.page is not None
+        ]
+        assert batched == spy.pages
 
 
 # ----------------------------------------------------------------------
@@ -172,7 +171,7 @@ class TestOrganizationBatch:
         org_a = build_org(kind, objects300)
         org_b = build_org(kind, objects300)
         windows = _windows(objects300)
-        with kernels.scalar_kernels(True):
+        with reference.installed():
             singles = [org_a.window_query(w) for w in windows]
         assert org_b._batchable()
         batch = org_b.window_query_batch(windows)
@@ -183,7 +182,7 @@ class TestOrganizationBatch:
         org_a = build_org(kind, objects300)
         org_b = build_org(kind, objects300)
         points = _points(objects300)
-        with kernels.scalar_kernels(True):
+        with reference.installed():
             singles = [org_a.point_query(x, y) for x, y in points]
         batch = org_b.point_query_batch(points)
         self._assert_equal(singles, batch)
@@ -199,18 +198,6 @@ class TestOrganizationBatch:
             assert got.bytes_retrieved == want.bytes_retrieved
             assert got.candidates == want.candidates
             assert got.exact_tests == want.exact_tests
-
-    def test_scalar_mode_falls_back_to_single_loop(self, objects300):
-        """In scalar mode the batch filters by per-entry tree walks and
-        refines by the scalar predicates — same results."""
-        org = build_org("cluster", objects300)
-        windows = _windows(objects300, n=6)
-        with kernels.scalar_kernels(True):
-            batch = org.window_query_batch(windows)
-        reference = build_org("cluster", objects300)
-        with kernels.scalar_kernels(True):
-            singles = [reference.window_query(w) for w in windows]
-        self._assert_equal(singles, batch)
 
     def test_point_batch_refines_polygons(self):
         """The batched refinement defers polygon membership to the
@@ -235,7 +222,7 @@ class TestOrganizationBatch:
             points.append(obj.geometry.vertices[0])          # boundary
             points.append(obj.mbr.center())                  # maybe inside
             points.append((obj.mbr.xmax + 1.0, obj.mbr.ymax + 1.0))
-        with kernels.scalar_kernels(True):
+        with reference.installed():
             singles = [org_a.point_query(x, y) for x, y in points]
         batch = org_b.point_query_batch(points)
         self._assert_equal(singles, batch)
@@ -271,13 +258,12 @@ class TestPointsInPolygon:
         got = points_in_polygon(xs, ys, self.RING)
         assert got.tolist() == want
 
-    def test_scalar_mode_fallback_agrees(self):
+    def test_scalar_loop_fallback_agrees(self):
         pts = self.probe_points()
         xs = np.array([p[0] for p in pts])
         ys = np.array([p[1] for p in pts])
-        with kernels.scalar_kernels(False):
-            vector = points_in_polygon(xs, ys, self.RING)
-        with kernels.scalar_kernels(True):
+        vector = points_in_polygon(xs, ys, self.RING)
+        with reference.scalar_loops():
             scalar = points_in_polygon(xs, ys, self.RING)
         assert vector.tolist() == scalar.tolist()
 
@@ -336,9 +322,8 @@ class TestPolylinesIntersectRects:
             )
             for coords, rect in zip(coords_list, rects)
         ]
-        with kernels.scalar_kernels(False):
-            vector = polylines_intersect_rects(coords_list, rects)
-        with kernels.scalar_kernels(True):
+        vector = polylines_intersect_rects(coords_list, rects)
+        with reference.scalar_loops():
             scalar = polylines_intersect_rects(coords_list, rects)
         assert vector.tolist() == want
         assert scalar.tolist() == want
@@ -371,10 +356,8 @@ class TestPolylinesIntersectRects:
             return scalar(a, b, rect)
 
         monkeypatch.setattr(intersect, "segment_intersects_rect", spy)
-        for mode in (False, True):
-            with kernels.scalar_kernels(mode):
-                got = intersect.polylines_intersect_rects(coords_list, rects)
-            assert got.tolist() == want
+        got = intersect.polylines_intersect_rects(coords_list, rects)
+        assert got.tolist() == want
         assert seen and all(type(v) is float for v in seen)
 
     def test_single_vertex_degenerates_to_point_test(self):

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import kernels
 from repro.geometry import intersect
 from repro.geometry.intersect import (
     orientation,
@@ -22,6 +21,8 @@ from repro.geometry.intersect import (
     segments_intersect,
 )
 from repro.geometry.rect import Rect
+
+from tests.scalar_reference import scalar_loops
 
 coord = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
 point = st.tuples(coord, coord)
@@ -210,7 +211,7 @@ NAMED_PAIRS = [
 
 
 def scalar_pairs(batch) -> list[bool]:
-    with kernels.scalar_kernels():
+    with scalar_loops():
         return [polylines_intersect(a, b) for a, b in batch]
 
 
@@ -219,7 +220,6 @@ def vector_mode(block, min_cells):
     with (
         mock.patch.object(intersect, "_BLOCK_CELLS", block),
         mock.patch.object(intersect, "_VECTOR_MIN_CELLS", min_cells),
-        kernels.scalar_kernels(False),
     ):
         yield
 
@@ -240,7 +240,7 @@ def as_window_tests(batch):
 
 
 def scalar_rects(tests) -> list[bool]:
-    with kernels.scalar_kernels():
+    with scalar_loops():
         return [polyline_intersects_rect(a, rect) for a, rect in tests]
 
 
@@ -332,5 +332,4 @@ class TestBatchKernelsMatchScalar:
         monkeypatch.setattr(intersect, "_segments_intersect_mask", spy)
         assert vector_pairs([(a, b)], 256, 128) == [True]
         assert len(calls) == 1
-        with kernels.scalar_kernels(False):
-            assert polylines_intersect(a, b) is True
+        assert polylines_intersect(a, b) is True

@@ -1,9 +1,11 @@
-"""Scalar/vectorized kernel equivalence (see repro.core.kernels).
+"""Vector kernels against the entry-at-a-time bodies they replaced
+(``tests/scalar_reference.py``).
 
-The vectorized kernels must be *bit-identical* to the scalar fallback —
+The vector kernels must be *bit-identical* to the entry-at-a-time code —
 same result sets, same orders — because the I/O pricing (the committed
 figure oracles) depends on tree shapes and visit orders.  These tests
-pin that contract on seeded trees and crafted edge cases.
+pin that contract on seeded trees, crafted edge cases and, end to end,
+on whole databases built and served both ways.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import random
 import numpy as np
 import pytest
 
-from repro.core import kernels
 from repro.core.hilbert import (
     hilbert_index,
     hilbert_indices,
@@ -24,15 +25,13 @@ from repro.core.hilbert import (
 from repro.geometry.intersect import mbr_intersect_mask
 from repro.geometry.polyline import Polyline
 from repro.geometry.rect import Rect
-from repro.join.mbr_join import (
-    _intersecting_pairs,
-    _intersecting_pairs_scalar,
-)
+from repro.join.mbr_join import _intersecting_pairs
 from repro.rtree.entry import Entry
 from repro.rtree.node import Node
 from repro.rtree.rstar import RStarTree
 from repro.rtree.split import rstar_split
 
+from tests import scalar_reference as reference
 from tests.conftest import batch_entries, build_org
 
 
@@ -40,6 +39,11 @@ def random_rect(rng: random.Random, span: float = 100.0) -> Rect:
     x = rng.uniform(0, span)
     y = rng.uniform(0, span)
     return Rect(x, y, x + rng.uniform(0, span / 10), y + rng.uniform(0, span / 10))
+
+
+def reference_entries(tree, window) -> list:
+    """``tree.window_query(window)`` by the entry-at-a-time walk."""
+    return [e for _, matches in reference.window_leaves(tree, window) for e in matches]
 
 
 @pytest.fixture()
@@ -53,7 +57,7 @@ def seeded_tree() -> tuple[RStarTree, list[Rect]]:
 
 
 class TestQueryOrderEquivalence:
-    """Satellite: vectorized masks return entries in the exact legacy
+    """The node masks return entries in the exact entry-at-a-time
     (stack-DFS) order."""
 
     def test_window_query_scalar_vs_vectorized(self, seeded_tree):
@@ -62,9 +66,7 @@ class TestQueryOrderEquivalence:
         for _ in range(25):
             window = random_rect(rng, span=80.0).grown(rng.uniform(0, 10))
             vectorized = tree.window_query(window)
-            with kernels.scalar_kernels():
-                scalar = tree.window_query(window)
-            assert vectorized == scalar  # same entries, same order
+            assert vectorized == reference_entries(tree, window)  # same order
 
     def test_point_query_scalar_vs_vectorized(self, seeded_tree):
         tree, rects = seeded_tree
@@ -73,26 +75,25 @@ class TestQueryOrderEquivalence:
             base = rects[rng.randrange(len(rects))]
             x, y = base.center()
             vectorized = tree.point_query(x, y)
-            with kernels.scalar_kernels():
-                scalar = tree.point_query(x, y)
-            assert vectorized == scalar
+            assert vectorized == reference_entries(tree, Rect(x, y, x, y))
 
     def test_window_leaves_and_matching_leaves(self, seeded_tree):
         tree, _ = seeded_tree
         rng = random.Random(9)
         for _ in range(15):
             window = random_rect(rng, span=80.0).grown(5.0)
-            vector_groups = tree.window_leaves(window)
-            vector_leaves = tree.matching_leaves(window)
-            with kernels.scalar_kernels():
-                scalar_groups = tree.window_leaves(window)
-                scalar_leaves = tree.matching_leaves(window)
+            vector_rows, scalar_rows = [], []
+            vector_groups = tree.window_leaves(window, rows=vector_rows)
+            scalar_groups = reference.window_leaves(tree, window, rows=scalar_rows)
             assert [
                 (node.node_id, matches) for node, matches in vector_groups
             ] == [(node.node_id, matches) for node, matches in scalar_groups]
-            assert [n.node_id for n in vector_leaves] == [
-                n.node_id for n in scalar_leaves
+            assert [n.node_id for n in tree.matching_leaves(window)] == [
+                node.node_id for node, _ in scalar_groups
             ]
+            assert len(vector_rows) == len(scalar_rows)
+            for got, want in zip(vector_rows, scalar_rows):
+                assert np.array_equal(got, want)
 
     def test_batch_queries_match_single_queries(self, seeded_tree):
         tree, rects = seeded_tree
@@ -101,9 +102,12 @@ class TestQueryOrderEquivalence:
         points = [rects[rng.randrange(len(rects))].center() for _ in range(30)]
         batch = batch_entries(tree, windows)
         assert batch == [tree.window_query(w) for w in windows]
-        with kernels.scalar_kernels():
-            assert batch == [tree.window_query(w) for w in windows]
-            assert batch == batch_entries(tree, windows)
+        assert batch == [reference_entries(tree, w) for w in windows]
+        for (_, _, rows), (_, _, want) in zip(
+            tree.window_leaves_batch(windows),
+            reference.window_leaves_batch(tree, windows),
+        ):
+            assert np.array_equal(rows, want)
         point_batch = batch_entries(tree, [Rect(x, y, x, y) for x, y in points])
         assert point_batch == [tree.point_query(x, y) for x, y in points]
 
@@ -162,7 +166,7 @@ class TestIntersectingPairsOrder:
         ns = self._leaf([Rect(0, 1, 2, 6), Rect(0, 0, 2, 8)], node_id=1)
         expected = [(0, 0), (0, 1), (1, 0), (1, 1)]
         assert _intersecting_pairs(nr, ns) == expected
-        assert _intersecting_pairs_scalar(nr, ns) == expected
+        assert reference.intersecting_pairs(nr, ns) == expected
 
     def test_pair_order_sorted_by_max_xmin(self):
         nr = self._leaf([Rect(4, 0, 9, 9), Rect(0, 0, 5, 9)])
@@ -170,14 +174,14 @@ class TestIntersectingPairsOrder:
         pairs = _intersecting_pairs(nr, ns)
         # keys: (0,0)->4, (1,0)->2, (1,1)->0; (0,1) disjoint (4 > 1)
         assert pairs == [(1, 1), (1, 0), (0, 0)]
-        assert _intersecting_pairs_scalar(nr, ns) == pairs
+        assert reference.intersecting_pairs(nr, ns) == pairs
 
     def test_scalar_and_vector_agree_on_random_nodes(self):
         rng = random.Random(11)
         for _ in range(20):
             nr = self._leaf([random_rect(rng) for _ in range(17)])
             ns = self._leaf([random_rect(rng) for _ in range(23)], node_id=1)
-            assert _intersecting_pairs(nr, ns) == _intersecting_pairs_scalar(
+            assert _intersecting_pairs(nr, ns) == reference.intersecting_pairs(
                 nr, ns
             )
 
@@ -201,8 +205,7 @@ class TestSplitEquivalence:
                 Entry(random_rect(rng), oid=i) for i in range(n)
             ]
             g1, g2 = rstar_split(entries)
-            with kernels.scalar_kernels():
-                s1, s2 = rstar_split(entries)
+            s1, s2 = reference.rstar_split(entries)
             assert [e.oid for e in g1] == [e.oid for e in s1]
             assert [e.oid for e in g2] == [e.oid for e in s2]
 
@@ -211,21 +214,20 @@ class TestSplitEquivalence:
         # pick the same (first) one.
         entries = [Entry(Rect(0, 0, 1, 1), oid=i) for i in range(10)]
         g1, g2 = rstar_split(entries)
-        with kernels.scalar_kernels():
-            s1, s2 = rstar_split(entries)
+        s1, s2 = reference.rstar_split(entries)
         assert [e.oid for e in g1] == [e.oid for e in s1]
         assert [e.oid for e in g2] == [e.oid for e in s2]
 
-    def test_identical_trees_both_modes(self):
+    def test_identical_trees_with_the_reference_split(self, monkeypatch):
         rng = random.Random(13)
         rects = [random_rect(rng) for _ in range(400)]
         vector_tree = RStarTree(max_entries=8)
         for oid, rect in enumerate(rects):
             vector_tree.insert(oid, rect)
-        with kernels.scalar_kernels():
-            scalar_tree = RStarTree(max_entries=8)
-            for oid, rect in enumerate(rects):
-                scalar_tree.insert(oid, rect)
+        monkeypatch.setattr("repro.rtree.rstar.rstar_split", reference.rstar_split)
+        scalar_tree = RStarTree(max_entries=8)
+        for oid, rect in enumerate(rects):
+            scalar_tree.insert(oid, rect)
 
         def shape(tree):
             return [
@@ -257,7 +259,7 @@ class TestHilbertKernels:
         for (x, y), k in zip(pts.tolist(), batched.tolist()):
             assert k == point_key(x, y, 100.0)
 
-    def test_sort_by_hilbert_identical_both_modes(self):
+    def test_sort_by_hilbert_matches_the_per_object_sort(self):
         from repro.geometry.feature import SpatialObject
 
         rng = random.Random(16)
@@ -269,9 +271,10 @@ class TestHilbertKernels:
                     oid, Polyline([(x, y), (x + rng.uniform(0.1, 5), y + 1)])
                 )
             )
+        # Duplicated centres: equal keys must keep their input order.
+        objects += [SpatialObject(1000 + o.oid, o.geometry) for o in objects[::7]]
         vector_order = [o.oid for o in sort_by_hilbert(objects, 100.0)]
-        with kernels.scalar_kernels():
-            scalar_order = [o.oid for o in sort_by_hilbert(objects, 100.0)]
+        scalar_order = [o.oid for o in reference.sort_by_hilbert(objects, 100.0)]
         assert vector_order == scalar_order
 
     def test_out_of_grid_cells_rejected(self):
@@ -311,29 +314,30 @@ class TestRefinementKernels:
             other = lines[rng.randrange(len(lines))]
             vector_ll = line.intersects(other)
             vector_rects = [line.intersects_rect(r) for r in rects]
-            with kernels.scalar_kernels():
+            with reference.scalar_loops():
                 assert line.intersects(other) == vector_ll
                 assert [line.intersects_rect(r) for r in rects] == vector_rects
 
     def test_polyline_eps_boundary_case(self):
         # A polyline a hair outside the rectangle (long enough for the
         # vector kernel): the per-segment MBR pretest must reject every
-        # segment in both modes (the eps-tolerant edge tests alone
-        # would accept them).
+        # segment in the kernel and in the loop (the eps-tolerant edge
+        # tests alone would accept them).
         x = 2.0 + 1e-13
         line = Polyline([(x, i / 100.0) for i in range(80)])
         rect = Rect(0.0, 0.0, 2.0, 1.0)
         vectorized = line.intersects_rect(rect)
         assert vectorized is False
-        with kernels.scalar_kernels():
+        with reference.scalar_loops():
             assert line.intersects_rect(rect) == vectorized
 
     @pytest.mark.parametrize("kind", ["secondary", "primary", "cluster"])
-    def test_join_result_pairs_identical_both_modes(self, kind, monkeypatch):
+    def test_join_result_pairs_match_the_reference(self, kind, monkeypatch):
         """Pairs of 120..3500 cells (the cross-pair kernel's range, not
         the scalar crossover's) with polygons mixed into one relation:
-        the same join in both modes and the brute-force count — and, in
-        vector mode, through the cross-pair kernel, not pair by pair."""
+        the same join as the per-pair reference and the brute-force
+        count — and, as shipped, through the cross-pair kernel, not pair
+        by pair."""
         from repro.disk.allocator import PageAllocator
         from repro.disk.model import DiskModel
         from repro.geometry.feature import SpatialObject
@@ -393,15 +397,15 @@ class TestRefinementKernels:
         monkeypatch.setattr(multistep, "polylines_intersect_pairs", counting_kernel)
         monkeypatch.setattr(Polyline, "intersects", counting_per_pair)
 
-        with kernels.scalar_kernels(False):
-            vector_result = multistep.spatial_join(
-                org_r, org_s, buffer_pages=64, evaluate_exact=True
-            )
+        vector_result = multistep.spatial_join(
+            org_r, org_s, buffer_pages=64, evaluate_exact=True
+        )
         assert 0 < len(kernel_calls) <= len(groups)
         assert not per_pair_calls
         line_pairs = sum(kernel_calls)
         del kernel_calls[:]
-        with kernels.scalar_kernels():
+        with reference.scalar_loops():
+            monkeypatch.setattr(multistep, "_refine_group", reference.refine_group)
             scalar_result = multistep.spatial_join(
                 org_r, org_s, buffer_pages=64, evaluate_exact=True
             )
@@ -410,7 +414,7 @@ class TestRefinementKernels:
         assert vector_result.result_pairs == scalar_result.result_pairs
         assert vector_result.candidate_pairs == scalar_result.candidate_pairs
         assert vector_result.io_ms == scalar_result.io_ms
-        with kernels.scalar_kernels():
+        with reference.scalar_loops():
             brute_force = sum(
                 a.mbr.intersects(b.mbr) and a.intersects(b)
                 for a in objs_r
@@ -419,13 +423,99 @@ class TestRefinementKernels:
         assert vector_result.result_pairs == brute_force > 0
 
 
-class TestKernelSwitch:
-    def test_context_manager_restores(self):
-        # Mode-agnostic: the suite may run under REPRO_SCALAR_KERNELS=1.
-        initial = kernels.vectorized()
-        with kernels.scalar_kernels():
-            assert not kernels.vectorized()
-            with kernels.scalar_kernels(False):
-                assert kernels.vectorized()
-            assert not kernels.vectorized()
-        assert kernels.vectorized() == initial
+class TestReferenceKernelsBuildTheSameDatabase:
+    """Every database is built and served twice — as shipped, and with
+    the entry-at-a-time bodies of ``tests/scalar_reference.py`` patched
+    over the tree walk, the split, the join's pair list, the Hilbert
+    sort, both refinement steps and the geometry crossovers (nothing
+    under ``src/`` can select them) — and must come out the same:
+    answers in order, per-query counters and I/O, the catalog after a
+    delete + re-insert round, and the join."""
+
+    @staticmethod
+    def lifecycle(kind: str, scheduler: str, order: str):
+        from repro.data.series import scaled, spec_for
+        from repro.data.tiger import generate_map
+        from repro.data.workload import window_workload
+        from repro.database import SpatialDatabase
+        from repro.geometry.feature import SpatialObject
+        from repro.storage.serial import dump_state, encode_catalog
+
+        spec = scaled(spec_for("A-1"), 0.005)
+        objects = generate_map(spec, seed=1994)
+        # Twins share a centre, so their Hilbert keys tie.
+        objects += [
+            SpatialObject(20_000 + i, obj.geometry, obj.size_bytes)
+            for i, obj in enumerate(objects[::25])
+        ]
+        others = generate_map(
+            scaled(spec_for("A-2"), 0.005), seed=1994, id_offset=10**6
+        )
+        db = SpatialDatabase(
+            organization=kind, scheduler=scheduler, avg_object_size=spec.avg_object_size
+        )
+        construction = db.storage.build(objects, order=order)
+        rng = random.Random(5)
+        windows = window_workload(objects, 1e-3, n_queries=12, seed=101)
+        windows += window_workload(objects, 2e-2, n_queries=4, seed=102)
+        points = [
+            rng.choice(obj.geometry.vertices) for obj in rng.sample(objects, 12)
+        ] + [obj.mbr.center() for obj in rng.sample(objects, 4)]
+
+        def served(results):
+            return [
+                (
+                    [o.oid for o in r.objects],
+                    r.candidates,
+                    r.exact_tests,
+                    r.bytes_retrieved,
+                    r.io,
+                )
+                for r in results
+            ]
+
+        def serve():
+            org = db.storage
+            singles = []
+            for i, window in enumerate(windows):
+                with db.scheduler.operation(f"client{i % 2}"):
+                    singles.append(org.window_query(window))
+            for i, (x, y) in enumerate(points):
+                with db.scheduler.operation(f"client{i % 2}"):
+                    singles.append(org.point_query(x, y))
+            batches = org.window_query_batch(windows) + org.point_query_batch(points)
+            return served(singles), served(batches)
+
+        before_round = serve()
+        doomed = objects[100:400]
+        for obj in doomed:
+            db.delete(obj.oid)
+        for i, obj in enumerate(doomed[::2]):
+            db.insert(SpatialObject(10_000 + i, obj.geometry, obj.size_bytes))
+        after_round = serve()
+        other = db.attach("s", organization=kind, avg_object_size=spec.avg_object_size)
+        other.storage.build(others, order=order)
+        join = db.join(other, buffer_pages=64, evaluate_exact=True)
+        tree = db.storage.tree
+        return {
+            "construction": construction,
+            "tree": (tree.splits, tree.leaf_splits, tree.reinserts, tree.height),
+            "before_round": before_round,
+            "after_round": after_round,
+            "catalog": encode_catalog(dump_state(db)),
+            "join": (join.candidate_pairs, join.result_pairs, join.io_ms),
+            "disk": db.io_stats(),
+        }
+
+    @pytest.mark.parametrize("order", ["insertion", "hilbert"])
+    @pytest.mark.parametrize("scheduler", ["sync", "overlap"])
+    @pytest.mark.parametrize("kind", ["secondary", "primary", "cluster"])
+    def test_same_answers_io_catalog_and_join(self, kind, scheduler, order):
+        shipped = self.lifecycle(kind, scheduler, order)
+        with reference.installed():
+            expected = self.lifecycle(kind, scheduler, order)
+        assert shipped["join"][1] > 0
+        assert sum(len(oids) for oids, *_ in shipped["after_round"][1]) > 0
+        assert shipped["catalog"] == expected["catalog"], "the catalogs differ"
+        for key in shipped:
+            assert shipped[key] == expected[key], key

@@ -13,10 +13,10 @@
 from __future__ import annotations
 
 import random
+from contextlib import nullcontext
 
 import pytest
 
-from repro.core import kernels
 from repro.database import SpatialDatabase
 from repro.geometry.feature import SpatialObject
 from repro.geometry.polygon import Polygon
@@ -24,6 +24,7 @@ from repro.geometry.polyline import Polyline
 from repro.geometry.rect import Rect
 from repro.rtree.rstar import RStarTree
 
+from tests import scalar_reference
 from tests.conftest import ReadSpy, build_org, make_objects
 
 ORG_KINDS = ("cluster", "secondary", "primary")
@@ -99,26 +100,24 @@ def mixed():
 
 
 class TestBruteForceReference:
-    @pytest.mark.parametrize("scalar", [False, True])
     @pytest.mark.parametrize("kind", ORG_KINDS)
-    def test_all_entry_points(self, mixed, kind, scalar):
+    def test_all_entry_points(self, mixed, kind):
         objects, windows, points, orgs = mixed
         org = orgs[kind]
         want_w = [reference(objects, w, False) for w in windows]
         want_p = [reference(objects, Rect(x, y, x, y), True) for x, y in points]
         assert any(a for a, *_ in want_w) and any(a for a, *_ in want_p)
         assert any(t < c for _a, c, _b, t in want_w)  # the shortcut fires
-        with kernels.scalar_kernels(scalar):
-            assert [observed(org.window_query(w)) for w in windows] == want_w
-            assert [observed(org.point_query(x, y)) for x, y in points] == want_p
-            assert org.window_query_batch([]) == []
-            assert org.point_query_batch([]) == []
-            for n in (1, len(windows)):
-                got = org.window_query_batch(windows[:n])
-                assert [observed(r) for r in got] == want_w[:n]
-            for n in (1, len(points)):
-                got = org.point_query_batch(points[:n])
-                assert [observed(r) for r in got] == want_p[:n]
+        assert [observed(org.window_query(w)) for w in windows] == want_w
+        assert [observed(org.point_query(x, y)) for x, y in points] == want_p
+        assert org.window_query_batch([]) == []
+        assert org.point_query_batch([]) == []
+        for n in (1, len(windows)):
+            got = org.window_query_batch(windows[:n])
+            assert [observed(r) for r in got] == want_w[:n]
+        for n in (1, len(points)):
+            got = org.point_query_batch(points[:n])
+            assert [observed(r) for r in got] == want_p[:n]
 
     def test_oversize_object_is_stored_apart(self, mixed):
         objects, _windows, _points, orgs = mixed
@@ -370,7 +369,8 @@ class TestMergedOperationIsTheUnmergedOperation:
         extent before the unit, so it leads the candidates although its
         entry comes last; were its containment row left in entry order
         it would take the first small object's (inside the window: no
-        test) and be answered without ever being tested."""
+        test) and be answered without ever being tested.  The reference
+        run asks ``rect.contains(obj.mbr)`` per candidate instead."""
         small = [
             SpatialObject(0, Polyline([(15, 60), (20, 65)]), size_bytes=300),
             SpatialObject(1, Polyline([(25, 70), (30, 75)]), size_bytes=300),
@@ -386,8 +386,8 @@ class TestMergedOperationIsTheUnmergedOperation:
         db.build(small + [big])
         org = db.storage
         assert org.extent_of(2) is not None
-        for scalar in (False, True):
-            with kernels.scalar_kernels(scalar), db.scheduler.operation("main"):
+        for installed in (nullcontext, scalar_reference.installed):
+            with installed(), db.scheduler.operation("main"):
                 result = org.window_query(Rect(10, 50, 40, 90))
             assert [o.oid for o in result.objects] == [0, 1]
             assert (result.candidates, result.exact_tests) == (3, 1)

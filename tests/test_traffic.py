@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import kernels
 from repro.database import SpatialDatabase
 from repro.errors import ConfigurationError
 from repro.iosched.admission import PriorityAdmission
@@ -483,9 +482,7 @@ class TestServedOpCounts:
         # Per run: the store routes whole runs; per entry: the
         # containment shortcut is one mask per query.
         assert counts["disk_of_in_transfer"] == 0
-        # (Scalar-kernel mode keeps ``rect.contains(obj.mbr)`` per
-        # candidate as the mask's reference; CI runs this test there too.)
-        assert (counts["contains_in_refine"] == 0) == kernels.vectorized()
+        assert counts["contains_in_refine"] == 0
 
 
 class TestInsertPathCounts:
