@@ -9,15 +9,16 @@ window-query definition of Section 2.
 
 The scalar predicates (:func:`segments_intersect` and the loops over
 it) are the reference, and what small inputs run.  The polyline
-predicates — the refinement hot spots — send the segment-pair cells of
-inputs past a size crossover through one vector evaluator of the same
-hit rule (``_segments_intersect_mask``): per object for long polylines,
-across a whole batch of candidates for the window queries
-(:func:`polylines_intersect_rects`) and the join
-(:func:`polylines_intersect_pairs`).  It runs the identical float64
-comparisons (including the ``_EPS`` tolerances and the per-segment MBR
-pretest of the rectangle predicate), so the boolean answers agree on
-every input, eps-boundary cases included.
+predicates — the refinement hot spots — send the cells of inputs past a
+size crossover through vector forms of the same hit rule: per object
+for long polylines and across a whole batch of candidates for the
+window queries (:func:`polylines_intersect_rects`) through one segment
+evaluator (``_segments_intersect_mask``), across the join's candidate
+pairs (:func:`polylines_intersect_pairs`) through padded orientation
+grids (``_grid_hits``).  They run the identical float64 comparisons
+(including the ``_EPS`` tolerances and the per-segment MBR pretest of
+the rectangle predicate), so the boolean answers agree on every input,
+eps-boundary cases included.
 """
 
 from __future__ import annotations
@@ -369,20 +370,14 @@ def polylines_intersect_pairs(
     ``out[k]`` is True iff polylines ``coords_a[k]`` and ``coords_b[k]``
     (``(n, 2)`` float64 vertex matrices) share a point.
 
-    This is the join-refinement hot path batched **across candidate
-    pairs**: a map polyline pair has a few hundred segment-pair cells,
-    so one broadcast per pair spends its time in numpy dispatch.  Here
-    both sides' vertices are concatenated once, the
-    ``(n_a - 1) * (n_b - 1)`` cells of all pairs are enumerated as flat
-    index arrays in blocks of about ``_BLOCK_CELLS``, every block goes
-    through the one segment evaluator and its hits are scattered back
-    to their pairs; a block whose pairs are all decided already is
-    skipped.  Every cell runs the arithmetic of
-    :func:`segments_intersect` and nothing else — no box pruning, whose
-    exact comparisons would reject pairs the eps-tolerant orientation
-    tests accept — so the booleans equal the scalar answers on every
-    input.  Batches under ``_VECTOR_MIN_CELLS`` cells in total loop
-    over :func:`polylines_intersect`.
+    The join-refinement hot path, batched **across candidate pairs**
+    (a pair has a few hundred cells): pairs sorted by vertex counts are
+    packed into padded grids of up to ``_GRID_CELLS`` cells
+    (:func:`_grid_hits`), a larger pair cut into runs of a-segments that
+    share their boundary vertex, a decided pair's later runs skipped.
+    No box pruning: the eps-tolerant orientations accept some cells
+    whose segment boxes are disjoint.  Batches under
+    ``_VECTOR_MIN_CELLS`` cells loop over :func:`polylines_intersect`.
     """
     n = len(coords_a)
     out = np.zeros(n, dtype=bool)
@@ -400,56 +395,57 @@ def polylines_intersect_pairs(
         out[k] = polylines_intersect(coords_a[k].tolist(), coords_b[k].tolist())
     if len(scalar) == n:
         return out
-    xa, ya = np.ascontiguousarray(np.concatenate(coords_a).T, dtype=np.float64)
-    xb, yb = np.ascontiguousarray(np.concatenate(coords_b).T, dtype=np.float64)
-    xa_end, ya_end, xb_end, yb_end = xa[1:], ya[1:], xb[1:], yb[1:]
-    # One row per (pair, a-segment): that segment against the run of
-    # its partner's b-segments, so a row's cells are one a-vertex
-    # repeated beside consecutive b-vertices.
-    rows = np.where(cells > 0, na - 1, 0)
-    row_pair = np.repeat(np.arange(n), rows)
-    row_len = (nb - 1)[row_pair]
-    row_end = np.cumsum(row_len)  # in flat cell numbers
-    row_start = row_end - row_len
-    first_a, first_b, first_row = (np.cumsum(c) - c for c in (na, nb, rows))
-    row_a = np.arange(len(row_pair)) + (first_a - first_row)[row_pair]
-    # A cell's b-vertex is its flat number plus this row constant.
-    row_b = first_b[row_pair] - row_start
-    cuts = np.searchsorted(
-        row_end, np.arange(_BLOCK_CELLS, int(row_end[-1]), _BLOCK_CELLS), side="right"
-    ).tolist()
-    for r0, r1 in zip([0, *cuts], [*cuts, len(row_pair)]):
-        # (a row longer than a block leaves the blocks it spans empty)
-        if r0 == r1 or out[row_pair[r0] : row_pair[r1 - 1] + 1].all():
-            continue
-        lens = row_len[r0:r1]
-        ia = np.repeat(row_a[r0:r1], lens)
-        ib = np.repeat(row_b[r0:r1], lens)
-        ib += np.arange(row_start[r0], row_end[r1 - 1])
-        hit = _segments_intersect_mask(
-            xa.take(ia), ya.take(ia), xa_end.take(ia), ya_end.take(ia),
-            xb.take(ib), yb.take(ib), xb_end.take(ib), yb_end.take(ib),
-        ).nonzero()[0]
-        if len(hit):
-            hit += row_start[r0]
-            out[row_pair[np.searchsorted(row_end, hit, side="right")]] = True
+    # Each pair turned so that ``a`` is its longer side (the hit rule is
+    # symmetric in its segments): grids of alike pairs pad less.
+    coords_a, coords_b = zip(*[
+        (b, a) if len(b) > len(a) else (a, b) for a, b in zip(coords_a, coords_b)
+    ])
+    na, nb = np.maximum(na, nb), np.minimum(na, nb)
+    x, y = np.ascontiguousarray(
+        np.concatenate([*coords_a, *coords_b]).T, dtype=np.float64
+    )
+    first = np.cumsum(np.concatenate((na, nb))) - np.concatenate((na, nb))
+    todo = (cells > 0).nonzero()[0]
+    todo = todo[np.lexsort((nb[todo], na[todo]))]
+    rows, cols = (na[todo] - 1).tolist(), (nb[todo] - 1).tolist()
+    start = 0
+    while start < len(todo):
+        # A grid: pairs start:stop padded to the largest, up to
+        # _GRID_CELLS cells, or one larger pair in runs of a-segments.
+        stop, height, width = start + 1, rows[start], cols[start]
+        while stop < len(todo) and (
+            (stop + 1 - start) * rows[stop] * max(width, cols[stop]) <= _GRID_CELLS
+        ):
+            stop, height, width = stop + 1, rows[stop], max(width, cols[stop])
+        step = max(1, _GRID_CELLS // width) if stop == start + 1 else height
+        pairs, start = todo[start:stop], stop
+        # Vertex indexes, each side padded with its last vertex.
+        last_a, last_b = na[pairs, None] - 1, nb[pairs, None] - 1
+        ib = first[n + pairs, None] + np.minimum(np.arange(width + 1), last_b)
+        for lo in range(0, height, step):
+            if out[pairs].all():
+                break
+            ia = first[pairs, None] + np.minimum(
+                np.arange(lo, min(lo + step, height) + 1), last_a
+            )
+            out[pairs] = _grid_hits(
+                x[ia], y[ia], x[ib], y[ib], na[pairs] - 1 - lo, nb[pairs] - 1
+            )
     return out
 
 
 # ----------------------------------------------------------------------
 # vectorized kernels
 # ----------------------------------------------------------------------
+_GRID_CELLS = 16384
+"""Segment-pair cells per grid of :func:`polylines_intersect_pairs`,
+padding included: 28 / 22.5 / 21 ms at 8 / 16 / 32 k cells on the
+``join_exact`` pairs (1.24 M cells, 2-vCPU container)."""
+
 _BLOCK_CELLS = 2048
-"""Segment-pair cells evaluated per numpy block — also the step at
-which the vector kernels can stop early (a block whose pairs, or whose
-polyline, are decided already is not evaluated).  Sized for the
-allocator as much as for the cache: the evaluator's few dozen
-temporaries are malloc'd and freed per block, and from about 3 k cells
-on (24 KiB float64 arrays) glibc trims the heap top on those frees and
-pays a page fault per 4 KiB of every temporary on the next block.
-Measured on the join's pairs: 8 k-cell blocks took 35 k minor faults
-per join and 1.4x the time of 2 k-cell blocks, which take ~150; at 1 k
-the numpy dispatch per block costs more than the faults saved."""
+"""Segment-rectangle cells per numpy block of the rectangle kernels,
+also their early-exit step.  Sized on the join's old kernel: 8 k cells
+took 1.4x the time of 2 k on one machine, 0.7x on a 2-vCPU container."""
 
 _VECTOR_MIN_CELLS = 128
 """A batch with fewer segment-pair cells in total — all pairs of one
@@ -480,6 +476,46 @@ def _sides(cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where :func:`orientation` of this cross product is ``1`` and
     where it is ``-1``; both False is its collinear ``0``."""
     return cross > _EPS, cross < -_EPS
+
+
+def _turns(px, py, qx, qy, rows) -> np.ndarray:
+    """``[p, i, k]``: int8 :func:`orientation` of ``(p_i, p_{i+1}, q_k)``
+    by its float64 cross product (products commuted, taken in place);
+    padded segments, from ``rows[p]`` on, turn ``1`` and never cross."""
+    cross = qy[:, None, :] - py[:, :-1, None]
+    cross *= (px[:, 1:] - px[:, :-1])[:, :, None]
+    other = qx[:, None, :] - px[:, :-1, None]
+    other *= (py[:, 1:] - py[:, :-1])[:, :, None]
+    cross -= other
+    left, right = _sides(cross)
+    turn = left.view(np.int8) - right.view(np.int8)
+    turn[np.arange(turn.shape[1]) >= rows[:, None]] = 1
+    return turn
+
+
+def _grid_hits(ax, ay, bx, by, rows_a, rows_b) -> np.ndarray:
+    """Per pair of one grid (vertices padded with their last, the first
+    ``rows_a`` / ``rows_b`` segments real): does a real cell hit?  Cell
+    ``(i, j)`` reads o1/o2 and o3/o4 from adjacent turns, no gathers; a
+    cell a zero orientation leaves undecided takes the segment
+    evaluator."""
+    turn_a = _turns(ax, ay, bx, by, rows_a)
+    turn_b = _turns(bx, by, ax, ay, rows_b).transpose(0, 2, 1)
+    hit = turn_a[:, :, :-1] != turn_a[:, :, 1:]  # o1 != o2 and o3 != o4
+    hit &= turn_b[:, :-1] != turn_b[:, 1:]
+    out = hit.reshape(len(hit), -1).any(axis=1)
+    zero_a, zero_b = turn_a == 0, turn_b == 0
+    if zero_a.any() or zero_b.any():
+        zero = zero_a[:, :, :-1] | zero_a[:, :, 1:] | zero_b[:, :-1] | zero_b[:, 1:]
+        p, i, j = (zero & ~hit).nonzero()
+        real = (i < rows_a[p]) & (j < rows_b[p])
+        p, i, j = p[real], i[real], j[real]
+        touch = _segments_intersect_mask(
+            ax[p, i], ay[p, i], ax[p, i + 1], ay[p, i + 1],
+            bx[p, j], by[p, j], bx[p, j + 1], by[p, j + 1],
+        )
+        out[p[touch]] = True
+    return out
 
 
 def _segments_intersect_mask(ax, ay, bx, by, cx, cy, dx, dy) -> np.ndarray:

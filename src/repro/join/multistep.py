@@ -12,7 +12,9 @@ A complete intersection join runs in three steps:
 The driver interleaves steps 1 and 2 (groups are transferred as the
 traversal produces them, so tree and object pages genuinely compete for
 the shared buffer) and splits the I/O cost per step, which is exactly
-the Figure 17 breakdown.
+the Figure 17 breakdown.  Step 3 prices no I/O, so it runs once, after
+the traversal, over the candidate pairs of the whole join: one batch of
+object-id pairs, one vector kernel call.
 """
 
 from __future__ import annotations
@@ -35,36 +37,30 @@ from repro.storage.base import SpatialOrganization
 __all__ = ["JoinResult", "spatial_join"]
 
 
-def _refine_group(
+def _refine(
     org_r: SpatialOrganization,
     org_s: SpatialOrganization,
-    pairs: list,
+    pairs: np.ndarray,
 ) -> int:
-    """Exact geometry test of one leaf group's candidate pairs: how
-    many of them intersect.
-
-    Pairs whose *tight* geometry MBRs are disjoint are dropped first by
-    one batched mask (entry rectangles may be expanded test versions,
-    Section 6.1) — every exact predicate starts from its geometries'
-    bounding boxes, so that never changes the count.  The surviving
-    polyline pairs then take one
-    :func:`~repro.geometry.intersect.polylines_intersect_pairs` call
-    for the whole group (a map polyline pair is a few hundred
-    segment-pair cells; only the concatenation across pairs amortizes
-    the numpy dispatch), polygon and mixed pairs keep
-    :meth:`SpatialObject.intersects`.  The count equals that predicate
-    run on every candidate.
+    """Exact geometry test of the join's candidate pairs, a ``(k, 2)``
+    array of object ids: how many of them intersect — the predicate on
+    every candidate.  Pairs whose *tight* geometry MBRs are disjoint
+    drop out first (entry rectangles may be expanded, Section 6.1;
+    every exact predicate starts from the bounding boxes), and the
+    polyline pairs of the whole join take one
+    :func:`~repro.geometry.intersect.polylines_intersect_pairs` call;
+    polygon and mixed pairs keep :meth:`SpatialObject.intersects`.
     """
-    resolved = [
-        (org_r.objects[entry_r.oid], org_s.objects[entry_s.oid])
-        for entry_r, entry_s in pairs
-    ]
-    a = np.array([obj_r.geometry.mbr.as_tuple() for obj_r, _ in resolved])
-    b = np.array([obj_s.geometry.mbr.as_tuple() for _, obj_s in resolved])
+    resolved = [(org_r.objects[r], org_s.objects[s]) for r, s in pairs.tolist()]
+    boxes = np.array([
+        (*obj_r.geometry.mbr.as_tuple(), *obj_s.geometry.mbr.as_tuple())
+        for obj_r, obj_s in resolved
+    ]).reshape(-1, 8)
     hits = 0
     lines_r: list[np.ndarray] = []
     lines_s: list[np.ndarray] = []
-    for (obj_r, obj_s), keep in zip(resolved, mbr_intersect_mask(a, b).tolist()):
+    tight = mbr_intersect_mask(boxes[:, :4], boxes[:, 4:]).tolist()
+    for (obj_r, obj_s), keep in zip(resolved, tight):
         if not keep:
             continue
         geom_r, geom_s = obj_r.geometry, obj_s.geometry
@@ -154,20 +150,19 @@ def spatial_join(
     counter = ExactTestCounter()
 
     result = JoinResult()
-    if evaluate_exact:
-        result.result_pairs = 0
     start = disk.stats()
     hits_before, misses_before = pool.hits, pool.misses
 
+    candidates = [np.empty((0, 2), dtype=np.int64)]
     for leaf_r, leaf_s, pairs in join.run():
         before = disk.stats()
-        transfer_r.fetch_group(leaf_r, [p[0] for p in pairs])
-        transfer_s.fetch_group(leaf_s, [p[1] for p in pairs])
+        transfer_r.fetch_group(leaf_r, pairs[:, 0].tolist())
+        transfer_s.fetch_group(leaf_s, pairs[:, 1].tolist())
         result.transfer_io = result.transfer_io + (disk.stats() - before)
         counter.record(len(pairs))
-        if evaluate_exact:
-            assert result.result_pairs is not None
-            result.result_pairs += _refine_group(org_r, org_s, pairs)
+        candidates.append(pairs)
+    if evaluate_exact:
+        result.result_pairs = _refine(org_r, org_s, np.concatenate(candidates))
 
     total = disk.stats() - start
     result.candidate_pairs = join.candidate_pairs

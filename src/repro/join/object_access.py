@@ -29,7 +29,6 @@ from repro.core.unit import ClusterUnit
 from repro.disk.extent import Extent
 from repro.errors import ConfigurationError
 from repro.iosched.request import AccessPlan
-from repro.rtree.entry import Entry
 from repro.rtree.node import Node
 from repro.storage.base import SpatialOrganization
 
@@ -80,22 +79,22 @@ class ObjectTransfer:
         self._optimum_pages: dict[int, set[int]] = {}
 
     # ------------------------------------------------------------------
-    def fetch_group(self, leaf: Node, entries: list[Entry]) -> None:
-        """Make the exact representations of the given data entries
-        memory-resident, pricing all disk traffic.
+    def fetch_group(self, leaf: Node, oids: list[int]) -> None:
+        """Make the exact representations of the given objects of one
+        data page memory-resident, pricing all disk traffic.
 
         On an overlapping scheduler the group's plans are scheduled as
         one operation, so candidate-object fetches for one leaf pair
         dispatch as a batch instead of one-at-a-time."""
         scheduler = self.pool.scheduler
         if scheduler.in_operation:
-            self._dispatch(leaf, entries)
+            self._dispatch(leaf, oids)
         else:
             with scheduler.operation("join.transfer"):
-                self._dispatch(leaf, entries)
+                self._dispatch(leaf, oids)
 
-    def _dispatch(self, leaf: Node, entries: list[Entry]) -> None:
-        oids = list(dict.fromkeys([entry.oid for entry in entries]))
+    def _dispatch(self, leaf: Node, oids: list[int]) -> None:
+        oids = list(dict.fromkeys(oids))
         self.object_requests += len(oids)
         org = self.org
         if org._page_holds_objects and leaf.page is not None:

@@ -884,10 +884,14 @@ class WorkloadEngine:
             self.storage.delete(op[1])
             return kind, 1
         if kind == "join":
-            other = getattr(op[1], "storage", op[1])
-            technique = op[2] if len(op) > 2 else "complete"
+            from repro.database import SpatialDatabase
             from repro.join.multistep import spatial_join
 
+            other = op[1] if len(op) > 1 else None
+            other = other.storage if isinstance(other, SpatialDatabase) else other
+            if not isinstance(other, SpatialOrganization):
+                raise ConfigurationError(f"cannot join with {other!r}")
+            technique = op[2] if len(op) > 2 else "complete"
             result = spatial_join(
                 self.storage, other, technique=technique, pool=self.pool
             )

@@ -10,11 +10,12 @@ a test can patch it over that name (:data:`PATCHES` lists the targets):
   that tests entry by entry (``RStarTree``);
 * :func:`rstar_split` — the split over sorted entry lists and ``Rect``
   unions (``repro.rtree.rstar``);
-* :func:`intersecting_pairs` — the join's pair list from a double loop
-  and a stable ``sort`` (``repro.join.mbr_join``);
+* :func:`mbr_join_run` — the join's synchronized traversal as the
+  recursion over node pairs, with :func:`intersecting_pairs`, the pair
+  list from a double loop and a stable ``sort`` (``MBRJoin.run``);
 * :func:`sort_by_hilbert` — a stable ``sorted`` on a per-object key
   (``repro.core.hilbert``);
-* :func:`refine` / :func:`refine_group` — the window / join refinement
+* :func:`refine` / :func:`join_refine` — the window / join refinement
   that asks each candidate's own predicate (``SpatialOrganization``,
   ``repro.join.multistep``);
 * and the geometry predicates' scalar loops, forced by size crossovers
@@ -38,7 +39,8 @@ from repro.core.hilbert import point_key
 from repro.errors import TreeError
 from repro.geometry import intersect
 from repro.geometry.rect import Rect
-from repro.join import mbr_join, multistep
+from repro.join import multistep
+from repro.join.mbr_join import MBRJoin
 from repro.rtree import rstar
 from repro.rtree.entry import Entry
 from repro.rtree.rstar import RStarTree
@@ -166,7 +168,7 @@ def rstar_split(entries, min_fill_fraction=0.4, rects=None):
 # the join's candidate pairs, Hilbert loading, refinement
 # ----------------------------------------------------------------------
 def intersecting_pairs(nr, ns) -> list[tuple[int, int]]:
-    """``repro.join.mbr_join._intersecting_pairs``: row-major
+    """The recursion's pair list of one node pair: row-major
     candidates, stable sort on ``max(xmin, xmin)``."""
     pairs = [
         (i, j)
@@ -180,6 +182,61 @@ def intersecting_pairs(nr, ns) -> list[tuple[int, int]]:
         )
     )
     return pairs
+
+
+def mbr_join_run(self):
+    """``MBRJoin.run`` as the recursion over node pairs, each group's
+    entry pairs handed on as the ``(k, 2)`` oid array of a
+    ``LeafGroup``."""
+    if not self.tree_r.root.entries or not self.tree_s.root.entries:
+        return
+    self._access(self.tree_r.root)
+    self._access(self.tree_s.root)
+    for nr, ns, pairs in mbr_join_recursion(self, self.tree_r.root, self.tree_s.root):
+        yield nr, ns, np.array(
+            [(er.oid, es.oid) for er, es in pairs], dtype=np.int64
+        ).reshape(-1, 2)
+
+
+def mbr_join_recursion(self, nr, ns):
+    """``MBRJoin._join``: the synchronized traversal of [BKS93b], one
+    node pair per call."""
+    if not nr.entries or not ns.entries:
+        return
+    if not nr.mbr().intersects(ns.mbr()):
+        return
+    if nr.level == ns.level:
+        if nr.is_leaf:
+            pairs = [
+                (nr.entries[i], ns.entries[j])
+                for i, j in intersecting_pairs(nr, ns)
+            ]
+            if pairs:
+                self.candidate_pairs += len(pairs)
+                yield nr, ns, pairs
+            return
+        for i, j in intersecting_pairs(nr, ns):
+            child_r = nr.entries[i].child
+            child_s = ns.entries[j].child
+            assert child_r is not None and child_s is not None
+            self._access(child_r)
+            self._access(child_s)
+            yield from mbr_join_recursion(self, child_r, child_s)
+    elif nr.level > ns.level:
+        # Descend only the taller tree, window-querying with ns.
+        window = ns.mbr()
+        for entry in nr.entries:
+            if entry.rect.intersects(window):
+                assert entry.child is not None
+                self._access(entry.child)
+                yield from mbr_join_recursion(self, entry.child, ns)
+    else:
+        window = nr.mbr()
+        for entry in ns.entries:
+            if entry.rect.intersects(window):
+                assert entry.child is not None
+                self._access(entry.child)
+                yield from mbr_join_recursion(self, nr, entry.child)
 
 
 def hilbert_sort_key(obj, data_space: float, order: int = 16) -> int:
@@ -217,14 +274,13 @@ def refine(queries, points: bool) -> None:
         result.objects = list(compress(candidates, decisions))
 
 
-def refine_group(org_r, org_s, pairs) -> int:
-    """``repro.join.multistep._refine_group``: the exact predicate on
-    every candidate pair."""
-    resolved = [
-        (org_r.objects[entry_r.oid], org_s.objects[entry_s.oid])
-        for entry_r, entry_s in pairs
-    ]
-    return sum(obj_r.intersects(obj_s) for obj_r, obj_s in resolved)
+def join_refine(org_r, org_s, pairs) -> int:
+    """``repro.join.multistep._refine``: the exact predicate on every
+    candidate pair."""
+    return sum(
+        org_r.objects[oid_r].intersects(org_s.objects[oid_s])
+        for oid_r, oid_s in pairs.tolist()
+    )
 
 
 #: ``(target, attribute, value)`` — size crossovers no input reaches.
@@ -239,10 +295,10 @@ PATCHES = (
     (RStarTree, "window_leaves", window_leaves),
     (RStarTree, "window_leaves_batch", window_leaves_batch),
     (rstar, "rstar_split", rstar_split),
-    (mbr_join, "_intersecting_pairs", intersecting_pairs),
+    (MBRJoin, "run", mbr_join_run),
     (hilbert, "sort_by_hilbert", sort_by_hilbert),
     (SpatialOrganization, "_refine", staticmethod(refine)),
-    (multistep, "_refine_group", refine_group),
+    (multistep, "_refine", join_refine),
     *SCALAR_LOOPS,
 )
 

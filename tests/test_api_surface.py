@@ -137,6 +137,24 @@ class TestExports:
             assert not [name for name in dir(owner) if name.endswith("_scalar")]
         assert not hasattr(repro.core.hilbert, "hilbert_sort_key")
 
+        # Gone with the flat join: the recursion over ``Node`` pairs and
+        # its per-pair entry mask (the recursion is the test oracle in
+        # ``tests/scalar_reference.py``), refinement per leaf group, and
+        # the join kernel's flat cell-index enumeration.  A leaf group
+        # carries object ids, and so does a group fetch.
+        import repro.geometry.intersect
+        import repro.join.multistep
+        from repro.join.mbr_join import MBRJoin
+        from repro.join.object_access import ObjectTransfer
+
+        assert not hasattr(repro.join.mbr_join, "_intersecting_pairs")
+        assert not hasattr(MBRJoin, "_join")
+        assert not hasattr(repro.join.multistep, "_refine_group")
+        assert callable(repro.geometry.intersect._grid_hits)
+        assert list(inspect.signature(ObjectTransfer.fetch_group).parameters) == [
+            "self", "leaf", "oids"
+        ]
+
 
 class TestRunLevelSurface:
     def test_run_level_members_are_part_of_the_protocols(self):

@@ -421,7 +421,7 @@ class TestGroupedTransfers:
         org = build_org("secondary", objects)
         groups = org.tree.window_leaves(Rect(0, 0, 10_000, 10_000))
         leaf, entries = max(groups, key=lambda g: len(g[1]))
-        return org, leaf, entries
+        return org, leaf, [e.oid for e in entries]
 
     @staticmethod
     def _spy_pool(scheduler):
@@ -445,38 +445,38 @@ class TestGroupedTransfers:
         from repro.iosched import SYNC
         from repro.join.object_access import ObjectTransfer
 
-        org, leaf, entries = self._org_and_leaf()
+        org, leaf, oids = self._org_and_leaf()
         pool = self._spy_pool(SYNC)
         transfer = ObjectTransfer(org, pool)
-        transfer.fetch_group(leaf, entries)
+        transfer.fetch_group(leaf, oids)
         assert pool.in_operation and not any(pool.in_operation)
-        assert transfer.object_requests == len({e.oid for e in entries})
+        assert transfer.object_requests == len(set(oids))
 
     def test_overlap_scheduler_groups_each_fetch(self):
         from repro.iosched import OverlapScheduler
         from repro.join.object_access import ObjectTransfer
 
-        org, leaf, entries = self._org_and_leaf()
+        org, leaf, oids = self._org_and_leaf()
         sched = OverlapScheduler()
         pool = self._spy_pool(sched)
         transfer = ObjectTransfer(org, pool)
-        transfer.fetch_group(leaf, entries)
+        transfer.fetch_group(leaf, oids)
         assert pool.in_operation and all(pool.in_operation)  # one scope
         assert not sched.in_operation  # closed again
         # ... of its own: the fetch's client has waited for its plans
         assert sched.clock.client_time("join.transfer") > 0
-        assert transfer.object_requests == len({e.oid for e in entries})
+        assert transfer.object_requests == len(set(oids))
 
     def test_enclosing_scope_suppresses_auto_grouping(self):
         from repro.iosched import OverlapScheduler
         from repro.join.object_access import ObjectTransfer
 
-        org, leaf, entries = self._org_and_leaf()
+        org, leaf, oids = self._org_and_leaf()
         sched = OverlapScheduler()
         pool = self._spy_pool(sched)
         auto = ObjectTransfer(org, pool)
         with sched.operation("outer"):
-            auto.fetch_group(leaf, entries)
+            auto.fetch_group(leaf, oids)
             assert all(pool.in_operation) and sched.in_operation
             # No scope of the fetch's own opened and closed: nobody has
             # waited yet, the plans complete when the outer scope does.

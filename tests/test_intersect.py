@@ -186,9 +186,10 @@ lattice_line = st.lists(
     st.tuples(lattice_coord, lattice_coord), min_size=1, max_size=7
 )
 pair_batch = st.lists(st.tuples(lattice_line, lattice_line), max_size=12)
-# Blocks of 1..16 cells cut most pairs (and single rows) in two; the
-# crossover of 1 sends every non-empty batch down the vector path.
-block_cells = st.sampled_from([1, 3, 16, intersect._BLOCK_CELLS])
+# Budgets of 1..16 cells cut most pairs into runs of a-segments (and the
+# rectangle kernels' single rows in two); the crossover of 1 sends every
+# non-empty batch down the vector path.
+budget_cells = st.sampled_from([1, 3, 16, intersect._GRID_CELLS])
 crossover = st.sampled_from([1, intersect._VECTOR_MIN_CELLS])
 
 NAMED_PAIRS = [
@@ -216,16 +217,18 @@ def scalar_pairs(batch) -> list[bool]:
 
 
 @contextmanager
-def vector_mode(block, min_cells):
+def vector_mode(budget, min_cells):
+    """Both kernels' cells per grid / block set to ``budget``."""
     with (
-        mock.patch.object(intersect, "_BLOCK_CELLS", block),
+        mock.patch.object(intersect, "_GRID_CELLS", budget),
+        mock.patch.object(intersect, "_BLOCK_CELLS", budget),
         mock.patch.object(intersect, "_VECTOR_MIN_CELLS", min_cells),
     ):
         yield
 
 
-def vector_pairs(batch, block, min_cells) -> list[bool]:
-    with vector_mode(block, min_cells):
+def vector_pairs(batch, budget, min_cells) -> list[bool]:
+    with vector_mode(budget, min_cells):
         return polylines_intersect_pairs(
             [np.array(a, dtype=np.float64) for a, _ in batch],
             [np.array(b, dtype=np.float64) for _, b in batch],
@@ -244,8 +247,8 @@ def scalar_rects(tests) -> list[bool]:
         return [polyline_intersects_rect(a, rect) for a, rect in tests]
 
 
-def vector_rects(tests, block, min_cells) -> list[bool]:
-    with vector_mode(block, min_cells):
+def vector_rects(tests, budget, min_cells) -> list[bool]:
+    with vector_mode(budget, min_cells):
         return polylines_intersect_rects(
             [np.array(a, dtype=np.float64) for a, _ in tests],
             [rect.as_tuple() for _, rect in tests],
@@ -254,43 +257,71 @@ def vector_rects(tests, block, min_cells) -> list[bool]:
 
 class TestBatchKernelsMatchScalar:
     @settings(deadline=None)
-    @given(pair_batch, block_cells, crossover)
-    def test_pairs_property(self, batch, block, min_cells):
-        assert vector_pairs(batch, block, min_cells) == scalar_pairs(batch)
+    @given(pair_batch, budget_cells, crossover)
+    def test_pairs_property(self, batch, budget, min_cells):
+        assert vector_pairs(batch, budget, min_cells) == scalar_pairs(batch)
 
     @settings(deadline=None)
-    @given(pair_batch, block_cells, crossover)
-    def test_rects_property(self, batch, block, min_cells):
+    @given(pair_batch, budget_cells, crossover)
+    def test_rects_property(self, batch, budget, min_cells):
         tests = as_window_tests(batch)
-        assert vector_rects(tests, block, min_cells) == scalar_rects(tests)
+        assert vector_rects(tests, budget, min_cells) == scalar_rects(tests)
 
-    @pytest.mark.parametrize("block", [1, 2, 5, intersect._BLOCK_CELLS])
-    def test_named_cases(self, block):
+    @pytest.mark.parametrize("budget", [1, 3, 16, intersect._GRID_CELLS])
+    def test_named_cases(self, budget):
         batch = NAMED_PAIRS * 12  # well past the crossover
         want = scalar_pairs(batch)
         assert want[: len(NAMED_PAIRS)] == [
             True, True, False, True, True, True, True, False,
             True, True, False, True, False, True, True,
         ]
-        assert vector_pairs(batch, block, intersect._VECTOR_MIN_CELLS) == want
+        assert vector_pairs(batch, budget, intersect._VECTOR_MIN_CELLS) == want
+        # Single-vertex sides on both sides of every other pair.
+        turned = [(b, a) if k % 2 else (a, b) for k, (a, b) in enumerate(batch)]
+        assert vector_pairs(turned, budget, 1) == scalar_pairs(turned) == want
         tests = as_window_tests(batch)
         assert vector_rects(
-            tests, block, intersect._VECTOR_MIN_CELLS
+            tests, budget, intersect._VECTOR_MIN_CELLS
         ) == scalar_rects(tests)
 
-    def test_long_pairs_straddle_default_blocks(self):
-        # Pairs of ~1600 cells against 2048-cell blocks: most blocks end
-        # inside a pair, and a decided pair's later rows are still right.
+    @staticmethod
+    def walk(rng, n):
+        start = rng.uniform(0, 60, 2)
+        return (start + np.cumsum(rng.uniform(-3, 3, (n, 2)), axis=0)).tolist()
+
+    def test_pairs_larger_than_the_budget(self):
+        # Pairs of ~1600 cells against budgets that hold a few rows of
+        # one: every pair is cut into runs, and a decided pair's later
+        # runs are still right.
         rng = np.random.default_rng(29)
-
-        def walk(n):
-            start = rng.uniform(0, 60, 2)
-            return (start + np.cumsum(rng.uniform(-3, 3, (n, 2)), axis=0)).tolist()
-
-        batch = [(walk(41), walk(41)) for _ in range(30)]
+        batch = [(self.walk(rng, 41), self.walk(rng, 41)) for _ in range(30)]
         want = scalar_pairs(batch)
         assert any(want) and not all(want)
-        assert vector_pairs(batch, intersect._BLOCK_CELLS, 128) == want
+        for budget in (40, 500, intersect._GRID_CELLS):
+            assert vector_pairs(batch, budget, 128) == want
+
+    def test_runs_share_their_boundary_vertex(self, monkeypatch):
+        # A 40 x 12-segment pair, 3 a-segments per run: 14 grids whose
+        # a-sides overlap in exactly one vertex and cover the polyline
+        # (the last run is the one segment left).
+        rng = np.random.default_rng(31)
+        a, b = self.walk(rng, 41), [(x + 500.0, y) for x, y in self.walk(rng, 13)]
+        grids = []
+        evaluate = intersect._grid_hits
+
+        def spy(ax, ay, bx, by, rows_a, rows_b):
+            grids.append((np.column_stack((ax[0], ay[0])), int(rows_a[0])))
+            return evaluate(ax, ay, bx, by, rows_a, rows_b)
+
+        monkeypatch.setattr(intersect, "_grid_hits", spy)
+        assert vector_pairs([(a, b)], 36, 128) == [False]
+        assert len(grids) == 14
+        assert [len(run) for run, _rows in grids] == [4] * 13 + [2]
+        assert [rows for _run, rows in grids] == list(range(40, 0, -3))
+        for (run, _), (after, _) in zip(grids, grids[1:]):
+            assert run[-1].tolist() == after[0].tolist()
+        vertices = np.vstack([run[:-1] for run, _ in grids] + [grids[-1][0][-1:]])
+        assert vertices.tolist() == a
 
     def test_empty_batch(self):
         assert polylines_intersect_pairs([], []).shape == (0,)
@@ -309,27 +340,28 @@ class TestBatchKernelsMatchScalar:
         monkeypatch.setattr(intersect, "segments_intersect", spy)
         monkeypatch.setattr(
             intersect,
-            "_segments_intersect_mask",
-            lambda *operands: pytest.fail("vector evaluator on a tiny batch"),
+            "_grid_hits",
+            lambda *operands: pytest.fail("vector kernel on a tiny batch"),
         )
         assert vector_pairs(
-            batch, intersect._BLOCK_CELLS, intersect._VECTOR_MIN_CELLS
+            batch, intersect._GRID_CELLS, intersect._VECTOR_MIN_CELLS
         ) == [True, True, False, True, True]
         assert seen and all(type(v) is float for v in seen)
 
     def test_decided_blocks_are_skipped(self, monkeypatch):
-        # One long pair that crosses in its first cells: the blocks
-        # after the hit are never evaluated.
+        # One long pair that crosses in its first cells: the runs of
+        # a-segments after the one with the hit are never evaluated.
         a = [(float(i), 0.0) for i in range(60)]
         b = [(0.5, -1.0), (0.5, 1.0)] + [(float(i), 5.0) for i in range(60)]
         calls = []
-        evaluate = intersect._segments_intersect_mask
+        evaluate = intersect._grid_hits
 
-        def spy(*operands):
-            calls.append(len(operands[0]))
-            return evaluate(*operands)
+        def spy(ax, *rest):
+            calls.append(ax.shape)
+            return evaluate(ax, *rest)
 
-        monkeypatch.setattr(intersect, "_segments_intersect_mask", spy)
+        monkeypatch.setattr(intersect, "_grid_hits", spy)
         assert vector_pairs([(a, b)], 256, 128) == [True]
-        assert len(calls) == 1
+        # 256 // 61 b-segments = 4 a-segments (5 vertices) per run
+        assert calls == [(1, 5)]
         assert polylines_intersect(a, b) is True

@@ -3,8 +3,12 @@ buffering semantics, multistep cost accounting."""
 
 from __future__ import annotations
 
+from unittest.mock import patch
+
+import numpy as np
 import pytest
 
+from repro.buffer.policy import POLICIES
 from repro.buffer.pool import BufferPool
 from repro.disk.allocator import PageAllocator
 from repro.disk.model import DiskModel
@@ -17,6 +21,7 @@ from repro.join.multistep import spatial_join
 from repro.join.object_access import JOIN_TECHNIQUES, ObjectTransfer
 from repro.rtree.rstar import RStarTree
 
+from tests import scalar_reference as reference
 from tests.conftest import build_org, make_objects
 
 
@@ -48,9 +53,9 @@ class TestMBRJoin:
         org_r, org_s, objs_r, objs_s = join_pair("secondary")
         join = MBRJoin(org_r.tree, org_s.tree, BufferPool(org_r.disk, capacity=64))
         got = {
-            (er.oid, es.oid)
+            (oid_r, oid_s)
             for _, _, pairs in join.run()
-            for er, es in pairs
+            for oid_r, oid_s in pairs.tolist()
         }
         assert got == brute_force_pairs(objs_r, objs_s)
         assert join.candidate_pairs == len(got)
@@ -83,7 +88,7 @@ class TestMBRJoin:
             t2.insert(i, r)
         assert t1.height > t2.height
         join = MBRJoin(t1, t2, BufferPool(disk, capacity=64))
-        got = {(er.oid, es.oid) for _, _, ps in join.run() for er, es in ps}
+        got = {tuple(pair) for _, _, ps in join.run() for pair in ps.tolist()}
         want = {
             (i, j)
             for i, r1 in enumerate(rects1)
@@ -108,10 +113,11 @@ class TestMBRJoin:
         join = MBRJoin(org_r.tree, org_s.tree, BufferPool(org_r.disk, capacity=64))
         for leaf_r, leaf_s, pairs in join.run():
             assert leaf_r.is_leaf and leaf_s.is_leaf
-            assert pairs
-            for er, es in pairs:
-                assert er in leaf_r.entries and es in leaf_s.entries
-                assert er.rect.intersects(es.rect)
+            assert pairs.shape[0] > 0 and pairs.shape[1] == 2
+            rects_r = {e.oid: e.rect for e in leaf_r.entries}
+            rects_s = {e.oid: e.rect for e in leaf_s.entries}
+            for oid_r, oid_s in pairs.tolist():
+                assert rects_r[oid_r].intersects(rects_s[oid_s])
 
 
 class TestObjectTransfer:
@@ -127,12 +133,12 @@ class TestObjectTransfer:
         pool = BufferPool(org_r.disk, capacity=512)
         transfer = ObjectTransfer(org_r, pool)
         leaf = next(org_r.tree.leaves())
-        entries = leaf.entries[:3]
-        transfer.fetch_group(leaf, entries)
+        oids = [e.oid for e in leaf.entries[:3]]
+        transfer.fetch_group(leaf, oids)
         before = org_r.disk.stats()
-        transfer.fetch_group(leaf, entries)  # all pages now buffered
+        transfer.fetch_group(leaf, oids)  # all pages now buffered
         assert (org_r.disk.stats() - before).requests == 0
-        assert transfer.buffer_hits >= len(entries)
+        assert transfer.buffer_hits >= len(oids)
 
     def test_cluster_complete_reads_whole_unit_once(self):
         org_r, org_s, _, _ = join_pair("cluster", n=80)
@@ -141,13 +147,13 @@ class TestObjectTransfer:
         leaf = next(org_r.tree.leaves())
         unit = leaf.tag
         before = org_r.disk.stats()
-        transfer.fetch_group(leaf, leaf.entries[:1])
+        transfer.fetch_group(leaf, [leaf.entries[0].oid])
         delta = org_r.disk.stats() - before
         assert delta.requests == 1
         assert delta.pages_transferred == min(unit.used_pages, unit.extent.npages)
         # Second object of the same unit: already buffered.
         before = org_r.disk.stats()
-        transfer.fetch_group(leaf, leaf.entries[1:2])
+        transfer.fetch_group(leaf, [leaf.entries[1].oid])
         assert (org_r.disk.stats() - before).requests == 0
 
     def test_vector_read_buffers_less_than_read(self):
@@ -157,7 +163,7 @@ class TestObjectTransfer:
             pool = BufferPool(org_r.disk, capacity=4096)
             transfer = ObjectTransfer(org_r, pool, technique=technique)
             leaf = next(org_r.tree.leaves())
-            transfer.fetch_group(leaf, leaf.entries[:2])
+            transfer.fetch_group(leaf, [e.oid for e in leaf.entries[:2]])
             results[technique] = len(pool)
         assert results["vector"] <= results["read"]
 
@@ -170,7 +176,7 @@ class TestObjectTransfer:
         oid = leaf.entries[0].oid
         requested = unit.requested_pages([oid])
         before = org_r.disk.stats()
-        transfer.fetch_group(leaf, leaf.entries[:1])
+        transfer.fetch_group(leaf, [leaf.entries[0].oid])
         delta = org_r.disk.stats() - before
         assert delta.pages_transferred == len(requested)
 
@@ -179,12 +185,12 @@ class TestObjectTransfer:
         pool = BufferPool(org_r.disk, capacity=512)
         transfer = ObjectTransfer(org_r, pool)
         leaf = next(org_r.tree.leaves())
-        inline_entries = [
-            e for e in leaf.entries if org_r.extent_of(e.oid) is None
+        inline = [
+            e.oid for e in leaf.entries if org_r.extent_of(e.oid) is None
         ]
-        if inline_entries:
+        if inline:
             before = org_r.disk.stats()
-            transfer.fetch_group(leaf, inline_entries)
+            transfer.fetch_group(leaf, inline)
             assert (org_r.disk.stats() - before).requests <= 1
 
 
@@ -348,10 +354,10 @@ def mixed_transfers(org_r, org_s, technique: str, pages: int):
     found = set()
     for leaf_r, leaf_s, pairs in join.run():
         before = disk.stats()
-        transfer_r.fetch_group(leaf_r, [p[0] for p in pairs])
-        transfer_s.fetch_group(leaf_s, [p[1] for p in pairs])
+        transfer_r.fetch_group(leaf_r, pairs[:, 0].tolist())
+        transfer_s.fetch_group(leaf_s, pairs[:, 1].tolist())
         io = io + (disk.stats() - before)
-        found.update((er.oid, es.oid) for er, es in pairs)
+        found.update(map(tuple, pairs.tolist()))
     return found, (
         io.requests,
         io.pages_transferred,
@@ -379,6 +385,201 @@ class TestMixedOrganizations:
         assert found == brute_force_pairs(objs_r, objs_s)
         assert any(org_r.extent_of(r) and org_s.extent_of(s) for r, s in found)
         assert observed == MIXED_EXPECTED["-".join(kinds), technique, pages]
+
+
+# ----------------------------------------------------------------------
+# the flat traversal against the recursion it replaced
+# ----------------------------------------------------------------------
+def lattice_objects(n: int, seed: int, base: int = 0) -> list[SpatialObject]:
+    """``make_objects`` with every vertex snapped to a 25-unit lattice,
+    so entries and directory rectangles share xmin values and the
+    processing order's ties are common."""
+    return [
+        SpatialObject(
+            base + obj.oid,
+            Polyline([(25.0 * round(x / 25), 25.0 * round(y / 25)) for x, y in obj.geometry.vertices]),
+            size_bytes=obj.size_bytes,
+        )
+        for obj in make_objects(n, seed=seed, space=1500.0)
+    ]
+
+
+def recorded_join(org_r, org_s, technique, pages, policy, run=MBRJoin.run):
+    """``spatial_join`` through ``run`` from a reset disk and clock: the
+    node accesses in order, the leaf groups in order, the result."""
+    accesses, groups = [], []
+    access = MBRJoin._access
+
+    def spy_access(join, node):
+        accesses.append((node.node_id, node.page))
+        return access(join, node)
+
+    def spy_run(join):
+        for leaf_r, leaf_s, pairs in run(join):
+            groups.append((leaf_r.node_id, leaf_s.node_id, pairs.tolist()))
+            yield leaf_r, leaf_s, pairs
+
+    from repro.iosched import OverlapScheduler
+
+    org_r.disk.reset()
+    if isinstance(org_r.pool.scheduler, OverlapScheduler):
+        org_r.pool.scheduler.reset()
+    with patch.object(MBRJoin, "_access", spy_access), patch.object(MBRJoin, "run", spy_run):
+        result = spatial_join(
+            org_r, org_s, buffer_pages=pages, technique=technique,
+            evaluate_exact=True, policy=policy,
+        )
+    return accesses, groups, result
+
+
+class TestFlatJoinIsTheRecursion:
+    """``MBRJoin.run`` replays the node accesses and leaf groups of the
+    recursive traversal (``tests/scalar_reference.py``) in its order,
+    so everything priced after them is the recursion's too."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[(kind, sched) for kind in ("secondary", "primary", "cluster")
+                for sched in ("sync", "overlap")],
+        ids="-".join,
+    )
+    def relations(self, request):
+        from repro.iosched import OverlapScheduler
+
+        kind, sched = request.param
+        disk, alloc = DiskModel(), PageAllocator()
+        shared = dict(disk=disk, allocator=alloc, max_entries=8)
+        if sched == "overlap":
+            shared["scheduler"] = OverlapScheduler()
+        orgs = [
+            build_org(kind, objects, region_prefix=prefix, **shared)
+            for prefix, objects in (
+                ("r", lattice_objects(160, seed=41)),
+                ("s", lattice_objects(30, seed=42, base=1_000_000)),
+                ("e", []),
+            )
+        ]
+        return orgs
+
+    @pytest.mark.parametrize("policy", list(POLICIES))
+    @pytest.mark.parametrize("pages", [8, 4096], ids=["tiny", "fits"])
+    @pytest.mark.parametrize("technique", JOIN_TECHNIQUES)
+    def test_same_accesses_groups_and_result(self, relations, technique, pages, policy):
+        org_r, org_s, _empty = relations
+        assert org_r.tree.height > org_s.tree.height
+        for pair in ((org_r, org_s), (org_s, org_r)):  # either side taller
+            flat = recorded_join(*pair, technique, pages, policy)
+            recursion = recorded_join(*pair, technique, pages, policy, reference.mbr_join_run)
+            accesses, groups, result = flat
+            assert len(accesses) > 2 and groups and result.result_pairs > 0
+            assert accesses == recursion[0]
+            assert groups == recursion[1]
+            assert result == recursion[2]
+
+    def test_an_empty_side_joins_nothing(self, relations):
+        org_r, _, empty = relations
+        for pair in ((org_r, empty), (empty, org_r)):
+            flat = recorded_join(*pair, "complete", 8, "lru")
+            assert flat == recorded_join(*pair, "complete", 8, "lru", reference.mbr_join_run)
+            assert flat[:2] == ([], []) and flat[2].result_pairs == 0
+
+
+# ----------------------------------------------------------------------
+# what a join costs, as counts (ROADMAP item A)
+# ----------------------------------------------------------------------
+def counting_slot(counts: dict, key: str, owner, name: str):
+    """A patch of the slot ``owner.name`` that counts its reads."""
+    slot = owner.__dict__[name]
+
+    def read(obj):
+        counts[key] += 1
+        return slot.__get__(obj, owner)
+
+    return patch.object(owner, name, property(read, slot.__set__))
+
+
+def join_counts() -> dict[str, float]:
+    """Run the benchmark's smoke-size ``join_exact`` twin — A-1 ⋈ A-2 at
+    scale 0.005, every object stored, a 36-page LRU pool, exact
+    refinement — and count what the join costs in calls and cells.
+    Machine-independent; CI's ``Size report`` prints them."""
+    from repro.data.series import scaled, spec_for
+    from repro.data.tiger import generate_map
+    from repro.database import SpatialDatabase
+    from repro.geometry import intersect
+    from repro.iosched.scheduler import SyncScheduler
+    from repro.join import multistep
+    from repro.rtree.entry import Entry
+    from repro.rtree.node import Node
+
+    spec_r, spec_s = scaled(spec_for("A-1"), 0.005), scaled(spec_for("A-2"), 0.005)
+    db = SpatialDatabase(avg_object_size=spec_r.avg_object_size)
+    db.build(generate_map(spec_r, seed=1994))
+    other = db.attach("s", avg_object_size=spec_s.avg_object_size)
+    other.build(generate_map(spec_s, seed=1994, id_offset=10**6))
+    for tree in (db.storage.tree, other.storage.tree):
+        tree.flat_snapshot()  # built with the trees, not by the join
+    counts = dict.fromkeys(
+        ("node_plans", "plans", "kernel_calls", "grids", "cells", "real_cells",
+         "entries_reads", "oid_reads"), 0
+    )
+    execute, kernel, grid_hits = (
+        SyncScheduler.execute, multistep.polylines_intersect_pairs, intersect._grid_hits
+    )
+
+    def spy_execute(scheduler, plan, pool):
+        counts["plans"] += 1
+        counts["node_plans"] += plan.label == "join.node"
+        return execute(scheduler, plan, pool)
+
+    def spy_kernel(coords_a, coords_b):
+        counts["kernel_calls"] += 1
+        return kernel(coords_a, coords_b)
+
+    def spy_grid(ax, ay, bx, by, rows_a, rows_b):
+        rows, cols = ax.shape[1] - 1, bx.shape[1] - 1
+        counts["grids"] += 1
+        counts["cells"] += len(ax) * rows * cols
+        counts["real_cells"] += int((np.minimum(rows_a, rows) * rows_b).sum())
+        return grid_hits(ax, ay, bx, by, rows_a, rows_b)
+
+    with (
+        patch.object(SyncScheduler, "execute", spy_execute),
+        patch.object(multistep, "polylines_intersect_pairs", spy_kernel),
+        patch.object(intersect, "_grid_hits", spy_grid),
+        counting_slot(counts, "entries_reads", Node, "entries"),
+        counting_slot(counts, "oid_reads", Entry, "oid"),
+    ):
+        result = db.join(other, buffer_pages=36, evaluate_exact=True)
+    return {
+        **counts,
+        "candidate_pairs": result.candidate_pairs,
+        "result_pairs": result.result_pairs,
+        "node_accesses": result.node_accesses,
+        "padded_share": 1 - counts["real_cells"] / counts["cells"],
+    }
+
+
+class TestJoinCounts:
+    def test_one_kernel_call_and_no_object_walks_per_join(self):
+        """ROADMAP A's ``join_exact`` row.  Exact values: the maps, the
+        trees and therefore every count are deterministic."""
+        counts = join_counts()
+        assert (counts["candidate_pairs"], counts["result_pairs"]) == (424, 152)
+        # One plan per node access, as before the flat traversal (whose
+        # 32 node-pair pair lists were 32 Python calls); one plan per
+        # leaf group is ROADMAP J step 2.
+        assert counts["node_plans"] == counts["node_accesses"] == 64
+        # One kernel call per join (26, one per leaf group, before), and
+        # 21 padded grids of two cross products per cell (127 blocks of
+        # eight gathers and four cross products per cell before).
+        assert counts["kernel_calls"] == 1
+        assert counts["grids"] == 21
+        assert (counts["cells"], counts["real_cells"]) == (321_139, 244_627)
+        assert round(counts["padded_share"], 4) == 0.2383
+        # Refinement reads object ids from the flat snapshots, not from
+        # the trees' ``Node`` / ``Entry`` objects.
+        assert counts["entries_reads"] == counts["oid_reads"] == 0
 
 
 if __name__ == "__main__":  # print MIXED_EXPECTED's rows

@@ -25,7 +25,6 @@ from repro.core.hilbert import (
 from repro.geometry.intersect import mbr_intersect_mask
 from repro.geometry.polyline import Polyline
 from repro.geometry.rect import Rect
-from repro.join.mbr_join import _intersecting_pairs
 from repro.rtree.entry import Entry
 from repro.rtree.node import Node
 from repro.rtree.rstar import RStarTree
@@ -148,10 +147,28 @@ class TestQueryOrderEquivalence:
         assert batch.total_ms == single.total_ms
 
 
+def join_pairs(rects_r: list[Rect], rects_s: list[Rect]) -> list[tuple[int, int]]:
+    """The candidate pairs ``MBRJoin.run`` yields for two one-leaf
+    trees holding the rectangles in order (oid = position)."""
+    from repro.buffer.pool import BufferPool
+    from repro.disk.model import DiskModel
+    from repro.join.mbr_join import MBRJoin
+
+    trees = []
+    for rects in (rects_r, rects_s):
+        tree = RStarTree(max_entries=64)
+        for oid, rect in enumerate(rects):
+            tree.insert(oid, rect)
+        trees.append(tree)
+    join = MBRJoin(*trees, BufferPool(DiskModel(), capacity=8))
+    return [tuple(pair) for *_leaves, pairs in join.run() for pair in pairs.tolist()]
+
+
 class TestIntersectingPairsOrder:
     """Satellite: the join's pair order is pinned — stable sort on
-    max(xmin, xmin), row-major within ties — and the whole-node MBR
-    pretest returns early on disjoint nodes."""
+    max(xmin, xmin), row-major within ties — and disjoint or empty
+    nodes yield nothing; the flat traversal against the recursion's
+    pair list."""
 
     @staticmethod
     def _leaf(rects: list[Rect], node_id: int = 0) -> Node:
@@ -162,39 +179,41 @@ class TestIntersectingPairsOrder:
     def test_pair_order_pinned_with_ties(self):
         # All four pairs share identical xmin keys -> ties must keep
         # row-major (i, j) candidate order.
-        nr = self._leaf([Rect(0, 0, 2, 2), Rect(0, 5, 2, 7)])
-        ns = self._leaf([Rect(0, 1, 2, 6), Rect(0, 0, 2, 8)], node_id=1)
+        rects_r = [Rect(0, 0, 2, 2), Rect(0, 5, 2, 7)]
+        rects_s = [Rect(0, 1, 2, 6), Rect(0, 0, 2, 8)]
         expected = [(0, 0), (0, 1), (1, 0), (1, 1)]
-        assert _intersecting_pairs(nr, ns) == expected
-        assert reference.intersecting_pairs(nr, ns) == expected
+        assert join_pairs(rects_r, rects_s) == expected
+        assert reference.intersecting_pairs(
+            self._leaf(rects_r), self._leaf(rects_s, 1)
+        ) == expected
 
     def test_pair_order_sorted_by_max_xmin(self):
-        nr = self._leaf([Rect(4, 0, 9, 9), Rect(0, 0, 5, 9)])
-        ns = self._leaf([Rect(2, 0, 6, 9), Rect(0, 0, 1, 9)], node_id=1)
-        pairs = _intersecting_pairs(nr, ns)
+        rects_r = [Rect(4, 0, 9, 9), Rect(0, 0, 5, 9)]
+        rects_s = [Rect(2, 0, 6, 9), Rect(0, 0, 1, 9)]
+        pairs = join_pairs(rects_r, rects_s)
         # keys: (0,0)->4, (1,0)->2, (1,1)->0; (0,1) disjoint (4 > 1)
         assert pairs == [(1, 1), (1, 0), (0, 0)]
-        assert reference.intersecting_pairs(nr, ns) == pairs
+        assert reference.intersecting_pairs(
+            self._leaf(rects_r), self._leaf(rects_s, 1)
+        ) == pairs
 
     def test_scalar_and_vector_agree_on_random_nodes(self):
         rng = random.Random(11)
         for _ in range(20):
-            nr = self._leaf([random_rect(rng) for _ in range(17)])
-            ns = self._leaf([random_rect(rng) for _ in range(23)], node_id=1)
-            assert _intersecting_pairs(nr, ns) == reference.intersecting_pairs(
-                nr, ns
+            rects_r = [random_rect(rng) for _ in range(17)]
+            rects_s = [random_rect(rng) for _ in range(23)]
+            assert join_pairs(rects_r, rects_s) == reference.intersecting_pairs(
+                self._leaf(rects_r), self._leaf(rects_s, 1)
             )
 
     def test_disjoint_nodes_return_early(self):
-        nr = self._leaf([Rect(0, 0, 1, 1), Rect(1, 1, 2, 2)])
-        ns = self._leaf([Rect(10, 10, 11, 11)], node_id=1)
-        assert _intersecting_pairs(nr, ns) == []
+        assert join_pairs(
+            [Rect(0, 0, 1, 1), Rect(1, 1, 2, 2)], [Rect(10, 10, 11, 11)]
+        ) == []
 
     def test_empty_nodes(self):
-        nr = self._leaf([])
-        ns = self._leaf([Rect(0, 0, 1, 1)], node_id=1)
-        assert _intersecting_pairs(nr, ns) == []
-        assert _intersecting_pairs(ns, nr) == []
+        assert join_pairs([], [Rect(0, 0, 1, 1)]) == []
+        assert join_pairs([Rect(0, 0, 1, 1)], []) == []
 
 
 class TestSplitEquivalence:
@@ -336,8 +355,8 @@ class TestRefinementKernels:
         """Pairs of 120..3500 cells (the cross-pair kernel's range, not
         the scalar crossover's) with polygons mixed into one relation:
         the same join as the per-pair reference and the brute-force
-        count — and, as shipped, through the cross-pair kernel, not pair
-        by pair."""
+        count — and, as shipped, through one cross-pair kernel call per
+        join, not pair by pair or group by group."""
         from repro.disk.allocator import PageAllocator
         from repro.disk.model import DiskModel
         from repro.geometry.feature import SpatialObject
@@ -400,12 +419,12 @@ class TestRefinementKernels:
         vector_result = multistep.spatial_join(
             org_r, org_s, buffer_pages=64, evaluate_exact=True
         )
-        assert 0 < len(kernel_calls) <= len(groups)
+        assert len(kernel_calls) == 1 and len(groups) > 1
         assert not per_pair_calls
         line_pairs = sum(kernel_calls)
         del kernel_calls[:]
         with reference.scalar_loops():
-            monkeypatch.setattr(multistep, "_refine_group", reference.refine_group)
+            monkeypatch.setattr(multistep, "_refine", reference.join_refine)
             scalar_result = multistep.spatial_join(
                 org_r, org_s, buffer_pages=64, evaluate_exact=True
             )
@@ -426,7 +445,7 @@ class TestRefinementKernels:
 class TestReferenceKernelsBuildTheSameDatabase:
     """Every database is built and served twice — as shipped, and with
     the entry-at-a-time bodies of ``tests/scalar_reference.py`` patched
-    over the tree walk, the split, the join's pair list, the Hilbert
+    over the tree walk, the split, the join's traversal, the Hilbert
     sort, both refinement steps and the geometry crossovers (nothing
     under ``src/`` can select them) — and must come out the same:
     answers in order, per-query counters and I/O, the catalog after a

@@ -144,6 +144,13 @@ class TestRunWorkload:
         assert join_phase is not None
         assert join_phase.results > 0  # candidate pairs found
 
+    @pytest.mark.parametrize("op", [("join", "x"), ("join",)])
+    def test_malformed_join_is_a_configuration_error(self, workload_setup, op):
+        db = build_db(workload_setup[0])
+        operand = repr(op[1]) if len(op) > 1 else "None"
+        with pytest.raises(ConfigurationError, match=f"cannot join with {operand}"):
+            db.run_workload([op])
+
     def test_pool_restored_after_run(self, workload_setup):
         resident, _ = workload_setup
         db = build_db(resident)
