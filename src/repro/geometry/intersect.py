@@ -8,25 +8,27 @@ predicates ("sharing points" counts as intersecting), matching the
 window-query definition of Section 2.
 
 The scalar predicates (:func:`segments_intersect` and the loops over
-it) are the reference, and what small inputs run.  The polyline
-predicates — the refinement hot spots — send the cells of inputs past a
-size crossover through vector forms of the same hit rule: per object
-for long polylines and across a whole batch of candidates for the
-window queries (:func:`polylines_intersect_rects`) through one segment
-evaluator (``_segments_intersect_mask``), across the join's candidate
-pairs (:func:`polylines_intersect_pairs`) through padded orientation
-grids (``_grid_hits``).  They run the identical float64 comparisons
-(including the ``_EPS`` tolerances and the per-segment MBR pretest of
-the rectangle predicate), so the boolean answers agree on every input,
-eps-boundary cases included.
+it) are the reference.  The polyline predicates — the refinement hot
+spots — have batch forms.  The window queries' rectangle test
+(:func:`polylines_intersect_rects`, also a long polyline's) decides
+almost every row by one outcode comparison per vertex and hands the
+few segments left to :func:`segment_intersects_rect` itself.  The
+join's pair test (:func:`polylines_intersect_pairs`) sends inputs past
+a size crossover through padded orientation grids (``_grid_hits``)
+and the one vector form of the segment hit rule
+(``_segments_intersect_mask``), with the identical float64 comparisons
+and ``_EPS`` tolerances.  Either way the boolean answers agree with the
+scalar predicates on every input, eps-boundary cases included.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
+from repro.errors import GeometryError
 from repro.geometry.rect import Rect
 
 __all__ = [
@@ -234,7 +236,7 @@ def polyline_intersects_rect(
         pts = coords() if coords is not None else np.asarray(
             vertices, dtype=np.float64
         )
-        return _polyline_intersects_rect_vector(pts, rect)
+        return bool(polylines_intersect_rects([pts], [rect.as_tuple()])[0])
     for i in range(len(vertices) - 1):
         if segment_intersects_rect(vertices[i], vertices[i + 1], rect):
             return True
@@ -248,77 +250,64 @@ def polylines_intersect_rects(
     """Batched :func:`polyline_intersects_rect` over *independent* pairs:
     ``out[k]`` is True iff polyline ``coords_list[k]`` (an ``(n_k, 2)``
     float64 vertex matrix) shares a point with rectangle ``rects[k]``
-    (an ``(xmin, ymin, xmax, ymax)`` row).
+    (an ``(xmin, ymin, xmax, ymax)`` row); a row without vertices is
+    False.
 
-    This is the window-refinement hot path batched **across objects and
-    queries at once**: typical map polylines have only a handful of
-    segments, far below the per-call vectorization crossover, so the
-    per-object kernel degenerates to the scalar loop — concatenating
-    every pending ``(candidate, window)`` test of a whole query batch
-    into one segment array amortizes the numpy dispatch instead.  The
-    arithmetic mirrors the scalar path exactly (same vertex-inside
-    accept, same closed per-segment MBR pretest, same ``_EPS`` edge
-    tests against the same corner cycle), so the booleans agree on
-    every input, boundary cases included.
+    The window-refinement hot path, batched across the candidates and
+    queries of one call.  One Cohen-Sutherland outcode per vertex — a
+    flag each for left of, below, right of and above its rectangle —
+    decides nearly every row: a vertex with code 0 lies in the closed
+    rectangle (``Rect.contains_point``) and accepts its row, and a
+    segment whose two codes share a flag has a box that misses the
+    rectangle (the scalar per-segment pretest, ``Rect.intersects``,
+    for every non-NaN float) and is rejected.  The few segments left —
+    none in most calls on map data — run :func:`segment_intersects_rect`
+    itself, so the booleans are the scalar predicate's by construction,
+    ``_EPS`` edge tests included.
     """
     n = len(coords_list)
     out = np.zeros(n, dtype=bool)
-    if n == 0:
+    counts = np.fromiter(map(len, coords_list), dtype=np.int64, count=n)
+    ends = counts.cumsum()  # row r: vertices ends[r] - counts[r] to ends[r] - 1
+    if not n or not ends[-1]:
         return out
-    rects = np.asarray(rects, dtype=np.float64).reshape(n, 4)
-    counts = np.fromiter((len(c) for c in coords_list), dtype=np.int64, count=n)
-    total_cells = 4 * int(np.maximum(counts - 1, 0).sum())
-    if total_cells < _VECTOR_MIN_CELLS:
-        # Plain Python floats for the scalar loop: walking numpy rows
-        # would run every comparison on np.float64 scalars.  (No
-        # polyline here reaches the per-object vector crossover.)
-        for k, (coords, rect) in enumerate(zip(coords_list, rects.tolist())):
-            out[k] = polyline_intersects_rect(coords.tolist(), Rect(*rect))
-        return out
-    pts = np.concatenate(coords_list).reshape(-1, 2).astype(np.float64, copy=False)
-    owner = np.repeat(np.arange(n), counts)
-    starts = np.cumsum(counts) - counts
-    vrect = rects[owner]
-    inside = (
-        (vrect[:, 0] <= pts[:, 0])
-        & (pts[:, 0] <= vrect[:, 2])
-        & (vrect[:, 1] <= pts[:, 1])
-        & (pts[:, 1] <= vrect[:, 3])
-    )
-    np.logical_or.reduceat(inside, starts, out=out)
-    # Segment rows: consecutive vertices belonging to the same polyline.
-    seg = (owner[:-1] == owner[1:]).nonzero()[0]
-    seg = seg[~out[owner[seg]]]  # vertex-inside already decided those
+    rects = np.fromiter(
+        chain.from_iterable(rects), dtype=np.float64, count=4 * n
+    ).reshape(n, 4)
+    pts = np.concatenate(coords_list)
+    x, y = pts.T
+    xmin, ymin, xmax, ymax = rects.T.repeat(counts, axis=1)
+    # One flag byte per side, four to a vertex: the uint32 view is the
+    # outcode (zero inside), and two codes sharing a flag share a side.
+    outside = np.empty((len(pts), 4), dtype=bool)
+    np.less(x, xmin, out=outside[:, 0])
+    np.less(y, ymin, out=outside[:, 1])
+    np.greater(x, xmax, out=outside[:, 2])
+    np.greater(y, ymax, out=outside[:, 3])
+    code = outside.view(np.uint32).ravel()
+    inside = code == 0
+    out[ends.searchsorted(inside.nonzero()[0], side="right")] = True
+    # Every flag on an inside vertex: its row is decided, its segments
+    # are not tested.
+    code[inside] = 0x01010101
+    # live[k]: segment k -> k + 1 is left for the edge tests.  A row's
+    # last vertex starts none; the slot past the last vertex pads for
+    # the ends of empty rows.
+    live = np.empty(len(pts), dtype=bool)
+    np.equal(code[:-1] & code[1:], 0, out=live[:-1])
+    live[ends - 1] = False
+    seg = live.nonzero()[0]
     if not len(seg):
         return out
-    seg_owner = owner[seg]
-    a0, a1 = pts[seg], pts[seg + 1]
-    r = rects[seg_owner]
-    # The scalar path's per-segment MBR pretest (closed comparisons).
-    mbr_ok = (
-        (np.minimum(a0[:, 0], a1[:, 0]) <= r[:, 2])
-        & (r[:, 0] <= np.maximum(a0[:, 0], a1[:, 0]))
-        & (np.minimum(a0[:, 1], a1[:, 1]) <= r[:, 3])
-        & (r[:, 1] <= np.maximum(a0[:, 1], a1[:, 1]))
-    )
-    if not mbr_ok.any():
-        return out
-    seg_owner = seg_owner[mbr_ok]
-    a0, a1, r = a0[mbr_ok], a1[mbr_ok], r[mbr_ok]
-    ax, ay = a0[:, 0, None], a0[:, 1, None]
-    bx, by = a1[:, 0, None], a1[:, 1, None]
-    # The rectangle edge cycle of Rect.corners(): counter-clockwise
-    # from (xmin, ymin) — identical operand order to the scalar tests.
-    cx = np.stack([r[:, 0], r[:, 2], r[:, 2], r[:, 0]], axis=1)
-    cy = np.stack([r[:, 1], r[:, 1], r[:, 3], r[:, 3]], axis=1)
-    dx = np.stack([r[:, 2], r[:, 2], r[:, 0], r[:, 0]], axis=1)
-    dy = np.stack([r[:, 1], r[:, 3], r[:, 3], r[:, 1]], axis=1)
-    operands = (ax, ay, bx, by, cx, cy, dx, dy)
-    block = max(1, _BLOCK_CELLS // 4)
-    for lo in range(0, len(a0), block):
-        hi = lo + block
-        hit = _segments_intersect_mask(*(v[lo:hi] for v in operands))
-        out[seg_owner[lo:hi][hit.any(axis=1)]] = True
+    row = ends.searchsorted(seg, side="right")
+    # Plain Python floats: numpy scalars would make every scalar
+    # comparison several times slower.  A row may have been decided by
+    # a vertex away from this segment.
+    for r, a, b, rect in zip(
+        row.tolist(), pts[seg].tolist(), pts[seg + 1].tolist(), rects[row].tolist()
+    ):
+        if not out[r] and segment_intersects_rect(a, b, Rect(*rect)):
+            out[r] = True
     return out
 
 
@@ -378,11 +367,15 @@ def polylines_intersect_pairs(
     No box pruning: the eps-tolerant orientations accept some cells
     whose segment boxes are disjoint.  Batches under
     ``_VECTOR_MIN_CELLS`` cells loop over :func:`polylines_intersect`.
+    A pair with a side without vertices raises :class:`GeometryError`.
     """
     n = len(coords_a)
     out = np.zeros(n, dtype=bool)
     na = np.fromiter((len(c) for c in coords_a), dtype=np.int64, count=n)
     nb = np.fromiter((len(c) for c in coords_b), dtype=np.int64, count=n)
+    empty = np.flatnonzero((na == 0) | (nb == 0))
+    if len(empty):
+        raise GeometryError(f"pair {empty[0]}: a polyline without vertices")
     cells = (na - 1) * (nb - 1)
     if int(cells.sum()) >= _VECTOR_MIN_CELLS:
         # A single-vertex "polyline" has no segment to enumerate.
@@ -442,24 +435,21 @@ _GRID_CELLS = 16384
 padding included: 28 / 22.5 / 21 ms at 8 / 16 / 32 k cells on the
 ``join_exact`` pairs (1.24 M cells, 2-vCPU container)."""
 
-_BLOCK_CELLS = 2048
-"""Segment-rectangle cells per numpy block of the rectangle kernels,
-also their early-exit step.  Sized on the join's old kernel: 8 k cells
-took 1.4x the time of 2 k on one machine, 0.7x on a 2-vCPU container."""
-
 _VECTOR_MIN_CELLS = 128
-"""A batch with fewer segment-pair cells in total — all pairs of one
-:func:`polylines_intersect_pairs` or :func:`polylines_intersect_rects`
-call, the point x edge grid of :func:`points_in_polygon` — runs the
-scalar loops: numpy call overhead dominates small batches (measured
-crossover ~100-200 cells).  Purely a performance heuristic — both
-paths return identical booleans."""
+"""A batch with fewer cells in total runs the scalar loops in the two
+kernels that still have them: all segment pairs of one
+:func:`polylines_intersect_pairs` call (or of one
+:func:`polylines_intersect` pair) and the point x edge grid of
+:func:`points_in_polygon`.  Numpy call overhead dominates small
+batches (measured crossover ~100-200 cells).  Purely a performance
+heuristic — both paths return identical booleans."""
 
 _VECTOR_MIN_VERTICES = 64
-"""Polyline/rect tests below this many vertices run the scalar loop
-(it early-exits after a handful of cheap per-segment checks; measured
-crossover ~64 vertices).  Purely a performance heuristic — both paths
-return identical booleans."""
+"""A :func:`polyline_intersects_rect` test below this many vertices
+runs the scalar loop (it early-exits after a handful of cheap
+per-segment checks; measured crossover ~64 vertices), a longer one
+is a batch of one through :func:`polylines_intersect_rects`.  Purely a
+performance heuristic — both paths return identical booleans."""
 
 
 def _on_segment_mask(ax, ay, bx, by, px, py) -> np.ndarray:
@@ -553,41 +543,3 @@ def _segments_intersect_mask(ax, ay, bx, by, cx, cy, dx, dy) -> np.ndarray:
             | (zero4 & _on_segment_mask(cx, cy, dx, dy, bx, by))
         )
     return hit
-
-
-def _polyline_intersects_rect_vector(pts: np.ndarray, rect: Rect) -> bool:
-    # Any vertex inside the rectangle decides immediately (the scalar
-    # loop's trivial accept — every vertex is some segment's endpoint).
-    inside = (
-        (rect.xmin <= pts[:, 0])
-        & (pts[:, 0] <= rect.xmax)
-        & (rect.ymin <= pts[:, 1])
-        & (pts[:, 1] <= rect.ymax)
-    )
-    if inside.any():
-        return True
-    a0, a1 = pts[:-1], pts[1:]
-    # The scalar path skips a segment whose own MBR misses the
-    # rectangle *before* the eps-tolerant edge tests; keep that pretest
-    # as a mask so eps-boundary answers stay identical.
-    seg_ok = (
-        (np.minimum(a0[:, 0], a1[:, 0]) <= rect.xmax)
-        & (rect.xmin <= np.maximum(a0[:, 0], a1[:, 0]))
-        & (np.minimum(a0[:, 1], a1[:, 1]) <= rect.ymax)
-        & (rect.ymin <= np.maximum(a0[:, 1], a1[:, 1]))
-    )
-    if not seg_ok.any():
-        return False
-    a0, a1 = a0[seg_ok], a1[seg_ok]
-    c0 = np.array(list(rect.corners()), dtype=np.float64)
-    c1 = np.roll(c0, -1, axis=0)
-    block = max(1, _BLOCK_CELLS // 4)
-    for start in range(0, len(a0), block):
-        end = start + block
-        if _segments_intersect_mask(
-            a0[start:end, 0, None], a0[start:end, 1, None],
-            a1[start:end, 0, None], a1[start:end, 1, None],
-            c0[:, 0], c0[:, 1], c1[:, 0], c1[:, 1],
-        ).any():
-            return True
-    return False

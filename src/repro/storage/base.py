@@ -482,14 +482,12 @@ class SpatialOrganization(abc.ABC):
         candidate.  All pending polyline
         tests of the call go through one
         :func:`~repro.geometry.intersect.polylines_intersect_rects`
-        batch (map polylines have a handful of segments each, far below
-        the per-object vectorization crossover, so only the
-        concatenation across candidates and queries pays off; a point
-        test is a degenerate rect intersection), all point-in-polygon
-        tests through one :meth:`Polygon.contains_points` batch per
-        distinct polygon; polygon/window tests keep the scalar predicate.
-        The kernels themselves fall back to the scalar loops for small
-        batches."""
+        batch (map polylines have a handful of segments each, so only
+        one call across candidates and queries amortizes the numpy
+        dispatch; a point test is a degenerate rect intersection), all
+        point-in-polygon tests through one
+        :meth:`Polygon.contains_points` batch per distinct polygon;
+        polygon/window tests keep the scalar predicate."""
         line_coords: list = []
         line_rects: list[tuple[float, float, float, float]] = []
         line_sinks: list[tuple[list[bool], int]] = []

@@ -20,7 +20,7 @@ a test can patch it over that name (:data:`PATCHES` lists the targets):
   ``repro.join.multistep``);
 * and the geometry predicates' scalar loops, forced by size crossovers
   no input reaches (``repro.geometry.intersect``; :func:`scalar_loops`
-  alone).
+  alone; :data:`SCALAR_LOOPS` names the predicates).
 
 Inside :func:`installed` all of them are in place at once.
 """
@@ -283,7 +283,11 @@ def join_refine(org_r, org_s, pairs) -> int:
     )
 
 
-#: ``(target, attribute, value)`` — size crossovers no input reaches.
+#: ``(target, attribute, value)`` — size crossovers no input reaches:
+#: :func:`polylines_intersect`, :func:`polylines_intersect_pairs` and
+#: :func:`points_in_polygon` (cells), :func:`polyline_intersects_rect`
+#: (vertices).  ``polylines_intersect_rects`` has no crossover; the
+#: segments its outcodes leave run the scalar test either way.
 SCALAR_LOOPS = (
     (intersect, "_VECTOR_MIN_CELLS", sys.maxsize),
     (intersect, "_VECTOR_MIN_VERTICES", sys.maxsize),

@@ -323,42 +323,49 @@ class TestPolylinesIntersectRects:
             for coords, rect in zip(coords_list, rects)
         ]
         vector = polylines_intersect_rects(coords_list, rects)
-        with reference.scalar_loops():
-            scalar = polylines_intersect_rects(coords_list, rects)
         assert vector.tolist() == want
-        assert scalar.tolist() == want
         assert any(want) and not all(want)
 
-    @pytest.mark.parametrize("n_pairs", [1, 5])
-    def test_small_batches_run_the_scalar_loop_on_python_floats(
-        self, n_pairs, monkeypatch
+    def test_only_survivors_reach_the_scalar_test_on_python_floats(
+        self, monkeypatch
     ):
-        """Below the vectorization crossover (a single pair included)
-        the kernel falls back to the scalar loop — same booleans, and
-        the loop sees plain floats, not numpy scalars or matrix rows."""
+        """The outcodes decide every segment but two; those reach
+        ``segment_intersects_rect`` as plain floats, not numpy scalars
+        or matrix rows."""
         from repro.geometry import intersect
 
-        rng = np.random.default_rng(23)
-        coords_list = [rng.uniform(0, 50, (3, 2)) for _ in range(n_pairs)]
-        rects = [(20.0, 20.0, 30.0 + k, 30.0 + k) for k in range(n_pairs)]
-        assert 4 * 2 * n_pairs < intersect._VECTOR_MIN_CELLS
-        want = [
-            intersect.polyline_intersects_rect(
-                [tuple(p) for p in coords.tolist()], Rect(*rect)
-            )
-            for coords, rect in zip(coords_list, rects)
+        lines = [
+            # decided by the inside vertex (5, 5); the segment after it
+            # shares no side, but its row needs no test
+            [(5.0, 5.0), (20.0, 5.0), (-5.0, 20.0)],
+            # both vertices left of the window: rejected
+            [(-5.0, -5.0), (-5.0, 20.0)],
+            # left to right across the window: one survivor, a hit
+            [(-5.0, 5.0), (15.0, 5.0)],
+            # a near miss at the corner: one survivor, no hit; then a
+            # segment below the window, rejected
+            [(-2.0, 1.0), (1.0, -2.0), (12.0, -1.0)],
         ]
+        rect = (0.0, 0.0, 10.0, 10.0)
         seen = []
         scalar = intersect.segment_intersects_rect
 
-        def spy(a, b, rect):
-            seen.extend([*a, *b, rect.xmin, rect.ymin, rect.xmax, rect.ymax])
-            return scalar(a, b, rect)
+        def spy(a, b, window):
+            seen.append((*a, *b, *window.as_tuple()))
+            return scalar(a, b, window)
 
         monkeypatch.setattr(intersect, "segment_intersects_rect", spy)
-        got = intersect.polylines_intersect_rects(coords_list, rects)
-        assert got.tolist() == want
-        assert seen and all(type(v) is float for v in seen)
+        got = intersect.polylines_intersect_rects(
+            [np.array(line) for line in lines], [rect] * len(lines)
+        )
+        assert got.tolist() == [True, False, True, False]
+        # The survivors, as plain floats.
+        assert seen == [(-5.0, 5.0, 15.0, 5.0, *rect), (-2.0, 1.0, 1.0, -2.0, *rect)]
+        assert all(type(v) is float for call in seen for v in call)
+        # No segment of the row an inside vertex decided.
+        assert not {call[:2] for call in seen} & {(5.0, 5.0), (20.0, 5.0)}
+        # No segment whose vertices share a side outside the window.
+        assert not {call[:2] for call in seen} & {(-5.0, -5.0), (1.0, -2.0)}
 
     def test_single_vertex_degenerates_to_point_test(self):
         from repro.geometry.intersect import polylines_intersect_rects

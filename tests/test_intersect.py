@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import GeometryError
 from repro.geometry import intersect
 from repro.geometry.intersect import (
     orientation,
@@ -186,11 +187,31 @@ lattice_line = st.lists(
     st.tuples(lattice_coord, lattice_coord), min_size=1, max_size=7
 )
 pair_batch = st.lists(st.tuples(lattice_line, lattice_line), max_size=12)
-# Budgets of 1..16 cells cut most pairs into runs of a-segments (and the
-# rectangle kernels' single rows in two); the crossover of 1 sends every
-# non-empty batch down the vector path.
+# Budgets of 1..16 cells cut most pairs into runs of a-segments; the
+# crossover of 1 sends every non-empty batch down the vector path.
 budget_cells = st.sampled_from([1, 3, 16, intersect._GRID_CELLS])
 crossover = st.sampled_from([1, intersect._VECTOR_MIN_CELLS])
+
+
+@st.composite
+def window_test(draw):
+    """A lattice line and one rectangle for it: a point window at one of
+    its vertices or inside one of its segments, nudged on both sides of
+    _EPS, or the bounding box of another lattice line (often a
+    degenerate one whose edges touch or overlap the line's segments)."""
+    line = draw(lattice_line)
+    kind = draw(st.sampled_from(["vertex", "segment", "box"]))
+    if kind == "box":
+        return line, Rect.from_points(draw(lattice_line))
+    if kind == "vertex" or len(line) == 1:
+        x, y = draw(st.sampled_from(line))
+    else:
+        k = draw(st.integers(0, len(line) - 2))
+        t = draw(st.sampled_from([0.25, 0.5, 0.75]))
+        (ax, ay), (bx, by) = line[k], line[k + 1]
+        x, y = ax + t * (bx - ax), ay + t * (by - ay)
+    x, y = x + draw(nudge), y + draw(nudge)
+    return line, Rect(x, y, x, y)
 
 NAMED_PAIRS = [
     ([(0, 0), (2, 2)], [(2, 2), (4, 0)]),  # shared endpoint
@@ -218,10 +239,10 @@ def scalar_pairs(batch) -> list[bool]:
 
 @contextmanager
 def vector_mode(budget, min_cells):
-    """Both kernels' cells per grid / block set to ``budget``."""
+    """The pair kernel's cells per grid set to ``budget``, its
+    crossover to ``min_cells``."""
     with (
         mock.patch.object(intersect, "_GRID_CELLS", budget),
-        mock.patch.object(intersect, "_BLOCK_CELLS", budget),
         mock.patch.object(intersect, "_VECTOR_MIN_CELLS", min_cells),
     ):
         yield
@@ -247,12 +268,11 @@ def scalar_rects(tests) -> list[bool]:
         return [polyline_intersects_rect(a, rect) for a, rect in tests]
 
 
-def vector_rects(tests, budget, min_cells) -> list[bool]:
-    with vector_mode(budget, min_cells):
-        return polylines_intersect_rects(
-            [np.array(a, dtype=np.float64) for a, _ in tests],
-            [rect.as_tuple() for _, rect in tests],
-        ).tolist()
+def vector_rects(tests) -> list[bool]:
+    return polylines_intersect_rects(
+        [np.array(a, dtype=np.float64).reshape(-1, 2) for a, _ in tests],
+        [rect.as_tuple() for _, rect in tests],
+    ).tolist()
 
 
 class TestBatchKernelsMatchScalar:
@@ -262,10 +282,30 @@ class TestBatchKernelsMatchScalar:
         assert vector_pairs(batch, budget, min_cells) == scalar_pairs(batch)
 
     @settings(deadline=None)
-    @given(pair_batch, budget_cells, crossover)
-    def test_rects_property(self, batch, budget, min_cells):
-        tests = as_window_tests(batch)
-        assert vector_rects(tests, budget, min_cells) == scalar_rects(tests)
+    @given(st.lists(window_test(), max_size=12))
+    def test_rects_property(self, tests):
+        assert vector_rects(tests) == scalar_rects(tests)
+
+    @pytest.mark.parametrize("where", [0, 40, 79])
+    def test_a_row_without_vertices(self, where):
+        """The rectangle kernel answers False for it, as the scalar
+        predicate does; the pair kernel refuses it by row number."""
+        line = np.array([(5.0, 5.0), (6.0, 6.0)])
+        coords = [line] * 80
+        coords[where] = np.empty((0, 2))
+        rects = [(0.0, 0.0, 10.0, 10.0)] * 80
+        want = [k != where for k in range(80)]
+        assert polylines_intersect_rects(coords, rects).tolist() == want
+        assert not polyline_intersects_rect([], Rect(*rects[0]))
+        for pairs in ((coords, [line] * 80), ([line] * 80, coords)):
+            with pytest.raises(GeometryError, match=f"pair {where}:"):
+                polylines_intersect_pairs(*pairs)
+
+    def test_rows_without_vertices_only(self):
+        out = polylines_intersect_rects(
+            [np.empty((0, 2))] * 3, [(0.0, 0.0, 1.0, 1.0)] * 3
+        )
+        assert out.tolist() == [False] * 3
 
     @pytest.mark.parametrize("budget", [1, 3, 16, intersect._GRID_CELLS])
     def test_named_cases(self, budget):
@@ -280,9 +320,7 @@ class TestBatchKernelsMatchScalar:
         turned = [(b, a) if k % 2 else (a, b) for k, (a, b) in enumerate(batch)]
         assert vector_pairs(turned, budget, 1) == scalar_pairs(turned) == want
         tests = as_window_tests(batch)
-        assert vector_rects(
-            tests, budget, intersect._VECTOR_MIN_CELLS
-        ) == scalar_rects(tests)
+        assert vector_rects(tests) == scalar_rects(tests)
 
     @staticmethod
     def walk(rng, n):

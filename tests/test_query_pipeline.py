@@ -391,3 +391,87 @@ class TestMergedOperationIsTheUnmergedOperation:
                 result = org.window_query(Rect(10, 50, 40, 90))
             assert [o.oid for o in result.objects] == [0, 1]
             assert (result.candidates, result.exact_tests) == (3, 1)
+
+
+# ----------------------------------------------------------------------
+# what a cold query costs, as counts (ROADMAP item A)
+# ----------------------------------------------------------------------
+def query_counts() -> dict[str, float]:
+    """Run the benchmark's smoke-size ``query_cold`` twin — A-1 at scale
+    0.005 on the default (cluster, ``sync``, pass-through pool)
+    database, 30 windows of area 1e-3 and then 75 vertex points, each
+    query issued alone — and count what a query costs in plans,
+    refinement kernel calls, exact tests and the scalar segment tests
+    the kernel's outcodes leave.  Machine-independent; CI's ``Size
+    report`` prints the ``*_per_query`` values."""
+    from unittest.mock import patch
+
+    from repro.buffer.pool import BufferPool
+    from repro.data.series import scaled, spec_for
+    from repro.data.tiger import generate_map
+    from repro.data.workload import window_workload
+    from repro.geometry import intersect
+    from repro.storage import base
+
+    spec = scaled(spec_for("A-1"), 0.005)
+    objects = generate_map(spec, seed=1994)
+    db = SpatialDatabase(avg_object_size=spec.avg_object_size)
+    db.build(objects)
+    windows = window_workload(objects, 1e-3, n_queries=30, seed=1994)
+    rng = random.Random(1994)
+    points = [rng.choice(o.geometry.vertices) for o in rng.choices(objects, k=75)]
+    calls = dict.fromkeys(("submits", "kernel_calls", "survivors"), 0)
+    per_query: list[tuple[int, int]] = []
+    submit, kernel = BufferPool.submit, base.polylines_intersect_rects
+    scalar = intersect.segment_intersects_rect
+
+    def counted(key, original):
+        def wrapper(*args):
+            calls[key] += 1
+            return original(*args)
+
+        return wrapper
+
+    with (
+        patch.object(BufferPool, "submit", counted("submits", submit)),
+        patch.object(base, "polylines_intersect_rects", counted("kernel_calls", kernel)),
+        # A-1 holds polylines only, so every scalar segment test is one
+        # the kernel's outcodes left.
+        patch.object(intersect, "segment_intersects_rect", counted("survivors", scalar)),
+    ):
+        results = []
+        for query, args in [(db.window_query, w.as_tuple()) for w in windows] + [
+            (db.point_query, p) for p in points
+        ]:
+            before = (calls["submits"], calls["kernel_calls"])
+            results.append(query(*args))
+            per_query.append((calls["submits"] - before[0], calls["kernel_calls"] - before[1]))
+    queries = len(results)
+    calls["exact_tests"] = sum(r.exact_tests for r in results)
+    return {
+        "queries": queries,
+        "queries_with_tests": sum(r.exact_tests > 0 for r in results),
+        "max_submits_in_one_query": max(s for s, _ in per_query),
+        "max_kernel_calls_in_one_query": max(k for _, k in per_query),
+        "answers": sum(len(r.objects) for r in results),
+        **calls,
+        **{f"{key}_per_query": n / queries for key, n in calls.items()},
+    }
+
+
+class TestQueryColdCounts:
+    def test_one_plan_and_one_kernel_call_per_query(self):
+        """ROADMAP A's ``query_cold`` row.  Exact values: the map, the
+        tree and the queries are deterministic."""
+        counts = query_counts()
+        assert (counts["queries"], counts["answers"]) == (105, 446)
+        # One access plan per query.
+        assert counts["max_submits_in_one_query"] == 1
+        assert counts["submits"] == 105
+        # One refinement kernel call per query with pending polylines.
+        assert counts["max_kernel_calls_in_one_query"] == 1
+        assert counts["kernel_calls"] == counts["queries_with_tests"] == 100
+        assert counts["exact_tests"] == 505
+        # The outcodes leave 27 segments for the scalar test (243 ran
+        # it when small batches fell back to the scalar loop).
+        assert counts["survivors"] == 27
