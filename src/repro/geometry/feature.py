@@ -5,7 +5,9 @@ data generator produces them, the organization models store them, the
 queries and joins return them.  The ``size_bytes`` attribute may exceed
 the geometric payload — TIGER records carry names, codes and topology —
 so the object size is an independent attribute validated to be at least
-the geometry's own footprint.
+the geometry's own footprint.  The catalog loader, which checks that
+footprint and every ``mbr_override`` column-wise before it builds
+anything, uses the trusted constructor :meth:`SpatialObject.trusted`.
 """
 
 from __future__ import annotations
@@ -41,6 +43,10 @@ class SpatialObject:
         versions *a* and *b* "by using MBRs with different extensions";
         the override reproduces exactly that without touching the
         geometry.
+
+    The constructor validates: a non-negative ``oid``, a ``size_bytes``
+    of at least the geometry's footprint, and an ``mbr_override`` that
+    contains the geometry's MBR.
     """
 
     __slots__ = ("oid", "geometry", "size_bytes", "mbr_override")
@@ -68,6 +74,27 @@ class SpatialObject:
         self.geometry = geometry
         self.size_bytes = int(size_bytes)
         self.mbr_override = mbr_override
+
+    @classmethod
+    def trusted(
+        cls,
+        oid: int,
+        geometry: Geometry,
+        size_bytes: int,
+        mbr_override: Rect | None,
+    ) -> "SpatialObject":
+        """Trusted constructor (the catalog loader's, as
+        :meth:`Polyline.from_matrix` is for geometry): no per-object
+        check, so the geometry's MBR and tuples are not built.  The
+        caller has checked what :meth:`__init__` would —
+        :func:`repro.storage.serial._checked_columns` does it for a
+        whole catalog at once."""
+        self = cls.__new__(cls)
+        self.oid = oid
+        self.geometry = geometry
+        self.size_bytes = size_bytes
+        self.mbr_override = mbr_override
+        return self
 
     # ------------------------------------------------------------------
     @property

@@ -30,10 +30,15 @@ class Polygon:
     """A simple (non self-intersecting) polygon given by its outer ring.
 
     The ring is stored without a repeated closing vertex; the closing
-    edge is implied.
+    edge is implied.  Like :class:`~repro.geometry.polyline.Polyline`,
+    one ring with two caches: built here, :attr:`vertices` holds tuples
+    and :meth:`ring_coords` follows on first use; built by
+    :meth:`from_matrix` (a reopened catalog), the closed matrix exists
+    and the tuples are built on first scalar use — ``len``,
+    :meth:`size_bytes` and :attr:`mbr` never build them.
     """
 
-    __slots__ = ("vertices", "_mbr", "_ring", "_ring_coords")
+    __slots__ = ("_vertices", "_mbr", "_ring", "_ring_coords")
 
     def __init__(self, vertices: Sequence[tuple[float, float]]):
         if len(vertices) < 3:
@@ -45,7 +50,7 @@ class Polygon:
             ring.pop()
         if len(ring) < 3:
             raise GeometryError("polygon ring collapsed to fewer than 3 vertices")
-        self.vertices: tuple[tuple[float, float], ...] = tuple(ring)
+        self._vertices: tuple[tuple[float, float], ...] | None = tuple(ring)
         self._mbr: Rect | None = None
         self._ring: tuple[tuple[float, float], ...] | None = None
         self._ring_coords: np.ndarray | None = None
@@ -53,10 +58,11 @@ class Polygon:
     @classmethod
     def from_matrix(cls, coords: np.ndarray) -> "Polygon":
         """Trusted constructor over the open ring as an ``(n >= 3, 2)``
-        float64 matrix (the catalog loader's): no per-vertex coercion,
-        and the closed matrix seeds the :meth:`ring_coords` cache."""
+        float64 matrix (the catalog loader's): the closed matrix seeds
+        the :meth:`ring_coords` cache, and no vertex tuple is built until
+        a scalar path asks for one."""
         self = cls.__new__(cls)
-        self.vertices = tuple(zip(*coords.T.tolist()))
+        self._vertices = None
         self._mbr = None
         self._ring = None
         self._ring_coords = np.concatenate((coords, coords[:1]))
@@ -64,16 +70,35 @@ class Polygon:
 
     # ------------------------------------------------------------------
     @property
+    def vertices(self) -> tuple[tuple[float, float], ...]:
+        """The open ring as ``(x, y)`` tuples (cached)."""
+        if self._vertices is None:
+            self._vertices = tuple(zip(*self._ring_coords[:-1].T.tolist()))
+        return self._vertices
+
+    @property
     def mbr(self) -> Rect:
+        """Minimum bounding rectangle (cached), by the scalar loop over
+        whichever representation exists."""
         if self._mbr is None:
-            self._mbr = Rect.from_points(self.vertices)
+            points = self._vertices
+            self._mbr = Rect.from_points(
+                points if points is not None else self._ring_coords[:-1].tolist()
+            )
         return self._mbr
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        points = self._vertices
+        return len(points) if points is not None else len(self._ring_coords) - 1
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Polygon) and self.vertices == other.vertices
+
+    def __hash__(self) -> int:
+        return hash(self.vertices)
 
     def __repr__(self) -> str:
-        return f"Polygon({len(self.vertices)} vertices, mbr={self.mbr.as_tuple()})"
+        return f"Polygon({len(self)} vertices, mbr={self.mbr.as_tuple()})"
 
     # ------------------------------------------------------------------
     def area(self) -> float:
@@ -88,7 +113,7 @@ class Polygon:
 
     def size_bytes(self) -> int:
         """Exact-representation size used for storage accounting."""
-        return polyline_size_bytes(len(self.vertices))
+        return polyline_size_bytes(len(self))
 
     def _closed_ring(self) -> tuple[tuple[float, float], ...]:
         if self._ring is None:

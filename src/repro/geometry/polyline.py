@@ -3,7 +3,9 @@
 Streets, rivers, railway tracks and administrative border lines are all
 open polylines.  A :class:`Polyline` owns its vertex list, caches its MBR
 and knows its storage footprint in bytes (Section 5.1 sizes objects by
-their exact representation, dominated by the vertex list).
+their exact representation, dominated by the vertex list).  A reopened
+polyline is a view of the catalog's vertex column; its vertex tuples are
+built on first scalar use.
 """
 
 from __future__ import annotations
@@ -29,16 +31,23 @@ class Polyline:
     vertices:
         At least two ``(x, y)`` pairs.  The polyline is open: no closing
         segment is implied.
+
+    One representation, two caches: :attr:`vertices` (tuples, what the
+    scalar predicates walk) and :meth:`coords` (the ``(n, 2)`` matrix
+    the kernels read).  Built here, the tuples exist and the matrix
+    follows on first use; built by :meth:`from_matrix`, the other way
+    round — ``len``, :meth:`size_bytes`, :attr:`mbr` and the kernels
+    never build the tuples.
     """
 
-    __slots__ = ("vertices", "_mbr", "_coords")
+    __slots__ = ("_vertices", "_mbr", "_coords")
 
     def __init__(self, vertices: Sequence[tuple[float, float]]):
         if len(vertices) < 2:
             raise GeometryError(
                 f"a polyline needs at least 2 vertices, got {len(vertices)}"
             )
-        self.vertices: tuple[tuple[float, float], ...] = tuple(
+        self._vertices: tuple[tuple[float, float], ...] | None = tuple(
             (float(x), float(y)) for x, y in vertices
         )
         self._mbr: Rect | None = None
@@ -47,20 +56,33 @@ class Polyline:
     @classmethod
     def from_matrix(cls, coords: np.ndarray) -> "Polyline":
         """Trusted constructor over an ``(n >= 2, 2)`` float64 matrix
-        (the catalog loader's): no per-vertex coercion, and the matrix
-        seeds the :meth:`coords` cache."""
+        (the catalog loader's): the matrix, typically a view of the
+        catalog's vertex column, is the :meth:`coords` cache, and no
+        vertex tuple is built until a scalar path asks for one."""
         self = cls.__new__(cls)
-        self.vertices = tuple(zip(*coords.T.tolist()))
+        self._vertices = None
         self._mbr = None
         self._coords = coords
         return self
 
     # ------------------------------------------------------------------
     @property
+    def vertices(self) -> tuple[tuple[float, float], ...]:
+        """The vertices as ``(x, y)`` tuples (cached)."""
+        if self._vertices is None:
+            self._vertices = tuple(zip(*self._coords.T.tolist()))
+        return self._vertices
+
+    @property
     def mbr(self) -> Rect:
-        """Minimum bounding rectangle (cached)."""
+        """Minimum bounding rectangle (cached): the scalar min/max loop
+        over whichever representation exists, so both give the same
+        bits."""
         if self._mbr is None:
-            self._mbr = Rect.from_points(self.vertices)
+            points = self._vertices
+            self._mbr = Rect.from_points(
+                points if points is not None else self._coords.tolist()
+            )
         return self._mbr
 
     def coords(self) -> np.ndarray:
@@ -72,7 +94,8 @@ class Polyline:
         return self._coords
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        points = self._vertices
+        return len(points if points is not None else self._coords)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Polyline) and self.vertices == other.vertices
@@ -81,7 +104,7 @@ class Polyline:
         return hash(self.vertices)
 
     def __repr__(self) -> str:
-        return f"Polyline({len(self.vertices)} vertices, mbr={self.mbr.as_tuple()})"
+        return f"Polyline({len(self)} vertices, mbr={self.mbr.as_tuple()})"
 
     # ------------------------------------------------------------------
     def length(self) -> float:
@@ -93,7 +116,7 @@ class Polyline:
 
     def size_bytes(self) -> int:
         """Exact-representation size used for storage accounting."""
-        return polyline_size_bytes(len(self.vertices))
+        return polyline_size_bytes(len(self))
 
     # ------------------------------------------------------------------
     # exact predicates (the refinement step)

@@ -36,8 +36,10 @@ Durability protocol — shadow superblock + copy-on-write:
   one wins.
 
 Corruption is detected per page by CRC-32 (the checksum covers the
-whole slot, padding included).  Reads retry a bounded number of times
-— a transient fault heals, persistent damage surfaces as
+whole slot, padding included).  A run of consecutive slots is one
+``pread``, each page checked in place on a ``memoryview``; a page that
+fails is re-read alone a bounded number of times — a transient fault
+heals, persistent damage surfaces as
 :class:`~repro.errors.PageCorruptionError`.  The counters
 ``store.checksum_failures`` / ``store.retries`` /
 ``recovery.replayed_pages`` and the ``recovery.epoch`` gauge publish
@@ -99,6 +101,10 @@ FORMAT_VERSION = 2
 #: Slots 0 and 1 hold the two alternating superblocks.
 FIRST_DATA_SLOT = 2
 
+#: The most slots one verified ``pread`` covers (1 MiB of 4 KiB pages):
+#: a scrub or a catalog read of a large image stays in bounded buffers.
+READ_RUN_SLOTS = 256
+
 
 def payload_capacity(page_size: int) -> int:
     """Payload bytes one checksummed page of ``page_size`` can carry."""
@@ -122,10 +128,13 @@ def encode_page(payload: bytes, page_size: int, kind: int = KIND_DATA) -> bytes:
     return struct.pack("<I", zlib.crc32(body)) + body
 
 
-def decode_page(buf: bytes, page_size: int, kind: int | None = None) -> bytes:
-    """Verify and unwrap one on-disk page; raises
-    :class:`~repro.errors.PageCorruptionError` on a short read, a
-    checksum mismatch, a foreign magic or an unexpected kind."""
+def decode_page(
+    buf: bytes | memoryview, page_size: int, kind: int | None = None
+) -> bytes:
+    """Verify and unwrap one on-disk page (``bytes`` or a ``memoryview``,
+    checked in place); raises :class:`~repro.errors.PageCorruptionError`
+    on a short read, a checksum mismatch, a foreign magic or an
+    unexpected kind."""
     if len(buf) != page_size:
         raise PageCorruptionError(
             f"short page: got {len(buf)} of {page_size} B"
@@ -236,19 +245,43 @@ class FilePageStore(CompositePageStore):
     def _read_slot(self, slot: int, kind: int | None = None) -> bytes:
         """Read and verify one slot, retrying a bounded number of times
         before the corruption surfaces."""
-        offset = slot * self.page_size
-        last: PageCorruptionError | None = None
-        for attempt in range(self.read_retries + 1):
-            if attempt:
-                self._retries.inc()
+        return self._read_run(slot, 1, kind)[0]
+
+    def _read_run(self, start: int, count: int, kind: int | None) -> list[bytes]:
+        """Read ``count`` consecutive slots with one ``pread`` per
+        :data:`READ_RUN_SLOTS` and verify each page in place; a page
+        that fails is re-read alone up to ``read_retries`` times (each a
+        ``store.retries``) before the corruption surfaces.  Returns the
+        payloads in slot order."""
+        size = self.page_size
+        payloads = []
+        for first in range(start, start + count, READ_RUN_SLOTS):
+            n = min(READ_RUN_SLOTS, start + count - first)
+            buf = memoryview(self._pread(first * size, n * size))
+            for i in range(n):
+                try:
+                    payloads.append(decode_page(buf[i * size:(i + 1) * size], size, kind))
+                except PageCorruptionError as exc:
+                    self._checksum_failures.inc()
+                    payloads.append(self._reread_slot(first + i, kind, exc))
+        return payloads
+
+    def _reread_slot(
+        self, slot: int, kind: int | None, failure: PageCorruptionError
+    ) -> bytes:
+        """The bounded retry of one slot whose first read failed."""
+        for _ in range(self.read_retries):
+            self._retries.inc()
             try:
                 return decode_page(
-                    self._pread(offset, self.page_size), self.page_size, kind
+                    self._pread(slot * self.page_size, self.page_size),
+                    self.page_size,
+                    kind,
                 )
             except PageCorruptionError as exc:
                 self._checksum_failures.inc()
-                last = exc
-        raise PageCorruptionError(f"{self.path}, slot {slot}: {last}")
+                failure = exc
+        raise PageCorruptionError(f"{self.path}, slot {slot}: {failure}")
 
     def _write_slot(self, slot: int, payload: bytes, kind: int) -> None:
         self._pwrite(
@@ -331,11 +364,10 @@ class FilePageStore(CompositePageStore):
         )
         self.meta = state.get("meta", {})
         self._map = {}
-        for slot in self._map_slots:
-            records = json.loads(self._read_slot(slot, KIND_MAP))
-            for page, data_slot in records:
-                self._map[page] = data_slot
-            self._replayed.inc()
+        for start, count in coalesce_pages(self._map_slots):
+            for chunk in self._read_run(start, count, KIND_MAP):
+                self._map.update(json.loads(chunk))
+                self._replayed.inc()
         self._committed_slots = (
             {0, 1}
             | set(self._map.values())
@@ -351,10 +383,10 @@ class FilePageStore(CompositePageStore):
         ``recovery.replayed_pages``); returns the number of pages
         checked, raising on the first unrecoverable corruption."""
         checked = 0
-        for slot in sorted(self._map.values()):
-            self._read_slot(slot, KIND_DATA)
-            checked += 1
-            self._replayed.inc()
+        for start, count in coalesce_pages(sorted(self._map.values())):
+            self._read_run(start, count, KIND_DATA)
+            checked += count
+            self._replayed.inc(count)
         return checked
 
     # ------------------------------------------------------------------
@@ -509,8 +541,13 @@ class FilePageStore(CompositePageStore):
         return slots
 
     def read_meta_pages(self) -> list[bytes]:
-        """The committed catalog payload chunks, checksum-verified."""
-        return [self._read_slot(slot, KIND_META) for slot in self._meta_slots]
+        """The committed catalog payload chunks, checksum-verified: one
+        ``pread`` per run of consecutive slots (a chunk's slots ascend
+        in chunk order, see :meth:`_superblock_payload`)."""
+        payloads: list[bytes] = []
+        for start, count in coalesce_pages(self._meta_slots):
+            payloads += self._read_run(start, count, KIND_META)
+        return payloads
 
     # ------------------------------------------------------------------
     # PageStore protocol: pricing on the one child, with real, verified
@@ -534,16 +571,7 @@ class FilePageStore(CompositePageStore):
             if page in self._map and page not in self._dirty
         )
         for run_start, run_pages in coalesce_pages(slots):
-            offset = run_start * self.page_size
-            buf = self._pread(offset, run_pages * self.page_size)
-            for i in range(run_pages):
-                chunk = buf[i * self.page_size:(i + 1) * self.page_size]
-                try:
-                    decode_page(chunk, self.page_size, KIND_DATA)
-                except PageCorruptionError:
-                    self._checksum_failures.inc()
-                    # Per-slot bounded retry on the failing page only.
-                    self._read_slot(run_start + i, KIND_DATA)
+            self._read_run(run_start, run_pages, KIND_DATA)
 
     def _transfer(
         self, kind: str, runs: Sequence[tuple[int, int]], continuation: bool

@@ -479,7 +479,13 @@ class SpatialOrganization(abc.ABC):
         shares points with it and needs no test: one comparison of
         ``rows`` (``(xmin, ymin, -xmax, -ymax)`` per candidate) decides
         that for a whole query, as ``rect.contains(obj.mbr)`` would per
-        candidate.  All pending polyline
+        candidate.  Those left pending are what ``exact_tests`` counts.
+        A pending candidate with three of the four flags, and no
+        ``mbr_override``, is accepted without a test: the row is then
+        its geometry's tight MBR, whose remaining side lies in the
+        window (the filter found the MBR intersecting it), so the
+        vertex on that side is inside the window and the scalar
+        predicate accepts it through ``contains_point``.  All pending polyline
         tests of the call go through one
         :func:`~repro.geometry.intersect.polylines_intersect_rects`
         batch (map polylines have a handful of segments each, so only
@@ -500,14 +506,19 @@ class SpatialOrganization(abc.ABC):
             decisions = [True] * len(candidates)
             decided.append(decisions)
             if points:
-                pending = range(len(candidates))
+                pending, edge = range(len(candidates)), ()
             else:
                 inside = rows >= (rect.xmin, rect.ymin, -rect.xmax, -rect.ymax)
-                pending = np.flatnonzero(~inside.all(axis=1)).tolist()
+                sides = inside.sum(axis=1)
+                pending = np.flatnonzero(sides < 4).tolist()
+                # Three flags: a tight MBR has a whole side in the window.
+                edge = set(np.flatnonzero(sides == 3).tolist())
             result.exact_tests += len(pending)
             window = rect.as_tuple()
             for slot in pending:
                 obj = candidates[slot]
+                if slot in edge and obj.mbr_override is None:
+                    continue
                 geometry = obj.geometry
                 if isinstance(geometry, Polyline):
                     line_sinks.append((decisions, slot))

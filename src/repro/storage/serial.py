@@ -26,8 +26,12 @@ counters), ``storage`` (the organization's scalars and unit allocator)
 — and ``columns``: one ``[name, dtype, shape]`` row per buffer, in
 order.  The buffers are the bulk tables, listed field by field at
 :data:`COLUMNS`.  Only the header is parsed; a reader checks every
-dtype, shape, count and cross-table reference before it builds
-anything, and whatever is off is a :class:`~repro.errors.StorageError`.
+dtype, shape, count and cross-table reference — and, per column, what
+:class:`~repro.geometry.feature.SpatialObject` would check per object —
+before it builds anything, and whatever is off is a
+:class:`~repro.errors.StorageError`.  Geometry is not materialised: a
+reopened polyline or polygon is its slice of the ``vertices`` column,
+and its vertex tuples are built on first scalar use.
 
 On disk the catalog rides the :class:`~repro.pagestore.file.
 FilePageStore` checkpoint protocol (store format 2: the superblock
@@ -51,7 +55,7 @@ import json
 import math
 import struct
 from dataclasses import asdict
-from itertools import islice, starmap
+from itertools import accumulate, islice
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -68,6 +72,7 @@ from repro.geometry.feature import SpatialObject
 from repro.geometry.polygon import Polygon
 from repro.geometry.polyline import Polyline
 from repro.geometry.rect import Rect
+from repro.geometry.sizes import OBJECT_HEADER_BYTES, VERTEX_BYTES
 from repro.iosched.scheduler import SYNC
 from repro.obs.metrics import MetricsRegistry
 from repro.rtree.entry import Entry
@@ -253,7 +258,11 @@ def decode_catalog(blob: bytes) -> dict:
 # ----------------------------------------------------------------------
 def _checked_columns(state: dict) -> dict[str, np.ndarray]:
     """The bulk tables of a catalog, with every dtype, width, row count
-    and cross-table reference checked."""
+    and cross-table reference checked — and, column-wise, what
+    :class:`~repro.geometry.feature.SpatialObject` checks per object:
+    a non-negative oid (every object is a tree entry's, and those are
+    ``>= 0``), a size of at least the footprint and an ``mbr_override``
+    that contains the tight MBR of its row's vertex slice."""
     if state.get("format") != CATALOG_FORMAT:
         raise StorageError(
             f"unsupported catalog format {state.get('format')!r} "
@@ -287,9 +296,30 @@ def _checked_columns(state: dict) -> dict[str, np.ndarray]:
         or len(np.unique(live_oids)) != len(live_oids)
         or not np.array_equal(np.sort(oids[oids >= 0]), np.sort(objects[:, 0]))
         or not np.isin(columns["extents"][:, 0], objects[:, 0]).all()
+        or (objects[:, 2] < OBJECT_HEADER_BYTES + VERTEX_BYTES * objects[:, 3]).any()
+        or not _overrides_contain_their_geometry(columns)
     ):
         raise StorageError("the catalog's tables contradict each other")
     return columns
+
+
+def _overrides_contain_their_geometry(columns: dict[str, np.ndarray]) -> bool:
+    """Does every ``override_rects`` row contain the tight MBR of its
+    object's vertex slice?  Only the override rows' vertices are read:
+    gathered into one matrix, reduced per object by ``reduceat``."""
+    rows = columns["override_rows"][:, 0]
+    if not len(rows):
+        return True
+    counts = columns["objects"][:, 3]
+    n = counts[rows]
+    starts = (np.cumsum(counts) - counts)[rows]
+    local = np.cumsum(n) - n  # each object's first row in ``points``
+    points = columns["vertices"][np.repeat(starts - local, n) + np.arange(n.sum())]
+    rects = columns["override_rects"]
+    return bool(
+        (rects[:, :2] <= np.minimum.reduceat(points, local)).all()
+        and (np.maximum.reduceat(points, local) <= rects[:, 2:]).all()
+    )
 
 
 def load_state(
@@ -299,6 +329,16 @@ def load_state(
 ) -> "SpatialDatabase":
     """Rebuild a :class:`~repro.database.SpatialDatabase` from a
     :func:`dump_state` catalog.
+
+    Geometry is not materialised: each object's geometry is a view of
+    the ``vertices`` column (:meth:`Polyline.from_matrix` /
+    :meth:`Polygon.from_matrix`), its vertex tuples built on first
+    scalar use, and each object comes from the trusted
+    :meth:`SpatialObject.trusted` — :func:`_checked_columns` has
+    already checked, per column, what the validating constructor
+    checks per object.  What a reopen still builds per row is the
+    tree's ``Node`` / ``Entry`` / ``Rect`` objects and the
+    organization's tables.
 
     ``_disk`` optionally supplies the backing page store (the file
     itself, for measured I/O); by default a fresh simulated
@@ -336,18 +376,27 @@ def load_state(
         region.base, region.capacity, region._bump = base, capacity, bump
         region._free = [Extent(s, n) for s, n in free]
 
-    # Object table (insertion order preserved); each geometry keeps its
-    # slice of the vertex matrix as its cached coordinate matrix.
+    # Object table (insertion order preserved); each geometry is its
+    # slice of the vertex column, checked above with its object.  Tables
+    # are read column by column (``.T.tolist()``): a list per field, not
+    # a list per row for the garbage collector to walk.
     vertices = columns["vertices"]
-    ends = np.cumsum(columns["objects"][:, 3]).tolist()
-    override_rects = starmap(Rect, columns["override_rects"].tolist())
-    overrides = dict(zip(columns["override_rows"][:, 0].tolist(), override_rects))
+    oids, kinds, sizes, counts = columns["objects"].T.tolist()
+    overrides: list[Rect | None] = [None] * len(oids)
+    for row, rect in zip(
+        columns["override_rows"][:, 0].tolist(),
+        map(Rect, *columns["override_rects"].T.tolist()),
+    ):
+        overrides[row] = rect
+    shapes = (Polyline.from_matrix, Polygon.from_matrix)
+    trusted = SpatialObject.trusted
     org.objects.clear()
-    for row, (oid, kind, size_bytes, n) in enumerate(columns["objects"].tolist()):
-        geometry = (Polygon if kind else Polyline).from_matrix(
-            vertices[ends[row] - n:ends[row]]
-        )
-        org.objects[oid] = SpatialObject(oid, geometry, size_bytes, overrides.get(row))
+    objects = org.objects
+    for oid, kind, size_bytes, n, end, override in zip(
+        oids, kinds, sizes, counts, accumulate(counts), overrides
+    ):
+        geometry = shapes[kind](vertices[end - n:end])
+        objects[oid] = trusted(oid, geometry, size_bytes, override)
 
     # R*-tree: nodes first, then entries (children must exist to wire
     # parent pointers through Node.add).  Page numbers are restored
@@ -358,14 +407,16 @@ def load_state(
     for node_id, level, page, _count in node_rows:
         node = by_id[node_id] = Node(node_id, level)
         node.page = page if page >= 0 else None
-    entry_rows = zip(columns["entry_rects"].tolist(), columns["entries"].tolist())
+    entry_rows = zip(
+        map(Rect, *columns["entry_rects"].T.tolist()), *columns["entries"].T.tolist()
+    )
     for node_id, _level, _page, count in node_rows:
         node = by_id[node_id]
-        for rect, (child, oid, load, start, npages) in islice(entry_rows, count):
+        for rect, child, oid, load, start, npages in islice(entry_rows, count):
             child = by_id[child] if child >= 0 else None
             oid = oid if oid >= 0 else None
             payload = Extent(start, npages) if npages >= 0 else None
-            node.add(Entry(Rect(*rect), child, oid, load, payload))
+            node.add(Entry(rect, child, oid, load, payload))
     tree.root = by_id[state["tree"]["root"]]
     for attr in _TREE_SCALARS:
         setattr(tree, attr, state["tree"][attr])
@@ -374,12 +425,14 @@ def load_state(
 
     # Organization extras.
     extra = state["storage"]
-    org._extents = {oid: Extent(s, n) for oid, s, n in columns["extents"].tolist()}
+    org._extents = {
+        oid: Extent(s, n) for oid, s, n in zip(*columns["extents"].T.tolist())
+    }
     for attr in org._catalog_scalars:
         setattr(org, attr, extra[attr])
     if isinstance(org, ClusterOrganization):
         org._unit_of = {}
-        live_rows = iter(columns["live"].tolist())
+        live_rows = zip(*columns["live"].T.tolist())
         for leaf_id, start, npages, tail_bytes, count in columns["units"].tolist():
             unit = ClusterUnit(Extent(start, npages), org.page_size)
             unit.tail_bytes = tail_bytes

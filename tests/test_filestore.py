@@ -290,6 +290,47 @@ class TestFilePageStore:
             with pytest.raises(PageCorruptionError):
                 store.scrub()
 
+    def test_a_transient_flip_inside_a_catalog_run_heals(self, tmp_path):
+        """The catalog's slots are read as one run; the one page that
+        fails its check there is re-read alone (one retry)."""
+        path = str(tmp_path / "image.db")
+        chunks = [b"chunk %d" % i for i in range(5)]
+        with FilePageStore(path, page_size=PAGE) as store:
+            store.commit(meta={"kind": "test"}, meta_payloads=chunks)
+            slots = store._meta_slots
+        assert slots == list(range(slots[0], slots[0] + 5))
+        metrics = MetricsRegistry()
+        store = FaultyPageStore(
+            path, page_size=PAGE, corrupt_read_slots=[slots[2]], metrics=metrics
+        )
+        preads = []
+        read = store._pread
+        store._pread = lambda offset, nbytes: preads.append(nbytes) or read(offset, nbytes)
+        try:
+            assert store.read_meta_pages() == chunks
+        finally:
+            store.close()
+        assert preads == [5 * PAGE, PAGE]  # the run, then the retry
+        assert metrics.counter("store.checksum_failures").value == 1
+        assert metrics.counter("store.retries").value == 1
+
+    def test_persistent_damage_inside_a_data_run_is_detected(self, tmp_path):
+        path = str(tmp_path / "image.db")
+        with FilePageStore(path, page_size=PAGE) as store:
+            for page in range(8):
+                store.put(page, b"page %d" % page)
+            store.commit()
+            victim = store._map[5]
+        flip_byte(path, victim, PAGE)
+        metrics = MetricsRegistry()
+        with FilePageStore(path, page_size=PAGE, metrics=metrics) as store:
+            store.read(0, 4)  # a run clear of the damage verifies
+            with pytest.raises(PageCorruptionError, match=f"slot {victim}"):
+                store.read(0, 8)
+            # The run's check + read_retries=2 re-reads of that slot.
+            assert metrics.counter("store.checksum_failures").value == 3
+            assert metrics.counter("store.retries").value == 2
+
     def test_zero_retries_fail_fast(self, tmp_path):
         path = str(tmp_path / "image.db")
         with FilePageStore(path, page_size=PAGE) as store:

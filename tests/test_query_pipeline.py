@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import random
 from contextlib import nullcontext
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.database import SpatialDatabase
 from repro.geometry.feature import SpatialObject
@@ -23,6 +25,8 @@ from repro.geometry.polygon import Polygon
 from repro.geometry.polyline import Polyline
 from repro.geometry.rect import Rect
 from repro.rtree.rstar import RStarTree
+from repro.storage import base
+from repro.storage.base import SpatialOrganization
 
 from tests import scalar_reference
 from tests.conftest import ReadSpy, build_org, make_objects
@@ -394,6 +398,105 @@ class TestMergedOperationIsTheUnmergedOperation:
 
 
 # ----------------------------------------------------------------------
+# a side of the tight MBR inside the window decides without a test
+# ----------------------------------------------------------------------
+def kernel_rows_of(query) -> tuple[object, int]:
+    """``query()``'s result and the rows it handed the window-refinement
+    kernel."""
+    rows = [0]
+    kernel = base.polylines_intersect_rects
+
+    def counted(coords_list, rects):
+        rows[0] += len(coords_list)
+        return kernel(coords_list, rects)
+
+    with mock.patch.object(base, "polylines_intersect_rects", counted):
+        result = query()
+    return result, rows[0]
+
+
+#: Integer coordinates on a small grid: MBR sides often touch window sides.
+COORD = st.integers(0, 40)
+
+
+class TestASideInTheWindowDecides:
+    WINDOW = Rect(10, 10, 20, 20)
+    #: A vertex just off the window past each side; its partner (14, 16)
+    #: is inside, so the MBR misses exactly that side's containment flag.
+    OUTSIDE = {"left": (5, 15), "bottom": (15, 5), "right": (25, 15), "top": (15, 25)}
+
+    @pytest.mark.parametrize("side", sorted(OUTSIDE))
+    def test_a_tight_mbr_with_three_flags_needs_no_kernel_row(self, side):
+        edge = SpatialObject(0, Polyline([self.OUTSIDE[side], (14, 16)]), size_bytes=300)
+        # An L around the window: its MBR holds no flag, it is tested.
+        ring = SpatialObject(1, Polyline([(0, 30), (0, 0), (30, 0)]), size_bytes=300)
+        org = build_org("cluster", [edge, ring], smax_bytes=SMAX_BYTES)
+        result, rows = kernel_rows_of(lambda: org.window_query(self.WINDOW))
+        assert [o.oid for o in result.objects] == [0]
+        assert (result.candidates, result.exact_tests, rows) == (2, 2, 1)
+
+    def test_an_override_with_three_flags_still_reaches_the_kernel(self):
+        """The override row says nothing about where the geometry is:
+        this one has three flags, its geometry lies right of the
+        window."""
+        away = SpatialObject(
+            0,
+            Polyline([(22, 12), (24, 18)]),
+            size_bytes=300,
+            mbr_override=Rect(12, 12, 24, 18),
+        )
+        org = build_org("cluster", [away], smax_bytes=SMAX_BYTES)
+        result, rows = kernel_rows_of(lambda: org.window_query(self.WINDOW))
+        assert result.objects == []
+        assert (result.candidates, result.exact_tests, rows) == (1, 1, 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shapes=st.lists(
+            st.tuples(
+                st.lists(st.tuples(COORD, COORD), min_size=2, max_size=5),
+                st.booleans(),  # a polygon (when the ring has 3 vertices)
+                st.none() | st.tuples(*[st.integers(0, 6)] * 4),  # override margins
+            ),
+            min_size=1,
+            max_size=25,
+        ),
+        windows=st.lists(
+            st.tuples(COORD, COORD, st.integers(0, 20), st.integers(0, 20)),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_every_organization_answers_as_the_scalar_reference(self, shapes, windows):
+        objects = []
+        for oid, (pts, polygon, margins) in enumerate(shapes):
+            pts = [(float(x), float(y)) for x, y in pts]
+            if polygon and len(set(pts)) >= 3 and pts[0] != pts[-1]:
+                geometry = Polygon(pts)
+            else:
+                geometry = Polyline(pts)
+            override = None
+            if margins is not None:
+                m = geometry.mbr
+                left, bottom, right, top = margins
+                override = Rect(
+                    m.xmin - left, m.ymin - bottom, m.xmax + right, m.ymax + top
+                )
+            objects.append(
+                SpatialObject(oid, geometry, size_bytes=400, mbr_override=override)
+            )
+        rects = [Rect(x, y, x + w, y + h) for x, y, w, h in windows]
+        for kind in ORG_KINDS:
+            org = build_org(kind, objects, smax_bytes=SMAX_BYTES)
+            got = [observed(org.window_query(r)) for r in rects]
+            with mock.patch.object(
+                SpatialOrganization, "_refine", staticmethod(scalar_reference.refine)
+            ):
+                want = [observed(org.window_query(r)) for r in rects]
+            assert got == want, kind
+
+
+# ----------------------------------------------------------------------
 # what a cold query costs, as counts (ROADMAP item A)
 # ----------------------------------------------------------------------
 def query_counts() -> dict[str, float]:
@@ -401,8 +504,8 @@ def query_counts() -> dict[str, float]:
     0.005 on the default (cluster, ``sync``, pass-through pool)
     database, 30 windows of area 1e-3 and then 75 vertex points, each
     query issued alone — and count what a query costs in plans,
-    refinement kernel calls, exact tests and the scalar segment tests
-    the kernel's outcodes leave.  Machine-independent; CI's ``Size
+    refinement kernel calls and rows, exact tests and the scalar segment
+    tests the kernel's outcodes leave.  Machine-independent; CI's ``Size
     report`` prints the ``*_per_query`` values."""
     from unittest.mock import patch
 
@@ -420,7 +523,7 @@ def query_counts() -> dict[str, float]:
     windows = window_workload(objects, 1e-3, n_queries=30, seed=1994)
     rng = random.Random(1994)
     points = [rng.choice(o.geometry.vertices) for o in rng.choices(objects, k=75)]
-    calls = dict.fromkeys(("submits", "kernel_calls", "survivors"), 0)
+    calls = dict.fromkeys(("submits", "kernel_calls", "kernel_rows", "survivors"), 0)
     per_query: list[tuple[int, int]] = []
     submit, kernel = BufferPool.submit, base.polylines_intersect_rects
     scalar = intersect.segment_intersects_rect
@@ -432,9 +535,13 @@ def query_counts() -> dict[str, float]:
 
         return wrapper
 
+    def kernel_counted(coords_list, rects):
+        calls["kernel_rows"] += len(coords_list)
+        return counted("kernel_calls", kernel)(coords_list, rects)
+
     with (
         patch.object(BufferPool, "submit", counted("submits", submit)),
-        patch.object(base, "polylines_intersect_rects", counted("kernel_calls", kernel)),
+        patch.object(base, "polylines_intersect_rects", kernel_counted),
         # A-1 holds polylines only, so every scalar segment test is one
         # the kernel's outcodes left.
         patch.object(intersect, "segment_intersects_rect", counted("survivors", scalar)),
@@ -468,10 +575,15 @@ class TestQueryColdCounts:
         # One access plan per query.
         assert counts["max_submits_in_one_query"] == 1
         assert counts["submits"] == 105
-        # One refinement kernel call per query with pending polylines.
+        # At most one refinement kernel call per query: 100 queries
+        # leave candidates pending, and 4 of them only ones a whole side
+        # of whose tight MBR lies in the window — accepted without a
+        # kernel row (505 rows before that rule, one per exact test).
         assert counts["max_kernel_calls_in_one_query"] == 1
-        assert counts["kernel_calls"] == counts["queries_with_tests"] == 100
+        assert counts["queries_with_tests"] == 100
+        assert counts["kernel_calls"] == 96
         assert counts["exact_tests"] == 505
+        assert counts["kernel_rows"] == 347
         # The outcodes leave 27 segments for the scalar test (243 ran
         # it when small batches fell back to the scalar loop).
         assert counts["survivors"] == 27

@@ -155,6 +155,8 @@ class TestRoundTrip:
         db = build_rich_db(CONFIGS["cluster-fixed"])
         state = decode_catalog(encode_catalog(dump_state(db)))
         twin = load_state(state)
+        loaded = [o.geometry for o in twin.storage.objects.values()]
+        assert not [g for g in loaded if g._vertices is not None]
         for oid, obj in db.storage.objects.items():
             geometry = twin.storage.objects[oid].geometry
             if isinstance(geometry, Polyline):
@@ -163,6 +165,35 @@ class TestRoundTrip:
             else:
                 assert np.array_equal(geometry.ring_coords(), obj.geometry.ring_coords())
                 assert geometry.contains_point(*obj.geometry.vertices[0])
+
+    @pytest.mark.parametrize("backing", ["sim", "file"])
+    def test_reopened_geometry_is_the_saved_geometry(self, backing, tmp_path):
+        """A reopened geometry is a view of the vertex column; what it
+        answers from the matrix (``len``, ``size_bytes``, ``mbr``) and
+        what it builds on first scalar use (``vertices``, ``==``,
+        ``hash``) is the saved object's — the MBR bit for bit, signed
+        zeros included (the min/max loop keeps the first of ``-0.0`` and
+        ``0.0``; ``np.min`` need not)."""
+        db = build_rich_db(CONFIGS["cluster-fixed"])
+        db.insert(SpatialObject(700, Polyline([(-0.0, 10.0), (0.0, -0.0), (5.0, 0.0)])))
+        db.insert(SpatialObject(701, Polygon([(0.0, 0.0), (-0.0, 40.0), (30.0, -0.0)])))
+        path = str(tmp_path / "spatial.db")
+        db.save(path)
+        reopened = SpatialDatabase.open(path, backing=backing)
+        try:
+            assert list(reopened.storage.objects) == list(db.storage.objects)
+            for oid, obj in db.storage.objects.items():
+                saved, got = obj.geometry, reopened.storage.objects[oid].geometry
+                assert (len(got), got.size_bytes()) == (len(saved), saved.size_bytes())
+                assert (
+                    np.array(got.mbr.as_tuple()).tobytes()
+                    == np.array(saved.mbr.as_tuple()).tobytes()
+                )
+                assert got._vertices is None  # nothing above built the tuples
+                assert got.vertices == saved.vertices
+                assert got == saved and hash(got) == hash(saved)
+        finally:
+            reopened.close()
 
     def test_empty_database_round_trips(self):
         db = SpatialDatabase(smax_bytes=SMAX)
@@ -452,6 +483,9 @@ class TestDamage:
             lambda c: c["objects"].__setitem__((1, 0), 10**6),
             lambda c: c["live"].__setitem__((1, 0), c["live"][0, 0]),
             lambda c: c["objects"].__setitem__((0, 1), 2),
+            # a size below the footprint; an override off its object
+            lambda c: c["objects"].__setitem__((0, 2), 1),
+            lambda c: c["override_rects"].__setitem__(0, c["override_rects"][0] + 10_000),
         ],
     )
     def test_tables_that_contradict_each_other(self, blob, damage):
@@ -603,3 +637,114 @@ class TestCrashMatrix:
                 fdb.disk.scrub()
         finally:
             fdb.close()
+
+
+# ----------------------------------------------------------------------
+# what a save / reopen cycle costs, as counts (ROADMAP item A)
+# ----------------------------------------------------------------------
+def persist_counts() -> dict[str, float]:
+    """Run the benchmark's smoke-size ``persist_cycle`` twin — A-1 at
+    scale 0.005 (map seed 1994) saved, 10 A-2 objects inserted, saved
+    again, reopened file-backed, 40 windows of area 1e-3 — and count the
+    real I/O of each step and the loaded geometries whose vertex tuples
+    exist.  Machine-independent; CI's ``Size report`` prints it."""
+    import tempfile
+    from unittest.mock import patch
+
+    from repro.data.workload import window_workload
+
+    spec = scaled(spec_for("A-1"), 0.005)
+    objects = generate_map(spec, seed=1994)
+    spare = generate_map(scaled(spec_for("A-2"), 0.005), seed=1994, id_offset=10**6)[:10]
+    windows = window_workload(objects, 1e-3, n_queries=40, seed=1994)
+    db = SpatialDatabase(avg_object_size=spec.avg_object_size)
+    db.build(objects)
+    calls = dict.fromkeys(("pwrites", "fsyncs", "preads", "verified_pages"), 0)
+
+    def counted(key, original):
+        def wrapper(*args):
+            calls[key] += 1
+            return original(*args)
+
+        return wrapper
+
+    def delta(before: dict) -> dict:
+        return {key: calls[key] - before[key] for key in calls}
+
+    def with_tuples(database) -> int:
+        return sum(
+            o.geometry._vertices is not None for o in database.storage.objects.values()
+        )
+
+    with (
+        tempfile.TemporaryDirectory() as workdir,
+        patch.object(FilePageStore, "_pwrite", counted("pwrites", FilePageStore._pwrite)),
+        patch.object(FilePageStore, "_sync", counted("fsyncs", FilePageStore._sync)),
+        patch.object(FilePageStore, "_pread", counted("preads", FilePageStore._pread)),
+        patch.object(
+            file_store, "decode_page", counted("verified_pages", file_store.decode_page)
+        ),
+    ):
+        path = f"{workdir}/a1.db"
+        mark = dict(calls)
+        db.save(path)
+        full = delta(mark)
+        for obj in spare:
+            db.insert(obj)
+        mark = dict(calls)
+        db.save(path)
+        incremental = delta(mark)
+        live = SpatialDatabase.open(path, backing="file")
+        try:
+            tuples_after_open = with_tuples(live)
+            mark = dict(calls)
+            answers = sum(len(live.window_query(*w.as_tuple()).objects) for w in windows)
+            in_windows = delta(mark)
+            tuples_after_windows = with_tuples(live)
+            mark = dict(calls)
+            catalog_bytes = sum(len(chunk) for chunk in live.disk.read_meta_pages())
+            meta = delta(mark)
+        finally:
+            live.close()
+    return {
+        "objects": len(live.storage.objects),
+        "answers": answers,
+        "full_save_pwrites": full["pwrites"],
+        "full_save_fsyncs": full["fsyncs"],
+        "incremental_save_pwrites": incremental["pwrites"],
+        "incremental_save_fsyncs": incremental["fsyncs"],
+        "catalog_bytes": catalog_bytes,
+        "preads_per_window": in_windows["preads"] / len(windows),
+        "verified_pages_per_window": in_windows["verified_pages"] / len(windows),
+        "meta_preads": meta["preads"],
+        "meta_pages": meta["verified_pages"],
+        "tuples_after_open": tuples_after_open,
+        "tuples_after_windows": tuples_after_windows,
+    }
+
+
+class TestPersistCycleCounts:
+    def test_real_io_and_materialised_geometry_per_step(self):
+        """ROADMAP A's ``persist_cycle`` row.  Exact values: the map,
+        the tree, the image and the queries are deterministic."""
+        counts = persist_counts()
+        assert (counts["objects"], counts["answers"]) == (667, 529)
+        # A save is one pwrite per data run (1, then none: the inserts
+        # land on pages the image holds), per page-map slot (3) and per
+        # catalog slot (86, then 88), then the superblock; a new file
+        # first commits an empty epoch 0 (one more pwrite, the third
+        # fsync).
+        assert (counts["full_save_pwrites"], counts["full_save_fsyncs"]) == (92, 3)
+        assert (
+            counts["incremental_save_pwrites"], counts["incremental_save_fsyncs"]
+        ) == (92, 2)
+        assert counts["catalog_bytes"] == 356_112
+        # A window verifies its pages in place, one pread per slot run.
+        assert counts["preads_per_window"] == 3.7
+        assert counts["verified_pages_per_window"] == 22.45
+        # The catalog's 88 slots are one ascending run: one pread (88,
+        # one per slot, before runs were read whole).
+        assert (counts["meta_preads"], counts["meta_pages"]) == (1, 88)
+        # Reopened geometry is the vertex column: windows refine on the
+        # matrix and never build a vertex tuple.
+        assert counts["tuples_after_open"] == counts["tuples_after_windows"] == 0
