@@ -73,9 +73,8 @@ from repro.storage import (
     SecondaryOrganization,
 )
 from repro.workload import (
-    SessionsReport,
+    RunReport,
     WorkloadEngine,
-    WorkloadReport,
     load_trace,
     mixed_stream,
     save_trace,
@@ -104,8 +103,7 @@ __all__ = [
     "LRUBuffer",
     "POLICIES",
     "WorkloadEngine",
-    "WorkloadReport",
-    "SessionsReport",
+    "RunReport",
     "mixed_stream",
     "save_trace",
     "load_trace",

@@ -440,7 +440,8 @@ class SpatialDatabase:
         updates and joins — compete for the same ``buffer_pages`` frames
         under the chosen replacement ``policy``; dirty pages are written
         back with coalesced vectored transfers in a final ``flush``
-        phase.  Returns a :class:`~repro.workload.engine.WorkloadReport`.
+        phase.  Returns a :class:`~repro.workload.engine.RunReport` of
+        ``run="workload"``: one row per operation kind.
         """
         return self._engine(buffer_pages, policy).run(operations)
 
@@ -465,7 +466,8 @@ class SpatialDatabase:
         for this run only (name, instance, or ``None`` to keep the
         scheduler's own policy); the report's per-client table carries
         each session's queueing delay and latency percentiles.
-        Returns a :class:`~repro.workload.engine.SessionsReport`.
+        Returns a :class:`~repro.workload.engine.RunReport` of
+        ``run="sessions"``: the per-phase rows plus one row per client.
         """
         return self._engine(buffer_pages, policy).run_sessions(
             sessions, admission=admission
@@ -489,8 +491,9 @@ class SpatialDatabase:
         system kept up, closed-loop sessions pace themselves with think
         time.  Requires ``scheduler="overlap"``.  ``admission`` applies
         an admission-control policy for this run only.  Returns a
-        :class:`~repro.workload.engine.TrafficReport` with per-class
-        latency percentiles and open-loop throughput.
+        :class:`~repro.workload.engine.RunReport` of ``run="traffic"``:
+        the per-phase rows plus one row per traffic class with its latency
+        percentiles, and open-loop throughput.
         """
         return self._engine(buffer_pages, policy).run_traffic(
             sessions, admission=admission

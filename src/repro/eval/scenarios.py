@@ -331,7 +331,7 @@ def workload(args, dataset: Dataset) -> int:
         _table(
             "operation latency percentiles",
             [
-                {"phase": p.kind, "ops": p.operations,
+                {"phase": p.name, "ops": p.operations,
                  "p50 ms": p.p50_ms, "p95 ms": p.p95_ms}
                 for p in report.phases
             ],

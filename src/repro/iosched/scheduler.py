@@ -205,17 +205,38 @@ class SyncScheduler:
         yield self
 
 
-class _ClockBase:
-    """Shared client timelines + dispatch loop of the virtual clocks.
+class VirtualClock:
+    """Simulated time: one service queue per disk, one clock per client.
 
-    Concrete clocks implement the per-disk busy-interval bookkeeping
-    (:meth:`reserve`, :meth:`_ensure`, :attr:`disk_free`, plus reset of
-    their own storage); everything above a single reservation —
-    per-client clocks, the per-request dispatch, queueing accounting and
-    the makespan — is identical between implementations and lives here.
+    ``dispatch(at, work)`` queues one request's per-disk work at virtual
+    time ``at``: each involved disk starts the fragment at the earliest
+    time >= ``at`` with an idle interval long enough to hold it — a
+    request issued early may *back-fill* a gap in front of work that was
+    queued for a later time (the service queues are busy-interval
+    indexes, not single tail pointers) — and the request completes when
+    the slowest fragment does.  Clients that block on a plan advance to
+    its completion; non-blocking (prefetch) plans only occupy the disks.
+
+    After every ``dispatch``, :attr:`last_wait_ms` holds the queueing
+    delay of that request: the longest time any of its fragments sat
+    waiting for a busy arm beyond the issue time.
+
+    The busy intervals of each disk are kept as two parallel sorted
+    lists (starts, ends) so a reservation binary-searches its issue
+    time into the queue (``bisect`` on the interval *ends*) instead of
+    scanning from the head, and a conservative per-disk upper bound on
+    the largest interior idle gap short-circuits requests that cannot
+    back-fill straight to the queue tail.  The common traffic shapes —
+    appending at the tail, extending the tail interval, back-filling
+    near the issue time — are all O(log n) per reservation, against
+    O(n) for the straight interval-list scan this class replaced (kept
+    as ``tests/interval_list_clock.py``, the equivalence oracle).
+    Placement semantics are exactly the interval-list clock's.
     """
 
-    __slots__ = ("clients", "last_wait_ms", "last_intervals")
+    __slots__ = (
+        "clients", "last_wait_ms", "last_intervals", "_starts", "_ends", "_max_gap"
+    )
 
     def __init__(self):
         self.clients: dict[str, float] = {}
@@ -224,23 +245,18 @@ class _ClockBase:
         #: ``(disk_index, begin, end)`` per involved disk — the span
         #: tracer stamps device service spans from these.
         self.last_intervals: list[tuple[int, float, float]] = []
+        # Per disk: parallel sorted lists of busy-interval starts/ends
+        # (merged: no zero gaps between consecutive intervals survive a
+        # reservation that touches them exactly).
+        self._starts: list[list[float]] = []
+        self._ends: list[list[float]] = []
+        # Per disk: conservative upper bound on the largest *interior*
+        # idle gap (between two busy intervals).  Only ever grows while
+        # intervals accumulate — consuming a gap does not lower it — so
+        # it may over-estimate, which only costs a scan, never places
+        # work differently from the interval-list clock.
+        self._max_gap: list[float] = []
 
-    # -- implemented by concrete clocks --------------------------------
-    def reserve(self, disk: int, at: float, work: float) -> float:
-        """Reserve ``work`` ms on one disk at the earliest start >=
-        ``at`` that fits a gap; returns the begin time."""
-        raise NotImplementedError
-
-    def _ensure(self, n_disks: int) -> None:
-        raise NotImplementedError
-
-    @property
-    def disk_free(self) -> list[float]:
-        """Per disk, the end of its last busy interval (0.0 while idle).
-        Earlier idle gaps may still exist in front of it."""
-        raise NotImplementedError
-
-    # -- shared behaviour ----------------------------------------------
     def client_time(self, client: str = "main") -> float:
         """A client's current virtual time in ms."""
         return self.clients.get(client, 0.0)
@@ -290,55 +306,6 @@ class _ClockBase:
         self.clients.clear()
         self.last_wait_ms = 0.0
         self.last_intervals = []
-
-    def _clear(self) -> None:
-        raise NotImplementedError
-
-
-class VirtualClock(_ClockBase):
-    """Simulated time: one service queue per disk, one clock per client.
-
-    ``dispatch(at, work)`` queues one request's per-disk work at virtual
-    time ``at``: each involved disk starts the fragment at the earliest
-    time >= ``at`` with an idle interval long enough to hold it — a
-    request issued early may *back-fill* a gap in front of work that was
-    queued for a later time (the service queues are busy-interval
-    indexes, not single tail pointers) — and the request completes when
-    the slowest fragment does.  Clients that block on a plan advance to
-    its completion; non-blocking (prefetch) plans only occupy the disks.
-
-    After every ``dispatch``, :attr:`last_wait_ms` holds the queueing
-    delay of that request: the longest time any of its fragments sat
-    waiting for a busy arm beyond the issue time.
-
-    The busy intervals of each disk are kept as two parallel sorted
-    lists (starts, ends) so a reservation binary-searches its issue
-    time into the queue (``bisect`` on the interval *ends*) instead of
-    scanning from the head, and a conservative per-disk upper bound on
-    the largest interior idle gap short-circuits requests that cannot
-    back-fill straight to the queue tail.  The common traffic shapes —
-    appending at the tail, extending the tail interval, back-filling
-    near the issue time — are all O(log n) per reservation, against
-    O(n) for the straight interval-list scan this class replaced (kept
-    as ``tests/interval_list_clock.py``, the equivalence oracle).
-    Placement semantics are exactly the interval-list clock's.
-    """
-
-    __slots__ = ("_starts", "_ends", "_max_gap")
-
-    def __init__(self):
-        super().__init__()
-        # Per disk: parallel sorted lists of busy-interval starts/ends
-        # (merged: no zero gaps between consecutive intervals survive a
-        # reservation that touches them exactly).
-        self._starts: list[list[float]] = []
-        self._ends: list[list[float]] = []
-        # Per disk: conservative upper bound on the largest *interior*
-        # idle gap (between two busy intervals).  Only ever grows while
-        # intervals accumulate — consuming a gap does not lower it — so
-        # it may over-estimate, which only costs a scan, never places
-        # work differently from the interval-list clock.
-        self._max_gap: list[float] = []
 
     @property
     def _busy(self) -> list[list[tuple[float, float]]]:

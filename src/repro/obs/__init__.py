@@ -8,7 +8,7 @@ Three pieces (see the module docstrings for detail):
   hot path stays clean and pricing is bit-identical in both states.
 * :mod:`repro.obs.metrics` — cross-layer metrics registry (counters,
   gauges as thin views over existing attributes, histograms with
-  ``latency_percentile`` semantics) under stable dotted names.
+  nearest-rank percentiles) under stable dotted names.
 * :mod:`repro.obs.export` — Chrome trace-event / Perfetto JSON export.
 
 Capture a trace from the CLI::

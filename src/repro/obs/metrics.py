@@ -19,9 +19,8 @@ Three metric kinds:
   (``BufferPool.hits`` stays a plain int on the hot path; the gauge just
   reads it), so registering a gauge never adds per-access cost.
 * :class:`Histogram` — stores observations and reports count/sum and
-  nearest-rank percentiles with the exact semantics of
-  :func:`repro.workload.engine.latency_percentile` (which delegates to
-  :func:`percentile` here).
+  nearest-rank percentiles (:func:`percentile`), the same ones the
+  workload engine's report rows compute.
 
 ``reset_stats()`` zeroes counters and histograms; gauges are live views
 and follow whatever their underlying attribute does.
@@ -59,8 +58,8 @@ def percentile_sorted(ordered: Sequence[float], q: float) -> float:
 def percentile(values: Sequence[float], q: float) -> float:
     """Nearest-rank percentile; 0.0 for an empty sequence.
 
-    Identical semantics to the workload engine's ``latency_percentile``
-    (which is now a thin wrapper around this function).
+    Deterministic and interpolation-free: a reported p95 is an actual
+    observed latency, not a synthetic midpoint.
     """
     if not values:
         return 0.0

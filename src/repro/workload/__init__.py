@@ -13,15 +13,7 @@ interleaved multi-client sessions over the I/O scheduler —
 :meth:`repro.database.SpatialDatabase.run_sessions`.
 """
 
-from repro.workload.engine import (
-    OP_KINDS,
-    ClientStats,
-    PhaseStats,
-    SessionsReport,
-    TrafficReport,
-    WorkloadEngine,
-    WorkloadReport,
-)
+from repro.workload.engine import OP_KINDS, Row, RunReport, WorkloadEngine
 from repro.workload.streams import mixed_stream
 from repro.workload.trace import load_trace, save_trace
 from repro.workload.traffic import (
@@ -36,12 +28,9 @@ from repro.workload.traffic import (
 
 __all__ = [
     "OP_KINDS",
-    "PhaseStats",
-    "ClientStats",
-    "SessionsReport",
-    "TrafficReport",
+    "Row",
+    "RunReport",
     "WorkloadEngine",
-    "WorkloadReport",
     "mixed_stream",
     "save_trace",
     "load_trace",

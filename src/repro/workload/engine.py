@@ -9,23 +9,23 @@ one query type cold, it measures a *workload* warm, where tree pages,
 cluster units and object extents compete for the same frames (the
 Section 6.1 buffering regime, generalised beyond the join).
 
-Per operation kind the engine accumulates a :class:`PhaseStats` —
-operation count, result volume, pool hits/misses and a
-:class:`~repro.disk.model.DiskStats` delta — and finishes with a
-``flush`` phase that writes back the dirty frames through the pool's
-coalescing scheduler.  The result is a :class:`WorkloadReport`.
+Every served operation is one record (kind, results, latency, device
+and queueing time, pool hits/misses, a
+:class:`~repro.disk.model.DiskStats` delta) that each :class:`Row` of a
+:class:`RunReport` folds: one row per operation kind, then a ``flush``
+row that writes back the dirty frames through the pool's coalescing
+scheduler.
 
 :meth:`WorkloadEngine.run_sessions` serves several **concurrent client
 sessions** round-robin (deterministically) over the one shared pool,
 :meth:`WorkloadEngine.run_traffic` arriving sessions in event-heap
-order.  When the pool's I/O scheduler is the
-:class:`~repro.iosched.scheduler.OverlapScheduler`, every client's
-plans are timed on its own virtual-clock session — declustered disks
-service different clients concurrently, so the makespan drops below the
-serial response time.  All three are one *serve step* (snapshot,
-execute inside the client's scheduler scope, fold into the phase) inside
-one *run scope* (admission, tracer sessions, pool wiring, flush,
-makespan); they differ in serving order and in their report rows.
+order, adding a row per client or per traffic class.  When the pool's
+I/O scheduler is the :class:`~repro.iosched.scheduler.OverlapScheduler`,
+every client's plans are timed on its own virtual-clock session —
+declustered disks service different clients concurrently, so the
+makespan drops below the serial response time.  All three feed one
+serving loop inside one *run scope*; their order is their only
+difference.
 """
 
 from __future__ import annotations
@@ -44,30 +44,10 @@ from repro.geometry.rect import Rect
 from repro.iosched.admission import admission_name, make_admission
 from repro.iosched.scheduler import OverlapScheduler, device_times, scheduler_name
 from repro.obs import trace as _obs
-from repro.obs.metrics import percentile as _percentile
 from repro.obs.metrics import percentile_sorted as _percentile_sorted
 from repro.storage.base import SpatialOrganization
 
-__all__ = [
-    "OP_KINDS",
-    "PhaseStats",
-    "WorkloadReport",
-    "ClientStats",
-    "SessionsReport",
-    "TrafficReport",
-    "WorkloadEngine",
-    "latency_percentile",
-]
-
-
-def latency_percentile(latencies, q: float) -> float:
-    """Nearest-rank percentile of a latency sample (0.0 when empty).
-
-    Deterministic and interpolation-free: the reported p95 is an actual
-    observed operation latency, not a synthetic midpoint.  The shared
-    implementation lives in :func:`repro.obs.metrics.percentile` so the
-    metrics registry's histograms report identical percentiles."""
-    return _percentile(latencies, q)
+__all__ = ["OP_KINDS", "Row", "RunReport", "WorkloadEngine"]
 
 OP_KINDS = ("window", "point", "insert", "delete", "join", "reorg")
 """Operation kinds understood by the engine.
@@ -87,17 +67,71 @@ Operations are plain tuples:
 """
 
 
-class _LatencySample:
-    """Cached sorted-latency percentiles shared by :class:`PhaseStats`
-    and :class:`ClientStats` (both carry ``latencies`` and ``_sorted``):
-    percentile properties on a 10^5-operation sample must not re-sort
-    the full list per access."""
+class _Served(NamedTuple):
+    """One served operation: the only thing a report row folds.
+    ``device_ms`` is the growth of its phase's running device total."""
 
-    __slots__ = ()
+    kind: str
+    results: int
+    latency_ms: float
+    device_ms: float
+    queued_ms: float
+    hits: int
+    misses: int
+    io: DiskStats
+
+
+@dataclass(slots=True)
+class Row:
+    """The served operations of one phase (operation kind), client
+    session or traffic class, folded.
+
+    ``io`` accounts **device time** (the disk resource consumed; summed
+    over the devices of a sharded store), ``response_ms`` the
+    **response time** the clients observed — per operation the busiest
+    disk's share, so declustered execution makes it smaller than the
+    device time.  On a single disk the two are equal.  Under the
+    overlap scheduler a response includes queueing behind other
+    clients: ``queueing_ms`` is the share spent waiting — admission
+    delays plus time the requests sat behind busy arms.  ``latencies``
+    are the per-operation response times behind the percentiles.
+    """
+
+    name: str
+    operations: int = 0
+    results: int = 0
+    hits: int = 0
+    misses: int = 0
+    io: DiskStats = field(default_factory=DiskStats)
+    response_ms: float = 0.0
+    device_ms: float = 0.0
+    queueing_ms: float = 0.0
+    #: Sessions aggregated into this row (1 for a plain client; the
+    #: per-class rows of a traffic run count their sessions here).
+    sessions: int = 0
+    latencies: list[float] = field(default_factory=list)
+    # Cached ascending copy of ``latencies`` (keyed on sample size).
+    _sorted: list[float] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def fold(self, record: _Served) -> None:
+        """Add one served operation to this row."""
+        self.operations += 1
+        self.results += record.results
+        self.hits += record.hits
+        self.misses += record.misses
+        self.io = self.io + record.io
+        self.response_ms += record.latency_ms
+        self.device_ms += record.device_ms
+        self.queueing_ms += record.queued_ms
+        self.latencies.append(record.latency_ms)
 
     def sorted_latencies(self) -> list[float]:
         """The latencies in ascending order, sorted once per report
-        (re-sorted only after new observations)."""
+        (re-sorted only after new observations): percentile properties
+        on a 10^5-operation sample must not re-sort the full list per
+        access."""
         cache = self._sorted
         if cache is None or len(cache) != len(self.latencies):
             cache = self._sorted = sorted(self.latencies)
@@ -118,31 +152,6 @@ class _LatencySample:
         """99th-percentile per-operation latency."""
         return _percentile_sorted(self.sorted_latencies(), 0.99)
 
-
-@dataclass(slots=True)
-class PhaseStats(_LatencySample):
-    """Accumulated statistics of one operation kind within a workload.
-
-    ``io`` accounts **device time** (the disk resource consumed; summed
-    over the devices of a sharded store), ``response_ms`` the
-    **response time** the clients observed — per operation the busiest
-    disk's share, so declustered execution makes it smaller than the
-    device time.  On a single disk the two are equal.
-    """
-
-    kind: str
-    operations: int = 0
-    results: int = 0
-    hits: int = 0
-    misses: int = 0
-    io: DiskStats = field(default_factory=DiskStats)
-    response_ms: float = 0.0
-    latencies: list[float] = field(default_factory=list)
-    # Cached ascending copy of ``latencies`` (keyed on sample size).
-    _sorted: list[float] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
     @property
     def hit_rate(self) -> float:
         return hit_ratio(self.hits, self.misses)
@@ -156,44 +165,68 @@ class PhaseStats(_LatencySample):
         wait longer than its own I/O."""
         return self.io.total_ms - self.response_ms
 
-    @property
-    def parallelism(self) -> float:
-        """Achieved parallel speed-up: device time / response time."""
-        if self.response_ms <= 0:
-            return 1.0
-        return self.io.total_ms / self.response_ms
+
+def _find(rows: list[Row], name: str) -> Row | None:
+    return next((row for row in rows if row.name == name), None)
+
+
+_HEADERS = {
+    "workload": "workload: policy={r.policy}, buffer={r.buffer_pages} pages",
+    "sessions": "sessions: scheduler={r.scheduler}, admission={r.admission}, "
+    "policy={r.policy}, buffer={r.buffer_pages} pages",
+    "traffic": "traffic: arrival={r.arrival}, sessions={r.sessions}, "
+    "scheduler={r.scheduler}, admission={r.admission}, "
+    "policy={r.policy}, buffer={r.buffer_pages} pages",
+}
+_CLASS_COLUMNS = ("class", "sessions", "ops", "queue ms", "p50 ms", "p95 ms", "p99 ms")
 
 
 @dataclass(slots=True)
-class WorkloadReport:
-    """Outcome of one :meth:`WorkloadEngine.run`.
+class RunReport:
+    """Outcome of one :class:`WorkloadEngine` run.
 
-    The ``prefetch_*`` fields carry the pool's prefetch accuracy over
-    this run: plans issued, pages read ahead, pages later demand-hit
-    (useful) vs evicted unused (wasted).  All zero when the pool has no
-    prefetcher.
+    ``run`` (``"workload"``, ``"sessions"`` or ``"traffic"``) names the
+    entry point and chooses the header and second table.  ``phases``
+    aggregate over all clients; ``clients`` break a sessions run down per
+    session, ``classes`` a traffic run per traffic class (10^5-session
+    traffic cannot report per client).
+
+    ``prefetch`` carries the pool's prefetch accuracy over this run:
+    plans ``issued``, ``pages`` read ahead, pages later demand-hit
+    (``useful``) vs evicted unused (``wasted``).  All zero when the pool
+    has no prefetcher.
 
     ``makespan_ms`` is when the whole workload finished: under the
     overlap scheduler the virtual clock's latest event (clients *and*
     trailing prefetch work), under the sync scheduler the serial sum of
-    the responses.  ``scheduler`` / ``admission`` name what timed it."""
+    the responses.  ``scheduler`` / ``admission`` name what timed it;
+    ``arrival`` labels a traffic run and ``sessions`` counts the
+    sessions served, so ``throughput_per_s`` is the completed-sessions
+    rate over the makespan."""
 
+    run: str
     policy: str
     buffer_pages: int
-    phases: list[PhaseStats] = field(default_factory=list)
-    prefetch_issued: int = 0
-    prefetch_pages: int = 0
-    prefetch_useful: int = 0
-    prefetch_wasted: int = 0
     scheduler: str = "sync"
     admission: str = "none"
+    arrival: str = ""
+    sessions: int = 0
     makespan_ms: float = 0.0
+    prefetch: dict[str, int] = field(
+        default_factory=lambda: dict(issued=0, pages=0, useful=0, wasted=0)
+    )
+    phases: list[Row] = field(default_factory=list)
+    clients: list[Row] = field(default_factory=list)
+    classes: list[Row] = field(default_factory=list)
 
-    def phase(self, kind: str) -> PhaseStats | None:
-        for p in self.phases:
-            if p.kind == kind:
-                return p
-        return None
+    def phase(self, name: str) -> Row | None:
+        return _find(self.phases, name)
+
+    def client(self, name: str) -> Row | None:
+        return _find(self.clients, name)
+
+    def traffic_class(self, name: str) -> Row | None:
+        return _find(self.classes, name)
 
     @property
     def operations(self) -> int:
@@ -201,283 +234,136 @@ class WorkloadReport:
 
     @property
     def total_io(self) -> DiskStats:
-        total = DiskStats()
-        for p in self.phases:
-            total = total + p.io
-        return total
+        return sum((p.io for p in self.phases), DiskStats())
 
     @property
     def hit_rate(self) -> float:
-        return hit_ratio(
-            sum(p.hits for p in self.phases),
-            sum(p.misses for p in self.phases),
-        )
+        phases = self.phases
+        return hit_ratio(sum(p.hits for p in phases), sum(p.misses for p in phases))
 
     @property
     def total_response_ms(self) -> float:
         return sum(p.response_ms for p in self.phases)
 
     @property
-    def total_overlap_ms(self) -> float:
-        """Workload-wide device time hidden by concurrent service."""
-        return self.total_io.total_ms - self.total_response_ms
-
-    def format(self, title: str | None = None) -> str:
-        """Aligned per-phase table (the `repro.eval workload` output)."""
-        from repro.eval.report import format_table
-
-        rows = [
-            (
-                p.kind,
-                p.operations,
-                p.results,
-                f"{p.hit_rate:.1%}",
-                p.io.requests,
-                p.io.pages_transferred,
-                p.io.total_ms,
-                p.response_ms,
-                p.overlap_ms,
-            )
-            for p in self.phases
-        ]
-        rows.append(
-            (
-                "total",
-                self.operations,
-                sum(p.results for p in self.phases),
-                f"{self.hit_rate:.1%}",
-                self.total_io.requests,
-                self.total_io.pages_transferred,
-                self.total_io.total_ms,
-                self.total_response_ms,
-                self.total_overlap_ms,
-            )
-        )
-        header = title or (
-            f"workload: policy={self.policy}, buffer={self.buffer_pages} pages"
-        )
-        table = format_table(
-            (
-                "phase",
-                "ops",
-                "results",
-                "hit rate",
-                "requests",
-                "pages",
-                "device ms",
-                "response ms",
-                "overlap ms",
-            ),
-            rows,
-            title=header,
-        )
-        if self.prefetch_pages or self.prefetch_issued:
-            table += (
-                f"\nprefetch: {self.prefetch_issued} plans, "
-                f"{self.prefetch_pages} pages read ahead, "
-                f"{self.prefetch_useful} useful, "
-                f"{self.prefetch_wasted} wasted"
-            )
-        return table
-
-
-@dataclass(slots=True)
-class ClientStats(_LatencySample):
-    """One client session's share of a :meth:`WorkloadEngine.run_sessions`
-    workload.
-
-    ``response_ms`` is the time this client spent waiting for its own
-    operations — under the overlap scheduler its virtual-clock session
-    time, which includes queueing behind other clients; ``device_ms``
-    the device time its operations consumed; ``queueing_ms`` the share
-    of the response spent waiting — admission delays plus time the
-    client's requests sat behind busy arms; ``latencies`` the per-
-    operation response times behind the percentile properties."""
-
-    name: str
-    operations: int = 0
-    results: int = 0
-    response_ms: float = 0.0
-    device_ms: float = 0.0
-    queueing_ms: float = 0.0
-    latencies: list[float] = field(default_factory=list)
-    #: Sessions aggregated into this row (1 for a plain client; the
-    #: per-class rows of a traffic run count their sessions here).
-    sessions: int = 0
-    # Cached ascending copy of ``latencies`` (keyed on sample size).
-    _sorted: list[float] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def _fold(self, served: _Served) -> None:
-        """Add one served operation to this row."""
-        self.operations += 1
-        self.results += served.results
-        self.response_ms += served.latency_ms
-        self.device_ms += served.device_ms
-        self.queueing_ms += served.queued_ms
-        self.latencies.append(served.latency_ms)
-
-
-@dataclass(slots=True)
-class SessionsReport(WorkloadReport):
-    """Outcome of one :meth:`WorkloadEngine.run_sessions`.
-
-    The per-phase table aggregates over the clients; ``clients`` breaks
-    the same workload down per session."""
-
-    clients: list[ClientStats] = field(default_factory=list)
-
-    def client(self, name: str) -> ClientStats | None:
-        for c in self.clients:
-            if c.name == name:
-                return c
-        return None
-
-    def format(self, title: str | None = None) -> str:
-        from repro.eval.report import format_table
-
-        header = title or (
-            f"sessions: scheduler={self.scheduler}, "
-            f"admission={self.admission}, policy={self.policy}, "
-            f"buffer={self.buffer_pages} pages"
-        )
-        # Explicit base call: zero-argument super() loses its class
-        # cell when @dataclass(slots=True) rebuilds the class.
-        parts = [WorkloadReport.format(self, header)]
-        rows = [
-            (
-                c.name,
-                c.operations,
-                c.results,
-                c.device_ms,
-                c.response_ms,
-                c.queueing_ms,
-                c.p50_ms,
-                c.p95_ms,
-            )
-            for c in self.clients
-        ]
-        rows.append(
-            (
-                "makespan",
-                self.operations,
-                sum(c.results for c in self.clients),
-                self.total_io.total_ms,
-                self.makespan_ms,
-                sum(c.queueing_ms for c in self.clients),
-                "",
-                "",
-            )
-        )
-        parts.append(
-            format_table(
-                (
-                    "client",
-                    "ops",
-                    "results",
-                    "device ms",
-                    "response ms",
-                    "queue ms",
-                    "p50 ms",
-                    "p95 ms",
-                ),
-                rows,
-                title="per-client sessions",
-            )
-        )
-        return "\n\n".join(parts)
-
-
-@dataclass(slots=True)
-class TrafficReport(WorkloadReport):
-    """Outcome of one :meth:`WorkloadEngine.run_traffic`.
-
-    The per-phase table aggregates over all sessions; ``classes``
-    breaks the run down per traffic class (``interactive`` /
-    ``analytics`` rows instead of one row per generated session —
-    10^5-session traffic cannot report per client).  ``makespan_ms`` is
-    the virtual clock's latest event; ``throughput_per_s`` the
-    completed-sessions rate over that horizon.
-    """
-
-    arrival: str = "poisson"
-    sessions: int = 0
-    classes: list[ClientStats] = field(default_factory=list)
-
-    def traffic_class(self, name: str) -> ClientStats | None:
-        for c in self.classes:
-            if c.name == name:
-                return c
-        return None
-
-    @property
     def throughput_per_s(self) -> float:
         """Completed sessions per virtual second of makespan."""
-        if self.makespan_ms <= 0.0:
-            return 0.0
-        return self.sessions / (self.makespan_ms / 1000.0)
+        makespan_s = self.makespan_ms / 1000.0
+        return self.sessions / makespan_s if self.makespan_ms > 0.0 else 0.0
 
     def format(self, title: str | None = None) -> str:
-        from repro.eval.report import format_table
+        """The aligned per-phase table (what `repro.eval workload`
+        prints), then the per-client or per-class table of a sessions or
+        traffic run.  ``title`` replaces the per-phase table's header."""
+        from repro.eval.report import format_rows, format_table
 
-        header = title or (
-            f"traffic: arrival={self.arrival}, sessions={self.sessions}, "
-            f"scheduler={self.scheduler}, admission={self.admission}, "
-            f"policy={self.policy}, buffer={self.buffer_pages} pages"
+        phases = self.phases
+        total = Row(
+            "total", self.operations, sum(p.results for p in phases),
+            sum(p.hits for p in phases), sum(p.misses for p in phases),
+            self.total_io, self.total_response_ms,
         )
-        # Explicit base call, as in SessionsReport.format.
-        parts = [WorkloadReport.format(self, header)]
-        rows = [
-            (
-                c.name,
-                c.sessions,
-                c.operations,
-                c.queueing_ms,
-                c.p50_ms,
-                c.p95_ms,
-                c.p99_ms,
+        text = format_rows(title or _HEADERS[self.run].format(r=self), [
+            {"phase": p.name, "ops": p.operations, "results": p.results,
+             "hit rate": f"{p.hit_rate:.1%}", "requests": p.io.requests,
+             "pages": p.io.pages_transferred, "device ms": p.io.total_ms,
+             "response ms": p.response_ms, "overlap ms": p.overlap_ms}
+            for p in (*phases, total)
+        ])
+        if self.prefetch["pages"] or self.prefetch["issued"]:
+            text += (
+                "\nprefetch: {issued} plans, {pages} pages read ahead, "
+                "{useful} useful, {wasted} wasted"
+            ).format(**self.prefetch)
+        if self.run == "sessions":
+            clients = [
+                {"client": c.name, "ops": c.operations, "results": c.results,
+                 "device ms": c.device_ms, "response ms": c.response_ms,
+                 "queue ms": c.queueing_ms, "p50 ms": c.p50_ms, "p95 ms": c.p95_ms}
+                for c in self.clients
+            ]
+            clients.append(
+                {"client": "makespan", "ops": self.operations,
+                 "results": sum(c.results for c in self.clients),
+                 "device ms": self.total_io.total_ms, "response ms": self.makespan_ms,
+                 "queue ms": sum(c.queueing_ms for c in self.clients),
+                 "p50 ms": "", "p95 ms": ""}
             )
-            for c in self.classes
-        ]
-        parts.append(
-            format_table(
-                (
-                    "class",
-                    "sessions",
-                    "ops",
-                    "queue ms",
-                    "p50 ms",
-                    "p95 ms",
-                    "p99 ms",
-                ),
-                rows,
-                title="per-class latency",
+            return f"{text}\n\n{format_rows('per-client sessions', clients)}"
+        if self.run == "traffic":
+            classes = [
+                {"class": c.name, "sessions": c.sessions, "ops": c.operations,
+                 "queue ms": c.queueing_ms, "p50 ms": c.p50_ms,
+                 "p95 ms": c.p95_ms, "p99 ms": c.p99_ms}
+                for c in self.classes
+            ]
+            # With no class row there are no keys: name the header.
+            per_class = format_rows("per-class latency", classes) if classes else (
+                format_table(_CLASS_COLUMNS, [], title="per-class latency")
             )
-        )
-        parts.append(
-            f"makespan {self.makespan_ms:.1f} ms, "
-            f"{self.throughput_per_s:.1f} sessions/s"
-        )
-        return "\n\n".join(parts)
+            return (
+                f"{text}\n\n{per_class}\n\nmakespan {self.makespan_ms:.1f} ms, "
+                f"{self.throughput_per_s:.1f} sessions/s"
+            )
+        return text
 
 
-class _Served(NamedTuple):
-    """What the serve step hands back per operation, for the caller to
-    fold into its own report rows."""
+def _round_robin(clients: list[Row], streams: list[list]):
+    """The sessions order: one operation per client per turn, i.e. in
+    ``(step, client_index)`` order."""
+    for step in range(max(map(len, streams), default=0)):
+        for client, ops in zip(clients, streams):
+            if step < len(ops):
+                yield client.name, ops[step], None, client
 
-    kind: str
-    results: int
-    latency_ms: float
-    device_ms: float
-    queued_ms: float
+
+def _arrivals(report: RunReport, sessions: list, scheduler: OverlapScheduler):
+    """The traffic order: a heap of ``(ready_ms, session_index,
+    operation_index, first_ready_ms)`` — the last element survives
+    admission re-queues so latency stays measured from the time the
+    operation first became ready.  A follow-up is ready at its
+    predecessor's completion (read off the clock after the yield) plus
+    think time."""
+    clock = scheduler.clock
+    heap = [(s.arrival_ms, i, 0, s.arrival_ms)
+            for i, s in enumerate(sessions) if s.operations]
+    heapify(heap)
+    while heap:
+        ready, index, step, first_ready = heappop(heap)
+        session = sessions[index]
+        name = session.name
+        policy = scheduler.admission
+        if policy is not None:
+            # A throttled operation re-enters the event queue at its
+            # admitted time instead of holding its slot, so other clients'
+            # ready work overtakes it — the reordering that lets
+            # interactive operations pass paced bulk work.  (Token buckets
+            # admit idempotently: when the re-queued event pops, the
+            # drained bucket has refilled to exactly zero and the
+            # scheduler's own admit adds no second wait.)
+            admitted = policy.admit(name, ready, clock)
+            if admitted > ready:
+                heappush(heap, (admitted, index, step, first_ready))
+                continue
+        clock.wait(name, ready)
+        klass = report.traffic_class(session.klass)
+        if klass is None:
+            klass = Row(session.klass)
+            report.classes.append(klass)
+        if step == 0:
+            klass.sessions += 1
+        yield name, session.operations[step], first_ready, klass
+        step += 1
+        if step < len(session.operations):
+            follow_up = clock.client_time(name) + session.think_ms
+            heappush(heap, (follow_up, index, step, follow_up))
 
 
 class WorkloadEngine:
     """Runs operation streams against one organization and pool.
 
-    :meth:`run`, :meth:`run_sessions` and :meth:`run_traffic` share one
-    *serve step* (:meth:`_serve`) inside one *run scope*
+    :meth:`run`, :meth:`run_sessions` and :meth:`run_traffic` feed one
+    serving loop (:meth:`_drive`) inside one *run scope*
     (:meth:`_run_scope`); they differ only in the order operations are
     served and in the report rows each served operation is folded into.
 
@@ -493,18 +379,14 @@ class WorkloadEngine:
     def __init__(self, storage: SpatialOrganization, pool: BufferPool):
         self.storage = storage
         self.pool = pool
-        self._measure_mark = None
-        self._hits_mark = 0
-        self._misses_mark = 0
         # Run state, set by _run_scope for the serve step.
-        self._report: WorkloadReport | None = None
         self._scheduler: OverlapScheduler | None = None
         self._tracer = None
         self._spans: dict[str, object] = {}
         self._op_span = None
 
     # ------------------------------------------------------------------
-    def run(self, operations) -> WorkloadReport:
+    def run(self, operations) -> RunReport:
         """Execute the stream and return the per-phase report.
 
         The organization's page traffic is routed through the engine's
@@ -512,19 +394,12 @@ class WorkloadEngine:
         coalesced vectored transfers) in a final ``flush`` phase and
         the original pool wiring is restored.
         """
-        report = WorkloadReport(
-            policy=self.pool.policy, buffer_pages=self.pool.capacity
-        )
-        histogram = self.pool.metrics.histogram
+        report = RunReport("workload", self.pool.policy, self.pool.capacity)
         with self._run_scope(report, clients=("main",)):
-            for op in operations:
-                served = self._serve("main", op)
-                histogram("op.latency_ms", phase=served.kind).observe(
-                    served.latency_ms
-                )
+            self._drive(report, (("main", op, None, None) for op in operations), "phase")
         return report
 
-    def run_sessions(self, sessions, admission=None) -> SessionsReport:
+    def run_sessions(self, sessions, admission=None) -> RunReport:
         """Execute several client streams as interleaved sessions.
 
         ``sessions`` maps client names to operation streams (a dict, or
@@ -554,26 +429,17 @@ class WorkloadEngine:
         percentiles (p50/p95) either way.
         """
         pairs = list(sessions.items() if isinstance(sessions, dict) else sessions)
-        clients = [ClientStats(str(name)) for name, _ in pairs]
-        streams = [list(ops) for _, ops in pairs]
-        report = SessionsReport(
-            policy=self.pool.policy,
-            buffer_pages=self.pool.capacity,
-            clients=clients,
+        clients = [Row(str(name), sessions=1) for name, _ in pairs]
+        report = RunReport(
+            "sessions", self.pool.policy, self.pool.capacity,
+            sessions=len(pairs), clients=clients,
         )
-        histogram = self.pool.metrics.histogram
+        streams = [list(ops) for _, ops in pairs]
         with self._run_scope(report, [c.name for c in clients], admission):
-            for step in range(max(map(len, streams), default=0)):
-                for client, ops in zip(clients, streams):
-                    if step < len(ops):
-                        served = self._serve(client.name, ops[step])
-                        client._fold(served)
-                        histogram("op.latency_ms", client=client.name).observe(
-                            served.latency_ms
-                        )
+            self._drive(report, _round_robin(clients, streams), "client")
         return report
 
-    def run_traffic(self, sessions, admission=None, arrival="poisson") -> TrafficReport:
+    def run_traffic(self, sessions, admission=None, arrival="poisson") -> RunReport:
         """Drive arriving traffic sessions through the virtual clock.
 
         ``sessions`` is a sequence of
@@ -614,66 +480,18 @@ class WorkloadEngine:
                 "traffic runs need the overlap scheduler — arrivals and "
                 "queueing live on the virtual clock"
             )
-        report = TrafficReport(
-            policy=self.pool.policy,
-            buffer_pages=self.pool.capacity,
-            arrival=arrival,
-            sessions=len(sessions),
+        report = RunReport(
+            "traffic", self.pool.policy, self.pool.capacity,
+            arrival=arrival, sessions=len(sessions),
         )
-        histogram = self.pool.metrics.histogram
-        # Event heap of (ready_ms, session_index, operation_index,
-        # first_ready_ms) — the last element survives admission
-        # re-queues so latency stays measured from the time the
-        # operation first became ready.
-        heap = [
-            (s.arrival_ms, i, 0, s.arrival_ms)
-            for i, s in enumerate(sessions)
-            if s.operations
-        ]
-        heapify(heap)
         with self._run_scope(report, admission=admission, client_metrics=False):
-            scheduler = self._scheduler
-            clock = scheduler.clock
-            while heap:
-                ready, index, step, first_ready = heappop(heap)
-                session = sessions[index]
-                name = session.name
-                policy = scheduler.admission
-                if policy is not None:
-                    # A throttled operation re-enters the event queue at
-                    # its admitted time instead of holding its slot, so
-                    # other clients' ready work overtakes it — the
-                    # reordering that lets interactive operations pass
-                    # paced bulk work.  (Token buckets admit idempotently:
-                    # when the re-queued event pops, the drained bucket
-                    # has refilled to exactly zero and the scheduler's own
-                    # admit adds no second wait.)
-                    admitted = policy.admit(name, ready, clock)
-                    if admitted > ready:
-                        heappush(heap, (admitted, index, step, first_ready))
-                        continue
-                clock.wait(name, ready)
-                served = self._serve(name, session.operations[step], first_ready)
-                klass = report.traffic_class(session.klass)
-                if klass is None:
-                    klass = ClientStats(session.klass)
-                    report.classes.append(klass)
-                if step == 0:
-                    klass.sessions += 1
-                klass._fold(served)
-                histogram("op.latency_ms", **{"class": klass.name}).observe(
-                    served.latency_ms
-                )
-                step += 1
-                if step < len(session.operations):
-                    follow_up = clock.client_time(name) + session.think_ms
-                    heappush(heap, (follow_up, index, step, follow_up))
+            self._drive(report, _arrivals(report, sessions, self._scheduler), "class")
         return report
 
     # ------------------------------------------------------------------
     @contextmanager
     def _run_scope(
-        self, report: WorkloadReport, clients=(), admission=None, client_metrics=True
+        self, report: RunReport, clients=(), admission=None, client_metrics=True
     ) -> Iterator[None]:
         """The run scope every entry point serves its operations in.
 
@@ -713,23 +531,17 @@ class WorkloadEngine:
             tracer.use_virtual_clock(timed)
             for name in clients:
                 spans[name] = tracer.begin(
-                    "session",
-                    cat="session",
-                    track=name,
-                    ts=0.0 if timed else None,
-                    parent=None,
-                    args={"client": name},
+                    "session", cat="session", track=name,
+                    ts=0.0 if timed else None, parent=None, args={"client": name},
                 )
-        self._report, self._tracer, self._spans = report, tracer, spans
-        self._op_span = None
+        self._tracer, self._spans, self._op_span = tracer, spans, None
         prefetch_mark = self.pool.prefetch_stats()
         try:
             with self.storage.use_pool(self.pool):
                 yield
                 self._flush_phase(report)
             now = self.pool.prefetch_stats()
-            for key in ("issued", "pages", "useful", "wasted"):
-                setattr(report, f"prefetch_{key}", now[key] - prefetch_mark[key])
+            report.prefetch = {key: now[key] - prefetch_mark[key] for key in now}
             report.makespan_ms = (
                 scheduler.clock.makespan if timed else report.total_response_ms
             )
@@ -739,14 +551,25 @@ class WorkloadEngine:
             # Innermost first: an operation that raised left its span open.
             for span in (self._op_span, *spans.values()):
                 if span is not None and span.end_ms is None:
-                    tracer.end(
-                        span,
-                        ts=scheduler.clock.client_time(span.track) if timed else None,
-                    )
+                    ts = scheduler.clock.client_time(span.track) if timed else None
+                    tracer.end(span, ts=ts)
 
-    def _serve(self, client: str, op, first_ready: float | None = None) -> _Served:
+    def _drive(self, report: RunReport, order, group: str) -> None:
+        """The serving loop: serve each ``(client, op, first_ready,
+        row)`` of the lazy ``order`` (:meth:`_serve` folds it into its
+        phase row), fold it into ``row`` unless that is ``None`` (the phase
+        is the group), and observe ``op.latency_ms{<group>=<row>}``."""
+        histogram = self.pool.metrics.histogram
+        for client, op, first_ready, row in order:
+            served = self._serve(report, client, op, first_ready)
+            if row is not None:
+                row.fold(served)
+            label = served.kind if row is None else row.name
+            histogram("op.latency_ms", **{group: label}).observe(served.latency_ms)
+
+    def _serve(self, report: RunReport, client: str, op, first_ready) -> _Served:
         """The serve step: execute one operation on ``client``'s
-        timeline and fold it into its kind's :class:`PhaseStats`.
+        timeline and fold it into its kind's phase :class:`Row`.
 
         Under a virtual-clock scheduler the operation runs inside the
         client's ``scheduler.operation`` scope and its latency is the
@@ -757,8 +580,8 @@ class WorkloadEngine:
         session span gets an ``op`` span, renamed to the operation's
         kind once execution reveals it.
         """
-        scheduler = self._scheduler
-        self._snapshot()
+        scheduler, pool, disk = self._scheduler, self.pool, self.storage.disk
+        mark, hits, misses = disk.snapshot(), pool.hits, pool.misses
         started = None
         if scheduler is not None:
             clock = scheduler.clock
@@ -785,42 +608,41 @@ class WorkloadEngine:
             )
         else:
             finished = None
-            latency = self.storage.disk.cost_since(self._measure_mark).response_ms
+            latency = disk.cost_since(mark).response_ms
             queued = 0.0
         if session_span is not None:
             op_span.name = kind
             tracer.end(op_span, ts=finished)
-        report = self._report
         phase = report.phase(kind)
         if phase is None:
-            phase = PhaseStats(kind)
+            phase = Row(kind)
             report.phases.append(phase)
-        phase.operations += 1
-        phase.results += results
-        device_before = phase.io.total_ms
-        self._account(phase, latency)
-        phase.latencies.append(latency)
-        return _Served(
-            kind, results, latency, phase.io.total_ms - device_before, queued
+        io = disk.stats_since(mark)
+        device = (phase.io + io).total_ms - phase.io.total_ms
+        served = _Served(
+            kind, results, latency, device, queued,
+            pool.hits - hits, pool.misses - misses, io,
         )
+        phase.fold(served)
+        return served
 
-    def _flush_phase(self, report: WorkloadReport) -> None:
+    def _flush_phase(self, report: RunReport) -> None:
         """Write back dirty frames as the report's final phase.
 
         Under a virtual-clock scheduler the write-back's device work is
         dispatched onto the per-disk queues (issued when the last
         client finished), so the makespan covers the flush exactly as
         the synchronous accounting does."""
-        flush = PhaseStats("flush")
-        self._snapshot()
-        scheduler, tracer, disk = self._scheduler, self._tracer, self.storage.disk
+        scheduler, tracer = self._scheduler, self._tracer
+        pool, disk = self.pool, self.storage.disk
+        mark, hits, misses = disk.snapshot(), pool.hits, pool.misses
         if scheduler is None:
             span = nullcontext() if tracer is None else tracer.span(
                 "flush", cat="flush", track="main"
             )
             with span:
-                self.pool.flush(coalesce=True)
-            response_ms = disk.cost_since(self._measure_mark).response_ms
+                pool.flush(coalesce=True)
+            response_ms = disk.cost_since(mark).response_ms
         else:
             issued = max(scheduler.clock.clients.values(), default=0.0)
             if tracer is not None:
@@ -836,31 +658,22 @@ class WorkloadEngine:
             # the whole phase as one batch dispatched at the issue time
             # below — a second dispatch per plan would double-count.
             with scheduler.inline():
-                self.pool.flush(coalesce=True)
+                pool.flush(coalesce=True)
             work = [now - then for now, then in zip(device_times(disk), before)]
             completion = scheduler.clock.dispatch(issued, work)
             if tracer is not None:
                 tracer.end(flush_span, ts=completion)
             response_ms = completion - issued
-        self._account(flush, response_ms)
-        if flush.io.requests:
-            flush.operations = 1
-            report.phases.append(flush)
+        io = disk.stats_since(mark)
+        if io.requests:
+            # One operation, no latency sample: the flush is the run's
+            # write-back, not a client's request.
+            hits, misses = pool.hits - hits, pool.misses - misses
+            report.phases.append(
+                Row("flush", 1, 0, hits, misses, io, response_ms, io.total_ms)
+            )
 
     # ------------------------------------------------------------------
-    def _snapshot(self) -> None:
-        self._measure_mark = self.storage.disk.snapshot()
-        self._hits_mark = self.pool.hits
-        self._misses_mark = self.pool.misses
-
-    def _account(self, phase: PhaseStats, response_ms: float) -> None:
-        """Fold the interval since the last :meth:`_snapshot` into a
-        phase; ``response_ms`` is what the clients waited for it."""
-        phase.io = phase.io + self.storage.disk.stats_since(self._measure_mark)
-        phase.response_ms += response_ms
-        phase.hits += self.pool.hits - self._hits_mark
-        phase.misses += self.pool.misses - self._misses_mark
-
     def _execute(self, op) -> tuple[str, int]:
         """Execute one operation (the caller snapshots the statistics
         marks beforehand)."""

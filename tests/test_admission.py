@@ -24,7 +24,7 @@ from repro.iosched import (
     make_admission,
 )
 from repro.pagestore.store import ShardedPageStore
-from repro.workload.engine import latency_percentile
+from repro.obs.metrics import percentile
 
 from tests.conftest import make_objects
 
@@ -310,11 +310,11 @@ class TestSessionsAdmission:
 
 class TestLatencyPercentile:
     def test_empty_sample(self):
-        assert latency_percentile([], 0.95) == 0.0
+        assert percentile([], 0.95) == 0.0
 
     def test_nearest_rank(self):
         values = [5.0, 1.0, 3.0, 2.0, 4.0]
-        assert latency_percentile(values, 0.50) == 3.0
-        assert latency_percentile(values, 0.95) == 5.0
-        assert latency_percentile(values, 0.0) == 1.0
-        assert latency_percentile([7.0], 0.95) == 7.0
+        assert percentile(values, 0.50) == 3.0
+        assert percentile(values, 0.95) == 5.0
+        assert percentile(values, 0.0) == 1.0
+        assert percentile([7.0], 0.95) == 7.0

@@ -155,6 +155,20 @@ class TestExports:
             "self", "leaf", "oids"
         ]
 
+        # Gone with the one run report: three report classes and two row
+        # classes (a ``RunReport`` of ``Row``s replaces them) and the
+        # percentile wrapper beside ``repro.obs.metrics.percentile``.
+        import repro.workload
+        import repro.workload.engine
+
+        for name in (
+            "WorkloadReport", "SessionsReport", "TrafficReport",
+            "PhaseStats", "ClientStats", "latency_percentile",
+        ):
+            for module in (repro, repro.workload, repro.workload.engine):
+                assert not hasattr(module, name), name
+        assert "RunReport" in repro.__all__
+
 
 class TestRunLevelSurface:
     def test_run_level_members_are_part_of_the_protocols(self):

@@ -355,10 +355,10 @@ class TestDeterministicSessions:
         assert first.format() == second.format()
         assert first.makespan_ms == second.makespan_ms
         assert [
-            (p.kind, p.operations, p.results, p.io.total_ms, p.response_ms)
+            (p.name, p.operations, p.results, p.io.total_ms, p.response_ms)
             for p in first.phases
         ] == [
-            (p.kind, p.operations, p.results, p.io.total_ms, p.response_ms)
+            (p.name, p.operations, p.results, p.io.total_ms, p.response_ms)
             for p in second.phases
         ]
         assert [
@@ -417,6 +417,87 @@ class TestDeterministicSessions:
         assert report.client("a") is not None
         assert report.client("nobody") is None
         assert "per-client sessions" in report.format()
+
+
+SESSIONS_TEXT = """\
+sessions: scheduler=overlap, admission=none, policy=lru, buffer=200 pages
+ phase  ops  results  hit rate  requests  pages  device ms  response ms  overlap ms
+------  ---  -------  --------  --------  -----  ---------  -----------  ----------
+window   14       48     84.2%         8     41     131.00       168.00      -37.00
+ point   10        0     85.7%         6     21      66.00        97.00      -31.00
+insert    8        8    100.0%         0      0       0.00         0.00        0.00
+ flush    1        0      0.0%         3      4      49.00        49.00        0.00
+ total   33       56     85.0%        17     66     246.00       314.00      -68.00
+prefetch: 6 plans, 31 pages read ahead, 7 useful, 24 wasted
+
+per-client sessions
+  client  ops  results  device ms  response ms  queue ms  p50 ms  p95 ms
+--------  ---  -------  ---------  -----------  --------  ------  ------
+  reader   16       30     155.00       184.00    117.00    0.00   62.00
+  writer   16       26      42.00        81.00    112.00    0.00   81.00
+makespan   33       56     246.00       233.00    229.00""" + " " * 16
+# (the makespan row's empty p50 / p95 cells pad to their column width)
+
+
+class TestSessionsText:
+    """No CLI golden prints a sessions report with a ``prefetch:`` line,
+    a ``flush`` row and the ``makespan`` row together: this pins that
+    text, byte for byte, for a smoke-size two-client run on two disks
+    under the overlap scheduler with sequential prefetch."""
+
+    def test_format_is_pinned(self):
+        objects = make_objects(150, seed=5)
+        inserts = make_objects(8, seed=10)
+        for obj in inserts:
+            obj.oid += 100_000
+        db = SpatialDatabase(
+            smax_bytes=16 * 4096, n_disks=2, scheduler="overlap",
+            prefetch="sequential",
+        )
+        db.build(objects)
+        sessions = {
+            "reader": mixed_stream(
+                objects, n_windows=10, n_points=6, seed=31, data_space=10_000.0
+            ),
+            "writer": mixed_stream(
+                objects, n_windows=4, n_points=4, seed=77, data_space=10_000.0
+            ) + [("insert", obj) for obj in inserts],
+        }
+        report = db.run_sessions(sessions, buffer_pages=200)
+        assert report.format() == SESSIONS_TEXT
+
+    def test_empty_runs_keep_their_headers(self):
+        """With nothing served every table still prints its header; the
+        empty sums print as integers, as they always have."""
+        db = SpatialDatabase(smax_bytes=16 * 4096, n_disks=2, scheduler="overlap")
+        db.build(make_objects(50, seed=5))
+        phases = (
+            "phase  ops  results  hit rate  requests  pages  device ms  "
+            "response ms  overlap ms\n"
+            "-----  ---  -------  --------  --------  -----  ---------  "
+            "-----------  ----------\n"
+            "total    0        0      0.0%         0      0       0.00  "
+            "          0        0.00\n\n"
+        )
+        assert db.run_traffic([]).format() == (
+            "traffic: arrival=poisson, sessions=0, scheduler=overlap, "
+            "admission=none, policy=lru, buffer=1600 pages\n" + phases
+            + "per-class latency\n"
+            "class  sessions  ops  queue ms  p50 ms  p95 ms  p99 ms\n"
+            "-----  --------  ---  --------  ------  ------  ------\n\n"
+            "makespan 0.0 ms, 0.0 sessions/s"
+        )
+        assert db.run_sessions({}).format() == (
+            "sessions: scheduler=overlap, admission=none, policy=lru, "
+            "buffer=1600 pages\n" + phases
+            + "per-client sessions\n"
+            "  client  ops  results  device ms  response ms  queue ms  "
+            "p50 ms  p95 ms\n"
+            "--------  ---  -------  ---------  -----------  --------  "
+            "------  ------\n"
+            "makespan    0        0       0.00         0.00         0  "
+            "              "
+        )
 
 
 class TestClockHygiene:

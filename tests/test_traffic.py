@@ -10,12 +10,14 @@ classification and re-queueing), and the cached percentile paths the
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.database import SpatialDatabase
 from repro.errors import ConfigurationError
 from repro.iosched.admission import PriorityAdmission
 from repro.obs.metrics import Histogram, percentile
-from repro.workload.engine import ClientStats, PhaseStats, TrafficReport
+from repro.workload.engine import Row, RunReport
+from repro.workload.streams import mixed_stream
 from repro.workload.traffic import (
     ARRIVALS,
     TrafficSession,
@@ -173,7 +175,7 @@ class TestRunTraffic:
         db.build(objects)
         sessions = generate(objects, n=120, rate_per_s=300.0)
         report = db.run_traffic(sessions, buffer_pages=128)
-        assert isinstance(report, TrafficReport)
+        assert isinstance(report, RunReport) and report.run == "traffic"
         assert report.sessions == 120
         assert report.scheduler == "overlap"
         assert report.arrival == "poisson"
@@ -264,6 +266,76 @@ class TestRunTraffic:
         assert db.scheduler.metrics is saved_metrics
 
 
+@pytest.fixture(scope="module")
+def served_dbs(objects):
+    """A read-only database per disk count, shared by the examples below
+    (every run gets a fresh pool and a reset clock)."""
+    dbs = {n_disks: traffic_db(n_disks=n_disks) for n_disks in (1, 2, 4)}
+    for db in dbs.values():
+        db.build(objects)
+    return dbs
+
+
+class TestEveryGroupFoldsTheSameRecord:
+    """A served operation is one record: the phase rows and the client
+    (or traffic-class) rows fold the same records, so their sums and
+    latency samples agree under any disk count and admission."""
+
+    @pytest.mark.parametrize("run", ["sessions", "traffic"])
+    @pytest.mark.parametrize("n_disks", [1, 2, 4])
+    @pytest.mark.parametrize("admission", ["none", "priority"])
+    @settings(max_examples=5, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 30),
+        sizes=st.lists(st.integers(0, 6), min_size=1, max_size=4),
+    )
+    def test_phase_rows_and_group_rows_agree(
+        self, objects, served_dbs, run, n_disks, admission, seed, n, sizes
+    ):
+        db = served_dbs[n_disks]
+        priority = admission == "priority"
+        if run == "sessions":
+            sessions = {
+                f"c{i}": mixed_stream(
+                    objects, n_windows=size, n_points=size // 2,
+                    seed=seed + i, data_space=10_000.0,
+                )
+                for i, size in enumerate(sizes)
+            }
+            policy = PriorityAdmission(
+                classes={"c1": "analytics"}, rate=0.05, burst_ms=5.0
+            )
+            report = db.run_sessions(
+                sessions, buffer_pages=64, admission=policy if priority else None
+            )
+            groups = report.clients
+        else:
+            sessions = generate(
+                objects, n=n, seed=seed, rate_per_s=1000.0,
+                analytics_fraction=0.3, ops_per_session=3,
+            )
+            policy = PriorityAdmission(
+                classifier=class_of_session, rate=0.02, burst_ms=5.0
+            )
+            report = db.run_traffic(
+                sessions, buffer_pages=64, admission=policy if priority else None
+            )
+            groups = report.classes
+        phases = [p for p in report.phases if p.name != "flush"]
+        for column in ("operations", "results", "hits", "misses"):
+            assert sum(getattr(p, column) for p in phases) == sum(
+                getattr(g, column) for g in groups
+            ), column
+        assert sorted(x for p in phases for x in p.latencies) == sorted(
+            x for g in groups for x in g.latencies
+        )
+        assert sum(g.device_ms for g in groups) == pytest.approx(
+            sum(p.io.total_ms for p in phases)
+        )
+        assert sum(g.sessions for g in groups) == len(sessions)
+
+
 class TestPercentileCaching:
     def test_histogram_cache_invalidated_by_append(self):
         hist = Histogram("lat", {})
@@ -277,21 +349,17 @@ class TestPercentileCaching:
         hist.reset()
         assert hist.percentile(0.5) == 0.0
 
-    def test_phase_stats_percentiles_match_uncached(self):
-        stats = PhaseStats("window")
+    def test_row_percentiles_match_uncached(self):
+        stats = Row("window")
         stats.latencies.extend([9.0, 2.0, 7.0, 4.0])
         assert stats.p50_ms == percentile([9.0, 2.0, 7.0, 4.0], 0.50)
         stats.latencies.append(1.0)
         assert stats.p50_ms == percentile([9.0, 2.0, 7.0, 4.0, 1.0], 0.50)
         assert stats.p99_ms == 9.0
-
-    def test_client_stats_percentiles_match_uncached(self):
-        stats = ClientStats("alpha")
-        stats.latencies.extend([10.0, 30.0, 20.0])
-        assert stats.p95_ms == percentile([10.0, 30.0, 20.0], 0.95)
+        assert stats.p95_ms == percentile([9.0, 2.0, 7.0, 4.0, 1.0], 0.95)
         stats.latencies.append(40.0)
         assert stats.p99_ms == 40.0
-        assert stats.sorted_latencies() == [10.0, 20.0, 30.0, 40.0]
+        assert stats.sorted_latencies() == [1.0, 2.0, 4.0, 7.0, 9.0, 40.0]
 
 
 class TestSessionDataclass:

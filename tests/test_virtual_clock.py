@@ -238,3 +238,15 @@ class TestTraceReplayEquivalence:
         sched = OverlapScheduler(clock=IntervalListClock())
         assert isinstance(sched.clock, IntervalListClock)
         assert isinstance(OverlapScheduler().clock, VirtualClock)
+
+
+class TestOracleIsIndependent:
+    def test_oracle_overrides_every_interval_member(self):
+        """The oracle subclasses :class:`VirtualClock` for the client
+        timelines and ``dispatch``; every member that reads or writes
+        the busy intervals is its own, so it never inherits the code it
+        checks."""
+        for name in ("reserve", "_ensure", "disk_free", "_clear"):
+            assert name in IntervalListClock.__dict__, name
+            assert IntervalListClock.__dict__[name] is not VirtualClock.__dict__[name]
+        assert isinstance(IntervalListClock(), VirtualClock)

@@ -78,10 +78,10 @@ class TestRunWorkload:
         report = db.run_workload(
             make_stream(resident, incoming), buffer_pages=256
         )
-        kinds = {p.kind for p in report.phases}
+        kinds = {p.name for p in report.phases}
         assert {"window", "point", "insert", "delete"} <= kinds
         executed = sum(
-            p.operations for p in report.phases if p.kind != "flush"
+            p.operations for p in report.phases if p.name != "flush"
         )
         assert executed == 15 + 15 + len(incoming) + 5
         assert 0.0 <= report.hit_rate <= 1.0
@@ -246,7 +246,7 @@ def fresh_served_db(scheduler, n_disks):
 def phase_rows(report):
     return [
         (
-            p.kind,
+            p.name,
             p.operations,
             p.results,
             p.hits,
@@ -386,18 +386,18 @@ class TestHitRateGuards:
         assert BufferPool(DiskModel(), capacity=8).hit_rate == 0.0
 
     def test_empty_phase_and_report_hit_rate(self):
-        from repro.workload.engine import PhaseStats, WorkloadReport
+        from repro.workload.engine import Row, RunReport
 
-        assert PhaseStats("window").hit_rate == 0.0
-        report = WorkloadReport(policy="lru", buffer_pages=8)
+        assert Row("window").hit_rate == 0.0
+        report = RunReport("workload", policy="lru", buffer_pages=8)
         assert report.hit_rate == 0.0
-        report.phases.append(PhaseStats("window"))
+        report.phases.append(Row("window"))
         assert report.hit_rate == 0.0
 
     def test_empty_sessions_report(self):
-        from repro.workload.engine import SessionsReport
+        from repro.workload.engine import RunReport
 
-        report = SessionsReport(policy="lru", buffer_pages=8)
+        report = RunReport("sessions", policy="lru", buffer_pages=8)
         assert report.hit_rate == 0.0
         assert report.makespan_ms == 0.0
 

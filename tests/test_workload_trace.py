@@ -85,7 +85,7 @@ class TestRoundTrip:
         recorded = run(stream)
         replayed = run(load_trace(path))
         for a, b in zip(recorded.phases, replayed.phases):
-            assert (a.kind, a.operations, a.results) == (b.kind, b.operations, b.results)
+            assert (a.name, a.operations, a.results) == (b.name, b.operations, b.results)
             assert a.io.total_ms == pytest.approx(b.io.total_ms)
 
     def test_empty_stream(self, tmp_path):

@@ -438,7 +438,7 @@ class TestReorganization:
         assert reorg.runs == 8
         assert reorg.quality() > degraded
         reorg_phase = next(
-            (p for p in report.phases if p.kind == "reorg"), None
+            (p for p in report.phases if p.name == "reorg"), None
         )
         assert reorg_phase is not None
         assert reorg_phase.operations == 8
