@@ -13,12 +13,17 @@ spots — have batch forms.  The window queries' rectangle test
 (:func:`polylines_intersect_rects`, also a long polyline's) decides
 almost every row by one outcode comparison per vertex and hands the
 few segments left to :func:`segment_intersects_rect` itself.  The
-join's pair test (:func:`polylines_intersect_pairs`) sends inputs past
-a size crossover through padded orientation grids (``_grid_hits``)
-and the one vector form of the segment hit rule
-(``_segments_intersect_mask``), with the identical float64 comparisons
-and ``_EPS`` tolerances.  Either way the boolean answers agree with the
-scalar predicates on every input, eps-boundary cases included.
+join's pair test (:func:`polylines_intersect_pairs`) drops by the
+same outcodes, against the other polyline's box, the segments that
+cannot meet it, and sends the cells left through the one vector form
+of the segment hit rule (``_segments_intersect_mask``), with the
+identical float64 comparisons and ``_EPS`` tolerances.  Either way the boolean
+answers agree with the scalar predicates on every input, eps-boundary
+cases included.
+
+The hit rule starts with a box pretest (segments whose eps-closed boxes
+are disjoint never meet), so every cell a kernel prunes by a box is a
+cell the rule rejects.
 """
 
 from __future__ import annotations
@@ -102,22 +107,26 @@ def segments_intersect(
     c: tuple[float, float],
     d: tuple[float, float],
 ) -> bool:
-    """True if the closed segments a-b and c-d share at least one point."""
+    """True if the closed segments a-b and c-d share at least one point;
+    segments whose eps-closed boxes are disjoint never do."""
+    if (
+        max(a[0], b[0]) + _EPS < min(c[0], d[0])
+        or max(c[0], d[0]) + _EPS < min(a[0], b[0])
+        or max(a[1], b[1]) + _EPS < min(c[1], d[1])
+        or max(c[1], d[1]) + _EPS < min(a[1], b[1])
+    ):
+        return False
     o1 = orientation(*a, *b, *c)
     o2 = orientation(*a, *b, *d)
     o3 = orientation(*c, *d, *a)
     o4 = orientation(*c, *d, *b)
-    if o1 != o2 and o3 != o4:
-        return True
-    if o1 == 0 and on_segment(*a, *b, *c):
-        return True
-    if o2 == 0 and on_segment(*a, *b, *d):
-        return True
-    if o3 == 0 and on_segment(*c, *d, *a):
-        return True
-    if o4 == 0 and on_segment(*c, *d, *b):
-        return True
-    return False
+    return (
+        (o1 != o2 and o3 != o4)
+        or (o1 == 0 and on_segment(*a, *b, *c))
+        or (o2 == 0 and on_segment(*a, *b, *d))
+        or (o3 == 0 and on_segment(*c, *d, *a))
+        or (o4 == 0 and on_segment(*c, *d, *b))
+    )
 
 
 def segment_intersects_rect(
@@ -278,7 +287,7 @@ def polylines_intersect_rects(
     x, y = pts.T
     xmin, ymin, xmax, ymax = rects.T.repeat(counts, axis=1)
     # One flag byte per side, four to a vertex: the uint32 view is the
-    # outcode (zero inside), and two codes sharing a flag share a side.
+    # outcode (zero inside).
     outside = np.empty((len(pts), 4), dtype=bool)
     np.less(x, xmin, out=outside[:, 0])
     np.less(y, ymin, out=outside[:, 1])
@@ -288,15 +297,10 @@ def polylines_intersect_rects(
     inside = code == 0
     out[ends.searchsorted(inside.nonzero()[0], side="right")] = True
     # Every flag on an inside vertex: its row is decided, its segments
-    # are not tested.
+    # are not tested.  (An empty row's ``ends - 1`` is another row's
+    # last vertex.)
     code[inside] = 0x01010101
-    # live[k]: segment k -> k + 1 is left for the edge tests.  A row's
-    # last vertex starts none; the slot past the last vertex pads for
-    # the ends of empty rows.
-    live = np.empty(len(pts), dtype=bool)
-    np.equal(code[:-1] & code[1:], 0, out=live[:-1])
-    live[ends - 1] = False
-    seg = live.nonzero()[0]
+    seg = _live_segments(outside, ends)
     if not len(seg):
         return out
     row = ends.searchsorted(seg, side="right")
@@ -360,14 +364,15 @@ def polylines_intersect_pairs(
     (``(n, 2)`` float64 vertex matrices) share a point.
 
     The join-refinement hot path, batched **across candidate pairs**
-    (a pair has a few hundred cells): pairs sorted by vertex counts are
-    packed into padded grids of up to ``_GRID_CELLS`` cells
-    (:func:`_grid_hits`), a larger pair cut into runs of a-segments that
-    share their boundary vertex, a decided pair's later runs skipped.
-    No box pruning: the eps-tolerant orientations accept some cells
-    whose segment boxes are disjoint.  Batches under
-    ``_VECTOR_MIN_CELLS`` cells loop over :func:`polylines_intersect`.
-    A pair with a side without vertices raises :class:`GeometryError`.
+    and restricted, as [BKS93b] restricts the MBR join, to each pair's
+    box intersection: one outcode per vertex against the other
+    polyline's eps-widened MBR kills the segments outside it, the
+    cells live-a x live-b are enumerated flat (:func:`_cells`), and
+    the cells whose segment boxes meet take
+    :func:`_segments_intersect_mask`.  Every cell left out fails the
+    rule's box pretest.  A pair with a single-vertex side runs
+    :func:`polylines_intersect`; one with a side without vertices
+    raises :class:`GeometryError`.
     """
     n = len(coords_a)
     out = np.zeros(n, dtype=bool)
@@ -376,73 +381,100 @@ def polylines_intersect_pairs(
     empty = np.flatnonzero((na == 0) | (nb == 0))
     if len(empty):
         raise GeometryError(f"pair {empty[0]}: a polyline without vertices")
-    cells = (na - 1) * (nb - 1)
-    if int(cells.sum()) >= _VECTOR_MIN_CELLS:
-        # A single-vertex "polyline" has no segment to enumerate.
-        scalar = (cells == 0).nonzero()[0]
-    else:
-        scalar = np.arange(n)
-    # Plain Python floats for the scalar loop: walking numpy rows would
-    # run every comparison on np.float64 scalars.
+    # A single-vertex "polyline" has no segment to enumerate.  Plain
+    # Python floats for its scalar loop: walking numpy rows would run
+    # every comparison on np.float64 scalars.
+    scalar = ((na == 1) | (nb == 1)).nonzero()[0]
     for k in scalar.tolist():
         out[k] = polylines_intersect(coords_a[k].tolist(), coords_b[k].tolist())
     if len(scalar) == n:
         return out
-    # Each pair turned so that ``a`` is its longer side (the hit rule is
-    # symmetric in its segments): grids of alike pairs pad less.
-    coords_a, coords_b = zip(*[
-        (b, a) if len(b) > len(a) else (a, b) for a, b in zip(coords_a, coords_b)
-    ])
-    na, nb = np.maximum(na, nb), np.minimum(na, nb)
-    x, y = np.ascontiguousarray(
-        np.concatenate([*coords_a, *coords_b]).T, dtype=np.float64
+    # Polyline r of one column: the a sides, then the b sides; the
+    # other polyline of r is r + n (mod 2n).
+    counts = np.concatenate((na, nb))
+    ends = counts.cumsum()
+    x, y = np.concatenate([*coords_a, *coords_b], dtype=np.float64).T.copy()
+    # The rule's pretest is ``max + _EPS < min``: high sides carry _EPS.
+    x_eps, y_eps = x + _EPS, y + _EPS
+    xmin, ymin, xmax, ymax = (
+        np.roll(bound.reduceat(v, ends - counts), n).repeat(counts)
+        for bound, v in (
+            (np.minimum, x), (np.minimum, y), (np.maximum, x_eps), (np.maximum, y_eps)
+        )
     )
-    first = np.cumsum(np.concatenate((na, nb))) - np.concatenate((na, nb))
-    todo = (cells > 0).nonzero()[0]
-    todo = todo[np.lexsort((nb[todo], na[todo]))]
-    rows, cols = (na[todo] - 1).tolist(), (nb[todo] - 1).tolist()
-    start = 0
-    while start < len(todo):
-        # A grid: pairs start:stop padded to the largest, up to
-        # _GRID_CELLS cells, or one larger pair in runs of a-segments.
-        stop, height, width = start + 1, rows[start], cols[start]
-        while stop < len(todo) and (
-            (stop + 1 - start) * rows[stop] * max(width, cols[stop]) <= _GRID_CELLS
-        ):
-            stop, height, width = stop + 1, rows[stop], max(width, cols[stop])
-        step = max(1, _GRID_CELLS // width) if stop == start + 1 else height
-        pairs, start = todo[start:stop], stop
-        # Vertex indexes, each side padded with its last vertex.
-        last_a, last_b = na[pairs, None] - 1, nb[pairs, None] - 1
-        ib = first[n + pairs, None] + np.minimum(np.arange(width + 1), last_b)
-        for lo in range(0, height, step):
-            if out[pairs].all():
-                break
-            ia = first[pairs, None] + np.minimum(
-                np.arange(lo, min(lo + step, height) + 1), last_a
-            )
-            out[pairs] = _grid_hits(
-                x[ia], y[ia], x[ib], y[ib], na[pairs] - 1 - lo, nb[pairs] - 1
-            )
+    outside = np.column_stack((x_eps < xmin, y_eps < ymin, xmax < x, ymax < y))
+    seg = _live_segments(outside, ends)
+    owner = ends.searchsorted(seg, side="right")
+    # Segment boxes, high sides with _EPS as in the rule's pretest.
+    lo_x = np.minimum(x.take(seg), x.take(seg + 1))
+    lo_y = np.minimum(y.take(seg), y.take(seg + 1))
+    hi_x = np.maximum(x_eps.take(seg), x_eps.take(seg + 1))
+    hi_y = np.maximum(y_eps.take(seg), y_eps.take(seg + 1))
+    for i, j in _cells(owner, n):
+        meet = (
+            (hi_x.take(i) >= lo_x.take(j))
+            & (hi_x.take(j) >= lo_x.take(i))
+            & (hi_y.take(i) >= lo_y.take(j))
+            & (hi_y.take(j) >= lo_y.take(i))
+        )
+        i = i[meet]
+        a, b = seg.take(i), seg.take(j[meet])
+        hit = _segments_intersect_mask(
+            x.take(a), y.take(a), x.take(a + 1), y.take(a + 1),
+            x.take(b), y.take(b), x.take(b + 1), y.take(b + 1),
+        )
+        out[owner.take(i[hit])] = True
     return out
+
+
+def _live_segments(outside: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Segments ``v -> v + 1`` (no polyline's last ``v``; ``ends`` are
+    cumulative vertex counts) whose vertices share no ``outside`` flag:
+    left of, below, right of, above the box, one bool byte each."""
+    code = outside.view(np.uint32).ravel()
+    live = np.empty(len(code), dtype=bool)
+    np.equal(code[:-1] & code[1:], 0, out=live[:-1])
+    live[ends - 1] = False
+    return live.nonzero()[0]
+
+
+def _cells(owner: np.ndarray, n: int):
+    """Each live a-segment ``i`` with every live b-segment ``j`` of its
+    pair (``owner``: sorted polylines, pair ``p`` is ``p`` and
+    ``n + p``) as index arrays ``(i, j)``, in chunks of at most
+    ``_CHUNK_CELLS`` cells or one a-segment."""
+    split = int(owner.searchsorted(n))
+    live_b = np.bincount(owner[split:] - n, minlength=n)
+    row = live_b[owner[:split]]  # cells per a-segment
+    first = (split + live_b.cumsum() - live_b)[owner[:split]]
+    ends = row.cumsum()
+    start = 0
+    while start < split:
+        base = ends[start] - row[start]
+        stop = max(int(ends.searchsorted(base + _CHUNK_CELLS, "right")), start + 1)
+        lens = row[start:stop]
+        # Chunk cell k in the row of s: j = first[s] + k - (ends[s] - row[s] - base).
+        j = (first[start:stop] + base - ends[start:stop] + lens).repeat(lens)
+        j += np.arange(len(j))
+        yield np.arange(start, stop).repeat(lens), j
+        start = stop
 
 
 # ----------------------------------------------------------------------
 # vectorized kernels
 # ----------------------------------------------------------------------
-_GRID_CELLS = 16384
-"""Segment-pair cells per grid of :func:`polylines_intersect_pairs`,
-padding included: 28 / 22.5 / 21 ms at 8 / 16 / 32 k cells on the
-``join_exact`` pairs (1.24 M cells, 2-vCPU container)."""
+_CHUNK_CELLS = 65536
+"""Cells per chunk of :func:`polylines_intersect_pairs`: bounds its
+index and coordinate arrays, nothing else."""
 
 _VECTOR_MIN_CELLS = 128
-"""A batch with fewer cells in total runs the scalar loops in the two
-kernels that still have them: all segment pairs of one
-:func:`polylines_intersect_pairs` call (or of one
-:func:`polylines_intersect` pair) and the point x edge grid of
-:func:`points_in_polygon`.  Numpy call overhead dominates small
-batches (measured crossover ~100-200 cells).  Purely a performance
-heuristic — both paths return identical booleans."""
+"""A batch with fewer cells runs the scalar loops in the two
+predicates that still have them: the segment pairs of one
+:func:`polylines_intersect` pair (more go to
+:func:`polylines_intersect_pairs` as a batch of one) and the point x
+edge grid of :func:`points_in_polygon`.  Numpy call overhead dominates
+small batches (measured crossover ~100-200 cells).  Purely a
+performance heuristic — both paths return identical booleans."""
 
 _VECTOR_MIN_VERTICES = 64
 """A :func:`polyline_intersects_rect` test below this many vertices
@@ -468,56 +500,23 @@ def _sides(cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cross > _EPS, cross < -_EPS
 
 
-def _turns(px, py, qx, qy, rows) -> np.ndarray:
-    """``[p, i, k]``: int8 :func:`orientation` of ``(p_i, p_{i+1}, q_k)``
-    by its float64 cross product (products commuted, taken in place);
-    padded segments, from ``rows[p]`` on, turn ``1`` and never cross."""
-    cross = qy[:, None, :] - py[:, :-1, None]
-    cross *= (px[:, 1:] - px[:, :-1])[:, :, None]
-    other = qx[:, None, :] - px[:, :-1, None]
-    other *= (py[:, 1:] - py[:, :-1])[:, :, None]
-    cross -= other
-    left, right = _sides(cross)
-    turn = left.view(np.int8) - right.view(np.int8)
-    turn[np.arange(turn.shape[1]) >= rows[:, None]] = 1
-    return turn
-
-
-def _grid_hits(ax, ay, bx, by, rows_a, rows_b) -> np.ndarray:
-    """Per pair of one grid (vertices padded with their last, the first
-    ``rows_a`` / ``rows_b`` segments real): does a real cell hit?  Cell
-    ``(i, j)`` reads o1/o2 and o3/o4 from adjacent turns, no gathers; a
-    cell a zero orientation leaves undecided takes the segment
-    evaluator."""
-    turn_a = _turns(ax, ay, bx, by, rows_a)
-    turn_b = _turns(bx, by, ax, ay, rows_b).transpose(0, 2, 1)
-    hit = turn_a[:, :, :-1] != turn_a[:, :, 1:]  # o1 != o2 and o3 != o4
-    hit &= turn_b[:, :-1] != turn_b[:, 1:]
-    out = hit.reshape(len(hit), -1).any(axis=1)
-    zero_a, zero_b = turn_a == 0, turn_b == 0
-    if zero_a.any() or zero_b.any():
-        zero = zero_a[:, :, :-1] | zero_a[:, :, 1:] | zero_b[:, :-1] | zero_b[:, 1:]
-        p, i, j = (zero & ~hit).nonzero()
-        real = (i < rows_a[p]) & (j < rows_b[p])
-        p, i, j = p[real], i[real], j[real]
-        touch = _segments_intersect_mask(
-            ax[p, i], ay[p, i], ax[p, i + 1], ay[p, i + 1],
-            bx[p, j], by[p, j], bx[p, j + 1], by[p, j + 1],
-        )
-        out[p[touch]] = True
-    return out
-
-
 def _segments_intersect_mask(ax, ay, bx, by, cx, cy, dx, dy) -> np.ndarray:
     """Vectorized :func:`segments_intersect`, the one vector form of its
-    hit rule: closed segments ``a-b`` against ``c-d`` over broadcastable
-    operands, one boolean per cell of the broadcast shape.
+    hit rule: closed segments ``a-b`` against ``c-d``, one boolean per
+    element of the equal-length operands.
 
-    The four cross products are the float64 expressions of
-    :func:`orientation` (each segment's deltas taken once) and only
-    their signs are kept; the four :func:`on_segment` clauses run on
-    the cells they can decide — some orientation zero, no proper
-    crossing — which on map data is none or a handful."""
+    The box pretest and the four cross products are the float64
+    expressions of the scalar rule (each segment's deltas taken once),
+    and only the products' signs are kept; the four :func:`on_segment`
+    clauses run on the cells they can decide — boxes meeting, some
+    orientation zero, no proper crossing — which on map data is none
+    or a handful."""
+    meet = ~(
+        (np.maximum(ax, bx) + _EPS < np.minimum(cx, dx))
+        | (np.maximum(cx, dx) + _EPS < np.minimum(ax, bx))
+        | (np.maximum(ay, by) + _EPS < np.minimum(cy, dy))
+        | (np.maximum(cy, dy) + _EPS < np.minimum(ay, by))
+    )
     abx, aby = bx - ax, by - ay
     cdx, cdy = dx - cx, dy - cy
     left1, right1 = _sides(abx * (cy - ay) - aby * (cx - ax))  # a, b, c
@@ -525,15 +524,14 @@ def _segments_intersect_mask(ax, ay, bx, by, cx, cy, dx, dy) -> np.ndarray:
     left3, right3 = _sides(cdx * (ay - cy) - cdy * (ax - cx))  # c, d, a
     left4, right4 = _sides(cdx * (by - cy) - cdy * (bx - cx))  # c, d, b
     # o1 != o2 and o3 != o4: a proper crossing.
-    hit = ((left1 != left2) | (right1 != right2)) & (
+    hit = meet & ((left1 != left2) | (right1 != right2)) & (
         (left3 != left4) | (right3 != right4)
     )
     turns = (left1 | right1, left2 | right2, left3 | right3, left4 | right4)
-    undecided = ~(hit | (turns[0] & turns[1] & turns[2] & turns[3]))
+    undecided = meet & ~(hit | (turns[0] & turns[1] & turns[2] & turns[3]))
     if undecided.any():
         ax, ay, bx, by, cx, cy, dx, dy = (
-            np.broadcast_to(v, hit.shape)[undecided]
-            for v in (ax, ay, bx, by, cx, cy, dx, dy)
+            v[undecided] for v in (ax, ay, bx, by, cx, cy, dx, dy)
         )
         zero1, zero2, zero3, zero4 = (~turn[undecided] for turn in turns)
         hit[undecided] = (

@@ -14,12 +14,16 @@ traversal produces them, so tree and object pages genuinely compete for
 the shared buffer) and splits the I/O cost per step, which is exactly
 the Figure 17 breakdown.  Step 3 prices no I/O, so it runs once, after
 the traversal, over the candidate pairs of the whole join: one batch of
-object-id pairs, one vector kernel call.
+object-id pairs, one vector kernel call.  Like the MBR join one level
+up ([BKS93b]), that call restricts its search space to the
+intersection of each pair's boxes: a segment outside the other
+polyline's MBR is never tested.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -46,16 +50,21 @@ def _refine(
     array of object ids: how many of them intersect — the predicate on
     every candidate.  Pairs whose *tight* geometry MBRs are disjoint
     drop out first (entry rectangles may be expanded, Section 6.1;
-    every exact predicate starts from the bounding boxes), and the
-    polyline pairs of the whole join take one
-    :func:`~repro.geometry.intersect.polylines_intersect_pairs` call;
-    polygon and mixed pairs keep :meth:`SpatialObject.intersects`.
+    every exact predicate starts from the bounding boxes): one closed
+    mask over a ``(k, 8)`` matrix read in one pass over the objects.
+    The polyline pairs of the whole join take one
+    :func:`~repro.geometry.intersect.polylines_intersect_pairs` call,
+    which tests only segments inside the other polyline's box; polygon
+    and mixed pairs keep :meth:`SpatialObject.intersects`.
     """
     resolved = [(org_r.objects[r], org_s.objects[s]) for r, s in pairs.tolist()]
-    boxes = np.array([
-        (*obj_r.geometry.mbr.as_tuple(), *obj_s.geometry.mbr.as_tuple())
-        for obj_r, obj_s in resolved
-    ]).reshape(-1, 8)
+    boxes = np.fromiter(
+        chain.from_iterable(
+            obj.geometry.mbr.as_tuple() for pair in resolved for obj in pair
+        ),
+        dtype=np.float64,
+        count=8 * len(resolved),
+    ).reshape(-1, 8)
     hits = 0
     lines_r: list[np.ndarray] = []
     lines_s: list[np.ndarray] = []

@@ -284,10 +284,13 @@ def join_refine(org_r, org_s, pairs) -> int:
 
 
 #: ``(target, attribute, value)`` — size crossovers no input reaches:
-#: :func:`polylines_intersect`, :func:`polylines_intersect_pairs` and
-#: :func:`points_in_polygon` (cells), :func:`polyline_intersects_rect`
-#: (vertices).  ``polylines_intersect_rects`` has no crossover; the
-#: segments its outcodes leave run the scalar test either way.
+#: :func:`polylines_intersect` and :func:`points_in_polygon` (cells),
+#: :func:`polyline_intersects_rect` (vertices).  Forced, a polyline
+#: pair tests every segment pair, box pretest first, where
+#: :func:`polylines_intersect_pairs` (no crossover) enumerates only the
+#: segments inside the other polyline's box.
+#: ``polylines_intersect_rects`` has no crossover either; the segments
+#: its outcodes leave run the scalar test anyway.
 SCALAR_LOOPS = (
     (intersect, "_VECTOR_MIN_CELLS", sys.maxsize),
     (intersect, "_VECTOR_MIN_VERTICES", sys.maxsize),

@@ -139,9 +139,11 @@ class TestExports:
 
         # Gone with the flat join: the recursion over ``Node`` pairs and
         # its per-pair entry mask (the recursion is the test oracle in
-        # ``tests/scalar_reference.py``), refinement per leaf group, and
-        # the join kernel's flat cell-index enumeration.  A leaf group
-        # carries object ids, and so does a group fetch.
+        # ``tests/scalar_reference.py``) and refinement per leaf group.
+        # A leaf group carries object ids, and so does a group fetch.
+        # The join kernel's padded orientation grids went when it began
+        # enumerating only the cells of segments inside the other
+        # polyline's box.
         import repro.geometry.intersect
         import repro.join.multistep
         from repro.join.mbr_join import MBRJoin
@@ -150,7 +152,8 @@ class TestExports:
         assert not hasattr(repro.join.mbr_join, "_intersecting_pairs")
         assert not hasattr(MBRJoin, "_join")
         assert not hasattr(repro.join.multistep, "_refine_group")
-        assert callable(repro.geometry.intersect._grid_hits)
+        for name in ("_grid_hits", "_turns", "_GRID_CELLS"):
+            assert not hasattr(repro.geometry.intersect, name), name
         assert list(inspect.signature(ObjectTransfer.fetch_group).parameters) == [
             "self", "leaf", "oids"
         ]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -61,6 +60,17 @@ class TestSegments:
 
     def test_near_miss(self):
         assert not segments_intersect((0, 0), (1, 1), (0, 0.01), (-1, 1))
+
+    # Both were hits before the box pretest: every orientation of the
+    # second segment against the first is within eps of zero, or the
+    # first segment's line splits a sub-eps second one.
+    def test_near_collinear_segments_half_apart(self):
+        assert not segments_intersect((0, 0), (1, 0), (1.5, 0), (2.5, 1.5e-12))
+
+    def test_sub_eps_segment_far_away(self):
+        tiny = ((-1.4, 5e-13), (-1.4 + 8e-13, 1.1e-12))  # 1e-12 long
+        assert not segments_intersect((0, 0), (1, 0), *tiny)
+        assert not segments_intersect(*tiny, (0, 0), (1, 0))
 
     @given(point, point, point, point)
     def test_symmetry(self, a, b, c, d):
@@ -180,17 +190,48 @@ class TestPolylines:
 # Vertices on a 5 x 5 lattice, nudged by offsets on both sides of _EPS
 # (a cross product here is a nudge times a segment length of 1..4):
 # shared endpoints, collinear overlaps, touches and T-junctions are the
-# common case in these batches, not the rare one.
-nudge = st.sampled_from([0.0] * 4 + [1e-13, -1e-13, 1e-12, -1e-12])
+# common case in these batches, not the rare one.  Half the lines
+# also get a segment shorter than _EPS after one of their vertices.
+nudge = st.sampled_from([0.0] * 4 + [1e-13, -1e-13, 1e-12, -1e-12, 2e-12, -2e-12])
+sub_eps = st.sampled_from([0.0, 1e-13, -1e-13, 5e-13, -5e-13])
 lattice_coord = st.builds(lambda i, d: i + d, st.integers(0, 4), nudge)
-lattice_line = st.lists(
-    st.tuples(lattice_coord, lattice_coord), min_size=1, max_size=7
-)
+lattice_point = st.tuples(lattice_coord, lattice_coord)
+
+
+@st.composite
+def lattice_lines(draw):
+    line = draw(st.lists(lattice_point, min_size=1, max_size=7))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(line) - 1))
+        x, y = line[k]
+        line.insert(k + 1, (x + draw(sub_eps), y + draw(sub_eps)))
+    return line
+
+
+lattice_line = lattice_lines()
 pair_batch = st.lists(st.tuples(lattice_line, lattice_line), max_size=12)
-# Budgets of 1..16 cells cut most pairs into runs of a-segments; the
-# crossover of 1 sends every non-empty batch down the vector path.
-budget_cells = st.sampled_from([1, 3, 16, intersect._GRID_CELLS])
-crossover = st.sampled_from([1, intersect._VECTOR_MIN_CELLS])
+# Chunk budgets of 1..16 cells split most pairs by their a-segments.
+budget_cells = st.sampled_from([1, 3, 16, intersect._CHUNK_CELLS])
+
+
+def eps_boxes_meet(a, b, c, d) -> bool:
+    """The closed boxes of segments a-b and c-d, widened by _EPS, meet."""
+    eps = intersect._EPS
+    return all(
+        min(a[k], b[k]) <= max(c[k], d[k]) + eps
+        and min(c[k], d[k]) <= max(a[k], b[k]) + eps
+        for k in (0, 1)
+    )
+
+
+class TestSegmentRule:
+    @given(lattice_point, lattice_point, lattice_point, lattice_point)
+    def test_a_hit_has_meeting_boxes_on_the_lattice(self, a, b, c, d):
+        assert not segments_intersect(a, b, c, d) or eps_boxes_meet(a, b, c, d)
+
+    @given(point, point, point, point)
+    def test_a_hit_has_meeting_boxes(self, a, b, c, d):
+        assert not segments_intersect(a, b, c, d) or eps_boxes_meet(a, b, c, d)
 
 
 @st.composite
@@ -237,19 +278,9 @@ def scalar_pairs(batch) -> list[bool]:
         return [polylines_intersect(a, b) for a, b in batch]
 
 
-@contextmanager
-def vector_mode(budget, min_cells):
-    """The pair kernel's cells per grid set to ``budget``, its
-    crossover to ``min_cells``."""
-    with (
-        mock.patch.object(intersect, "_GRID_CELLS", budget),
-        mock.patch.object(intersect, "_VECTOR_MIN_CELLS", min_cells),
-    ):
-        yield
-
-
-def vector_pairs(batch, budget, min_cells) -> list[bool]:
-    with vector_mode(budget, min_cells):
+def vector_pairs(batch, budget=intersect._CHUNK_CELLS) -> list[bool]:
+    """The pair kernel with its cells per chunk set to ``budget``."""
+    with mock.patch.object(intersect, "_CHUNK_CELLS", budget):
         return polylines_intersect_pairs(
             [np.array(a, dtype=np.float64) for a, _ in batch],
             [np.array(b, dtype=np.float64) for _, b in batch],
@@ -277,9 +308,9 @@ def vector_rects(tests) -> list[bool]:
 
 class TestBatchKernelsMatchScalar:
     @settings(deadline=None)
-    @given(pair_batch, budget_cells, crossover)
-    def test_pairs_property(self, batch, budget, min_cells):
-        assert vector_pairs(batch, budget, min_cells) == scalar_pairs(batch)
+    @given(pair_batch, budget_cells)
+    def test_pairs_property(self, batch, budget):
+        assert vector_pairs(batch, budget) == scalar_pairs(batch)
 
     @settings(deadline=None)
     @given(st.lists(window_test(), max_size=12))
@@ -307,18 +338,18 @@ class TestBatchKernelsMatchScalar:
         )
         assert out.tolist() == [False] * 3
 
-    @pytest.mark.parametrize("budget", [1, 3, 16, intersect._GRID_CELLS])
+    @pytest.mark.parametrize("budget", [1, 3, 16, intersect._CHUNK_CELLS])
     def test_named_cases(self, budget):
-        batch = NAMED_PAIRS * 12  # well past the crossover
+        batch = NAMED_PAIRS * 12
         want = scalar_pairs(batch)
         assert want[: len(NAMED_PAIRS)] == [
             True, True, False, True, True, True, True, False,
             True, True, False, True, False, True, True,
         ]
-        assert vector_pairs(batch, budget, intersect._VECTOR_MIN_CELLS) == want
+        assert vector_pairs(batch, budget) == want
         # Single-vertex sides on both sides of every other pair.
         turned = [(b, a) if k % 2 else (a, b) for k, (a, b) in enumerate(batch)]
-        assert vector_pairs(turned, budget, 1) == scalar_pairs(turned) == want
+        assert vector_pairs(turned, budget) == scalar_pairs(turned) == want
         tests = as_window_tests(batch)
         assert vector_rects(tests) == scalar_rects(tests)
 
@@ -328,46 +359,69 @@ class TestBatchKernelsMatchScalar:
         return (start + np.cumsum(rng.uniform(-3, 3, (n, 2)), axis=0)).tolist()
 
     def test_pairs_larger_than_the_budget(self):
-        # Pairs of ~1600 cells against budgets that hold a few rows of
-        # one: every pair is cut into runs, and a decided pair's later
-        # runs are still right.
+        # Pairs of ~1600 cells against budgets that hold a few a-segments
+        # of one: every pair is split across chunks.
         rng = np.random.default_rng(29)
         batch = [(self.walk(rng, 41), self.walk(rng, 41)) for _ in range(30)]
         want = scalar_pairs(batch)
         assert any(want) and not all(want)
-        for budget in (40, 500, intersect._GRID_CELLS):
-            assert vector_pairs(batch, budget, 128) == want
+        for budget in (40, 500, intersect._CHUNK_CELLS):
+            assert vector_pairs(batch, budget) == want
 
-    def test_runs_share_their_boundary_vertex(self, monkeypatch):
-        # A 40 x 12-segment pair, 3 a-segments per run: 14 grids whose
-        # a-sides overlap in exactly one vertex and cover the polyline
-        # (the last run is the one segment left).
-        rng = np.random.default_rng(31)
-        a, b = self.walk(rng, 41), [(x + 500.0, y) for x, y in self.walk(rng, 13)]
-        grids = []
-        evaluate = intersect._grid_hits
+    @staticmethod
+    def spy_cells(monkeypatch):
+        """Record every chunk ``(live_segments, i, j)`` the pair kernel
+        enumerates."""
+        chunks = []
+        cells = intersect._cells
 
-        def spy(ax, ay, bx, by, rows_a, rows_b):
-            grids.append((np.column_stack((ax[0], ay[0])), int(rows_a[0])))
-            return evaluate(ax, ay, bx, by, rows_a, rows_b)
+        def spy(owner, n):
+            for i, j in cells(owner, n):
+                chunks.append((len(owner), i, j))
+                yield i, j
 
-        monkeypatch.setattr(intersect, "_grid_hits", spy)
-        assert vector_pairs([(a, b)], 36, 128) == [False]
-        assert len(grids) == 14
-        assert [len(run) for run, _rows in grids] == [4] * 13 + [2]
-        assert [rows for _run, rows in grids] == list(range(40, 0, -3))
-        for (run, _), (after, _) in zip(grids, grids[1:]):
-            assert run[-1].tolist() == after[0].tolist()
-        vertices = np.vstack([run[:-1] for run, _ in grids] + [grids[-1][0][-1:]])
-        assert vertices.tolist() == a
+        monkeypatch.setattr(intersect, "_cells", spy)
+        return chunks
+
+    def test_corner_overlap_enumerates_live_cells_only(self, monkeypatch):
+        # Zigzags in [0, 10]^2 and [8, 18]^2: 10 x 10 segment pairs, of
+        # which a-segments 7..9 (x in [7, 10]) and b-segments 0..2
+        # (y in [8, 11]) reach the other's box.
+        a = [(float(i), 10.0 * (i % 2)) for i in range(11)]
+        b = [(8.0 + 10.0 * (k % 2), 8.0 + k) for k in range(11)]
+        chunks = self.spy_cells(monkeypatch)
+        assert vector_pairs([(a, b)]) == [True]
+        assert scalar_pairs([(a, b)]) == [True]
+        [(live, i, j)] = chunks
+        assert live == 6
+        assert len(i) == len(set(zip(i.tolist(), j.tolist()))) == 3 * 3
+        assert len(set(i.tolist())) == len(set(j.tolist())) == 3
+
+    def test_long_pairs_past_the_real_budget(self, monkeypatch):
+        # Two 600-vertex staircases 2 apart in y: nearly every segment
+        # lies in the other's box, so ~340 k cells per pair are
+        # enumerated in chunks, and none hits.  A last b-segment that
+        # crosses ``a`` near its end is a hit in the pair's last chunk.
+        rng = np.random.default_rng(37)
+        steps = np.arange(600) * 0.1
+        a = np.column_stack((steps, steps + rng.uniform(-0.3, 0.3, 600))).tolist()
+        b = [(x, y + 2.0) for x, y in a]
+        crossing = b[:-1] + [(b[-1][0], b[-1][1] - 4.0)]
+        chunks = self.spy_cells(monkeypatch)
+        batch = [(a, b), (a, crossing)]
+        assert vector_pairs(batch) == [False, True]
+        assert scalar_pairs(batch) == [False, True]
+        sizes = [len(i) for _, i, _ in chunks]
+        assert sum(sizes) > 8 * intersect._CHUNK_CELLS
+        assert max(sizes) <= intersect._CHUNK_CELLS
 
     def test_empty_batch(self):
         assert polylines_intersect_pairs([], []).shape == (0,)
 
-    def test_batch_below_crossover_runs_scalar_loop_on_python_floats(
+    def test_single_vertex_sides_run_scalar_loop_on_python_floats(
         self, monkeypatch
     ):
-        batch = NAMED_PAIRS[:5]  # 5 cells
+        batch = NAMED_PAIRS[-2:] * 3  # no segment pair to enumerate
         seen = []
         scalar = intersect.segments_intersect
 
@@ -378,28 +432,8 @@ class TestBatchKernelsMatchScalar:
         monkeypatch.setattr(intersect, "segments_intersect", spy)
         monkeypatch.setattr(
             intersect,
-            "_grid_hits",
-            lambda *operands: pytest.fail("vector kernel on a tiny batch"),
+            "_cells",
+            lambda *operands: pytest.fail("cells of a single-vertex side"),
         )
-        assert vector_pairs(
-            batch, intersect._GRID_CELLS, intersect._VECTOR_MIN_CELLS
-        ) == [True, True, False, True, True]
+        assert vector_pairs(batch) == [True, True] * 3
         assert seen and all(type(v) is float for v in seen)
-
-    def test_decided_blocks_are_skipped(self, monkeypatch):
-        # One long pair that crosses in its first cells: the runs of
-        # a-segments after the one with the hit are never evaluated.
-        a = [(float(i), 0.0) for i in range(60)]
-        b = [(0.5, -1.0), (0.5, 1.0)] + [(float(i), 5.0) for i in range(60)]
-        calls = []
-        evaluate = intersect._grid_hits
-
-        def spy(ax, *rest):
-            calls.append(ax.shape)
-            return evaluate(ax, *rest)
-
-        monkeypatch.setattr(intersect, "_grid_hits", spy)
-        assert vector_pairs([(a, b)], 256, 128) == [True]
-        # 256 // 61 b-segments = 4 a-segments (5 vertices) per run
-        assert calls == [(1, 5)]
-        assert polylines_intersect(a, b) is True

@@ -520,12 +520,11 @@ def join_counts() -> dict[str, float]:
     for tree in (db.storage.tree, other.storage.tree):
         tree.flat_snapshot()  # built with the trees, not by the join
     counts = dict.fromkeys(
-        ("node_plans", "plans", "kernel_calls", "grids", "cells", "real_cells",
-         "entries_reads", "oid_reads"), 0
+        ("node_plans", "plans", "kernel_calls", "live_segments", "cells",
+         "box_cells", "entries_reads", "oid_reads"), 0
     )
-    execute, kernel, grid_hits = (
-        SyncScheduler.execute, multistep.polylines_intersect_pairs, intersect._grid_hits
-    )
+    execute, kernel = SyncScheduler.execute, multistep.polylines_intersect_pairs
+    enumerate_cells, segment_rule = intersect._cells, intersect._segments_intersect_mask
 
     def spy_execute(scheduler, plan, pool):
         counts["plans"] += 1
@@ -536,17 +535,21 @@ def join_counts() -> dict[str, float]:
         counts["kernel_calls"] += 1
         return kernel(coords_a, coords_b)
 
-    def spy_grid(ax, ay, bx, by, rows_a, rows_b):
-        rows, cols = ax.shape[1] - 1, bx.shape[1] - 1
-        counts["grids"] += 1
-        counts["cells"] += len(ax) * rows * cols
-        counts["real_cells"] += int((np.minimum(rows_a, rows) * rows_b).sum())
-        return grid_hits(ax, ay, bx, by, rows_a, rows_b)
+    def spy_cells(owner, n):
+        counts["live_segments"] += len(owner)
+        for i, j in enumerate_cells(owner, n):
+            counts["cells"] += len(i)
+            yield i, j
+
+    def spy_rule(ax, *rest):
+        counts["box_cells"] += len(ax)
+        return segment_rule(ax, *rest)
 
     with (
         patch.object(SyncScheduler, "execute", spy_execute),
         patch.object(multistep, "polylines_intersect_pairs", spy_kernel),
-        patch.object(intersect, "_grid_hits", spy_grid),
+        patch.object(intersect, "_cells", spy_cells),
+        patch.object(intersect, "_segments_intersect_mask", spy_rule),
         counting_slot(counts, "entries_reads", Node, "entries"),
         counting_slot(counts, "oid_reads", Entry, "oid"),
     ):
@@ -556,7 +559,6 @@ def join_counts() -> dict[str, float]:
         "candidate_pairs": result.candidate_pairs,
         "result_pairs": result.result_pairs,
         "node_accesses": result.node_accesses,
-        "padded_share": 1 - counts["real_cells"] / counts["cells"],
     }
 
 
@@ -570,13 +572,13 @@ class TestJoinCounts:
         # 32 node-pair pair lists were 32 Python calls); one plan per
         # leaf group is ROADMAP J step 2.
         assert counts["node_plans"] == counts["node_accesses"] == 64
-        # One kernel call per join (26, one per leaf group, before), and
-        # 21 padded grids of two cross products per cell (127 blocks of
-        # eight gathers and four cross products per cell before).
+        # One kernel call per join (26, one per leaf group, before).  It
+        # enumerates only the cells of segments that reach the other
+        # polyline's box, and the hit rule sees the cells whose
+        # segment boxes meet.
         assert counts["kernel_calls"] == 1
-        assert counts["grids"] == 21
-        assert (counts["cells"], counts["real_cells"]) == (321_139, 244_627)
-        assert round(counts["padded_share"], 4) == 0.2383
+        assert counts["live_segments"] == 6_952
+        assert (counts["cells"], counts["box_cells"]) == (16_179, 1_192)
         # Refinement reads object ids from the flat snapshots, not from
         # the trees' ``Node`` / ``Entry`` objects.
         assert counts["entries_reads"] == counts["oid_reads"] == 0
