@@ -13,13 +13,16 @@ spots — have batch forms.  The window queries' rectangle test
 (:func:`polylines_intersect_rects`, also a long polyline's) decides
 almost every row by one outcode comparison per vertex and hands the
 few segments left to :func:`segment_intersects_rect` itself.  The
-join's pair test (:func:`polylines_intersect_pairs`) drops by the
-same outcodes, against the other polyline's box, the segments that
-cannot meet it, and sends the cells left through the one vector form
+join's pair test (:func:`polylines_intersect_rows`) reads polylines
+as rows of a :class:`PolylineTable` — one vertex column, each row's
+tight MBR and each segment's eps-closed box, built once per distinct
+polyline — drops the segments whose box misses the other polyline's
+eps-widened MBR, and sends the cells left through the one vector form
 of the segment hit rule (``_segments_intersect_mask``), with the
-identical float64 comparisons and ``_EPS`` tolerances.  Either way the boolean
-answers agree with the scalar predicates on every input, eps-boundary
-cases included.
+identical float64 comparisons and ``_EPS`` tolerances
+(:func:`polylines_intersect_pairs` is its form over two lists of
+vertex matrices).  Either way the boolean answers agree with the
+scalar predicates on every input, eps-boundary cases included.
 
 The hit rule starts with a box pretest (segments whose eps-closed boxes
 are disjoint never meet), so every cell a kernel prunes by a box is a
@@ -47,6 +50,8 @@ __all__ = [
     "polylines_intersect_rects",
     "polylines_intersect",
     "polylines_intersect_pairs",
+    "polylines_intersect_rows",
+    "PolylineTable",
     "mbr_intersect_mask",
 ]
 
@@ -363,21 +368,122 @@ def polylines_intersect_pairs(
     ``out[k]`` is True iff polylines ``coords_a[k]`` and ``coords_b[k]``
     (``(n, 2)`` float64 vertex matrices) share a point.
 
+    The list form of :func:`polylines_intersect_rows`: one
+    :class:`PolylineTable` per list, pair ``k`` is row ``k`` of each.
+    A pair with a single-vertex side runs :func:`polylines_intersect`;
+    one with a side without vertices raises :class:`GeometryError`.
+    """
+    rows = np.arange(len(coords_a))
+    return polylines_intersect_rows(
+        PolylineTable(coords_a), rows, PolylineTable(coords_b), rows
+    )
+
+
+class PolylineTable:
+    """Polylines as rows over one vertex column — what the join's pair
+    kernel gathers from, so a polyline that takes part in many pairs is
+    copied, boxed and segmented once.
+
+    ``column`` is the ``(2, V)`` x/y matrix of every row's vertices in
+    row order, row ``r`` is ``column[:, starts[r]:starts[r] + counts[r]]``,
+    ``boxes[r]`` its tight MBR (``xmin, ymin, xmax, ymax``; NaN for a
+    row without vertices) and ``segments[:, v]`` the eps-closed box of
+    segment ``v -> v + 1`` (``lo_x, lo_y, hi_x, hi_y``, high sides
+    with ``_EPS`` as in the hit rule's pretest; meaningless for a row's
+    last ``v``).
+    """
+
+    __slots__ = ("column", "starts", "counts", "boxes", "segments")
+
+    def __init__(self, coords_list: Sequence[np.ndarray]):
+        n = len(coords_list)
+        self.counts = np.fromiter(map(len, coords_list), dtype=np.int64, count=n)
+        ends = self.counts.cumsum()
+        self.starts = ends - self.counts
+        self.boxes = np.full((n, 4), np.nan)
+        if not n or not ends[-1]:
+            self.column = np.empty((2, 0))
+            self.segments = np.empty((4, 0))
+            return
+        self.column = np.concatenate(coords_list, dtype=np.float64).T.copy()
+        x, y = self.column
+        full = self.counts > 0
+        self.boxes[full] = np.column_stack([
+            bound.reduceat(v, self.starts[full])
+            for bound, v in ((np.minimum, x), (np.minimum, y), (np.maximum, x), (np.maximum, y))
+        ])
+        # max(x + _EPS) is max(x) + _EPS: rounding is monotone.
+        self.segments = np.empty((4, len(x) - 1))
+        lo_x, lo_y, hi_x, hi_y = self.segments
+        np.minimum(x[:-1], x[1:], out=lo_x)
+        np.minimum(y[:-1], y[1:], out=lo_y)
+        np.maximum(x[:-1], x[1:], out=hi_x)
+        np.maximum(y[:-1], y[1:], out=hi_y)
+        self.segments[2:] += _EPS
+
+    def row(self, r: int) -> np.ndarray:
+        """Row ``r``'s vertices as an ``(n, 2)`` matrix."""
+        start = self.starts[r]
+        return self.column[:, start:start + self.counts[r]].T
+
+    def gather(self, seg: np.ndarray) -> list[np.ndarray]:
+        """Segments ``seg``: their endpoints ``ax, ay, bx, by`` and their
+        boxes ``lo_x, lo_y, hi_x, hi_y``, one array each."""
+        (x, y), after = self.column, seg + 1
+        return [
+            x.take(seg), y.take(seg), x.take(after), y.take(after),
+            *(side.take(seg) for side in self.segments),
+        ]
+
+    def live_segments(
+        self, rows: np.ndarray, other: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The segments of row ``rows[k]`` whose eps-closed boxes meet
+        the eps-widened box ``other[k]`` (a tight ``(k, 4)`` MBR row),
+        for every ``k``: ``(segment, k)`` index arrays, by ``k`` then
+        segment.  A segment outside lies wholly left of, below, right
+        of or above the box, so the hit rule's pretest rejects it
+        against every segment inside."""
+        per_row = self.counts[rows] - 1
+        owner = np.arange(len(rows)).repeat(per_row)
+        seg = (self.starts[rows] - per_row.cumsum() + per_row).take(owner)
+        seg += np.arange(len(seg))
+        # The other box's high sides carry _EPS, as every segment's do.
+        xmin, ymin = other[:, 0], other[:, 1]
+        xmax, ymax = other[:, 2] + _EPS, other[:, 3] + _EPS
+        lo_x, lo_y, hi_x, hi_y = self.segments
+        live = hi_x.take(seg) >= xmin.take(owner)
+        live &= lo_x.take(seg) <= xmax.take(owner)
+        live &= hi_y.take(seg) >= ymin.take(owner)
+        live &= lo_y.take(seg) <= ymax.take(owner)
+        live = live.nonzero()[0]
+        return seg.take(live), owner.take(live)
+
+
+def polylines_intersect_rows(
+    table_a: PolylineTable,
+    rows_a: np.ndarray,
+    table_b: PolylineTable,
+    rows_b: np.ndarray,
+) -> np.ndarray:
+    """Batched :func:`polylines_intersect` over *independent* pairs of
+    table rows: ``out[k]`` is True iff polyline ``rows_a[k]`` of
+    ``table_a`` and ``rows_b[k]`` of ``table_b`` share a point.
+
     The join-refinement hot path, batched **across candidate pairs**
     and restricted, as [BKS93b] restricts the MBR join, to each pair's
-    box intersection: one outcode per vertex against the other
-    polyline's eps-widened MBR kills the segments outside it, the
-    cells live-a x live-b are enumerated flat (:func:`_cells`), and
-    the cells whose segment boxes meet take
-    :func:`_segments_intersect_mask`.  Every cell left out fails the
-    rule's box pretest.  A pair with a single-vertex side runs
-    :func:`polylines_intersect`; one with a side without vertices
+    box intersection: a segment whose eps-closed box misses the other
+    polyline's eps-widened MBR is dropped
+    (:meth:`PolylineTable.live_segments`), the cells live-a x live-b
+    are enumerated flat (:func:`_cells`), and the cells whose segment
+    boxes meet take :func:`_segments_intersect_mask`.  Every cell left
+    out fails the rule's box pretest.  A pair with a single-vertex side
+    runs :func:`polylines_intersect`; one with a side without vertices
     raises :class:`GeometryError`.
     """
-    n = len(coords_a)
+    n = len(rows_a)
     out = np.zeros(n, dtype=bool)
-    na = np.fromiter((len(c) for c in coords_a), dtype=np.int64, count=n)
-    nb = np.fromiter((len(c) for c in coords_b), dtype=np.int64, count=n)
+    na, nb = table_a.counts[rows_a], table_b.counts[rows_b]
     empty = np.flatnonzero((na == 0) | (nb == 0))
     if len(empty):
         raise GeometryError(f"pair {empty[0]}: a polyline without vertices")
@@ -386,42 +492,29 @@ def polylines_intersect_pairs(
     # every comparison on np.float64 scalars.
     scalar = ((na == 1) | (nb == 1)).nonzero()[0]
     for k in scalar.tolist():
-        out[k] = polylines_intersect(coords_a[k].tolist(), coords_b[k].tolist())
+        out[k] = polylines_intersect(
+            table_a.row(rows_a[k]).tolist(), table_b.row(rows_b[k]).tolist()
+        )
     if len(scalar) == n:
         return out
-    # Polyline r of one column: the a sides, then the b sides; the
-    # other polyline of r is r + n (mod 2n).
-    counts = np.concatenate((na, nb))
-    ends = counts.cumsum()
-    x, y = np.concatenate([*coords_a, *coords_b], dtype=np.float64).T.copy()
-    # The rule's pretest is ``max + _EPS < min``: high sides carry _EPS.
-    x_eps, y_eps = x + _EPS, y + _EPS
-    xmin, ymin, xmax, ymax = (
-        np.roll(bound.reduceat(v, ends - counts), n).repeat(counts)
-        for bound, v in (
-            (np.minimum, x), (np.minimum, y), (np.maximum, x_eps), (np.maximum, y_eps)
-        )
+    # Live segments of the a sides, then of the b sides: the owner of
+    # an a-segment is its pair p, of a b-segment n + p.
+    seg_a, owner_a = table_a.live_segments(rows_a, table_b.boxes[rows_b])
+    seg_b, owner_b = table_b.live_segments(rows_b, table_a.boxes[rows_a])
+    owner = np.concatenate((owner_a, owner_b + n))
+    ax, ay, bx, by, lo_x, lo_y, hi_x, hi_y = (
+        np.concatenate(sides)
+        for sides in zip(table_a.gather(seg_a), table_b.gather(seg_b))
     )
-    outside = np.column_stack((x_eps < xmin, y_eps < ymin, xmax < x, ymax < y))
-    seg = _live_segments(outside, ends)
-    owner = ends.searchsorted(seg, side="right")
-    # Segment boxes, high sides with _EPS as in the rule's pretest.
-    lo_x = np.minimum(x.take(seg), x.take(seg + 1))
-    lo_y = np.minimum(y.take(seg), y.take(seg + 1))
-    hi_x = np.maximum(x_eps.take(seg), x_eps.take(seg + 1))
-    hi_y = np.maximum(y_eps.take(seg), y_eps.take(seg + 1))
     for i, j in _cells(owner, n):
-        meet = (
-            (hi_x.take(i) >= lo_x.take(j))
-            & (hi_x.take(j) >= lo_x.take(i))
-            & (hi_y.take(i) >= lo_y.take(j))
-            & (hi_y.take(j) >= lo_y.take(i))
-        )
-        i = i[meet]
-        a, b = seg.take(i), seg.take(j[meet])
+        meet = hi_x.take(i) >= lo_x.take(j)
+        meet &= hi_x.take(j) >= lo_x.take(i)
+        meet &= hi_y.take(i) >= lo_y.take(j)
+        meet &= hi_y.take(j) >= lo_y.take(i)
+        i, j = i[meet], j[meet]
         hit = _segments_intersect_mask(
-            x.take(a), y.take(a), x.take(a + 1), y.take(a + 1),
-            x.take(b), y.take(b), x.take(b + 1), y.take(b + 1),
+            ax.take(i), ay.take(i), bx.take(i), by.take(i),
+            ax.take(j), ay.take(j), bx.take(j), by.take(j),
         )
         out[owner.take(i[hit])] = True
     return out

@@ -14,8 +14,10 @@ traversal produces them, so tree and object pages genuinely compete for
 the shared buffer) and splits the I/O cost per step, which is exactly
 the Figure 17 breakdown.  Step 3 prices no I/O, so it runs once, after
 the traversal, over the candidate pairs of the whole join: one batch of
-object-id pairs, one vector kernel call.  Like the MBR join one level
-up ([BKS93b]), that call restricts its search space to the
+object-id pairs, one vector kernel call.  It is paid per object, not
+per pair: each side's distinct candidates are resolved once into one
+polyline table, and a pair is a row of each.  Like the MBR join one
+level up ([BKS93b]), the call restricts its search space to the
 intersection of each pair's boxes: a segment outside the other
 polyline's MBR is never tested.
 """
@@ -23,7 +25,6 @@ polyline's MBR is never tested.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -32,7 +33,12 @@ from repro.buffer.pool import BufferPool
 from repro.disk.model import DiskStats
 from repro.errors import ConfigurationError
 from repro.geometry.decomposed import ExactTestCounter
-from repro.geometry.intersect import mbr_intersect_mask, polylines_intersect_pairs
+from repro.geometry.feature import SpatialObject
+from repro.geometry.intersect import (
+    PolylineTable,
+    mbr_intersect_mask,
+    polylines_intersect_rows,
+)
 from repro.geometry.polyline import Polyline
 from repro.join.mbr_join import MBRJoin
 from repro.join.object_access import ObjectTransfer
@@ -45,42 +51,53 @@ def _refine(
     org_r: SpatialOrganization,
     org_s: SpatialOrganization,
     pairs: np.ndarray,
-) -> int:
+) -> np.ndarray:
     """Exact geometry test of the join's candidate pairs, a ``(k, 2)``
-    array of object ids: how many of them intersect — the predicate on
-    every candidate.  Pairs whose *tight* geometry MBRs are disjoint
-    drop out first (entry rectangles may be expanded, Section 6.1;
-    every exact predicate starts from the bounding boxes): one closed
-    mask over a ``(k, 8)`` matrix read in one pass over the objects.
-    The polyline pairs of the whole join take one
-    :func:`~repro.geometry.intersect.polylines_intersect_pairs` call,
+    array of object ids: which of them intersect, one verdict per pair.
+    Each side's distinct candidates are resolved once into one
+    :class:`~repro.geometry.intersect.PolylineTable` (polygons as their
+    closed rings), and a pair is a row of each.  Pairs whose *tight*
+    geometry MBRs are disjoint drop out first (entry rectangles may be
+    expanded, Section 6.1; every exact predicate starts from the
+    bounding boxes): one closed mask over the two rows' boxes.  The
+    polyline pairs of the whole join take one
+    :func:`~repro.geometry.intersect.polylines_intersect_rows` call,
     which tests only segments inside the other polyline's box; polygon
     and mixed pairs keep :meth:`SpatialObject.intersects`.
     """
-    resolved = [(org_r.objects[r], org_s.objects[s]) for r, s in pairs.tolist()]
-    boxes = np.fromiter(
-        chain.from_iterable(
-            obj.geometry.mbr.as_tuple() for pair in resolved for obj in pair
-        ),
-        dtype=np.float64,
-        count=8 * len(resolved),
-    ).reshape(-1, 8)
-    hits = 0
-    lines_r: list[np.ndarray] = []
-    lines_s: list[np.ndarray] = []
-    tight = mbr_intersect_mask(boxes[:, :4], boxes[:, 4:]).tolist()
-    for (obj_r, obj_s), keep in zip(resolved, tight):
-        if not keep:
-            continue
-        geom_r, geom_s = obj_r.geometry, obj_s.geometry
-        if isinstance(geom_r, Polyline) and isinstance(geom_s, Polyline):
-            lines_r.append(geom_r.coords())
-            lines_s.append(geom_s.coords())
-        elif obj_r.intersects(obj_s):
-            hits += 1
-    if lines_r:
-        hits += int(np.count_nonzero(polylines_intersect_pairs(lines_r, lines_s)))
-    return hits
+    objs_r, table_r, lines_r, rows_r = _side(org_r, pairs[:, 0])
+    objs_s, table_s, lines_s, rows_s = _side(org_s, pairs[:, 1])
+    tight = mbr_intersect_mask(table_r.boxes[rows_r], table_s.boxes[rows_s])
+    both = tight & lines_r[rows_r] & lines_s[rows_s]
+    mixed = tight & ~both
+    verdicts = np.zeros(len(pairs), dtype=bool)
+    verdicts[mixed] = [
+        objs_r[r].intersects(objs_s[s])
+        for r, s in zip(rows_r[mixed].tolist(), rows_s[mixed].tolist())
+    ]
+    if both.any():
+        verdicts[both] = polylines_intersect_rows(
+            table_r, rows_r[both], table_s, rows_s[both]
+        )
+    return verdicts
+
+
+def _side(
+    org: SpatialOrganization, oids: np.ndarray
+) -> tuple[list[SpatialObject], PolylineTable, np.ndarray, np.ndarray]:
+    """One side of :func:`_refine`: its distinct objects, their table,
+    which of them are polylines, and each pair's row."""
+    distinct, rows = np.unique(oids, return_inverse=True)
+    objects = list(map(org.objects.__getitem__, distinct.tolist()))
+    geometries = [obj.geometry for obj in objects]
+    lines = np.fromiter(
+        (isinstance(g, Polyline) for g in geometries), dtype=bool, count=len(objects)
+    )
+    table = PolylineTable([
+        g.coords() if line else g.ring_coords()
+        for g, line in zip(geometries, lines.tolist())
+    ])
+    return objects, table, lines, rows
 
 
 @dataclass(slots=True)
@@ -171,7 +188,8 @@ def spatial_join(
         counter.record(len(pairs))
         candidates.append(pairs)
     if evaluate_exact:
-        result.result_pairs = _refine(org_r, org_s, np.concatenate(candidates))
+        verdicts = _refine(org_r, org_s, np.concatenate(candidates))
+        result.result_pairs = int(np.count_nonzero(verdicts))
 
     total = disk.stats() - start
     result.candidate_pairs = join.candidate_pairs

@@ -480,8 +480,6 @@ class FilePageStore(CompositePageStore):
             )
         return runs
 
-    _retired_slots: list[int]
-
     def commit(
         self,
         meta: dict | None = None,
@@ -489,26 +487,38 @@ class FilePageStore(CompositePageStore):
     ) -> int:
         """Checkpoint: flush dirty pages, persist the page map (and the
         optional catalog payload chunks), fsync, then publish the new
-        epoch through the alternate superblock.  Returns the epoch."""
-        self._retired_slots = []
+        epoch through the alternate superblock.  Returns the epoch.
+
+        A commit refused by a superblock overflow frees the chunk slots
+        it wrote — the slot allocator is back where the flush left it —
+        and leaves the committed chunk lists and ``meta`` as they were;
+        the data slots its flush retired stay retired until a commit
+        succeeds."""
         self.flush()
+        previous_chunks = self._map_slots + self._meta_slots
+        rollback = (
+            self.meta, self._map_slots, self._meta_slots,
+            self._next_slot, self._free_slots.copy(),
+        )
         if meta is not None:
             self.meta = dict(meta)
         # Page map and catalog are copy-on-write like the data: the
         # previous epoch's slots are recycled only after the new
         # superblock is durable.
-        self._retired_slots.extend(
-            s for s in self._map_slots + self._meta_slots
-            if s in self._committed_slots
-        )
         self._map_slots = self._write_chunks(self._map_chunks(), KIND_MAP)
         self._meta_slots = self._write_chunks(
             [bytes(p) for p in meta_payloads] if meta_payloads is not None else [],
             KIND_META,
         )
         self._sync()
-        self._write_superblock(self._epoch + 1)
+        try:
+            self._write_superblock(self._epoch + 1)
+        except StorageError:
+            (self.meta, self._map_slots, self._meta_slots,
+             self._next_slot, self._free_slots) = rollback
+            raise
         self._sync()
+        self._retired_slots += previous_chunks
         self._committed_slots = (
             {0, 1}
             | set(self._map.values())

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.buffer.pool import BufferPool
 from repro.core.policy import ClusterPolicy
@@ -17,6 +19,13 @@ from repro.iosched.scheduler import SYNC
 from repro.rtree.pager import NodePager
 from repro.storage.primary import PrimaryOrganization
 from repro.storage.secondary import SecondaryOrganization
+
+# ``HYPOTHESIS_PROFILE=deep`` runs every property at ten times
+# hypothesis's default 100 examples (CI's non-blocking deep step);
+# unset, the default profile stands.  A constant: test modules import
+# this file again as ``tests.conftest``.
+settings.register_profile("deep", max_examples=1000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def make_objects(

@@ -274,12 +274,15 @@ def refine(queries, points: bool) -> None:
         result.objects = list(compress(candidates, decisions))
 
 
-def join_refine(org_r, org_s, pairs) -> int:
+def join_refine(org_r, org_s, pairs) -> np.ndarray:
     """``repro.join.multistep._refine``: the exact predicate on every
-    candidate pair."""
-    return sum(
-        org_r.objects[oid_r].intersects(org_s.objects[oid_s])
-        for oid_r, oid_s in pairs.tolist()
+    candidate pair, one verdict each."""
+    return np.array(
+        [
+            org_r.objects[oid_r].intersects(org_s.objects[oid_s])
+            for oid_r, oid_s in pairs.tolist()
+        ],
+        dtype=bool,
     )
 
 

@@ -198,6 +198,55 @@ class TestFilePageStore:
             assert store.get(0) == b"v2" and store.get(1) == b"v3"
             assert store.read_meta_pages() == []
 
+    @staticmethod
+    def slot_state(store):
+        """What a store would grow into next: its next fresh slot and
+        its free slots."""
+        return store._next_slot, sorted(store._free_slots)
+
+    def slot_rounds(self, path, refuse: bool, flush: bool):
+        """120 pages, every other one rewritten (the free slots are
+        scattered), then three rounds of rewrites, each committed —
+        after a commit the superblock refuses (``refuse``) and with a
+        standalone ``flush`` before every commit (``flush``).  Returns
+        the slot state live and after a reopen."""
+        with FilePageStore(path, page_size=512) as store:
+            for page in range(120):
+                store.put(page, b"v1")
+            store.commit()
+            for page in range(0, 120, 2):
+                store.put(page, b"v2")
+            store.commit()
+            if refuse:
+                with pytest.raises(StorageError, match="superblock overflow"):
+                    store.commit(meta={"refused": True}, meta_payloads=[b"m"] * 90)
+                assert store.meta == {}
+            for round_ in range(3):
+                for page in range(round_, 120, 3):
+                    store.put(page, b"round %d" % round_)
+                if flush:
+                    store.flush()
+                store.commit(meta_payloads=[b"catalog"] * 4)
+            live = self.slot_state(store)
+        with FilePageStore(path, page_size=512) as store:
+            assert store.read_meta_pages() == [b"catalog"] * 4
+            assert store.get(0) == b"round 0" and store.get(119) == b"round 2"
+            return live, self.slot_state(store)
+
+    @pytest.mark.parametrize(
+        "refuse, flush", [(True, False), (False, True), (True, True)],
+        ids=["refused-commit", "flush-then-commit", "both"],
+    )
+    def test_no_slot_is_lost_until_the_reopen(self, tmp_path, refuse, flush):
+        """ROADMAP D(4): a refused commit frees the chunk slots it
+        wrote and keeps the committed ones for retirement, and a
+        standalone ``flush`` retires the slots it replaced — so the
+        live store grows as the sequence without either does, and a
+        reopen finds no slot the live store had lost."""
+        plain = self.slot_rounds(str(tmp_path / "plain.db"), False, False)
+        live, reopened = self.slot_rounds(str(tmp_path / "image.db"), refuse, flush)
+        assert live == reopened == plain[0] == plain[1]
+
     def test_store_format_1_is_refused(self, tmp_path):
         path = str(tmp_path / "image.db")
         with FilePageStore(path, page_size=PAGE) as store:

@@ -15,8 +15,10 @@ from repro.geometry.intersect import (
     point_in_polygon,
     polyline_intersects_rect,
     polylines_intersect,
+    PolylineTable,
     polylines_intersect_pairs,
     polylines_intersect_rects,
+    polylines_intersect_rows,
     segment_intersects_rect,
     segments_intersect,
 )
@@ -287,6 +289,29 @@ def vector_pairs(batch, budget=intersect._CHUNK_CELLS) -> list[bool]:
         ).tolist()
 
 
+@st.composite
+def row_batch(draw):
+    """Two lists of lattice lines and pairs of their rows in which rows
+    repeat on both sides: ``(lines_a, rows_a, lines_b, rows_b)``."""
+    lines_a = draw(st.lists(lattice_line, min_size=1, max_size=6))
+    lines_b = draw(st.lists(lattice_line, min_size=1, max_size=6))
+    rows = st.lists(
+        st.tuples(st.integers(0, len(lines_a) - 1), st.integers(0, len(lines_b) - 1)),
+        max_size=16,
+    )
+    pairs = np.array(draw(rows), dtype=np.int64).reshape(-1, 2)
+    return lines_a, pairs[:, 0], lines_b, pairs[:, 1]
+
+
+def table_rows(lines_a, rows_a, lines_b, rows_b, budget=intersect._CHUNK_CELLS):
+    """The row kernel over one table per list of lines."""
+    with mock.patch.object(intersect, "_CHUNK_CELLS", budget):
+        return polylines_intersect_rows(
+            PolylineTable([np.array(a, dtype=np.float64) for a in lines_a]), rows_a,
+            PolylineTable([np.array(b, dtype=np.float64) for b in lines_b]), rows_b,
+        ).tolist()
+
+
 def as_window_tests(batch):
     """The same cases for the polyline/rect kernel: each pair's first
     line against the bounding box of its second (often a degenerate
@@ -311,6 +336,26 @@ class TestBatchKernelsMatchScalar:
     @given(pair_batch, budget_cells)
     def test_pairs_property(self, batch, budget):
         assert vector_pairs(batch, budget) == scalar_pairs(batch)
+
+    @settings(deadline=None)
+    @given(row_batch(), budget_cells)
+    def test_table_rows_equal_the_list_form(self, batch, budget):
+        """The join's form — rows of one table per side, a row in many
+        pairs — answers each pair as the list form does."""
+        lines_a, rows_a, lines_b, rows_b = batch
+        listed = [(lines_a[r], lines_b[s]) for r, s in zip(rows_a, rows_b)]
+        want = vector_pairs(listed, budget)
+        assert table_rows(*batch, budget) == want == scalar_pairs(listed)
+
+    def test_table_boxes_are_the_tight_mbrs(self):
+        lines = [line for pair in NAMED_PAIRS for line in pair]
+        table = PolylineTable([np.array(line, dtype=np.float64) for line in lines])
+        assert table.boxes.tolist() == [
+            list(Rect.from_points(line).as_tuple()) for line in lines
+        ]
+        assert table.counts.tolist() == [len(line) for line in lines]
+        for r, line in enumerate(lines):
+            assert table.row(r).tolist() == [list(p) for p in line]
 
     @settings(deadline=None)
     @given(st.lists(window_test(), max_size=12))

@@ -3,10 +3,12 @@ buffering semantics, multistep cost accounting."""
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.buffer.policy import POLICIES
 from repro.buffer.pool import BufferPool
@@ -14,8 +16,10 @@ from repro.disk.allocator import PageAllocator
 from repro.disk.model import DiskModel
 from repro.errors import ConfigurationError
 from repro.geometry.feature import SpatialObject
+from repro.geometry.polygon import Polygon
 from repro.geometry.polyline import Polyline
 from repro.geometry.rect import Rect
+from repro.join import multistep
 from repro.join.mbr_join import MBRJoin
 from repro.join.multistep import spatial_join
 from repro.join.object_access import JOIN_TECHNIQUES, ObjectTransfer
@@ -23,6 +27,7 @@ from repro.rtree.rstar import RStarTree
 
 from tests import scalar_reference as reference
 from tests.conftest import build_org, make_objects
+from tests.test_intersect import lattice_line, lattice_point
 
 
 def join_pair(kind: str, n=200, smax_bytes=16 * 4096, **kwargs):
@@ -485,6 +490,66 @@ class TestFlatJoinIsTheRecursion:
 
 
 # ----------------------------------------------------------------------
+# exact refinement against the per-pair predicate
+# ----------------------------------------------------------------------
+# Lattice lines (shared vertices, collinear overlaps, touches on both
+# sides of _EPS) and lattice triangles, so polygon and mixed pairs
+# ride in the same batch as the polyline pairs.
+@st.composite
+def lattice_geometry(draw):
+    """A lattice polyline (at least two vertices) or, one time in four,
+    a lattice triangle."""
+    if draw(st.integers(0, 3)):
+        return Polyline([draw(lattice_point), *draw(lattice_line)])
+    ring = draw(st.lists(lattice_point, min_size=3, max_size=3))
+    assume(ring[0] != ring[-1])
+    return Polygon(ring)
+
+
+@st.composite
+def refine_batch(draw):
+    """Two relations of lattice objects and candidate pairs in which
+    objects repeat on both sides: ``(relation_r, relation_s, pairs)``."""
+    relations = [
+        SimpleNamespace(objects={
+            base + k: SpatialObject(base + k, geometry)
+            for k, geometry in enumerate(
+                draw(st.lists(lattice_geometry(), min_size=1, max_size=6))
+            )
+        })
+        for base in (0, 1000)
+    ]
+    ids_r, ids_s = (sorted(relation.objects) for relation in relations)
+    pairs = draw(st.lists(
+        st.tuples(st.sampled_from(ids_r), st.sampled_from(ids_s)), max_size=16
+    ))
+    return (*relations, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+
+
+class TestRefineIsThePerPairPredicate:
+    @settings(deadline=None)
+    @given(refine_batch())
+    def test_refine_property(self, batch):
+        """``_refine``'s verdict on every pair is the scalar predicate's,
+        gated by the two tight MBRs."""
+        relation_r, relation_s, pairs = batch
+        with reference.scalar_loops():
+            want = [
+                a.geometry.mbr.intersects(b.geometry.mbr) and a.intersects(b)
+                for a, b in (
+                    (relation_r.objects[r], relation_s.objects[s])
+                    for r, s in pairs.tolist()
+                )
+            ]
+        assert multistep._refine(relation_r, relation_s, pairs).tolist() == want
+
+    def test_no_pairs(self):
+        relation = SimpleNamespace(objects={})
+        pairs = np.empty((0, 2), dtype=np.int64)
+        assert multistep._refine(relation, relation, pairs).shape == (0,)
+
+
+# ----------------------------------------------------------------------
 # what a join costs, as counts (ROADMAP item A)
 # ----------------------------------------------------------------------
 def counting_slot(counts: dict, key: str, owner, name: str):
@@ -508,7 +573,6 @@ def join_counts() -> dict[str, float]:
     from repro.database import SpatialDatabase
     from repro.geometry import intersect
     from repro.iosched.scheduler import SyncScheduler
-    from repro.join import multistep
     from repro.rtree.entry import Entry
     from repro.rtree.node import Node
 
@@ -521,19 +585,26 @@ def join_counts() -> dict[str, float]:
         tree.flat_snapshot()  # built with the trees, not by the join
     counts = dict.fromkeys(
         ("node_plans", "plans", "kernel_calls", "live_segments", "cells",
-         "box_cells", "entries_reads", "oid_reads"), 0
+         "box_cells", "entries_reads", "oid_reads", "coords_calls",
+         "object_lookups"), 0
     )
-    execute, kernel = SyncScheduler.execute, multistep.polylines_intersect_pairs
+    execute, kernel = SyncScheduler.execute, multistep.polylines_intersect_rows
     enumerate_cells, segment_rule = intersect._cells, intersect._segments_intersect_mask
+    coords = Polyline.coords
+
+    class CountingObjects(dict):
+        def __getitem__(self, oid):
+            counts["object_lookups"] += 1
+            return dict.__getitem__(self, oid)
 
     def spy_execute(scheduler, plan, pool):
         counts["plans"] += 1
         counts["node_plans"] += plan.label == "join.node"
         return execute(scheduler, plan, pool)
 
-    def spy_kernel(coords_a, coords_b):
+    def spy_kernel(*tables_and_rows):
         counts["kernel_calls"] += 1
-        return kernel(coords_a, coords_b)
+        return kernel(*tables_and_rows)
 
     def spy_cells(owner, n):
         counts["live_segments"] += len(owner)
@@ -545,14 +616,21 @@ def join_counts() -> dict[str, float]:
         counts["box_cells"] += len(ax)
         return segment_rule(ax, *rest)
 
+    def spy_coords(line):
+        counts["coords_calls"] += 1
+        return coords(line)
+
     with (
         patch.object(SyncScheduler, "execute", spy_execute),
-        patch.object(multistep, "polylines_intersect_pairs", spy_kernel),
+        patch.object(multistep, "polylines_intersect_rows", spy_kernel),
         patch.object(intersect, "_cells", spy_cells),
         patch.object(intersect, "_segments_intersect_mask", spy_rule),
+        patch.object(Polyline, "coords", spy_coords),
         counting_slot(counts, "entries_reads", Node, "entries"),
         counting_slot(counts, "oid_reads", Entry, "oid"),
     ):
+        for storage in (db.storage, other.storage):
+            storage.objects = CountingObjects(storage.objects)
         result = db.join(other, buffer_pages=36, evaluate_exact=True)
     return {
         **counts,
@@ -582,6 +660,9 @@ class TestJoinCounts:
         # Refinement reads object ids from the flat snapshots, not from
         # the trees' ``Node`` / ``Entry`` objects.
         assert counts["entries_reads"] == counts["oid_reads"] == 0
+        # It resolves each distinct candidate once (225 + 159 objects;
+        # two lookups and two ``coords`` calls per pair, 848, before).
+        assert counts["object_lookups"] == counts["coords_calls"] == 384
 
 
 if __name__ == "__main__":  # print MIXED_EXPECTED's rows

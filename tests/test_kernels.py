@@ -396,7 +396,7 @@ class TestRefinementKernels:
         # per-pair path fails here instead of in a benchmark.
         groups, kernel_calls, per_pair_calls = [], [], []
         run = multistep.MBRJoin.run
-        kernel = multistep.polylines_intersect_pairs
+        kernel = multistep.polylines_intersect_rows
         per_pair = Polyline.intersects
 
         def counting_run(mbr_join):
@@ -404,16 +404,16 @@ class TestRefinementKernels:
                 groups.append(group)
                 yield group
 
-        def counting_kernel(coords_a, coords_b):
-            kernel_calls.append(len(coords_a))
-            return kernel(coords_a, coords_b)
+        def counting_kernel(table_a, rows_a, table_b, rows_b):
+            kernel_calls.append(len(rows_a))
+            return kernel(table_a, rows_a, table_b, rows_b)
 
         def counting_per_pair(line, other):
             per_pair_calls.append(1)
             return per_pair(line, other)
 
         monkeypatch.setattr(multistep.MBRJoin, "run", counting_run)
-        monkeypatch.setattr(multistep, "polylines_intersect_pairs", counting_kernel)
+        monkeypatch.setattr(multistep, "polylines_intersect_rows", counting_kernel)
         monkeypatch.setattr(Polyline, "intersects", counting_per_pair)
 
         vector_result = multistep.spatial_join(
