@@ -44,7 +44,6 @@ __all__ = [
     "POLICIES",
     "hit_ratio",
     "make_buffer",
-    "policy_name",
 ]
 
 
@@ -68,6 +67,7 @@ class ReplacementPolicy(Protocol):
     transfers.
     """
 
+    policy: str
     capacity: int
     on_evict: Callable[[Hashable, bool], None] | None
     hits: int
@@ -76,20 +76,13 @@ class ReplacementPolicy(Protocol):
 
     def __contains__(self, key: Hashable) -> bool: ...
     def __len__(self) -> int: ...
-    def access(self, key: Hashable) -> bool: ...
     def access_all(self, keys: Sequence[Hashable]) -> list[Hashable]: ...
-    def admit(self, key: Hashable, dirty: bool = False) -> None: ...
     def admit_all(self, keys: Iterable[Hashable], dirty: bool = False) -> None: ...
-    def mark_dirty(self, key: Hashable) -> None: ...
     def dirty_keys(self) -> list[Hashable]: ...
     def mark_clean(self, key: Hashable) -> None: ...
     def discard(self, key: Hashable) -> None: ...
     def flush(self) -> list[Hashable]: ...
     def clear(self) -> None: ...
-    def reset_stats(self) -> None: ...
-
-    @property
-    def hit_rate(self) -> float: ...
 
 
 class PolicyBuffer:
@@ -143,11 +136,6 @@ class PolicyBuffer:
     def __contains__(self, key: Hashable) -> bool:
         return key in self._entries
 
-    def access(self, key: Hashable) -> bool:
-        """Touch ``key``; returns True on a hit.  A miss does *not*
-        admit the key (the caller decides what a miss loads)."""
-        return not self.access_all((key,))
-
     def access_all(self, keys: Sequence[Hashable]) -> list[Hashable]:
         """Touch a run of keys in order — the one access loop — and
         return those that missed (none is admitted)."""
@@ -162,15 +150,10 @@ class PolicyBuffer:
         self.misses += len(missing)
         return missing
 
-    def admit(self, key: Hashable, dirty: bool = False) -> None:
-        """Insert or refresh ``key``, evicting victims when over
-        capacity."""
-        self.admit_all((key,), dirty)
-
     def admit_all(self, keys: Iterable[Hashable], dirty: bool = False) -> None:
-        """Insert or refresh a run of keys in order — the one admission
-        loop (:meth:`admit` is its one-key case), so eviction sequences
-        do not depend on how a caller groups its pages."""
+        """Insert or refresh a run of keys in order, evicting victims
+        when over capacity — the one admission loop, so eviction
+        sequences do not depend on how a caller groups its pages."""
         entries, capacity, on_evict = self._entries, self.capacity, self.on_evict
         note_hit, note_admit = self._note_hit, self._note_admit
         select_victim, note_evict = self._select_victim, self._note_evict
@@ -188,11 +171,6 @@ class PolicyBuffer:
                 self.evictions += 1
                 if on_evict is not None:
                     on_evict(victim, was_dirty)
-
-    def mark_dirty(self, key: Hashable) -> None:
-        if key in self._entries:
-            self._entries[key] = True
-            self._note_hit(key)
 
     def dirty_keys(self) -> list[Hashable]:
         return [k for k, dirty in self._entries.items() if dirty]
@@ -221,15 +199,6 @@ class PolicyBuffer:
         for key in list(self._entries):
             self._note_drop(key)
         self._entries.clear()
-
-    @property
-    def hit_rate(self) -> float:
-        return hit_ratio(self.hits, self.misses)
-
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
 
 class LRUBuffer(PolicyBuffer):
@@ -385,11 +354,3 @@ def make_buffer(
             f"unknown replacement policy '{policy}'; valid: {tuple(POLICIES)}"
         )
     return factory(capacity, on_evict=on_evict)
-
-
-def policy_name(buffer: object) -> str:
-    """The registry name of a buffer instance (best effort)."""
-    name = getattr(buffer, "policy", None)
-    if isinstance(name, str):
-        return name
-    return type(buffer).__name__

@@ -26,9 +26,9 @@ from typing import TYPE_CHECKING, Hashable, Iterable, Sequence
 
 import numpy as np
 
-from repro.buffer.policy import ReplacementPolicy, hit_ratio, make_buffer, policy_name
+from repro.buffer.policy import ReplacementPolicy, hit_ratio, make_buffer
 from repro.disk.extent import Extent
-from repro.disk.model import DiskModel, DiskStats
+from repro.disk.model import DiskModel
 from repro.errors import ConfigurationError
 from repro.iosched.prefetch import Prefetcher, make_prefetcher
 from repro.iosched.request import AccessPlan
@@ -245,7 +245,7 @@ class BufferPool:
     @property
     def policy(self) -> str:
         """Replacement policy name ('none' in pass-through mode)."""
-        return policy_name(self.frames) if self.frames is not None else "none"
+        return self.frames.policy if self.frames is not None else "none"
 
     @property
     def evictions(self) -> int:
@@ -254,10 +254,6 @@ class BufferPool:
     @property
     def hit_rate(self) -> float:
         return hit_ratio(self.hits, self.misses)
-
-    def stats(self) -> DiskStats:
-        """Snapshot of the underlying disk statistics."""
-        return self.disk.stats()
 
     def prefetch_stats(self) -> dict[str, int]:
         """Prefetch accuracy counters: plans issued, pages read ahead,
@@ -268,19 +264,6 @@ class BufferPool:
             "useful": int(self._pf_useful.value),
             "wasted": int(self._pf_wasted.value),
         }
-
-    def reset_stats(self) -> None:
-        """Zero hit/miss/eviction and prefetch-accuracy statistics;
-        residency (frames and the prefetched-page markers) is preserved
-        — the unified mid-run reset convention."""
-        self.hits = 0
-        self.misses = 0
-        if self.frames is not None:
-            self.frames.reset_stats()
-        self._pf_issued.reset()
-        self._pf_pages.reset()
-        self._pf_useful.reset()
-        self._pf_wasted.reset()
 
     # ------------------------------------------------------------------
     # residency primitives
@@ -335,10 +318,6 @@ class BufferPool:
         elif dirty:
             for page in pages:
                 self.write_back_pages((page,))
-
-    def mark_dirty(self, page: int) -> None:
-        if self.frames is not None:
-            self.frames.mark_dirty(page)
 
     def discard(self, page: int) -> None:
         """Drop a page without write-back (e.g. its extent was freed)."""
@@ -454,9 +433,6 @@ class BufferPool:
             return self.disk.read(start, npages, continuation)
         return self.read_pages(range(start, start + npages), continuation)
 
-    def read_extent(self, extent: Extent, continuation: bool = False) -> float:
-        return self.read(extent.start, extent.npages, continuation)
-
     def fetch(
         self,
         start: int,
@@ -472,9 +448,6 @@ class BufferPool:
         if admit:
             self.admit_all(range(start, start + npages))
         return cost
-
-    def fetch_extent(self, extent: Extent, continuation: bool = False) -> float:
-        return self.fetch(extent.start, extent.npages, continuation)
 
     def read_pages(self, pages: Sequence[int], continuation: bool = False) -> float:
         """Read a sorted set of (not necessarily adjacent) pages through
@@ -503,9 +476,6 @@ class BufferPool:
             return cost
         self.frames.admit_all(range(start, start + npages), dirty=True)
         return 0.0
-
-    def write_extent(self, extent: Extent, continuation: bool = False) -> float:
-        return self.write(extent.start, extent.npages, continuation)
 
     def write_pages(self, pages: Sequence[int], continuation: bool = False) -> float:
         """Write a sorted set of (not necessarily adjacent) pages.
@@ -612,15 +582,6 @@ class BufferPool:
             plan.flush_pages(sink)
             self.submit(plan)
         return self.disk.total_ms - before
-
-    def invalidate(self) -> None:
-        """Drop all frames *without* write-back (start a cold phase)."""
-        if self._prefetched:
-            # Everything read ahead but never demand-hit dies cold.
-            self._pf_wasted.inc(len(self._prefetched))
-            self._prefetched.clear()
-        if self.frames is not None:
-            self.frames.clear()
 
     # ------------------------------------------------------------------
     # delegation

@@ -455,14 +455,6 @@ class ClusterOrganization(SpatialOrganization):
         """Buddy-system unit relocations (construction-cost overhead)."""
         return self._unit_alloc.moves
 
-    def unit_count(self) -> int:
-        return self._unit_alloc.unit_count
-
-    def unit_for(self, oid: int) -> ClusterUnit | None:
-        """The cluster unit holding an object (``None`` for oversize
-        objects)."""
-        return self._unit_of.get(oid)
-
     def units(self) -> list[ClusterUnit]:
         """All live cluster units (via the data pages)."""
         seen: list[ClusterUnit] = []

@@ -67,20 +67,3 @@ class ClusterPolicy:
     @property
     def smax_pages(self) -> int:
         return self.smax_bytes // self.page_size
-
-    @classmethod
-    def for_objects(
-        cls,
-        avg_object_size: float,
-        buddy_sizes: int | None = None,
-        max_entries: int = PAGE_CAPACITY,
-        page_size: int = PAGE_SIZE,
-    ) -> "ClusterPolicy":
-        """Policy with ``Smax`` derived from the average object size."""
-        return cls(
-            smax_bytes=smax_bytes_for(
-                avg_object_size, max_entries=max_entries, page_size=page_size
-            ),
-            buddy_sizes=buddy_sizes,
-            page_size=page_size,
-        )

@@ -55,10 +55,6 @@ class ClusterUnit:
         transfers)."""
         return -(-self.tail_bytes // self.page_size) if self.tail_bytes else 0
 
-    @property
-    def object_count(self) -> int:
-        return len(self.live)
-
     def fits(self, size_bytes: int) -> bool:
         """True if an append of ``size_bytes`` stays inside the extent."""
         return self.tail_bytes + size_bytes <= self.capacity_bytes

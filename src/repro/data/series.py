@@ -41,11 +41,6 @@ class SeriesSpec:
     def smax_bytes(self) -> int:
         return self.smax_kb * 1024
 
-    @property
-    def total_mb(self) -> float:
-        """Expected total size of the exact representations in MB."""
-        return self.n_objects * self.avg_object_size / 1e6
-
 
 TABLE1: dict[str, SeriesSpec] = {
     spec.key: spec

@@ -23,7 +23,7 @@ from repro.errors import ConfigurationError, ObjectTooLargeError
 from repro.geometry.feature import SpatialObject
 from repro.geometry.polyline import Polyline
 from repro.geometry.rect import Rect
-from repro.iosched.admission import admission_name, make_admission
+from repro.iosched.admission import make_admission
 from repro.iosched.prefetch import make_prefetcher
 from repro.iosched.scheduler import OverlapScheduler, make_scheduler
 from repro.join.multistep import JoinResult, spatial_join
@@ -608,17 +608,6 @@ class SpatialDatabase:
                 disk=label,
             )
 
-    def reset_stats(self) -> None:
-        """Zero statistics across every layer — disk(s), the query
-        pool, the scheduler's queueing delays and the metrics registry's
-        counters/histograms — without touching operational state (head
-        positions, residency, tier placement, the virtual clock, open
-        trace spans).  The unified mid-run reset."""
-        self.disk.reset_stats()
-        self.storage.pool.reset_stats()
-        self.scheduler.reset_stats()
-        self.metrics.reset_stats()
-
     @property
     def layout(self) -> Layout:
         """This relation's :class:`Layout` as it stands: the figure
@@ -637,12 +626,6 @@ class SpatialDatabase:
     def n_disks(self) -> int:
         """Number of independent disks behind the buffer pool."""
         return len(self.disk.disks)
-
-    @property
-    def admission_policy(self) -> str:
-        """Name of the scheduler's admission policy ('none' when
-        disabled or under the sync scheduler)."""
-        return admission_name(self.scheduler.admission)
 
     @property
     def tiering(self) -> str:

@@ -66,12 +66,6 @@ class Region:
             )
         self._free.append(extent)
 
-    # ------------------------------------------------------------------
-    @property
-    def allocated_pages(self) -> int:
-        """Pages handed out and not yet freed."""
-        return self._bump - sum(e.npages for e in self._free)
-
     @property
     def high_water_pages(self) -> int:
         """Pages ever touched by the bump pointer (region footprint)."""
@@ -125,7 +119,3 @@ class PageAllocator:
         (the prefetch clamp: only such pages may be read ahead)."""
         limit = self.high_water_limit(page)
         return limit is not None and page < limit
-
-    @property
-    def total_allocated_pages(self) -> int:
-        return sum(r.allocated_pages for r in self._regions.values())

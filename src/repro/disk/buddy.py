@@ -86,10 +86,6 @@ class FixedUnitAllocator:
         return len(self._live) * self.max_unit_pages
 
     @property
-    def unit_count(self) -> int:
-        return len(self._live)
-
-    @property
     def moves(self) -> int:
         """Fixed units are never moved."""
         return 0
@@ -124,10 +120,6 @@ class BuddyAllocator:
         self.moves = 0
 
     # ------------------------------------------------------------------
-    @property
-    def max_unit_pages(self) -> int:
-        return self.sizes[0]
-
     def level_for(self, npages: int) -> int:
         """Deepest (smallest) level whose buddy size holds ``npages``."""
         if npages > self.sizes[0]:
@@ -230,14 +222,3 @@ class BuddyAllocator:
     def occupied_pages(self) -> int:
         """Pages bound by live buddies (the utilization denominator)."""
         return sum(self.sizes[level] for level in self._live.values())
-
-    @property
-    def unit_count(self) -> int:
-        return len(self._live)
-
-    @property
-    def free_pages(self) -> int:
-        return sum(
-            self.sizes[level] * len(starts)
-            for level, starts in enumerate(self._free)
-        )

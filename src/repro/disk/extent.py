@@ -37,23 +37,3 @@ class Extent:
     def pages(self) -> Iterator[int]:
         """Iterate the absolute page numbers of the extent."""
         return iter(range(self.start, self.end))
-
-    def contains(self, page: int) -> bool:
-        return self.start <= page < self.end
-
-    def subextent(self, offset: int, npages: int) -> "Extent":
-        """The extent covering ``npages`` pages at page offset ``offset``
-        inside this extent."""
-        if offset < 0 or offset + npages > self.npages:
-            raise DiskError(
-                f"subextent [{offset}, {offset + npages}) outside extent of "
-                f"{self.npages} pages"
-            )
-        return Extent(self.start + offset, npages)
-
-    def overlaps(self, other: "Extent") -> bool:
-        return self.start < other.end and other.start < self.end
-
-    def adjacent_to(self, other: "Extent") -> bool:
-        """True if the two extents abut without a gap (in either order)."""
-        return self.end == other.start or other.end == self.start

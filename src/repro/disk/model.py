@@ -365,28 +365,10 @@ class DiskModel:
     def total_ms(self) -> float:
         return self._stats.total_ms
 
-    @property
-    def head(self) -> int | None:
-        """Page number the head sits *after* (next sequential page),
-        or ``None`` before the first request."""
-        return self._head
-
     def invalidate_head(self) -> None:
         """Forget the head position (e.g. after activity by other
         processes); the next request is priced as a fresh request."""
         self._head = None
-
-    def reset(self) -> None:
-        """Zero all statistics and forget the head position."""
-        self._stats = DiskStats()
-        self._head = None
-
-    def reset_stats(self) -> None:
-        """Zero statistics only — the unified mid-run reset convention.
-
-        Unlike :meth:`reset`, the head position is preserved so pricing
-        of subsequent requests is unaffected by the reset."""
-        self._stats = DiskStats()
 
     def close(self) -> None:
         """Nothing to release: the device is simulated."""

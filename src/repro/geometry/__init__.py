@@ -22,7 +22,6 @@ from repro.geometry.sizes import (
     OBJECT_HEADER_BYTES,
     VERTEX_BYTES,
     polyline_size_bytes,
-    vertices_for_size,
 )
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "polyline_intersects_rect",
     "polylines_intersect",
     "polyline_size_bytes",
-    "vertices_for_size",
     "OBJECT_HEADER_BYTES",
     "VERTEX_BYTES",
 ]

@@ -39,6 +39,3 @@ class ExactTestCounter:
     def cost_ms(self) -> float:
         """Accumulated model CPU cost in milliseconds."""
         return self.tests * self.cost_per_test_ms
-
-    def reset(self) -> None:
-        self.tests = 0

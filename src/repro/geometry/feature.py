@@ -105,11 +105,6 @@ class SpatialObject:
             return self.mbr_override
         return self.geometry.mbr
 
-    def pages(self, page_size: int) -> int:
-        """Number of whole pages the exact representation occupies when
-        stored with internal clustering (Section 3.1)."""
-        return -(-self.size_bytes // page_size)
-
     # exact predicates delegate to the geometry --------------------------------
     def contains_point(self, x: float, y: float) -> bool:
         return self.geometry.contains_point(x, y)

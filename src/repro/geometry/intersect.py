@@ -421,11 +421,6 @@ class PolylineTable:
         np.maximum(y[:-1], y[1:], out=hi_y)
         self.segments[2:] += _EPS
 
-    def row(self, r: int) -> np.ndarray:
-        """Row ``r``'s vertices as an ``(n, 2)`` matrix."""
-        start = self.starts[r]
-        return self.column[:, start:start + self.counts[r]].T
-
     def gather(self, seg: np.ndarray) -> list[np.ndarray]:
         """Segments ``seg``: their endpoints ``ax, ay, bx, by`` and their
         boxes ``lo_x, lo_y, hi_x, hi_y``, one array each."""
@@ -492,8 +487,10 @@ def polylines_intersect_rows(
     # every comparison on np.float64 scalars.
     scalar = ((na == 1) | (nb == 1)).nonzero()[0]
     for k in scalar.tolist():
+        sa, sb = table_a.starts[rows_a[k]], table_b.starts[rows_b[k]]
         out[k] = polylines_intersect(
-            table_a.row(rows_a[k]).tolist(), table_b.row(rows_b[k]).tolist()
+            table_a.column[:, sa:sa + na[k]].T.tolist(),
+            table_b.column[:, sb:sb + nb[k]].T.tolist(),
         )
     if len(scalar) == n:
         return out

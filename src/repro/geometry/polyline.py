@@ -10,7 +10,6 @@ built on first scalar use.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -107,13 +106,6 @@ class Polyline:
         return f"Polyline({len(self)} vertices, mbr={self.mbr.as_tuple()})"
 
     # ------------------------------------------------------------------
-    def length(self) -> float:
-        """Total Euclidean length of the chain."""
-        total = 0.0
-        for (ax, ay), (bx, by) in zip(self.vertices, self.vertices[1:]):
-            total += math.hypot(bx - ax, by - ay)
-        return total
-
     def size_bytes(self) -> int:
         """Exact-representation size used for storage accounting."""
         return polyline_size_bytes(len(self))

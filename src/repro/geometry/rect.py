@@ -60,11 +60,6 @@ class Rect:
     # construction helpers
     # ------------------------------------------------------------------
     @classmethod
-    def from_point(cls, x: float, y: float) -> "Rect":
-        """Return the degenerate rectangle covering a single point."""
-        return cls(x, y, x, y)
-
-    @classmethod
     def from_points(cls, points: Iterable[tuple[float, float]]) -> "Rect":
         """Return the MBR of a non-empty sequence of ``(x, y)`` pairs."""
         iterator = iter(points)
@@ -121,10 +116,6 @@ class Rect:
         """Area of the rectangle (0 for degenerate rectangles)."""
         return self.width * self.height
 
-    def margin(self) -> float:
-        """Half perimeter, the *margin* criterion of the R*-tree split."""
-        return self.width + self.height
-
     def center(self) -> tuple[float, float]:
         return ((self.xmin + self.xmax) / 2.0, (self.ymin + self.ymax) / 2.0)
 
@@ -169,16 +160,6 @@ class Rect:
             max(self.ymax, other.ymax),
         )
 
-    def intersection(self, other: "Rect") -> "Rect | None":
-        """The common rectangle, or ``None`` if the operands are disjoint."""
-        xmin = max(self.xmin, other.xmin)
-        ymin = max(self.ymin, other.ymin)
-        xmax = min(self.xmax, other.xmax)
-        ymax = min(self.ymax, other.ymax)
-        if xmin > xmax or ymin > ymax:
-            return None
-        return Rect(xmin, ymin, xmax, ymax)
-
     def overlap_area(self, other: "Rect") -> float:
         """Area of the intersection (0 if disjoint or merely touching)."""
         w = min(self.xmax, other.xmax) - max(self.xmin, other.xmin)
@@ -188,10 +169,6 @@ class Rect:
         if h <= 0.0:
             return 0.0
         return w * h
-
-    def enlargement(self, other: "Rect") -> float:
-        """Area increase needed to include ``other`` (R-tree insert cost)."""
-        return self.union(other).area() - self.area()
 
     def overlap_fraction(self, other: "Rect") -> float:
         """Fraction of *this* rectangle's area covered by ``other``.
@@ -216,12 +193,6 @@ class Rect:
         cx2, cy2 = other.center()
         return math.hypot(cx1 - cx2, cy1 - cy2)
 
-    def min_distance_to_point(self, x: float, y: float) -> float:
-        """Smallest Euclidean distance from the point to the rectangle."""
-        dx = max(self.xmin - x, 0.0, x - self.xmax)
-        dy = max(self.ymin - y, 0.0, y - self.ymax)
-        return math.hypot(dx, dy)
-
     # ------------------------------------------------------------------
     # misc
     # ------------------------------------------------------------------
@@ -237,24 +208,6 @@ class Rect:
         hw = self.width * factor / 2.0
         hh = self.height * factor / 2.0
         return Rect(cx - hw, cy - hh, cx + hw, cy + hh)
-
-    def grown(self, amount: float) -> "Rect":
-        """Rectangle grown by ``amount`` on every side (may not shrink
-        below the degenerate rectangle at the center)."""
-        if amount >= 0:
-            return Rect(
-                self.xmin - amount,
-                self.ymin - amount,
-                self.xmax + amount,
-                self.ymax + amount,
-            )
-        shrink = min(-amount, self.width / 2.0, self.height / 2.0)
-        return Rect(
-            self.xmin + shrink,
-            self.ymin + shrink,
-            self.xmax - shrink,
-            self.ymax - shrink,
-        )
 
     def corners(self) -> Iterator[tuple[float, float]]:
         """Yield the four corners counter-clockwise from ``(xmin, ymin)``."""

@@ -2,8 +2,7 @@
 
 The paper characterises objects by their storage footprint (Table 1:
 average sizes of 625 B to 3113 B) rather than by vertex counts.  We use a
-simple, explicit model so that vertex counts and byte sizes can be
-converted in both directions:
+simple, explicit model that turns a vertex count into a byte size:
 
 ``size = OBJECT_HEADER_BYTES + VERTEX_BYTES * n_vertices``
 
@@ -17,7 +16,6 @@ __all__ = [
     "OBJECT_HEADER_BYTES",
     "VERTEX_BYTES",
     "polyline_size_bytes",
-    "vertices_for_size",
 ]
 
 OBJECT_HEADER_BYTES: int = 32
@@ -32,13 +30,3 @@ def polyline_size_bytes(n_vertices: int) -> int:
     if n_vertices < 1:
         raise ValueError(f"an object needs at least one vertex, got {n_vertices}")
     return OBJECT_HEADER_BYTES + VERTEX_BYTES * n_vertices
-
-
-def vertices_for_size(size_bytes: float) -> int:
-    """Number of vertices whose representation best matches ``size_bytes``.
-
-    The inverse of :func:`polyline_size_bytes`, clamped to at least two
-    vertices so the result is always a valid polyline.
-    """
-    n = round((size_bytes - OBJECT_HEADER_BYTES) / VERTEX_BYTES)
-    return max(2, int(n))

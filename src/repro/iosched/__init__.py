@@ -25,7 +25,6 @@ from repro.iosched.admission import (
     AdmissionPolicy,
     PriorityAdmission,
     TokenBucketAdmission,
-    admission_name,
     make_admission,
 )
 from repro.iosched.prefetch import (
@@ -34,7 +33,6 @@ from repro.iosched.prefetch import (
     Prefetcher,
     SequentialPrefetcher,
     make_prefetcher,
-    prefetcher_name,
 )
 from repro.iosched.request import AccessPlan, IORequest
 from repro.iosched.scheduler import (
@@ -45,7 +43,6 @@ from repro.iosched.scheduler import (
     SyncScheduler,
     VirtualClock,
     make_scheduler,
-    scheduler_name,
 )
 
 __all__ = [
@@ -58,18 +55,15 @@ __all__ = [
     "SCHEDULERS",
     "SYNC",
     "make_scheduler",
-    "scheduler_name",
     "Prefetcher",
     "SequentialPrefetcher",
     "ClusterPrefetcher",
     "PREFETCHERS",
     "make_prefetcher",
-    "prefetcher_name",
     "AdmissionPolicy",
     "TokenBucketAdmission",
     "PriorityAdmission",
     "ADMISSIONS",
     "ADMISSION_CLASSES",
     "make_admission",
-    "admission_name",
 ]

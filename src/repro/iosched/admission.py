@@ -47,7 +47,6 @@ __all__ = [
     "ADMISSIONS",
     "ADMISSION_CLASSES",
     "make_admission",
-    "admission_name",
 ]
 
 ADMISSION_CLASSES = ("interactive", "analytics")
@@ -275,13 +274,3 @@ def make_admission(spec, **kwargs) -> "AdmissionPolicy | None":
             )
         return spec
     raise ConfigurationError(f"not an admission policy: {spec!r}")
-
-
-def admission_name(policy: object) -> str:
-    """The registry name of an admission policy ('none' for ``None``)."""
-    if policy is None:
-        return "none"
-    name = getattr(policy, "name", None)
-    if isinstance(name, str):
-        return name
-    return type(policy).__name__

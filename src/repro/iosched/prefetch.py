@@ -37,7 +37,6 @@ __all__ = [
     "ClusterPrefetcher",
     "PREFETCHERS",
     "make_prefetcher",
-    "prefetcher_name",
 ]
 
 
@@ -107,13 +106,3 @@ def make_prefetcher(
     if isinstance(spec, Prefetcher):
         return spec
     raise ConfigurationError(f"not a prefetch policy: {spec!r}")
-
-
-def prefetcher_name(prefetcher: object) -> str:
-    """The registry name of a prefetcher ('none' for ``None``)."""
-    if prefetcher is None:
-        return "none"
-    name = getattr(prefetcher, "name", None)
-    if isinstance(name, str):
-        return name
-    return type(prefetcher).__name__

@@ -47,14 +47,13 @@ OPS = (
     "load_pages",
     "charge",
     "write",
-    "write_pages",
     "flush_pages",
 )
 
 #: The write-kind subset of :data:`OPS` — requests that move pages *to*
 #: the store.  They never trigger read-ahead and are excluded from the
 #: prefetcher's transfer anchors.
-WRITE_OPS = frozenset(("write", "write_pages", "flush_pages"))
+WRITE_OPS = frozenset(("write", "flush_pages"))
 
 
 class IORequest:
@@ -265,16 +264,6 @@ class AccessPlan:
 
     def write_extent(self, extent: "Extent", continuation: bool = False) -> "AccessPlan":
         return self.write(extent.start, extent.npages, continuation)
-
-    def write_pages(
-        self, pages: Sequence[int], continuation: bool = False
-    ) -> "AccessPlan":
-        """Buffered write of scattered sorted pages (coalesced into
-        runs through the batch pricer on a pass-through pool)."""
-        self.requests.append(
-            IORequest("write_pages", pages=tuple(pages), continuation=continuation)
-        )
-        return self
 
     def flush_pages(self, pages: Sequence[int]) -> "AccessPlan":
         """Write a page sequence back to the store, bypassing the

@@ -47,7 +47,6 @@ __all__ = [
     "VirtualClock",
     "SCHEDULERS",
     "make_scheduler",
-    "scheduler_name",
     "SYNC",
 ]
 
@@ -70,8 +69,6 @@ class IOScheduler(Protocol):
 
     def execute(self, plan: AccessPlan, pool: "BufferPool") -> float: ...
     def operation(self, client: str): ...
-    def inline(self): ...
-    def reset_stats(self) -> None: ...
 
 
 class SyncScheduler:
@@ -171,12 +168,6 @@ class SyncScheduler:
         elif op == "write":
             cost = pool.write(request.start, request.npages, continuation)
             span = (request.start, request.npages)
-        elif op == "write_pages":
-            pages = request.pages or ()
-            cost = pool.write_pages(pages, continuation)
-            span = (
-                (pages[0], pages[-1] - pages[0] + 1) if pages else (0, 0)
-            )
         elif op == "flush_pages":
             pages = request.pages or ()
             cost = pool.write_back_pages(pages)
@@ -190,19 +181,6 @@ class SyncScheduler:
         if span[1]:
             plan.executed.append((span[0], span[1], cost))
         return cost
-
-    def reset_stats(self) -> None:
-        """The sync scheduler keeps no statistics; present for the
-        unified ``reset_stats()`` surface."""
-        return None
-
-    @contextmanager
-    def inline(self) -> Iterator["SyncScheduler"]:
-        """Execute plans submitted inside the block immediately, with
-        no clock dispatch — for callers that account and dispatch the
-        aggregate device time themselves (the workload engine's flush
-        phase).  A no-op here: sync execution is always immediate."""
-        yield self
 
 
 class VirtualClock:
@@ -306,16 +284,6 @@ class VirtualClock:
         self.clients.clear()
         self.last_wait_ms = 0.0
         self.last_intervals = []
-
-    @property
-    def _busy(self) -> list[list[tuple[float, float]]]:
-        """Busy intervals as per-disk ``(start, end)`` lists — a
-        compatibility view mirroring the historical interval-list
-        clock's storage (tests and external probes read this)."""
-        return [
-            list(zip(starts, ends))
-            for starts, ends in zip(self._starts, self._ends)
-        ]
 
     @property
     def disk_free(self) -> list[float]:
@@ -465,11 +433,6 @@ class OverlapScheduler(SyncScheduler):
         self.queueing[client] = self.queueing.get(client, 0.0) + delay_ms
         if self.metrics is not None:
             self.metrics.counter("sched.queueing_ms", client=client).inc(delay_ms)
-
-    @property
-    def client(self) -> str:
-        """The session the next submitted plan is charged to."""
-        return self._client
 
     @property
     def in_operation(self) -> bool:
@@ -658,13 +621,6 @@ class OverlapScheduler(SyncScheduler):
         if self.admission is not None:
             self.admission.reset()
 
-    def reset_stats(self) -> None:
-        """Zero accumulated statistics only (the unified mid-run reset
-        convention): queueing delays are cleared, but virtual time, the
-        open operation scope, and admission state are preserved so a
-        reset never perturbs in-flight timing."""
-        self.queueing.clear()
-
 
 SCHEDULERS = ("sync", "overlap")
 """Valid scheduler names for every ``scheduler=`` knob."""
@@ -688,11 +644,3 @@ def make_scheduler(spec: "str | IOScheduler | None") -> "IOScheduler":
     if isinstance(spec, IOScheduler):
         return spec
     raise ConfigurationError(f"not an I/O scheduler: {spec!r}")
-
-
-def scheduler_name(scheduler: object) -> str:
-    """The registry name of a scheduler instance (best effort)."""
-    name = getattr(scheduler, "name", None)
-    if isinstance(name, str):
-        return name
-    return type(scheduler).__name__

@@ -30,17 +30,13 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     metric_key,
-    percentile,
 )
 from repro.obs.trace import (
     Instant,
     Span,
     Tracer,
-    current_tracer,
-    install_tracer,
     register_store_devices,
     tracing,
-    uninstall_tracer,
 )
 
 __all__ = [
@@ -52,14 +48,10 @@ __all__ = [
     "Span",
     "Tracer",
     "chrome_trace",
-    "current_tracer",
-    "install_tracer",
     "metric_key",
-    "percentile",
     "register_store_devices",
     "trace_device_totals",
     "tracing",
-    "uninstall_tracer",
     "validate_chrome_trace",
     "write_chrome_trace",
 ]

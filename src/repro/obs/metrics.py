@@ -19,11 +19,8 @@ Three metric kinds:
   (``BufferPool.hits`` stays a plain int on the hot path; the gauge just
   reads it), so registering a gauge never adds per-access cost.
 * :class:`Histogram` — stores observations and reports count/sum and
-  nearest-rank percentiles (:func:`percentile`), the same ones the
-  workload engine's report rows compute.
-
-``reset_stats()`` zeroes counters and histograms; gauges are live views
-and follow whatever their underlying attribute does.
+  nearest-rank percentiles (:func:`percentile_sorted`), the same ones
+  the workload engine's report rows compute.
 """
 
 from __future__ import annotations
@@ -39,31 +36,20 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "metric_key",
-    "percentile",
     "percentile_sorted",
 ]
 
 
 def percentile_sorted(ordered: Sequence[float], q: float) -> float:
     """Nearest-rank percentile of an already-sorted sample; 0.0 when
-    empty.  The shared kernel behind :func:`percentile` and the cached
-    sorted copies the reporting paths keep (one sort per report, not
-    one per percentile query)."""
+    empty.  Deterministic and interpolation-free: a reported p95 is an
+    actual observed latency, not a synthetic midpoint.  The reporting
+    paths keep sorted copies (one sort per report, not one per
+    percentile query)."""
     if not ordered:
         return 0.0
     rank = int(-(-q * len(ordered) // 1))  # ceil
     return ordered[min(max(rank, 1), len(ordered)) - 1]
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile; 0.0 for an empty sequence.
-
-    Deterministic and interpolation-free: a reported p95 is an actual
-    observed latency, not a synthetic midpoint.
-    """
-    if not values:
-        return 0.0
-    return percentile_sorted(sorted(values), q)
 
 
 def metric_key(name: str, labels: dict[str, str]) -> str:
@@ -75,7 +61,7 @@ def metric_key(name: str, labels: dict[str, str]) -> str:
 
 
 class Counter:
-    """A monotonically increasing count (resettable)."""
+    """A monotonically increasing count."""
 
     __slots__ = ("name", "labels", "key", "value")
 
@@ -87,9 +73,6 @@ class Counter:
 
     def inc(self, amount: float = 1) -> None:
         self.value += amount
-
-    def reset(self) -> None:
-        self.value = 0
 
 
 class Gauge:
@@ -106,9 +89,6 @@ class Gauge:
     @property
     def value(self) -> float:
         return self.fn()
-
-    def reset(self) -> None:  # gauges track their source; nothing to zero
-        return None
 
 
 class Histogram:
@@ -163,10 +143,6 @@ class Histogram:
             rows.append((metric_key(f"{self.name}.{suffix}", self.labels), value))
         return rows
 
-    def reset(self) -> None:
-        self.values.clear()
-        self._sorted = None
-
 
 class MetricsRegistry:
     """Get-or-create home for every layer's metrics."""
@@ -210,25 +186,11 @@ class MetricsRegistry:
             )
         return metric
 
-    def get(self, key: str) -> Counter | Gauge | Histogram | None:
-        return self._metrics.get(key)
-
-    def value(self, key: str, default: float = 0.0) -> float:
-        metric = self._metrics.get(key)
-        if metric is None:
-            return default
-        if isinstance(metric, Histogram):
-            return float(metric.count)
-        return metric.value
-
     def __len__(self) -> int:
         return len(self._metrics)
 
     def __iter__(self) -> Iterator[Counter | Gauge | Histogram]:
         return iter(self._metrics.values())
-
-    def names(self) -> list[str]:
-        return sorted(self._metrics)
 
     def snapshot(self) -> dict[str, float]:
         """Flattened ``{key: value}`` view, histograms expanded to
@@ -242,23 +204,6 @@ class MetricsRegistry:
             else:
                 out[key] = metric.value
         return out
-
-    def reset_stats(self) -> None:
-        """Zero counters and histograms; gauges are live views."""
-        for metric in self._metrics.values():
-            metric.reset()
-
-    def format(self, title: str = "metrics") -> str:
-        snap = self.snapshot()
-        width = max((len(key) for key in snap), default=len(title))
-        lines = [f"== {title} =="]
-        for key, value in snap.items():
-            if isinstance(value, float) and not value.is_integer():
-                rendered = f"{value:.3f}"
-            else:
-                rendered = f"{int(value)}"
-            lines.append(f"{key.ljust(width)}  {rendered}")
-        return "\n".join(lines)
 
     def write(self, path: str, extra: dict[str, Any] | None = None) -> None:
         payload: dict[str, Any] = {"metrics": self.snapshot()}

@@ -45,11 +45,8 @@ __all__ = [
     "Instant",
     "Span",
     "Tracer",
-    "current_tracer",
-    "install_tracer",
     "register_store_devices",
     "tracing",
-    "uninstall_tracer",
 ]
 
 _UNSET = object()
@@ -155,10 +152,6 @@ class Tracer:
     def set_track(self, track: str) -> None:
         """Set the default track for subsequent client-side events."""
         self._track = track
-
-    @property
-    def current_track(self) -> str:
-        return self._track
 
     def _now(self) -> float:
         return self.virtual_now if self.virtual else self.now_ms
@@ -317,9 +310,6 @@ class Tracer:
     def open_spans(self) -> list[Span]:
         return [span for span in self.spans if span.end_ms is None]
 
-    def device_spans(self) -> list[Span]:
-        return [span for span in self.spans if span.cat == "device"]
-
     def device_totals(self) -> dict[str, float]:
         """Total span milliseconds per device track."""
         totals: dict[str, float] = {}
@@ -345,22 +335,6 @@ class Tracer:
 # module-level sink: ``None`` means tracing is a no-op everywhere
 # ----------------------------------------------------------------------
 ACTIVE: Tracer | None = None
-
-
-def current_tracer() -> Tracer | None:
-    return ACTIVE
-
-
-def install_tracer(tracer: Tracer | None = None) -> Tracer:
-    global ACTIVE
-    ACTIVE = tracer if tracer is not None else Tracer()
-    return ACTIVE
-
-
-def uninstall_tracer() -> Tracer | None:
-    global ACTIVE
-    previous, ACTIVE = ACTIVE, None
-    return previous
 
 
 @contextmanager

@@ -18,7 +18,7 @@ modes:
 * **Read corruption** — ``corrupt_read_slots`` flips one byte in the
   returned buffer the first time a ``pread`` covers a listed slot
   (transient: the fault clears afterwards, so the bounded retry in
-  :meth:`~repro.pagestore.file.FilePageStore._read_slot` heals it and
+  :meth:`~repro.pagestore.file.FilePageStore._read_run` heals it and
   the ``store.retries`` counter records the save).  For *persistent*
   media damage, :func:`flip_byte` mangles the file itself so retries
   exhaust and :class:`~repro.errors.PageCorruptionError` surfaces.

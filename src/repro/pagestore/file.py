@@ -242,11 +242,6 @@ class FilePageStore(CompositePageStore):
     # ------------------------------------------------------------------
     # checksummed slot access
     # ------------------------------------------------------------------
-    def _read_slot(self, slot: int, kind: int | None = None) -> bytes:
-        """Read and verify one slot, retrying a bounded number of times
-        before the corruption surfaces."""
-        return self._read_run(slot, 1, kind)[0]
-
     def _read_run(self, start: int, count: int, kind: int | None) -> list[bytes]:
         """Read ``count`` consecutive slots with one ``pread`` per
         :data:`READ_RUN_SLOTS` and verify each page in place; a page
@@ -402,17 +397,6 @@ class FilePageStore(CompositePageStore):
             )
         self._dirty[page] = bytes(payload)
 
-    def get(self, page: int) -> bytes:
-        """The current payload of a logical page (dirty buffer first,
-        then the committed image, checksum-verified)."""
-        payload = self._dirty.get(page)
-        if isinstance(payload, bytes):
-            return payload
-        slot = self._map.get(page)
-        if slot is None:
-            raise StorageError(f"logical page {page} is not in the store")
-        return self._read_slot(slot, KIND_DATA)
-
     def contains(self, page: int) -> bool:
         """Whether the store holds content for a logical page."""
         return page in self._dirty or page in self._map
@@ -426,11 +410,6 @@ class FilePageStore(CompositePageStore):
     def epoch(self) -> int:
         """The last committed checkpoint epoch."""
         return self._epoch
-
-    @property
-    def file_bytes(self) -> int:
-        """Current size of the backing file."""
-        return self._next_slot * self.page_size
 
     def _alloc_slot(self) -> int:
         if self._free_slots:
@@ -455,7 +434,7 @@ class FilePageStore(CompositePageStore):
             if payload is _PRESERVE:
                 old_slot = self._map.get(page)
                 payload = (
-                    self._read_slot(old_slot, KIND_DATA)
+                    self._read_run(old_slot, 1, KIND_DATA)[0]
                     if old_slot is not None
                     else b""
                 )
@@ -590,7 +569,6 @@ class FilePageStore(CompositePageStore):
         ``pread``s and verifies the mapped pages, a write marks its
         pages for the next flush."""
         cost = self.model.price_runs(runs, continuation, kind)
-        self._response_ms += cost
         for start, npages in runs:
             if kind == "read":
                 self._verify_range(start, npages)

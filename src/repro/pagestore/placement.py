@@ -166,10 +166,6 @@ class PlacementPolicy:
                 pins[i : i + 1] = [(start, edge, disk), (edge, end, disk)]
         del pins[bisect_left(pins, (extent.start,)) : bisect_left(pins, (extent.end,))]
 
-    @property
-    def pinned_pages(self) -> int:
-        return sum(end - start for start, end, _disk in self._pins)
-
 
 class RoundRobinPlacement(PlacementPolicy):
     """Stripe chunks across the disks in page-address order."""

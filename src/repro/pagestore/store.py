@@ -59,27 +59,8 @@ __all__ = [
     "PageStore",
     "CompositePageStore",
     "ShardedPageStore",
-    "StoreSnapshot",
     "VectoredCost",
 ]
-
-
-class StoreSnapshot(list):
-    """Per-child statistics marker of a :class:`CompositePageStore`.
-
-    Behaves as the plain ``list[DiskStats]`` it always was, but also
-    carries the store's *reset epoch*: :meth:`CompositePageStore.reset`
-    bumps the epoch, so ``stats_since`` / ``cost_since`` can detect a
-    marker taken before a reset and measure from zero instead of
-    subtracting stale totals — a pre-reset snapshot used to make
-    ``cost_since`` go negative.
-    """
-
-    __slots__ = ("epoch",)
-
-    def __init__(self, stats: Sequence[DiskStats], epoch: int):
-        super().__init__(stats)
-        self.epoch = epoch
 
 
 @runtime_checkable
@@ -112,8 +93,6 @@ class PageStore(Protocol):
     def snapshot(self): ...
     def stats_since(self, snapshot) -> DiskStats: ...
     def cost_since(self, snapshot) -> VectoredCost: ...
-    def reset(self) -> None: ...
-    def reset_stats(self) -> None: ...
     def close(self) -> None: ...
     def device_labels(self) -> Sequence[str]: ...
     def place_extent(self, extent: Extent, center=None, disk: int | None = None) -> None: ...
@@ -147,8 +126,6 @@ class CompositePageStore:
         #: physical arm; the overlap scheduler times each as its own
         #: service queue.
         self.disks = [disk for child in self.children for disk in child.disks]
-        self._response_ms = 0.0
-        self._reset_epoch = 0
 
     def _child_names(self) -> Sequence[str]:
         """What :meth:`device_labels` calls each child (its index)."""
@@ -183,10 +160,6 @@ class CompositePageStore:
         """Tell every child an extent was freed or relocated."""
         for child in self.children:
             child.forget_extent(extent)
-
-    def _owner(self, page: int) -> int:
-        """Index of the child serving ``page``."""
-        raise NotImplementedError
 
     def _fragments(self, start: int, npages: int) -> Iterator[tuple[int, int, int]]:
         """Split ``[start, start + npages)`` into maximal runs owned by
@@ -231,9 +204,7 @@ class CompositePageStore:
             per_child[child] = per_child.get(child, 0.0) + cost
         if not per_child:
             return 0.0
-        response = max(per_child.values())
-        self._response_ms += response
-        return response
+        return max(per_child.values())
 
     def _transfer(
         self, kind: str, runs: Sequence[tuple[int, int]], continuation: bool
@@ -280,9 +251,7 @@ class CompositePageStore:
         parallelism 1 for those phases; declustering them would first
         require pricing them as addressed reads, which would change the
         paper's join figures."""
-        cost = self.children[0].charge(seeks=seeks, rotations=rotations, pages=pages)
-        self._response_ms += cost
-        return cost
+        return self.children[0].charge(seeks=seeks, rotations=rotations, pages=pages)
 
     # ------------------------------------------------------------------
     # statistics
@@ -302,25 +271,17 @@ class CompositePageStore:
         """Total device time in milliseconds (sum over the children)."""
         return sum(child.total_ms for child in self.children)
 
-    @property
-    def response_ms(self) -> float:
-        """Accumulated per-request response time: every request priced
-        at the max over the children it touched."""
-        return self._response_ms
-
-    def snapshot(self) -> StoreSnapshot:
+    def snapshot(self) -> list[DiskStats]:
         """Per-child statistics marker for :meth:`cost_since` /
-        :meth:`stats_since` (tagged with the current reset epoch)."""
-        return StoreSnapshot(self.per_disk_stats(), self._reset_epoch)
+        :meth:`stats_since`."""
+        return self.per_disk_stats()
 
     def _since(self, snapshot: Sequence[DiskStats]) -> list[DiskStats]:
         """Every child's statistics delta since ``snapshot``.  A marker
         whose shape does not match this store (taken from a store with
         a different child count, or a single-disk ``DiskStats``) is
         rejected — ``zip`` used to truncate it silently into a
-        plausible-looking but wrong measurement.  A marker taken before
-        the last :meth:`reset` is stale — its totals no longer underlie
-        the current statistics — so the interval starts from zero."""
+        plausible-looking but wrong measurement."""
         try:
             length = len(snapshot)
         except TypeError:
@@ -333,8 +294,6 @@ class CompositePageStore:
                 f"{len(self.children)} per-child DiskStats entries, got "
                 f"{length if length >= 0 else type(snapshot).__name__}"
             )
-        if getattr(snapshot, "epoch", self._reset_epoch) != self._reset_epoch:
-            return self.per_disk_stats()
         return [
             child.stats() - before
             for child, before in zip(self.children, snapshot)
@@ -372,30 +331,6 @@ class CompositePageStore:
         """Forget every device's head position."""
         for child in self.children:
             child.invalidate_head()
-
-    def reset(self) -> None:
-        """Zero all statistics and forget every head position, as one
-        coherent action over all children (what a subclass keeps about
-        placement — pins, tier residency — describes where pages live,
-        not an experiment phase, and stays).  Bumps the reset epoch:
-        snapshots taken before the reset are recognised as stale by
-        :meth:`stats_since` / :meth:`cost_since` instead of producing
-        negative deltas."""
-        for child in self.children:
-            child.reset()
-        self._response_ms = 0.0
-        self._reset_epoch += 1
-
-    def reset_stats(self) -> None:
-        """Zero statistics only — the unified mid-run reset convention:
-        head positions (and placement) are preserved, so pricing of
-        subsequent requests is unaffected.  Bumps the reset epoch like
-        :meth:`reset` so stale snapshots are measured from zero instead
-        of going negative."""
-        for child in self.children:
-            child.reset_stats()
-        self._response_ms = 0.0
-        self._reset_epoch += 1
 
     def close(self) -> None:
         """Release what the store holds of the operating system: nothing
@@ -438,10 +373,6 @@ class ShardedPageStore(CompositePageStore):
     # ------------------------------------------------------------------
     # placement surface
     # ------------------------------------------------------------------
-    def disk_of(self, page: int) -> int:
-        """Index of the disk owning a page."""
-        return self.placement.disk_of(page)
-
     def _fragments(self, start: int, npages: int) -> list[tuple[int, int, int]]:
         """The placement answers for a whole run, not page by page."""
         return self.placement.fragments(start, npages)
@@ -484,5 +415,4 @@ class ShardedPageStore(CompositePageStore):
             cost = self.disks[disk].price_runs(frags, continuation, kind)
             if cost > response:
                 response = cost
-        self._response_ms += response
         return response

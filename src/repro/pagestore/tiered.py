@@ -180,8 +180,8 @@ class TieredPageStore(CompositePageStore):
         # deferred capacity write).
         self._dirty: set[int] = set()
         # Migration counters live in the metrics registry
-        # (``tier.promotions`` etc.); the promotions/demotions/
-        # invalidations properties below are thin views over them.
+        # (``tier.promotions`` etc.); the promotions/demotions
+        # properties below are thin views over them.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._promotions = self.metrics.counter("tier.promotions")
         self._demotions = self.metrics.counter("tier.demotions")
@@ -197,22 +197,6 @@ class TieredPageStore(CompositePageStore):
     def demotions(self) -> int:
         """Fast-tier copies dropped by the LRU budget so far."""
         return int(self._demotions.value)
-
-    @property
-    def invalidations(self) -> int:
-        """Fast-tier copies killed by write-invalidate so far."""
-        return int(self._invalidations.value)
-
-    @property
-    def copybacks(self) -> int:
-        """Dirty pages written back to the capacity tier at demotion
-        (write-back policy only)."""
-        return int(self._copybacks.value)
-
-    @property
-    def dirty_pages(self) -> int:
-        """Fast-resident pages currently holding unwritten-back data."""
-        return len(self._dirty)
 
     # ------------------------------------------------------------------
     # placement surface
@@ -230,11 +214,6 @@ class TieredPageStore(CompositePageStore):
     def fast_resident(self) -> int:
         """Pages currently served by the fast tier."""
         return len(self._resident)
-
-    @property
-    def fast_share(self) -> float:
-        """Occupied fraction of the fast tier's budget."""
-        return len(self._resident) / self.fast_pages
 
     def forget_extent(self, extent: Extent) -> None:
         """Drop a freed or relocated extent's pages from the fast tier
@@ -373,9 +352,7 @@ class TieredPageStore(CompositePageStore):
                     cat="tier",
                     args={"pages": invalidated},
                 )
-        cost = self.capacity.write(start, npages, continuation)
-        self._response_ms += cost
-        return cost
+        return self.capacity.write(start, npages, continuation)
 
     def write_runs(
         self, runs: Sequence[tuple[int, int]], continuation: bool = False
@@ -411,9 +388,7 @@ class TieredPageStore(CompositePageStore):
     def charge(self, seeks: int = 0, rotations: int = 0, pages: int = 0) -> float:
         """Account an analytic cost (no page addresses — nothing to
         tier) on the capacity device."""
-        cost = self.capacity.charge(seeks=seeks, rotations=rotations, pages=pages)
-        self._response_ms += cost
-        return cost
+        return self.capacity.charge(seeks=seeks, rotations=rotations, pages=pages)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -40,12 +40,7 @@ class Entry:
         self.load = load
         self.payload = payload
 
-    @property
-    def is_data(self) -> bool:
-        """True for data (leaf) entries, False for directory entries."""
-        return self.child is None
-
     def __repr__(self) -> str:
-        if self.is_data:
+        if self.child is None:
             return f"Entry(oid={self.oid}, rect={self.rect.as_tuple()})"
         return f"Entry(child=node#{self.child.node_id}, rect={self.rect.as_tuple()})"

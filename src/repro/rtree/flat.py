@@ -117,10 +117,6 @@ class FlatTree:
         self.generation = generation
 
     @property
-    def n_nodes(self) -> int:
-        return len(self.nodes)
-
-    @property
     def n_entries(self) -> int:
         return len(self.entries)
 
@@ -133,7 +129,7 @@ class FlatTree:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"FlatTree(nodes={self.n_nodes}, entries={self.n_entries}, "
+            f"FlatTree(nodes={len(self.nodes)}, entries={self.n_entries}, "
             f"generation={self.generation})"
         )
 

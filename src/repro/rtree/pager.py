@@ -131,8 +131,3 @@ class NodePager:
     def flush(self) -> None:
         """Write back every dirty buffered page."""
         self.pool.flush()
-
-    def reset_buffer(self) -> None:
-        """Drop all buffered pages *without* write-back (start a cold
-        measurement phase)."""
-        self.pool.invalidate()

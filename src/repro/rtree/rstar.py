@@ -441,11 +441,6 @@ class RStarTree:
         window, so the same one-sided comparison applies)."""
         return self.window_query(Rect(x, y, x, y))
 
-    def matching_leaves(self, window: Rect) -> list[Node]:
-        """The data pages holding at least one entry matching ``window``
-        — the cluster units a window query must touch (Section 4.2.2)."""
-        return [leaf for leaf, _ in self.window_leaves(window)]
-
     # ------------------------------------------------------------------
     # flat snapshot (structure-of-arrays form, repro.rtree.flat)
     # ------------------------------------------------------------------

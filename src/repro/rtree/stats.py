@@ -26,10 +26,6 @@ class TreeStats:
     avg_directory_fill: float = 0.0
     avg_entries_per_leaf: float = 0.0
 
-    @property
-    def total_nodes(self) -> int:
-        return self.leaf_count + self.directory_count
-
 
 def tree_stats(tree: RStarTree) -> TreeStats:
     """Compute structural statistics by walking the tree."""

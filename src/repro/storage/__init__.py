@@ -2,9 +2,8 @@
 
 :class:`SecondaryOrganization` and :class:`PrimaryOrganization` live
 here; the :class:`~repro.core.ClusterOrganization` (the paper's
-contribution) is defined in :mod:`repro.core` and re-exported lazily so
-all three can be imported from one place without an import cycle
-(``core.organization`` itself builds on :mod:`repro.storage.base`).
+contribution) is defined in :mod:`repro.core`, which builds on
+:mod:`repro.storage.base`.
 """
 
 from repro.storage.base import QueryResult, SpatialOrganization
@@ -16,13 +15,4 @@ __all__ = [
     "QueryResult",
     "SecondaryOrganization",
     "PrimaryOrganization",
-    "ClusterOrganization",
 ]
-
-
-def __getattr__(name: str):
-    if name == "ClusterOrganization":
-        from repro.core.organization import ClusterOrganization
-
-        return ClusterOrganization
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

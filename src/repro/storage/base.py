@@ -84,17 +84,6 @@ class QueryResult:
     io: DiskStats = field(default_factory=DiskStats)
     exact_tests: int = 0
 
-    @property
-    def io_ms_per_4kb(self) -> float:
-        """The paper's normalised metric: milliseconds of I/O per 4 KB
-        of retrieved object data (infinite if nothing was retrieved —
-        callers aggregate over many queries, so empty queries simply
-        contribute their cost to a shared numerator)."""
-        units = self.bytes_retrieved / PAGE_SIZE
-        if units == 0:
-            return float("inf")
-        return self.io.total_ms / units
-
 
 class SpatialOrganization(abc.ABC):
     """Base class of the secondary, primary and cluster organizations."""

@@ -21,9 +21,7 @@ from repro.workload.traffic import (
     TRAFFIC_CLASSES,
     TrafficSession,
     class_of_session,
-    load_traffic,
     make_traffic,
-    save_traffic,
 )
 
 __all__ = [
@@ -39,6 +37,4 @@ __all__ = [
     "TrafficSession",
     "class_of_session",
     "make_traffic",
-    "save_traffic",
-    "load_traffic",
 ]

@@ -41,8 +41,8 @@ from repro.disk.model import DiskStats
 from repro.errors import ConfigurationError
 from repro.geometry.feature import SpatialObject
 from repro.geometry.rect import Rect
-from repro.iosched.admission import admission_name, make_admission
-from repro.iosched.scheduler import OverlapScheduler, device_times, scheduler_name
+from repro.iosched.admission import make_admission
+from repro.iosched.scheduler import OverlapScheduler, device_times
 from repro.obs import trace as _obs
 from repro.obs.metrics import percentile_sorted as _percentile_sorted
 from repro.storage.base import SpatialOrganization
@@ -514,7 +514,7 @@ class WorkloadEngine:
                 "admission control needs the overlap scheduler — "
                 "admission delays live on the virtual clock"
             )
-        report.scheduler = scheduler_name(scheduler)
+        report.scheduler = scheduler.name
         self._scheduler = scheduler if timed else None
         if timed:
             scheduler.reset()
@@ -524,7 +524,7 @@ class WorkloadEngine:
                 policy.reset()
             if not client_metrics:
                 scheduler.metrics = None
-            report.admission = admission_name(scheduler.admission)
+            report.admission = scheduler.admission.name if scheduler.admission else "none"
         tracer = _obs.ACTIVE
         spans = {}
         if tracer is not None:

@@ -27,26 +27,18 @@ windows, analytics sessions large windows.  Session names encode the
 class (``int-``/``ana-`` prefixes) so admission policies can classify
 generated clients by name (:func:`class_of_session`,
 ``PriorityAdmission(classifier=...)``).
-
-:func:`save_traffic`/:func:`load_traffic` persist traffic as JSONL —
-one session per line, operations in the same encoding as
-:mod:`repro.workload.trace` — so a generated load is replayable and
-diffable like any workload trace.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.data.workload import point_workload, window_workload
 from repro.errors import ConfigurationError
 from repro.geometry.feature import SpatialObject
-from repro.workload.trace import _decode, _encode
 
 __all__ = [
     "ARRIVALS",
@@ -54,8 +46,6 @@ __all__ = [
     "TrafficSession",
     "class_of_session",
     "make_traffic",
-    "save_traffic",
-    "load_traffic",
 ]
 
 ARRIVALS = ("poisson", "bursty", "diurnal", "closed")
@@ -242,59 +232,6 @@ def make_traffic(
                 arrival_ms=at,
                 operations=ops,
                 think_ms=think_ms if closed else 0.0,
-            )
-        )
-    return sessions
-
-
-def save_traffic(sessions: Iterable[TrafficSession], path) -> int:
-    """Persist traffic as JSONL (one session per line, operations in
-    the workload trace encoding); returns the session count."""
-    lines = []
-    for s in sessions:
-        lines.append(
-            json.dumps(
-                {
-                    "session": s.name,
-                    "class": s.klass,
-                    "arrival_ms": s.arrival_ms,
-                    "think_ms": s.think_ms,
-                    "ops": [_encode(op) for op in s.operations],
-                },
-                separators=(", ", ": "),
-            )
-        )
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
-    return len(lines)
-
-
-def load_traffic(path, join_with=None) -> list[TrafficSession]:
-    """Read a JSONL traffic file back into sessions (the inverse of
-    :func:`save_traffic`)."""
-    sessions: list[TrafficSession] = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"{path}:{lineno}: not valid JSON: {exc}"
-            ) from exc
-        if not isinstance(record, dict) or "session" not in record:
-            raise ConfigurationError(
-                f"{path}:{lineno}: expected a session object, got {record!r}"
-            )
-        sessions.append(
-            TrafficSession(
-                name=record["session"],
-                klass=record.get("class", class_of_session(record["session"])),
-                arrival_ms=float(record.get("arrival_ms", 0.0)),
-                operations=[
-                    _decode(op, join_with) for op in record.get("ops", [])
-                ],
-                think_ms=float(record.get("think_ms", 0.0)),
             )
         )
     return sessions

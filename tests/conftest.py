@@ -162,3 +162,13 @@ class ReadSpy:
 
     def __exit__(self, *exc) -> None:
         NodePager.read, NodePager.plan_reads = self._originals
+
+
+def overlaps(a, b) -> bool:
+    """Whether two extents share a page (the allocators' invariant)."""
+    return a.start < b.end and b.start < a.end
+
+
+def allocated_pages(region) -> int:
+    """Pages a region handed out and has not got back."""
+    return region._bump - sum(extent.npages for extent in region._free)

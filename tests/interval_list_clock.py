@@ -71,3 +71,12 @@ class IntervalListClock(VirtualClock):
 
     def _clear(self) -> None:
         self._busy.clear()
+
+
+def busy(clock) -> list[list[tuple[float, float]]]:
+    """Busy intervals as per-disk ``(start, end)`` lists, of either
+    clock: the reference stores them so, :class:`VirtualClock` as two
+    sorted columns per disk."""
+    if isinstance(clock, IntervalListClock):
+        return clock._busy
+    return [list(zip(starts, ends)) for starts, ends in zip(clock._starts, clock._ends)]

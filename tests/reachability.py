@@ -1,0 +1,352 @@
+"""Which functions of ``src/repro`` no user path reaches.
+
+    PYTHONPATH=src python tests/reachability.py
+
+runs the user paths under a call-only trace hook and prints every
+function defined under ``src/repro`` whose code never ran:
+
+- every script under ``examples/`` at scale 0.005;
+- the CLI golden argvs (``tests/test_eval_cli.py::CASES``) and the
+  ``workload --trace`` record/replay;
+- the eleven ``FIGURES`` rendered at scale 0.005;
+- the benchmark smoke (``perf/run.py --smoke --reps 1``);
+- ``benchmarks/`` at ``REPRO_SCALE=0.01`` (some of their shape
+  assertions fail at that size; only the calls matter here).
+
+It takes about two minutes.  Three kinds of unreached function are
+exempt by rule, each counted: bodies that are only a docstring or
+``...`` (protocol members, no-op hooks), dunder methods, and every
+target of ``perf/shim.py``'s ``WRAP_TABLE`` (the benchmark resolves
+them by name, through inheritance).  Anything else that is kept
+unreached sits on ``ALLOWED`` with its reason.  The figure tables the
+benchmarks record go to a scratch directory, so the checkout stays
+clean.  Exits 1 when a function is unreached and not exempt, or when
+an allow-list entry is reached after all (the list only shrinks).
+
+Matching is by ``(file, first line)``: a code object's
+``co_firstlineno`` is its first decorator's line, so properties,
+static methods and cached functions match their ``def`` too.  A branch
+that never runs inside a called function is not counted.
+"""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import dataclasses
+import inspect
+import importlib
+import io
+import os
+import pathlib
+import runpy
+import sys
+import tempfile
+import threading
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+for _path in (str(ROOT / "src"), str(ROOT)):
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
+
+# "module:Qualified.name" -> why it stays although no user path calls it.
+POLYGONS = "pending L(3): no generator in repro.data makes a polygon"
+ALLOWED: dict[str, str] = {
+    **{
+        f"repro.geometry.polygon:Polygon.{name}": POLYGONS
+        for name in (
+            "from_matrix vertices mbr area size_bytes _closed_ring ring_coords "
+            "contains_point contains_points intersects_rect intersects"
+        ).split()
+    },
+    "repro.geometry.intersect:point_in_polygon": POLYGONS,
+    "repro.buffer.policy:LRUKBuffer._select_victim": (
+        "LRU-K evicts at REPRO_SCALE=0.08 (the buffer-policy ablation); "
+        "at 0.01 its pool holds the whole map"
+    ),
+    "repro.buffer.policy:LRUKBuffer._note_evict": "as LRUKBuffer._select_victim",
+    "repro.buffer.policy:LRUKBuffer._note_drop": (
+        "`workload --policies lru-k` clears LRU-K frames at the flush; "
+        "no golden runs lru-k"
+    ),
+    "repro.iosched.admission:TokenBucketAdmission.admit": (
+        "`--admission token-bucket` selects it; no golden or example does"
+    ),
+    "repro.iosched.admission:TokenBucketAdmission.observe": (
+        "as TokenBucketAdmission.admit"
+    ),
+    "repro.pagestore.placement:PlacementPolicy.disk_of": (
+        "the per-page placement oracle: tests check fragments() against it "
+        "and TestServedOpCounts pins that the served path never calls it"
+    ),
+    "repro.pagestore.store:CompositePageStore.forget_extent": (
+        "PageStore protocol: a freed or moved extent on a tiered or "
+        "file-backed store lands here; no golden frees one there"
+    ),
+    "repro.pagestore.tiered:TieredPageStore.forget_extent": (
+        "as CompositePageStore.forget_extent (drops fast-tier copies)"
+    ),
+    "repro.pagestore.tiered:TieredPageStore.write_runs": (
+        "a pool write-back on a tiered cache store; the inherited "
+        "write_runs would skip write-invalidate"
+    ),
+    "repro.pagestore.tiered:TieredPageStore.charge": (
+        "a join on a tiered database charges the capacity tier; the "
+        "inherited charge would price the fast tier"
+    ),
+    "repro.pagestore.tiered:TieredPageStore._write_back": (
+        'the documented write_policy="write-back" of a ready TieredPageStore'
+    ),
+    "repro.pagestore.file:FilePageStore.params": (
+        "PageStore protocol; save_database reads db.disk.params when a "
+        "database opened on its file is saved again"
+    ),
+}
+
+
+@dataclasses.dataclass(frozen=True)
+class Definition:
+    """One ``def`` in the source tree."""
+
+    name: str  # "module:Qualified.name"
+    path: str
+    line: int  # first decorator's line, else the ``def`` line
+    lines: int
+    trivial: bool  # the body is only a docstring and/or ``...``
+
+    @property
+    def dunder(self) -> bool:
+        short = self.name.rpartition(".")[2].rpartition(":")[2]
+        return short.startswith("__") and short.endswith("__")
+
+
+def _trivial(body: list[ast.stmt]) -> bool:
+    return all(
+        isinstance(stmt, ast.Expr)
+        and isinstance(stmt.value, ast.Constant)
+        and (isinstance(stmt.value.value, str) or stmt.value.value is Ellipsis)
+        for stmt in body
+    )
+
+
+def definitions(package_dir: pathlib.Path) -> dict[tuple[str, int], Definition]:
+    """Every function and method defined under ``package_dir``, keyed
+    by ``(real path, first line)``."""
+    package_dir = package_dir.resolve()
+    found = {}
+    for path in sorted(package_dir.rglob("*.py")):
+        parts = path.relative_to(package_dir.parent).with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    visit(child, [*scope, child.name])
+                elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    line = min([child.lineno, *(d.lineno for d in child.decorator_list)])
+                    found[(str(path), line)] = Definition(
+                        f"{module}:{'.'.join([*scope, child.name])}",
+                        str(path),
+                        line,
+                        child.end_lineno - line + 1,
+                        _trivial(child.body),
+                    )
+                    visit(child, [*scope, child.name])
+                else:
+                    visit(child, scope)
+
+        visit(ast.parse(path.read_text(), str(path)), [])
+    return found
+
+
+@contextlib.contextmanager
+def recording():
+    """Collect ``(real path, first line)`` of every Python frame that
+    starts, in this thread and in threads started meanwhile."""
+    codes = set()
+
+    def hook(frame, event, arg):
+        codes.add(frame.f_code)  # call events only: no local tracer
+
+    previous = sys.gettrace()
+    threading.settrace(hook)
+    sys.settrace(hook)
+    reached: set[tuple[str, int]] = set()
+    try:
+        yield reached
+    finally:
+        sys.settrace(previous)
+        threading.settrace(previous)
+        real = {}
+        for code in codes:
+            path = real.setdefault(code.co_filename, os.path.realpath(code.co_filename))
+            reached.add((path, code.co_firstlineno))
+
+
+def wrapped(targets) -> set[tuple[str, int]]:
+    """``(real path, first line)`` of every ``"module:Owner.attribute"``
+    target, resolved the way ``perf.shim`` resolves it (an inherited
+    method is the base class's function)."""
+    keys = set()
+    for target in targets:
+        module_name, _, path = target.partition(":")
+        owner = importlib.import_module(module_name)
+        *parents, attribute = path.split(".")
+        for part in parents:
+            owner = getattr(owner, part)
+        code = inspect.getattr_static(owner, attribute).__code__
+        keys.add((os.path.realpath(code.co_filename), code.co_firstlineno))
+    return keys
+
+
+@dataclasses.dataclass
+class Report:
+    unreached: list[Definition]
+    trivial: list[Definition]
+    dunder: list[Definition]
+    wrapped: list[Definition]
+    allowed: list[Definition]
+    allowed_but_reached: list[str]
+
+    def text(self, allow_list_size: int) -> str:
+        def total(group):
+            return f"{len(group)} functions, {sum(d.lines for d in group)} lines"
+
+        out = [
+            f"exempt, body only a docstring or '...': {total(self.trivial)}",
+            f"exempt, dunder method: {total(self.dunder)}",
+            f"exempt, WRAP_TABLE target: {total(self.wrapped)}",
+            f"allow-listed: {total(self.allowed)}",
+        ]
+        out += [f"allow-list entry reached after all: {name}" for name in self.allowed_but_reached]
+        out += [f"unreached: {d.name} ({d.lines} lines)" for d in self.unreached]
+        out += [
+            f"unreached functions: {len(self.unreached)}",
+            f"allow-list entries: {allow_list_size}",
+        ]
+        return "\n".join(out)
+
+
+def classify(defs, reached, wrapped_keys, allowed) -> Report:
+    report = Report([], [], [], [], [], [])
+    names = {d.name for key, d in defs.items() if key in reached}
+    report.allowed_but_reached = sorted(set(allowed) & names)
+    for key, definition in sorted(defs.items()):
+        if key in reached:
+            continue
+        if definition.trivial:
+            report.trivial.append(definition)
+        elif definition.dunder:
+            report.dunder.append(definition)
+        elif key in wrapped_keys:
+            report.wrapped.append(definition)
+        elif definition.name in allowed:
+            report.allowed.append(definition)
+        else:
+            report.unreached.append(definition)
+    return report
+
+
+# ----------------------------------------------------------------------
+# the user paths
+@contextlib.contextmanager
+def _quiet(argv: list[str] | None = None, cwd: pathlib.Path | None = None):
+    saved_argv, saved_cwd = sys.argv, os.getcwd()
+    try:
+        if argv is not None:
+            sys.argv = argv
+        if cwd is not None:
+            os.chdir(cwd)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            yield
+    finally:
+        sys.argv = saved_argv
+        os.chdir(saved_cwd)
+
+
+def run_examples(scratch: pathlib.Path) -> None:
+    for script in sorted((ROOT / "examples").glob("*.py")):
+        scale = [] if script.stem == "quickstart" else ["0.005"]
+        with _quiet([str(script), *scale], scratch), contextlib.suppress(SystemExit):
+            runpy.run_path(str(script), run_name="__main__")
+
+
+def run_cli(scratch: pathlib.Path) -> None:
+    from tests import test_eval_cli
+
+    for name, argv in test_eval_cli.CASES.items():
+        (scratch / name).mkdir()
+        with _quiet():
+            test_eval_cli.run_cli(argv, scratch / name)
+    (scratch / "workload_trace").mkdir()
+    with _quiet():
+        test_eval_cli.test_workload_trace_replays_its_recording(scratch / "workload_trace")
+
+
+def run_figures(scratch: pathlib.Path) -> None:
+    from repro.eval.config import ExperimentConfig
+    from repro.eval.context import ExperimentContext
+    from repro.eval.figures import FIGURES
+
+    ctx = ExperimentContext(ExperimentConfig(scale=0.005))
+    for figure in FIGURES.values():
+        figure.render(ctx, list(figure.rows(ctx)))
+
+
+def run_perf_smoke(scratch: pathlib.Path) -> None:
+    from perf import run
+
+    with _quiet():
+        run.main(["--smoke", "--reps", "1"])
+
+
+class _ResultsToScratch:
+    """pytest plugin: ``benchmarks/conftest.py`` records its tables
+    under ``directory`` instead of ``benchmarks/results/``."""
+
+    def __init__(self, directory: pathlib.Path) -> None:
+        self.directory = directory
+
+    def pytest_collection_finish(self, session) -> None:
+        conftest = str(ROOT / "benchmarks" / "conftest.py")
+        for module in list(sys.modules.values()):
+            if getattr(module, "__file__", None) == conftest:
+                module.RESULTS_DIR = self.directory
+
+
+def run_benchmarks(scratch: pathlib.Path) -> None:
+    import pytest
+
+    saved = os.environ.get("REPRO_SCALE")
+    os.environ["REPRO_SCALE"] = "0.01"
+    try:
+        with _quiet(cwd=ROOT):
+            pytest.main(
+                ["-q", "-p", "no:cacheprovider", "--benchmark-disable", str(ROOT / "benchmarks")],
+                plugins=[_ResultsToScratch(scratch)],
+            )
+    finally:
+        if saved is None:
+            del os.environ["REPRO_SCALE"]
+        else:
+            os.environ["REPRO_SCALE"] = saved
+
+
+USER_PATHS = (run_examples, run_cli, run_figures, run_perf_smoke, run_benchmarks)
+
+
+def main() -> int:
+    from perf.shim import WRAP_TABLE
+
+    defs = definitions(ROOT / "src" / "repro")
+    with recording() as reached:
+        for path in USER_PATHS:
+            with tempfile.TemporaryDirectory() as scratch:
+                path(pathlib.Path(scratch))
+    report = classify(defs, reached, wrapped(t for _, t, _ in WRAP_TABLE), ALLOWED)
+    print(report.text(len(ALLOWED)))
+    return 1 if report.unreached or report.allowed_but_reached else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

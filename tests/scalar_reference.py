@@ -142,7 +142,10 @@ def rstar_split(entries, min_fill_fraction=0.4, rects=None):
             by_lower = sorted(entries, key=lambda e: (e.rect.ymin, e.rect.ymax))
             by_upper = sorted(entries, key=lambda e: (e.rect.ymax, e.rect.ymin))
         dists = _distributions(by_lower, m) + _distributions(by_upper, m)
-        margin_sum = sum(r1.margin() + r2.margin() for _, r1, r2, _ in dists)
+        # each side's margin (half perimeter), summed side by side
+        margin_sum = sum(
+            (r1.width + r1.height) + (r2.width + r2.height) for _, r1, r2, _ in dists
+        )
         if best_margin_sum is None or margin_sum < best_margin_sum:
             best_margin_sum = margin_sum
             best_axis_dists = dists

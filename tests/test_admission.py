@@ -20,13 +20,13 @@ from repro.iosched import (
     PriorityAdmission,
     TokenBucketAdmission,
     VirtualClock,
-    admission_name,
     make_admission,
 )
 from repro.pagestore.store import ShardedPageStore
-from repro.obs.metrics import percentile
+from repro.obs.metrics import percentile_sorted
 
 from tests.conftest import make_objects
+from tests.interval_list_clock import busy
 
 
 class TestMakeAdmission:
@@ -55,9 +55,8 @@ class TestMakeAdmission:
             make_admission(TokenBucketAdmission(), rate=1.0)
 
     def test_names(self):
-        assert admission_name(None) == "none"
-        assert admission_name(TokenBucketAdmission()) == "token-bucket"
-        assert admission_name(PriorityAdmission()) == "priority"
+        assert TokenBucketAdmission().name == "token-bucket"
+        assert PriorityAdmission().name == "priority"
         assert "none" in ADMISSIONS
 
 
@@ -170,7 +169,7 @@ class TestGapAwareClock:
         clock = VirtualClock()
         clock.dispatch(0.0, [10.0])
         clock.dispatch(0.0, [5.0])   # queues [10, 15) and merges
-        assert clock._busy[0] == [(0.0, 15.0)]
+        assert busy(clock)[0] == [(0.0, 15.0)]
 
 
 def two_disk_pool(scheduler):
@@ -305,16 +304,16 @@ class TestSessionsAdmission:
             admission="token-bucket",
         )
         # The engine restores the scheduler's own policy afterwards.
-        assert db.admission_policy == "none"
+        assert db.scheduler.admission is None
 
 
 class TestLatencyPercentile:
     def test_empty_sample(self):
-        assert percentile([], 0.95) == 0.0
+        assert percentile_sorted([], 0.95) == 0.0
 
     def test_nearest_rank(self):
-        values = [5.0, 1.0, 3.0, 2.0, 4.0]
-        assert percentile(values, 0.50) == 3.0
-        assert percentile(values, 0.95) == 5.0
-        assert percentile(values, 0.0) == 1.0
-        assert percentile([7.0], 0.95) == 7.0
+        values = [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert percentile_sorted(values, 0.50) == 3.0
+        assert percentile_sorted(values, 0.95) == 5.0
+        assert percentile_sorted(values, 0.0) == 1.0
+        assert percentile_sorted([7.0], 0.95) == 7.0

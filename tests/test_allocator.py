@@ -9,6 +9,8 @@ from repro.disk.allocator import PageAllocator, Region
 from repro.disk.extent import Extent
 from repro.errors import AllocationError
 
+from tests.conftest import allocated_pages, overlaps
+
 
 class TestRegion:
     def test_bump_allocation_is_consecutive(self):
@@ -48,7 +50,7 @@ class TestRegion:
         a = region.allocate(10)
         region.allocate(5)
         region.free(a)
-        assert region.allocated_pages == 5
+        assert allocated_pages(region) == 5
         assert region.high_water_pages == 15
 
     @given(st.lists(st.integers(1, 10), min_size=1, max_size=50))
@@ -58,7 +60,7 @@ class TestRegion:
         for i, size in enumerate(sizes):
             e = region.allocate(size)
             for other in live:
-                assert not e.overlaps(other)
+                assert not overlaps(e, other)
             live.append(e)
             if i % 3 == 2:
                 region.free(live.pop(0))
@@ -71,18 +73,12 @@ class TestPageAllocator:
         r2 = alloc.region("b")
         e1 = r1.allocate(10)
         e2 = r2.allocate(10)
-        assert not e1.overlaps(e2)
+        assert not overlaps(e1, e2)
         assert abs(e1.start - e2.start) >= 1000
 
     def test_region_get_or_create(self):
         alloc = PageAllocator()
         assert alloc.region("x") is alloc.region("x")
-
-    def test_total_allocated(self):
-        alloc = PageAllocator(region_capacity=100)
-        alloc.region("a").allocate(5)
-        alloc.region("b").allocate(7)
-        assert alloc.total_allocated_pages == 12
 
     def test_invalid_capacity(self):
         with pytest.raises(AllocationError):

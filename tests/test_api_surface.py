@@ -172,12 +172,112 @@ class TestExports:
                 assert not hasattr(module, name), name
         assert "RunReport" in repro.__all__
 
+        # Gone because no user path reached them (tests/reachability.py):
+        # the four ``*_name(obj)`` probes (each policy, prefetcher and
+        # scheduler declares its ``name``), the traffic JSONL pair, the
+        # ``reset`` / ``reset_stats`` surface of every layer, the
+        # one-key and extent twins of run-level calls, and accessors
+        # only tests read.
+        import repro.disk.extent
+        import repro.geometry.rect
+        import repro.iosched
+        import repro.obs
+        import repro.pagestore.store
+        import repro.storage
+        from repro.buffer.policy import PolicyBuffer, ReplacementPolicy
+        from repro.core.organization import ClusterOrganization
+        from repro.iosched.scheduler import OverlapScheduler, SyncScheduler, VirtualClock
+        from repro.obs.metrics import Counter, Histogram, MetricsRegistry
+        from repro.obs.trace import Tracer
+        from repro.pagestore.file import FilePageStore
+        from repro.pagestore.store import CompositePageStore, PageStore, ShardedPageStore
+        from repro.pagestore.tiered import TieredPageStore
+
+        for module, names in (
+            (repro.buffer.policy, ["policy_name"]),
+            (repro.iosched, ["admission_name", "prefetcher_name", "scheduler_name"]),
+            (repro.workload, ["save_traffic", "load_traffic"]),
+            (repro.obs, ["percentile", "install_tracer", "uninstall_tracer", "current_tracer"]),
+            (repro.geometry, ["vertices_for_size"]),
+            (repro.pagestore.store, ["StoreSnapshot"]),
+            (repro.storage, ["ClusterOrganization"]),
+        ):
+            for name in names:
+                assert not hasattr(module, name), name
+        for owner, names in (
+            (SpatialDatabase, ["reset_stats", "admission_policy"]),
+            (BufferPool, ["reset_stats", "stats", "invalidate", "mark_dirty",
+                          "read_extent", "fetch_extent", "write_extent"]),
+            (PolicyBuffer, ["access", "admit", "mark_dirty", "hit_rate", "reset_stats"]),
+            (ReplacementPolicy, ["access", "admit", "mark_dirty", "hit_rate", "reset_stats"]),
+            (DiskModel, ["reset", "reset_stats", "head"]),
+            (PageStore, ["reset", "reset_stats"]),
+            (CompositePageStore, ["reset", "reset_stats", "response_ms", "_owner"]),
+            (ShardedPageStore, ["disk_of"]),
+            (TieredPageStore, ["invalidations", "copybacks", "dirty_pages", "fast_share"]),
+            (FilePageStore, ["get", "_read_slot", "file_bytes"]),
+            (SyncScheduler, ["reset_stats", "inline"]),
+            (OverlapScheduler, ["reset_stats", "client"]),
+            (VirtualClock, ["_busy"]),
+            (MetricsRegistry, ["reset_stats", "format", "value", "get", "names"]),
+            (Counter, ["reset"]),
+            (Histogram, ["reset"]),
+            (Tracer, ["device_spans", "current_track"]),
+            (AccessPlan, ["write_pages"]),
+            (RStarTree, ["matching_leaves"]),
+            (ClusterOrganization, ["unit_count", "unit_for"]),
+            (repro.geometry.rect.Rect, ["from_point", "margin", "intersection",
+                                        "enlargement", "min_distance_to_point", "grown"]),
+            (repro.disk.extent.Extent, ["contains", "subextent", "overlaps", "adjacent_to"]),
+        ):
+            for name in names:
+                assert not hasattr(owner, name), (owner.__name__, name)
+        from repro.core.policy import ClusterPolicy
+        from repro.core.unit import ClusterUnit
+        from repro.data.series import SeriesSpec
+        from repro.disk.allocator import PageAllocator, Region
+        from repro.disk.buddy import BuddyAllocator, FixedUnitAllocator
+        from repro.geometry.decomposed import ExactTestCounter
+        from repro.geometry.feature import SpatialObject
+        from repro.geometry.intersect import PolylineTable
+        from repro.geometry.polyline import Polyline
+        from repro.obs.metrics import Gauge
+        from repro.pagestore.placement import PlacementPolicy
+        from repro.rtree.entry import Entry
+        from repro.rtree.flat import FlatTree
+        from repro.rtree.pager import NodePager
+        from repro.rtree.stats import TreeStats
+        from repro.storage.base import QueryResult
+
+        for owner, names in (
+            (Region, ["allocated_pages"]),
+            (PageAllocator, ["total_allocated_pages"]),
+            (BuddyAllocator, ["free_pages", "unit_count", "max_unit_pages"]),
+            (FixedUnitAllocator, ["unit_count"]),
+            (ClusterPolicy, ["for_objects"]),
+            (ClusterUnit, ["object_count"]),
+            (SeriesSpec, ["total_mb"]),
+            (ExactTestCounter, ["reset"]),
+            (Gauge, ["reset"]),
+            (SpatialObject, ["pages"]),
+            (PolylineTable, ["row"]),
+            (Polyline, ["length"]),
+            (PlacementPolicy, ["pinned_pages"]),
+            (Entry, ["is_data"]),
+            (FlatTree, ["n_nodes"]),
+            (NodePager, ["reset_buffer"]),
+            (TreeStats, ["total_nodes"]),
+            (QueryResult, ["io_ms_per_4kb"]),
+        ):
+            for name in names:
+                assert not hasattr(owner, name), (owner.__name__, name)
+        assert "write_pages" not in OPS
+
 
 class TestRunLevelSurface:
     def test_run_level_members_are_part_of_the_protocols(self):
         """ISSUE 23: a replacement policy touches and admits *runs*
-        (``access_all`` returns the misses; the single-key calls are the
-        one-key case of the same loop), a placement answers for a whole
+        (``access_all`` returns the misses), a placement answers for a whole
         run (``fragments``) and keeps its pins as extents, a merged
         access plan remembers where its parts end, and the flat
         snapshot lost three columns nobody read."""
@@ -186,7 +286,7 @@ class TestRunLevelSurface:
         from repro.pagestore.placement import PLACEMENTS, PlacementPolicy
         from repro.rtree.flat import FlatTree
 
-        for member in ("access", "access_all", "admit", "admit_all"):
+        for member in ("access_all", "admit_all"):
             assert member in ReplacementPolicy.__dict__, member
         for factory in POLICIES.values():
             frames = factory(2)
@@ -295,4 +395,4 @@ class TestEdgeCases:
 
         res = org.window_query(Rect(0, 0, 10_000, 10_000))
         assert res.objects == [] and res.candidates == 0
-        assert org.unit_count() == 0
+        assert org.units() == []

@@ -54,28 +54,25 @@ class TestPolicies:
 
     def test_fifo_ignores_recency(self):
         buf = FIFOBuffer(2)
-        buf.admit("a")
-        buf.admit("b")
-        buf.access("a")  # would save "a" under LRU
-        buf.admit("c")
+        buf.admit_all(["a", "b"])
+        buf.access_all(["a"])  # would save "a" under LRU
+        buf.admit_all(["c"])
         assert "a" not in buf and "b" in buf and "c" in buf
 
     def test_lru_respects_recency(self):
         buf = LRUBuffer(2)
-        buf.admit("a")
-        buf.admit("b")
-        buf.access("a")
-        buf.admit("c")
+        buf.admit_all(["a", "b"])
+        buf.access_all(["a"])
+        buf.admit_all(["c"])
         assert "a" in buf and "b" not in buf
 
     def test_clock_second_chance(self):
         buf = ClockBuffer(2)
-        buf.admit("a")
-        buf.admit("b")
-        buf.admit("c")  # full sweep clears the load bits, evicts oldest
+        buf.admit_all(["a", "b"])
+        buf.admit_all(["c"])  # full sweep clears the load bits, evicts oldest
         assert "a" not in buf
-        buf.access("b")  # re-referenced: survives the next sweep
-        buf.admit("d")  # hand passes b (clears bit), evicts c
+        buf.access_all(["b"])  # re-referenced: survives the next sweep
+        buf.admit_all(["d"])  # hand passes b (clears bit), evicts c
         assert "b" in buf and "c" not in buf and "d" in buf
 
     def test_clock_new_page_survives_its_own_admission(self):
@@ -83,19 +80,17 @@ class TestPolicies:
         and must never be the victim of the sweep it triggered."""
         buf = ClockBuffer(3)
         buf.admit_all(["a", "b", "c"])
-        buf.access("a")
-        buf.access("b")
-        buf.access("c")  # hot set: every bit set
-        buf.admit("d")
+        buf.access_all(["a", "b"])
+        buf.access_all(["c"])  # hot set: every bit set
+        buf.admit_all(["d"])
         assert "d" in buf and "a" not in buf
 
     def test_lruk_prefers_single_touch_victims(self):
         buf = LRUKBuffer(3, k=2)
-        buf.admit("hot")
-        buf.access("hot")  # two references
-        buf.admit("scan1")
-        buf.admit("scan2")
-        buf.admit("scan3")  # evicts a single-touch page, never "hot"
+        buf.admit_all(["hot"])
+        buf.access_all(["hot"])  # two references
+        buf.admit_all(["scan1", "scan2"])
+        buf.admit_all(["scan3"])  # evicts a single-touch page, never "hot"
         assert "hot" in buf
         assert len(buf) == 3
 
@@ -107,8 +102,8 @@ class TestPolicies:
         out = []
         for name in POLICIES:
             buf = make_buffer(name, 1, on_evict=lambda k, d: out.append((k, d)))
-            buf.admit("a", dirty=True)
-            buf.admit("b")
+            buf.admit_all(["a"], dirty=True)
+            buf.admit_all(["b"])
             assert out[-1] == ("a", True), name
 
     def test_flush_counts_evictions(self):
@@ -123,8 +118,8 @@ class TestPolicies:
     def test_dirty_bookkeeping(self):
         for name in POLICIES:
             buf = make_buffer(name, 8)
-            buf.admit("a", dirty=True)
-            buf.admit("b")
+            buf.admit_all(["a"], dirty=True)
+            buf.admit_all(["b"])
             assert buf.dirty_keys() == ["a"], name
             buf.mark_clean("a")
             assert buf.dirty_keys() == [], name
@@ -156,10 +151,9 @@ class TestPassThroughPool:
         assert pool.policy == "none"
         assert pool.hit_rate == 0.0
 
-    def test_flush_and_invalidate_noop(self):
+    def test_flush_noop(self):
         pool = BufferPool(DiskModel())
         assert pool.flush() == 0.0
-        pool.invalidate()
 
 
 class TestCachingPool:
@@ -204,15 +198,6 @@ class TestCachingPool:
         delta = disk.stats() - before
         assert delta.pages_transferred == 3
         assert delta.requests == 2  # runs (3,2) and (9,1)
-        assert len(pool) == 0
-
-    def test_invalidate_skips_write_back(self):
-        disk = DiskModel()
-        pool = BufferPool(disk, capacity=8)
-        pool.write(3, 1)
-        before = disk.stats()
-        pool.invalidate()
-        assert (disk.stats() - before).requests == 0
         assert len(pool) == 0
 
     def test_fetch_ignores_residency(self):

@@ -152,11 +152,6 @@ class TestPolicy:
     def test_policy_pages(self):
         assert ClusterPolicy(20 * PAGE_SIZE).smax_pages == 20
 
-    def test_for_objects(self):
-        policy = ClusterPolicy.for_objects(625, buddy_sizes=3)
-        assert policy.smax_bytes == 80 * 1024
-        assert policy.buddy_sizes == 3
-
 
 class TestSLMSchedule:
     def test_contiguous_is_one_run(self):

@@ -47,28 +47,12 @@ class TestExtent:
         e = Extent(10, 4)
         assert e.end == 14
         assert list(e.pages()) == [10, 11, 12, 13]
-        assert e.contains(13) and not e.contains(14)
 
     def test_invalid(self):
         with pytest.raises(DiskError):
             Extent(-1, 2)
         with pytest.raises(DiskError):
             Extent(0, 0)
-
-    def test_subextent(self):
-        e = Extent(10, 10)
-        assert e.subextent(2, 3) == Extent(12, 3)
-
-    def test_subextent_out_of_range(self):
-        with pytest.raises(DiskError):
-            Extent(10, 4).subextent(2, 5)
-
-    def test_overlaps_and_adjacent(self):
-        assert Extent(0, 5).overlaps(Extent(4, 2))
-        assert not Extent(0, 5).overlaps(Extent(5, 2))
-        assert Extent(0, 5).adjacent_to(Extent(5, 2))
-        assert Extent(5, 2).adjacent_to(Extent(0, 5))
-        assert not Extent(0, 5).adjacent_to(Extent(6, 2))
 
 
 class TestDiskModel:
@@ -95,9 +79,9 @@ class TestDiskModel:
     def test_head_moves(self):
         disk = DiskModel()
         disk.read(100, 4)
-        assert disk.head == 104
+        assert disk._head == 104
         disk.write(50, 1)
-        assert disk.head == 51
+        assert disk._head == 51
 
     def test_invalidate_head(self):
         disk = DiskModel()
@@ -117,13 +101,6 @@ class TestDiskModel:
         with pytest.raises(DiskError):
             DiskModel().read(-5, 1)
 
-    def test_reset(self):
-        disk = DiskModel()
-        disk.read(0, 10)
-        disk.reset()
-        assert disk.total_ms == 0.0
-        assert disk.head is None
-
     def test_trace_records_requests(self):
         from repro.obs.trace import tracing
 
@@ -131,7 +108,7 @@ class TestDiskModel:
         with tracing() as tracer:
             disk.read(0, 2)
             disk.write(10, 1)
-        records = [(s.name, s.args, s.end_ms - s.start_ms) for s in tracer.device_spans()]
+        records = [(s.name, s.args, s.end_ms - s.start_ms) for s in tracer.spans if s.cat == "device"]
         assert records == [
             ("read", {"start": 0, "npages": 2}, 17.0),
             ("write", {"start": 10, "npages": 1}, 16.0),
@@ -162,9 +139,9 @@ class TestHeadPositionEdgeCases:
         disk = DiskModel()
         disk.read(100, 4)
         disk.invalidate_head()
-        assert disk.head is None
+        assert disk._head is None
         assert disk.read(104, 1) == 9 + 6 + 1  # fresh despite adjacency
-        assert disk.head == 105
+        assert disk._head == 105
         assert disk.read(105, 1) == 1.0  # sequential resumes
 
     def test_continuation_after_invalidate_still_pays_latency(self):
@@ -183,7 +160,7 @@ class TestHeadPositionEdgeCases:
         delta = disk.stats() - before
         assert delta.requests == 0
         assert delta.total_ms == 0.0
-        assert disk.head == 1  # head untouched
+        assert disk._head == 1  # head untouched
 
     def test_charge_single_component_counts_one_request(self):
         disk = DiskModel()
@@ -198,7 +175,7 @@ class TestHeadPositionEdgeCases:
         disk.read(100, 4)  # head now at 104
         cost = disk.read_extent(Extent(102, 4))  # crosses 104
         assert cost == 9 + 6 + 4
-        assert disk.head == 106
+        assert disk._head == 106
 
     def test_extent_read_starting_on_head_is_sequential(self):
         disk = DiskModel()

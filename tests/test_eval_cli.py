@@ -182,6 +182,25 @@ def test_reorg_delete_fraction_reaches_the_run(tmp_path):
     assert text.split("=\n")[-1] != default.split("=\n")[-1]
 
 
+_TRACE_LINE = re.compile(r"^\[trace: .*\]\n", re.M)
+
+
+def test_workload_trace_replays_its_recording(tmp_path):
+    """``workload --trace PATH`` records the stream when PATH is absent
+    and replays it when present: both runs print the same tables."""
+    argv = [
+        "workload", *SMALL, "--queries", "6", "--policies", "lru,clock",
+        "--trace", "{tmp}/w.jsonl",
+    ]
+    code, recorded = run_cli(argv, tmp_path)
+    assert code == 0
+    assert recorded.count("[trace: recorded 32 operations to <tmp>/w.jsonl]") == 1
+    code, replayed = run_cli(argv, tmp_path)
+    assert code == 0
+    assert replayed.count("[trace: replaying 32 operations from <tmp>/w.jsonl]") == 2
+    assert _TRACE_LINE.sub("", replayed) == _TRACE_LINE.sub("", recorded)
+
+
 def test_traffic_ablation_writes_metrics_per_configuration(tmp_path):
     out = tmp_path / "metrics.json"
     argv = [*CASES["traffic_ablation"], "--metrics-out", str(out)]

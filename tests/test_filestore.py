@@ -35,6 +35,15 @@ PAGE = 256  # small pages keep the property tests fast
 CAPACITY = payload_capacity(PAGE)
 
 
+def payload(store: FilePageStore, page: int) -> bytes:
+    """What a logical page holds: its buffered write, else its committed
+    slot, checksum-verified (the retries and failures are counted)."""
+    pending = store._dirty.get(page)
+    if isinstance(pending, bytes):
+        return pending
+    return store._read_run(store._map[page], 1, KIND_DATA)[0]
+
+
 # ----------------------------------------------------------------------
 # the page codec
 # ----------------------------------------------------------------------
@@ -105,8 +114,8 @@ class TestFilePageStore:
         with FilePageStore(path, page_size=PAGE) as store:
             assert store.epoch == 1
             assert store.meta == {"tag": "t"}
-            assert store.get(0) == b"zero"
-            assert store.get(1 << 24) == b"far away"
+            assert payload(store, 0) == b"zero"
+            assert payload(store, 1 << 24) == b"far away"
             assert store.contains(0)
             assert not store.contains(7)
             assert store.mapped_pages == 2
@@ -120,7 +129,7 @@ class TestFilePageStore:
             store.flush()  # flushed but never committed
         with FilePageStore(path, page_size=PAGE) as store:
             assert store.epoch == 1
-            assert store.get(0) == b"durable"
+            assert payload(store, 0) == b"durable"
             assert not store.contains(1)
 
     def test_meta_payload_chunks_round_trip(self, tmp_path):
@@ -169,7 +178,7 @@ class TestFilePageStore:
         # The refused epoch was never published.
         with FilePageStore(path, page_size=PAGE) as store:
             assert store.epoch == 2
-            assert store.get(0) == b"v2" and store.get(1) == b"v1"
+            assert payload(store, 0) == b"v2" and payload(store, 1) == b"v1"
 
     def test_a_refused_superblock_leaves_the_store_at_its_epoch(self, tmp_path):
         """ROADMAP D.3: the overflow is raised while the payload is
@@ -195,7 +204,7 @@ class TestFilePageStore:
             assert store._probe_superblock(1)["epoch"] == 3
         with FilePageStore(path, page_size=PAGE) as store:
             assert store.epoch == 3
-            assert store.get(0) == b"v2" and store.get(1) == b"v3"
+            assert payload(store, 0) == b"v2" and payload(store, 1) == b"v3"
             assert store.read_meta_pages() == []
 
     @staticmethod
@@ -230,7 +239,7 @@ class TestFilePageStore:
             live = self.slot_state(store)
         with FilePageStore(path, page_size=512) as store:
             assert store.read_meta_pages() == [b"catalog"] * 4
-            assert store.get(0) == b"round 0" and store.get(119) == b"round 2"
+            assert payload(store, 0) == b"round 0" and payload(store, 119) == b"round 2"
             return live, self.slot_state(store)
 
     @pytest.mark.parametrize(
@@ -279,7 +288,7 @@ class TestFilePageStore:
         # Copy-on-write burns one fresh slot per round, but retired
         # slots come back to the free list after the next commit — the
         # file stays bounded instead of growing by a slot per round.
-        assert store.file_bytes <= PAGE * 8
+        assert store._next_slot <= 8
         store.close()
 
     def test_priced_reads_match_the_plain_disk_model(self, tmp_path):
@@ -305,7 +314,7 @@ class TestFilePageStore:
             store.commit()
             assert store.epoch == 2
         with FilePageStore(path, page_size=PAGE) as store:
-            assert store.get(0) == b"before"  # content preserved
+            assert payload(store, 0) == b"before"  # content preserved
 
     def test_transient_read_corruption_heals_with_retries(self, tmp_path):
         path = str(tmp_path / "image.db")
@@ -317,7 +326,7 @@ class TestFilePageStore:
         store = FaultyPageStore(
             path, page_size=PAGE, corrupt_read_slots=[slot], metrics=metrics
         )
-        assert store.get(0) == b"fragile"
+        assert payload(store, 0) == b"fragile"
         assert metrics.counter("store.checksum_failures").value == 1
         assert metrics.counter("store.retries").value == 1
         store.close()
@@ -332,7 +341,7 @@ class TestFilePageStore:
         flip_byte(path, slot, PAGE)
         with FilePageStore(path, page_size=PAGE, metrics=metrics) as store:
             with pytest.raises(PageCorruptionError):
-                store.get(0)
+                payload(store, 0)
             # 1 initial attempt + read_retries=2 bounded retries.
             assert metrics.counter("store.checksum_failures").value == 3
             assert metrics.counter("store.retries").value == 2
@@ -392,7 +401,7 @@ class TestFilePageStore:
             corrupt_read_slots=[FIRST_DATA_SLOT],
         )
         with pytest.raises(PageCorruptionError):
-            store.get(0)
+            payload(store, 0)
         store.close()
 
     def test_no_valid_superblock_is_an_error(self, tmp_path):

@@ -62,7 +62,7 @@ class TestFlatSnapshot:
         tree = _bare_tree(objects300)
         flat = build_flat(tree)
         assert flat.nodes[0] is tree.root
-        assert flat.n_nodes == tree.node_count()
+        assert len(flat.nodes) == tree.node_count()
         assert flat.entry_start[0] == 0
         assert flat.entry_start[-1] == flat.n_entries
         assert flat.entry_rect.shape == (flat.n_entries, 4)
@@ -72,13 +72,13 @@ class TestFlatSnapshot:
         assert (flat.entry_oid[data] >= 0).all()
         assert (flat.entry_oid[~data] < 0).all()
         children = flat.entry_child[~data]
-        assert len(np.unique(children)) == len(children) == flat.n_nodes - 1
+        assert len(np.unique(children)) == len(children) == len(flat.nodes) - 1
 
     def test_owner_of_inverts_offsets(self, objects300):
         flat = build_flat(_bare_tree(objects300))
         eids = np.arange(flat.n_entries)
         owners = flat.owner_of(eids)
-        for nid in range(flat.n_nodes):
+        for nid in range(len(flat.nodes)):
             lo, hi = flat.entry_start[nid], flat.entry_start[nid + 1]
             assert (owners[lo:hi] == nid).all()
 

@@ -4,7 +4,6 @@ cost counter."""
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.constants import EXACT_TEST_MS
 from repro.errors import GeometryError
@@ -17,7 +16,6 @@ from repro.geometry.sizes import (
     OBJECT_HEADER_BYTES,
     VERTEX_BYTES,
     polyline_size_bytes,
-    vertices_for_size,
 )
 
 
@@ -29,17 +27,6 @@ class TestSizes:
         with pytest.raises(ValueError):
             polyline_size_bytes(0)
 
-    def test_vertices_for_size_inverse(self):
-        for n in (2, 5, 100, 1000):
-            assert vertices_for_size(polyline_size_bytes(n)) == n
-
-    def test_vertices_for_size_floor(self):
-        assert vertices_for_size(0) == 2
-
-    @given(st.integers(2, 10_000))
-    def test_roundtrip(self, n):
-        assert vertices_for_size(polyline_size_bytes(n)) == n
-
 
 class TestPolyline:
     def test_requires_two_vertices(self):
@@ -49,9 +36,6 @@ class TestPolyline:
     def test_mbr(self):
         line = Polyline([(0, 5), (3, 1), (2, 8)])
         assert line.mbr == Rect(0, 1, 3, 8)
-
-    def test_length(self):
-        assert Polyline([(0, 0), (3, 4)]).length() == pytest.approx(5.0)
 
     def test_size_matches_vertex_count(self):
         line = Polyline([(0, 0), (1, 1), (2, 2)])
@@ -144,10 +128,6 @@ class TestSpatialObject:
         with pytest.raises(GeometryError):
             SpatialObject(-1, Polyline([(0, 0), (1, 1)]))
 
-    def test_pages(self):
-        obj = SpatialObject(1, Polyline([(0, 0), (1, 1)]), size_bytes=5000)
-        assert obj.pages(4096) == 2
-
     def test_mbr_override(self):
         line = Polyline([(0, 0), (1, 1)])
         big = Rect(-10, -10, 10, 10)
@@ -236,9 +216,3 @@ class TestExactTestCounter:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             ExactTestCounter().record(-1)
-
-    def test_reset(self):
-        counter = ExactTestCounter()
-        counter.record(10)
-        counter.reset()
-        assert counter.tests == 0

@@ -355,7 +355,9 @@ class TestBatchKernelsMatchScalar:
         ]
         assert table.counts.tolist() == [len(line) for line in lines]
         for r, line in enumerate(lines):
-            assert table.row(r).tolist() == [list(p) for p in line]
+            start = table.starts[r]
+            row = table.column[:, start:start + table.counts[r]].T
+            assert row.tolist() == [list(p) for p in line]
 
     @settings(deadline=None)
     @given(st.lists(window_test(), max_size=12))

@@ -21,8 +21,6 @@ from repro.iosched import (
     VirtualClock,
     make_prefetcher,
     make_scheduler,
-    prefetcher_name,
-    scheduler_name,
 )
 from repro.disk.allocator import PageAllocator
 from repro.disk.extent import Extent
@@ -31,6 +29,7 @@ from repro.workload.streams import mixed_stream
 from repro.workload.trace import load_trace, save_trace
 
 from tests.conftest import make_objects
+from tests.interval_list_clock import busy
 
 
 def passthrough_pool(disk=None, **kwargs) -> BufferPool:
@@ -139,7 +138,7 @@ class TestSyncScheduler:
             make_scheduler("psychic")
         with pytest.raises(ConfigurationError):
             make_scheduler(42)
-        assert scheduler_name(SYNC) == "sync"
+        assert SYNC.name == "sync"
 
 
 class TestVirtualClock:
@@ -229,8 +228,8 @@ class TestOverlapScheduler:
     def test_session_context_restores_client(self):
         sched = OverlapScheduler()
         with sched.session("alice"):
-            assert sched.client == "alice"
-        assert sched.client == "main"
+            assert sched._client == "alice"
+        assert sched._client == "main"
 
     def test_device_pricing_identical_to_sync(self):
         """The overlap scheduler issues the same priced calls — device
@@ -280,8 +279,7 @@ class TestPrefetchers:
             make_prefetcher("oracle")
         with pytest.raises(ConfigurationError):
             SequentialPrefetcher(depth=0)
-        assert prefetcher_name(None) == "none"
-        assert prefetcher_name(ready) == "sequential"
+        assert ready.name == "sequential"
 
     def test_pool_prefetches_missing_pages_without_miss_accounting(self):
         disk = DiskModel()
@@ -722,7 +720,7 @@ class TestPrefetchCausality:
         assert sched.clock.disk_free[1] == pytest.approx(demand + prefetch)
         # Clock monotonicity: nothing the prefetch occupied lies before
         # the demand transfer's completion.
-        (start, end), = sched.clock._busy[1]
+        (start, end), = busy(sched.clock)[1]
         assert start >= demand
         assert end - start == pytest.approx(prefetch)
 

@@ -350,7 +350,7 @@ def mixed_transfers(org_r, org_s, technique: str, pages: int):
     """What ``spatial_join`` does, keeping hold of the two transfers:
     (candidate pairs, the observed numbers of ``MIXED_EXPECTED``)."""
     disk = org_r.disk
-    disk.reset()
+    disk.invalidate_head()
     pool = org_r.pool.sibling(pages)
     join = MBRJoin(org_r.tree, org_s.tree, pool)
     transfer_r = ObjectTransfer(org_r, pool, technique=technique)
@@ -426,7 +426,7 @@ def recorded_join(org_r, org_s, technique, pages, policy, run=MBRJoin.run):
 
     from repro.iosched import OverlapScheduler
 
-    org_r.disk.reset()
+    org_r.disk.invalidate_head()
     if isinstance(org_r.pool.scheduler, OverlapScheduler):
         org_r.pool.scheduler.reset()
     with patch.object(MBRJoin, "_access", spy_access), patch.object(MBRJoin, "run", spy_run):

@@ -40,6 +40,10 @@ def random_rect(rng: random.Random, span: float = 100.0) -> Rect:
     return Rect(x, y, x + rng.uniform(0, span / 10), y + rng.uniform(0, span / 10))
 
 
+def grown(rect: Rect, amount: float) -> Rect:
+    return Rect(rect.xmin - amount, rect.ymin - amount, rect.xmax + amount, rect.ymax + amount)
+
+
 def reference_entries(tree, window) -> list:
     """``tree.window_query(window)`` by the entry-at-a-time walk."""
     return [e for _, matches in reference.window_leaves(tree, window) for e in matches]
@@ -63,7 +67,7 @@ class TestQueryOrderEquivalence:
         tree, _ = seeded_tree
         rng = random.Random(7)
         for _ in range(25):
-            window = random_rect(rng, span=80.0).grown(rng.uniform(0, 10))
+            window = grown(random_rect(rng, span=80.0), rng.uniform(0, 10))
             vectorized = tree.window_query(window)
             assert vectorized == reference_entries(tree, window)  # same order
 
@@ -76,20 +80,17 @@ class TestQueryOrderEquivalence:
             vectorized = tree.point_query(x, y)
             assert vectorized == reference_entries(tree, Rect(x, y, x, y))
 
-    def test_window_leaves_and_matching_leaves(self, seeded_tree):
+    def test_window_leaves(self, seeded_tree):
         tree, _ = seeded_tree
         rng = random.Random(9)
         for _ in range(15):
-            window = random_rect(rng, span=80.0).grown(5.0)
+            window = grown(random_rect(rng, span=80.0), 5.0)
             vector_rows, scalar_rows = [], []
             vector_groups = tree.window_leaves(window, rows=vector_rows)
             scalar_groups = reference.window_leaves(tree, window, rows=scalar_rows)
             assert [
                 (node.node_id, matches) for node, matches in vector_groups
             ] == [(node.node_id, matches) for node, matches in scalar_groups]
-            assert [n.node_id for n in tree.matching_leaves(window)] == [
-                node.node_id for node, _ in scalar_groups
-            ]
             assert len(vector_rows) == len(scalar_rows)
             for got, want in zip(vector_rows, scalar_rows):
                 assert np.array_equal(got, want)
@@ -97,7 +98,7 @@ class TestQueryOrderEquivalence:
     def test_batch_queries_match_single_queries(self, seeded_tree):
         tree, rects = seeded_tree
         rng = random.Random(10)
-        windows = [random_rect(rng, span=80.0).grown(3.0) for _ in range(30)]
+        windows = [grown(random_rect(rng, span=80.0), 3.0) for _ in range(30)]
         points = [rects[rng.randrange(len(rects))].center() for _ in range(30)]
         batch = batch_entries(tree, windows)
         assert batch == [tree.window_query(w) for w in windows]
@@ -127,7 +128,7 @@ class TestQueryOrderEquivalence:
             return tree, disk
 
         rng = random.Random(4)
-        windows = [random_rect(rng, span=80.0).grown(4.0) for _ in range(10)]
+        windows = [grown(random_rect(rng, span=80.0), 4.0) for _ in range(10)]
 
         tree_a, disk_a = build(DiskModel())
         before_a = disk_a.stats()
@@ -250,7 +251,7 @@ class TestSplitEquivalence:
 
         def shape(tree):
             return [
-                (node.level, [e.oid for e in node.entries if e.is_data],
+                (node.level, [e.oid for e in node.entries if e.child is None],
                  node.mbr().as_tuple())
                 for node in tree.nodes()
             ]

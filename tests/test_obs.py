@@ -1,7 +1,6 @@
 """Tests for the unified observability layer (repro.obs): the metrics
 registry, the virtual-clock span tracer and its invariants on real
-runs, Chrome trace-event export, prefetch accuracy accounting and the
-unified ``reset_stats()`` convention."""
+runs, Chrome trace-event export and prefetch accuracy accounting."""
 
 from __future__ import annotations
 
@@ -18,7 +17,6 @@ from repro.obs import (
     Tracer,
     chrome_trace,
     metric_key,
-    percentile,
     register_store_devices,
     trace_device_totals,
     tracing,
@@ -29,6 +27,7 @@ from repro.obs.export import CLIENT_PID, DEVICE_PID, REQUIRED_EVENT_KEYS
 from repro.workload.streams import mixed_stream
 
 from tests.conftest import make_objects
+from tests.interval_list_clock import busy
 
 SMAX = 16 * 4096
 
@@ -51,30 +50,27 @@ class TestMetricsRegistry:
         c.inc()
         c.inc(3)
         assert reg.counter("tier.promotions") is c
-        assert reg.value("tier.promotions") == 4
+        assert reg.snapshot()["tier.promotions"] == 4
 
     def test_counter_labels_distinct(self):
         reg = MetricsRegistry()
         reg.counter("sched.queueing_ms", client="alpha").inc(5)
         reg.counter("sched.queueing_ms", client="beta").inc(7)
-        assert reg.value("sched.queueing_ms{client=alpha}") == 5
-        assert reg.value("sched.queueing_ms{client=beta}") == 7
+        assert reg.snapshot()["sched.queueing_ms{client=alpha}"] == 5
+        assert reg.snapshot()["sched.queueing_ms{client=beta}"] == 7
 
     def test_gauge_is_live_view(self):
         reg = MetricsRegistry()
         state = {"hits": 0}
         reg.gauge("pool.hits", lambda: state["hits"])
         state["hits"] = 42
-        assert reg.value("pool.hits") == 42
-        # Resetting a gauge does nothing: it tracks its source.
-        reg.reset_stats()
-        assert reg.value("pool.hits") == 42
+        assert reg.snapshot()["pool.hits"] == 42
 
     def test_gauge_reregistration_rebinds(self):
         reg = MetricsRegistry()
         reg.gauge("pool.hits", lambda: 1)
         reg.gauge("pool.hits", lambda: 2)
-        assert reg.value("pool.hits") == 2
+        assert reg.snapshot()["pool.hits"] == 2
         assert len(reg) == 1
 
     def test_histogram_summaries(self):
@@ -99,35 +95,20 @@ class TestMetricsRegistry:
         with pytest.raises(ConfigurationError):
             reg.gauge("x", lambda: 0)
 
-    def test_reset_stats_zeroes_counters_and_histograms(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc(9)
-        reg.histogram("h").observe(1.0)
-        reg.reset_stats()
-        assert reg.value("c") == 0
-        assert reg.get("h").count == 0
-
     def test_snapshot_is_sorted(self):
         reg = MetricsRegistry()
         reg.counter("z")
         reg.counter("a")
         assert list(reg.snapshot()) == sorted(reg.snapshot())
 
-    def test_format_and_write(self, tmp_path):
+    def test_write(self, tmp_path):
         reg = MetricsRegistry()
         reg.counter("pool.misses").inc(3)
-        text = reg.format("run")
-        assert "pool.misses" in text and "3" in text
         out = tmp_path / "metrics.json"
         reg.write(str(out), extra={"run": {"scale": 0.01}})
         data = json.loads(out.read_text())
         assert data["metrics"]["pool.misses"] == 3
         assert data["run"]["scale"] == 0.01
-
-
-class TestPercentile:
-    def test_empty_is_zero(self):
-        assert percentile([], 0.95) == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -178,7 +159,7 @@ class TestTracerUnits:
         with tracing(t):
             cost = disk.read(0, 4)
             cost += disk.read(100, 2)
-        spans = t.device_spans()
+        spans = [span for span in t.spans if span.cat == "device"]
         assert len(spans) == 2
         assert t.now_ms == pytest.approx(cost)
         assert t.device_totals() == {"disk0": pytest.approx(cost)}
@@ -324,15 +305,15 @@ class TestRunInvariants:
         # inside one of the virtual clock's merged per-disk busy
         # intervals ("charge" records are analytic, not placed).
         db, tracer, _, _ = traced_run
-        busy = db.scheduler.clock._busy
+        intervals = busy(db.scheduler.clock)
         checked = 0
-        for span in tracer.device_spans():
-            if span.name == "charge":
+        for span in tracer.spans:
+            if span.cat != "device" or span.name == "charge":
                 continue
             disk = int(span.track.removeprefix("disk"))
             assert any(
                 start - 1e-9 <= span.start_ms and span.end_ms <= end + 1e-9
-                for start, end in busy[disk]
+                for start, end in intervals[disk]
             ), span
             checked += 1
         assert checked > 0
@@ -431,14 +412,6 @@ class TestPrefetchAccuracy:
         pool.discard(2)
         assert pool.prefetch_stats()["wasted"] == 1
 
-    def test_invalidate_counts_all_pending_wasted(self):
-        pool = BufferPool(DiskModel(), capacity=8)
-        for page in (3, 4):
-            pool.admit(page)
-            pool._prefetched.add(page)
-        pool.invalidate()
-        assert pool.prefetch_stats()["wasted"] == 2
-
     def test_workload_report_folds_prefetch_counters(self):
         objects = make_objects(200, seed=51)
         db = SpatialDatabase(
@@ -461,94 +434,6 @@ class TestPrefetchAccuracy:
         report = db.run_workload(stream, buffer_pages=32)
         assert report.prefetch["issued"] == 0
         assert "prefetch:" not in report.format()
-
-
-# ----------------------------------------------------------------------
-# unified reset_stats() convention
-# ----------------------------------------------------------------------
-class TestResetStats:
-    def test_disk_reset_keeps_head(self):
-        disk = DiskModel()
-        disk.read(0, 4)
-        head = disk.head
-        assert disk.total_ms > 0
-        disk.reset_stats()
-        assert disk.total_ms == 0
-        assert disk.head == head
-
-    def test_sharded_reset_zeroes_but_keeps_placement(self):
-        db = SpatialDatabase(smax_bytes=SMAX, n_disks=4, placement="spatial")
-        db.build(make_objects(100, seed=61))
-        assert db.disk.total_ms > 0
-        db.disk.reset_stats()
-        assert db.disk.total_ms == 0
-        # Reads still work after the reset (placement intact).
-        db.window_query(0.0, 0.0, 10_000.0, 10_000.0)
-
-    def test_tiered_reset_keeps_residency_and_counters_zero(self):
-        db = SpatialDatabase(
-            smax_bytes=SMAX, tiering="promote-on-hit", fast_pages=64
-        )
-        db.build(make_objects(120, seed=62))
-        for _ in range(3):
-            db.window_query(0.0, 0.0, 10_000.0, 10_000.0)
-        resident = db.disk.fast_resident
-        db.reset_stats()
-        assert db.disk.total_ms == 0
-        assert db.disk.promotions == 0
-        assert db.disk.fast_resident == resident
-
-    def test_database_reset_facade_zeroes_registry(self):
-        objects = make_objects(120, seed=63)
-        db = SpatialDatabase(
-            smax_bytes=SMAX, n_disks=2, scheduler="overlap", prefetch="cluster"
-        )
-        db.build(objects)
-        db.run_workload(
-            mixed_stream(objects, n_windows=4, n_points=2, seed=6),
-            buffer_pages=32,
-        )
-        counters = [
-            m for m in db.metrics
-            if type(m).__name__ == "Counter" and m.value
-        ]
-        db.reset_stats()
-        assert all(m.value == 0 for m in counters)
-        assert db.disk.total_ms == 0
-
-    def test_overlap_scheduler_reset_keeps_clock(self):
-        objects = make_objects(120, seed=64)
-        db = SpatialDatabase(smax_bytes=SMAX, n_disks=2, scheduler="overlap")
-        db.build(objects)
-        db.run_sessions(
-            {"alpha": mixed_stream(objects, n_windows=3, n_points=1, seed=2)},
-            buffer_pages=32,
-        )
-        sched = db.scheduler
-        clock_times = dict(sched.clock.clients)
-        sched.reset_stats()
-        assert sched.queueing == {}
-        assert dict(sched.clock.clients) == clock_times
-
-    def test_mid_session_reset_keeps_open_spans(self):
-        objects = make_objects(100, seed=65)
-        db = SpatialDatabase(smax_bytes=SMAX, n_disks=2)
-        db.build(objects)
-        tracer = Tracer()
-        register_store_devices(tracer, db.disk)
-        with tracing(tracer):
-            session = tracer.begin("session", cat="session", parent=None)
-            db.window_query(0.0, 0.0, 10_000.0, 10_000.0)
-            db.reset_stats()  # mid-session: stats only, not trace state
-            assert session in tracer.open_spans()
-            db.window_query(0.0, 0.0, 10_000.0, 10_000.0)
-            tracer.end(session)
-        assert tracer.open_spans() == []
-        # Spans recorded after the reset still nest under the session.
-        post = [s for s in tracer.device_spans()]
-        assert post and all(
-            s.end_ms is not None and s.end_ms >= s.start_ms for s in post
-        )
 
 
 # ----------------------------------------------------------------------

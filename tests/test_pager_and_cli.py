@@ -14,6 +14,8 @@ from repro.geometry.rect import Rect
 from repro.rtree.node import Node
 from repro.rtree.pager import NodePager
 
+from tests.conftest import allocated_pages
+
 
 def make_pager(buffer=None, directory_resident=False):
     disk = DiskModel()
@@ -72,17 +74,6 @@ class TestNodePager:
         pager.flush()
         assert (disk.stats() - before).requests == 1
 
-    def test_reset_buffer_discards_without_writeback(self):
-        pager, disk = make_pager(buffer=8)
-        node = leaf_node(pager)
-        pager.write(node)
-        before = disk.stats()
-        pager.reset_buffer()
-        assert (disk.stats() - before).requests == 0
-        # next read is a miss again
-        pager.read(node)
-        assert (disk.stats() - before).requests == 1
-
     def test_directory_resident_skips_upper_levels(self):
         pager, disk = make_pager(directory_resident=True)
         directory = Node(0, 1)
@@ -95,10 +86,10 @@ class TestNodePager:
         pager, disk = make_pager(buffer=8)
         node = leaf_node(pager)
         pager.read(node)
-        allocated = pager.region.allocated_pages
+        allocated = allocated_pages(pager.region)
         pager.retire(node)
         assert node.page is None
-        assert pager.region.allocated_pages == allocated - 1
+        assert allocated_pages(pager.region) == allocated - 1
         pager.retire(node)  # idempotent
 
 
@@ -123,9 +114,9 @@ class TestDiskCharge:
     def test_charge_does_not_move_head(self):
         disk = DiskModel()
         disk.read(10, 1)
-        head = disk.head
+        head = disk._head
         disk.charge(pages=3)
-        assert disk.head == head
+        assert disk._head == head
 
 
 class TestEvalCLI:
@@ -189,23 +180,6 @@ class TestEvalCLI:
         captured = capsys.readouterr().out
         assert "cProfile top 15 by cumulative time" in captured
         assert "cumtime" in captured
-
-
-class TestQueryResultMetrics:
-    def test_ms_per_4kb(self):
-        from repro.disk.model import DiskStats
-        from repro.storage.base import QueryResult
-
-        res = QueryResult(
-            bytes_retrieved=8192,
-            io=DiskStats(seek_ms=10.0, latency_ms=6.0, transfer_ms=4.0),
-        )
-        assert res.io_ms_per_4kb == pytest.approx(10.0)
-
-    def test_ms_per_4kb_empty(self):
-        from repro.storage.base import QueryResult
-
-        assert QueryResult().io_ms_per_4kb == float("inf")
 
 
 class TestWorkloadAggregateMetrics:

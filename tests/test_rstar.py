@@ -16,6 +16,7 @@ from repro.rtree.pager import NodePager
 from repro.rtree.rstar import RStarTree
 from repro.rtree.stats import tree_stats
 
+from tests.conftest import allocated_pages
 from tests.test_rtree_split import reference_least_overlap_enlargement
 
 
@@ -136,16 +137,6 @@ class TestInsertQuery:
             assert leaf.is_leaf and entries
             for e in entries:
                 assert e in leaf.entries
-
-    def test_matching_leaves_consistent(self):
-        rects = random_rects(200, seed=9)
-        tree = RStarTree(max_entries=8)
-        for i, r in enumerate(rects):
-            tree.insert(i, r)
-        window = Rect(0, 0, 300, 300)
-        assert {n.node_id for n in tree.matching_leaves(window)} == {
-            n.node_id for n, _ in tree.window_leaves(window)
-        }
 
 
 class TestDelete:
@@ -317,11 +308,11 @@ class TestPagedTree:
         rects = random_rects(300, seed=23)
         for i, r in enumerate(rects):
             tree.insert(i, r)
-        pages_before = tree.pager.region.allocated_pages
+        pages_before = allocated_pages(tree.pager.region)
         for i in range(290):
             tree.delete(i, rects[i])
-        assert tree.pager.region.allocated_pages < pages_before
-        assert tree.pager.region.allocated_pages == tree.node_count()
+        assert allocated_pages(tree.pager.region) < pages_before
+        assert allocated_pages(tree.pager.region) == tree.node_count()
 
 
 class TestTreeStats:
@@ -332,7 +323,7 @@ class TestTreeStats:
         st_ = tree_stats(tree)
         assert st_.data_entries == 200
         assert st_.leaf_count == tree.leaf_count
-        assert st_.total_nodes == tree.node_count()
+        assert st_.leaf_count + st_.directory_count == tree.node_count()
         assert st_.nodes_per_level[0] == st_.leaf_count
         assert st_.avg_entries_per_leaf == pytest.approx(200 / st_.leaf_count)
 

@@ -94,7 +94,7 @@ class ClusterMachine(RuleBasedStateMachine):
             assert seen.isdisjoint(unit.live)
             seen.update(unit.live)
             for oid in unit.live:
-                assert org.unit_for(oid) is unit
+                assert org._unit_of.get(oid) is unit
 
     @invariant()
     def counts_match(self) -> None:

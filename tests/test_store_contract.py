@@ -5,7 +5,7 @@ Whatever sits behind the buffer pool is a tree whose leaves are
 ``DiskModel``s, so every store answers the same questions the same way
 — which disks, what they are called, how much device and response time
 an interval cost — and every composite guards its interval markers the
-same way (shape-checked, reset-epoch tagged)."""
+same way (shape-checked)."""
 
 from __future__ import annotations
 
@@ -45,6 +45,19 @@ def store(request, tmp_path):
     yield built
     if isinstance(built, FilePageStore):
         built.close()
+
+
+@pytest.fixture
+def twins(request, tmp_path):
+    """Two fresh stores of one kind, each over its own backing file."""
+    built = []
+    for side in ("a", "b"):
+        (tmp_path / side).mkdir()
+        built.append(STORES[request.param](tmp_path / side))
+    yield built
+    for twin in built:
+        if isinstance(twin, FilePageStore):
+            twin.close()
 
 
 def children_of(store) -> int:
@@ -92,34 +105,70 @@ class TestEveryStore:
             store.read(700, 3)
         assert measured.total_ms == store.cost_since(mark).total_ms - cost.total_ms
 
+    def test_a_fresh_mark_measures_nothing(self, store):
+        mixed_traffic(store)
+        mark = store.snapshot()
+        assert store.stats_since(mark) == DiskStats()
+        cost = store.cost_since(mark)
+        assert cost.total_ms == cost.response_ms == 0.0
+        assert cost.per_disk_ms == [0.0] * children_of(store)
+
+    def test_two_marks_split_an_interval(self, store):
+        first = store.snapshot()
+        mixed_traffic(store)
+        head = store.stats_since(first)
+        second = store.snapshot()
+        store.read(700, 3)
+        store.write(900, 2)
+        whole, tail = store.stats_since(first), store.stats_since(second)
+        assert tail.requests >= 2 and tail.pages_transferred >= 5
+        assert whole.requests == head.requests + tail.requests
+        assert whole.pages_transferred == head.pages_transferred + tail.pages_transferred
+        assert store.cost_since(first).total_ms == pytest.approx(
+            head.total_ms + store.cost_since(second).total_ms
+        )
+
+    def test_a_request_answers_its_response_within_its_device_time(self, store):
+        for issue in (
+            lambda: store.read(0, 8),
+            lambda: store.write(40, 4),
+            lambda: store.read_runs([(100, 2), (300, 4)]),
+            lambda: store.write_runs([(500, 2), (502, 1)]),
+        ):
+            mark = store.snapshot()
+            response = issue()
+            device_ms = store.cost_since(mark).total_ms
+            assert 0.0 < response <= device_ms + 1e-9
+
+
+@pytest.mark.parametrize("twins", STORES, indirect=True)
+class TestTwoFreshStores:
+    def test_identical_traffic_prices_identically(self, twins):
+        responses = []
+        for twin in twins:
+            mark = twin.snapshot()
+            mixed_traffic(twin)
+            responses.append((twin.read(0, 8), twin.stats_since(mark)))
+        assert responses[0] == responses[1]
+        assert [d.stats() for d in twins[0].disks] == [d.stats() for d in twins[1].disks]
+
+    def test_extent_calls_price_as_their_page_calls(self, twins):
+        by_extent, by_pages = twins
+        costs = [
+            by_extent.read_extent(Extent(10, 6)),
+            by_extent.write_extent(Extent(200, 3)),
+            by_extent.read_extent(Extent(16, 2), continuation=True),
+        ]
+        assert costs == [
+            by_pages.read(10, 6),
+            by_pages.write(200, 3),
+            by_pages.read(16, 2, continuation=True),
+        ]
+        assert by_extent.stats() == by_pages.stats()
+
 
 @pytest.mark.parametrize("store", COMPOSITES, indirect=True)
 class TestEveryComposite:
-    @pytest.mark.parametrize("how", ["reset", "reset_stats"])
-    def test_a_mark_from_before_a_reset_measures_from_zero(self, store, how):
-        store.read(0, 8)
-        store.read(100, 8)
-        heads = [disk.head for disk in store.disks]
-        stale = store.snapshot()
-        getattr(store, how)()
-        assert store.total_ms == store.response_ms == 0.0
-        assert all(disk.stats() == DiskStats() for disk in store.disks)
-        assert [disk.head for disk in store.disks] == (
-            [None] * len(heads) if how == "reset" else heads
-        )
-        assert store.stats_since(stale) == DiskStats()
-        cost = store.cost_since(stale)
-        assert cost.total_ms == cost.response_ms == 0.0
-        store.read(200, 4)
-        assert store.stats_since(stale).pages_transferred == 4
-        cost = store.cost_since(stale)
-        assert cost.total_ms > 0.0
-        assert all(ms >= 0.0 for ms in cost.per_disk_ms)
-        # A marker taken after the reset measures normally again.
-        fresh = store.snapshot()
-        store.read(300, 2)
-        assert store.stats_since(fresh).pages_transferred == 2
-
     def test_a_mark_of_the_wrong_shape_is_rejected(self, store):
         n = children_of(store)
         for foreign in (
@@ -133,7 +182,6 @@ class TestEveryComposite:
                 store.stats_since(foreign)
             with pytest.raises(ConfigurationError):
                 store.cost_since(foreign)
-        # A bare list[DiskStats] of the right shape (what snapshot()
-        # returned before the epoch marker) still measures.
+        # A bare list[DiskStats] of the right shape is a marker.
         store.read(0, 1)
         assert store.stats_since([DiskStats() for _ in range(n)]).requests == 1

@@ -161,7 +161,7 @@ class TestCachePolicies:
         assert store.capacity.total_ms > capacity_before
         assert store.fast.total_ms == fast_before
         assert store.tier_of(0) == store.CAPACITY
-        assert store.invalidations == 1
+        assert store.metrics.counter("tier.invalidations").value == 1
 
     def test_forget_extent_drops_copies_for_free(self):
         store = TieredPageStore(8, migration="lru-demote")
@@ -195,8 +195,8 @@ class TestWriteBack:
         assert store.fast.total_ms > fast_before
         assert store.capacity.total_ms == capacity_before
         assert store.tier_of(10) == store.FAST
-        assert store.dirty_pages == 1
-        assert store.invalidations == 0
+        assert len(store._dirty) == 1
+        assert store.metrics.counter("tier.invalidations").value == 0
 
     def test_demoting_a_written_page_prices_the_copy_back(self):
         # Device-time regression: the deferred capacity write must be
@@ -214,8 +214,8 @@ class TestWriteBack:
         store.read(30, 1)   # promote 30 -> evicts dirty 10 -> copy-back
         twin.read(30, 1)
         twin.write(10, 1)
-        assert store.copybacks == 1
-        assert store.dirty_pages == 0
+        assert store.metrics.counter("tier.copybacks").value == 1
+        assert len(store._dirty) == 0
         assert store.tier_of(10) == store.CAPACITY
         assert store.capacity.total_ms == pytest.approx(twin.total_ms)
 
@@ -229,7 +229,7 @@ class TestWriteBack:
         since = store.capacity.stats() - capacity_before
         assert since.requests == 1  # the demand read alone
         assert store.demotions == 1
-        assert store.copybacks == 0
+        assert store.metrics.counter("tier.copybacks").value == 0
 
     def test_adjacent_dirty_evictions_coalesce(self):
         store = TieredPageStore(
@@ -237,14 +237,13 @@ class TestWriteBack:
         )
         store.read(10, 3)
         store.write(10, 3)  # three adjacent dirty pages
-        assert store.dirty_pages == 3
+        assert len(store._dirty) == 3
         capacity_before = store.capacity.stats()
         store.read(40, 3)  # evicts all of 10..12
         since = store.capacity.stats() - capacity_before
-        assert store.copybacks == 3
+        assert store.metrics.counter("tier.copybacks").value == 3
         # One demand read plus ONE coalesced copy-back write.
         assert since.requests == 2
-        assert store.metrics.counter("tier.copybacks").value == 3
 
     def test_forget_extent_discards_dirty_marks(self):
         store = TieredPageStore(
@@ -252,10 +251,10 @@ class TestWriteBack:
         )
         store.read(10, 2)
         store.write(10, 2)
-        assert store.dirty_pages == 2
+        assert len(store._dirty) == 2
         total_before = store.total_ms
         store.forget_extent(Extent(10, 2))
-        assert store.dirty_pages == 0
+        assert len(store._dirty) == 0
         assert store.total_ms == total_before  # freed pages: no copy-back
 
     def test_write_through_remains_the_default(self):
@@ -263,9 +262,9 @@ class TestWriteBack:
         assert store.write_policy == "write-through"
         store.read(10, 1)
         store.write(10, 1)
-        assert store.invalidations == 1
-        assert store.dirty_pages == 0
-        assert store.copybacks == 0
+        assert store.metrics.counter("tier.invalidations").value == 1
+        assert len(store._dirty) == 0
+        assert store.metrics.counter("tier.copybacks").value == 0
 
 
 class TestMeasurementSurface:

@@ -1,7 +1,7 @@
 """The traffic generator and the event-heap traffic runner.
 
-Covers :mod:`repro.workload.traffic` (arrival processes, class mix,
-JSONL persistence), :meth:`WorkloadEngine.run_traffic` through the
+Covers :mod:`repro.workload.traffic` (arrival processes, class mix),
+:meth:`WorkloadEngine.run_traffic` through the
 database facade (determinism, per-class accounting, admission
 classification and re-queueing), and the cached percentile paths the
 10^5-operation runs depend on.
@@ -15,16 +15,14 @@ from hypothesis import given, settings, strategies as st
 from repro.database import SpatialDatabase
 from repro.errors import ConfigurationError
 from repro.iosched.admission import PriorityAdmission
-from repro.obs.metrics import Histogram, percentile
+from repro.obs.metrics import Histogram, percentile_sorted
 from repro.workload.engine import Row, RunReport
 from repro.workload.streams import mixed_stream
 from repro.workload.traffic import (
     ARRIVALS,
     TrafficSession,
     class_of_session,
-    load_traffic,
     make_traffic,
-    save_traffic,
 )
 
 from tests.conftest import make_objects
@@ -122,40 +120,6 @@ class TestGenerator:
             generate(objects, analytics_fraction=1.5)
 
 
-class TestPersistence:
-    def test_save_load_round_trip(self, objects, tmp_path):
-        sessions = generate(objects, n=40, arrival="closed", think_ms=10.0)
-        path = tmp_path / "traffic.jsonl"
-        assert save_traffic(sessions, path) == 40
-        loaded = load_traffic(path)
-        assert [
-            (s.name, s.klass, s.arrival_ms, s.think_ms, s.operations)
-            for s in sessions
-        ] == [
-            (s.name, s.klass, s.arrival_ms, s.think_ms, s.operations)
-            for s in loaded
-        ]
-
-    def test_load_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text("not json\n")
-        with pytest.raises(ConfigurationError):
-            load_traffic(path)
-        path.write_text('{"no_session": 1}\n')
-        with pytest.raises(ConfigurationError):
-            load_traffic(path)
-
-    def test_load_defaults_class_from_name(self, tmp_path):
-        path = tmp_path / "traffic.jsonl"
-        path.write_text(
-            '{"session": "ana-000001", "ops": [{"op": "point", "x": 1.0, "y": 2.0}]}\n'
-        )
-        (session,) = load_traffic(path)
-        assert session.klass == "analytics"
-        assert session.arrival_ms == 0.0
-        assert session.operations == [("point", 1.0, 2.0)]
-
-
 def traffic_db(n_disks=4, scheduler="overlap"):
     db = SpatialDatabase(
         smax_bytes=16 * 4096, n_disks=n_disks, scheduler=scheduler
@@ -186,8 +150,8 @@ class TestRunTraffic:
         assert sum(c.sessions for c in report.classes) == 120
         # Per-class latency histograms live in the metrics registry.
         for c in report.classes:
-            hist = db.metrics.get(f"op.latency_ms{{class={c.name}}}")
-            assert hist is not None and hist.count == c.operations
+            (hist,) = [m for m in db.metrics if m.key == f"op.latency_ms{{class={c.name}}}"]
+            assert hist.count == c.operations
             assert hist.percentile(0.99) == c.p99_ms
         # The format renders without blowing up and names each class.
         text = report.format()
@@ -211,9 +175,9 @@ class TestRunTraffic:
         db.build(objects)
         db.run_traffic(generate(objects, n=60), buffer_pages=128)
         client_keys = [
-            name
-            for name in db.metrics.names()
-            if "client=int-" in name or "client=ana-" in name
+            metric.key
+            for metric in db.metrics
+            if "client=int-" in metric.key or "client=ana-" in metric.key
         ]
         assert client_keys == []
 
@@ -346,17 +310,15 @@ class TestPercentileCaching:
         hist.observe(0.5)
         assert hist.sorted_values() == [0.5, 1.0, 3.0, 5.0]
         assert hist.percentile(1.0) == 5.0
-        hist.reset()
-        assert hist.percentile(0.5) == 0.0
 
     def test_row_percentiles_match_uncached(self):
         stats = Row("window")
         stats.latencies.extend([9.0, 2.0, 7.0, 4.0])
-        assert stats.p50_ms == percentile([9.0, 2.0, 7.0, 4.0], 0.50)
+        assert stats.p50_ms == percentile_sorted([2.0, 4.0, 7.0, 9.0], 0.50)
         stats.latencies.append(1.0)
-        assert stats.p50_ms == percentile([9.0, 2.0, 7.0, 4.0, 1.0], 0.50)
+        assert stats.p50_ms == percentile_sorted([1.0, 2.0, 4.0, 7.0, 9.0], 0.50)
         assert stats.p99_ms == 9.0
-        assert stats.p95_ms == percentile([9.0, 2.0, 7.0, 4.0, 1.0], 0.95)
+        assert stats.p95_ms == percentile_sorted([1.0, 2.0, 4.0, 7.0, 9.0], 0.95)
         stats.latencies.append(40.0)
         assert stats.p99_ms == 40.0
         assert stats.sorted_latencies() == [1.0, 2.0, 4.0, 7.0, 9.0, 40.0]
@@ -380,7 +342,6 @@ def served_op_counts() -> dict[str, float]:
     from contextlib import ExitStack
     from unittest.mock import patch
 
-    from repro.buffer.policy import PolicyBuffer
     from repro.buffer.pool import BufferPool
     from repro.data.series import scaled, spec_for
     from repro.data.tiger import generate_map
@@ -402,7 +363,7 @@ def served_op_counts() -> dict[str, float]:
     sessions = make_traffic(objects, 40, rate_per_s=10.0, seed=7)
     ops = sum(len(s.operations) for s in sessions)
     calls = dict.fromkeys(
-        ("submits", "gets", "pool_access", "pool_admit", "frames_single_key",
+        ("submits", "gets", "pool_access", "pool_admit",
          "disk_of_in_transfer", "contains_in_refine"), 0
     )
     submits_by_op: list[int] = []
@@ -454,15 +415,14 @@ def served_op_counts() -> dict[str, float]:
         spy(stack, SpatialOrganization, "_run_queries", per_query)
         for name in ("access", "admit"):
             spy(stack, BufferPool, name, counted(f"pool_{name}"))
-            spy(stack, PolicyBuffer, name, counted("frames_single_key"))
         spy(stack, ShardedPageStore, "_transfer", scoped("transfer"))
         spy(stack, SpatialOrganization, "_refine", scoped("refine"))
         spy(stack, PlacementPolicy, "disk_of", counted("disk_of_in_transfer", "transfer"))
         spy(stack, Rect, "contains", counted("contains_in_refine", "refine"))
         report = db.run_traffic(sessions, buffer_pages=16)
     assert len(submits_by_op) == ops == sum(c.operations for c in report.classes)
-    evictions = db.metrics.get(f"pool.evictions{{pool={db.name}.workload}}")
-    assert evictions is not None and evictions.value > ops, "a pool under pressure"
+    evictions = db.metrics.snapshot()[f"pool.evictions{{pool={db.name}.workload}}"]
+    assert evictions > ops, "a pool under pressure"
     return {
         "ops": ops,
         "max_submits_in_one_op": max(submits_by_op),
@@ -542,11 +502,10 @@ class TestServedOpCounts:
         assert 0.9 * ops <= counts["submits"] <= ops
         # Per page: only the node ``get``s go through the pool's
         # single-key calls — one access each and one admit per miss;
-        # no unit page does, and none reaches the frame table's.
+        # no unit page does.
         assert counts["gets"] > ops
         assert counts["pool_access"] == counts["gets"]
         assert 0 < counts["pool_admit"] <= counts["gets"]
-        assert counts["frames_single_key"] == 0
         # Per run: the store routes whole runs; per entry: the
         # containment shortcut is one mask per query.
         assert counts["disk_of_in_transfer"] == 0

@@ -28,13 +28,13 @@ from repro.iosched.scheduler import VirtualClock
 from repro.workload.streams import mixed_stream
 
 from tests.conftest import make_objects
-from tests.interval_list_clock import IntervalListClock
+from tests.interval_list_clock import IntervalListClock, busy as busy_intervals
 
 CLOCKS = [VirtualClock, IntervalListClock]
 
 
 def busy(clock, disk=0):
-    return clock._busy[disk]
+    return busy_intervals(clock)[disk]
 
 
 @pytest.mark.parametrize("clock_cls", CLOCKS, ids=["bisect", "scan"])
@@ -151,7 +151,7 @@ class TestClockEquivalenceFuzz:
             )
             work = rng.choice((0.0, float(rng.randrange(1, 30))))
             assert new.reserve(disk, at, work) == old.reserve(disk, at, work)
-        assert new._busy == old._busy
+        assert busy_intervals(new) == busy_intervals(old)
         assert new.disk_free == old.disk_free
         assert new.makespan == old.makespan
 
@@ -178,7 +178,7 @@ class TestClockEquivalenceFuzz:
             assert new.last_intervals == old.last_intervals
             new.wait(client, finish_new)
             old.wait(client, finish_old)
-        assert new._busy == old._busy
+        assert busy_intervals(new) == busy_intervals(old)
         assert new.makespan == old.makespan
 
     def test_reset_clears_both(self):
@@ -229,7 +229,7 @@ class TestTraceReplayEquivalence:
                 report.makespan_ms,
                 [(c.name, c.queueing_ms, c.response_ms) for c in report.clients],
                 scheduler.clock.last_intervals,
-                scheduler.clock._busy,
+                busy_intervals(scheduler.clock),
                 report.format(),
             )
         assert reports["new"] == reports["old"]

@@ -401,12 +401,6 @@ class TestHitRateGuards:
         assert report.hit_rate == 0.0
         assert report.makespan_ms == 0.0
 
-    def test_empty_replacement_buffer_hit_rate(self):
-        from repro.buffer.policy import make_buffer
-
-        for policy in ("lru", "fifo", "clock", "lru-k"):
-            assert make_buffer(policy, 4).hit_rate == 0.0
-
     def test_empty_workload_run_reports_zero(self, workload_setup):
         resident, _ = workload_setup
         db = build_db(resident, name="hr")
