@@ -161,13 +161,13 @@ def test_ablation_slm_gap(ctx, benchmark, record_table):
         org = build_cluster(ctx, "C-1")
         request_sets: list[list[int]] = []
         for window in ctx.windows("C-1", 1e-4):
-            for leaf, entries in org.tree.window_leaves(window):
+            for leaf, hits in org.tree.window_leaves(window):
                 unit = leaf.tag
                 if unit is None:
                     continue
                 oids = [
-                    e.oid for e in entries
-                    if org.extent_of(e.oid) is None
+                    leaf.entries[i].oid for i in hits.tolist()
+                    if org.extent_of(leaf.entries[i].oid) is None
                 ]
                 if oids:
                     request_sets.append(unit.requested_pages(oids))

@@ -22,6 +22,8 @@ Section 5.3.1.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.policy import ClusterPolicy
 from repro.core.techniques import (
     adaptive_prefers_complete,
@@ -345,63 +347,68 @@ class ClusterOrganization(SpatialOrganization):
         self,
         plan: AccessPlan,
         leaf: Node,
-        entries: list[Entry],
+        hits: np.ndarray,
         window: Rect | None,
         selective: bool,
-        candidates: list[SpatialObject],
-    ) -> list[int] | None:
+    ) -> np.ndarray:
         """Schedule one data-page group onto ``plan`` — oversize extents
         first, then the cluster unit under the configured technique —
-        appending the candidate objects in request order (returned as
-        entry positions when an oversize object made it differ from the
-        entries').  On a merged plan the technique planners draw chain
-        ids from the shared plan, keeping continuation runs distinct,
-        but the per-group ``plan.extent`` prefetch hint degenerates to
-        the last group's unit — which is why merging requires a
-        prefetcher-free pool (``SpatialOrganization._batchable``)."""
-        extents, objects = self._extents, self.objects
-        in_unit = [entry.oid for entry in entries]
-        order = None
+        and return the entry positions ``hits`` in that request order.
+        Object ids are read only where a request needs one: an oversize
+        extent, or a technique that addresses objects one by one.  On a
+        merged plan the technique planners draw chain ids from the
+        shared plan, keeping continuation runs distinct, but the
+        per-group ``plan.extent`` prefetch hint degenerates to the last
+        group's unit — which is why merging requires a prefetcher-free
+        pool (``SpatialOrganization._batchable``)."""
+        extents, entries = self._extents, leaf.entries
+        in_unit = hits
         if extents:  # almost always empty: Smax is far above the average
-            apart = [i for i, oid in enumerate(in_unit) if oid in extents]
-            if apart:
-                order = apart + [i for i in range(len(in_unit)) if i not in apart]
-                for oid in (in_unit[i] for i in apart):
-                    plan.read_extent(extents[oid])
-                    candidates.append(objects[oid])
-                in_unit = [in_unit[i] for i in order[len(apart):]]
-        if in_unit:
+            apart = np.fromiter(
+                (entries[i].oid in extents for i in hits.tolist()), dtype=bool, count=len(hits)
+            )
+            if apart.any():
+                for i in hits[apart].tolist():
+                    plan.read_extent(extents[entries[i].oid])
+                in_unit = hits[~apart]
+                hits = np.concatenate((hits[apart], in_unit))
+        if len(in_unit):
             unit: ClusterUnit | None = leaf.tag
             if unit is None:
                 raise StorageError(
                     f"data page {leaf.node_id} has objects but no cluster unit"
                 )
-            self._read_unit(plan, unit, in_unit, leaf, window, selective)
-            candidates.extend([objects[oid] for oid in in_unit])
-        return order
+            self._read_unit(plan, unit, leaf, in_unit, window, selective)
+        return hits
 
     def _read_unit(
         self,
         plan: AccessPlan,
         unit: ClusterUnit,
-        oids: list[int],
         leaf: Node,
+        hits: np.ndarray,
         window: Rect | None,
         selective: bool,
     ) -> None:
-        """Schedule the object transfer for one cluster unit onto the
-        plan according to the configured technique."""
+        """Schedule the object transfer of the entries at positions
+        ``hits`` of ``leaf`` from its cluster unit onto the plan
+        according to the configured technique."""
         used = self._priced_pages(unit)
         if used:
             # Cluster-unit-aware prefetchers complete the rest of the
             # unit's used pages after the plan executes.
             plan.extent = Extent(unit.extent.start, used)
+
+        def oids() -> list[int]:
+            entries = leaf.entries
+            return [entries[i].oid for i in hits.tolist()]
+
         if selective:
             # Point queries dereference each object individually through
             # the unit's relative addresses (Section 4.2.2) — the same
             # access pattern as the secondary organization, which is why
             # Figure 12 shows "almost no difference" between the two.
-            for oid in oids:
+            for oid in oids():
                 start, npages = unit.page_span(oid)
                 plan.read(unit.extent.start + start, npages)
             return
@@ -417,27 +424,27 @@ class ClusterOrganization(SpatialOrganization):
             if region.overlap_fraction(window) >= threshold:
                 plan_complete(plan, unit)
             else:
-                plan_per_object(plan, unit, oids)
+                plan_per_object(plan, unit, oids())
         elif technique == "adaptive":
             # Extension beyond the paper: the filter step already knows
             # exactly how many objects the unit must deliver.
             if adaptive_prefers_complete(
                 max(1, used),
-                len(oids),
+                len(hits),
                 self._avg_pages_per_object(),
                 self.disk.params,
             ):
                 plan_complete(plan, unit)
             else:
-                plan_per_object(plan, unit, oids)
+                plan_per_object(plan, unit, oids())
         elif technique == "complete" or technique == "threshold":
             plan_complete(plan, unit)
         elif technique == "page":
-            plan_per_object(plan, unit, oids)
+            plan_per_object(plan, unit, oids())
         elif technique == "slm":
-            plan_slm(plan, unit, oids, self.disk.params.slm_gap_pages)
+            plan_slm(plan, unit, oids(), self.disk.params.slm_gap_pages)
         elif technique == "optimum":
-            plan_optimum(plan, unit, oids)
+            plan_optimum(plan, unit, oids())
         else:  # pragma: no cover - guarded in __init__
             raise ConfigurationError(f"unknown technique {technique}")
 

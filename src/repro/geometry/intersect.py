@@ -13,16 +13,17 @@ spots — have batch forms.  The window queries' rectangle test
 (:func:`polylines_intersect_rects`, also a long polyline's) decides
 almost every row by one outcode comparison per vertex and hands the
 few segments left to :func:`segment_intersects_rect` itself.  The
-join's pair test (:func:`polylines_intersect_rows`) reads polylines
-as rows of a :class:`PolylineTable` — one vertex column, each row's
-tight MBR and each segment's eps-closed box, built once per distinct
-polyline — drops the segments whose box misses the other polyline's
-eps-widened MBR, and sends the cells left through the one vector form
-of the segment hit rule (``_segments_intersect_mask``), with the
-identical float64 comparisons and ``_EPS`` tolerances
-(:func:`polylines_intersect_pairs` is its form over two lists of
-vertex matrices).  Either way the boolean answers agree with the
-scalar predicates on every input, eps-boundary cases included.
+join's pair test (:func:`polylines_intersect_rows`) drops the
+segments whose box misses the other polyline's eps-widened MBR, and
+sends the cells left through the one vector form of the segment hit
+rule (``_segments_intersect_mask``), with the identical float64
+comparisons and ``_EPS`` tolerances.  Both read polylines as rows of
+a :class:`~repro.geometry.column.GeometryColumn` — an organization's,
+or one built from a list of vertex matrices for the list forms
+(:func:`polylines_intersect_pairs`, a long polyline's window test) —
+and gather a call's vertices by row.  Either way the boolean answers
+agree with the scalar predicates on every input, eps-boundary cases
+included.
 
 The hit rule starts with a box pretest (segments whose eps-closed boxes
 are disjoint never meet), so every cell a kernel prunes by a box is a
@@ -31,7 +32,6 @@ cell the rule rejects.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -51,7 +51,6 @@ __all__ = [
     "polylines_intersect",
     "polylines_intersect_pairs",
     "polylines_intersect_rows",
-    "PolylineTable",
     "mbr_intersect_mask",
 ]
 
@@ -247,10 +246,14 @@ def polyline_intersects_rect(
     if len(vertices) == 1:
         return rect.contains_point(*vertices[0])
     if len(vertices) >= _VECTOR_MIN_VERTICES:
+        from repro.geometry.column import GeometryColumn
+
         pts = coords() if coords is not None else np.asarray(
             vertices, dtype=np.float64
         )
-        return bool(polylines_intersect_rects([pts], [rect.as_tuple()])[0])
+        return bool(
+            polylines_intersect_rects(GeometryColumn.of([pts]), _ROW0, rect.as_tuple())[0]
+        )
     for i in range(len(vertices) - 1):
         if segment_intersects_rect(vertices[i], vertices[i + 1], rect):
             return True
@@ -258,14 +261,15 @@ def polyline_intersects_rect(
 
 
 def polylines_intersect_rects(
-    coords_list: Sequence[np.ndarray],
-    rects: Sequence[tuple[float, float, float, float]] | np.ndarray,
+    column, rows: np.ndarray, rects: tuple[float, float, float, float] | np.ndarray
 ) -> np.ndarray:
-    """Batched :func:`polyline_intersects_rect` over *independent* pairs:
-    ``out[k]`` is True iff polyline ``coords_list[k]`` (an ``(n_k, 2)``
-    float64 vertex matrix) shares a point with rectangle ``rects[k]``
-    (an ``(xmin, ymin, xmax, ymax)`` row); a row without vertices is
-    False.
+    """Batched :func:`polyline_intersects_rect` over rows of a
+    :class:`~repro.geometry.column.GeometryColumn`: ``out[k]`` is True
+    iff the polyline in row ``rows[k]`` shares a point with its
+    rectangle — ``rects[k]`` of a ``(k, 4)`` array, or the one
+    ``(xmin, ymin, xmax, ymax)`` tuple ``rects`` for every row; a row
+    without vertices is False.  Rows may repeat and come in any order:
+    their vertices are gathered from the column by one index.
 
     The window-refinement hot path, batched across the candidates and
     queries of one call.  One Cohen-Sutherland outcode per vertex — a
@@ -279,18 +283,21 @@ def polylines_intersect_rects(
     itself, so the booleans are the scalar predicate's by construction,
     ``_EPS`` edge tests included.
     """
-    n = len(coords_list)
+    n = len(rows)
     out = np.zeros(n, dtype=bool)
-    counts = np.fromiter(map(len, coords_list), dtype=np.int64, count=n)
-    ends = counts.cumsum()  # row r: vertices ends[r] - counts[r] to ends[r] - 1
-    if not n or not ends[-1]:
+    if not n:
         return out
-    rects = np.fromiter(
-        chain.from_iterable(rects), dtype=np.float64, count=4 * n
-    ).reshape(n, 4)
-    pts = np.concatenate(coords_list)
+    index, ends = column.vertex_index(rows)
+    if not ends[-1]:
+        return out
+    pts = column.vertices.take(index, axis=0)
     x, y = pts.T
-    xmin, ymin, xmax, ymax = rects.T.repeat(counts, axis=1)
+    one = isinstance(rects, tuple)
+    if one:
+        xmin, ymin, xmax, ymax = rects
+    else:
+        rects = np.asarray(rects, dtype=np.float64)
+        xmin, ymin, xmax, ymax = rects.T.repeat(np.diff(ends, prepend=0), axis=1)
     # One flag byte per side, four to a vertex: the uint32 view is the
     # outcode (zero inside).
     outside = np.empty((len(pts), 4), dtype=bool)
@@ -301,6 +308,8 @@ def polylines_intersect_rects(
     code = outside.view(np.uint32).ravel()
     inside = code == 0
     out[ends.searchsorted(inside.nonzero()[0], side="right")] = True
+    if np.count_nonzero(out) == n:  # a point query at a vertex, typically
+        return out
     # Every flag on an inside vertex: its row is decided, its segments
     # are not tested.  (An empty row's ``ends - 1`` is another row's
     # last vertex.)
@@ -309,13 +318,12 @@ def polylines_intersect_rects(
     if not len(seg):
         return out
     row = ends.searchsorted(seg, side="right")
+    boxes = [rects] * len(row) if one else rects[row].tolist()
     # Plain Python floats: numpy scalars would make every scalar
     # comparison several times slower.  A row may have been decided by
     # a vertex away from this segment.
-    for r, a, b, rect in zip(
-        row.tolist(), pts[seg].tolist(), pts[seg + 1].tolist(), rects[row].tolist()
-    ):
-        if not out[r] and segment_intersects_rect(a, b, Rect(*rect)):
+    for r, a, b, box in zip(row.tolist(), pts[seg].tolist(), pts[seg + 1].tolist(), boxes):
+        if not out[r] and segment_intersects_rect(a, b, Rect(*box)):
             out[r] = True
     return out
 
@@ -369,116 +377,40 @@ def polylines_intersect_pairs(
     (``(n, 2)`` float64 vertex matrices) share a point.
 
     The list form of :func:`polylines_intersect_rows`: one
-    :class:`PolylineTable` per list, pair ``k`` is row ``k`` of each.
-    A pair with a single-vertex side runs :func:`polylines_intersect`;
-    one with a side without vertices raises :class:`GeometryError`.
+    :class:`~repro.geometry.column.GeometryColumn` per list, pair ``k``
+    is row ``k`` of each.  A pair with a single-vertex side runs
+    :func:`polylines_intersect`; one with a side without vertices
+    raises :class:`GeometryError`.
     """
+    from repro.geometry.column import GeometryColumn
+
     rows = np.arange(len(coords_a))
     return polylines_intersect_rows(
-        PolylineTable(coords_a), rows, PolylineTable(coords_b), rows
+        GeometryColumn.of(coords_a), rows, GeometryColumn.of(coords_b), rows
     )
 
 
-class PolylineTable:
-    """Polylines as rows over one vertex column — what the join's pair
-    kernel gathers from, so a polyline that takes part in many pairs is
-    copied, boxed and segmented once.
-
-    ``column`` is the ``(2, V)`` x/y matrix of every row's vertices in
-    row order, row ``r`` is ``column[:, starts[r]:starts[r] + counts[r]]``,
-    ``boxes[r]`` its tight MBR (``xmin, ymin, xmax, ymax``; NaN for a
-    row without vertices) and ``segments[:, v]`` the eps-closed box of
-    segment ``v -> v + 1`` (``lo_x, lo_y, hi_x, hi_y``, high sides
-    with ``_EPS`` as in the hit rule's pretest; meaningless for a row's
-    last ``v``).
-    """
-
-    __slots__ = ("column", "starts", "counts", "boxes", "segments")
-
-    def __init__(self, coords_list: Sequence[np.ndarray]):
-        n = len(coords_list)
-        self.counts = np.fromiter(map(len, coords_list), dtype=np.int64, count=n)
-        ends = self.counts.cumsum()
-        self.starts = ends - self.counts
-        self.boxes = np.full((n, 4), np.nan)
-        if not n or not ends[-1]:
-            self.column = np.empty((2, 0))
-            self.segments = np.empty((4, 0))
-            return
-        self.column = np.concatenate(coords_list, dtype=np.float64).T.copy()
-        x, y = self.column
-        full = self.counts > 0
-        self.boxes[full] = np.column_stack([
-            bound.reduceat(v, self.starts[full])
-            for bound, v in ((np.minimum, x), (np.minimum, y), (np.maximum, x), (np.maximum, y))
-        ])
-        # max(x + _EPS) is max(x) + _EPS: rounding is monotone.
-        self.segments = np.empty((4, len(x) - 1))
-        lo_x, lo_y, hi_x, hi_y = self.segments
-        np.minimum(x[:-1], x[1:], out=lo_x)
-        np.minimum(y[:-1], y[1:], out=lo_y)
-        np.maximum(x[:-1], x[1:], out=hi_x)
-        np.maximum(y[:-1], y[1:], out=hi_y)
-        self.segments[2:] += _EPS
-
-    def gather(self, seg: np.ndarray) -> list[np.ndarray]:
-        """Segments ``seg``: their endpoints ``ax, ay, bx, by`` and their
-        boxes ``lo_x, lo_y, hi_x, hi_y``, one array each."""
-        (x, y), after = self.column, seg + 1
-        return [
-            x.take(seg), y.take(seg), x.take(after), y.take(after),
-            *(side.take(seg) for side in self.segments),
-        ]
-
-    def live_segments(
-        self, rows: np.ndarray, other: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The segments of row ``rows[k]`` whose eps-closed boxes meet
-        the eps-widened box ``other[k]`` (a tight ``(k, 4)`` MBR row),
-        for every ``k``: ``(segment, k)`` index arrays, by ``k`` then
-        segment.  A segment outside lies wholly left of, below, right
-        of or above the box, so the hit rule's pretest rejects it
-        against every segment inside."""
-        per_row = self.counts[rows] - 1
-        owner = np.arange(len(rows)).repeat(per_row)
-        seg = (self.starts[rows] - per_row.cumsum() + per_row).take(owner)
-        seg += np.arange(len(seg))
-        # The other box's high sides carry _EPS, as every segment's do.
-        xmin, ymin = other[:, 0], other[:, 1]
-        xmax, ymax = other[:, 2] + _EPS, other[:, 3] + _EPS
-        lo_x, lo_y, hi_x, hi_y = self.segments
-        live = hi_x.take(seg) >= xmin.take(owner)
-        live &= lo_x.take(seg) <= xmax.take(owner)
-        live &= hi_y.take(seg) >= ymin.take(owner)
-        live &= lo_y.take(seg) <= ymax.take(owner)
-        live = live.nonzero()[0]
-        return seg.take(live), owner.take(live)
-
-
-def polylines_intersect_rows(
-    table_a: PolylineTable,
-    rows_a: np.ndarray,
-    table_b: PolylineTable,
-    rows_b: np.ndarray,
-) -> np.ndarray:
+def polylines_intersect_rows(column_a, rows_a: np.ndarray, column_b, rows_b: np.ndarray) -> np.ndarray:
     """Batched :func:`polylines_intersect` over *independent* pairs of
-    table rows: ``out[k]`` is True iff polyline ``rows_a[k]`` of
-    ``table_a`` and ``rows_b[k]`` of ``table_b`` share a point.
+    column rows: ``out[k]`` is True iff polyline ``rows_a[k]`` of
+    ``column_a`` and ``rows_b[k]`` of ``column_b`` share a point (each
+    a :class:`~repro.geometry.column.GeometryColumn`: vertices, their
+    rows and each row's tight MBR).
 
     The join-refinement hot path, batched **across candidate pairs**
     and restricted, as [BKS93b] restricts the MBR join, to each pair's
     box intersection: a segment whose eps-closed box misses the other
-    polyline's eps-widened MBR is dropped
-    (:meth:`PolylineTable.live_segments`), the cells live-a x live-b
-    are enumerated flat (:func:`_cells`), and the cells whose segment
-    boxes meet take :func:`_segments_intersect_mask`.  Every cell left
-    out fails the rule's box pretest.  A pair with a single-vertex side
-    runs :func:`polylines_intersect`; one with a side without vertices
+    polyline's eps-widened MBR is dropped (:func:`_segments_near`),
+    the cells live-a x live-b are enumerated flat (:func:`_cells`), and
+    the cells whose segment boxes meet take
+    :func:`_segments_intersect_mask`.  Every cell left out fails the
+    rule's box pretest.  A pair with a single-vertex side runs
+    :func:`polylines_intersect`; one with a side without vertices
     raises :class:`GeometryError`.
     """
     n = len(rows_a)
     out = np.zeros(n, dtype=bool)
-    na, nb = table_a.counts[rows_a], table_b.counts[rows_b]
+    na, nb = column_a.counts[rows_a], column_b.counts[rows_b]
     empty = np.flatnonzero((na == 0) | (nb == 0))
     if len(empty):
         raise GeometryError(f"pair {empty[0]}: a polyline without vertices")
@@ -487,22 +419,19 @@ def polylines_intersect_rows(
     # every comparison on np.float64 scalars.
     scalar = ((na == 1) | (nb == 1)).nonzero()[0]
     for k in scalar.tolist():
-        sa, sb = table_a.starts[rows_a[k]], table_b.starts[rows_b[k]]
+        sa, sb = column_a.starts[rows_a[k]], column_b.starts[rows_b[k]]
         out[k] = polylines_intersect(
-            table_a.column[:, sa:sa + na[k]].T.tolist(),
-            table_b.column[:, sb:sb + nb[k]].T.tolist(),
+            column_a.vertices[sa:sa + na[k]].tolist(),
+            column_b.vertices[sb:sb + nb[k]].tolist(),
         )
     if len(scalar) == n:
         return out
     # Live segments of the a sides, then of the b sides: the owner of
     # an a-segment is its pair p, of a b-segment n + p.
-    seg_a, owner_a = table_a.live_segments(rows_a, table_b.boxes[rows_b])
-    seg_b, owner_b = table_b.live_segments(rows_b, table_a.boxes[rows_a])
+    owner_a, sides_a = _segments_near(column_a, rows_a, column_b.boxes[rows_b])
+    owner_b, sides_b = _segments_near(column_b, rows_b, column_a.boxes[rows_a])
     owner = np.concatenate((owner_a, owner_b + n))
-    ax, ay, bx, by, lo_x, lo_y, hi_x, hi_y = (
-        np.concatenate(sides)
-        for sides in zip(table_a.gather(seg_a), table_b.gather(seg_b))
-    )
+    ax, ay, bx, by, lo_x, lo_y, hi_x, hi_y = map(np.concatenate, zip(sides_a, sides_b))
     for i, j in _cells(owner, n):
         meet = hi_x.take(i) >= lo_x.take(j)
         meet &= hi_x.take(j) >= lo_x.take(i)
@@ -515,6 +444,39 @@ def polylines_intersect_rows(
         )
         out[owner.take(i[hit])] = True
     return out
+
+
+def _segments_near(
+    column, rows: np.ndarray, other: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The segments ``v -> v + 1`` of row ``rows[k]`` whose eps-closed
+    boxes meet the eps-widened box ``other[k]`` (a tight ``(k, 4)`` MBR
+    row), for every ``k``: their ``k`` and their endpoints and boxes
+    (``ax, ay, bx, by, lo_x, lo_y, hi_x, hi_y``, one array each, high
+    sides with ``_EPS`` as in the hit rule's pretest), by ``k`` then
+    segment.  A segment outside lies wholly left of, below, right of or
+    above the box, so the pretest rejects it against every segment
+    inside."""
+    per_row = column.counts[rows] - 1
+    owner = np.arange(len(rows)).repeat(per_row)
+    seg = (column.starts[rows] - per_row.cumsum() + per_row).take(owner)
+    seg += np.arange(len(seg))
+    # One complex per vertex: a gather takes x and y at once.
+    points = column.vertices.view(np.complex128).ravel()
+    a, b = points.take(seg), points.take(seg + 1)
+    # max(x + _EPS) is max(x) + _EPS: rounding is monotone.
+    lo_x, lo_y = np.minimum(a.real, b.real), np.minimum(a.imag, b.imag)
+    hi_x, hi_y = np.maximum(a.real, b.real) + _EPS, np.maximum(a.imag, b.imag) + _EPS
+    # The other box's high sides carry _EPS, as every segment's do.
+    xmin, ymin, xmax, ymax = other.T
+    live = hi_x >= xmin.take(owner)
+    live &= lo_x <= (xmax + _EPS).take(owner)
+    live &= hi_y >= ymin.take(owner)
+    live &= lo_y <= (ymax + _EPS).take(owner)
+    live = live.nonzero()[0]
+    a, b = a.take(live), b.take(live)
+    sides = [a.real.copy(), a.imag.copy(), b.real.copy(), b.imag.copy()]
+    return owner.take(live), sides + [v.take(live) for v in (lo_x, lo_y, hi_x, hi_y)]
 
 
 def _live_segments(outside: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -554,8 +516,9 @@ def _cells(owner: np.ndarray, n: int):
 # vectorized kernels
 # ----------------------------------------------------------------------
 _CHUNK_CELLS = 65536
-"""Cells per chunk of :func:`polylines_intersect_pairs`: bounds its
-index and coordinate arrays, nothing else."""
+"""Cells per chunk of :func:`_cells`, which enumerates the cells of
+:func:`polylines_intersect_rows`: bounds its index and coordinate
+arrays, nothing else."""
 
 _VECTOR_MIN_CELLS = 128
 """A batch with fewer cells runs the scalar loops in the two
@@ -570,8 +533,11 @@ _VECTOR_MIN_VERTICES = 64
 """A :func:`polyline_intersects_rect` test below this many vertices
 runs the scalar loop (it early-exits after a handful of cheap
 per-segment checks; measured crossover ~64 vertices), a longer one
-is a batch of one through :func:`polylines_intersect_rects`.  Purely a
-performance heuristic — both paths return identical booleans."""
+is the one row of a column built from its vertices, through
+:func:`polylines_intersect_rects`.  Purely a performance heuristic —
+both paths return identical booleans."""
+
+_ROW0 = np.zeros(1, dtype=np.int64)
 
 
 def _on_segment_mask(ax, ay, bx, by, px, py) -> np.ndarray:

@@ -14,12 +14,11 @@ traversal produces them, so tree and object pages genuinely compete for
 the shared buffer) and splits the I/O cost per step, which is exactly
 the Figure 17 breakdown.  Step 3 prices no I/O, so it runs once, after
 the traversal, over the candidate pairs of the whole join: one batch of
-object-id pairs, one vector kernel call.  It is paid per object, not
-per pair: each side's distinct candidates are resolved once into one
-polyline table, and a pair is a row of each.  Like the MBR join one
-level up ([BKS93b]), the call restricts its search space to the
-intersection of each pair's boxes: a segment outside the other
-polyline's MBR is never tested.
+pairs, one vector kernel call.  Nothing is copied per object: a
+pair is a row of each side's geometry column, gathered where it lies.
+Like the MBR join one level up ([BKS93b]), the call restricts its
+search space to the intersection of each pair's boxes: a segment
+outside the other polyline's MBR is never tested.
 """
 
 from __future__ import annotations
@@ -33,13 +32,7 @@ from repro.buffer.pool import BufferPool
 from repro.disk.model import DiskStats
 from repro.errors import ConfigurationError
 from repro.geometry.decomposed import ExactTestCounter
-from repro.geometry.feature import SpatialObject
-from repro.geometry.intersect import (
-    PolylineTable,
-    mbr_intersect_mask,
-    polylines_intersect_rows,
-)
-from repro.geometry.polyline import Polyline
+from repro.geometry.intersect import mbr_intersect_mask, polylines_intersect_rows
 from repro.join.mbr_join import MBRJoin
 from repro.join.object_access import ObjectTransfer
 from repro.storage.base import SpatialOrganization
@@ -54,50 +47,34 @@ def _refine(
 ) -> np.ndarray:
     """Exact geometry test of the join's candidate pairs, a ``(k, 2)``
     array of object ids: which of them intersect, one verdict per pair.
-    Each side's distinct candidates are resolved once into one
-    :class:`~repro.geometry.intersect.PolylineTable` (polygons as their
-    closed rings), and a pair is a row of each.  Pairs whose *tight*
-    geometry MBRs are disjoint drop out first (entry rectangles may be
-    expanded, Section 6.1; every exact predicate starts from the
-    bounding boxes): one closed mask over the two rows' boxes.  The
-    polyline pairs of the whole join take one
+    A pair is a row of each side's
+    :class:`~repro.geometry.column.GeometryColumn`, found by id in the
+    column, so no object is looked up for a polyline pair.  Pairs
+    whose *tight* geometry MBRs are disjoint drop out first (entry
+    rectangles may be expanded, Section 6.1; every exact predicate
+    starts from the bounding boxes): one closed mask over the two
+    rows' boxes.  The polyline pairs of
+    the whole join take one
     :func:`~repro.geometry.intersect.polylines_intersect_rows` call,
     which tests only segments inside the other polyline's box; polygon
-    and mixed pairs keep :meth:`SpatialObject.intersects`.
+    and mixed pairs keep
+    :meth:`~repro.geometry.feature.SpatialObject.intersects`.
     """
-    objs_r, table_r, lines_r, rows_r = _side(org_r, pairs[:, 0])
-    objs_s, table_s, lines_s, rows_s = _side(org_s, pairs[:, 1])
-    tight = mbr_intersect_mask(table_r.boxes[rows_r], table_s.boxes[rows_s])
-    both = tight & lines_r[rows_r] & lines_s[rows_s]
+    column_r, column_s = org_r.column, org_s.column
+    rows_r, rows_s = column_r.rows_of(pairs[:, 0]), column_s.rows_of(pairs[:, 1])
+    tight = mbr_intersect_mask(column_r.boxes[rows_r], column_s.boxes[rows_s])
+    both = tight & column_r.lines[rows_r] & column_s.lines[rows_s]
     mixed = tight & ~both
     verdicts = np.zeros(len(pairs), dtype=bool)
     verdicts[mixed] = [
-        objs_r[r].intersects(objs_s[s])
-        for r, s in zip(rows_r[mixed].tolist(), rows_s[mixed].tolist())
+        org_r.objects[r].intersects(org_s.objects[s])
+        for r, s in pairs[mixed].tolist()
     ]
     if both.any():
         verdicts[both] = polylines_intersect_rows(
-            table_r, rows_r[both], table_s, rows_s[both]
+            column_r, rows_r[both], column_s, rows_s[both]
         )
     return verdicts
-
-
-def _side(
-    org: SpatialOrganization, oids: np.ndarray
-) -> tuple[list[SpatialObject], PolylineTable, np.ndarray, np.ndarray]:
-    """One side of :func:`_refine`: its distinct objects, their table,
-    which of them are polylines, and each pair's row."""
-    distinct, rows = np.unique(oids, return_inverse=True)
-    objects = list(map(org.objects.__getitem__, distinct.tolist()))
-    geometries = [obj.geometry for obj in objects]
-    lines = np.fromiter(
-        (isinstance(g, Polyline) for g in geometries), dtype=bool, count=len(objects)
-    )
-    table = PolylineTable([
-        g.coords() if line else g.ring_coords()
-        for g, line in zip(geometries, lines.tolist())
-    ])
-    return objects, table, lines, rows
 
 
 @dataclass(slots=True)

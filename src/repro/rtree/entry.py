@@ -4,8 +4,10 @@ One :class:`Entry` is either a *directory entry* — ``(rect, child)``
 where ``rect`` is the MBR of everything inside the child node — or a
 *data entry* — ``(rect, oid)`` optionally carrying a byte ``load`` (the
 exact-representation size of the object, used by the byte-capacity
-policies of the primary and cluster organizations) and an opaque
-``payload`` (the organization's locator for the exact representation).
+policies of the primary and cluster organizations), an opaque
+``payload`` (the organization's locator for the exact representation)
+and the object's ``row`` in its organization's geometry column
+(:mod:`repro.geometry.column`; ``-1`` outside one).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ __all__ = ["Entry"]
 class Entry:
     """A single slot of an R*-tree node."""
 
-    __slots__ = ("rect", "child", "oid", "load", "payload")
+    __slots__ = ("rect", "child", "oid", "load", "payload", "row")
 
     def __init__(
         self,
@@ -33,12 +35,14 @@ class Entry:
         oid: int | None = None,
         load: int = ENTRY_SIZE,
         payload: Any = None,
+        row: int = -1,
     ):
         self.rect = rect
         self.child = child
         self.oid = oid
         self.load = load
         self.payload = payload
+        self.row = row
 
     def __repr__(self) -> str:
         if self.child is None:

@@ -38,7 +38,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.rtree.entry import Entry
 from repro.rtree.node import Node
 
 if TYPE_CHECKING:  # pragma: no cover - import would be circular at runtime
@@ -59,8 +58,6 @@ class FlatTree:
     ----------
     nodes:
         The tree's nodes in DFS-rank order (index = node id).
-    entries:
-        All entries in global order (rank-major, position-ascending).
     entry_start:
         ``(n_nodes + 1,)`` CSR offsets: node ``i`` owns the global
         entries ``entry_start[i]:entry_start[i + 1]``.
@@ -85,7 +82,6 @@ class FlatTree:
 
     __slots__ = (
         "nodes",
-        "entries",
         "entry_start",
         "entry_counts",
         "entry_rect",
@@ -98,7 +94,6 @@ class FlatTree:
     def __init__(
         self,
         nodes: list[Node],
-        entries: list[Entry],
         entry_start: np.ndarray,
         entry_rect: np.ndarray,
         entry_q: np.ndarray,
@@ -107,7 +102,6 @@ class FlatTree:
         generation: int,
     ):
         self.nodes = nodes
-        self.entries = entries
         self.entry_start = entry_start
         self.entry_counts = np.diff(entry_start)
         self.entry_rect = entry_rect
@@ -118,7 +112,7 @@ class FlatTree:
 
     @property
     def n_entries(self) -> int:
-        return len(self.entries)
+        return len(self.entry_oid)
 
     def owner_of(self, entry_ids: np.ndarray) -> np.ndarray:
         """Node id owning each global entry id (CSR interval search;
@@ -172,13 +166,11 @@ def build_flat(tree: "RStarTree") -> FlatTree:
         entry_rect = np.empty((0, 4), dtype=np.float64)
         entry_q = np.empty((0, 4), dtype=np.float64)
 
-    entries: list[Entry] = []
     entry_child = np.full(n_entries, -1, dtype=np.int64)
     entry_oid = np.full(n_entries, -1, dtype=np.int64)
     pos = 0
     for node in nodes:
         for entry in node.entries:
-            entries.append(entry)
             child = entry.child
             if child is not None:
                 entry_child[pos] = rank[id(child)]
@@ -188,7 +180,6 @@ def build_flat(tree: "RStarTree") -> FlatTree:
 
     return FlatTree(
         nodes,
-        entries,
         entry_start,
         entry_rect,
         entry_q,

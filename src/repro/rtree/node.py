@@ -52,6 +52,7 @@ class Node:
         "_rects_valid",
         "_mbr",
         "_query_matrix",
+        "_rows",
         "_load",
     )
 
@@ -66,6 +67,7 @@ class Node:
         self._rects_valid = False
         self._mbr: Rect | None = None
         self._query_matrix: np.ndarray | None = None
+        self._rows: np.ndarray | None = None
         self._load: int | None = None
 
     # ------------------------------------------------------------------
@@ -99,11 +101,12 @@ class Node:
         return self._load
 
     def invalidate(self) -> None:
-        """Drop the cached rect matrix, query matrix, MBR and byte load
-        after any entry mutation."""
+        """Drop the cached rect matrix, query matrix, rows, MBR and byte
+        load after any entry mutation."""
         self._rects_valid = False
         self._mbr = None
         self._query_matrix = None
+        self._rows = None
         self._load = None
 
     def rect_matrix(self) -> np.ndarray:
@@ -135,6 +138,16 @@ class Node:
             np.negative(qm[:, 2:], out=qm[:, 2:])
             self._query_matrix = qm
         return self._query_matrix
+
+    def rows(self) -> np.ndarray:
+        """The entries' geometry-column rows (``Entry.row``) as an int64
+        vector, cached beside :meth:`query_matrix` until
+        :meth:`invalidate`."""
+        if self._rows is None:
+            self._rows = np.fromiter(
+                (e.row for e in self.entries), dtype=np.int64, count=len(self.entries)
+            )
+        return self._rows
 
     def patch_rect(self, index: int, rect: Rect) -> None:
         """Update one row of the cached rect matrix in place after the

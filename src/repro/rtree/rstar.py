@@ -159,9 +159,10 @@ class RStarTree:
         rect: Rect,
         load: int = ENTRY_SIZE,
         payload: Any = None,
+        row: int = -1,
     ) -> Entry:
         """Insert a data entry; returns the (mutable) stored entry."""
-        entry = Entry(rect, oid=oid, load=load, payload=payload)
+        entry = Entry(rect, oid=oid, load=load, payload=payload, row=row)
         self._overflowed_levels = set()
         self._generation += 1
         self._insert(entry, 0)
@@ -394,39 +395,33 @@ class RStarTree:
         self,
         window: Rect,
         read: Callable[[Node], None] | None = None,
-        rows: list | None = None,
-    ) -> list[tuple[Node, list[Entry]]]:
-        """Per data page, the entries matching ``window`` — the unit the
-        cluster-organization read techniques operate on (Section 5.4).
-        Only pages with at least one match are returned.  Every visited
-        page goes to ``read`` — by default the pager, which prices it —
-        and ``rows``, if given, receives per returned group the matching
-        rows of its leaf's ``query_matrix()``.
+    ) -> list[tuple[Node, np.ndarray]]:
+        """Per data page, the positions of its entries matching
+        ``window`` — the unit the cluster-organization read techniques
+        operate on (Section 5.4) — as an ascending int64 array.  Only
+        pages with at least one match are returned.  Every visited page
+        goes to ``read`` — by default the pager, which prices it.
 
         Each visited node is filtered with one boolean mask over its
-        cached rectangle matrix; pages are visited in stack-DFS order
-        and entries returned in node order."""
+        cached rectangle matrix; pages are visited in stack-DFS order."""
         read = read or self._read
         qvec = kernels.window_qvec(window)
-        groups: list[tuple[Node, list[Entry]]] = []
+        groups: list[tuple[Node, np.ndarray]] = []
         stack = [self.root]
         while stack:
             node = stack.pop()
             read(node)
             if not node.entries:
                 continue
-            matrix = node.query_matrix()
-            hits = kernels.qvec_mask(matrix, qvec).nonzero()[0]
-            entries = node.entries
+            hits = kernels.qvec_mask(node.query_matrix(), qvec).nonzero()[0]
             if not node.is_leaf:
+                entries = node.entries
                 for i in hits.tolist():
                     child = entries[i].child
                     assert child is not None
                     stack.append(child)
             elif hits.size:
-                groups.append((node, [entries[i] for i in hits.tolist()]))
-                if rows is not None:
-                    rows.append(matrix[hits])
+                groups.append((node, hits))
         return groups
 
     def window_query(self, window: Rect) -> list[Entry]:
@@ -434,7 +429,11 @@ class RStarTree:
         (the *filter* step; exact refinement is the storage layer's
         job), in :meth:`window_leaves` order.  Visited pages are priced
         through the pager."""
-        return [e for _, matches in self.window_leaves(window) for e in matches]
+        return [
+            leaf.entries[i]
+            for leaf, hits in self.window_leaves(window)
+            for i in hits.tolist()
+        ]
 
     def point_query(self, x: float, y: float) -> list[Entry]:
         """All data entries whose MBR contains the point (a degenerate
@@ -455,47 +454,38 @@ class RStarTree:
 
     def window_leaves_batch(
         self, rects: list[Rect]
-    ) -> list[tuple[list[Node], list[tuple[Node, list[Entry]]], np.ndarray]]:
+    ) -> list[tuple[list[Node], list[tuple[Node, np.ndarray]]]]:
         """Batched, *unpriced* form of :meth:`window_leaves`: **one
         whole-tree traversal** over the flat snapshot
         (:mod:`repro.rtree.flat`) filters every rectangle at once — one
         broadcast mask per tree level instead of per-node Python
-        recursion.  Per query a triple ``(visited_nodes, groups, rows)``:
-        ``groups`` equals ``window_leaves(rect)`` — same entries, same
-        order — ``visited_nodes`` is its exact page-visit order (the
-        DFS ranks reproduce it), so pricing the visits query by query
-        costs what running the queries one at a time costs, and
-        ``rows`` is the ``(candidates, 4)`` array of the matched
-        entries' ``query_matrix()`` rows.  A batch of one takes the
-        per-node walk (cheaper than the flat traversal's fixed numpy
-        cost)."""
+        recursion.  Per query a pair ``(visited_nodes, groups)``:
+        ``groups`` equals ``window_leaves(rect)`` — same leaves, same
+        positions, same order — and ``visited_nodes`` is its exact
+        page-visit order (the DFS ranks reproduce it), so pricing the
+        visits query by query costs what running the queries one at a
+        time costs.  A batch of one takes the per-node walk (cheaper
+        than the flat traversal's fixed numpy cost)."""
         if len(rects) == 1:
-            visited, blocks = [], []
-            groups = self.window_leaves(rects[0], visited.append, blocks)
-            rows = np.concatenate(blocks) if blocks else np.empty((0, 4))
-            return [(visited, groups, rows)]
+            visited: list[Node] = []
+            return [(visited, self.window_leaves(rects[0], visited.append))]
         flat = self.flat_snapshot()
         batch = flat_query_batch(flat, rects)
         nodes = flat.nodes
-        entries = flat.entries
         per_query = []
         for i in range(batch.n_queries):
-            hits = batch.hits(i)
+            hits, owners = batch.hits(i), batch.hit_owners(i)
             visited = [nodes[n] for n in batch.visits(i).tolist()]
-            groups: list[tuple[Node, list[Entry]]] = []
-            bucket: list[Entry] | None = None
-            previous = -1
-            # Hits are sorted by global entry id, so owners come in
-            # nondecreasing runs — one run per matched leaf, in visit
-            # order, entries ascending within it (= window_leaves).
-            for e, owner in zip(hits.tolist(), batch.hit_owners(i).tolist()):
-                if owner != previous:
-                    bucket = []
-                    groups.append((nodes[owner], bucket))
-                    previous = owner
-                assert bucket is not None
-                bucket.append(entries[e])
-            per_query.append((visited, groups, flat.entry_q[hits]))
+            groups: list[tuple[Node, np.ndarray]] = []
+            if len(hits):
+                # Hits are sorted by global entry id, so owners come in
+                # nondecreasing runs — one run per matched leaf, in
+                # visit order, entries ascending within it.
+                cuts = (owners[1:] != owners[:-1]).nonzero()[0] + 1
+                leaves = owners[np.concatenate(([0], cuts))].tolist()
+                positions = hits - flat.entry_start[owners]
+                groups = list(zip(map(nodes.__getitem__, leaves), np.split(positions, cuts)))
+            per_query.append((visited, groups))
         return per_query
 
     # ------------------------------------------------------------------

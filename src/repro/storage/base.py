@@ -5,7 +5,11 @@ Every organization owns
 * an R*-tree over the objects' MBRs (the spatial access method),
 * a simulated :class:`~repro.disk.DiskModel` pricing all I/O,
 * the in-memory object table (the simulator never serialises payloads —
-  it prices page traffic),
+  it prices page traffic), ``objects`` by oid,
+* one :class:`~repro.geometry.column.GeometryColumn`, ``column``: the
+  same objects' geometry as a row each (vertices, size, polyline and
+  tight flags), where every data entry's ``row`` points — what the
+  filter hands on, refinement reads and the catalog writes,
 * the answer to "where does this object's exact representation live":
   ``_extents`` maps the objects stored on pages of their own to those
   pages (:meth:`SpatialOrganization.extent_of`); every other object is
@@ -28,7 +32,6 @@ from __future__ import annotations
 import abc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import compress
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
@@ -42,19 +45,28 @@ from repro.disk.allocator import PageAllocator, Region
 from repro.disk.extent import Extent
 from repro.disk.model import DiskModel, DiskStats
 from repro.errors import StorageError
+from repro.geometry.column import GeometryColumn
 from repro.geometry.feature import SpatialObject
 from repro.geometry.intersect import polylines_intersect_rects
-from repro.geometry.polygon import Polygon
-from repro.geometry.polyline import Polyline
 from repro.geometry.rect import Rect
 from repro.iosched.request import AccessPlan
 from repro.iosched.scheduler import OverlapScheduler, SyncScheduler
-from repro.rtree.entry import Entry
 from repro.rtree.node import Node
 from repro.rtree.pager import NodePager
 from repro.rtree.rstar import RStarTree
 
 __all__ = ["QueryResult", "SpatialOrganization"]
+
+_NO_ROWS = np.empty(0, dtype=np.int64)
+_NO_KEYS = np.empty((0, 4))
+_EVERY = slice(None)
+
+
+def _joined(parts: list[np.ndarray], empty: np.ndarray) -> np.ndarray:
+    """``parts`` as one array: the one part itself, if it is alone."""
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts) if parts else empty
 
 
 @dataclass(slots=True)
@@ -127,6 +139,7 @@ class SpatialOrganization(abc.ABC):
         self.max_entries = max_entries
         self.region_prefix = region_prefix or self.name
         self.objects: dict[int, SpatialObject] = {}
+        self._column = GeometryColumn.of([])
         #: The objects stored on pages of their own, and those pages.
         self._extents: dict[int, Extent] = {}
         self._construction_io = DiskStats()
@@ -208,15 +221,14 @@ class SpatialOrganization(abc.ABC):
         self,
         plan: AccessPlan,
         leaf: Node,
-        entries: list[Entry],
+        hits: np.ndarray,
         window: Rect,
         selective: bool,
-        candidates: list[SpatialObject],
-    ) -> None:
+    ) -> np.ndarray:
         """The transfer step for one data page: append to ``plan`` the
-        requests that fetch the exact representations of ``entries``
-        (the filter matches on ``leaf``) and to ``candidates`` the
-        objects, in request order.
+        requests that fetch the exact representations of the entries at
+        positions ``hits`` of ``leaf`` (the filter's matches) and return
+        those positions in request order.
 
         ``window`` is the query region (techniques like the geometric
         threshold need it); ``selective`` marks point queries, which
@@ -228,17 +240,17 @@ class SpatialOrganization(abc.ABC):
         adjacency (Section 3.2.1's drawback), and an overflow object is
         the effect behind the primary organization's poor point-query
         behaviour for large objects (Figure 12); the others arrived with
-        their data page, priced as one of the query's node visits.  Returns
-        the order the entries' objects were appended in, ``None`` for theirs.
+        their data page, priced as one of the query's node visits.
+        Requests follow the entries.
         """
         extents = self._extents
         if extents:
-            for entry in entries:
-                extent = extents.get(entry.oid)
+            entries = leaf.entries
+            for i in hits.tolist():
+                extent = extents.get(entries[i].oid)
                 if extent is not None:
                     plan.read_extent(extent)
-        objects = self.objects
-        candidates.extend([objects[entry.oid] for entry in entries])
+        return hits
 
     def occupied_pages(self) -> int:
         """Total pages bound by the organization (Figure 6's metric):
@@ -262,7 +274,11 @@ class SpatialOrganization(abc.ABC):
         self.objects[obj.oid] = obj
         payload = self._store_object(obj)
         self.tree.insert(
-            obj.oid, obj.mbr, load=self._entry_load(obj), payload=payload
+            obj.oid,
+            obj.mbr,
+            load=self._entry_load(obj),
+            payload=payload,
+            row=self._column.append(obj),
         )
 
     def delete(self, oid: int) -> SpatialObject:
@@ -271,7 +287,7 @@ class SpatialOrganization(abc.ABC):
         obj = self.objects.get(oid)
         if obj is None:
             raise StorageError(f"unknown object id {oid}")
-        self.tree.delete(oid, obj.mbr)
+        self.column.delete(self.tree.delete(oid, obj.mbr).row)
         self._unstore_object(obj)
         del self.objects[oid]
         return obj
@@ -288,6 +304,12 @@ class SpatialOrganization(abc.ABC):
         """Byte load the object's entry contributes to its data page;
         organizations with byte-aware capacities override this."""
         return ENTRY_SIZE
+
+    @property
+    def column(self) -> GeometryColumn:
+        """The objects' geometry column, every inserted object in its
+        row (inserts queue their rows; a read fills them in one batch)."""
+        return self._column.flushed()
 
     def build(
         self, objects: list[SpatialObject], order: str = "insertion"
@@ -326,9 +348,11 @@ class SpatialOrganization(abc.ABC):
         return self._construction_io
 
     def finalize_build(self) -> None:
-        """Flush construction buffers and switch to measurement mode."""
+        """Flush construction buffers, fill the geometry column's queued
+        rows (a build's in one batch) and switch to measurement mode."""
         if self._measuring:
             return
+        self._column.flushed()
         self._construction_pager.flush()
         self.tree.pager = self._query_pager
         self._measuring = True
@@ -366,31 +390,31 @@ class SpatialOrganization(abc.ABC):
 
     def _run_queries(self, rects: list[Rect], points: bool) -> list[QueryResult]:
         """The one query pipeline; a point query is the degenerate
-        rectangle ``Rect(x, y, x, y)`` with ``points`` set.
+        rectangle ``Rect(x, y, x, y)`` with ``points`` set.  A candidate
+        is a row of :attr:`column` from filter to answer.
 
         **Filter** — :meth:`RStarTree.window_leaves_batch`, which prices
-        nothing: per query the visited nodes in DFS order, the per-leaf
-        groups of matching entries and those entries' rectangle rows.
+        nothing: per query the visited nodes in DFS order and per
+        matched leaf the positions of its matching entries.
         **Transfer** — :meth:`_transfer`, query by query.  **Refine** —
         :meth:`_refine`, once over all queries of the call (refinement
         is pure CPU, so each query's I/O statistics are final before it
         runs).
         """
         merge = self._batchable()
+        sizes = self.column.sizes
         queries = []
-        for rect, (visited, groups, rows) in zip(
-            rects, self.tree.window_leaves_batch(rects)
-        ):
+        for rect, (visited, groups) in zip(rects, self.tree.window_leaves_batch(rects)):
             before = self.disk.stats()
-            candidates = self._transfer(visited, groups, rows, rect, points, merge)
+            rows, keys = self._transfer(visited, groups, rect, points, merge)
             result = QueryResult(
-                candidates=len(candidates),
-                bytes_retrieved=sum([o.size_bytes for o in candidates]),
+                candidates=len(rows),
+                bytes_retrieved=sum(sizes.take(rows).tolist()),
                 io=self.disk.stats() - before,
             )
-            queries.append((rect, result, candidates, rows))
+            queries.append((rect, result, rows, keys))
         self._refine(queries, points)
-        return [result for _rect, result, _candidates, _rows in queries]
+        return [result for _rect, result, _rows, _keys in queries]
 
     def _batchable(self) -> bool:
         """May one query's node reads and object transfers be merged
@@ -420,21 +444,21 @@ class SpatialOrganization(abc.ABC):
     def _transfer(
         self,
         visited: Sequence[Node],
-        groups: list[tuple[Node, list[Entry]]],
-        rows: np.ndarray,
+        groups: list[tuple[Node, np.ndarray]],
         rect: Rect,
         selective: bool,
         merge: bool,
-    ) -> list[SpatialObject]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Price one query's node visits and the transfer of its
         candidates' exact representations; returns the candidates in
-        read order and puts ``rows`` (the filter's rectangle rows, in
-        entry order) into that order, in place.  Merged, everything is
-        one access plan, cut where the separate plans would have ended;
-        otherwise the visits are single-page reads and the groups are
-        submitted as the organization declares them (one plan per data
-        page when :attr:`_plan_per_group`, else one per query) — request
-        order is the same either way."""
+        read order as :attr:`column` rows, and their entries'
+        ``query_matrix()`` rows (none for a point query, whose
+        candidates are all tested).  Merged, everything is one access plan,
+        cut where the separate plans would have ended; otherwise the
+        visits are single-page reads and the groups are submitted as the
+        organization declares them (one plan per data page when
+        :attr:`_plan_per_group`, else one per query) — request order is
+        the same either way."""
         pager = self.tree.pager
         plan = AccessPlan(f"{self.name}.retrieve")
         if merge:
@@ -442,12 +466,12 @@ class SpatialOrganization(abc.ABC):
         else:
             for node in visited:
                 pager.read(node)
-        candidates: list[SpatialObject] = []
-        for leaf, entries in groups:
-            moved = self._plan_group(plan, leaf, entries, rect, selective, candidates)
-            if moved:
-                group = slice(len(candidates) - len(moved), len(candidates))
-                rows[group] = rows[group][moved]
+        rows, keys = [], []
+        for leaf, hits in groups:
+            order = self._plan_group(plan, leaf, hits, rect, selective)
+            rows.append(leaf.rows().take(order))
+            if not selective:  # a point query tests every candidate
+                keys.append(leaf.query_matrix().take(order, axis=0))
             if self._plan_per_group:
                 if merge:
                     plan.cut()
@@ -456,82 +480,92 @@ class SpatialOrganization(abc.ABC):
                     plan = AccessPlan(plan.label)
         if plan:
             self.pool.submit(plan)
-        return candidates
+        return _joined(rows, _NO_ROWS), _joined(keys, _NO_KEYS)
 
-    @staticmethod
-    def _refine(queries: list[tuple], points: bool) -> None:
+    def _refine(self, queries: list[tuple], points: bool) -> None:
         """Exact refinement of every query of one call — ``(rect,
-        result, candidates, rows)`` each — filling ``objects`` and
-        ``exact_tests`` of its result.
+        result, rows, keys)`` each: its candidates as :attr:`column`
+        rows and their entries' ``query_matrix()`` rows — filling
+        ``objects`` and ``exact_tests`` of its result.  Every decision
+        is taken on row arrays; only the answers are looked up as
+        objects.
 
         A window candidate whose MBR lies inside the window necessarily
         shares points with it and needs no test: one comparison of
-        ``rows`` (``(xmin, ymin, -xmax, -ymax)`` per candidate) decides
+        ``keys`` (``(xmin, ymin, -xmax, -ymax)`` per candidate) decides
         that for a whole query, as ``rect.contains(obj.mbr)`` would per
         candidate.  Those left pending are what ``exact_tests`` counts.
-        A pending candidate with three of the four flags, and no
-        ``mbr_override``, is accepted without a test: the row is then
-        its geometry's tight MBR, whose remaining side lies in the
+        A pending candidate with three of the four flags and a tight
+        row (no ``mbr_override``) is accepted without a test: its key
+        is then its geometry's MBR, whose remaining side lies in the
         window (the filter found the MBR intersecting it), so the
         vertex on that side is inside the window and the scalar
-        predicate accepts it through ``contains_point``.  All pending polyline
-        tests of the call go through one
+        predicate accepts it through ``contains_point``.  All pending
+        polyline tests of the call go through one
         :func:`~repro.geometry.intersect.polylines_intersect_rects`
-        batch (map polylines have a handful of segments each, so only
-        one call across candidates and queries amortizes the numpy
-        dispatch; a point test is a degenerate rect intersection), all
-        point-in-polygon tests through one
-        :meth:`Polygon.contains_points` batch per distinct polygon;
-        polygon/window tests keep the scalar predicate."""
-        line_coords: list = []
-        line_rects: list[tuple[float, float, float, float]] = []
-        line_sinks: list[tuple[list[bool], int]] = []
-        # obj.oid -> (polygon, xs, ys, decision sinks)
-        poly_tests: dict[
-            int, tuple[Polygon, list[float], list[float], list[tuple[list[bool], int]]]
-        ] = {}
-        decided: list[list[bool]] = []
-        for rect, result, candidates, rows in queries:
-            decisions = [True] * len(candidates)
-            decided.append(decisions)
+        call, which gathers their vertices from the column by row (map
+        polylines have a handful of segments each, so only one call
+        across candidates and queries amortizes the numpy dispatch; a
+        point test is a degenerate rect intersection), all
+        point-in-polygon tests through one :meth:`Polygon.contains_points`
+        batch per distinct polygon; polygon/window tests keep the scalar
+        predicate."""
+        if not queries:
+            return
+        column, objects = self.column, self.objects
+        decided, tested, line_rows = [], [], []
+        # polygon oid -> (xs, ys, decision sinks)
+        polygon_points: dict[int, tuple[list[float], list[float], list]] = {}
+        for rect, result, rows, keys in queries:
+            decisions = np.ones(len(rows), dtype=bool)
             if points:
-                pending, edge = range(len(candidates)), ()
+                test = _EVERY  # no key: every candidate
+                result.exact_tests += len(rows)
             else:
-                inside = rows >= (rect.xmin, rect.ymin, -rect.xmax, -rect.ymax)
-                sides = inside.sum(axis=1)
-                pending = np.flatnonzero(sides < 4).tolist()
-                # Three flags: a tight MBR has a whole side in the window.
-                edge = set(np.flatnonzero(sides == 3).tolist())
-            result.exact_tests += len(pending)
-            window = rect.as_tuple()
-            for slot in pending:
-                obj = candidates[slot]
-                if slot in edge and obj.mbr_override is None:
-                    continue
-                geometry = obj.geometry
-                if isinstance(geometry, Polyline):
-                    line_sinks.append((decisions, slot))
-                    line_coords.append(geometry.coords())
-                    line_rects.append(window)
-                elif points:
-                    _, xs, ys, sinks = poly_tests.setdefault(
-                        obj.oid, (geometry, [], [], [])
-                    )
-                    xs.append(rect.xmin)
-                    ys.append(rect.ymin)
-                    sinks.append((decisions, slot))
-                else:
-                    decisions[slot] = obj.intersects_rect(rect)
-        if line_coords:
-            verdicts = polylines_intersect_rects(line_coords, line_rects)
-            for (decisions, slot), verdict in zip(line_sinks, verdicts.tolist()):
-                decisions[slot] = verdict
-        for geometry, xs, ys, sinks in poly_tests.values():
-            verdicts = geometry.contains_points(xs, ys)
+                inside = keys >= (rect.xmin, rect.ymin, -rect.xmax, -rect.ymax)
+                # Four bool bytes to a row: its set bits count its flags.
+                sides = np.bitwise_count(inside.view(np.uint32)).ravel()
+                result.exact_tests += int(np.count_nonzero(sides < 4))
+                # Three flags and a tight row: a whole side in the window.
+                test = np.flatnonzero(sides + column.tight.take(rows) < 4)
+            candidates = rows[test]
+            line = column.lines.take(candidates) if column.polygons else None
+            if line is not None and not line.all():  # polygons: scalar predicates
+                test, others = np.arange(len(rows))[test], ~line
+                for slot, oid in zip(
+                    test[others].tolist(), column.oids.take(candidates[others]).tolist()
+                ):
+                    if points:
+                        xs, ys, sinks = polygon_points.setdefault(oid, ([], [], []))
+                        xs.append(rect.xmin)
+                        ys.append(rect.ymin)
+                        sinks.append((decisions, slot))
+                    else:
+                        decisions[slot] = objects[oid].intersects_rect(rect)
+                test, candidates = test[line], candidates[line]
+            decided.append(decisions)
+            tested.append(test)
+            line_rows.append(candidates)
+        if len(queries) == 1:
+            lines, window = line_rows[0], queries[0][0].as_tuple()
+        else:
+            lines = np.concatenate(line_rows)
+            window = np.repeat(
+                [rect.as_tuple() for rect, *_ in queries], list(map(len, line_rows)), axis=0
+            )
+        if len(lines):
+            verdicts = polylines_intersect_rects(column, lines, window)
+            start = 0
+            for decisions, test, candidates in zip(decided, tested, line_rows):
+                decisions[test] = verdicts[start:start + len(candidates)]
+                start += len(candidates)
+        for oid, (xs, ys, sinks) in polygon_points.items():
+            verdicts = objects[oid].geometry.contains_points(xs, ys)
             for (decisions, slot), verdict in zip(sinks, verdicts.tolist()):
                 decisions[slot] = verdict
-        for (_rect, result, candidates, _rows), decisions in zip(queries, decided):
-            result.objects = list(compress(candidates, decisions))
+        oids = column.oids
+        for (_rect, result, rows, _keys), decisions in zip(queries, decided):
+            result.objects = list(map(objects.__getitem__, oids.take(rows[decisions]).tolist()))
 
     # ------------------------------------------------------------------
     # buffer-pool wiring

@@ -68,6 +68,7 @@ from repro.disk.extent import Extent
 from repro.disk.model import DiskModel
 from repro.disk.params import DiskParameters
 from repro.errors import StorageError
+from repro.geometry.column import GeometryColumn
 from repro.geometry.feature import SpatialObject
 from repro.geometry.polygon import Polygon
 from repro.geometry.polyline import Polyline
@@ -136,15 +137,20 @@ def dump_state(db: "SpatialDatabase") -> dict:
     rows: dict = {name: [] for name in COLUMNS}
     rows["extents"] = [(oid, e.start, e.npages) for oid, e in org._extents.items()]
 
-    for row, obj in enumerate(org.objects.values()):
-        geometry = obj.geometry
-        line = isinstance(geometry, Polyline)
-        matrix = geometry.coords() if line else geometry.ring_coords()[:-1]
-        rows["vertices"].append(matrix)
-        rows["objects"].append((obj.oid, 0 if line else 1, obj.size_bytes, len(matrix)))
-        if obj.mbr_override is not None:
-            rows["override_rows"].append(row)
-            rows["override_rects"].append(obj.mbr_override.as_tuple())
+    # The geometry column's live rows are the object table, in order.
+    column = org.column
+    live = column.live()
+    index, _ends = column.vertex_index(live)
+    rows["vertices"] = column.vertices.take(index, axis=0)
+    oids = column.oids[live]
+    rows["objects"] = np.column_stack(
+        (oids, ~column.lines[live], column.sizes[live], column.counts[live])
+    )
+    rows["override_rows"] = np.flatnonzero(~column.tight[live])
+    rows["override_rects"] = [
+        org.objects[oid].mbr_override.as_tuple()
+        for oid in oids[rows["override_rows"]].tolist()
+    ]
 
     for node in tree.nodes():
         page = node.page if node.page is not None else -1
@@ -156,9 +162,8 @@ def dump_state(db: "SpatialDatabase") -> dict:
             p = e.payload
             extent = (p.start, p.npages) if isinstance(p, Extent) else (-1, -1)
             rows["entries"].append((child, oid, e.load, *extent))
-    for name in ("vertices", "entry_rects"):  # one block per object / node so far
-        if rows[name]:
-            rows[name] = np.concatenate(rows[name])
+    if rows["entry_rects"]:  # one block per node so far
+        rows["entry_rects"] = np.concatenate(rows["entry_rects"])
 
     if isinstance(org, ClusterOrganization):
         for leaf in tree.leaves():
@@ -397,6 +402,9 @@ def load_state(
     ):
         geometry = shapes[kind](vertices[end - n:end])
         objects[oid] = trusted(oid, geometry, size_bytes, override)
+    org._column = GeometryColumn.adopt(
+        columns["objects"], vertices, columns["override_rows"][:, 0]
+    )
 
     # R*-tree: nodes first, then entries (children must exist to wire
     # parent pointers through Node.add).  Page numbers are restored
@@ -407,16 +415,22 @@ def load_state(
     for node_id, level, page, _count in node_rows:
         node = by_id[node_id] = Node(node_id, level)
         node.page = page if page >= 0 else None
+    # A data entry's row is its object's row of the ``objects`` table.
+    entry_oids, table_oids = columns["entries"][:, 1], columns["objects"][:, 0]
+    by_oid = np.argsort(table_oids)
+    rows = by_oid.take(table_oids.searchsorted(entry_oids, sorter=by_oid), mode="clip")
     entry_rows = zip(
-        map(Rect, *columns["entry_rects"].T.tolist()), *columns["entries"].T.tolist()
+        map(Rect, *columns["entry_rects"].T.tolist()),
+        *columns["entries"].T.tolist(),
+        np.where(entry_oids >= 0, rows, -1).tolist(),
     )
     for node_id, _level, _page, count in node_rows:
         node = by_id[node_id]
-        for rect, child, oid, load, start, npages in islice(entry_rows, count):
+        for rect, child, oid, load, start, npages, row in islice(entry_rows, count):
             child = by_id[child] if child >= 0 else None
             oid = oid if oid >= 0 else None
             payload = Extent(start, npages) if npages >= 0 else None
-            node.add(Entry(rect, child, oid, load, payload))
+            node.add(Entry(rect, child, oid, load, payload, row))
     tree.root = by_id[state["tree"]["root"]]
     for attr in _TREE_SCALARS:
         setattr(tree, attr, state["tree"][attr])

@@ -133,8 +133,8 @@ def batch_entries(tree, rects) -> list[list]:
     """Per query, the hit entries of the tree's batch form in group
     order — comparable with ``tree.window_query(rect)``."""
     return [
-        [e for _leaf, matches in groups for e in matches]
-        for _visited, groups, _rows in tree.window_leaves_batch(rects)
+        [leaf.entries[i] for leaf, hits in groups for i in hits.tolist()]
+        for _visited, groups in tree.window_leaves_batch(rects)
     ]
 
 

@@ -50,15 +50,7 @@ from repro.storage.base import SpatialOrganization
 # ----------------------------------------------------------------------
 # the filter step
 # ----------------------------------------------------------------------
-def query_rows(entries) -> np.ndarray:
-    """The entries' ``Node.query_matrix()`` rows, built entry by entry."""
-    return np.array(
-        [(e.rect.xmin, e.rect.ymin, -e.rect.xmax, -e.rect.ymax) for e in entries],
-        dtype=np.float64,
-    ).reshape(-1, 4)
-
-
-def window_leaves(tree, window, read=None, rows=None):
+def window_leaves(tree, window, read=None):
     """``RStarTree.window_leaves``, testing entry by entry."""
     read = read or tree._read
     groups = []
@@ -67,16 +59,14 @@ def window_leaves(tree, window, read=None, rows=None):
         node = stack.pop()
         read(node)
         if node.is_leaf:
-            matches = [e for e in node.entries if e.rect.intersects(window)]
+            matches = [i for i, e in enumerate(node.entries) if e.rect.intersects(window)]
             if matches:
-                groups.append((node, matches))
+                groups.append((node, np.array(matches, dtype=np.int64)))
         else:
             for entry in node.entries:
                 if entry.rect.intersects(window):
                     assert entry.child is not None
                     stack.append(entry.child)
-    if rows is not None:
-        rows.extend(query_rows(matches) for _node, matches in groups)
     return groups
 
 
@@ -87,8 +77,7 @@ def window_leaves_batch(tree, rects):
     for rect in rects:
         visited = []
         groups = window_leaves(tree, rect, visited.append)
-        rows = query_rows([e for _node, matches in groups for e in matches])
-        per_query.append((visited, groups, rows))
+        per_query.append((visited, groups))
     return per_query
 
 
@@ -253,11 +242,13 @@ def sort_by_hilbert(objects, data_space: float, order: int = 16):
     return sorted(objects, key=lambda o: hilbert_sort_key(o, data_space, order))
 
 
-def refine(queries, points: bool) -> None:
-    """``SpatialOrganization._refine`` candidate by candidate: the
-    containment shortcut asks ``rect.contains(obj.mbr)`` (``rows`` are
-    never read), every other candidate its own predicate."""
-    for rect, result, candidates, _rows in queries:
+def refine(org, queries, points: bool) -> None:
+    """``SpatialOrganization._refine`` candidate by candidate: each row
+    is looked up as its object, the containment shortcut asks
+    ``rect.contains(obj.mbr)`` (``keys`` are never read), every other
+    candidate its own predicate."""
+    for rect, result, rows, _keys in queries:
+        candidates = [org.objects[oid] for oid in org.column.oids[rows].tolist()]
         if points:
             pending = range(len(candidates))
         else:
@@ -310,7 +301,7 @@ PATCHES = (
     (rstar, "rstar_split", rstar_split),
     (MBRJoin, "run", mbr_join_run),
     (hilbert, "sort_by_hilbert", sort_by_hilbert),
-    (SpatialOrganization, "_refine", staticmethod(refine)),
+    (SpatialOrganization, "_refine", refine),
     (multistep, "_refine", join_refine),
     *SCALAR_LOOPS,
 )

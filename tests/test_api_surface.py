@@ -239,7 +239,7 @@ class TestExports:
         from repro.disk.buddy import BuddyAllocator, FixedUnitAllocator
         from repro.geometry.decomposed import ExactTestCounter
         from repro.geometry.feature import SpatialObject
-        from repro.geometry.intersect import PolylineTable
+        from repro.geometry import intersect
         from repro.geometry.polyline import Polyline
         from repro.obs.metrics import Gauge
         from repro.pagestore.placement import PlacementPolicy
@@ -260,7 +260,9 @@ class TestExports:
             (ExactTestCounter, ["reset"]),
             (Gauge, ["reset"]),
             (SpatialObject, ["pages"]),
-            (PolylineTable, ["row"]),
+            # The join's per-call table: the organization's geometry
+            # column took its place.
+            (intersect, ["PolylineTable"]),
             (Polyline, ["length"]),
             (PlacementPolicy, ["pinned_pages"]),
             (Entry, ["is_data"]),
@@ -305,7 +307,7 @@ class TestRunLevelSurface:
             ("plan", 1), ("plan", 1)
         ]
         assert [len(part) for _label, part in AccessPlan().segments()] == [0]
-        for gone in ("node_level", "entry_page", "entry_npages"):
+        for gone in ("node_level", "entry_page", "entry_npages", "entries"):
             assert gone not in FlatTree.__slots__
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.geometry.column import GeometryColumn
 from repro.geometry.feature import SpatialObject
 from repro.geometry.intersect import point_in_polygon, points_in_polygon
 from repro.geometry.polygon import Polygon
@@ -131,13 +132,12 @@ class TestBatchedTraversal:
     def test_empty_batches(self, objects300):
         tree = _bare_tree(objects300)
         assert tree.window_leaves_batch([]) == []
-        # A query without candidates still hands on a (0, 4) row array,
-        # whether it walks alone or inside a flat batch.
+        # A query without candidates hands on no group, whether it walks
+        # alone or inside a flat batch.
         miss = Rect(-20.0, -20.0, -10.0, -10.0)
         for batch in ([miss], [miss, miss]):
-            for _visited, groups, rows in tree.window_leaves_batch(batch):
-                assert groups == []
-                assert rows.shape == (0, 4) and rows.dtype == np.float64
+            for visited, groups in tree.window_leaves_batch(batch):
+                assert visited and groups == []
 
     def test_batch_replays_reads_in_single_query_order(self, objects300):
         """The batch form's per-query visit lists, concatenated, are
@@ -155,7 +155,7 @@ class TestBatchedTraversal:
                 org_b.tree.window_query(w)
         batched = [
             node.page
-            for visited, _groups, _rows in batch
+            for visited, _groups in batch
             for node in visited
             if node.page is not None
         ]
@@ -322,7 +322,9 @@ class TestPolylinesIntersectRects:
             )
             for coords, rect in zip(coords_list, rects)
         ]
-        vector = polylines_intersect_rects(coords_list, rects)
+        vector = polylines_intersect_rects(
+            GeometryColumn.of(coords_list), np.arange(len(coords_list)), np.array(rects)
+        )
         assert vector.tolist() == want
         assert any(want) and not all(want)
 
@@ -356,7 +358,9 @@ class TestPolylinesIntersectRects:
 
         monkeypatch.setattr(intersect, "segment_intersects_rect", spy)
         got = intersect.polylines_intersect_rects(
-            [np.array(line) for line in lines], [rect] * len(lines)
+            GeometryColumn.of([np.array(line) for line in lines]),
+            np.arange(len(lines)),
+            rect,
         )
         assert got.tolist() == [True, False, True, False]
         # The survivors, as plain floats.
@@ -370,15 +374,16 @@ class TestPolylinesIntersectRects:
     def test_single_vertex_degenerates_to_point_test(self):
         from repro.geometry.intersect import polylines_intersect_rects
 
-        coords_list = [np.array([(5.0, 5.0)]), np.array([(50.0, 50.0)])] * 40
-        rects = [(0.0, 0.0, 10.0, 10.0)] * 80
-        out = polylines_intersect_rects(coords_list, rects)
+        column = GeometryColumn.of([np.array([(5.0, 5.0)]), np.array([(50.0, 50.0)])])
+        rects = np.array([(0.0, 0.0, 10.0, 10.0)] * 80)
+        out = polylines_intersect_rects(column, np.arange(80) % 2, rects)
         assert out.tolist() == [True, False] * 40
 
     def test_empty_batch(self):
         from repro.geometry.intersect import polylines_intersect_rects
 
-        assert polylines_intersect_rects([], []).shape == (0,)
+        rows = np.empty(0, dtype=np.int64)
+        assert polylines_intersect_rects(GeometryColumn.of([]), rows, (0, 0, 1, 1)).shape == (0,)
 
 
 # ----------------------------------------------------------------------
@@ -427,8 +432,8 @@ class TestGroupedTransfers:
         objects = make_objects(120, seed=11)
         org = build_org("secondary", objects)
         groups = org.tree.window_leaves(Rect(0, 0, 10_000, 10_000))
-        leaf, entries = max(groups, key=lambda g: len(g[1]))
-        return org, leaf, [e.oid for e in entries]
+        leaf, hits = max(groups, key=lambda g: len(g[1]))
+        return org, leaf, [leaf.entries[i].oid for i in hits.tolist()]
 
     @staticmethod
     def _spy_pool(scheduler):

@@ -10,12 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import GeometryError
 from repro.geometry import intersect
+from repro.geometry.column import GeometryColumn
 from repro.geometry.intersect import (
     orientation,
     point_in_polygon,
     polyline_intersects_rect,
     polylines_intersect,
-    PolylineTable,
     polylines_intersect_pairs,
     polylines_intersect_rects,
     polylines_intersect_rows,
@@ -307,8 +307,8 @@ def table_rows(lines_a, rows_a, lines_b, rows_b, budget=intersect._CHUNK_CELLS):
     """The row kernel over one table per list of lines."""
     with mock.patch.object(intersect, "_CHUNK_CELLS", budget):
         return polylines_intersect_rows(
-            PolylineTable([np.array(a, dtype=np.float64) for a in lines_a]), rows_a,
-            PolylineTable([np.array(b, dtype=np.float64) for b in lines_b]), rows_b,
+            GeometryColumn.of([np.array(a, dtype=np.float64) for a in lines_a]), rows_a,
+            GeometryColumn.of([np.array(b, dtype=np.float64) for b in lines_b]), rows_b,
         ).tolist()
 
 
@@ -324,8 +324,16 @@ def scalar_rects(tests) -> list[bool]:
         return [polyline_intersects_rect(a, rect) for a, rect in tests]
 
 
+def listed_rects(coords_list, rects) -> np.ndarray:
+    """The window kernel over a list of vertex matrices, row ``k`` the
+    ``k``-th, each with its own rectangle."""
+    column = GeometryColumn.of(coords_list)
+    rects = np.array(rects, dtype=np.float64).reshape(-1, 4)
+    return polylines_intersect_rects(column, np.arange(len(coords_list)), rects)
+
+
 def vector_rects(tests) -> list[bool]:
-    return polylines_intersect_rects(
+    return listed_rects(
         [np.array(a, dtype=np.float64).reshape(-1, 2) for a, _ in tests],
         [rect.as_tuple() for _, rect in tests],
     ).tolist()
@@ -347,16 +355,16 @@ class TestBatchKernelsMatchScalar:
         want = vector_pairs(listed, budget)
         assert table_rows(*batch, budget) == want == scalar_pairs(listed)
 
-    def test_table_boxes_are_the_tight_mbrs(self):
+    def test_column_boxes_are_the_tight_mbrs(self):
         lines = [line for pair in NAMED_PAIRS for line in pair]
-        table = PolylineTable([np.array(line, dtype=np.float64) for line in lines])
-        assert table.boxes.tolist() == [
+        column = GeometryColumn.of([np.array(line, dtype=np.float64) for line in lines])
+        assert column.boxes.tolist() == [
             list(Rect.from_points(line).as_tuple()) for line in lines
         ]
-        assert table.counts.tolist() == [len(line) for line in lines]
+        assert column.counts.tolist() == [len(line) for line in lines]
         for r, line in enumerate(lines):
-            start = table.starts[r]
-            row = table.column[:, start:start + table.counts[r]].T
+            start = column.starts[r]
+            row = column.vertices[start:start + column.counts[r]]
             assert row.tolist() == [list(p) for p in line]
 
     @settings(deadline=None)
@@ -373,16 +381,14 @@ class TestBatchKernelsMatchScalar:
         coords[where] = np.empty((0, 2))
         rects = [(0.0, 0.0, 10.0, 10.0)] * 80
         want = [k != where for k in range(80)]
-        assert polylines_intersect_rects(coords, rects).tolist() == want
+        assert listed_rects(coords, rects).tolist() == want
         assert not polyline_intersects_rect([], Rect(*rects[0]))
         for pairs in ((coords, [line] * 80), ([line] * 80, coords)):
             with pytest.raises(GeometryError, match=f"pair {where}:"):
                 polylines_intersect_pairs(*pairs)
 
     def test_rows_without_vertices_only(self):
-        out = polylines_intersect_rects(
-            [np.empty((0, 2))] * 3, [(0.0, 0.0, 1.0, 1.0)] * 3
-        )
+        out = listed_rects([np.empty((0, 2))] * 3, [(0.0, 0.0, 1.0, 1.0)] * 3)
         assert out.tolist() == [False] * 3
 
     @pytest.mark.parametrize("budget", [1, 3, 16, intersect._CHUNK_CELLS])

@@ -15,6 +15,7 @@ from repro.buffer.pool import BufferPool
 from repro.disk.allocator import PageAllocator
 from repro.disk.model import DiskModel
 from repro.errors import ConfigurationError
+from repro.geometry.column import GeometryColumn
 from repro.geometry.feature import SpatialObject
 from repro.geometry.polygon import Polygon
 from repro.geometry.polyline import Polyline
@@ -506,17 +507,28 @@ def lattice_geometry(draw):
     return Polygon(ring)
 
 
+def relation(objects) -> SimpleNamespace:
+    """What ``_refine`` reads of an organization: its objects by id and
+    their geometry column."""
+    column = GeometryColumn.of([])
+    for obj in objects:
+        column.append(obj)
+    return SimpleNamespace(
+        objects={obj.oid: obj for obj in objects}, column=column.flushed()
+    )
+
+
 @st.composite
 def refine_batch(draw):
     """Two relations of lattice objects and candidate pairs in which
     objects repeat on both sides: ``(relation_r, relation_s, pairs)``."""
     relations = [
-        SimpleNamespace(objects={
-            base + k: SpatialObject(base + k, geometry)
+        relation([
+            SpatialObject(base + k, geometry)
             for k, geometry in enumerate(
                 draw(st.lists(lattice_geometry(), min_size=1, max_size=6))
             )
-        })
+        ])
         for base in (0, 1000)
     ]
     ids_r, ids_s = (sorted(relation.objects) for relation in relations)
@@ -544,9 +556,9 @@ class TestRefineIsThePerPairPredicate:
         assert multistep._refine(relation_r, relation_s, pairs).tolist() == want
 
     def test_no_pairs(self):
-        relation = SimpleNamespace(objects={})
+        empty = relation([])
         pairs = np.empty((0, 2), dtype=np.int64)
-        assert multistep._refine(relation, relation, pairs).shape == (0,)
+        assert multistep._refine(empty, empty, pairs).shape == (0,)
 
 
 # ----------------------------------------------------------------------
@@ -660,9 +672,11 @@ class TestJoinCounts:
         # Refinement reads object ids from the flat snapshots, not from
         # the trees' ``Node`` / ``Entry`` objects.
         assert counts["entries_reads"] == counts["oid_reads"] == 0
-        # It resolves each distinct candidate once (225 + 159 objects;
-        # two lookups and two ``coords`` calls per pair, 848, before).
-        assert counts["object_lookups"] == counts["coords_calls"] == 384
+        # It reads each pair's rows from the geometry columns: no object
+        # is looked up, no ``coords`` matrix asked for (384 each when a
+        # table of the 225 + 159 distinct candidates was built per join,
+        # 848 before that).
+        assert counts["object_lookups"] == counts["coords_calls"] == 0
 
 
 if __name__ == "__main__":  # print MIXED_EXPECTED's rows

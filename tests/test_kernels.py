@@ -46,7 +46,11 @@ def grown(rect: Rect, amount: float) -> Rect:
 
 def reference_entries(tree, window) -> list:
     """``tree.window_query(window)`` by the entry-at-a-time walk."""
-    return [e for _, matches in reference.window_leaves(tree, window) for e in matches]
+    return [
+        leaf.entries[i]
+        for leaf, hits in reference.window_leaves(tree, window)
+        for i in hits.tolist()
+    ]
 
 
 @pytest.fixture()
@@ -85,15 +89,13 @@ class TestQueryOrderEquivalence:
         rng = random.Random(9)
         for _ in range(15):
             window = grown(random_rect(rng, span=80.0), 5.0)
-            vector_rows, scalar_rows = [], []
-            vector_groups = tree.window_leaves(window, rows=vector_rows)
-            scalar_groups = reference.window_leaves(tree, window, rows=scalar_rows)
+            vector_groups = tree.window_leaves(window)
+            scalar_groups = reference.window_leaves(tree, window)
             assert [
-                (node.node_id, matches) for node, matches in vector_groups
-            ] == [(node.node_id, matches) for node, matches in scalar_groups]
-            assert len(vector_rows) == len(scalar_rows)
-            for got, want in zip(vector_rows, scalar_rows):
-                assert np.array_equal(got, want)
+                (node.node_id, hits.tolist()) for node, hits in vector_groups
+            ] == [(node.node_id, hits.tolist()) for node, hits in scalar_groups]
+            for _node, hits in vector_groups:
+                assert hits.dtype == np.int64
 
     def test_batch_queries_match_single_queries(self, seeded_tree):
         tree, rects = seeded_tree
@@ -103,11 +105,13 @@ class TestQueryOrderEquivalence:
         batch = batch_entries(tree, windows)
         assert batch == [tree.window_query(w) for w in windows]
         assert batch == [reference_entries(tree, w) for w in windows]
-        for (_, _, rows), (_, _, want) in zip(
+        for (_, groups), (_, want) in zip(
             tree.window_leaves_batch(windows),
             reference.window_leaves_batch(tree, windows),
         ):
-            assert np.array_equal(rows, want)
+            assert [(leaf, hits.tolist()) for leaf, hits in groups] == [
+                (leaf, hits.tolist()) for leaf, hits in want
+            ]
         point_batch = batch_entries(tree, [Rect(x, y, x, y) for x, y in points])
         assert point_batch == [tree.point_query(x, y) for x, y in points]
 
@@ -132,7 +136,7 @@ class TestQueryOrderEquivalence:
 
         tree_a, disk_a = build(DiskModel())
         before_a = disk_a.stats()
-        for visited, _groups, _rows in tree_a.window_leaves_batch(windows):
+        for visited, _groups in tree_a.window_leaves_batch(windows):
             for node in visited:
                 tree_a.pager.read(node)
         batch = disk_a.stats() - before_a

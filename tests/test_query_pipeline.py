@@ -407,9 +407,9 @@ def kernel_rows_of(query) -> tuple[object, int]:
     rows = [0]
     kernel = base.polylines_intersect_rects
 
-    def counted(coords_list, rects):
-        rows[0] += len(coords_list)
-        return kernel(coords_list, rects)
+    def counted(column, rows_of, rects):
+        rows[0] += len(rows_of)
+        return kernel(column, rows_of, rects)
 
     with mock.patch.object(base, "polylines_intersect_rects", counted):
         result = query()
@@ -491,7 +491,7 @@ class TestASideInTheWindowDecides:
             org = build_org(kind, objects, smax_bytes=SMAX_BYTES)
             got = [observed(org.window_query(r)) for r in rects]
             with mock.patch.object(
-                SpatialOrganization, "_refine", staticmethod(scalar_reference.refine)
+                SpatialOrganization, "_refine", scalar_reference.refine
             ):
                 want = [observed(org.window_query(r)) for r in rects]
             assert got == want, kind
@@ -505,9 +505,10 @@ def query_counts() -> dict[str, float]:
     0.005 on the default (cluster, ``sync``, pass-through pool)
     database, 30 windows of area 1e-3 and then 75 vertex points, each
     query issued alone — and count what a query costs in plans,
-    refinement kernel calls and rows, exact tests and the scalar segment
-    tests the kernel's outcodes leave.  Machine-independent; CI's ``Size
-    report`` prints the ``*_per_query`` values."""
+    refinement kernel calls and rows, exact tests, the scalar segment
+    tests the kernel's outcodes leave, and the objects and vertex
+    matrices it asks for.  Machine-independent; CI's ``Size report``
+    prints the ``*_per_query`` values."""
     from unittest.mock import patch
 
     from repro.buffer.pool import BufferPool
@@ -524,7 +525,10 @@ def query_counts() -> dict[str, float]:
     windows = window_workload(objects, 1e-3, n_queries=30, seed=1994)
     rng = random.Random(1994)
     points = [rng.choice(o.geometry.vertices) for o in rng.choices(objects, k=75)]
-    calls = dict.fromkeys(("submits", "kernel_calls", "kernel_rows", "survivors"), 0)
+    calls = dict.fromkeys(
+        ("submits", "kernel_calls", "kernel_rows", "survivors", "coords_calls",
+         "object_lookups"), 0
+    )
     per_query: list[tuple[int, int]] = []
     submit, kernel = BufferPool.submit, base.polylines_intersect_rects
     scalar = intersect.segment_intersects_rect
@@ -536,16 +540,23 @@ def query_counts() -> dict[str, float]:
 
         return wrapper
 
-    def kernel_counted(coords_list, rects):
-        calls["kernel_rows"] += len(coords_list)
-        return counted("kernel_calls", kernel)(coords_list, rects)
+    def kernel_counted(column, rows, rects):
+        calls["kernel_rows"] += len(rows)
+        return counted("kernel_calls", kernel)(column, rows, rects)
 
+    class CountingObjects(dict):
+        def __getitem__(self, oid):
+            calls["object_lookups"] += 1
+            return dict.__getitem__(self, oid)
+
+    db.storage.objects = CountingObjects(db.storage.objects)
     with (
         patch.object(BufferPool, "submit", counted("submits", submit)),
         patch.object(base, "polylines_intersect_rects", kernel_counted),
         # A-1 holds polylines only, so every scalar segment test is one
         # the kernel's outcodes left.
         patch.object(intersect, "segment_intersects_rect", counted("survivors", scalar)),
+        patch.object(Polyline, "coords", counted("coords_calls", Polyline.coords)),
     ):
         results = []
         for query, args in [(db.window_query, w.as_tuple()) for w in windows] + [
@@ -588,3 +599,8 @@ class TestQueryColdCounts:
         # The outcodes leave 27 segments for the scalar test (243 ran
         # it when small batches fell back to the scalar loop).
         assert counts["survivors"] == 27
+        # Candidates are geometry-column rows from filter to answer: the
+        # kernel gathers vertices by row, and only the answers are
+        # looked up as objects.
+        assert counts["coords_calls"] == 0
+        assert counts["object_lookups"] == counts["answers"] == 446

@@ -130,13 +130,13 @@ class TestInsertQuery:
             tree.insert(i, r)
         window = Rect(100, 100, 400, 400)
         groups = tree.window_leaves(window)
-        flat = sorted(e.oid for _, es in groups for e in es)
+        flat = sorted(leaf.entries[i].oid for leaf, hits in groups for i in hits)
         want = sorted(e.oid for e in tree.window_query(window))
         assert flat == want
-        for leaf, entries in groups:
-            assert leaf.is_leaf and entries
-            for e in entries:
-                assert e in leaf.entries
+        for leaf, hits in groups:
+            assert leaf.is_leaf and len(hits)
+            assert hits.tolist() == sorted(set(hits.tolist()))
+            assert 0 <= hits.min() and hits.max() < len(leaf.entries)
 
 
 class TestDelete:
