@@ -2,7 +2,7 @@
 
 The CPU side of query execution — node filtering, split distributions,
 Hilbert keys, join candidate generation and refinement prefilters —
-runs as numpy operations over a node's cached rectangle matrix instead
+runs as numpy operations over a node's rectangle block instead
 of entry-at-a-time Python loops.  Every kernel runs the same float64
 comparisons in an order-preserving way, so result sets, orders and
 therefore the I/O pricing (the paper's figures) are bit-identical to

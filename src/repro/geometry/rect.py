@@ -80,27 +80,6 @@ class Rect:
                 ymax = y
         return cls(xmin, ymin, xmax, ymax)
 
-    @classmethod
-    def union_of(cls, rects: Iterable["Rect"]) -> "Rect":
-        """Return the MBR of a non-empty iterable of rectangles."""
-        iterator = iter(rects)
-        try:
-            first = next(iterator)
-        except StopIteration:
-            raise GeometryError("cannot build the union of zero rectangles") from None
-        xmin, ymin = first.xmin, first.ymin
-        xmax, ymax = first.xmax, first.ymax
-        for r in iterator:
-            if r.xmin < xmin:
-                xmin = r.xmin
-            if r.ymin < ymin:
-                ymin = r.ymin
-            if r.xmax > xmax:
-                xmax = r.xmax
-            if r.ymax > ymax:
-                ymax = r.ymax
-        return cls(xmin, ymin, xmax, ymax)
-
     # ------------------------------------------------------------------
     # basic measures
     # ------------------------------------------------------------------

@@ -65,7 +65,7 @@ class FlatTree:
         ``(n_nodes,)`` — ``entry_start`` deltas, kept for the kernels.
     entry_rect:
         ``(n_entries, 4)`` float64 ``(xmin, ymin, xmax, ymax)`` rows —
-        frozen copies of the nodes' cached rect matrices, so every
+        frozen copies of the nodes' kept rect matrices, so every
         float is bit-identical to the object tree's.
     entry_q:
         The negated form ``(xmin, ymin, -xmax, -ymax)`` the query
@@ -133,7 +133,7 @@ def build_flat(tree: "RStarTree") -> FlatTree:
 
     The node list is produced by the same stack DFS the queries run
     (push children ascending, pop last), so list position *is* the DFS
-    rank.  The entry matrices concatenate the nodes' cached
+    rank.  The entry matrices concatenate the nodes' kept
     ``rect_matrix``/``query_matrix`` — the identical float64 values the
     single-query kernels compare."""
     nodes: list[Node] = []

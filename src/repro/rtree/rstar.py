@@ -33,7 +33,11 @@ from repro.constants import (
 from repro.errors import TreeError
 from repro.geometry.rect import Rect
 from repro.rtree.capacity import ByteCapacity, CountCapacity, CountOrByteCapacity
-from repro.rtree.chooser import least_area_enlargement, least_overlap_enlargement
+from repro.rtree.chooser import (
+    insertion_vector,
+    least_area_enlargement,
+    least_overlap_enlargement,
+)
 from repro.rtree.entry import Entry
 from repro.rtree.flat import FlatTree, build_flat, flat_query_batch
 from repro.rtree.node import Node
@@ -182,12 +186,12 @@ class RStarTree:
     def _choose_subtree(self, rect: Rect, level: int) -> Node:
         node = self.root
         self._read(node)
+        q = insertion_vector(rect)
         while node.level > level:
-            rects = node.rect_matrix()
             if node.level == 1 and level == 0:
-                idx = least_overlap_enlargement(rects, rect)
+                idx = least_overlap_enlargement(node.query_matrix(), node.areas(), q)
             else:
-                idx = least_area_enlargement(rects, rect)
+                idx = least_area_enlargement(node.query_matrix(), node.areas(), q)
             child = node.entries[idx].child
             assert child is not None
             node = child
@@ -201,11 +205,10 @@ class RStarTree:
         while node.parent is not None:
             parent = node.parent
             index = parent.entry_index(node)
-            entry = parent.entries[index]
-            if entry.rect.contains(added):
+            rect = parent.entries[index].rect
+            if rect.contains(added):
                 break
-            entry.rect = entry.rect.union(added)
-            parent.patch_rect(index, entry.rect)
+            parent.patch_rect(index, rect.union(added))
             self._write(parent)
             node = parent
 
@@ -234,15 +237,15 @@ class RStarTree:
         reinsert them closest-first ([BKSS90] close reinsert)."""
         self.reinserts += 1
         center_rect = node.mbr()
-        ordered = sorted(
-            node.entries,
-            key=lambda e: e.rect.center_distance(center_rect),
+        entries = node.entries
+        order = sorted(
+            range(len(entries)),
+            key=lambda i: entries[i].rect.center_distance(center_rect),
             reverse=True,
         )
-        p = max(1, int(self.reinsert_fraction * len(ordered)))
-        removed = ordered[:p]
-        node.entries = ordered[p:]
-        node.invalidate()
+        p = max(1, int(self.reinsert_fraction * len(order)))
+        removed = [entries[i] for i in order[:p]]
+        node.replace_entries(*node.take(order[p:]))
         self._write(node)
         self._adjust_upward_full(node)
         # Count-limited nodes are guaranteed to fit after removing 30 %
@@ -258,11 +261,10 @@ class RStarTree:
         after removals, where MBRs may shrink non-monotonically."""
         while node.parent is not None:
             parent = node.parent
-            entry = parent.entry_for_child(node)
+            index = parent.entry_index(node)
             new_rect = node.mbr()
-            if new_rect != entry.rect:
-                entry.rect = new_rect
-                parent.invalidate()
+            if new_rect != parent.entries[index].rect:
+                parent.patch_rect(index, new_rect)
                 self._write(parent)
             node = parent
 
@@ -271,17 +273,10 @@ class RStarTree:
         if node.is_leaf:
             self.leaf_splits += 1
             self.leaf_count += 1
-        group1, group2 = rstar_split(
-            node.entries, self.min_fill_fraction, rects=node.rect_matrix()
-        )
-        node.entries = group1
-        node.invalidate()
+        order, k = rstar_split(node.rect_matrix(), self.min_fill_fraction)
         new_node = self._new_node(node.level)
-        new_node.entries = group2
-        new_node.invalidate()
-        for entry in group2:
-            if entry.child is not None:
-                entry.child.parent = new_node
+        new_node.replace_entries(*node.take(order[k:]))
+        node.replace_entries(*node.take(order[:k]))
 
         parent: Node | None
         if node.parent is None:
@@ -293,9 +288,7 @@ class RStarTree:
             self._write(parent)
         else:
             parent = node.parent
-            entry = parent.entry_for_child(node)
-            entry.rect = node.mbr()
-            parent.invalidate()
+            parent.patch_rect(parent.entry_index(node), node.mbr())
             parent.add(Entry(new_node.mbr(), child=new_node))
         self._write(node)
         self._write(new_node)
@@ -366,10 +359,7 @@ class RStarTree:
                     self.leaf_count -= 1
                 orphans.append(current)
             else:
-                entry = parent.entry_for_child(current)
-                if current.entries:
-                    entry.rect = current.mbr()
-                parent.invalidate()
+                parent.patch_rect(parent.entry_index(current), current.mbr())
                 self._write(current)
             self._write(parent)
             current = parent
@@ -403,7 +393,7 @@ class RStarTree:
         goes to ``read`` — by default the pager, which prices it.
 
         Each visited node is filtered with one boolean mask over its
-        cached rectangle matrix; pages are visited in stack-DFS order."""
+        query matrix; pages are visited in stack-DFS order."""
         read = read or self._read
         qvec = kernels.window_qvec(window)
         groups: list[tuple[Node, np.ndarray]] = []

@@ -29,11 +29,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import TreeError
-from repro.rtree.entry import Entry
 
 __all__ = ["rstar_split", "SplitResult"]
 
-SplitResult = tuple[list[Entry], list[Entry]]
+SplitResult = tuple[list[int], int]
 
 
 def _group_mbrs(
@@ -79,38 +78,29 @@ def _areas(group: np.ndarray) -> np.ndarray:
     return (group[:, 2] - group[:, 0]) * (group[:, 3] - group[:, 1])
 
 
-def rstar_split(
-    entries: list[Entry],
-    min_fill_fraction: float = 0.4,
-    rects: np.ndarray | None = None,
-) -> SplitResult:
-    """Split an overflowing entry list into two groups per [BKSS90].
+def rstar_split(rects: np.ndarray, min_fill_fraction: float = 0.4) -> SplitResult:
+    """Split an overflowing node per [BKSS90].
 
     Parameters
     ----------
-    entries:
-        At least two entries.
+    rects:
+        The ``(n, 4)`` float64 matrix of the entry rectangles, ``n >= 2``
+        (a node's :meth:`~repro.rtree.node.Node.rect_matrix`).
     min_fill_fraction:
         Fraction of the entries that must land in each group (the
         R*-tree recommends 40 %).
-    rects:
-        Optional ``(n, 4)`` float64 matrix of the entry rectangles (the
-        node's cached :meth:`~repro.rtree.node.Node.rect_matrix`);
-        built on the spot when absent.
 
     Returns
     -------
-    Two non-empty entry lists whose union is the input.
+    ``(order, k)``: the entry positions in split order and the size of
+    the first group — the groups are ``order[:k]`` and ``order[k:]``,
+    both non-empty.  :meth:`~repro.rtree.node.Node.take` hands each
+    group its entries and block rows.
     """
-    n = len(entries)
+    n = len(rects)
     if n < 2:
         raise TreeError(f"cannot split a node with {n} entries")
     m = max(1, min(int(min_fill_fraction * n), n // 2))
-    if rects is None or len(rects) != n:
-        rects = np.array(
-            [(e.rect.xmin, e.rect.ymin, e.rect.xmax, e.rect.ymax) for e in entries],
-            dtype=np.float64,
-        ).reshape(n, 4)
 
     # ------------------------------------------------------------------
     # ChooseSplitAxis.  np.lexsort is stable, so the permutations match
@@ -150,8 +140,4 @@ def rstar_split(
         perm, k = perm_lower, m + pick
     else:
         perm, k = perm_upper, m + pick - per_order
-    chosen = perm.tolist()
-    return (
-        [entries[i] for i in chosen[:k]],
-        [entries[i] for i in chosen[k:]],
-    )
+    return perm.tolist(), k

@@ -77,7 +77,7 @@ from repro.geometry.sizes import OBJECT_HEADER_BYTES, VERTEX_BYTES
 from repro.iosched.scheduler import SYNC
 from repro.obs.metrics import MetricsRegistry
 from repro.rtree.entry import Entry
-from repro.rtree.node import Node
+from repro.rtree.node import Node, block_of
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.database import SpatialDatabase
@@ -407,8 +407,8 @@ def load_state(
     )
 
     # R*-tree: nodes first, then entries (children must exist to wire
-    # parent pointers through Node.add).  Page numbers are restored
-    # directly — the region bump above already accounts for them.
+    # parent pointers through Node.replace_entries).  Page numbers are
+    # restored directly — the region bump above already accounts for them.
     tree = org.tree
     node_rows = columns["nodes"].tolist()
     by_id: dict[int, Node] = {}
@@ -424,13 +424,18 @@ def load_state(
         *columns["entries"].T.tolist(),
         np.where(entry_oids >= 0, rows, -1).tolist(),
     )
+    # Every node's block is its slice of one block over the column.
+    blocks, offset = block_of(columns["entry_rects"]), 0
     for node_id, _level, _page, count in node_rows:
-        node = by_id[node_id]
+        entries = []
         for rect, child, oid, load, start, npages, row in islice(entry_rows, count):
             child = by_id[child] if child >= 0 else None
             oid = oid if oid >= 0 else None
             payload = Extent(start, npages) if npages >= 0 else None
-            node.add(Entry(rect, child, oid, load, payload, row))
+            entries.append(Entry(rect, child, oid, load, payload, row))
+        block = tuple(rows[offset : offset + count] for rows in blocks)
+        by_id[node_id].replace_entries(entries, block)
+        offset += count
     tree.root = by_id[state["tree"]["root"]]
     for attr in _TREE_SCALARS:
         setattr(tree, attr, state["tree"][attr])

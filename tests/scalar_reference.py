@@ -111,9 +111,11 @@ def _distributions(
     return result
 
 
-def rstar_split(entries, min_fill_fraction=0.4, rects=None):
-    """``repro.rtree.split.rstar_split`` over sorted entry lists; never
-    reads ``rects``."""
+def rstar_split(rects, min_fill_fraction=0.4):
+    """``repro.rtree.split.rstar_split`` over sorted entry lists: the
+    matrix rows become entries numbered by position, and the chosen
+    order comes back as those numbers."""
+    entries = [Entry(Rect(*row), oid=i) for i, row in enumerate(rects.tolist())]
     n = len(entries)
     if n < 2:
         raise TreeError(f"cannot split a node with {n} entries")
@@ -153,7 +155,7 @@ def rstar_split(entries, min_fill_fraction=0.4, rects=None):
             best = (k, ordered)
     assert best is not None
     k, ordered = best
-    return list(ordered[:k]), list(ordered[k:])
+    return [e.oid for e in ordered], k
 
 
 # ----------------------------------------------------------------------

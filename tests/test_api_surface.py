@@ -241,10 +241,12 @@ class TestExports:
         from repro.geometry.feature import SpatialObject
         from repro.geometry import intersect
         from repro.geometry.polyline import Polyline
+        from repro.geometry.rect import Rect
         from repro.obs.metrics import Gauge
         from repro.pagestore.placement import PlacementPolicy
         from repro.rtree.entry import Entry
         from repro.rtree.flat import FlatTree
+        from repro.rtree.node import Node
         from repro.rtree.pager import NodePager
         from repro.rtree.stats import TreeStats
         from repro.storage.base import QueryResult
@@ -264,6 +266,10 @@ class TestExports:
             # column took its place.
             (intersect, ["PolylineTable"]),
             (Polyline, ["length"]),
+            # A node's MBR and matrices are read off the block it keeps:
+            # nothing unions rectangles entry by entry or drops a block.
+            (Rect, ["union_of"]),
+            (Node, ["invalidate"]),
             (PlacementPolicy, ["pinned_pages"]),
             (Entry, ["is_data"]),
             (FlatTree, ["n_nodes"]),

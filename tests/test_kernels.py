@@ -28,10 +28,10 @@ from repro.geometry.rect import Rect
 from repro.rtree.entry import Entry
 from repro.rtree.node import Node
 from repro.rtree.rstar import RStarTree
-from repro.rtree.split import rstar_split
 
 from tests import scalar_reference as reference
 from tests.conftest import batch_entries, build_org
+from tests.test_rtree_split import split_groups
 
 
 def random_rect(rng: random.Random, span: float = 100.0) -> Rect:
@@ -228,8 +228,8 @@ class TestSplitEquivalence:
             entries = [
                 Entry(random_rect(rng), oid=i) for i in range(n)
             ]
-            g1, g2 = rstar_split(entries)
-            s1, s2 = reference.rstar_split(entries)
+            g1, g2 = split_groups(entries)
+            s1, s2 = split_groups(entries, split=reference.rstar_split)
             assert [e.oid for e in g1] == [e.oid for e in s1]
             assert [e.oid for e in g2] == [e.oid for e in s2]
 
@@ -237,8 +237,8 @@ class TestSplitEquivalence:
         # Identical rectangles: every distribution ties; both paths must
         # pick the same (first) one.
         entries = [Entry(Rect(0, 0, 1, 1), oid=i) for i in range(10)]
-        g1, g2 = rstar_split(entries)
-        s1, s2 = reference.rstar_split(entries)
+        g1, g2 = split_groups(entries)
+        s1, s2 = split_groups(entries, split=reference.rstar_split)
         assert [e.oid for e in g1] == [e.oid for e in s1]
         assert [e.oid for e in g2] == [e.oid for e in s2]
 

@@ -46,14 +46,6 @@ class TestConstruction:
         with pytest.raises(GeometryError):
             Rect.from_points([])
 
-    def test_union_of_empty_raises(self):
-        with pytest.raises(GeometryError):
-            Rect.union_of([])
-
-    def test_union_of(self):
-        r = Rect.union_of([Rect(0, 0, 1, 1), Rect(2, 2, 3, 3)])
-        assert r == Rect(0, 0, 3, 3)
-
     def test_equality_and_hash(self):
         assert Rect(0, 0, 1, 1) == Rect(0, 0, 1, 1)
         assert Rect(0, 0, 1, 1) != Rect(0, 0, 1, 2)

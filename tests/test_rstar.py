@@ -17,7 +17,11 @@ from repro.rtree.rstar import RStarTree
 from repro.rtree.stats import tree_stats
 
 from tests.conftest import allocated_pages
-from tests.test_rtree_split import reference_least_overlap_enlargement
+from tests.test_rtree_split import (
+    on_block,
+    reference_least_area_enlargement,
+    reference_least_overlap_enlargement,
+)
 
 
 def check_invariants(tree: RStarTree) -> None:
@@ -385,11 +389,12 @@ class TestPropertyBased:
 # ----------------------------------------------------------------------
 class TestSameTreesAsTheReferenceChooser:
     """Every database is built twice — as shipped, and with the tree's
-    ChooseSubtree criterion swapped for the one it replaced (kept in
-    ``tests/test_rtree_split.py``; nothing under ``src/`` can select
-    it) — and must come out the same to the byte: catalog, split and
-    reinsert counters, construction I/O and the I/O of a delete +
-    re-insert round."""
+    two ChooseSubtree criteria swapped for the rect-matrix bodies they
+    replaced (kept in ``tests/test_rtree_split.py``, called on the
+    node's block through ``on_block``; nothing under ``src/`` can
+    select them) — and must come out the same to the byte: catalog,
+    split and reinsert counters, construction I/O and the I/O of a
+    delete + re-insert round."""
 
     # M = 8 makes the trees four levels tall, so the deletes dissolve
     # directory nodes and condensation re-inserts above the data pages.
@@ -433,11 +438,14 @@ class TestSameTreesAsTheReferenceChooser:
     @pytest.mark.parametrize("series", ["A-1", "A-2"])
     @pytest.mark.parametrize("name", sorted(KNOBS))
     def test_same_catalog_counters_and_io(self, series, name, monkeypatch):
-        calls = {"reference": 0, "condensing": 0, "above_leaves": 0}
+        calls = {"reference": 0, "area_reference": 0, "condensing": 0, "above_leaves": 0}
 
-        def reference(rects, rect):
-            calls["reference"] += 1
-            return reference_least_overlap_enlargement(rects, rect)
+        def counted(key, reference):
+            def criterion(*args):
+                calls[key] += 1
+                return on_block(reference)(*args)
+
+            return criterion
 
         raw_insert, raw_condense = RStarTree._insert, RStarTree._condense
 
@@ -453,13 +461,21 @@ class TestSameTreesAsTheReferenceChooser:
                 calls["condensing"] -= 1
 
         shipped = self.lifecycle(series, self.KNOBS[name])
-        monkeypatch.setattr("repro.rtree.rstar.least_overlap_enlargement", reference)
+        monkeypatch.setattr(
+            "repro.rtree.rstar.least_overlap_enlargement",
+            counted("reference", reference_least_overlap_enlargement),
+        )
+        monkeypatch.setattr(
+            "repro.rtree.rstar.least_area_enlargement",
+            counted("area_reference", reference_least_area_enlargement),
+        )
         monkeypatch.setattr(RStarTree, "_insert", counting_insert)
         monkeypatch.setattr(RStarTree, "_condense", scoped_condense)
         expected = self.lifecycle(series, self.KNOBS[name])
         assert calls["reference"] > 500
         if name.endswith("M8"):
             assert calls["above_leaves"] > 0
+            assert calls["area_reference"] > 500
         assert shipped[0] == expected[0], "the catalogs differ"
         assert shipped[1:] == expected[1:]
 
@@ -488,6 +504,10 @@ class TestSameTreesAsTheReferenceChooser:
         shipped = grow()
         monkeypatch.setattr(
             "repro.rtree.rstar.least_overlap_enlargement",
-            reference_least_overlap_enlargement,
+            on_block(reference_least_overlap_enlargement),
+        )
+        monkeypatch.setattr(
+            "repro.rtree.rstar.least_area_enlargement",
+            on_block(reference_least_area_enlargement),
         )
         assert grow() == shipped

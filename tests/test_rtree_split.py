@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from repro.geometry.rect import Rect
 from repro.rtree.capacity import ByteCapacity, CountCapacity, CountOrByteCapacity
 from repro.rtree.chooser import (
     CANDIDATES,
+    insertion_vector,
     least_area_enlargement,
     least_overlap_enlargement,
 )
@@ -23,32 +26,58 @@ def entries_from(rects: list[Rect]) -> list[Entry]:
     return [Entry(r, oid=i) for i, r in enumerate(rects)]
 
 
+def split_groups(entries: list[Entry], min_fill_fraction: float = 0.4, split=rstar_split):
+    """``split``'s two groups of ``entries``, read off its ``(order, k)``."""
+    rects = np.array([e.rect.as_tuple() for e in entries], dtype=np.float64)
+    order, k = split(rects.reshape(len(entries), 4), min_fill_fraction)
+    return [entries[i] for i in order[:k]], [entries[i] for i in order[k:]]
+
+
+def node_of(rects) -> Node:
+    """A directory node with one entry per ``(xmin, ymin, xmax, ymax)``
+    row: its block is what ChooseSubtree reads."""
+    rows = np.asarray(rects, dtype=np.float64).reshape(-1, 4).tolist()
+    return Node(0, 1, [Entry(Rect(*row)) for row in rows])
+
+
+def overlap_choice(rects, new: Rect, candidates: int = CANDIDATES) -> int:
+    node = node_of(rects)
+    return least_overlap_enlargement(
+        node.query_matrix(), node.areas(), insertion_vector(new), candidates
+    )
+
+
+def area_choice(rects, new: Rect) -> int:
+    node = node_of(rects)
+    return least_area_enlargement(node.query_matrix(), node.areas(), insertion_vector(new))
+
+
 class TestSplit:
     def test_preserves_entries(self):
         entries = entries_from([Rect(i, 0, i + 1, 1) for i in range(10)])
-        g1, g2 = rstar_split(entries)
+        g1, g2 = split_groups(entries)
         assert sorted(e.oid for e in g1 + g2) == list(range(10))
         assert g1 and g2
 
     def test_min_fill_respected(self):
         entries = entries_from([Rect(i, 0, i + 1, 1) for i in range(100)])
-        g1, g2 = rstar_split(entries, min_fill_fraction=0.4)
+        g1, g2 = split_groups(entries, min_fill_fraction=0.4)
         assert min(len(g1), len(g2)) >= 40
 
     def test_two_entries(self):
         entries = entries_from([Rect(0, 0, 1, 1), Rect(5, 5, 6, 6)])
-        g1, g2 = rstar_split(entries)
+        g1, g2 = split_groups(entries)
         assert len(g1) == len(g2) == 1
 
     def test_single_entry_rejected(self):
         with pytest.raises(TreeError):
-            rstar_split(entries_from([Rect(0, 0, 1, 1)]))
+            split_groups(entries_from([Rect(0, 0, 1, 1)]))
 
     def test_separates_two_clusters(self):
         left = [Rect(i, 0, i + 0.5, 1) for i in np.linspace(0, 5, 10)]
         right = [Rect(i, 0, i + 0.5, 1) for i in np.linspace(100, 105, 10)]
         entries = entries_from(left + right)
-        g1, g2 = rstar_split(entries)
+        g1, g2 = split_groups(entries)
         xs1 = {e.rect.xmin for e in g1}
         xs2 = {e.rect.xmin for e in g2}
         assert max(xs1) < 50 < min(xs2) or max(xs2) < 50 < min(xs1)
@@ -57,14 +86,14 @@ class TestSplit:
         # Entries separated along y: the split must use the y axis.
         bottom = [Rect(i, 0, i + 1, 1) for i in range(10)]
         top = [Rect(i, 100, i + 1, 101) for i in range(10)]
-        g1, g2 = rstar_split(entries_from(bottom + top))
-        r1 = Rect.union_of(e.rect for e in g1)
-        r2 = Rect.union_of(e.rect for e in g2)
+        g1, g2 = split_groups(entries_from(bottom + top))
+        r1 = reduce(Rect.union, (e.rect for e in g1))
+        r2 = reduce(Rect.union, (e.rect for e in g2))
         assert r1.overlap_area(r2) == 0.0
 
     def test_identical_rects(self):
         entries = entries_from([Rect(0, 0, 1, 1)] * 8)
-        g1, g2 = rstar_split(entries)
+        g1, g2 = split_groups(entries)
         assert len(g1) + len(g2) == 8
 
     @settings(max_examples=60, deadline=None)
@@ -82,7 +111,7 @@ class TestSplit:
     )
     def test_partition_property(self, raw):
         entries = entries_from([Rect(x, y, x + w, y + h) for x, y, w, h in raw])
-        g1, g2 = rstar_split(entries)
+        g1, g2 = split_groups(entries)
         assert len(g1) + len(g2) == len(entries)
         assert {id(e) for e in g1}.isdisjoint({id(e) for e in g2})
         assert {id(e) for e in g1} | {id(e) for e in g2} == {id(e) for e in entries}
@@ -94,13 +123,13 @@ class TestChooser:
 
     def test_area_picks_containing(self):
         rects = [Rect(0, 0, 10, 10), Rect(20, 20, 21, 21)]
-        idx = least_area_enlargement(self.matrix(rects), Rect(1, 1, 2, 2))
+        idx = area_choice(self.matrix(rects), Rect(1, 1, 2, 2))
         assert idx == 0
 
     def test_area_tie_breaks_by_area(self):
         # Both need zero enlargement; the smaller one wins.
         rects = [Rect(0, 0, 10, 10), Rect(0, 0, 5, 5)]
-        idx = least_area_enlargement(self.matrix(rects), Rect(1, 1, 2, 2))
+        idx = area_choice(self.matrix(rects), Rect(1, 1, 2, 2))
         assert idx == 1
 
     def test_overlap_avoids_creating_overlap(self):
@@ -108,15 +137,15 @@ class TestChooser:
         # candidate 2 can take the rect with no new overlap.
         rects = [Rect(0, 0, 4, 4), Rect(4, 0, 8, 4), Rect(8, 0, 12, 4)]
         new = Rect(8.5, 1, 9, 2)
-        idx = least_overlap_enlargement(self.matrix(rects), new)
+        idx = overlap_choice(self.matrix(rects), new)
         assert idx == 2
 
     def test_overlap_single_entry(self):
-        assert least_overlap_enlargement(self.matrix([Rect(0, 0, 1, 1)]), Rect(2, 2, 3, 3)) == 0
+        assert overlap_choice(self.matrix([Rect(0, 0, 1, 1)]), Rect(2, 2, 3, 3)) == 0
 
     def test_candidate_cap_still_valid(self):
         rects = [Rect(i, 0, i + 1, 1) for i in range(50)]
-        idx = least_overlap_enlargement(self.matrix(rects), Rect(25.2, 0.2, 25.4, 0.4), candidates=4)
+        idx = overlap_choice(self.matrix(rects), Rect(25.2, 0.2, 25.4, 0.4), candidates=4)
         assert rects[idx].contains(Rect(25.2, 0.2, 25.4, 0.4))
 
     @given(
@@ -131,8 +160,8 @@ class TestChooser:
         rects = [Rect(x, y, x + 5, y + 5) for x, y in origins]
         new = Rect(new_origin[0], new_origin[1], new_origin[0] + 1, new_origin[1] + 1)
         m = self.matrix(rects)
-        assert 0 <= least_area_enlargement(m, new) < len(rects)
-        assert 0 <= least_overlap_enlargement(m, new) < len(rects)
+        assert 0 <= area_choice(m, new) < len(rects)
+        assert 0 <= overlap_choice(m, new) < len(rects)
 
 
 # ----------------------------------------------------------------------
@@ -199,6 +228,20 @@ def reference_least_overlap_enlargement(
     return int(cand[order[0]])
 
 
+def on_block(reference):
+    """``reference`` — a criterion over an ``(n, 4)`` rect matrix and a
+    ``Rect`` — called the way the tree calls the shipped criteria: with
+    a node's query block, its areas and the new rectangle's insertion
+    vector (negation is lossless both ways)."""
+
+    def criterion(query: np.ndarray, areas: np.ndarray, q: np.ndarray, *args) -> int:
+        rects = query.copy()
+        np.negative(rects[:, 2:], out=rects[:, 2:])
+        return reference(rects, Rect(q[0], q[1], -q[2], -q[3]), *args)
+
+    return criterion
+
+
 # A small grid, so nesting, duplicates, shared edges, zero-width and
 # zero-height rectangles and exact ties are common; 0.1 / 0.3 / 0.7
 # round, and 1e7 beside 1e-7 puts huge rectangles next to tiny ones.
@@ -240,8 +283,9 @@ def chooser_cases(draw) -> tuple[np.ndarray, Rect]:
 
 
 class TestChooserEqualsReference:
-    """The covering shortcut, the single stacked ``_overlap_sums`` and
-    ``np.maximum`` change no answer: index for index the criteria equal
+    """The covering shortcut, the single stacked ``_overlap_sums``, the
+    clamp without ``np.clip`` and reading the node's block (query form,
+    kept areas) change no answer: index for index the criteria equal
     the bodies they replaced."""
 
     def matrix(self, rows) -> np.ndarray:
@@ -251,7 +295,7 @@ class TestChooserEqualsReference:
     @given(chooser_cases(), st.sampled_from([4, 32]))
     def test_overlap_criterion(self, case, candidates):
         rects, new = case
-        assert least_overlap_enlargement(
+        assert overlap_choice(
             rects, new, candidates
         ) == reference_least_overlap_enlargement(rects, new, candidates)
 
@@ -259,7 +303,7 @@ class TestChooserEqualsReference:
     @given(chooser_cases())
     def test_area_criterion(self, case):
         rects, new = case
-        assert least_area_enlargement(rects, new) == reference_least_area_enlargement(
+        assert area_choice(rects, new) == reference_least_area_enlargement(
             rects, new
         )
 
@@ -269,7 +313,7 @@ class TestChooserEqualsReference:
         rects = np.hstack((lo, lo + rng.uniform(0, 10, size=(200, 2))))
         for x, y in rng.uniform(0, 95, size=(50, 2)):
             new = Rect(x, y, x + 1, y + 1)
-            assert least_overlap_enlargement(
+            assert overlap_choice(
                 rects, new
             ) == reference_least_overlap_enlargement(rects, new)
 
@@ -293,7 +337,7 @@ class TestChooserEqualsReference:
         assert not Rect(*rects[0]).contains(new) and Rect(*rects[3]).contains(new)
         assert _ref_areas(rects)[0] < _ref_areas(rects)[3]
         assert reference_least_overlap_enlargement(rects, new) == 3
-        assert least_overlap_enlargement(rects, new) == 3
+        assert overlap_choice(rects, new) == 3
 
     def test_collinear_degenerate_entry_wins_without_covering(self):
         # Row 0 has zero height and the new rectangle lies on its line:
@@ -304,7 +348,7 @@ class TestChooserEqualsReference:
         new = Rect(6, 5, 8, 5)
         assert not Rect(*rects[0]).contains(new) and Rect(*rects[1]).contains(new)
         assert reference_least_overlap_enlargement(rects, new) == 0
-        assert least_overlap_enlargement(rects, new) == 0
+        assert overlap_choice(rects, new) == 0
 
     @pytest.mark.parametrize("candidates", [2, 4, 32])
     def test_equal_area_covering_duplicates_first_candidate_wins(self, candidates):
@@ -313,9 +357,57 @@ class TestChooserEqualsReference:
         )
         new = Rect(1, 1, 2, 2)
         expected = reference_least_overlap_enlargement(rects, new, candidates)
-        assert least_overlap_enlargement(rects, new, candidates) == expected
+        assert overlap_choice(rects, new, candidates) == expected
         if candidates >= len(rects):
             assert expected == 1
+
+
+#: Coordinates of the twin's matrices: a coarse grid (zero widths and
+#: heights, shared edges, duplicates), three adjacent floats at 1e9 and
+#: -1e9, so a band from -1e9 to 1e9 gains less than half an ulp of area
+#: when its edge moves by one ulp of 1e9.
+_FAR = [1e9 + k * float(np.spacing(1e9)) for k in range(3)]
+_TWIN_GRID = st.sampled_from([0.0, 1.0, 2.0, 3.0, 5.0, -1e9, *_FAR])
+
+
+@st.composite
+def twin_rects(draw) -> Rect:
+    x = sorted((draw(_TWIN_GRID), draw(_TWIN_GRID)))
+    y = sorted((draw(_GRID), draw(_GRID)))
+    return Rect(x[0], y[0], x[1], y[1])
+
+
+class TestBlockCriteriaTwin:
+    """Both criteria read a block written row by row by ``Node.add``,
+    and answer what the rect-matrix references answer on the matrix
+    itself, on up to 60 rows where zero widths and heights, shared
+    edges, duplicates and enlargements that round away are common."""
+
+    @staticmethod
+    def added(rects: list[Rect]) -> Node:
+        node = Node(0, 1)
+        for rect in rects:
+            node.add(Entry(rect))
+        return node
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(twin_rects(), min_size=1, max_size=60),
+        st.one_of(twin_rects(), st.integers(0, 59)),
+        st.sampled_from([4, 32]),
+    )
+    def test_block_criteria_equal_the_references(self, rects, new, candidates):
+        if isinstance(new, int):  # a row of the matrix itself: covered at least once
+            new = rects[new % len(rects)]
+        node = self.added(rects)
+        matrix = np.array([r.as_tuple() for r in rects])
+        q = insertion_vector(new)
+        assert least_overlap_enlargement(
+            node.query_matrix(), node.areas(), q, candidates
+        ) == reference_least_overlap_enlargement(matrix, new, candidates)
+        assert least_area_enlargement(
+            node.query_matrix(), node.areas(), q
+        ) == reference_least_area_enlargement(matrix, new)
 
 
 class TestCapacityPolicies:

@@ -434,7 +434,9 @@ def served_op_counts() -> dict[str, float]:
 def insert_path_counts() -> dict[str, float]:
     """Build the benchmark's smoke-size ``update_mixed`` twin (cluster
     organization, one-by-one, then 60 deletes and 30 inserts) and count
-    what an inserted object costs ChooseSubtree and the overflow check.
+    what an inserted object costs ChooseSubtree and the overflow check,
+    and how often a whole node block is built (``block_of``) instead of
+    kept row by row.
     Machine-independent; CI's ``Size report`` prints the ``*_per_insert``
     values and ``covered_share`` — the share of ChooseSubtree calls
     above the data pages that priced no overlap."""
@@ -446,13 +448,22 @@ def insert_path_counts() -> dict[str, float]:
     from repro.data.series import scaled, spec_for
     from repro.data.tiger import generate_map
     from repro.rtree import chooser, rstar
+    from repro.rtree import node as nodes
     from repro.rtree.node import Node
 
     spec = scaled(spec_for("A-1"), 0.005)
     objects = generate_map(spec, seed=1994)
     spare = generate_map(scaled(spec_for("A-2"), 0.005), seed=1994, id_offset=10**6)[:30]
     calls = dict.fromkeys(
-        ("overlap_criterion", "overlap_sums", "loads", "load_sums", "clip_in_rtree"), 0
+        (
+            "overlap_criterion",
+            "overlap_sums",
+            "loads",
+            "load_sums",
+            "clip_in_rtree",
+            "block_rebuilds",
+        ),
+        0,
     )
 
     def counted(key, original, when=lambda *args: True):
@@ -476,6 +487,7 @@ def insert_path_counts() -> dict[str, float]:
         patch.object(Node, "load",
                      counted("load_sums", counted("loads", Node.load), unsummed)),
         patch.object(np, "clip", counted("clip_in_rtree", np.clip, from_rtree)),
+        patch.object(nodes, "block_of", counted("block_rebuilds", nodes.block_of)),
     ):
         db = SpatialDatabase(avg_object_size=spec.avg_object_size)
         db.build(objects)
@@ -526,6 +538,12 @@ class TestInsertPathCounts:
         assert round(counts["covered_share"], 4) == 0.9493
         assert counts["clip_in_rtree"] == 0
         # The overflow check asks for the byte load once per insert; it
-        # is re-summed only after a split, a reinsert or a removal.
+        # is re-summed only after a split or a reinsert (a removal
+        # lowers it by the entry's load: 30 sums before it did).
         assert counts["loads"] == 730
-        assert counts["load_sums"] == 30
+        assert counts["load_sums"] == 21
+        # Every block is kept, never rebuilt (22 rect matrices were
+        # rebuilt from ``Entry`` objects when a mutation dropped them),
+        # and every node MBR is read off a block (79 ``Rect.union_of``
+        # calls before; the function is gone).
+        assert counts["block_rebuilds"] == 0
