@@ -16,7 +16,10 @@ Object byte sizes follow a lognormal distribution whose mean matches
 the series' Table 1 value; vertex counts derive from the byte-size
 model of :mod:`repro.geometry.sizes`.  Everything is driven by a
 deterministic :class:`numpy.random.Generator`, so a (spec, seed) pair
-always produces the identical map.
+always produces the identical map.  Each polyline is born as its
+``(n, 2)`` float64 vertex matrix (:meth:`Polyline.from_matrix`): no
+vertex becomes a Python tuple between the generator and the geometry
+column.
 """
 
 from __future__ import annotations
@@ -46,6 +49,8 @@ _COMPLEX_FRACTION = 0.40
 _COMPLEX_MEAN_FACTOR = 2.0
 _COMPLEX_SIGMA = 0.30
 _SIMPLE_SIGMA = 0.50
+
+_GRID = (0.0, math.pi / 2)  # a block street's two headings
 
 _MAX_VERTICES = 48
 """Geometric detail cap.  The *byte* size of an object (which drives all
@@ -100,21 +105,21 @@ class MapGenerator:
         """Produce the full object list, ids starting at ``id_offset``."""
         sizes = self._draw_sizes()
         anchors, spacings = self._draw_anchors()
+        n_vertices = np.clip(
+            (sizes - OBJECT_HEADER_BYTES) // VERTEX_BYTES, 2, _MAX_VERTICES
+        ).astype(np.int64)
         objects: list[SpatialObject] = []
-        for i in range(self.spec.n_objects):
-            n_vertices = max(2, int((sizes[i] - OBJECT_HEADER_BYTES) // VERTEX_BYTES))
-            n_vertices = min(n_vertices, _MAX_VERTICES)
-            vertices = self._draw_polyline(anchors[i], float(spacings[i]), n_vertices)
-            geometry = Polyline(vertices)
+        for i, (anchor, spacing, n, size) in enumerate(
+            zip(anchors.tolist(), spacings.tolist(), n_vertices.tolist(),
+                sizes.astype(np.int64).tolist())
+        ):
+            geometry = Polyline.from_matrix(self._draw_polyline(anchor, spacing, n))
             override = None
             if self.mbr_expansion is not None:
                 override = geometry.mbr.expanded(self.mbr_expansion)
             objects.append(
                 SpatialObject(
-                    id_offset + i,
-                    geometry,
-                    size_bytes=int(sizes[i]),
-                    mbr_override=override,
+                    id_offset + i, geometry, size_bytes=size, mbr_override=override
                 )
             )
         return objects
@@ -193,10 +198,11 @@ class MapGenerator:
         return self.data_space / math.sqrt(self.spec.n_objects)
 
     def _draw_polyline(
-        self, anchor: np.ndarray, spacing: float, n_vertices: int
-    ) -> list[tuple[float, float]]:
-        """One polyline of ``n_vertices`` starting near ``anchor`` with
-        a diameter proportional to the local spacing."""
+        self, anchor: list[float], spacing: float, n_vertices: int
+    ) -> np.ndarray:
+        """The ``(n_vertices, 2)`` vertex matrix of one polyline starting
+        near ``anchor`` with a diameter proportional to the local
+        spacing."""
         if self.spec.map_id == 1:
             return self._street(anchor, spacing, n_vertices)
         kind = self.rng.random()
@@ -207,8 +213,8 @@ class MapGenerator:
         return self._boundary_ring(anchor, spacing, n_vertices)
 
     def _street(
-        self, anchor: np.ndarray, spacing: float, n: int
-    ) -> list[tuple[float, float]]:
+        self, anchor: list[float], spacing: float, n: int
+    ) -> np.ndarray:
         """Street chain: grid-aligned block streets mixed with longer
         diagonal arterials.  Diagonal chains produce the large, mostly
         empty MBRs that make real street data overlap heavily — the
@@ -223,17 +229,22 @@ class MapGenerator:
             length = spacing * self.rng.uniform(3.0, 10.0)
         else:
             # Block street: short and axis-aligned (thin MBR).
-            theta = self.rng.choice([0.0, math.pi / 2]) + self.rng.normal(0.0, 0.1)
+            # ``rng.choice`` of the two draws ``integers(0, 2)``: the same
+            # stream and the same angle, at a fraction of the call cost.
+            theta = _GRID[self.rng.integers(0, 2)] + self.rng.normal(0.0, 0.1)
             length = spacing * self.rng.uniform(0.3, 1.0)
-        along = np.linspace(0.0, length, n)
+        # np.linspace(0.0, length, n) bit for bit: its own arithmetic,
+        # without its argument checks.
+        along = np.arange(n) * (length / (n - 1))
+        along[-1] = length
         jitter = self.rng.normal(0.0, length * 0.02, n)
         xs = anchor[0] + along * math.cos(theta) - jitter * math.sin(theta)
         ys = anchor[1] + along * math.sin(theta) + jitter * math.cos(theta)
         return self._clip(xs, ys)
 
     def _river(
-        self, anchor: np.ndarray, spacing: float, n: int
-    ) -> list[tuple[float, float]]:
+        self, anchor: list[float], spacing: float, n: int
+    ) -> np.ndarray:
         """Meandering chain: the heading performs a random walk.  The
         meandering contracts the end-to-end extent, so the step budget
         is normalised to a target diameter."""
@@ -247,8 +258,8 @@ class MapGenerator:
         return self._clip(xs, ys)
 
     def _railway(
-        self, anchor: np.ndarray, spacing: float, n: int
-    ) -> list[tuple[float, float]]:
+        self, anchor: list[float], spacing: float, n: int
+    ) -> np.ndarray:
         """Long, nearly straight chain with slight curvature."""
         length = spacing * self.rng.uniform(0.20, 0.40)
         step = length / max(n - 1, 1)
@@ -260,22 +271,24 @@ class MapGenerator:
         return self._clip(xs, ys)
 
     def _boundary_ring(
-        self, anchor: np.ndarray, spacing: float, n: int
-    ) -> list[tuple[float, float]]:
+        self, anchor: list[float], spacing: float, n: int
+    ) -> np.ndarray:
         """Closed administrative border approximated by a noisy ring
         (stored as a polyline, as topological models keep border lines)."""
         radius = spacing * self.rng.uniform(0.06, 0.14)
-        angles = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
+        # np.linspace(0.0, 2 * math.pi, n, endpoint=False) bit for bit.
+        angles = np.arange(n) * (2 * math.pi / n)
         radii = radius * (1.0 + self.rng.normal(0.0, 0.05, n))
         xs = anchor[0] + radii * np.cos(angles)
         ys = anchor[1] + radii * np.sin(angles)
         return self._clip(xs, ys)
 
-    def _clip(self, xs: np.ndarray, ys: np.ndarray) -> list[tuple[float, float]]:
-        space = self.data_space
-        xs = np.clip(xs, 0.0, space)
-        ys = np.clip(ys, 0.0, space)
-        return list(zip(xs.tolist(), ys.tolist()))
+    def _clip(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """The vertex matrix of the two axes, clipped to the data space."""
+        coords = np.empty((len(xs), 2))
+        coords[:, 0] = xs
+        coords[:, 1] = ys
+        return coords.clip(0.0, self.data_space, out=coords)
 
 
 def generate_map(

@@ -26,7 +26,7 @@ Whatever reads the arrays reads them from ``flushed()``.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -97,10 +97,15 @@ class GeometryColumn:
     def _fill(self, objects: list) -> None:
         """Append a row per object, all rows in one batch: a fixed number
         of numpy calls whatever the batch size, and per object only list
-        work and the conversion of its coordinates."""
+        work — its vertices go in as the matrix its geometry keeps (a
+        polygon's open ring), by one ``np.concatenate``."""
         geometries = [obj.geometry for obj in objects]
-        vertices = [geometry.vertices for geometry in geometries]
-        counts = list(map(len, vertices))
+        lines = [isinstance(geometry, Polyline) for geometry in geometries]
+        matrices = [
+            geometry.coords() if line else geometry.ring_coords()[:-1]
+            for geometry, line in zip(geometries, lines)
+        ]
+        counts = list(map(len, matrices))
         k, row, start, total = len(objects), self.n_rows, self.n_vertices, sum(counts)
         if row + k > len(self.oids):
             (self.oids, self.lines, self.sizes, self.tight, self.boxes,
@@ -112,13 +117,8 @@ class GeometryColumn:
             )
         if start + total > len(self.vertices):
             self.vertices = _grown(self.vertices, start + total)
-        self.vertices.reshape(-1)[2 * start:2 * (start + total)] = np.fromiter(
-            chain.from_iterable(chain.from_iterable(vertices)),
-            dtype=np.float64,
-            count=2 * total,
-        )
+        np.concatenate(matrices, out=self.vertices[start:start + total])
         rows = slice(row, row + k)
-        lines = [isinstance(geometry, Polyline) for geometry in geometries]
         self.oids[rows] = [obj.oid for obj in objects]
         self.lines[rows] = lines
         self.sizes[rows] = [obj.size_bytes for obj in objects]

@@ -4,8 +4,9 @@ Streets, rivers, railway tracks and administrative border lines are all
 open polylines.  A :class:`Polyline` owns its vertex list, caches its MBR
 and knows its storage footprint in bytes (Section 5.1 sizes objects by
 their exact representation, dominated by the vertex list).  A reopened
-polyline is a view of the catalog's vertex column; its vertex tuples are
-built on first scalar use.
+polyline is a view of the catalog's vertex column and a generated one
+is born as its vertex matrix; the vertex tuples of either are built on
+first scalar use.
 """
 
 from __future__ import annotations
@@ -55,9 +56,10 @@ class Polyline:
     @classmethod
     def from_matrix(cls, coords: np.ndarray) -> "Polyline":
         """Trusted constructor over an ``(n >= 2, 2)`` float64 matrix
-        (the catalog loader's): the matrix, typically a view of the
-        catalog's vertex column, is the :meth:`coords` cache, and no
-        vertex tuple is built until a scalar path asks for one."""
+        (the catalog loader's and the map generator's): the matrix — a
+        view of the catalog's vertex column, or a generated polyline's
+        own — is the :meth:`coords` cache, and no vertex tuple is built
+        until a scalar path asks for one."""
         self = cls.__new__(cls)
         self._vertices = None
         self._mbr = None

@@ -2,8 +2,9 @@
 
 A node corresponds to one page on secondary storage (Section 4.1).
 Level 0 nodes are data pages (leaves); higher levels form the directory.
-Nodes keep parent pointers so MBR adjustment and condensation can walk
-upward without a search path.
+Nodes keep parent pointers so the split, the forced reinsert and
+condensation can walk upward without a search path; an insert's upward
+walk retraces its descent's path instead.
 
 Each node keeps its *block*: per entry, in entry order, the rectangle
 ``(xmin, ymin, xmax, ymax)``, the same rectangle in the query kernels'

@@ -174,43 +174,48 @@ class RStarTree:
         return entry
 
     def _insert(self, entry: Entry, level: int) -> None:
-        node = self._choose_subtree(entry.rect, level)
+        node, path = self._choose_subtree(entry.rect, level)
         node.add(entry)
         if level == 0 and self.entry_added_handler is not None:
             self.entry_added_handler(node, entry)
         self._write(node)
-        self._adjust_upward(node, entry.rect)
+        self._adjust_upward(path, entry.rect)
         if self._is_overflow(node):
             self._overflow_treatment(node)
 
-    def _choose_subtree(self, rect: Rect, level: int) -> Node:
+    def _choose_subtree(
+        self, rect: Rect, level: int
+    ) -> tuple[Node, list[tuple[Node, int]]]:
+        """The node at ``level`` that takes ``rect``, and the descent's
+        path to it: per directory node passed, the node and the position
+        of the entry taken."""
         node = self.root
         self._read(node)
         q = insertion_vector(rect)
+        path: list[tuple[Node, int]] = []
         while node.level > level:
             if node.level == 1 and level == 0:
                 idx = least_overlap_enlargement(node.query_matrix(), node.areas(), q)
             else:
                 idx = least_area_enlargement(node.query_matrix(), node.areas(), q)
+            path.append((node, idx))
             child = node.entries[idx].child
             assert child is not None
             node = child
             self._read(node)
-        return node
+        return node, path
 
-    def _adjust_upward(self, node: Node, added: Rect) -> None:
-        """Enlarge the parent entry rectangles to cover a rectangle that
-        was just added below ``node``.  Enlargement is monotonic, so the
-        walk stops at the first ancestor that already covers it."""
-        while node.parent is not None:
-            parent = node.parent
-            index = parent.entry_index(node)
+    def _adjust_upward(self, path: list[tuple[Node, int]], added: Rect) -> None:
+        """Enlarge the entry rectangles on the descent's ``path``, from
+        the bottom, to cover a rectangle that was just added below it.
+        Enlargement is monotonic, so the walk stops at the first
+        ancestor that already covers it."""
+        for parent, index in reversed(path):
             rect = parent.entries[index].rect
             if rect.contains(added):
                 break
             parent.patch_rect(index, rect.union(added))
             self._write(parent)
-            node = parent
 
     # ------------------------------------------------------------------
     # overflow treatment: forced reinsert or split
@@ -317,7 +322,7 @@ class RStarTree:
         nodes are dissolved and their entries reinserted (R-tree
         condensation), so the tree stays balanced.
         """
-        found = self._find_leaf(self.root, oid, rect)
+        found = self._find_leaf(self.root, oid, rect, insertion_vector(rect))
         if found is None:
             raise KeyError(f"no entry with oid={oid} and rect={rect.as_tuple()}")
         self._generation += 1
@@ -331,20 +336,25 @@ class RStarTree:
         return entry
 
     def _find_leaf(
-        self, node: Node, oid: int, rect: Rect
+        self, node: Node, oid: int, rect: Rect, q: np.ndarray
     ) -> tuple[Node, Entry] | None:
+        """The data page and entry of ``(oid, rect)`` below ``node``, by a
+        depth-first descent into every child whose rectangle contains
+        ``rect`` (``q``, its insertion vector), in entry order: one
+        ``Rect.contains`` mask over the node's query matrix."""
         self._read(node)
         if node.is_leaf:
             for entry in node.entries:
                 if entry.oid == oid and entry.rect == rect:
                     return node, entry
             return None
-        for entry in node.entries:
-            if entry.rect.contains(rect):
-                assert entry.child is not None
-                found = self._find_leaf(entry.child, oid, rect)
-                if found is not None:
-                    return found
+        entries = node.entries
+        for i in (node.query_matrix() <= q).all(axis=1).nonzero()[0].tolist():
+            child = entries[i].child
+            assert child is not None
+            found = self._find_leaf(child, oid, rect, q)
+            if found is not None:
+                return found
         return None
 
     def _condense(self, node: Node) -> None:

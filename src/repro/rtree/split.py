@@ -16,7 +16,8 @@ cluster units and the objects are distributed onto these cluster units
 according to the R*-tree split algorithm".
 
 Sort orders, prefix/suffix MBRs, margins, overlaps and areas are numpy
-operations over the entries' rectangle matrix.  The result is
+operations over the entries' rectangle matrix, one pass over a stack of
+all four sort orders.  The result is
 bit-identical to the entry-at-a-time original (kept as the oracle in
 ``tests/scalar_reference.py``): every arithmetic step runs the same
 float64 operations in the same element order, sums and argmins
@@ -33,37 +34,6 @@ from repro.errors import TreeError
 __all__ = ["rstar_split", "SplitResult"]
 
 SplitResult = tuple[list[int], int]
-
-
-def _group_mbrs(
-    rects: np.ndarray, perm: np.ndarray, m: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per legal distribution of one sort order, the MBRs of the two
-    groups as ``(d, 4)`` matrices (``d = n - 2m + 1`` distributions;
-    distribution ``i`` puts ``m + i`` entries into the first group)."""
-    ordered = rects[perm]
-    # prefix[i] = MBR of rows [0 .. i], suffix[i] = MBR of rows [i .. n-1]
-    prefix = np.empty_like(ordered)
-    np.minimum.accumulate(ordered[:, 0], out=prefix[:, 0])
-    np.minimum.accumulate(ordered[:, 1], out=prefix[:, 1])
-    np.maximum.accumulate(ordered[:, 2], out=prefix[:, 2])
-    np.maximum.accumulate(ordered[:, 3], out=prefix[:, 3])
-    reverse = ordered[::-1]
-    suffix = np.empty_like(ordered)
-    np.minimum.accumulate(reverse[:, 0], out=suffix[:, 0])
-    np.minimum.accumulate(reverse[:, 1], out=suffix[:, 1])
-    np.maximum.accumulate(reverse[:, 2], out=suffix[:, 2])
-    np.maximum.accumulate(reverse[:, 3], out=suffix[:, 3])
-    suffix = suffix[::-1]
-    n = len(rects)
-    ks = np.arange(m, n - m + 1)
-    return prefix[ks - 1], suffix[ks]
-
-
-def _margins(group: np.ndarray) -> np.ndarray:
-    """Row-wise margin (half perimeter), ``width + height`` exactly as
-    :meth:`repro.geometry.rect.Rect.margin` computes it."""
-    return (group[:, 2] - group[:, 0]) + (group[:, 3] - group[:, 1])
 
 
 def _overlaps(first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -103,41 +73,52 @@ def rstar_split(rects: np.ndarray, min_fill_fraction: float = 0.4) -> SplitResul
     m = max(1, min(int(min_fill_fraction * n), n // 2))
 
     # ------------------------------------------------------------------
-    # ChooseSplitAxis.  np.lexsort is stable, so the permutations match
-    # Python's sorted(key=(lower, upper)); the margin sum runs over the
-    # per-distribution values sequentially (lower order first), exactly
-    # like a generator sum over the distributions.
+    # The four sort orders — x by lower then upper boundary, x by upper
+    # then lower, the same for y — as one (4, n) stack.  np.lexsort is
+    # stable, so each matches Python's sorted(key=(lower, upper)).
     # ------------------------------------------------------------------
-    best = None  # (margin_sum, perms, groups)
-    for lo, hi in ((0, 2), (1, 3)):  # x axis, y axis
-        perm_lower = np.lexsort((rects[:, hi], rects[:, lo]))
-        perm_upper = np.lexsort((rects[:, lo], rects[:, hi]))
-        f1, s1 = _group_mbrs(rects, perm_lower, m)
-        f2, s2 = _group_mbrs(rects, perm_upper, m)
-        margin_values = np.concatenate(
-            [_margins(f1) + _margins(s1), _margins(f2) + _margins(s2)]
-        )
-        margin_sum = sum(margin_values.tolist())
-        if best is None or margin_sum < best[0]:
-            best = (margin_sum, (perm_lower, perm_upper), (f1, s1, f2, s2))
+    perms = np.stack([
+        np.lexsort((rects[:, 2], rects[:, 0])),
+        np.lexsort((rects[:, 0], rects[:, 2])),
+        np.lexsort((rects[:, 3], rects[:, 1])),
+        np.lexsort((rects[:, 1], rects[:, 3])),
+    ])
+    # Per order, prefix[i] = MBR of rows [0 .. i] and suffix[i] = MBR of
+    # rows [i .. n-1], for all four orders by one minimum-accumulate
+    # each way over the rows in query form (xmin, ymin, -xmax, -ymax).
+    # Negation and min / max are exact, so the group MBRs carry the bits
+    # the per-column accumulates gave (where -0.0 and 0.0 meet, either
+    # may win; no comparison below sees the sign of a zero).
+    ordered = rects[perms]
+    np.negative(ordered[..., 2:], out=ordered[..., 2:])
+    prefix = np.minimum.accumulate(ordered, axis=1)
+    suffix = np.minimum.accumulate(ordered[:, ::-1], axis=1)[:, ::-1]
+    # Distribution i of an order puts m + i entries into the first group.
+    firsts = prefix[:, m - 1:n - m]
+    seconds = suffix[:, m:n - m + 1]
+    np.negative(firsts[..., 2:], out=firsts[..., 2:])
+    np.negative(seconds[..., 2:], out=seconds[..., 2:])
 
-    assert best is not None
-    (perm_lower, perm_upper) = best[1]
-    f1, s1, f2, s2 = best[2]
+    # ------------------------------------------------------------------
+    # ChooseSplitAxis: per distribution the two groups' margins (half
+    # perimeters, ``width + height`` as Rect.margin computes them); an
+    # axis's margin sum runs over its lower order's distributions, then
+    # its upper order's, in sequence, exactly like a generator sum.
+    # ------------------------------------------------------------------
+    margins = (
+        (firsts[..., 2] - firsts[..., 0]) + (firsts[..., 3] - firsts[..., 1])
+    ) + ((seconds[..., 2] - seconds[..., 0]) + (seconds[..., 3] - seconds[..., 1]))
+    axis = 1 if sum(margins[2:].ravel().tolist()) < sum(margins[:2].ravel().tolist()) else 0
 
     # ------------------------------------------------------------------
     # ChooseSplitIndex: least overlap, ties by least combined area, then
     # by position (lexsort is stable, so the first minimal distribution
     # wins — matching the sequential strict-< scan).
     # ------------------------------------------------------------------
-    first = np.concatenate([f1, f2])
-    second = np.concatenate([s1, s2])
+    first = firsts[2 * axis:2 * axis + 2].reshape(-1, 4)
+    second = seconds[2 * axis:2 * axis + 2].reshape(-1, 4)
     overlaps = _overlaps(first, second)
     areas = _areas(first) + _areas(second)
     pick = int(np.lexsort((areas, overlaps))[0])
-    per_order = len(f1)
-    if pick < per_order:
-        perm, k = perm_lower, m + pick
-    else:
-        perm, k = perm_upper, m + pick - per_order
-    return perm.tolist(), k
+    upper, k = divmod(pick, n - 2 * m + 1)
+    return perms[2 * axis + upper].tolist(), m + k

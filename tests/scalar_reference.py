@@ -7,7 +7,8 @@ Each function takes the arguments of the shipped name it stands for, so
 a test can patch it over that name (:data:`PATCHES` lists the targets):
 
 * :func:`window_leaves` / :func:`window_leaves_batch` — the tree walk
-  that tests entry by entry (``RStarTree``);
+  that tests entry by entry (``RStarTree``), and :func:`find_leaf`,
+  delete's descent the same way;
 * :func:`rstar_split` — the split over sorted entry lists and ``Rect``
   unions (``repro.rtree.rstar``);
 * :func:`mbr_join_run` — the join's synchronized traversal as the
@@ -79,6 +80,24 @@ def window_leaves_batch(tree, rects):
         groups = window_leaves(tree, rect, visited.append)
         per_query.append((visited, groups))
     return per_query
+
+
+def find_leaf(tree, node, oid, rect, q):
+    """``RStarTree._find_leaf``, asking each directory entry's
+    ``Rect.contains`` in turn (``q`` unused)."""
+    tree._read(node)
+    if node.is_leaf:
+        for entry in node.entries:
+            if entry.oid == oid and entry.rect == rect:
+                return node, entry
+        return None
+    for entry in node.entries:
+        if entry.rect.contains(rect):
+            assert entry.child is not None
+            found = find_leaf(tree, entry.child, oid, rect, q)
+            if found is not None:
+                return found
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -300,6 +319,7 @@ SCALAR_LOOPS = (
 PATCHES = (
     (RStarTree, "window_leaves", window_leaves),
     (RStarTree, "window_leaves_batch", window_leaves_batch),
+    (RStarTree, "_find_leaf", find_leaf),
     (rstar, "rstar_split", rstar_split),
     (MBRJoin, "run", mbr_join_run),
     (hilbert, "sort_by_hilbert", sort_by_hilbert),

@@ -3,7 +3,9 @@ and join-selectivity calibration."""
 
 from __future__ import annotations
 
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -212,3 +214,62 @@ class TestCalibration:
     def test_calibrate_validation(self):
         with pytest.raises(ConfigurationError):
             calibrate_expansion([], [], 0.0)
+
+
+def map_digest(objects, keys: bool = False) -> str:
+    """``perf/workloads.py::dataset_digest``'s formula: sha256 over each
+    object's ``<qq`` oid and byte size and its vertex bytes, the first
+    16 hex digits.  ``keys`` adds each object's spatial key (its
+    ``mbr_override`` when there is one) as four ``<d``."""
+    h = hashlib.sha256()
+    for obj in objects:
+        h.update(struct.pack("<qq", obj.oid, obj.size_bytes))
+        h.update(obj.geometry.coords().tobytes())
+        if keys:
+            h.update(struct.pack("<4d", *obj.mbr.as_tuple()))
+    return h.hexdigest()[:16]
+
+
+def _map(key: str, scale: float, **kwargs):
+    return generate_map(scaled(spec_for(key), scale), seed=1994, **kwargs)
+
+
+class TestMapsArePinned:
+    """Every generated map, bit for bit: a change to the generator that
+    moves one vertex, size or key moves a digest.  The values were
+    recorded on the tuple-built generator the matrix-born one replaced."""
+
+    def test_the_benchmark_datasets(self):
+        """The four digests ``perf/run.py`` prints (``perf/baseline.json``):
+        ``traffic_open`` / ``query_cold``, ``update_mixed``,
+        ``join_exact`` and ``persist_cycle``."""
+        assert map_digest(_map("A-1", 0.05)) == "19f7c3d4adf84876"
+        assert map_digest(_map("A-1", 0.02)) == "9571962dd6efd048"
+        joined = _map("A-1", 0.03) + _map("A-2", 0.03, id_offset=1_000_000)
+        assert map_digest(joined) == "56a2cfe9b6b99eb3"
+        assert map_digest(_map("A-1", 0.01)) == "869d1317967377c3"
+
+    def test_the_spare_maps(self):
+        """The A-2 maps ``update_mixed`` and ``persist_cycle`` draw their
+        inserts from."""
+        spare = _map("A-2", 0.02, id_offset=1_000_000)
+        assert map_digest(spare, keys=True) == "605d34111255b7d9"
+        spare = _map("A-2", 0.01, id_offset=1_000_000)
+        assert map_digest(spare, keys=True) == "7f4b1f5e6dcaa2a5"
+
+    @pytest.mark.parametrize(
+        "key, plain, expanded",
+        [
+            pytest.param("A-1", "6d3aeffd1540b5c1", "681bd7fe349c074c", id="A-1"),
+            pytest.param("A-2", "4f222e7eba395795", "84f648a912eba9bd", id="A-2"),
+            pytest.param("B-1", "ee8c944da2c22130", "4032135f19afbe20", id="B-1"),
+            pytest.param("B-2", "8e13907c88b24fc7", "e9809d73192f729a", id="B-2"),
+            pytest.param("C-1", "1c7618d291842adf", "d24fe3f5a68b942d", id="C-1"),
+            pytest.param("C-2", "e910dfaaad71e404", "a8f2f336f5eef872", id="C-2"),
+        ],
+    )
+    def test_every_series(self, key, plain, expanded):
+        """All six series at a small scale, with tight keys and with
+        ``mbr_expansion`` (Section 6.1's fat join versions)."""
+        assert map_digest(_map(key, 0.003), keys=True) == plain
+        assert map_digest(_map(key, 0.003, mbr_expansion=1.7), keys=True) == expanded

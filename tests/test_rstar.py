@@ -16,6 +16,7 @@ from repro.rtree.pager import NodePager
 from repro.rtree.rstar import RStarTree
 from repro.rtree.stats import tree_stats
 
+from tests import scalar_reference as reference
 from tests.conftest import allocated_pages
 from tests.test_rtree_split import (
     on_block,
@@ -317,6 +318,50 @@ class TestPagedTree:
             tree.delete(i, rects[i])
         assert allocated_pages(tree.pager.region) < pages_before
         assert allocated_pages(tree.pager.region) == tree.node_count()
+
+
+class TestDeleteDescentTwin:
+    """Delete's descent picks the children to visit with one
+    ``Rect.contains`` mask per directory node, and visits them in entry
+    order: the pages it reads, in order, and what they cost equal the
+    entry-by-entry loop's (``tests/scalar_reference.py``) over a
+    generated insert / delete sequence."""
+
+    @staticmethod
+    def run(seed: int) -> tuple[list[int], object, list]:
+        disk = DiskModel()
+        pager = NodePager(disk, PageAllocator().region("tree"))
+        tree = RStarTree(max_entries=6, pager=pager)
+        visits: list[int] = []
+        read = tree._read
+        tree._read = lambda node: (visits.append(node.node_id), read(node))
+        rng = random.Random(seed)
+        live: dict[int, Rect] = {}
+        for oid in range(500):
+            # A coarse grid: duplicates and nested rectangles make several
+            # directory entries contain a deleted one.
+            x, y = rng.randrange(30), rng.randrange(30)
+            live[oid] = Rect(x, y, x + rng.randrange(3), y + rng.randrange(3))
+            tree.insert(oid, live[oid])
+            if oid % 3 == 2:
+                gone = rng.choice(sorted(live))
+                tree.delete(gone, live.pop(gone))
+        for gone in sorted(live)[::2]:
+            tree.delete(gone, live.pop(gone))
+        with pytest.raises(KeyError):
+            tree.delete(10**6, Rect(0, 0, 1, 1))
+        check_invariants(tree)
+        shape = [(n.node_id, [e.oid for e in n.entries]) for n in tree.nodes()]
+        return visits, disk.stats(), shape
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_same_visits_and_io_as_the_entry_loop(self, seed, monkeypatch):
+        shipped = self.run(seed)
+        monkeypatch.setattr(RStarTree, "_find_leaf", reference.find_leaf)
+        expected = self.run(seed)
+        assert shipped[0] == expected[0]
+        assert shipped[1] == expected[1]
+        assert shipped[2] == expected[2]
 
 
 class TestTreeStats:

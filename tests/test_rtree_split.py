@@ -20,6 +20,7 @@ from repro.rtree.chooser import (
 from repro.rtree.entry import Entry
 from repro.rtree.node import Node
 from repro.rtree.split import rstar_split
+from tests import scalar_reference as reference
 
 
 def entries_from(rects: list[Rect]) -> list[Entry]:
@@ -408,6 +409,44 @@ class TestBlockCriteriaTwin:
         assert least_area_enlargement(
             node.query_matrix(), node.areas(), q
         ) == reference_least_area_enlargement(matrix, new)
+
+
+#: Coordinates of the split twin: a coarse grid (zero widths and
+#: heights, shared edges) and the edges of the data type's useful range,
+#: beside arbitrary floats in it.
+_SPLIT_COORD = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.0, 3.0, 5.0, -1e9, 1e9, *_FAR]),
+    st.floats(-1e9, 1e9, allow_nan=False),
+)
+
+
+@st.composite
+def split_matrices(draw) -> np.ndarray:
+    """2 to 90 rectangles, a share of them repeats of earlier ones."""
+    rows = []
+    for _ in range(draw(st.integers(2, 90))):
+        if rows and draw(st.integers(0, 3)) == 0:
+            rows.append(rows[draw(st.integers(0, len(rows) - 1))])
+            continue
+        x = sorted((draw(_SPLIT_COORD), draw(_SPLIT_COORD)))
+        y = sorted((draw(_SPLIT_COORD), draw(_SPLIT_COORD)))
+        rows.append((x[0], y[0], x[1], y[1]))
+    return np.array(rows, dtype=np.float64)
+
+
+class TestSplitTwin:
+    """The one-pass split over the stack of all four sort orders picks
+    the ``(order, k)`` of the sorted-list original
+    (``tests/scalar_reference.py``) on matrices full of ties: duplicate
+    rectangles, zero widths and heights, shared edges, coordinates at
+    +-1e9, every legal minimum fill."""
+
+    @settings(deadline=None)
+    @given(split_matrices(), st.floats(0.1, 0.5))
+    def test_split_equals_the_reference(self, rects, min_fill_fraction):
+        assert rstar_split(rects, min_fill_fraction) == reference.rstar_split(
+            rects, min_fill_fraction
+        )
 
 
 class TestCapacityPolicies:

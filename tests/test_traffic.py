@@ -436,7 +436,11 @@ def insert_path_counts() -> dict[str, float]:
     organization, one-by-one, then 60 deletes and 30 inserts) and count
     what an inserted object costs ChooseSubtree and the overflow check,
     and how often a whole node block is built (``block_of``) instead of
-    kept row by row.
+    kept row by row.  ``vertex_tuples`` counts the ``Polyline``s of the
+    two generated maps that build their vertex tuples while the maps
+    are generated, built and streamed; ``entry_index_calls`` the
+    parent's linear scans for a child (``Node.entry_index``) the split,
+    reinsert and condensation paths still make.
     Machine-independent; CI's ``Size report`` prints the ``*_per_insert``
     values and ``covered_share`` — the share of ChooseSubtree calls
     above the data pages that priced no overlap."""
@@ -447,13 +451,11 @@ def insert_path_counts() -> dict[str, float]:
 
     from repro.data.series import scaled, spec_for
     from repro.data.tiger import generate_map
+    from repro.geometry.polyline import Polyline
     from repro.rtree import chooser, rstar
     from repro.rtree import node as nodes
     from repro.rtree.node import Node
 
-    spec = scaled(spec_for("A-1"), 0.005)
-    objects = generate_map(spec, seed=1994)
-    spare = generate_map(scaled(spec_for("A-2"), 0.005), seed=1994, id_offset=10**6)[:30]
     calls = dict.fromkeys(
         (
             "overlap_criterion",
@@ -462,6 +464,8 @@ def insert_path_counts() -> dict[str, float]:
             "load_sums",
             "clip_in_rtree",
             "block_rebuilds",
+            "vertex_tuples",
+            "entry_index_calls",
         ),
         0,
     )
@@ -479,6 +483,9 @@ def insert_path_counts() -> dict[str, float]:
     def unsummed(node):
         return node._load is None
 
+    def untupled(polyline):
+        return polyline._vertices is None
+
     with (
         patch.object(rstar, "least_overlap_enlargement",
                      counted("overlap_criterion", rstar.least_overlap_enlargement)),
@@ -488,7 +495,17 @@ def insert_path_counts() -> dict[str, float]:
                      counted("load_sums", counted("loads", Node.load), unsummed)),
         patch.object(np, "clip", counted("clip_in_rtree", np.clip, from_rtree)),
         patch.object(nodes, "block_of", counted("block_rebuilds", nodes.block_of)),
+        patch.object(Node, "entry_index", counted("entry_index_calls", Node.entry_index)),
+        patch.object(Polyline, "__init__", counted("vertex_tuples", Polyline.__init__)),
+        patch.object(Polyline, "vertices", property(
+            counted("vertex_tuples", Polyline.vertices.fget, untupled)
+        )),
     ):
+        spec = scaled(spec_for("A-1"), 0.005)
+        objects = generate_map(spec, seed=1994)
+        spare = generate_map(
+            scaled(spec_for("A-2"), 0.005), seed=1994, id_offset=10**6
+        )[:30]
         db = SpatialDatabase(avg_object_size=spec.avg_object_size)
         db.build(objects)
         for obj in objects[:60]:
@@ -547,3 +564,12 @@ class TestInsertPathCounts:
         # and every node MBR is read off a block (79 ``Rect.union_of``
         # calls before; the function is gone).
         assert counts["block_rebuilds"] == 0
+        # Maps are born as vertex matrices and stay so through the
+        # build and the stream (1,301 polylines built their tuples
+        # before: every generated one).
+        assert counts["vertex_tuples"] == 0
+        # An insert's upward walk reuses the descent's positions; the
+        # parent's scan for a child is left to the split, the forced
+        # reinsert and condensation (700 scans before: one or more per
+        # insert).
+        assert counts["entry_index_calls"] == 69
