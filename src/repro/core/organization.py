@@ -343,6 +343,24 @@ class ClusterOrganization(SpatialOrganization):
         avg_size = self._total_object_bytes / count
         return avg_size / self.page_size + 0.5
 
+    def _own_extents(self, leaf: Node, hits: np.ndarray) -> np.ndarray | None:
+        """Which entries at positions ``hits`` of ``leaf`` are oversize
+        objects with extents of their own; ``None`` when none is."""
+        extents = self._extents
+        if extents:  # almost always empty: Smax is far above the average
+            entries = leaf.entries
+            apart = np.fromiter(
+                (entries[i].oid in extents for i in hits.tolist()), dtype=bool, count=len(hits)
+            )
+            if apart.any():
+                return apart
+        return None
+
+    def _request_order(self, leaf: Node, hits: np.ndarray) -> np.ndarray:
+        """Oversize extents first, then the cluster unit's objects."""
+        apart = self._own_extents(leaf, hits)
+        return hits if apart is None else np.concatenate((hits[apart], hits[~apart]))
+
     def _plan_group(
         self,
         plan: AccessPlan,
@@ -350,10 +368,9 @@ class ClusterOrganization(SpatialOrganization):
         hits: np.ndarray,
         window: Rect | None,
         selective: bool,
-    ) -> np.ndarray:
+    ) -> None:
         """Schedule one data-page group onto ``plan`` — oversize extents
-        first, then the cluster unit under the configured technique —
-        and return the entry positions ``hits`` in that request order.
+        first, then the cluster unit under the configured technique.
         Object ids are read only where a request needs one: an oversize
         extent, or a technique that addresses objects one by one.  On a
         merged plan the technique planners draw chain ids from the
@@ -361,17 +378,13 @@ class ClusterOrganization(SpatialOrganization):
         per-group ``plan.extent`` prefetch hint degenerates to the last
         group's unit — which is why merging requires a prefetcher-free
         pool (``SpatialOrganization._batchable``)."""
-        extents, entries = self._extents, leaf.entries
         in_unit = hits
-        if extents:  # almost always empty: Smax is far above the average
-            apart = np.fromiter(
-                (entries[i].oid in extents for i in hits.tolist()), dtype=bool, count=len(hits)
-            )
-            if apart.any():
-                for i in hits[apart].tolist():
-                    plan.read_extent(extents[entries[i].oid])
-                in_unit = hits[~apart]
-                hits = np.concatenate((hits[apart], in_unit))
+        apart = self._own_extents(leaf, hits)
+        if apart is not None:
+            extents, entries = self._extents, leaf.entries
+            for i in hits[apart].tolist():
+                plan.read_extent(extents[entries[i].oid])
+            in_unit = hits[~apart]
         if len(in_unit):
             unit: ClusterUnit | None = leaf.tag
             if unit is None:
@@ -379,7 +392,6 @@ class ClusterOrganization(SpatialOrganization):
                     f"data page {leaf.node_id} has objects but no cluster unit"
                 )
             self._read_unit(plan, unit, leaf, in_unit, window, selective)
-        return hits
 
     def _read_unit(
         self,

@@ -57,7 +57,7 @@ def run_window_queries(
     """Execute a window workload and aggregate its costs.
 
     The workload runs through the organization's batch entry point
-    (one flat-tree traversal and one refinement pass for all windows;
+    (one tree walk per window, one refinement pass for all windows;
     per-query access plans merged where that is pricing-neutral); the
     per-query results — and therefore every aggregate — are identical
     to looping ``window_query`` under every configuration."""

@@ -139,7 +139,8 @@ def segment_intersects_rect(
     """True if the closed segment a-b shares a point with the rectangle.
 
     Uses the Cohen-Sutherland style trivial accept/reject before falling
-    back to the four edge tests.
+    back to the four edge tests.  A point rectangle's four edges are the
+    same zero-length segment, so it is tested once.
     """
     if rect.contains_point(*a) or rect.contains_point(*b):
         return True
@@ -149,6 +150,8 @@ def segment_intersects_rect(
     if not rect.intersects(seg_mbr):
         return False
     corners = list(rect.corners())
+    if rect.xmin == rect.xmax and rect.ymin == rect.ymax:
+        return segments_intersect(a, b, corners[0], corners[0])
     for i in range(4):
         if segments_intersect(a, b, corners[i], corners[(i + 1) % 4]):
             return True
@@ -319,11 +322,12 @@ def polylines_intersect_rects(
         return out
     row = ends.searchsorted(seg, side="right")
     boxes = [rects] * len(row) if one else rects[row].tolist()
+    window = Rect(*rects) if one else None  # one rectangle: built once
     # Plain Python floats: numpy scalars would make every scalar
     # comparison several times slower.  A row may have been decided by
     # a vertex away from this segment.
     for r, a, b, box in zip(row.tolist(), pts[seg].tolist(), pts[seg + 1].tolist(), boxes):
-        if not out[r] and segment_intersects_rect(a, b, Rect(*box)):
+        if not out[r] and segment_intersects_rect(a, b, window or Rect(*box)):
             out[r] = True
     return out
 

@@ -19,7 +19,7 @@ Two hooks adapt the tree to the cluster organization of Section 4.2.1:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from repro.rtree.chooser import (
     least_overlap_enlargement,
 )
 from repro.rtree.entry import Entry
-from repro.rtree.flat import FlatTree, build_flat, flat_query_batch
+from repro.rtree.flat import FlatTree, build_flat
 from repro.rtree.node import Node
 from repro.rtree.pager import NodePager
 from repro.rtree.split import rstar_split
@@ -424,6 +424,20 @@ class RStarTree:
                 groups.append((node, hits))
         return groups
 
+    def window_leaves_batch(
+        self, rects: Sequence[Rect]
+    ) -> list[tuple[list[Node], list[tuple[Node, np.ndarray]]]]:
+        """Batched, *unpriced* form of :meth:`window_leaves`: per query a
+        pair ``(visited_nodes, groups)``, where ``groups`` is
+        ``window_leaves(rect)`` and ``visited_nodes`` its page visits in
+        order, so pricing the visits query by query costs what running
+        the queries one at a time costs."""
+        per_query = []
+        for rect in rects:
+            visited: list[Node] = []
+            per_query.append((visited, self.window_leaves(rect, visited.append)))
+        return per_query
+
     def window_query(self, window: Rect) -> list[Entry]:
         """All data entries whose MBR shares points with ``window``
         (the *filter* step; exact refinement is the storage layer's
@@ -444,49 +458,14 @@ class RStarTree:
     # flat snapshot (structure-of-arrays form, repro.rtree.flat)
     # ------------------------------------------------------------------
     def flat_snapshot(self) -> FlatTree:
-        """The structure-of-arrays snapshot of this tree, rebuilt lazily
-        when the generation counter says the structure changed."""
+        """The structure-of-arrays snapshot of this tree the join
+        traverses, rebuilt lazily when the generation counter says the
+        structure changed."""
         flat = self._flat
         if flat is None or flat.generation != self._generation:
             flat = build_flat(self)
             self._flat = flat
         return flat
-
-    def window_leaves_batch(
-        self, rects: list[Rect]
-    ) -> list[tuple[list[Node], list[tuple[Node, np.ndarray]]]]:
-        """Batched, *unpriced* form of :meth:`window_leaves`: **one
-        whole-tree traversal** over the flat snapshot
-        (:mod:`repro.rtree.flat`) filters every rectangle at once — one
-        broadcast mask per tree level instead of per-node Python
-        recursion.  Per query a pair ``(visited_nodes, groups)``:
-        ``groups`` equals ``window_leaves(rect)`` — same leaves, same
-        positions, same order — and ``visited_nodes`` is its exact
-        page-visit order (the DFS ranks reproduce it), so pricing the
-        visits query by query costs what running the queries one at a
-        time costs.  A batch of one takes the per-node walk (cheaper
-        than the flat traversal's fixed numpy cost)."""
-        if len(rects) == 1:
-            visited: list[Node] = []
-            return [(visited, self.window_leaves(rects[0], visited.append))]
-        flat = self.flat_snapshot()
-        batch = flat_query_batch(flat, rects)
-        nodes = flat.nodes
-        per_query = []
-        for i in range(batch.n_queries):
-            hits, owners = batch.hits(i), batch.hit_owners(i)
-            visited = [nodes[n] for n in batch.visits(i).tolist()]
-            groups: list[tuple[Node, np.ndarray]] = []
-            if len(hits):
-                # Hits are sorted by global entry id, so owners come in
-                # nondecreasing runs — one run per matched leaf, in
-                # visit order, entries ascending within it.
-                cuts = (owners[1:] != owners[:-1]).nonzero()[0] + 1
-                leaves = owners[np.concatenate(([0], cuts))].tolist()
-                positions = hits - flat.entry_start[owners]
-                groups = list(zip(map(nodes.__getitem__, leaves), np.split(positions, cuts)))
-            per_query.append((visited, groups))
-        return per_query
 
     # ------------------------------------------------------------------
     # introspection

@@ -217,6 +217,13 @@ class SpatialOrganization(abc.ABC):
         self.pool.submit(AccessPlan(f"{self.name}.store").write_extent(extent))
         return extent
 
+    def _request_order(self, leaf: Node, hits: np.ndarray) -> np.ndarray:
+        """The positions ``hits`` of ``leaf`` (the filter's matches, in
+        ascending order) in the order :meth:`_plan_group` requests their
+        exact representations — the order of a query's candidates, and
+        so of its answers.  Here: the entries' own order."""
+        return hits
+
     def _plan_group(
         self,
         plan: AccessPlan,
@@ -224,11 +231,11 @@ class SpatialOrganization(abc.ABC):
         hits: np.ndarray,
         window: Rect,
         selective: bool,
-    ) -> np.ndarray:
+    ) -> None:
         """The transfer step for one data page: append to ``plan`` the
         requests that fetch the exact representations of the entries at
-        positions ``hits`` of ``leaf`` (the filter's matches) and return
-        those positions in request order.
+        positions ``hits`` of ``leaf`` (the filter's matches, in
+        :meth:`_request_order`).
 
         ``window`` is the query region (techniques like the geometric
         threshold need it); ``selective`` marks point queries, which
@@ -250,7 +257,6 @@ class SpatialOrganization(abc.ABC):
                 extent = extents.get(entries[i].oid)
                 if extent is not None:
                     plan.read_extent(extent)
-        return hits
 
     def occupied_pages(self) -> int:
         """Total pages bound by the organization (Figure 6's metric):
@@ -393,28 +399,53 @@ class SpatialOrganization(abc.ABC):
         rectangle ``Rect(x, y, x, y)`` with ``points`` set.  A candidate
         is a row of :attr:`column` from filter to answer.
 
-        **Filter** — :meth:`RStarTree.window_leaves_batch`, which prices
-        nothing: per query the visited nodes in DFS order and per
-        matched leaf the positions of its matching entries.
-        **Transfer** — :meth:`_transfer`, query by query.  **Refine** —
-        :meth:`_refine`, once over all queries of the call (refinement
-        is pure CPU, so each query's I/O statistics are final before it
-        runs).
+        **Answer** — :meth:`_answer`, once for all queries of the call:
+        filter and refinement, which price nothing.  **Transfer** —
+        :meth:`_transfer`, query by query, which prices the node visits
+        and the candidates' exact representations; its I/O is the
+        query's ``io``.
         """
         merge = self._batchable()
+        disk = self.disk
+        results = []
+        for rect, (visited, groups, result) in zip(rects, self._answer(rects, points)):
+            before = disk.stats()
+            self._transfer(visited, groups, rect, points, merge)
+            result.io = disk.stats() - before
+            results.append(result)
+        return results
+
+    def _answer(
+        self, rects: Sequence[Rect], points: bool
+    ) -> list[tuple[list[Node], list[tuple[Node, np.ndarray]], QueryResult]]:
+        """The unpriced stages of the pipeline for a batch of queries of
+        one kind: per query its visited nodes, its groups (per matched
+        leaf the positions of its candidates, in request order) and its
+        :class:`QueryResult` but for ``io``.  Nothing here touches the
+        pool, the disks or the clock, so a run without writes may answer
+        all its queries before it prices any.
+
+        **Filter** — :meth:`RStarTree.window_leaves_batch`: per query the
+        visited nodes in DFS order and per matched leaf the positions of
+        its matching entries, put in the order :meth:`_transfer` requests
+        them (:meth:`_request_order`).  **Refine** — :meth:`_refine`,
+        once over all queries of the batch.
+        """
         sizes = self.column.sizes
-        queries = []
+        answers, queries = [], []
         for rect, (visited, groups) in zip(rects, self.tree.window_leaves_batch(rects)):
-            before = self.disk.stats()
-            rows, keys = self._transfer(visited, groups, rect, points, merge)
+            groups = [(leaf, self._request_order(leaf, hits)) for leaf, hits in groups]
+            rows = _joined([leaf.rows().take(order) for leaf, order in groups], _NO_ROWS)
+            keys = None if points else _joined(
+                [leaf.query_matrix().take(order, axis=0) for leaf, order in groups], _NO_KEYS
+            )
             result = QueryResult(
-                candidates=len(rows),
-                bytes_retrieved=sum(sizes.take(rows).tolist()),
-                io=self.disk.stats() - before,
+                candidates=len(rows), bytes_retrieved=sum(sizes.take(rows).tolist())
             )
             queries.append((rect, result, rows, keys))
+            answers.append((visited, groups, result))
         self._refine(queries, points)
-        return [result for _rect, result, _rows, _keys in queries]
+        return answers
 
     def _batchable(self) -> bool:
         """May one query's node reads and object transfers be merged
@@ -448,17 +479,15 @@ class SpatialOrganization(abc.ABC):
         rect: Rect,
         selective: bool,
         merge: bool,
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> None:
         """Price one query's node visits and the transfer of its
-        candidates' exact representations; returns the candidates in
-        read order as :attr:`column` rows, and their entries'
-        ``query_matrix()`` rows (none for a point query, whose
-        candidates are all tested).  Merged, everything is one access plan,
-        cut where the separate plans would have ended; otherwise the
-        visits are single-page reads and the groups are submitted as the
-        organization declares them (one plan per data page when
-        :attr:`_plan_per_group`, else one per query) — request order is
-        the same either way."""
+        candidates' exact representations (``groups`` as
+        :meth:`_answer` hands them on).  Merged, everything is one
+        access plan, cut where the separate plans would have ended;
+        otherwise the visits are single-page reads and the groups are
+        submitted as the organization declares them (one plan per data
+        page when :attr:`_plan_per_group`, else one per query) — request
+        order is the same either way."""
         pager = self.tree.pager
         plan = AccessPlan(f"{self.name}.retrieve")
         if merge:
@@ -466,12 +495,8 @@ class SpatialOrganization(abc.ABC):
         else:
             for node in visited:
                 pager.read(node)
-        rows, keys = [], []
         for leaf, hits in groups:
-            order = self._plan_group(plan, leaf, hits, rect, selective)
-            rows.append(leaf.rows().take(order))
-            if not selective:  # a point query tests every candidate
-                keys.append(leaf.query_matrix().take(order, axis=0))
+            self._plan_group(plan, leaf, hits, rect, selective)
             if self._plan_per_group:
                 if merge:
                     plan.cut()
@@ -480,12 +505,12 @@ class SpatialOrganization(abc.ABC):
                     plan = AccessPlan(plan.label)
         if plan:
             self.pool.submit(plan)
-        return _joined(rows, _NO_ROWS), _joined(keys, _NO_KEYS)
 
     def _refine(self, queries: list[tuple], points: bool) -> None:
-        """Exact refinement of every query of one call — ``(rect,
+        """Exact refinement of every query of one batch — ``(rect,
         result, rows, keys)`` each: its candidates as :attr:`column`
-        rows and their entries' ``query_matrix()`` rows — filling
+        rows and their entries' ``query_matrix()`` rows (``None`` for a
+        point query, whose candidates are all tested) — filling
         ``objects`` and ``exact_tests`` of its result.  Every decision
         is taken on row arrays; only the answers are looked up as
         objects.

@@ -245,6 +245,7 @@ class TestExports:
         from repro.obs.metrics import Gauge
         from repro.pagestore.placement import PlacementPolicy
         from repro.rtree.entry import Entry
+        from repro.rtree import flat
         from repro.rtree.flat import FlatTree
         from repro.rtree.node import Node
         from repro.rtree.pager import NodePager
@@ -272,7 +273,10 @@ class TestExports:
             (Node, ["invalidate"]),
             (PlacementPolicy, ["pinned_pages"]),
             (Entry, ["is_data"]),
-            (FlatTree, ["n_nodes"]),
+            # One filter path: the batched flat traversal went, the
+            # snapshot stays for the join.
+            (FlatTree, ["n_nodes", "owner_of", "entry_q"]),
+            (flat, ["FlatBatch", "flat_query_batch"]),
             (NodePager, ["reset_buffer"]),
             (TreeStats, ["total_nodes"]),
             (QueryResult, ["io_ms_per_4kb"]),

@@ -1,5 +1,5 @@
 """Tests for the structure-of-arrays snapshot (repro.rtree.flat), the
-whole-tree batched traversal and the organization-level batch path.
+batched filter and the organization-level batch path.
 
 The contract under test is PR-4's equivalence promise, strengthened:
 per-query batch results equal the single-query results *in order*, and
@@ -22,7 +22,7 @@ from repro.rtree.flat import build_flat
 from repro.rtree.rstar import RStarTree
 
 from tests import scalar_reference as reference
-from tests.conftest import ReadSpy, batch_entries, build_org, make_objects
+from tests.conftest import ReadSpy, build_org, make_objects
 
 ORG_KINDS = ("secondary", "primary", "cluster")
 
@@ -51,10 +51,6 @@ def _bare_tree(objects):
     return tree
 
 
-def _point_rects(points):
-    return [Rect(x, y, x, y) for x, y in points]
-
-
 # ----------------------------------------------------------------------
 # the snapshot itself
 # ----------------------------------------------------------------------
@@ -75,14 +71,6 @@ class TestFlatSnapshot:
         children = flat.entry_child[~data]
         assert len(np.unique(children)) == len(children) == len(flat.nodes) - 1
 
-    def test_owner_of_inverts_offsets(self, objects300):
-        flat = build_flat(_bare_tree(objects300))
-        eids = np.arange(flat.n_entries)
-        owners = flat.owner_of(eids)
-        for nid in range(len(flat.nodes)):
-            lo, hi = flat.entry_start[nid], flat.entry_start[nid + 1]
-            assert (owners[lo:hi] == nid).all()
-
     def test_snapshot_cached_until_structure_changes(self, objects300):
         tree = _bare_tree(objects300[:100])
         first = tree.flat_snapshot()
@@ -96,44 +84,16 @@ class TestFlatSnapshot:
         third = tree.flat_snapshot()
         assert third is not second
 
-    def test_batch_correct_after_invalidation(self, objects300):
-        tree = _bare_tree(objects300[:150])
-        windows = _windows(objects300, n=10)
-        tree.window_leaves_batch(windows)  # builds a snapshot
-        for obj in objects300[150:200]:
-            tree.insert(obj.oid, obj.mbr)  # invalidates it
-        batch = batch_entries(tree, windows)
-        singles = [tree.window_query(w) for w in windows]
-        for got, want in zip(batch, singles):
-            assert [e.oid for e in got] == [e.oid for e in want]
-
 
 # ----------------------------------------------------------------------
-# batched traversal vs the single-query paths
+# the batched filter: unpriced, in single-query order
 # ----------------------------------------------------------------------
 class TestBatchedTraversal:
-    def test_window_batch_matches_singles_in_order(self, objects300):
-        tree = _bare_tree(objects300)
-        windows = _windows(objects300)
-        batch = batch_entries(tree, windows)
-        singles = [tree.window_query(w) for w in windows]
-        assert len(batch) == len(windows)
-        for got, want in zip(batch, singles):
-            assert [e.oid for e in got] == [e.oid for e in want]
-
-    def test_point_batch_matches_singles_in_order(self, objects300):
-        tree = _bare_tree(objects300)
-        points = _points(objects300)
-        batch = batch_entries(tree, _point_rects(points))
-        singles = [tree.point_query(x, y) for x, y in points]
-        for got, want in zip(batch, singles):
-            assert [e.oid for e in got] == [e.oid for e in want]
-
     def test_empty_batches(self, objects300):
         tree = _bare_tree(objects300)
         assert tree.window_leaves_batch([]) == []
         # A query without candidates hands on no group, whether it walks
-        # alone or inside a flat batch.
+        # alone or beside another.
         miss = Rect(-20.0, -20.0, -10.0, -10.0)
         for batch in ([miss], [miss, miss]):
             for visited, groups in tree.window_leaves_batch(batch):
@@ -391,7 +351,7 @@ class TestPolylinesIntersectRects:
 # ----------------------------------------------------------------------
 class TestBatchableGuard:
     """``_batchable()`` decides one thing: whether a query's node reads
-    and transfers share one access plan.  The flat traversal and the
+    and transfers share one access plan.  The unpriced filter and the
     shared refinement run either way."""
 
     def test_overlap_scheduler_disables_the_merged_plan_path(
@@ -403,15 +363,19 @@ class TestBatchableGuard:
         assert not org._batchable()
         windows = _windows(objects300, n=4)
         singles = [twin.window_query(w) for w in windows]
-        # Only merging is off: the batch is still filtered by the flat
-        # traversal, never by per-query tree walks.
-        monkeypatch.setattr(
-            RStarTree,
-            "window_leaves",
-            lambda *a: pytest.fail("per-query traversal inside a batch"),
-        )
+        # Only merging is off: the batch is still filtered by one walk
+        # per window, ahead of its priced reads.
+        walks = []
+        walk = RStarTree.window_leaves
+
+        def counted(tree, window, read=None):
+            walks.append(read)
+            return walk(tree, window, read)
+
+        monkeypatch.setattr(RStarTree, "window_leaves", counted)
         batch = org.window_query_batch(windows)
         TestOrganizationBatch._assert_equal(singles, batch)
+        assert len(walks) == len(windows) and None not in walks
 
     def test_sync_default_is_batchable(self, objects300):
         org = build_org("secondary", make_objects(120, seed=3))

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import GeometryError
 from repro.geometry import intersect
@@ -109,6 +109,68 @@ class TestSegmentRect:
         rect = Rect(-50, -50, 50, 50)
         if rect.contains_point(*a) or rect.contains_point(*b):
             assert segment_intersects_rect(a, b, rect)
+
+
+def _four_edge_test(a, b, rect):
+    """``segment_intersects_rect`` as it tested every rectangle,
+    points included: the pretests, then all four edges."""
+    if rect.contains_point(*a) or rect.contains_point(*b):
+        return True
+    seg_mbr = Rect(min(a[0], b[0]), min(a[1], b[1]), max(a[0], b[0]), max(a[1], b[1]))
+    if not rect.intersects(seg_mbr):
+        return False
+    corners = list(rect.corners())
+    return any(segments_intersect(a, b, corners[i], corners[(i + 1) % 4]) for i in range(4))
+
+
+_EPS_OFFSETS = st.sampled_from([0.0, 5e-13, -5e-13, 1e-12, -1e-12, 2e-12, -2e-12, 1e-9])
+
+
+@st.composite
+def _segment_and_probe(draw):
+    """A segment (zero-length ones included) and a point on, near or
+    off it: a vertex, a point on its line, either of those moved by
+    about the predicates' eps, or anywhere."""
+    a = draw(point)
+    b = draw(st.one_of(st.just(a), point))
+    how = draw(st.sampled_from(["vertex", "collinear", "free"]))
+    if how == "vertex":
+        p = draw(st.sampled_from([a, b]))
+    elif how == "collinear":
+        t = draw(st.sampled_from([0.5, 0.25, -0.5, 1.5]) | st.floats(-1, 2))
+        p = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+    else:
+        p = draw(point)
+    dx, dy = draw(_EPS_OFFSETS), draw(_EPS_OFFSETS)
+    return a, b, (p[0] + dx, p[1] + dy)
+
+
+class TestPointRectTwin:
+    """A point rectangle's four edges are one zero-length segment:
+    testing it once decides what the four edge tests decided."""
+
+    @given(_segment_and_probe())
+    @example(((0.0, 0.0), (2.0, 2.0), (1.0, 1.0)))
+    @example(((0.0, 0.0), (2.0, 2.0), (1.0, 1.0 + 1e-12)))
+    @example(((0.0, 0.0), (2.0, 0.0), (3.0, 0.0)))
+    @example(((1.0, 1.0), (1.0, 1.0), (1.0, 1.0 + 5e-13)))
+    def test_one_corner_test_is_the_four_edge_test(self, case):
+        a, b, (x, y) = case
+        rect = Rect(x, y, x, y)
+        assert segment_intersects_rect(a, b, rect) == _four_edge_test(a, b, rect)
+
+    def test_a_point_rectangle_tests_one_edge(self, monkeypatch):
+        calls = []
+        scalar = intersect.segments_intersect
+
+        def spy(*args):
+            calls.append(args)
+            return scalar(*args)
+
+        monkeypatch.setattr(intersect, "segments_intersect", spy)
+        assert segment_intersects_rect((0.0, 0.0), (2.0, 2.0), Rect(1.0, 1.0, 1.0, 1.0))
+        assert not segment_intersects_rect((0.0, 0.0), (2.0, 2.0), Rect(1.0, 1.5, 1.0, 1.5))
+        assert len(calls) == 2
 
 
 class TestPointInPolygon:

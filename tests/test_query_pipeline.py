@@ -24,7 +24,6 @@ from repro.geometry.feature import SpatialObject
 from repro.geometry.polygon import Polygon
 from repro.geometry.polyline import Polyline
 from repro.geometry.rect import Rect
-from repro.rtree.rstar import RStarTree
 from repro.storage import base
 from repro.storage.base import SpatialOrganization
 
@@ -124,6 +123,31 @@ class TestBruteForceReference:
             got = org.point_query_batch(points[:n])
             assert [observed(r) for r in got] == want_p[:n]
 
+    @pytest.mark.parametrize("kind", ORG_KINDS)
+    def test_answers_come_in_request_order(self, mixed, kind):
+        """Answers follow the filter's leaves and, inside a leaf, the
+        order the organization requests the candidates: entry order,
+        except that the cluster organization reads the objects with
+        pages of their own before its unit."""
+        objects, windows, _points, orgs = mixed
+        org = orgs[kind]
+        reordered = False
+        for window in windows:
+            entry_order, request_order = [], []
+            for leaf, hits in org.tree.window_leaves(window, lambda node: None):
+                oids = [leaf.entries[i].oid for i in hits.tolist()]
+                entry_order += oids
+                if kind == "cluster":
+                    apart = [oid for oid in oids if org.extent_of(oid) is not None]
+                    oids = apart + [oid for oid in oids if oid not in apart]
+                request_order += oids
+            answers = reference(objects, window, False)[0]
+            want = [oid for oid in request_order if oid in answers]
+            assert [o.oid for o in org.window_query(window).objects] == want
+            assert [o.oid for o in org.window_query_batch([window])[0].objects] == want
+            reordered |= request_order != entry_order
+        assert reordered == (kind == "cluster")
+
     def test_oversize_object_is_stored_apart(self, mixed):
         objects, _windows, _points, orgs = mixed
         big = objects[-1].oid
@@ -153,7 +177,7 @@ class TestMergingIsAllTheGuardSwitches:
     @pytest.mark.parametrize("scheduler", ["sync", "overlap"])
     @pytest.mark.parametrize("kind", ["cluster", "secondary"])
     def test_batch_equals_looped_singles(
-        self, objects300, monkeypatch, kind, scheduler, prefetch, caching, n_disks
+        self, objects300, kind, scheduler, prefetch, caching, n_disks
     ):
         from repro.data.workload import window_workload
 
@@ -193,13 +217,6 @@ class TestMergingIsAllTheGuardSwitches:
             }
 
         _, looped = run(batched=False)
-        # Inside a batch the filter is the flat traversal, whatever the
-        # configuration.
-        monkeypatch.setattr(
-            RStarTree,
-            "window_leaves",
-            lambda *a: pytest.fail("per-query traversal inside a batch"),
-        )
         mergeable, batch = run(batched=True)
         # Outside an operation scope the overlap scheduler never merges:
         # each blocking plan advances the client's clock, so the next

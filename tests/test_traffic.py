@@ -16,7 +16,7 @@ from repro.database import SpatialDatabase
 from repro.errors import ConfigurationError
 from repro.iosched.admission import PriorityAdmission
 from repro.obs.metrics import Histogram, percentile_sorted
-from repro.workload.engine import Row, RunReport
+from repro.workload.engine import Row, RunReport, WorkloadEngine
 from repro.workload.streams import mixed_stream
 from repro.workload.traffic import (
     ARRIVALS,
@@ -332,13 +332,183 @@ class TestSessionDataclass:
 
 
 # ----------------------------------------------------------------------
+# a read-only run answered ahead is the same run served live
+# ----------------------------------------------------------------------
+def _serve_live(monkeypatch):
+    """Make every run of this test serve its operations live: the
+    answer-ahead step hands the streams back untouched."""
+    monkeypatch.setattr(WorkloadEngine, "_answer_ahead", lambda self, streams: streams)
+
+
+@pytest.fixture(scope="module")
+def twin_objects():
+    """Sizes up to 12 KB: with an 8 KB Smax some objects have pages of
+    their own in every organization, so requests are not entry order."""
+    return make_objects(160, seed=21, size_range=(200, 12_000))
+
+
+def _twin_run(objects, organization, scheduler, n_disks, run, refines=2):
+    """Build a fresh database, run ``run(db)`` on it and return what the
+    twin compares: the report's text, per-disk I/O, the metrics and the
+    makespan (the clock's too, under the overlap scheduler).  The run
+    must make ``refines`` refinement calls (one per kind when answered
+    ahead, one per read when served live)."""
+    from unittest.mock import patch
+
+    from repro.storage.base import SpatialOrganization
+
+    db = SpatialDatabase(
+        organization=organization, smax_bytes=2 * 4096,
+        n_disks=n_disks, scheduler=scheduler,
+    )
+    db.build(objects)
+    calls = []
+    refine = SpatialOrganization._refine
+
+    def counted(org, queries, points):
+        calls.append(len(queries))
+        return refine(org, queries, points)
+
+    with patch.object(SpatialOrganization, "_refine", counted):
+        report = run(db)
+    assert len(calls) == refines
+    disk = db.disk
+    per_disk = disk.per_disk_stats() if n_disks > 1 else [disk.stats()]
+    clock = getattr(db.scheduler, "clock", None)
+    return (
+        report.format(), per_disk, db.metrics.snapshot(), report.makespan_ms,
+        clock.makespan if clock is not None else None,
+    )
+
+
+def _read_sessions(objects, n_clients=3):
+    return {
+        f"c{i}": mixed_stream(
+            objects, n_windows=8 + 3 * i, n_points=5 + i, seed=40 + i, data_space=10_000.0
+        )
+        for i in range(n_clients)
+    }
+
+
+class TestAnsweredAheadIsServedLive:
+    """A read-only ``run_sessions`` or ``run_traffic`` filters and refines
+    all its operations before it prices any; forced onto the live path,
+    the same run must print, price, measure and time the same."""
+
+    @pytest.mark.parametrize("organization", ["secondary", "primary", "cluster"])
+    @pytest.mark.parametrize("scheduler", ["sync", "overlap"])
+    @pytest.mark.parametrize("n_disks", [1, 4])
+    def test_sessions(self, twin_objects, monkeypatch, organization, scheduler, n_disks):
+        def run(db):
+            return db.run_sessions(_read_sessions(twin_objects), buffer_pages=48)
+
+        ahead = _twin_run(twin_objects, organization, scheduler, n_disks, run)
+        _serve_live(monkeypatch)
+        reads = sum(map(len, _read_sessions(twin_objects).values()))
+        assert _twin_run(twin_objects, organization, scheduler, n_disks, run, reads) == ahead
+
+    @pytest.mark.parametrize("organization", ["secondary", "primary", "cluster"])
+    @pytest.mark.parametrize("n_disks", [1, 4])
+    def test_traffic(self, twin_objects, monkeypatch, organization, n_disks):
+        sessions = generate(
+            twin_objects, n=40, rate_per_s=400.0, analytics_fraction=0.3, ops_per_session=3
+        )
+
+        def run(db):
+            return db.run_traffic(sessions, buffer_pages=48)
+
+        ahead = _twin_run(twin_objects, organization, "overlap", n_disks, run)
+        _serve_live(monkeypatch)
+        reads = sum(len(s.operations) for s in sessions)
+        assert _twin_run(twin_objects, organization, "overlap", n_disks, run, reads) == ahead
+
+    def test_closed_traffic_under_priority_admission(self, twin_objects, monkeypatch):
+        """The ``traffic_closed_priority`` golden's configuration: closed
+        arrivals, three operations a session and the traffic scenario's
+        stingy priority bucket, whose re-queues reorder the service."""
+        sessions = generate(twin_objects, n=30, arrival="closed", ops_per_session=3)
+
+        def run(db):
+            policy = PriorityAdmission(classifier=class_of_session, rate=0.05, burst_ms=20.0)
+            return db.run_traffic(sessions, buffer_pages=64, admission=policy)
+
+        ahead = _twin_run(twin_objects, "cluster", "overlap", 4, run)
+        _serve_live(monkeypatch)
+        reads = sum(len(s.operations) for s in sessions)
+        assert _twin_run(twin_objects, "cluster", "overlap", 4, run, reads) == ahead
+
+    def test_answered_in_several_batches(self, twin_objects, monkeypatch):
+        """A run longer than one answer batch is answered batch by batch
+        (here of 7 queries), each kind apart."""
+        from repro.workload import engine
+
+        sessions = generate(twin_objects, n=40, rate_per_s=400.0, ops_per_session=2)
+        kinds = [op[0] for s in sessions for op in s.operations]
+        batches = sum(-(-kinds.count(kind) // 7) for kind in ("window", "point"))
+        assert batches > 2
+
+        def run(db):
+            return db.run_traffic(sessions, buffer_pages=48)
+
+        monkeypatch.setattr(engine, "_ANSWER_BATCH", 7)
+        ahead = _twin_run(twin_objects, "cluster", "overlap", 4, run, batches)
+        _serve_live(monkeypatch)
+        assert _twin_run(twin_objects, "cluster", "overlap", 4, run, len(kinds)) == ahead
+
+    @pytest.mark.parametrize("live", [False, True])
+    def test_a_malformed_op_raises_when_served(self, twin_objects, monkeypatch, live):
+        """Round robin serves c0, c1, c2, c0, c1: the list in c1's second
+        place is the fifth operation, so four are priced before it
+        raises the error serving it always raised."""
+        if live:
+            _serve_live(monkeypatch)
+        sessions = _read_sessions(twin_objects)
+        sessions["c1"][1] = list(sessions["c1"][1])
+        executed = []
+        execute = WorkloadEngine._execute
+
+        def counted(engine, op):
+            executed.append(op)
+            return execute(engine, op)
+
+        monkeypatch.setattr(WorkloadEngine, "_execute", counted)
+        db = traffic_db()
+        db.build(twin_objects)
+        before = db.disk.stats()
+        with pytest.raises(ConfigurationError, match="malformed workload operation"):
+            db.run_sessions(sessions, buffer_pages=48)
+        assert len(executed) == 5
+        assert executed[-1] == sessions["c1"][1]
+        assert (db.disk.stats() - before).requests > 0
+
+    def test_a_run_with_one_insert_is_served_live(self, twin_objects, monkeypatch):
+        built = twin_objects[:-1]
+        sessions = _read_sessions(built)
+        sessions["c2"].insert(2, ("insert", twin_objects[-1]))
+        reads = sum(len(ops) for ops in sessions.values()) - 1
+
+        def run(db):
+            return db.run_sessions(
+                {name: list(ops) for name, ops in sessions.items()}, buffer_pages=48
+            )
+
+        # One refinement per read: served live, with or without the patch.
+        ahead = _twin_run(built, "cluster", "overlap", 4, run, reads)
+        _serve_live(monkeypatch)
+        assert _twin_run(built, "cluster", "overlap", 4, run, reads) == ahead
+
+
+# ----------------------------------------------------------------------
 # what a served operation costs, as counts (ROADMAP items A.2 and B)
 # ----------------------------------------------------------------------
 def served_op_counts() -> dict[str, float]:
     """Run a fixed 40-session traffic on a 4-disk ``overlap`` database
     at the benchmark's smoke size and count the calls the served path
-    used to make once per plan, per page and per entry.  Machine-
-    independent; CI's ``Size report`` prints the ``*_per_op`` values."""
+    used to make once per plan, per page and per entry, and the filter
+    walks (``window_leaves``) and refinement calls (``_refine``) of the
+    run, which answers its read-only operations ahead of serving them.
+    Machine-independent; CI's ``Size report`` prints the ``*_per_op``
+    values and ``refine_calls``."""
     from contextlib import ExitStack
     from unittest.mock import patch
 
@@ -349,7 +519,9 @@ def served_op_counts() -> dict[str, float]:
     from repro.iosched.scheduler import SyncScheduler
     from repro.pagestore.placement import PlacementPolicy
     from repro.pagestore.store import ShardedPageStore
+    from repro.rtree.rstar import RStarTree
     from repro.storage.base import SpatialOrganization
+    from repro.workload.engine import WorkloadEngine
 
     spec = scaled(spec_for("A-1"), 0.005)
     objects = generate_map(spec, seed=1994)
@@ -364,7 +536,7 @@ def served_op_counts() -> dict[str, float]:
     ops = sum(len(s.operations) for s in sessions)
     calls = dict.fromkeys(
         ("submits", "gets", "pool_access", "pool_admit",
-         "disk_of_in_transfer", "contains_in_refine"), 0
+         "disk_of_in_transfer", "contains_in_refine", "filter_walks", "refine_calls"), 0
     )
     submits_by_op: list[int] = []
     depth = {"transfer": 0, "refine": 0}
@@ -388,8 +560,10 @@ def served_op_counts() -> dict[str, float]:
 
         return note
 
-    def scoped(scope):
+    def scoped(scope, key=None):
         def note(original, *args, **kwargs):
+            if key is not None:
+                calls[key] += 1
             depth[scope] += 1
             try:
                 return original(*args, **kwargs)
@@ -398,7 +572,7 @@ def served_op_counts() -> dict[str, float]:
 
         return note
 
-    def per_query(original, *args):
+    def per_op(original, *args):
         before = calls["submits"]
         try:
             return original(*args)
@@ -412,11 +586,12 @@ def served_op_counts() -> dict[str, float]:
     with ExitStack() as stack:
         spy(stack, BufferPool, "submit", counted("submits"))
         spy(stack, SyncScheduler, "_issue", per_request)
-        spy(stack, SpatialOrganization, "_run_queries", per_query)
+        spy(stack, WorkloadEngine, "_execute", per_op)
+        spy(stack, RStarTree, "window_leaves", counted("filter_walks"))
         for name in ("access", "admit"):
             spy(stack, BufferPool, name, counted(f"pool_{name}"))
         spy(stack, ShardedPageStore, "_transfer", scoped("transfer"))
-        spy(stack, SpatialOrganization, "_refine", scoped("refine"))
+        spy(stack, SpatialOrganization, "_refine", scoped("refine", "refine_calls"))
         spy(stack, PlacementPolicy, "disk_of", counted("disk_of_in_transfer", "transfer"))
         spy(stack, Rect, "contains", counted("contains_in_refine", "refine"))
         report = db.run_traffic(sessions, buffer_pages=16)
@@ -539,6 +714,11 @@ class TestServedOpCounts:
         # containment shortcut is one mask per query.
         assert counts["disk_of_in_transfer"] == 0
         assert counts["contains_in_refine"] == 0
+        # Per run: a read-only run is filtered one walk per operation and
+        # refined once per kind (windows, points; 44 operations are one
+        # batch of each) before it is priced.
+        assert counts["filter_walks_per_op"] == 1
+        assert counts["refine_calls"] == 2
 
 
 class TestInsertPathCounts:
