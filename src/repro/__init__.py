@@ -42,7 +42,7 @@ from repro.errors import (
     StorageError,
     TreeError,
 )
-from repro.geometry import Polygon, Polyline, Rect, SpatialObject
+from repro.geometry import Polyline, Rect, SpatialObject
 from repro.iosched import (
     ADMISSIONS,
     PREFETCHERS,
@@ -89,7 +89,6 @@ __all__ = [
     "SpatialObject",
     "Rect",
     "Polyline",
-    "Polygon",
     "RStarTree",
     "ClusterOrganization",
     "ClusterPolicy",

@@ -58,6 +58,7 @@ class ClusterOrganization(SpatialOrganization):
     # One plan per cluster unit: ``plan.extent`` names the unit a
     # cluster-aware prefetcher completes.
     _plan_per_group = True
+    reorganizable = True
     _catalog_scalars = ("_total_object_bytes",)
 
     def __init__(

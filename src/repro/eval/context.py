@@ -5,7 +5,11 @@ of the harness, and several figures reuse the same builds (Figures 5
 and 6 report construction cost and utilization of the *same* trees;
 Figures 8, 10 and 12 query them).  The context memoises everything by
 configuration key, so a full benchmark run builds each organization at
-most once.
+most once.  A query moves its disk's head, and where the head stands
+prices the next request, so a figure starts by putting every built
+disk back at the head its build left (:meth:`ExperimentContext.rewind`):
+its numbers are then those of a fresh context, whichever figures ran
+before it.
 """
 
 from __future__ import annotations
@@ -76,6 +80,8 @@ class ExperimentContext:
         self._join_pairs: dict[tuple, tuple[SpatialOrganization, SpatialOrganization]] = {}
         self._windows: dict[tuple, list[Rect]] = {}
         self._expansions: dict[tuple, float] = {}
+        #: every built disk -> the head position its build left
+        self._heads: dict = {}
 
     # ------------------------------------------------------------------
     # datasets
@@ -191,6 +197,7 @@ class ExperimentContext:
                 **self._knobs(org_name, series_key, smax_bytes, buddy_sizes=buddy_sizes),
             ).storage
             cached.build(self.objects(series_key))
+            self._heads[cached.disk] = cached.disk._head
             self._orgs[key] = cached
         return cached
 
@@ -214,5 +221,12 @@ class ExperimentContext:
             db_r.build(self.objects(series_r, expansion))
             db_s.build(self.objects(series_s, expansion))
             cached = (db_r.storage, db_s.storage)
+            self._heads[db_r.disk] = db_r.disk._head
             self._join_pairs[key] = cached
         return cached
+
+    def rewind(self) -> None:
+        """Put every built disk's head back where its build left it: the
+        state a fresh context queries it in."""
+        for disk, head in self._heads.items():
+            disk._head = head

@@ -41,8 +41,16 @@ MAP1_SERIES = ("A-1", "B-1", "C-1")
 class Figure:
     name: str
     title: str  # ``{scale}`` stands for the configured scale
-    rows: Callable[..., Iterator[dict]]  # rows(ctx, **selection)
+    generator: Callable[..., Iterator[dict]]  # generator(ctx, **selection)
     footer: Callable[[list[dict]], Iterable[str]] | None = None
+
+    def rows(self, ctx: ExperimentContext, *args, **selection) -> Iterator[dict]:
+        """The figure's rows over ``ctx``, generated after
+        :meth:`ExperimentContext.rewind`: an organization ``ctx`` built
+        before is queried from the disk head its build left, so the
+        rows do not depend on which figure ran first."""
+        ctx.rewind()
+        return self.generator(ctx, *args, **selection)
 
     def render(self, ctx: ExperimentContext, rows: list[dict]) -> str:
         lines = [format_rows(self.title.format(scale=ctx.config.scale), rows)]

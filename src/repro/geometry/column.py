@@ -6,12 +6,11 @@ point refinement and the join's pair kernel gather vertices by row id
 row (``Entry.row``), and the catalog's ``objects`` and ``vertices``
 tables are the live rows as they stand (:mod:`repro.storage.serial`).
 
-Row ``r`` holds one object: ``oids[r]`` (``-1`` once it is deleted —
-a tombstone), ``lines[r]`` (a polyline; else a polygon, kept as its
-open ring — ``polygons`` counts the live ones), ``sizes[r]`` (its
-``size_bytes``), ``tight[r]`` (no ``mbr_override``: its key is its
-geometry's MBR), ``boxes[r]`` (that tight MBR, ``xmin, ymin, xmax,
-ymax``; NaN for a row without vertices) and its vertices
+Row ``r`` holds one object, whose geometry is a polyline:
+``oids[r]`` (``-1`` once it is deleted — a tombstone), ``sizes[r]``
+(its ``size_bytes``), ``tight[r]`` (no ``mbr_override``: its key is
+its geometry's MBR), ``boxes[r]`` (that tight MBR, ``xmin, ymin,
+xmax, ymax``; NaN for a row without vertices) and its vertices
 ``vertices[starts[r]:starts[r] + counts[r]]``.  Rows are appended in
 insertion order and never move, so the live rows in order are the
 organization's object table in order.  The arrays carry spare
@@ -31,8 +30,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.geometry.polyline import Polyline
-
 __all__ = ["GeometryColumn"]
 
 
@@ -41,16 +38,15 @@ class GeometryColumn:
     :meth:`flushed`), tombstoned by :meth:`delete`."""
 
     __slots__ = (
-        "oids", "lines", "sizes", "tight", "boxes", "starts", "counts",
-        "vertices", "n_rows", "n_vertices", "polygons", "_by_oid", "_queue",
+        "oids", "sizes", "tight", "boxes", "starts", "counts", "vertices",
+        "n_rows", "n_vertices", "_by_oid", "_queue",
     )
 
-    def __init__(self, oids, lines, sizes, tight, boxes, counts, vertices):
-        self.oids, self.lines, self.sizes, self.tight = oids, lines, sizes, tight
+    def __init__(self, oids, sizes, tight, boxes, counts, vertices):
+        self.oids, self.sizes, self.tight = oids, sizes, tight
         self.boxes, self.counts, self.vertices = boxes, counts, vertices
         self.starts = counts.cumsum() - counts
         self.n_rows, self.n_vertices = len(oids), len(vertices)
-        self.polygons = int(np.count_nonzero(~lines))
         self._by_oid: np.ndarray | None = None
         self._queue: list = []
 
@@ -63,8 +59,8 @@ class GeometryColumn:
         counts = np.fromiter(map(len, coords_list), dtype=np.int64, count=n)
         vertices = np.concatenate([np.empty((0, 2)), *coords_list], dtype=np.float64)
         return cls(
-            np.arange(n), np.ones(n, dtype=bool), np.zeros(n, dtype=np.int64),
-            np.ones(n, dtype=bool), _boxes(vertices, counts), counts, vertices,
+            np.arange(n), np.zeros(n, dtype=np.int64), np.ones(n, dtype=bool),
+            _boxes(vertices, counts), counts, vertices,
         )
 
     @classmethod
@@ -74,13 +70,10 @@ class GeometryColumn:
         """The catalog's ``objects`` table (oid, kind, size, vertex count
         per row) and ``vertices`` column as they are; only the oids are
         copied, for tombstones to be written."""
-        oids, kinds, sizes, counts = objects.T
+        oids, _kinds, sizes, counts = objects.T
         tight = np.ones(len(objects), dtype=bool)
         tight[override_rows] = False
-        return cls(
-            oids.copy(), kinds == 0, sizes, tight, _boxes(vertices, counts),
-            counts, vertices,
-        )
+        return cls(oids.copy(), sizes, tight, _boxes(vertices, counts), counts, vertices)
 
     def append(self, obj) -> int:
         """Queue ``obj``'s geometry for the next row and return the row."""
@@ -97,22 +90,18 @@ class GeometryColumn:
     def _fill(self, objects: list) -> None:
         """Append a row per object, all rows in one batch: a fixed number
         of numpy calls whatever the batch size, and per object only list
-        work — its vertices go in as the matrix its geometry keeps (a
-        polygon's open ring), by one ``np.concatenate``."""
+        work — its vertices go in as the matrix its geometry keeps, by
+        one ``np.concatenate``."""
         geometries = [obj.geometry for obj in objects]
-        lines = [isinstance(geometry, Polyline) for geometry in geometries]
-        matrices = [
-            geometry.coords() if line else geometry.ring_coords()[:-1]
-            for geometry, line in zip(geometries, lines)
-        ]
+        matrices = [geometry.coords() for geometry in geometries]
         counts = list(map(len, matrices))
         k, row, start, total = len(objects), self.n_rows, self.n_vertices, sum(counts)
         if row + k > len(self.oids):
-            (self.oids, self.lines, self.sizes, self.tight, self.boxes,
-             self.starts, self.counts) = (
+            (self.oids, self.sizes, self.tight, self.boxes, self.starts,
+             self.counts) = (
                 _grown(a, row + k) for a in (
-                    self.oids, self.lines, self.sizes, self.tight, self.boxes,
-                    self.starts, self.counts,
+                    self.oids, self.sizes, self.tight, self.boxes, self.starts,
+                    self.counts,
                 )
             )
         if start + total > len(self.vertices):
@@ -120,21 +109,18 @@ class GeometryColumn:
         np.concatenate(matrices, out=self.vertices[start:start + total])
         rows = slice(row, row + k)
         self.oids[rows] = [obj.oid for obj in objects]
-        self.lines[rows] = lines
         self.sizes[rows] = [obj.size_bytes for obj in objects]
         self.tight[rows] = [obj.mbr_override is None for obj in objects]
         self.boxes[rows] = [geometry.mbr.as_tuple() for geometry in geometries]
         self.starts[rows] = list(accumulate(counts[:-1], initial=start))
         self.counts[rows] = counts
         self.n_rows, self.n_vertices = row + k, start + total
-        self.polygons += lines.count(False)
         self._by_oid = None
 
     def delete(self, row: int) -> None:
         """Tombstone ``row``: its object is gone, its vertices stay."""
         self.flushed()
         self.oids[row] = -1
-        self.polygons -= not self.lines[row]
         self._by_oid = None
 
     def rows_of(self, oids: np.ndarray) -> np.ndarray:

@@ -12,17 +12,15 @@ anything, uses the trusted constructor :meth:`SpatialObject.trusted`.
 
 from __future__ import annotations
 
-from typing import Union
-
 from repro.errors import GeometryError
-from repro.geometry.intersect import polylines_intersect
-from repro.geometry.polygon import Polygon
 from repro.geometry.polyline import Polyline
 from repro.geometry.rect import Rect
 
 __all__ = ["SpatialObject", "Geometry"]
 
-Geometry = Union[Polyline, Polygon]
+#: The one geometry kind: TIGER maps are line data, and a border is a
+#: polyline, as topological models keep border lines.
+Geometry = Polyline
 
 
 class SpatialObject:
@@ -33,7 +31,7 @@ class SpatialObject:
     oid:
         Unique non-negative integer identifier within its map.
     geometry:
-        The exact representation (:class:`Polyline` or :class:`Polygon`).
+        The exact representation, a :class:`Polyline`.
     size_bytes:
         Total exact-representation size; defaults to the geometry's own
         footprint.  Attribute payload (names, codes) may make it larger.
@@ -113,24 +111,7 @@ class SpatialObject:
         return self.geometry.intersects_rect(rect)
 
     def intersects(self, other: "SpatialObject") -> bool:
-        a, b = self.geometry, other.geometry
-        if isinstance(a, Polyline) and isinstance(b, Polyline):
-            return a.intersects(b)
-        if isinstance(a, Polygon) and isinstance(b, Polygon):
-            return a.intersects(b)
-        # Mixed line/area case: boundary intersection or containment.
-        line, poly = (a, b) if isinstance(a, Polyline) else (b, a)
-        assert isinstance(poly, Polygon)
-        if not line.mbr.intersects(poly.mbr):
-            return False
-        if polylines_intersect(
-            line.vertices,
-            poly._closed_ring(),
-            coords_a=line.coords,
-            coords_b=poly.ring_coords,
-        ):
-            return True
-        return poly.contains_point(*line.vertices[0])
+        return self.geometry.intersects(other.geometry)
 
     def __repr__(self) -> str:
         return (

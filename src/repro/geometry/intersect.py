@@ -1,4 +1,4 @@
-"""Exact geometric predicates on segments, polylines and polygons.
+"""Exact geometric predicates on segments and polylines.
 
 These routines implement the *refinement* step of spatial query
 processing (Section 4.2.2 of the paper): after the R*-tree filter has
@@ -44,7 +44,6 @@ __all__ = [
     "on_segment",
     "segments_intersect",
     "segment_intersects_rect",
-    "point_in_polygon",
     "points_in_polygon",
     "polyline_intersects_rect",
     "polylines_intersect_rects",
@@ -158,65 +157,26 @@ def segment_intersects_rect(
     return False
 
 
-def point_in_polygon(
-    x: float, y: float, vertices: Sequence[tuple[float, float]]
-) -> bool:
-    """Closed point-in-polygon test (ray casting with boundary handling).
-
-    ``vertices`` is the polygon ring; a closing edge from the last vertex
-    back to the first is implied.  Points on the boundary are inside.
-    """
-    n = len(vertices)
-    if n < 3:
-        return False
-    inside = False
-    for i in range(n):
-        ax, ay = vertices[i]
-        bx, by = vertices[(i + 1) % n]
-        # Boundary check: the point lies on the edge a-b.
-        if orientation(ax, ay, bx, by, x, y) == 0 and on_segment(
-            ax, ay, bx, by, x, y
-        ):
-            return True
-        # Ray casting: count crossings of the upward ray.
-        if (ay > y) != (by > y):
-            x_cross = ax + (y - ay) * (bx - ax) / (by - ay)
-            if x < x_cross:
-                inside = not inside
-    return inside
-
-
 def points_in_polygon(
     xs: Sequence[float] | np.ndarray,
     ys: Sequence[float] | np.ndarray,
     vertices: Sequence[tuple[float, float]],
 ) -> np.ndarray:
-    """Batched :func:`point_in_polygon`: ``out[k]`` equals
-    ``point_in_polygon(xs[k], ys[k], vertices)`` for every ``k``.
+    """Which points ``(xs[k], ys[k])`` lie in the closed area bounded by
+    the ring ``vertices`` (a closing edge from the last vertex back to
+    the first is implied): boundary points are inside, the crossing
+    parity of the upward ray decides the rest.
 
-    The vectorized path broadcasts the crossing-number test over a
-    ``(points, edges)`` grid with the identical float64 arithmetic,
-    ``_EPS`` thresholds and boundary convention as the scalar loop
-    (boundary points are inside; crossing parity decides the rest —
-    the scalar early-return on a boundary edge only short-circuits an
-    answer that is True either way).  Small batches run the scalar
-    loop point by point.
+    One broadcast over the ``(points, edges)`` grid, with
+    :func:`orientation`'s ``_EPS`` thresholds and :func:`on_segment`'s
+    box for the boundary.  No stored geometry is an area, so nothing
+    in the library calls it; it stays a named entry point of the
+    wall-clock benchmark's wrap table (``perf/shim.py``).
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    n_points = len(xs)
-    n_edges = len(vertices)
-    if n_edges < 3 or n_points == 0:
-        return np.zeros(n_points, dtype=bool)
-    if n_points * n_edges < _VECTOR_MIN_CELLS:
-        return np.fromiter(
-            (
-                point_in_polygon(float(x), float(y), vertices)
-                for x, y in zip(xs, ys)
-            ),
-            dtype=bool,
-            count=n_points,
-        )
+    if len(vertices) < 3 or len(xs) == 0:
+        return np.zeros(len(xs), dtype=bool)
     ring = np.asarray(vertices, dtype=np.float64)
     closing = np.roll(ring, -1, axis=0)  # edge i: ring[i] -> ring[i+1 mod n]
     ax, ay = ring[None, :, 0], ring[None, :, 1]
@@ -525,13 +485,12 @@ _CHUNK_CELLS = 65536
 arrays, nothing else."""
 
 _VECTOR_MIN_CELLS = 128
-"""A batch with fewer cells runs the scalar loops in the two
-predicates that still have them: the segment pairs of one
-:func:`polylines_intersect` pair (more go to
-:func:`polylines_intersect_pairs` as a batch of one) and the point x
-edge grid of :func:`points_in_polygon`.  Numpy call overhead dominates
-small batches (measured crossover ~100-200 cells).  Purely a
-performance heuristic — both paths return identical booleans."""
+"""A :func:`polylines_intersect` pair with fewer segment-pair cells
+runs the scalar double loop (more go to
+:func:`polylines_intersect_pairs` as a batch of one).  Numpy call
+overhead dominates small batches (measured crossover ~100-200 cells).
+Purely a performance heuristic — both paths return identical
+booleans."""
 
 _VECTOR_MIN_VERTICES = 64
 """A :func:`polyline_intersects_rect` test below this many vertices

@@ -49,30 +49,21 @@ def _refine(
     array of object ids: which of them intersect, one verdict per pair.
     A pair is a row of each side's
     :class:`~repro.geometry.column.GeometryColumn`, found by id in the
-    column, so no object is looked up for a polyline pair.  Pairs
-    whose *tight* geometry MBRs are disjoint drop out first (entry
-    rectangles may be expanded, Section 6.1; every exact predicate
-    starts from the bounding boxes): one closed mask over the two
-    rows' boxes.  The polyline pairs of
-    the whole join take one
+    column, so no object is looked up.  Pairs whose *tight* geometry
+    MBRs are disjoint drop out first (entry rectangles may be expanded,
+    Section 6.1; every exact predicate starts from the bounding boxes):
+    one closed mask over the two rows' boxes.  The pairs left, of the
+    whole join, take one
     :func:`~repro.geometry.intersect.polylines_intersect_rows` call,
-    which tests only segments inside the other polyline's box; polygon
-    and mixed pairs keep
-    :meth:`~repro.geometry.feature.SpatialObject.intersects`.
+    which tests only segments inside the other polyline's box.
     """
     column_r, column_s = org_r.column, org_s.column
     rows_r, rows_s = column_r.rows_of(pairs[:, 0]), column_s.rows_of(pairs[:, 1])
     tight = mbr_intersect_mask(column_r.boxes[rows_r], column_s.boxes[rows_s])
-    both = tight & column_r.lines[rows_r] & column_s.lines[rows_s]
-    mixed = tight & ~both
     verdicts = np.zeros(len(pairs), dtype=bool)
-    verdicts[mixed] = [
-        org_r.objects[r].intersects(org_s.objects[s])
-        for r, s in pairs[mixed].tolist()
-    ]
-    if both.any():
-        verdicts[both] = polylines_intersect_rows(
-            column_r, rows_r[both], column_s, rows_s[both]
+    if tight.any():
+        verdicts[tight] = polylines_intersect_rows(
+            column_r, rows_r[tight], column_s, rows_s[tight]
         )
     return verdicts
 

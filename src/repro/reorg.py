@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.database import SpatialDatabase
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -62,11 +63,11 @@ class Reorganizer:
         budget_pages: int = 64,
         min_dead_fraction: float = 0.25,
     ):
-        org = getattr(database, "storage", database)
-        if not hasattr(org, "units"):
+        org = database.storage if isinstance(database, SpatialDatabase) else database
+        if not org.reorganizable:
             raise ConfigurationError(
-                "reorganization needs a cluster organization "
-                f"(units() missing on {type(org).__name__})"
+                "reorganization needs a cluster organization, "
+                f"not the {org.name} organization"
             )
         if budget_pages < 1:
             raise ConfigurationError(

@@ -113,6 +113,11 @@ class SpatialOrganization(abc.ABC):
     #: organization); otherwise they are in the page's cluster unit.
     _page_holds_objects: bool = False
 
+    #: True when objects live in cluster units that
+    #: :class:`~repro.reorg.Reorganizer` can repack (the cluster
+    #: organization).
+    reorganizable: bool = False
+
     #: Names of the instance scalars the catalog's ``storage`` block
     #: keeps for this organization (:mod:`repro.storage.serial`).
     _catalog_scalars: tuple[str, ...] = ()
@@ -526,23 +531,17 @@ class SpatialOrganization(abc.ABC):
         window (the filter found the MBR intersecting it), so the
         vertex on that side is inside the window and the scalar
         predicate accepts it through ``contains_point``.  All pending
-        polyline tests of the call go through one
+        tests of the call go through one
         :func:`~repro.geometry.intersect.polylines_intersect_rects`
         call, which gathers their vertices from the column by row (map
         polylines have a handful of segments each, so only one call
         across candidates and queries amortizes the numpy dispatch; a
-        point test is a degenerate rect intersection), all
-        point-in-polygon tests through one :meth:`Polygon.contains_points`
-        batch per distinct polygon; polygon/window tests keep the scalar
-        predicate."""
+        point test is a degenerate rect intersection)."""
         if not queries:
             return
         column, objects = self.column, self.objects
-        decided, tested, line_rows = [], [], []
-        # polygon oid -> (xs, ys, decision sinks)
-        polygon_points: dict[int, tuple[list[float], list[float], list]] = {}
+        decided, tested, pending = [], [], []
         for rect, result, rows, keys in queries:
-            decisions = np.ones(len(rows), dtype=bool)
             if points:
                 test = _EVERY  # no key: every candidate
                 result.exact_tests += len(rows)
@@ -553,41 +552,22 @@ class SpatialOrganization(abc.ABC):
                 result.exact_tests += int(np.count_nonzero(sides < 4))
                 # Three flags and a tight row: a whole side in the window.
                 test = np.flatnonzero(sides + column.tight.take(rows) < 4)
-            candidates = rows[test]
-            line = column.lines.take(candidates) if column.polygons else None
-            if line is not None and not line.all():  # polygons: scalar predicates
-                test, others = np.arange(len(rows))[test], ~line
-                for slot, oid in zip(
-                    test[others].tolist(), column.oids.take(candidates[others]).tolist()
-                ):
-                    if points:
-                        xs, ys, sinks = polygon_points.setdefault(oid, ([], [], []))
-                        xs.append(rect.xmin)
-                        ys.append(rect.ymin)
-                        sinks.append((decisions, slot))
-                    else:
-                        decisions[slot] = objects[oid].intersects_rect(rect)
-                test, candidates = test[line], candidates[line]
-            decided.append(decisions)
+            decided.append(np.ones(len(rows), dtype=bool))
             tested.append(test)
-            line_rows.append(candidates)
+            pending.append(rows[test])
         if len(queries) == 1:
-            lines, window = line_rows[0], queries[0][0].as_tuple()
+            flat, window = pending[0], queries[0][0].as_tuple()
         else:
-            lines = np.concatenate(line_rows)
+            flat = np.concatenate(pending)
             window = np.repeat(
-                [rect.as_tuple() for rect, *_ in queries], list(map(len, line_rows)), axis=0
+                [rect.as_tuple() for rect, *_ in queries], list(map(len, pending)), axis=0
             )
-        if len(lines):
-            verdicts = polylines_intersect_rects(column, lines, window)
+        if len(flat):
+            verdicts = polylines_intersect_rects(column, flat, window)
             start = 0
-            for decisions, test, candidates in zip(decided, tested, line_rows):
+            for decisions, test, candidates in zip(decided, tested, pending):
                 decisions[test] = verdicts[start:start + len(candidates)]
                 start += len(candidates)
-        for oid, (xs, ys, sinks) in polygon_points.items():
-            verdicts = objects[oid].geometry.contains_points(xs, ys)
-            for (decisions, slot), verdict in zip(sinks, verdicts.tolist()):
-                decisions[slot] = verdict
         oids = column.oids
         for (_rect, result, rows, _keys), decisions in zip(queries, decided):
             result.objects = list(map(objects.__getitem__, oids.take(rows[decisions]).tolist()))

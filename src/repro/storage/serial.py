@@ -30,8 +30,8 @@ dtype, shape, count and cross-table reference — and, per column, what
 :class:`~repro.geometry.feature.SpatialObject` would check per object —
 before it builds anything, and whatever is off is a
 :class:`~repro.errors.StorageError`.  Geometry is not materialised: a
-reopened polyline or polygon is its slice of the ``vertices`` column,
-and its vertex tuples are built on first scalar use.
+reopened polyline is its slice of the ``vertices`` column, and its
+vertex tuples are built on first scalar use.
 
 On disk the catalog rides the :class:`~repro.pagestore.file.
 FilePageStore` checkpoint protocol (store format 2: the superblock
@@ -70,7 +70,6 @@ from repro.disk.params import DiskParameters
 from repro.errors import StorageError
 from repro.geometry.column import GeometryColumn
 from repro.geometry.feature import SpatialObject
-from repro.geometry.polygon import Polygon
 from repro.geometry.polyline import Polyline
 from repro.geometry.rect import Rect
 from repro.geometry.sizes import OBJECT_HEADER_BYTES, VERTEX_BYTES
@@ -102,7 +101,9 @@ _PREFIX = struct.Struct("<8sQ")  # magic, header length
 #: width).  ``-1`` stands for "none"; the last field of ``objects``,
 #: ``nodes`` and ``units`` counts that row's rows of the next table.
 COLUMNS = {
-    "objects": ("<i8", 4),  # oid, kind (0 polyline, 1 polygon), size_bytes, vertices
+    # oid, kind (always 0: polyline; 1 was polygon and is refused),
+    # size_bytes, vertices
+    "objects": ("<i8", 4),
     "vertices": ("<f8", 2),  # x, y: object after object
     "override_rows": ("<i8", 1),  # the rows of ``objects`` with an mbr_override
     "override_rects": ("<f8", 4),  # xmin, ymin, xmax, ymax
@@ -144,7 +145,7 @@ def dump_state(db: "SpatialDatabase") -> dict:
     rows["vertices"] = column.vertices.take(index, axis=0)
     oids = column.oids[live]
     rows["objects"] = np.column_stack(
-        (oids, ~column.lines[live], column.sizes[live], column.counts[live])
+        (oids, np.zeros_like(oids), column.sizes[live], column.counts[live])
     )
     rows["override_rows"] = np.flatnonzero(~column.tight[live])
     rows["override_rects"] = [
@@ -286,6 +287,13 @@ def _checked_columns(state: dict) -> dict[str, np.ndarray]:
                 f"which has {len(columns[counted])}"
             )
     objects, nodes, entries = columns["objects"], columns["nodes"], columns["entries"]
+    odd = np.flatnonzero(objects[:, 1])
+    if len(odd):
+        oid, kind = objects[odd[0], :2].tolist()
+        raise StorageError(
+            f"catalog object {oid} is of kind {kind}: only polylines (kind 0) "
+            "are stored, a polygon (kind 1) is not read"
+        )
     children, oids, live_oids = entries[:, 0], entries[:, 1], columns["live"][:, 0]
     root, override_rows = [state["tree"]["root"]], columns["override_rows"]
     node_refs = np.concatenate((children[children >= 0], columns["units"][:, 0], root))
@@ -293,8 +301,7 @@ def _checked_columns(state: dict) -> dict[str, np.ndarray]:
         len(entries) != len(columns["entry_rects"])
         or len(override_rows) != len(columns["override_rects"])
         or ((override_rows < 0) | (override_rows >= len(objects))).any()
-        or not np.isin(objects[:, 1], (0, 1)).all()
-        or (objects[:, 3] < 2 + objects[:, 1]).any()  # a line has 2, a ring 3
+        or (objects[:, 3] < 2).any()  # a polyline has two vertices
         or len(np.unique(nodes[:, 0])) != len(nodes)
         or not np.isin(node_refs, nodes[:, 0]).all()
         or len(np.unique(objects[:, 0])) != len(objects)
@@ -336,9 +343,8 @@ def load_state(
     :func:`dump_state` catalog.
 
     Geometry is not materialised: each object's geometry is a view of
-    the ``vertices`` column (:meth:`Polyline.from_matrix` /
-    :meth:`Polygon.from_matrix`), its vertex tuples built on first
-    scalar use, and each object comes from the trusted
+    the ``vertices`` column (:meth:`Polyline.from_matrix`), its vertex
+    tuples built on first scalar use, and each object comes from the trusted
     :meth:`SpatialObject.trusted` — :func:`_checked_columns` has
     already checked, per column, what the validating constructor
     checks per object.  What a reopen still builds per row is the
@@ -386,22 +392,20 @@ def load_state(
     # are read column by column (``.T.tolist()``): a list per field, not
     # a list per row for the garbage collector to walk.
     vertices = columns["vertices"]
-    oids, kinds, sizes, counts = columns["objects"].T.tolist()
+    oids, _kinds, sizes, counts = columns["objects"].T.tolist()
     overrides: list[Rect | None] = [None] * len(oids)
     for row, rect in zip(
         columns["override_rows"][:, 0].tolist(),
         map(Rect, *columns["override_rects"].T.tolist()),
     ):
         overrides[row] = rect
-    shapes = (Polyline.from_matrix, Polygon.from_matrix)
-    trusted = SpatialObject.trusted
+    polyline, trusted = Polyline.from_matrix, SpatialObject.trusted
     org.objects.clear()
     objects = org.objects
-    for oid, kind, size_bytes, n, end, override in zip(
-        oids, kinds, sizes, counts, accumulate(counts), overrides
+    for oid, size_bytes, n, end, override in zip(
+        oids, sizes, counts, accumulate(counts), overrides
     ):
-        geometry = shapes[kind](vertices[end - n:end])
-        objects[oid] = trusted(oid, geometry, size_bytes, override)
+        objects[oid] = trusted(oid, polyline(vertices[end - n:end]), size_bytes, override)
     org._column = GeometryColumn.adopt(
         columns["objects"], vertices, columns["override_rows"][:, 0]
     )

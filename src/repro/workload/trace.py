@@ -13,7 +13,10 @@ filtered and concatenated with ordinary text tools::
     {"op": "delete", "oid": 3}
     {"op": "join", "technique": "complete"}
 
-A ``join`` operation only records the technique — the partner relation
+An insert's ``geometry`` is always ``"polyline"``, the one geometry
+kind; a record naming any other is refused with a
+:class:`~repro.errors.ConfigurationError`.  A ``join`` operation only
+records the technique — the partner relation
 is live state, not trace data — so replaying a trace that contains one
 requires the ``join_with`` argument (the same database/organization
 setup the recording run used).
@@ -27,13 +30,10 @@ from typing import Iterable
 
 from repro.errors import ConfigurationError
 from repro.geometry.feature import SpatialObject
-from repro.geometry.polygon import Polygon
 from repro.geometry.polyline import Polyline
 from repro.geometry.rect import Rect
 
 __all__ = ["save_trace", "load_trace"]
-
-_GEOMETRIES = {"polyline": Polyline, "polygon": Polygon}
 
 
 def _encode(op: tuple) -> dict:
@@ -54,7 +54,7 @@ def _encode(op: tuple) -> dict:
         record = {
             "op": "insert",
             "oid": obj.oid,
-            "geometry": type(obj.geometry).__name__.lower(),
+            "geometry": "polyline",
             "vertices": [list(v) for v in obj.geometry.vertices],
             "size_bytes": obj.size_bytes,
         }
@@ -76,15 +76,14 @@ def _decode(record: dict, join_with) -> tuple:
     if kind == "point":
         return ("point", record["x"], record["y"])
     if kind == "insert":
-        geometry_cls = _GEOMETRIES.get(record["geometry"])
-        if geometry_cls is None:
+        if record.get("geometry") != "polyline":
             raise ConfigurationError(
                 f"unknown geometry '{record.get('geometry')}' in trace"
             )
         mbr = record.get("mbr")
         obj = SpatialObject(
             record["oid"],
-            geometry_cls([tuple(v) for v in record["vertices"]]),
+            Polyline([tuple(v) for v in record["vertices"]]),
             size_bytes=record["size_bytes"],
             mbr_override=Rect(*mbr) if mbr is not None else None,
         )

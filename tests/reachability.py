@@ -50,16 +50,7 @@ for _path in (str(ROOT / "src"), str(ROOT)):
         sys.path.insert(0, _path)
 
 # "module:Qualified.name" -> why it stays although no user path calls it.
-POLYGONS = "pending L(3): no generator in repro.data makes a polygon"
 ALLOWED: dict[str, str] = {
-    **{
-        f"repro.geometry.polygon:Polygon.{name}": POLYGONS
-        for name in (
-            "from_matrix vertices mbr area size_bytes _closed_ring ring_coords "
-            "contains_point contains_points intersects_rect intersects"
-        ).split()
-    },
-    "repro.geometry.intersect:point_in_polygon": POLYGONS,
     "repro.buffer.policy:LRUKBuffer._select_victim": (
         "LRU-K evicts at REPRO_SCALE=0.08 (the buffer-policy ablation); "
         "at 0.01 its pool holds the whole map"

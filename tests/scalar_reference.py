@@ -23,6 +23,9 @@ a test can patch it over that name (:data:`PATCHES` lists the targets):
   no input reaches (``repro.geometry.intersect``; :func:`scalar_loops`
   alone; :data:`SCALAR_LOOPS` names the predicates).
 
+:func:`point_in_polygon` is the per-point loop that
+``intersect.points_in_polygon`` broadcasts; no shipped name calls it.
+
 Inside :func:`installed` all of them are in place at once.
 """
 
@@ -301,9 +304,34 @@ def join_refine(org_r, org_s, pairs) -> np.ndarray:
     )
 
 
+def point_in_polygon(x: float, y: float, vertices) -> bool:
+    """Closed point-in-ring test (ray casting with boundary handling),
+    the scalar form of ``intersect.points_in_polygon``: ``vertices`` is
+    the ring, a closing edge from the last vertex back to the first is
+    implied, and points on the boundary are inside."""
+    n = len(vertices)
+    if n < 3:
+        return False
+    inside = False
+    for i in range(n):
+        ax, ay = vertices[i]
+        bx, by = vertices[(i + 1) % n]
+        # Boundary check: the point lies on the edge a-b.
+        if intersect.orientation(ax, ay, bx, by, x, y) == 0 and intersect.on_segment(
+            ax, ay, bx, by, x, y
+        ):
+            return True
+        # Ray casting: count crossings of the upward ray.
+        if (ay > y) != (by > y):
+            x_cross = ax + (y - ay) * (bx - ax) / (by - ay)
+            if x < x_cross:
+                inside = not inside
+    return inside
+
+
 #: ``(target, attribute, value)`` — size crossovers no input reaches:
-#: :func:`polylines_intersect` and :func:`points_in_polygon` (cells),
-#: :func:`polyline_intersects_rect` (vertices).  Forced, a polyline
+#: :func:`polylines_intersect` (cells), :func:`polyline_intersects_rect`
+#: (vertices).  Forced, a polyline
 #: pair tests every segment pair, box pretest first, where
 #: :func:`polylines_intersect_pairs` (no crossover) enumerates only the
 #: segments inside the other polyline's box.

@@ -285,6 +285,22 @@ class TestExports:
                 assert not hasattr(owner, name), (owner.__name__, name)
         assert "write_pages" not in OPS
 
+        # Gone with polygons (TIGER maps are line data; a border is a
+        # polyline): the type, its scalar predicate (a test oracle in
+        # ``tests/scalar_reference.py`` now) and the geometry column's
+        # kind flags.  ``points_in_polygon`` stays for perf/shim.py.
+        from repro.geometry.column import GeometryColumn
+
+        for module in (repro, repro.geometry, intersect):
+            for name in ("Polygon", "point_in_polygon"):
+                assert not hasattr(module, name), (module.__name__, name)
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.geometry.polygon")
+        assert repro.geometry.Geometry is Polyline
+        assert callable(intersect.points_in_polygon)
+        for name in ("lines", "polygons"):
+            assert not hasattr(GeometryColumn, name), name
+
 
 class TestRunLevelSurface:
     def test_run_level_members_are_part_of_the_protocols(self):

@@ -16,7 +16,6 @@ from repro.database import SpatialDatabase
 from repro.geometry.column import GeometryColumn
 from repro.geometry.feature import SpatialObject
 from repro.geometry.intersect import polyline_intersects_rect, polylines_intersect_rects
-from repro.geometry.polygon import Polygon
 from repro.geometry.polyline import Polyline
 from repro.geometry.rect import Rect
 from repro.reorg import Reorganizer
@@ -41,9 +40,6 @@ def check_column(org) -> None:
     entries' rows."""
     column = org.column
     assert column.oids.take(column.live()).tolist() == list(org.objects)
-    assert column.polygons == sum(
-        not isinstance(obj.geometry, Polyline) for obj in org.objects.values()
-    )
     seen = []
     for leaf in org.tree.leaves():
         assert leaf.rows().tolist() == [e.row for e in leaf.entries]
@@ -51,12 +47,9 @@ def check_column(org) -> None:
             row, obj = entry.row, org.objects[entry.oid]
             assert column.oids[row] == entry.oid  # not a tombstone
             geometry = obj.geometry
-            line = isinstance(geometry, Polyline)
-            want = geometry.coords() if line else geometry.ring_coords()[:-1]
             start, count = column.starts[row], column.counts[row]
-            assert column.vertices[start:start + count].tolist() == want.tolist()
+            assert column.vertices[start:start + count].tolist() == geometry.coords().tolist()
             assert column.sizes[row] == obj.size_bytes
-            assert column.lines[row] == line
             assert column.tight[row] == (obj.mbr_override is None)
             assert column.boxes[row].tolist() == list(geometry.mbr.as_tuple())
             seen.append(entry.oid)
@@ -66,14 +59,16 @@ def check_column(org) -> None:
 
 
 def pool_objects(n: int) -> list[SpatialObject]:
-    """Objects to insert: polylines, polygons, overrides and one object
-    larger than ``SMAX`` (an extent of its own in every organization)."""
+    """Objects to insert: polylines, closed rings (borders), overrides and
+    one object larger than ``SMAX`` (an extent of its own in every
+    organization)."""
     out = []
     for k, base in enumerate(make_objects(n, seed=29)):
         oid = 1000 + k
         vertices = base.geometry.vertices
         if k % 4 == 1 and len(set(vertices)) >= 3:
-            out.append(SpatialObject(oid, Polygon(vertices), size_bytes=base.size_bytes))
+            ring = Polyline(vertices + vertices[:1])
+            out.append(SpatialObject(oid, ring, size_bytes=base.size_bytes + 16))
         elif k % 4 == 2:
             m = base.geometry.mbr
             override = Rect(m.xmin - 25, m.ymin - 5, m.xmax + 10, m.ymax + 30)
@@ -201,11 +196,11 @@ class TestGrowth:
             one_by_one.append(obj)
             one_by_one.flushed()
         batched.flushed()
-        for name in ("oids", "lines", "sizes", "tight", "boxes", "starts", "counts"):
+        for name in ("oids", "sizes", "tight", "boxes", "starts", "counts"):
             got, want = (getattr(c, name)[:len(objects)] for c in (batched, one_by_one))
             np.testing.assert_array_equal(got, want, err_msg=name)
         n = one_by_one.n_vertices
-        assert batched.n_vertices == n and batched.polygons == one_by_one.polygons > 0
+        assert batched.n_vertices == n
         np.testing.assert_array_equal(batched.vertices[:n], one_by_one.vertices[:n])
 
     def test_a_reopened_column_is_the_catalogs(self, tmp_path):

@@ -241,3 +241,31 @@ class TestFigures:
             f"version a: complete-join speedup {speedup:.1f}x "
             "(paper: 3.9x for a, 4.3x for b)"
         )
+
+
+class TestFigureOrder:
+    """A figure's rows are those of a fresh context whichever figures
+    queried the same organizations before it: a figure starts with every
+    built disk back at the head its build left."""
+
+    # At this scale and seed, Figure 10's queries leave the C-1 cluster
+    # disk's head where Figure 8's first C-1 cluster request continues
+    # it (0.001 % windows: 42.38 against 42.22 ms/4KB without the
+    # rewind).
+    ORDER = ExperimentConfig(scale=0.01)
+
+    @pytest.mark.parametrize("first", ["fig10", "fig12"])
+    def test_fig8_rows_do_not_depend_on_the_figure_before(self, first):
+        fresh = rows_of(ExperimentContext(self.ORDER), "fig8", ("C-1",))
+        shared = ExperimentContext(self.ORDER)
+        rows_of(shared, first, ("C-1",))
+        assert rows_of(shared, "fig8", ("C-1",)) == fresh
+
+    def test_rewind_restores_each_built_head(self):
+        ctx = ExperimentContext(self.ORDER)
+        org = ctx.org("cluster", "C-1")
+        built = org.disk._head
+        run_window_queries(org, ctx.windows("C-1", 1e-5))
+        assert org.disk._head != built
+        ctx.rewind()
+        assert org.disk._head == built

@@ -15,8 +15,8 @@ import pytest
 
 from repro.geometry.column import GeometryColumn
 from repro.geometry.feature import SpatialObject
-from repro.geometry.intersect import point_in_polygon, points_in_polygon
-from repro.geometry.polygon import Polygon
+from repro.geometry.intersect import points_in_polygon
+from repro.geometry.polyline import Polyline
 from repro.geometry.rect import Rect
 from repro.rtree.flat import build_flat
 from repro.rtree.rstar import RStarTree
@@ -159,11 +159,10 @@ class TestOrganizationBatch:
             assert got.candidates == want.candidates
             assert got.exact_tests == want.exact_tests
 
-    def test_point_batch_refines_polygons(self):
-        """The batched refinement defers polygon membership to the
-        vectorized crossing-number kernel; results must match the
-        per-point scalar decision (TIGER maps are all polylines, so
-        this needs purpose-built polygon objects)."""
+    def test_point_batch_refines_closed_rings(self):
+        """Borders kept as closed-ring polylines (a line has no
+        interior): a point on a ring answers its object, and the batch
+        decides as the per-point scalar predicate does."""
         rng = np.random.default_rng(42)
         objects = []
         for oid in range(80):
@@ -174,19 +173,20 @@ class TestOrganizationBatch:
                 (cx + r * np.cos(a), cy + r * np.sin(a))
                 for a, r in zip(angles, radius)
             ]
-            objects.append(SpatialObject(oid, Polygon(ring), size_bytes=400))
+            objects.append(SpatialObject(oid, Polyline(ring + ring[:1]), size_bytes=400))
         org_a = build_org("secondary", objects)
         org_b = build_org("secondary", objects)
         points = []
         for obj in objects[:30]:
-            points.append(obj.geometry.vertices[0])          # boundary
-            points.append(obj.mbr.center())                  # maybe inside
+            points.append(obj.geometry.vertices[0])          # on the ring
+            points.append(obj.mbr.center())                  # inside it
             points.append((obj.mbr.xmax + 1.0, obj.mbr.ymax + 1.0))
         with reference.installed():
             singles = [org_a.point_query(x, y) for x, y in points]
         batch = org_b.point_query_batch(points)
         self._assert_equal(singles, batch)
-        assert sum(len(r.objects) for r in batch) > 0
+        for k, obj in enumerate(objects[:30]):
+            assert obj.oid in [o.oid for o in batch[3 * k].objects]
 
 
 # ----------------------------------------------------------------------
@@ -214,18 +214,22 @@ class TestPointsInPolygon:
         pts = self.probe_points()
         xs = np.array([p[0] for p in pts])
         ys = np.array([p[1] for p in pts])
-        want = [point_in_polygon(x, y, self.RING) for x, y in pts]
+        want = [reference.point_in_polygon(x, y, self.RING) for x, y in pts]
         got = points_in_polygon(xs, ys, self.RING)
         assert got.tolist() == want
 
-    def test_scalar_loop_fallback_agrees(self):
+    def test_small_batches_match_scalar_reference(self):
+        """Batches of one to a few points give the reference's answers
+        on the broadcast grid too."""
         pts = self.probe_points()
-        xs = np.array([p[0] for p in pts])
-        ys = np.array([p[1] for p in pts])
-        vector = points_in_polygon(xs, ys, self.RING)
-        with reference.scalar_loops():
-            scalar = points_in_polygon(xs, ys, self.RING)
-        assert vector.tolist() == scalar.tolist()
+        for size in (1, 2, 5):
+            for k in range(0, len(pts), size):
+                chunk = pts[k:k + size]
+                got = points_in_polygon(
+                    [p[0] for p in chunk], [p[1] for p in chunk], self.RING
+                )
+                want = [reference.point_in_polygon(x, y, self.RING) for x, y in chunk]
+                assert got.tolist() == want
 
     def test_degenerate_inputs(self):
         assert points_in_polygon(np.array([1.0]), np.array([1.0]), ()).tolist() == [
@@ -233,16 +237,6 @@ class TestPointsInPolygon:
         ]
         empty = points_in_polygon(np.array([]), np.array([]), self.RING)
         assert empty.shape == (0,)
-
-    def test_polygon_contains_points_applies_mbr_pretest(self):
-        poly = Polygon(self.RING)
-        xs = np.array([5.0, 50.0, 10.0])
-        ys = np.array([5.0, 50.0, 5.0])
-        assert poly.contains_points(xs, ys).tolist() == [
-            poly.contains_point(5.0, 5.0),
-            False,
-            poly.contains_point(10.0, 5.0),
-        ]
 
 
 class TestPolylinesIntersectRects:

@@ -1,5 +1,5 @@
-"""Tests for Polyline, Polygon, SpatialObject, sizes and the exact-test
-cost counter."""
+"""Tests for Polyline, SpatialObject, sizes and the exact-test cost
+counter."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from repro.constants import EXACT_TEST_MS
 from repro.errors import GeometryError
 from repro.geometry.decomposed import ExactTestCounter
 from repro.geometry.feature import SpatialObject
-from repro.geometry.polygon import Polygon
 from repro.geometry.polyline import Polyline
 from repro.geometry.rect import Rect
 from repro.geometry.sizes import (
@@ -64,55 +63,6 @@ class TestPolyline:
         assert a == b and hash(a) == hash(b)
 
 
-class TestPolygon:
-    SQUARE = Polygon([(0, 0), (10, 0), (10, 10), (0, 10)])
-
-    def test_requires_three_vertices(self):
-        with pytest.raises(GeometryError):
-            Polygon([(0, 0), (1, 1)])
-
-    def test_closing_vertex_dropped(self):
-        p = Polygon([(0, 0), (1, 0), (0, 1), (0, 0)])
-        assert len(p) == 3
-
-    def test_degenerate_after_close_raises(self):
-        with pytest.raises(GeometryError):
-            Polygon([(0, 0), (1, 0), (0, 0)])
-
-    def test_area_shoelace(self):
-        assert self.SQUARE.area() == pytest.approx(100.0)
-
-    def test_contains_point(self):
-        assert self.SQUARE.contains_point(5, 5)
-        assert self.SQUARE.contains_point(0, 5)  # boundary
-        assert not self.SQUARE.contains_point(11, 5)
-
-    def test_intersects_rect_boundary_cross(self):
-        assert self.SQUARE.intersects_rect(Rect(8, 8, 12, 12))
-
-    def test_intersects_rect_window_inside(self):
-        assert self.SQUARE.intersects_rect(Rect(4, 4, 6, 6))
-
-    def test_intersects_rect_polygon_inside_window(self):
-        assert self.SQUARE.intersects_rect(Rect(-5, -5, 15, 15))
-
-    def test_intersects_rect_disjoint(self):
-        assert not self.SQUARE.intersects_rect(Rect(20, 20, 30, 30))
-
-    def test_polygon_polygon_overlap(self):
-        other = Polygon([(5, 5), (15, 5), (15, 15), (5, 15)])
-        assert self.SQUARE.intersects(other)
-
-    def test_polygon_polygon_containment(self):
-        inner = Polygon([(4, 4), (6, 4), (5, 6)])
-        assert self.SQUARE.intersects(inner)
-        assert inner.intersects(self.SQUARE)
-
-    def test_polygon_polygon_disjoint(self):
-        far = Polygon([(20, 20), (22, 20), (21, 22)])
-        assert not self.SQUARE.intersects(far)
-
-
 class TestSpatialObject:
     def test_defaults_to_geometry_size(self):
         line = Polyline([(0, 0), (1, 1)])
@@ -139,60 +89,15 @@ class TestSpatialObject:
         with pytest.raises(GeometryError):
             SpatialObject(1, line, mbr_override=Rect(0, 0, 1, 1))
 
-    def test_mixed_line_polygon_intersection(self):
-        poly = Polygon([(0, 0), (10, 0), (10, 10), (0, 10)])
-        line_inside = Polyline([(4, 4), (6, 6)])
-        line_crossing = Polyline([(-5, 5), (5, 5)])
-        line_outside = Polyline([(20, 20), (30, 30)])
-        o_poly = SpatialObject(1, poly)
-        assert o_poly.intersects(SpatialObject(2, line_inside))
-        assert SpatialObject(3, line_crossing).intersects(o_poly)
-        assert not o_poly.intersects(SpatialObject(4, line_outside))
-
-    def test_mixed_pair_matches_throwaway_boundary_polyline(self):
-        """The line/polygon branch tests the line against the polygon's
-        cached closed ring; until PR 17 it built ``Polyline(ring)`` on
-        every call.  Same answers, short rings and rings long enough
-        for the vector kernel alike."""
-        import math
-        import random
-
-        rng = random.Random(31)
-
-        def old_answer(line: Polyline, poly: Polygon) -> bool:
-            if not line.mbr.intersects(poly.mbr):
-                return False
-            if line.intersects(Polyline(poly._closed_ring())):
-                return True
-            return poly.contains_point(*line.vertices[0])
-
-        answers = []
-        for k in range(120):
-            corners = rng.choice([4, 7, 40])
-            cx, cy, radius = rng.uniform(5, 15), rng.uniform(5, 15), rng.uniform(1, 6)
-            poly = Polygon(
-                [
-                    (
-                        cx + radius * math.cos(2 * math.pi * i / corners),
-                        cy + radius * math.sin(2 * math.pi * i / corners),
-                    )
-                    for i in range(corners)
-                ]
-            )
-            x, y = rng.uniform(0, 20), rng.uniform(0, 20)
-            pts = [(x, y)]
-            for _ in range(rng.choice([1, 5, 30])):
-                x, y = x + rng.uniform(-2, 2), y + rng.uniform(-2, 2)
-                pts.append((x, y))
-            if k % 10 == 0:
-                pts[-1] = poly.vertices[0]  # ends exactly on the boundary
-            line = Polyline(pts)
-            want = old_answer(line, poly)
-            o_line, o_poly = SpatialObject(2 * k, line), SpatialObject(2 * k + 1, poly)
-            assert o_line.intersects(o_poly) is want
-            assert o_poly.intersects(o_line) is want
-            answers.append(want)
-        assert any(answers) and not all(answers)
+    def test_intersects_delegates_to_the_polylines(self):
+        """A border kept as a closed ring meets a line that crosses or
+        touches the ring, not one wholly inside it (a line has no
+        interior)."""
+        ring = SpatialObject(1, Polyline([(0, 0), (10, 0), (10, 10), (0, 10), (0, 0)]))
+        assert not ring.intersects(SpatialObject(2, Polyline([(4, 4), (6, 6)])))
+        assert SpatialObject(3, Polyline([(-5, 5), (5, 5)])).intersects(ring)
+        assert ring.intersects(SpatialObject(4, Polyline([(10, 10), (20, 20)])))
+        assert not ring.intersects(SpatialObject(5, Polyline([(20, 20), (30, 30)])))
 
     def test_identity_semantics(self):
         a = SpatialObject(7, Polyline([(0, 0), (1, 1)]))

@@ -8,7 +8,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.buffer.policy import POLICIES
 from repro.buffer.pool import BufferPool
@@ -17,7 +17,6 @@ from repro.disk.model import DiskModel
 from repro.errors import ConfigurationError
 from repro.geometry.column import GeometryColumn
 from repro.geometry.feature import SpatialObject
-from repro.geometry.polygon import Polygon
 from repro.geometry.polyline import Polyline
 from repro.geometry.rect import Rect
 from repro.join import multistep
@@ -494,17 +493,16 @@ class TestFlatJoinIsTheRecursion:
 # exact refinement against the per-pair predicate
 # ----------------------------------------------------------------------
 # Lattice lines (shared vertices, collinear overlaps, touches on both
-# sides of _EPS) and lattice triangles, so polygon and mixed pairs
-# ride in the same batch as the polyline pairs.
+# sides of _EPS) and closed lattice triangles (borders), which ride in
+# the same batch.
 @st.composite
 def lattice_geometry(draw):
     """A lattice polyline (at least two vertices) or, one time in four,
-    a lattice triangle."""
+    a lattice triangle closed into a ring."""
     if draw(st.integers(0, 3)):
         return Polyline([draw(lattice_point), *draw(lattice_line)])
     ring = draw(st.lists(lattice_point, min_size=3, max_size=3))
-    assume(ring[0] != ring[-1])
-    return Polygon(ring)
+    return Polyline(ring + ring[:1])
 
 
 def relation(objects) -> SimpleNamespace:

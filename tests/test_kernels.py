@@ -358,14 +358,13 @@ class TestRefinementKernels:
     @pytest.mark.parametrize("kind", ["secondary", "primary", "cluster"])
     def test_join_result_pairs_match_the_reference(self, kind, monkeypatch):
         """Pairs of 120..3500 cells (the cross-pair kernel's range, not
-        the scalar crossover's) with polygons mixed into one relation:
+        the scalar crossover's) with closed rings mixed into one relation:
         the same join as the per-pair reference and the brute-force
         count — and, as shipped, through one cross-pair kernel call per
         join, not pair by pair or group by group."""
         from repro.disk.allocator import PageAllocator
         from repro.disk.model import DiskModel
         from repro.geometry.feature import SpatialObject
-        from repro.geometry.polygon import Polygon
         from repro.join import multistep
 
         rng = random.Random(19)
@@ -379,20 +378,22 @@ class TestRefinementKernels:
                 pts.append((x, y))
             return pts
 
-        def make_objects(offset, polygon_every=None):
+        def make_objects(offset, ring_every=None):
             objects = []
             for i in range(80):
-                if polygon_every and i % polygon_every == 0:
+                if ring_every and i % ring_every == 0:
                     x, y = rng.uniform(0, 40), rng.uniform(0, 40)
                     w, h = rng.uniform(1, 6), rng.uniform(1, 6)
-                    geometry = Polygon([(x, y), (x + w, y), (x + w, y + h), (x, y + h)])
+                    geometry = Polyline(
+                        [(x, y), (x + w, y), (x + w, y + h), (x, y + h), (x, y)]
+                    )
                 else:
                     geometry = Polyline(walk(rng.randrange(12, 61), 1.0))
                 objects.append(SpatialObject(offset + i, geometry))
             return objects
 
         disk, allocator = DiskModel(), PageAllocator()
-        objs_r, objs_s = make_objects(0), make_objects(1000, polygon_every=8)
+        objs_r, objs_s = make_objects(0), make_objects(1000, ring_every=8)
         shared = dict(disk=disk, allocator=allocator, max_entries=16)  # many leaves
         org_r = build_org(kind, objs_r, region_prefix="r", **shared)
         org_s = build_org(kind, objs_s, region_prefix="s", **shared)

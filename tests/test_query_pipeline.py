@@ -21,7 +21,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.database import SpatialDatabase
 from repro.geometry.feature import SpatialObject
-from repro.geometry.polygon import Polygon
 from repro.geometry.polyline import Polyline
 from repro.geometry.rect import Rect
 from repro.storage import base
@@ -37,8 +36,9 @@ SMAX_BYTES = 4 * 4096
 
 def mixed_map() -> list[SpatialObject]:
     """Multi-vertex polylines, degenerate polylines (both vertices on
-    one point — a ``Polyline`` cannot have fewer than two), polygons,
-    and one object too large for a cluster unit or a data page."""
+    one point — a ``Polyline`` cannot have fewer than two), closed
+    rings (borders) and one object too large for a cluster unit or a
+    data page."""
     rng = random.Random(5)
     objects: list[SpatialObject] = []
 
@@ -59,7 +59,7 @@ def mixed_map() -> list[SpatialObject]:
         cx, cy = rng.uniform(50, 950), rng.uniform(50, 950)
         w, h = rng.uniform(5, 40), rng.uniform(5, 40)
         ring = [(cx - w, cy - h), (cx + w, cy - h), (cx + w / 3, cy + h), (cx - w, cy + h / 2)]
-        add(Polygon(ring), rng.randrange(300, 1200))
+        add(Polyline(ring + ring[:1]), rng.randrange(300, 1200))
     add(Polyline([(400, 400), (460, 470), (520, 430), (600, 500)]), SMAX_BYTES + 5000)
     return objects
 
@@ -473,7 +473,7 @@ class TestASideInTheWindowDecides:
         shapes=st.lists(
             st.tuples(
                 st.lists(st.tuples(COORD, COORD), min_size=2, max_size=5),
-                st.booleans(),  # a polygon (when the ring has 3 vertices)
+                st.booleans(),  # closed into a ring (when it has 3 vertices)
                 st.none() | st.tuples(*[st.integers(0, 6)] * 4),  # override margins
             ),
             min_size=1,
@@ -487,12 +487,11 @@ class TestASideInTheWindowDecides:
     )
     def test_every_organization_answers_as_the_scalar_reference(self, shapes, windows):
         objects = []
-        for oid, (pts, polygon, margins) in enumerate(shapes):
+        for oid, (pts, ring, margins) in enumerate(shapes):
             pts = [(float(x), float(y)) for x, y in pts]
-            if polygon and len(set(pts)) >= 3 and pts[0] != pts[-1]:
-                geometry = Polygon(pts)
-            else:
-                geometry = Polyline(pts)
+            if ring and len(set(pts)) >= 3 and pts[0] != pts[-1]:
+                pts.append(pts[0])
+            geometry = Polyline(pts)
             override = None
             if margins is not None:
                 m = geometry.mbr

@@ -17,7 +17,6 @@ from repro.data import generate_map, scaled, spec_for
 from repro.database import SpatialDatabase
 from repro.errors import PageCorruptionError, StorageError
 from repro.geometry.feature import SpatialObject
-from repro.geometry.polygon import Polygon
 from repro.geometry.polyline import Polyline
 from repro.geometry.rect import Rect
 from repro.iosched.scheduler import SyncScheduler
@@ -60,14 +59,14 @@ def build_db(config: dict, n: int = 80) -> SpatialDatabase:
 
 
 def build_rich_db(config: dict) -> SpatialDatabase:
-    """Everything the catalog has a column for: polylines, polygons, an
-    ``mbr_override``, an oversize object, and deletes that leave dead
+    """Everything the catalog has a column for: polylines, closed rings
+    (borders), an ``mbr_override``, an oversize object, and deletes that leave dead
     space in the units and a live-map order ``repack`` depends on."""
     db = build_db(config, n=120)
     for i in range(6):
         x = y = 900.0 * (i + 1)
-        ring = [(x, y), (x + 300, y), (x + 300, y + 200), (x, y + 250)]
-        db.insert(SpatialObject(500 + i, Polygon(ring), size_bytes=400 + 50 * i))
+        ring = [(x, y), (x + 300, y), (x + 300, y + 200), (x, y + 250), (x, y)]
+        db.insert(SpatialObject(500 + i, Polyline(ring), size_bytes=400 + 50 * i))
     db.insert(
         SpatialObject(
             600,
@@ -178,7 +177,9 @@ class TestRoundTrip:
         ``0.0``; ``np.min`` need not)."""
         db = build_rich_db(CONFIGS["cluster-fixed"])
         db.insert(SpatialObject(700, Polyline([(-0.0, 10.0), (0.0, -0.0), (5.0, 0.0)])))
-        db.insert(SpatialObject(701, Polygon([(0.0, 0.0), (-0.0, 40.0), (30.0, -0.0)])))
+        db.insert(
+            SpatialObject(701, Polyline([(0.0, 0.0), (-0.0, 40.0), (30.0, -0.0), (0.0, 0.0)]))
+        )
         path = str(tmp_path / "spatial.db")
         db.save(path)
         reopened = SpatialDatabase.open(path, backing=backing)
@@ -497,14 +498,17 @@ class TestDamage:
         with pytest.raises(StorageError):
             load_state(state)
 
-    def test_a_polygon_cannot_shrink_to_a_line(self, blob):
+    def test_a_polygon_row_is_refused_before_anything_is_built(self, blob, monkeypatch):
+        """Kind 1 was a polygon.  No catalog holds one: a row of that
+        kind is a typed error, raised before a database exists."""
         state = decode_catalog(blob)
         columns = state["columns"] = {k: v.copy() for k, v in state["columns"].items()}
-        row = int(np.flatnonzero(columns["objects"][:, 1] == 1)[0])
-        columns["objects"][row, 3] -= 2
-        columns["objects"][row + 1, 3] += 2
-        with pytest.raises(StorageError):
+        columns["objects"][7, 1] = 1
+        built = []
+        monkeypatch.setattr(SpatialDatabase, "_from_parts", lambda *parts: built.append(parts))
+        with pytest.raises(StorageError, match="kind 1"):
             load_state(state)
+        assert built == []
 
     def test_the_read_path_never_unpickles_or_evaluates(self):
         for module in (serial, file_store):
@@ -513,16 +517,14 @@ class TestDamage:
             for banned in ("pickle", "eval(", "exec(", "np.load", "fromstring"):
                 assert banned not in source, (module.__name__, banned)
 
-    @pytest.mark.parametrize("backing", ["sim", "file"])
-    def test_open_closes_the_file_when_the_catalog_is_damaged(
-        self, blob, backing, tmp_path, monkeypatch
-    ):
-        """``open`` used to close the store only when *reading* the meta
-        pages failed; a catalog that fails validation left the
-        descriptor to ``__del__``."""
+    @staticmethod
+    def stores_left_by_a_damaged_open(blob, damage, backing, tmp_path, monkeypatch):
+        """Commit ``blob`` with its columns passed through ``damage`` to
+        a file, open it (which must raise :class:`StorageError`) and
+        return every file store the open created."""
         state = decode_catalog(blob)
         columns = state["columns"] = {k: v.copy() for k, v in state["columns"].items()}
-        columns["objects"][0, 3] += 1  # checksums fine, tables disagree
+        damage(columns)
         damaged = encode_catalog(state)
         path = str(tmp_path / "damaged.db")
         with FilePageStore(path) as store:
@@ -543,6 +545,30 @@ class TestDamage:
         monkeypatch.setattr(FilePageStore, "__init__", spy)
         with pytest.raises(StorageError):
             SpatialDatabase.open(path, backing=backing)
+        return opened
+
+    @pytest.mark.parametrize("backing", ["sim", "file"])
+    def test_open_closes_the_file_when_the_catalog_is_damaged(
+        self, blob, backing, tmp_path, monkeypatch
+    ):
+        """``open`` used to close the store only when *reading* the meta
+        pages failed; a catalog that fails validation left the
+        descriptor to ``__del__``."""
+
+        def damage(columns):
+            columns["objects"][0, 3] += 1  # checksums fine, tables disagree
+
+        opened = self.stores_left_by_a_damaged_open(blob, damage, backing, tmp_path, monkeypatch)
+        assert [store._fd for store in opened] == [None]
+
+    @pytest.mark.parametrize("backing", ["sim", "file"])
+    def test_open_refuses_a_polygon_row_and_closes_the_file(
+        self, blob, backing, tmp_path, monkeypatch
+    ):
+        def damage(columns):
+            columns["objects"][-1, 1] = 1
+
+        opened = self.stores_left_by_a_damaged_open(blob, damage, backing, tmp_path, monkeypatch)
         assert [store._fd for store in opened] == [None]
 
 

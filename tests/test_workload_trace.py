@@ -8,7 +8,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.geometry.feature import SpatialObject
-from repro.geometry.polygon import Polygon
 from repro.geometry.polyline import Polyline
 from repro.geometry.rect import Rect
 from repro.workload.streams import mixed_stream
@@ -52,17 +51,16 @@ class TestRoundTrip:
         save_trace([("window", 1.0, 2.0, 3.0, 4.0)], path)
         assert load_trace(path) == [("window", Rect(1.0, 2.0, 3.0, 4.0))]
 
-    def test_polygon_and_mbr_override_survive(self, tmp_path):
+    def test_closed_ring_and_mbr_override_survive(self, tmp_path):
+        ring = [(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 0.0)]
         obj = SpatialObject(
-            3,
-            Polygon([(0.0, 0.0), (4.0, 0.0), (4.0, 4.0)]),
-            size_bytes=900,
-            mbr_override=Rect(-1.0, -1.0, 5.0, 5.0),
+            3, Polyline(ring), size_bytes=900, mbr_override=Rect(-1.0, -1.0, 5.0, 5.0)
         )
         path = tmp_path / "t.jsonl"
         save_trace([("insert", obj)], path)
+        assert json.loads(path.read_text())["geometry"] == "polyline"
         (_, replayed), = load_trace(path)
-        assert isinstance(replayed.geometry, Polygon)
+        assert replayed.geometry == Polyline(ring)
         assert replayed.mbr_override == Rect(-1.0, -1.0, 5.0, 5.0)
 
     def test_replay_produces_identical_results(self, tmp_path):
@@ -147,6 +145,22 @@ class TestMalformedTraces:
             + "\n"
         )
         with pytest.raises(ConfigurationError):
+            load_trace(path)
+
+    def test_polygon_record_rejected(self, tmp_path):
+        """A polygon record (what a trace of an older checkout could
+        hold) is refused as an unknown geometry: the load raises, so no
+        stream with the operations before it comes back."""
+        path = tmp_path / "t.jsonl"
+        path.write_text(
+            json.dumps({"op": "window", "rect": [0.0, 0.0, 1.0, 1.0]}) + "\n"
+            + json.dumps(
+                {"op": "insert", "oid": 1, "geometry": "polygon",
+                 "vertices": [[0, 0], [4, 0], [4, 4]], "size_bytes": 900}
+            )
+            + "\n"
+        )
+        with pytest.raises(ConfigurationError, match="unknown geometry 'polygon'"):
             load_trace(path)
 
 

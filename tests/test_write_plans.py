@@ -390,6 +390,15 @@ class TestReorganization:
         with pytest.raises(ConfigurationError):
             Reorganizer(db)
 
+    @pytest.mark.parametrize("organization", ["secondary", "primary"])
+    @pytest.mark.parametrize("handle", ["database", "organization"])
+    def test_refuses_an_organization_without_units(self, organization, handle):
+        """Whether an organization can be reorganized is its declared
+        ``reorganizable``, read through a database or directly."""
+        db = SpatialDatabase(organization=organization)
+        with pytest.raises(ConfigurationError, match=f"not the {organization} organization"):
+            Reorganizer(db if handle == "database" else db.storage)
+
     def test_steps_recover_quality_and_price_io(self):
         db, reorg = self.degraded_db()
         degraded = reorg.quality()
