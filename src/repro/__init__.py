@@ -54,7 +54,6 @@ from repro.iosched import (
     Prefetcher,
     PriorityAdmission,
     SyncScheduler,
-    TokenBucketAdmission,
     VirtualClock,
 )
 from repro.join import JoinResult, spatial_join
@@ -113,7 +112,6 @@ __all__ = [
     "VirtualClock",
     "Prefetcher",
     "AdmissionPolicy",
-    "TokenBucketAdmission",
     "PriorityAdmission",
     "SCHEDULERS",
     "PREFETCHERS",

@@ -193,8 +193,8 @@ class SpatialDatabase:
         it, the workload/sessions pools use it.
     admission:
         Admission-control policy shaping when client operations
-        dispatch on the virtual clock: ``None``/``"none"`` (default),
-        ``"token-bucket"`` or ``"priority"`` (see
+        dispatch on the virtual clock: ``None``/``"none"`` (default) or
+        ``"priority"`` (see
         :mod:`repro.iosched.admission`), or a ready
         :class:`~repro.iosched.admission.AdmissionPolicy`.  Needs
         ``scheduler="overlap"`` — admission delays live on the virtual
@@ -206,8 +206,8 @@ class SpatialDatabase:
         building a :class:`~repro.pagestore.tiered.TieredPageStore`
         whose fast tier holds ``fast_pages`` pages of the 2 / 1 /
         0.25 ms device of
-        :data:`~repro.pagestore.tiered.FAST_TIER_PARAMS`, or a ready
-        store.  Combined with ``n_disks > 1`` each tier is itself a
+        :data:`~repro.pagestore.tiered.FAST_TIER_PARAMS`.  Combined
+        with ``n_disks > 1`` each tier is itself a
         declustered :class:`~repro.pagestore.store.ShardedPageStore`
         over ``n_disks`` arms (tiering composed over sharding).
     fast_pages:
@@ -271,12 +271,6 @@ class SpatialDatabase:
             raise ConfigurationError(f"need at least one disk, got {n_disks}")
         if fast_pages < 1:
             raise ConfigurationError(f"fast_pages must be >= 1, got {fast_pages}")
-        if isinstance(tiering, TieredPageStore) and n_disks > 1:
-            raise ConfigurationError(
-                "a ready TieredPageStore fixes its own tier backends; "
-                "compose sharded tiers by passing a migration-policy "
-                "name together with n_disks > 1 instead"
-            )
         # The declustering knobs are checked on the single-disk path
         # too, so the one-disk control of an experiment fails as fast
         # as the multi-disk treatment would.
@@ -305,10 +299,8 @@ class SpatialDatabase:
                 n_disks, placement=placement, params=params, chunk_pages=chunk_pages
             )
 
-        if isinstance(tiering, TieredPageStore):
-            store: PageStore = tiering
-        elif tiering is None:
-            store = device(disk_params)
+        if tiering is None:
+            store: PageStore = device(disk_params)
         else:
             # Each tier is a device of its own: with n_disks > 1
             # placement spreads pages within a tier while migration

@@ -197,8 +197,14 @@ DECLARED = (
         "closed-loop process)",
         float, 200.0, check=("> 0", lambda v: v > 0),
     ),
-    Flag("--ops-per-session", "max operations per session", int, 1),
-    Flag("--think-ms", "closed-loop think time between operations", float, 50.0),
+    Flag(
+        "--ops-per-session", "max operations per session", int, 1,
+        check=POSITIVE_INT,
+    ),
+    Flag(
+        "--think-ms", "closed-loop think time between operations", float, 50.0,
+        check=(">= 0", lambda v: v >= 0),
+    ),
     Flag(
         "--ablation",
         "instead of one run, compare admission none vs priority at the base "
@@ -345,7 +351,7 @@ SCENARIOS = {
         ),
         Scenario(
             "traffic",
-            "Drive generated open-loop (Poisson/bursty/diurnal) or "
+            "Drive generated open-loop (Poisson) or "
             "closed-loop think-time traffic, 10^4-10^5 sessions, through "
             "the virtual-clock scheduler and report per-class latency "
             "percentiles and throughput; --ablation compares admission "

@@ -28,6 +28,22 @@ included.
 The hit rule starts with a box pretest (segments whose eps-closed boxes
 are disjoint never meet), so every cell a kernel prunes by a box is a
 cell the rule rejects.
+
+The contract against exact arithmetic, as ``tests/test_exact_geometry.py``
+checks it with rational numbers.  A decision is *in the band* when a
+quantity it compares with zero (a cross product, a coordinate gap) is
+within ``_EPS`` plus its own float rounding of zero.  Outside the band
+every kernel here gives the exact answer.  Inside it either answer is
+allowed; ``_EPS`` stays an absolute ``1e-12``, because no input outside
+the band has disagreed with exact arithmetic.  The paths that decide
+objects start with the exact, tolerance-free MBR test, and so agree
+with one another inside the band too: ``SpatialObject.intersects`` and
+the join's ``_refine`` for pairs, ``SpatialObject.intersects_rect`` /
+``contains_point`` and the organizations' window and point paths.
+Called bare, :func:`polylines_intersect` and
+:func:`polylines_intersect_rows` have no such test and may take two
+chains within ``_EPS`` of each other for touching although their boxes
+are disjoint (``TestTheBand::test_segments_half_eps_apart_are_in_the_band``).
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ from repro.iosched.admission import (
     ADMISSIONS,
     AdmissionPolicy,
     PriorityAdmission,
-    TokenBucketAdmission,
     make_admission,
 )
 from repro.iosched.prefetch import (
@@ -61,7 +60,6 @@ __all__ = [
     "PREFETCHERS",
     "make_prefetcher",
     "AdmissionPolicy",
-    "TokenBucketAdmission",
     "PriorityAdmission",
     "ADMISSIONS",
     "ADMISSION_CLASSES",

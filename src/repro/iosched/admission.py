@@ -11,21 +11,19 @@ device calls execute in the same order with the same costs — it only
 changes *when* the virtual clock services them, so device-time totals
 are bit-identical with and without admission.
 
-Three policies:
+Two policies:
 
 * ``none`` — every operation dispatches at its client's current time
   (the historical behaviour; ``make_admission(None)`` returns ``None``);
-* ``token-bucket`` — per-client budget on outstanding device time: each
-  client owns a bucket of ``burst_ms`` device-milliseconds refilled at
-  ``rate`` device-ms per virtual-ms; an operation's device time is
-  debited after it runs, and the next operation is delayed until the
-  bucket is non-negative again.  Limits how much device time any one
-  session can keep outstanding;
 * ``priority`` — two service classes.  ``interactive`` clients bypass
-  admission entirely; ``analytics`` clients run through a (stingier)
-  token bucket, so their bulk work is paced out across virtual time and
-  the gaps it leaves are back-filled by interactive operations — the
-  interactive latency percentiles drop at identical device time.
+  admission entirely; each ``analytics`` client runs through a token
+  bucket on outstanding device time (``burst_ms`` device-milliseconds
+  refilled at ``rate`` device-ms per virtual-ms; an operation's device
+  time is debited after it runs, and the client's next operation is
+  delayed until the bucket is non-negative again), so their bulk work
+  is paced out across virtual time and the gaps it leaves are
+  back-filled by interactive operations — the interactive latency
+  percentiles drop at identical device time.
 
 Delay only helps because the
 :class:`~repro.iosched.scheduler.VirtualClock` is gap-aware: a request
@@ -42,7 +40,6 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "AdmissionPolicy",
-    "TokenBucketAdmission",
     "PriorityAdmission",
     "ADMISSIONS",
     "ADMISSION_CLASSES",
@@ -50,7 +47,8 @@ __all__ = [
 ]
 
 ADMISSION_CLASSES = ("interactive", "analytics")
-"""Service classes understood by :class:`PriorityAdmission`."""
+"""Service classes understood by :class:`PriorityAdmission` — and the
+classes :func:`repro.workload.traffic.make_traffic` generates."""
 
 
 @runtime_checkable
@@ -86,19 +84,32 @@ class _Bucket:
         self.as_of = 0.0
 
 
-class TokenBucketAdmission:
-    """Per-client token bucket on outstanding device time.
+class PriorityAdmission:
+    """Two service classes: interactive bypasses, analytics is paced.
 
     Parameters
     ----------
+    classes:
+        Mapping of client name to service class (``interactive`` /
+        ``analytics``); unlisted clients are ``interactive`` —
+        admission is opt-in per bulk client.
     rate:
-        Refill rate in device-milliseconds per virtual millisecond.  A
-        rate of 1.0 sustains one arm's worth of work; lower rates
-        throttle harder, higher rates admit parallel (multi-disk)
-        consumption.
+        Refill rate of an analytics client's bucket in
+        device-milliseconds per virtual millisecond.  The default is
+        deliberately below one arm's worth (1.0) so bulk work spreads
+        out and interactive operations back-fill the gaps.
     burst_ms:
-        Bucket capacity: device time a client may consume immediately
-        before pacing kicks in.
+        Bucket capacity: device time an analytics client may consume
+        immediately before pacing kicks in.
+    classifier:
+        Optional callable mapping a client name to its service class,
+        consulted for clients absent from ``classes``.  This is how
+        generated traffic (10^4-10^5 session names) classifies without
+        enumerating every name up front — e.g.
+        ``PriorityAdmission(classifier=class_of_session)`` with the
+        traffic generator's ``int-``/``ana-`` name prefixes.  A
+        classifier returning an unknown class is a configuration error
+        at admit time.
 
     The bucket is *post-debited*: an operation's device time is known
     only after it ran, so ``observe`` debits it and ``admit`` delays the
@@ -107,9 +118,15 @@ class TokenBucketAdmission:
     one client are serial on its virtual timeline).
     """
 
-    name = "token-bucket"
+    name = "priority"
 
-    def __init__(self, rate: float = 1.0, burst_ms: float = 100.0):
+    def __init__(
+        self,
+        classes: dict[str, str] | None = None,
+        rate: float = 0.25,
+        burst_ms: float = 60.0,
+        classifier=None,
+    ):
         if rate <= 0:
             raise ConfigurationError(f"token rate must be > 0, got {rate}")
         if burst_ms < 0:
@@ -117,94 +134,6 @@ class TokenBucketAdmission:
         self.rate = rate
         self.burst_ms = burst_ms
         self._buckets: dict[str, _Bucket] = {}
-
-    # ------------------------------------------------------------------
-    def _bucket(self, client: str) -> _Bucket:
-        bucket = self._buckets.get(client)
-        if bucket is None:
-            bucket = self._buckets[client] = _Bucket(self.burst_ms)
-        return bucket
-
-    def _refill(self, bucket: _Bucket, at: float) -> None:
-        if at > bucket.as_of:
-            bucket.tokens = min(
-                self.burst_ms, bucket.tokens + (at - bucket.as_of) * self.rate
-            )
-            bucket.as_of = at
-
-    def _throttled(self, client: str, at: float) -> float:
-        bucket = self._bucket(client)
-        self._refill(bucket, at)
-        if bucket.tokens >= 0.0:
-            return at
-        delayed = at + (-bucket.tokens) / self.rate
-        bucket.tokens = 0.0
-        bucket.as_of = delayed
-        return delayed
-
-    def _debit(self, client: str, device_ms: float) -> None:
-        self._bucket(client).tokens -= device_ms
-
-    # ------------------------------------------------------------------
-    def admit(self, client: str, at: float, clock) -> float:
-        return self._throttled(client, at)
-
-    def observe(
-        self, client: str, dispatched_at: float, device_ms: float, completion: float
-    ) -> None:
-        self._debit(client, device_ms)
-
-    def reset(self) -> None:
-        self._buckets.clear()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(rate={self.rate}, burst_ms={self.burst_ms})"
-
-
-class PriorityAdmission(TokenBucketAdmission):
-    """Two service classes: interactive bypasses, analytics is paced.
-
-    Parameters
-    ----------
-    classes:
-        Mapping of client name to service class (``interactive`` /
-        ``analytics``); unlisted clients get ``default_class``.
-    default_class:
-        Class of clients absent from ``classes`` (default
-        ``interactive`` — admission is opt-in per bulk client).
-    classifier:
-        Optional callable mapping a client name to its service class,
-        consulted for clients absent from ``classes`` before falling
-        back to ``default_class``.  This is how generated traffic
-        (10^4-10^5 session names) classifies without enumerating every
-        name up front — e.g.
-        ``PriorityAdmission(classifier=class_of_session)`` with the
-        traffic generator's ``int-``/``ana-`` name prefixes.  A
-        classifier returning an unknown class is a configuration error
-        at admit time.
-    rate, burst_ms:
-        Token-bucket parameters applied to the analytics class (see
-        :class:`TokenBucketAdmission`); the default rate is deliberately
-        below one arm's worth so bulk work spreads out and interactive
-        operations back-fill the gaps.
-    """
-
-    name = "priority"
-
-    def __init__(
-        self,
-        classes: dict[str, str] | None = None,
-        default_class: str = "interactive",
-        rate: float = 0.25,
-        burst_ms: float = 60.0,
-        classifier=None,
-    ):
-        super().__init__(rate=rate, burst_ms=burst_ms)
-        if default_class not in ADMISSION_CLASSES:
-            raise ConfigurationError(
-                f"unknown admission class '{default_class}'; "
-                f"valid: {ADMISSION_CLASSES}"
-            )
         self.classes = dict(classes or {})
         for client, cls in self.classes.items():
             if cls not in ADMISSION_CLASSES:
@@ -217,7 +146,6 @@ class PriorityAdmission(TokenBucketAdmission):
                 f"classifier must be callable, got {classifier!r}"
             )
         self.classifier = classifier
-        self.default_class = default_class
 
     def class_of(self, client: str) -> str:
         """The service class of a client."""
@@ -232,45 +160,58 @@ class PriorityAdmission(TokenBucketAdmission):
                     f"for client '{client}'; valid: {ADMISSION_CLASSES}"
                 )
             return cls
-        return self.default_class
+        return "interactive"
+
+    def _bucket(self, client: str) -> _Bucket:
+        bucket = self._buckets.get(client)
+        if bucket is None:
+            bucket = self._buckets[client] = _Bucket(self.burst_ms)
+        return bucket
 
     def admit(self, client: str, at: float, clock) -> float:
         if self.class_of(client) == "interactive":
             return at
-        return self._throttled(client, at)
+        bucket = self._bucket(client)
+        if at > bucket.as_of:  # refill
+            bucket.tokens = min(
+                self.burst_ms, bucket.tokens + (at - bucket.as_of) * self.rate
+            )
+            bucket.as_of = at
+        if bucket.tokens >= 0.0:
+            return at
+        delayed = at + (-bucket.tokens) / self.rate
+        bucket.tokens = 0.0
+        bucket.as_of = delayed
+        return delayed
 
     def observe(
         self, client: str, dispatched_at: float, device_ms: float, completion: float
     ) -> None:
         if self.class_of(client) == "analytics":
-            self._debit(client, device_ms)
+            self._bucket(client).tokens -= device_ms
+
+    def reset(self) -> None:
+        self._buckets.clear()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"{type(self).__name__}(rate={self.rate}, burst_ms={self.burst_ms})"
 
 
-ADMISSIONS = ("none", "token-bucket", "priority")
+ADMISSIONS = ("none", "priority")
 """Valid admission-policy names for every ``admission=`` knob."""
 
 
-def make_admission(spec, **kwargs) -> "AdmissionPolicy | None":
+def make_admission(spec) -> "AdmissionPolicy | None":
     """Resolve an admission-policy name (``None``/``"none"`` disable
-    it); keyword arguments configure the named policies."""
+    it) or pass a ready policy through."""
     if spec is None or spec == "none":
-        if kwargs:
-            raise ConfigurationError(
-                "admission options given without an admission policy"
-            )
         return None
     if isinstance(spec, str):
-        if spec == "token-bucket":
-            return TokenBucketAdmission(**kwargs)
         if spec == "priority":
-            return PriorityAdmission(**kwargs)
+            return PriorityAdmission()
         raise ConfigurationError(
             f"unknown admission policy '{spec}'; valid: {ADMISSIONS}"
         )
     if isinstance(spec, AdmissionPolicy):
-        if kwargs:
-            raise ConfigurationError(
-                "admission options conflict with a ready policy instance"
-            )
         return spec
     raise ConfigurationError(f"not an admission policy: {spec!r}")

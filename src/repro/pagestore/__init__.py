@@ -45,7 +45,6 @@ from repro.pagestore.store import (
 from repro.pagestore.tiered import (
     FAST_TIER_PARAMS,
     MIGRATIONS,
-    WRITE_POLICIES,
     TieredPageStore,
 )
 
@@ -62,7 +61,6 @@ __all__ = [
     "decode_page",
     "VectoredCost",
     "MIGRATIONS",
-    "WRITE_POLICIES",
     "FAST_TIER_PARAMS",
     "PlacementPolicy",
     "RoundRobinPlacement",

@@ -28,21 +28,10 @@ Two placement models, selected by the migration policy:
   when the fast tier is that request's critical path); *demotion*
   drops the least-recently-used copy for free (the capacity home is
   still valid); a write prices on the capacity home and invalidates
-  the fast copy (write-invalidate).  ``promote-on-hit``
-  promotes a page on its ``promote_after``-th read (default: the second
-  — one re-reference proves warmth), ``lru-demote`` promotes on every
+  the fast copy (write-invalidate), so a demotion never holds data the
+  capacity home lacks.  ``promote-on-hit`` promotes a page on its
+  second read (one re-reference proves warmth), ``lru-demote`` on every
   read (a plain LRU tier).
-
-The cache policies support two write policies.  ``write-through``
-(default, the historical behaviour) prices every write on the capacity
-home and invalidates fast copies.  ``write-back`` prices writes of
-fast-resident pages on the *fast* tier and marks them dirty; the
-deferred capacity write is paid when the LRU budget demotes the page —
-a *copy-back*, priced on the capacity tier and counted in
-``tier.copybacks`` (demoting a clean page stays free: its home copy is
-still valid).  This closes the long-flagged accounting gap where a
-demotion silently dropped written data without ever pricing the
-write-back.
 
 Like the sharded store, the tiered store is a
 :class:`~repro.pagestore.store.CompositePageStore`: its two children
@@ -70,15 +59,11 @@ from repro.pagestore.store import CompositePageStore, PageStore
 __all__ = [
     "TieredPageStore",
     "MIGRATIONS",
-    "WRITE_POLICIES",
     "FAST_TIER_PARAMS",
 ]
 
 MIGRATIONS = ("static", "promote-on-hit", "lru-demote")
 """Valid migration-policy names for every ``tiering=`` knob."""
-
-WRITE_POLICIES = ("write-through", "write-back")
-"""Valid write-policy names for the cache migration policies."""
 
 FAST_TIER_PARAMS = DiskParameters(seek_ms=2.0, latency_ms=1.0, transfer_ms=0.25)
 """Default fast-tier constants: a 2 / 1 / 0.25 ms device against the
@@ -103,15 +88,6 @@ class TieredPageStore(CompositePageStore):
         disk).  Exposed as :attr:`params` — the constants consumers
         derive read schedules from, since the bulk of the data lives
         there.
-    promote_after:
-        ``promote-on-hit`` only: number of reads of a capacity page
-        that triggers its promotion (>= 1).
-    write_policy:
-        ``write-through`` (default — capacity-home writes with
-        write-invalidate, the historical pricing) or ``write-back``
-        (fast-resident pages take writes on the fast tier and are
-        copied back to the capacity tier when demoted).  Cache
-        policies only.
     fast_store, capacity_store:
         Optional ready-made tier backends replacing the default
         single :class:`~repro.disk.model.DiskModel` per tier — e.g. a
@@ -129,8 +105,6 @@ class TieredPageStore(CompositePageStore):
         migration: str = "static",
         fast_params: DiskParameters | None = None,
         params: DiskParameters | None = None,
-        promote_after: int = 2,
-        write_policy: str = "write-through",
         metrics: MetricsRegistry | None = None,
         fast_store: PageStore | None = None,
         capacity_store: PageStore | None = None,
@@ -143,21 +117,6 @@ class TieredPageStore(CompositePageStore):
             raise ConfigurationError(
                 f"unknown migration policy '{migration}'; valid: {MIGRATIONS}"
             )
-        if promote_after < 1:
-            raise ConfigurationError(
-                f"promote_after must be >= 1, got {promote_after}"
-            )
-        if write_policy not in WRITE_POLICIES:
-            raise ConfigurationError(
-                f"unknown write policy '{write_policy}'; "
-                f"valid: {WRITE_POLICIES}"
-            )
-        if write_policy == "write-back" and migration == "static":
-            raise ConfigurationError(
-                "write-back needs a cache migration policy — static "
-                "placement writes to a page's only home, there is "
-                "nothing to copy back"
-            )
         if fast_store is None:
             fast_store = DiskModel(fast_params or FAST_TIER_PARAMS)
         if capacity_store is None:
@@ -169,16 +128,10 @@ class TieredPageStore(CompositePageStore):
         super().__init__([fast_store, capacity_store])
         self.fast_pages = fast_pages
         self.migration = migration
-        self.promote_after = promote_after
-        self.write_policy = write_policy
         # Pages whose reads are served by the fast tier, in LRU order
         # (static: permanent homes; cache policies: current copies).
         self._resident: OrderedDict[int, None] = OrderedDict()
         self._counts: dict[int, int] = {}
-        # write-back only: fast-resident pages whose latest content was
-        # never written to the capacity home (a demotion must pay the
-        # deferred capacity write).
-        self._dirty: set[int] = set()
         # Migration counters live in the metrics registry
         # (``tier.promotions`` etc.); the promotions/demotions
         # properties below are thin views over them.
@@ -186,7 +139,6 @@ class TieredPageStore(CompositePageStore):
         self._promotions = self.metrics.counter("tier.promotions")
         self._demotions = self.metrics.counter("tier.demotions")
         self._invalidations = self.metrics.counter("tier.invalidations")
-        self._copybacks = self.metrics.counter("tier.copybacks")
 
     @property
     def promotions(self) -> int:
@@ -217,12 +169,10 @@ class TieredPageStore(CompositePageStore):
 
     def forget_extent(self, extent: Extent) -> None:
         """Drop a freed or relocated extent's pages from the fast tier
-        (free — the pages are dead, there is nothing to copy back, and
-        any dirty marks die with them)."""
+        (free — the pages are dead, there is nothing to copy back)."""
         for page in extent.pages():
             self._resident.pop(page, None)
             self._counts.pop(page, None)
-            self._dirty.discard(page)
         super().forget_extent(extent)
 
     # ------------------------------------------------------------------
@@ -260,31 +210,16 @@ class TieredPageStore(CompositePageStore):
         self.fast.write_runs(coalesce_pages(ordered))
         self._promotions.inc(len(pages))
         demoted = 0
-        dirty_evicted: list[int] = []
         while len(self._resident) > self.fast_pages:
-            page, _ = self._resident.popitem(last=False)
+            self._resident.popitem(last=False)
             demoted += 1
-            if page in self._dirty:
-                self._dirty.discard(page)
-                dirty_evicted.append(page)
         if demoted:
             self._demotions.inc(demoted)
-        if dirty_evicted:
-            # Demoting a written page prices the deferred capacity
-            # write (the copy-back) as one vectored batch; clean
-            # demotions stay free because the capacity home still
-            # holds the page's content.
-            self.capacity.write_runs(coalesce_pages(sorted(dirty_evicted)))
-            self._copybacks.inc(len(dirty_evicted))
         if _obs.ACTIVE is not None:
             _obs.ACTIVE.instant(
                 "tier.promote",
                 cat="tier",
-                args={
-                    "pages": len(pages),
-                    "demoted": demoted,
-                    "copybacks": len(dirty_evicted),
-                },
+                args={"pages": len(pages), "demoted": demoted},
             )
 
     def _after_read(self, start: int, npages: int) -> None:
@@ -299,7 +234,7 @@ class TieredPageStore(CompositePageStore):
                 promote.append(page)
             else:  # promote-on-hit
                 count = self._counts.get(page, 0) + 1
-                if count >= self.promote_after:
+                if count >= 2:  # the second read proves warmth
                     promote.append(page)
                 else:
                     self._counts[page] = count
@@ -330,14 +265,9 @@ class TieredPageStore(CompositePageStore):
     def write(self, start: int, npages: int = 1, continuation: bool = False) -> float:
         """Price a write.  ``static`` writes to the pages' home tiers;
         the cache policies write through to the capacity home and
-        invalidate any fast copies (write-invalidate), or — under
-        ``write_policy="write-back"`` — absorb writes of fast-resident
-        pages on the fast tier, deferring the capacity write to the
-        demotion-time copy-back."""
+        invalidate any fast copies (write-invalidate)."""
         if self.migration == "static":
             return self._transfer("write", [(start, npages)], continuation)
-        if self.write_policy == "write-back":
-            return self._write_back(start, npages, continuation)
         invalidated = 0
         for page in range(start, start + npages):
             if page in self._resident:
@@ -359,7 +289,7 @@ class TieredPageStore(CompositePageStore):
     ) -> float:
         """Price one vectored batch of write runs (the write mirror of
         :meth:`read_runs`), preserving each run's tier routing and
-        write-policy side effects: the first run carries the caller's
+        write-invalidate side effects: the first run carries the caller's
         ``continuation`` flag, follow-ups are continuations."""
         cost = 0.0
         first = True
@@ -367,23 +297,6 @@ class TieredPageStore(CompositePageStore):
             cost += self.write(start, npages, continuation if first else True)
             first = False
         return cost
-
-    def _write_back(self, start: int, npages: int, continuation: bool) -> float:
-        """Write-back pricing: fast-resident fragments take the write
-        on the fast tier (marked dirty, refreshed in LRU order), the
-        rest writes to the capacity home (priced like any split
-        request: each tier positions once, the response is the max
-        over the tiers)."""
-        fragments = self._split([(start, npages)])
-        response = self._price("write", fragments, continuation)
-        for tier, frag_start, frag_pages in fragments:
-            for page in range(frag_start, frag_start + frag_pages):
-                if tier == self.FAST:
-                    self._dirty.add(page)
-                    self._resident.move_to_end(page)
-                else:
-                    self._counts.pop(page, None)
-        return response
 
     def charge(self, seeks: int = 0, rotations: int = 0, pages: int = 0) -> float:
         """Account an analytic cost (no page addresses — nothing to

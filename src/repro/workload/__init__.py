@@ -18,7 +18,6 @@ from repro.workload.streams import mixed_stream
 from repro.workload.trace import load_trace, save_trace
 from repro.workload.traffic import (
     ARRIVALS,
-    TRAFFIC_CLASSES,
     TrafficSession,
     class_of_session,
     make_traffic,
@@ -33,7 +32,6 @@ __all__ = [
     "save_trace",
     "load_trace",
     "ARRIVALS",
-    "TRAFFIC_CLASSES",
     "TrafficSession",
     "class_of_session",
     "make_traffic",

@@ -5,16 +5,9 @@ clients; production traffic is tens of thousands of short sessions
 arriving under a stochastic process.  :func:`make_traffic` builds that
 traffic deterministically (seeded) over a stored map:
 
-* **open-loop** arrivals — sessions arrive whether or not earlier ones
-  finished, the regime where queues actually build:
-
-  - ``poisson``: independent exponential inter-arrival gaps at a fixed
-    mean rate;
-  - ``bursty``: Poisson bursts — geometrically-sized batches of
-    simultaneous arrivals at a batch rate that preserves the mean
-    session rate (heavy-tailed instantaneous load);
-  - ``diurnal``: a Poisson process whose instantaneous rate follows a
-    sinusoidal day curve (peak/trough around the mean rate);
+* **open-loop** arrivals (``poisson``) — sessions arrive whether or
+  not earlier ones finished, the regime where queues actually build,
+  with independent exponential inter-arrival gaps at a fixed mean rate;
 
 * **closed-loop** arrivals (``closed``) — a fixed population of clients
   that each run several operations separated by think time; load is
@@ -31,7 +24,6 @@ generated clients by name (:func:`class_of_session`,
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -39,20 +31,20 @@ from typing import Sequence
 from repro.data.workload import point_workload, window_workload
 from repro.errors import ConfigurationError
 from repro.geometry.feature import SpatialObject
+from repro.iosched.admission import ADMISSION_CLASSES
 
 __all__ = [
     "ARRIVALS",
-    "TRAFFIC_CLASSES",
     "TrafficSession",
     "class_of_session",
     "make_traffic",
 ]
 
-ARRIVALS = ("poisson", "bursty", "diurnal", "closed")
+ARRIVALS = ("poisson", "closed")
 """Valid arrival-process names for every ``arrival=`` knob."""
 
-TRAFFIC_CLASSES = ("interactive", "analytics")
-"""Session classes the generator emits (and admission distinguishes)."""
+# The classes a generated session belongs to, as admission names them.
+INTERACTIVE, ANALYTICS = ADMISSION_CLASSES
 
 
 @dataclass(slots=True)
@@ -75,57 +67,21 @@ def class_of_session(name: str) -> str:
     """Traffic class encoded in a generated session name (``ana-``
     prefix marks analytics; everything else is interactive) — the
     default classifier for admission over generated traffic."""
-    return "analytics" if name.startswith("ana-") else "interactive"
+    return ANALYTICS if name.startswith("ana-") else INTERACTIVE
 
 
 def _arrival_times(
-    arrival: str,
-    n_sessions: int,
-    rate_per_s: float,
-    rng: random.Random,
-    burst_size: float,
-    diurnal_period_s: float,
-    diurnal_amplitude: float,
+    arrival: str, n_sessions: int, rate_per_s: float, rng: random.Random
 ) -> list[float]:
     """Arrival instants in virtual ms, non-decreasing, seeded."""
-    times: list[float] = []
-    t_ms = 0.0
     if arrival == "closed":
         return [0.0] * n_sessions
-    if arrival == "poisson":
-        for _ in range(n_sessions):
-            t_ms += rng.expovariate(rate_per_s) * 1000.0
-            times.append(t_ms)
-        return times
-    if arrival == "bursty":
-        # Bursts arrive as a Poisson process at rate/burst_size; each
-        # carries a geometric number of simultaneous sessions with mean
-        # burst_size, so the long-run session rate stays rate_per_s.
-        p = 1.0 / max(burst_size, 1.0)
-        burst_left = 0
-        while len(times) < n_sessions:
-            if burst_left <= 0:
-                t_ms += rng.expovariate(rate_per_s * p) * 1000.0
-                burst_left = 1
-                while rng.random() > p:
-                    burst_left += 1
-            times.append(t_ms)
-            burst_left -= 1
-        return times
-    if arrival == "diurnal":
-        # Non-homogeneous Poisson: the instantaneous rate follows one
-        # sinusoidal "day" of diurnal_period_s virtual seconds.
-        floor = 0.05
-        for _ in range(n_sessions):
-            phase = 2.0 * math.pi * (t_ms / 1000.0) / diurnal_period_s
-            rate = rate_per_s * (1.0 + diurnal_amplitude * math.sin(phase))
-            rate = max(rate, floor * rate_per_s)
-            t_ms += rng.expovariate(rate) * 1000.0
-            times.append(t_ms)
-        return times
-    raise ConfigurationError(
-        f"unknown arrival process '{arrival}'; valid: {ARRIVALS}"
-    )
+    times: list[float] = []
+    t_ms = 0.0
+    for _ in range(n_sessions):
+        t_ms += rng.expovariate(rate_per_s) * 1000.0
+        times.append(t_ms)
+    return times
 
 
 def make_traffic(
@@ -139,9 +95,6 @@ def make_traffic(
     ops_per_session: int = 1,
     analytics_ops: int = 8,
     think_ms: float = 50.0,
-    burst_size: float = 16.0,
-    diurnal_period_s: float = 60.0,
-    diurnal_amplitude: float = 0.8,
     window_area: float = 1e-3,
     analytics_area: float = 2e-2,
     pool_size: int = 512,
@@ -169,6 +122,12 @@ def make_traffic(
         )
     if rate_per_s <= 0.0:
         raise ConfigurationError(f"rate_per_s must be > 0, got {rate_per_s}")
+    if ops_per_session < 1:
+        raise ConfigurationError(
+            f"ops_per_session must be >= 1, got {ops_per_session}"
+        )
+    if think_ms < 0.0:
+        raise ConfigurationError(f"think_ms must be >= 0, got {think_ms}")
     if not (0.0 <= analytics_fraction <= 1.0):
         raise ConfigurationError(
             f"analytics_fraction must be in [0, 1], got {analytics_fraction}"
@@ -188,17 +147,8 @@ def make_traffic(
         **extra,
     )
     rng = random.Random(seed)
-    times = _arrival_times(
-        arrival,
-        n_sessions,
-        rate_per_s,
-        rng,
-        burst_size,
-        diurnal_period_s,
-        diurnal_amplitude,
-    )
+    times = _arrival_times(arrival, n_sessions, rate_per_s, rng)
     closed = arrival == "closed"
-    min_ops = max(ops_per_session, 1)
     # Analytics sessions are bulk scans: several back-to-back large
     # windows, the shape a per-client token bucket can actually pace
     # (a one-operation session is over before its post-debit matters).
@@ -215,7 +165,7 @@ def make_traffic(
             ]
         else:
             name = f"int-{i:06d}"
-            n_ops = rng.randint(1, min_ops)
+            n_ops = rng.randint(1, ops_per_session)
             ops = []
             for _ in range(n_ops):
                 if rng.random() < 0.5:
@@ -228,7 +178,7 @@ def make_traffic(
         sessions.append(
             TrafficSession(
                 name=name,
-                klass="analytics" if analytics else "interactive",
+                klass=ANALYTICS if analytics else INTERACTIVE,
                 arrival_ms=at,
                 operations=ops,
                 think_ms=think_ms if closed else 0.0,

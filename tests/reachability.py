@@ -1,4 +1,5 @@
-"""Which functions of ``src/repro`` no user path reaches.
+"""Which functions of ``src/repro`` no user path reaches, and which
+option values no gated output shows.
 
     PYTHONPATH=src python tests/reachability.py
 
@@ -27,6 +28,15 @@ Matching is by ``(file, first line)``: a code object's
 ``co_firstlineno`` is its first decorator's line, so properties,
 static methods and cached functions match their ``def`` too.  A branch
 that never runs inside a called function is not counted.
+
+The same hook is the option probe.  When a resolver of ``RESOLVERS``
+starts, it reads the value the resolver was called with (a ready
+instance counts under its ``name``, ``None`` as ``"none"``) and notes
+the user path it ran under.  Only the gated paths count: the CLI
+goldens, the figures and ``benchmarks/``, whose outputs are committed
+and compared.  Every value of a registry that no gated path looked up
+is listed, and the probe exits 1 on it: an option value no committed
+output is produced under is code nobody checks.
 """
 
 from __future__ import annotations
@@ -60,12 +70,6 @@ ALLOWED: dict[str, str] = {
         "`workload --policies lru-k` clears LRU-K frames at the flush; "
         "no golden runs lru-k"
     ),
-    "repro.iosched.admission:TokenBucketAdmission.admit": (
-        "`--admission token-bucket` selects it; no golden or example does"
-    ),
-    "repro.iosched.admission:TokenBucketAdmission.observe": (
-        "as TokenBucketAdmission.admit"
-    ),
     "repro.pagestore.placement:PlacementPolicy.disk_of": (
         "the per-page placement oracle: tests check fragments() against it "
         "and TestServedOpCounts pins that the served path never calls it"
@@ -85,13 +89,30 @@ ALLOWED: dict[str, str] = {
         "a join on a tiered database charges the capacity tier; the "
         "inherited charge would price the fast tier"
     ),
-    "repro.pagestore.tiered:TieredPageStore._write_back": (
-        'the documented write_policy="write-back" of a ready TieredPageStore'
-    ),
     "repro.pagestore.file:FilePageStore.params": (
         "PageStore protocol; save_database reads db.disk.params when a "
         "database opened on its file is saved again"
     ),
+}
+
+
+# "module:resolver" -> ("module:REGISTRY", the local its value is read
+# from; "self.attribute" reads an attribute of it).
+RESOLVERS: dict[str, tuple[str, str]] = {
+    "repro.iosched.scheduler:make_scheduler": ("repro.iosched.scheduler:SCHEDULERS", "spec"),
+    "repro.iosched.prefetch:make_prefetcher": ("repro.iosched.prefetch:PREFETCHERS", "spec"),
+    "repro.iosched.admission:make_admission": ("repro.iosched.admission:ADMISSIONS", "spec"),
+    "repro.pagestore.placement:make_placement": (
+        "repro.pagestore.placement:PLACEMENTS",
+        "placement",
+    ),
+    "repro.buffer.policy:make_buffer": ("repro.buffer.policy:POLICIES", "policy"),
+    "repro.database:Layout.build": ("repro.database:ORGANIZATIONS", "self.organization"),
+    "repro.pagestore.tiered:TieredPageStore.__init__": (
+        "repro.pagestore.tiered:MIGRATIONS",
+        "migration",
+    ),
+    "repro.workload.traffic:make_traffic": ("repro.workload.traffic:ARRIVALS", "arrival"),
 }
 
 
@@ -150,28 +171,85 @@ def definitions(package_dir: pathlib.Path) -> dict[tuple[str, int], Definition]:
     return found
 
 
+def _resolve(target: str):
+    """The object a ``"module:Owner.attribute"`` target names, looked
+    up without running descriptors (a method is its function)."""
+    module_name, _, path = target.partition(":")
+    owner = importlib.import_module(module_name)
+    *parents, attribute = path.split(".")
+    for part in parents:
+        owner = getattr(owner, part)
+    return inspect.getattr_static(owner, attribute)
+
+
+def option_value(local_vars: dict, source: str) -> str:
+    """The registry value a resolver was called with: a name as given,
+    ``None`` as ``"none"``, a ready instance under its ``name``."""
+    name, _, attribute = source.partition(".")
+    value = local_vars[name]
+    if attribute:
+        value = getattr(value, attribute)
+    if value is None:
+        return "none"
+    return value if isinstance(value, str) else value.name
+
+
+@dataclasses.dataclass
+class Trace:
+    """What a :func:`recording` saw: ``reached`` holds ``(real path,
+    first line)`` of every code that ran, ``lookups`` one ``(registry,
+    value, path)`` per distinct resolver call, ``path`` being whatever
+    the caller had set :attr:`path` to at the time."""
+
+    reached: set[tuple[str, int]] = dataclasses.field(default_factory=set)
+    lookups: set[tuple[str, str, str]] = dataclasses.field(default_factory=set)
+    path: str = ""
+
+
 @contextlib.contextmanager
-def recording():
-    """Collect ``(real path, first line)`` of every Python frame that
-    starts, in this thread and in threads started meanwhile."""
+def recording(resolvers: dict[str, tuple[str, str]] | None = None):
+    """Collect every Python frame that starts, in this thread and in
+    threads started meanwhile, and the value each of ``resolvers`` is
+    called with."""
     codes = set()
+    trace = Trace()
+    probes = {}
 
     def hook(frame, event, arg):
-        codes.add(frame.f_code)  # call events only: no local tracer
+        code = frame.f_code  # call events only: no local tracer
+        codes.add(code)
+        probe = probes.get(code)
+        if probe is not None:
+            value = option_value(frame.f_locals, probe[1])
+            trace.lookups.add((probe[0], value, trace.path))
 
     previous = sys.gettrace()
     threading.settrace(hook)
     sys.settrace(hook)
-    reached: set[tuple[str, int]] = set()
     try:
-        yield reached
+        # Resolved under the hook: what importing them runs is reached.
+        for target, probe in (resolvers or {}).items():
+            probes[_resolve(target).__code__] = probe
+        yield trace
     finally:
         sys.settrace(previous)
         threading.settrace(previous)
         real = {}
         for code in codes:
             path = real.setdefault(code.co_filename, os.path.realpath(code.co_filename))
-            reached.add((path, code.co_firstlineno))
+            trace.reached.add((path, code.co_firstlineno))
+
+
+def unshown(resolvers, lookups, gated) -> list[str]:
+    """``"REGISTRY value"`` for every value of the resolvers' registries
+    that no lookup made under a path in ``gated`` shows."""
+    shown = {(registry, value) for registry, value, path in lookups if path in gated}
+    return [
+        f"{registry.partition(':')[2]} {value}"
+        for registry in sorted({registry for registry, _ in resolvers.values()})
+        for value in _resolve(registry)
+        if (registry, value) not in shown
+    ]
 
 
 def wrapped(targets) -> set[tuple[str, int]]:
@@ -180,12 +258,7 @@ def wrapped(targets) -> set[tuple[str, int]]:
     method is the base class's function)."""
     keys = set()
     for target in targets:
-        module_name, _, path = target.partition(":")
-        owner = importlib.import_module(module_name)
-        *parents, attribute = path.split(".")
-        for part in parents:
-            owner = getattr(owner, part)
-        code = inspect.getattr_static(owner, attribute).__code__
+        code = _resolve(target).__code__
         keys.add((os.path.realpath(code.co_filename), code.co_firstlineno))
     return keys
 
@@ -269,9 +342,13 @@ def run_cli(scratch: pathlib.Path) -> None:
         (scratch / name).mkdir()
         with _quiet():
             test_eval_cli.run_cli(argv, scratch / name)
-    (scratch / "workload_trace").mkdir()
+
+
+def run_trace_replay(scratch: pathlib.Path) -> None:
+    from tests import test_eval_cli
+
     with _quiet():
-        test_eval_cli.test_workload_trace_replays_its_recording(scratch / "workload_trace")
+        test_eval_cli.test_workload_trace_replays_its_recording(scratch)
 
 
 def run_figures(scratch: pathlib.Path) -> None:
@@ -323,20 +400,34 @@ def run_benchmarks(scratch: pathlib.Path) -> None:
             os.environ["REPRO_SCALE"] = saved
 
 
-USER_PATHS = (run_examples, run_cli, run_figures, run_perf_smoke, run_benchmarks)
+USER_PATHS = (
+    run_examples,
+    run_cli,
+    run_trace_replay,
+    run_figures,
+    run_perf_smoke,
+    run_benchmarks,
+)
+# The paths whose outputs are committed and compared byte for byte.
+GATED = {run_cli.__name__, run_figures.__name__, run_benchmarks.__name__}
 
 
 def main() -> int:
     from perf.shim import WRAP_TABLE
 
     defs = definitions(ROOT / "src" / "repro")
-    with recording() as reached:
+    with recording(RESOLVERS) as trace:
         for path in USER_PATHS:
+            trace.path = path.__name__
             with tempfile.TemporaryDirectory() as scratch:
                 path(pathlib.Path(scratch))
-    report = classify(defs, reached, wrapped(t for _, t, _ in WRAP_TABLE), ALLOWED)
+    report = classify(defs, trace.reached, wrapped(t for _, t, _ in WRAP_TABLE), ALLOWED)
+    listed = unshown(RESOLVERS, trace.lookups, GATED)
     print(report.text(len(ALLOWED)))
-    return 1 if report.unreached or report.allowed_but_reached else 0
+    for value in listed:
+        print(f"option value shown by no gated output: {value}")
+    print(f"unshown option values: {len(listed)}")
+    return 1 if report.unreached or report.allowed_but_reached or listed else 0
 
 
 if __name__ == "__main__":

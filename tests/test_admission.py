@@ -1,7 +1,7 @@
 """Tests for admission control at the scheduler seam: the policy
-registry, token-bucket pacing, priority classes, the gap-aware virtual
-clock that makes delay useful, and the per-client queueing-delay /
-latency-percentile reporting of run_sessions."""
+registry, the analytics class's token-bucket pacing, priority classes,
+the gap-aware virtual clock that makes delay useful, and the per-client
+queueing-delay / latency-percentile reporting of run_sessions."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from repro.iosched import (
     AccessPlan,
     OverlapScheduler,
     PriorityAdmission,
-    TokenBucketAdmission,
     VirtualClock,
     make_admission,
 )
@@ -35,13 +34,10 @@ class TestMakeAdmission:
         assert make_admission("none") is None
 
     def test_named_policies(self):
-        assert isinstance(make_admission("token-bucket"), TokenBucketAdmission)
         assert isinstance(make_admission("priority"), PriorityAdmission)
-        bucket = make_admission("token-bucket", rate=2.0, burst_ms=5.0)
-        assert bucket.rate == 2.0 and bucket.burst_ms == 5.0
 
     def test_instance_passes_through(self):
-        ready = TokenBucketAdmission()
+        ready = PriorityAdmission(rate=2.0, burst_ms=5.0)
         assert make_admission(ready) is ready
 
     def test_rejections(self):
@@ -50,23 +46,27 @@ class TestMakeAdmission:
         with pytest.raises(ConfigurationError):
             make_admission(42)
         with pytest.raises(ConfigurationError):
-            make_admission(None, rate=1.0)
-        with pytest.raises(ConfigurationError):
-            make_admission(TokenBucketAdmission(), rate=1.0)
+            make_admission("token-bucket")
 
     def test_names(self):
-        assert TokenBucketAdmission().name == "token-bucket"
         assert PriorityAdmission().name == "priority"
-        assert "none" in ADMISSIONS
+        assert ADMISSIONS == ("none", "priority")
+
+
+def analytics(client: str = "c", **bucket) -> PriorityAdmission:
+    """A priority policy whose ``client`` is paced by the bucket."""
+    return PriorityAdmission(classes={client: "analytics"}, **bucket)
 
 
 class TestTokenBucket:
+    """The analytics class's bucket: post-debited device time."""
+
     def test_full_bucket_admits_immediately(self):
-        policy = TokenBucketAdmission(rate=1.0, burst_ms=50.0)
+        policy = analytics(rate=1.0, burst_ms=50.0)
         assert policy.admit("c", 10.0, None) == 10.0
 
     def test_post_debit_delays_next_operation(self):
-        policy = TokenBucketAdmission(rate=1.0, burst_ms=50.0)
+        policy = analytics(rate=1.0, burst_ms=50.0)
         assert policy.admit("c", 0.0, None) == 0.0
         policy.observe("c", 0.0, 80.0, 80.0)  # 30 ms of debt
         # The next operation at t=10 waits until the bucket refills:
@@ -74,7 +74,7 @@ class TestTokenBucket:
         assert policy.admit("c", 10.0, None) == pytest.approx(30.0)
 
     def test_refill_caps_at_burst(self):
-        policy = TokenBucketAdmission(rate=1.0, burst_ms=20.0)
+        policy = analytics(rate=1.0, burst_ms=20.0)
         policy.admit("c", 0.0, None)
         policy.observe("c", 0.0, 10.0, 10.0)
         # Ages far beyond the debt: the budget caps at burst, so a
@@ -84,14 +84,16 @@ class TestTokenBucket:
         assert policy.admit("c", 1000.0, None) == pytest.approx(1005.0)
 
     def test_buckets_are_per_client(self):
-        policy = TokenBucketAdmission(rate=1.0, burst_ms=10.0)
+        policy = PriorityAdmission(
+            classes={"a": "analytics", "b": "analytics"}, rate=1.0, burst_ms=10.0
+        )
         policy.admit("a", 0.0, None)
         policy.observe("a", 0.0, 100.0, 100.0)
         assert policy.admit("b", 0.0, None) == 0.0
         assert policy.admit("a", 0.0, None) > 0.0
 
     def test_reset_forgets_debt(self):
-        policy = TokenBucketAdmission(rate=1.0, burst_ms=10.0)
+        policy = analytics("a", rate=1.0, burst_ms=10.0)
         policy.admit("a", 0.0, None)
         policy.observe("a", 0.0, 100.0, 100.0)
         policy.reset()
@@ -99,9 +101,9 @@ class TestTokenBucket:
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            TokenBucketAdmission(rate=0.0)
+            PriorityAdmission(rate=0.0)
         with pytest.raises(ConfigurationError):
-            TokenBucketAdmission(burst_ms=-1.0)
+            PriorityAdmission(burst_ms=-1.0)
 
 
 class TestPriorityAdmission:
@@ -119,17 +121,13 @@ class TestPriorityAdmission:
         assert policy.admit("batch", 0.0, None) == pytest.approx(50.0)
 
     def test_class_lookup_and_default(self):
-        policy = PriorityAdmission(
-            classes={"batch": "analytics"}, default_class="interactive"
-        )
+        policy = PriorityAdmission(classes={"batch": "analytics"})
         assert policy.class_of("batch") == "analytics"
         assert policy.class_of("anything-else") == "interactive"
 
     def test_class_validation(self):
         with pytest.raises(ConfigurationError):
             PriorityAdmission(classes={"c": "vip"})
-        with pytest.raises(ConfigurationError):
-            PriorityAdmission(default_class="vip")
 
 
 class TestGapAwareClock:
@@ -182,9 +180,7 @@ class TestSchedulerAdmission:
         # Refill at half the device rate: a serial client's elapsed
         # time repays only half its debt, so every second request's
         # worth of work turns into admission delay.
-        sched = OverlapScheduler(
-            admission=TokenBucketAdmission(rate=0.5, burst_ms=0.0)
-        )
+        sched = OverlapScheduler(admission=analytics(rate=0.5, burst_ms=0.0))
         pool = two_disk_pool(sched)
         with sched.operation("c"):
             pool.submit(AccessPlan("a").read(0, 1))
@@ -213,7 +209,7 @@ class TestSchedulerAdmission:
                     db.window_query(*rect)
             return db.io_stats()
 
-        assert run(None) == run("token-bucket")
+        assert run(None) == run(analytics("main"))
 
     def test_database_rejects_admission_without_overlap(self):
         with pytest.raises(ConfigurationError):
@@ -222,7 +218,7 @@ class TestSchedulerAdmission:
             )
 
     def test_reset_clears_admission_state(self):
-        policy = TokenBucketAdmission(rate=1.0, burst_ms=0.0)
+        policy = analytics(rate=1.0, burst_ms=0.0)
         sched = OverlapScheduler(admission=policy)
         pool = two_disk_pool(sched)
         with sched.operation("c"):
@@ -301,7 +297,7 @@ class TestSessionsAdmission:
         db.run_sessions(
             interactive_and_batch_streams(),
             buffer_pages=64,
-            admission="token-bucket",
+            admission="priority",
         )
         # The engine restores the scheduler's own policy afterwards.
         assert db.scheduler.admission is None

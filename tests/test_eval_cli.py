@@ -136,6 +136,10 @@ BAD_VALUES = [
     ("iosched", "--prefetch", "none,bogus"),
     ("traffic", "--arrival", "bogus"),
     ("traffic", "--rate", "0"),
+    ("traffic", "--think-ms", "-1"),
+    ("traffic", "--ops-per-session", "0"),
+    ("traffic", "--arrival", "bursty"),
+    ("traffic", "--admission", "token-bucket"),
     ("tiering", "--migrations", ","),
     ("tiering", "--hot-fraction", "1.5"),
     ("trace", "--admission", "bogus"),

@@ -1,8 +1,10 @@
-"""The matcher of ``tests/reachability.py``, on a fixture package.
+"""The matcher and the option probe of ``tests/reachability.py``, on
+fixture packages.
 
 The probe itself runs every user path (minutes); these checks run its
-matching rules on a few lines of code: what counts as reached, what is
-exempt by rule, and that the allow-list names live functions.
+rules on a few lines of code: what counts as reached, what is exempt
+by rule, that the allow-list names live functions, and which option
+values count as shown.
 """
 
 from __future__ import annotations
@@ -11,7 +13,18 @@ import importlib
 import sys
 import textwrap
 
-from tests.reachability import ALLOWED, ROOT, classify, definitions, recording, wrapped
+from tests.reachability import (
+    ALLOWED,
+    GATED,
+    RESOLVERS,
+    ROOT,
+    _resolve,
+    classify,
+    definitions,
+    recording,
+    unshown,
+    wrapped,
+)
 
 FIXTURE = textwrap.dedent(
     '''
@@ -75,19 +88,23 @@ FIXTURE = textwrap.dedent(
 )
 
 
-def probe_fixture(tmp_path, monkeypatch):
-    package = tmp_path / "reach_fixture"
+def import_fixture(tmp_path, monkeypatch, package_name: str, source: str):
+    package = tmp_path / package_name
     package.mkdir()
     (package / "__init__.py").write_text("")
-    (package / "mod.py").write_text(FIXTURE)
+    (package / "mod.py").write_text(source)
     monkeypatch.syspath_prepend(str(tmp_path))
-    for name in ("reach_fixture", "reach_fixture.mod"):  # each test its own copy
+    for name in (package_name, f"{package_name}.mod"):  # each test its own copy
         monkeypatch.delitem(sys.modules, name, raising=False)
-    module = importlib.import_module("reach_fixture.mod")
-    with recording() as reached:
+    return package, importlib.import_module(f"{package_name}.mod")
+
+
+def probe_fixture(tmp_path, monkeypatch):
+    package, module = import_fixture(tmp_path, monkeypatch, "reach_fixture", FIXTURE)
+    with recording() as trace:
         module.run()
     return classify(
-        definitions(package), reached, wrapped(["reach_fixture.mod:Sub.wrapped"]), {}
+        definitions(package), trace.reached, wrapped(["reach_fixture.mod:Sub.wrapped"]), {}
     )
 
 
@@ -120,3 +137,68 @@ def test_every_allow_list_entry_names_a_function_no_rule_exempts():
         assert name in defs, name
         assert not (defs[name].dunder or defs[name].trivial), name
         assert reason
+
+
+# ----------------------------------------------------------------------
+# the option probe
+OPTIONS = textwrap.dedent(
+    '''
+    KINDS = ("none", "plain", "fancy", "rare")
+
+
+    class Fancy:
+        name = "fancy"
+
+
+    def make_kind(spec):
+        return spec
+    '''
+)
+KIND_RESOLVER = {"option_fixture.mod:make_kind": ("option_fixture.mod:KINDS", "spec")}
+GATED_PATH, UNGATED_PATH = "run_cli", "run_examples"
+
+
+def listed_after(tmp_path, monkeypatch, calls) -> list[str]:
+    """Run ``make_kind`` once per ``(user path, spec)`` and list what
+    the probe would report; a spec ``"Fancy()"`` is a ready instance."""
+    _, module = import_fixture(tmp_path, monkeypatch, "option_fixture", OPTIONS)
+    with recording(KIND_RESOLVER) as trace:
+        for path, spec in calls:
+            trace.path = path
+            module.make_kind(module.Fancy() if spec == "Fancy()" else spec)
+    return unshown(KIND_RESOLVER, trace.lookups, {GATED_PATH})
+
+
+def test_the_fixture_paths_are_one_gated_and_one_ungated():
+    assert GATED_PATH in GATED and UNGATED_PATH not in GATED
+    assert "run_perf_smoke" not in GATED and "run_trace_replay" not in GATED
+
+
+def test_a_value_looked_up_under_a_gated_path_is_not_listed(tmp_path, monkeypatch):
+    calls = [(GATED_PATH, spec) for spec in (None, "plain", "fancy", "rare")]
+    assert listed_after(tmp_path, monkeypatch, calls) == []
+
+
+def test_a_value_looked_up_only_under_an_ungated_path_is_listed(tmp_path, monkeypatch):
+    calls = [
+        (GATED_PATH, None),
+        (GATED_PATH, "plain"),
+        (UNGATED_PATH, "fancy"),
+        (UNGATED_PATH, "rare"),
+        ("run_perf_smoke", "rare"),
+    ]
+    assert listed_after(tmp_path, monkeypatch, calls) == ["KINDS fancy", "KINDS rare"]
+
+
+def test_a_ready_instance_counts_under_its_name(tmp_path, monkeypatch):
+    calls = [(GATED_PATH, spec) for spec in (None, "plain", "Fancy()", "rare")]
+    assert listed_after(tmp_path, monkeypatch, calls) == []
+
+
+def test_every_resolver_reads_a_parameter_and_names_a_registry():
+    for target, (registry, source) in RESOLVERS.items():
+        code = _resolve(target).__code__
+        parameters = code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
+        assert source.partition(".")[0] in parameters, target
+        values = list(_resolve(registry))
+        assert values and all(isinstance(value, str) for value in values), registry

@@ -16,7 +16,6 @@ from repro.errors import ConfigurationError
 from repro.pagestore import (
     FAST_TIER_PARAMS,
     MIGRATIONS,
-    WRITE_POLICIES,
     TieredPageStore,
 )
 
@@ -36,8 +35,6 @@ class TestConstruction:
             TieredPageStore(0)
         with pytest.raises(ConfigurationError):
             TieredPageStore(8, migration="teleport")
-        with pytest.raises(ConfigurationError):
-            TieredPageStore(8, promote_after=0)
 
     def test_registry_and_defaults(self):
         store = TieredPageStore(8)
@@ -46,6 +43,17 @@ class TestConstruction:
         assert store.params == SLOW
         assert store.fast_params == FAST
         assert [d.params for d in store.disks] == [FAST, SLOW]
+
+    def test_only_the_migration_counters_are_registered(self):
+        # Demotion is free under write-invalidate: nothing is ever
+        # copied back, so no copy-back counter exists.
+        for migration in MIGRATIONS:
+            store = TieredPageStore(4, migration=migration)
+            assert store.metrics.snapshot() == {
+                "tier.demotions": 0,
+                "tier.invalidations": 0,
+                "tier.promotions": 0,
+            }
 
 
 class TestStaticPartition:
@@ -174,99 +182,6 @@ class TestCachePolicies:
         assert store.total_ms == total_before
 
 
-class TestWriteBack:
-    def test_validation(self):
-        assert "write-back" in WRITE_POLICIES
-        with pytest.raises(ConfigurationError):
-            TieredPageStore(8, write_policy="scribble")
-        with pytest.raises(ConfigurationError):
-            # Static placement writes to a page's only home — there is
-            # nothing to copy back.
-            TieredPageStore(8, migration="static", write_policy="write-back")
-
-    def test_dirty_write_stays_on_the_fast_tier(self):
-        store = TieredPageStore(
-            4, migration="lru-demote", write_policy="write-back"
-        )
-        store.read(10, 1)  # promote page 10
-        capacity_before = store.capacity.total_ms
-        fast_before = store.fast.total_ms
-        store.write(10, 1)
-        assert store.fast.total_ms > fast_before
-        assert store.capacity.total_ms == capacity_before
-        assert store.tier_of(10) == store.FAST
-        assert len(store._dirty) == 1
-        assert store.metrics.counter("tier.invalidations").value == 0
-
-    def test_demoting_a_written_page_prices_the_copy_back(self):
-        # Device-time regression: the deferred capacity write must be
-        # charged exactly once, at demotion, at capacity-tier prices.
-        store = TieredPageStore(
-            2, migration="lru-demote", write_policy="write-back"
-        )
-        twin = DiskModel()  # replays the capacity tier's request stream
-        store.read(10, 1)   # demand read + promote
-        twin.read(10, 1)
-        store.write(10, 1)  # absorbed on the fast tier (dirty)
-        assert store.capacity.total_ms == pytest.approx(twin.total_ms)
-        store.read(20, 1)
-        twin.read(20, 1)
-        store.read(30, 1)   # promote 30 -> evicts dirty 10 -> copy-back
-        twin.read(30, 1)
-        twin.write(10, 1)
-        assert store.metrics.counter("tier.copybacks").value == 1
-        assert len(store._dirty) == 0
-        assert store.tier_of(10) == store.CAPACITY
-        assert store.capacity.total_ms == pytest.approx(twin.total_ms)
-
-    def test_clean_demotions_stay_free(self):
-        store = TieredPageStore(
-            1, migration="lru-demote", write_policy="write-back"
-        )
-        store.read(10, 1)
-        capacity_before = store.capacity.stats()
-        store.read(20, 1)  # promotes 20, demotes clean 10
-        since = store.capacity.stats() - capacity_before
-        assert since.requests == 1  # the demand read alone
-        assert store.demotions == 1
-        assert store.metrics.counter("tier.copybacks").value == 0
-
-    def test_adjacent_dirty_evictions_coalesce(self):
-        store = TieredPageStore(
-            3, migration="lru-demote", write_policy="write-back"
-        )
-        store.read(10, 3)
-        store.write(10, 3)  # three adjacent dirty pages
-        assert len(store._dirty) == 3
-        capacity_before = store.capacity.stats()
-        store.read(40, 3)  # evicts all of 10..12
-        since = store.capacity.stats() - capacity_before
-        assert store.metrics.counter("tier.copybacks").value == 3
-        # One demand read plus ONE coalesced copy-back write.
-        assert since.requests == 2
-
-    def test_forget_extent_discards_dirty_marks(self):
-        store = TieredPageStore(
-            4, migration="lru-demote", write_policy="write-back"
-        )
-        store.read(10, 2)
-        store.write(10, 2)
-        assert len(store._dirty) == 2
-        total_before = store.total_ms
-        store.forget_extent(Extent(10, 2))
-        assert len(store._dirty) == 0
-        assert store.total_ms == total_before  # freed pages: no copy-back
-
-    def test_write_through_remains_the_default(self):
-        store = TieredPageStore(4, migration="lru-demote")
-        assert store.write_policy == "write-through"
-        store.read(10, 1)
-        store.write(10, 1)
-        assert store.metrics.counter("tier.invalidations").value == 1
-        assert len(store._dirty) == 0
-        assert store.metrics.counter("tier.copybacks").value == 0
-
-
 class TestMeasurementSurface:
     def test_cost_since_separates_response_and_device(self):
         store = TieredPageStore(1, migration="static")
@@ -315,20 +230,15 @@ class TestDatabaseWiring:
         assert all(len(tier.disks) == 4 for tier in db.disk.children)
         assert len(db.disk.disks) == 8
 
-    def test_ready_tiered_store_excludes_sharding(self):
-        store = TieredPageStore(32, migration="static")
-        with pytest.raises(ConfigurationError):
-            SpatialDatabase(smax_bytes=16 * 4096, tiering=store, n_disks=4)
-
     def test_tiering_rejected_on_attach(self):
         db = SpatialDatabase(smax_bytes=16 * 4096)
         with pytest.raises(ConfigurationError):
             db.attach("s", smax_bytes=16 * 4096, tiering="static")
 
-    def test_ready_store_instance(self):
+    def test_tiering_takes_a_migration_name_only(self):
         store = TieredPageStore(32, migration="lru-demote")
-        db = SpatialDatabase(smax_bytes=16 * 4096, tiering=store)
-        assert db.disk is store
+        with pytest.raises(ConfigurationError):
+            SpatialDatabase(smax_bytes=16 * 4096, tiering=store)
 
     def test_queries_answer_identically_across_migrations(self):
         objects = make_objects(200, seed=5)

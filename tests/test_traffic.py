@@ -9,6 +9,8 @@ classification and re-queueing), and the cached percentile paths the
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -57,21 +59,26 @@ class TestGenerator:
         assert all(b >= a for a, b in zip(times, times[1:]))
         assert all(t >= 0.0 for t in times)
 
+    @pytest.mark.parametrize(
+        "arrival, digest",
+        [("poisson", "ff04edd08822d30c"), ("closed", "e1237293277c9a0b")],
+    )
+    def test_streams_are_pinned(self, objects, arrival, digest):
+        """Each arrival process's seeded stream, byte for byte: names,
+        classes, arrival instants, operations and think times."""
+        sessions = generate(
+            objects, arrival=arrival, ops_per_session=3, analytics_fraction=0.1
+        )
+        text = repr(
+            [(s.name, s.klass, s.arrival_ms, s.operations, s.think_ms) for s in sessions]
+        )
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
     def test_poisson_rate_sets_mean_gap(self, objects):
         sessions = generate(objects, n=2000, rate_per_s=100.0)
         span_s = sessions[-1].arrival_ms / 1000.0
         # 2000 arrivals at 100/s: ~20 s span (generous tolerance).
         assert 14.0 < span_s < 28.0
-
-    def test_bursty_preserves_mean_rate(self, objects):
-        sessions = generate(
-            objects, n=2000, arrival="bursty", rate_per_s=100.0, burst_size=16.0
-        )
-        span_s = sessions[-1].arrival_ms / 1000.0
-        assert 10.0 < span_s < 32.0
-        # Bursts mean repeated identical arrival instants.
-        times = [s.arrival_ms for s in sessions]
-        assert len(set(times)) < len(times) / 2
 
     def test_closed_population_starts_at_zero_with_think_time(self, objects):
         sessions = generate(
@@ -118,6 +125,16 @@ class TestGenerator:
             generate(objects, rate_per_s=0.0)
         with pytest.raises(ConfigurationError):
             generate(objects, analytics_fraction=1.5)
+
+    def test_rejects_negative_think_time_and_empty_sessions(self, objects):
+        # A negative think time would make a follow-up operation ready
+        # before its predecessor completed; zero operations per session
+        # used to be clamped to one without a word.
+        with pytest.raises(ConfigurationError, match="think_ms"):
+            generate(objects, arrival="closed", think_ms=-1.0)
+        with pytest.raises(ConfigurationError, match="ops_per_session"):
+            generate(objects, arrival="closed", ops_per_session=0)
+        assert generate(objects, n=5, arrival="closed", think_ms=0.0)
 
 
 def traffic_db(n_disks=4, scheduler="overlap"):

@@ -352,27 +352,6 @@ class TestTieredOverSharded:
             ) == sorted(o.oid for o in flat.window_query(*window).objects)
         assert all(len(tier.disks) == 4 for tier in composed.disk.children)
 
-    def test_write_back_copy_backs_priced_through_tiers(self):
-        from repro.pagestore import TieredPageStore
-
-        store = TieredPageStore(
-            2, migration="lru-demote", write_policy="write-back"
-        )
-        pool = BufferPool(store)
-        # Read (and thereby promote) pages, write them on the fast
-        # tier, then demote them by promoting others: the dirty copies
-        # must be copied back to the capacity tier, priced there.
-        for page in range(2):
-            pool.read(page, 1)
-            pool.read(page, 1)
-            pool.submit(AccessPlan("t").write(page, 1))
-        capacity_before = store.capacity.total_ms
-        for page in range(2, 5):
-            pool.read(page, 1)
-            pool.read(page, 1)
-        assert store.metrics.counter("tier.copybacks").value > 0
-        assert store.capacity.total_ms > capacity_before
-
 
 class TestReorganization:
     @staticmethod
