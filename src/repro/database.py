@@ -23,7 +23,6 @@ from repro.errors import ConfigurationError, ObjectTooLargeError
 from repro.geometry.feature import SpatialObject
 from repro.geometry.polyline import Polyline
 from repro.geometry.rect import Rect
-from repro.iosched.admission import make_admission
 from repro.iosched.prefetch import make_prefetcher
 from repro.iosched.scheduler import OverlapScheduler, make_scheduler
 from repro.join.multistep import JoinResult, spatial_join
@@ -174,9 +173,6 @@ class SpatialDatabase:
         Declustering placement policy of the sharded store
         (``spatial`` (default) / ``round_robin`` / ``hash``); ignored
         when ``n_disks == 1``.
-    chunk_pages:
-        Declustering chunk granularity for pages no storage manager
-        pins explicitly (``None`` = the pagestore default).
     scheduler:
         I/O scheduler servicing submitted access plans: ``"sync"``
         (default — immediate in-order execution, bit-identical to the
@@ -191,14 +187,6 @@ class SpatialDatabase:
         :mod:`repro.iosched.prefetch`).  Prefetching needs a caching
         pool; the organizations' pass-through measurement pools skip
         it, the workload/sessions pools use it.
-    admission:
-        Admission-control policy shaping when client operations
-        dispatch on the virtual clock: ``None``/``"none"`` (default) or
-        ``"priority"`` (see
-        :mod:`repro.iosched.admission`), or a ready
-        :class:`~repro.iosched.admission.AdmissionPolicy`.  Needs
-        ``scheduler="overlap"`` — admission delays live on the virtual
-        clock.  :meth:`run_sessions` can also set a policy per run.
     tiering:
         Tiered storage behind the buffer pool: ``None`` (default — the
         paper's single disk, bit-identical pricing), a migration-policy
@@ -242,10 +230,8 @@ class SpatialDatabase:
         disk_params: DiskParameters | None = None,
         n_disks: int = 1,
         placement: str = "spatial",
-        chunk_pages: int | None = None,
         scheduler="sync",
         prefetch=None,
-        admission=None,
         tiering=None,
         fast_pages: int = 1024,
         page_size: int = PAGE_SIZE,
@@ -274,20 +260,11 @@ class SpatialDatabase:
         # The declustering knobs are checked on the single-disk path
         # too, so the one-disk control of an experiment fails as fast
         # as the multi-disk treatment would.
-        make_placement(placement, chunk_pages)
+        make_placement(placement)
         scheduler = make_scheduler(scheduler)
         prefetcher = make_prefetcher(prefetch)
-        admission = make_admission(admission)
-        if isinstance(scheduler, OverlapScheduler):
-            if scheduler.metrics is None:
-                scheduler.metrics = metrics
-            if admission is not None:
-                scheduler.admission = admission
-        elif admission is not None:
-            raise ConfigurationError(
-                "admission control needs scheduler='overlap' — "
-                "admission delays live on the virtual clock"
-            )
+        if isinstance(scheduler, OverlapScheduler) and scheduler.metrics is None:
+            scheduler.metrics = metrics
 
         def device(params: DiskParameters | None) -> PageStore:
             """The whole store, or one tier of it: ``n_disks`` arms —
@@ -295,9 +272,7 @@ class SpatialDatabase:
             bit-identically to every run before the pagestore layer."""
             if n_disks == 1:
                 return DiskModel(params)
-            return ShardedPageStore(
-                n_disks, placement=placement, params=params, chunk_pages=chunk_pages
-            )
+            return ShardedPageStore(n_disks, placement=placement, params=params)
 
         if tiering is None:
             store: PageStore = device(disk_params)
@@ -398,18 +373,16 @@ class SpatialDatabase:
         self,
         other: "SpatialDatabase",
         buffer_pages: int = 1600,
-        technique: str = "complete",
         evaluate_exact: bool = False,
-        policy: str = "lru",
     ) -> JoinResult:
-        """Intersection join with another database on the same disk."""
+        """Intersection join with another database on the same disk
+        (the ``complete`` read technique through an LRU pool of
+        ``buffer_pages`` frames)."""
         return spatial_join(
             self.storage,
             other.storage,
             buffer_pages=buffer_pages,
-            technique=technique,
             evaluate_exact=evaluate_exact,
-            policy=policy,
         )
 
     # ------------------------------------------------------------------
@@ -441,7 +414,6 @@ class SpatialDatabase:
         self,
         sessions,
         buffer_pages: int = 1600,
-        policy: str = "lru",
         admission=None,
     ):
         """Execute several client operation streams as interleaved
@@ -455,21 +427,18 @@ class SpatialDatabase:
         ``makespan_ms`` drops below the serial response time; under
         the default ``sync`` scheduler the same stream executes
         serially.  ``admission`` applies an admission-control policy
-        for this run only (name, instance, or ``None`` to keep the
-        scheduler's own policy); the report's per-client table carries
-        each session's queueing delay and latency percentiles.
+        (name or instance) for this run only; the report's per-client
+        table carries each session's queueing delay and latency
+        percentiles.  The shared pool evicts LRU.
         Returns a :class:`~repro.workload.engine.RunReport` of
         ``run="sessions"``: the per-phase rows plus one row per client.
         """
-        return self._engine(buffer_pages, policy).run_sessions(
-            sessions, admission=admission
-        )
+        return self._engine(buffer_pages).run_sessions(sessions, admission=admission)
 
     def run_traffic(
         self,
         sessions,
         buffer_pages: int = 1600,
-        policy: str = "lru",
         admission=None,
     ):
         """Drive generated traffic — a list of
@@ -482,14 +451,13 @@ class SpatialDatabase:
         open-loop sessions dispatch when they arrive whether or not the
         system kept up, closed-loop sessions pace themselves with think
         time.  Requires ``scheduler="overlap"``.  ``admission`` applies
-        an admission-control policy for this run only.  Returns a
+        an admission-control policy for this run only; the shared pool
+        evicts LRU.  Returns a
         :class:`~repro.workload.engine.RunReport` of ``run="traffic"``:
         the per-phase rows plus one row per traffic class with its latency
         percentiles, and open-loop throughput.
         """
-        return self._engine(buffer_pages, policy).run_traffic(
-            sessions, admission=admission
-        )
+        return self._engine(buffer_pages).run_traffic(sessions, admission=admission)
 
     def _workload_pool(self, buffer_pages: int, policy: str) -> BufferPool:
         """The workload/sessions engines' shared pool: a caching sibling
@@ -498,7 +466,7 @@ class SpatialDatabase:
             buffer_pages, policy, label=f"{self.name}.workload"
         )
 
-    def _engine(self, buffer_pages: int, policy: str):
+    def _engine(self, buffer_pages: int, policy: str = "lru"):
         """The workload engine over a fresh workload pool."""
         from repro.workload.engine import WorkloadEngine
 
@@ -533,8 +501,8 @@ class SpatialDatabase:
         """Reopen a saved database, recovering the last committed epoch.
 
         An image holds the relation's :class:`Layout`, its placement
-        catalog and the disk's timing constants.  Devices, scheduler,
-        prefetcher and admission belong to whoever opens it: the
+        catalog and the disk's timing constants.  Devices, scheduler
+        and prefetcher belong to whoever opens it: the
         reopened database is single-disk and ``sync``, so its answers
         match the database that was saved and its priced I/O matches a
         single-disk database with those constants.  ``backing="sim"``

@@ -22,19 +22,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from repro.disk.extent import Extent
 from repro.disk.params import DiskParameters
 from repro.errors import DiskError
 from repro.obs import trace as _obs
 
 __all__ = ["DiskModel", "DiskStats", "VectoredCost", "measure_costs"]
-
-#: Below this many runs the vectorized batch pricer falls back to the
-#: scalar per-request loop — numpy's fixed per-call overhead only pays
-#: off once a batch amortises it.
-BATCH_MIN_RUNS = 8
 
 
 @dataclass(slots=True)
@@ -216,68 +209,7 @@ class DiskModel:
         batch), and strictly sequential follow-ups — a run starting at
         the previous run's end — cost pure transfer, exactly as if the
         runs were priced one :meth:`read`/:meth:`write` at a time.
-
-        Large batches are priced with numpy (sequential-run detection
-        and the seek/rotate/transfer arithmetic as array operations);
-        statistics are still accumulated with the scalar path's
-        left-to-right float additions, so costs, stats, and the head
-        position are bit-identical to the per-request loop.  Small
-        batches and batches priced under an active tracer take the
-        per-request loop itself (the tracer sees every request, in
-        order).
         """
-        if not isinstance(runs, (list, tuple)):
-            runs = list(runs)
-        if len(runs) < BATCH_MIN_RUNS or _obs.ACTIVE is not None:
-            return self._price_runs_scalar(runs, continuation, kind)
-        arr = np.asarray(runs, dtype=np.int64)
-        starts = arr[:, 0]
-        npages = arr[:, 1]
-        if npages.min() <= 0 or starts.min() < 0:
-            # Re-run scalar so the DiskError surfaces at the exact
-            # offending run with partial stats, as the loop would.
-            return self._price_runs_scalar(runs, continuation, kind)
-        p = self.params
-        n = len(arr)
-        prev_end = np.empty(n, dtype=np.int64)
-        prev_end[0] = self._head if self._head is not None else -1
-        np.add(starts[:-1], npages[:-1], out=prev_end[1:])
-        sequential = starts == prev_end
-        tt = npages * p.transfer_ms
-        costs = np.where(sequential, tt, p.latency_ms + tt)
-        seq_list = sequential.tolist()
-        tt_list = tt.tolist()
-        cost_list = costs.tolist()
-        st = self._stats
-        if not seq_list[0] and not continuation:
-            # Only the batch head can be a fresh request.
-            cost_list[0] = p.random_access_ms(int(npages[0]))
-            st.seeks += 1
-            st.seek_ms += p.seek_ms
-        # Left-fold accumulation mirrors the scalar loop's addition
-        # order (numpy reductions use pairwise summation, which is not
-        # bit-identical for arbitrary float parameters).
-        total = 0.0
-        transfer_ms = st.transfer_ms
-        latency_ms = st.latency_ms
-        rotations = st.rotations
-        for is_seq, t, c in zip(seq_list, tt_list, cost_list):
-            total += c
-            transfer_ms += t
-            if not is_seq:
-                rotations += 1
-                latency_ms += p.latency_ms
-        st.transfer_ms = transfer_ms
-        st.latency_ms = latency_ms
-        st.rotations = rotations
-        st.requests += n
-        st.pages_transferred += int(npages.sum())
-        self._head = int(starts[-1]) + int(npages[-1])
-        return total
-
-    def _price_runs_scalar(
-        self, runs: Sequence[tuple[int, int]], continuation: bool, kind: str
-    ) -> float:
         cost = 0.0
         first = True
         for start, npages in runs:

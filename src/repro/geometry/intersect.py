@@ -211,28 +211,12 @@ def points_in_polygon(
 
 
 def polyline_intersects_rect(
-    vertices: Sequence[tuple[float, float]],
-    rect: Rect,
-    coords=None,
+    vertices: Sequence[tuple[float, float]], rect: Rect
 ) -> bool:
     """True if any segment of the open polyline shares a point with the
-    rectangle; a single-vertex "polyline" degenerates to a point test.
-
-    ``coords`` optionally provides the vertices as an ``(n, 2)``
-    float64 matrix — a zero-argument callable, so geometry objects can
-    hand in their cached matrix without the scalar path ever building
-    one."""
+    rectangle; a single-vertex "polyline" degenerates to a point test."""
     if len(vertices) == 1:
         return rect.contains_point(*vertices[0])
-    if len(vertices) >= _VECTOR_MIN_VERTICES:
-        from repro.geometry.column import GeometryColumn
-
-        pts = coords() if coords is not None else np.asarray(
-            vertices, dtype=np.float64
-        )
-        return bool(
-            polylines_intersect_rects(GeometryColumn.of([pts]), _ROW0, rect.as_tuple())[0]
-        )
     for i in range(len(vertices) - 1):
         if segment_intersects_rect(vertices[i], vertices[i + 1], rect):
             return True
@@ -507,17 +491,6 @@ runs the scalar double loop (more go to
 overhead dominates small batches (measured crossover ~100-200 cells).
 Purely a performance heuristic — both paths return identical
 booleans."""
-
-_VECTOR_MIN_VERTICES = 64
-"""A :func:`polyline_intersects_rect` test below this many vertices
-runs the scalar loop (it early-exits after a handful of cheap
-per-segment checks; measured crossover ~64 vertices), a longer one
-is the one row of a column built from its vertices, through
-:func:`polylines_intersect_rects`.  Purely a performance heuristic —
-both paths return identical booleans."""
-
-_ROW0 = np.zeros(1, dtype=np.int64)
-
 
 def _on_segment_mask(ax, ay, bx, by, px, py) -> np.ndarray:
     """Vectorized :func:`on_segment` (collinearity assumed)."""

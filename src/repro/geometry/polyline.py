@@ -119,14 +119,12 @@ class Polyline:
         """Exact window-query predicate."""
         if not self.mbr.intersects(rect):
             return False
-        return polyline_intersects_rect(self.vertices, rect, coords=self.coords)
+        return polyline_intersects_rect(self.vertices, rect)
 
     def contains_point(self, x: float, y: float) -> bool:
         """Point queries on line data: true if the point lies on the chain
         (within numeric tolerance); lines have no interior."""
-        return polyline_intersects_rect(
-            self.vertices, Rect(x, y, x, y), coords=self.coords
-        )
+        return polyline_intersects_rect(self.vertices, Rect(x, y, x, y))
 
     def intersects(self, other: "Polyline") -> bool:
         """Exact intersection-join predicate."""

@@ -391,10 +391,11 @@ class OverlapScheduler(SyncScheduler):
       :meth:`operation` scope the demand plans dispatch at the scope's
       start, but the speculative follow-up starts only at its trigger's
       completion;
-    * an optional :class:`~repro.iosched.admission.AdmissionPolicy`
-      may delay an operation's dispatch time (``admission=`` knob);
-      the admission wait and every request's queueing delay behind
-      busy arms accumulate per client in :attr:`queueing`.
+    * an :class:`~repro.iosched.admission.AdmissionPolicy` in
+      :attr:`admission` (the workload engine installs one for a run)
+      may delay an operation's dispatch time; the admission wait and
+      every request's queueing delay behind busy arms accumulate per
+      client in :attr:`queueing`.
 
     The ``clock=`` knob swaps the virtual-clock implementation (default
     the bisect-indexed :class:`VirtualClock`; the test suite passes its
@@ -404,15 +405,14 @@ class OverlapScheduler(SyncScheduler):
 
     name = "overlap"
 
-    def __init__(self, admission=None, metrics=None, clock=None):
-        from repro.iosched.admission import make_admission
-
+    def __init__(self, metrics=None, clock=None):
         self.clock = clock if clock is not None else VirtualClock()
         self._client = "main"
         # Open operation scope, or None outside an operation (then
         # every blocking plan waits for its own completion).
         self._scope: _OperationScope | None = None
-        self.admission = make_admission(admission)
+        #: The admission policy of the run being served, or None.
+        self.admission = None
         #: Accumulated queueing delay per client: admission waits plus
         #: time the client's demand requests spent behind busy arms.
         self.queueing: dict[str, float] = {}
@@ -618,8 +618,6 @@ class OverlapScheduler(SyncScheduler):
         self._scope = None
         self.queueing.clear()
         self._last_completion = 0.0
-        if self.admission is not None:
-            self.admission.reset()
 
 
 SCHEDULERS = ("sync", "overlap")

@@ -226,7 +226,7 @@ _HEADERS = {
     "workload": "workload: policy={r.policy}, buffer={r.buffer_pages} pages",
     "sessions": "sessions: scheduler={r.scheduler}, admission={r.admission}, "
     "policy={r.policy}, buffer={r.buffer_pages} pages",
-    "traffic": "traffic: arrival={r.arrival}, sessions={r.sessions}, "
+    "traffic": "traffic: sessions={r.sessions}, "
     "scheduler={r.scheduler}, admission={r.admission}, "
     "policy={r.policy}, buffer={r.buffer_pages} pages",
 }
@@ -252,16 +252,14 @@ class RunReport:
     overlap scheduler the virtual clock's latest event (clients *and*
     trailing prefetch work), under the sync scheduler the serial sum of
     the responses.  ``scheduler`` / ``admission`` name what timed it;
-    ``arrival`` labels a traffic run and ``sessions`` counts the
-    sessions served, so ``throughput_per_s`` is the completed-sessions
-    rate over the makespan."""
+    ``sessions`` counts the sessions served, so ``throughput_per_s`` is
+    the completed-sessions rate over the makespan."""
 
     run: str
     policy: str
     buffer_pages: int
     scheduler: str = "sync"
     admission: str = "none"
-    arrival: str = ""
     sessions: int = 0
     makespan_ms: float = 0.0
     prefetch: dict[str, int] = field(
@@ -493,7 +491,7 @@ class WorkloadEngine:
             self._drive(report, _round_robin(clients, streams), "client")
         return report
 
-    def run_traffic(self, sessions, admission=None, arrival="poisson") -> RunReport:
+    def run_traffic(self, sessions, admission=None) -> RunReport:
         """Drive arriving traffic sessions through the virtual clock.
 
         ``sessions`` is a sequence of
@@ -525,8 +523,7 @@ class WorkloadEngine:
         exactly as in :meth:`run_sessions` — but here a throttled
         operation is *re-queued* on the event heap at its admitted time
         rather than served in arrival order, so unthrottled traffic
-        genuinely overtakes paced bulk work.  ``arrival`` labels the
-        report.
+        genuinely overtakes paced bulk work.
         """
         sessions = list(sessions)
         if not isinstance(self.pool.scheduler, OverlapScheduler):
@@ -535,8 +532,7 @@ class WorkloadEngine:
                 "queueing live on the virtual clock"
             )
         report = RunReport(
-            "traffic", self.pool.policy, self.pool.capacity,
-            arrival=arrival, sessions=len(sessions),
+            "traffic", self.pool.policy, self.pool.capacity, sessions=len(sessions)
         )
         with self._run_scope(report, admission=admission, client_metrics=False):
             streams = self._answer_ahead([s.operations for s in sessions])
@@ -558,8 +554,9 @@ class WorkloadEngine:
         in ``clients`` under an active tracer and routes the
         organization's page traffic through the engine's pool.  A normal
         exit writes the dirty frames back as the ``flush`` phase and
-        records prefetch accuracy and makespan; any exit restores the
-        scheduler and the storage pool and closes the run's spans.
+        records prefetch accuracy and makespan; any exit clears the
+        scheduler's admission policy, restores its metrics and the
+        storage pool and closes the run's spans.
         """
         policy = make_admission(admission)
         scheduler = self.pool.scheduler
@@ -573,13 +570,13 @@ class WorkloadEngine:
         self._scheduler = scheduler if timed else None
         if timed:
             scheduler.reset()
-            restore = (scheduler.admission, scheduler.metrics)
+            metrics = scheduler.metrics
+            scheduler.admission = policy
             if policy is not None:
-                scheduler.admission = policy
                 policy.reset()
+                report.admission = policy.name
             if not client_metrics:
                 scheduler.metrics = None
-            report.admission = scheduler.admission.name if scheduler.admission else "none"
         tracer = _obs.ACTIVE
         spans = {}
         if tracer is not None:
@@ -602,7 +599,7 @@ class WorkloadEngine:
             )
         finally:
             if timed:
-                scheduler.admission, scheduler.metrics = restore
+                scheduler.admission, scheduler.metrics = None, metrics
             # Innermost first: an operation that raised left its span open.
             for span in (self._op_span, *spans.values()):
                 if span is not None and span.end_ms is None:

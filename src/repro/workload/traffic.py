@@ -46,6 +46,17 @@ ARRIVALS = ("poisson", "closed")
 # The classes a generated session belongs to, as admission names them.
 INTERACTIVE, ANALYTICS = ADMISSION_CLASSES
 
+# The generated query pools: _POOL_SIZE small windows (their centers
+# are the point pool) of _WINDOW_AREA, and an eighth as many analytics
+# windows of _ANALYTICS_AREA, both as fractions of the data space.  An
+# analytics session is 1 to _ANALYTICS_OPS back-to-back large windows:
+# bulk scans, the shape a per-client token bucket can actually pace (a
+# one-operation session is over before its post-debit matters).
+_POOL_SIZE = 512
+_WINDOW_AREA = 1e-3
+_ANALYTICS_AREA = 2e-2
+_ANALYTICS_OPS = 8
+
 
 @dataclass(slots=True)
 class TrafficSession:
@@ -93,25 +104,20 @@ def make_traffic(
     seed: int = 1994,
     analytics_fraction: float = 0.05,
     ops_per_session: int = 1,
-    analytics_ops: int = 8,
     think_ms: float = 50.0,
-    window_area: float = 1e-3,
-    analytics_area: float = 2e-2,
-    pool_size: int = 512,
     data_space: float | None = None,
 ) -> list[TrafficSession]:
     """Generate ``n_sessions`` seeded sessions under an arrival process.
 
-    Query geometry is sampled from pre-generated pools (``pool_size``
-    small windows + their center points, plus a pool of
-    ``analytics_area`` windows), so generating 10^5 sessions costs
+    Query geometry is sampled from pre-generated pools (small windows
+    and their center points, plus a pool of large windows), so
+    generating 10^5 sessions costs
     list-indexing, not 10^5 workload constructions.  ``rate_per_s`` is
     the mean arrival rate in sessions per *virtual* second (ignored by
     the closed-loop process, whose population all starts at 0 and paces
     itself with ``think_ms``).  Interactive sessions issue 1 to
-    ``ops_per_session`` small operations; analytics sessions 1 to
-    ``analytics_ops`` back-to-back large windows (bulk scans — the
-    multi-operation shape admission pacing needs a handle on).
+    ``ops_per_session`` small operations; analytics sessions 1 to 8
+    back-to-back large windows.
     Deterministic for a fixed seed and parameter set.
     """
     if n_sessions < 0:
@@ -136,29 +142,21 @@ def make_traffic(
         return []
     extra = {"data_space": data_space} if data_space is not None else {}
     windows = window_workload(
-        list(objects), window_area, n_queries=pool_size, seed=seed, **extra
+        list(objects), _WINDOW_AREA, n_queries=_POOL_SIZE, seed=seed, **extra
     )
     points = point_workload(windows)
     analytics_windows = window_workload(
-        list(objects),
-        analytics_area,
-        n_queries=max(pool_size // 8, 1),
-        seed=seed + 1,
-        **extra,
+        list(objects), _ANALYTICS_AREA, n_queries=_POOL_SIZE // 8, seed=seed + 1, **extra
     )
     rng = random.Random(seed)
     times = _arrival_times(arrival, n_sessions, rate_per_s, rng)
     closed = arrival == "closed"
-    # Analytics sessions are bulk scans: several back-to-back large
-    # windows, the shape a per-client token bucket can actually pace
-    # (a one-operation session is over before its post-debit matters).
-    bulk_ops = max(analytics_ops, 1)
     sessions: list[TrafficSession] = []
     for i, at in enumerate(times):
         analytics = rng.random() < analytics_fraction
         if analytics:
             name = f"ana-{i:06d}"
-            n_ops = rng.randint(1, bulk_ops)
+            n_ops = rng.randint(1, _ANALYTICS_OPS)
             ops = [
                 ("window", analytics_windows[rng.randrange(len(analytics_windows))])
                 for _ in range(n_ops)

@@ -329,18 +329,16 @@ def point_in_polygon(x: float, y: float, vertices) -> bool:
     return inside
 
 
-#: ``(target, attribute, value)`` — size crossovers no input reaches:
-#: :func:`polylines_intersect` (cells), :func:`polyline_intersects_rect`
-#: (vertices).  Forced, a polyline
+#: ``(target, attribute, value)`` — the size crossover of
+#: :func:`polylines_intersect` (cells), forced so no input reaches it.
+#: Forced, a polyline
 #: pair tests every segment pair, box pretest first, where
 #: :func:`polylines_intersect_pairs` (no crossover) enumerates only the
 #: segments inside the other polyline's box.
-#: ``polylines_intersect_rects`` has no crossover either; the segments
-#: its outcodes leave run the scalar test anyway.
-SCALAR_LOOPS = (
-    (intersect, "_VECTOR_MIN_CELLS", sys.maxsize),
-    (intersect, "_VECTOR_MIN_VERTICES", sys.maxsize),
-)
+#: :func:`polyline_intersects_rect` is the scalar loop at every size,
+#: and ``polylines_intersect_rects`` has no crossover either; the
+#: segments its outcodes leave run the scalar test anyway.
+SCALAR_LOOPS = ((intersect, "_VECTOR_MIN_CELLS", sys.maxsize),)
 
 #: ``(target, attribute, reference)`` — everything a test patches to
 #: run the entry-at-a-time path end to end.

@@ -180,7 +180,8 @@ class TestSchedulerAdmission:
         # Refill at half the device rate: a serial client's elapsed
         # time repays only half its debt, so every second request's
         # worth of work turns into admission delay.
-        sched = OverlapScheduler(admission=analytics(rate=0.5, burst_ms=0.0))
+        sched = OverlapScheduler()
+        sched.admission = analytics(rate=0.5, burst_ms=0.0)
         pool = two_disk_pool(sched)
         with sched.operation("c"):
             pool.submit(AccessPlan("a").read(0, 1))
@@ -199,36 +200,33 @@ class TestSchedulerAdmission:
         objects = make_objects(150, seed=5)
 
         def run(admission):
-            db = SpatialDatabase(
-                smax_bytes=16 * 4096, n_disks=4,
-                scheduler="overlap", admission=admission,
-            )
+            db = SpatialDatabase(smax_bytes=16 * 4096, n_disks=4, scheduler="overlap")
             db.build(objects)
-            for rect in ((0, 0, 3000, 3000), (4000, 4000, 8000, 8000)):
-                with db.scheduler.operation("main"):
-                    db.window_query(*rect)
+            windows = [("window", 0, 0, 3000, 3000), ("window", 4000, 4000, 8000, 8000)]
+            db.run_sessions({"main": windows}, buffer_pages=0, admission=admission)
             return db.io_stats()
 
         assert run(None) == run(analytics("main"))
 
-    def test_database_rejects_admission_without_overlap(self):
-        with pytest.raises(ConfigurationError):
-            SpatialDatabase(
-                smax_bytes=16 * 4096, scheduler="sync", admission="priority"
-            )
+    def test_each_run_starts_its_policy_afresh(self):
+        """A policy instance reused for a second run owes nothing from
+        the first: the run installs it reset, on a reset clock."""
+        objects = make_objects(150, seed=5)
 
-    def test_reset_clears_admission_state(self):
-        policy = analytics(rate=1.0, burst_ms=0.0)
-        sched = OverlapScheduler(admission=policy)
-        pool = two_disk_pool(sched)
-        with sched.operation("c"):
-            pool.submit(AccessPlan("a").read(0, 1))
-        sched.reset()
-        assert sched.client_queueing_ms("c") == 0.0
-        with sched.operation("c"):
-            pool.submit(AccessPlan("a").read(4, 1))
-        # Post-reset the bucket owes nothing: no admission delay.
-        assert sched.client_queueing_ms("c") == 0.0
+        def second_run(first_policy, second_policy):
+            db = SpatialDatabase(smax_bytes=16 * 4096, n_disks=4, scheduler="overlap")
+            db.build(objects)
+            for policy in (first_policy, second_policy):
+                report = db.run_sessions(
+                    interactive_and_batch_streams(), buffer_pages=64, admission=policy
+                )
+            return report.client("batch").queueing_ms
+
+        def paced():
+            return PriorityAdmission(classes={"batch": "analytics"}, rate=0.25, burst_ms=10.0)
+
+        reused = paced()
+        assert second_run(reused, reused) == second_run(paced(), paced()) > 0.0
 
 
 def interactive_and_batch_streams():

@@ -82,6 +82,7 @@ class TestExports:
         # ``{column: value}`` replace them), ``BufferPool.get`` (the
         # join's node reads are ``get`` plans now), the ``read_pages``
         # plan request nobody emitted, and two options nobody set.
+        import dataclasses
         import importlib
         import inspect
 
@@ -332,6 +333,41 @@ class TestExports:
                 assert name not in parameters, (function.__name__, name)
         assert ADMISSIONS == ("none", "priority")
         assert ARRIVALS == ("poisson", "closed")
+
+        # Gone because no user path ran or set them (the line and
+        # keyword probes of tests/reachability.py): the numpy run pricer
+        # and the long-polyline window branch, database-wide admission,
+        # the facade's per-call policy and technique, the traffic
+        # report's arrival label and the generator's pool knobs.
+        import repro.disk.model
+        from repro.disk.model import DiskModel
+        from repro.iosched.scheduler import OverlapScheduler
+        from repro.workload.engine import RunReport, WorkloadEngine
+
+        for module, name in (
+            (repro.disk.model, "BATCH_MIN_RUNS"),
+            (intersect, "_VECTOR_MIN_VERTICES"),
+            (intersect, "_ROW0"),
+        ):
+            assert not hasattr(module, name), (module.__name__, name)
+        assert not hasattr(DiskModel, "_price_runs_scalar")
+        assert "arrival" not in {field.name for field in dataclasses.fields(RunReport)}
+        for function, names in (
+            (SpatialDatabase.__init__, ["admission", "chunk_pages"]),
+            (OverlapScheduler.__init__, ["admission"]),
+            (SpatialDatabase.join, ["policy", "technique"]),
+            (SpatialDatabase.run_sessions, ["policy"]),
+            (SpatialDatabase.run_traffic, ["policy"]),
+            (WorkloadEngine.run_traffic, ["arrival"]),
+            (intersect.polyline_intersects_rect, ["coords"]),
+            (
+                make_traffic,
+                ["analytics_ops", "window_area", "analytics_area", "pool_size"],
+            ),
+        ):
+            parameters = inspect.signature(function).parameters
+            for name in names:
+                assert name not in parameters, (function.__qualname__, name)
 
 
 class TestRunLevelSurface:

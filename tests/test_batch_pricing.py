@@ -1,6 +1,6 @@
-"""The vectorized run pricer against pricing one request at a time.
+"""The run pricer against pricing one request at a time.
 
-:meth:`DiskModel.price_runs` prices a whole run list with numpy while
+:meth:`DiskModel.price_runs` prices a whole run list in one call while
 preserving the sequential head-position semantics of one
 :meth:`DiskModel.read` / :meth:`DiskModel.write` per run — costs,
 statistics and the final head position must be **bit-identical** (same
@@ -16,7 +16,7 @@ import random
 import pytest
 
 from repro.buffer.pool import BufferPool, coalesce_pages
-from repro.disk.model import BATCH_MIN_RUNS, DiskModel, DiskParameters
+from repro.disk.model import DiskModel, DiskParameters
 from repro.errors import ConfigurationError, DiskError
 from repro.iosched.request import AccessPlan
 from repro.pagestore.store import ShardedPageStore
@@ -62,7 +62,7 @@ class TestPriceRunsEquivalence:
         rng = random.Random(seed)
         params = random_params(rng)
         for continuation in (False, True):
-            for n in (1, 2, BATCH_MIN_RUNS - 1, BATCH_MIN_RUNS, 40):
+            for n in (1, 2, 7, 8, 40):
                 runs = random_runs(rng, n)
                 batch_disk = DiskModel(params)
                 oracle_disk = DiskModel(params)
@@ -88,7 +88,7 @@ class TestPriceRunsEquivalence:
         assert batch_disk.stats() == oracle_disk.stats()
 
     def test_read_runs_delegates_to_batch_pricer(self):
-        runs = [(i * 10, 3) for i in range(BATCH_MIN_RUNS + 2)]
+        runs = [(i * 10, 3) for i in range(10)]
         a, b = DiskModel(), DiskModel()
         assert a.read_runs(runs) == b.price_runs(runs)
         assert a.stats() == b.stats()
@@ -96,7 +96,7 @@ class TestPriceRunsEquivalence:
     def test_invalid_run_surfaces_after_partial_batch(self):
         """A bad run mid-list must fail at that run with the earlier
         runs already priced — exactly what pricing run by run does."""
-        runs = [(10, 2)] * BATCH_MIN_RUNS + [(5, 0)]
+        runs = [(10, 2)] * 8 + [(5, 0)]
         batch_disk, oracle_disk = DiskModel(), DiskModel()
         with pytest.raises(DiskError):
             batch_disk.price_runs(runs)
@@ -108,7 +108,7 @@ class TestPriceRunsEquivalence:
         disk = DiskModel()
         assert disk.price_runs([]) == 0.0
         with pytest.raises(DiskError):
-            disk.price_runs([(-1, 2)] * BATCH_MIN_RUNS)
+            disk.price_runs([(-1, 2)] * 8)
 
 
 class TestShardedGrouping:
@@ -179,11 +179,11 @@ class TestCoalesceAndPassthrough:
         assert len(passthrough) == 0
 
     def test_plan_submit_equivalent_across_batch_boundary(self):
-        """One plan touching many runs prices identically whether the
-        runs land on the scalar or the vectorized pricer."""
+        """One plan touching many runs prices more than one touching a
+        single run."""
         few = AccessPlan("t")
         many = AccessPlan("t")
-        for i in range(BATCH_MIN_RUNS * 2):
+        for i in range(16):
             many.read(i * 7, 2)
         few.read(0, 2)
         pool_many, pool_few = (

@@ -181,13 +181,11 @@ class TestJoin:
         [
             dict(n_disks=8),
             dict(placement="hash"),
-            dict(chunk_pages=4),
             dict(disk_params=DiskParameters()),
             dict(tiering="static"),
             dict(fast_pages=64),
             dict(scheduler="sync"),
             dict(prefetch="sequential"),
-            dict(admission="priority"),
             dict(metrics=MetricsRegistry()),
             dict(n_disks=8, placement="hash"),
         ],

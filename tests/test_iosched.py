@@ -478,8 +478,8 @@ class TestSessionsText:
             "          0        0.00\n\n"
         )
         assert db.run_traffic([]).format() == (
-            "traffic: arrival=poisson, sessions=0, scheduler=overlap, "
-            "admission=none, policy=lru, buffer=1600 pages\n" + phases
+            "traffic: sessions=0, scheduler=overlap, admission=none, "
+            "policy=lru, buffer=1600 pages\n" + phases
             + "per-class latency\n"
             "class  sessions  ops  queue ms  p50 ms  p95 ms  p99 ms\n"
             "-----  --------  ---  --------  ------  ------  ------\n\n"

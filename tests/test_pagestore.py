@@ -470,8 +470,6 @@ class TestDatabaseIntegration:
         same way it fails the multi-disk treatment."""
         with pytest.raises(ConfigurationError):
             SpatialDatabase(smax_bytes=16 * 4096, n_disks=1, placement="spatail")
-        with pytest.raises(ConfigurationError):
-            SpatialDatabase(smax_bytes=16 * 4096, n_disks=1, chunk_pages=0)
 
     def test_answers_independent_of_sharding(self, dbs):
         single, sharded = dbs

@@ -254,8 +254,8 @@ class TestRoundTrip:
             assert twin.storage.technique == "slm"
 
     def test_an_image_holds_the_layout_not_the_devices(self, tmp_path):
-        """Devices, scheduler, prefetcher and admission belong to
-        whoever opens an image: a sharded overlap database comes back
+        """Devices, scheduler and prefetcher belong to whoever opens
+        an image: a sharded overlap database comes back
         single-disk and sync, with its answers and its layout."""
         path = str(tmp_path / "spatial.db")
         db = SpatialDatabase(
@@ -265,7 +265,6 @@ class TestRoundTrip:
             placement="hash",
             scheduler="overlap",
             prefetch="cluster",
-            admission="priority",
         )
         db.build(make_objects(80))
         db.save(path)

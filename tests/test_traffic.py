@@ -159,7 +159,7 @@ class TestRunTraffic:
         assert isinstance(report, RunReport) and report.run == "traffic"
         assert report.sessions == 120
         assert report.scheduler == "overlap"
-        assert report.arrival == "poisson"
+        assert not hasattr(report, "arrival")
         assert report.makespan_ms > 0.0
         assert report.throughput_per_s > 0.0
         total_ops = sum(len(s.operations) for s in sessions)
@@ -212,6 +212,16 @@ class TestRunTraffic:
         assert report.makespan_ms >= 40.0 * max(
             len(s.operations) - 1 for s in multi
         )
+
+    def test_a_closed_run_names_no_arrival_process(self, objects):
+        """The engine cannot know how its sessions arrived, so a
+        closed-loop run's report names no arrival process."""
+        db = traffic_db()
+        db.build(objects)
+        sessions = generate(objects, n=20, arrival="closed", ops_per_session=2)
+        text = db.run_traffic(sessions, buffer_pages=96).format()
+        assert text.startswith("traffic: sessions=20, scheduler=overlap,")
+        assert "arrival" not in text and "poisson" not in text
 
     def test_priority_admission_via_classifier(self, objects):
         sessions = generate(

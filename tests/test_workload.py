@@ -323,7 +323,6 @@ class TestRaisingOperation:
         stream = stream[:6] + [("bogus",)] + stream[6:]
         reads = [op for op in stream if op[0] in ("window", "point")][:3]
         passthrough = db.storage.pool
-        admission = getattr(db.scheduler, "admission", None)
         metrics = getattr(db.scheduler, "metrics", None)
         with obs_trace.tracing() as tracer:
             with pytest.raises(ConfigurationError, match="bogus"):
@@ -340,7 +339,7 @@ class TestRaisingOperation:
             # dead operation.
             assert tracer.begin("after").parent is None
         assert db.storage.pool is passthrough
-        assert getattr(db.scheduler, "admission", None) is admission
+        assert getattr(db.scheduler, "admission", None) is None
         assert getattr(db.scheduler, "metrics", None) is metrics
 
 
