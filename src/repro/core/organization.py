@@ -46,7 +46,7 @@ from repro.rtree.entry import Entry
 from repro.rtree.node import Node
 from repro.rtree.pager import NodePager
 from repro.rtree.rstar import RStarTree
-from repro.storage.base import SpatialOrganization
+from repro.storage.base import SpatialOrganization, _check_tiled
 
 __all__ = ["ClusterOrganization"]
 
@@ -474,6 +474,36 @@ class ClusterOrganization(SpatialOrganization):
     def unit_moves(self) -> int:
         """Buddy-system unit relocations (construction-cost overhead)."""
         return self._unit_alloc.moves
+
+    def check(self) -> None:
+        """:meth:`SpatialOrganization.check`, then the units: an object
+        has an own extent iff it exceeds ``Smax``; each unit its page's,
+        non-empty, its live bytes its live map's within its extent of at
+        most ``Smax``; ``_unit_of`` and the allocator's live units are
+        these; they and the free buddies tile the units' region."""
+        super().check()
+        for oid, obj in self.objects.items():
+            if (oid in self._extents) != self._exceeds_smax(obj):
+                raise StorageError(f"object {oid} of {obj.size_bytes} bytes is placed against Smax")
+        units, unit_of, alloc = self.units(), self._unit_of, self._unit_alloc
+        if len(unit_of) != sum(len(unit.live) for unit in units):
+            raise StorageError("_unit_of maps objects no unit holds")
+        for unit in units:
+            if (
+                not unit.live
+                or unit.owner.tag is not unit
+                or unit.live_bytes != sum(size for _, size in unit.live.values())
+                or unit.live_bytes > unit.capacity_bytes
+                or unit.capacity_bytes > self.policy.smax_bytes
+                or any(unit_of.get(oid) is not unit for oid in unit.live)
+            ):
+                raise StorageError(f"the unit at {unit.extent} disagrees with its page")
+        if sorted(alloc._live) != sorted(unit.extent.start for unit in units):
+            raise StorageError("the unit allocator's live units are not the units")
+        held = [unit.extent for unit in units]
+        if isinstance(alloc, BuddyAllocator):  # a free buddy is the allocator's
+            held += [Extent(s, alloc.sizes[i]) for i, free in enumerate(alloc._free) for s in free]
+        _check_tiled(alloc.region, held)
 
     def units(self) -> list[ClusterUnit]:
         """All live cluster units (via the data pages)."""

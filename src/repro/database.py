@@ -19,7 +19,7 @@ from repro.core.techniques import check_technique
 from repro.disk.allocator import PageAllocator
 from repro.disk.model import DiskModel, DiskStats
 from repro.disk.params import DiskParameters
-from repro.errors import ConfigurationError, ObjectTooLargeError
+from repro.errors import ConfigurationError, ObjectTooLargeError, StorageError
 from repro.geometry.feature import SpatialObject
 from repro.geometry.polyline import Polyline
 from repro.geometry.rect import Rect
@@ -517,6 +517,17 @@ class SpatialDatabase:
         return open_database(
             path, backing=backing, page_size=page_size, metrics=metrics
         )
+
+    def check(self) -> None:
+        """:meth:`SpatialOrganization.check` (tree, column, placement),
+        then raise :class:`StorageError` unless the catalog, decoded and
+        loaded (through the loader's validation), encodes the same."""
+        from repro.storage.serial import decode_catalog, dump_state, encode_catalog, load_state
+
+        self.storage.check()
+        blob = encode_catalog(dump_state(self))
+        if encode_catalog(dump_state(load_state(decode_catalog(blob)))) != blob:
+            raise StorageError("the catalog reloads as a database whose catalog differs")
 
     def close(self) -> None:
         """Release the backing store's file descriptor, if it has one.

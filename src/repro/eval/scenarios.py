@@ -23,7 +23,7 @@ from types import SimpleNamespace
 
 from repro.data.workload import window_workload
 from repro.database import SpatialDatabase
-from repro.errors import ConfigurationError, PageCorruptionError
+from repro.errors import ConfigurationError, PageCorruptionError, StorageError, TreeError
 from repro.eval.context import Dataset, ExperimentContext
 from repro.eval.figures import FIGURES
 from repro.eval.report import format_rows
@@ -690,6 +690,12 @@ def _storage(args, dataset: Dataset, path: str) -> int:
             f"and file-backed stores by up to {drift:.9f} ms"
         )
         return 1
+    try:
+        fdb.check()
+    except (StorageError, TreeError) as exc:
+        print(f"ERROR: the file-backed reopen fails its state check: {exc}")
+        fdb.close()
+        return 1
     print(
         "file-backed reopen answers and simulated pricing match the "
         "in-memory store exactly."
@@ -766,6 +772,10 @@ def _storage(args, dataset: Dataset, path: str) -> int:
                 ok, state = got == answers_b, "new"
             else:
                 ok, state = False, f"epoch {epoch}?"
+            try:
+                rdb.check()
+            except (StorageError, TreeError):
+                ok = False
             failures += not ok
             matrix_rows.append(
                 {

@@ -476,7 +476,10 @@ class OverlapScheduler(SyncScheduler):
             if self.admission is not None and outer is None:
                 at = self.admission.admit(client, now, self.clock)
                 if at < now:
-                    at = now
+                    raise ConfigurationError(
+                        f"admission policy {self.admission.name!r} admitted "
+                        f"client {client!r} at {at}, before its time {now}"
+                    )
                 if at > now:
                     self._account_queueing(client, at - now)
                     tracer = _obs.ACTIVE

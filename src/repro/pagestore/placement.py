@@ -227,22 +227,14 @@ PLACEMENTS: dict[str, type[PlacementPolicy]] = {
 :class:`~repro.database.SpatialDatabase`."""
 
 
-def make_placement(
-    placement: str | PlacementPolicy,
-    chunk_pages: int | None = None,
-) -> PlacementPolicy:
-    """Resolve a placement argument (name or ready instance)."""
+def make_placement(placement: str | PlacementPolicy) -> PlacementPolicy:
+    """Resolve a placement argument (name or ready instance; a chunk
+    size other than the default comes with an instance)."""
     if isinstance(placement, PlacementPolicy):
-        if chunk_pages is not None and chunk_pages != placement.chunk_pages:
-            raise ConfigurationError(
-                "chunk_pages conflicts with the provided placement instance"
-            )
         return placement
     cls = PLACEMENTS.get(placement)
     if cls is None:
         raise ConfigurationError(
             f"unknown placement '{placement}'; valid: {tuple(PLACEMENTS)}"
         )
-    if chunk_pages is None:
-        return cls()
-    return cls(chunk_pages=chunk_pages)
+    return cls()

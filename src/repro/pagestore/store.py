@@ -351,9 +351,6 @@ class ShardedPageStore(CompositePageStore):
         or a ready :class:`~repro.pagestore.placement.PlacementPolicy`.
     params:
         Disk timing constants shared by all devices.
-    chunk_pages:
-        Chunk granularity of the arithmetic placement rules (forwarded
-        to the policy; ``None`` keeps the policy default).
     """
 
     def __init__(
@@ -361,13 +358,12 @@ class ShardedPageStore(CompositePageStore):
         n_disks: int,
         placement: str | PlacementPolicy = "round_robin",
         params: DiskParameters | None = None,
-        chunk_pages: int | None = None,
     ):
         if n_disks < 1:
             raise ConfigurationError(f"need at least one disk, got {n_disks}")
         self.params = params or DiskParameters()
         super().__init__([DiskModel(self.params) for _ in range(n_disks)])
-        self.placement = make_placement(placement, chunk_pages)
+        self.placement = make_placement(placement)
         self.placement.bind(n_disks)
 
     # ------------------------------------------------------------------

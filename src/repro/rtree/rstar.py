@@ -19,6 +19,7 @@ Two hooks adapt the tree to the cluster organization of Section 4.2.1:
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
@@ -485,3 +486,53 @@ class RStarTree:
 
     def __len__(self) -> int:
         return self.size
+
+    def check(self) -> None:
+        """Raise :class:`TreeError` unless directory rects are their
+        children's MBRs; parents, levels, ``height``, ``leaf_count`` and
+        ``size`` agree; non-root nodes are within their fill bounds; each
+        block is, to the byte, one built from the entries' rects; cached
+        loads, MBRs and a current flat snapshot are fresh.  Fills no cache."""
+        if self.root.parent is not None or self.root.level != self.height - 1:
+            raise TreeError(f"the root is not a parentless node of level {self.height - 1}")
+        leaves = entries = 0
+        for node in self.nodes():
+            where, rects = f"node#{node.node_id}", [e.rect for e in node.entries]
+            fresh = [(*r.as_tuple(), r.xmin, r.ymin, -r.xmax, -r.ymax, r.area()) for r in rects]
+            block = (node.rect_matrix(), node.query_matrix(), node.areas())
+            if [b.shape for b in block] != [(len(rects), 4), (len(rects), 4), (len(rects),)]:
+                raise TreeError(f"{where}'s block is not shaped for {len(rects)} entries")
+            if np.column_stack(block).tobytes() != np.array(fresh, float).tobytes():
+                raise TreeError(f"{where}'s block is not its entries' rects")
+            if node._load is not None and node._load != sum(e.load for e in node.entries):
+                raise TreeError(f"{where}'s byte load is not its entries'")
+            if node._mbr is not None and (not rects or node._mbr != reduce(Rect.union, rects)):
+                raise TreeError(f"{where}'s MBR is not its entries'")
+            bytes_split = node.is_leaf and not isinstance(self.leaf_capacity, CountCapacity)
+            low = 1 if bytes_split else self._min_entries(node)  # a byte split may leave one
+            load, over = node._load, self._is_overflow(node)
+            node._load = load  # a byte overflow test sums the load: uncache it
+            if node is not self.root and (len(rects) < low or over):
+                raise TreeError(f"{where} holds {len(rects)} entries, outside its fill bounds")
+            if node.is_leaf:
+                leaves, entries = leaves + 1, entries + len(rects)
+                if any(e.child is not None or e.oid is None for e in node.entries):
+                    raise TreeError(f"{where} is a leaf with a directory entry")
+                continue
+            for e in node.entries:
+                child = e.child
+                if child is None or child.parent is not node or child.level != node.level - 1:
+                    raise TreeError(f"{where} has an entry whose child is not its own")
+                if not child.entries or e.rect != reduce(Rect.union, (c.rect for c in child.entries)):
+                    raise TreeError(f"{where}'s rect of node#{child.node_id} is not its MBR")
+        if (leaves, entries) != (self.leaf_count, self.size):
+            raise TreeError(f"{leaves} leaves and {entries} data entries, counted otherwise")
+        a = self._flat
+        if a is None or a.generation != self._generation:
+            return
+        b = build_flat(self)
+        if a.nodes != b.nodes or any(x.tobytes() != y.tobytes() for x, y in zip(
+            (a.entry_start, a.entry_rect, a.entry_child, a.entry_oid),
+            (b.entry_start, b.entry_rect, b.entry_child, b.entry_oid),
+        )):
+            raise TreeError("the flat snapshot is not the tree")

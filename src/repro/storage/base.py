@@ -32,6 +32,7 @@ from __future__ import annotations
 import abc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
@@ -60,6 +61,21 @@ __all__ = ["QueryResult", "SpatialOrganization"]
 _NO_ROWS = np.empty(0, dtype=np.int64)
 _NO_KEYS = np.empty((0, 4))
 _EVERY = slice(None)
+
+
+def _check_tiled(region: Region, held: list[Extent], packed: bool = False) -> None:
+    """Raise :class:`StorageError` unless ``held`` and the free list tile
+    the pages ``region`` handed out, each page once; in a ``packed``
+    file neighbours may share a page and a page may be neither."""
+    end, top = region.base, region.base + region.high_water_pages
+    for extent in sorted(held + region._free, key=attrgetter("start")):
+        if extent.start < end - packed:
+            raise StorageError(f"page {extent.start} of region {region.name!r} is held twice")
+        if extent.start > end and not packed:
+            raise StorageError(f"page {end} of region {region.name!r} is neither held nor free")
+        end = max(end, extent.end)
+    if end > top or (end < top and not packed):
+        raise StorageError(f"region {region.name!r} is held up to page {end}, not {top}")
 
 
 def _joined(parts: list[np.ndarray], empty: np.ndarray) -> np.ndarray:
@@ -124,6 +140,9 @@ class SpatialOrganization(abc.ABC):
 
     #: Where own extents are allocated; every subclass claims one.
     _own_region: Region
+
+    #: Own extents byte-packed, never reclaimed (secondary): see ``_check_tiled``.
+    _byte_packed: bool = False
 
     def __init__(
         self,
@@ -617,3 +636,48 @@ class SpatialOrganization(abc.ABC):
 
     def pages_for(self, size_bytes: int) -> int:
         return -(-size_bytes // self.page_size)
+
+    def check(self) -> None:
+        """:meth:`RStarTree.check` (a :class:`TreeError`), then raise
+        :class:`StorageError` unless the column holds the object table
+        as the entries say; each object is in one place (own extent,
+        unit or page); node pages and own extents tile their regions
+        with the free lists.  Flushes queued appends, fills no cache."""
+        self.tree.check()
+        column, objects, extents = self.column, self.objects, self._extents
+        if column.oids.take(column.live()).tolist() != list(objects):
+            raise StorageError("the column's live rows are not the object table")
+        if not extents.keys() <= objects.keys():
+            raise StorageError("an extent row outlives its object")
+        seen: list[int] = []
+        for leaf in self.tree.leaves():
+            in_unit = leaf.tag.live if leaf.tag is not None else {}
+            if leaf._rows is not None and leaf._rows.tolist() != [e.row for e in leaf.entries]:
+                raise StorageError(f"data page {leaf.node_id} caches stale rows")
+            for entry in leaf.entries:
+                oid, row = entry.oid, entry.row
+                if oid not in objects or not 0 <= row < column.n_rows or column.oids[row] != oid:
+                    raise StorageError(f"object {oid}'s entry points at row {row}, not its own")
+                obj, start, count = objects[oid], column.starts[row], column.counts[row]
+                if (
+                    column.vertices[start:start + count].tolist() != obj.geometry.coords().tolist()
+                    or column.sizes[row] != obj.size_bytes
+                    or column.tight[row] != (obj.mbr_override is None)
+                    or column.boxes[row].tolist() != list(obj.geometry.mbr.as_tuple())
+                ):
+                    raise StorageError(f"row {row} does not hold object {oid}")
+                inline = self._page_holds_objects and entry.load == ENTRY_SIZE + obj.size_bytes
+                places = (oid in extents) + (oid in in_unit) + inline
+                if places != 1:
+                    raise StorageError(f"object {oid} is stored in {places} places")
+                seen.append(oid)
+            if len(in_unit) != sum(e.oid in in_unit for e in leaf.entries):
+                raise StorageError(f"data page {leaf.node_id}'s unit holds others' objects")
+        if sorted(seen) != sorted(objects):
+            raise StorageError("the data entries are not the object table")
+        if column._by_oid is not None:  # the oid index, where one is kept
+            rows = column.rows_of(np.array(seen, dtype=np.int64))
+            if column.oids.take(rows).tolist() != seen:
+                raise StorageError("the column's oid index is stale")
+        _check_tiled(self._query_pager.region, [Extent(n.page, 1) for n in self.tree.nodes()])
+        _check_tiled(self._own_region, list(extents.values()), self._byte_packed)

@@ -28,6 +28,7 @@ class SecondaryOrganization(SpatialOrganization):
 
     name = "secondary"
     _catalog_scalars = ("_byte_tail",)
+    _byte_packed = True
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)

@@ -452,6 +452,8 @@ def load_state(
         oid: Extent(s, n) for oid, s, n in zip(*columns["extents"].T.tolist())
     }
     for attr in org._catalog_scalars:
+        if attr not in extra:
+            raise StorageError(f"the catalog's storage block lacks {attr!r}")
         setattr(org, attr, extra[attr])
     if isinstance(org, ClusterOrganization):
         org._unit_of = {}

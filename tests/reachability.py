@@ -115,10 +115,6 @@ ALLOWED: dict[str, str] = {
         "a join on a tiered database charges the capacity tier; the "
         "inherited charge would price the fast tier"
     ),
-    "repro.pagestore.file:FilePageStore.params": (
-        "PageStore protocol; save_database reads db.disk.params when a "
-        "database opened on its file is saved again"
-    ),
 }
 
 # An unrun block of this many executable lines fails the probe unless

@@ -21,6 +21,7 @@ from repro.iosched import (
     VirtualClock,
     make_admission,
 )
+from repro.pagestore.placement import RoundRobinPlacement
 from repro.pagestore.store import ShardedPageStore
 from repro.obs.metrics import percentile_sorted
 
@@ -171,7 +172,7 @@ class TestGapAwareClock:
 
 
 def two_disk_pool(scheduler):
-    store = ShardedPageStore(2, placement="round_robin", chunk_pages=1)
+    store = ShardedPageStore(2, placement=RoundRobinPlacement(chunk_pages=1))
     return BufferPool(store, capacity=0, scheduler=scheduler)
 
 
@@ -195,6 +196,27 @@ class TestSchedulerAdmission:
         # dispatch at 2*cost, completion one request later.
         assert sched.clock.client_time("c") == pytest.approx(3 * cost)
         assert sched.client_queueing_ms("c") == pytest.approx(cost)
+
+    def test_a_policy_that_admits_early_is_refused(self):
+        """``admit`` answers at or after the time it is asked about; an
+        earlier answer is the policy's bug, refused before the
+        operation opens and before the client's clock moves."""
+
+        class Early(PriorityAdmission):
+            def admit(self, client, at, clock):
+                return at - 1.0
+
+        sched = OverlapScheduler()
+        pool = two_disk_pool(sched)
+        with sched.operation("c"):
+            pool.submit(AccessPlan("a").read(0, 1))
+        before = sched.clock.client_time("c")
+        sched.admission = Early()
+        with pytest.raises(ConfigurationError, match="'priority'.*before its time"):
+            with sched.operation("c"):
+                pool.submit(AccessPlan("b").read(2, 1))
+        assert not sched.in_operation
+        assert sched.clock.client_time("c") == before > 0.0
 
     def test_admission_does_not_change_pricing(self):
         objects = make_objects(150, seed=5)

@@ -369,6 +369,17 @@ class TestExports:
             for name in names:
                 assert name not in parameters, (function.__qualname__, name)
 
+        # Gone, as only tests set it: the chunk size as a store and resolver
+        # keyword (a placement instance carries it).  New: the state checkers.
+        from repro.pagestore.placement import make_placement
+        from repro.pagestore.store import ShardedPageStore
+        from repro.rtree.rstar import RStarTree
+
+        for function in (ShardedPageStore.__init__, make_placement):
+            assert "chunk_pages" not in inspect.signature(function).parameters
+        for cls in (RStarTree, SpatialDatabase):
+            assert list(inspect.signature(cls.check).parameters) == ["self"]
+
 
 class TestRunLevelSurface:
     def test_run_level_members_are_part_of_the_protocols(self):

@@ -1,169 +1,23 @@
-"""The geometry column (``repro.geometry.column``): every organization
-keeps it coherent with its objects and its tree through insert, delete,
-queries, reorganization and a save / open cycle, and the window kernel
-that gathers from it answers as the scalar predicate does."""
+"""The geometry column (``repro.geometry.column``): how it grows, what
+a reopen adopts, and the window kernel that gathers from it answering
+as the scalar predicate does.  That every organization keeps it
+coherent with its objects and its tree is ``SpatialDatabase.check()``'s
+column stage, run after every rule of ``tests/test_lifecycle.py``."""
 
 from __future__ import annotations
-
-import os
-import tempfile
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from perf.oracle import Oracle
 from repro.database import SpatialDatabase
 from repro.geometry.column import GeometryColumn
-from repro.geometry.feature import SpatialObject
 from repro.geometry.intersect import polyline_intersects_rect, polylines_intersect_rects
-from repro.geometry.polyline import Polyline
 from repro.geometry.rect import Rect
-from repro.reorg import Reorganizer
 
 from tests.conftest import make_objects
 from tests.scalar_reference import scalar_loops
 from tests.test_intersect import lattice_line, window_test
-
-SMAX = 4 * 4096
-
-CONFIGS = {
-    "secondary": dict(organization="secondary"),
-    "primary": dict(organization="primary"),
-    "cluster": dict(smax_bytes=SMAX),
-}
-
-
-def check_column(org) -> None:
-    """The column holds exactly the live objects, in object-table order;
-    each data entry's row holds its object's vertices, size and flags;
-    no entry points at a tombstone; each leaf's cached rows are its
-    entries' rows."""
-    column = org.column
-    assert column.oids.take(column.live()).tolist() == list(org.objects)
-    seen = []
-    for leaf in org.tree.leaves():
-        assert leaf.rows().tolist() == [e.row for e in leaf.entries]
-        for entry in leaf.entries:
-            row, obj = entry.row, org.objects[entry.oid]
-            assert column.oids[row] == entry.oid  # not a tombstone
-            geometry = obj.geometry
-            start, count = column.starts[row], column.counts[row]
-            assert column.vertices[start:start + count].tolist() == geometry.coords().tolist()
-            assert column.sizes[row] == obj.size_bytes
-            assert column.tight[row] == (obj.mbr_override is None)
-            assert column.boxes[row].tolist() == list(geometry.mbr.as_tuple())
-            seen.append(entry.oid)
-    assert sorted(seen) == sorted(org.objects)
-    rows = column.rows_of(np.array(seen, dtype=np.int64))
-    assert column.oids.take(rows).tolist() == seen
-
-
-def pool_objects(n: int) -> list[SpatialObject]:
-    """Objects to insert: polylines, closed rings (borders), overrides and
-    one object larger than ``SMAX`` (an extent of its own in every
-    organization)."""
-    out = []
-    for k, base in enumerate(make_objects(n, seed=29)):
-        oid = 1000 + k
-        vertices = base.geometry.vertices
-        if k % 4 == 1 and len(set(vertices)) >= 3:
-            ring = Polyline(vertices + vertices[:1])
-            out.append(SpatialObject(oid, ring, size_bytes=base.size_bytes + 16))
-        elif k % 4 == 2:
-            m = base.geometry.mbr
-            override = Rect(m.xmin - 25, m.ymin - 5, m.xmax + 10, m.ymax + 30)
-            out.append(SpatialObject(oid, base.geometry, base.size_bytes, override))
-        elif k == 3:
-            out.append(SpatialObject(oid, base.geometry, size_bytes=SMAX + 3000))
-        else:
-            out.append(SpatialObject(oid, base.geometry, size_bytes=base.size_bytes))
-    return out
-
-
-INITIAL = make_objects(60, seed=17)
-POOL = pool_objects(24)
-STEPS = st.lists(
-    st.one_of(
-        st.tuples(st.just("insert")),
-        st.tuples(st.just("delete"), st.integers(0, 10**6)),
-        st.tuples(
-            st.just("window"),
-            st.floats(0, 9000), st.floats(0, 9000), st.floats(1, 3000), st.floats(1, 3000),
-        ),
-        st.tuples(st.just("point"), st.integers(0, 10**6), st.integers(0, 10**6)),
-        st.tuples(st.just("reorg")),
-        st.tuples(st.just("reopen")),
-    ),
-    max_size=14,
-)
-PROBE = Rect(2000, 2000, 7000, 7000)
-
-
-class TestColumnCoherence:
-    """D(1)'s first slice: after every step of a generated lifecycle the
-    column is coherent and the answers are the brute-force scan's."""
-
-    def _run(self, name: str, steps) -> None:
-        db = SpatialDatabase(**CONFIGS[name])
-        db.build(INITIAL)
-        oracle = Oracle(INITIAL, extra=POOL)
-        live, pool = [o.oid for o in INITIAL], list(POOL)
-        with tempfile.TemporaryDirectory() as scratch:
-            path = os.path.join(scratch, "db.img")
-            for step in steps:
-                kind = step[0]
-                if kind == "insert" and pool:
-                    obj = pool.pop(0)
-                    db.insert(obj)
-                    oracle.insert(obj)
-                    live.append(obj.oid)
-                elif kind == "delete" and live:
-                    oid = live.pop(step[1] % len(live))
-                    db.delete(oid)
-                    oracle.delete(oid)
-                elif kind == "window":
-                    _, x, y, w, h = step
-                    rect = Rect(x, y, x + w, y + h)
-                    got = db.window_query(*rect.as_tuple())
-                    assert {o.oid for o in got.objects} == oracle.window(rect)
-                elif kind == "point" and live:
-                    obj = db.storage.objects[live[step[1] % len(live)]]
-                    vertices = obj.geometry.vertices
-                    x, y = vertices[step[2] % len(vertices)]
-                    got = db.point_query(x, y)
-                    assert {o.oid for o in got.objects} == oracle.point(x, y)
-                elif kind == "reorg" and name == "cluster":
-                    Reorganizer(db, min_dead_fraction=0.0).step()
-                elif kind == "reopen":
-                    db.save(path)
-                    db = SpatialDatabase.open(path)
-                check_column(db.storage)
-                got = db.window_query(*PROBE.as_tuple())
-                assert {o.oid for o in got.objects} == oracle.window(PROBE)
-
-    @settings(max_examples=25, deadline=None)
-    @given(STEPS)
-    def test_secondary(self, steps):
-        self._run("secondary", steps)
-
-    @settings(max_examples=25, deadline=None)
-    @given(STEPS)
-    def test_primary(self, steps):
-        self._run("primary", steps)
-
-    @settings(max_examples=25, deadline=None)
-    @given(STEPS)
-    def test_cluster(self, steps):
-        self._run("cluster", steps)
-
-    def test_every_step_kind_at_least_once(self):
-        steps = [("insert",)] * 6 + [
-            ("delete", 3), ("window", 1000.0, 1000.0, 3000.0, 3000.0),
-            ("point", 5, 1), ("reorg",), ("reopen",), ("insert",), ("delete", 0),
-            ("reopen",), ("point", 2, 0),
-        ]
-        for name in CONFIGS:
-            self._run(name, steps)
+from tests.test_lifecycle import extra_objects
 
 
 class TestGrowth:
@@ -182,7 +36,7 @@ class TestGrowth:
         assert 7 not in column.live().tolist() and len(column.live()) == 39
 
     def test_queued_appends_fill_as_one_by_one_appends_do(self):
-        objects = make_objects(30, seed=8) + POOL[:8]
+        objects = make_objects(30, seed=8) + extra_objects(8)
         one_by_one, batched = GeometryColumn.of([]), GeometryColumn.of([])
         for obj in objects[:5]:
             one_by_one.append(obj)
@@ -204,8 +58,8 @@ class TestGrowth:
         np.testing.assert_array_equal(batched.vertices[:n], one_by_one.vertices[:n])
 
     def test_a_reopened_column_is_the_catalogs(self, tmp_path):
-        db = SpatialDatabase(smax_bytes=SMAX)
-        db.build(INITIAL)
+        db = SpatialDatabase(smax_bytes=4 * 4096)
+        db.build(make_objects(60, seed=17))
         path = str(tmp_path / "db.img")
         db.save(path)
         column = SpatialDatabase.open(path).storage.column

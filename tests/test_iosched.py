@@ -24,6 +24,7 @@ from repro.iosched import (
 )
 from repro.disk.allocator import PageAllocator
 from repro.disk.extent import Extent
+from repro.pagestore.placement import RoundRobinPlacement
 from repro.pagestore.store import ShardedPageStore
 from repro.workload.streams import mixed_stream
 from repro.workload.trace import load_trace, save_trace
@@ -182,7 +183,7 @@ class TestVirtualClock:
 
 def two_disk_store() -> ShardedPageStore:
     """Pages alternate between two disks (chunk = 1 page)."""
-    return ShardedPageStore(2, placement="round_robin", chunk_pages=1)
+    return ShardedPageStore(2, placement=RoundRobinPlacement(chunk_pages=1))
 
 
 class TestOverlapScheduler:
@@ -702,7 +703,7 @@ class TestPrefetchCausality:
 
     def test_prefetch_dispatches_at_trigger_completion(self):
         # chunk_pages=4: pages 0..3 on disk 0, 4..7 on disk 1.
-        store = ShardedPageStore(2, placement="round_robin", chunk_pages=4)
+        store = ShardedPageStore(2, placement=RoundRobinPlacement(chunk_pages=4))
         allocator = PageAllocator()
         allocator.region("data").allocate(8)
         sched = OverlapScheduler()
@@ -725,7 +726,7 @@ class TestPrefetchCausality:
         assert end - start == pytest.approx(prefetch)
 
     def test_client_still_does_not_wait_for_the_prefetch(self):
-        store = ShardedPageStore(2, placement="round_robin", chunk_pages=4)
+        store = ShardedPageStore(2, placement=RoundRobinPlacement(chunk_pages=4))
         allocator = PageAllocator()
         allocator.region("data").allocate(8)
         sched = OverlapScheduler()

@@ -16,7 +16,7 @@ from repro.geometry.rect import Rect
 from repro.iosched.scheduler import SyncScheduler
 from repro.storage.secondary import SecondaryOrganization
 
-from tests.conftest import brute_force_window, build_org, make_objects, overlaps
+from tests.conftest import brute_force_window, build_org, make_objects
 
 WINDOWS = [
     Rect(0, 0, 10_000, 10_000),
@@ -151,16 +151,6 @@ class TestPrimary:
             inline = primary300.extent_of(obj.oid) is None
             assert inline == (obj.size_bytes + 46 <= PAGE_SIZE)
 
-    def test_overflow_objects_have_exclusive_extents(self, primary300, objects300):
-        extents = [
-            primary300.extent_of(o.oid)
-            for o in objects300
-            if primary300.extent_of(o.oid) is not None
-        ]
-        for i, a in enumerate(extents):
-            for b in extents[i + 1:]:
-                assert not a.overlaps(b)
-
     def test_big_object_goes_to_overflow(self):
         org = build_org("primary", [])
         big = SpatialObject(
@@ -169,9 +159,10 @@ class TestPrimary:
         org.insert(big)
         assert org.extent_of(1).npages == 3
 
-    def test_data_pages_respect_byte_capacity(self, primary300):
-        for leaf in primary300.tree.leaves():
-            assert len(leaf.entries) == 1 or leaf.load() <= PAGE_SIZE
+    def test_the_state_checks_pass(self, primary300):
+        """Byte-capacity data pages, inline objects in exactly one place
+        and overflow extents owned once: ``check()``."""
+        primary300.check()
 
 
 class TestClusterOrganization:
@@ -181,42 +172,11 @@ class TestClusterOrganization:
                 policy=ClusterPolicy(16 * PAGE_SIZE), technique="warp"
             )
 
-    def test_every_object_in_exactly_one_unit(self, objects300, cluster300):
-        seen: dict[int, int] = {}
-        for leaf in cluster300.tree.leaves():
-            u = leaf.tag
-            if u is None:
-                continue
-            for oid in u.live:
-                assert oid not in seen
-                seen[oid] = leaf.node_id
-        oversize = {
-            o.oid for o in objects300 if o.size_bytes > cluster300.policy.smax_bytes
-        }
-        assert set(seen) | oversize == {o.oid for o in objects300}
-
-    def test_units_match_leaf_entries(self, cluster300):
-        for leaf in cluster300.tree.leaves():
-            unit = leaf.tag
-            entry_oids = {
-                e.oid for e in leaf.entries
-                if cluster300.extent_of(e.oid) is None
-            }
-            if unit is None:
-                assert not entry_oids
-            else:
-                assert set(unit.live) == entry_oids
-
-    def test_units_fit_their_extents(self, cluster300):
-        for unit in cluster300.units():
-            assert unit.live_bytes <= unit.capacity_bytes
-            assert unit.capacity_bytes <= cluster300.policy.smax_bytes
-
-    def test_cluster_byte_limit_respected(self, cluster300):
-        smax = cluster300.policy.smax_bytes
-        for leaf in cluster300.tree.leaves():
-            assert len(leaf.entries) <= cluster300.max_entries
-            assert len(leaf.entries) == 1 or leaf.load() <= smax
+    def test_the_state_checks_pass(self, cluster300):
+        """Every object in exactly one unit or extent, units matching
+        their data pages and fitting their extents, data pages within
+        ``M`` entries and ``Smax`` bytes: ``check()``."""
+        cluster300.check()
 
     def test_unit_for_lookup(self, objects300, cluster300):
         obj = objects300[0]
@@ -243,8 +203,7 @@ class TestClusterOrganization:
         objs = make_objects(60, seed=31, size_range=(3000, 3500))
         org = build_org("cluster", objs, smax_bytes=4 * PAGE_SIZE)
         assert org.tree.leaf_splits > 0
-        for leaf in org.tree.leaves():
-            assert len(leaf.entries) == 1 or leaf.load() <= 4 * PAGE_SIZE
+        org.check()  # no data page over Smax
 
     def test_buddy_mode_end_to_end(self, objects300):
         org = build_org("cluster", objects300, buddy_sizes=3)
@@ -330,99 +289,4 @@ class TestDeletion:
         assert {o.oid for o in res.objects} == brute_force_window(
             rest, Rect(0, 0, 10_000, 10_000)
         )
-        # physical bookkeeping still consistent
-        for leaf in org.tree.leaves():
-            unit = leaf.tag
-            if unit is not None:
-                for oid in unit.live:
-                    assert org._unit_of.get(oid) is unit
-
-
-class TestWhereEveryObjectLives:
-    """First slice of ROADMAP D.1, read off the one table: after a
-    lifecycle of inserts, deletes and re-inserts every live object's
-    exact representation is in exactly one place, and no page is owned
-    twice or owned while free."""
-
-    SMAX = 16 * PAGE_SIZE
-    KINDS = {
-        "secondary": dict(kind="secondary"),
-        "primary": dict(kind="primary"),
-        "cluster-fixed": dict(kind="cluster", smax_bytes=SMAX),
-        "cluster-buddy": dict(kind="cluster", smax_bytes=SMAX, buddy_sizes=3),
-    }
-
-    def big(self, oid: int, at: float) -> SpatialObject:
-        """Too big for a data page and for ``SMAX``."""
-        line = Polyline([(at, at), (at + 50, at + 80)])
-        return SpatialObject(oid, line, size_bytes=self.SMAX + 100 * (1 + oid % 7))
-
-    def lifecycle(self, name: str):
-        objects = make_objects(300, seed=23)
-        objects += [self.big(1000 + i, 900.0 * (i + 1)) for i in range(8)]
-        org = build_org(objects=objects, **self.KINDS[name])
-        for obj in objects[::3]:
-            org.delete(obj.oid)
-        for i, obj in enumerate(objects[:120:3]):
-            org.insert(SpatialObject(2000 + i, obj.geometry, obj.size_bytes))
-        for i in range(3):
-            org.insert(self.big(3000 + i, 1200.0 * (i + 2)))
-        if name == "cluster-buddy":
-            from repro.reorg import Reorganizer
-
-            assert Reorganizer(org, min_dead_fraction=0.0).step() > 0
-        return org
-
-    @pytest.mark.parametrize("name", sorted(KINDS))
-    def test_exactly_one_place_and_no_page_owned_twice(self, name):
-        from repro.constants import ENTRY_SIZE
-        from repro.disk.buddy import BuddyAllocator
-        from repro.disk.extent import Extent
-
-        org = self.lifecycle(name)
-        live = org.objects
-        assert set(org._extents) <= set(live)  # no row outlives its object
-        placed: list[int] = []
-        unit_extents: list[Extent] = []
-        for leaf in org.tree.leaves():
-            unit = leaf.tag
-            if unit is not None:
-                unit_extents.append(unit.extent)
-                assert set(unit.live) <= {e.oid for e in leaf.entries}
-            for entry in leaf.entries:
-                oid = entry.oid
-                inline = org._page_holds_objects and (
-                    entry.load == ENTRY_SIZE + live[oid].size_bytes
-                )
-                places = (
-                    org.extent_of(oid) is not None,
-                    unit is not None and oid in unit.live,
-                    inline,
-                )
-                assert sum(places) == 1, (oid, places)
-                placed.append(oid)
-        assert sorted(placed) == sorted(live)
-        own = list(org._extents.values())
-        assert own and (unit_extents or not name.startswith("cluster"))
-
-        owned = sorted(own + unit_extents, key=lambda e: e.start)
-        if name == "secondary":
-            # Byte-packed neighbours may share one boundary page; the
-            # file never reclaims, so nothing is ever free.
-            file = org._own_region
-            top = file.base + file.high_water_pages
-            assert all(file.base <= e.start and e.end <= top for e in owned)
-            assert all(a.end - b.start <= 1 for a, b in zip(owned, owned[1:]))
-        else:
-            assert all(a.end <= b.start for a, b in zip(owned, owned[1:]))
-        free = [e for r in org.allocator.regions().values() for e in r._free]
-        if name == "cluster-buddy":
-            alloc = org._unit_alloc
-            assert isinstance(alloc, BuddyAllocator)
-            free += [
-                Extent(start, alloc.sizes[level])
-                for level, starts in enumerate(alloc._free)
-                for start in starts
-            ]
-        for extent in owned:
-            assert not any(overlaps(extent, f) for f in free), extent
+        org.check()

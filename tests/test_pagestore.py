@@ -37,7 +37,7 @@ class TestProtocol:
         with pytest.raises(ConfigurationError):
             ShardedPageStore(2, placement="pixie-dust")
         with pytest.raises(ConfigurationError):
-            make_placement("round_robin", chunk_pages=0)
+            RoundRobinPlacement(chunk_pages=0)
 
     def test_registry(self):
         assert set(PLACEMENTS) == {"round_robin", "hash", "spatial"}
@@ -94,7 +94,7 @@ class TestSplitPricing:
     def test_span_across_two_disks(self):
         """chunk_pages=4, 2 disks: pages 0-3 on disk 0, 4-7 on disk 1.
         A fresh 8-page read seeks on both arms concurrently."""
-        store = ShardedPageStore(2, placement="round_robin", chunk_pages=4)
+        store = ShardedPageStore(2, placement=RoundRobinPlacement(chunk_pages=4))
         params = store.params
         response = store.read(0, 8)
         per_disk = params.random_access_ms(4)  # ts + tl + 4*tt
@@ -107,7 +107,7 @@ class TestSplitPricing:
     def test_refragmented_span_same_disk_continues(self):
         """chunk_pages=2, 2 disks: a request touching a disk twice pays
         the positioning once — the second fragment is a continuation."""
-        store = ShardedPageStore(2, placement="round_robin", chunk_pages=2)
+        store = ShardedPageStore(2, placement=RoundRobinPlacement(chunk_pages=2))
         params = store.params
         response = store.read(0, 8)  # disk0: 0-1, 4-5; disk1: 2-3, 6-7
         per_disk = params.random_access_ms(2) + params.continuation_ms(2)
@@ -115,7 +115,7 @@ class TestSplitPricing:
         assert store.total_ms == pytest.approx(2 * per_disk)
 
     def test_response_is_max_device_is_sum(self):
-        store = ShardedPageStore(4, placement="round_robin", chunk_pages=1)
+        store = ShardedPageStore(4, placement=RoundRobinPlacement(chunk_pages=1))
         with store.measure() as cost:
             store.read(0, 4)  # one page per disk
         assert cost.response_ms == pytest.approx(store.params.random_access_ms(1))
@@ -127,21 +127,21 @@ class TestSplitPricing:
         *different* disk must not hand that arm the cross-run
         continuation discount — every device positions its own arm
         once per batch."""
-        store = ShardedPageStore(2, placement="round_robin", chunk_pages=8)
+        store = ShardedPageStore(2, placement=RoundRobinPlacement(chunk_pages=8))
         pool = BufferPool(store, capacity=0)
         pool.read_pages([0, 8])  # run (0,1) on disk 0, run (8,1) on disk 1
         stats = store.per_disk_stats()
         assert [s.seeks for s in stats] == [1, 1]
         assert [s.rotations for s in stats] == [1, 1]
         # ... identical to one spanning read over the same two arms.
-        reference = ShardedPageStore(2, placement="round_robin", chunk_pages=1)
+        reference = ShardedPageStore(2, placement=RoundRobinPlacement(chunk_pages=1))
         reference.read(0, 2)
         assert [s.seeks for s in reference.per_disk_stats()] == [1, 1]
 
     def test_batched_runs_same_disk_keep_continuation(self):
         """Two coalesced runs on one disk still pay one positioning
         seek — the single-disk batch semantics are unchanged."""
-        store = ShardedPageStore(2, placement="round_robin", chunk_pages=8)
+        store = ShardedPageStore(2, placement=RoundRobinPlacement(chunk_pages=8))
         cost = store.read_runs([(0, 2), (5, 2)])
         total = store.stats()
         assert total.seeks == 1
@@ -153,13 +153,13 @@ class TestSplitPricing:
     def test_sequential_detection_per_disk(self):
         """Each device keeps its own head: re-reading the next pages of
         a shard is sequential on that shard only."""
-        store = ShardedPageStore(2, placement="round_robin", chunk_pages=8)
+        store = ShardedPageStore(2, placement=RoundRobinPlacement(chunk_pages=8))
         store.read(0, 2)  # disk 0, head at 2
         cost = store.read(2, 2)  # disk 0 again, strictly sequential
         assert cost == pytest.approx(store.params.sequential_ms(2))
 
     def test_stats_sum_over_disks(self):
-        store = ShardedPageStore(3, placement="round_robin", chunk_pages=1)
+        store = ShardedPageStore(3, placement=RoundRobinPlacement(chunk_pages=1))
         store.read(0, 3)
         store.write(0, 1)
         total = store.stats()
@@ -233,8 +233,6 @@ class TestPlacement:
         store = ShardedPageStore(2, placement=policy)
         assert store.placement is policy
         assert policy.n_disks == 2
-        with pytest.raises(ConfigurationError):
-            ShardedPageStore(2, placement=HashPlacement(chunk_pages=2), chunk_pages=4)
 
     def test_policy_instance_cannot_serve_two_stores(self):
         """Regression: reusing one policy instance for a store with a
@@ -279,7 +277,7 @@ class TestExtentPinsEqualPagePins:
     @settings(max_examples=60, deadline=None)
     @given(steps=steps, queries=st.lists(extents, min_size=1, max_size=8), n_disks=st.integers(1, 5))
     def test_against_the_page_table(self, name, steps, queries, n_disks):
-        policy = make_placement(name, chunk_pages=4)
+        policy = PLACEMENTS[name](chunk_pages=4)
         policy.bind(n_disks)
         pinned: dict[int, int] = {}
         for op, (start, npages), disk in steps:
@@ -342,7 +340,7 @@ class TestVectoredCost:
         assert VectoredCost(response_ms=0.0, total_ms=0.0).parallelism == 1.0
 
     def test_cost_since_isolates_interval(self):
-        store = ShardedPageStore(2, chunk_pages=1)
+        store = ShardedPageStore(2, placement=RoundRobinPlacement(chunk_pages=1))
         store.read(0, 2)
         snap = store.snapshot()
         store.read(2, 2)

@@ -3,24 +3,23 @@ query_matrix / areas — and of its MBR and byte load.
 
 Property-style walks drive a tree through inserts, deletes, splits,
 forced reinserts and condensation, over ordinary and over degenerate
-rectangles, and compare every node's block with one built afresh from
-its entries — to the byte — after every operation.  A stale row here
-would silently corrupt ChooseSubtree, query results and the
-bit-identical pricing; a stale byte load would move byte-capacity
-splits, i.e. tree shape.
+rectangles, and run ``RStarTree.check`` — which compares every node's
+block with one built afresh from its entries, to the byte — after every
+operation.  A stale row here ChooseSubtree, query results and the bit-identical pricing; a stale
+byte load would move byte-capacity splits, i.e. tree shape.
 """
 
 from __future__ import annotations
 
 import ast
 import random
-from functools import reduce
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro
+from repro.constants import ENTRY_SIZE
 from repro.geometry.rect import Rect
 from repro.rtree.capacity import ByteCapacity, CountOrByteCapacity
 from repro.rtree.node import Node
@@ -28,59 +27,31 @@ from repro.rtree.entry import Entry
 from repro.rtree.rstar import RStarTree
 
 
-def fresh_block(node: Node) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rect matrix, query matrix and areas built from the entries
-    in Python, independently of the node's own arithmetic."""
-    rects = [e.rect for e in node.entries]
-    return (
-        np.array([(r.xmin, r.ymin, r.xmax, r.ymax) for r in rects], np.float64).reshape(-1, 4),
-        np.array([(r.xmin, r.ymin, -r.xmax, -r.ymax) for r in rects], np.float64).reshape(-1, 4),
-        np.array([r.area() for r in rects], np.float64),
-    )
-
-
-def assert_loads_are_sums(tree: RStarTree) -> None:
-    """The cached byte load — whatever mix of summed, advanced by
-    ``add``, lowered by ``remove`` and dropped by ``replace_entries``
-    it is — is the summed one."""
-    for node in tree.nodes():
-        assert node.load() == sum(e.load for e in node.entries), (
-            f"stale load on node#{node.node_id}"
-        )
-
-
-def assert_caches_coherent(tree: RStarTree) -> None:
-    """Every node's block equals a fresh build to the byte (so a -0.0
-    where the entries say 0.0 shows), and its MBR is the entries'."""
-    assert_loads_are_sums(tree)
-    for node in tree.nodes():
-        rects, query, areas = fresh_block(node)
-        for kept, fresh, what in (
-            (node.rect_matrix(), rects, "rect matrix"),
-            (node.query_matrix(), query, "query matrix"),
-            (node.areas(), areas, "areas"),
-        ):
-            assert kept.shape == fresh.shape and kept.tobytes() == fresh.tobytes(), (
-                f"stale {what} on node#{node.node_id}"
-            )
-        if node.entries:
-            union = reduce(Rect.union, (e.rect for e in node.entries))
-            assert node.mbr().as_tuple() == union.as_tuple(), (
-                f"stale MBR on node#{node.node_id}"
-            )
-            assert np.array(node.mbr().as_tuple()).tobytes() == np.array(
-                union.as_tuple()
-            ).tobytes()
-        # Directory invariant while we're here: every entry rect equals
-        # its child's MBR after any sequence of mutations.
-        if not node.is_leaf:
-            for entry in node.entries:
-                assert entry.rect == entry.child.mbr()
+def check_node(node: Node) -> None:
+    """``RStarTree.check`` over a tree whose root is ``node``."""
+    tree = RStarTree(max_entries=32)
+    tree.root, tree.size = node, len(node.entries)
+    tree.check()
 
 
 def random_rect(rng: random.Random) -> Rect:
     x, y = rng.uniform(0, 100), rng.uniform(0, 100)
     return Rect(x, y, x + rng.uniform(0, 8), y + rng.uniform(0, 8))
+
+
+def walk(tree: RStarTree, rng: random.Random, steps: int, rect_of=random_rect, loads=None):
+    """Insert object ``step`` or, about a third of the time, delete a
+    live one; ``tree.check()`` after every operation."""
+    live: dict[int, Rect] = {}
+    for oid in range(steps):
+        if live and rng.random() < 0.35:
+            gone = rng.choice(sorted(live))
+            tree.delete(gone, live.pop(gone))
+        else:
+            live[oid] = rect_of(rng)
+            tree.insert(oid, live[oid], rng.choice(loads) if loads else ENTRY_SIZE)
+        tree.check()
+    assert len(tree) == len(live)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -89,21 +60,7 @@ def test_caches_survive_insert_delete_split_reinsert(seed, leaf_reinsert):
     """Random mutation walk: small fan-out forces frequent splits and
     (with leaf_reinsert) forced reinserts; deletes trigger condensation
     and root shrinking.  Caches are checked after every operation."""
-    rng = random.Random(seed)
-    tree = RStarTree(max_entries=6, leaf_reinsert=leaf_reinsert)
-    live: dict[int, Rect] = {}
-    next_oid = 0
-    for step in range(300):
-        if live and rng.random() < 0.35:
-            oid = rng.choice(sorted(live))
-            tree.delete(oid, live.pop(oid))
-        else:
-            rect = random_rect(rng)
-            tree.insert(next_oid, rect)
-            live[next_oid] = rect
-            next_oid += 1
-        assert_caches_coherent(tree)
-    assert len(tree) == len(live)
+    walk(RStarTree(max_entries=6, leaf_reinsert=leaf_reinsert), random.Random(seed), 300)
 
 
 #: The spacing of float64 values near 1e9.
@@ -138,18 +95,9 @@ def test_blocks_survive_a_degenerate_walk(seed, leaf_reinsert):
     """The same walk over degenerate rectangles, where zero areas,
     zero enlargements without covering and ties are the rule; the
     blocks are checked to the byte after every operation."""
-    rng = random.Random(seed)
     tree = RStarTree(max_entries=6, leaf_reinsert=leaf_reinsert)
-    live: dict[int, Rect] = {}
-    for oid in range(250):
-        if live and rng.random() < 0.35:
-            gone = rng.choice(sorted(live))
-            tree.delete(gone, live.pop(gone))
-        else:
-            live[oid] = degenerate_rect(rng)
-            tree.insert(oid, live[oid])
-        assert_caches_coherent(tree)
-    assert tree.height >= 3 and len(tree) == len(live)
+    walk(tree, random.Random(seed), 250, degenerate_rect)
+    assert tree.height >= 3
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -163,21 +111,9 @@ def test_loads_survive_byte_capacity_mutation_walk(seed, leaf_reinsert, capacity
     insert: it must be the summed one after every operation (splits,
     repeated splits of a still-overflowing half, forced reinserts that
     split before reinserting, condensation)."""
-    rng = random.Random(seed)
     tree = RStarTree(max_entries=6, leaf_capacity=capacity, leaf_reinsert=leaf_reinsert)
-    live: dict[int, Rect] = {}
-    for oid in range(300):
-        if live and rng.random() < 0.35:
-            gone = rng.choice(sorted(live))
-            tree.delete(gone, live.pop(gone))
-        else:
-            live[oid] = random_rect(rng)
-            tree.insert(oid, live[oid], load=rng.choice([46, 60, 120, 250, 390]))
-        assert_caches_coherent(tree)
+    walk(tree, random.Random(seed), 300, loads=[46, 60, 120, 250, 390])
     assert tree.leaf_splits > 20
-    for leaf in tree.leaves():
-        assert len(leaf.entries) == 1 or leaf.load() <= 400
-    assert len(tree) == len(live)
 
 
 @pytest.mark.parametrize("organization", ["cluster", "secondary"])
@@ -200,12 +136,12 @@ def test_reopened_blocks_are_slices_that_stay_coherent(organization, tmp_path):
     try:
         tree = reopened.storage.tree
         splits = tree.leaf_splits
-        assert_caches_coherent(tree)
+        tree.check()
         for obj in objects[:60]:
             reopened.delete(obj.oid)
         for obj in objects[200:]:
             reopened.insert(obj)
-        assert_caches_coherent(tree)
+        tree.check()
         assert tree.leaf_splits > splits
     finally:
         reopened.close()
@@ -217,11 +153,11 @@ def test_caches_after_bulk_build_and_drain():
     rects = {oid: random_rect(rng) for oid in range(250)}
     for oid, rect in rects.items():
         tree.insert(oid, rect)
-    assert_caches_coherent(tree)
+    tree.check()
     # Drain to (almost) nothing: exercises condensation heavily.
     for oid in list(rects)[:-5]:
         tree.delete(oid, rects.pop(oid))
-    assert_caches_coherent(tree)
+    tree.check()
     assert len(tree) == 5
 
 
@@ -236,10 +172,7 @@ def test_add_and_remove_keep_the_block_in_entry_order():
     node.remove(node.entries[0])
     node.remove(node.entries[7])
     assert [e.oid for e in node.entries] == [*range(1, 8), *range(9, 20)]
-    rects, query, areas = fresh_block(node)
-    assert node.rect_matrix().tobytes() == rects.tobytes()
-    assert node.query_matrix().tobytes() == query.tobytes()
-    assert node.areas().tobytes() == areas.tobytes()
+    check_node(node)
     assert node.mbr() == Rect(1, 1, 20, 21)
 
 
@@ -252,10 +185,7 @@ def test_take_hands_a_part_its_rows():
     assert [e.oid for e in other.entries] == [5, 1, 3]
     assert [e.oid for e in node.entries] == [0, 2, 4]
     for part in (node, other):
-        rects, query, areas = fresh_block(part)
-        assert part.rect_matrix().tobytes() == rects.tobytes()
-        assert part.query_matrix().tobytes() == query.tobytes()
-        assert part.areas().tobytes() == areas.tobytes()
+        check_node(part)
     other.add(Entry(Rect(9, 9, 9, 9), oid=9))
     assert other.rect_matrix()[-1].tolist() == [9, 9, 9, 9]
     assert other.mbr() == Rect(1, 0, 9, 9)
@@ -345,7 +275,5 @@ def test_patch_rect_updates_row_and_drops_mbr():
     assert node.mbr() == Rect(0, 0, 5, 5)
     node.patch_rect(1, Rect(4, 4, 9, 9))
     assert entries[1].rect == Rect(4, 4, 9, 9)
-    assert node.rect_matrix()[1].tolist() == [4.0, 4.0, 9.0, 9.0]
-    assert node.query_matrix()[1].tolist() == [4.0, 4.0, -9.0, -9.0]
-    assert node.areas().tolist() == [1.0, 25.0]
+    check_node(node)  # the block's row, to the byte
     assert node.mbr() == Rect(0, 0, 9, 9)

@@ -11,7 +11,6 @@ from repro.disk.allocator import PageAllocator
 from repro.disk.model import DiskModel
 from repro.geometry.rect import Rect
 from repro.rtree.capacity import ByteCapacity, CountOrByteCapacity
-from repro.rtree.node import Node
 from repro.rtree.pager import NodePager
 from repro.rtree.rstar import RStarTree
 from repro.rtree.stats import tree_stats
@@ -23,41 +22,6 @@ from tests.test_rtree_split import (
     reference_least_area_enlargement,
     reference_least_overlap_enlargement,
 )
-
-
-def check_invariants(tree: RStarTree) -> None:
-    """Structural R*-tree invariants:
-
-    * parent directory rect == union of the child's entry rects,
-    * parent pointers consistent,
-    * all leaves on level 0 and equally deep,
-    * non-root nodes non-empty,
-    * node levels decrease by one per step.
-    """
-    depths = set()
-
-    def visit(node: Node, depth: int) -> None:
-        if node is not tree.root:
-            assert node.entries, "non-root node must not be empty"
-        if node.is_leaf:
-            depths.add(depth)
-            for e in node.entries:
-                assert e.child is None and e.oid is not None
-            return
-        for e in node.entries:
-            child = e.child
-            assert child is not None
-            assert child.parent is node
-            assert child.level == node.level - 1
-            assert e.rect == child.mbr(), (
-                f"directory rect {e.rect} != child MBR {child.mbr()}"
-            )
-            visit(child, depth + 1)
-
-    visit(tree.root, 0)
-    assert len(depths) <= 1, "leaves at different depths"
-    assert tree.height == (next(iter(depths)) + 1 if depths else 1)
-    assert tree.leaf_count == sum(1 for _ in tree.leaves())
 
 
 def random_rects(n: int, seed: int, span: float = 1000.0) -> list[Rect]:
@@ -87,7 +51,7 @@ class TestInsertQuery:
         tree = RStarTree(max_entries=8)
         for i, r in enumerate(rects):
             tree.insert(i, r)
-        check_invariants(tree)
+        tree.check()
         for q in random_rects(40, seed=4, span=900):
             window = Rect(q.xmin, q.ymin, q.xmin + 60, q.ymin + 60)
             got = sorted(e.oid for e in tree.window_query(window))
@@ -112,7 +76,7 @@ class TestInsertQuery:
         for i in range(50):
             tree.insert(i, r)
         assert len(tree.window_query(r)) == 50
-        check_invariants(tree)
+        tree.check()
 
     def test_fill_factor_reasonable(self):
         rects = random_rects(3000, seed=7)
@@ -191,8 +155,8 @@ class TestDelete:
                 )
                 assert got == want
             if step % 100 == 99:
-                check_invariants(tree)
-        check_invariants(tree)
+                tree.check()
+        tree.check()
 
     def test_condense_shrinks_height(self):
         rects = random_rects(2000, seed=14)
@@ -204,7 +168,7 @@ class TestDelete:
         for i in range(1990):
             tree.delete(i, rects[i])
         assert tree.height < h
-        check_invariants(tree)
+        tree.check()
 
 
 class TestVariants:
@@ -212,7 +176,7 @@ class TestVariants:
         tree = RStarTree(max_entries=8, leaf_reinsert=False)
         for i, r in enumerate(random_rects(400, seed=15)):
             tree.insert(i, r)
-        check_invariants(tree)
+        tree.check()
         # directory reinserts may still happen, leaf reinserts never:
         # with leaf_reinsert=False every leaf overflow splits.
         assert tree.leaf_splits > 0
@@ -222,9 +186,7 @@ class TestVariants:
         rng = random.Random(16)
         for i, r in enumerate(random_rects(200, seed=16)):
             tree.insert(i, r, load=rng.randrange(100, 700))
-        check_invariants(tree)
-        for leaf in tree.leaves():
-            assert len(leaf.entries) == 1 or leaf.load() <= 1000
+        tree.check()  # byte loads within capacity
 
     def test_count_or_byte_capacity_tree(self):
         tree = RStarTree(
@@ -235,10 +197,7 @@ class TestVariants:
         rng = random.Random(17)
         for i, r in enumerate(random_rects(300, seed=17)):
             tree.insert(i, r, load=rng.randrange(100, 2000))
-        check_invariants(tree)
-        for leaf in tree.leaves():
-            assert len(leaf.entries) <= 8
-            assert len(leaf.entries) == 1 or leaf.load() <= 5000
+        tree.check()  # within M entries and the byte capacity
 
     def test_leaf_split_handler_called(self):
         events = []
@@ -350,7 +309,7 @@ class TestDeleteDescentTwin:
             tree.delete(gone, live.pop(gone))
         with pytest.raises(KeyError):
             tree.delete(10**6, Rect(0, 0, 1, 1))
-        check_invariants(tree)
+        tree.check()
         shape = [(n.node_id, [e.oid for e in n.entries]) for n in tree.nodes()]
         return visits, disk.stats(), shape
 
@@ -400,7 +359,7 @@ class TestPropertyBased:
         tree = RStarTree(max_entries=5)
         for i, (x, y, w, h) in enumerate(raw):
             tree.insert(i, Rect(x, y, x + w, y + h))
-        check_invariants(tree)
+        tree.check()
         everything = Rect(-1, -1, 200, 200)
         assert sorted(e.oid for e in tree.window_query(everything)) == list(
             range(len(raw))
@@ -424,7 +383,7 @@ class TestPropertyBased:
                 tree.insert(next_id, r)
                 live[next_id] = r
                 next_id += 1
-        check_invariants(tree)
+        tree.check()
         got = sorted(e.oid for e in tree.window_query(Rect(-10, -10, 100, 100)))
         assert got == sorted(live)
 
@@ -539,7 +498,7 @@ class TestSameTreesAsTheReferenceChooser:
                 if oid % 5 == 4:
                     gone = rng.choice(sorted(live))
                     tree.delete(gone, live.pop(gone))
-            check_invariants(tree)
+            tree.check()
             shape = [
                 (n.node_id, n.level, [(e.oid, e.rect.as_tuple()) for e in n.entries])
                 for n in tree.nodes()
