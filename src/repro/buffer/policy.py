@@ -64,12 +64,14 @@ class ReplacementPolicy(Protocol):
     A policy is a bounded cache of page keys.  It never performs I/O
     itself: the owning :class:`~repro.buffer.pool.BufferPool` installs
     an ``on_evict(key, dirty)`` callback for write-back and prices the
-    transfers.
+    transfers.  The callback hears of every dirty victim and of the
+    clean ones in ``watched`` (empty unless the owner fills it).
     """
 
     policy: str
     capacity: int
     on_evict: Callable[[Hashable, bool], None] | None
+    watched: set
     hits: int
     misses: int
     evictions: int
@@ -88,9 +90,11 @@ class ReplacementPolicy(Protocol):
 class PolicyBuffer:
     """Shared machinery of the replacement buffers.
 
-    Subclasses override the three ordering hooks: :meth:`_note_admit`,
-    :meth:`_note_hit` and :meth:`_select_victim`.  The entry table maps
-    ``key -> dirty`` in admission order.
+    The entry table maps ``key -> dirty``; its order is the eviction
+    order (the oldest entry leaves first), which is all FIFO needs and
+    LRU keeps by moving a hit to the young end.  Subclasses define the
+    ordering hooks they need (``_note_admit``, ``_note_hit``, and
+    ``_pop_victim`` where the victim is not the oldest entry).
     """
 
     policy = "abstract"
@@ -104,30 +108,28 @@ class PolicyBuffer:
             raise ConfigurationError(f"buffer capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.on_evict = on_evict
+        #: Keys whose clean eviction ``on_evict`` must still hear of; a
+        #: clean victim outside it leaves silently.  A pool puts its
+        #: read-ahead set here.
+        self.watched: set = set()
         self._entries: OrderedDict[Hashable, bool] = OrderedDict()  # key -> dirty
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
     # -- ordering hooks -------------------------------------------------
-    def _note_admit(self, key: Hashable) -> None:
-        """A new key became resident."""
-
-    def _note_hit(self, key: Hashable) -> None:
-        """A resident key was re-referenced."""
-
-    def _select_victim(self) -> Hashable:
-        """Choose (and forget, in the subclass's own bookkeeping) the
-        next eviction victim among the resident keys; by default the
-        oldest in table order."""
-        return next(iter(self._entries))
+    # ``None`` where a policy has nothing to do: the access and
+    # admission loops skip the call, and the victim is the oldest entry.
+    #: ``(key)``: a new key became resident.
+    _note_admit: Callable[[Hashable], None] | None = None
+    #: ``(key)``: a resident key was referenced again.
+    _note_hit: Callable[[Hashable], None] | None = None
+    #: ``() -> (key, dirty)``: remove the next victim, forgetting it in
+    #: the policy's own bookkeeping.
+    _pop_victim: Callable[[], tuple[Hashable, bool]] | None = None
 
     def _note_drop(self, key: Hashable) -> None:
         """A key left residency through discard/clear (not eviction)."""
-
-    def _note_evict(self, key: Hashable) -> None:
-        """A key was evicted by the policy (default: same as a drop)."""
-        self._note_drop(key)
 
     # -- shared surface -------------------------------------------------
     def __len__(self) -> int:
@@ -142,10 +144,10 @@ class PolicyBuffer:
         entries, note_hit = self._entries, self._note_hit
         missing = []
         for key in keys:
-            if key in entries:
-                note_hit(key)
-            else:
+            if key not in entries:
                 missing.append(key)
+            elif note_hit is not None:
+                note_hit(key)
         self.hits += len(keys) - len(missing)
         self.misses += len(missing)
         return missing
@@ -153,23 +155,29 @@ class PolicyBuffer:
     def admit_all(self, keys: Iterable[Hashable], dirty: bool = False) -> None:
         """Insert or refresh a run of keys in order, evicting victims
         when over capacity — the one admission loop, so eviction
-        sequences do not depend on how a caller groups its pages."""
+        sequences do not depend on how a caller groups its pages.  The
+        table never holds more than ``capacity`` keys between calls, so
+        each new key evicts at most one victim."""
         entries, capacity, on_evict = self._entries, self.capacity, self.on_evict
+        watched, pop_victim = self.watched, self._pop_victim
         note_hit, note_admit = self._note_hit, self._note_admit
-        select_victim, note_evict = self._select_victim, self._note_evict
         for key in keys:
             if key in entries:
-                entries[key] = entries[key] or dirty
-                note_hit(key)
+                if dirty:
+                    entries[key] = True
+                if note_hit is not None:
+                    note_hit(key)
                 continue
             entries[key] = dirty
-            note_admit(key)
-            while len(entries) > capacity:
-                victim = select_victim()
-                was_dirty = entries.pop(victim)
-                note_evict(victim)
+            if note_admit is not None:
+                note_admit(key)
+            if len(entries) > capacity:
+                if pop_victim is None:
+                    victim, was_dirty = entries.popitem(False)  # the oldest
+                else:
+                    victim, was_dirty = pop_victim()
                 self.evictions += 1
-                if on_evict is not None:
+                if on_evict is not None and (was_dirty or victim in watched):
                     on_evict(victim, was_dirty)
 
     def dirty_keys(self) -> list[Hashable]:
@@ -184,12 +192,13 @@ class PolicyBuffer:
         self._note_drop(key)
 
     def flush(self) -> list[Hashable]:
-        """Evict everything (calling the callback for every entry);
-        returns the keys that were dirty."""
-        dirty = self.dirty_keys()
+        """Evict everything (calling the callback for the dirty and the
+        watched entries); returns the keys that were dirty."""
+        dirty, watched = self.dirty_keys(), self.watched
         if self.on_evict is not None:
             for key, was_dirty in list(self._entries.items()):
-                self.on_evict(key, was_dirty)
+                if was_dirty or key in watched:
+                    self.on_evict(key, was_dirty)
         self.evictions += len(self._entries)
         self.clear()
         return dirty
@@ -245,15 +254,17 @@ class ClockBuffer(PolicyBuffer):
     def _note_drop(self, key: Hashable) -> None:
         self._referenced.pop(key, None)
 
-    def _select_victim(self) -> Hashable:
+    def _pop_victim(self) -> tuple[Hashable, bool]:
+        entries, referenced = self._entries, self._referenced
         while True:
-            key = next(iter(self._entries))
-            if self._referenced.get(key, False):
+            key = next(iter(entries))
+            if referenced.get(key, False):
                 # Second chance: clear the bit, move behind the hand.
-                self._referenced[key] = False
-                self._entries.move_to_end(key)
+                referenced[key] = False
+                entries.move_to_end(key)
             else:
-                return key
+                referenced.pop(key, None)
+                return key, entries.pop(key)
 
 
 class LRUKBuffer(PolicyBuffer):
@@ -309,7 +320,16 @@ class LRUKBuffer(PolicyBuffer):
     def _note_drop(self, key: Hashable) -> None:
         self._history.pop(key, None)
 
-    def _note_evict(self, key: Hashable) -> None:
+    def _pop_victim(self) -> tuple[Hashable, bool]:
+        while self._heap:
+            kth, last, key = heapq.heappop(self._heap)
+            if key in self._entries and self._rank(key) == (kth, last):
+                break
+        else:
+            # The heap only runs dry if bookkeeping broke; fall back to
+            # a full scan rather than corrupting the entry table.
+            key = min(self._entries, key=self._rank)  # pragma: no cover
+        dirty = self._entries.pop(key)
         # Retain the reference history of evicted pages (the
         # algorithm's "retained information": a re-admitted page keeps
         # its K-distance), pruning the stalest non-resident histories
@@ -321,15 +341,7 @@ class LRUKBuffer(PolicyBuffer):
             )
             for k in stale[: len(stale) // 2]:
                 del self._history[k]
-
-    def _select_victim(self) -> Hashable:
-        while self._heap:
-            kth, last, key = heapq.heappop(self._heap)
-            if key in self._entries and self._rank(key) == (kth, last):
-                return key
-        # The heap only runs dry if bookkeeping broke; fall back to a
-        # full scan rather than corrupting the entry table.
-        return min(self._entries, key=self._rank)  # pragma: no cover
+        return key, dirty
 
 
 POLICIES: dict[str, Callable[..., ReplacementPolicy]] = {

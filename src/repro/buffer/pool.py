@@ -170,11 +170,17 @@ class BufferPool:
         self.scheduler = make_scheduler(scheduler)
         self.prefetcher = make_prefetcher(prefetcher)
         self.allocator = allocator
+        # Pages currently resident because of a speculative read-ahead:
+        # a later demand hit proves the prefetch useful, an eviction
+        # before any demand access proves it wasted.
+        self._prefetched: set[int] = set()
         self.frames: ReplacementPolicy | None = None
         if capacity > 0:
             self.frames = make_buffer(
                 policy, capacity, on_evict=self._write_back_victim
             )
+            # A clean victim needs the hook only if it was read ahead.
+            self.frames.watched = self._prefetched
         self.hits = 0
         self.misses = 0
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -183,10 +189,6 @@ class BufferPool:
         self.metrics.gauge("pool.misses", lambda: self.misses, **labels)
         self.metrics.gauge("pool.evictions", lambda: self.evictions, **labels)
         self.metrics.gauge("pool.hit_rate", lambda: self.hit_rate, **labels)
-        # Pages currently resident because of a speculative read-ahead:
-        # a later demand hit proves the prefetch useful, an eviction
-        # before any demand access proves it wasted.
-        self._prefetched: set[int] = set()
         self._pf_issued = self.metrics.counter("prefetch.issued", **labels)
         self._pf_pages = self.metrics.counter("prefetch.pages", **labels)
         self._pf_useful = self.metrics.counter("prefetch.useful", **labels)
@@ -402,36 +404,50 @@ class BufferPool:
         transfer primitive behind prefetching (a speculative read is
         not a demand miss)."""
         missing = [p for p in pages if not (self.frames is not None and p in self.frames)]
-        cost = self._read_missing(missing, continuation=False)
-        self.admit_all(missing)
-        return cost
+        return self._read_missing(missing, coalesce_pages(missing), continuation=False)
 
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
-    def _read_missing(self, missing: Sequence[int], continuation: bool) -> float:
-        """Transfer a sorted set of missing pages as one vectored batch
-        of coalesced runs.  The backing store prices the positioning:
-        on a single disk the first run is priced with the caller's
-        ``continuation`` flag (it pays the positioning seek unless the
-        caller is already inside a cluster unit) and follow-up runs as
-        continuations; a sharded store applies that rule per device
-        arm."""
-        runs = coalesce_pages(missing)
-        if not runs:
+    def _read_missing(
+        self,
+        missing: Sequence[int],
+        runs: Sequence[tuple[int, int]],
+        continuation: bool,
+    ) -> float:
+        """Transfer a sorted set of missing pages, coalesced into
+        ``runs``, as one vectored batch, then admit them (evicting in
+        order).  The backing store prices the positioning: on a single
+        disk the first run is priced with the caller's ``continuation``
+        flag (it pays the positioning seek unless the caller is already
+        inside a cluster unit) and follow-up runs as continuations; a
+        sharded store applies that rule per device arm."""
+        if not missing:
             return 0.0
-        return self.disk.read_runs(runs, continuation)
+        cost = self.disk.read_runs(runs, continuation)
+        if self.frames is not None:
+            self.frames.admit_all(missing)
+        return cost
 
     def read(self, start: int, npages: int = 1, continuation: bool = False) -> float:
         """Vectored read of ``npages`` consecutive pages with
         coalescing: resident pages are hits, the missing pages are
         merged into runs of adjacent pages, each transferred with one
-        request (follow-up runs are priced as continuations).  Returns
-        the priced cost in milliseconds."""
+        request (follow-up runs are priced as continuations), and
+        admitted.  Every ``read`` and ``get`` request of a plan lands
+        here.  Returns the priced cost in milliseconds."""
         if self.frames is None:
             self.misses += npages
             return self.disk.read(start, npages, continuation)
-        return self.read_pages(range(start, start + npages), continuation)
+        missing = self.access_all(range(start, start + npages))
+        if missing and missing[-1] - missing[0] == len(missing) - 1:
+            # Part of a range, so sorted and distinct: with its ends
+            # len - 1 apart it is one run (a node's page, or a unit
+            # read that missed whole).
+            runs = [(missing[0], len(missing))]
+        else:
+            runs = coalesce_pages(missing)
+        return self._read_missing(missing, runs, continuation)
 
     def fetch(
         self,
@@ -458,9 +474,7 @@ class BufferPool:
         the first run pays exactly one fresh request (``ts + tl``)
         unless the caller is already positioned."""
         missing = self.access_all(pages)
-        cost = self._read_missing(missing, continuation)
-        self.admit_all(missing)
-        return cost
+        return self._read_missing(missing, coalesce_pages(missing), continuation)
 
     # ------------------------------------------------------------------
     # writes

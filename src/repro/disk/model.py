@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 from repro.disk.extent import Extent
 from repro.disk.params import DiskParameters
-from repro.errors import DiskError
+from repro.errors import ConfigurationError, DiskError
 from repro.obs import trace as _obs
 
 __all__ = ["DiskModel", "DiskStats", "VectoredCost", "measure_costs"]
@@ -56,37 +56,40 @@ class DiskStats:
         """Total simulated I/O time in seconds (the unit of Figures 5/14)."""
         return self.total_ms / 1000.0
 
+    # Positional construction: a keyword call of the generated
+    # ``__init__`` costs twice as much, and the served path builds a
+    # dozen of these per operation.
     def __sub__(self, other: "DiskStats") -> "DiskStats":
         return DiskStats(
-            requests=self.requests - other.requests,
-            seeks=self.seeks - other.seeks,
-            rotations=self.rotations - other.rotations,
-            pages_transferred=self.pages_transferred - other.pages_transferred,
-            seek_ms=self.seek_ms - other.seek_ms,
-            latency_ms=self.latency_ms - other.latency_ms,
-            transfer_ms=self.transfer_ms - other.transfer_ms,
+            self.requests - other.requests,
+            self.seeks - other.seeks,
+            self.rotations - other.rotations,
+            self.pages_transferred - other.pages_transferred,
+            self.seek_ms - other.seek_ms,
+            self.latency_ms - other.latency_ms,
+            self.transfer_ms - other.transfer_ms,
         )
 
     def __add__(self, other: "DiskStats") -> "DiskStats":
         return DiskStats(
-            requests=self.requests + other.requests,
-            seeks=self.seeks + other.seeks,
-            rotations=self.rotations + other.rotations,
-            pages_transferred=self.pages_transferred + other.pages_transferred,
-            seek_ms=self.seek_ms + other.seek_ms,
-            latency_ms=self.latency_ms + other.latency_ms,
-            transfer_ms=self.transfer_ms + other.transfer_ms,
+            self.requests + other.requests,
+            self.seeks + other.seeks,
+            self.rotations + other.rotations,
+            self.pages_transferred + other.pages_transferred,
+            self.seek_ms + other.seek_ms,
+            self.latency_ms + other.latency_ms,
+            self.transfer_ms + other.transfer_ms,
         )
 
     def copy(self) -> "DiskStats":
         return DiskStats(
-            requests=self.requests,
-            seeks=self.seeks,
-            rotations=self.rotations,
-            pages_transferred=self.pages_transferred,
-            seek_ms=self.seek_ms,
-            latency_ms=self.latency_ms,
-            transfer_ms=self.transfer_ms,
+            self.requests,
+            self.seeks,
+            self.rotations,
+            self.pages_transferred,
+            self.seek_ms,
+            self.latency_ms,
+            self.transfer_ms,
         )
 
 
@@ -141,52 +144,46 @@ class DiskModel:
         The disk constants; defaults to the paper's 9 / 6 / 1 ms disk.
 
     Every priced request goes to the active tracer
-    (:mod:`repro.obs.trace`), if one is installed.
+    (:mod:`repro.obs.trace`), if one is installed, and adds the disk's
+    place among its store tree's ``disks`` to :attr:`touched`.
     """
 
-    __slots__ = ("params", "_stats", "_head")
+    __slots__ = ("params", "_stats", "_head", "touched", "_index", "_owner")
 
     def __init__(self, params: DiskParameters | None = None):
         self.params = params or DiskParameters()
         self._stats = DiskStats()
         self._head: int | None = None
+        #: Indices into the store tree's ``disks`` of the devices priced
+        #: since the reader last cleared it.  The root of the tree owns
+        #: the set (:meth:`watch`); the overlap scheduler reads it so it
+        #: differences only the devices a request moved.
+        self.touched: set[int] = set()
+        self._index = 0
+        self._owner = None  # the store whose ``touched`` this reports into
+
+    def watch(self, owner, index: int) -> None:
+        """Report this disk's pricing into ``owner.touched`` as
+        ``index`` (called by each composite store that lists it in its
+        ``disks``).  A disk reports to one store tree: a store built over
+        the store it reports to (one of its ``children``, which claimed
+        the disk when it was built) takes it over, and any other store is
+        refused — the first one's ``touched`` would stay empty, and an
+        overlap scheduler over it would time no device."""
+        if self._owner is not None and self._owner not in owner.children:
+            raise ConfigurationError(
+                f"this disk already reports to a {type(self._owner).__name__}; "
+                "two stores cannot share a disk"
+            )
+        self._owner, self.touched, self._index = owner, owner.touched, index
 
     # ------------------------------------------------------------------
     # pricing
     # ------------------------------------------------------------------
-    def _transfer(self, start: int, npages: int, continuation: bool, kind: str) -> float:
-        if npages <= 0:
-            raise DiskError(f"cannot transfer {npages} pages")
-        if start < 0:
-            raise DiskError(f"negative page number {start}")
-        p = self.params
-        sequential = self._head is not None and start == self._head
-        if sequential:
-            cost = p.sequential_ms(npages)
-            self._stats.transfer_ms += npages * p.transfer_ms
-        elif continuation:
-            cost = p.continuation_ms(npages)
-            self._stats.rotations += 1
-            self._stats.latency_ms += p.latency_ms
-            self._stats.transfer_ms += npages * p.transfer_ms
-        else:
-            cost = p.random_access_ms(npages)
-            self._stats.seeks += 1
-            self._stats.rotations += 1
-            self._stats.seek_ms += p.seek_ms
-            self._stats.latency_ms += p.latency_ms
-            self._stats.transfer_ms += npages * p.transfer_ms
-        self._stats.requests += 1
-        self._stats.pages_transferred += npages
-        self._head = start + npages
-        if _obs.ACTIVE is not None:
-            _obs.ACTIVE.device(self, kind, start, npages, cost)
-        return cost
-
     def read(self, start: int, npages: int = 1, continuation: bool = False) -> float:
         """Price a read request of ``npages`` consecutive pages; returns
         the cost of this request in milliseconds."""
-        return self._transfer(start, npages, continuation, "read")
+        return self.price_runs(((start, npages),), continuation, "read")
 
     def read_runs(
         self, runs: Sequence[tuple[int, int]], continuation: bool = False
@@ -203,25 +200,47 @@ class DiskModel:
         continuation: bool = False,
         kind: str = "read",
     ) -> float:
-        """Price an ordered batch of ``(start, npages)`` runs in one
-        call: the first run carries the caller's ``continuation`` flag,
-        follow-up runs are continuations (one head positioning per
-        batch), and strictly sequential follow-ups — a run starting at
-        the previous run's end — cost pure transfer, exactly as if the
-        runs were priced one :meth:`read`/:meth:`write` at a time.
-        """
-        cost = 0.0
-        first = True
+        """Price an ordered batch of ``(start, npages)`` runs — every
+        request this disk prices lands here.  The first run carries the
+        caller's ``continuation`` flag, follow-up runs are continuations
+        (one head positioning per batch), and a run starting where the
+        head stands (the previous run's end) costs pure transfer;
+        returns the batch's cost in milliseconds."""
+        p, stats, tracer = self.params, self._stats, _obs.ACTIVE
+        total = 0.0
         for start, npages in runs:
-            cost += self._transfer(
-                start, npages, continuation if first else True, kind
-            )
-            first = False
-        return cost
+            if npages <= 0:
+                raise DiskError(f"cannot transfer {npages} pages")
+            if start < 0:
+                raise DiskError(f"negative page number {start}")
+            if start == self._head:  # strictly sequential
+                cost = p.sequential_ms(npages)
+                stats.transfer_ms += npages * p.transfer_ms
+            elif continuation:
+                cost = p.continuation_ms(npages)
+                stats.rotations += 1
+                stats.latency_ms += p.latency_ms
+                stats.transfer_ms += npages * p.transfer_ms
+            else:
+                cost = p.random_access_ms(npages)
+                stats.seeks += 1
+                stats.rotations += 1
+                stats.seek_ms += p.seek_ms
+                stats.latency_ms += p.latency_ms
+                stats.transfer_ms += npages * p.transfer_ms
+            stats.requests += 1
+            stats.pages_transferred += npages
+            self._head = start + npages
+            self.touched.add(self._index)
+            if tracer is not None:
+                tracer.device(self, kind, start, npages, cost)
+            total += cost
+            continuation = True
+        return total
 
     def write(self, start: int, npages: int = 1, continuation: bool = False) -> float:
         """Price a write request (same cost model as reads)."""
-        return self._transfer(start, npages, continuation, "write")
+        return self.price_runs(((start, npages),), continuation, "write")
 
     def write_runs(
         self, runs: Sequence[tuple[int, int]], continuation: bool = False
@@ -246,6 +265,7 @@ class DiskModel:
         self._stats.transfer_ms += pages * p.transfer_ms
         if seeks or rotations or pages:
             self._stats.requests += 1
+            self.touched.add(self._index)
         cost = seeks * p.seek_ms + rotations * p.latency_ms + pages * p.transfer_ms
         if cost and _obs.ACTIVE is not None:
             _obs.ACTIVE.device(self, "charge", -1, pages, cost)
@@ -295,7 +315,8 @@ class DiskModel:
 
     @property
     def total_ms(self) -> float:
-        return self._stats.total_ms
+        stats = self._stats  # DiskStats.total_ms, without a second call
+        return stats.seek_ms + stats.latency_ms + stats.transfer_ms
 
     def invalidate_head(self) -> None:
         """Forget the head position (e.g. after activity by other

@@ -207,9 +207,7 @@ class AccessPlan:
         chain: int | None = None,
     ) -> "AccessPlan":
         """Coalescing vectored read of consecutive pages."""
-        self.requests.append(
-            IORequest("read", start, npages, continuation=continuation, chain=chain)
-        )
+        self.requests.append(IORequest("read", start, npages, None, continuation, chain))
         return self
 
     def read_extent(self, extent: "Extent", continuation: bool = False) -> "AccessPlan":
@@ -233,7 +231,7 @@ class AccessPlan:
 
     def get(self, page: int, continuation: bool = False) -> "AccessPlan":
         """Single-page read; a pool hit is free."""
-        self.requests.append(IORequest("get", page, 1, continuation=continuation))
+        self.requests.append(IORequest("get", page, 1, None, continuation))
         return self
 
     def load_pages(self, pages: Sequence[int]) -> "AccessPlan":

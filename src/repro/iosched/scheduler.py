@@ -21,10 +21,10 @@ primitives.  Two schedulers exist:
   synchronous pricing whenever requests land on different arms.
 
 The virtual clock measures each request's device time by differencing
-the millisecond totals of the store's ``disks`` around the priced call,
-so the timing layer needs no further cooperation from the store: any
-:class:`~repro.pagestore.store.PageStore` works, including the single
-:class:`~repro.disk.model.DiskModel` (one queue).
+the millisecond totals of the store's ``disks`` around the priced call —
+only of the disks the store's ``touched`` set names, as the others did
+not move — so any :class:`~repro.pagestore.store.PageStore` works,
+including the single :class:`~repro.disk.model.DiskModel` (one queue).
 """
 
 from __future__ import annotations
@@ -142,7 +142,9 @@ class SyncScheduler:
             continuation = request.chain in chains
         else:
             continuation = request.continuation
-        if op == "read":
+        if op == "read" or op == "get":
+            # A get is a one-page read: a hit is free, a miss is priced
+            # and admitted.
             cost = pool.read(request.start, request.npages, continuation)
             span = (request.start, request.npages)
         elif op == "fetch":
@@ -150,15 +152,6 @@ class SyncScheduler:
                 request.start, request.npages, continuation, request.admit
             )
             span = (request.start, request.npages)
-        elif op == "get":
-            # Single-page read: a hit is free, a miss is priced and
-            # admitted.
-            if pool.access(request.start):
-                cost = 0.0
-            else:
-                cost = pool.disk.read(request.start, 1, continuation)
-                pool.admit(request.start)
-            span = (request.start, 1)
         elif op == "load_pages":
             pages = request.pages or ()
             cost = pool.load_pages(pages)
@@ -248,7 +241,8 @@ class VirtualClock:
         """Queue one request's per-disk work at time ``at``; returns the
         completion time (max over the involved disks) and records the
         request's queueing delay in :attr:`last_wait_ms`."""
-        self._ensure(len(work_per_disk))
+        if len(self._starts) < len(work_per_disk):
+            self._ensure(len(work_per_disk))
         finish = at
         wait = 0.0
         intervals: list[tuple[int, float, float]] = []
@@ -551,61 +545,72 @@ class OverlapScheduler(SyncScheduler):
         if tracer is not None:
             tracer.use_virtual_clock(True)
             tracer.virtual_now = issue_at
-            devices = pool.disk.disks
         chains: set[int] = set()
-        clock = self.clock
+        clock, issue = self.clock, self._issue
         completion = issue_at
-        after = device_times(pool.disk)
-        for label, requests in plan.segments():
-            if tracer is not None:
-                pspan = tracer.begin(
-                    label,
-                    cat="plan",
-                    ts=issue_at,
-                    # Background prefetch plans outlive the operation that
-                    # triggered them; detach so nesting invariants hold.
-                    parent=None if plan.prefetch else _obs._UNSET,
-                    args={"requests": len(requests), "prefetch": plan.prefetch},
-                )
-            finish = issue_at
-            queued = 0.0
-            device_ms = 0.0
-            for request in requests:
+        # A request's work on a disk is the growth of the disk's total;
+        # only the disks the store says it priced can have grown, so
+        # only theirs are read (every other entry of ``work`` is 0.0,
+        # as the difference of an unchanged total).
+        store = pool.disk
+        disks, touched = store.disks, store.touched
+        totals = device_times(store)
+        idle = [0.0] * len(totals)
+        self._issuing = True
+        try:
+            for label, requests in plan.segments():
                 if tracer is not None:
-                    rspan = tracer.begin(request.op, cat="request", ts=issue_at)
-                    tracer.begin_pending()
-                before = after
-                self._issuing = True
-                try:
-                    self._issue(request, pool, chains, plan)
-                finally:
-                    self._issuing = False
-                after = device_times(pool.disk)
-                work = [now - then for now, then in zip(after, before)]
-                for w in work:
-                    device_ms += w
-                finished = clock.dispatch(issue_at, work)
-                if tracer is not None:
-                    tracer.place_pending(
-                        {
-                            devices[disk]: begin
-                            for disk, begin, _end in clock.last_intervals
-                        }
+                    pspan = tracer.begin(
+                        label,
+                        cat="plan",
+                        ts=issue_at,
+                        # Background prefetch plans outlive the operation
+                        # that triggered them; detach so nesting
+                        # invariants hold.
+                        parent=None if plan.prefetch else _obs._UNSET,
+                        args={"requests": len(requests), "prefetch": plan.prefetch},
                     )
-                    tracer.end(rspan, ts=finished)
-                queued += clock.last_wait_ms
-                if finished > finish:
-                    finish = finished
-            if tracer is not None:
-                tracer.end(pspan, ts=finish)
-            if scope is not None:
-                scope.device_ms += device_ms
-            if not plan.prefetch:
-                self._last_completion = finish
-                if plan.blocking and queued > 0.0:
-                    self._account_queueing(self._client, queued)
-            if finish > completion:
-                completion = finish
+                finish = issue_at
+                queued = 0.0
+                device_ms = 0.0
+                for request in requests:
+                    if tracer is not None:
+                        rspan = tracer.begin(request.op, cat="request", ts=issue_at)
+                        tracer.begin_pending()
+                    touched.clear()
+                    issue(request, pool, chains, plan)
+                    work = idle.copy()
+                    # In disk order: ``device_ms`` adds them as a loop
+                    # over every disk would (an unmoved disk adds 0.0).
+                    for disk in sorted(touched) if len(touched) > 1 else touched:
+                        now = disks[disk].total_ms
+                        work[disk] = now - totals[disk]
+                        totals[disk] = now
+                        device_ms += work[disk]
+                    finished = clock.dispatch(issue_at, work)
+                    if tracer is not None:
+                        tracer.place_pending(
+                            {
+                                disks[disk]: begin
+                                for disk, begin, _end in clock.last_intervals
+                            }
+                        )
+                        tracer.end(rspan, ts=finished)
+                    queued += clock.last_wait_ms
+                    if finished > finish:
+                        finish = finished
+                if tracer is not None:
+                    tracer.end(pspan, ts=finish)
+                if scope is not None:
+                    scope.device_ms += device_ms
+                if not plan.prefetch:
+                    self._last_completion = finish
+                    if plan.blocking and queued > 0.0:
+                        self._account_queueing(self._client, queued)
+                if finish > completion:
+                    completion = finish
+        finally:
+            self._issuing = False
         if not plan.blocking:
             return 0.0
         if scope is not None:

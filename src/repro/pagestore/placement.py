@@ -115,24 +115,26 @@ class PlacementPolicy:
         """Split ``[start, start + npages)`` into maximal runs owned by
         one disk, as ``(disk, start, npages)`` in address order: a
         pinned extent is one piece, unpinned pages go chunk by chunk."""
-        pins, end = self._pins, start + npages
+        pins, chunk, end = self._pins, self.chunk_pages, start + npages
         runs: list[tuple[int, int, int]] = []
         page = start
-        while page < end or not runs:  # (an empty run is the disk's to refuse)
+        while True:  # at least once: an empty run is the disk's to refuse
             i = bisect_left(pins, (page + 1,)) - 1  # the last pin starting <= page
             if i >= 0 and page < pins[i][1]:
                 _, stop, disk = pins[i]
             else:  # unpinned up to the chunk boundary or the next pin
                 disk = self._default_disk(page)
-                stop = page - page % self.chunk_pages + self.chunk_pages
-                if i + 1 < len(pins):
-                    stop = min(stop, pins[i + 1][0])
-            stop = min(stop, end)
+                stop = page - page % chunk + chunk
+                if i + 1 < len(pins) and pins[i + 1][0] < stop:
+                    stop = pins[i + 1][0]
+            if stop > end:
+                stop = end
             if runs and runs[-1][0] == disk:
                 disk, page, _ = runs.pop()
             runs.append((disk, page, stop - page))
             page = stop
-        return runs
+            if page >= end:
+                return runs
 
     # ------------------------------------------------------------------
     def choose_disk(self, extent: Extent, center=None) -> int | None:

@@ -51,7 +51,6 @@ from repro.disk.model import (
     measure_costs,
 )
 from repro.disk.params import DiskParameters
-from repro.obs import trace as _obs
 from repro.errors import ConfigurationError
 from repro.pagestore.placement import PlacementPolicy, make_placement
 
@@ -74,11 +73,15 @@ class PageStore(Protocol):
     consumers separate response time from device time without caring
     how many devices sit underneath, and answers the same tree
     questions: which ``disks`` are its leaves, what they are called
-    (``device_labels()``), and where an extent should live.
+    (``device_labels()``), and where an extent should live.  Its
+    ``touched`` set names the ``disks`` priced since its reader last
+    cleared it; a disk belongs to one store tree, so two stores over the
+    same disk are refused.
     """
 
     params: DiskParameters
     disks: Sequence[DiskModel]
+    touched: set[int]
 
     def read(self, start: int, npages: int = 1, continuation: bool = False) -> float: ...
     def read_runs(
@@ -126,6 +129,13 @@ class CompositePageStore:
         #: physical arm; the overlap scheduler times each as its own
         #: service queue.
         self.disks = [disk for child in self.children for disk in child.disks]
+        #: Indices into :attr:`disks` of the devices priced since the
+        #: reader last cleared the set.  Every leaf reports into the
+        #: set of the outermost store built over it
+        #: (:meth:`~repro.disk.model.DiskModel.watch`).
+        self.touched: set[int] = set()
+        for index, disk in enumerate(self.disks):
+            disk.watch(self, index)
 
     def _child_names(self) -> Sequence[str]:
         """What :meth:`device_labels` calls each child (its index)."""
@@ -209,9 +219,9 @@ class CompositePageStore:
     def _transfer(
         self, kind: str, runs: Sequence[tuple[int, int]], continuation: bool
     ) -> float:
-        """Price one parallel batch of runs; every request entry point
-        lands here."""
-        return self._price(kind, self._split(runs), continuation)
+        """Price one parallel batch of runs and return its response
+        time; every request entry point lands here, and each store
+        says how its children share the batch."""
 
     def read(self, start: int, npages: int = 1, continuation: bool = False) -> float:
         """Price a read; returns its parallel response time in ms."""
@@ -283,21 +293,16 @@ class CompositePageStore:
         rejected — ``zip`` used to truncate it silently into a
         plausible-looking but wrong measurement."""
         try:
-            length = len(snapshot)
-        except TypeError:
-            length = -1
-        if length != len(self.children) or not all(
-            isinstance(entry, DiskStats) for entry in snapshot
-        ):
+            return [
+                child.stats() - before
+                for child, before in zip(self.children, snapshot, strict=True)
+            ]
+        except (TypeError, ValueError, AttributeError):
+            shape = len(snapshot) if isinstance(snapshot, list) else type(snapshot).__name__
             raise ConfigurationError(
                 f"snapshot does not match this {type(self).__name__}: expected "
-                f"{len(self.children)} per-child DiskStats entries, got "
-                f"{length if length >= 0 else type(snapshot).__name__}"
-            )
-        return [
-            child.stats() - before
-            for child, before in zip(self.children, snapshot)
-        ]
+                f"{len(self.children)} per-child DiskStats entries, got {shape}"
+            ) from None
 
     def stats_since(self, snapshot: Sequence[DiskStats]) -> DiskStats:
         """Aggregate device-time statistics delta since ``snapshot``."""
@@ -369,10 +374,6 @@ class ShardedPageStore(CompositePageStore):
     # ------------------------------------------------------------------
     # placement surface
     # ------------------------------------------------------------------
-    def _fragments(self, start: int, npages: int) -> list[tuple[int, int, int]]:
-        """The placement answers for a whole run, not page by page."""
-        return self.placement.fragments(start, npages)
-
     def place_extent(self, extent: Extent, center=None, disk: int | None = None) -> None:
         """Pin an extent to one disk (see
         :meth:`~repro.pagestore.placement.PlacementPolicy.place_extent`)."""
@@ -388,24 +389,17 @@ class ShardedPageStore(CompositePageStore):
     def _transfer(
         self, kind: str, runs: Sequence[tuple[int, int]], continuation: bool
     ) -> float:
-        if _obs.ACTIVE is not None:
-            # Keep the historical per-fragment interleaving so the span
-            # tracer sees device records in issue order.
-            return super()._transfer(kind, runs, continuation)
-        # Group each disk's fragments (in issue order) and price them as
-        # one batch per device: the device's first fragment carries the
-        # caller's continuation flag, follow-ups are continuations —
-        # exactly the per-fragment loop's flags — and large batches hit
-        # the vectorized DiskModel pricer.  Per-device request sequences
-        # are unchanged, so stats, heads, and costs are bit-identical.
+        """Split the batch's runs into per-disk fragments once (in issue
+        order) and price each disk's fragments with one ``price_runs``:
+        the disk's first fragment carries the caller's continuation
+        flag, follow-ups are continuations — the flags of pricing the
+        fragments one at a time, with the same per-disk request
+        sequences, so stats, heads and costs are bit-identical.  The
+        disks priced report themselves in :attr:`touched`."""
         grouped: dict[int, list[tuple[int, int]]] = {}
         for start, npages in runs:
-            for disk, frag_start, frag_pages in self._fragments(start, npages):
+            for disk, frag_start, frag_pages in self.placement.fragments(start, npages):
                 grouped.setdefault(disk, []).append((frag_start, frag_pages))
-        if not grouped:
-            return 0.0
-        # This loop runs about ten times per served operation: its
-        # max-and-accumulate tail stays inline.
         response = 0.0
         for disk, frags in grouped.items():
             cost = self.disks[disk].price_runs(frags, continuation, kind)

@@ -426,17 +426,23 @@ class RStarTree:
         return groups
 
     def window_leaves_batch(
-        self, rects: Sequence[Rect]
+        self, rects: Sequence[Rect], groups_limit: int | None = None
     ) -> list[tuple[list[Node], list[tuple[Node, np.ndarray]]]]:
         """Batched, *unpriced* form of :meth:`window_leaves`: per query a
         pair ``(visited_nodes, groups)``, where ``groups`` is
         ``window_leaves(rect)`` and ``visited_nodes`` its page visits in
         order, so pricing the visits query by query costs what running
-        the queries one at a time costs."""
-        per_query = []
+        the queries one at a time costs.  With ``groups_limit`` the walk
+        stops after the query that brings the groups to that many: the
+        pairs cover a prefix of ``rects``."""
+        per_query, held = [], 0
         for rect in rects:
             visited: list[Node] = []
-            per_query.append((visited, self.window_leaves(rect, visited.append)))
+            groups = self.window_leaves(rect, visited.append)
+            per_query.append((visited, groups))
+            held += len(groups)
+            if groups_limit is not None and held >= groups_limit:
+                break
         return per_query
 
     def window_query(self, window: Rect) -> list[Entry]:

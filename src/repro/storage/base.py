@@ -62,6 +62,13 @@ _NO_ROWS = np.empty(0, dtype=np.int64)
 _NO_KEYS = np.empty((0, 4))
 _EVERY = slice(None)
 
+#: Candidates one :meth:`SpatialOrganization._refine` call takes, about:
+#: a batch's candidate rows and keys live until they are refined, so a
+#: batch of large windows (a block of 256 analytics windows on A-1 at
+#: scale 0.05 has ~135k candidates) is refined in slices of this size.
+#: ``traffic_open``'s 207 windows (54,317 candidates) are one slice.
+_REFINE_ROWS = 65_536
+
 
 def _check_tiled(region: Region, held: list[Extent], packed: bool = False) -> None:
     """Raise :class:`StorageError` unless ``held`` and the free list tile
@@ -440,7 +447,7 @@ class SpatialOrganization(abc.ABC):
         return results
 
     def _answer(
-        self, rects: Sequence[Rect], points: bool
+        self, rects: Sequence[Rect], points: bool, groups_limit: int | None = None
     ) -> list[tuple[list[Node], list[tuple[Node, np.ndarray]], QueryResult]]:
         """The unpriced stages of the pipeline for a batch of queries of
         one kind: per query its visited nodes, its groups (per matched
@@ -449,16 +456,15 @@ class SpatialOrganization(abc.ABC):
         pool, the disks or the clock, so a run without writes may answer
         all its queries before it prices any.
 
-        **Filter** — :meth:`RStarTree.window_leaves_batch`: per query the
-        visited nodes in DFS order and per matched leaf the positions of
-        its matching entries, put in the order :meth:`_transfer` requests
-        them (:meth:`_request_order`).  **Refine** — :meth:`_refine`,
-        once over all queries of the batch.
+        **Filter** — :meth:`_filter`; with ``groups_limit`` only the
+        prefix of ``rects`` whose leaf groups reach that many is
+        answered (every query, when the limit is ``None``).  **Refine** —
+        :meth:`_refine`, over all queries answered at once, or in slices
+        of about :data:`_REFINE_ROWS` candidates.
         """
         sizes = self.column.sizes
-        answers, queries = [], []
-        for rect, (visited, groups) in zip(rects, self.tree.window_leaves_batch(rects)):
-            groups = [(leaf, self._request_order(leaf, hits)) for leaf, hits in groups]
+        answers, queries, pending = [], [], 0
+        for rect, (visited, groups) in zip(rects, self._filter(rects, groups_limit)):
             rows = _joined([leaf.rows().take(order) for leaf, order in groups], _NO_ROWS)
             keys = None if points else _joined(
                 [leaf.query_matrix().take(order, axis=0) for leaf, order in groups], _NO_KEYS
@@ -468,8 +474,28 @@ class SpatialOrganization(abc.ABC):
             )
             queries.append((rect, result, rows, keys))
             answers.append((visited, groups, result))
-        self._refine(queries, points)
+            pending += len(rows)
+            if pending >= _REFINE_ROWS:
+                self._refine(queries, points)
+                queries, pending = [], 0
+        if queries or not answers:
+            self._refine(queries, points)
         return answers
+
+    def _filter(
+        self, rects: Sequence[Rect], groups_limit: int | None = None
+    ) -> list[tuple[list[Node], list[tuple[Node, np.ndarray]]]]:
+        """The filter stage of :meth:`_answer`, which prices and refines
+        nothing: per query the visited nodes in DFS order
+        (:meth:`RStarTree.window_leaves_batch`, which ``groups_limit``
+        may stop early) and per matched leaf the positions of its
+        matching entries, put in the order :meth:`_transfer` requests
+        them (:meth:`_request_order`)."""
+        request_order = self._request_order
+        return [
+            (visited, [(leaf, request_order(leaf, hits)) for leaf, hits in groups])
+            for visited, groups in self.tree.window_leaves_batch(rects, groups_limit)
+        ]
 
     def _batchable(self) -> bool:
         """May one query's node reads and object transfers be merged

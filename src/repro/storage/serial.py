@@ -262,6 +262,19 @@ def decode_catalog(blob: bytes) -> dict:
 # ----------------------------------------------------------------------
 # load
 # ----------------------------------------------------------------------
+def _header_entry(state: dict, *path: str):
+    """``state[path[0]][path[1]]…``: an entry of the catalog header that
+    the loader reads.  A header that parses but lacks it is damage like
+    any other, a :class:`StorageError`."""
+    value = state
+    for key in path:
+        try:
+            value = value[key]
+        except (KeyError, TypeError):
+            raise StorageError(f"the catalog header lacks {'.'.join(path)!r}") from None
+    return value
+
+
 def _checked_columns(state: dict) -> dict[str, np.ndarray]:
     """The bulk tables of a catalog, with every dtype, width, row count
     and cross-table reference checked — and, column-wise, what
@@ -274,7 +287,7 @@ def _checked_columns(state: dict) -> dict[str, np.ndarray]:
             f"unsupported catalog format {state.get('format')!r} "
             f"(this build reads format {CATALOG_FORMAT})"
         )
-    columns = state["columns"]
+    columns = _header_entry(state, "columns")
     for name, (dtype, width) in COLUMNS.items():
         c = columns.get(name)
         if getattr(c, "dtype", None) != np.dtype(dtype) or c.shape[1:] != (width,):
@@ -295,7 +308,7 @@ def _checked_columns(state: dict) -> dict[str, np.ndarray]:
             "are stored, a polygon (kind 1) is not read"
         )
     children, oids, live_oids = entries[:, 0], entries[:, 1], columns["live"][:, 0]
-    root, override_rows = [state["tree"]["root"]], columns["override_rows"]
+    root, override_rows = [_header_entry(state, "tree", "root")], columns["override_rows"]
     node_refs = np.concatenate((children[children >= 0], columns["units"][:, 0], root))
     if (
         len(entries) != len(columns["entry_rects"])
@@ -354,15 +367,26 @@ def load_state(
     ``_disk`` optionally supplies the backing page store (the file
     itself, for measured I/O); by default a fresh simulated
     :class:`~repro.disk.model.DiskModel` with the dumped timing
-    constants backs the database.  Either way the result is single-disk
-    and ``sync``: a catalog holds no devices and no I/O path.
+    constants backs the database; a supplied store's pricing model
+    adopts them.  Either way the result is single-disk and ``sync``: a
+    catalog holds no devices and no I/O path.
+
+    A header that parses but lacks an entry the loader reads (``tree``'s
+    ``root``, ``allocator``'s ``regions``, ``config``'s
+    ``disk_params``, ``storage``'s ``unit_alloc``, …) is damage like any
+    other: a :class:`StorageError` (:func:`_header_entry`).
     """
     from repro.database import Layout, SpatialDatabase
 
     columns = _checked_columns(state)
-    layout = dict(state["config"])
-    name = layout.pop("name")
-    params = DiskParameters(**layout.pop("disk_params"))
+    layout = dict(_header_entry(state, "config"))
+    name = _header_entry(state, "config", "name")
+    params = DiskParameters(**_header_entry(state, "config", "disk_params"))
+    del layout["name"], layout["disk_params"]
+    if _disk is not None:
+        # The file's pricing model adopts the catalog's timing constants:
+        # simulated costs match the sim-backed twin exactly.
+        _disk.model.params = params
     db = SpatialDatabase._from_parts(
         Layout(**layout),
         name,
@@ -380,9 +404,9 @@ def load_state(
     # bases already agree; restoring them anyway keeps the catalog
     # authoritative.
     allocator = db.allocator
-    allocator.region_capacity = state["allocator"]["region_capacity"]
-    allocator._next_base = state["allocator"]["next_base"]
-    for rname, base, capacity, bump, free in state["allocator"]["regions"]:
+    allocator.region_capacity = _header_entry(state, "allocator", "region_capacity")
+    allocator._next_base = _header_entry(state, "allocator", "next_base")
+    for rname, base, capacity, bump, free in _header_entry(state, "allocator", "regions"):
         region = allocator._regions.setdefault(rname, Region(rname, base, capacity))
         region.base, region.capacity, region._bump = base, capacity, bump
         region._free = [Extent(s, n) for s, n in free]
@@ -440,14 +464,14 @@ def load_state(
         block = tuple(rows[offset : offset + count] for rows in blocks)
         by_id[node_id].replace_entries(entries, block)
         offset += count
-    tree.root = by_id[state["tree"]["root"]]
+    tree.root = by_id[_header_entry(state, "tree", "root")]
     for attr in _TREE_SCALARS:
-        setattr(tree, attr, state["tree"][attr])
+        setattr(tree, attr, _header_entry(state, "tree", attr))
     tree._generation += 1
     tree._flat = None
 
     # Organization extras.
-    extra = state["storage"]
+    extra = _header_entry(state, "storage")
     org._extents = {
         oid: Extent(s, n) for oid, s, n in zip(*columns["extents"].T.tolist())
     }
@@ -468,20 +492,22 @@ def load_state(
             unit.owner = by_id[leaf_id]
             unit.owner.tag = unit
             org._unit_of.update(dict.fromkeys(unit.live, unit))
-        spec = extra["unit_alloc"]
-        alloc = org._unit_alloc
-        if isinstance(alloc, BuddyAllocator) != (spec["kind"] == "buddy"):
+        def spec(key: str):
+            return _header_entry(state, "storage", "unit_alloc", key)
+
+        kind, alloc = spec("kind"), org._unit_alloc
+        if isinstance(alloc, BuddyAllocator) != (kind == "buddy"):
             raise StorageError(
-                f"catalog says {spec['kind']} units but the configuration "
+                f"catalog says {kind} units but the configuration "
                 f"built a {type(alloc).__name__}"
             )
-        if spec["kind"] == "buddy":
-            alloc._free = [set(starts) for starts in spec["free"]]
-            alloc._live = {start: level for start, level in spec["live"]}
-            alloc._top = {k: v for k, v in spec["top"]}
-            alloc.moves = spec["moves"]
+        if kind == "buddy":
+            alloc._free = [set(starts) for starts in spec("free")]
+            alloc._live = {start: level for start, level in spec("live")}
+            alloc._top = {k: v for k, v in spec("top")}
+            alloc.moves = spec("moves")
         else:
-            alloc._live = {s: Extent(s, n) for s, n in spec["live"]}
+            alloc._live = {s: Extent(s, n) for s, n in spec("live")}
 
     org.finalize_build()
     return db
@@ -572,9 +598,6 @@ def open_database(
             )
         state = decode_catalog(b"".join(payloads))
         if backing == "file":
-            # The store's pricing model adopts the catalog's timing
-            # constants: simulated costs match the sim-backed twin exactly.
-            store.model.params = DiskParameters(**state["config"]["disk_params"])
             return load_state(state, metrics=registry, _disk=store)
     except BaseException:
         store.close()

@@ -30,13 +30,14 @@ difference.
 A query's filter and refinement depend on the tree and the objects,
 never on the buffer or the clock.  So when every operation of a
 sessions or traffic run is a window or a point, the run *answers* them
-all before it serves any — each filtered by its own tree walk, then the
-windows refined in batches and the points in batches of their own — and
-serving such an operation only prices it: its node visits and object
-transfers, in its turn, through the same plans as a live query.  A run
-holding a write, a reorg, a join or a malformed operation is served
-live, operation by operation, as is every :meth:`WorkloadEngine.run`
-stream.
+ahead of pricing, a block at a time: when serving reaches a query not
+yet answered, the queries of its block (:class:`_AnswerStage`), as many
+as a bound on their leaf groups lets in, are each filtered by its own
+tree walk and refined together.  Serving such an operation only prices
+it — its node visits and object transfers, in its turn, through the
+same plans as a live query — and drops its answer.  A run holding a write, a reorg, a join or a malformed
+operation is served live, operation by operation, as is every
+:meth:`WorkloadEngine.run` stream.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ Operations are plain tuples:
 
 
 class _Answered(NamedTuple):
-    """A window or point operation answered ahead of its run
+    """A window or point operation answered ahead of its pricing
     (:meth:`SpatialOrganization._answer`): what pricing it still needs —
     its rectangle, visited nodes and leaf groups — and its answer
     count."""
@@ -91,12 +92,106 @@ class _Answered(NamedTuple):
     results: int
 
 
-#: Queries of one kind per answer-stage call.  A batch's candidate rows,
-#: keys and refinement arrays live until it is refined: a 10^4-session
-#: traffic run on A-1 at scale 0.05 answered in one batch peaked at
-#: 227 MiB (66 MiB in these batches).  At this size numpy's fixed cost
-#: per call is long amortized.
-_ANSWER_BATCH = 1024
+#: Queries of one kind per block of the answer stage: at this size
+#: numpy's fixed cost per call is amortized, and ``traffic_open``'s 207
+#: windows and 142 points are one block each.
+_ANSWER_BATCH = 256
+
+#: Leaf groups one answer-stage call brings, about: a block whose
+#: queries match more (a large window has dozens, each ~0.5 KB held) is
+#: answered in parts, each when serving reaches it.  ``traffic_open``'s
+#: 1,581 window groups are one part.
+_BLOCK_GROUPS = 2048
+
+#: Leaf groups of the answers kept whole while they wait for their
+#: operations, at most; see :class:`_AnswerStage`.  ``traffic_open``'s
+#: 1,782 groups all fit.
+_GROUPS_HELD = _BLOCK_GROUPS
+
+
+class _Query(NamedTuple):
+    """A window or point operation of a read-only run, in its stream's
+    place: the ``index``-th query of its ``kind`` in the ``stage``'s
+    order."""
+
+    stage: "_AnswerStage"
+    kind: str
+    index: int
+
+
+class _AnswerStage:
+    """Answers a read-only run's queries a block at a time, as serving
+    reaches them, and forgets each answer once it is served.
+
+    Per kind the queries stand in the order serving tends to reach
+    them — every session's first query in arrival order, then every
+    second one, and so on — cut into blocks of :data:`_ANSWER_BATCH`.
+    Serving an unanswered query answers (filters and refines) what of
+    its block is not answered yet, from that query on, up to about
+    :data:`_BLOCK_GROUPS` leaf groups.  A session whose later queries
+    wait long behind busy arms keeps answers of its block waiting too,
+    so answers of at most :data:`_GROUPS_HELD` leaf groups are kept
+    whole: past that the oldest keeps only its answer count, and serving
+    it walks the tree again for its visits and groups (the filter, not
+    the refinement).  Every query is refined once, and answers depend on
+    neither clock nor buffer, so block boundaries change nothing
+    priced."""
+
+    def __init__(self, storage: SpatialOrganization, streams: list[list]):
+        self.storage = storage
+        self.queries: dict[str, list[tuple]] = {"window": [], "point": []}
+        self.streams = [[None] * len(ops) for ops in streams]
+        for step in range(max(map(len, streams), default=0)):
+            for ops, places in zip(streams, self.streams):
+                if step < len(ops):
+                    kind = ops[step][0]
+                    order = self.queries[kind]
+                    places[step] = _Query(self, kind, len(order))
+                    order.append(ops[step])
+        self.answers: dict[tuple[str, int], _Answered] = {}  # oldest first
+        self.groups_held = 0  # leaf groups of ``answers``
+        self.counts: dict[tuple[str, int], int] = {}  # answers kept as a count
+        self.served = {kind: bytearray(len(ops)) for kind, ops in self.queries.items()}
+
+    def take(self, query: _Query) -> tuple[Rect, list, list, int]:
+        """What pricing ``query`` needs — its rectangle, visited nodes
+        and leaf groups — and its answer count."""
+        kind, index = key = (query.kind, query.index)
+        answers, counts = self.answers, self.counts
+        if key not in answers and key not in counts:
+            self._answer_block(kind, index)
+        self.served[kind][index] = 1
+        answered = answers.pop(key, None)
+        if answered is not None:
+            self.groups_held -= len(answered.groups)
+            return answered.rect, answered.visited, answered.groups, answered.results
+        rect = _query_rect(self.queries[kind][index])
+        [(visited, groups)] = self.storage._filter([rect])
+        return rect, visited, groups, counts.pop(key)
+
+    def _answer_block(self, kind: str, index: int) -> None:
+        """Answer what of ``index``'s block is not answered yet, from
+        ``index`` on (then the block's earlier queries), up to about
+        :data:`_BLOCK_GROUPS` leaf groups; then keep the answers of at
+        most :data:`_GROUPS_HELD` groups whole, ``index``'s last."""
+        ops, served, answers, counts = self.queries[kind], self.served[kind], self.answers, self.counts
+        start = index - index % _ANSWER_BATCH
+        block = [
+            i for i in (*range(index, min(start + _ANSWER_BATCH, len(ops))), *range(start, index))
+            if not served[i] and (kind, i) not in answers and (kind, i) not in counts
+        ]
+        rects = [_query_rect(ops[i]) for i in block]
+        for i, rect, (visited, groups, result) in zip(
+            block, rects, self.storage._answer(rects, kind == "point", _BLOCK_GROUPS)
+        ):
+            answers[kind, i] = _Answered(kind, rect, visited, groups, len(result.objects))
+            self.groups_held += len(groups)
+        answers[kind, index] = answers.pop((kind, index))  # the newest: served now
+        while self.groups_held > _GROUPS_HELD and len(answers) > 1:
+            oldest = next(iter(answers))
+            answered = answers.pop(oldest)
+            self.groups_held -= len(answered.groups)
+            counts[oldest] = answered.results
 
 
 def _query_rect(op) -> Rect | None:
@@ -612,12 +707,16 @@ class WorkloadEngine:
         phase row), fold it into ``row`` unless that is ``None`` (the phase
         is the group), and observe ``op.latency_ms{<group>=<row>}``."""
         histogram = self.pool.metrics.histogram
+        latencies: dict[str, object] = {}  # label -> its histogram
         for client, op, first_ready, row in order:
             served = self._serve(report, client, op, first_ready)
             if row is not None:
                 row.fold(served)
             label = served.kind if row is None else row.name
-            histogram("op.latency_ms", **{group: label}).observe(served.latency_ms)
+            observed = latencies.get(label)
+            if observed is None:
+                observed = latencies[label] = histogram("op.latency_ms", **{group: label})
+            observed.observe(served.latency_ms)
 
     def _serve(self, report: RunReport, client: str, op, first_ready) -> _Served:
         """The serve step: execute one operation on ``client``'s
@@ -728,37 +827,27 @@ class WorkloadEngine:
     # ------------------------------------------------------------------
     def _answer_ahead(self, streams: list) -> list:
         """``streams`` (one operation sequence per session) with every
-        operation replaced, in its place, by its :class:`_Answered` form
-        — if every operation is a window or point :func:`_query_rect`
-        accepts.  Nothing a query's filter or refinement computes depends
-        on the buffer or the clock, so a run without writes answers its
-        windows and its points (in batches of :data:`_ANSWER_BATCH`)
-        before it prices any operation; serving an answered operation
-        only prices it.  Any other run (a write, a reorg, a join, a malformed
-        operation) gets ``streams`` back and is served live."""
-        rects = [[_query_rect(op) for op in ops] for ops in streams]
-        if any(rect is None for stream in rects for rect in stream):
+        operation replaced, in its place, by its :class:`_Query` — if
+        every operation is a window or point :func:`_query_rect`
+        accepts.  Nothing a query's filter or refinement computes
+        depends on the buffer or the clock, so a run without writes
+        answers its windows and its points ahead of pricing them, a
+        block at a time (:class:`_AnswerStage`); serving an answered
+        operation only prices it.  Any other run (a write, a reorg, a
+        join, a malformed operation) gets ``streams`` back and is served
+        live."""
+        if any(_query_rect(op) is None for ops in streams for op in ops):
             return streams
-        answered = [[None] * len(ops) for ops in streams]
-        for kind in ("window", "point"):
-            places = [
-                (s, i) for s, ops in enumerate(streams)
-                for i, op in enumerate(ops) if op[0] == kind
-            ]
-            for start in range(0, len(places), _ANSWER_BATCH):
-                batch = places[start:start + _ANSWER_BATCH]
-                answers = self.storage._answer([rects[s][i] for s, i in batch], kind == "point")
-                for (s, i), (visited, groups, result) in zip(batch, answers):
-                    answered[s][i] = _Answered(kind, rects[s][i], visited, groups, len(result.objects))
-        return answered
+        return _AnswerStage(self.storage, streams).streams
 
     def _execute(self, op) -> tuple[str, int]:
         """Execute one operation (the caller snapshots the statistics
         marks beforehand); an answered one is only priced."""
-        if type(op) is _Answered:
+        if type(op) is _Query:
+            rect, visited, groups, results = op.stage.take(op)
             storage = self.storage
-            storage._transfer(op.visited, op.groups, op.rect, op.kind == "point", storage._batchable())
-            return op.kind, op.results
+            storage._transfer(visited, groups, rect, op.kind == "point", storage._batchable())
+            return op.kind, results
         if not isinstance(op, tuple) or not op:
             raise ConfigurationError(f"malformed workload operation: {op!r}")
         kind = op[0]

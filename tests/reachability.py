@@ -87,11 +87,10 @@ for _path in (str(ROOT / "src"), str(ROOT)):
 
 # "module:Qualified.name" -> why it stays although no user path calls it.
 ALLOWED: dict[str, str] = {
-    "repro.buffer.policy:LRUKBuffer._select_victim": (
+    "repro.buffer.policy:LRUKBuffer._pop_victim": (
         "LRU-K evicts at REPRO_SCALE=0.08 (the buffer-policy ablation); "
         "at 0.01 its pool holds the whole map"
     ),
-    "repro.buffer.policy:LRUKBuffer._note_evict": "as LRUKBuffer._select_victim",
     "repro.buffer.policy:LRUKBuffer._note_drop": (
         "`workload --policies lru-k` clears LRU-K frames at the flush; "
         "no golden runs lru-k"

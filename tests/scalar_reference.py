@@ -74,14 +74,16 @@ def window_leaves(tree, window, read=None):
     return groups
 
 
-def window_leaves_batch(tree, rects):
+def window_leaves_batch(tree, rects, groups_limit=None):
     """``RStarTree.window_leaves_batch`` as a loop of entry-at-a-time
-    walks, equally unpriced."""
+    walks, equally unpriced, and stopped as early by ``groups_limit``."""
     per_query = []
     for rect in rects:
         visited = []
         groups = window_leaves(tree, rect, visited.append)
         per_query.append((visited, groups))
+        if groups_limit is not None and sum(len(g) for _v, g in per_query) >= groups_limit:
+            break
     return per_query
 
 

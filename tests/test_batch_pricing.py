@@ -124,13 +124,13 @@ class TestShardedGrouping:
         per_disk: dict[int, float] = {}
         chains: set[int] = set()
         for start, n_pages in runs:
-            for disk, frag_start, frag_pages in oracle._fragments(
+            for disk, frag_start, frag_pages in oracle.placement.fragments(
                 start, n_pages
             ):
                 continuation = disk in chains
                 chains.add(disk)
-                ms = oracle.disks[disk]._transfer(
-                    frag_start, frag_pages, continuation, "read"
+                ms = oracle.disks[disk].price_runs(
+                    [(frag_start, frag_pages)], continuation, "read"
                 )
                 per_disk[disk] = per_disk.get(disk, 0.0) + ms
         expect = max(per_disk.values(), default=0.0)

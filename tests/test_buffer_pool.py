@@ -218,6 +218,18 @@ class TestCachingPool:
         with pytest.raises(ConfigurationError):
             BufferPool(DiskModel(), capacity=-1)
 
+    @pytest.mark.parametrize("pages", [[3, 3, 5], [5, 5, 7], [3, 5, 4, 6]])
+    @pytest.mark.parametrize("entry", ["read_pages", "load_pages"])
+    def test_pages_not_sorted_and_distinct_are_refused(self, entry, pages):
+        """A page list whose ends happen to lie ``len - 1`` apart is no
+        run unless it is sorted and distinct: nothing is priced or
+        admitted for it, page 4 included."""
+        disk = DiskModel()
+        pool = BufferPool(disk, capacity=16)
+        with pytest.raises(ConfigurationError, match="sorted and distinct"):
+            getattr(pool, entry)(pages)
+        assert disk.stats().requests == 0 and len(pool.frames) == 0
+
     def test_read_pages_scattered(self):
         disk = DiskModel()
         pool = BufferPool(disk, capacity=16)
@@ -316,7 +328,8 @@ class PerPagePool:
     """The reference: the pool primitives as they were before they
     worked a run at a time — ``access`` / ``admit`` page by page, each
     spelled out down to the frame table's dict operations — driving a
-    real :class:`BufferPool`'s state."""
+    real :class:`BufferPool`'s state.  The pool's eviction hook hears of
+    dirty and read-ahead victims only: a clean victim needs nothing."""
 
     def __init__(self, pool: BufferPool):
         self.pool = pool
@@ -324,7 +337,8 @@ class PerPagePool:
     def access(self, page: int) -> bool:
         pool, frames = self.pool, self.pool.frames
         if page in frames._entries:
-            frames._note_hit(page)
+            if frames._note_hit is not None:
+                frames._note_hit(page)
             frames.hits += 1
             pool.hits += 1
             if page in pool._prefetched:
@@ -339,21 +353,29 @@ class PerPagePool:
         frames = self.pool.frames
         if page in frames._entries:
             frames._entries[page] = frames._entries[page] or dirty
-            frames._note_hit(page)
+            if frames._note_hit is not None:
+                frames._note_hit(page)
             return
         frames._entries[page] = dirty
-        frames._note_admit(page)
+        if frames._note_admit is not None:
+            frames._note_admit(page)
         while len(frames._entries) > frames.capacity:
-            victim = frames._select_victim()
-            was_dirty = frames._entries.pop(victim)
-            frames._note_evict(victim)
+            if frames._pop_victim is None:
+                victim, was_dirty = frames._entries.popitem(last=False)
+            else:
+                victim, was_dirty = frames._pop_victim()
             frames.evictions += 1
-            frames.on_evict(victim, was_dirty)
+            if was_dirty or victim in self.pool._prefetched:
+                frames.on_evict(victim, was_dirty)
+
+    def _transfer(self, missing: list[int]) -> float:
+        """Price the missing pages as one batch of coalesced runs."""
+        return self.pool.disk.read_runs(coalesce_pages(missing)) if missing else 0.0
 
     # -- the pool entry points, page by page ----------------------------
     def read(self, start: int, npages: int) -> float:
         missing = [p for p in range(start, start + npages) if not self.access(p)]
-        cost = self.pool._read_missing(missing, False)
+        cost = self._transfer(missing)
         for page in missing:
             self.admit(page)
         return cost
@@ -378,7 +400,7 @@ class PerPagePool:
 
     def load_pages(self, pages) -> float:
         missing = [p for p in pages if p not in self.pool.frames]
-        cost = self.pool._read_missing(missing, False)
+        cost = self._transfer(missing)
         for page in missing:
             self.admit(page)
         return cost
@@ -484,8 +506,8 @@ class TestRunLevelEqualsPerPage:
             driver.read(12, 3)
         reference, run_level = (_pool_state(pool, ev) for _d, pool, ev in sides)
         assert run_level == reference
-        assert run_level["evicted"][:2] == [(40, True), (41, True)]
-        assert (10, False) in run_level["evicted"], "the run's own head left"
+        assert run_level["evicted"] == [(40, True), (41, True)]
+        assert 10 not in dict(run_level["entries"]), "the run's own head left"
         assert len(run_level["entries"]) == 3
 
     @pytest.mark.parametrize("policy", sorted(POLICIES))

@@ -11,6 +11,7 @@ on whole databases built and served both ways.
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -114,6 +115,21 @@ class TestQueryOrderEquivalence:
             ]
         point_batch = batch_entries(tree, [Rect(x, y, x, y) for x, y in points])
         assert point_batch == [tree.point_query(x, y) for x, y in points]
+
+    @pytest.mark.parametrize("groups_limit", [1, 7, 40])
+    def test_a_groups_limit_stops_at_the_query_that_reaches_it(self, seeded_tree, groups_limit):
+        tree, _rects = seeded_tree
+        rng = random.Random(11)
+        windows = [grown(random_rect(rng, span=80.0), 3.0) for _ in range(30)]
+        whole = tree.window_leaves_batch(windows)
+        cut = tree.window_leaves_batch(windows, groups_limit)
+        held = list(accumulate(len(groups) for _visited, groups in whole))
+        reached = next((i for i, n in enumerate(held) if n >= groups_limit), len(whole) - 1)
+        assert len(cut) == reached + 1 < len(whole)
+        assert [(v, [(leaf, h.tolist()) for leaf, h in g]) for v, g in cut] == [
+            (v, [(leaf, h.tolist()) for leaf, h in g]) for v, g in whole[: len(cut)]
+        ]
+        assert len(reference.window_leaves_batch(tree, windows, groups_limit)) == len(cut)
 
     def test_batch_query_pricing_matches_per_query_read_count(self):
         from repro.disk.allocator import PageAllocator

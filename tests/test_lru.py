@@ -33,9 +33,19 @@ class TestBasics:
     def test_eviction_order(self):
         evicted = []
         buf = LRUBuffer(2, on_evict=lambda k, d: evicted.append(k))
+        buf.watched.update("abc")
         buf.admit_all(["a", "b", "c"])
         assert evicted == ["a"]
         assert "b" in buf and "c" in buf
+
+    def test_a_clean_victim_not_watched_leaves_silently(self):
+        evicted = []
+        buf = LRUBuffer(2, on_evict=lambda k, d: evicted.append(k))
+        buf.watched.add("b")
+        buf.admit_all(["a", "b", "c", "d"])
+        assert evicted == ["b"]
+        assert buf.evictions == 2
+        assert "a" not in buf and "b" not in buf
 
     def test_access_refreshes_recency(self):
         buf = LRUBuffer(2)
@@ -69,10 +79,12 @@ class TestDirty:
     def test_flush_calls_callback_and_clears(self):
         out = []
         buf = LRUBuffer(4, on_evict=lambda k, d: out.append((k, d)))
+        buf.watched.add("b")
         buf.admit_all(["a"], dirty=True)
-        buf.admit_all(["b"])
+        buf.admit_all(["b", "c"])
         buf.flush()
-        assert ("a", True) in out and ("b", False) in out
+        assert sorted(out) == [("a", True), ("b", False)]
+        assert buf.evictions == 3
         assert len(buf) == 0
 
     def test_discard_skips_callback(self):
@@ -147,6 +159,7 @@ class TestEveryPolicy:
     def test_mark_clean_keeps_the_page_but_not_its_dirty_bit(self, name):
         out = []
         buf = make_buffer(name, 4, on_evict=lambda k, d: out.append((k, d)))
+        buf.watched.update("ab")
         buf.admit_all(["a", "b"], dirty=True)
         buf.mark_clean("a")
         buf.mark_clean("absent")
@@ -158,6 +171,7 @@ class TestEveryPolicy:
     def test_flush_evicts_everything_and_empties(self, name):
         out = []
         buf = make_buffer(name, 4, on_evict=lambda k, d: out.append(k))
+        buf.watched.update("abc")
         buf.admit_all(["a", "b", "c"])
         buf.flush()
         assert sorted(out) == ["a", "b", "c"]
@@ -186,6 +200,7 @@ class TestEveryPolicy:
     def test_capacity_holds_and_every_eviction_is_reported(self, name, ops, capacity):
         out = []
         buf = make_buffer(name, capacity, on_evict=lambda k, d: out.append(k))
+        buf.watched.update(range(9))
         admitted = set()
         for op, key in ops:
             if op == "access":

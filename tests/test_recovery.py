@@ -431,6 +431,25 @@ class TestDamage:
         with pytest.raises(StorageError, match="header"):
             decode_catalog(bytes(garbled))
 
+    @pytest.mark.parametrize(
+        "block, key",
+        [
+            ("tree", "root"),
+            ("allocator", "regions"),
+            ("config", "disk_params"),
+            ("storage", "unit_alloc"),
+        ],
+    )
+    def test_a_header_entry_missing(self, blob, block, key):
+        """A header that parses but lacks an entry the loader reads is
+        damage, refused as such, not a bare ``KeyError``."""
+
+        def drop(header):
+            del header[block][key]
+
+        with pytest.raises(StorageError, match=key):
+            load_state(decode_catalog(reheaded(blob, drop)))
+
     def test_column_running_past_the_end(self, blob):
         def grow(header):
             self.column_row(header, "live")[2][0] += 1

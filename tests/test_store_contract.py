@@ -128,6 +128,15 @@ class TestEveryStore:
             head.total_ms + store.cost_since(second).total_ms
         )
 
+    def test_touched_names_the_disks_priced(self, store):
+        """Whatever the depth, every leaf reports into the root's
+        ``touched``, under its index among the root's ``disks``."""
+        before = [disk.stats() for disk in store.disks]
+        store.touched.clear()
+        mixed_traffic(store)
+        moved = {i for i, disk in enumerate(store.disks) if disk.stats() != before[i]}
+        assert moved and store.touched == moved
+
     def test_a_request_answers_its_response_within_its_device_time(self, store):
         for issue in (
             lambda: store.read(0, 8),
@@ -185,3 +194,24 @@ class TestEveryComposite:
         # A bare list[DiskStats] of the right shape is a marker.
         store.read(0, 1)
         assert store.stats_since([DiskStats() for _ in range(n)]).requests == 1
+
+
+class TestOneStoreTreePerDisk:
+    """A disk reports the devices it priced to one store, so a second
+    store over the same disk is refused rather than left blind."""
+
+    def test_a_store_over_a_store_takes_its_disks_over(self):
+        inner = ShardedPageStore(2)
+        outer = TieredPageStore(8, fast_store=inner)
+        outer.touched.clear()
+        outer.read(0, 1)
+        assert outer.touched == {0} and not inner.touched
+
+    def test_two_stores_cannot_share_a_disk(self):
+        disk = DiskModel()
+        with pytest.raises(ConfigurationError, match="share a disk"):
+            TieredPageStore(8, fast_store=disk, capacity_store=disk)
+        inner = ShardedPageStore(2)
+        TieredPageStore(8, fast_store=inner)
+        with pytest.raises(ConfigurationError, match="share a disk"):
+            TieredPageStore(8, fast_store=inner)

@@ -379,7 +379,7 @@ def _twin_run(objects, organization, scheduler, n_disks, run, refines=2):
     twin compares: the report's text, per-disk I/O, the metrics and the
     makespan (the clock's too, under the overlap scheduler).  The run
     must make ``refines`` refinement calls (one per kind when answered
-    ahead, one per read when served live)."""
+    ahead, one per read when served live; ``None``: any number)."""
     from unittest.mock import patch
 
     from repro.storage.base import SpatialOrganization
@@ -398,7 +398,7 @@ def _twin_run(objects, organization, scheduler, n_disks, run, refines=2):
 
     with patch.object(SpatialOrganization, "_refine", counted):
         report = run(db)
-    assert len(calls) == refines
+    assert refines is None or len(calls) == refines
     disk = db.disk
     per_disk = disk.per_disk_stats() if n_disks > 1 else [disk.stats()]
     clock = getattr(db.scheduler, "clock", None)
@@ -482,6 +482,50 @@ class TestAnsweredAheadIsServedLive:
         _serve_live(monkeypatch)
         assert _twin_run(twin_objects, "cluster", "overlap", 4, run, len(kinds)) == ahead
 
+    def test_answered_in_parts_and_walked_again(self, twin_objects, monkeypatch):
+        """With blocks of 7 answered at most 5 leaf groups at a time,
+        refined 3 candidates at a time, and room for answers of 8 leaf
+        groups, serving keeps cutting blocks short and keeping answers it
+        has not served yet as counts (a session's later queries wait
+        behind busy arms), whose visits and groups it walks the tree for
+        again: every query is still refined once, and the run prints,
+        prices and times as if served live."""
+        from repro.storage import base
+        from repro.storage.base import SpatialOrganization
+        from repro.workload import engine
+
+        sessions = generate(twin_objects, n=40, rate_per_s=400.0, ops_per_session=3)
+        queries = sum(len(s.operations) for s in sessions)
+        answered, walked_again = [], []
+        answer, walk = SpatialOrganization._answer, SpatialOrganization._filter
+
+        def counted(org, rects, points, groups_limit=None):
+            answers = answer(org, rects, points, groups_limit)
+            answered.append(len(answers))
+            return answers
+
+        def walked(org, rects, groups_limit=None):
+            if groups_limit is None:
+                walked_again.append(len(rects))
+            return walk(org, rects, groups_limit)
+
+        def run(db):
+            return db.run_traffic(sessions, buffer_pages=48)
+
+        monkeypatch.setattr(engine, "_ANSWER_BATCH", 7)
+        monkeypatch.setattr(engine, "_BLOCK_GROUPS", 5)
+        monkeypatch.setattr(engine, "_GROUPS_HELD", 8)
+        monkeypatch.setattr(base, "_REFINE_ROWS", 3)
+        monkeypatch.setattr(SpatialOrganization, "_answer", counted)
+        monkeypatch.setattr(SpatialOrganization, "_filter", walked)
+        ahead = _twin_run(twin_objects, "cluster", "overlap", 4, run, None)
+        kinds = [op[0] for s in sessions for op in s.operations]
+        blocks = sum(-(-kinds.count(kind) // 7) for kind in ("window", "point"))
+        assert sum(answered) == queries and len(answered) > blocks, "no block was cut"
+        assert walked_again, "no answer was kept as a count"
+        _serve_live(monkeypatch)
+        assert _twin_run(twin_objects, "cluster", "overlap", 4, run, queries) == ahead
+
     @pytest.mark.parametrize("live", [False, True])
     def test_a_malformed_op_raises_when_served(self, twin_objects, monkeypatch, live):
         """Round robin serves c0, c1, c2, c0, c1: the list in c1's second
@@ -525,6 +569,51 @@ class TestAnsweredAheadIsServedLive:
         assert _twin_run(built, "cluster", "overlap", 4, run, reads) == ahead
 
 
+class TestAnsweredInBoundedMemory:
+    """A read-only run answers its queries a block at a time as serving
+    reaches them, each block in parts of bounded work, and drops each
+    answer once it is served, keeping the answers that wait whole only
+    up to a bound: what it holds is bounded by the stage's sizes, not by
+    the run's length.  Answering the whole run first held every
+    operation's visited nodes and leaf groups until the run ended.
+
+    The stage holds several MiB at its shipped sizes, which leave
+    ``traffic_open`` inside one part per kind: a 10^4-session run on A-1
+    at scale 0.05 peaks at ~6.5x the live path's (ROADMAP S(3)).  This
+    test runs 500 sessions with every size scaled down 16-fold — blocks
+    of 16 queries, parts and holdings of 128 leaf groups, 4,096
+    candidates a refinement — so the run spans as many blocks and parts
+    as one 16 times as long; it shows the bounds hold, not the shipped
+    sizes' ratio."""
+
+    def test_peak_stays_within_four_times_the_live_peak(self, twin_objects, monkeypatch):
+        import tracemalloc
+
+        from repro.storage import base
+        from repro.workload import engine
+
+        sessions = generate(twin_objects, n=500, rate_per_s=400.0, ops_per_session=3)
+        monkeypatch.setattr(engine, "_ANSWER_BATCH", engine._ANSWER_BATCH // 16)
+        monkeypatch.setattr(engine, "_BLOCK_GROUPS", engine._BLOCK_GROUPS // 16)
+        monkeypatch.setattr(engine, "_GROUPS_HELD", engine._GROUPS_HELD // 16)
+        monkeypatch.setattr(base, "_REFINE_ROWS", base._REFINE_ROWS // 16)
+
+        def peak() -> int:
+            db = traffic_db()
+            db.build(twin_objects)
+            tracemalloc.start()
+            try:
+                db.run_traffic(sessions, buffer_pages=48)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        ahead = peak()
+        _serve_live(monkeypatch)
+        live = peak()
+        assert ahead <= 4 * live, (ahead, live)
+
+
 # ----------------------------------------------------------------------
 # what a served operation costs, as counts (ROADMAP items A.2 and B)
 # ----------------------------------------------------------------------
@@ -534,14 +623,19 @@ def served_op_counts() -> dict[str, float]:
     used to make once per plan, per page and per entry, and the filter
     walks (``window_leaves``) and refinement calls (``_refine``) of the
     run, which answers its read-only operations ahead of serving them.
-    Machine-independent; CI's ``Size report`` prints the ``*_per_op``
-    values and ``refine_calls``."""
+    What pricing a request costs: ``store_calls`` (batches the pool hands
+    the store), ``evict_hook_calls`` (the pool's eviction hook, which a
+    clean LRU victim no longer calls) and ``device_total_reads`` (disk
+    totals the overlap scheduler differences: the devices a request
+    priced, not every device).  Machine-independent; CI's ``Size
+    report`` prints the ``*_per_op`` values and ``refine_calls``."""
     from contextlib import ExitStack
     from unittest.mock import patch
 
     from repro.buffer.pool import BufferPool
     from repro.data.series import scaled, spec_for
     from repro.data.tiger import generate_map
+    from repro.disk.model import DiskModel
     from repro.geometry.rect import Rect
     from repro.iosched.scheduler import SyncScheduler
     from repro.pagestore.placement import PlacementPolicy
@@ -562,7 +656,7 @@ def served_op_counts() -> dict[str, float]:
     sessions = make_traffic(objects, 40, rate_per_s=10.0, seed=7)
     ops = sum(len(s.operations) for s in sessions)
     calls = dict.fromkeys(
-        ("submits", "gets", "pool_access", "pool_admit",
+        ("submits", "gets", "store_calls", "evict_hook_calls", "device_total_reads",
          "disk_of_in_transfer", "contains_in_refine", "filter_walks", "refine_calls"), 0
     )
     submits_by_op: list[int] = []
@@ -571,12 +665,12 @@ def served_op_counts() -> dict[str, float]:
     def spy(stack, owner, name, note):
         """Patch ``owner.name`` to run ``note(original, *args)``."""
         raw = owner.__dict__[name]
-        original = raw.__func__ if isinstance(raw, staticmethod) else raw
+        original = raw.fget if isinstance(raw, property) else raw
 
         def wrapper(*args, **kwargs):
             return note(original, *args, **kwargs)
 
-        patched = staticmethod(wrapper) if isinstance(raw, staticmethod) else wrapper
+        patched = property(wrapper) if isinstance(raw, property) else wrapper
         stack.enter_context(patch.object(owner, name, patched))
 
     def counted(key, inside=None):
@@ -615,9 +709,9 @@ def served_op_counts() -> dict[str, float]:
         spy(stack, SyncScheduler, "_issue", per_request)
         spy(stack, WorkloadEngine, "_execute", per_op)
         spy(stack, RStarTree, "window_leaves", counted("filter_walks"))
-        for name in ("access", "admit"):
-            spy(stack, BufferPool, name, counted(f"pool_{name}"))
-        spy(stack, ShardedPageStore, "_transfer", scoped("transfer"))
+        spy(stack, BufferPool, "_write_back_victim", counted("evict_hook_calls"))
+        spy(stack, DiskModel, "total_ms", counted("device_total_reads"))
+        spy(stack, ShardedPageStore, "_transfer", scoped("transfer", "store_calls"))
         spy(stack, SpatialOrganization, "_refine", scoped("refine", "refine_calls"))
         spy(stack, PlacementPolicy, "disk_of", counted("disk_of_in_transfer", "transfer"))
         spy(stack, Rect, "contains", counted("contains_in_refine", "refine"))
@@ -731,12 +825,18 @@ class TestServedOpCounts:
         # Per plan: every operation that touches a page is one submit.
         assert counts["max_submits_in_one_op"] == 1
         assert 0.9 * ops <= counts["submits"] <= ops
-        # Per page: only the node ``get``s go through the pool's
-        # single-key calls — one access each and one admit per miss;
-        # no unit page does.
+        # Per request: a node ``get`` is a one-page read, so a request
+        # reaches the store at most once, with the batch of its missing
+        # runs; a clean LRU victim calls no eviction hook (this run is
+        # read-only).  The scheduler reads the totals of all four disks
+        # once per plan and twice for the flush, and per request only
+        # those of the disks the request priced: mostly one, as a
+        # cluster unit is pinned to one arm.
         assert counts["gets"] > ops
-        assert counts["pool_access"] == counts["gets"]
-        assert 0 < counts["pool_admit"] <= counts["gets"]
+        assert 0 < counts["store_calls"] < counts["gets"] + 2 * ops
+        assert counts["evict_hook_calls"] == 0
+        per_request = counts["device_total_reads"] - 4 * (counts["submits"] + 2)
+        assert counts["store_calls"] <= per_request < 1.25 * counts["store_calls"]
         # Per run: the store routes whole runs; per entry: the
         # containment shortcut is one mask per query.
         assert counts["disk_of_in_transfer"] == 0
