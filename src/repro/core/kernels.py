@@ -9,14 +9,14 @@ therefore the I/O pricing (the paper's figures) are bit-identical to
 the entry-at-a-time bodies they replaced; those bodies live on as the
 equivalence oracles in ``tests/scalar_reference.py``.
 
-This module holds the two mask kernels the tree traversals share.
+This module holds the mask kernels of the tree traversal.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["window_qvec", "qvec_mask"]
+__all__ = ["window_qvecs", "qvec_mask", "qvecs_mask"]
 
 
 # ----------------------------------------------------------------------
@@ -37,18 +37,29 @@ __all__ = ["window_qvec", "qvec_mask"]
 # Rect.contains_point bit for bit.
 
 
-def window_qvec(window) -> np.ndarray:
-    """The window's comparison vector for the negated node matrix —
-    computed once per query, reused for every visited node."""
-    return np.array(
-        (window.xmax, window.ymax, -window.xmin, -window.ymin),
-        dtype=np.float64,
-    )
+def window_qvecs(windows) -> np.ndarray:
+    """The windows' comparison vectors for the negated node matrix, one
+    row each (of at least one window; of one window, its vector) —
+    computed once per block of queries, reused for every visited node."""
+    if len(windows) == 1:
+        w = windows[0]
+        return np.array((w.xmax, w.ymax, -w.xmin, -w.ymin), dtype=np.float64)
+    return np.array([(w.xmax, w.ymax, -w.xmin, -w.ymin) for w in windows], dtype=np.float64)
 
 
 def qvec_mask(query_matrix: np.ndarray, qvec: np.ndarray) -> np.ndarray:
-    """Row mask of a node's negated matrix against a query vector."""
+    """Row mask of a node's negated matrix against one query vector
+    (``(4,)``, or one row of :func:`window_qvecs`)."""
     return (query_matrix <= qvec).view(np.uint32).ravel() == _ALL_FOUR
+
+
+def qvecs_mask(query_matrix: np.ndarray, qvecs: np.ndarray) -> np.ndarray:
+    """The ``(Q, n)`` mask of a node's negated matrix against ``Q``
+    query vectors: one ``(Q, n, 4)`` broadcast; row ``q`` is
+    ``qvec_mask(query_matrix, qvecs[q])``."""
+    return (query_matrix <= qvecs[:, None]).view(np.uint32).reshape(
+        len(qvecs), len(query_matrix)
+    ) == _ALL_FOUR
 
 
 #: Four true bool bytes read as one uint32 (the byte order does not matter).

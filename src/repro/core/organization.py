@@ -45,7 +45,7 @@ from repro.rtree.capacity import CountOrByteCapacity
 from repro.rtree.entry import Entry
 from repro.rtree.node import Node
 from repro.rtree.pager import NodePager
-from repro.rtree.rstar import RStarTree
+from repro.rtree.rstar import Reach, RStarTree
 from repro.storage.base import SpatialOrganization, _check_tiled
 
 __all__ = ["ClusterOrganization"]
@@ -357,10 +357,15 @@ class ClusterOrganization(SpatialOrganization):
                 return apart
         return None
 
-    def _request_order(self, leaf: Node, hits: np.ndarray) -> np.ndarray:
-        """Oversize extents first, then the cluster unit's objects."""
-        apart = self._own_extents(leaf, hits)
-        return hits if apart is None else np.concatenate((hits[apart], hits[~apart]))
+    def _request_order(self, reach: Reach) -> Reach:
+        """Oversize extents first, then the cluster unit's objects, in
+        each query's run (``reach`` reordered in place)."""
+        for i, (leaf, hits, runs) in enumerate(reach.leaves if self._extents else ()):
+            apart = self._own_extents(leaf, hits)
+            if apart is not None:
+                run_of = np.repeat(np.arange(len(runs)), [count for _query, count in runs])
+                reach.leaves[i] = (leaf, hits[np.lexsort((~apart, run_of))], runs)
+        return reach
 
     def _plan_group(
         self,

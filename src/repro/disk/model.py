@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.disk.extent import Extent
 from repro.disk.params import DiskParameters
@@ -292,8 +292,9 @@ class DiskModel:
         measurement surface)."""
         return self.stats()
 
-    def stats_since(self, snapshot: DiskStats) -> DiskStats:
-        """Statistics delta since ``snapshot``."""
+    def stats_since(self, snapshot: DiskStats, disks: Iterable[int] | None = None) -> DiskStats:
+        """Statistics delta since ``snapshot`` (``disks``, the devices
+        priced since, says nothing a single disk needs)."""
         return self._stats - snapshot
 
     def cost_since(self, snapshot: DiskStats) -> VectoredCost:

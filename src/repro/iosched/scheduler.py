@@ -357,14 +357,45 @@ class VirtualClock:
 
 
 class _OperationScope:
-    """State of one open :meth:`OverlapScheduler.operation` block."""
+    """One :meth:`OverlapScheduler.operation` block, as its context
+    manager: entered, it charges the scheduler's plans to ``client``
+    and dispatches them at ``start``; exited, it advances the client to
+    ``completion``.  ``touched`` collects the indices into the store's
+    ``disks`` of every device priced inside the block (nested blocks'
+    included)."""
 
-    __slots__ = ("start", "completion", "device_ms")
+    __slots__ = (
+        "scheduler", "client", "start", "completion", "device_ms", "touched",
+        "_outer", "_previous",
+    )
 
-    def __init__(self, start: float):
-        self.start = start
-        self.completion = start
+    def __init__(self, scheduler: "OverlapScheduler", client: str):
+        self.scheduler = scheduler
+        self.client = client
         self.device_ms = 0.0
+        self.touched: set[int] = set()
+
+    def __enter__(self) -> "OverlapScheduler":
+        scheduler, client = self.scheduler, self.client
+        self._previous, scheduler._client = scheduler._client, client
+        self._outer = outer = scheduler._scope
+        now = scheduler.clock.client_time(client)
+        at = now
+        if scheduler.admission is not None and outer is None:
+            at = scheduler._admit(client, now)
+        self.start = self.completion = at
+        scheduler._scope = self
+        return scheduler
+
+    def __exit__(self, *exc) -> None:
+        scheduler, outer = self.scheduler, self._outer
+        scheduler._scope = outer
+        scheduler.clock.wait(self.client, self.completion)
+        if outer is not None:
+            outer.touched |= self.touched
+        elif scheduler.admission is not None:
+            scheduler.admission.observe(self.client, self.start, self.device_ms, self.completion)
+        scheduler._client = self._previous
 
 
 class OverlapScheduler(SyncScheduler):
@@ -437,74 +468,53 @@ class OverlapScheduler(SyncScheduler):
         """Accumulated queueing delay of one client in ms."""
         return self.queueing.get(client, 0.0)
 
-    @contextmanager
-    def session(self, client: str) -> Iterator["OverlapScheduler"]:
-        """Charge plans submitted inside the block to ``client``'s
-        timeline."""
-        previous = self._client
-        self._client = client
-        try:
-            yield self
-        finally:
-            self._client = previous
-
-    @contextmanager
-    def operation(self, client: str) -> Iterator["OverlapScheduler"]:
-        """One client operation: every plan submitted inside the block
-        dispatches at the operation's start time — the declarative
-        batch model (all of an operation's access plans are known up
-        front and issued asynchronously), matching the max-over-disks
-        pricing of a lone parallel batch — and the client advances to
-        the slowest plan's completion when the block exits.  Requests
-        still queue per disk, so concurrent clients' operations contend
-        for arms and overlap across them.
+    def operation(self, client: str) -> _OperationScope:
+        """One client operation, a context manager: every plan submitted
+        inside the block dispatches at the operation's start time — the
+        declarative batch model (all of an operation's access plans are
+        known up front and issued asynchronously), matching the
+        max-over-disks pricing of a lone parallel batch — and the client
+        advances to the slowest plan's completion when the block exits.
+        Requests still queue per disk, so concurrent clients' operations
+        contend for arms and overlap across them.  The scope's
+        ``touched`` names the devices priced inside it.
 
         With an admission policy, the outermost operation's dispatch
         time may be pushed later than the client's current time; the
         wait counts into the client's queueing delay and the policy is
         fed the operation's device time when the block exits."""
-        with self.session(client):
-            outer = self._scope
-            now = self.clock.client_time(client)
-            at = now
-            if self.admission is not None and outer is None:
-                at = self.admission.admit(client, now, self.clock)
-                if at < now:
-                    raise ConfigurationError(
-                        f"admission policy {self.admission.name!r} admitted "
-                        f"client {client!r} at {at}, before its time {now}"
-                    )
-                if at > now:
-                    self._account_queueing(client, at - now)
-                    tracer = _obs.ACTIVE
-                    if tracer is not None:
-                        tracer.use_virtual_clock(True)
-                        wspan = tracer.begin(
-                            "admission.wait",
-                            cat="admission",
-                            track=client,
-                            ts=now,
-                            args={"client": client},
-                        )
-                        tracer.end(wspan, ts=at)
-                        tracer.instant(
-                            "admission.admit",
-                            cat="admission",
-                            track=client,
-                            ts=at,
-                            args={"wait_ms": at - now},
-                        )
-            scope = _OperationScope(at)
-            self._scope = scope
-            try:
-                yield self
-            finally:
-                self._scope = outer
-                self.clock.wait(client, scope.completion)
-                if self.admission is not None and outer is None:
-                    self.admission.observe(
-                        client, at, scope.device_ms, scope.completion
-                    )
+        return _OperationScope(self, client)
+
+    def _admit(self, client: str, now: float) -> float:
+        """The admission policy's dispatch time for ``client``'s
+        operation, ready at ``now``; a wait is queueing delay."""
+        at = self.admission.admit(client, now, self.clock)
+        if at < now:
+            raise ConfigurationError(
+                f"admission policy {self.admission.name!r} admitted "
+                f"client {client!r} at {at}, before its time {now}"
+            )
+        if at > now:
+            self._account_queueing(client, at - now)
+            tracer = _obs.ACTIVE
+            if tracer is not None:
+                tracer.use_virtual_clock(True)
+                wspan = tracer.begin(
+                    "admission.wait",
+                    cat="admission",
+                    track=client,
+                    ts=now,
+                    args={"client": client},
+                )
+                tracer.end(wspan, ts=at)
+                tracer.instant(
+                    "admission.admit",
+                    cat="admission",
+                    track=client,
+                    ts=at,
+                    args={"wait_ms": at - now},
+                )
+        return at
 
     @contextmanager
     def inline(self) -> Iterator["OverlapScheduler"]:
@@ -577,6 +587,8 @@ class OverlapScheduler(SyncScheduler):
                     if tracer is not None:
                         rspan = tracer.begin(request.op, cat="request", ts=issue_at)
                         tracer.begin_pending()
+                    if scope is not None:
+                        scope.touched |= touched  # the last request's, or priced between
                     touched.clear()
                     issue(request, pool, chains, plan)
                     work = idle.copy()

@@ -41,7 +41,7 @@ requests were issued as one parallel batch).
 
 from __future__ import annotations
 
-from typing import Iterator, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
 from repro.disk.extent import Extent
 from repro.disk.model import (
@@ -94,7 +94,7 @@ class PageStore(Protocol):
     def charge(self, seeks: int = 0, rotations: int = 0, pages: int = 0) -> float: ...
     def stats(self) -> DiskStats: ...
     def snapshot(self): ...
-    def stats_since(self, snapshot) -> DiskStats: ...
+    def stats_since(self, snapshot, disks: Iterable[int] | None = None) -> DiskStats: ...
     def cost_since(self, snapshot) -> VectoredCost: ...
     def close(self) -> None: ...
     def device_labels(self) -> Sequence[str]: ...
@@ -136,6 +136,8 @@ class CompositePageStore:
         self.touched: set[int] = set()
         for index, disk in enumerate(self.disks):
             disk.watch(self, index)
+        #: Per entry of :attr:`disks`, the index of the child it is under.
+        self._child_of = [i for i, child in enumerate(self.children) for _ in child.disks]
 
     def _child_names(self) -> Sequence[str]:
         """What :meth:`device_labels` calls each child (its index)."""
@@ -304,9 +306,22 @@ class CompositePageStore:
                 f"{len(self.children)} per-child DiskStats entries, got {shape}"
             ) from None
 
-    def stats_since(self, snapshot: Sequence[DiskStats]) -> DiskStats:
-        """Aggregate device-time statistics delta since ``snapshot``."""
-        first, *rest = self._since(snapshot)
+    def stats_since(
+        self, snapshot: Sequence[DiskStats], disks: Iterable[int] | None = None
+    ) -> DiskStats:
+        """Aggregate device-time statistics delta since ``snapshot``.
+        Given ``disks``, the indices into :attr:`disks` of every device
+        priced since (:attr:`touched` says which), only their children
+        are read: every other child's delta is zero, so the sum is the
+        same to the bit."""
+        if disks is None:
+            first, *rest = self._since(snapshot)
+        else:
+            children, child_of = self.children, self._child_of
+            moved = sorted({child_of[disk] for disk in disks})
+            if not moved:
+                return DiskStats()
+            first, *rest = [children[i].stats() - snapshot[i] for i in moved]
         return sum(rest, first)
 
     def cost_since(self, snapshot: Sequence[DiskStats]) -> VectoredCost:

@@ -20,7 +20,7 @@ Two hooks adapt the tree to the cluster organization of Section 4.2.1:
 from __future__ import annotations
 
 from functools import reduce
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,9 +45,42 @@ from repro.rtree.node import Node
 from repro.rtree.pager import NodePager
 from repro.rtree.split import rstar_split
 
-__all__ = ["RStarTree"]
+__all__ = ["Reach", "RStarTree"]
 
 LeafSplitHandler = Callable[[Node, Node], None]
+
+#: Queries of the first sub-block :meth:`RStarTree.window_reaches`
+#: traverses, before it knows what a query of the block reaches.
+_FIRST_QUERIES = 32
+
+
+class Reach(NamedTuple):
+    """What one block traversal (:meth:`RStarTree._reach`) reached.
+
+    ``visited[q]`` holds query ``q``'s visited nodes in its own
+    stack-DFS order.  ``leaves`` holds, per data page with hits, in
+    traversal order, ``(leaf, positions, runs)``: the positions of the
+    entries its queries hit, query by query and ascending within each,
+    and per query with hits ``(query, count)`` of its run, queries
+    ascending.  ``hits`` counts the positions of all the leaves."""
+
+    visited: list[list[Node]]
+    leaves: list[tuple[Node, np.ndarray, list[tuple[int, int]]]]
+    hits: int
+
+    def groups(self) -> list[list[tuple[Node, np.ndarray]]]:
+        """Per query its leaf groups, ``(leaf, positions)`` each, in its
+        order: views of the leaves' position arrays."""
+        groups: list[list[tuple[Node, np.ndarray]]] = [[] for _ in self.visited]
+        for leaf, positions, runs in self.leaves:
+            if len(runs) == 1:
+                groups[runs[0][0]].append((leaf, positions))
+                continue
+            end = 0
+            for query, count in runs:
+                start, end = end, end + count
+                groups[query].append((leaf, positions[start:end]))
+        return groups
 
 
 class RStarTree:
@@ -401,28 +434,13 @@ class RStarTree:
         ``window`` — the unit the cluster-organization read techniques
         operate on (Section 5.4) — as an ascending int64 array.  Only
         pages with at least one match are returned.  Every visited page
-        goes to ``read`` — by default the pager, which prices it.
-
-        Each visited node is filtered with one boolean mask over its
-        query matrix; pages are visited in stack-DFS order."""
+        goes to ``read`` — by default the pager, which prices it — in
+        stack-DFS order: the block traversal (:meth:`_reach`) of one
+        query."""
         read = read or self._read
-        qvec = kernels.window_qvec(window)
-        groups: list[tuple[Node, np.ndarray]] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
+        [(visited, groups)] = self.window_leaves_batch([window])
+        for node in visited:
             read(node)
-            if not node.entries:
-                continue
-            hits = kernels.qvec_mask(node.query_matrix(), qvec).nonzero()[0]
-            if not node.is_leaf:
-                entries = node.entries
-                for i in hits.tolist():
-                    child = entries[i].child
-                    assert child is not None
-                    stack.append(child)
-            elif hits.size:
-                groups.append((node, hits))
         return groups
 
     def window_leaves_batch(
@@ -432,18 +450,125 @@ class RStarTree:
         pair ``(visited_nodes, groups)``, where ``groups`` is
         ``window_leaves(rect)`` and ``visited_nodes`` its page visits in
         order, so pricing the visits query by query costs what running
-        the queries one at a time costs.  With ``groups_limit`` the walk
-        stops after the query that brings the groups to that many: the
-        pairs cover a prefix of ``rects``."""
-        per_query, held = [], 0
-        for rect in rects:
-            visited: list[Node] = []
-            groups = self.window_leaves(rect, visited.append)
-            per_query.append((visited, groups))
-            held += len(groups)
-            if groups_limit is not None and held >= groups_limit:
-                break
-        return per_query
+        the queries one at a time costs.  With ``groups_limit`` the
+        traversal stops after the query that brings the groups to that
+        many: the pairs cover a prefix of ``rects``."""
+        return [
+            pair
+            for _start, reach in self.window_reaches(rects, groups_limit)
+            for pair in zip(reach.visited, reach.groups())
+        ]
+
+    def window_reaches(
+        self,
+        rects: Sequence[Rect],
+        groups_limit: int | None = None,
+        hits_limit: int | None = None,
+    ) -> Iterable[tuple[int, Reach]]:
+        """:meth:`_reach` over ``rects`` in consecutive sub-blocks, each
+        as ``(index of its first query, its Reach)``: the first of
+        :data:`_FIRST_QUERIES` queries, each later one sized from the
+        leaf groups and hits per query seen so far to bring what is left
+        of ``groups_limit`` groups, and about ``hits_limit`` hits at
+        most.  With ``groups_limit`` the last sub-block ends at the query
+        that brings the groups to that many, so the queries reached are
+        a prefix of ``rects``, found without traversing more than one
+        sub-block past it (the queries of the last one up to that query
+        are traversed again, alone).  One query is one traversal, which
+        no limit cuts."""
+        if len(rects) == 1:
+            return [(0, self._reach(rects))]
+        return self._sub_blocks(rects, groups_limit, hits_limit)
+
+    def _sub_blocks(
+        self, rects: Sequence[Rect], groups_limit: int | None, hits_limit: int | None
+    ) -> Iterator[tuple[int, Reach]]:
+        """The sub-blocks of :meth:`window_reaches`, traversed lazily."""
+        n, start, size = len(rects), 0, _FIRST_QUERIES
+        held = hits = 0  # leaf groups and hits of the queries reached
+        while start < n:
+            reach = self._reach(rects[start:start + size])
+            size = len(reach.visited)
+            if groups_limit is not None:
+                counts = [0] * size
+                for _leaf, _positions, runs in reach.leaves:
+                    for query, _count in runs:
+                        counts[query] += 1
+                for query, count in enumerate(counts):
+                    held += count
+                    if held >= groups_limit:  # the queries up to this one, alone
+                        yield start, self._reach(rects[start:start + query + 1])
+                        return
+            yield start, reach
+            start += size
+            hits += reach.hits
+            size = n - start
+            if held and size:
+                size = min(size, -(-(groups_limit - held) * start // held))
+            if hits and size and hits_limit is not None:
+                size = min(size, max(1, hits_limit * start // hits))
+
+    def _reach(self, rects: Sequence[Rect]) -> Reach:
+        """The block traversal: one stack-DFS over the nodes any of
+        ``rects`` reaches, unpriced, each node masked once against all
+        the queries that reach it (:func:`~repro.core.kernels.
+        qvecs_mask`).  A node goes onto the ``visited`` list of each of
+        its queries as it is reached: the global order restricted to one
+        query is that query's own stack-DFS order, and so are its groups.
+        A child that every query of its parent hits inherits the
+        parent's queries without a numpy call, and a node one query
+        reaches is masked as that query's own walk would mask it, so a
+        block of one costs what one query's walk costs."""
+        n = len(rects)
+        visited: list[list[Node]] = [[] for _ in range(n)]
+        leaves: list[tuple[Node, np.ndarray, list[tuple[int, int]]]] = []
+        total = 0
+        # A stack entry: a node and the queries reaching it — their
+        # indices as a list and (of several) an array, and their
+        # comparison vectors.
+        qvecs = kernels.window_qvecs(rects)
+        stack = [(self.root, ([0], None, qvecs) if n == 1 else (list(range(n)), np.arange(n), qvecs))]
+        pop, push = stack.pop, stack.append
+        while stack:
+            node, queries = pop()
+            ids, index, qvecs = queries
+            entries = node.entries
+            if len(ids) == 1:
+                query = ids[0]
+                visited[query].append(node)
+                if not entries:
+                    continue
+                hits = kernels.qvec_mask(node.query_matrix(), qvecs).nonzero()[0]
+                if node.level:
+                    for i in hits.tolist():
+                        push((entries[i].child, queries))
+                elif hits.size:
+                    leaves.append((node, hits, [(query, hits.size)]))
+                    total += hits.size
+                continue
+            for query in ids:
+                visited[query].append(node)
+            if not entries:
+                continue
+            hit = kernels.qvecs_mask(node.query_matrix(), qvecs)
+            if node.level:
+                counts = hit.sum(axis=0)
+                children = counts.nonzero()[0]
+                k = len(ids)
+                for i, count in zip(children.tolist(), counts.take(children).tolist()):
+                    if count == k:
+                        push((entries[i].child, queries))
+                    else:
+                        some = hit[:, i]
+                        sub = index[some]
+                        push((entries[i].child, (sub.tolist(), sub, qvecs[some])))
+            else:
+                hits = hit.nonzero()[1]
+                if hits.size:
+                    runs = zip(ids, hit.sum(axis=1).tolist())
+                    leaves.append((node, hits, [run for run in runs if run[1]]))
+                    total += hits.size
+        return Reach(visited, leaves, total)
 
     def window_query(self, window: Rect) -> list[Entry]:
         """All data entries whose MBR shares points with ``window``

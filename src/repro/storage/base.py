@@ -33,7 +33,7 @@ import abc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,12 +54,13 @@ from repro.iosched.request import AccessPlan
 from repro.iosched.scheduler import OverlapScheduler, SyncScheduler
 from repro.rtree.node import Node
 from repro.rtree.pager import NodePager
-from repro.rtree.rstar import RStarTree
+from repro.rtree.rstar import Reach, RStarTree
 
 __all__ = ["QueryResult", "SpatialOrganization"]
 
 _NO_ROWS = np.empty(0, dtype=np.int64)
 _NO_KEYS = np.empty((0, 4))
+_NO_SIDES = np.empty(0, dtype=np.uint8)
 _EVERY = slice(None)
 
 #: Candidates one :meth:`SpatialOrganization._refine` call takes, about:
@@ -68,6 +69,10 @@ _EVERY = slice(None)
 #: scale 0.05 has ~135k candidates) is refined in slices of this size.
 #: ``traffic_open``'s 207 windows (54,317 candidates) are one slice.
 _REFINE_ROWS = 65_536
+
+#: The query index of a block's candidate, while 16 bits hold it: the
+#: stable sort by query is then a radix sort.
+_OWNER = np.uint16
 
 
 def _check_tiled(region: Region, held: list[Extent], packed: bool = False) -> None:
@@ -83,6 +88,15 @@ def _check_tiled(region: Region, held: list[Extent], packed: bool = False) -> No
         end = max(end, extent.end)
     if end > top or (end < top and not packed):
         raise StorageError(f"region {region.name!r} is held up to page {end}, not {top}")
+
+
+def _sides(keys: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Per candidate key ``(xmin, ymin, -xmax, -ymax)``, how many of its
+    window's sides it lies within — ``bounds`` holds the window's
+    ``(xmin, ymin, -xmax, -ymax)``, one row, or one per key; four where
+    the window contains the key's rectangle."""
+    # Four bool bytes to a row: its set bits count its flags.
+    return np.bitwise_count((keys >= bounds).view(np.uint32)).ravel()
 
 
 def _joined(parts: list[np.ndarray], empty: np.ndarray) -> np.ndarray:
@@ -118,6 +132,35 @@ class QueryResult:
     bytes_retrieved: int = 0
     io: DiskStats = field(default_factory=DiskStats)
     exact_tests: int = 0
+
+
+def _merged(parts: list[tuple[int, Reach]]) -> Reach:
+    """Consecutive sub-blocks' reaches, ``(index of the first query,
+    Reach)`` each, as one whose queries count from the first's."""
+    first, visited, leaves = parts[0][0], [], []
+    for start, reach in parts:
+        shift = start - first
+        visited += reach.visited
+        leaves += [
+            (leaf, hits, [(query + shift, count) for query, count in runs])
+            for leaf, hits, runs in reach.leaves
+        ]
+    return Reach(visited, leaves, sum(reach.hits for _start, reach in parts))
+
+
+class _Answer(NamedTuple):
+    """One query answered, unpriced (:meth:`SpatialOrganization.
+    _answer`): what pricing it needs — its visited nodes and its leaf
+    groups, ``(leaf, positions)`` each in request order — its answers as
+    :attr:`~SpatialOrganization.column` rows in answer order (a slice of
+    its block's array), and the :class:`QueryResult` counters."""
+
+    visited: list[Node]
+    groups: list[tuple[Node, np.ndarray]]
+    rows: np.ndarray
+    candidates: int
+    bytes_retrieved: int
+    exact_tests: int
 
 
 class SpatialOrganization(abc.ABC):
@@ -248,12 +291,12 @@ class SpatialOrganization(abc.ABC):
         self.pool.submit(AccessPlan(f"{self.name}.store").write_extent(extent))
         return extent
 
-    def _request_order(self, leaf: Node, hits: np.ndarray) -> np.ndarray:
-        """The positions ``hits`` of ``leaf`` (the filter's matches, in
-        ascending order) in the order :meth:`_plan_group` requests their
-        exact representations — the order of a query's candidates, and
-        so of its answers.  Here: the entries' own order."""
-        return hits
+    def _request_order(self, reach: Reach) -> Reach:
+        """``reach`` with each data page's positions, query by query, in
+        the order :meth:`_plan_group` requests their exact
+        representations — the order of a query's candidates, and so of
+        its answers.  Here: the entries' own order."""
+        return reach
 
     def _plan_group(
         self,
@@ -434,68 +477,135 @@ class SpatialOrganization(abc.ABC):
         filter and refinement, which price nothing.  **Transfer** —
         :meth:`_transfer`, query by query, which prices the node visits
         and the candidates' exact representations; its I/O is the
-        query's ``io``.
+        query's ``io``.  Only here do a query's answer rows become
+        objects.
         """
         merge = self._batchable()
-        disk = self.disk
+        disk, objects, oids = self.disk, self.objects, self.column.oids
         results = []
-        for rect, (visited, groups, result) in zip(rects, self._answer(rects, points)):
+        for rect, answer in zip(rects, self._answer(rects, points)):
             before = disk.stats()
-            self._transfer(visited, groups, rect, points, merge)
-            result.io = disk.stats() - before
-            results.append(result)
+            self._transfer(answer.visited, answer.groups, rect, points, merge)
+            results.append(QueryResult(
+                list(map(objects.__getitem__, oids.take(answer.rows).tolist())),
+                answer.candidates,
+                answer.bytes_retrieved,
+                disk.stats() - before,
+                answer.exact_tests,
+            ))
         return results
 
     def _answer(
         self, rects: Sequence[Rect], points: bool, groups_limit: int | None = None
-    ) -> list[tuple[list[Node], list[tuple[Node, np.ndarray]], QueryResult]]:
+    ) -> list[_Answer]:
         """The unpriced stages of the pipeline for a batch of queries of
-        one kind: per query its visited nodes, its groups (per matched
-        leaf the positions of its candidates, in request order) and its
-        :class:`QueryResult` but for ``io``.  Nothing here touches the
-        pool, the disks or the clock, so a run without writes may answer
-        all its queries before it prices any.
+        one kind: per query an :class:`_Answer`.  Nothing here touches
+        the pool, the disks or the clock, so a run without writes may
+        answer all its queries before it prices any.
 
-        **Filter** — :meth:`_filter`; with ``groups_limit`` only the
-        prefix of ``rects`` whose leaf groups reach that many is
-        answered (every query, when the limit is ``None``).  **Refine** —
-        :meth:`_refine`, over all queries answered at once, or in slices
-        of about :data:`_REFINE_ROWS` candidates.
+        **Filter** — :meth:`_filter`, block traversals of sub-blocks of
+        about :data:`_REFINE_ROWS` candidates; with ``groups_limit``
+        only the prefix of ``rects`` whose leaf groups reach that many
+        is answered (every query, when the limit is ``None``).
+        **Gather and refine** — :meth:`_answer_block`, over the
+        sub-blocks traversed since the last refinement, once they hold
+        :data:`_REFINE_ROWS` candidates, and at the end.
         """
-        sizes = self.column.sizes
-        answers, queries, pending = [], [], 0
-        for rect, (visited, groups) in zip(rects, self._filter(rects, groups_limit)):
-            rows = _joined([leaf.rows().take(order) for leaf, order in groups], _NO_ROWS)
-            keys = None if points else _joined(
-                [leaf.query_matrix().take(order, axis=0) for leaf, order in groups], _NO_KEYS
-            )
-            result = QueryResult(
-                candidates=len(rows), bytes_retrieved=sum(sizes.take(rows).tolist())
-            )
-            queries.append((rect, result, rows, keys))
-            answers.append((visited, groups, result))
-            pending += len(rows)
-            if pending >= _REFINE_ROWS:
-                self._refine(queries, points)
-                queries, pending = [], 0
-        if queries or not answers:
-            self._refine(queries, points)
+        answers: list[_Answer] = []
+        parts: list[tuple[int, Reach]] = []
+        held = 0
+        for start, reach in self._filter(rects, groups_limit):
+            parts.append((start, reach))
+            held += reach.hits
+            if held >= _REFINE_ROWS:
+                answers += self._answer_block(rects, parts, points)
+                parts, held = [], 0
+        if parts:
+            answers += self._answer_block(rects, parts, points)
         return answers
+
+    def _answer_block(
+        self, rects: Sequence[Rect], parts: list[tuple[int, Reach]], points: bool
+    ) -> list[_Answer]:
+        """Gather and refine the consecutive sub-blocks ``parts`` of
+        ``rects`` (``(index of the first query, Reach)`` each) as one
+        block.  One gather per data page reached: its candidates' rows
+        and, for windows, their keys, which a comparison with each
+        candidate's window turns into its sides (one byte a candidate;
+        the keys are dropped, page by page in a block of several
+        queries).  Then the candidates are ordered query by query (a
+        stable radix sort on the query: within a query the order is its
+        own traversal's), so each query's candidates, and its answers,
+        are one slice of the block's arrays, and :meth:`_refine` decides
+        them."""
+        first, reach = parts[0][0], _merged(parts) if len(parts) > 1 else parts[0][1]
+        rects = rects[first:first + len(reach.visited)]
+        n, leaves = len(rects), reach.leaves
+        rows = _joined([leaf.rows().take(hits) for leaf, hits, _runs in leaves], _NO_ROWS)
+        column, owners, sides = self.column, None, None
+        if n > 1:
+            runs = [run for _leaf, _hits, leaf_runs in leaves for run in leaf_runs]
+            owners = np.repeat(
+                np.array(
+                    [query for query, _count in runs],
+                    dtype=_OWNER if n <= np.iinfo(_OWNER).max + 1 else np.int64,
+                ),
+                [count for _query, count in runs],
+            )
+        if not points:
+            low = np.array([(r.xmin, r.ymin, -r.xmax, -r.ymax) for r in rects])
+            if owners is None:  # one query: all its keys at once
+                keys = [leaf.query_matrix().take(hits, axis=0) for leaf, hits, _runs in leaves]
+                sides = _sides(_joined(keys, _NO_KEYS), low[0])
+            else:  # page by page: a block's keys are never held at once
+                sides = []
+                for leaf, hits, runs in leaves:
+                    bounds = low[runs[0][0]] if len(runs) == 1 else np.repeat(
+                        low.take([query for query, _count in runs], axis=0),
+                        [count for _query, count in runs],
+                        axis=0,
+                    )
+                    sides.append(_sides(leaf.query_matrix().take(hits, axis=0), bounds))
+                sides = _joined(sides, _NO_SIDES)
+        if owners is None:
+            accepted, tests = self._refine((rects, None, rows, sides), points)
+            return [_Answer(
+                reach.visited[0], [(leaf, hits) for leaf, hits, _runs in leaves], rows[accepted],
+                len(rows), sum(column.sizes.take(rows).tolist()), tests[0],
+            )]
+        order = np.argsort(owners, kind="stable")
+        owners, rows = owners.take(order), rows.take(order)
+        if sides is not None:
+            sides = sides.take(order)
+        del order  # eight bytes a candidate, not needed through the refinement
+        ends = [0, *np.bincount(owners, minlength=n).cumsum().tolist()]
+        paid = np.concatenate(([0], column.sizes.take(rows).cumsum())).take(ends).tolist()
+        accepted, tests = self._refine((rects, owners, rows, sides), points)
+        kept, groups = rows[accepted], reach.groups()
+        tops = [0, *np.bincount(owners[accepted], minlength=n).cumsum().tolist()]
+        return [
+            _Answer(
+                reach.visited[q], groups[q], kept[tops[q]:tops[q + 1]],
+                ends[q + 1] - ends[q], paid[q + 1] - paid[q], tests[q],
+            )
+            for q in range(n)
+        ]
 
     def _filter(
         self, rects: Sequence[Rect], groups_limit: int | None = None
-    ) -> list[tuple[list[Node], list[tuple[Node, np.ndarray]]]]:
+    ) -> Iterable[tuple[int, Reach]]:
         """The filter stage of :meth:`_answer`, which prices and refines
-        nothing: per query the visited nodes in DFS order
-        (:meth:`RStarTree.window_leaves_batch`, which ``groups_limit``
-        may stop early) and per matched leaf the positions of its
-        matching entries, put in the order :meth:`_transfer` requests
-        them (:meth:`_request_order`)."""
-        request_order = self._request_order
-        return [
-            (visited, [(leaf, request_order(leaf, hits)) for leaf, hits in groups])
-            for visited, groups in self.tree.window_leaves_batch(rects, groups_limit)
-        ]
+        nothing: the block traversals of :meth:`RStarTree.
+        window_reaches` — sub-blocks of about :data:`_REFINE_ROWS`
+        candidates, which ``groups_limit`` may stop early — each as
+        ``(index of its first query, Reach)``, with every data page's
+        positions in the order :meth:`_transfer` requests them
+        (:meth:`_request_order`)."""
+        order = self._request_order
+        return (
+            (start, order(reach))
+            for start, reach in self.tree.window_reaches(rects, groups_limit, _REFINE_ROWS)
+        )
 
     def _batchable(self) -> bool:
         """May one query's node reads and object transfers be merged
@@ -556,66 +666,54 @@ class SpatialOrganization(abc.ABC):
         if plan:
             self.pool.submit(plan)
 
-    def _refine(self, queries: list[tuple], points: bool) -> None:
-        """Exact refinement of every query of one batch — ``(rect,
-        result, rows, keys)`` each: its candidates as :attr:`column`
-        rows and their entries' ``query_matrix()`` rows (``None`` for a
-        point query, whose candidates are all tested) — filling
-        ``objects`` and ``exact_tests`` of its result.  Every decision
-        is taken on row arrays; only the answers are looked up as
-        objects.
+    def _refine(self, candidates: tuple, points: bool) -> tuple[np.ndarray, list[int]]:
+        """Exact refinement of one block of queries of one kind: per
+        candidate whether it is an answer, and per query its
+        ``exact_tests``.  ``candidates`` is ``(rects, owners, rows,
+        sides)``: candidate ``i`` is :attr:`column` row ``rows[i]`` of
+        query ``rects[owners[i]]`` (of the only query when ``owners`` is
+        ``None``), and ``sides[i]`` counts the sides of that window its
+        entry's MBR lies within (:func:`_sides`; ``None`` for point
+        queries, whose candidates are all tested).  Every decision is
+        taken on row arrays.
 
         A window candidate whose MBR lies inside the window necessarily
-        shares points with it and needs no test: one comparison of
-        ``keys`` (``(xmin, ymin, -xmax, -ymax)`` per candidate) decides
-        that for a whole query, as ``rect.contains(obj.mbr)`` would per
-        candidate.  Those left pending are what ``exact_tests`` counts.
-        A pending candidate with three of the four flags and a tight
-        row (no ``mbr_override``) is accepted without a test: its key
-        is then its geometry's MBR, whose remaining side lies in the
-        window (the filter found the MBR intersecting it), so the
-        vertex on that side is inside the window and the scalar
-        predicate accepts it through ``contains_point``.  All pending
-        tests of the call go through one
-        :func:`~repro.geometry.intersect.polylines_intersect_rects`
+        shares points with it and needs no test: its ``sides`` count
+        says so (four), as ``rect.contains(obj.mbr)`` would.  Those left
+        pending are what ``exact_tests`` counts.  A pending candidate
+        with three sides and a tight row (no ``mbr_override``) is
+        accepted without a test: its key is then its geometry's MBR,
+        whose remaining side lies in the window (the filter found the
+        MBR intersecting it), so the vertex on that side is inside the
+        window and the scalar predicate accepts it through
+        ``contains_point``.  All pending tests of the block go through
+        one :func:`~repro.geometry.intersect.polylines_intersect_rects`
         call, which gathers their vertices from the column by row (map
         polylines have a handful of segments each, so only one call
         across candidates and queries amortizes the numpy dispatch; a
         point test is a degenerate rect intersection)."""
-        if not queries:
-            return
-        column, objects = self.column, self.objects
-        decided, tested, pending = [], [], []
-        for rect, result, rows, keys in queries:
-            if points:
-                test = _EVERY  # no key: every candidate
-                result.exact_tests += len(rows)
-            else:
-                inside = keys >= (rect.xmin, rect.ymin, -rect.xmax, -rect.ymax)
-                # Four bool bytes to a row: its set bits count its flags.
-                sides = np.bitwise_count(inside.view(np.uint32)).ravel()
-                result.exact_tests += int(np.count_nonzero(sides < 4))
-                # Three flags and a tight row: a whole side in the window.
-                test = np.flatnonzero(sides + column.tight.take(rows) < 4)
-            decided.append(np.ones(len(rows), dtype=bool))
-            tested.append(test)
-            pending.append(rows[test])
-        if len(queries) == 1:
-            flat, window = pending[0], queries[0][0].as_tuple()
+        rects, owners, rows, sides = candidates
+        column, n = self.column, len(rects)
+        if points:
+            test = _EVERY  # no sides: every candidate
+            tests = [len(rows)] if owners is None else np.bincount(owners, minlength=n).tolist()
         else:
-            flat = np.concatenate(pending)
-            window = np.repeat(
-                [rect.as_tuple() for rect, *_ in queries], list(map(len, pending)), axis=0
+            tested = sides < 4
+            tests = (
+                [int(np.count_nonzero(tested))] if owners is None
+                else np.bincount(owners[tested], minlength=n).tolist()
             )
-        if len(flat):
-            verdicts = polylines_intersect_rects(column, flat, window)
-            start = 0
-            for decisions, test, candidates in zip(decided, tested, pending):
-                decisions[test] = verdicts[start:start + len(candidates)]
-                start += len(candidates)
-        oids = column.oids
-        for (_rect, result, rows, _keys), decisions in zip(queries, decided):
-            result.objects = list(map(objects.__getitem__, oids.take(rows[decisions]).tolist()))
+            # Three sides and a tight row: a whole side in the window.
+            test = np.flatnonzero(sides + column.tight.take(rows) < 4)
+        accepted = np.ones(len(rows), dtype=bool)
+        pending = rows[test]
+        if len(pending):
+            if owners is None:
+                window = rects[0].as_tuple()
+            else:
+                window = np.array([r.as_tuple() for r in rects]).take(owners[test], axis=0)
+            accepted[test] = polylines_intersect_rects(column, pending, window)
+        return accepted, tests
 
     # ------------------------------------------------------------------
     # buffer-pool wiring

@@ -32,10 +32,11 @@ never on the buffer or the clock.  So when every operation of a
 sessions or traffic run is a window or a point, the run *answers* them
 ahead of pricing, a block at a time: when serving reaches a query not
 yet answered, the queries of its block (:class:`_AnswerStage`), as many
-as a bound on their leaf groups lets in, are each filtered by its own
-tree walk and refined together.  Serving such an operation only prices
-it — its node visits and object transfers, in its turn, through the
-same plans as a live query — and drops its answer.  A run holding a write, a reorg, a join or a malformed
+as a bound on their leaf groups lets in, are filtered by one block
+traversal of the tree, gathered once per data page reached and refined
+together; an answer is kept as its count.  Serving such an operation
+only prices it — its node visits and object transfers, in its turn,
+through the same plans as a live query — and drops its answer.  A run holding a write, a reorg, a join or a malformed
 operation is served live, operation by operation, as is every
 :meth:`WorkloadEngine.run` stream.
 """
@@ -83,7 +84,7 @@ class _Answered(NamedTuple):
     """A window or point operation answered ahead of its pricing
     (:meth:`SpatialOrganization._answer`): what pricing it still needs —
     its rectangle, visited nodes and leaf groups — and its answer
-    count."""
+    count (the answers themselves are never built as objects)."""
 
     kind: str
     rect: Rect
@@ -98,9 +99,9 @@ class _Answered(NamedTuple):
 _ANSWER_BATCH = 256
 
 #: Leaf groups one answer-stage call brings, about: a block whose
-#: queries match more (a large window has dozens, each ~0.5 KB held) is
-#: answered in parts, each when serving reaches it.  ``traffic_open``'s
-#: 1,581 window groups are one part.
+#: queries match more (a large window has dozens, each a view of its
+#: data page's positions held) is answered in parts, each when serving
+#: reaches it.  ``traffic_open``'s 1,581 window groups are one part.
 _BLOCK_GROUPS = 2048
 
 #: Leaf groups of the answers kept whole while they wait for their
@@ -166,8 +167,8 @@ class _AnswerStage:
             self.groups_held -= len(answered.groups)
             return answered.rect, answered.visited, answered.groups, answered.results
         rect = _query_rect(self.queries[kind][index])
-        [(visited, groups)] = self.storage._filter([rect])
-        return rect, visited, groups, counts.pop(key)
+        [(_start, reach)] = self.storage._filter([rect])
+        return rect, reach.visited[0], reach.groups()[0], counts.pop(key)
 
     def _answer_block(self, kind: str, index: int) -> None:
         """Answer what of ``index``'s block is not answered yet, from
@@ -181,10 +182,11 @@ class _AnswerStage:
             if not served[i] and (kind, i) not in answers and (kind, i) not in counts
         ]
         rects = [_query_rect(ops[i]) for i in block]
-        for i, rect, (visited, groups, result) in zip(
+        for i, rect, answer in zip(
             block, rects, self.storage._answer(rects, kind == "point", _BLOCK_GROUPS)
         ):
-            answers[kind, i] = _Answered(kind, rect, visited, groups, len(result.objects))
+            groups = answer.groups
+            answers[kind, i] = _Answered(kind, rect, answer.visited, groups, len(answer.rows))
             self.groups_held += len(groups)
         answers[kind, index] = answers.pop((kind, index))  # the newest: served now
         while self.groups_held > _GROUPS_HELD and len(answers) > 1:
@@ -738,6 +740,7 @@ class WorkloadEngine:
             clock = scheduler.clock
             started = clock.client_time(client)
             queued_mark = scheduler.client_queueing_ms(client)
+            disk.touched.clear()
         session_span = self._spans.get(client)
         if session_span is not None:
             tracer = self._tracer
@@ -747,8 +750,15 @@ class WorkloadEngine:
             op_span = self._op_span = tracer.begin(
                 "op", cat="operation", ts=started, parent=session_span
             )
-        with scheduler.operation(client) if scheduler is not None else nullcontext():
+        if scheduler is None:
             kind, results = self._execute(op)
+            io = disk.stats_since(mark)
+        else:
+            operation = scheduler.operation(client)
+            with operation:
+                kind, results = self._execute(op)
+            # Only the devices priced inside the operation have moved.
+            io = disk.stats_since(mark, operation.touched | disk.touched)
         if scheduler is not None:
             finished = clock.client_time(client)
             if first_ready is None:
@@ -768,7 +778,6 @@ class WorkloadEngine:
         if phase is None:
             phase = Row(kind)
             report.phases.append(phase)
-        io = disk.stats_since(mark)
         device = (phase.io + io).total_ms - phase.io.total_ms
         served = _Served(
             kind, results, latency, device, queued,

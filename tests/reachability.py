@@ -123,7 +123,7 @@ BLOCK_LINES = 5
 # ("module:Qualified.name", the block's first source line, stripped)
 # -> why the block stays although no user path runs it.
 ALLOWED_LINES: dict[tuple[str, str], str] = {
-    ("repro.iosched.scheduler:OverlapScheduler.operation", "tracer.use_virtual_clock(True)"): (
+    ("repro.iosched.scheduler:OverlapScheduler._admit", "tracer.use_virtual_clock(True)"): (
         "the admission.wait trace span: only `trace --admission priority` "
         "delays a traced operation, and no golden runs it"
     ),

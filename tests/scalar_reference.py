@@ -7,8 +7,9 @@ Each function takes the arguments of the shipped name it stands for, so
 a test can patch it over that name (:data:`PATCHES` lists the targets):
 
 * :func:`window_leaves` / :func:`window_leaves_batch` — the tree walk
-  that tests entry by entry (``RStarTree``), and :func:`find_leaf`,
-  delete's descent the same way;
+  that tests entry by entry, one query at a time, and :func:`reach`,
+  the block traversal as such walks (``RStarTree``), and
+  :func:`find_leaf`, delete's descent the same way;
 * :func:`rstar_split` — the split over sorted entry lists and ``Rect``
   unions (``repro.rtree.rstar``);
 * :func:`mbr_join_run` — the join's synchronized traversal as the
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import sys
 from contextlib import ExitStack, contextmanager
-from itertools import compress
 from unittest import mock
 
 import numpy as np
@@ -47,7 +47,7 @@ from repro.join import multistep
 from repro.join.mbr_join import MBRJoin
 from repro.rtree import rstar
 from repro.rtree.entry import Entry
-from repro.rtree.rstar import RStarTree
+from repro.rtree.rstar import Reach, RStarTree
 from repro.storage.base import SpatialOrganization
 
 
@@ -85,6 +85,18 @@ def window_leaves_batch(tree, rects, groups_limit=None):
         if groups_limit is not None and sum(len(g) for _v, g in per_query) >= groups_limit:
             break
     return per_query
+
+
+def reach(tree, rects):
+    """``RStarTree._reach`` as a loop of entry-at-a-time walks, one
+    query after the other: a data page two queries hit is reached once
+    per query, each time with its own run."""
+    visited, leaves = [], []
+    for query, rect in enumerate(rects):
+        visited.append([])
+        for leaf, hits in window_leaves(tree, rect, visited[-1].append):
+            leaves.append((leaf, hits, [(query, len(hits))]))
+    return Reach(visited, leaves, sum(len(hits) for _leaf, hits, _runs in leaves))
 
 
 def find_leaf(tree, node, oid, rect, q):
@@ -268,30 +280,25 @@ def sort_by_hilbert(objects, data_space: float, order: int = 16):
     return sorted(objects, key=lambda o: hilbert_sort_key(o, data_space, order))
 
 
-def refine(org, queries, points: bool) -> None:
+def refine(org, candidates, points: bool):
     """``SpatialOrganization._refine`` candidate by candidate: each row
     is looked up as its object, the containment shortcut asks
-    ``rect.contains(obj.mbr)`` (``keys`` are never read), every other
+    ``rect.contains(obj.mbr)`` (``sides`` are never read), every other
     candidate its own predicate."""
-    for rect, result, rows, _keys in queries:
-        candidates = [org.objects[oid] for oid in org.column.oids[rows].tolist()]
+    rects, owners, rows, _sides = candidates
+    accepted, tests = [], [0] * len(rects)
+    for i, oid in enumerate(org.column.oids[rows].tolist()):
+        query = 0 if owners is None else int(owners[i])
+        rect, obj = rects[query], org.objects[oid]
         if points:
-            pending = range(len(candidates))
+            tests[query] += 1
+            accepted.append(obj.contains_point(rect.xmin, rect.ymin))
+        elif rect.contains(obj.mbr):
+            accepted.append(True)
         else:
-            pending = [
-                slot
-                for slot, obj in enumerate(candidates)
-                if not rect.contains(obj.mbr)
-            ]
-        result.exact_tests += len(pending)
-        decisions = [True] * len(candidates)
-        for slot in pending:
-            obj = candidates[slot]
-            if points:
-                decisions[slot] = obj.contains_point(rect.xmin, rect.ymin)
-            else:
-                decisions[slot] = obj.intersects_rect(rect)
-        result.objects = list(compress(candidates, decisions))
+            tests[query] += 1
+            accepted.append(obj.intersects_rect(rect))
+    return np.array(accepted, dtype=bool), tests
 
 
 def join_refine(org_r, org_s, pairs) -> np.ndarray:
@@ -346,7 +353,7 @@ SCALAR_LOOPS = ((intersect, "_VECTOR_MIN_CELLS", sys.maxsize),)
 #: run the entry-at-a-time path end to end.
 PATCHES = (
     (RStarTree, "window_leaves", window_leaves),
-    (RStarTree, "window_leaves_batch", window_leaves_batch),
+    (RStarTree, "_reach", reach),
     (RStarTree, "_find_leaf", find_leaf),
     (rstar, "rstar_split", rstar_split),
     (MBRJoin, "run", mbr_join_run),

@@ -129,7 +129,7 @@ class TestExports:
         from repro.disk.model import DiskModel
         from repro.rtree.rstar import RStarTree
 
-        assert repro.core.kernels.__all__ == ["window_qvec", "qvec_mask"]
+        assert repro.core.kernels.__all__ == ["window_qvecs", "qvec_mask", "qvecs_mask"]
         for name in ("vectorized", "set_scalar_kernels", "scalar_kernels"):
             assert not hasattr(repro.core.kernels, name)
         assert "trace" not in inspect.signature(DiskModel).parameters

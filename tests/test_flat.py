@@ -357,19 +357,19 @@ class TestBatchableGuard:
         assert not org._batchable()
         windows = _windows(objects300, n=4)
         singles = [twin.window_query(w) for w in windows]
-        # Only merging is off: the batch is still filtered by one walk
-        # per window, ahead of its priced reads.
-        walks = []
-        walk = RStarTree.window_leaves
+        # Only merging is off: the batch is still filtered by one block
+        # traversal, ahead of its priced reads.
+        blocks = []
+        traverse = RStarTree._reach
 
-        def counted(tree, window, read=None):
-            walks.append(read)
-            return walk(tree, window, read)
+        def counted(tree, rects):
+            blocks.append(len(rects))
+            return traverse(tree, rects)
 
-        monkeypatch.setattr(RStarTree, "window_leaves", counted)
+        monkeypatch.setattr(RStarTree, "_reach", counted)
         batch = org.window_query_batch(windows)
         TestOrganizationBatch._assert_equal(singles, batch)
-        assert len(walks) == len(windows) and None not in walks
+        assert blocks == [len(windows)]
 
     def test_sync_default_is_batchable(self, objects300):
         org = build_org("secondary", make_objects(120, seed=3))

@@ -226,9 +226,9 @@ class TestOverlapScheduler:
         assert sched.clock.client_time("main") == 0.0
         assert sched.clock.disk_free[0] > 0.0
 
-    def test_session_context_restores_client(self):
+    def test_operation_restores_client(self):
         sched = OverlapScheduler()
-        with sched.session("alice"):
+        with sched.operation("alice"):
             assert sched._client == "alice"
         assert sched._client == "main"
 

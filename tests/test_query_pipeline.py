@@ -165,6 +165,97 @@ def _priced(result):
     )
 
 
+class TestTheBlockAnswerIsTheWalkAnswer:
+    """A block of queries, answered by one traversal, one gather per
+    data page and one refinement, equals its queries answered one at a
+    time with the per-query walk oracle
+    (``tests/scalar_reference.py``) as the filter: visited nodes in
+    order, groups (leaf and positions, in request order), answer rows
+    in order, candidates, bytes, exact tests — and, priced on twin
+    databases, per-query I/O.  Small first sub-blocks and refinements
+    make a block several traversals and refinements."""
+
+    @staticmethod
+    def blocks(windows, points):
+        """Windows and points: alone, all together, with duplicates and
+        queries that hit nothing."""
+        miss = Rect(5000, 5000, 5100, 5100)
+        dots = [Rect(x, y, x, y) for x, y in points]
+        many = windows + [windows[3], miss, windows[3], miss]
+        return [
+            ([windows[5]], False), ([miss], False), (many, False),
+            (dots[1:2], True), (dots + dots[:7], True),
+        ]
+
+    @staticmethod
+    def seen(answer):
+        return (
+            [node.node_id for node in answer.visited],
+            [(leaf.node_id, hits.tolist()) for leaf, hits in answer.groups],
+            answer.rows.tolist(),
+            answer.candidates,
+            answer.bytes_retrieved,
+            answer.exact_tests,
+        )
+
+    def walked(self, org, rects, points):
+        from repro.rtree.rstar import RStarTree
+
+        with mock.patch.object(RStarTree, "_reach", scalar_reference.reach):
+            return [self.seen(org._answer([rect], points)[0]) for rect in rects]
+
+    @pytest.fixture(params=[(32, 65_536), (3, 40)], ids=["shipped", "small-parts"])
+    def parts(self, request, monkeypatch):
+        from repro.rtree import rstar
+
+        first, rows = request.param
+        monkeypatch.setattr(rstar, "_FIRST_QUERIES", first)
+        monkeypatch.setattr(base, "_REFINE_ROWS", rows)
+
+    @pytest.mark.parametrize("kind", ORG_KINDS)
+    def test_answers(self, mixed, kind, parts):
+        _objects, windows, points, orgs = mixed
+        org = orgs[kind]
+        for rects, dots in self.blocks(windows, points):
+            assert [self.seen(a) for a in org._answer(rects, dots)] == self.walked(org, rects, dots)
+            assert [(v, [(leaf, h.tolist()) for leaf, h in g]) for v, g in org.tree.window_leaves_batch(rects)] == [
+                (v, [(leaf, h.tolist()) for leaf, h in g])
+                for v, g in scalar_reference.window_leaves_batch(org.tree, rects)
+            ]
+
+    @pytest.mark.parametrize("kind", ORG_KINDS)
+    def test_a_groups_limit_cuts_the_block_at_the_query_that_reaches_it(self, mixed, kind, parts):
+        _objects, windows, points, orgs = mixed
+        org = orgs[kind]
+        for rects, dots in self.blocks(windows, points)[2::2]:
+            whole = self.walked(org, rects, dots)
+            for limit in (1, 9, 40):
+                cut = [self.seen(a) for a in org._answer(rects, dots, limit)]
+                reached = scalar_reference.window_leaves_batch(org.tree, rects, limit)
+                assert 0 < len(cut) == len(reached) < len(rects)
+                assert cut == whole[: len(cut)]
+
+    @pytest.mark.parametrize("kind", ORG_KINDS)
+    def test_an_empty_tree(self, kind, parts):
+        org = build_org(kind, [], smax_bytes=SMAX_BYTES)
+        rects = [Rect(0, 0, 10, 10), Rect(0, 0, 10, 10), Rect(3, 3, 3, 3)]
+        for dots in (False, True):
+            got = [self.seen(a) for a in org._answer(rects, dots)]
+            assert got == self.walked(org, rects, dots) == [([0], [], [], 0, 0, 0)] * 3
+
+    @pytest.mark.parametrize("kind", ORG_KINDS)
+    def test_priced_on_twins(self, mixed, kind, parts):
+        objects, windows, points, _orgs = mixed
+        block, walked = (build_org(kind, objects, smax_bytes=SMAX_BYTES) for _ in range(2))
+        from repro.rtree.rstar import RStarTree
+
+        for rects, dots in self.blocks(windows, points):
+            batch = [_priced(r) for r in block._run_queries(rects, dots)]
+            with mock.patch.object(RStarTree, "_reach", scalar_reference.reach):
+                singles = [_priced(walked._run_queries([rect], dots)[0]) for rect in rects]
+            assert batch == singles
+
+
 class TestMergingIsAllTheGuardSwitches:
     """A batch equals the looped singles on a twin database in every
     observable — answers and counters, per-query I/O, pool and prefetch

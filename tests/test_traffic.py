@@ -620,15 +620,19 @@ class TestAnsweredInBoundedMemory:
 def served_op_counts() -> dict[str, float]:
     """Run a fixed 40-session traffic on a 4-disk ``overlap`` database
     at the benchmark's smoke size and count the calls the served path
-    used to make once per plan, per page and per entry, and the filter
-    walks (``window_leaves``) and refinement calls (``_refine``) of the
-    run, which answers its read-only operations ahead of serving them.
+    used to make once per plan, per page and per entry, and what the
+    run, which answers its read-only operations ahead of serving them,
+    costs the answer stage: its block traversals (``RStarTree._reach``),
+    the node masks they take (``query_matrix`` reads) and the nodes they
+    reach, its gathers (``Node.rows`` reads, one per data page a
+    traversal reached with hits) and its refinement calls (``_refine``).
     What pricing a request costs: ``store_calls`` (batches the pool hands
     the store), ``evict_hook_calls`` (the pool's eviction hook, which a
     clean LRU victim no longer calls) and ``device_total_reads`` (disk
     totals the overlap scheduler differences: the devices a request
     priced, not every device).  Machine-independent; CI's ``Size
-    report`` prints the ``*_per_op`` values and ``refine_calls``."""
+    report`` prints the ``*_per_op`` values, ``traversals`` and
+    ``refine_calls``."""
     from contextlib import ExitStack
     from unittest.mock import patch
 
@@ -640,6 +644,7 @@ def served_op_counts() -> dict[str, float]:
     from repro.iosched.scheduler import SyncScheduler
     from repro.pagestore.placement import PlacementPolicy
     from repro.pagestore.store import ShardedPageStore
+    from repro.rtree.node import Node
     from repro.rtree.rstar import RStarTree
     from repro.storage.base import SpatialOrganization
     from repro.workload.engine import WorkloadEngine
@@ -657,10 +662,11 @@ def served_op_counts() -> dict[str, float]:
     ops = sum(len(s.operations) for s in sessions)
     calls = dict.fromkeys(
         ("submits", "gets", "store_calls", "evict_hook_calls", "device_total_reads",
-         "disk_of_in_transfer", "contains_in_refine", "filter_walks", "refine_calls"), 0
+         "disk_of_in_transfer", "contains_in_refine", "traversals", "node_masks",
+         "nodes_reached", "leaf_gathers", "leaves_reached", "refine_calls"), 0
     )
     submits_by_op: list[int] = []
-    depth = {"transfer": 0, "refine": 0}
+    depth = {"transfer": 0, "refine": 0, "traversal": 0, "answer": 0}
 
     def spy(stack, owner, name, note):
         """Patch ``owner.name`` to run ``note(original, *args)``."""
@@ -693,6 +699,17 @@ def served_op_counts() -> dict[str, float]:
 
         return note
 
+    def traversal(original, tree, rects):
+        depth["traversal"] += 1
+        try:
+            reach = original(tree, rects)
+        finally:
+            depth["traversal"] -= 1
+        calls["traversals"] += 1
+        calls["nodes_reached"] += len({id(node) for nodes in reach.visited for node in nodes})
+        calls["leaves_reached"] += len(reach.leaves)
+        return reach
+
     def per_op(original, *args):
         before = calls["submits"]
         try:
@@ -708,7 +725,10 @@ def served_op_counts() -> dict[str, float]:
         spy(stack, BufferPool, "submit", counted("submits"))
         spy(stack, SyncScheduler, "_issue", per_request)
         spy(stack, WorkloadEngine, "_execute", per_op)
-        spy(stack, RStarTree, "window_leaves", counted("filter_walks"))
+        spy(stack, RStarTree, "_reach", traversal)
+        spy(stack, Node, "query_matrix", counted("node_masks", "traversal"))
+        spy(stack, SpatialOrganization, "_answer", scoped("answer"))
+        spy(stack, Node, "rows", counted("leaf_gathers", "answer"))
         spy(stack, BufferPool, "_write_back_victim", counted("evict_hook_calls"))
         spy(stack, DiskModel, "total_ms", counted("device_total_reads"))
         spy(stack, ShardedPageStore, "_transfer", scoped("transfer", "store_calls"))
@@ -841,11 +861,16 @@ class TestServedOpCounts:
         # containment shortcut is one mask per query.
         assert counts["disk_of_in_transfer"] == 0
         assert counts["contains_in_refine"] == 0
-        # Per run: a read-only run is filtered one walk per operation and
-        # refined once per kind (windows, points; 44 operations are one
-        # batch of each) before it is priced.
-        assert counts["filter_walks_per_op"] == 1
-        assert counts["refine_calls"] == 2
+        # Per run: a read-only run is filtered by one block traversal
+        # and refined once per kind (windows, points; 44 operations are
+        # one block of each) before it is priced.  A traversal masks each
+        # node it reaches once for all the block's queries, and gathers
+        # each data page it reached with hits once.  One walk per
+        # operation masked 115 nodes (2.614 per operation) and gathered
+        # rows 64 times (1.455), one per query and data page.
+        assert counts["traversals"] == counts["refine_calls"] == 2
+        assert counts["node_masks"] <= counts["nodes_reached"]
+        assert counts["leaf_gathers"] == counts["leaves_reached"]
 
 
 class TestInsertPathCounts:
