@@ -216,8 +216,10 @@ class LRUBuffer(PolicyBuffer):
 
     policy = "lru"
 
-    def _note_hit(self, key: Hashable) -> None:
-        self._entries.move_to_end(key)
+    def __init__(self, capacity, on_evict=None):
+        super().__init__(capacity, on_evict)
+        # The hook is the table's own method: a hit costs no frame of ours.
+        self._note_hit = self._entries.move_to_end
 
 
 class FIFOBuffer(PolicyBuffer):

@@ -440,7 +440,9 @@ class BufferPool:
             self.misses += npages
             return self.disk.read(start, npages, continuation)
         missing = self.access_all(range(start, start + npages))
-        if missing and missing[-1] - missing[0] == len(missing) - 1:
+        if not missing:
+            return 0.0
+        if missing[-1] - missing[0] == len(missing) - 1:
             # Part of a range, so sorted and distinct: with its ends
             # len - 1 apart it is one run (a node's page, or a unit
             # read that missed whole).

@@ -292,10 +292,20 @@ class DiskModel:
         measurement surface)."""
         return self.stats()
 
-    def stats_since(self, snapshot: DiskStats, disks: Iterable[int] | None = None) -> DiskStats:
-        """Statistics delta since ``snapshot`` (``disks``, the devices
-        priced since, says nothing a single disk needs)."""
+    def stats_since(self, snapshot: DiskStats) -> DiskStats:
+        """Statistics delta since ``snapshot``."""
         return self._stats - snapshot
+
+    def advance(
+        self, snapshot: DiskStats, disks: Iterable[int]
+    ) -> tuple[DiskStats, DiskStats]:
+        """:meth:`stats_since` ``snapshot`` and the marker moved to now
+        (the single-disk face of
+        :meth:`~repro.pagestore.store.CompositePageStore.advance`)."""
+        if not disks:
+            return DiskStats(), snapshot
+        now = self.stats()
+        return now - snapshot, now
 
     def cost_since(self, snapshot: DiskStats) -> VectoredCost:
         """Cost of everything priced since ``snapshot``; on one disk

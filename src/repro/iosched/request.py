@@ -256,7 +256,7 @@ class AccessPlan:
         """Buffered write of consecutive pages: dirty frames when the
         pool buffers, a priced device write on a pass-through pool."""
         self.requests.append(
-            IORequest("write", start, npages, continuation=continuation, chain=chain)
+            IORequest("write", start, npages, None, continuation, chain)
         )
         return self
 

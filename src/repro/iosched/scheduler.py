@@ -131,48 +131,39 @@ class SyncScheduler:
         chains: set[int],
         plan: AccessPlan,
     ) -> float:
-        op = request.op
-        if op == "charge":
-            return pool.charge(
-                seeks=request.seeks,
-                rotations=request.rotations,
-                pages=request.npages,
-            )
-        if request.chain is not None:
-            continuation = request.chain in chains
-        else:
-            continuation = request.continuation
-        if op == "read" or op == "get":
+        op, start, npages, chain = request.op, request.start, request.npages, request.chain
+        continuation = request.continuation if chain is None else chain in chains
+        # The common operations first: a node ``get``, a buffered write.
+        if op == "get" or op == "read":
             # A get is a one-page read: a hit is free, a miss is priced
             # and admitted.
-            cost = pool.read(request.start, request.npages, continuation)
-            span = (request.start, request.npages)
+            cost = pool.read(start, npages, continuation)
+        elif op == "write":
+            cost = pool.write(start, npages, continuation)
         elif op == "fetch":
-            cost = pool.fetch(
-                request.start, request.npages, continuation, request.admit
-            )
-            span = (request.start, request.npages)
+            cost = pool.fetch(start, npages, continuation, request.admit)
         elif op == "load_pages":
             pages = request.pages or ()
             cost = pool.load_pages(pages)
-            span = (
-                (pages[0], pages[-1] - pages[0] + 1) if pages else (0, 0)
-            )
-        elif op == "write":
-            cost = pool.write(request.start, request.npages, continuation)
-            span = (request.start, request.npages)
+            start, npages = (pages[0], pages[-1] - pages[0] + 1) if pages else (0, 0)
         elif op == "flush_pages":
             pages = request.pages or ()
             cost = pool.write_back_pages(pages)
-            span = (
+            start, npages = (
                 (min(pages), max(pages) - min(pages) + 1) if pages else (0, 0)
+            )
+        elif op == "charge":
+            return pool.charge(
+                seeks=request.seeks,
+                rotations=request.rotations,
+                pages=npages,
             )
         else:
             raise ConfigurationError(f"unknown plan operation '{op}'")
-        if request.chain is not None and cost:
-            chains.add(request.chain)
-        if span[1]:
-            plan.executed.append((span[0], span[1], cost))
+        if chain is not None and cost:
+            chains.add(chain)
+        if npages:
+            plan.executed.append((start, npages, cost))
         return cost
 
 

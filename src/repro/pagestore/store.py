@@ -94,7 +94,8 @@ class PageStore(Protocol):
     def charge(self, seeks: int = 0, rotations: int = 0, pages: int = 0) -> float: ...
     def stats(self) -> DiskStats: ...
     def snapshot(self): ...
-    def stats_since(self, snapshot, disks: Iterable[int] | None = None) -> DiskStats: ...
+    def stats_since(self, snapshot) -> DiskStats: ...
+    def advance(self, snapshot, disks: Iterable[int]) -> tuple[DiskStats, object]: ...
     def cost_since(self, snapshot) -> VectoredCost: ...
     def close(self) -> None: ...
     def device_labels(self) -> Sequence[str]: ...
@@ -306,23 +307,33 @@ class CompositePageStore:
                 f"{len(self.children)} per-child DiskStats entries, got {shape}"
             ) from None
 
-    def stats_since(
-        self, snapshot: Sequence[DiskStats], disks: Iterable[int] | None = None
-    ) -> DiskStats:
-        """Aggregate device-time statistics delta since ``snapshot``.
-        Given ``disks``, the indices into :attr:`disks` of every device
-        priced since (:attr:`touched` says which), only their children
-        are read: every other child's delta is zero, so the sum is the
-        same to the bit."""
-        if disks is None:
-            first, *rest = self._since(snapshot)
-        else:
-            children, child_of = self.children, self._child_of
-            moved = sorted({child_of[disk] for disk in disks})
-            if not moved:
-                return DiskStats()
-            first, *rest = [children[i].stats() - snapshot[i] for i in moved]
+    def stats_since(self, snapshot: Sequence[DiskStats]) -> DiskStats:
+        """Aggregate device-time statistics delta since ``snapshot``."""
+        first, *rest = self._since(snapshot)
         return sum(rest, first)
+
+    def advance(
+        self, snapshot: list[DiskStats], disks: Iterable[int]
+    ) -> tuple[DiskStats, list[DiskStats]]:
+        """:meth:`stats_since` ``snapshot``, given ``disks``, the indices
+        into :attr:`disks` of every device priced since (:attr:`touched`
+        says which), and ``snapshot`` with the entries of their children
+        moved to now.  Only those children are read: every other child's
+        delta is zero, so the sum is the same to the bit.  One marker
+        serves a run of intervals, advanced by what each one moved
+        instead of taken afresh."""
+        children, child_of = self.children, self._child_of
+        moved = sorted({child_of[disk] for disk in disks})
+        if not moved:
+            return DiskStats(), snapshot
+        snapshot = snapshot.copy()
+        deltas = []
+        for i in moved:
+            now = children[i].stats()
+            deltas.append(now - snapshot[i])
+            snapshot[i] = now
+        first, *rest = deltas
+        return sum(rest, first), snapshot
 
     def cost_since(self, snapshot: Sequence[DiskStats]) -> VectoredCost:
         """Parallel cost of everything priced since ``snapshot``,

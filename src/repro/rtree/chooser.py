@@ -13,15 +13,22 @@ Both criteria read the block a node keeps current
 (:mod:`repro.rtree.node`): its query matrix ``(xmin, ymin, -xmax,
 -ymax)`` and its areas.  The new rectangle comes in the same form
 (:func:`insertion_vector`), so every entry's union with it is one
-``np.minimum``, covering is one ``<=``, and nothing is re-derived per
-call.  Every value they compare equals, bit for bit up to the sign of a
-zero, what the rect-matrix form computed (the reference bodies in
+``np.minimum`` and its enlargement three operations on the union's 1-D
+columns (:func:`_enlargements`): one short pass, and nothing re-derived
+per call.  Every value they compare equals, bit for bit up to the sign
+of a zero, what the rect-matrix form computed (the reference bodies in
 ``tests/test_rtree_split.py``), so they pick the same entries.
 
 Most new rectangles already lie inside a data-page MBR, and an entry
-that covers the rectangle cannot gain overlap: the overlap sums are
-computed only when covering candidates do not decide the answer (the
-rule, its proof and its trap: :func:`least_overlap_enlargement`).
+that covers the rectangle cannot gain overlap (the rule, its proof and
+its trap: :func:`least_overlap_enlargement`).  The zero-enlargement
+rows come out as a list; most calls have exactly one, and its covering
+test is four comparisons of Python floats.  Only what covering leaves
+undecided (about 7 % of the calls of a build) ranks the candidates and
+computes the overlap sums, and those are untouched: a row's sum is
+numpy's pairwise sum over all the siblings, and summing fewer terms (say
+only the siblings that meet the union) would group the additions
+differently, round differently and so may build a different tree.
 """
 
 from __future__ import annotations
@@ -50,23 +57,19 @@ def insertion_vector(rect: Rect) -> np.ndarray:
 
 def _enlargements(query: np.ndarray, areas: np.ndarray, q: np.ndarray):
     """Per entry, its union with the new rectangle in query form and the
-    area enlargement.  ``unions[:, 0] + unions[:, 2]`` is ``xmin + (-xmax)``,
-    exactly ``-(xmax - xmin)``, so the product of the two side sums is
+    area enlargement.  Over the union's 1-D columns, ``xmin + (-xmax)``
+    is exactly ``-(xmax - xmin)``, so the product of the two side sums is
     the union's area bit for bit (up to the sign of a zero, which no
     comparison sees)."""
     unions = np.minimum(query, q)
-    sides = unions[:, :2] + unions[:, 2:]
-    return unions, sides[:, 0] * sides[:, 1] - areas
+    columns = unions.T
+    return unions, (columns[0] + columns[2]) * (columns[1] + columns[3]) - areas
 
 
 def least_area_enlargement(query: np.ndarray, areas: np.ndarray, q: np.ndarray) -> int:
     """Index of the entry needing the least area enlargement to include
     the rectangle ``q`` (ties resolved by the smallest area)."""
-    enlargements = _enlargements(query, areas, q)[1]
-    best = np.flatnonzero(enlargements == enlargements.min())
-    if len(best) == 1:
-        return int(best[0])
-    return int(best[np.argmin(areas[best])])
+    return int(np.lexsort((areas, _enlargements(query, areas, q)[1]))[0])
 
 
 def _overlap_sums(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -128,21 +131,29 @@ def least_overlap_enlargement(
     # candidates (nothing ranks below zero), so the covering rule can
     # be decided before the ranking; only a tie on the smallest area
     # needs the candidates' order.
-    zero = (enlargements == 0.0).nonzero()[0]
-    covered = 0 < len(zero) <= candidates and bool((query[zero] <= q).all())
-    if covered:
-        smallest = areas[zero]
-        best = smallest.argmin()
-        if n <= candidates or np.count_nonzero(smallest == smallest[best]) == 1:
-            return int(zero[best])
+    zero = (enlargements == 0.0).nonzero()[0].tolist()
+    if len(zero) == 1:
+        # The common case: one zero row, its covering test on floats.
+        x0, y0, x1, y1 = query[zero[0]].tolist()
+        qx0, qy0, qx1, qy1 = q.tolist()
+        if x0 <= qx0 and y0 <= qy0 and x1 <= qx1 and y1 <= qy1:
+            return zero[0]
+        covered = False
+    else:
+        covered = 0 < len(zero) <= candidates and bool((query[zero] <= q).all())
+        if covered:
+            smallest = areas[zero]
+            best = smallest.argmin()
+            if n <= candidates or np.count_nonzero(smallest == smallest[best]) == 1:
+                return zero[best]
 
     if candidates < n:
         cand = np.argpartition(enlargements, candidates)[:candidates]
     else:
         cand = np.arange(n)
     if covered:
-        zero = cand[enlargements[cand] == 0.0]
-        return int(zero[areas[zero].argmin()])
+        ties = cand[enlargements[cand] == 0.0]
+        return int(ties[areas[ties].argmin()])
     # Rows are summed independently: one broadcast, both sums, same bits.
     stacked = np.concatenate((unions[cand], query[cand]))
     sums = _overlap_sums(stacked, query).reshape(2, -1)

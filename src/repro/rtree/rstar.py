@@ -180,7 +180,7 @@ class RStarTree:
             self.pager.retire(node)
 
     def _is_overflow(self, node: Node) -> bool:
-        policy = self.leaf_capacity if node.is_leaf else self.dir_capacity
+        policy = self.dir_capacity if node.level else self.leaf_capacity
         return policy.is_overflow(node)
 
     def _min_entries(self, node: Node) -> int:
@@ -200,7 +200,7 @@ class RStarTree:
         row: int = -1,
     ) -> Entry:
         """Insert a data entry; returns the (mutable) stored entry."""
-        entry = Entry(rect, oid=oid, load=load, payload=payload, row=row)
+        entry = Entry(rect, None, oid, load, payload, row)
         self._overflowed_levels = set()
         self._generation += 1
         self._insert(entry, 0)
@@ -223,8 +223,9 @@ class RStarTree:
         """The node at ``level`` that takes ``rect``, and the descent's
         path to it: per directory node passed, the node and the position
         of the entry taken."""
-        node = self.root
-        self._read(node)
+        pager, node = self.pager, self.root
+        if pager is not None:
+            pager.read(node)
         q = insertion_vector(rect)
         path: list[tuple[Node, int]] = []
         while node.level > level:
@@ -236,7 +237,8 @@ class RStarTree:
             child = node.entries[idx].child
             assert child is not None
             node = child
-            self._read(node)
+            if pager is not None:
+                pager.read(node)
         return node, path
 
     def _adjust_upward(self, path: list[tuple[Node, int]], added: Rect) -> None:

@@ -354,11 +354,7 @@ class SpatialOrganization(abc.ABC):
         self.objects[obj.oid] = obj
         payload = self._store_object(obj)
         self.tree.insert(
-            obj.oid,
-            obj.mbr,
-            load=self._entry_load(obj),
-            payload=payload,
-            row=self._column.append(obj),
+            obj.oid, obj.mbr, self._entry_load(obj), payload, self._column.append(obj)
         )
 
     def delete(self, oid: int) -> SpatialObject:
@@ -511,6 +507,9 @@ class SpatialOrganization(abc.ABC):
         sub-blocks traversed since the last refinement, once they hold
         :data:`_REFINE_ROWS` candidates, and at the end.
         """
+        if len(rects) == 1:  # a block of one: one traversal, no limit cuts it
+            [(_start, reach)] = self.tree.window_reaches(rects)
+            return self._answer_block(rects, [(0, self._request_order(reach))], points)
         answers: list[_Answer] = []
         parts: list[tuple[int, Reach]] = []
         held = 0

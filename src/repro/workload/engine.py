@@ -532,6 +532,9 @@ class WorkloadEngine:
         self._tracer = None
         self._spans: dict[str, object] = {}
         self._op_span = None
+        # Under a virtual-clock scheduler: the store's marker, taken
+        # once by _drive and advanced by each operation's devices.
+        self._marks = None
 
     # ------------------------------------------------------------------
     def run(self, operations) -> RunReport:
@@ -710,6 +713,10 @@ class WorkloadEngine:
         is the group), and observe ``op.latency_ms{<group>=<row>}``."""
         histogram = self.pool.metrics.histogram
         latencies: dict[str, object] = {}  # label -> its histogram
+        if self._scheduler is not None:
+            # A run prices only inside its operations (the flush phase
+            # marks its own), so one marker serves them all.
+            self._marks = self.storage.disk.snapshot()
         for client, op, first_ready, row in order:
             served = self._serve(report, client, op, first_ready)
             if row is not None:
@@ -734,9 +741,11 @@ class WorkloadEngine:
         kind once execution reveals it.
         """
         scheduler, pool, disk = self._scheduler, self.pool, self.storage.disk
-        mark, hits, misses = disk.snapshot(), pool.hits, pool.misses
+        hits, misses = pool.hits, pool.misses
         started = None
-        if scheduler is not None:
+        if scheduler is None:
+            mark = disk.snapshot()
+        else:
             clock = scheduler.clock
             started = clock.client_time(client)
             queued_mark = scheduler.client_queueing_ms(client)
@@ -758,7 +767,7 @@ class WorkloadEngine:
             with operation:
                 kind, results = self._execute(op)
             # Only the devices priced inside the operation have moved.
-            io = disk.stats_since(mark, operation.touched | disk.touched)
+            io, self._marks = disk.advance(self._marks, operation.touched | disk.touched)
         if scheduler is not None:
             finished = clock.client_time(client)
             if first_ready is None:

@@ -351,6 +351,63 @@ class TestChooserEqualsReference:
         assert reference_least_overlap_enlargement(rects, new) == 0
         assert overlap_choice(rects, new) == 0
 
+    # One case per exit of the covering rule: the premise is asserted on
+    # the reference's own enlargements, the answer is the reference's.
+    def zeros(self, rects: np.ndarray, new: Rect) -> np.ndarray:
+        enlargements = _ref_areas(_ref_unions(rects, new)) - _ref_areas(rects)
+        return np.flatnonzero(enlargements == 0.0)
+
+    def test_lone_zero_row_that_does_not_cover_takes_the_full_criterion(self):
+        # Row 1 is the only zero enlargement: the new rectangle passes
+        # its right edge by one ulp of 1e9, which rounds away against
+        # its area.  The scalar covering test refuses it, and the full
+        # criterion picks row 0, whose growth adds less overlap.
+        far, far1, far2 = _FAR
+        rects = self.matrix(
+            [(3.0, 1e-7, far1, 1.0), (1.0, 1e-7, far1, 1e7 + 1.0), (far1, 4.5, far2, 1e7)]
+        )
+        new = Rect(2.0, 0.1, far2, 1.0)
+        assert list(self.zeros(rects, new)) == [1]
+        assert not Rect(*rects[1]).contains(new)
+        assert reference_least_overlap_enlargement(rects, new) == 0
+        assert overlap_choice(rects, new) == 0
+
+    def test_covering_area_tie_past_the_candidates_is_ranked(self):
+        # n > candidates and three covering rows share the smallest
+        # area: the winner is the first of them among the candidates,
+        # in the order the partition ranks them (with 4 candidates, not
+        # the first by index).
+        rows = [(50 + 2 * i, 50, 51 + 2 * i, 51) for i in range(53)]
+        rows[10], rows[14], rows[32] = (0, 0, 4, 4), (1, 1, 5, 5), (0.5, 0.5, 4.5, 4.5)
+        rects, new = self.matrix(rows), Rect(2, 2, 3, 3)
+        assert list(self.zeros(rects, new)) == [10, 14, 32]
+        for candidates in (4, 32):
+            assert overlap_choice(rects, new, candidates) == (
+                reference_least_overlap_enlargement(rects, new, candidates)
+            )
+
+    def test_more_zero_rows_than_candidates_take_the_full_criterion(self):
+        # 33 nested rows all cover the new rectangle, the smallest last:
+        # more zero enlargements than candidates, so the smallest may
+        # not even be a candidate, and the overlap sums rank the
+        # partition's pick.
+        rects = self.matrix(
+            [(-k, -k, 10 + k, 10 + k) for k in range(32, 0, -1)] + [(0, 0, 10, 10)]
+        )
+        new = Rect(4, 4, 6, 6)
+        assert len(self.zeros(rects, new)) == len(rects) > CANDIDATES
+        for candidates in (4, 32):
+            assert overlap_choice(rects, new, candidates) == (
+                reference_least_overlap_enlargement(rects, new, candidates)
+            )
+
+    def test_one_row(self):
+        rects = self.matrix([(0, 0, 1, 1)])
+        for new in (Rect(2, 2, 3, 3), Rect(0.2, 0.2, 0.4, 0.4)):
+            assert overlap_choice(rects, new) == 0
+            assert overlap_choice(rects, new, 4) == 0
+            assert area_choice(rects, new) == 0
+
     @pytest.mark.parametrize("candidates", [2, 4, 32])
     def test_equal_area_covering_duplicates_first_candidate_wins(self, candidates):
         rects = self.matrix(
@@ -381,8 +438,10 @@ def twin_rects(draw) -> Rect:
 class TestBlockCriteriaTwin:
     """Both criteria read a block written row by row by ``Node.add``,
     and answer what the rect-matrix references answer on the matrix
-    itself, on up to 60 rows where zero widths and heights, shared
-    edges, duplicates and enlargements that round away are common."""
+    itself, on up to 90 rows — a full page (``PAGE_CAPACITY``, 89) and
+    its transient overflow row, past the 32 candidates — where zero
+    widths and heights, shared edges, duplicates and enlargements that
+    round away are common."""
 
     @staticmethod
     def added(rects: list[Rect]) -> Node:
@@ -393,8 +452,8 @@ class TestBlockCriteriaTwin:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        st.lists(twin_rects(), min_size=1, max_size=60),
-        st.one_of(twin_rects(), st.integers(0, 59)),
+        st.lists(twin_rects(), min_size=1, max_size=90),
+        st.one_of(twin_rects(), st.integers(0, 89)),
         st.sampled_from([4, 32]),
     )
     def test_block_criteria_equal_the_references(self, rects, new, candidates):

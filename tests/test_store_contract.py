@@ -128,6 +128,25 @@ class TestEveryStore:
             head.total_ms + store.cost_since(second).total_ms
         )
 
+    def test_an_advanced_mark_measures_what_a_fresh_one_does(self, store):
+        """One marker, advanced by the disks each interval priced (the
+        served path's per-run marker), measures every interval as a
+        marker taken at its start does, to the bit."""
+        marks = store.snapshot()
+        for issue in (
+            lambda: store.read(0, 8),
+            lambda: None,  # nothing priced
+            lambda: mixed_traffic(store),
+            lambda: store.write(40, 4),
+            lambda: store.read(0, 8),
+        ):
+            fresh = store.snapshot()
+            store.touched.clear()
+            issue()
+            delta, marks = store.advance(marks, store.touched)
+            assert delta == store.stats_since(fresh)
+        assert marks == store.snapshot()
+
     def test_touched_names_the_disks_priced(self, store):
         """Whatever the depth, every leaf reports into the root's
         ``touched``, under its index among the root's ``disks``."""

@@ -756,7 +756,9 @@ def insert_path_counts() -> dict[str, float]:
     two generated maps that build their vertex tuples while the maps
     are generated, built and streamed; ``entry_index_calls`` the
     parent's linear scans for a child (``Node.entry_index``) the split,
-    reinsert and condensation paths still make.
+    reinsert and condensation paths still make; ``access_plans`` the
+    ``AccessPlan``s built while objects are inserted (the build and the
+    30 inserts, not the deletes): node reads and writes, unit writes.
     Machine-independent; CI's ``Size report`` prints the ``*_per_insert``
     values and ``covered_share`` — the share of ChooseSubtree calls
     above the data pages that priced no overlap."""
@@ -768,6 +770,7 @@ def insert_path_counts() -> dict[str, float]:
     from repro.data.series import scaled, spec_for
     from repro.data.tiger import generate_map
     from repro.geometry.polyline import Polyline
+    from repro.iosched.request import AccessPlan
     from repro.rtree import chooser, rstar
     from repro.rtree import node as nodes
     from repro.rtree.node import Node
@@ -782,9 +785,11 @@ def insert_path_counts() -> dict[str, float]:
             "block_rebuilds",
             "vertex_tuples",
             "entry_index_calls",
+            "access_plans",
         ),
         0,
     )
+    inserting = True
 
     def counted(key, original, when=lambda *args: True):
         def wrapper(*args, **kwargs):
@@ -802,6 +807,9 @@ def insert_path_counts() -> dict[str, float]:
     def untupled(polyline):
         return polyline._vertices is None
 
+    def while_inserting(*args):
+        return inserting
+
     with (
         patch.object(rstar, "least_overlap_enlargement",
                      counted("overlap_criterion", rstar.least_overlap_enlargement)),
@@ -812,6 +820,8 @@ def insert_path_counts() -> dict[str, float]:
         patch.object(np, "clip", counted("clip_in_rtree", np.clip, from_rtree)),
         patch.object(nodes, "block_of", counted("block_rebuilds", nodes.block_of)),
         patch.object(Node, "entry_index", counted("entry_index_calls", Node.entry_index)),
+        patch.object(AccessPlan, "__init__",
+                     counted("access_plans", AccessPlan.__init__, while_inserting)),
         patch.object(Polyline, "__init__", counted("vertex_tuples", Polyline.__init__)),
         patch.object(Polyline, "vertices", property(
             counted("vertex_tuples", Polyline.vertices.fget, untupled)
@@ -824,8 +834,10 @@ def insert_path_counts() -> dict[str, float]:
         )[:30]
         db = SpatialDatabase(avg_object_size=spec.avg_object_size)
         db.build(objects)
+        inserting = False
         for obj in objects[:60]:
             db.delete(obj.oid)
+        inserting = True
         for obj in spare:
             db.insert(obj)
     inserts = len(objects) + len(spare)
@@ -905,3 +917,7 @@ class TestInsertPathCounts:
         # reinsert and condensation (700 scans before: one or more per
         # insert).
         assert counts["entry_index_calls"] == 69
+        # ROADMAP A's allocation pin: every priced node read and write of
+        # an insert is one plan of its own (one get or one write), and a
+        # unit write is another; ROADMAP O(2) would merge them.
+        assert counts["access_plans"] == 1531
