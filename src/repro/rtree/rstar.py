@@ -20,7 +20,7 @@ Two hooks adapt the tree to the cluster organization of Section 4.2.1:
 from __future__ import annotations
 
 from functools import reduce
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,11 +48,6 @@ from repro.rtree.split import rstar_split
 __all__ = ["Reach", "RStarTree"]
 
 LeafSplitHandler = Callable[[Node, Node], None]
-
-#: Queries of the first sub-block :meth:`RStarTree.window_reaches`
-#: traverses, before it knows what a query of the block reaches.
-_FIRST_QUERIES = 32
-
 
 class Reach(NamedTuple):
     """What one block traversal (:meth:`RStarTree._reach`) reached.
@@ -440,75 +435,10 @@ class RStarTree:
         stack-DFS order: the block traversal (:meth:`_reach`) of one
         query."""
         read = read or self._read
-        [(visited, groups)] = self.window_leaves_batch([window])
-        for node in visited:
+        reach = self._reach([window])
+        for node in reach.visited[0]:
             read(node)
-        return groups
-
-    def window_leaves_batch(
-        self, rects: Sequence[Rect], groups_limit: int | None = None
-    ) -> list[tuple[list[Node], list[tuple[Node, np.ndarray]]]]:
-        """Batched, *unpriced* form of :meth:`window_leaves`: per query a
-        pair ``(visited_nodes, groups)``, where ``groups`` is
-        ``window_leaves(rect)`` and ``visited_nodes`` its page visits in
-        order, so pricing the visits query by query costs what running
-        the queries one at a time costs.  With ``groups_limit`` the
-        traversal stops after the query that brings the groups to that
-        many: the pairs cover a prefix of ``rects``."""
-        return [
-            pair
-            for _start, reach in self.window_reaches(rects, groups_limit)
-            for pair in zip(reach.visited, reach.groups())
-        ]
-
-    def window_reaches(
-        self,
-        rects: Sequence[Rect],
-        groups_limit: int | None = None,
-        hits_limit: int | None = None,
-    ) -> Iterable[tuple[int, Reach]]:
-        """:meth:`_reach` over ``rects`` in consecutive sub-blocks, each
-        as ``(index of its first query, its Reach)``: the first of
-        :data:`_FIRST_QUERIES` queries, each later one sized from the
-        leaf groups and hits per query seen so far to bring what is left
-        of ``groups_limit`` groups, and about ``hits_limit`` hits at
-        most.  With ``groups_limit`` the last sub-block ends at the query
-        that brings the groups to that many, so the queries reached are
-        a prefix of ``rects``, found without traversing more than one
-        sub-block past it (the queries of the last one up to that query
-        are traversed again, alone).  One query is one traversal, which
-        no limit cuts."""
-        if len(rects) == 1:
-            return [(0, self._reach(rects))]
-        return self._sub_blocks(rects, groups_limit, hits_limit)
-
-    def _sub_blocks(
-        self, rects: Sequence[Rect], groups_limit: int | None, hits_limit: int | None
-    ) -> Iterator[tuple[int, Reach]]:
-        """The sub-blocks of :meth:`window_reaches`, traversed lazily."""
-        n, start, size = len(rects), 0, _FIRST_QUERIES
-        held = hits = 0  # leaf groups and hits of the queries reached
-        while start < n:
-            reach = self._reach(rects[start:start + size])
-            size = len(reach.visited)
-            if groups_limit is not None:
-                counts = [0] * size
-                for _leaf, _positions, runs in reach.leaves:
-                    for query, _count in runs:
-                        counts[query] += 1
-                for query, count in enumerate(counts):
-                    held += count
-                    if held >= groups_limit:  # the queries up to this one, alone
-                        yield start, self._reach(rects[start:start + query + 1])
-                        return
-            yield start, reach
-            start += size
-            hits += reach.hits
-            size = n - start
-            if held and size:
-                size = min(size, -(-(groups_limit - held) * start // held))
-            if hits and size and hits_limit is not None:
-                size = min(size, max(1, hits_limit * start // hits))
+        return reach.groups()[0]
 
     def _reach(self, rects: Sequence[Rect]) -> Reach:
         """The block traversal: one stack-DFS over the nodes any of
@@ -529,7 +459,8 @@ class RStarTree:
         # indices as a list and (of several) an array, and their
         # comparison vectors.
         qvecs = kernels.window_qvecs(rects)
-        stack = [(self.root, ([0], None, qvecs) if n == 1 else (list(range(n)), np.arange(n), qvecs))]
+        queries = ([0], None, qvecs) if n == 1 else (list(range(n)), np.arange(n), qvecs)
+        stack = [(self.root, queries)] if n else []
         pop, push = stack.pop, stack.append
         while stack:
             node, queries = pop()
@@ -538,8 +469,6 @@ class RStarTree:
             if len(ids) == 1:
                 query = ids[0]
                 visited[query].append(node)
-                if not entries:
-                    continue
                 hits = kernels.qvec_mask(node.query_matrix(), qvecs).nonzero()[0]
                 if node.level:
                     for i in hits.tolist():
@@ -550,8 +479,6 @@ class RStarTree:
                 continue
             for query in ids:
                 visited[query].append(node)
-            if not entries:
-                continue
             hit = kernels.qvecs_mask(node.query_matrix(), qvecs)
             if node.level:
                 counts = hit.sum(axis=0)
@@ -564,8 +491,8 @@ class RStarTree:
                         some = hit[:, i]
                         sub = index[some]
                         push((entries[i].child, (sub.tolist(), sub, qvecs[some])))
-            else:
-                hits = hit.nonzero()[1]
+            else:  # flat, then by column: nonzero()[1] would view an (N, 2) buffer
+                hits = np.flatnonzero(hit) % len(entries)
                 if hits.size:
                     runs = zip(ids, hit.sum(axis=1).tolist())
                     leaves.append((node, hits, [run for run in runs if run[1]]))

@@ -32,8 +32,9 @@ from __future__ import annotations
 import abc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import accumulate
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,9 +65,12 @@ _NO_SIDES = np.empty(0, dtype=np.uint8)
 _EVERY = slice(None)
 
 #: Candidates one :meth:`SpatialOrganization._refine` call takes, about:
-#: a batch's candidate rows and keys live until they are refined, so a
-#: batch of large windows (a block of 256 analytics windows on A-1 at
-#: scale 0.05 has ~135k candidates) is refined in slices of this size.
+#: a gather and refinement allocate per candidate (its row, sides and
+#: query, sorted, and the windows of those left pending), so a block
+#: that hits more is refined in slices of consecutive queries.  200
+#: windows of 10 % on A-1 at scale 0.3 (1.52M candidates) peak at 41.7
+#: MiB under ``tracemalloc`` refined in slices, at 62.3 MiB refined
+#: whole.
 #: ``traffic_open``'s 207 windows (54,317 candidates) are one slice.
 _REFINE_ROWS = 65_536
 
@@ -132,20 +136,6 @@ class QueryResult:
     bytes_retrieved: int = 0
     io: DiskStats = field(default_factory=DiskStats)
     exact_tests: int = 0
-
-
-def _merged(parts: list[tuple[int, Reach]]) -> Reach:
-    """Consecutive sub-blocks' reaches, ``(index of the first query,
-    Reach)`` each, as one whose queries count from the first's."""
-    first, visited, leaves = parts[0][0], [], []
-    for start, reach in parts:
-        shift = start - first
-        visited += reach.visited
-        leaves += [
-            (leaf, hits, [(query + shift, count) for query, count in runs])
-            for leaf, hits, runs in reach.leaves
-        ]
-    return Reach(visited, leaves, sum(reach.hits for _start, reach in parts))
 
 
 class _Answer(NamedTuple):
@@ -491,58 +481,51 @@ class SpatialOrganization(abc.ABC):
             ))
         return results
 
-    def _answer(
-        self, rects: Sequence[Rect], points: bool, groups_limit: int | None = None
-    ) -> list[_Answer]:
+    def _answer(self, rects: Sequence[Rect], points: bool) -> list[_Answer]:
         """The unpriced stages of the pipeline for a batch of queries of
         one kind: per query an :class:`_Answer`.  Nothing here touches
         the pool, the disks or the clock, so a run without writes may
         answer all its queries before it prices any.
 
-        **Filter** — :meth:`_filter`, block traversals of sub-blocks of
-        about :data:`_REFINE_ROWS` candidates; with ``groups_limit``
-        only the prefix of ``rects`` whose leaf groups reach that many
-        is answered (every query, when the limit is ``None``).
-        **Gather and refine** — :meth:`_answer_block`, over the
-        sub-blocks traversed since the last refinement, once they hold
-        :data:`_REFINE_ROWS` candidates, and at the end.
+        **Filter** — one block traversal of all of ``rects``
+        (:meth:`RStarTree._reach`), with every data page's positions in
+        the order :meth:`_transfer` requests them (:meth:`_request_order`).
+        **Gather and refine** — :meth:`_answer_block`, once, or, when
+        the block hits more than :data:`_REFINE_ROWS` entries, once per
+        slice of consecutive queries cut where the hits pass a multiple
+        of :data:`_REFINE_ROWS` (a slice's data pages by query, each a
+        view of the traversal's positions).
         """
-        if len(rects) == 1:  # a block of one: one traversal, no limit cuts it
-            [(_start, reach)] = self.tree.window_reaches(rects)
-            return self._answer_block(rects, [(0, self._request_order(reach))], points)
-        answers: list[_Answer] = []
-        parts: list[tuple[int, Reach]] = []
-        held = 0
-        for start, reach in self._filter(rects, groups_limit):
-            parts.append((start, reach))
-            held += reach.hits
-            if held >= _REFINE_ROWS:
-                answers += self._answer_block(rects, parts, points)
-                parts, held = [], 0
-        if parts:
-            answers += self._answer_block(rects, parts, points)
+        reach = self._request_order(self.tree._reach(rects))
+        ends, answers, first = [len(rects)], [], 0
+        if reach.hits > _REFINE_ROWS:
+            groups = reach.groups()
+            held = [0, *accumulate(sum(len(hits) for _leaf, hits in query) for query in groups)]
+            cuts = np.searchsorted(held, range(_REFINE_ROWS, reach.hits, _REFINE_ROWS)).tolist()
+            ends = sorted({*cuts, len(rects)})
+        for end in ends:
+            part = reach if len(ends) == 1 else Reach(reach.visited[first:end], [
+                (leaf, hits, [(q - first, len(hits))]) for q in range(first, end) for leaf, hits in groups[q]
+            ], held[end] - held[first])
+            answers += self._answer_block(rects[first:end], part, points)
+            first = end
         return answers
 
-    def _answer_block(
-        self, rects: Sequence[Rect], parts: list[tuple[int, Reach]], points: bool
-    ) -> list[_Answer]:
-        """Gather and refine the consecutive sub-blocks ``parts`` of
-        ``rects`` (``(index of the first query, Reach)`` each) as one
-        block.  One gather per data page reached: its candidates' rows
-        and, for windows, their keys, which a comparison with each
-        candidate's window turns into its sides (one byte a candidate;
-        the keys are dropped, page by page in a block of several
-        queries).  Then the candidates are ordered query by query (a
-        stable radix sort on the query: within a query the order is its
-        own traversal's), so each query's candidates, and its answers,
-        are one slice of the block's arrays, and :meth:`_refine` decides
-        them."""
-        first, reach = parts[0][0], _merged(parts) if len(parts) > 1 else parts[0][1]
-        rects = rects[first:first + len(reach.visited)]
+    def _answer_block(self, rects: Sequence[Rect], reach: Reach, points: bool) -> list[_Answer]:
+        """Gather and refine the queries ``rects`` as one block, ``reach``
+        their traversal.  One gather per data page reached: its
+        candidates' rows and, for windows, their keys, which a comparison
+        with each candidate's window turns into its sides (one byte a
+        candidate; the keys are dropped, page by page in a block of
+        several queries).  Then the candidates are ordered query by
+        query (a stable radix sort on the query: within a query the order
+        is its own traversal's), so each query's candidates, and its
+        answers, are one slice of the block's arrays, and :meth:`_refine`
+        decides them."""
         n, leaves = len(rects), reach.leaves
         rows = _joined([leaf.rows().take(hits) for leaf, hits, _runs in leaves], _NO_ROWS)
         column, owners, sides = self.column, None, None
-        if n > 1:
+        if n != 1:  # several queries, or none
             runs = [run for _leaf, _hits, leaf_runs in leaves for run in leaf_runs]
             owners = np.repeat(
                 np.array(
@@ -589,22 +572,6 @@ class SpatialOrganization(abc.ABC):
             )
             for q in range(n)
         ]
-
-    def _filter(
-        self, rects: Sequence[Rect], groups_limit: int | None = None
-    ) -> Iterable[tuple[int, Reach]]:
-        """The filter stage of :meth:`_answer`, which prices and refines
-        nothing: the block traversals of :meth:`RStarTree.
-        window_reaches` — sub-blocks of about :data:`_REFINE_ROWS`
-        candidates, which ``groups_limit`` may stop early — each as
-        ``(index of its first query, Reach)``, with every data page's
-        positions in the order :meth:`_transfer` requests them
-        (:meth:`_request_order`)."""
-        order = self._request_order
-        return (
-            (start, order(reach))
-            for start, reach in self.tree.window_reaches(rects, groups_limit, _REFINE_ROWS)
-        )
 
     def _batchable(self) -> bool:
         """May one query's node reads and object transfers be merged

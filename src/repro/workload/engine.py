@@ -31,14 +31,14 @@ A query's filter and refinement depend on the tree and the objects,
 never on the buffer or the clock.  So when every operation of a
 sessions or traffic run is a window or a point, the run *answers* them
 ahead of pricing, a block at a time: when serving reaches a query not
-yet answered, the queries of its block (:class:`_AnswerStage`), as many
-as a bound on their leaf groups lets in, are filtered by one block
-traversal of the tree, gathered once per data page reached and refined
-together; an answer is kept as its count.  Serving such an operation
-only prices it — its node visits and object transfers, in its turn,
-through the same plans as a live query — and drops its answer.  A run holding a write, a reorg, a join or a malformed
-operation is served live, operation by operation, as is every
-:meth:`WorkloadEngine.run` stream.
+yet answered, the queries of its block (:class:`_AnswerStage`) are
+filtered by one block traversal of the tree, gathered once per data
+page reached and refined together; an answer is kept as its count.
+Serving such an operation only prices it — its node visits and object
+transfers, in its turn, through the same plans as a live query — and
+drops its answer.  A run holding a write, a reorg, a join or a
+malformed operation is served live, operation by operation, as is
+every :meth:`WorkloadEngine.run` stream.
 """
 
 from __future__ import annotations
@@ -98,16 +98,10 @@ class _Answered(NamedTuple):
 #: windows and 142 points are one block each.
 _ANSWER_BATCH = 256
 
-#: Leaf groups one answer-stage call brings, about: a block whose
-#: queries match more (a large window has dozens, each a view of its
-#: data page's positions held) is answered in parts, each when serving
-#: reaches it.  ``traffic_open``'s 1,581 window groups are one part.
-_BLOCK_GROUPS = 2048
-
 #: Leaf groups of the answers kept whole while they wait for their
 #: operations, at most; see :class:`_AnswerStage`.  ``traffic_open``'s
 #: 1,782 groups all fit.
-_GROUPS_HELD = _BLOCK_GROUPS
+_GROUPS_HELD = 2048
 
 
 class _Query(NamedTuple):
@@ -127,16 +121,15 @@ class _AnswerStage:
     Per kind the queries stand in the order serving tends to reach
     them — every session's first query in arrival order, then every
     second one, and so on — cut into blocks of :data:`_ANSWER_BATCH`.
-    Serving an unanswered query answers (filters and refines) what of
-    its block is not answered yet, from that query on, up to about
-    :data:`_BLOCK_GROUPS` leaf groups.  A session whose later queries
-    wait long behind busy arms keeps answers of its block waiting too,
-    so answers of at most :data:`_GROUPS_HELD` leaf groups are kept
-    whole: past that the oldest keeps only its answer count, and serving
-    it walks the tree again for its visits and groups (the filter, not
-    the refinement).  Every query is refined once, and answers depend on
-    neither clock nor buffer, so block boundaries change nothing
-    priced."""
+    The first query of a block that serving reaches answers (filters
+    and refines) the whole block in one call.  A session whose later
+    queries wait long behind busy arms keeps answers of its block
+    waiting too, so answers of at most :data:`_GROUPS_HELD` leaf groups
+    are kept whole: past that the oldest keeps only its answer count,
+    and serving it walks the tree again for its visits and groups (the
+    filter, not the refinement).  Every query is refined once, and
+    answers depend on neither clock nor buffer, so block boundaries
+    change nothing priced."""
 
     def __init__(self, storage: SpatialOrganization, streams: list[list]):
         self.storage = storage
@@ -152,7 +145,6 @@ class _AnswerStage:
         self.answers: dict[tuple[str, int], _Answered] = {}  # oldest first
         self.groups_held = 0  # leaf groups of ``answers``
         self.counts: dict[tuple[str, int], int] = {}  # answers kept as a count
-        self.served = {kind: bytearray(len(ops)) for kind, ops in self.queries.items()}
 
     def take(self, query: _Query) -> tuple[Rect, list, list, int]:
         """What pricing ``query`` needs — its rectangle, visited nodes
@@ -161,30 +153,24 @@ class _AnswerStage:
         answers, counts = self.answers, self.counts
         if key not in answers and key not in counts:
             self._answer_block(kind, index)
-        self.served[kind][index] = 1
         answered = answers.pop(key, None)
         if answered is not None:
             self.groups_held -= len(answered.groups)
             return answered.rect, answered.visited, answered.groups, answered.results
-        rect = _query_rect(self.queries[kind][index])
-        [(_start, reach)] = self.storage._filter([rect])
+        rect, storage = _query_rect(self.queries[kind][index]), self.storage
+        reach = storage._request_order(storage.tree._reach([rect]))
         return rect, reach.visited[0], reach.groups()[0], counts.pop(key)
 
     def _answer_block(self, kind: str, index: int) -> None:
-        """Answer what of ``index``'s block is not answered yet, from
-        ``index`` on (then the block's earlier queries), up to about
-        :data:`_BLOCK_GROUPS` leaf groups; then keep the answers of at
-        most :data:`_GROUPS_HELD` groups whole, ``index``'s last."""
-        ops, served, answers, counts = self.queries[kind], self.served[kind], self.answers, self.counts
+        """Answer ``index``'s block, the first of its queries serving
+        reached, from ``index`` on (then the block's earlier queries);
+        then keep the answers of at most :data:`_GROUPS_HELD` groups
+        whole, ``index``'s last."""
+        ops, answers, counts = self.queries[kind], self.answers, self.counts
         start = index - index % _ANSWER_BATCH
-        block = [
-            i for i in (*range(index, min(start + _ANSWER_BATCH, len(ops))), *range(start, index))
-            if not served[i] and (kind, i) not in answers and (kind, i) not in counts
-        ]
+        block = [*range(index, min(start + _ANSWER_BATCH, len(ops))), *range(start, index)]
         rects = [_query_rect(ops[i]) for i in block]
-        for i, rect, answer in zip(
-            block, rects, self.storage._answer(rects, kind == "point", _BLOCK_GROUPS)
-        ):
+        for i, rect, answer in zip(block, rects, self.storage._answer(rects, kind == "point")):
             groups = answer.groups
             answers[kind, i] = _Answered(kind, rect, answer.visited, groups, len(answer.rows))
             self.groups_held += len(groups)

@@ -134,7 +134,7 @@ def batch_entries(tree, rects) -> list[list]:
     order — comparable with ``tree.window_query(rect)``."""
     return [
         [leaf.entries[i] for leaf, hits in groups for i in hits.tolist()]
-        for _visited, groups in tree.window_leaves_batch(rects)
+        for groups in tree._reach(rects).groups()
     ]
 
 

@@ -6,9 +6,9 @@ selected them.
 Each function takes the arguments of the shipped name it stands for, so
 a test can patch it over that name (:data:`PATCHES` lists the targets):
 
-* :func:`window_leaves` / :func:`window_leaves_batch` — the tree walk
-  that tests entry by entry, one query at a time, and :func:`reach`,
-  the block traversal as such walks (``RStarTree``), and
+* :func:`window_leaves` — the tree walk that tests entry by entry, one
+  query at a time, and :func:`reach`, the block traversal as such walks
+  (``RStarTree``), and
   :func:`find_leaf`, delete's descent the same way;
 * :func:`rstar_split` — the split over sorted entry lists and ``Rect``
   unions (``repro.rtree.rstar``);
@@ -72,19 +72,6 @@ def window_leaves(tree, window, read=None):
                     assert entry.child is not None
                     stack.append(entry.child)
     return groups
-
-
-def window_leaves_batch(tree, rects, groups_limit=None):
-    """``RStarTree.window_leaves_batch`` as a loop of entry-at-a-time
-    walks, equally unpriced, and stopped as early by ``groups_limit``."""
-    per_query = []
-    for rect in rects:
-        visited = []
-        groups = window_leaves(tree, rect, visited.append)
-        per_query.append((visited, groups))
-        if groups_limit is not None and sum(len(g) for _v, g in per_query) >= groups_limit:
-            break
-    return per_query
 
 
 def reach(tree, rects):

@@ -91,12 +91,13 @@ class TestFlatSnapshot:
 class TestBatchedTraversal:
     def test_empty_batches(self, objects300):
         tree = _bare_tree(objects300)
-        assert tree.window_leaves_batch([]) == []
+        assert tree._reach([]) == ([], [], 0)
         # A query without candidates hands on no group, whether it walks
         # alone or beside another.
         miss = Rect(-20.0, -20.0, -10.0, -10.0)
         for batch in ([miss], [miss, miss]):
-            for visited, groups in tree.window_leaves_batch(batch):
+            reach = tree._reach(batch)
+            for visited, groups in zip(reach.visited, reach.groups(), strict=True):
                 assert visited and groups == []
 
     def test_batch_replays_reads_in_single_query_order(self, objects300):
@@ -108,14 +109,14 @@ class TestBatchedTraversal:
         windows = _windows(objects300, n=12)
         with ReadSpy() as spy:
             before = org_a.disk.stats()
-            batch = org_a.tree.window_leaves_batch(windows)
+            reach = org_a.tree._reach(windows)
             assert (org_a.disk.stats() - before).requests == 0
             assert spy.pages == []
             for w in windows:
                 org_b.tree.window_query(w)
         batched = [
             node.page
-            for visited, _groups in batch
+            for visited in reach.visited
             for node in visited
             if node.page is not None
         ]

@@ -172,8 +172,9 @@ class TestTheBlockAnswerIsTheWalkAnswer:
     (``tests/scalar_reference.py``) as the filter: visited nodes in
     order, groups (leaf and positions, in request order), answer rows
     in order, candidates, bytes, exact tests — and, priced on twin
-    databases, per-query I/O.  Small first sub-blocks and refinements
-    make a block several traversals and refinements."""
+    databases, per-query I/O.  A small :data:`~repro.storage.base.
+    _REFINE_ROWS` makes a block one traversal and several refinements,
+    cut at query boundaries."""
 
     @staticmethod
     def blocks(windows, points):
@@ -204,13 +205,9 @@ class TestTheBlockAnswerIsTheWalkAnswer:
         with mock.patch.object(RStarTree, "_reach", scalar_reference.reach):
             return [self.seen(org._answer([rect], points)[0]) for rect in rects]
 
-    @pytest.fixture(params=[(32, 65_536), (3, 40)], ids=["shipped", "small-parts"])
+    @pytest.fixture(params=[65_536, 40], ids=["shipped", "small-parts"])
     def parts(self, request, monkeypatch):
-        from repro.rtree import rstar
-
-        first, rows = request.param
-        monkeypatch.setattr(rstar, "_FIRST_QUERIES", first)
-        monkeypatch.setattr(base, "_REFINE_ROWS", rows)
+        monkeypatch.setattr(base, "_REFINE_ROWS", request.param)
 
     @pytest.mark.parametrize("kind", ORG_KINDS)
     def test_answers(self, mixed, kind, parts):
@@ -218,22 +215,11 @@ class TestTheBlockAnswerIsTheWalkAnswer:
         org = orgs[kind]
         for rects, dots in self.blocks(windows, points):
             assert [self.seen(a) for a in org._answer(rects, dots)] == self.walked(org, rects, dots)
-            assert [(v, [(leaf, h.tolist()) for leaf, h in g]) for v, g in org.tree.window_leaves_batch(rects)] == [
-                (v, [(leaf, h.tolist()) for leaf, h in g])
-                for v, g in scalar_reference.window_leaves_batch(org.tree, rects)
-            ]
-
-    @pytest.mark.parametrize("kind", ORG_KINDS)
-    def test_a_groups_limit_cuts_the_block_at_the_query_that_reaches_it(self, mixed, kind, parts):
-        _objects, windows, points, orgs = mixed
-        org = orgs[kind]
-        for rects, dots in self.blocks(windows, points)[2::2]:
-            whole = self.walked(org, rects, dots)
-            for limit in (1, 9, 40):
-                cut = [self.seen(a) for a in org._answer(rects, dots, limit)]
-                reached = scalar_reference.window_leaves_batch(org.tree, rects, limit)
-                assert 0 < len(cut) == len(reached) < len(rects)
-                assert cut == whole[: len(cut)]
+            reach, walk = org.tree._reach(rects), scalar_reference.reach(org.tree, rects)
+            assert [
+                (v, [(leaf, h.tolist()) for leaf, h in g]) for v, g in zip(reach.visited, reach.groups())
+            ] == [(v, [(leaf, h.tolist()) for leaf, h in g]) for v, g in zip(walk.visited, walk.groups())]
+            assert reach.hits == walk.hits
 
     @pytest.mark.parametrize("kind", ORG_KINDS)
     def test_an_empty_tree(self, kind, parts):
@@ -254,6 +240,49 @@ class TestTheBlockAnswerIsTheWalkAnswer:
             with mock.patch.object(RStarTree, "_reach", scalar_reference.reach):
                 singles = [_priced(walked._run_queries([rect], dots)[0]) for rect in rects]
             assert batch == singles
+
+
+class TestOneTraversalPerAnswer:
+    """However many slices its refinement takes, a block of queries is
+    one traversal: one ``RStarTree._reach`` call per ``_answer`` call,
+    then one ``_refine`` call per slice of consecutive queries, cut
+    after the query whose hits pass a multiple of ``_REFINE_ROWS``."""
+
+    @pytest.mark.parametrize("rows", [65_536, 50])
+    def test_one_reach_and_one_refine_per_slice(self, mixed, monkeypatch, rows):
+        from itertools import accumulate
+
+        from repro.rtree.rstar import RStarTree
+
+        _objects, _windows, _points, orgs = mixed
+        org, rng = orgs["cluster"], random.Random(46)
+        rects = []
+        for _ in range(100):
+            x, y = rng.uniform(0, 900), rng.uniform(0, 900)
+            rects.append(Rect(x, y, x + rng.uniform(1, 100), y + rng.uniform(1, 100)))
+        held = list(accumulate(
+            sum(len(hits) for _leaf, hits in scalar_reference.window_leaves(org.tree, r, lambda node: None))
+            for r in rects
+        ))
+        # A slice ends after each query whose hits reach a multiple of rows.
+        ends = sorted({len(rects), *(
+            next(i + 1 for i, h in enumerate(held) if h >= k) for k in range(rows, held[-1], rows)
+        )})
+        slices = [end - first for first, end in zip([0, *ends], ends)]
+        assert (len(slices) > 2) == (rows == 50)
+
+        reached, refined = [], []
+        reach, refine = RStarTree._reach, SpatialOrganization._refine
+        monkeypatch.setattr(base, "_REFINE_ROWS", rows)
+        monkeypatch.setattr(RStarTree, "_reach", lambda tree, qs: reached.append(len(qs)) or reach(tree, qs))
+        monkeypatch.setattr(
+            SpatialOrganization, "_refine",
+            lambda o, candidates, points: refined.append(len(candidates[0])) or refine(o, candidates, points),
+        )
+        answers = org._answer(rects, False)
+        assert reached == [100]
+        assert refined == slices
+        assert len(answers) == 100
 
 
 class TestMergingIsAllTheGuardSwitches:

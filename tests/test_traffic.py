@@ -483,46 +483,50 @@ class TestAnsweredAheadIsServedLive:
         assert _twin_run(twin_objects, "cluster", "overlap", 4, run, len(kinds)) == ahead
 
     def test_answered_in_parts_and_walked_again(self, twin_objects, monkeypatch):
-        """With blocks of 7 answered at most 5 leaf groups at a time,
-        refined 3 candidates at a time, and room for answers of 8 leaf
-        groups, serving keeps cutting blocks short and keeping answers it
-        has not served yet as counts (a session's later queries wait
-        behind busy arms), whose visits and groups it walks the tree for
-        again: every query is still refined once, and the run prints,
-        prices and times as if served live."""
+        """With blocks of 7 refined 3 candidates at a time and room for
+        answers of 8 leaf groups, serving answers each block in one call
+        (one traversal, several refinements) and keeps answers it has
+        not served yet as counts (a session's later queries wait behind
+        busy arms), whose visits and groups it walks the tree for again:
+        every query is still refined once, and the run prints, prices
+        and times as if served live."""
+        from repro.rtree.rstar import RStarTree
         from repro.storage import base
         from repro.storage.base import SpatialOrganization
         from repro.workload import engine
 
         sessions = generate(twin_objects, n=40, rate_per_s=400.0, ops_per_session=3)
         queries = sum(len(s.operations) for s in sessions)
-        answered, walked_again = [], []
-        answer, walk = SpatialOrganization._answer, SpatialOrganization._filter
+        answered, reached, refined = [], [], []
+        answer, reach, refine = SpatialOrganization._answer, RStarTree._reach, SpatialOrganization._refine
 
-        def counted(org, rects, points, groups_limit=None):
-            answers = answer(org, rects, points, groups_limit)
-            answered.append(len(answers))
-            return answers
+        def counted(org, rects, points):
+            answered.append(len(rects))
+            return answer(org, rects, points)
 
-        def walked(org, rects, groups_limit=None):
-            if groups_limit is None:
-                walked_again.append(len(rects))
-            return walk(org, rects, groups_limit)
+        def walked(tree, rects):
+            reached.append(len(rects))
+            return reach(tree, rects)
+
+        def sliced(org, candidates, points):
+            refined.append(len(candidates[0]))
+            return refine(org, candidates, points)
 
         def run(db):
             return db.run_traffic(sessions, buffer_pages=48)
 
         monkeypatch.setattr(engine, "_ANSWER_BATCH", 7)
-        monkeypatch.setattr(engine, "_BLOCK_GROUPS", 5)
         monkeypatch.setattr(engine, "_GROUPS_HELD", 8)
         monkeypatch.setattr(base, "_REFINE_ROWS", 3)
         monkeypatch.setattr(SpatialOrganization, "_answer", counted)
-        monkeypatch.setattr(SpatialOrganization, "_filter", walked)
+        monkeypatch.setattr(RStarTree, "_reach", walked)
+        monkeypatch.setattr(SpatialOrganization, "_refine", sliced)
         ahead = _twin_run(twin_objects, "cluster", "overlap", 4, run, None)
         kinds = [op[0] for s in sessions for op in s.operations]
         blocks = sum(-(-kinds.count(kind) // 7) for kind in ("window", "point"))
-        assert sum(answered) == queries and len(answered) > blocks, "no block was cut"
-        assert walked_again, "no answer was kept as a count"
+        assert sum(answered) == queries and len(answered) == blocks
+        assert sum(refined) == queries and len(refined) > blocks, "no block was refined in slices"
+        assert len(reached) > len(answered), "no answer was kept as a count"
         _serve_live(monkeypatch)
         assert _twin_run(twin_objects, "cluster", "overlap", 4, run, queries) == ahead
 
@@ -571,20 +575,20 @@ class TestAnsweredAheadIsServedLive:
 
 class TestAnsweredInBoundedMemory:
     """A read-only run answers its queries a block at a time as serving
-    reaches them, each block in parts of bounded work, and drops each
-    answer once it is served, keeping the answers that wait whole only
-    up to a bound: what it holds is bounded by the stage's sizes, not by
-    the run's length.  Answering the whole run first held every
-    operation's visited nodes and leaf groups until the run ended.
+    reaches them, refines each block in slices of bounded size, and
+    drops each answer once it is served, keeping the answers that wait
+    whole only up to a bound: what it holds is bounded by the stage's
+    sizes, not by the run's length.  Answering the whole run first held
+    every operation's visited nodes and leaf groups until the run ended.
 
     The stage holds several MiB at its shipped sizes, which leave
-    ``traffic_open`` inside one part per kind: a 10^4-session run on A-1
-    at scale 0.05 peaks at ~6.5x the live path's (ROADMAP S(3)).  This
-    test runs 500 sessions with every size scaled down 16-fold — blocks
-    of 16 queries, parts and holdings of 128 leaf groups, 4,096
-    candidates a refinement — so the run spans as many blocks and parts
-    as one 16 times as long; it shows the bounds hold, not the shipped
-    sizes' ratio."""
+    ``traffic_open`` inside one block per kind: a 10^4-session run on
+    A-1 at scale 0.05 peaks at ~5.5x the live path's (ROADMAP S(3)).
+    This test runs 500 sessions with every size scaled down 16-fold —
+    blocks of 16 queries, holdings of 128 leaf groups, 4,096 candidates
+    a refinement — so the run spans as many blocks and slices as one 16
+    times as long; it shows the bounds hold, not the shipped sizes'
+    ratio."""
 
     def test_peak_stays_within_four_times_the_live_peak(self, twin_objects, monkeypatch):
         import tracemalloc
@@ -594,7 +598,6 @@ class TestAnsweredInBoundedMemory:
 
         sessions = generate(twin_objects, n=500, rate_per_s=400.0, ops_per_session=3)
         monkeypatch.setattr(engine, "_ANSWER_BATCH", engine._ANSWER_BATCH // 16)
-        monkeypatch.setattr(engine, "_BLOCK_GROUPS", engine._BLOCK_GROUPS // 16)
         monkeypatch.setattr(engine, "_GROUPS_HELD", engine._GROUPS_HELD // 16)
         monkeypatch.setattr(base, "_REFINE_ROWS", base._REFINE_ROWS // 16)
 
