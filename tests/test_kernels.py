@@ -112,6 +112,32 @@ class TestQueryOrderEquivalence:
         point_batch = batch_entries(tree, [Rect(x, y, x, y) for x, y in points])
         assert point_batch == [tree.point_query(x, y) for x, y in points]
 
+    @pytest.mark.parametrize("n", [1, 7, 40])
+    def test_a_block_reaches_each_data_page_once(self, seeded_tree, n):
+        """A block of ``n`` windows is one traversal: each data page it
+        hits is one ``leaves`` entry, whose runs name its queries in
+        ascending order and cover its positions, and each query reaches
+        what its own walk reaches."""
+        tree, _rects = seeded_tree
+        rng = random.Random(11)
+        windows = [grown(random_rect(rng, span=80.0), 3.0) for _ in range(n)]
+        block, walk = tree._reach(windows), reference.reach(tree, windows)
+        alone = [tree._reach([w]) for w in windows]
+        pages = [id(leaf) for leaf, _hits, _runs in block.leaves]
+        assert len(set(pages)) == len(pages)
+        for _leaf, hits, runs in block.leaves:
+            queries = [query for query, _count in runs]
+            assert queries == sorted(set(queries))
+            assert all(count > 0 for _query, count in runs)
+            assert sum(count for _query, count in runs) == len(hits)
+        assert block.visited == walk.visited == [a.visited[0] for a in alone]
+        assert [[(leaf, h.tolist()) for leaf, h in g] for g in block.groups()] == [
+            [(leaf, h.tolist()) for leaf, h in g] for g in walk.groups()
+        ]
+        assert block.hits == walk.hits == sum(a.hits for a in alone)
+        # The walk reaches a page once per query hitting it, the block once.
+        assert (len(block.leaves) < len(walk.leaves)) == (n > 1)
+
     def test_batch_query_pricing_matches_per_query_read_count(self):
         from repro.disk.allocator import PageAllocator
         from repro.disk.model import DiskModel

@@ -222,6 +222,39 @@ class TestTheBlockAnswerIsTheWalkAnswer:
             assert reach.hits == walk.hits
 
     @pytest.mark.parametrize("kind", ORG_KINDS)
+    def test_slices_are_cut_at_query_boundaries(self, mixed, kind, parts, monkeypatch):
+        """Each refinement takes a run of whole queries, in block order,
+        and a run ends only after the query whose hits pass the next
+        multiple of ``_REFINE_ROWS``."""
+        from itertools import accumulate
+
+        _objects, windows, points, orgs = mixed
+        org, rows, refined = orgs[kind], base._REFINE_ROWS, []
+        refine = SpatialOrganization._refine
+        monkeypatch.setattr(
+            SpatialOrganization, "_refine",
+            lambda o, candidates, dots: refined.append(candidates) or refine(o, candidates, dots),
+        )
+        cut = False
+        for rects, dots in self.blocks(windows, points):
+            refined.clear()
+            org._answer(rects, dots)
+            hits = [sum(len(h) for _leaf, h in g) for g in scalar_reference.reach(org.tree, rects).groups()]
+            held = list(accumulate(hits))
+            ends = sorted({len(rects), *(
+                next(i + 1 for i, h in enumerate(held) if h >= k) for k in range(rows, held[-1], rows)
+            )})
+            assert [len(slice_rects) for slice_rects, *_ in refined] == [
+                end - first for first, end in zip([0, *ends], ends)
+            ]
+            assert [rect for slice_rects, *_ in refined for rect in slice_rects] == rects
+            assert [len(slice_rows) for _rects, _owners, slice_rows, _sides in refined] == [
+                sum(hits[first:end]) for first, end in zip([0, *ends], ends)
+            ]
+            cut |= len(refined) > 1
+        assert cut == (rows == 40)
+
+    @pytest.mark.parametrize("kind", ORG_KINDS)
     def test_an_empty_tree(self, kind, parts):
         org = build_org(kind, [], smax_bytes=SMAX_BYTES)
         rects = [Rect(0, 0, 10, 10), Rect(0, 0, 10, 10), Rect(3, 3, 3, 3)]
