@@ -2,9 +2,9 @@
 
 One :class:`~repro.eval.ExperimentContext` is shared across all
 benchmark modules, so each organization is built at most once per run.
-Every figure benchmark prints its paper-shape table and also writes it
-to ``benchmarks/results/<name>.txt`` so the output survives pytest's
-capture.
+Every benchmark prints its table and also writes it to
+``benchmarks/results/<name>.txt`` (``RESULTS_DIR``) so the output
+survives pytest's capture.
 
 Scale is controlled by ``REPRO_SCALE`` (default 0.08 ≈ 10,500 objects
 per map); see README.md, "Reproducing the paper", and the

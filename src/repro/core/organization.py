@@ -457,8 +457,6 @@ class ClusterOrganization(SpatialOrganization):
                 plan_per_object(plan, unit, oids())
         elif technique == "complete" or technique == "threshold":
             plan_complete(plan, unit)
-        elif technique == "page":
-            plan_per_object(plan, unit, oids())
         elif technique == "slm":
             plan_slm(plan, unit, oids(), self.disk.params.slm_gap_pages)
         elif technique == "optimum":

@@ -1,15 +1,15 @@
 """Query techniques for reading objects out of cluster units (Section 5.4).
 
 Given a cluster unit and the set of candidate objects a window query
-needs from it, four techniques decide what to transfer:
+needs from it, three techniques decide what to transfer:
 
 * **complete** — the whole unit with a single request ("the simplest
   technique possible", Section 5.4's baseline);
-* **page** — object by object through the unit's relative addresses
-  (one seek for the unit, then a rotational delay per object);
 * **threshold** — the geometric threshold of [BKS93a]/Section 5.4.1:
   read the complete unit iff the window covers a fraction of the unit's
-  region exceeding ``T(c) = t_compl(c) / t_page``;
+  region exceeding ``T(c) = t_compl(c) / t_page``, else object by
+  object through the unit's relative addresses (one seek for the unit,
+  then a rotational delay per object);
 * **slm** — the read schedules of [SLM93]/Section 5.4.2: coalesce
   requested pages, reading through gaps shorter than
   ``l = tl/tt - 1/2`` pages;
@@ -40,7 +40,7 @@ __all__ = [
     "plan_optimum",
 ]
 
-TECHNIQUES = ("complete", "page", "threshold", "slm", "adaptive", "optimum")
+TECHNIQUES = ("complete", "threshold", "slm", "adaptive", "optimum")
 """Valid technique names for the cluster organization's window queries.
 
 ``adaptive`` is an extension beyond the paper: where the geometric

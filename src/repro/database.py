@@ -67,7 +67,7 @@ class Layout:
     #: Expected average object size used to derive ``Smax``.
     avg_object_size: float | None = None
     #: Window-query read technique of the cluster organization
-    #: (Section 5.4: ``complete`` / ``threshold`` / ``slm`` / ``page`` /
+    #: (Section 5.4: ``complete`` / ``threshold`` / ``slm`` /
     #: ``optimum``, and ``adaptive``); cluster only.
     technique: str = "complete"
     #: Number of buddy sizes for cluster-unit storage (Section 5.3.1;

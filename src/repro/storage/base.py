@@ -30,6 +30,7 @@ paper reports query I/O cost.
 from __future__ import annotations
 
 import abc
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -493,20 +494,33 @@ class SpatialOrganization(abc.ABC):
         **Gather and refine** — :meth:`_answer_block`, once, or, when
         the block hits more than :data:`_REFINE_ROWS` entries, once per
         slice of consecutive queries cut where the hits pass a multiple
-        of :data:`_REFINE_ROWS` (a slice's data pages by query, each a
-        view of the traversal's positions).
+        of :data:`_REFINE_ROWS`.  A slice reaches a data page once: its
+        queries' runs there are consecutive, so their positions are one
+        view of the traversal's.
         """
         reach = self._request_order(self.tree._reach(rects))
-        ends, answers, first = [len(rects)], [], 0
-        if reach.hits > _REFINE_ROWS:
-            groups = reach.groups()
-            held = [0, *accumulate(sum(len(hits) for _leaf, hits in query) for query in groups)]
-            cuts = np.searchsorted(held, range(_REFINE_ROWS, reach.hits, _REFINE_ROWS)).tolist()
-            ends = sorted({*cuts, len(rects)})
+        if reach.hits <= _REFINE_ROWS:
+            return self._answer_block(rects, reach, points)
+        held = [0] * len(rects)
+        for _leaf, _positions, runs in reach.leaves:
+            for query, count in runs:
+                held[query] += count
+        held = [0, *accumulate(held)]
+        cuts = np.searchsorted(held, range(_REFINE_ROWS, reach.hits, _REFINE_ROWS)).tolist()
+        ends = sorted({*cuts, len(rects)})
+        answers, first = [], 0
+        done = [(0, 0)] * len(reach.leaves)  # per data page: runs and positions sliced
         for end in ends:
-            part = reach if len(ends) == 1 else Reach(reach.visited[first:end], [
-                (leaf, hits, [(q - first, len(hits))]) for q in range(first, end) for leaf, hits in groups[q]
-            ], held[end] - held[first])
+            leaves = []
+            for page, (leaf, positions, runs) in enumerate(reach.leaves):
+                run, start = done[page]
+                stop_run = bisect_left(runs, (end,), run)  # runs ascend by query
+                if stop_run > run:
+                    part_runs = [(query - first, count) for query, count in runs[run:stop_run]]
+                    stop = start + sum(count for _query, count in part_runs)
+                    leaves.append((leaf, positions[start:stop], part_runs))
+                    done[page] = stop_run, stop
+            part = Reach(reach.visited[first:end], leaves, held[end] - held[first])
             answers += self._answer_block(rects[first:end], part, points)
             first = end
         return answers

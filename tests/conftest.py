@@ -124,11 +124,6 @@ def brute_force_window(objects, rect: Rect) -> set[int]:
     }
 
 
-def brute_force_candidates(objects, rect: Rect) -> set[int]:
-    """Reference filter-only candidates."""
-    return {o.oid for o in objects if o.mbr.intersects(rect)}
-
-
 def batch_entries(tree, rects) -> list[list]:
     """Per query, the hit entries of the tree's batch form in group
     order — comparable with ``tree.window_query(rect)``."""

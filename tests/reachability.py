@@ -150,6 +150,12 @@ ALLOWED_LINES: dict[tuple[str, str], str] = {
         "re-reads a page a priced write left _PRESERVE; no user path "
         "writes through a file-backed database and saves it again"
     ),
+    ("repro.storage.base:SpatialOrganization._answer", "held = [0] * len(rects)"): (
+        "the refinement slicer: a block that hits more than _REFINE_ROWS "
+        "entries. At REPRO_SCALE=0.08 Figure 8's 10 % windows on A-1 are "
+        "two slices (the committed tables pin them); at the probe's 0.01 "
+        "no block hits that many"
+    ),
 }
 
 
@@ -205,6 +211,16 @@ RESOLVERS: dict[str, tuple[str, str]] = {
         "migration",
     ),
     "repro.workload.traffic:make_traffic": ("repro.workload.traffic:ARRIVALS", "arrival"),
+    # Read where the technique is applied: figures assign org.technique
+    # directly, so check_technique sees only the default.
+    "repro.core.organization:ClusterOrganization._read_unit": (
+        "repro.core.techniques:TECHNIQUES",
+        "self.technique",
+    ),
+    "repro.join.object_access:ObjectTransfer.__init__": (
+        "repro.join.object_access:JOIN_TECHNIQUES",
+        "technique",
+    ),
 }
 
 

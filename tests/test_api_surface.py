@@ -482,9 +482,7 @@ class TestEdgeCases:
     def test_techniques_list_stable(self):
         from repro.core.techniques import TECHNIQUES
 
-        assert TECHNIQUES == (
-            "complete", "page", "threshold", "slm", "adaptive", "optimum"
-        )
+        assert TECHNIQUES == ("complete", "threshold", "slm", "adaptive", "optimum")
 
     def test_join_techniques_list_stable(self):
         from repro.join.object_access import JOIN_TECHNIQUES

@@ -1,6 +1,5 @@
 """Tests for the evaluation harness: config, context caching, metrics,
-report formatting, and paper-shape assertions of the figure drivers at
-a tiny scale."""
+report formatting, and the figure drivers at a tiny scale."""
 
 from __future__ import annotations
 
@@ -121,69 +120,21 @@ def rows_of(ctx, name, *series, **selection) -> list[dict]:
 
 
 class TestFigures:
-    """Each figure runs end-to-end at a tiny scale and shows the paper's
-    qualitative shape."""
+    """Each figure runs end-to-end at a tiny scale, its derived columns
+    computed from its rows.  What the paper reports is the figures'
+    claims, checked at ``REPRO_SCALE`` by
+    ``benchmarks/test_paper_claims.py`` and measured on every figure by
+    ``tests/test_report_formats.py``."""
 
-    def test_table1(self, ctx):
-        rows = rows_of(ctx, "table1")
-        assert len(rows) == 6
-        for row in rows:
-            assert row["avg size (measured)"] == pytest.approx(
-                row["avg size (paper)"], rel=0.15
-            )
-        assert "A-1" in FIGURES["table1"].render(ctx, rows)
-
-    def test_fig5_construction_shape(self, ctx):
-        (row,) = rows_of(ctx, "fig5", series=("A-1",))
-        # The primary organization is clearly the most expensive to build.
-        assert row["prim. org (s)"] > row["sec. org (s)"]
-        assert row["prim. org (s)"] > row["cluster org (s)"]
-        # Secondary and cluster are of the same magnitude.
-        assert row["cluster org (s)"] < 2.0 * row["sec. org (s)"]
-
-    def test_fig6_storage_shape(self, ctx):
-        (row,) = rows_of(ctx, "fig6", series=("A-1",))
-        # The plain cluster organization wastes the most pages.
-        assert (
-            row["sec. org (pages)"]
-            < row["prim. org (pages)"]
-            < row["cluster org (pages)"]
-        )
-
-    def test_fig7_buddy_shape(self, ctx):
-        (row,) = rows_of(ctx, "fig7", series=("A-1",))
-        # The restricted buddy system recovers most of the waste…
-        assert row["buddy (pages)"] < row["fixed (pages)"]
-        # …to roughly the primary organization's level (paper: "about
-        # the same storage utilization").
-        assert row["buddy (pages)"] == pytest.approx(row["primary (pages)"], rel=0.35)
-        # …at slightly higher construction cost.
-        assert row["fixed constr (s)"] <= row["buddy constr (s)"]
-        assert row["buddy constr (s)"] < 1.5 * row["fixed constr (s)"]
-
-    def test_fig8_window_shape(self, ctx):
+    def test_fig8_labels_its_areas_and_divides_its_speedup(self, ctx):
         small, large = rows_of(ctx, "fig8", series=("A-1",), areas=(1e-4, 1e-2))
         assert (small["window area"], large["window area"]) == ("0.01%", "1%")
-        # Global clustering pays off more the larger the window…
-        assert large["speedup vs sec"] > small["speedup vs sec"]
-        # …and clearly wins for large windows.
-        assert large["speedup vs sec"] > 3.0
         assert large["speedup vs sec"] == pytest.approx(
             large["sec (ms/4KB)"] / large["cluster (ms/4KB)"]
         )
 
-    def test_fig10_techniques_shape(self, ctx):
-        rows = rows_of(
-            ctx, "fig10", series=("C-1",), areas=(1e-5, 1e-2),
-            techniques=("complete", "threshold", "slm", "optimum"),
-        )
-        for row in rows:
-            per = {c: v for c, v in row.items() if c.endswith("(ms/4KB)")}
-            assert per["optimum (ms/4KB)"] <= min(per.values()) + 1e-9
-            # SLM never loses to reading complete units by much, and for
-            # selective queries it saves.
-            if row["window area"] == "0.001%":
-                assert per["slm (ms/4KB)"] <= per["complete (ms/4KB)"] * 1.01
+    def test_fig10_leaves_the_read_technique_as_found(self, ctx):
+        rows_of(ctx, "fig10", series=("C-1",), areas=(1e-5, 1e-2))
         # One build serves every technique, and is left as it was found.
         assert ctx.org("cluster", "C-1").technique == "complete"
 
@@ -194,48 +145,22 @@ class TestFigures:
         )
         assert {r["technique"] for r in rows} == {"complete", "slm"}
         for r in rows:
-            assert 0.0 <= r["gain factor 10 (%)"] <= 100.0
-            assert 0.0 <= r["gain factor 100 (%)"] <= 100.0
             # 0.001% is not among the base areas: nothing to report.
             assert r["gain 0.001%->0.1% (%)"] == 0.0
 
-    def test_fig12_point_shape(self, ctx):
-        (row,) = rows_of(ctx, "fig12", series=("A-1",))
-        # "Almost no difference between the secondary organization and
-        # the cluster organization."
-        assert row["cluster/sec"] == pytest.approx(1.0, abs=0.25)
-        # The primary organization profits from small objects.
-        assert row["prim (ms/4KB)"] < row["sec (ms/4KB)"]
-
-    def test_fig14_join_shape(self, ctx):
+    def test_fig14_speedup_is_the_cost_quotient(self, ctx):
         (row,) = rows_of(ctx, "fig14", "A-1", "A-2", versions=("a",), buffers=[32])
-        assert row["speedup vs sec"] > 1.5
         assert row["speedup vs sec"] == pytest.approx(
             row["sec (s)"] / row["cluster (s)"]
         )
         assert row["MBR pairs"] > 0
 
-    def test_fig16_techniques_shape(self, ctx):
-        rows = rows_of(ctx, "fig16", "A-1", "A-2", versions=("a",), buffers=[16, 128])
-        for row in rows:
-            per = {c: v for c, v in row.items() if c.endswith("(s)")}
-            assert per["optimum (s)"] <= min(per.values()) + 1e-9
-            # Normal read beats vector read (Section 6.2) once the buffer
-            # is not minuscule; at the smallest buffers the relation is
-            # noisy even in the paper's Figure 16.
-            if row["buffer"] >= 64:
-                assert per["read (s)"] <= per["vector (s)"] * 1.1
-
-    def test_fig17_breakdown_shape(self, ctx):
+    def test_fig17_footer_reads_its_rows_and_its_claim(self, ctx):
         rows = rows_of(ctx, "fig17", "A-1", "A-2", versions=("a",))
         sec, clu = rows
         assert (sec["organization"], clu["organization"]) == ("secondary", "cluster")
-        # The exact-test cost is identical; the transfer dominates the
-        # difference (Figure 17's message).
-        assert sec["exact test (s)"] == pytest.approx(clu["exact test (s)"])
-        assert clu["obj transfer (s)"] < sec["obj transfer (s)"]
-        assert clu["total (s)"] < sec["total (s)"]
-        # The speed-up line under the table is computed from its rows.
+        # The speed-up line under the table is computed from its rows,
+        # the paper's values read from the figure's claim.
         speedup = sec["total (s)"] / clu["total (s)"]
         assert FIGURES["fig17"].render(ctx, rows).endswith(
             f"version a: complete-join speedup {speedup:.1f}x "

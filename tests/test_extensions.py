@@ -3,6 +3,8 @@ the adaptive (exact-candidate-count) read technique."""
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -121,13 +123,18 @@ class TestAdaptiveTechnique:
         ]
         for window in windows:
             costs = {}
-            for technique in ("complete", "page", "adaptive"):
+            for technique in ("complete", "adaptive"):
                 org.technique = technique
                 costs[technique] = org.window_query(window).io.total_ms
+            # Per-object access: the adaptive technique, its choice forced.
+            with mock.patch(
+                "repro.core.organization.adaptive_prefers_complete", return_value=False
+            ):
+                costs["per object"] = org.window_query(window).io.total_ms
             # Adaptive picks per unit, so it can beat both but should
             # never lose to the better of the two by more than noise.
             assert costs["adaptive"] <= min(
-                costs["complete"], costs["page"]
+                costs["complete"], costs["per object"]
             ) * 1.05, (window, costs)
 
     def test_adaptive_answers_identical(self, objects300, cluster300):

@@ -554,9 +554,10 @@ class TestClockHygiene:
         virtual-clock scopes, so prefetch overlap shows up in the
         response columns instead of silently reporting sync numbers.
 
-        The ``page`` technique reads only the matching pages of each
-        cluster unit, so the cluster prefetcher has *real* (allocated)
-        pages to read ahead — phantom pages past the allocator's
+        The ``slm`` technique reads only the matching pages of each
+        cluster unit and the short gaps between them, so the cluster
+        prefetcher has *real* (allocated) pages to read ahead — phantom
+        pages past the allocator's
         high-water mark no longer count (they used to make this margin
         for free) — and the widening windows consume, in a *later*
         operation, the unit remainders an earlier operation's prefetch
@@ -571,7 +572,7 @@ class TestClockHygiene:
 
         def run(scheduler, prefetch=None):
             db = SpatialDatabase(
-                smax_bytes=16 * 4096, n_disks=4, technique="page",
+                smax_bytes=16 * 4096, n_disks=4, technique="slm",
                 scheduler=scheduler, prefetch=prefetch,
             )
             db.build(objects)

@@ -13,7 +13,9 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from contextlib import nullcontext
+from itertools import accumulate
 from unittest import mock
 
 import pytest
@@ -155,6 +157,15 @@ class TestBruteForceReference:
         assert orgs["primary"].extent_of(big) is not None
 
 
+def slice_ends(hits: list[int], rows: int) -> list[int]:
+    """Where a block whose queries hit ``hits`` entries is sliced: after
+    each query whose hits, added up, reach a multiple of ``rows``."""
+    held = list(accumulate(hits))
+    return sorted({len(hits), *(
+        next(i + 1 for i, h in enumerate(held) if h >= k) for k in range(rows, held[-1], rows)
+    )})
+
+
 def _priced(result):
     return (
         [o.oid for o in result.objects],
@@ -225,25 +236,26 @@ class TestTheBlockAnswerIsTheWalkAnswer:
     def test_slices_are_cut_at_query_boundaries(self, mixed, kind, parts, monkeypatch):
         """Each refinement takes a run of whole queries, in block order,
         and a run ends only after the query whose hits pass the next
-        multiple of ``_REFINE_ROWS``."""
-        from itertools import accumulate
+        multiple of ``_REFINE_ROWS``.  A slice gathers a data page once:
+        ``Node.rows`` is read once per (slice, data page) pair."""
+        from repro.rtree.node import Node
 
         _objects, windows, points, orgs = mixed
-        org, rows, refined = orgs[kind], base._REFINE_ROWS, []
-        refine = SpatialOrganization._refine
+        org, rows, refined, reads = orgs[kind], base._REFINE_ROWS, [], []
+        refine, node_rows = SpatialOrganization._refine, Node.rows
         monkeypatch.setattr(
             SpatialOrganization, "_refine",
             lambda o, candidates, dots: refined.append(candidates) or refine(o, candidates, dots),
         )
+        monkeypatch.setattr(Node, "rows", lambda node: reads.append(node.node_id) or node_rows(node))
         cut = False
         for rects, dots in self.blocks(windows, points):
+            groups = scalar_reference.reach(org.tree, rects).groups()
             refined.clear()
+            reads.clear()
             org._answer(rects, dots)
-            hits = [sum(len(h) for _leaf, h in g) for g in scalar_reference.reach(org.tree, rects).groups()]
-            held = list(accumulate(hits))
-            ends = sorted({len(rects), *(
-                next(i + 1 for i, h in enumerate(held) if h >= k) for k in range(rows, held[-1], rows)
-            )})
+            hits = [sum(len(h) for _leaf, h in g) for g in groups]
+            ends = slice_ends(hits, rows)
             assert [len(slice_rects) for slice_rects, *_ in refined] == [
                 end - first for first, end in zip([0, *ends], ends)
             ]
@@ -251,6 +263,8 @@ class TestTheBlockAnswerIsTheWalkAnswer:
             assert [len(slice_rows) for _rects, _owners, slice_rows, _sides in refined] == [
                 sum(hits[first:end]) for first, end in zip([0, *ends], ends)
             ]
+            pairs = {(bisect_right(ends, q), leaf.node_id) for q, g in enumerate(groups) for leaf, _h in g}
+            assert sorted(reads) == sorted(page for _slice, page in pairs)
             cut |= len(refined) > 1
         assert cut == (rows == 40)
 
@@ -283,8 +297,6 @@ class TestOneTraversalPerAnswer:
 
     @pytest.mark.parametrize("rows", [65_536, 50])
     def test_one_reach_and_one_refine_per_slice(self, mixed, monkeypatch, rows):
-        from itertools import accumulate
-
         from repro.rtree.rstar import RStarTree
 
         _objects, _windows, _points, orgs = mixed
@@ -293,14 +305,10 @@ class TestOneTraversalPerAnswer:
         for _ in range(100):
             x, y = rng.uniform(0, 900), rng.uniform(0, 900)
             rects.append(Rect(x, y, x + rng.uniform(1, 100), y + rng.uniform(1, 100)))
-        held = list(accumulate(
+        ends = slice_ends([
             sum(len(hits) for _leaf, hits in scalar_reference.window_leaves(org.tree, r, lambda node: None))
             for r in rects
-        ))
-        # A slice ends after each query whose hits reach a multiple of rows.
-        ends = sorted({len(rects), *(
-            next(i + 1 for i, h in enumerate(held) if h >= k) for k in range(rows, held[-1], rows)
-        )})
+        ], rows)
         slices = [end - first for first, end in zip([0, *ends], ends)]
         assert (len(slices) > 2) == (rows == 50)
 
