@@ -17,7 +17,6 @@ from repro.eval.figures import FIGURES, Claim
 from repro.eval.report import format_rows
 
 from benchmarks import conftest
-from benchmarks.conftest import once
 
 # Each case's table, in the order of the claims in paper_claims.txt.
 RECORDED_AS = {
@@ -86,7 +85,7 @@ def test_fig14_smaller_objects_gain_more(ctx, benchmark, record_table, checked):
             rows.append({"series": f"{series_r}/2 a", **{c: row[c] for c in shown}})
         return rows
 
-    rows = once(benchmark, run)
+    rows = conftest.once(benchmark, run)
     record_table(
         RECORDED_AS["fig14 series"],
         format_rows("Figure 14 addendum — smaller objects profit more (buffer 1600 scaled)", rows),

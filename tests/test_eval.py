@@ -121,10 +121,18 @@ def rows_of(ctx, name, *series, **selection) -> list[dict]:
 
 class TestFigures:
     """Each figure runs end-to-end at a tiny scale, its derived columns
-    computed from its rows.  What the paper reports is the figures'
-    claims, checked at ``REPRO_SCALE`` by
-    ``benchmarks/test_paper_claims.py`` and measured on every figure by
-    ``tests/test_report_formats.py``."""
+    computed from its rows, and its claims hold here but for those that
+    need more of the paper's maps (on ``TINY`` ``AT_FULL_SIZE`` reads
+    1.76, 1.40 and 8.7; at 0.08 they hold)."""
+
+    AT_FULL_SIZE = {"fig5": {"cluster < 1.6x secondary"}, "fig10": {"10 % windows: techniques within 1.3x"},
+                    "fig11": {"factor 100: threshold, slm gain <= complete's + 5 points"}}
+
+    @pytest.mark.parametrize("name", FIGURES)
+    def test_the_claims_hold_at_a_tiny_scale(self, ctx, name):
+        rows, claims = rows_of(ctx, name), FIGURES[name].claims
+        failed = {claim.name for claim in claims if claim.check(name, rows)["holds"] != "yes"}
+        assert failed <= self.AT_FULL_SIZE.get(name, set()) <= {claim.name for claim in claims}
 
     def test_fig8_labels_its_areas_and_divides_its_speedup(self, ctx):
         small, large = rows_of(ctx, "fig8", series=("A-1",), areas=(1e-4, 1e-2))
