@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Hashable, Iterable, Sequence
 
+import numpy as np
+
 from repro.buffer.policy import ReplacementPolicy, hit_ratio, make_buffer
 from repro.disk.extent import Extent
 from repro.disk.model import DiskModel
@@ -40,10 +42,26 @@ if TYPE_CHECKING:  # pragma: no cover - import would be circular at runtime
 __all__ = ["BufferPool", "coalesce_pages", "sequential_runs"]
 
 
+#: Below this many pages :func:`coalesce_pages` uses the plain Python
+#: loop; larger batches switch to the vectorized break-point scan.
+_COALESCE_MIN_PAGES = 64
+
+
 def coalesce_pages(pages: Sequence[int]) -> list[tuple[int, int]]:
     """Merge sorted distinct page numbers into ``(start, npages)`` runs
     of physically consecutive pages — the vectored-transfer schedule of
     the read/write coalescing scheduler."""
+    if len(pages) >= _COALESCE_MIN_PAGES:
+        arr = np.asarray(pages, dtype=np.int64)
+        diffs = arr[1:] - arr[:-1]
+        if diffs.size and int(diffs.min()) <= 0:
+            raise ConfigurationError("pages must be sorted and distinct")
+        breaks = np.flatnonzero(diffs > 1)
+        first = np.concatenate(([0], breaks + 1))
+        last = np.concatenate((breaks, [len(arr) - 1]))
+        starts = arr[first].tolist()
+        counts = (arr[last] - arr[first] + 1).tolist()
+        return list(zip(starts, counts))
     runs: list[tuple[int, int]] = []
     for page in pages:
         if runs and page == runs[-1][0] + runs[-1][1]:

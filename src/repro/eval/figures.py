@@ -3,30 +3,28 @@
 A figure is a name, a title and a generator that turns an
 :class:`~repro.eval.context.ExperimentContext` into rows of
 ``{column: value}`` — the column a value is printed under is the name
-tests and claims read it by (``row["speedup vs sec"]``), derived
+tests and benchmarks read it by (``row["speedup vs sec"]``), derived
 ratios included.  :meth:`Figure.render` is the one way rows become
 text, through the formatter the CLI scenarios and the ablations under
 ``benchmarks/`` use for their dict rows too.
 
-A generator is declared as its figure by ``@_figure`` with what the
-paper reports for it, the figure's :attr:`Figure.claims`: named
-statements over its rows, each with the paper's value where the paper
-gives one.  The reproduction runs at a reduced cardinality
-(``REPRO_SCALE``), so a claim states the *shape* — who wins, by
-roughly what factor, the direction of a trend — and the paper's one
-message behind all of them: global clustering (the cluster
-organization) costs selective queries nothing and wins the more, the
-more data an operation touches (large windows, joins), at construction
-and storage costs the restricted buddy system keeps near the other
-organizations'.  ``benchmarks/test_paper_claims.py`` checks every claim
-and lists them in ``benchmarks/results/paper_claims.txt``.
+Each generator's docstring says what shape the paper reports for it;
+``benchmarks/test_paper_claims.py`` checks the paper's statements on
+the rows, with its values, and lists them in
+``benchmarks/results/paper_claims.txt``.  The reproduction runs at a
+reduced cardinality (``REPRO_SCALE``), so what is compared is that
+*shape* — who wins, by roughly what factor, where the curves cross —
+and the paper's one message behind all of them: global clustering (the
+cluster organization) costs selective queries nothing and wins the
+more, the more data an operation touches (large windows, joins), at
+construction and storage costs the restricted buddy system keeps near
+the other organizations'.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from operator import ge, gt, itemgetter, le, lt
 from typing import Callable, Iterable, Iterator
 
 from repro.data.series import TABLE1
@@ -37,38 +35,9 @@ from repro.eval.metrics import run_point_queries, run_window_queries
 from repro.eval.report import format_rows
 from repro.join.multistep import spatial_join
 
-__all__ = ["FIGURES", "Claim", "Figure"]
+__all__ = ["COMPLETE_JOIN_SPEEDUP_PAPER", "FIGURES", "Figure"]
 
 MAP1_SERIES = ("A-1", "B-1", "C-1")
-
-
-@dataclass(frozen=True)
-class Claim:
-    """One statement of the paper, checked over a figure's rows:
-    ``measure(rows)`` is the value measured here and whether the
-    statement holds.  ``paper`` is the paper's value, where it gives
-    one."""
-
-    name: str
-    measure: Callable[[list[dict]], tuple[object, bool]]
-    paper: str = "-"
-
-    @classmethod
-    def each(cls, name: str, test, bound: float, pairs: Callable, paper: str = "-") -> Claim:
-        """The claim that ``test(value, bound * base)`` holds for every
-        ``(value, base)`` of ``pairs(rows)``; it reads the ``value /
-        base`` nearest the bound."""
-        nearest = min if test in (gt, ge) else max
-        return cls(name, lambda rows: (
-            nearest(_ratio(v, b) for v, b in pairs(rows)),
-            all(test(v, bound * b) for v, b in pairs(rows)),
-        ), paper)
-
-    def check(self, figure: str, rows: list[dict]) -> dict:
-        """The claim's row of ``paper_claims.txt`` over ``rows``."""
-        here, holds = self.measure(rows)
-        return dict(figure=figure, claim=self.name, paper=self.paper, here=here,
-                    holds="yes" if holds else "no")
 
 
 @dataclass(frozen=True)
@@ -77,7 +46,6 @@ class Figure:
     title: str  # ``{scale}`` stands for the configured scale
     generator: Callable[..., Iterator[dict]]  # generator(ctx, **selection)
     footer: Callable[[list[dict]], Iterable[str]] | None = None
-    claims: tuple[Claim, ...] = ()
 
     def rows(self, ctx: ExperimentContext, *args, **selection) -> Iterator[dict]:
         """The figure's rows over ``ctx``, generated after
@@ -94,86 +62,12 @@ class Figure:
         return "\n".join(lines)
 
 
-FIGURES: dict[str, Figure] = {}
-
-
-def _figure(
-    name: str, title: str, *claims: Claim, footer: Callable[[list[dict]], Iterable[str]] | None = None
-) -> Callable:
-    """Declare the generator below as the row ``name`` of :data:`FIGURES`,
-    with the paper's ``claims`` over its rows."""
-
-    def declare(generator):
-        FIGURES[name] = Figure(name, title, generator, footer, claims)
-        return generator
-
-    return declare
-
-
 def _ratio(cost: float, base: float) -> float:
     return cost / base if base > 0 else float("inf")
 
 
 def _area(fraction: float) -> str:
     return f"{fraction * 100:g}%"
-
-
-# What a claim reads from a figure's rows.
-
-
-def _cols(value, base: str | None = None, where=None) -> Callable:
-    """Per row ``where`` holds for: ``(value, row[base])``, or ``(value,
-    1)``; ``value`` is a column, or a function of the row."""
-    get = value if callable(value) else itemgetter(value)
-    return lambda rows: [(get(r), r[base] if base else 1) for r in rows if not where or where(r)]
-
-
-def _versus(value, key: str, base_key: str) -> Callable:
-    """``value`` (a column, or a function of a row) of the first row
-    whose first column is ``key`` against that of ``base_key``'s."""
-    get = value if callable(value) else itemgetter(value)
-    return lambda rows: [(get(_row(rows, key)), get(_row(rows, base_key)))]
-
-
-def _row(rows: list[dict], key: str) -> dict:
-    return next(r for r in rows if next(iter(r.values())) == key)
-
-
-def _groups(rows: list[dict], column: str) -> list[list[dict]]:
-    groups: dict[object, list[dict]] = {}
-    for row in rows:
-        groups.setdefault(row[column], []).append(row)
-    return list(groups.values())
-
-
-def _best(column: str, key: str, values: tuple[str, str]) -> Callable:
-    """The largest ``column`` of the rows of ``values[0]`` against that
-    of the rows of ``values[1]`` (``key`` naming the row's value)."""
-    return lambda rows: [tuple(max(r[column] for r in rows if r[key] == v) for v in values)]
-
-
-def _share(flag: Callable[[dict], bool], pick=lambda rows: rows) -> Callable:
-    """A measure: ``flag`` holds for every row of ``pick(rows)``; it
-    reads for how many."""
-    return lambda rows: (
-        f"{sum(map(flag, pick(rows)))}/{len(pick(rows))}", all(map(flag, pick(rows)))
-    )
-
-
-def _within(column: str, low: float, high: float) -> Callable:
-    """A measure: ``low <= row[column] <= high`` for every row; it reads
-    the range."""
-    return lambda rows: (
-        "{:,.2f}..{:,.2f}".format(*(f(r[column] for r in rows) for f in (min, max))),
-        all(low <= r[column] <= high for r in rows),
-    )
-
-
-def _techniques(row: dict) -> dict[str, float]:
-    return {c.split()[0]: v for c, v in row.items() if c.endswith(("(ms/4KB)", "(s)"))}
-
-
-_OPTIMUM_LEAST = _share(lambda r: (t := _techniques(r))["optimum"] <= min(t.values()) + 1e-9)
 
 
 @contextmanager
@@ -188,13 +82,6 @@ def _reading(org, technique: str):
         org.technique = original
 
 
-@_figure(
-    "table1", "Table 1 — maps and test series (scale={scale})",
-    Claim("six series-maps", lambda rows: (len(rows), len(rows) == 6), "6"),
-    Claim.each("avg object size within 10 % of the paper's", le, 0.1, _cols(
-        lambda r: abs(r["avg size (measured)"] - r["avg size (paper)"]), "avg size (paper)"
-    )),
-)
 def table1(ctx: ExperimentContext) -> Iterator[dict]:
     """Object counts, average object sizes, total volume and ``Smax`` per
     series of the synthetic maps against the paper's values (counts
@@ -213,17 +100,6 @@ def table1(ctx: ExperimentContext) -> Iterator[dict]:
         }
 
 
-_SEC, _PRIM, _CLUSTER = "sec. org (s)", "prim. org (s)", "cluster org (s)"
-
-
-@_figure(
-    "fig5", "Figure 5 — I/O cost for constructing the organization models",
-    Claim.each("primary > 1.2x secondary", gt, 1.2, _cols(_PRIM, _SEC)),
-    Claim.each("primary > 1.1x cluster", gt, 1.1, _cols(_PRIM, _CLUSTER)),
-    Claim.each("cluster < 1.6x secondary", lt, 1.6, _cols(_CLUSTER, _SEC)),
-    Claim.each("primary grows with size: C-1 > 1.1x A-1", gt, 1.1, _versus(_PRIM, "C-1", "A-1")),
-    Claim.each("secondary stays flat: C-1 < 2x A-1", lt, 2.0, _versus(_SEC, "C-1", "A-1")),
-)
 def fig5(ctx: ExperimentContext, series=tuple(TABLE1)) -> Iterator[dict]:
     """Building each organization model with unsorted input: the cluster
     organization is cheapest (no leaf reinserts, and the cluster split
@@ -240,15 +116,6 @@ def fig5(ctx: ExperimentContext, series=tuple(TABLE1)) -> Iterator[dict]:
         }
 
 
-@_figure(
-    "fig6", "Figure 6 — storage utilization (occupied pages)",
-    Claim("pages: secondary < primary < cluster", _share(
-        lambda r: r["sec. org (pages)"] < r["prim. org (pages)"] < r["cluster org (pages)"]
-    )),
-    Claim.each(
-        "cluster > 1.4x secondary", gt, 1.4, _cols("cluster org (pages)", "sec. org (pages)")
-    ),
-)
 def fig6(ctx: ExperimentContext, series=tuple(TABLE1)) -> Iterator[dict]:
     """The secondary organization's byte-packed file is best; the plain
     cluster organization is worst (every unit binds a full ``Smax``
@@ -263,18 +130,6 @@ def fig6(ctx: ExperimentContext, series=tuple(TABLE1)) -> Iterator[dict]:
         }
 
 
-@_figure(
-    "fig7", "Figure 7 — restricted buddy system: utilization and construction cost",
-    Claim.each("buddy < fixed pages", lt, 1.0, _cols("buddy (pages)", "fixed (pages)")),
-    Claim.each("|buddy - primary| < 0.35x primary pages", lt, 0.35, _cols(
-        lambda r: abs(r["buddy (pages)"] - r["primary (pages)"]), "primary (pages)"
-    )),
-    Claim.each("fixed <= buddy to build", le, 1.0, _cols("fixed constr (s)", "buddy constr (s)")),
-    Claim.each(
-        "buddy < 1.35x fixed to build", lt, 1.35, _cols("buddy constr (s)", "fixed constr (s)")
-    ),
-    Claim.each("buddy units move", gt, 0, _cols("moves")),
-)
 def fig7(ctx: ExperimentContext, series=MAP1_SERIES) -> Iterator[dict]:
     """The restricted buddy system (sizes ``Smax``, ``Smax/2``,
     ``Smax/4``) brings the cluster organization's utilization to roughly
@@ -294,37 +149,6 @@ def fig7(ctx: ExperimentContext, series=MAP1_SERIES) -> Iterator[dict]:
         }
 
 
-def _speedups(rows: list[dict]) -> list[list[float]]:
-    """Figure 8: per series, the speed-ups by ascending window area."""
-    return [[r["speedup vs sec"] for r in g] for g in _groups(rows, "series")]
-
-
-def _window_areas(rows: list[dict]) -> tuple[str, bool]:
-    areas = [r["window area"] for r in rows if r["series"] == "A-1"]
-    return f"{areas[0]}..{areas[-1]}", areas == [_area(a) for a in sorted(PAPER_WINDOW_AREAS)]
-
-
-@_figure(
-    "fig8", "Figure 8 — window queries across organization models",
-    Claim.each("speedup grows: largest > smallest window", gt, 1.0, lambda rows: [
-        (s[-1], s[0]) for s in _speedups(rows)
-    ]),
-    Claim.each("largest window: speedup > 6", gt, 6.0, lambda rows: [
-        (s[-1], 1) for s in _speedups(rows)
-    ], "20 (A-1), 12.5 (C-1)"),
-    Claim.each("smallest window: speedup > 0.5", gt, 0.5, lambda rows: [
-        (s[0], 1) for s in _speedups(rows)
-    ]),
-    Claim.each(
-        "best speedup: A-1 > C-1", gt, 1.0, _best("speedup vs sec", "series", ("A-1", "C-1")),
-        "1.6 (20 / 12.5)",
-    ),
-    Claim("largest window: cluster < primary < secondary", _share(
-        lambda r: r["cluster (ms/4KB)"] < r["prim (ms/4KB)"] < r["sec (ms/4KB)"],
-        lambda rows: [g[-1] for g in _groups(rows, "series")],
-    )),
-    Claim("window areas", _window_areas, "0.001%..10%"),
-)
 def fig8(
     ctx: ExperimentContext, series=("A-1", "C-1"), areas=PAPER_WINDOW_AREAS
 ) -> Iterator[dict]:
@@ -349,29 +173,6 @@ def fig8(
             }
 
 
-def _selective(technique: str) -> Callable:
-    """Figure 10: ``technique``'s against ``complete``'s cost on C-1's
-    most selective windows."""
-    return lambda rows: [(t[technique], t["complete"]) for t in map(_techniques, (
-        r for r in rows if (r["series"], r["window area"]) == ("C-1", "0.001%")
-    ))]
-
-
-@_figure(
-    "fig10", "Figure 10 — query techniques for window queries (cluster org)",
-    Claim("optimum is the least cost", _OPTIMUM_LEAST),
-    Claim.each(
-        "C-1 at 0.001 %: slm < 0.95x complete", lt, 0.95, _selective("slm"), "0.73 (27 % saved)"
-    ),
-    Claim.each(
-        "C-1 at 0.001 %: threshold <= 1.02x complete", le, 1.02, _selective("threshold"),
-        "0.85 (15 % saved)",
-    ),
-    Claim.each("10 % windows: techniques within 1.3x", lt, 1.3, lambda rows: [
-        (max(t.values()), min(t.values()))
-        for t in (_techniques(r) for r in rows if r["window area"] == "10%")
-    ], "~1 (no significant difference)"),
-)
 def fig10(
     ctx: ExperimentContext,
     series=("A-1", "C-1"),
@@ -394,28 +195,6 @@ def fig10(
             yield row
 
 
-def _smart_gain(rows: list[dict]) -> tuple[float, bool]:
-    gain = {r["technique"]: r["gain factor 100 (%)"] for r in rows}
-    smart = max(gain["threshold"], gain["slm"])
-    return smart - gain["complete"], smart <= gain["complete"] + 5.0
-
-
-@_figure(
-    "fig11", "Figure 11 — performance gains from adapting the cluster size (B-1)",
-    Claim("factor-10 gains within 0..60 %", _within("gain factor 10 (%)", 0.0, 60.0)),
-    Claim(
-        "factor-100 gains within 0..60 %", _within("gain factor 100 (%)", 0.0, 60.0),
-        "6.5..23 (threshold..complete)",
-    ),
-    Claim("factor-100 gain >= factor-10 gain - 3 points", lambda rows: (
-        min(r["gain factor 100 (%)"] - r["gain factor 10 (%)"] for r in rows),
-        all(r["gain factor 100 (%)"] >= r["gain factor 10 (%)"] - 3.0 for r in rows),
-    )),
-    Claim(
-        "factor 100: threshold, slm gain <= complete's + 5 points", _smart_gain,
-        "-12 (11 slm, 23 complete)",
-    ),
-)
 def fig11(
     ctx: ExperimentContext,
     series="B-1",
@@ -465,25 +244,6 @@ def fig11(
         }
 
 
-def _advantage(row: dict) -> float:
-    """Figure 12: the secondary organization's point-query I/O over the
-    primary's."""
-    return row["sec (ms/4KB)"] / row["prim (ms/4KB)"]
-
-
-@_figure(
-    "fig12", "Figure 12 — point queries across organization models",
-    Claim(
-        "point-query I/O: cluster / secondary within 0.8..1.2", _within("cluster/sec", 0.8, 1.2),
-        "~1 (almost no difference)",
-    ),
-    Claim.each(
-        "point-query I/O: primary's advantage A-1 > C-1", gt, 1.0, _versus(_advantage, "A-1", "C-1")
-    ),
-    Claim.each("point-query I/O: A-1 secondary > 1.2x primary", gt, 1.2, lambda rows: [
-        (_advantage(_row(rows, "A-1")), 1)
-    ]),
-)
 def fig12(ctx: ExperimentContext, series=MAP1_SERIES) -> Iterator[dict]:
     """678 point queries at the centers of the Section 5.4 windows:
     secondary and cluster organization are nearly identical; the primary
@@ -504,23 +264,6 @@ def fig12(ctx: ExperimentContext, series=MAP1_SERIES) -> Iterator[dict]:
         }
 
 
-@_figure(
-    "fig14", "Figure 14 — spatial join I/O across organization models",
-    Claim.each("speedup vs sec > 1.5", gt, 1.5, _cols("speedup vs sec"), "up to 4.9 (a), 9.5 (b)"),
-    Claim.each("speedup vs prim > 1", gt, 1.0, _cols("speedup vs prim"), "up to 4.6 (a), 6.2 (b)"),
-    Claim.each(
-        "version b > 4x the MBR pairs of a", gt, 4, _versus("MBR pairs", "b", "a"),
-        "13.8 (9 / 0.65 per MBR)",
-    ),
-    Claim.each(
-        "best speedup vs sec: b >= 0.8x a", ge, 0.8, _best("speedup vs sec", "version", ("b", "a")),
-        "1.9 (9.5 / 4.9)",
-    ),
-    Claim.each("largest buffer <= 1.1x the smallest's I/O", le, 1.1, lambda rows: [
-        (g[-1][org], g[0][org]) for org in ("sec (s)", "prim (s)", "cluster (s)")
-        for g in _groups(rows, "version")
-    ]),
-)
 def fig14(
     ctx: ExperimentContext,
     series_r="C-1",
@@ -552,23 +295,6 @@ def fig14(
             }
 
 
-def _complete_wins(rows: list[dict]) -> tuple[str, bool]:
-    wins = sum(r["complete (s)"] <= min(r["read (s)"], r["vector (s)"]) * 1.02 for r in rows)
-    return f"{wins}/{len(rows)}", wins >= len(rows) / 2
-
-
-@_figure(
-    "fig16", "Figure 16 — join transfer techniques (cluster org)",
-    Claim("optimum is a lower bound", _OPTIMUM_LEAST),
-    Claim.each("buffer >= 64: read <= 1.1x vector", le, 1.1, _cols(
-        "read (s)", "vector (s)", lambda r: r["buffer"] >= 64
-    )),
-    Claim("complete within 2 % of read and vector in half the rows", _complete_wins),
-    Claim.each("largest buffer: best technique <= 2x optimum", le, 2.0, lambda rows: [
-        (min(c for n, c in t.items() if n != "optimum"), t["optimum"])
-        for t in (_techniques(max(g, key=itemgetter("buffer"))) for g in _groups(rows, "version"))
-    ]),
-)
 def fig16(
     ctx: ExperimentContext,
     series_r="C-1",
@@ -595,42 +321,6 @@ def fig16(
             yield row
 
 
-def _organizations(rows: list[dict], column: str) -> list[tuple[float, float]]:
-    """Figure 17: per version, the secondary and the cluster row's ``column``."""
-    return [
-        (o["secondary"], o["cluster"])
-        for o in ({r["organization"]: r[column] for r in g} for g in _groups(rows, "version"))
-    ]
-
-
-_COMPLETE_JOIN_SPEEDUP = Claim.each("complete-join speedup > 1.5", gt, 1.5, lambda rows: [
-    (sec / clu, 1) for sec, clu in _organizations(rows, "total (s)")
-], "3.9x for a, 4.3x for b")
-
-
-def fig17_speedups(rows: list[dict]) -> Iterator[str]:
-    versions = dict.fromkeys(r["version"] for r in rows)
-    for version, (sec, clu) in zip(versions, _organizations(rows, "total (s)")):
-        yield (
-            f"version {version}: complete-join speedup "
-            f"{sec / clu:.1f}x (paper: {_COMPLETE_JOIN_SPEEDUP.paper})"
-        )
-
-
-@_figure(
-    "fig17", "Figure 17 — complete intersection join cost breakdown",
-    Claim.each("exact-test cost equal in both organizations", lt, 1e-9, lambda rows: [
-        (abs(sec - clu), 1) for sec, clu in _organizations(rows, "exact test (s)")
-    ]),
-    Claim.each("object transfer: cluster < 0.5x secondary", lt, 0.5, lambda rows: [
-        (clu, sec) for sec, clu in _organizations(rows, "obj transfer (s)")
-    ]),
-    Claim.each("secondary: object transfer > MBR join", gt, 1.0, _cols(
-        "obj transfer (s)", "MBR-join (s)", lambda r: r["organization"] == "secondary"
-    )),
-    _COMPLETE_JOIN_SPEEDUP,
-    footer=fig17_speedups,
-)
 def fig17(
     ctx: ExperimentContext,
     series_r="C-1",
@@ -656,3 +346,56 @@ def fig17(
                 "exact test (s)": exact,
                 "total (s)": mbr + transfer + exact,
             }
+
+
+#: Figure 17's complete-join speed-ups in the paper.
+COMPLETE_JOIN_SPEEDUP_PAPER = "3.9x for a, 4.3x for b"
+
+
+def fig17_speedups(rows: list[dict]) -> Iterator[str]:
+    total = {(r["version"], r["organization"]): r["total (s)"] for r in rows}
+    for version in dict.fromkeys(r["version"] for r in rows):
+        speedup = total[version, "secondary"] / total[version, "cluster"]
+        yield (
+            f"version {version}: complete-join speedup "
+            f"{speedup:.1f}x (paper: {COMPLETE_JOIN_SPEEDUP_PAPER})"
+        )
+
+
+FIGURES = {
+    figure.name: figure
+    for figure in (
+        Figure("table1", "Table 1 — maps and test series (scale={scale})", table1),
+        Figure(
+            "fig5", "Figure 5 — I/O cost for constructing the organization models",
+            fig5,
+        ),
+        Figure("fig6", "Figure 6 — storage utilization (occupied pages)", fig6),
+        Figure(
+            "fig7",
+            "Figure 7 — restricted buddy system: utilization and construction cost",
+            fig7,
+        ),
+        Figure("fig8", "Figure 8 — window queries across organization models", fig8),
+        Figure(
+            "fig10", "Figure 10 — query techniques for window queries (cluster org)",
+            fig10,
+        ),
+        Figure(
+            "fig11",
+            "Figure 11 — performance gains from adapting the cluster size (B-1)",
+            fig11,
+        ),
+        Figure(
+            "fig12", "Figure 12 — point queries across organization models", fig12
+        ),
+        Figure(
+            "fig14", "Figure 14 — spatial join I/O across organization models", fig14
+        ),
+        Figure("fig16", "Figure 16 — join transfer techniques (cluster org)", fig16),
+        Figure(
+            "fig17", "Figure 17 — complete intersection join cost breakdown", fig17,
+            fig17_speedups,
+        ),
+    )
+}
